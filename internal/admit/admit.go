@@ -278,7 +278,9 @@ func (c *Controller) isClosed() bool {
 // former — the latency the SLO governs, excluding the scheduling delay
 // between delivery and this goroutine resuming.
 func (c *Controller) Submit(ctx context.Context, q msq.Query) ([]query.Answer, msq.Stats, int, time.Duration, error) {
-	if err := q.Validate(); err != nil {
+	// Checked at the door, not in the block: a query the processor would
+	// reject fails the whole MultiQuery call and with it every block-mate.
+	if err := c.proc.CheckQuery(q); err != nil {
 		return nil, msq.Stats{}, 0, 0, err
 	}
 	c.submitted.Add(1)
@@ -587,9 +589,9 @@ func (c *Controller) targetWidth() int {
 // pressure returns the I/O-boundedness signal in [0, 1]. With no override
 // configured it is the larger of the live buffer-pool miss ratio and —
 // when the processor has a tracer — the page_fetch share of the phase
-// histograms' accumulated wall time against the CPU phases (kernel +
-// avoid). Both rise exactly when one more query sharing a page pass saves
-// the most repeated work.
+// histograms' accumulated wall time against the page passes' (kernel).
+// Both rise exactly when one more query sharing a page pass saves the most
+// repeated work.
 func (c *Controller) pressure() float64 {
 	if c.cfg.Pressure != nil {
 		return clamp01(c.cfg.Pressure())
@@ -602,7 +604,7 @@ func (c *Controller) pressure() float64 {
 	}
 	if tr := c.proc.Tracer(); tr.Enabled() {
 		fetch := tr.Snapshot(obs.PhasePageFetch).SumNs
-		cpu := tr.Snapshot(obs.PhaseKernel).SumNs + tr.Snapshot(obs.PhaseAvoid).SumNs
+		cpu := tr.Snapshot(obs.PhaseKernel).SumNs
 		if fetch+cpu > 0 {
 			if share := float64(fetch) / float64(fetch+cpu); share > p {
 				p = share

@@ -3,6 +3,7 @@ package admit_test
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -300,7 +301,9 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestInvalidQuery checks Submit validates before queueing.
+// TestInvalidQuery checks Submit validates before queueing: a query the
+// processor would reject — here also one of the wrong dimension, which
+// would fail its whole block — never counts as submitted.
 func TestInvalidQuery(t *testing.T) {
 	proc := newProc(t, testDB(12, 64, 4), vec.Euclidean{})
 	ctl, err := admit.New(proc, admit.Config{})
@@ -308,8 +311,17 @@ func TestInvalidQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ctl.Close()
-	if _, _, _, _, err := ctl.Submit(context.Background(), msq.Query{}); err == nil {
-		t.Fatal("invalid query admitted, want validation error")
+	for name, q := range map[string]msq.Query{
+		"zero":      {},
+		"wrong dim": {Vec: vec.Vector{1, 2}, Type: query.NewKNN(3)},
+		"nan":       {Vec: vec.Vector{0, 0, math.NaN(), 0}, Type: query.NewKNN(3)},
+	} {
+		if _, _, _, _, err := ctl.Submit(context.Background(), q); err == nil {
+			t.Errorf("%s query admitted, want validation error", name)
+		}
+	}
+	if n := ctl.Submitted(); n != 0 {
+		t.Errorf("%d rejected queries counted as submitted", n)
 	}
 }
 

@@ -17,8 +17,7 @@ import (
 // The obs experiment profiles the multi-query processor with the
 // observability tracer enabled: one multi-query batch per engine and
 // pipeline width, recording the per-phase latency histograms (page fetch
-// and wait, query-distance matrix, distance kernel, Lemma-1/2 avoidance
-// checks, result merge). Each traced run is checked against an untraced
+// and wait, query-distance matrix, page passes, result merge). Each traced run is checked against an untraced
 // reference run on a fresh engine — answers, page reads, distance
 // calculations, avoidance counters must be bit-identical, the tracing
 // contract. The results are the BENCH_obs.json artifact: the per-phase

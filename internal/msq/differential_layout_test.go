@@ -145,55 +145,6 @@ func TestDifferentialLayoutSoA(t *testing.T) {
 	}
 }
 
-// TestDifferentialLayoutSoAExplain pins the observation twins of the row
-// path: EXPLAIN over an SoA run must report the same batch stats as the
-// unprofiled SoA run and the same per-query offered sets as an AoS
-// EXPLAIN.
-func TestDifferentialLayoutSoAExplain(t *testing.T) {
-	const dim = 4
-	items := testDB(43, 300, dim)
-	queries := diffBatch(dim, 44)
-	m := vec.Euclidean{}
-	aosMk := diffMakers()[0]
-	soaMk := layoutMakers(store.ColumnSpec{Columnar: true})[0]
-
-	for _, width := range []int{1, 8} {
-		t.Run(fmt.Sprintf("w%d", width), func(t *testing.T) {
-			plain := runLayout(t, soaMk, m, AvoidOff, width, LayoutSoA, items, dim, queries)
-
-			eng := soaMk.make(t, items, dim, m)
-			proc, err := New(eng, m, Options{Avoidance: AvoidOff, Concurrency: width, Layout: LayoutSoA})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ex, err := proc.ExplainContext(t.Context(), queries)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ex.Stats != plain.stats {
-				t.Errorf("explain stats differ from plain soa run:\n  plain:   %+v\n  explain: %+v", plain.stats, ex.Stats)
-			}
-
-			aosEng := aosMk.make(t, items, dim, m)
-			aosProc, err := New(aosEng, m, Options{Avoidance: AvoidOff, Concurrency: width})
-			if err != nil {
-				t.Fatal(err)
-			}
-			aosEx, err := aosProc.ExplainContext(t.Context(), queries)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for q := range ex.Queries {
-				if ex.Queries[q].Offered() != aosEx.Queries[q].Offered() ||
-					ex.Queries[q].DistCalcs != aosEx.Queries[q].DistCalcs ||
-					ex.Queries[q].PagesVisited != aosEx.Queries[q].PagesVisited {
-					t.Errorf("query %d profile differs:\n  aos: %+v\n  soa: %+v", q, aosEx.Queries[q], ex.Queries[q])
-				}
-			}
-		})
-	}
-}
-
 // TestDifferentialLayoutQuant: the quantized pre-filter may only move
 // pairs between the three CPU disposals; everything a caller can observe
 // about answers and I/O stays bit-identical, and the disposals partition

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"metricdb/internal/engine"
-	"metricdb/internal/obs"
 	"metricdb/internal/pivot"
 	"metricdb/internal/pmtree"
 	"metricdb/internal/query"
@@ -347,72 +346,5 @@ func TestDifferentialIncremental(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestDifferentialTraced pins the tracing contract: installing a tracer
-// must not perturb anything observable — answers, every Stats counter,
-// disk I/O and buffer hit/miss counts stay bit-identical to the untraced
-// run at every pipeline width. The traced hot loops are verbatim twins of
-// the untraced ones; this test is what keeps them in lockstep.
-func TestDifferentialTraced(t *testing.T) {
-	const dim = 4
-	items := testDB(31, 300, dim)
-	queries := diffBatch(dim, 32)
-	m := vec.Euclidean{}
-
-	for _, mk := range diffMakers() {
-		for _, mode := range []AvoidanceMode{AvoidBoth, AvoidOff} {
-			for _, width := range []int{1, 2, 8} {
-				t.Run(fmt.Sprintf("%s/%s/w%d", mk.name, mode, width), func(t *testing.T) {
-					bare := runDifferential(t, mk, m, mode, width, items, dim, queries)
-
-					eng := mk.make(t, items, dim, m)
-					proc, err := New(eng, m, Options{Avoidance: mode, Concurrency: width})
-					if err != nil {
-						t.Fatal(err)
-					}
-					tr := obs.New(obs.Config{SlowQueryThreshold: -1})
-					proc = proc.WithTracer(tr)
-					lists, stats, err := proc.NewSession().MultiQueryAll(queries)
-					if err != nil {
-						t.Fatal(err)
-					}
-					traced := diffRun{stats: stats, io: eng.Pager().Disk().Stats()}
-					for _, l := range lists {
-						traced.answers = append(traced.answers, append([]query.Answer(nil), l.Answers()...))
-					}
-					traced.hits, traced.misses, _ = eng.Pager().Buffer().HitRate()
-
-					if diag, ok := identicalAnswers(bare.answers, traced.answers); !ok {
-						t.Errorf("traced answers differ from untraced: %s", diag)
-					}
-					if traced.stats != bare.stats {
-						t.Errorf("traced stats differ:\n  untraced: %+v\n  traced:   %+v", bare.stats, traced.stats)
-					}
-					if traced.io != bare.io {
-						t.Errorf("traced disk stats %+v, untraced %+v", traced.io, bare.io)
-					}
-					if traced.hits != bare.hits || traced.misses != bare.misses {
-						t.Errorf("traced buffer hits/misses %d/%d, untraced %d/%d",
-							traced.hits, traced.misses, bare.hits, bare.misses)
-					}
-
-					// The tracer must actually have seen the run.
-					if tr.Queries() == 0 {
-						t.Error("tracer recorded no query calls")
-					}
-					if tr.Snapshot(obs.PhaseKernel).Count == 0 {
-						t.Error("tracer recorded no kernel spans")
-					}
-					if tr.Snapshot(obs.PhasePageWait).Count == 0 {
-						t.Error("tracer recorded no page_wait spans")
-					}
-					if width > 1 && tr.Snapshot(obs.PhaseMerge).Count == 0 {
-						t.Error("pipelined run recorded no merge spans")
-					}
-				})
-			}
-		}
 	}
 }

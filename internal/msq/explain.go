@@ -2,13 +2,11 @@ package msq
 
 import (
 	"context"
-	"math"
 	"sync/atomic"
 	"time"
 
 	"metricdb/internal/engine"
 	"metricdb/internal/obs"
-	"metricdb/internal/store"
 )
 
 // EXPLAIN: per-query cost profiles for one batch. The paper's counters
@@ -17,10 +15,11 @@ import (
 // — which queries paid for the shared pages, which lemma did the avoiding,
 // how often the bounded kernel abandoned — plus the call's buffer-pool
 // behaviour and per-phase wall time. Like tracing, EXPLAIN is strictly
-// observational: the explain twins of the page loops make byte-for-byte
-// the same avoidance, abandonment and Consider decisions as the plain
-// loops, so answers and the batch counters are identical with and without
-// profiling.
+// observational: it runs the one page pass everything runs (pass.go), which
+// records each pair's disposal through a pointer that is nil when nothing
+// profiles, so no decision can depend on it and answers and the batch
+// counters are identical with and without profiling. Summed over the
+// queries, the profiles' counters equal the batch Stats.
 //
 // Width stability: page visits, answers, and the per-query offered set
 // (DistCalcs + Lemma1Avoided + Lemma2Avoided) are pure functions of the
@@ -47,8 +46,8 @@ type Profile struct {
 	Abandoned int64 `json:"abandoned"`
 	// Lemma1Avoided / Lemma2Avoided split the avoided calculations by the
 	// lemma that proved them irrelevant (Definition 5). Under AvoidBoth a
-	// pair satisfying both lemmas is attributed to Lemma 1, matching the
-	// evaluation order of the plain loop.
+	// probe satisfying both lemmas is attributed to Lemma 1, which
+	// avoidable tests first.
 	Lemma1Avoided int64 `json:"lemma1_avoided"`
 	Lemma2Avoided int64 `json:"lemma2_avoided"`
 	// AvoidTries counts the triangle-inequality probes spent on this query.
@@ -94,9 +93,10 @@ type Explain struct {
 	BufferEvictions int64   `json:"buffer_evictions"`
 	BufferHitRatio  float64 `json:"buffer_hit_ratio"`
 	// PhaseNs is the call's wall time per phase (plan, matrix, page_wait,
-	// avoid, kernel, merge), in nanoseconds. Phases the call never entered
-	// are absent. Concurrent phases sum across workers, so the values can
-	// exceed WallNs at widths >= 2.
+	// kernel, merge), in nanoseconds; kernel is the page passes, avoidance
+	// probes included. Phases the call never entered are absent. Concurrent
+	// phases sum across workers, so the values can exceed WallNs at widths
+	// >= 2.
 	PhaseNs map[string]int64 `json:"phase_ns"`
 	// WallNs is the call's total wall time.
 	WallNs int64 `json:"wall_ns"`
@@ -127,8 +127,8 @@ type PredictedCost struct {
 
 // explainCounters is the mutable accumulator behind one Profile. The
 // pipeline's workers update it concurrently, so the fields are atomic; the
-// sequential path pays two uncontended atomic adds per pair, acceptable on
-// a diagnostic path.
+// sequential path pays a few uncontended atomic adds per pair, acceptable
+// on a diagnostic path.
 type explainCounters struct {
 	pagesVisited atomic.Int64
 	distCalcs    atomic.Int64
@@ -140,8 +140,9 @@ type explainCounters struct {
 }
 
 // explainState is attached to a Session for the duration of one
-// ExplainAllContext call; its presence switches the page loops to their
-// explain twins. prof is indexed by global batch position.
+// ExplainAllContext call; its presence makes the page passes attribute
+// their work and the session time its phases. prof is indexed by global
+// batch position.
 type explainState struct {
 	prof    []explainCounters
 	phaseNs [obs.NumPhases]atomic.Int64
@@ -160,139 +161,27 @@ func (ex *explainState) observe(p obs.Phase, d time.Duration) {
 	ex.phaseNs[p].Add(int64(d))
 }
 
-// avoidableExplain is avoidable plus lemma attribution: identical probe
-// order, probe count, and decision, additionally reporting whether the
-// avoiding lemma was Lemma 1 (true) or Lemma 2 (false). Under AvoidBoth
-// the plain loop's short-circuit `||` tests Lemma 1 first, so attributing
-// a both-lemmas pair to Lemma 1 reproduces its evaluation order exactly.
-// Keep in lockstep with avoidable.
-func (s *Session) avoidableExplain(qd float64, pos int, known []knownDist, matrix [][]float64, tries *int64) (avoided, byLemma1 bool) {
-	row := matrix[pos]
-	mode := s.proc.opts.Avoidance
-	if len(known) > maxAvoidProbes {
-		known = known[:maxAvoidProbes]
+// avoided, screened and calculated attribute one pair's disposal — and the
+// probes spent reaching it — to the query's profile.
+func (c *explainCounters) avoided(lemma, tries int) {
+	c.tries.Add(int64(tries))
+	if lemma == 1 {
+		c.lemma1.Add(1)
+	} else {
+		c.lemma2.Add(1)
 	}
-	for _, k := range known {
-		*tries++
-		mij := row[k.idx]
-		switch mode {
-		case AvoidBoth:
-			if k.d-mij > qd {
-				return true, true
-			}
-			if mij-k.d > qd {
-				return true, false
-			}
-		case AvoidLemma1:
-			if k.d-mij > qd {
-				return true, true
-			}
-		case AvoidLemma2:
-			if mij-k.d > qd {
-				return true, false
-			}
-		}
-	}
-	return false, false
 }
 
-// processPageExplain is processPage with per-query attribution: the same
-// loop and the same decisions, plus profile updates and the traced twin's
-// avoid/kernel clock splits (feeding both the explain state and, when a
-// tracer is installed, the tracer). Keep this body in lockstep with
-// processPage and processPageTraced.
-func (s *Session) processPageExplain(ex *explainState, page *store.Page, active []*queryState, activeIdx []int, matrix [][]float64, stats *Stats, sc *seqScratch) {
-	tr := s.proc.tracer
-	pageStart := time.Now()
-	var avoidNs time.Duration
-	avoiding := matrix != nil && s.proc.opts.Avoidance != AvoidOff
-	kernel := s.proc.metric.Kernel()
-	filters := s.quantFilters(page, active, sc.filters)
-	var calcs, abandoned int64
-	startFiltered := stats.QuantFiltered
-	known := sc.known
-	qds := sc.qds[:len(active)]
-	for i, st := range active {
-		qds[i] = st.queryDist()
-	}
-	var raise []float64
-	if avoiding {
-		raise = lemma1Raises(activeIdx, matrix, qds, sc.raise)
-	}
-	for it := range page.Items {
-		item := &page.Items[it]
-		var codes []uint8
-		if filters != nil {
-			codes = page.Cols.ItemCodes(it)
-		}
-		known = known[:0]
-		for a, st := range active {
-			pos := activeIdx[a]
-			prof := &ex.prof[pos]
-			qd := qds[a]
-			limit := qd
-			if avoiding {
-				t0 := time.Now()
-				var pairTries int64
-				av, byL1 := s.avoidableExplain(qd, pos, known, matrix, &pairTries)
-				stats.AvoidTries += pairTries
-				prof.tries.Add(pairTries)
-				if av {
-					stats.Avoided++
-					if byL1 {
-						prof.lemma1.Add(1)
-					} else {
-						prof.lemma2.Add(1)
-					}
-					avoidNs += time.Since(t0)
-					continue
-				}
-				limit = abandonLimit(qd, raise[a], len(known))
-				avoidNs += time.Since(t0)
-			}
-			if filters != nil {
-				if f := filters[a]; f != nil && f.Exceeds(codes, qd) {
-					stats.QuantFiltered++
-					prof.filtered.Add(1)
-					continue
-				}
-			}
-			d, within := kernel.DistanceWithin(st.q.Vec, item.Vec, limit)
-			calcs++
-			prof.distCalcs.Add(1)
-			if avoiding {
-				known = append(known, knownDist{d: d, idx: int32(pos)})
-			}
-			if within {
-				if st.answers.Consider(item.ID, d) {
-					wasInf := math.IsInf(qd, 1)
-					qds[a] = st.queryDist()
-					if avoiding && wasInf && !math.IsInf(qds[a], 1) {
-						row := matrix[pos]
-						for j, p := range activeIdx {
-							if t := row[p] + qds[a]; t > raise[j] {
-								raise[j] = t
-							}
-						}
-					}
-				}
-			} else {
-				abandoned++
-				prof.abandoned.Add(1)
-			}
-		}
-	}
-	s.proc.metric.AddCalls(calcs, abandoned)
-	s.proc.metric.AddFiltered(stats.QuantFiltered - startFiltered)
-	ex.observe(obs.PhaseAvoid, avoidNs)
-	kernelDur := time.Since(pageStart) - avoidNs
-	if kernelDur < 0 {
-		kernelDur = 0
-	}
-	ex.observe(obs.PhaseKernel, kernelDur)
-	if tr.Enabled() {
-		tr.Observe(obs.PhaseAvoid, avoidNs)
-		tr.Observe(obs.PhaseKernel, kernelDur)
+func (c *explainCounters) screened(tries int) {
+	c.tries.Add(int64(tries))
+	c.filtered.Add(1)
+}
+
+func (c *explainCounters) calculated(within bool, tries int) {
+	c.tries.Add(int64(tries))
+	c.distCalcs.Add(1)
+	if !within {
+		c.abandoned.Add(1)
 	}
 }
 

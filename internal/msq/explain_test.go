@@ -20,71 +20,6 @@ func explainBatch(items []store.Item) []Query {
 	}
 }
 
-// TestExplainStrictlyObservational: the profiling run must be a real run —
-// same answers, same batch Stats as MultiQueryAll on an identical
-// processor, with the per-query attribution summing to the batch counters.
-func TestExplainStrictlyObservational(t *testing.T) {
-	items := testDB(7, 400, 4)
-	qs := explainBatch(items)
-
-	plain, err := New(scanEngine(t, items), vec.Euclidean{}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	answers, stats, err := plain.MultiQuery(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	profiled, err := New(scanEngine(t, items), vec.Euclidean{}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := profiled.ExplainContext(context.Background(), qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if ex.Stats != stats {
-		t.Errorf("profiled stats = %+v, plain = %+v", ex.Stats, stats)
-	}
-	if ex.Engine != "scan" || ex.Width != 1 || ex.Avoidance != "both" {
-		t.Errorf("batch header = %s/%d/%s", ex.Engine, ex.Width, ex.Avoidance)
-	}
-	if len(ex.Queries) != len(qs) {
-		t.Fatalf("%d profiles for %d queries", len(ex.Queries), len(qs))
-	}
-	var dist, avoided, tries, abandoned int64
-	for i, p := range ex.Queries {
-		if p.ID != qs[i].ID {
-			t.Errorf("profile %d has id %d, want %d", i, p.ID, qs[i].ID)
-		}
-		if p.Answers != answers[i].Len() {
-			t.Errorf("query %d: profile reports %d answers, plain run found %d",
-				p.ID, p.Answers, answers[i].Len())
-		}
-		if p.PagesVisited <= 0 {
-			t.Errorf("query %d visited no pages", p.ID)
-		}
-		dist += p.DistCalcs
-		avoided += p.Lemma1Avoided + p.Lemma2Avoided
-		tries += p.AvoidTries
-		abandoned += p.Abandoned
-	}
-	if dist != stats.DistCalcs {
-		t.Errorf("profile dist calcs sum to %d, batch counted %d", dist, stats.DistCalcs)
-	}
-	if avoided != stats.Avoided {
-		t.Errorf("profile avoidance sums to %d, batch counted %d", avoided, stats.Avoided)
-	}
-	if tries != stats.AvoidTries {
-		t.Errorf("profile tries sum to %d, batch counted %d", tries, stats.AvoidTries)
-	}
-	if abandoned != stats.PartialAbandoned {
-		t.Errorf("profile abandonments sum to %d, batch counted %d", abandoned, stats.PartialAbandoned)
-	}
-}
-
 // TestExplainWidthStability: pages visited, the offered set and answer
 // counts are width-invariant; the full profile is identical across all
 // pipeline widths >= 2 (see the stability contract in explain.go).

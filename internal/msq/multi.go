@@ -104,9 +104,9 @@ type Session struct {
 	// overhead at m(m-1)/2 for a block of m queries even under
 	// incremental evaluation.
 	pairDist map[pairKey]float64
-	// explain, when non-nil, switches the page loops to their explain
-	// twins for the duration of one ExplainAllContext call (set and
-	// cleared under mu; the pipeline's workers only read it).
+	// explain, when non-nil, collects per-query profiles and phase times
+	// for the duration of one ExplainAllContext call (set and cleared
+	// under mu; the pipeline's workers only read it).
 	explain *explainState
 }
 
@@ -192,9 +192,9 @@ func (s *Session) MultiQueryContext(ctx context.Context, queries []Query) ([]*qu
 	// Inter-query distance matrix for the avoidance lemmas. Computing it
 	// costs m(m-1)/2 distance calculations — the initialization overhead
 	// that is quadratic in m (§5.2, §6.4).
-	sp := tr.Start(obs.PhaseMatrix)
+	matrixStart := s.clock()
 	matrix := s.queryDistMatrix(queries, &stats)
-	sp.End()
+	s.observeSince(obs.PhaseMatrix, matrixStart)
 	pos := identityPositions(len(states))
 
 	err = s.run(ctx, states, matrix, pos, &stats)
@@ -218,7 +218,7 @@ func (s *Session) prepare(queries []Query) ([]*queryState, []*query.AnswerList, 
 	seen := make(map[uint64]bool, len(queries))
 	states := make([]*queryState, len(queries))
 	for i, q := range queries {
-		if err := q.Validate(); err != nil {
+		if err := s.proc.CheckQuery(q); err != nil {
 			return nil, nil, err
 		}
 		if seen[q.ID] {
@@ -285,8 +285,6 @@ func identityPositions(n int) []int {
 // states[i]), so MultiQueryAll can share one matrix across all its passes.
 func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]float64, pos []int, stats *Stats) error {
 	first := states[0]
-	tr := s.proc.tracer
-	traced := tr.Enabled()
 
 	// Bootstrap: a k-NN query that has no answers yet cannot exclude any
 	// page (its query distance is infinite), so sharing Q1's pages with
@@ -306,33 +304,23 @@ func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]floa
 	// determine_relevant_data_pages: the plan covers (at least) every
 	// page relevant for Q1, in optimal order. Buffered partial answers
 	// and the a-priori bound give Q1 a head start on its query distance.
-	ex := s.explain
-	var planStart time.Time
-	if ex != nil {
-		planStart = time.Now()
-	}
-	sp := tr.Start(obs.PhasePlan)
+	planStart := s.clock()
 	plan := first.pq.Plan(first.queryDist())
-	sp.End()
-	if ex != nil {
-		ex.observe(obs.PhasePlan, time.Since(planStart))
-	}
+	s.observeSince(obs.PhasePlan, planStart)
 
-	if width := s.proc.Concurrency(); width > 1 {
-		if err := s.runPipeline(ctx, plan, states, matrix, pos, stats, width); err != nil {
+	width := s.proc.Concurrency()
+	pass := newPagePass(s, width, len(states), matrix)
+	if width > 1 {
+		if err := s.runPipeline(ctx, plan, states, pos, stats, pass, width); err != nil {
 			return err
 		}
 		first.done = true
 		return nil
 	}
 
-	// active caches, per page, which queries still need the page; sc is
-	// the page loop's scratch (avoidance lists, pruning-distance mirrors,
-	// row-kernel buffers), pre-sized so no observation mode of the loop
-	// allocates in steady state.
+	// active caches, per page, which queries still need the page.
 	active := make([]*queryState, 0, len(states))
 	activePos := make([]int, 0, len(states))
-	sc := newSeqScratch(len(states))
 
 	for _, ref := range plan {
 		if err := ctx.Err(); err != nil {
@@ -347,28 +335,16 @@ func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]floa
 
 		active, activePos = s.decideActive(ref.ID, states, pos, active, activePos)
 
-		var waitStart time.Time
-		if traced || ex != nil {
-			waitStart = time.Now()
-		}
+		waitStart := s.clock()
 		page, err := s.proc.eng.ReadPage(ref.ID)
-		if traced {
-			tr.ObserveSince(obs.PhasePageWait, waitStart)
-		}
-		if ex != nil {
-			ex.observe(obs.PhasePageWait, time.Since(waitStart))
-		}
+		s.observeSince(obs.PhasePageWait, waitStart)
 		if err != nil {
 			return fmt.Errorf("msq: multiple query: %w", err)
 		}
-		stats.PageVisits += int64(len(active))
-		if ex != nil {
-			for _, p := range activePos {
-				ex.prof[p].pagesVisited.Add(1)
-			}
-		}
+		s.visit(activePos, stats)
 
-		s.processPage(page, active, activePos, matrix, stats, sc)
+		pass.begin(page, active, activePos)
+		s.settle(stats, pass.eval(0, len(page.Items), 0, nil))
 
 		for _, st := range active {
 			st.processed[ref.ID] = struct{}{}
@@ -441,7 +417,6 @@ func (s *Session) bootstrap(states []*queryState) {
 // such as the scan would always seed page 0 for everyone).
 func (s *Session) seedFirstPages(states []*queryState, pos []int, stats *Stats) error {
 	eng := s.proc.eng
-	ex := s.explain
 	kernel := s.proc.metric.Kernel()
 	nPages := eng.NumPages()
 	for idx, st := range states {
@@ -467,38 +442,40 @@ func (s *Session) seedFirstPages(states []*queryState, pos []int, stats *Stats) 
 		if !informative || best == store.InvalidPage {
 			continue
 		}
+		waitStart := s.clock()
 		page, err := eng.ReadPage(best)
+		s.observeSince(obs.PhasePageWait, waitStart)
 		if err != nil {
 			return fmt.Errorf("msq: seeding query %d: %w", st.q.ID, err)
 		}
-		stats.PageVisits++
+		// A seed page has its own loop rather than a one-query page pass:
+		// it is nearly always cold, the items are cache misses, and a body
+		// this short lets the misses of several iterations overlap. Routed
+		// through the pair body, the index engines' batches of the
+		// engines_lowdim benchmark ran about a tenth slower. The live bound
+		// (a-priori MAXDIST, tightening as the list fills) lets later items
+		// abandon early; an abandoned item could not have entered the list.
+		s.visit(pos[idx:idx+1], stats)
+		evalStart := s.clock()
 		var prof *explainCounters
-		if ex != nil {
+		if ex := s.explain; ex != nil {
 			prof = &ex.prof[pos[idx]]
-			prof.pagesVisited.Add(1)
 		}
-		var calcs, abandoned int64
+		var c passCounts
 		for i := range page.Items {
-			// The live bound (a-priori MAXDIST bound, tightening as the
-			// list fills) lets later items on the seed page abandon early;
-			// an abandoned item could not have entered the list. Calls go
-			// through the raw kernel and settle in one AddCalls per seed
-			// page, like the page loop.
 			d, within := kernel.DistanceWithin(st.q.Vec, page.Items[i].Vec, st.queryDist())
-			calcs++
+			c.calcs++
 			if prof != nil {
-				prof.distCalcs.Add(1)
-				if !within {
-					prof.abandoned.Add(1)
-				}
+				prof.calculated(within, 0)
 			}
 			if within {
 				st.answers.Consider(page.Items[i].ID, d)
 			} else {
-				abandoned++
+				c.abandoned++
 			}
 		}
-		s.proc.metric.AddCalls(calcs, abandoned)
+		s.observeSince(obs.PhaseKernel, evalStart)
+		s.settle(stats, c)
 		st.processed[best] = struct{}{}
 	}
 	return nil
@@ -542,489 +519,6 @@ func (s *Session) pairDistance(qi, qj Query, stats *Stats) float64 {
 	return d
 }
 
-// knownDist records a distance already calculated from the current database
-// object to the query at position idx ("AvoidingDists" in Figure 4). When
-// the calculation was abandoned early by the bounded kernel, d is only a
-// lower bound on the true distance: sound for Lemma 1 (which needs
-// dist(O,Qj) to be large), and incapable of firing Lemma 2 — not by an
-// exactness flag (a data-dependent branch that mispredicts badly in
-// avoidable's probe loop when abandoned and exact entries interleave) but
-// by the abandonLimit invariant: an abandoned d strictly exceeds
-// dist(Q_j, Q_i) + QueryDist(Q_i) for every query i that can still probe
-// the entry with a finite pruning distance, and Lemma 2 would need d
-// *below* dist(Q_j, Q_i) - QueryDist(Q_i). A pruning distance becomes
-// finite only at its own query's turn — after that query's probes — and
-// that transition recomputes the raises, so the invariant covers every
-// probe. idx is an int32 so the entry packs into 16 bytes; avoidable scans
-// these linearly, so density matters.
-type knownDist struct {
-	d   float64 // exact distance, or the abandoned partial lower bound
-	idx int32
-}
-
-// seqScratch bundles the sequential page loop's reusable buffers, shared
-// by the plain, traced and explain twins so switching observation modes
-// never changes the allocation profile. Every field is sized for the full
-// batch and sliced down to the page's active set; contents are clobbered
-// on each page.
-type seqScratch struct {
-	known   []knownDist
-	qds     []float64
-	raise   []float64
-	qvecs   []vec.Vector
-	q32     [][]float32
-	rowD    []float64
-	rowW    []bool
-	filters []*vec.QuantFilter
-}
-
-func newSeqScratch(n int) *seqScratch {
-	return &seqScratch{
-		known:   make([]knownDist, 0, n),
-		qds:     make([]float64, n),
-		raise:   make([]float64, n),
-		qvecs:   make([]vec.Vector, n),
-		q32:     make([][]float32, n),
-		rowD:    make([]float64, n),
-		rowW:    make([]bool, n),
-		filters: make([]*vec.QuantFilter, n),
-	}
-}
-
-// rowPath reports whether this page runs through the blocked row kernels
-// under the configured layout, and whether over the float32 sibling. Rows
-// require a columnar block and no avoidance interleaving: with avoidance
-// off, a query's pruning distance within one item can only have been
-// tightened by earlier items (each query's mirror is updated solely by its
-// own Consider accepts), so passing the live pruning distances as the row
-// limits reproduces the per-pair loop's limits — and with them its
-// distances, within flags, abandon points and Consider sequence — exactly.
-// Under avoidance the per-pair loop couples the queries of one item
-// through the known list, which has no row equivalent; those pages keep
-// the per-pair path, which reads the same block-backed float64s anyway.
-// Batches narrower than one lane group (m < 4) also keep the per-pair
-// path: the grouped lanes of the row kernels never engage there, so the
-// row loop would only add per-item bookkeeping on top of the same scalar
-// kernel calls.
-func (s *Session) rowPath(page *store.Page, avoiding bool, m int) (rows, f32 bool) {
-	b := page.Cols
-	if b == nil || avoiding || b.N != len(page.Items) || m < 4 {
-		return false, false
-	}
-	switch s.proc.opts.Layout {
-	case LayoutSoA:
-		return true, false
-	case LayoutF32:
-		if b.F32 != nil && s.proc.rows.SupportsF32() {
-			return true, true
-		}
-		return true, false // no f32 sibling on this page: exact rows
-	}
-	return false, false
-}
-
-// quantFilters fills dst with each active query's code-level filter for
-// the page's grid, or returns nil when the layout or the page does not
-// support quantized screening. Entries may be nil (metric without a
-// code-level bound); a nil filter rejects nothing.
-func (s *Session) quantFilters(page *store.Page, active []*queryState, dst []*vec.QuantFilter) []*vec.QuantFilter {
-	if s.proc.opts.Layout != LayoutQuant {
-		return nil
-	}
-	b := page.Cols
-	if b == nil || b.Codes == nil || b.Grid == nil {
-		return nil
-	}
-	dst = dst[:len(active)]
-	for i, st := range active {
-		dst[i] = st.filter(s.proc.metric, b.Grid)
-	}
-	return dst
-}
-
-// processPageRows is the blocked (SoA) page pass: one row-kernel call per
-// item evaluates the whole active set against the item's block row, so the
-// row — just loaded into cache — is reused m times and the kernel dispatch
-// is devirtualized once per page instead of once per pair. Only reached
-// when rowPath holds, under which the results are bit-identical to the
-// per-pair loop (see rowPath); with f32 the distances instead carry the
-// block's documented input-rounding error and the caller has opted into
-// that via LayoutF32. Observation modes share this body: ex/tr attribution
-// is per item (not per pair), which costs one predictable branch per row.
-func (s *Session) processPageRows(page *store.Page, active []*queryState, activeIdx []int, sc *seqScratch, f32 bool, ex *explainState, tr *obs.Tracer) {
-	observing := ex != nil || tr.Enabled()
-	var pageStart time.Time
-	if observing {
-		pageStart = time.Now()
-	}
-	b := page.Cols
-	rows := s.proc.rows
-	qds := sc.qds[:len(active)]
-	dOut := sc.rowD[:len(active)]
-	wOut := sc.rowW[:len(active)]
-	for i, st := range active {
-		qds[i] = st.queryDist()
-	}
-	var q64 []vec.Vector
-	var q32 [][]float32
-	if f32 {
-		q32 = sc.q32[:len(active)]
-		for i, st := range active {
-			q32[i] = st.f32()
-		}
-	} else {
-		q64 = sc.qvecs[:len(active)]
-		for i, st := range active {
-			q64[i] = st.q.Vec
-		}
-	}
-	var calcs, abandoned int64
-	for it := 0; it < b.N; it++ {
-		var ab int
-		if f32 {
-			ab = rows.RowWithinF32(q32, b, it, qds, dOut, wOut)
-		} else {
-			ab = rows.RowWithin(q64, b, it, qds, dOut, wOut)
-		}
-		calcs += int64(len(active))
-		abandoned += int64(ab)
-		if ex != nil {
-			for a := range active {
-				prof := &ex.prof[activeIdx[a]]
-				prof.distCalcs.Add(1)
-				if !wOut[a] {
-					prof.abandoned.Add(1)
-				}
-			}
-		}
-		if ab == len(active) {
-			continue // no lane within: nothing to Consider
-		}
-		id := page.Items[it].ID
-		for a, st := range active {
-			if wOut[a] {
-				if st.answers.Consider(id, dOut[a]) {
-					qds[a] = st.queryDist()
-				}
-			}
-		}
-	}
-	s.proc.metric.AddCalls(calcs, abandoned)
-	if observing {
-		kernelNs := time.Since(pageStart)
-		if ex != nil {
-			ex.observe(obs.PhaseKernel, kernelNs)
-		}
-		if tr.Enabled() {
-			tr.Observe(obs.PhaseKernel, kernelNs)
-		}
-	}
-}
-
-// processPage tests every item of page against every active query, using
-// the triangle inequality over already-known distances to avoid
-// calculations where possible. Unavoidable calculations run through the
-// bounded distance kernel, which abandons mid-vector as soon as the partial
-// result proves the exact distance irrelevant. The abandonment limit is not
-// the query's own pruning distance but the abandonLimit raise of it, so an
-// abandoned calculation provably (a) could never have produced an answer
-// (Consider would reject it) and (b) fires Lemma 1 — and withholds Lemma 2
-// — for every later query on this item exactly where the exact distance
-// would, leaving DistCalcs and Avoided untouched relative to full-distance
-// evaluation. The partial result is appended to known like any other
-// distance, so later probes see the same entry sequence either way. sc is
-// caller-owned scratch sized for the batch; its contents are clobbered.
-//
-// Distance calculations bypass the Counting wrapper: the loop calls the raw
-// kernel and settles the calc/abandon counts in one AddCalls batch per
-// page, trading two atomic updates per evaluation for two per page.
-//
-// Layouts: pages with a columnar block take the blocked row path when
-// rowPath holds (bit-identical for LayoutSoA; see rowPath). LayoutQuant
-// screens each pair through the quantized lower-bound filter before the
-// kernel: a rejected pair provably satisfies dist > qd, so it could not
-// have been an answer; it is not appended to known (Lemma 2 over a lower
-// bound is unsound) and is counted in QuantFiltered instead of DistCalcs.
-// Answers and page reads are unchanged; only the CPU counters shift.
-//
-// When a tracer is enabled the page is evaluated by processPageTraced — a
-// verbatim copy of this loop plus per-pair clock reads — so the untraced
-// hot path carries no per-pair branches at all. The two loops must stay in
-// lockstep; the traced differential test pins that their answers and
-// avoidance counters are identical.
-func (s *Session) processPage(page *store.Page, active []*queryState, activeIdx []int, matrix [][]float64, stats *Stats, sc *seqScratch) {
-	avoiding := matrix != nil && s.proc.opts.Avoidance != AvoidOff
-	if useRows, f32 := s.rowPath(page, avoiding, len(active)); useRows {
-		s.processPageRows(page, active, activeIdx, sc, f32, s.explain, s.proc.tracer)
-		return
-	}
-	if ex := s.explain; ex != nil {
-		s.processPageExplain(ex, page, active, activeIdx, matrix, stats, sc)
-		return
-	}
-	if tr := s.proc.tracer; tr.Enabled() {
-		s.processPageTraced(tr, page, active, activeIdx, matrix, stats, sc)
-		return
-	}
-	kernel := s.proc.metric.Kernel()
-	filters := s.quantFilters(page, active, sc.filters)
-	var calcs, abandoned int64
-	startFiltered := stats.QuantFiltered
-	// qds mirrors each active query's pruning distance exactly: a pruning
-	// distance changes only when the query's own Consider accepts an item
-	// (st.bound is fixed during the page loop), and every accept refreshes
-	// the mirror below — so the per-pair qd is a cached read, not a call.
-	known := sc.known
-	qds := sc.qds[:len(active)]
-	for i, st := range active {
-		qds[i] = st.queryDist()
-	}
-	// raise[a] caches the Lemma-1 horizon bound of abandonLimit, computed
-	// from the page-start qds. Pruning distances only shrink during the
-	// page, which leaves the cached raise too high — still at or above
-	// every live horizon (the identity requirement), merely abandoning
-	// less — so shrinks do not invalidate it. The one event that would
-	// make it too low is a pruning distance turning finite (a k-NN list
-	// filling up mid-page): that query's horizon springs into existence,
-	// so every cached raise is lifted to cover the new horizon then — an
-	// O(m) overapproximation (the suffix raise of a later position need
-	// not include the new query, but a higher raise stays valid). Each
-	// query transitions at most once per run.
-	var raise []float64
-	if avoiding {
-		raise = lemma1Raises(activeIdx, matrix, qds, sc.raise)
-	}
-	for it := range page.Items {
-		item := &page.Items[it]
-		var codes []uint8
-		if filters != nil {
-			codes = page.Cols.ItemCodes(it)
-		}
-		known = known[:0]
-		for a, st := range active {
-			pos := activeIdx[a]
-			qd := qds[a]
-			limit := qd
-			if avoiding {
-				if s.avoidable(qd, pos, known, matrix, &stats.AvoidTries) {
-					stats.Avoided++
-					continue
-				}
-				limit = abandonLimit(qd, raise[a], len(known))
-			}
-			if filters != nil {
-				if f := filters[a]; f != nil && f.Exceeds(codes, qd) {
-					stats.QuantFiltered++
-					continue
-				}
-			}
-			d, within := kernel.DistanceWithin(st.q.Vec, item.Vec, limit)
-			calcs++
-			if avoiding {
-				known = append(known, knownDist{d: d, idx: int32(pos)})
-			}
-			if within {
-				if st.answers.Consider(item.ID, d) {
-					wasInf := math.IsInf(qd, 1)
-					qds[a] = st.queryDist()
-					if avoiding && wasInf && !math.IsInf(qds[a], 1) {
-						row := matrix[pos]
-						for j, p := range activeIdx {
-							if t := row[p] + qds[a]; t > raise[j] {
-								raise[j] = t
-							}
-						}
-					}
-				}
-			} else {
-				abandoned++
-			}
-		}
-	}
-	s.proc.metric.AddCalls(calcs, abandoned)
-	s.proc.metric.AddFiltered(stats.QuantFiltered - startFiltered)
-}
-
-// processPageTraced is processPage with tracing enabled: the same loop,
-// plus clock reads that split the page's evaluation time into the avoidance
-// phase (triangle-inequality probes and abandonment-limit bookkeeping) and
-// the kernel phase (everything else: bounded distance evaluations and
-// answer-list updates). Timing is observation-only — every avoidance
-// decision, kernel limit, and Consider call is byte-for-byte the decision
-// the untraced loop makes, so answers and the DistCalcs/Avoided/AvoidTries
-// counters cannot differ. Keep this body in lockstep with processPage.
-func (s *Session) processPageTraced(tr *obs.Tracer, page *store.Page, active []*queryState, activeIdx []int, matrix [][]float64, stats *Stats, sc *seqScratch) {
-	pageStart := time.Now()
-	var avoidNs time.Duration
-	avoiding := matrix != nil && s.proc.opts.Avoidance != AvoidOff
-	kernel := s.proc.metric.Kernel()
-	filters := s.quantFilters(page, active, sc.filters)
-	var calcs, abandoned int64
-	startFiltered := stats.QuantFiltered
-	known := sc.known
-	qds := sc.qds[:len(active)]
-	for i, st := range active {
-		qds[i] = st.queryDist()
-	}
-	var raise []float64
-	if avoiding {
-		raise = lemma1Raises(activeIdx, matrix, qds, sc.raise)
-	}
-	for it := range page.Items {
-		item := &page.Items[it]
-		var codes []uint8
-		if filters != nil {
-			codes = page.Cols.ItemCodes(it)
-		}
-		known = known[:0]
-		for a, st := range active {
-			pos := activeIdx[a]
-			qd := qds[a]
-			limit := qd
-			if avoiding {
-				t0 := time.Now()
-				if s.avoidable(qd, pos, known, matrix, &stats.AvoidTries) {
-					stats.Avoided++
-					avoidNs += time.Since(t0)
-					continue
-				}
-				limit = abandonLimit(qd, raise[a], len(known))
-				avoidNs += time.Since(t0)
-			}
-			if filters != nil {
-				if f := filters[a]; f != nil && f.Exceeds(codes, qd) {
-					stats.QuantFiltered++
-					continue
-				}
-			}
-			d, within := kernel.DistanceWithin(st.q.Vec, item.Vec, limit)
-			calcs++
-			if avoiding {
-				known = append(known, knownDist{d: d, idx: int32(pos)})
-			}
-			if within {
-				if st.answers.Consider(item.ID, d) {
-					wasInf := math.IsInf(qd, 1)
-					qds[a] = st.queryDist()
-					if avoiding && wasInf && !math.IsInf(qds[a], 1) {
-						row := matrix[pos]
-						for j, p := range activeIdx {
-							if t := row[p] + qds[a]; t > raise[j] {
-								raise[j] = t
-							}
-						}
-					}
-				}
-			} else {
-				abandoned++
-			}
-		}
-	}
-	s.proc.metric.AddCalls(calcs, abandoned)
-	s.proc.metric.AddFiltered(stats.QuantFiltered - startFiltered)
-	tr.Observe(obs.PhaseAvoid, avoidNs)
-	if kernelDur := time.Since(pageStart) - avoidNs; kernelDur > 0 {
-		tr.Observe(obs.PhaseKernel, kernelDur)
-	} else {
-		tr.Observe(obs.PhaseKernel, 0)
-	}
-}
-
-// maxAvoidProbes caps how many known distances one avoidance decision
-// consults. Unbounded probing is quadratic in the block size m and
-// dominates wall-clock for m in the thousands, while the probability that
-// a probe succeeds after many failures is low; the cap keeps the vast
-// majority of avoided calculations at linear cost. (The paper's own
-// quadratic-in-m degradation at s=16 stems mainly from the query-distance
-// matrix, which is not affected by this cap.)
-const maxAvoidProbes = 8
-
-// avoidable implements Definition 5 via Lemmas 1 and 2: the calculation of
-// dist(Q_i, O) is avoidable if some already-known dist(Q_j, O) proves
-// dist(Q_i, O) > QueryDist(Q_i). Strict inequalities are used so that
-// boundary answers (dist exactly equal to the query distance) are never
-// lost.
-//
-//	Lemma 1: dist(O,Qj) - dist(Qi,Qj) > QueryDist(Qi)  =>  avoid
-//	Lemma 2: dist(Qi,Qj) - dist(O,Qj) > QueryDist(Qi)  =>  avoid
-func (s *Session) avoidable(qd float64, pos int, known []knownDist, matrix [][]float64, tries *int64) bool {
-	row := matrix[pos]
-	mode := s.proc.opts.Avoidance
-	if len(known) > maxAvoidProbes {
-		known = known[:maxAvoidProbes]
-	}
-	for _, k := range known {
-		*tries++
-		mij := row[k.idx]
-		switch mode {
-		case AvoidBoth:
-			if k.d-mij > qd || mij-k.d > qd {
-				return true
-			}
-		case AvoidLemma1:
-			if k.d-mij > qd {
-				return true
-			}
-		case AvoidLemma2:
-			if mij-k.d > qd {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// abandonLimit returns the early-abandonment limit for the distance between
-// the current item and a query with pruning distance qd: qd, raised so that
-// an abandoned calculation can never change a later avoidance decision for
-// the same item. A known distance d(O, Q_a) influences query i via Lemma 1
-// only when it exceeds the horizon dist(Q_a, Q_i) + QueryDist(Q_i), and via
-// Lemma 2 only when it falls below dist(Q_a, Q_i) - QueryDist(Q_i);
-// abandoning strictly above every probing query's Lemma-1 horizon therefore
-// guarantees the partial lower bound fires Lemma 1 exactly where the exact
-// distance would, and — since the Lemma-1 horizon is at or above the
-// Lemma-2 one whenever QueryDist(Q_i) >= 0 — that Lemma 2 can never fire on
-// the lower bound where the exact distance would not (neither can fire at
-// all above the horizon). Any limit at or above the horizons preserves this — a
-// larger limit merely abandons less — so raise is the cached per-page
-// suffix maximum from lemma1Raises rather than an exact per-pair O(m)
-// loop, which would itself dominate the per-pair bookkeeping. The raise is
-// skipped when the known entry can never be probed (the list already holds
-// maxAvoidProbes entries).
-func abandonLimit(qd, raise float64, knownLen int) float64 {
-	if knownLen >= maxAvoidProbes {
-		return qd
-	}
-	if raise > qd {
-		return raise
-	}
-	return qd
-}
-
-// lemma1Raises fills scratch with, per active position a, the maximum
-// Lemma-1 horizon dist(Q_a, Q_i) + qds[i] over the *later* positions i > a
-// — the only queries that can probe a known entry appended at position a,
-// since the known list is per item and scanned in active order. Infinite
-// pruning distances contribute no horizon (no lemma can fire against an
-// infinite query distance); with no later finite-qd query the raise is
-// -Inf and abandonLimit falls back to the query's own pruning distance.
-func lemma1Raises(activeIdx []int, matrix [][]float64, qds []float64, scratch []float64) []float64 {
-	raise := scratch[:len(activeIdx)]
-	for a, pos := range activeIdx {
-		row := matrix[pos]
-		m := math.Inf(-1)
-		for i := a + 1; i < len(activeIdx); i++ {
-			if qd := qds[i]; !math.IsInf(qd, 1) {
-				if t := row[activeIdx[i]] + qd; t > m {
-					m = t
-				}
-			}
-		}
-		raise[a] = m
-	}
-	return raise
-}
-
 // MultiQueryAll evaluates the whole batch to completion by running the
 // multiple similarity query for every not-yet-finished suffix — the
 // evaluation the paper describes: "to determine the complete answers for
@@ -1066,16 +560,9 @@ func (s *Session) multiQueryAllLocked(ctx context.Context, queries []Query) ([]*
 	}
 
 	var stats Stats
-	var matrixStart time.Time
-	if s.explain != nil {
-		matrixStart = time.Now()
-	}
-	sp := tr.Start(obs.PhaseMatrix)
+	matrixStart := s.clock()
 	matrix := s.queryDistMatrix(queries, &stats)
-	sp.End()
-	if ex := s.explain; ex != nil {
-		ex.observe(obs.PhaseMatrix, time.Since(matrixStart))
-	}
+	s.observeSince(obs.PhaseMatrix, matrixStart)
 	pos := identityPositions(len(states))
 
 	record := func() {

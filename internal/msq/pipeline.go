@@ -5,13 +5,10 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"metricdb/internal/engine"
 	"metricdb/internal/obs"
 	"metricdb/internal/store"
-	"metricdb/internal/vec"
 )
 
 // This file implements the intra-server parallel pipeline for multiple
@@ -48,16 +45,18 @@ import (
 //     the read count but also the sequential/random split of the simulated
 //     disk identical.
 //
-// Within a page, workers evaluate disjoint item ranges against a snapshot of
-// the pruning distances taken at the page barrier. The snapshot makes the
-// avoidance decisions a pure function of (page, snapshot, matrix) — i.e.
-// identical across all widths >= 2 — and still sound, because a snapshot
-// bound is a valid (if slightly stale) upper bound on the final query
-// distance. The bounded distance kernel's abandonment limit (abandonLimit)
-// is likewise derived from the snapshot only, so early-abandonment
-// decisions are snapshot-pure too. Only DistCalcs/Avoided/AvoidTries/
-// PartialAbandoned may differ from the width-1 path, which tightens bounds
-// item by item; answers and I/O never do.
+// Within a page, workers run the same page pass as the sequential loop
+// (pass.go) over disjoint item ranges, but deferred: against the snapshot
+// of the pruning distances the barrier took, writing distances to a buffer
+// instead of the answer lists. The snapshot makes the avoidance decisions a
+// pure function of (page, snapshot, matrix) — i.e. identical across all
+// widths >= 2 — and still sound, because a snapshot bound is a valid (if
+// slightly stale) upper bound on the final query distance. The bounded
+// distance kernel's abandonment limit (abandonLimit) is likewise derived
+// from the snapshot only, so early-abandonment decisions are snapshot-pure
+// too. Only DistCalcs/Avoided/AvoidTries/PartialAbandoned may differ from
+// the width-1 path, which tightens bounds item by item; answers and I/O
+// never do. An observed chunk is timed as a whole, like a sequential pass.
 
 // workerPool is a bounded pool of goroutines executing closures. One pool is
 // created per multi-query pass and torn down when the pass ends. Each task
@@ -173,11 +172,8 @@ func (s *Session) prefetch(plan []engine.PageRef, prefetchable []bool, out chan<
 // the pipeline width (>= 2): the worker-pool size and the prefetch lookahead.
 // The coordinator checks ctx once per page barrier; on cancellation the
 // deferred done close aborts the prefetcher before the error returns.
-func (s *Session) runPipeline(ctx context.Context, plan []engine.PageRef, states []*queryState, matrix [][]float64, pos []int, stats *Stats, width int) error {
+func (s *Session) runPipeline(ctx context.Context, plan []engine.PageRef, states []*queryState, pos []int, stats *Stats, pass *pagePass, width int) error {
 	first := states[0]
-	tr := s.proc.tracer
-	traced := tr.Enabled()
-	ex := s.explain
 
 	// Decide, from static state only, which plan references the prefetcher
 	// may read ahead of the coordinator. first.processed is snapshotted via
@@ -203,17 +199,13 @@ func (s *Session) runPipeline(ctx context.Context, plan []engine.PageRef, states
 
 	active := make([]*queryState, 0, len(states))
 	activePos := make([]int, 0, len(states))
-	scratch := newPageScratch(width, len(states))
 
 	for i, ref := range plan {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("msq: multiple query: %w", err)
 		}
 		var page *store.Page
-		var waitStart time.Time
-		if traced || ex != nil {
-			waitStart = time.Now()
-		}
+		waitStart := s.clock()
 		if prefetchable[i] {
 			// The read condition of a prefetchable page cannot be
 			// invalidated (MinDist <= floor <= queryDist at all times), so
@@ -223,12 +215,7 @@ func (s *Session) runPipeline(ctx context.Context, plan []engine.PageRef, states
 			if !ok || f.idx != i {
 				return fmt.Errorf("msq: pipeline prefetcher desynchronized at plan index %d", i)
 			}
-			if traced {
-				tr.ObserveSince(obs.PhasePageWait, waitStart)
-			}
-			if ex != nil {
-				ex.observe(obs.PhasePageWait, time.Since(waitStart))
-			}
+			s.observeSince(obs.PhasePageWait, waitStart)
 			if f.err != nil {
 				return fmt.Errorf("msq: multiple query: %w", f.err)
 			}
@@ -244,26 +231,17 @@ func (s *Session) runPipeline(ctx context.Context, plan []engine.PageRef, states
 			var err error
 			page, err = s.proc.eng.ReadPage(ref.ID)
 			resume <- struct{}{} // read issued; prefetcher may run ahead again
-			if traced {
-				tr.ObserveSince(obs.PhasePageWait, waitStart)
-			}
-			if ex != nil {
-				ex.observe(obs.PhasePageWait, time.Since(waitStart))
-			}
+			s.observeSince(obs.PhasePageWait, waitStart)
 			if err != nil {
 				return fmt.Errorf("msq: multiple query: %w", err)
 			}
 		}
 
 		active, activePos = s.decideActive(ref.ID, states, pos, active, activePos)
-		stats.PageVisits += int64(len(active))
-		if ex != nil {
-			for _, p := range activePos {
-				ex.prof[p].pagesVisited.Add(1)
-			}
-		}
+		s.visit(activePos, stats)
 
-		s.processPageConcurrent(pool, page, active, activePos, matrix, stats, width, scratch)
+		pass.begin(page, active, activePos)
+		s.evalConcurrent(pool, pass, stats, width)
 
 		for _, st := range active {
 			st.processed[ref.ID] = struct{}{}
@@ -272,373 +250,49 @@ func (s *Session) runPipeline(ctx context.Context, plan []engine.PageRef, states
 	return nil
 }
 
-// pageScratch holds per-page buffers reused across the plan loop; the page
-// barrier guarantees no worker touches dists/snap once forEachChunk
-// returns. qvecs/q32/filters are filled at the barrier and only read by
-// workers. known is per-worker avoidance scratch ("AvoidingDists") and
-// rowW the per-worker within-flag buffer of the row kernels: worker w
-// exclusively owns index w while it runs, so the buffers survive across
-// pages without locking or steady-state allocation.
-type pageScratch struct {
-	dists   []float64
-	snap    []float64
-	raise   []float64
-	qvecs   []vec.Vector
-	q32     [][]float32
-	filters []*vec.QuantFilter
-	known   [][]knownDist
-	rowW    [][]bool
-}
-
-func newPageScratch(width, nStates int) *pageScratch {
-	sc := &pageScratch{
-		known: make([][]knownDist, width),
-		rowW:  make([][]bool, width),
-	}
-	for w := range sc.known {
-		sc.known[w] = make([]knownDist, 0, nStates)
-		sc.rowW[w] = make([]bool, nStates)
-	}
-	return sc
-}
-
-// skippedDist marks an (item, query) slot whose distance was not fully
-// computed — either avoided by the triangle inequality or abandoned by the
-// bounded kernel. Proper metrics never produce NaN, so the sentinel cannot
-// collide with a computed distance.
-var skippedDist = math.NaN()
-
-// processPageConcurrent evaluates one page against the active queries on the
-// worker pool and merges the results. Phase 1 partitions the page's items:
-// each worker computes (or avoids) the distances of its item range against
-// every active query, using the page-start snapshot of the pruning
-// distances both for the avoidance lemmas and for the bounded kernel's
-// abandonment limit (abandonLimit) — so every phase-1 decision is a pure
+// evalConcurrent evaluates the begun page on the worker pool and merges the
+// results. Phase 1 partitions the page's items: each worker runs the
+// deferred page pass over its item range, so every decision is a pure
 // function of (page, snapshot, matrix) and identical across all widths
-// >= 2. Phase 2
-// shards the merge by query: each answer list is fed its page results in
-// item order under the state's lock, reproducing the exact Consider
-// sequence the sequential path would issue for that query. An abandoned
-// distance exceeds the snapshot bound, which is an upper bound on the
-// query's final pruning distance, so the skipped item could never have
+// >= 2. Phase 2 shards the merge by query: each answer list is fed its page
+// results in item order under the state's lock, reproducing the exact
+// Consider sequence the sequential path would issue for that query. An
+// abandoned distance exceeds the snapshot bound, which is an upper bound on
+// the query's final pruning distance, so the skipped item could never have
 // entered the answer list at any width.
-func (s *Session) processPageConcurrent(pool *workerPool, page *store.Page, active []*queryState, activeIdx []int, matrix [][]float64, stats *Stats, width int, scratch *pageScratch) {
-	nItems, nActive := len(page.Items), len(active)
+func (s *Session) evalConcurrent(pool *workerPool, pass *pagePass, stats *Stats, width int) {
+	items, active := pass.page.Items, pass.active
+	nItems, nActive := len(items), len(active)
 	if nItems == 0 || nActive == 0 {
 		return
 	}
-	mode := s.proc.opts.Avoidance
+	if cap(pass.dists) < nItems*nActive {
+		pass.dists = make([]float64, nItems*nActive)
+	}
+	dists := pass.dists[:nItems*nActive]
 
-	if cap(scratch.dists) < nItems*nActive {
-		scratch.dists = make([]float64, nItems*nActive)
-	}
-	if cap(scratch.snap) < nActive {
-		scratch.snap = make([]float64, nActive)
-		scratch.raise = make([]float64, nActive)
-		scratch.qvecs = make([]vec.Vector, nActive)
-		scratch.q32 = make([][]float32, nActive)
-		scratch.filters = make([]*vec.QuantFilter, nActive)
-	}
-	dists := scratch.dists[:nItems*nActive]
-	snap := scratch.snap[:nActive]
-	for a, st := range active {
-		snap[a] = st.queryDist()
-	}
-
-	avoiding := matrix != nil && mode != AvoidOff
-	var raise []float64
-	if avoiding {
-		// Derived from the page-start snapshot only, like every other
-		// phase-1 input, so abandonment decisions stay snapshot-pure.
-		raise = lemma1Raises(activeIdx, matrix, snap, scratch.raise)
-	}
-	kernel := s.proc.metric.Kernel()
-	tr := s.proc.tracer
-	traced := tr.Enabled()
-	// Layout dispatch happens at the barrier: the row inputs (query
-	// vectors, f32 roundings, quantized filters) are gathered here by the
-	// coordinator, so workers only read them. The row kernels take the
-	// page-start snapshot as their limits — exactly the limit every
-	// per-pair chunk twin below uses — so at any fixed width >= 2 the row
-	// path's distances, within flags and abandon points are bit-identical
-	// to the per-pair path's (for float64; f32 is the opted-in rounding).
-	useRows, rowsF32 := s.rowPath(page, avoiding, nActive)
-	rowsK := s.proc.rows
-	var qvecs []vec.Vector
-	var q32 [][]float32
-	if useRows {
-		if rowsF32 {
-			q32 = scratch.q32[:nActive]
-			for a, st := range active {
-				q32[a] = st.f32()
-			}
-		} else {
-			qvecs = scratch.qvecs[:nActive]
-			for a, st := range active {
-				qvecs[a] = st.q.Vec
-			}
-		}
-	}
-	filters := s.quantFilters(page, active, scratch.filters)
-	var tries, avoided, filteredN atomic.Int64
 	pool.forEachChunk(nItems, width, func(worker, lo, hi int) {
-		known := scratch.known[worker][:0]
-		var localTries, localAvoided, localCalcs, localAbandoned int64
-		if useRows {
-			// Row chunk: one kernel call per item covers the whole active
-			// set. Shared by all observation modes — attribution is per
-			// item, off the per-pair fast path.
-			ex := s.explain
-			observing := ex != nil || traced
-			var chunkStart time.Time
-			if observing {
-				chunkStart = time.Now()
-			}
-			wOut := scratch.rowW[worker][:nActive]
-			b := page.Cols
-			for it := lo; it < hi; it++ {
-				row := dists[it*nActive : (it+1)*nActive]
-				var ab int
-				if rowsF32 {
-					ab = rowsK.RowWithinF32(q32, b, it, snap, row, wOut)
-				} else {
-					ab = rowsK.RowWithin(qvecs, b, it, snap, row, wOut)
-				}
-				localCalcs += int64(nActive)
-				localAbandoned += int64(ab)
-				if ex != nil {
-					for a := range wOut {
-						prof := &ex.prof[activeIdx[a]]
-						prof.distCalcs.Add(1)
-						if !wOut[a] {
-							prof.abandoned.Add(1)
-						}
-					}
-				}
-				for a := range wOut {
-					if !wOut[a] {
-						row[a] = skippedDist
-					}
-				}
-			}
-			s.proc.metric.AddCalls(localCalcs, localAbandoned)
-			if observing {
-				kernelNs := time.Since(chunkStart)
-				if ex != nil {
-					ex.observe(obs.PhaseKernel, kernelNs)
-				}
-				if traced {
-					tr.Observe(obs.PhaseKernel, kernelNs)
-				}
-			}
-			return
-		}
-		if ex := s.explain; ex != nil {
-			// Explain chunk twin: the same snapshot-pure decisions as the
-			// loops below, plus per-query profile attribution and the
-			// traced twin's avoid/kernel clock split. The known list is
-			// per item and chunking is by item ranges, so attribution is
-			// identical at every width >= 2. Keep in lockstep.
-			chunkStart := time.Now()
-			var avoidNs time.Duration
-			for it := lo; it < hi; it++ {
-				item := &page.Items[it]
-				var codes []uint8
-				if filters != nil {
-					codes = page.Cols.ItemCodes(it)
-				}
-				row := dists[it*nActive : (it+1)*nActive]
-				known = known[:0]
-				for a := range active {
-					pos := activeIdx[a]
-					prof := &ex.prof[pos]
-					limit := snap[a]
-					if avoiding {
-						t0 := time.Now()
-						var pairTries int64
-						av, byL1 := s.avoidableExplain(snap[a], pos, known, matrix, &pairTries)
-						localTries += pairTries
-						prof.tries.Add(pairTries)
-						if av {
-							localAvoided++
-							if byL1 {
-								prof.lemma1.Add(1)
-							} else {
-								prof.lemma2.Add(1)
-							}
-							row[a] = skippedDist
-							avoidNs += time.Since(t0)
-							continue
-						}
-						limit = abandonLimit(snap[a], raise[a], len(known))
-						avoidNs += time.Since(t0)
-					}
-					if filters != nil {
-						if f := filters[a]; f != nil && f.Exceeds(codes, snap[a]) {
-							filteredN.Add(1)
-							prof.filtered.Add(1)
-							row[a] = skippedDist
-							continue
-						}
-					}
-					d, within := kernel.DistanceWithin(active[a].q.Vec, item.Vec, limit)
-					localCalcs++
-					prof.distCalcs.Add(1)
-					if avoiding {
-						known = append(known, knownDist{d: d, idx: int32(pos)})
-					}
-					if within {
-						row[a] = d
-					} else {
-						row[a] = skippedDist
-						localAbandoned++
-						prof.abandoned.Add(1)
-					}
-				}
-			}
-			s.proc.metric.AddCalls(localCalcs, localAbandoned)
-			tries.Add(localTries)
-			avoided.Add(localAvoided)
-			kernelNs := time.Since(chunkStart) - avoidNs
-			if kernelNs < 0 {
-				kernelNs = 0
-			}
-			ex.observe(obs.PhaseAvoid, avoidNs)
-			ex.observe(obs.PhaseKernel, kernelNs)
-			if traced {
-				tr.Observe(obs.PhaseAvoid, avoidNs)
-				tr.Observe(obs.PhaseKernel, kernelNs)
-			}
-			return
-		}
-		if traced {
-			// Traced twin of the loop below: the same snapshot-pure
-			// decisions, plus clock reads that split the chunk's wall time
-			// into the avoidance and kernel phases. Keep in lockstep with
-			// the untraced loop — the traced differential test pins that
-			// answers and counters are identical.
-			chunkStart := time.Now()
-			var avoidNs time.Duration
-			for it := lo; it < hi; it++ {
-				item := &page.Items[it]
-				var codes []uint8
-				if filters != nil {
-					codes = page.Cols.ItemCodes(it)
-				}
-				row := dists[it*nActive : (it+1)*nActive]
-				known = known[:0]
-				for a := range active {
-					limit := snap[a]
-					if avoiding {
-						t0 := time.Now()
-						if s.avoidable(snap[a], activeIdx[a], known, matrix, &localTries) {
-							localAvoided++
-							row[a] = skippedDist
-							avoidNs += time.Since(t0)
-							continue
-						}
-						limit = abandonLimit(snap[a], raise[a], len(known))
-						avoidNs += time.Since(t0)
-					}
-					if filters != nil {
-						if f := filters[a]; f != nil && f.Exceeds(codes, snap[a]) {
-							filteredN.Add(1)
-							row[a] = skippedDist
-							continue
-						}
-					}
-					d, within := kernel.DistanceWithin(active[a].q.Vec, item.Vec, limit)
-					localCalcs++
-					if avoiding {
-						known = append(known, knownDist{d: d, idx: int32(activeIdx[a])})
-					}
-					if within {
-						row[a] = d
-					} else {
-						row[a] = skippedDist
-						localAbandoned++
-					}
-				}
-			}
-			s.proc.metric.AddCalls(localCalcs, localAbandoned)
-			tries.Add(localTries)
-			avoided.Add(localAvoided)
-			tr.Observe(obs.PhaseAvoid, avoidNs)
-			if d := time.Since(chunkStart) - avoidNs; d > 0 {
-				tr.Observe(obs.PhaseKernel, d)
-			} else {
-				tr.Observe(obs.PhaseKernel, 0)
-			}
-			return
-		}
-		for it := lo; it < hi; it++ {
-			item := &page.Items[it]
-			var codes []uint8
-			if filters != nil {
-				codes = page.Cols.ItemCodes(it)
-			}
-			row := dists[it*nActive : (it+1)*nActive]
-			known = known[:0]
-			for a := range active {
-				limit := snap[a]
-				if avoiding {
-					if s.avoidable(snap[a], activeIdx[a], known, matrix, &localTries) {
-						localAvoided++
-						row[a] = skippedDist
-						continue
-					}
-					limit = abandonLimit(snap[a], raise[a], len(known))
-				}
-				if filters != nil {
-					if f := filters[a]; f != nil && f.Exceeds(codes, snap[a]) {
-						filteredN.Add(1)
-						row[a] = skippedDist
-						continue
-					}
-				}
-				d, within := kernel.DistanceWithin(active[a].q.Vec, item.Vec, limit)
-				localCalcs++
-				if avoiding {
-					known = append(known, knownDist{d: d, idx: int32(activeIdx[a])})
-				}
-				if within {
-					row[a] = d
-				} else {
-					row[a] = skippedDist
-					localAbandoned++
-				}
-			}
-		}
-		s.proc.metric.AddCalls(localCalcs, localAbandoned)
-		tries.Add(localTries)
-		avoided.Add(localAvoided)
+		pass.counts[worker].add(pass.eval(lo, hi, worker, dists))
 	})
-	stats.AvoidTries += tries.Load()
-	stats.Avoided += avoided.Load()
-	stats.QuantFiltered += filteredN.Load()
-	s.proc.metric.AddFiltered(filteredN.Load())
+	var total passCounts
+	for w := range pass.counts {
+		total.add(pass.counts[w])
+		pass.counts[w] = passCounts{}
+	}
+	s.settle(stats, total)
 
 	pool.forEachChunk(nActive, width, func(_, lo, hi int) {
-		ex := s.explain
-		var mergeStart time.Time
-		if traced || ex != nil {
-			mergeStart = time.Now()
-		}
+		mergeStart := s.clock()
 		for a := lo; a < hi; a++ {
 			st := active[a]
 			st.mu.Lock()
 			for it := 0; it < nItems; it++ {
 				if d := dists[it*nActive+a]; !math.IsNaN(d) {
-					st.answers.Consider(page.Items[it].ID, d)
+					st.answers.Consider(items[it].ID, d)
 				}
 			}
 			st.mu.Unlock()
 		}
-		if traced {
-			tr.ObserveSince(obs.PhaseMerge, mergeStart)
-		}
-		if ex != nil {
-			ex.observe(obs.PhaseMerge, time.Since(mergeStart))
-		}
+		s.observeSince(obs.PhaseMerge, mergeStart)
 	})
 }

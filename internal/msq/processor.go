@@ -2,6 +2,7 @@ package msq
 
 import (
 	"fmt"
+	"math"
 
 	"metricdb/internal/engine"
 	"metricdb/internal/obs"
@@ -116,10 +117,18 @@ type Query struct {
 	Type query.Type
 }
 
-// Validate checks the query specification.
+// Validate checks the query specification: a valid type and a non-empty
+// query object whose coordinates are all finite (a NaN or infinite
+// coordinate makes every distance NaN or infinite, which no answer list
+// orders).
 func (q Query) Validate() error {
 	if len(q.Vec) == 0 {
 		return fmt.Errorf("msq: query %d has an empty vector", q.ID)
+	}
+	for i, x := range q.Vec {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("msq: query %d: coordinate %d is %v", q.ID, i, x)
+		}
 	}
 	if err := q.Type.Validate(); err != nil {
 		return fmt.Errorf("msq: query %d: %w", q.ID, err)
@@ -135,16 +144,20 @@ type Processor struct {
 	metric *vec.Counting
 	opts   Options
 	// tracer, when non-nil, receives per-phase spans and slow-query records
-	// for every query this processor evaluates. Instrumented loops hoist one
-	// enabled test per page, so a nil tracer costs a predictable branch —
-	// see the overhead gate in internal/obs. Tracing is observation-only:
-	// answers and the DistCalcs/Avoided/AvoidTries counters are identical
-	// with and without a tracer (pinned by the traced differential test).
+	// for every query this processor evaluates. Nothing is timed at a finer
+	// grain than one page pass, so a nil tracer costs a branch per pass and
+	// a live one two clock reads (`make obsgate` bounds the latter).
+	// Tracing is observation-only: answers and every Stats counter are
+	// identical with and without a tracer (pinned by the observation
+	// differential test).
 	tracer *obs.Tracer
 	// rows is the blocked kernel matching the metric, used by the SoA and
-	// f32 layouts. Built once; the row loops report their calc/abandon
-	// totals through the same counting metric as the scalar path.
+	// f32 layouts. Built once; the row body reports its calc/abandon
+	// totals through the same counting metric as the pair body.
 	rows vec.BlockKernel
+	// dim is the dimensionality of the stored vectors as the engine's
+	// pager reports it; 0 when unknown (see CheckQuery).
+	dim int
 }
 
 // New creates a processor over eng using metric m. The metric is wrapped in
@@ -168,7 +181,24 @@ func New(eng engine.Engine, m vec.Metric, opts Options) (*Processor, error) {
 	if opts.Layout == LayoutF32 && !rows.SupportsF32() {
 		return nil, fmt.Errorf("msq: metric %T has no float32 row kernel; use layout soa", counting.Kernel())
 	}
-	return &Processor{eng: eng, metric: counting, opts: opts, rows: rows}, nil
+	return &Processor{eng: eng, metric: counting, opts: opts, rows: rows, dim: eng.Pager().Dim()}, nil
+}
+
+// CheckQuery rejects a query this processor cannot evaluate: one that fails
+// Validate, or whose dimension differs from the stored vectors'. The
+// distance kernels treat a dimension mismatch as a caller's bug and panic,
+// so every entry point that accepts a query object from outside checks it
+// here first, before Engine.Prepare sees it. When the pager cannot tell the
+// data's dimension (an empty dataset, a page source this package does not
+// know) only Validate applies.
+func (p *Processor) CheckQuery(q Query) error {
+	if err := q.Validate(); err != nil {
+		return err
+	}
+	if p.dim > 0 && len(q.Vec) != p.dim {
+		return fmt.Errorf("msq: query %d has dimension %d, the data has dimension %d", q.ID, len(q.Vec), p.dim)
+	}
+	return nil
 }
 
 // Engine returns the underlying engine.
@@ -198,7 +228,9 @@ func (p *Processor) WithConcurrency(n int) *Processor {
 	}
 	opts := p.opts
 	opts.Concurrency = n
-	return &Processor{eng: p.eng, metric: p.metric, opts: opts, tracer: p.tracer, rows: p.rows}
+	np := *p
+	np.opts = opts
+	return &np
 }
 
 // Tracer returns the tracer this processor reports to, or nil.
@@ -211,5 +243,7 @@ func (p *Processor) Tracer() *obs.Tracer { return p.tracer }
 // through other processors over it — are attributed to tr.
 func (p *Processor) WithTracer(tr *obs.Tracer) *Processor {
 	p.eng.Pager().SetTracer(tr)
-	return &Processor{eng: p.eng, metric: p.metric, opts: p.opts, tracer: tr, rows: p.rows}
+	np := *p
+	np.tracer = tr
+	return &np
 }

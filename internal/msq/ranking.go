@@ -51,8 +51,8 @@ func (h *answerHeap) Pop() any {
 
 // Ranking starts an incremental ranking from q.
 func (p *Processor) Ranking(q vec.Vector) (*Ranking, error) {
-	if len(q) == 0 {
-		return nil, fmt.Errorf("msq: empty query vector")
+	if err := p.CheckQuery(Query{Vec: q, Type: query.NewKNN(1)}); err != nil {
+		return nil, err
 	}
 	return &Ranking{
 		proc: p,

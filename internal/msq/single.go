@@ -26,11 +26,8 @@ func (p *Processor) Single(q vec.Vector, t query.Type) (*query.AnswerList, Stats
 // deadline. The check is observation-free — on the uncanceled path it
 // perturbs no answers and no statistics counters.
 func (p *Processor) SingleContext(ctx context.Context, q vec.Vector, t query.Type) (*query.AnswerList, Stats, error) {
-	if err := t.Validate(); err != nil {
+	if err := p.CheckQuery(Query{Vec: q, Type: t}); err != nil {
 		return nil, Stats{}, err
-	}
-	if len(q) == 0 {
-		return nil, Stats{}, fmt.Errorf("msq: empty query vector")
 	}
 
 	tr := p.tracer

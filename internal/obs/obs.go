@@ -16,15 +16,17 @@
 // motivates the same split: its win is shifting cost between approximation
 // scan and exact refinement, invisible without per-phase timers.
 //
-// # Nil-hook fast path
+// # Granularity
 //
-// Every Tracer method is safe — and a near-free no-op — on a nil receiver.
-// Instrumented code therefore holds a possibly-nil *Tracer and calls it
-// unconditionally at coarse-grained sites (one span per page, per request,
-// per server call), or guards fine-grained accumulation behind a single
-// `tr != nil` test hoisted out of the hot loop. The disabled cost is one
-// predictable branch per page, which the overhead gate in
-// overhead_test.go bounds at <= 2 % on the kernel hot path.
+// Every Tracer method is safe — and a near-free no-op — on a nil receiver,
+// and no instrumented site is finer than one page pass (one chunk of it in
+// the pipeline), one request or one per-server call: the clock is never
+// read per item or per (item, query) pair. A pair costs a few nanoseconds
+// of triangle-inequality or kernel work, less than the clock read that
+// would time it, so a per-pair split reports mostly its own overhead.
+// Whether avoidance pays is answered exactly by the AvoidTries, Avoided and
+// DistCalcs counters instead. `make obsgate` bounds the enabled cost at
+// <= 10 % of a multi-query batch's wall time, measured on the real loop.
 package obs
 
 import (
@@ -35,8 +37,9 @@ import (
 // Phase identifies one stage of query processing whose latency is
 // histogrammed separately. The taxonomy follows the life of a multiple
 // similarity query: plan the pages, build the query-distance matrix, then
-// per page fetch/wait, kernel evaluation, avoidance checks and answer
-// merging — plus the serving layer's per-server calls and wire codec work.
+// per page fetch/wait, the page pass (avoidance checks and kernel
+// evaluation together) and answer merging — plus the serving layer's
+// per-server calls and wire codec work.
 type Phase uint8
 
 // Phases. The String values are the `phase` label on the exported
@@ -54,12 +57,11 @@ const (
 	// PhaseMatrix is the inter-query distance matrix build (§5.2's
 	// quadratic-in-m initialization overhead).
 	PhaseMatrix
-	// PhaseKernel is the per-page distance-kernel evaluation: the summed
-	// DistanceWithin time of one page's (item, query) pairs.
+	// PhaseKernel is one page pass: every (item, query) pair of a page (of
+	// one chunk of it in the pipeline) through the Lemma-1/2 probes, the
+	// bounded distance kernel and, on the sequential path, the answer-list
+	// update. A seed page's evaluation counts as a pass too.
 	PhaseKernel
-	// PhaseAvoid is the per-page Lemma-1/2 work: the summed time of the
-	// triangle-inequality probes (avoidable) for one page.
-	PhaseAvoid
 	// PhaseMerge is the per-query merge of one page's results into the
 	// answer lists (the pipeline's phase 2; the sequential path merges
 	// inline and charges it to PhaseKernel).
@@ -91,7 +93,6 @@ var phaseNames = [NumPhases]string{
 	"plan",
 	"matrix",
 	"kernel",
-	"avoid",
 	"merge",
 	"server_call",
 	"wire_decode",

@@ -173,9 +173,13 @@ func TestPagerSingleflight(t *testing.T) {
 	if got := disk.Stats().Reads; got != numPages {
 		t.Errorf("disk Reads = %d, want %d (one per distinct page)", got, numPages)
 	}
+	// A caller that misses the buffer while the page's read is in flight is
+	// charged its miss before it joins the flight, so the miss count
+	// includes however many waiters the scheduler happened to coalesce;
+	// only the disk sees exactly one read per page.
 	hits, misses, _ := buf.HitRate()
-	if misses != numPages {
-		t.Errorf("buffer misses = %d, want %d", misses, numPages)
+	if misses < numPages {
+		t.Errorf("buffer misses = %d, want at least %d", misses, numPages)
 	}
 	if hits+misses != goroutines*numPages {
 		t.Errorf("hits %d + misses %d != %d ReadPage calls", hits, misses, goroutines*numPages)

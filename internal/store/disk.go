@@ -78,6 +78,17 @@ func NewDisk(pages []*Page) (*Disk, error) {
 // NumPages returns the number of pages on the disk.
 func (d *Disk) NumPages() int { return len(d.pages) }
 
+// Dim returns the dimensionality of the stored vectors, 0 for a disk
+// without items. It reads no page in the accounting sense.
+func (d *Disk) Dim() int {
+	for _, p := range d.pages {
+		if len(p.Items) > 0 {
+			return len(p.Items[0].Vec)
+		}
+	}
+	return 0
+}
+
 // Read fetches a page from the disk, updating I/O statistics. It returns an
 // error for out-of-range addresses or when failure injection is armed.
 func (d *Disk) Read(pid PageID) (*Page, error) {

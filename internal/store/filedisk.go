@@ -135,6 +135,9 @@ func (d *FileDisk) Mode() string { return d.mode }
 // NumPages returns the number of pages in the dataset.
 func (d *FileDisk) NumPages() int { return len(d.man.Pages) }
 
+// Dim returns the dimensionality of the stored vectors, from the manifest.
+func (d *FileDisk) Dim() int { return d.man.Dim }
+
 // Read fetches and decodes the page at pid, verifying its checksum against
 // the manifest. I/O statistics follow the simulated disk's model: the read
 // is counted and classified sequential (physically next) or random.

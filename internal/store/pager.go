@@ -124,6 +124,18 @@ func (p *Pager) NumPages() int { return p.disk.NumPages() }
 // Disk returns the underlying page source (for statistics).
 func (p *Pager) Disk() PageSource { return p.disk }
 
+// Dim returns the dimensionality of the vectors on the underlying disk, or
+// 0 when it is unknown: the disk is empty, or the innermost source (reached
+// through Unwrap, like UnwrapSource) is not one that can tell. Callers use
+// it to reject a query of the wrong shape before it reaches a distance
+// kernel; PageSource itself stays four methods.
+func (p *Pager) Dim() int {
+	if d, ok := UnwrapSource(p.disk).(interface{ Dim() int }); ok {
+		return d.Dim()
+	}
+	return 0
+}
+
 // Buffer returns the buffer, or nil for an unbuffered pager.
 func (p *Pager) Buffer() *Buffer { return p.buf }
 

@@ -9,8 +9,9 @@ import (
 	"metricdb/internal/vec"
 )
 
-// buildBatch converts wire query specs into a validated msq batch.
-func buildBatch(specs []QuerySpec) ([]msq.Query, error) {
+// buildBatch converts wire query specs into an msq batch the server's
+// processor accepts; any error is the client's (bad_request, HTTP 400).
+func (s *Server) buildBatch(specs []QuerySpec) ([]msq.Query, error) {
 	batch := make([]msq.Query, len(specs))
 	seen := make(map[uint64]bool, len(specs))
 	for i, q := range specs {
@@ -23,7 +24,7 @@ func buildBatch(specs []QuerySpec) ([]msq.Query, error) {
 		}
 		seen[q.ID] = true
 		batch[i] = msq.Query{ID: q.ID, Vec: vec.Vector(q.Vector), Type: t}
-		if err := batch[i].Validate(); err != nil {
+		if err := s.proc.CheckQuery(batch[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -52,7 +53,7 @@ func (s *Server) ExplainHandler() http.HandlerFunc {
 			http.Error(w, "wire: explain needs at least one query", http.StatusBadRequest)
 			return
 		}
-		batch, err := buildBatch(body.Queries)
+		batch, err := s.buildBatch(body.Queries)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return

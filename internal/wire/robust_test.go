@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"metricdb/internal/admit"
 	"metricdb/internal/dataset"
 	"metricdb/internal/fault"
 	"metricdb/internal/msq"
@@ -322,5 +324,66 @@ func TestShutdownWithConcurrentClients(t *testing.T) {
 			t.Error("server still answering after Shutdown")
 		}
 		c.Close()
+	}
+}
+
+// TestWrongDimensionQuery: a query whose dimension differs from the data's
+// is the client's mistake — bad_request on every op that carries a query,
+// with and without admission control — and costs nobody else anything: the
+// same connection then answers a valid request and the server still serves
+// a second client. (The distance kernels panic on a dimension mismatch, so
+// before the check one such request killed the server process.)
+func TestWrongDimensionQuery(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  ServerConfig
+	}{
+		{"direct", ServerConfig{}},
+		{"admitted", ServerConfig{Admit: &admit.Config{}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, addr := startServerCfg(t, tc.cfg, nil) // 3-d data
+			c, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+
+			wantBadRequest := func(op string, err error) {
+				t.Helper()
+				var se *ServerError
+				if !errors.As(err, &se) {
+					t.Fatalf("%s: error %v is not a ServerError", op, err)
+				}
+				if se.Code != CodeBadRequest {
+					t.Errorf("%s: code = %q, want %q (msg %q)", op, se.Code, CodeBadRequest, se.Msg)
+				}
+			}
+			short := QuerySpec{ID: 1, Vector: []float64{1, 2}, Kind: "knn", K: 3}
+			long := QuerySpec{ID: 2, Vector: []float64{0, 0, 0, 0}, Kind: "range", Range: 0.5}
+			good := QuerySpec{ID: 3, Vector: []float64{0.5, 0.5, 0.5}, Kind: "knn", K: 3}
+
+			_, _, err = c.Query(short)
+			wantBadRequest("query", err)
+			_, _, err = c.Multi([]QuerySpec{good, long})
+			wantBadRequest("multi", err)
+			_, _, err = c.MultiAll([]QuerySpec{short, good})
+			wantBadRequest("multi_all", err)
+			_, _, err = c.ExplainContext(context.Background(), []QuerySpec{good, short})
+			wantBadRequest("explain", err)
+
+			answers, _, err := c.Query(good)
+			if err != nil || len(answers) != 3 {
+				t.Fatalf("valid query after the rejected ones: %d answers, err %v", len(answers), err)
+			}
+			c2, err := Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c2.Close()
+			if answers, _, err := c2.Query(good); err != nil || len(answers) != 3 {
+				t.Fatalf("second client: %d answers, err %v", len(answers), err)
+			}
+		})
 	}
 }

@@ -696,7 +696,7 @@ func (s *Server) dispatch(session *msq.Session, total *msq.Stats, req Request) R
 			return fail(CodeBadRequest, err)
 		}
 		q := msq.Query{Vec: vec.Vector(req.Queries[0].Vector), Type: t}
-		if err := q.Validate(); err != nil {
+		if err := s.proc.CheckQuery(q); err != nil {
 			return fail(CodeBadRequest, err)
 		}
 		if s.admit != nil {
@@ -709,7 +709,7 @@ func (s *Server) dispatch(session *msq.Session, total *msq.Stats, req Request) R
 		*total = total.Add(st)
 		return Response{Answers: [][]Answer{toWireAnswers(answers.Answers())}, Stats: fromStats(st)}
 	case OpMulti, OpMultiAll, OpExplain:
-		batch, err := buildBatch(req.Queries)
+		batch, err := s.buildBatch(req.Queries)
 		if err != nil {
 			return fail(CodeBadRequest, err)
 		}

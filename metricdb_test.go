@@ -702,3 +702,60 @@ func TestConcurrentSingleQueries(t *testing.T) {
 		}
 	}
 }
+
+// TestMalformedQueryVectors: a query object of the wrong dimension, or with
+// a NaN or infinite coordinate, is an error on every entry point of every
+// engine — in memory and served from storage — and leaves the database
+// answering. (Wrong dimensions used to panic in the distance kernels.)
+func TestMalformedQueryVectors(t *testing.T) {
+	const dim, n, capacity = 4, 200, 16
+	items := testItems(71, n, dim)
+	dir := storedDir(t, 71, n, dim, capacity)
+	good := Vector{0.5, 0.5, 0.5, 0.5}
+	bad := map[string]Vector{
+		"short": {1, 2},
+		"long":  {0, 0, 0, 0, 0},
+		"nan":   {0.5, math.NaN(), 0.5, 0.5},
+		"inf":   {0.5, 0.5, math.Inf(-1), 0.5},
+	}
+	for _, kind := range []EngineKind{EngineScan, EngineXTree, EngineVAFile, EnginePivot, EnginePMTree} {
+		opts := Options{Engine: kind, PageCapacity: capacity, BufferPages: 4}
+		mem, err := Open(items, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stored, err := OpenStored(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stored.Close() //nolint:errcheck // read-only
+		for where, db := range map[string]*DB{"memory": mem, "stored": stored} {
+			for name, v := range bad {
+				t.Run(fmt.Sprintf("%s/%s/%s", kind, where, name), func(t *testing.T) {
+					if _, _, err := db.Query(v, KNNQuery(3)); err == nil {
+						t.Error("Query accepted the vector")
+					}
+					batch := []Query{
+						{ID: 1, Vec: good, Type: KNNQuery(3)},
+						{ID: 2, Vec: v, Type: RangeQuery(0.3)},
+					}
+					if _, _, err := db.NewBatch().Query(batch); err == nil {
+						t.Error("Batch.Query accepted the vector")
+					}
+					if _, _, err := db.NewBatch().QueryAll(batch); err == nil {
+						t.Error("Batch.QueryAll accepted the vector")
+					}
+					if _, err := db.Explain(batch); err == nil {
+						t.Error("Explain accepted the vector")
+					}
+					if _, err := db.Ranking(v); err == nil {
+						t.Error("Ranking accepted the vector")
+					}
+					if answers, _, err := db.Query(good, KNNQuery(3)); err != nil || len(answers) != 3 {
+						t.Errorf("valid query afterwards: %d answers, err %v", len(answers), err)
+					}
+				})
+			}
+		}
+	}
+}
