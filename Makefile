@@ -1,10 +1,11 @@
-.PHONY: check fmt vet build test race differential obsgate fuzz-smoke bench bench-all bench-compare bench-check loc
+.PHONY: check fmt vet build test race differential obsgate fuzz-smoke bench bench-all bench-compare bench-check bench-smoke loc
 
 # The pre-PR gate: formatting, static analysis, build, race-enabled tests,
-# the multi-query differential suite under the race detector, the
-# tracer-overhead gate, the benchmark module's own build and tests, and a
-# short fuzz of the storage decoders.
-check: fmt vet build race differential obsgate bench-check fuzz-smoke
+# the multi-query differential suite under the race detector, the two
+# in-run wall-clock gates, the benchmark module's own build and tests, a
+# two-second run of every benchmark workload, and a short fuzz of the
+# storage decoders.
+check: fmt vet build race differential obsgate bench-check bench-smoke fuzz-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -42,13 +43,16 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzColumnarPageDecode -fuzztime=30s ./internal/store/
 	go test -run='^$$' -fuzz=FuzzTableDecode -fuzztime=30s ./internal/pivot/
 
-# The observability overhead gate: the real MultiQuery with a tracer
-# installed must run within 10% of the same batch untraced (in-run ratio,
-# interleaved, min-of-N). The only wall-clock assertion in the repository:
-# it skips itself unless METRICDB_OBSGATE is set, so `go test ./...` never
-# judges time, and it runs without the race detector.
+# The two in-run wall-clock gates, each a ratio of two interleaved
+# min-of-N measurements in one process: the real MultiQuery with a tracer
+# installed must run within 10% of the same batch untraced, and a DBSCAN
+# job sliding a window of 50 queries through its session must take at most
+# twice the same job with single queries. The only wall-clock assertions in
+# the repository: they skip themselves unless METRICDB_OBSGATE is set, so
+# `go test ./...` never judges time, and they run without the race detector.
 obsgate:
-	METRICDB_OBSGATE=1 go test -count=1 -v -run TestTracerOverheadGate ./internal/msq/
+	METRICDB_OBSGATE=1 go test -count=1 -v -run 'TestTracerOverheadGate|TestIncrementalOverheadGate' \
+		./internal/msq/ ./internal/explore/
 
 # The benchmark in bench/ is a module of its own that imports
 # metricdb/internal/...; the root module's build and tests do not see it.
@@ -56,6 +60,16 @@ obsgate:
 # benchmark fail the PR instead of the next benchmark run.
 bench-check:
 	cd bench && go vet ./... && go test ./...
+
+# Two seconds of every benchmark workload at full size, seed 1. The run
+# exits non-zero on a wrong answer or when the answers' digest differs from
+# bench/digests.json, so an "optimisation" that changes an answer fails
+# here, before the benchmark run that would reject it.
+bench-smoke:
+	@for w in batch_knn_scan dbscan_xtree engines_lowdim serve_stored; do \
+		echo "bench-smoke: $$w"; \
+		bash bench/run.sh -workload $$w -seed 1 -seconds 2 -trace 0 > /dev/null || exit 1; \
+	done
 
 # Non-test Go lines per package (comments included), the number the
 # design-debt items in ROADMAP.md are tracked with. bench/ is its own module.

@@ -420,9 +420,13 @@ func (db *DB) ResetCounters() store.IOStats {
 // IOStats returns the accumulated simulated-disk statistics.
 func (db *DB) IOStats() store.IOStats { return db.eng.Pager().Disk().Stats() }
 
-// Batch is a multiple-similarity-query session: partial answers and the
-// inter-query distance matrix are buffered across calls. Not safe for
-// concurrent use.
+// Batch is a multiple-similarity-query session: partial answers are
+// buffered across calls, and so are the distances between the queries that
+// are still incomplete, so a call that repeats most of the previous call's
+// queries — a window sliding over a mining job's seed list — pays for the
+// queries that entered, not for the batch. A completed query keeps only its
+// answers; a Batch that lives long grows with the answers it has returned
+// and with nothing else. Not safe for concurrent use.
 type Batch struct {
 	db      *DB
 	session *msq.Session

@@ -47,14 +47,16 @@ func DBSCAN(cfg Config, eps float64, minPts int) (*DBSCANResult, error) {
 	session := cfg.Proc.NewSession()
 
 	// neighborhood evaluates the range query for the object at the head
-	// of seeds, prefetching up to BatchSize-1 pending seeds.
+	// of seeds, prefetching up to BatchSize-1 pending seeds. The batch is
+	// built into one slice for the whole job: the session copies what it
+	// keeps of a call's queries.
+	m := cfg.BatchSize
+	if m < 1 {
+		m = 1
+	}
+	batch := make([]msq.Query, 0, m)
 	neighborhood := func(head store.ItemID, pending []store.ItemID) ([]query.Answer, error) {
-		m := cfg.BatchSize
-		if m < 1 {
-			m = 1
-		}
-		batch := make([]msq.Query, 0, m)
-		batch = append(batch, msq.Query{ID: uint64(head), Vec: cfg.Items[head].Vec, Type: cfg.SimType})
+		batch = append(batch[:0], msq.Query{ID: uint64(head), Vec: cfg.Items[head].Vec, Type: cfg.SimType})
 		for _, id := range pending {
 			if len(batch) == m {
 				break

@@ -156,16 +156,18 @@ func RunMultiple(cfg Config, start []store.ItemID, hooks Hooks) (Stats, error) {
 	var stats Stats
 	control := newControlList(start)
 	session := cfg.Proc.NewSession()
+	// One slice holds every step's batch: the session copies what it keeps.
+	batch := make([]msq.Query, 0, cfg.BatchSize)
 	for hooks.condition(control.len(), stats.Steps) {
 		// choose_multiple: the first min(m, len) objects.
 		m := cfg.BatchSize
 		if m > control.len() {
 			m = control.len()
 		}
-		batch := make([]msq.Query, m)
-		for i := 0; i < m; i++ {
-			it := cfg.Items[control.queue[i]]
-			batch[i] = msq.Query{ID: uint64(it.ID), Vec: it.Vec, Type: cfg.SimType}
+		batch = batch[:0]
+		for _, id := range control.queue[:m] {
+			it := cfg.Items[id]
+			batch = append(batch, msq.Query{ID: uint64(it.ID), Vec: it.Vec, Type: cfg.SimType})
 		}
 		obj := cfg.Items[control.pop()]
 		if hooks.Proc1 != nil {

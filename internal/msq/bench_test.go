@@ -3,10 +3,13 @@ package msq
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
+	"metricdb/internal/dataset"
 	"metricdb/internal/query"
 	"metricdb/internal/scan"
+	"metricdb/internal/store"
 	"metricdb/internal/vec"
 	"metricdb/internal/xtree"
 )
@@ -64,6 +67,61 @@ func BenchmarkMultiQueryAll(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := proc.NewSession().MultiQueryAll(queries); err != nil {
 					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// clusteredDB draws n objects from k Gaussian clusters and lays them out
+// cluster by cluster, so a window of consecutive objects is a window of
+// neighbours — the shape of DBSCAN's seed list.
+func clusteredDB(tb testing.TB, seed int64, n, dim, k int, sigma float64) []store.Item {
+	tb.Helper()
+	items, err := dataset.Clustered(dataset.ClusteredConfig{Seed: seed, N: n, Dim: dim, Clusters: k, Spread: sigma})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sort.SliceStable(items, func(a, b int) bool { return items[a].Label < items[b].Label })
+	for i := range items {
+		items[i].ID = store.ItemID(i)
+	}
+	return items
+}
+
+// BenchmarkIncrementalWindow measures the mining loop of Definition 4: one
+// iteration is one session answering a range query for every object, each
+// call a window of m that slides by one, so m-1 of its queries are buffered
+// from the call before. Run with -benchmem: per-call set-up must not grow
+// with m² (the session keeps the query distances and the pass buffers), so
+// bytes per iteration stay within a small factor of m = 1.
+func BenchmarkIncrementalWindow(b *testing.B) {
+	const n, dim = 4000, 8
+	items := clusteredDB(b, 7, n, dim, 20, 0.03)
+	tr, err := xtree.Bulk(items, dim, xtree.Config{LeafCapacity: 32, DirFanout: 8, BufferPages: 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	proc, err := New(tr, vec.Euclidean{}, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	typ := query.NewRange(0.05)
+	for _, m := range []int{1, 10, 50} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			batch := make([]Query, 0, m)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := proc.NewSession()
+				for lo := 0; lo < n; lo++ {
+					batch = batch[:0]
+					for j := lo; j < lo+m && j < n; j++ {
+						batch = append(batch, Query{ID: uint64(j), Vec: items[j].Vec, Type: typ})
+					}
+					if _, _, err := s.MultiQuery(batch); err != nil {
+						b.Fatal(err)
+					}
 				}
 			}
 		})

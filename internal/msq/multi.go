@@ -18,9 +18,24 @@ import (
 // multi-query calls: the (partial) answer list and the set of pages whose
 // items have already been tested for this query. Together they are the
 // "internal buffer" of Figure 4 (restore_from_buffer / buffer_answers).
+//
+// Only an incomplete query needs more than q and answers. When the query
+// completes, Session.complete drops the rest — the matrix slot, the page
+// set, the prepared handle and the layout caches — so a session's memory
+// grows with the answers it has produced, not with the work it did to
+// produce them.
 type queryState struct {
 	q       Query
 	answers *query.AnswerList
+	// stamp is the Session.stamp of the last call whose batch held this
+	// query, and pos the query's position in that batch. The stamp is how a
+	// call recognizes an ID it has already seen (a duplicate) and which
+	// slot holders sat out; pos indexes EXPLAIN's per-position profiles.
+	stamp uint64
+	pos   int32
+	// slot is the query's row and column in the session's query-distance
+	// matrix, noSlot while it holds none (see queryMatrix).
+	slot int32
 	// pq is the engine's prepared handle for this query, created once when
 	// the query first enters the session. Pivot-based engines pay their
 	// query-to-pivot distances here, so every later page probe (plans,
@@ -92,6 +107,22 @@ func (st *queryState) queryDist() float64 {
 // incremental semantics (each call builds on the buffered answers of the
 // previous one) are inherently ordered. Parallelism happens *inside* a
 // call when the processor's Concurrency is above 1.
+//
+// What is buffered: for every query ever submitted, the query and its
+// answer list; for every incomplete one also the pages already examined for
+// it, the engine's prepared handle and — while it stays in the batch — a
+// slot in the query-distance matrix (matrix.go). A call therefore costs
+// O(new × m) to admit the queries that entered and fill their matrix rows,
+// plus O(pages × active) for the page loop; nothing in it is proportional
+// to m² or to the session's length. Memory is O(w²) for the matrix, w the
+// widest batch so far, plus the incomplete queries' page sets, plus the
+// answers.
+//
+// MatrixDistCalcs counts what is calculated: each pair of incomplete
+// queries once for as long as both stay in the batch. It charges nothing
+// for a pair with an already completed query (such a query is never active
+// again), and it charges a query's row again when the query comes back
+// after a call that evaluated pages without it.
 type Session struct {
 	proc *Processor
 	// mu serializes top-level calls on the session. The pipeline's worker
@@ -99,47 +130,25 @@ type Session struct {
 	// locks and the page barrier (see pipeline.go).
 	mu     sync.Mutex
 	states map[uint64]*queryState
-	// pairDist caches inter-query distances ("QObjDists") so that each
-	// pair is calculated at most once per session, keeping the matrix
-	// overhead at m(m-1)/2 for a block of m queries even under
-	// incremental evaluation.
-	pairDist map[pairKey]float64
+	// stamp counts the calls on the session; see queryState.stamp.
+	stamp uint64
+	// matrix holds the distances between the buffered incomplete queries.
+	matrix queryMatrix
+	// batch and pass are per-call scratch that depends only on the batch
+	// width: the states of the current call's queries and the page pass's
+	// buffers. They live here so that a mining loop's thousands of calls
+	// allocate them once.
+	batch []*queryState
+	pass  *pagePass
 	// explain, when non-nil, collects per-query profiles and phase times
 	// for the duration of one ExplainAllContext call (set and cleared
 	// under mu; the pipeline's workers only read it).
 	explain *explainState
 }
 
-// pairKey identifies an unordered query pair.
-type pairKey struct{ lo, hi uint64 }
-
 // NewSession starts an empty multi-query session.
 func (p *Processor) NewSession() *Session {
-	return &Session{
-		proc:     p,
-		states:   make(map[uint64]*queryState),
-		pairDist: make(map[pairKey]float64),
-	}
-}
-
-// state returns the buffered state for q, creating it on first sight and
-// rejecting ID reuse with a different query object or type.
-func (s *Session) state(q Query) (*queryState, error) {
-	if st, ok := s.states[q.ID]; ok {
-		if !st.q.Vec.Equal(q.Vec) || st.q.Type != q.Type {
-			return nil, fmt.Errorf("msq: query ID %d reused with a different object or type", q.ID)
-		}
-		return st, nil
-	}
-	st := &queryState{
-		q:         q,
-		answers:   query.NewAnswerList(q.Type),
-		pq:        s.proc.eng.Prepare(q.Vec),
-		processed: make(map[store.PageID]struct{}),
-		bound:     math.Inf(1),
-	}
-	s.states[q.ID] = st
-	return st, nil
+	return &Session{proc: p, states: make(map[uint64]*queryState)}
 }
 
 // MultiQuery evaluates a multiple similarity query per Definition 4 and the
@@ -150,7 +159,10 @@ func (s *Session) state(q Query) (*queryState, error) {
 // buffered in the session for later calls.
 //
 // The returned answer lists are aligned with queries and owned by the
-// session: they remain live and may grow in subsequent calls.
+// session: they remain live and may grow in subsequent calls. The session
+// copies what it keeps of queries (the Query values; the vectors they point
+// to must not change), so a caller may build every call's batch in one
+// slice.
 func (s *Session) MultiQuery(queries []Query) ([]*query.AnswerList, Stats, error) {
 	return s.MultiQueryContext(context.Background(), queries)
 }
@@ -189,15 +201,15 @@ func (s *Session) MultiQueryContext(ctx context.Context, queries []Query) ([]*qu
 
 	var stats Stats
 
-	// Inter-query distance matrix for the avoidance lemmas. Computing it
-	// costs m(m-1)/2 distance calculations — the initialization overhead
-	// that is quadratic in m (§5.2, §6.4).
+	// Inter-query distances for the avoidance lemmas: m(m-1)/2 calculations
+	// for m new queries — the initialization overhead that is quadratic in
+	// m (§5.2, §6.4) — and one row per query that entered since the last
+	// call.
 	matrixStart := s.clock()
-	matrix := s.queryDistMatrix(queries, &stats)
+	matrix := s.syncMatrix(states, &stats)
 	s.observeSince(obs.PhaseMatrix, matrixStart)
-	pos := identityPositions(len(states))
 
-	err = s.run(ctx, states, matrix, pos, &stats)
+	err = s.run(ctx, states, matrix, &stats)
 	stats.Queries = 1
 	acct.finish(&stats)
 	if traced {
@@ -210,32 +222,66 @@ func (s *Session) MultiQueryContext(ctx context.Context, queries []Query) ([]*qu
 }
 
 // prepare validates the batch and restores (or creates) the per-query
-// buffered states.
+// buffered states. The whole batch is validated — dimension, finiteness,
+// duplicate IDs, ID reuse with a different object — before any query is
+// admitted, so a rejected call leaves the session as it found it and pays
+// no Engine.Prepare. The returned states are session scratch, valid until
+// the next call; the answer lists are the caller's.
 func (s *Session) prepare(queries []Query) ([]*queryState, []*query.AnswerList, error) {
 	if len(queries) == 0 {
 		return nil, nil, fmt.Errorf("msq: empty multiple similarity query")
 	}
-	seen := make(map[uint64]bool, len(queries))
-	states := make([]*queryState, len(queries))
+	s.stamp++
+	states := s.batch[:0]
+	reject := func(err error) ([]*queryState, []*query.AnswerList, error) {
+		for _, st := range states {
+			if st.answers == nil { // registered by this call
+				delete(s.states, st.q.ID)
+			}
+		}
+		return nil, nil, err
+	}
 	for i, q := range queries {
 		if err := s.proc.CheckQuery(q); err != nil {
-			return nil, nil, err
+			return reject(err)
 		}
-		if seen[q.ID] {
-			return nil, nil, fmt.Errorf("msq: query ID %d appears twice in one call", q.ID)
+		st, ok := s.states[q.ID] // restore_from_buffer
+		switch {
+		case !ok:
+			// Registered bare, so that a second occurrence of the ID in this
+			// batch finds it; admitted below once the batch is known good.
+			st = &queryState{q: q, slot: noSlot}
+			s.states[q.ID] = st
+		case st.stamp == s.stamp:
+			return reject(fmt.Errorf("msq: query ID %d appears twice in one call", q.ID))
+		case !st.q.Vec.Equal(q.Vec) || st.q.Type != q.Type:
+			return reject(fmt.Errorf("msq: query ID %d reused with a different object or type", q.ID))
 		}
-		seen[q.ID] = true
-		st, err := s.state(q) // restore_from_buffer
-		if err != nil {
-			return nil, nil, err
-		}
-		states[i] = st
+		st.stamp, st.pos = s.stamp, int32(i)
+		states = append(states, st)
 	}
+	s.batch = states
 	results := make([]*query.AnswerList, len(queries))
 	for i, st := range states {
+		if st.answers == nil {
+			st.answers = query.NewAnswerList(st.q.Type)
+			st.pq = s.proc.eng.Prepare(st.q.Vec)
+			st.processed = make(map[store.PageID]struct{})
+			st.bound = math.Inf(1)
+		}
 		results[i] = st.answers
 	}
 	return states, results, nil
+}
+
+// complete marks st's answers final and releases everything only an
+// incomplete query needs. What stays is the query, for the ID-reuse check,
+// and the answer list the caller may still hold.
+func (s *Session) complete(st *queryState) {
+	st.done = true
+	s.matrix.release(st)
+	st.pq, st.processed = nil, nil
+	st.q32, st.qfilter, st.filterGrid, st.filterSet = nil, nil, nil, false
 }
 
 // accounting snapshots the I/O and distance counters so a call can report
@@ -270,20 +316,11 @@ func (a accounting) finish(stats *Stats) {
 	}
 }
 
-// identityPositions returns [0, 1, ..., n-1].
-func identityPositions(n int) []int {
-	pos := make([]int, n)
-	for i := range pos {
-		pos[i] = i
-	}
-	return pos
-}
-
 // run executes one multiple-similarity-query pass: it completes states[0]
 // and opportunistically collects partial answers for the rest. matrix is
-// indexed by the global positions in pos (pos[i] is the matrix row of
-// states[i]), so MultiQueryAll can share one matrix across all its passes.
-func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]float64, pos []int, stats *Stats) error {
+// indexed by the slots the states hold, so MultiQueryAll shares one matrix
+// across all its passes.
+func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]float64, stats *Stats) error {
 	first := states[0]
 
 	// Bootstrap: a k-NN query that has no answers yet cannot exclude any
@@ -297,7 +334,7 @@ func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]floa
 	// +Inf, which is fine — a scan processes every page for every query
 	// by design.
 	s.bootstrap(states)
-	if err := s.seedFirstPages(states, pos, stats); err != nil {
+	if err := s.seedFirstPages(states, stats); err != nil {
 		return err
 	}
 
@@ -309,18 +346,14 @@ func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]floa
 	s.observeSince(obs.PhasePlan, planStart)
 
 	width := s.proc.Concurrency()
-	pass := newPagePass(s, width, len(states), matrix)
+	pass := s.pagePass(width, len(states), matrix)
 	if width > 1 {
-		if err := s.runPipeline(ctx, plan, states, pos, stats, pass, width); err != nil {
+		if err := s.runPipeline(ctx, plan, states, stats, pass, width); err != nil {
 			return err
 		}
-		first.done = true
+		s.complete(first)
 		return nil
 	}
-
-	// active caches, per page, which queries still need the page.
-	active := make([]*queryState, 0, len(states))
-	activePos := make([]int, 0, len(states))
 
 	for _, ref := range plan {
 		if err := ctx.Err(); err != nil {
@@ -333,7 +366,7 @@ func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]floa
 			continue // already examined for Q1 in an earlier call
 		}
 
-		active, activePos = s.decideActive(ref.ID, states, pos, active, activePos)
+		active := pass.decideActive(ref.ID, states)
 
 		waitStart := s.clock()
 		page, err := s.proc.eng.ReadPage(ref.ID)
@@ -341,9 +374,9 @@ func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]floa
 		if err != nil {
 			return fmt.Errorf("msq: multiple query: %w", err)
 		}
-		s.visit(activePos, stats)
+		s.visit(active, stats)
 
-		pass.begin(page, active, activePos)
+		pass.begin(page, active)
 		s.settle(stats, pass.eval(0, len(page.Items), 0, nil))
 
 		for _, st := range active {
@@ -351,33 +384,8 @@ func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]floa
 		}
 	}
 
-	first.done = true // A1 is now complete; buffer_answers is implicit.
+	s.complete(first) // A1 is now complete; buffer_answers is implicit.
 	return nil
-}
-
-// decideActive computes which queries still need the page: not finished, not
-// already processed for the page, and (for non-first queries) not excludable
-// by the engine's lower bound against the query's current pruning distance.
-// Both the sequential loop and the concurrent pipeline call it at the same
-// point — after all earlier pages are fully merged — so the decisions, and
-// hence page visits, are identical regardless of the pipeline width.
-func (s *Session) decideActive(pid store.PageID, states []*queryState, pos []int, active []*queryState, activePos []int) ([]*queryState, []int) {
-	active = active[:0]
-	activePos = activePos[:0]
-	for i, st := range states {
-		if st.done {
-			continue
-		}
-		if _, ok := st.processed[pid]; ok {
-			continue
-		}
-		if i > 0 && st.pq.MinDist(pid) > st.queryDist() {
-			continue
-		}
-		active = append(active, st)
-		activePos = append(activePos, pos[i])
-	}
-	return active, activePos
 }
 
 // bootstrap computes, for every query whose effective query distance is
@@ -415,7 +423,7 @@ func (s *Session) bootstrap(states []*queryState) {
 // pages. Only queries whose answer list is still unfilled are seeded, and
 // only on engines with geometric page knowledge (an uninformative engine
 // such as the scan would always seed page 0 for everyone).
-func (s *Session) seedFirstPages(states []*queryState, pos []int, stats *Stats) error {
+func (s *Session) seedFirstPages(states []*queryState, stats *Stats) error {
 	eng := s.proc.eng
 	kernel := s.proc.metric.Kernel()
 	nPages := eng.NumPages()
@@ -455,11 +463,11 @@ func (s *Session) seedFirstPages(states []*queryState, pos []int, stats *Stats) 
 		// engines_lowdim benchmark ran about a tenth slower. The live bound
 		// (a-priori MAXDIST, tightening as the list fills) lets later items
 		// abandon early; an abandoned item could not have entered the list.
-		s.visit(pos[idx:idx+1], stats)
+		s.visit(states[idx:idx+1], stats)
 		evalStart := s.clock()
 		var prof *explainCounters
 		if ex := s.explain; ex != nil {
-			prof = &ex.prof[pos[idx]]
+			prof = &ex.prof[st.pos]
 		}
 		var c passCounts
 		for i := range page.Items {
@@ -481,53 +489,16 @@ func (s *Session) seedFirstPages(states []*queryState, pos []int, stats *Stats) 
 	return nil
 }
 
-// queryDistMatrix computes dist(Q_i, Q_j) for all pairs. Row i is indexed
-// by query position j. With avoidance disabled, or for a single query, no
-// matrix is needed.
-func (s *Session) queryDistMatrix(queries []Query, stats *Stats) [][]float64 {
-	m := len(queries)
-	if m < 2 || s.proc.opts.Avoidance == AvoidOff {
-		return nil
-	}
-	matrix := make([][]float64, m)
-	for i := range matrix {
-		matrix[i] = make([]float64, m)
-	}
-	for i := 0; i < m; i++ {
-		for j := i + 1; j < m; j++ {
-			d := s.pairDistance(queries[i], queries[j], stats)
-			matrix[i][j] = d
-			matrix[j][i] = d
-		}
-	}
-	return matrix
-}
-
-// pairDistance returns dist(Q_i, Q_j), computing and caching it on first
-// use and charging the calculation to the matrix overhead.
-func (s *Session) pairDistance(qi, qj Query, stats *Stats) float64 {
-	k := pairKey{lo: qi.ID, hi: qj.ID}
-	if k.lo > k.hi {
-		k.lo, k.hi = k.hi, k.lo
-	}
-	if d, ok := s.pairDist[k]; ok {
-		return d
-	}
-	d := s.proc.metric.Distance(qi.Vec, qj.Vec)
-	s.pairDist[k] = d
-	stats.MatrixDistCalcs++
-	return d
-}
-
 // MultiQueryAll evaluates the whole batch to completion by running the
 // multiple similarity query for every not-yet-finished suffix — the
 // evaluation the paper describes: "to determine the complete answers for
 // the other query objects we have to call the method repeatedly for
 // [Q2,...,Qm], [Q3,...,Qm], ..., [Qm]". The session's page bookkeeping
 // guarantees no page is processed twice for the same query, and the
-// query-distance matrix is computed once for the whole batch (calling
-// MultiQuery on each suffix instead would rebuild an O(m²) matrix per
-// suffix — cubic in m overall).
+// query-distance matrix is filled once for the whole batch. Calling
+// MultiQuery on each suffix computes the same answers at the same matrix
+// cost; what this saves is validating and restoring the batch m times, and
+// what it adds is one Stats for the batch.
 func (s *Session) MultiQueryAll(queries []Query) ([]*query.AnswerList, Stats, error) {
 	return s.MultiQueryAllContext(context.Background(), queries)
 }
@@ -561,9 +532,8 @@ func (s *Session) multiQueryAllLocked(ctx context.Context, queries []Query) ([]*
 
 	var stats Stats
 	matrixStart := s.clock()
-	matrix := s.queryDistMatrix(queries, &stats)
+	matrix := s.syncMatrix(states, &stats)
 	s.observeSince(obs.PhaseMatrix, matrixStart)
-	pos := identityPositions(len(states))
 
 	record := func() {
 		if traced {
@@ -574,7 +544,7 @@ func (s *Session) multiQueryAllLocked(ctx context.Context, queries []Query) ([]*
 		if states[i].done {
 			continue
 		}
-		if err := s.run(ctx, states[i:], matrix, pos[i:], &stats); err != nil {
+		if err := s.run(ctx, states[i:], matrix, &stats); err != nil {
 			acct.finish(&stats)
 			record()
 			return nil, stats, err

@@ -73,11 +73,11 @@ func (s *Session) observeSince(p obs.Phase, start time.Time) {
 }
 
 // visit accounts the (page, query) visits decided at one page barrier.
-func (s *Session) visit(activeIdx []int, stats *Stats) {
-	stats.PageVisits += int64(len(activeIdx))
+func (s *Session) visit(active []*queryState, stats *Stats) {
+	stats.PageVisits += int64(len(active))
 	if ex := s.explain; ex != nil {
-		for _, pos := range activeIdx {
-			ex.prof[pos].pagesVisited.Add(1)
+		for _, st := range active {
+			ex.prof[st.pos].pagesVisited.Add(1)
 		}
 	}
 }
@@ -95,8 +95,8 @@ func (s *Session) visit(activeIdx []int, stats *Stats) {
 // *below* dist(Q_j, Q_i) - QueryDist(Q_i). A pruning distance becomes
 // finite only at its own query's turn — after that query's probes — and
 // that transition recomputes the raises, so the invariant covers every
-// probe. idx is an int32 so the entry packs into 16 bytes; avoidable scans
-// these linearly, so density matters.
+// probe. idx is the query's matrix slot, an int32 so the entry packs into 16
+// bytes; avoidable scans these linearly, so density matters.
 type knownDist struct {
 	d   float64 // exact distance, or the abandoned partial lower bound
 	idx int32
@@ -108,18 +108,19 @@ type knownDist struct {
 // produce NaN, so the sentinel cannot collide with a computed distance.
 var skippedDist = math.NaN()
 
-// pagePass holds one run's page-pass state: what is fixed for the run, what
-// begin fixes at each page barrier, and the buffers both reuse. Every
-// buffer is sized for the full batch and resliced to the page's active set,
-// so no pass allocates in steady state, whoever observes it. Workers only
-// read the barrier state; known, rowW and counts are per worker — index w
-// is owned by the one goroutine running as worker w — so they need no
-// locking, and the width-1 loop is simply worker 0.
+// pagePass holds the page-pass state: what is fixed for one run, what begin
+// fixes at each page barrier, and the buffers both reuse. The session keeps
+// one and hands it to every run (Session.pagePass); every buffer is sized
+// for the widest batch so far and resliced to the page's active set, so
+// neither a pass nor a call allocates in steady state, whoever observes it.
+// Workers only read the barrier state; known, rowW and counts are per
+// worker — index w is owned by the one goroutine running as worker w — so
+// they need no locking, and the width-1 loop is simply worker 0.
 type pagePass struct {
 	s *Session
-	// matrix is the query-distance matrix, indexed by batch position; nil
-	// means no avoidance (queryDistMatrix builds none under AvoidOff or for
-	// a single query).
+	// matrix is the query-distance matrix, indexed by slot; nil means no
+	// avoidance (syncMatrix returns none under AvoidOff or for a single
+	// query).
 	matrix [][]float64
 	// prof is EXPLAIN's per-position accumulator, nil when no EXPLAIN is
 	// attached: the one branch per pair observation costs when off.
@@ -127,7 +128,7 @@ type pagePass struct {
 
 	page      *store.Page
 	active    []*queryState
-	activeIdx []int // batch position of each active query
+	activeIdx []int // matrix slot of each active query
 	// limits holds each active query's pruning distance at the barrier. A
 	// live pass keeps it exact: a pruning distance changes only when the
 	// query's own Consider accepts an item (its a-priori bound is fixed
@@ -160,19 +161,30 @@ type pagePass struct {
 	dists     []float64     // the pipeline's items × active result buffer
 }
 
-func newPagePass(s *Session, width, nStates int, matrix [][]float64) *pagePass {
-	p := &pagePass{
-		s:      s,
-		matrix: matrix,
-		limits: make([]float64, nStates),
-		known:  make([][]knownDist, width),
-		counts: make([]passCounts, width),
+// pagePass returns the session's page pass, set up for a run over nStates
+// queries. The buffers depend only on the width and nStates, so they are
+// allocated when a batch is wider than any before it and reused otherwise.
+func (s *Session) pagePass(width, nStates int, matrix [][]float64) *pagePass {
+	if s.pass == nil || cap(s.pass.limits) < nStates {
+		s.pass = newPagePass(s, width, nStates)
 	}
-	if matrix != nil {
-		p.raise = make([]float64, nStates)
-	}
+	p := s.pass
+	p.matrix, p.prof = matrix, nil
 	if ex := s.explain; ex != nil {
 		p.prof = ex.prof
+	}
+	return p
+}
+
+func newPagePass(s *Session, width, nStates int) *pagePass {
+	p := &pagePass{
+		s:         s,
+		active:    make([]*queryState, 0, nStates),
+		activeIdx: make([]int, nStates),
+		limits:    make([]float64, nStates),
+		raise:     make([]float64, nStates),
+		known:     make([][]knownDist, width),
+		counts:    make([]passCounts, width),
 	}
 	for w := range p.known {
 		p.known[w] = make([]knownDist, 0, nStates)
@@ -194,20 +206,45 @@ func newPagePass(s *Session, width, nStates int, matrix [][]float64) *pagePass {
 	return p
 }
 
+// decideActive computes which queries still need the page: not finished, not
+// already processed for the page, and (for non-first queries) not excludable
+// by the engine's lower bound against the query's current pruning distance.
+// Both the sequential loop and the concurrent pipeline call it at the same
+// point — after all earlier pages are fully merged — so the decisions, and
+// hence page visits, are identical regardless of the pipeline width. The
+// result is the pass's own buffer, valid until the next page.
+func (p *pagePass) decideActive(pid store.PageID, states []*queryState) []*queryState {
+	active := p.active[:0]
+	for i, st := range states {
+		if st.done {
+			continue
+		}
+		if _, ok := st.processed[pid]; ok {
+			continue
+		}
+		if i > 0 && st.pq.MinDist(pid) > st.queryDist() {
+			continue
+		}
+		active = append(active, st)
+	}
+	return active
+}
+
 // begin fixes the barrier state for one page: the active set, its pruning
 // distances, and everything the run's options derive from them — the
 // abandonment raises under avoidance, the quantized filters, the row-kernel
 // inputs. Only the coordinator calls it, with every earlier page fully
 // merged, so each input is the value the sequential loop would see.
-func (p *pagePass) begin(page *store.Page, active []*queryState, activeIdx []int) {
-	p.page, p.active, p.activeIdx = page, active, activeIdx
+func (p *pagePass) begin(page *store.Page, active []*queryState) {
+	p.page, p.active = page, active
 	n := len(active)
-	p.limits = p.limits[:n]
+	p.limits, p.activeIdx = p.limits[:n], p.activeIdx[:n]
 	for a, st := range active {
 		p.limits[a] = st.queryDist()
+		p.activeIdx[a] = int(st.slot)
 	}
 	if p.matrix != nil {
-		p.raise = lemma1Raises(activeIdx, p.matrix, p.limits, p.raise[:n])
+		p.raise = lemma1Raises(p.activeIdx, p.matrix, p.limits, p.raise[:n])
 	}
 	p.filters = p.s.quantFilters(page, active, p.filterBuf)
 	p.rows, p.f32 = p.s.rowPath(page, p.matrix != nil, n)
@@ -295,7 +332,7 @@ func (p *pagePass) evalPairs(lo, hi, worker int, out []float64) passCounts {
 		}
 		known = known[:0]
 		for a, st := range active {
-			pos := activeIdx[a]
+			slot := activeIdx[a]
 			qd := limits[a]
 			limit := qd
 			var tries int
@@ -305,12 +342,12 @@ func (p *pagePass) evalPairs(lo, hi, worker int, out []float64) passCounts {
 				// page and a first query is a large share of the pairs.
 				if len(known) > 0 {
 					var lemma int
-					lemma, tries = avoidable(mode, qd, matrix[pos], known)
+					lemma, tries = avoidable(mode, qd, matrix[slot], known)
 					probes += int64(tries)
 					if lemma != 0 {
 						avoided++
 						if prof != nil {
-							prof[pos].avoided(lemma, tries)
+							prof[st.pos].avoided(lemma, tries)
 						}
 						continue
 					}
@@ -321,7 +358,7 @@ func (p *pagePass) evalPairs(lo, hi, worker int, out []float64) passCounts {
 				if f := filters[a]; f != nil && f.Exceeds(codes, qd) {
 					filtered++
 					if prof != nil {
-						prof[pos].screened(tries)
+						prof[st.pos].screened(tries)
 					}
 					continue
 				}
@@ -329,10 +366,10 @@ func (p *pagePass) evalPairs(lo, hi, worker int, out []float64) passCounts {
 			d, within := kernel.DistanceWithin(st.q.Vec, item.Vec, limit)
 			calcs++
 			if avoiding {
-				known = append(known, knownDist{d: d, idx: int32(pos)})
+				known = append(known, knownDist{d: d, idx: int32(slot)})
 			}
 			if prof != nil {
-				prof[pos].calculated(within, tries)
+				prof[st.pos].calculated(within, tries)
 			}
 			if !within {
 				abandoned++
@@ -345,7 +382,7 @@ func (p *pagePass) evalPairs(lo, hi, worker int, out []float64) passCounts {
 			if st.answers.Consider(item.ID, d) {
 				limits[a] = st.queryDist()
 				if avoiding && math.IsInf(qd, 1) && !math.IsInf(limits[a], 1) {
-					mrow := matrix[pos]
+					mrow := matrix[slot]
 					for j, q := range activeIdx {
 						if t := mrow[q] + limits[a]; t > raise[j] {
 							raise[j] = t
@@ -368,7 +405,7 @@ func (p *pagePass) evalPairs(lo, hi, worker int, out []float64) passCounts {
 // LayoutF32.
 func (p *pagePass) evalRows(lo, hi, worker int, out []float64) passCounts {
 	rows := p.s.proc.rows
-	page, active, activeIdx, limits, prof := p.page, p.active, p.activeIdx, p.limits, p.prof
+	page, active, limits, prof := p.page, p.active, p.limits, p.prof
 	f32, q32, qvecs := p.f32, p.q32, p.qvecs
 	b := page.Cols
 	n := len(active)
@@ -388,7 +425,7 @@ func (p *pagePass) evalRows(lo, hi, worker int, out []float64) passCounts {
 		abandoned += int64(ab)
 		if prof != nil {
 			for a, within := range wOut {
-				prof[activeIdx[a]].calculated(within, 0)
+				prof[active[a].pos].calculated(within, 0)
 			}
 		}
 		if out != nil {
@@ -550,8 +587,8 @@ func abandonLimit(qd, raise float64, knownLen int) float64 {
 // infinite query distance); with no later finite-qd query the raise is
 // -Inf and abandonLimit falls back to the query's own pruning distance.
 func lemma1Raises(activeIdx []int, matrix [][]float64, qds []float64, raise []float64) []float64 {
-	for a, pos := range activeIdx {
-		row := matrix[pos]
+	for a, slot := range activeIdx {
+		row := matrix[slot]
 		m := math.Inf(-1)
 		for i := a + 1; i < len(activeIdx); i++ {
 			if qd := qds[i]; !math.IsInf(qd, 1) {

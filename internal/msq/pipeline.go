@@ -172,7 +172,7 @@ func (s *Session) prefetch(plan []engine.PageRef, prefetchable []bool, out chan<
 // the pipeline width (>= 2): the worker-pool size and the prefetch lookahead.
 // The coordinator checks ctx once per page barrier; on cancellation the
 // deferred done close aborts the prefetcher before the error returns.
-func (s *Session) runPipeline(ctx context.Context, plan []engine.PageRef, states []*queryState, pos []int, stats *Stats, pass *pagePass, width int) error {
+func (s *Session) runPipeline(ctx context.Context, plan []engine.PageRef, states []*queryState, stats *Stats, pass *pagePass, width int) error {
 	first := states[0]
 
 	// Decide, from static state only, which plan references the prefetcher
@@ -196,9 +196,6 @@ func (s *Session) runPipeline(ctx context.Context, plan []engine.PageRef, states
 	done := make(chan struct{})
 	defer close(done)
 	go s.prefetch(plan, prefetchable, out, resume, done)
-
-	active := make([]*queryState, 0, len(states))
-	activePos := make([]int, 0, len(states))
 
 	for i, ref := range plan {
 		if err := ctx.Err(); err != nil {
@@ -237,10 +234,10 @@ func (s *Session) runPipeline(ctx context.Context, plan []engine.PageRef, states
 			}
 		}
 
-		active, activePos = s.decideActive(ref.ID, states, pos, active, activePos)
-		s.visit(activePos, stats)
+		active := pass.decideActive(ref.ID, states)
+		s.visit(active, stats)
 
-		pass.begin(page, active, activePos)
+		pass.begin(page, active)
 		s.evalConcurrent(pool, pass, stats, width)
 
 		for _, st := range active {

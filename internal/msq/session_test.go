@@ -1,0 +1,461 @@
+package msq
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"metricdb/internal/engine"
+	"metricdb/internal/query"
+	"metricdb/internal/store"
+	"metricdb/internal/vec"
+)
+
+// The session keeps the distances between its buffered queries in a dense
+// matrix indexed by slots (matrix.go). These tests pin what that buys and
+// what it must not change: the matrix the page pass reads equals brute
+// force, the calculations charged equal what a per-pair cache would have
+// charged (with the one documented exception), and a session's memory
+// follows the batch width, not the session's length.
+
+// sessionDriver runs one session through a random call sequence next to a
+// model of what the session should hold and pay.
+type sessionDriver struct {
+	t      *testing.T
+	rng    *rand.Rand
+	items  []store.Item
+	metric vec.Metric
+	mode   AvoidanceMode
+	proc   *Processor
+	s      *Session
+
+	nextID   uint64
+	queue    []Query // submitted-or-not, not yet complete, FIFO
+	finished []Query
+	widest   int
+	// paid is the reference: the per-pair cache the matrix replaced, keyed
+	// by unordered ID pair. A query that sits out a call forgets its pairs,
+	// which is the documented difference.
+	paid map[[2]uint64]bool
+	held map[uint64]bool // the incomplete queries that should hold a slot
+	want map[uint64][]query.Answer
+}
+
+func (d *sessionDriver) newQuery() Query {
+	d.nextID++
+	t := query.NewRange(0.25)
+	if d.rng.Intn(2) == 0 {
+		t = query.NewKNN(1 + d.rng.Intn(6))
+	}
+	return Query{ID: d.nextID, Vec: d.items[d.rng.Intn(len(d.items))].Vec, Type: t}
+}
+
+func (d *sessionDriver) done(id uint64) bool {
+	st := d.s.states[id]
+	return st != nil && st.done
+}
+
+// expectMatrixCalcs advances the model over one call and returns the
+// MatrixDistCalcs the call must report, and whether the call reaches the
+// matrix at all.
+func (d *sessionDriver) expectMatrixCalcs(batch []Query, all bool) (calcs int64, synced bool) {
+	if !all && d.done(batch[0].ID) {
+		return 0, false // answered from the buffer
+	}
+	if d.mode == AvoidOff {
+		return 0, true
+	}
+	inBatch := make(map[uint64]bool, len(batch))
+	for _, q := range batch {
+		inBatch[q.ID] = true
+	}
+	for id := range d.held {
+		if inBatch[id] {
+			continue
+		}
+		delete(d.held, id)
+		for k := range d.paid {
+			if k[0] == id || k[1] == id {
+				delete(d.paid, k)
+			}
+		}
+	}
+	if len(batch) < 2 {
+		return 0, true
+	}
+	var live []uint64
+	for _, q := range batch {
+		if !d.done(q.ID) {
+			live = append(live, q.ID)
+			d.held[q.ID] = true
+		}
+	}
+	for i, a := range live {
+		for _, b := range live[i+1:] {
+			k := [2]uint64{min(a, b), max(a, b)}
+			if !d.paid[k] {
+				d.paid[k] = true
+				calcs++
+			}
+		}
+	}
+	return calcs, true
+}
+
+// checkStore compares the session's matrix with brute force on every pair
+// of the batch's incomplete queries that hold slots; with full set, every
+// incomplete query of the batch must hold one.
+func (d *sessionDriver) checkStore(batch []Query, full bool) {
+	d.t.Helper()
+	qm := &d.s.matrix
+	for id := range d.held {
+		if d.done(id) {
+			delete(d.held, id)
+		}
+	}
+	holders := 0
+	for slot, st := range qm.holder {
+		if st == nil {
+			continue
+		}
+		holders++
+		if int(st.slot) != slot || st.done {
+			d.t.Fatalf("slot %d held by query %d with slot %d, done %v", slot, st.q.ID, st.slot, st.done)
+		}
+		if !d.held[st.q.ID] {
+			d.t.Fatalf("query %d holds slot %d and should hold none", st.q.ID, slot)
+		}
+	}
+	if holders != qm.live || holders != len(d.held) {
+		d.t.Fatalf("%d holders, live = %d, model holds %d", holders, qm.live, len(d.held))
+	}
+	if qm.live > d.widest || len(qm.rows) > d.widest {
+		d.t.Fatalf("%d live slots of %d, widest batch %d", qm.live, len(qm.rows), d.widest)
+	}
+	var live []*queryState
+	for _, q := range batch {
+		st := d.s.states[q.ID]
+		if st.done {
+			if st.slot != noSlot {
+				d.t.Fatalf("completed query %d holds slot %d", q.ID, st.slot)
+			}
+			continue
+		}
+		if st.slot == noSlot {
+			if full {
+				d.t.Fatalf("incomplete query %d holds no slot", q.ID)
+			}
+			continue
+		}
+		live = append(live, st)
+	}
+	for _, a := range live {
+		for _, b := range live {
+			if a == b {
+				continue
+			}
+			want := d.metric.Distance(a.q.Vec, b.q.Vec)
+			if got := qm.rows[a.slot][b.slot]; got != want {
+				d.t.Fatalf("matrix[%d][%d] = %v, dist(Q%d, Q%d) = %v", a.slot, b.slot, got, a.q.ID, b.q.ID, want)
+			}
+		}
+	}
+}
+
+func (d *sessionDriver) call(ctx context.Context, batch []Query, all bool) ([]*query.AnswerList, Stats, error) {
+	if all {
+		return d.s.MultiQueryAllContext(ctx, batch)
+	}
+	return d.s.MultiQueryContext(ctx, batch)
+}
+
+// expectRejected submits a batch the session must refuse and checks that
+// refusing it changed nothing.
+func (d *sessionDriver) expectRejected(batch []Query, all bool) {
+	d.t.Helper()
+	states, live := len(d.s.states), d.s.matrix.live
+	holders := append([]*queryState(nil), d.s.matrix.holder...)
+	if _, st, err := d.call(context.Background(), batch, all); err == nil || st != (Stats{}) {
+		d.t.Fatalf("ID reuse with a different object: err %v, stats %+v", err, st)
+	}
+	if len(d.s.states) != states || d.s.matrix.live != live {
+		d.t.Fatalf("rejected call left %d states (%d before), %d live slots (%d before)", len(d.s.states), states, d.s.matrix.live, live)
+	}
+	for slot, st := range d.s.matrix.holder {
+		if holders[slot] != st {
+			d.t.Fatalf("rejected call changed the holder of slot %d", slot)
+		}
+	}
+}
+
+func (d *sessionDriver) step() {
+	d.t.Helper()
+	m := 1 + d.rng.Intn(10)
+	for len(d.queue) <= m {
+		d.queue = append(d.queue, d.newQuery())
+	}
+	batch := append([]Query(nil), d.queue[:m]...)
+	all := false
+	switch d.rng.Intn(8) {
+	case 0: // a query leaves the window for one call and returns with the next
+		if m > 2 {
+			i := 1 + d.rng.Intn(m-1)
+			batch = append(batch[:i], batch[i+1:]...)
+		}
+	case 1: // a completed query comes back beside new ones, not in front
+		if len(d.finished) > 0 {
+			i := 1 + d.rng.Intn(len(batch))
+			old := d.finished[d.rng.Intn(len(d.finished))]
+			batch = append(batch[:i], append([]Query{old}, batch[i:]...)...)
+		}
+	case 2, 3:
+		all = true
+	case 4: // an ID the session knows, with another object: refused whole
+		if len(d.finished) > 0 {
+			bad := d.finished[d.rng.Intn(len(d.finished))]
+			bad.Vec = append(vec.Vector(nil), bad.Vec...)
+			bad.Vec[0]++
+			d.expectRejected(append(append([]Query(nil), batch...), bad), d.rng.Intn(2) == 0)
+		}
+	}
+	d.widest = max(d.widest, len(batch))
+
+	// Half of the calls are first attempted under a canceled context: the
+	// session prepares, brings the matrix up to date and gives up at the
+	// first page, so every incomplete query of the batch still holds its
+	// slot and the whole matrix of the call can be compared.
+	if d.rng.Intn(2) == 0 {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		want, synced := d.expectMatrixCalcs(batch, all)
+		_, st, err := d.call(ctx, batch, all)
+		if err != nil && !errors.Is(err, context.Canceled) {
+			d.t.Fatal(err)
+		}
+		if st.MatrixDistCalcs != want {
+			d.t.Fatalf("canceled call: MatrixDistCalcs = %d, want %d", st.MatrixDistCalcs, want)
+		}
+		d.checkStore(batch, synced && d.mode != AvoidOff && len(batch) > 1)
+	}
+
+	want, _ := d.expectMatrixCalcs(batch, all)
+	res, st, err := d.call(context.Background(), batch, all)
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	if st.MatrixDistCalcs != want {
+		d.t.Fatalf("MatrixDistCalcs = %d, want %d (batch of %d, all %v)", st.MatrixDistCalcs, want, len(batch), all)
+	}
+	d.checkStore(batch, false)
+	for i, q := range batch {
+		if i > 0 && !all {
+			break
+		}
+		if !d.done(q.ID) {
+			d.t.Fatalf("query %d not complete after the call", q.ID)
+		}
+		if _, ok := d.want[q.ID]; !ok {
+			l, _, err := d.proc.Single(q.Vec, q.Type)
+			if err != nil {
+				d.t.Fatal(err)
+			}
+			d.want[q.ID] = l.Answers()
+		}
+		if !sameAnswers(res[i].Answers(), d.want[q.ID]) {
+			d.t.Fatalf("query %d: answers differ from Single", q.ID)
+		}
+	}
+	rest := d.queue[:0]
+	for _, q := range d.queue {
+		if d.done(q.ID) {
+			d.finished = append(d.finished, q)
+		} else {
+			rest = append(rest, q)
+		}
+	}
+	d.queue = rest
+}
+
+// TestSessionMatrixAgainstBruteForce drives sessions through random call
+// sequences — sliding windows, a query that leaves and returns, completed
+// queries resubmitted, MultiQuery and MultiQueryAll interleaved, batches
+// that shrink and grow, refused calls, canceled calls — and checks after
+// every call that (a) the matrix equals brute force on every pair of
+// incomplete queries, (b) every completed answer equals Single, (c) each
+// call's MatrixDistCalcs equals what a per-pair cache would have charged,
+// except that a query which sat out pays its row again, and (d) the live
+// slots and the matrix never exceed the widest batch.
+func TestSessionMatrixAgainstBruteForce(t *testing.T) {
+	const dim, n = 4, 400
+	items := testDB(31, n, dim)
+	metric := vec.Euclidean{}
+	steps := 60
+	if testing.Short() {
+		steps = 20
+	}
+	for _, mk := range diffMakers() {
+		if mk.name != "scan" && mk.name != "xtree" && mk.name != "pivot" {
+			continue
+		}
+		for _, mode := range []AvoidanceMode{AvoidBoth, AvoidLemma1, AvoidLemma2, AvoidOff} {
+			for _, width := range []int{1, 2, 8} {
+				t.Run(fmt.Sprintf("%s/%v/width%d", mk.name, mode, width), func(t *testing.T) {
+					proc, err := New(mk.make(t, items, dim, metric), metric, Options{Avoidance: mode, Concurrency: width})
+					if err != nil {
+						t.Fatal(err)
+					}
+					d := &sessionDriver{
+						t: t, rng: rand.New(rand.NewSource(int64(width)*100 + int64(mode))),
+						items: items, metric: metric, mode: mode, proc: proc, s: proc.NewSession(),
+						paid: map[[2]uint64]bool{}, held: map[uint64]bool{}, want: map[uint64][]query.Answer{},
+					}
+					for i := 0; i < steps; i++ {
+						d.step()
+					}
+					if mode == AvoidOff && d.s.matrix.rows != nil {
+						t.Error("a matrix was allocated with avoidance off")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestCompletedQueriesReleaseTheirState is the unbounded-growth fix: after a
+// long sliding-window session, what a completed query still holds is its
+// query and its answers, and the matrix is as wide as the window.
+func TestCompletedQueriesReleaseTheirState(t *testing.T) {
+	const dim, n, m, steps = 4, 5008, 8, 5000
+	items := testDB(32, n, dim)
+	proc, err := New(xtreeEngine(t, items, dim), vec.Euclidean{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := proc.NewSession()
+	typ := query.NewRange(0.05)
+	batch := make([]Query, m)
+	for i := 0; i < steps; i++ {
+		for j := range batch {
+			batch[j] = Query{ID: uint64(i + j), Vec: items[i+j].Vec, Type: typ}
+		}
+		if _, _, err := s.MultiQuery(batch); err != nil {
+			t.Fatal(err)
+		}
+		if s.matrix.live != m-1 {
+			t.Fatalf("step %d: %d live slots, window of %d", i, s.matrix.live, m)
+		}
+	}
+	if len(s.matrix.rows) != m {
+		t.Errorf("matrix is %d wide after %d steps, window of %d", len(s.matrix.rows), steps, m)
+	}
+	completed := 0
+	for id, st := range s.states {
+		if !st.done {
+			continue
+		}
+		completed++
+		if st.processed != nil || st.pq != nil || st.slot != noSlot || st.q32 != nil || st.qfilter != nil {
+			t.Fatalf("completed query %d still holds page set %v, prepared %v, slot %d", id, st.processed != nil, st.pq != nil, st.slot)
+		}
+		if st.answers == nil || !st.q.Vec.Equal(items[id].Vec) {
+			t.Fatalf("completed query %d lost its query or its answers", id)
+		}
+	}
+	if completed != steps {
+		t.Errorf("%d completed queries, want %d", completed, steps)
+	}
+
+	// A completed query has no prepared handle to ask, so everything that
+	// walks the batch must skip it before touching one: resubmit completed
+	// queries behind a new first query, beside new k-NN queries that make
+	// bootstrap and seedFirstPages run.
+	knn := query.NewKNN(3)
+	mixed := []Query{
+		{ID: 1 << 20, Vec: items[5000].Vec, Type: knn},
+		{ID: 0, Vec: items[0].Vec, Type: typ},
+		{ID: 1<<20 + 1, Vec: items[5001].Vec, Type: knn},
+		{ID: 1, Vec: items[1].Vec, Type: typ},
+	}
+	res, _, err := s.MultiQueryAll(mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range mixed {
+		if want := brute(items, vec.Euclidean{}, q.Vec, q.Type); !sameAnswers(res[i].Answers(), want) {
+			t.Errorf("query %d: wrong answers after resubmission", q.ID)
+		}
+	}
+}
+
+// TestRejectedCallLeavesSessionUntouched is the validate-first fix: a batch
+// with one bad query must not admit the queries before it — no state, no
+// slot, and no Engine.Prepare, whose pivot distances no call would report.
+func TestRejectedCallLeavesSessionUntouched(t *testing.T) {
+	const dim = 4
+	items := testDB(33, 300, dim)
+	metric := vec.Euclidean{}
+	var pivotEngine engine.Engine
+	for _, mk := range diffMakers() {
+		if mk.name == "pivot" {
+			pivotEngine = mk.make(t, items, dim, metric)
+		}
+	}
+	proc, err := New(pivotEngine, metric, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pivots := pivotEngine.(engine.PivotCoster)
+	s := proc.NewSession()
+	knn := query.NewKNN(4)
+	good := func(i int) Query { return Query{ID: uint64(i), Vec: items[i].Vec, Type: knn} }
+
+	if _, _, err := s.MultiQuery([]Query{good(0), good(1), good(2)}); err != nil {
+		t.Fatal(err)
+	}
+	moved := good(0)
+	moved.Vec = items[9].Vec
+	for name, bad := range map[string]Query{
+		"wrong dimension":     {ID: 50, Vec: vec.Vector{1, 2}, Type: knn},
+		"duplicate ID":        good(11),
+		"duplicate buffered":  good(1),
+		"ID of another query": moved,
+	} {
+		states, live, paid := len(s.states), s.matrix.live, pivots.PivotDistCalcs()
+		for _, all := range []bool{false, true} {
+			batch := []Query{good(10), good(1), good(11), bad}
+			var st Stats
+			if all {
+				_, st, err = s.MultiQueryAll(batch)
+			} else {
+				_, st, err = s.MultiQuery(batch)
+			}
+			if err == nil || st != (Stats{}) {
+				t.Fatalf("%s: err %v, stats %+v", name, err, st)
+			}
+		}
+		if len(s.states) != states || s.matrix.live != live {
+			t.Errorf("%s: %d states and %d live slots after, %d and %d before", name, len(s.states), s.matrix.live, states, live)
+		}
+		if got := pivots.PivotDistCalcs(); got != paid {
+			t.Errorf("%s: the rejected call paid %d pivot distances", name, got-paid)
+		}
+	}
+
+	// The session answers a valid call, and reports the pivot distances of
+	// the queries it admits then.
+	batch := []Query{good(10), good(1), good(11)}
+	res, st, err := s.MultiQueryAll(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PivotDistCalcs == 0 {
+		t.Error("admitting two queries on a pivot engine reported no pivot distances")
+	}
+	for i, q := range batch {
+		if want := brute(items, metric, q.Vec, q.Type); !sameAnswers(res[i].Answers(), want) {
+			t.Errorf("query %d: wrong answers after rejected calls", q.ID)
+		}
+	}
+}
