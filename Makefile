@@ -4,8 +4,9 @@
 # the multi-query differential suite under the race detector, the two
 # in-run wall-clock gates, the benchmark module's own build and tests, a
 # two-second run of every benchmark workload, and a short fuzz of the
-# storage decoders.
-check: fmt vet build race differential obsgate bench-check bench-smoke fuzz-smoke
+# storage decoders. It ends by printing `make loc`, so every PR's CI log
+# carries the line count ROADMAP tracks.
+check: fmt vet build race differential obsgate bench-check bench-smoke fuzz-smoke loc
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -32,14 +32,12 @@
 // dimensionality and abandon rate, writing the ns/op table to -kernels-out
 // as JSON.
 //
-// The block experiment measures the columnar (SoA) page layouts end to
+// The block experiment measures the columnar (SoA) page layout end to
 // end: sequential page-pass throughput of one m-query batch on the scan
-// engine across dimensionality × batch width × layout (aos, soa, f32,
-// quant), re-checking on the measured runs that soa answers and counters
-// are bit-identical to aos at pipeline widths 1, 2 and 8, that f32 keeps
-// the IDs within the rounding bound, and that quant's filter moves pairs
-// between CPU disposals without touching answers or page reads. Results go
-// to -block-out as JSON.
+// engine across dimensionality × batch width × layout (aos, soa),
+// re-checking on the measured runs that soa answers and page reads are
+// bit-identical to aos at pipeline widths 1, 2 and 8. Results go to
+// -block-out as JSON.
 //
 // The obs experiment profiles the multi-query processor with the
 // observability tracer enabled: per-phase latency histograms (page fetch

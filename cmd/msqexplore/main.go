@@ -4,7 +4,7 @@
 // Usage:
 //
 //	msqexplore -task dbscan|classify|explore|trends|rules
-//	           [-data file.gob|dataset-dir] [-n 5000] [-dim 16] [-clusters 5]
+//	           [-data dataset-dir] [-n 5000] [-dim 16] [-clusters 5]
 //	           [-engine scan|xtree|vafile] [-batch 20] [-eps 0.1] [-minpts 5]
 //	           [-k 10] [-users 4] [-rounds 5] [-seed 1]
 //
@@ -24,7 +24,7 @@ import (
 func main() {
 	var (
 		task     = flag.String("task", "dbscan", "dbscan, classify, explore, trends or rules")
-		dataFile = flag.String("data", "", "dataset written by msqgen: directory or gob file (default: generate)")
+		dataFile = flag.String("data", "", "dataset directory written by msqgen (default: generate)")
 		n        = flag.Int("n", 5000, "generated dataset size")
 		dim      = flag.Int("dim", 16, "generated dataset dimensionality")
 		clusters = flag.Int("clusters", 5, "generated cluster count")
@@ -50,7 +50,7 @@ func run(task, dataFile string, n, dim, clusters int, engine string, batch int,
 	var items []metricdb.Item
 	var err error
 	if dataFile != "" {
-		items, err = dataset.ReadAny(dataFile)
+		items, err = dataset.LoadDir(dataFile)
 		if err != nil {
 			return err
 		}

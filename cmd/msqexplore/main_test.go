@@ -1,7 +1,9 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"metricdb/internal/dataset"
@@ -17,18 +19,28 @@ func TestRunAllTasks(t *testing.T) {
 	}
 }
 
-func TestRunWithDataFile(t *testing.T) {
+func TestRunWithDataDir(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "d.gob")
+	path := filepath.Join(dir, "d.dir")
 	items, err := dataset.Clustered(dataset.ClusteredConfig{Seed: 1, N: 300, Dim: 4, Clusters: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dataset.WriteFile(path, items); err != nil {
+	if err := dataset.SaveDir(path, items, dataset.SaveOptions{NoSync: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := run("dbscan", path, 0, 0, 0, "scan", 4, 0.1, 3, 1, 1, 1, 1); err != nil {
 		t.Fatal(err)
+	}
+	// A regular file — what the removed single-file format produced — is
+	// refused with the way out, not with a decoder's complaint.
+	file := filepath.Join(dir, "d.gob")
+	if err := os.WriteFile(file, []byte("gob"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run("dbscan", file, 0, 0, 0, "scan", 4, 0.1, 3, 1, 1, 1, 1)
+	if err == nil || !strings.Contains(err.Error(), "regenerate it with msqgen") {
+		t.Fatalf("-data with a regular file returned %v", err)
 	}
 }
 

@@ -1,16 +1,14 @@
 // Command msqgen generates synthetic datasets (the paper-data substitutes)
 // and stores them for reuse by msqexplore, msqserver -data, and custom
-// experiments. The default output is a persistent dataset directory in the
-// checksummed page-store format (servable without loading into memory);
-// -format gob keeps the legacy single-file encoding.
+// experiments. The output is a persistent dataset directory in the
+// checksummed page-store format (servable without loading into memory).
 //
 // Usage:
 //
 //	msqgen -out data.dir -kind uniform|nearuniform|clustered
-//	       [-format dir|gob] [-pagecap 0] [-n 100000] [-dim 20]
+//	       [-pagecap 0] [-n 100000] [-dim 20]
 //	       [-clusters 10] [-spread 0.05] [-intrinsic 8] [-histogram]
-//	       [-noise 0.0] [-seed 1] [-layout aos|soa|f32|quant] [-quantbits 8]
-//	       [-advise]
+//	       [-noise 0.0] [-seed 1] [-layout aos|soa] [-advise]
 //
 // -advise additionally runs the engine advisor on the generated items and
 // prints the recommendation; advisor warnings (estimator fallbacks) are
@@ -18,10 +16,9 @@
 // ranking is never printed silently.
 //
 // -layout soa writes version-2 columnar page records (contiguous float64
-// blocks per page); f32 adds the float32 sibling; quant adds VA-file-style
-// quantized codes at -quantbits bits per dimension. Version-1 readers are
-// unaffected: OpenStored columnizes on read when the file lacks a
-// representation the session's layout wants.
+// blocks per page). A version-1 (aos) dataset serves any layout too:
+// OpenStored columnizes on read when the session's layout wants blocks the
+// file lacks.
 package main
 
 import (
@@ -38,8 +35,7 @@ import (
 func main() {
 	var (
 		out       = flag.String("out", "", "output path (required)")
-		format    = flag.String("format", "dir", "dir (persistent page store) or gob (legacy single file)")
-		pagecap   = flag.Int("pagecap", 0, "items per page for -format dir (0 derives from 32 KB blocks)")
+		pagecap   = flag.Int("pagecap", 0, "items per page (0 derives from 32 KB blocks)")
 		kind      = flag.String("kind", "uniform", "uniform, nearuniform or clustered")
 		n         = flag.Int("n", 100000, "number of items")
 		dim       = flag.Int("dim", 20, "dimensionality")
@@ -49,43 +45,26 @@ func main() {
 		histogram = flag.Bool("histogram", false, "L1-normalize to histograms (clustered kind)")
 		noise     = flag.Float64("noise", 0, "noise fraction (clustered) or noise level (nearuniform)")
 		seed      = flag.Int64("seed", 1, "random seed")
-		layout    = flag.String("layout", "aos", "page representation for -format dir: aos, soa, f32 or quant")
-		quantbits = flag.Int("quantbits", 0, "bits per dimension for -layout quant (0 selects 8)")
+		layout    = flag.String("layout", "aos", "page representation: aos or soa")
 		advise    = flag.Bool("advise", false, "print an engine recommendation for the generated dataset")
 	)
 	flag.Parse()
-	if err := run(*out, *format, *pagecap, *kind, *n, *dim, *clusters, *spread, *intrinsic, *histogram, *noise, *seed, *layout, *quantbits, *advise); err != nil {
+	if err := run(*out, *pagecap, *kind, *n, *dim, *clusters, *spread, *intrinsic, *histogram, *noise, *seed, *layout, *advise); err != nil {
 		fmt.Fprintln(os.Stderr, "msqgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out, format string, pagecap int, kind string, n, dim, clusters int, spread float64, intrinsic int, histogram bool, noise float64, seed int64, layout string, quantbits int, advise bool) error {
+func run(out string, pagecap int, kind string, n, dim, clusters int, spread float64, intrinsic int, histogram bool, noise float64, seed int64, layout string, advise bool) error {
 	if out == "" {
 		return fmt.Errorf("-out is required")
 	}
-	save := dataset.SaveOptions{PageCapacity: pagecap}
-	switch layout {
-	case "", "aos":
-	case "soa":
-		save.Columnar = true
-	case "f32":
-		save.Columnar, save.F32 = true, true
-	case "quant":
-		save.Columnar = true
-		save.QuantBits = quantbits
-		if save.QuantBits == 0 {
-			save.QuantBits = 8
-		}
-	default:
-		return fmt.Errorf("unknown layout %q (want aos, soa, f32 or quant)", layout)
+	// Options.Validate owns the list of layouts; soa is the columnar one.
+	if err := (metricdb.Options{Layout: layout}).Validate(); err != nil {
+		return err
 	}
-	if quantbits != 0 && layout != "quant" {
-		return fmt.Errorf("-quantbits requires -layout quant")
-	}
-	if quantbits < 0 || quantbits > 8 {
-		return fmt.Errorf("-quantbits must be in [0, 8], got %d", quantbits)
-	}
+	save := dataset.SaveOptions{PageCapacity: pagecap, Columnar: layout == "soa",
+		Attrs: map[string]string{"kind": kind, "seed": strconv.FormatInt(seed, 10)}}
 	var items []store.Item
 	var err error
 	switch kind {
@@ -104,22 +83,10 @@ func run(out, format string, pagecap int, kind string, n, dim, clusters int, spr
 	if err != nil {
 		return err
 	}
-	switch format {
-	case "dir":
-		save.Attrs = map[string]string{
-			"kind": kind,
-			"seed": strconv.FormatInt(seed, 10),
-		}
-		err = dataset.SaveDir(out, items, save)
-	case "gob":
-		err = dataset.WriteFile(out, items)
-	default:
-		return fmt.Errorf("unknown format %q (want dir or gob)", format)
-	}
-	if err != nil {
+	if err := dataset.SaveDir(out, items, save); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d %d-d items (%s, %s format) to %s\n", len(items), dim, kind, format, out)
+	fmt.Printf("wrote %d %d-d items (%s, %s layout) to %s\n", len(items), dim, kind, layout, out)
 	if advise {
 		a, err := metricdb.Advise(items, seed)
 		if err != nil {

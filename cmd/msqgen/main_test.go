@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -23,11 +24,11 @@ func TestRunGeneratesAllKinds(t *testing.T) {
 		{"clustered", 8},
 	}
 	for _, c := range cases {
-		out := filepath.Join(dir, c.kind+".gob")
-		if err := run(out, "gob", 0, c.kind, 500, c.dim, 4, 0.05, 4, c.kind == "clustered", 0, 7, "aos", 0, false); err != nil {
+		out := filepath.Join(dir, c.kind)
+		if err := run(out, 0, c.kind, 500, c.dim, 4, 0.05, 4, c.kind == "clustered", 0, 7, "aos", false); err != nil {
 			t.Fatalf("%s: %v", c.kind, err)
 		}
-		items, err := dataset.ReadFile(out)
+		items, err := dataset.LoadDir(out)
 		if err != nil {
 			t.Fatalf("%s: %v", c.kind, err)
 		}
@@ -37,37 +38,39 @@ func TestRunGeneratesAllKinds(t *testing.T) {
 	}
 }
 
-// TestRunDirFormatRoundTrip: the default dir format must load back the
-// exact items the gob format records — the two encodings of one generator
-// run are bit-identical — and the manifest carries the provenance attrs.
-func TestRunDirFormatRoundTrip(t *testing.T) {
+// TestRunLayoutsRoundTrip: the aos and soa layouts of one generator run
+// load back bit-identical items — the generator's own output, not merely
+// each other — and the manifest carries the provenance attrs.
+func TestRunLayoutsRoundTrip(t *testing.T) {
 	base := t.TempDir()
-	gobOut := filepath.Join(base, "ds.gob")
-	dirOut := filepath.Join(base, "ds.dir")
-	if err := run(gobOut, "gob", 0, "clustered", 400, 5, 4, 0.05, 0, false, 0.1, 9, "aos", 0, false); err != nil {
+	aosOut := filepath.Join(base, "ds.aos")
+	dirOut := filepath.Join(base, "ds.soa")
+	if err := run(aosOut, 0, "clustered", 400, 5, 4, 0.05, 0, false, 0.1, 9, "aos", false); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(dirOut, "dir", 16, "clustered", 400, 5, 4, 0.05, 0, false, 0.1, 9, "aos", 0, false); err != nil {
+	if err := run(dirOut, 16, "clustered", 400, 5, 4, 0.05, 0, false, 0.1, 9, "soa", false); err != nil {
 		t.Fatal(err)
 	}
-	fromGob, err := dataset.ReadAny(gobOut)
+	want, err := dataset.Clustered(dataset.ClusteredConfig{Seed: 9, N: 400, Dim: 5, Clusters: 4, Spread: 0.05, NoiseFraction: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromDir, err := dataset.ReadAny(dirOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fromGob) != len(fromDir) {
-		t.Fatalf("%d gob items vs %d dir items", len(fromGob), len(fromDir))
-	}
-	for i := range fromGob {
-		if fromGob[i].ID != fromDir[i].ID || fromGob[i].Label != fromDir[i].Label {
-			t.Fatalf("item %d metadata differs", i)
+	for _, out := range []string{aosOut, dirOut} {
+		got, err := dataset.LoadDir(out)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for d := range fromGob[i].Vec {
-			if math.Float64bits(fromGob[i].Vec[d]) != math.Float64bits(fromDir[i].Vec[d]) {
-				t.Fatalf("item %d coord %d differs across formats", i, d)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d items, generator made %d", out, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].ID != want[i].ID || got[i].Label != want[i].Label {
+				t.Fatalf("%s: item %d metadata differs", out, i)
+			}
+			for d := range want[i].Vec {
+				if math.Float64bits(got[i].Vec[d]) != math.Float64bits(want[i].Vec[d]) {
+					t.Fatalf("%s: item %d coord %d differs from the generator's", out, i, d)
+				}
 			}
 		}
 	}
@@ -77,23 +80,30 @@ func TestRunDirFormatRoundTrip(t *testing.T) {
 	}
 	defer fd.Close() //nolint:errcheck
 	man := fd.Manifest()
-	if man.Attrs["kind"] != "clustered" || man.Attrs["seed"] != "9" || man.PageCapacity != 16 {
+	if man.Attrs["kind"] != "clustered" || man.Attrs["seed"] != "9" || man.PageCapacity != 16 || !man.Columnar {
 		t.Errorf("manifest provenance: %+v", man)
 	}
 }
 
 func TestRunValidation(t *testing.T) {
-	if err := run("", "dir", 0, "uniform", 10, 2, 1, 0, 1, false, 0, 1, "aos", 0, false); err == nil {
+	if err := run("", 0, "uniform", 10, 2, 1, 0, 1, false, 0, 1, "aos", false); err == nil {
 		t.Error("missing -out accepted")
 	}
-	if err := run(filepath.Join(t.TempDir(), "x"), "dir", 0, "weird", 10, 2, 1, 0, 1, false, 0, 1, "aos", 0, false); err == nil {
+	if err := run(filepath.Join(t.TempDir(), "x"), 0, "weird", 10, 2, 1, 0, 1, false, 0, 1, "aos", false); err == nil {
 		t.Error("unknown kind accepted")
 	}
-	if err := run(filepath.Join(t.TempDir(), "x"), "tar", 0, "uniform", 10, 2, 1, 0, 1, false, 0, 1, "aos", 0, false); err == nil {
-		t.Error("unknown format accepted")
-	}
-	if err := run(filepath.Join(t.TempDir(), "x"), "dir", 0, "nearuniform", 10, 2, 1, 0, 99, false, 0, 1, "aos", 0, false); err == nil {
+	if err := run(filepath.Join(t.TempDir(), "x"), 0, "nearuniform", 10, 2, 1, 0, 99, false, 0, 1, "aos", false); err == nil {
 		t.Error("bad intrinsic dimension accepted")
+	}
+	for _, removed := range []string{"f32", "quant"} {
+		out := filepath.Join(t.TempDir(), "x")
+		err := run(out, 0, "uniform", 10, 2, 1, 0, 1, false, 0, 1, removed, false)
+		if err == nil || !strings.Contains(err.Error(), "aos, soa") {
+			t.Errorf("-layout %s: run returned %v, want an error listing aos, soa", removed, err)
+		}
+		if _, serr := os.Stat(out); serr == nil {
+			t.Errorf("-layout %s: a dataset was written before the layout was rejected", removed)
+		}
 	}
 }
 

@@ -5,9 +5,9 @@
 //
 // Usage:
 //
-//	msqserver -addr :7707 [-data file.gob|dataset-dir] [-mmap]
+//	msqserver -addr :7707 [-data dataset-dir] [-mmap]
 //	          [-n 20000] [-dim 16]
-//	          [-engine scan|xtree|vafile|pivot|pmtree] [-layout aos|soa|f32|quant]
+//	          [-engine scan|xtree|vafile|pivot|pmtree] [-layout aos|soa]
 //	          [-concurrency 1]
 //	          [-max-conns 0] [-max-request-bytes 1048576]
 //	          [-read-timeout 0] [-write-timeout 10s] [-drain 5s]
@@ -40,8 +40,7 @@
 // page-store format), the server serves data pages from the file system —
 // pread by default, memory-mapped with -mmap — verifying page checksums on
 // every read, and /metrics additionally exports metricdb_storage_* real-I/O
-// counters. A gob -data file or a generated dataset serves from memory as
-// before.
+// counters. A generated dataset serves from memory.
 //
 // -admin binds a second, HTTP, listener with the observability surface:
 // GET /metrics (Prometheus text: per-phase latency histograms, buffer and
@@ -88,12 +87,12 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7707", "listen address")
-		dataFile = flag.String("data", "", "dataset written by msqgen: directory or gob file (default: generate)")
+		dataFile = flag.String("data", "", "dataset directory written by msqgen (default: generate)")
 		mmap     = flag.Bool("mmap", false, "memory-map the page file of a -data dataset directory")
 		n        = flag.Int("n", 20000, "generated dataset size")
 		dim      = flag.Int("dim", 16, "generated dataset dimensionality")
 		engine   = flag.String("engine", "xtree", "physical organization: scan, xtree, vafile, pivot or pmtree")
-		layout   = flag.String("layout", "", "page layout: aos (default), soa, f32 or quant — soa/f32/quant run the blocked row kernels")
+		layout   = flag.String("layout", "", "page layout: aos (default) or soa — soa runs the blocked row kernels")
 		width    = flag.Int("concurrency", 1, "intra-server pipeline width per query batch (1 = sequential)")
 
 		maxConns  = flag.Int("max-conns", 0, "concurrent connection limit (0 = unlimited)")
@@ -140,17 +139,7 @@ func main() {
 func run(addr, dataFile string, mmap bool, n, dim int, engine, layout string, calibrate bool, cfg wire.ServerConfig, drain time.Duration, adminAddr string, slowQuery time.Duration, node string) error {
 	src := dataSource{mmap: mmap, layout: layout, calibrate: calibrate}
 	if dataFile != "" {
-		st, err := os.Stat(dataFile)
-		if err != nil {
-			return err
-		}
-		if st.IsDir() {
-			src.dir = dataFile
-		} else {
-			if src.items, err = dataset.ReadAny(dataFile); err != nil {
-				return err
-			}
-		}
+		src.dir = dataFile
 	} else {
 		items, err := dataset.Clustered(dataset.ClusteredConfig{Seed: 1, N: n, Dim: dim, Clusters: 8})
 		if err != nil {
@@ -437,8 +426,6 @@ func newRegistry(tracer *obs.Tracer, db *metricdb.DB, srv *wire.Server, engine s
 		func() float64 { return float64(db.ProcessorStats().PartialAbandoned) })
 	reg.Counter("metricdb_distance_pivot_total", engLabel, "Distance calculations spent on pivot-table filtering (a partition of the distance budget).",
 		func() float64 { return float64(db.ProcessorStats().PivotDistCalcs) })
-	reg.Counter("metricdb_quant_filtered_total", "", "Candidates eliminated by quantized lower bounds without a full distance calculation.",
-		func() float64 { return float64(db.ProcessorStats().QuantFiltered) })
 
 	if rec := db.Calibration(); rec != nil {
 		eng := engine

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -48,6 +50,27 @@ func TestServeRejectsBadEngine(t *testing.T) {
 	items := dataset.Uniform(4, 50, 3)
 	if _, _, _, _, err := serve("127.0.0.1:0", dataSource{items: items}, "btree", wire.ServerConfig{}, "", 0, "server"); err == nil {
 		t.Error("unknown engine accepted")
+	}
+}
+
+// TestServeRejectsRemovedLayoutsAndFiles: -layout f32|quant fail with the
+// surviving values named, and a -data path that is a regular file (the
+// removed single-file format) fails with the way out.
+func TestServeRejectsRemovedLayoutsAndFiles(t *testing.T) {
+	items := dataset.Uniform(4, 50, 3)
+	for _, removed := range []string{"f32", "quant"} {
+		_, _, _, _, err := serve("127.0.0.1:0", dataSource{items: items, layout: removed}, "scan", wire.ServerConfig{}, "", 0, "server")
+		if err == nil || !strings.Contains(err.Error(), "aos, soa") {
+			t.Errorf("-layout %s: serve returned %v, want an error listing aos, soa", removed, err)
+		}
+	}
+	file := filepath.Join(t.TempDir(), "d.gob")
+	if err := os.WriteFile(file, []byte("gob"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, _, err := serve("127.0.0.1:0", dataSource{dir: file}, "scan", wire.ServerConfig{}, "", 0, "server")
+	if err == nil || !strings.Contains(err.Error(), "regenerate it with msqgen") {
+		t.Errorf("-data with a regular file: serve returned %v", err)
 	}
 }
 
@@ -303,7 +326,6 @@ func TestCalibrationEndToEnd(t *testing.T) {
 		`metricdb_advisor_fitted_ns{engine="scan",unit="dist_calc"}`,
 		`metricdb_advisor_fitted_ns{engine="scan",unit="time_scale"}`,
 		`metricdb_distance_pivot_total{engine="scan"}`,
-		"metricdb_quant_filtered_total",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -11,7 +11,6 @@ import (
 	"metricdb/internal/msq"
 	"metricdb/internal/obs"
 	"metricdb/internal/store"
-	"metricdb/internal/vec"
 )
 
 // EngineKind selects the physical data organization. The values mirror the
@@ -80,16 +79,8 @@ type Options struct {
 	// "" or "aos" evaluates item vectors one at a time (the original
 	// path); "soa" materializes contiguous float64 blocks per page and
 	// runs the blocked row kernels over them, bit-identical to "aos" in
-	// answers and every statistic; "f32" additionally materializes a
-	// float32 sibling and uses it where rank-safe (distances differ by
-	// bounded rounding — see DESIGN.md); "quant" additionally quantizes
-	// each page to VA-file-style cell codes and pre-filters (query, item)
-	// pairs whose cell lower bound already exceeds the pruning radius,
-	// with answers and page reads bit-identical to "aos".
+	// answers and every statistic.
 	Layout string
-	// QuantBits is the bits per dimension of the "quant" layout's codes
-	// (0 selects 8). Setting it with any other layout is an error.
-	QuantBits int
 	// Mmap serves a stored database by memory-mapping its page file
 	// instead of issuing preads. Only OpenStored consults it; on platforms
 	// without mmap support the disk silently falls back to pread.
@@ -160,12 +151,6 @@ func (o Options) Validate() error {
 	if _, err := parseLayout(o.Layout); err != nil {
 		return err
 	}
-	if o.QuantBits < 0 || o.QuantBits > 8 {
-		return fmt.Errorf("metricdb: quant bits must be in [0, 8] (0 selects 8), got %d", o.QuantBits)
-	}
-	if o.QuantBits != 0 && o.Layout != "quant" {
-		return fmt.Errorf("metricdb: QuantBits is only meaningful with Layout \"quant\", got layout %q", o.Layout)
-	}
 	if x := o.XTree; x != nil {
 		if x.DirFanout < 0 {
 			return fmt.Errorf("metricdb: X-tree directory fanout must be >= 0, got %d", x.DirFanout)
@@ -203,42 +188,15 @@ func parseLayout(s string) (msq.Layout, error) {
 		return msq.LayoutAoS, nil
 	case "soa":
 		return msq.LayoutSoA, nil
-	case "f32":
-		return msq.LayoutF32, nil
-	case "quant":
-		return msq.LayoutQuant, nil
 	default:
-		return 0, fmt.Errorf("metricdb: unknown layout %q (want aos, soa, f32, or quant)", s)
+		return 0, fmt.Errorf("metricdb: unknown layout %q (want one of: aos, soa)", s)
 	}
 }
 
-// columnSpec translates the layout choice into the sibling representations
-// the engine must materialize on each page, building the quantization grid
-// from the data's coordinate bounds when the layout is "quant".
-func (o Options) columnSpec(items []Item, dim int) (store.ColumnSpec, error) {
-	layout, err := parseLayout(o.Layout)
-	if err != nil {
-		return store.ColumnSpec{}, err
-	}
-	switch layout {
-	case msq.LayoutSoA:
-		return store.ColumnSpec{Columnar: true}, nil
-	case msq.LayoutF32:
-		return store.ColumnSpec{Columnar: true, F32: true}, nil
-	case msq.LayoutQuant:
-		bits := o.QuantBits
-		if bits == 0 {
-			bits = 8
-		}
-		lo, hi := store.ItemCoordinateBounds(items, dim)
-		grid, err := vec.BuildQuantGrid(bits, lo, hi)
-		if err != nil {
-			return store.ColumnSpec{}, fmt.Errorf("metricdb: %w", err)
-		}
-		return store.ColumnSpec{Columnar: true, Quant: grid}, nil
-	default:
-		return store.ColumnSpec{}, nil
-	}
+// columnSpec translates the layout choice into the page representation the
+// engine must materialize.
+func columnSpec(layout msq.Layout) store.ColumnSpec {
+	return store.ColumnSpec{Columnar: layout == msq.LayoutSoA}
 }
 
 // withDefaults resolves the zero and sentinel values of validated options
@@ -340,16 +298,12 @@ func Open(items []Item, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("metricdb: page capacity must be >= 1, got %d", opts.PageCapacity)
 	}
 
-	columns, err := opts.columnSpec(items, dim)
-	if err != nil {
-		return nil, err
-	}
 	layout, err := parseLayout(opts.Layout)
 	if err != nil {
 		return nil, err
 	}
 
-	eng, err := engines.Build(opts.engineSpec(items, dim, bufferPages, columns, nil))
+	eng, err := engines.Build(opts.engineSpec(items, dim, bufferPages, columnSpec(layout), nil))
 	if err != nil {
 		return nil, err
 	}
@@ -549,7 +503,7 @@ type ProcessorStats struct {
 	// Concurrency is the effective intra-server pipeline width (>= 1).
 	Concurrency int
 	// Layout names the page representation the distance loops consume
-	// ("aos", "soa", "f32", or "quant").
+	// ("aos" or "soa").
 	Layout string
 	// DistCalcs counts distance calculations, including ones abandoned
 	// mid-vector by the bounded kernel.
@@ -559,9 +513,6 @@ type ProcessorStats struct {
 	// PivotDistCalcs counts the query-to-pivot setup distances of the
 	// pivot-filtering engines (zero for engines without a pivot phase).
 	PivotDistCalcs int64
-	// QuantFiltered counts the (query, item) pairs lossy filters excluded
-	// without a distance calculation (quant layout, VA-file bounds).
-	QuantFiltered int64
 	// Calibration is the advisor calibration snapshot (without the sample
 	// ring); nil unless the DB was opened with Options.Calibrate.
 	Calibration *CalibrationStats
@@ -575,7 +526,6 @@ func (db *DB) ProcessorStats() ProcessorStats {
 		Layout:           db.proc.Options().Layout.String(),
 		DistCalcs:        db.proc.Metric().Count(),
 		PartialAbandoned: db.proc.Metric().Abandoned(),
-		QuantFiltered:    db.proc.Metric().Filtered(),
 	}
 	if pc, ok := db.eng.(engine.PivotCoster); ok {
 		ps.PivotDistCalcs = pc.PivotDistCalcs()

@@ -2,8 +2,6 @@ package dataset
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -160,51 +158,6 @@ func TestSessions(t *testing.T) {
 			t.Fatal("sessions not deterministic")
 		}
 	}
-}
-
-func TestWriteReadFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "data.gob")
-	items := Uniform(8, 200, 5)
-	items[3].Label = 7
-
-	if err := WriteFile(path, items); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(items) {
-		t.Fatalf("read %d items, wrote %d", len(got), len(items))
-	}
-	for i := range items {
-		if got[i].ID != items[i].ID || got[i].Label != items[i].Label || !got[i].Vec.Equal(items[i].Vec) {
-			t.Fatalf("item %d differs after round trip", i)
-		}
-	}
-}
-
-func TestReadFileRejectsGarbage(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "junk")
-	if err := writeJunk(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFile(path); err == nil {
-		t.Error("garbage file accepted")
-	}
-	if _, err := ReadFile(filepath.Join(dir, "missing")); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
-func writeJunk(path string) error {
-	return writeBytes(path, []byte("not a gob stream"))
-}
-
-func writeBytes(path string, b []byte) error {
-	return os.WriteFile(path, b, 0o644)
 }
 
 func TestNearUniformValidation(t *testing.T) {

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"fmt"
-	"os"
 
 	"metricdb/internal/store"
 )
@@ -23,13 +22,8 @@ type SaveOptions struct {
 	// datasets.
 	NoSync bool
 	// Columnar writes version-2 columnar page records (contiguous
-	// float64 blocks). Implied by F32 and QuantBits.
+	// float64 blocks).
 	Columnar bool
-	// F32 additionally writes the float32 sibling section per page.
-	F32 bool
-	// QuantBits, when 1..8, additionally writes quantized code sections
-	// on a grid derived from the data's coordinate bounds.
-	QuantBits int
 }
 
 // SaveDir persists items as a dataset directory in the on-disk format
@@ -56,7 +50,7 @@ func SaveDir(dir string, items []store.Item, opts SaveOptions) error {
 		return fmt.Errorf("dataset: %w", err)
 	}
 	meta := store.DatasetMeta{Dim: dim, PageCapacity: capacity, Attrs: opts.Attrs,
-		Columnar: opts.Columnar, F32: opts.F32, QuantBits: opts.QuantBits}
+		Columnar: opts.Columnar}
 	if err := store.WriteDataset(dir, pages, meta, store.WriteOptions{Hook: opts.Hook, NoSync: opts.NoSync}); err != nil {
 		return fmt.Errorf("dataset: %w", err)
 	}
@@ -85,18 +79,4 @@ func LoadDir(dir string) ([]store.Item, error) {
 		return nil, fmt.Errorf("dataset: manifest promises %d items, pages hold %d", man.Items, len(items))
 	}
 	return items, nil
-}
-
-// ReadAny loads a dataset from either storage format: a directory in the
-// persistent page-store format (SaveDir / msqgen), or a legacy gob file
-// (WriteFile). Existing gob datasets keep working unchanged.
-func ReadAny(path string) ([]store.Item, error) {
-	st, err := os.Stat(path)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: %w", err)
-	}
-	if st.IsDir() {
-		return LoadDir(path)
-	}
-	return ReadFile(path)
 }

@@ -1,8 +1,11 @@
 package dataset
 
 import (
+	"errors"
 	"math"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"metricdb/internal/store"
@@ -54,32 +57,20 @@ func TestSaveDirLoadDirRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadAnyBothFormats: ReadAny must load both the persistent directory
-// format and a legacy gob file, returning identical items for identical
-// inputs.
-func TestReadAnyBothFormats(t *testing.T) {
-	items := Uniform(3, 97, 5)
-	dir := filepath.Join(t.TempDir(), "ds")
-	if err := SaveDir(dir, items, SaveOptions{PageCapacity: 8}); err != nil {
+// TestLoadDirRejectsFile: a regular file (what the removed single-file
+// format produced) is refused with an error that names the way out, and a
+// missing path with the usual no-dataset error.
+func TestLoadDirRejectsFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ds.gob")
+	if err := os.WriteFile(path, []byte("a single-file dataset"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	gobPath := filepath.Join(t.TempDir(), "ds.gob")
-	if err := WriteFile(gobPath, items); err != nil {
-		t.Fatal(err)
+	_, err := LoadDir(path)
+	if !errors.Is(err, store.ErrNoDataset) || !strings.Contains(err.Error(), "regenerate it with msqgen") {
+		t.Fatalf("LoadDir of a regular file returned %v", err)
 	}
-	fromDir, err := ReadAny(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromGob, err := ReadAny(gobPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameItems(items, fromDir) || !sameItems(fromDir, fromGob) {
-		t.Fatal("ReadAny results differ across formats")
-	}
-	if _, err := ReadAny(filepath.Join(dir, "no-such-thing")); err == nil {
-		t.Error("ReadAny of a missing path succeeded")
+	if _, err := LoadDir(filepath.Join(t.TempDir(), "no-such-thing")); !errors.Is(err, store.ErrNoDataset) {
+		t.Errorf("LoadDir of a missing path returned %v", err)
 	}
 }
 

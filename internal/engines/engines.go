@@ -70,7 +70,7 @@ type Spec struct {
 	PageCapacity int
 	// BufferPages is the concrete LRU buffer size; 0 disables buffering.
 	BufferPages int
-	// Columns selects sibling page representations (blocked/f32/quant).
+	// Columns selects the page representation (columnar blocks or none).
 	Columns store.ColumnSpec
 	// WrapDisk interposes on the freshly built disk (fault injection,
 	// persisted layouts); nil serves the engine's own disk.

@@ -18,14 +18,12 @@ import (
 	"metricdb/internal/vec"
 )
 
-// The block experiment measures the columnar page layouts end to end: the
+// The block experiment measures the columnar page layout end to end: the
 // wall-clock page-pass throughput of one m-query batch on the scan engine
 // as (dimensionality × batch width × layout) varies, always re-checking
-// the layout contracts on the measured runs themselves — SoA bit-identical
-// to AoS in answers and counters at pipeline widths 1, 2 and 8, f32
-// rank-identical within the rounding bound, quant bit-identical in answers
-// and page reads with the three CPU disposals partitioning the AoS offered
-// set. Avoidance is off: that is the regime where the row kernels engage
+// the layout contract on the measured runs themselves — SoA bit-identical
+// to AoS in answers and counters at pipeline widths 1, 2 and 8. Avoidance
+// is off: that is the regime where the row kernels engage
 // (and the regime Figure 8 uses as its no-avoidance baseline), so the
 // measurement isolates the layout effect from the lemmas. The results are
 // the BENCH_block.json artifact.
@@ -44,13 +42,9 @@ type BlockResult struct {
 	// DistCalcs is the sequential run's deterministic kernel count.
 	DistCalcs int64 `json:"dist_calcs"`
 	// Identical reports the layout's correctness contract against the
-	// sequential AoS reference, checked at widths 1, 2 and 8: answers
-	// bit-identical (f32: same IDs within the rounding bound) and page
-	// reads identical.
+	// sequential AoS reference, checked at widths 1, 2 and 8: answers and
+	// page reads bit-identical.
 	Identical bool `json:"identical"`
-	// FilteredFrac is the fraction of offered pairs the quantized filter
-	// rejected (quant rows only).
-	FilteredFrac float64 `json:"filtered_frac,omitempty"`
 }
 
 // BlockSweep is the full layout measurement set.
@@ -63,30 +57,19 @@ type BlockSweep struct {
 	Results      []BlockResult `json:"results"`
 }
 
-const (
-	blockCapacity = 256
-	blockF32Bound = 1e-5
-)
+const blockCapacity = 256
 
 var blockWidths = []int{1, 2, 8}
 
 // blockLayouts maps the sweep's layout axis onto processor layout and the
-// sibling representations the engine materializes.
-func blockLayouts(grid *vec.QuantGrid) []struct {
+// page representation the engine materializes.
+var blockLayouts = []struct {
 	name   string
 	layout msq.Layout
 	spec   store.ColumnSpec
-} {
-	return []struct {
-		name   string
-		layout msq.Layout
-		spec   store.ColumnSpec
-	}{
-		{"aos", msq.LayoutAoS, store.ColumnSpec{}},
-		{"soa", msq.LayoutSoA, store.ColumnSpec{Columnar: true}},
-		{"f32", msq.LayoutF32, store.ColumnSpec{Columnar: true, F32: true}},
-		{"quant", msq.LayoutQuant, store.ColumnSpec{Columnar: true, Quant: grid}},
-	}
+}{
+	{"aos", msq.LayoutAoS, store.ColumnSpec{}},
+	{"soa", msq.LayoutSoA, store.ColumnSpec{Columnar: true}},
 }
 
 func blockItems(seed int64, n, dim int) []store.Item {
@@ -150,10 +133,9 @@ func blockEval(proc *msq.Processor, queries []msq.Query) (blockRun, error) {
 	return r, nil
 }
 
-// blockIdentical checks the layout's answer contract against the AoS
-// reference: exact equality, except f32 which keeps the IDs and order but
-// may round distances within blockF32Bound.
-func blockIdentical(ref, got blockRun, f32 bool) bool {
+// blockIdentical checks the layout's contract against the AoS reference:
+// exact equality of answers and page reads.
+func blockIdentical(ref, got blockRun) bool {
 	if len(ref.answers) != len(got.answers) {
 		return false
 	}
@@ -162,15 +144,7 @@ func blockIdentical(ref, got blockRun, f32 bool) bool {
 			return false
 		}
 		for i := range ref.answers[q] {
-			a, b := ref.answers[q][i], got.answers[q][i]
-			if a.ID != b.ID {
-				return false
-			}
-			if f32 {
-				if math.Abs(a.Dist-b.Dist) > blockF32Bound {
-					return false
-				}
-			} else if a.Dist != b.Dist {
+			if ref.answers[q][i] != got.answers[q][i] {
 				return false
 			}
 		}
@@ -202,23 +176,17 @@ func timeBatch(fn func() error) (time.Duration, error) {
 // fixed-seed uniform items per dimensionality.
 func RunBlockLayouts(dims, ms []int, n int) (*BlockSweep, error) {
 	sweep := &BlockSweep{N: n, PageCapacity: blockCapacity, Dims: dims, MValues: ms,
-		Layouts: []string{"aos", "soa", "f32", "quant"}}
+		Layouts: []string{"aos", "soa"}}
 	for _, dim := range dims {
 		rng := rand.New(rand.NewSource(int64(9000 + dim)))
 		items := blockItems(int64(7000+dim), n, dim)
-		lo, hi := store.ItemCoordinateBounds(items, dim)
-		grid, err := vec.BuildQuantGrid(8, lo, hi)
-		if err != nil {
-			return nil, err
-		}
 		eps := blockEps(rng, items, dim)
-		layouts := blockLayouts(grid)
 
 		for _, m := range ms {
 			queries := blockQueries(rng, m, dim, eps)
 			var aosRef blockRun
 			var aosNsPerPair float64
-			for _, lay := range layouts {
+			for _, lay := range blockLayouts {
 				// A fresh engine per evaluated run keeps the buffer cold,
 				// so PagesRead of independent runs is comparable (the
 				// convention of the differential harness).
@@ -248,7 +216,7 @@ func RunBlockLayouts(dims, ms []int, n int) (*BlockSweep, error) {
 				if lay.name == "aos" {
 					aosRef = ref
 				}
-				if !blockIdentical(aosRef, ref, lay.name == "f32") {
+				if !blockIdentical(aosRef, ref) {
 					res.Identical = false
 				}
 				for _, width := range blockWidths[1:] {
@@ -260,16 +228,9 @@ func RunBlockLayouts(dims, ms []int, n int) (*BlockSweep, error) {
 					if err != nil {
 						return nil, err
 					}
-					if !blockIdentical(aosRef, run, lay.name == "f32") {
+					if !blockIdentical(aosRef, run) {
 						res.Identical = false
 					}
-				}
-				if offered := ref.stats.DistCalcs + ref.stats.Avoided + ref.stats.QuantFiltered; offered > 0 {
-					res.FilteredFrac = float64(ref.stats.QuantFiltered) / float64(offered)
-				}
-				if lay.name == "quant" &&
-					ref.stats.DistCalcs+ref.stats.QuantFiltered != aosRef.stats.DistCalcs {
-					res.Identical = false // disposals must partition the AoS offered set
 				}
 
 				// Timing reuses proc's engine: after the reference run its

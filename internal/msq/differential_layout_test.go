@@ -2,7 +2,6 @@ package msq
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"metricdb/internal/engine"
@@ -16,24 +15,14 @@ import (
 	"metricdb/internal/xtree"
 )
 
-// The layout differential harness pins the tentpole contract of the
-// columnar layouts:
-//
-//   - LayoutSoA is bit-identical to LayoutAoS in answers AND in every
-//     statistic (I/O, buffer behaviour, DistCalcs/Avoided/AvoidTries,
-//     PartialAbandoned) at every pipeline width — the row kernels are
-//     required to reproduce the scalar kernels' decisions exactly.
-//   - LayoutQuant is bit-identical in answers, page reads and page
-//     visits; only the CPU-side disposal of pairs may shift (filtered
-//     pairs move out of DistCalcs/Avoided into QuantFiltered, and the
-//     thinner known lists may change later avoidance decisions). The
-//     three disposals still partition the identical offered set.
-//   - LayoutF32 answers the same IDs with distances within a documented
-//     rounding bound of the float64 run where its rows engage (no
-//     avoidance interleaving), and is bit-identical where they don't.
+// The layout differential harness pins the contract of the columnar
+// layout: LayoutSoA is bit-identical to LayoutAoS in answers AND in every
+// statistic (I/O, buffer behaviour, DistCalcs/Avoided/AvoidTries,
+// PartialAbandoned) at every pipeline width — the row kernels are required
+// to reproduce the scalar kernels' decisions exactly.
 
-// layoutMakers mirrors diffMakers but materializes the given sibling
-// representations on every page at build time.
+// layoutMakers mirrors diffMakers but materializes the given page
+// representation on every page at build time.
 func layoutMakers(spec store.ColumnSpec) []diffMaker {
 	return []diffMaker{
 		{"scan", func(t *testing.T, items []store.Item, dim int, m vec.Metric) engine.Engine {
@@ -145,144 +134,74 @@ func TestDifferentialLayoutSoA(t *testing.T) {
 	}
 }
 
-// TestDifferentialLayoutQuant: the quantized pre-filter may only move
-// pairs between the three CPU disposals; everything a caller can observe
-// about answers and I/O stays bit-identical, and the disposals partition
-// the same offered set as the AoS run.
-func TestDifferentialLayoutQuant(t *testing.T) {
-	const dim = 4
-	items := testDB(45, 300, dim)
-	queries := diffBatch(dim, 46)
-	m := vec.Euclidean{}
-
-	lo, hi := store.ItemCoordinateBounds(items, dim)
-	grid, err := vec.BuildQuantGrid(8, lo, hi)
-	if err != nil {
-		t.Fatal(err)
+// TestDifferentialLayoutSoADegenerate runs the same comparison on the
+// inputs where a limit, a distance or an answer count sits on a boundary:
+// k larger than the database, ε = 0 at an item's own position, a database
+// of identical items, and one query vector submitted under several IDs
+// (inter-query distance 0, equal limits). Every batch is at least four
+// wide, so with avoidance off the row body runs.
+func TestDifferentialLayoutSoADegenerate(t *testing.T) {
+	const dim, n = 4, 60
+	items := testDB(43, n, dim)
+	same := make([]store.Item, n)
+	for i := range same {
+		same[i] = store.Item{ID: store.ItemID(i), Vec: vec.Vector{0.5, 0.25, 0.75, 0.5}}
+	}
+	batch := func(vecs []vec.Vector, types ...query.Type) []Query {
+		qs := make([]Query, len(types))
+		for i, ty := range types {
+			qs[i] = Query{ID: uint64(i), Vec: vecs[i%len(vecs)], Type: ty}
+		}
+		return qs
+	}
+	random := diffBatch(dim, 44)
+	randomVecs := make([]vec.Vector, len(random))
+	for i, q := range random {
+		randomVecs[i] = q.Vec
+	}
+	cases := []struct {
+		name    string
+		items   []store.Item
+		queries []Query
+		// wantLen is the answer count every query must report.
+		wantLen int
+	}{
+		{"k>n", items, batch(randomVecs,
+			query.NewKNN(n+5), query.NewKNN(2*n), query.NewBoundedKNN(n+1, 10), query.NewKNN(n+1)), n},
+		{"eps=0", items, batch([]vec.Vector{items[3].Vec, items[17].Vec, items[31].Vec, items[59].Vec},
+			query.NewRange(0), query.NewRange(0), query.NewBoundedKNN(5, 0), query.NewRange(0)), 1},
+		{"identical-items", same, batch([]vec.Vector{same[0].Vec, randomVecs[1], same[0].Vec, randomVecs[3], randomVecs[4]},
+			query.NewRange(0), query.NewKNN(n), query.NewBoundedKNN(n, 0), query.NewRange(5), query.NewKNN(n+1)), n},
+		{"duplicate-queries", items, batch([]vec.Vector{randomVecs[0]},
+			query.NewKNN(n), query.NewKNN(n), query.NewRange(10), query.NewBoundedKNN(n, 10), query.NewKNN(n)), n},
 	}
 	aosMakers := diffMakers()
-	quantMakers := layoutMakers(store.ColumnSpec{Columnar: true, Quant: grid})
-
-	filteredSomething := false
-	for i := range aosMakers {
-		for _, mode := range []AvoidanceMode{AvoidBoth, AvoidOff} {
-			for _, width := range []int{1, 2, 8} {
-				t.Run(fmt.Sprintf("%s/%s/w%d", aosMakers[i].name, mode, width), func(t *testing.T) {
-					aos := runLayout(t, aosMakers[i], m, mode, width, LayoutAoS, items, dim, queries)
-					qr := runLayout(t, quantMakers[i], m, mode, width, LayoutQuant, items, dim, queries)
-					if diag, ok := identicalAnswers(aos.answers, qr.answers); !ok {
-						t.Errorf("quant answers differ from aos: %s", diag)
-					}
-					if qr.stats.PagesRead != aos.stats.PagesRead || qr.stats.PageVisits != aos.stats.PageVisits {
-						t.Errorf("quant pages read/visited %d/%d, aos %d/%d",
-							qr.stats.PagesRead, qr.stats.PageVisits, aos.stats.PagesRead, aos.stats.PageVisits)
-					}
-					if qr.io != aos.io {
-						t.Errorf("quant disk stats %+v, aos %+v", qr.io, aos.io)
-					}
-					if qr.stats.QuantFiltered < 0 {
-						t.Errorf("negative QuantFiltered %d", qr.stats.QuantFiltered)
-					}
-					if qr.stats.QuantFiltered > 0 {
-						filteredSomething = true
-					}
-					offeredAos := aos.stats.DistCalcs + aos.stats.Avoided
-					offeredQuant := qr.stats.DistCalcs + qr.stats.Avoided + qr.stats.QuantFiltered
-					if offeredQuant != offeredAos {
-						t.Errorf("offered set not partitioned: quant %d (calc %d + avoided %d + filtered %d), aos %d",
-							offeredQuant, qr.stats.DistCalcs, qr.stats.Avoided, qr.stats.QuantFiltered, offeredAos)
-					}
-					if mode == AvoidOff {
-						// Without avoidance the filter can only remove work.
-						if qr.stats.DistCalcs != aos.stats.DistCalcs-qr.stats.QuantFiltered {
-							t.Errorf("AvoidOff: DistCalcs %d, want %d - %d",
-								qr.stats.DistCalcs, aos.stats.DistCalcs, qr.stats.QuantFiltered)
+	soaMakers := layoutMakers(store.ColumnSpec{Columnar: true})
+	for _, tc := range cases {
+		for i := range aosMakers {
+			for _, mode := range []AvoidanceMode{AvoidBoth, AvoidOff} {
+				for _, width := range []int{1, 2, 8} {
+					t.Run(fmt.Sprintf("%s/%s/%s/w%d", tc.name, aosMakers[i].name, mode, width), func(t *testing.T) {
+						m := vec.Euclidean{}
+						aos := runLayout(t, aosMakers[i], m, mode, width, LayoutAoS, tc.items, dim, tc.queries)
+						soa := runLayout(t, soaMakers[i], m, mode, width, LayoutSoA, tc.items, dim, tc.queries)
+						for q, ans := range aos.answers {
+							if len(ans) != tc.wantLen {
+								t.Errorf("query %d: %d answers, want %d", q, len(ans), tc.wantLen)
+							}
 						}
-					}
-				})
+						if diag, ok := identicalAnswers(aos.answers, soa.answers); !ok {
+							t.Errorf("soa answers differ from aos: %s", diag)
+						}
+						if soa.stats != aos.stats {
+							t.Errorf("soa stats differ:\n  aos: %+v\n  soa: %+v", aos.stats, soa.stats)
+						}
+						if soa.io != aos.io {
+							t.Errorf("soa disk stats %+v, aos %+v", soa.io, aos.io)
+						}
+					})
+				}
 			}
 		}
-	}
-	if !filteredSomething {
-		t.Error("quant filter rejected no pair in any configuration; the layout is untested")
-	}
-}
-
-// TestDifferentialLayoutF32: where the float32 rows engage (no avoidance
-// interleaving) the answers must keep the float64 run's IDs with
-// distances inside the rounding bound; with avoidance on the layout falls
-// back to exact float64 and must be bit-identical.
-func TestDifferentialLayoutF32(t *testing.T) {
-	const dim = 4
-	items := testDB(47, 300, dim)
-	queries := diffBatch(dim, 48)
-	m := vec.Euclidean{}
-	aosMakers := diffMakers()
-	f32Makers := layoutMakers(store.ColumnSpec{Columnar: true, F32: true})
-
-	// Coordinates are in [0,1], so a euclidean distance at dim 4 is at
-	// most 2; float32 rounding of inputs and accumulator keeps the error
-	// orders of magnitude below this (see DESIGN.md).
-	const bound = 1e-5
-
-	for i := range aosMakers {
-		for _, width := range []int{1, 2, 8} {
-			t.Run(fmt.Sprintf("%s/w%d", aosMakers[i].name, width), func(t *testing.T) {
-				aos := runLayout(t, aosMakers[i], m, AvoidOff, width, LayoutAoS, items, dim, queries)
-				f32 := runLayout(t, f32Makers[i], m, AvoidOff, width, LayoutF32, items, dim, queries)
-				if len(aos.answers) != len(f32.answers) {
-					t.Fatalf("query count %d vs %d", len(aos.answers), len(f32.answers))
-				}
-				for q := range aos.answers {
-					if len(aos.answers[q]) != len(f32.answers[q]) {
-						t.Errorf("query %d: %d aos answers, %d f32 answers", q, len(aos.answers[q]), len(f32.answers[q]))
-						continue
-					}
-					for j := range aos.answers[q] {
-						a, b := aos.answers[q][j], f32.answers[q][j]
-						if a.ID != b.ID {
-							t.Errorf("query %d answer %d: id %d vs %d", q, j, a.ID, b.ID)
-						}
-						if d := math.Abs(a.Dist - b.Dist); d > bound {
-							t.Errorf("query %d answer %d: |Δdist| = %g exceeds %g", q, j, d, bound)
-						}
-					}
-				}
-				// I/O must not move: the same pages are visited in the
-				// same order regardless of distance rounding.
-				if f32.stats.PagesRead != aos.stats.PagesRead || f32.io != aos.io {
-					t.Errorf("f32 I/O differs: %+v vs %+v", f32.io, aos.io)
-				}
-
-				// With avoidance on, multi-query pages interleave pruning
-				// state, the f32 rows stand down, and the run must be
-				// bit-identical to AoS.
-				aosAv := runLayout(t, aosMakers[i], m, AvoidBoth, width, LayoutAoS, items, dim, queries)
-				f32Av := runLayout(t, f32Makers[i], m, AvoidBoth, width, LayoutF32, items, dim, queries)
-				if diag, ok := identicalAnswers(aosAv.answers, f32Av.answers); !ok {
-					t.Errorf("AvoidBoth: f32 answers differ from aos: %s", diag)
-				}
-				if f32Av.stats != aosAv.stats {
-					t.Errorf("AvoidBoth: f32 stats differ:\n  aos: %+v\n  f32: %+v", aosAv.stats, f32Av.stats)
-				}
-			})
-		}
-	}
-}
-
-// TestLayoutF32Unsupported: metrics without a float32 row kernel must be
-// rejected at construction, not silently served float64.
-func TestLayoutF32Unsupported(t *testing.T) {
-	items := testDB(49, 64, 3)
-	eng := scanEngine(t, items)
-	mink, err := vec.NewMinkowski(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(eng, mink, Options{Layout: LayoutF32}); err == nil {
-		t.Error("LayoutF32 with a Minkowski metric accepted; no f32 kernel exists")
-	}
-	if _, err := New(eng, mink, Options{Layout: LayoutSoA}); err != nil {
-		t.Errorf("LayoutSoA with a Minkowski metric rejected: %v", err)
 	}
 }

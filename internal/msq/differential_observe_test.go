@@ -177,7 +177,6 @@ func checkProfiles(t *testing.T, name string, r observedRun, queries []Query, op
 		sum.DistCalcs += p.DistCalcs
 		sum.PartialAbandoned += p.Abandoned
 		sum.AvoidTries += p.AvoidTries
-		sum.QuantFiltered += p.QuantFiltered
 		lemma1 += p.Lemma1Avoided
 		lemma2 += p.Lemma2Avoided
 	}
@@ -187,7 +186,6 @@ func checkProfiles(t *testing.T, name string, r observedRun, queries []Query, op
 		DistCalcs:        ex.Stats.DistCalcs,
 		PartialAbandoned: ex.Stats.PartialAbandoned,
 		AvoidTries:       ex.Stats.AvoidTries,
-		QuantFiltered:    ex.Stats.QuantFiltered,
 		Avoided:          ex.Stats.Avoided,
 	}
 	if sum != want {

@@ -52,10 +52,6 @@ type Profile struct {
 	Lemma2Avoided int64 `json:"lemma2_avoided"`
 	// AvoidTries counts the triangle-inequality probes spent on this query.
 	AvoidTries int64 `json:"avoid_tries"`
-	// QuantFiltered counts the pairs the quantized lower-bound filter
-	// rejected for this query (LayoutQuant only; zero elsewhere). A
-	// filtered pair is in neither DistCalcs nor the avoided counts.
-	QuantFiltered int64 `json:"quant_filtered,omitempty"`
 	// Answers is the query's final answer count.
 	Answers int `json:"answers"`
 }
@@ -136,7 +132,6 @@ type explainCounters struct {
 	lemma1       atomic.Int64
 	lemma2       atomic.Int64
 	tries        atomic.Int64
-	filtered     atomic.Int64
 }
 
 // explainState is attached to a Session for the duration of one
@@ -161,7 +156,7 @@ func (ex *explainState) observe(p obs.Phase, d time.Duration) {
 	ex.phaseNs[p].Add(int64(d))
 }
 
-// avoided, screened and calculated attribute one pair's disposal — and the
+// avoided and calculated attribute one pair's disposal — and the
 // probes spent reaching it — to the query's profile.
 func (c *explainCounters) avoided(lemma, tries int) {
 	c.tries.Add(int64(tries))
@@ -170,11 +165,6 @@ func (c *explainCounters) avoided(lemma, tries int) {
 	} else {
 		c.lemma2.Add(1)
 	}
-}
-
-func (c *explainCounters) screened(tries int) {
-	c.tries.Add(int64(tries))
-	c.filtered.Add(1)
 }
 
 func (c *explainCounters) calculated(within bool, tries int) {
@@ -251,7 +241,6 @@ func (s *Session) ExplainAllContext(ctx context.Context, queries []Query) (*Expl
 			Lemma1Avoided: c.lemma1.Load(),
 			Lemma2Avoided: c.lemma2.Load(),
 			AvoidTries:    c.tries.Load(),
-			QuantFiltered: c.filtered.Load(),
 			Answers:       results[i].Len(),
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"metricdb/internal/obs"
 	"metricdb/internal/query"
 	"metricdb/internal/store"
-	"metricdb/internal/vec"
 )
 
 // queryState is the per-query bookkeeping that persists across incremental
@@ -55,40 +54,6 @@ type queryState struct {
 	// relevance filtering and distance avoidance before any of its
 	// object distances have been calculated. +Inf when unknown.
 	bound float64
-	// q32 caches the query vector rounded to float32 for the f32 row
-	// kernels (ToF32 allocates; the rounding must match the block's
-	// DeriveF32 for the documented error bound, and it does — both are
-	// plain float32 conversions).
-	q32 []float32
-	// qfilter caches the quantized lower-bound filter for this query on
-	// grid filterGrid, built on the first quant-layout page and rebuilt
-	// if a page arrives with a different grid. filterSet distinguishes
-	// "not built yet" from "built nil" (metric without code-level
-	// bounds), so unsupported metrics are probed once, not per page.
-	qfilter    *vec.QuantFilter
-	filterGrid *vec.QuantGrid
-	filterSet  bool
-}
-
-// f32 returns the query vector rounded to float32, cached after first use.
-func (st *queryState) f32() []float32 {
-	if st.q32 == nil {
-		st.q32 = vec.ToF32(st.q.Vec)
-	}
-	return st.q32
-}
-
-// filter returns the query's quantized lower-bound filter for grid g (nil
-// when the metric supports no code-level bound; a nil filter rejects
-// nothing). Callers must hold the session's call lock or the pipeline's
-// page barrier — the cache is not otherwise synchronized.
-func (st *queryState) filter(m vec.Metric, g *vec.QuantGrid) *vec.QuantFilter {
-	if !st.filterSet || st.filterGrid != g {
-		st.qfilter = vec.NewQuantFilter(m, g, st.q.Vec)
-		st.filterGrid = g
-		st.filterSet = true
-	}
-	return st.qfilter
 }
 
 // queryDist is the effective pruning distance: the adaptive answer-list
@@ -281,7 +246,6 @@ func (s *Session) complete(st *queryState) {
 	st.done = true
 	s.matrix.release(st)
 	st.pq, st.processed = nil, nil
-	st.q32, st.qfilter, st.filterGrid, st.filterSet = nil, nil, nil, false
 }
 
 // accounting snapshots the I/O and distance counters so a call can report

@@ -25,7 +25,6 @@ type passCounts struct {
 	abandoned int64 // calcs the bounded kernel cut short at its limit
 	tries     int64 // triangle-inequality probes
 	avoided   int64 // pairs a probe disposed of
-	filtered  int64 // pairs the quantized lower bound disposed of
 }
 
 func (c *passCounts) add(d passCounts) {
@@ -33,7 +32,6 @@ func (c *passCounts) add(d passCounts) {
 	c.abandoned += d.abandoned
 	c.tries += d.tries
 	c.avoided += d.avoided
-	c.filtered += d.filtered
 }
 
 // settle charges a pass to the call's stats and to the processor's
@@ -43,9 +41,7 @@ func (c *passCounts) add(d passCounts) {
 func (s *Session) settle(stats *Stats, c passCounts) {
 	stats.AvoidTries += c.tries
 	stats.Avoided += c.avoided
-	stats.QuantFiltered += c.filtered
 	s.proc.metric.AddCalls(c.calcs, c.abandoned)
-	s.proc.metric.AddFiltered(c.filtered)
 }
 
 // clock reads the time only when a tracer or an EXPLAIN is attached; the
@@ -146,19 +142,15 @@ type pagePass struct {
 	// then — an O(m) overapproximation (the suffix raise of a later
 	// position need not include the new query, but a higher raise stays
 	// valid). Each query transitions at most once per run.
-	raise   []float64
-	filters []*vec.QuantFilter // per active query; nil unless the page is quant-screened
-	rows    bool               // the page takes the row body (see rowPath)
-	f32     bool               // ... over the float32 sibling
-	qvecs   []vec.Vector       // row-kernel inputs, gathered at the barrier
-	q32     [][]float32
+	raise []float64
+	rows  bool         // the page takes the row body (see rowPath)
+	qvecs []vec.Vector // row-kernel inputs, gathered at the barrier
 
-	filterBuf []*vec.QuantFilter
-	rowD      []float64     // the live row pass's distances
-	known     [][]knownDist // per worker
-	rowW      [][]bool      // per worker
-	counts    []passCounts  // per worker; the pipeline sums them at the barrier
-	dists     []float64     // the pipeline's items × active result buffer
+	rowD   []float64     // the live row pass's distances
+	known  [][]knownDist // per worker
+	rowW   [][]bool      // per worker
+	counts []passCounts  // per worker; the pipeline sums them at the barrier
+	dists  []float64     // the pipeline's items × active result buffer
 }
 
 // pagePass returns the session's page pass, set up for a run over nStates
@@ -189,19 +181,15 @@ func newPagePass(s *Session, width, nStates int) *pagePass {
 	for w := range p.known {
 		p.known[w] = make([]knownDist, 0, nStates)
 	}
-	// The remaining buffers serve one layout each (see rowPath and
-	// quantFilters); the default AoS run carries none of them.
-	switch s.proc.opts.Layout {
-	case LayoutSoA, LayoutF32:
+	// The remaining buffers serve the row body (see rowPath); the default
+	// AoS run carries none of them.
+	if s.proc.opts.Layout == LayoutSoA {
 		p.qvecs = make([]vec.Vector, nStates)
-		p.q32 = make([][]float32, nStates)
 		p.rowD = make([]float64, nStates)
 		p.rowW = make([][]bool, width)
 		for w := range p.rowW {
 			p.rowW[w] = make([]bool, nStates)
 		}
-	case LayoutQuant:
-		p.filterBuf = make([]*vec.QuantFilter, nStates)
 	}
 	return p
 }
@@ -232,9 +220,9 @@ func (p *pagePass) decideActive(pid store.PageID, states []*queryState) []*query
 
 // begin fixes the barrier state for one page: the active set, its pruning
 // distances, and everything the run's options derive from them — the
-// abandonment raises under avoidance, the quantized filters, the row-kernel
-// inputs. Only the coordinator calls it, with every earlier page fully
-// merged, so each input is the value the sequential loop would see.
+// abandonment raises under avoidance, the row-kernel inputs. Only the
+// coordinator calls it, with every earlier page fully merged, so each
+// input is the value the sequential loop would see.
 func (p *pagePass) begin(page *store.Page, active []*queryState) {
 	p.page, p.active = page, active
 	n := len(active)
@@ -246,21 +234,13 @@ func (p *pagePass) begin(page *store.Page, active []*queryState) {
 	if p.matrix != nil {
 		p.raise = lemma1Raises(p.activeIdx, p.matrix, p.limits, p.raise[:n])
 	}
-	p.filters = p.s.quantFilters(page, active, p.filterBuf)
-	p.rows, p.f32 = p.s.rowPath(page, p.matrix != nil, n)
+	p.rows = p.s.rowPath(page, p.matrix != nil, n)
 	if !p.rows {
 		return
 	}
-	if p.f32 {
-		p.q32 = p.q32[:n]
-		for a, st := range active {
-			p.q32[a] = st.f32()
-		}
-	} else {
-		p.qvecs = p.qvecs[:n]
-		for a, st := range active {
-			p.qvecs[a] = st.q.Vec
-		}
+	p.qvecs = p.qvecs[:n]
+	for a, st := range active {
+		p.qvecs[a] = st.q.Vec
 	}
 }
 
@@ -291,8 +271,7 @@ func (p *pagePass) eval(lo, hi, worker int, out []float64) passCounts {
 
 // evalPairs is the per-pair body: for each item, each active query in
 // order is first probed against the distances already known for the item
-// (Lemmas 1 and 2), then — on quant-screened pages — against the quantized
-// lower bound, and only then evaluated by the bounded distance kernel,
+// (Lemmas 1 and 2), and only then evaluated by the bounded distance kernel,
 // which abandons mid-vector as soon as the partial result proves the exact
 // distance irrelevant. The abandonment limit is not the query's own pruning
 // distance but the abandonLimit raise of it, so an abandoned calculation
@@ -302,27 +281,19 @@ func (p *pagePass) eval(lo, hi, worker int, out []float64) passCounts {
 // avoided counts untouched relative to full-distance evaluation. The
 // partial result is appended to known like any other distance, so later
 // probes see the same entry sequence either way.
-//
-// A screened pair provably satisfies dist > limit, so it could not have
-// been an answer; it is not appended to known (Lemma 2 over a lower bound
-// is unsound) and counts as filtered, not calculated.
 func (p *pagePass) evalPairs(lo, hi, worker int, out []float64) passCounts {
-	// Scalars, not a passCounts: the compiler keeps a five-field struct in
+	// Scalars, not a passCounts: the compiler keeps a four-field struct in
 	// memory, and these are bumped once per pair.
-	var calcs, abandoned, probes, avoided, filtered int64
+	var calcs, abandoned, probes, avoided int64
 	kernel := p.s.proc.metric.Kernel()
 	mode := p.s.proc.opts.Avoidance
 	page, active, activeIdx := p.page, p.active, p.activeIdx
-	matrix, limits, raise, filters, prof := p.matrix, p.limits, p.raise, p.filters, p.prof
+	matrix, limits, raise, prof := p.matrix, p.limits, p.raise, p.prof
 	avoiding := matrix != nil
 	n := len(active)
 	known := p.known[worker]
 	for it := lo; it < hi; it++ {
 		item := &page.Items[it]
-		var codes []uint8
-		if filters != nil {
-			codes = page.Cols.ItemCodes(it)
-		}
 		var row []float64
 		if out != nil {
 			row = out[it*n : (it+1)*n]
@@ -354,15 +325,6 @@ func (p *pagePass) evalPairs(lo, hi, worker int, out []float64) passCounts {
 				}
 				limit = abandonLimit(qd, raise[a], len(known))
 			}
-			if filters != nil {
-				if f := filters[a]; f != nil && f.Exceeds(codes, qd) {
-					filtered++
-					if prof != nil {
-						prof[st.pos].screened(tries)
-					}
-					continue
-				}
-			}
 			d, within := kernel.DistanceWithin(st.q.Vec, item.Vec, limit)
 			calcs++
 			if avoiding {
@@ -392,7 +354,7 @@ func (p *pagePass) evalPairs(lo, hi, worker int, out []float64) passCounts {
 			}
 		}
 	}
-	return passCounts{calcs: calcs, abandoned: abandoned, tries: probes, avoided: avoided, filtered: filtered}
+	return passCounts{calcs: calcs, abandoned: abandoned, tries: probes, avoided: avoided}
 }
 
 // evalRows is the blocked (SoA) body: one row-kernel call per item
@@ -400,14 +362,11 @@ func (p *pagePass) evalPairs(lo, hi, worker int, out []float64) passCounts {
 // just loaded into cache — is reused m times and the kernel dispatch is
 // devirtualized once per pass instead of once per pair. Only reached when
 // rowPath holds, under which the results are bit-identical to evalPairs
-// (see rowPath); with f32 the distances instead carry the block's
-// documented input-rounding error and the caller has opted into that via
-// LayoutF32.
+// (see rowPath).
 func (p *pagePass) evalRows(lo, hi, worker int, out []float64) passCounts {
 	rows := p.s.proc.rows
 	page, active, limits, prof := p.page, p.active, p.limits, p.prof
-	f32, q32, qvecs := p.f32, p.q32, p.qvecs
-	b := page.Cols
+	qvecs, b := p.qvecs, page.Cols
 	n := len(active)
 	wOut := p.rowW[worker][:n]
 	dOut := p.rowD[:n] // a deferred pass writes straight into its out row instead
@@ -416,12 +375,7 @@ func (p *pagePass) evalRows(lo, hi, worker int, out []float64) passCounts {
 		if out != nil {
 			dOut = out[it*n : (it+1)*n]
 		}
-		var ab int
-		if f32 {
-			ab = rows.RowWithinF32(q32, b, it, limits, dOut, wOut)
-		} else {
-			ab = rows.RowWithin(qvecs, b, it, limits, dOut, wOut)
-		}
+		ab := rows.RowWithin(qvecs, b, it, limits, dOut, wOut)
 		abandoned += int64(ab)
 		if prof != nil {
 			for a, within := range wOut {
@@ -452,12 +406,11 @@ func (p *pagePass) evalRows(lo, hi, worker int, out []float64) passCounts {
 }
 
 // rowPath reports whether this page runs through the blocked row kernels
-// under the configured layout, and whether over the float32 sibling. Rows
-// require a columnar block and no avoidance interleaving: with avoidance
-// off, a query's pruning distance within one item can only have been
-// tightened by earlier items (each query's limit is updated solely by its
-// own Consider accepts), so passing the pass's limits as the row limits
-// reproduces the per-pair body's limits — and with them its distances,
+// under the configured layout. Rows require a columnar block and no
+// avoidance interleaving: with avoidance off, a query's pruning distance
+// within one item can only have been tightened by earlier items (each
+// query's limit is updated solely by its own Consider accepts), so passing
+// the pass's limits as the row limits reproduces the per-pair body's limits — and with them its distances,
 // within flags, abandon points and Consider sequence — exactly. Under
 // avoidance the per-pair body couples the queries of one item through the
 // known list, which has no row equivalent; those pages keep the per-pair
@@ -465,40 +418,9 @@ func (p *pagePass) evalRows(lo, hi, worker int, out []float64) passCounts {
 // than one lane group (m < 4) also keep the per-pair body: the grouped
 // lanes of the row kernels never engage there, so the row body would only
 // add per-item bookkeeping on top of the same scalar kernel calls.
-func (s *Session) rowPath(page *store.Page, avoiding bool, m int) (rows, f32 bool) {
+func (s *Session) rowPath(page *store.Page, avoiding bool, m int) bool {
 	b := page.Cols
-	if b == nil || avoiding || b.N != len(page.Items) || m < 4 {
-		return false, false
-	}
-	switch s.proc.opts.Layout {
-	case LayoutSoA:
-		return true, false
-	case LayoutF32:
-		if b.F32 != nil && s.proc.rows.SupportsF32() {
-			return true, true
-		}
-		return true, false // no f32 sibling on this page: exact rows
-	}
-	return false, false
-}
-
-// quantFilters fills dst with each active query's code-level filter for
-// the page's grid, or returns nil when the layout or the page does not
-// support quantized screening. Entries may be nil (metric without a
-// code-level bound); a nil filter rejects nothing.
-func (s *Session) quantFilters(page *store.Page, active []*queryState, dst []*vec.QuantFilter) []*vec.QuantFilter {
-	if s.proc.opts.Layout != LayoutQuant {
-		return nil
-	}
-	b := page.Cols
-	if b == nil || b.Codes == nil || b.Grid == nil {
-		return nil
-	}
-	dst = dst[:len(active)]
-	for i, st := range active {
-		dst[i] = st.filter(s.proc.metric, b.Grid)
-	}
-	return dst
+	return s.proc.opts.Layout == LayoutSoA && b != nil && !avoiding && b.N == len(page.Items) && m >= 4
 }
 
 // maxAvoidProbes caps how many known distances one avoidance decision

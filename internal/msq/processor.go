@@ -46,9 +46,9 @@ func (m AvoidanceMode) String() string {
 }
 
 // Layout selects which page representation the processor's inner loops
-// consume. It is an execution choice, not a storage one: pages may carry
-// any set of sibling representations, and the layout says which of them
-// the distance loops read.
+// consume. It is an execution choice, not a storage one: pages may or may
+// not carry a columnar block, and the layout says whether the distance
+// loops read it.
 type Layout int
 
 const (
@@ -60,19 +60,6 @@ const (
 	// float64 block. Bit-identical to LayoutAoS in answers and in every
 	// statistic: the row kernels share the scalar kernels' loop bodies.
 	LayoutSoA
-	// LayoutF32 runs the row kernels over the float32 sibling where that
-	// is rank-safe (no avoidance interleaving), falling back to exact
-	// float64 elsewhere. Distances differ from float64 by bounded
-	// rounding (see DESIGN.md); answers are rank-identical for queries
-	// whose decision margins exceed that bound.
-	LayoutF32
-	// LayoutQuant screens each (query, item) pair through the per-page
-	// quantized codes first: pairs whose VA-file-style cell lower bound
-	// already exceeds the pruning radius are dropped without an exact
-	// calculation. Survivors are refined with the exact float64 kernel,
-	// so answers and page reads are bit-identical to LayoutAoS; only the
-	// CPU counters (DistCalcs, Avoided, AvoidTries, QuantFiltered) move.
-	LayoutQuant
 )
 
 // String names the layout.
@@ -82,10 +69,6 @@ func (l Layout) String() string {
 		return "aos"
 	case LayoutSoA:
 		return "soa"
-	case LayoutF32:
-		return "f32"
-	case LayoutQuant:
-		return "quant"
 	default:
 		return fmt.Sprintf("layout(%d)", int(l))
 	}
@@ -151,8 +134,8 @@ type Processor struct {
 	// identical with and without a tracer (pinned by the observation
 	// differential test).
 	tracer *obs.Tracer
-	// rows is the blocked kernel matching the metric, used by the SoA and
-	// f32 layouts. Built once; the row body reports its calc/abandon
+	// rows is the blocked kernel matching the metric, used by the SoA
+	// layout. Built once; the row body reports its calc/abandon
 	// totals through the same counting metric as the pair body.
 	rows vec.BlockKernel
 	// dim is the dimensionality of the stored vectors as the engine's
@@ -178,9 +161,6 @@ func New(eng engine.Engine, m vec.Metric, opts Options) (*Processor, error) {
 		counting = vec.NewCounting(m)
 	}
 	rows := vec.NewBlockKernel(counting.Kernel())
-	if opts.Layout == LayoutF32 && !rows.SupportsF32() {
-		return nil, fmt.Errorf("msq: metric %T has no float32 row kernel; use layout soa", counting.Kernel())
-	}
 	return &Processor{eng: eng, metric: counting, opts: opts, rows: rows, dim: eng.Pager().Dim()}, nil
 }
 

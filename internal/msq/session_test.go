@@ -356,7 +356,7 @@ func TestCompletedQueriesReleaseTheirState(t *testing.T) {
 			continue
 		}
 		completed++
-		if st.processed != nil || st.pq != nil || st.slot != noSlot || st.q32 != nil || st.qfilter != nil {
+		if st.processed != nil || st.pq != nil || st.slot != noSlot {
 			t.Fatalf("completed query %d still holds page set %v, prepared %v, slot %d", id, st.processed != nil, st.pq != nil, st.slot)
 		}
 		if st.answers == nil || !st.q.Vec.Equal(items[id].Vec) {

@@ -33,13 +33,9 @@ type Stats struct {
 	// Avoided counts distance calculations skipped thanks to the
 	// triangle inequality.
 	Avoided int64
-	// QuantFiltered counts (query, item) pairs rejected by the quantized
-	// lower-bound filter before any exact distance calculation: the
-	// VA-file-style cell bound already exceeded the query's pruning
-	// radius. A filtered pair appears in neither DistCalcs nor Avoided —
-	// it is a third, cheaper disposal. Answers and page reads are
-	// unaffected because the bound is conservative: every pair that could
-	// be an answer survives to the exact float64 kernel.
+	// QuantFiltered is always zero: nothing feeds it since the quant
+	// layout was removed. It stays declared only because bench/run.go
+	// reads it; delete it with the next change to bench/.
 	QuantFiltered int64
 	// PivotDistCalcs counts the query-to-pivot distance calculations paid
 	// by pivot-based engines in Engine.Prepare (the pivot table's and the

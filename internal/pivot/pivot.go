@@ -62,7 +62,7 @@ type Config struct {
 	// WrapDisk, when non-nil, interposes on the freshly built disk before
 	// the pager is attached (fault injection).
 	WrapDisk func(store.PageSource) (store.PageSource, error)
-	// Columns selects the sibling representations materialized on each
+	// Columns selects whether a columnar block is materialized on each
 	// page at build time.
 	Columns store.ColumnSpec
 }

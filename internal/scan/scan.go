@@ -40,9 +40,8 @@ type Config struct {
 	// the pager is attached — the hook used to run the engine on
 	// fault-injected storage.
 	WrapDisk func(store.PageSource) (store.PageSource, error)
-	// Columns selects which sibling representations (columnar float64
-	// block, float32, quantized codes) are materialized on each page at
-	// build time for the blocked distance kernels.
+	// Columns selects whether a columnar float64 block is materialized on
+	// each page at build time for the blocked distance kernels.
 	Columns store.ColumnSpec
 }
 

@@ -5,35 +5,25 @@ package store
 
 import (
 	"fmt"
-	"math"
 
 	"metricdb/internal/obs"
 	"metricdb/internal/vec"
 )
 
-// ColumnSpec says which columnar representations to materialize for a
-// page set. The zero value requests nothing (pages stay AoS).
+// ColumnSpec says which page representation to materialize for a page
+// set. The zero value requests nothing (pages stay AoS).
 type ColumnSpec struct {
-	// Columnar requests the contiguous float64 block (implied by the
-	// sibling fields).
+	// Columnar requests the contiguous float64 block.
 	Columnar bool
-	// F32 additionally materializes the float32 sibling.
-	F32 bool
-	// Quant, when non-nil, additionally materializes quantized codes on
-	// this grid.
-	Quant *vec.QuantGrid
 }
-
-// Any reports whether the spec requests any columnar representation.
-func (s ColumnSpec) Any() bool { return s.Columnar || s.F32 || s.Quant != nil }
 
 // Columnize rebuilds each page's coordinates as a columnar block per
 // spec and re-points every Item.Vec at its block row. Values are copied
 // bit-for-bit, so results of any computation over the vectors are
-// unchanged; only memory placement and the sibling representations are
-// new. A no-op when the spec requests nothing.
+// unchanged; only memory placement is new. A no-op when the spec requests
+// nothing.
 func Columnize(pages []*Page, spec ColumnSpec) error {
-	if !spec.Any() {
+	if !spec.Columnar {
 		return nil
 	}
 	for _, p := range pages {
@@ -46,7 +36,7 @@ func Columnize(pages []*Page, spec ColumnSpec) error {
 
 // ColumnizePage is Columnize for a single page.
 func ColumnizePage(p *Page, spec ColumnSpec) error {
-	if !spec.Any() || len(p.Items) == 0 {
+	if !spec.Columnar || len(p.Items) == 0 {
 		return nil
 	}
 	dim := p.Items[0].Vec.Dim()
@@ -63,59 +53,12 @@ func ColumnizePage(p *Page, spec ColumnSpec) error {
 		}
 		p.Cols = b
 	}
-	if spec.F32 && b.F32 == nil {
-		b.DeriveF32()
-	}
-	if g := spec.Quant; g != nil && b.Codes == nil {
-		if g.Dim() != dim {
-			return fmt.Errorf("store: quantization grid dim %d, page dim %d", g.Dim(), dim)
-		}
-		b.DeriveCodes(g)
-	}
-	if b.Grid == nil && spec.Quant != nil {
-		b.Grid = spec.Quant
-	}
 	return nil
-}
-
-// CoordinateBounds returns the per-dimension min/max over every item of
-// every page — the input for building a dataset-wide quantization grid.
-func CoordinateBounds(pages []*Page, dim int) (lo, hi []float64) {
-	lo = make([]float64, dim)
-	hi = make([]float64, dim)
-	for d := range lo {
-		lo[d], hi[d] = math.Inf(1), math.Inf(-1)
-	}
-	for _, p := range pages {
-		for i := range p.Items {
-			for d, v := range p.Items[i].Vec {
-				if v < lo[d] {
-					lo[d] = v
-				}
-				if v > hi[d] {
-					hi[d] = v
-				}
-			}
-		}
-	}
-	for d := range lo {
-		if lo[d] > hi[d] { // no items: collapse to a point grid
-			lo[d], hi[d] = 0, 0
-		}
-	}
-	return lo, hi
-}
-
-// ItemCoordinateBounds is CoordinateBounds over a flat item slice.
-func ItemCoordinateBounds(items []Item, dim int) (lo, hi []float64) {
-	p := Page{Items: items}
-	return CoordinateBounds([]*Page{&p}, dim)
 }
 
 // ColumnSource is a PageSource wrapper that columnizes pages as they are
 // read — the adapter that lets a layout-requesting open serve a stored
-// dataset whose records do not already carry the wanted representations
-// (a version-1 dataset, or a columnar dataset missing a sibling). It sits
+// dataset whose records are not columnar (a version-1 dataset). It sits
 // between the disk and the buffer pool, so each page pays the conversion
 // once per fetch and cached pages stay columnar.
 type ColumnSource struct {
@@ -126,7 +69,7 @@ type ColumnSource struct {
 // WrapColumns wraps src so every page read through it is columnized per
 // spec. If the spec requests nothing, src is returned unwrapped.
 func WrapColumns(src PageSource, spec ColumnSpec) PageSource {
-	if !spec.Any() {
+	if !spec.Columnar {
 		return src
 	}
 	return &ColumnSource{src: src, spec: spec}

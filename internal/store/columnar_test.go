@@ -1,18 +1,13 @@
 package store
 
 import (
-	"errors"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"metricdb/internal/vec"
 )
 
-// regularItems builds items with finite, well-spread coordinates (testItems
-// mixes in 1e300-scale extremes that are legal for the format but make
-// quantization-grid assertions awkward).
+// regularItems builds items with finite, well-spread coordinates.
 func regularItems(n, dim int) []Item {
 	items := make([]Item, n)
 	for i := range items {
@@ -35,19 +30,14 @@ func TestColumnizeAliasesAndPreserves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := CoordinateBounds(pages, 5)
-	g, err := vec.BuildQuantGrid(6, lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Columnize(pages, ColumnSpec{Columnar: true, F32: true, Quant: g}); err != nil {
+	if err := Columnize(pages, ColumnSpec{Columnar: true}); err != nil {
 		t.Fatal(err)
 	}
 	k := 0
 	for _, p := range pages {
 		b := p.Cols
-		if b == nil || b.F32 == nil || b.Codes == nil || b.Grid != g || b.CodeBits != 6 {
-			t.Fatalf("page %d: block missing requested representations: %+v", p.ID, b)
+		if b == nil {
+			t.Fatalf("page %d: no block attached", p.ID)
 		}
 		for i := range p.Items {
 			if &p.Items[i].Vec[0] != &b.Item(i)[0] {
@@ -57,16 +47,13 @@ func TestColumnizeAliasesAndPreserves(t *testing.T) {
 				if math.Float64bits(v) != math.Float64bits(orig[k][d]) {
 					t.Fatalf("page %d item %d dim %d: value changed %v -> %v", p.ID, i, d, orig[k][d], v)
 				}
-				if b.ItemF32(i)[d] != float32(v) {
-					t.Fatalf("page %d item %d dim %d: f32 sibling mismatch", p.ID, i, d)
-				}
 			}
 			k++
 		}
 	}
 	// Idempotent: a second pass must not rebuild anything.
 	before := pages[0].Cols
-	if err := Columnize(pages, ColumnSpec{Columnar: true, F32: true, Quant: g}); err != nil {
+	if err := Columnize(pages, ColumnSpec{Columnar: true}); err != nil {
 		t.Fatal(err)
 	}
 	if pages[0].Cols != before {
@@ -84,12 +71,7 @@ func TestColumnSourceWrapsV1Reads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := CoordinateBounds(pages, 4)
-	g, err := vec.BuildQuantGrid(4, lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := WrapColumns(disk, ColumnSpec{Columnar: true, F32: true, Quant: g})
+	src := WrapColumns(disk, ColumnSpec{Columnar: true})
 	if src == PageSource(disk) {
 		t.Fatal("non-empty spec returned the source unwrapped")
 	}
@@ -104,8 +86,8 @@ func TestColumnSourceWrapsV1Reads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.Cols == nil || p.Cols.F32 == nil || p.Cols.Codes == nil {
-			t.Fatalf("page %d read through wrapper lacks columnar representations", pid)
+		if p.Cols == nil {
+			t.Fatalf("page %d read through wrapper lacks its block", pid)
 		}
 	}
 	if got, want := src.Stats().Reads, int64(src.NumPages()); got != want {
@@ -116,10 +98,8 @@ func TestColumnSourceWrapsV1Reads(t *testing.T) {
 	}
 }
 
-// TestWriteDatasetColumnar round-trips a dataset built with every sibling
-// representation through the file disk: version-2 manifest, bit-identical
-// coordinates, siblings present, and the manifest grid attached to every
-// decoded page.
+// TestWriteDatasetColumnar round-trips a columnar dataset through the file
+// disk: version-2 manifest, bit-identical coordinates decoded into blocks.
 func TestWriteDatasetColumnar(t *testing.T) {
 	dir := t.TempDir()
 	items := regularItems(50, 3)
@@ -127,7 +107,7 @@ func TestWriteDatasetColumnar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := DatasetMeta{Dim: 3, PageCapacity: 8, F32: true, QuantBits: 5,
+	meta := DatasetMeta{Dim: 3, PageCapacity: 8, Columnar: true,
 		Attrs: map[string]string{"kind": "test"}}
 	if err := WriteDataset(dir, pages, meta, WriteOptions{NoSync: true}); err != nil {
 		t.Fatal(err)
@@ -138,24 +118,18 @@ func TestWriteDatasetColumnar(t *testing.T) {
 	}
 	defer d.Close() //nolint:errcheck
 	man := d.Manifest()
-	if man.Version != FormatVersionColumnar || !man.Columnar || !man.F32 || man.Quant == nil || man.Quant.Bits != 5 {
+	if man.Version != FormatVersionColumnar || !man.Columnar {
 		t.Fatalf("manifest misses columnar facts: %+v", man)
 	}
-	g := man.Quant.Grid()
 	k := 0
 	for pid := 0; pid < d.NumPages(); pid++ {
 		p, err := d.Read(PageID(pid))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := p.Cols
-		if b == nil || b.F32 == nil || b.Codes == nil || b.CodeBits != 5 {
-			t.Fatalf("page %d decoded without requested representations", pid)
+		if p.Cols == nil {
+			t.Fatalf("page %d decoded without a block", pid)
 		}
-		if b.Grid == nil || b.Grid.Bits != g.Bits {
-			t.Fatalf("page %d decoded without the manifest grid attached", pid)
-		}
-		codes := make([]uint8, 3)
 		for i := range p.Items {
 			if p.Items[i].ID != items[k].ID || p.Items[i].Label != items[k].Label {
 				t.Fatalf("page %d item %d identity mismatch", pid, i)
@@ -163,15 +137,6 @@ func TestWriteDatasetColumnar(t *testing.T) {
 			for dd, v := range p.Items[i].Vec {
 				if math.Float64bits(v) != math.Float64bits(items[k].Vec[dd]) {
 					t.Fatalf("page %d item %d dim %d: coordinate not bit-identical", pid, i, dd)
-				}
-				if b.ItemF32(i)[dd] != float32(v) {
-					t.Fatalf("page %d item %d dim %d: f32 sibling mismatch", pid, i, dd)
-				}
-			}
-			b.Grid.EncodeInto(p.Items[i].Vec, codes)
-			for dd, c := range b.ItemCodes(i) {
-				if c != codes[dd] {
-					t.Fatalf("page %d item %d dim %d: stored code %d, grid encodes %d", pid, i, dd, c, codes[dd])
 				}
 			}
 			k++
@@ -218,12 +183,7 @@ func TestWriteDatasetAdoptsPageBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := CoordinateBounds(pages, 4)
-	g, err := vec.BuildQuantGrid(7, lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Columnize(pages, ColumnSpec{Columnar: true, Quant: g}); err != nil {
+	if err := Columnize(pages, ColumnSpec{Columnar: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := WriteDataset(dir, pages, DatasetMeta{Dim: 4}, WriteOptions{NoSync: true}); err != nil {
@@ -235,52 +195,14 @@ func TestWriteDatasetAdoptsPageBlocks(t *testing.T) {
 	}
 	defer d.Close() //nolint:errcheck
 	man := d.Manifest()
-	if man.Version != FormatVersionColumnar || man.F32 || man.Quant == nil || man.Quant.Bits != 7 {
+	if man.Version != FormatVersionColumnar || !man.Columnar {
 		t.Fatalf("adopted manifest wrong: %+v", man)
 	}
 	p, err := d.Read(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Cols == nil || p.Cols.Codes == nil || p.Cols.F32 != nil {
-		t.Fatal("adopted dataset pages miss the representations the build carried")
-	}
-}
-
-// TestFileDiskRejectsSectionMismatch: a manifest whose quantization width
-// disagrees with the page records (same record length, so it survives both
-// the manifest shape check and the CRC) is caught by the read-time
-// cross-check, never silently served with the wrong grid.
-func TestFileDiskRejectsSectionMismatch(t *testing.T) {
-	dir := t.TempDir()
-	pages, err := Paginate(regularItems(12, 3), 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteDataset(dir, pages, DatasetMeta{Dim: 3, QuantBits: 5}, WriteOptions{NoSync: true}); err != nil {
-		t.Fatal(err)
-	}
-	man, err := readManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	man.Quant.Bits = 6 // same section length, different grid width
-	body, err := EncodeManifest(man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, ManifestName), body, 0o666); err != nil {
-		t.Fatal(err)
-	}
-	d, err := OpenFileDisk(dir, FileDiskOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close() //nolint:errcheck
-	if _, err := d.Read(0); !errors.Is(err, ErrCorruptPage) {
-		t.Fatalf("section mismatch read returned %v, want ErrCorruptPage", err)
-	}
-	if d.Storage().ChecksumFailures != 1 {
-		t.Fatalf("mismatch not counted as checksum failure: %+v", d.Storage())
+	if p.Cols == nil {
+		t.Fatal("adopted dataset pages miss the block the build carried")
 	}
 }

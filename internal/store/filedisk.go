@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"metricdb/internal/obs"
-	"metricdb/internal/vec"
 )
 
 // FileDiskOptions parameterizes OpenFileDisk.
@@ -48,9 +47,6 @@ type FileDisk struct {
 	f    *os.File
 	data []byte // non-nil in mmap mode
 	mode string // "pread" or "mmap"
-	// grid is the dataset-wide quantization grid from the manifest, shared
-	// by every decoded columnar page that carries a code section.
-	grid *vec.QuantGrid
 
 	mu        sync.Mutex
 	lastRead  PageID
@@ -78,7 +74,7 @@ func OpenFileDisk(dir string, opts FileDiskOptions) (*FileDisk, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &FileDisk{dir: dir, man: man, mode: "pread", lastRead: InvalidPage - 1, grid: man.Quant.Grid()}
+	d := &FileDisk{dir: dir, man: man, mode: "pread", lastRead: InvalidPage - 1}
 	if len(man.Pages) > 0 {
 		f, err := os.Open(filepath.Join(dir, man.PagesFile))
 		if err != nil {
@@ -199,16 +195,6 @@ func (d *FileDisk) fetch(pid PageID) (*Page, error) {
 	if (page.Cols != nil) != d.man.Columnar {
 		d.checksumErr.Add(1)
 		return nil, fmt.Errorf("store: page %d: %w: record layout disagrees with manifest", pid, ErrCorruptPage)
-	}
-	if c := page.Cols; c != nil {
-		if (c.F32 != nil) != d.man.F32 || (c.Codes != nil) != (d.man.Quant != nil) ||
-			(d.man.Quant != nil && c.CodeBits != d.man.Quant.Bits) {
-			d.checksumErr.Add(1)
-			return nil, fmt.Errorf("store: page %d: %w: record sections disagree with manifest", pid, ErrCorruptPage)
-		}
-		// Attach the dataset-wide grid so code sections are usable for
-		// filtering without re-reading the manifest per page.
-		c.Grid = d.grid
 	}
 	return page, nil
 }

@@ -30,25 +30,29 @@
 // decoded page is bit-identical to the encoded one — the property the
 // FileDisk-vs-Disk differential suite (internal/msq) depends on.
 //
-// Format version 2 ("columnar") page records carry the same items plus
-// optional reduced-precision sibling sections, and decode directly into a
-// contiguous vec.Block (see Page.Cols):
+// Format version 2 ("columnar") page records carry the same items and
+// decode directly into a contiguous vec.Block (see Page.Cols):
 //
 //	offset  size  field
 //	0       4     magic "MDP2"
 //	4       4     page ID (uint32)
 //	8       4     item count n (uint32)
 //	12      4     dimensionality d (uint32)
-//	16      4     flags (bit 0: float32 section, bit 1: quant section)
-//	20      4     quantization bits (1..8 when bit 1 set, else 0)
+//	16      4     flags (bits 0/1: legacy sections, skipped; others invalid)
+//	20      4     legacy quantization bits (1..8 when bit 1 set, else 0)
 //	24      n*(16+8d)  items: id uint64, label int64, d float64 coordinates
-//	…       n*4d  float32 coordinates, item-major (flag bit 0)
-//	…       n*d   quantized cell codes, item-major, one byte each (flag bit 1)
+//	…       n*4d  legacy float32 section (flag bit 0), skipped
+//	…       n*d   legacy quantized-code section (flag bit 1), skipped
 //	…       4     CRC-32C (Castagnoli) over bytes [0, len-4)
 //
-// A version-2 dataset's manifest says Version 2 and Columnar true, and
-// carries the sibling flags plus the dataset-wide quantization grid; a
-// version-1 manifest never claims columnar fields. Readers accept both
+// The writer always emits flags 0. The two legacy sections were written by
+// earlier builds (the removed f32 and quant layouts); the decoder still
+// length-checks them against the record and the checksum still covers
+// them, but nothing is materialized from them, so such a dataset opens
+// and serves as a plain columnar one.
+//
+// A version-2 dataset's manifest says Version 2 and Columnar true; a
+// version-1 manifest never claims the columnar field. Readers accept both
 // versions — old datasets keep working unchanged, and the version-1
 // writer output is byte-identical to before version 2 existed.
 package store
@@ -80,8 +84,8 @@ const (
 	// this version, byte-identical to older builds.
 	FormatVersion = 1
 	// FormatVersionColumnar is the columnar format version: version-2
-	// page records (contiguous coordinates plus optional float32 and
-	// quantized sections) and the matching manifest fields.
+	// page records (contiguous coordinates) and the matching manifest
+	// field.
 	FormatVersionColumnar = 2
 
 	// pageMagic opens every version-1 page record ("MDPG").
@@ -91,11 +95,12 @@ const (
 	// pageHeaderLen is the fixed version-1 prefix before the items.
 	pageHeaderLen = 16
 	// pageHeaderLenV2 is the version-2 prefix: the version-1 fields plus
-	// flags and quantization bits.
+	// flags and legacy quantization bits.
 	pageHeaderLenV2 = 24
-	// pageFlagF32 and pageFlagQuant mark the optional version-2 sections.
-	pageFlagF32   = 1
-	pageFlagQuant = 2
+	// pageFlagLegacyF32 and pageFlagLegacyQuant mark the sections earlier
+	// builds appended to version-2 records; the decoder skips them.
+	pageFlagLegacyF32   = 1
+	pageFlagLegacyQuant = 2
 	// pageTrailerLen is the trailing checksum.
 	pageTrailerLen = 4
 	// itemFixedLen is the per-item overhead: id (8) + label (8).
@@ -162,64 +167,58 @@ type Manifest struct {
 	Attrs map[string]string `json:"attrs,omitempty"`
 	// Columnar reports version-2 columnar page records. Exactly
 	// Version == FormatVersionColumnar datasets set it; a version-1
-	// manifest claiming any columnar field is rejected.
+	// manifest claiming it is rejected.
 	Columnar bool `json:"columnar,omitempty"`
-	// F32 reports that page records carry the float32 sibling section.
-	F32 bool `json:"f32,omitempty"`
-	// Quant carries the dataset-wide quantization grid when page records
-	// include quantized code sections.
-	Quant *QuantGridManifest `json:"quant,omitempty"`
 	// Pages lists every page in PageID order.
 	Pages []PageEntry `json:"pages"`
-}
-
-// QuantGridManifest is the manifest encoding of a vec.QuantGrid: the
-// dataset-wide per-dimension equi-width grid the page records' code
-// sections were produced on. Float64 values survive the JSON round trip
-// at full precision only if finite; BuildQuantGrid guarantees that.
-type QuantGridManifest struct {
-	Bits int       `json:"bits"`
-	Min  []float64 `json:"min"`
-	Step []float64 `json:"step"`
-}
-
-// Grid converts the manifest encoding back to a usable grid.
-func (q *QuantGridManifest) Grid() *vec.QuantGrid {
-	if q == nil {
-		return nil
-	}
-	return &vec.QuantGrid{Bits: q.Bits, Min: q.Min, Step: q.Step}
-}
-
-// NewQuantGridManifest converts a grid to its manifest encoding.
-func NewQuantGridManifest(g *vec.QuantGrid) *QuantGridManifest {
-	if g == nil {
-		return nil
-	}
-	return &QuantGridManifest{Bits: g.Bits, Min: g.Min, Step: g.Step}
 }
 
 // recordLen returns the page-record byte length the manifest's shape
 // implies for a page of the given item count.
 func (m *Manifest) recordLen(items int) int64 {
-	if !m.Columnar {
-		return int64(pageHeaderLen) + int64(items)*int64(itemFixedLen+8*m.Dim) + pageTrailerLen
+	header := pageHeaderLen
+	if m.Columnar {
+		header = pageHeaderLenV2
 	}
-	l := int64(pageHeaderLenV2) + int64(items)*int64(itemFixedLen+8*m.Dim) + pageTrailerLen
-	if m.F32 {
-		l += int64(items) * int64(4*m.Dim)
+	return int64(header) + int64(items)*int64(itemFixedLen+8*m.Dim) + pageTrailerLen
+}
+
+// legacySectionsLen returns the bytes the legacy sections named by flags
+// add to a columnar record of the given shape.
+func legacySectionsLen(flags uint32, items, dim uint64) uint64 {
+	var l uint64
+	if flags&pageFlagLegacyF32 != 0 {
+		l += items * 4 * dim
 	}
-	if m.Quant != nil {
-		l += int64(items) * int64(m.Dim)
+	if flags&pageFlagLegacyQuant != 0 {
+		l += items * dim
 	}
 	return l
+}
+
+// validRecordLen reports whether e's length fits the manifest's shape: the
+// exact record length, or for a columnar dataset of an earlier build that
+// length plus one combination of the legacy sections (whose manifest keys
+// this build no longer reads; the record's own flags say which).
+func (m *Manifest) validRecordLen(e PageEntry) bool {
+	extra := e.Length - m.recordLen(e.Items)
+	if extra == 0 {
+		return true
+	}
+	if m.Columnar {
+		for f := uint32(1); f <= pageFlagLegacyF32|pageFlagLegacyQuant; f++ {
+			if extra == int64(legacySectionsLen(f, uint64(e.Items), uint64(m.Dim))) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // EncodePage serializes one page record. Every item must have exactly dim
 // coordinates. Pages without an attached columnar block encode as
 // version-1 records, byte-identical to the pre-columnar writer; pages
-// with one encode as version-2 records carrying whichever sibling
-// sections the block holds.
+// with one encode as version-2 records.
 func EncodePage(p *Page, dim int) ([]byte, error) {
 	if p == nil {
 		return nil, fmt.Errorf("store: encode of nil page")
@@ -233,15 +232,23 @@ func EncodePage(p *Page, dim int) ([]byte, error) {
 	if len(p.Items) > maxPageItems {
 		return nil, fmt.Errorf("store: page holds %d items, format maximum is %d", len(p.Items), maxPageItems)
 	}
+	magic, header := uint32(pageMagic), pageHeaderLen
+	if b := p.Cols; b != nil {
+		if b.Dim != dim || b.N != len(p.Items) {
+			return nil, fmt.Errorf("store: page %d block is %d×%d, page is %d×%d",
+				p.ID, b.N, b.Dim, len(p.Items), dim)
+		}
+		magic, header = pageMagic2, pageHeaderLenV2
+	}
+	size := header + len(p.Items)*(itemFixedLen+8*dim) + pageTrailerLen
+	buf := make([]byte, 0, size)
+	buf = binary.LittleEndian.AppendUint32(buf, magic)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.ID))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Items)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(dim))
 	if p.Cols != nil {
-		return encodePageV2(p, dim)
+		buf = binary.LittleEndian.AppendUint64(buf, 0) // flags and legacy quantization bits
 	}
-	size := pageHeaderLen + len(p.Items)*(itemFixedLen+8*dim) + pageTrailerLen
-	buf := make([]byte, 0, size)
-	buf = binary.LittleEndian.AppendUint32(buf, pageMagic)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.ID))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Items)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(dim))
 	for i := range p.Items {
 		it := &p.Items[i]
 		if it.Vec.Dim() != dim {
@@ -252,67 +259,6 @@ func EncodePage(p *Page, dim int) ([]byte, error) {
 		for _, c := range it.Vec {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c))
 		}
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-	return buf, nil
-}
-
-// encodePageV2 serializes a columnar page record.
-func encodePageV2(p *Page, dim int) ([]byte, error) {
-	b := p.Cols
-	if b.Dim != dim || b.N != len(p.Items) {
-		return nil, fmt.Errorf("store: page %d block is %d×%d, page is %d×%d",
-			p.ID, b.N, b.Dim, len(p.Items), dim)
-	}
-	var flags, qbits uint32
-	if b.F32 != nil {
-		if len(b.F32) != b.N*b.Dim {
-			return nil, fmt.Errorf("store: page %d float32 sibling has %d values, want %d", p.ID, len(b.F32), b.N*b.Dim)
-		}
-		flags |= pageFlagF32
-	}
-	if b.Codes != nil {
-		if len(b.Codes) != b.N*b.Dim {
-			return nil, fmt.Errorf("store: page %d code sibling has %d values, want %d", p.ID, len(b.Codes), b.N*b.Dim)
-		}
-		if b.CodeBits < 1 || b.CodeBits > 8 {
-			return nil, fmt.Errorf("store: page %d has %d quantization bits, want 1..8", p.ID, b.CodeBits)
-		}
-		flags |= pageFlagQuant
-		qbits = uint32(b.CodeBits)
-	}
-	size := pageHeaderLenV2 + len(p.Items)*(itemFixedLen+8*dim) + pageTrailerLen
-	if flags&pageFlagF32 != 0 {
-		size += len(p.Items) * 4 * dim
-	}
-	if flags&pageFlagQuant != 0 {
-		size += len(p.Items) * dim
-	}
-	buf := make([]byte, 0, size)
-	buf = binary.LittleEndian.AppendUint32(buf, pageMagic2)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.ID))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Items)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(dim))
-	buf = binary.LittleEndian.AppendUint32(buf, flags)
-	buf = binary.LittleEndian.AppendUint32(buf, qbits)
-	for i := range p.Items {
-		it := &p.Items[i]
-		if it.Vec.Dim() != dim {
-			return nil, fmt.Errorf("store: page %d item %d has dimension %d, want %d", p.ID, i, it.Vec.Dim(), dim)
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(it.ID))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(it.Label))
-		for _, c := range it.Vec {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c))
-		}
-	}
-	if flags&pageFlagF32 != 0 {
-		for _, v := range b.F32 {
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
-		}
-	}
-	if flags&pageFlagQuant != 0 {
-		buf = append(buf, b.Codes...)
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 	return buf, nil
@@ -369,8 +315,8 @@ func DecodePage(data []byte) (*Page, error) {
 }
 
 // decodePageV2 deserializes a columnar page record. The coordinates land
-// in one contiguous block with every Item.Vec aliasing its row; sibling
-// sections become the block's float32/code buffers. The same
+// in one contiguous block with every Item.Vec aliasing its row; legacy
+// sections are length-checked and skipped. The same
 // never-panics/size-validated discipline as version 1 applies: every
 // length is checked against the actual data before any allocation.
 func decodePageV2(data []byte) (*Page, error) {
@@ -389,23 +335,18 @@ func decodePageV2(data []byte) (*Page, error) {
 	if count > maxPageItems || dim > maxPageDim {
 		return nil, fmt.Errorf("%w: implausible header (items %d, dim %d)", ErrCorruptPage, count, dim)
 	}
-	if flags&^uint32(pageFlagF32|pageFlagQuant) != 0 {
+	if flags&^uint32(pageFlagLegacyF32|pageFlagLegacyQuant) != 0 {
 		return nil, fmt.Errorf("%w: unknown flags %#x", ErrCorruptPage, flags)
 	}
-	if flags&pageFlagQuant != 0 {
+	if flags&pageFlagLegacyQuant != 0 {
 		if qbits < 1 || qbits > 8 {
 			return nil, fmt.Errorf("%w: %d quantization bits, want 1..8", ErrCorruptPage, qbits)
 		}
 	} else if qbits != 0 {
 		return nil, fmt.Errorf("%w: quantization bits %d without a code section", ErrCorruptPage, qbits)
 	}
-	want := uint64(pageHeaderLenV2) + uint64(count)*uint64(itemFixedLen+8*dim) + pageTrailerLen
-	if flags&pageFlagF32 != 0 {
-		want += uint64(count) * uint64(4*dim)
-	}
-	if flags&pageFlagQuant != 0 {
-		want += uint64(count) * uint64(dim)
-	}
+	want := uint64(pageHeaderLenV2) + uint64(count)*uint64(itemFixedLen+8*dim) +
+		legacySectionsLen(flags, uint64(count), uint64(dim)) + pageTrailerLen
 	if uint64(len(data)) != want {
 		return nil, fmt.Errorf("%w: columnar record is %d bytes, header implies %d", ErrCorruptPage, len(data), want)
 	}
@@ -427,18 +368,6 @@ func decodePageV2(data []byte) (*Page, error) {
 			off += 8
 		}
 		it.Vec = row
-	}
-	if flags&pageFlagF32 != 0 {
-		b.F32 = make([]float32, int(count)*int(dim))
-		for i := range b.F32 {
-			b.F32[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[off:]))
-			off += 4
-		}
-	}
-	if flags&pageFlagQuant != 0 {
-		b.Codes = make([]uint8, int(count)*int(dim))
-		copy(b.Codes, data[off:])
-		b.CodeBits = int(qbits)
 	}
 	return p, nil
 }
@@ -469,26 +398,12 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	}
 	switch m.Version {
 	case FormatVersion:
-		if m.Columnar || m.F32 || m.Quant != nil {
-			return nil, fmt.Errorf("%w: version %d manifest claims columnar fields", ErrBadManifest, m.Version)
+		if m.Columnar {
+			return nil, fmt.Errorf("%w: version %d manifest claims the columnar field", ErrBadManifest, m.Version)
 		}
 	case FormatVersionColumnar:
 		if !m.Columnar {
 			return nil, fmt.Errorf("%w: version %d manifest without columnar flag", ErrBadManifest, m.Version)
-		}
-		if q := m.Quant; q != nil {
-			if q.Bits < 1 || q.Bits > 8 {
-				return nil, fmt.Errorf("%w: quantization bits %d, want 1..8", ErrBadManifest, q.Bits)
-			}
-			if len(q.Min) != m.Dim || len(q.Step) != m.Dim {
-				return nil, fmt.Errorf("%w: quantization grid is %d/%d-dimensional, dataset dim is %d",
-					ErrBadManifest, len(q.Min), len(q.Step), m.Dim)
-			}
-			for d := 0; d < m.Dim; d++ {
-				if !isFinite(q.Min[d]) || !isFinite(q.Step[d]) || q.Step[d] < 0 {
-					return nil, fmt.Errorf("%w: non-finite or negative quantization grid on dimension %d", ErrBadManifest, d)
-				}
-			}
 		}
 	default:
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadManifest, m.Version)
@@ -518,9 +433,8 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 		if e.Items < 0 || e.Items > maxPageItems {
 			return nil, fmt.Errorf("%w: page %d claims %d items", ErrBadManifest, i, e.Items)
 		}
-		wantLen := m.recordLen(e.Items)
-		if e.Length != wantLen {
-			return nil, fmt.Errorf("%w: page %d length %d, shape implies %d", ErrBadManifest, i, e.Length, wantLen)
+		if !m.validRecordLen(e) {
+			return nil, fmt.Errorf("%w: page %d length %d, shape implies %d", ErrBadManifest, i, e.Length, m.recordLen(e.Items))
 		}
 		end += e.Length
 		items += int64(e.Items)
@@ -533,6 +447,3 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 	}
 	return &m, nil
 }
-
-// isFinite reports x is neither NaN nor infinite.
-func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

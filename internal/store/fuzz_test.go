@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"testing"
 
@@ -83,25 +84,19 @@ func FuzzPageDecode(f *testing.F) {
 }
 
 // FuzzColumnarPageDecode targets the version-2 (columnar) page-record
-// decoder with seeds covering every sibling combination. Same contract as
-// FuzzPageDecode — never panic, never allocate from an unvalidated size —
-// plus the columnar structural invariants: an accepted record yields a
-// block whose rows the item vectors alias and whose sibling sections match
-// the header flags, and re-encoding reproduces the input bit for bit.
+// decoder with seeds covering every legacy-section combination earlier
+// builds wrote. Same contract as FuzzPageDecode — never panic, never
+// allocate from an unvalidated size — plus the columnar structural
+// invariants: an accepted record yields a block whose rows the item
+// vectors alias, legacy sections are skipped, and re-encoding reproduces
+// the record without them bit for bit.
 func FuzzColumnarPageDecode(f *testing.F) {
-	seed := func(n, dim int, f32 bool, qbits int) []byte {
-		items := testItems(n, dim)
-		p := &Page{ID: 7, Items: items}
-		spec := ColumnSpec{Columnar: true, F32: f32}
-		if qbits > 0 {
-			lo, hi := ItemCoordinateBounds(items, dim)
-			g, err := vec.BuildQuantGrid(qbits, lo, hi)
-			if err != nil {
-				f.Fatal(err)
-			}
-			spec.Quant = g
-		}
-		if err := ColumnizePage(p, spec); err != nil {
+	// seed encodes a columnar record and, for non-zero flags, grafts on
+	// the legacy sections the way the removed writer laid them out (flags,
+	// quantization bits, section bytes, fresh checksum).
+	seed := func(n, dim int, flags, qbits uint32) []byte {
+		p := &Page{ID: 7, Items: testItems(n, dim)}
+		if err := ColumnizePage(p, ColumnSpec{Columnar: true}); err != nil {
 			f.Fatal(err)
 		}
 		if p.Cols == nil {
@@ -111,22 +106,32 @@ func FuzzColumnarPageDecode(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		return rec
+		if flags == 0 {
+			return rec
+		}
+		rec = rec[:len(rec)-pageTrailerLen]
+		binary.LittleEndian.PutUint32(rec[16:], flags)
+		binary.LittleEndian.PutUint32(rec[20:], qbits)
+		for i := uint64(0); i < legacySectionsLen(flags, uint64(n), uint64(dim)); i++ {
+			rec = append(rec, byte(i))
+		}
+		return binary.LittleEndian.AppendUint32(rec, crc32.Checksum(rec, castagnoli))
 	}
 	f.Add([]byte{})
-	f.Add(seed(0, 3, false, 0))
-	f.Add(seed(1, 1, false, 0))
-	f.Add(seed(16, 4, false, 0))
-	f.Add(seed(16, 4, true, 0))
-	f.Add(seed(16, 4, false, 6))
-	f.Add(seed(16, 4, true, 8))
-	f.Add(seed(5, 20, true, 1))
-	badFlags := seed(16, 4, true, 0)
+	f.Add(seed(0, 3, 0, 0))
+	f.Add(seed(1, 1, 0, 0))
+	f.Add(seed(16, 4, 0, 0))
+	f.Add(seed(16, 4, pageFlagLegacyF32, 0))
+	f.Add(seed(16, 4, pageFlagLegacyQuant, 6))
+	f.Add(seed(16, 4, pageFlagLegacyF32|pageFlagLegacyQuant, 8))
+	f.Add(seed(5, 20, pageFlagLegacyF32|pageFlagLegacyQuant, 1))
+	f.Add(seed(16, 4, pageFlagLegacyF32, 6)) // quantization bits without a code section
+	badFlags := seed(16, 4, pageFlagLegacyF32, 0)
 	badFlags[16] |= 4 // unknown flag bit
 	f.Add(badFlags)
-	trunc := seed(16, 4, true, 6)
+	trunc := seed(16, 4, pageFlagLegacyF32|pageFlagLegacyQuant, 6)
 	f.Add(trunc[:len(trunc)-9])
-	huge := seed(1, 1, false, 0)
+	huge := seed(1, 1, 0, 0)
 	huge[8] = 0xFF // implausible item count
 	huge[9] = 0xFF
 	huge[10] = 0xFF
@@ -157,19 +162,6 @@ func FuzzColumnarPageDecode(f *testing.F) {
 		if len(b.F64) != b.N*b.Dim {
 			t.Fatal("block buffer length disagrees with its shape")
 		}
-		if b.F32 != nil && len(b.F32) != b.N*b.Dim {
-			t.Fatal("float32 sibling length disagrees with block shape")
-		}
-		if b.Codes != nil {
-			if len(b.Codes) != b.N*b.Dim {
-				t.Fatal("code sibling length disagrees with block shape")
-			}
-			if b.CodeBits < 1 || b.CodeBits > 8 {
-				t.Fatalf("accepted %d quantization bits", b.CodeBits)
-			}
-		} else if b.CodeBits != 0 {
-			t.Fatal("code bits without a code section")
-		}
 		for i := range p.Items {
 			if dim > 0 && &p.Items[i].Vec[0] != &b.Item(i)[0] {
 				t.Fatalf("item %d vector does not alias its block row", i)
@@ -179,8 +171,20 @@ func FuzzColumnarPageDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of decoded page failed: %v", err)
 		}
-		if string(re) != string(data) {
+		// The writer emits no legacy sections: the round trip reproduces
+		// the record up to the end of the items, with flags and
+		// quantization bits cleared, and a checksum of its own.
+		flags := binary.LittleEndian.Uint32(data[16:20])
+		legacy := int(legacySectionsLen(flags, uint64(b.N), uint64(b.Dim)))
+		if len(re) != len(data)-legacy {
+			t.Fatalf("re-encoded record is %d bytes, want %d-%d", len(re), len(data), legacy)
+		}
+		if flags == 0 && string(re) != string(data) {
 			t.Fatal("decode/encode round trip altered the record")
+		}
+		items := len(re) - pageTrailerLen
+		if string(re[:16]) != string(data[:16]) || string(re[pageHeaderLenV2:items]) != string(data[pageHeaderLenV2:items]) {
+			t.Fatal("decode/encode round trip altered the header or the items")
 		}
 	})
 }
@@ -218,44 +222,44 @@ func FuzzManifestDecode(f *testing.F) {
 		}
 		return body
 	}
-	validV2 := func(n, dim, capacity, qbits int) []byte {
+	// validV2 is a columnar manifest; with legacy set it has the shape an
+	// earlier build's -layout quant wrote: longer records and a "quant"
+	// key this build ignores.
+	validV2 := func(n, dim, capacity int, legacy bool) []byte {
 		pages, err := Paginate(testItems(n, dim), capacity)
 		if err != nil {
 			f.Fatal(err)
 		}
-		spec := ColumnSpec{Columnar: true, F32: true}
+		if err := Columnize(pages, ColumnSpec{Columnar: true}); err != nil {
+			f.Fatal(err)
+		}
 		man := Manifest{
 			Magic: ManifestMagic, Version: FormatVersionColumnar, Generation: 1,
 			Items: n, Dim: dim, PageCapacity: capacity,
 			PagesFile: "pages-g00000001.dat",
-			Columnar:  true, F32: true,
-		}
-		if qbits > 0 {
-			lo, hi := CoordinateBounds(pages, dim)
-			g, err := vec.BuildQuantGrid(qbits, lo, hi)
-			if err != nil {
-				f.Fatal(err)
-			}
-			spec.Quant = g
-			man.Quant = NewQuantGridManifest(g)
-		}
-		if err := Columnize(pages, spec); err != nil {
-			f.Fatal(err)
+			Columnar:  true,
 		}
 		for _, p := range pages {
 			rec, err := EncodePage(p, dim)
 			if err != nil {
 				f.Fatal(err)
 			}
+			length := int64(len(rec))
+			if legacy {
+				length += int64(legacySectionsLen(pageFlagLegacyQuant, uint64(len(p.Items)), uint64(dim)))
+			}
 			man.Pages = append(man.Pages, PageEntry{
-				Offset: man.PagesBytes, Length: int64(len(rec)),
+				Offset: man.PagesBytes, Length: length,
 				Items: len(p.Items), CRC32C: crcOf(rec),
 			})
-			man.PagesBytes += int64(len(rec))
+			man.PagesBytes += length
 		}
 		body, err := EncodeManifest(&man)
 		if err != nil {
 			f.Fatal(err)
+		}
+		if legacy {
+			body = append([]byte(`{"quant":{"bits":6,"min":[0,0,0],"step":[1,1,1]},`), body[1:]...)
 		}
 		return body
 	}
@@ -265,8 +269,8 @@ func FuzzManifestDecode(f *testing.F) {
 	f.Add(valid(0, 0, 4))
 	f.Add(valid(40, 4, 16))
 	f.Add(valid(7, 2, 3))
-	f.Add(validV2(12, 3, 5, 0))
-	f.Add(validV2(12, 3, 5, 6))
+	f.Add(validV2(12, 3, 5, false))
+	f.Add(validV2(12, 3, 5, true))
 	evil := valid(7, 2, 3)
 	f.Add([]byte(string(evil)[:len(evil)/2]))
 
@@ -278,14 +282,11 @@ func FuzzManifestDecode(f *testing.F) {
 		if m.Magic != ManifestMagic || (m.Version != FormatVersion && m.Version != FormatVersionColumnar) {
 			t.Fatal("accepted manifest with wrong magic or version")
 		}
-		if m.Version == FormatVersion && (m.Columnar || m.F32 || m.Quant != nil) {
-			t.Fatal("accepted version-1 manifest claiming columnar fields")
+		if m.Version == FormatVersion && m.Columnar {
+			t.Fatal("accepted version-1 manifest claiming the columnar field")
 		}
 		if m.Version == FormatVersionColumnar && !m.Columnar {
 			t.Fatal("accepted version-2 manifest without the columnar flag")
-		}
-		if q := m.Quant; q != nil && (q.Bits < 1 || q.Bits > 8 || len(q.Min) != m.Dim || len(q.Step) != m.Dim) {
-			t.Fatal("accepted manifest with malformed quantization grid")
 		}
 		if m.Items < 0 || m.Dim < 0 || m.PageCapacity < 0 || m.Generation < 0 {
 			t.Fatal("accepted manifest with negative shape")

@@ -38,10 +38,9 @@ const InvalidPage PageID = -1
 // Page is a fixed-capacity data page holding items.
 //
 // When Cols is non-nil the page is columnar: the item coordinates live in
-// one contiguous item-major float64 buffer (plus optional float32 and
-// quantized siblings) and every Items[i].Vec aliases its row of that
-// buffer. Per-pair code therefore reads the exact same values either way;
-// the block only adds contiguity and the sibling representations. Cols is
+// one contiguous item-major float64 buffer and every Items[i].Vec aliases
+// its row of that buffer. Per-pair code therefore reads the exact same
+// values either way; the block only adds contiguity. Cols is
 // set at build time (Columnize, engine configs) or by the version-2 page
 // decoder, never mutated while a page is served.
 type Page struct {

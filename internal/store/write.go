@@ -71,15 +71,10 @@ type DatasetMeta struct {
 	PageCapacity int
 	// Attrs is copied into the manifest verbatim.
 	Attrs map[string]string
-	// Columnar requests version-2 columnar page records even without
-	// sibling sections (a dataset that opens straight into SoA pages).
-	// Pages that already carry a columnar block force this on.
+	// Columnar requests version-2 columnar page records (a dataset that
+	// opens straight into SoA pages). Pages that already carry a columnar
+	// block force this on.
 	Columnar bool
-	// F32 requests the float32 sibling section in every page record.
-	F32 bool
-	// QuantBits, when 1..8, requests quantized code sections on a
-	// dataset-wide grid computed from the pages' coordinate bounds.
-	QuantBits int
 }
 
 // WriteDataset builds (or atomically replaces) the persistent dataset in
@@ -123,51 +118,21 @@ func WriteDataset(dir string, pages []*Page, meta DatasetMeta, opts WriteOptions
 	// Resolve the columnar shape of the build: what the meta requests,
 	// widened by whatever the pages already carry (a page that arrives
 	// with a block is encoded as a version-2 record, so the manifest must
-	// say so). Requested-but-missing representations are materialized
-	// here, before any byte is written.
-	spec := ColumnSpec{Columnar: meta.Columnar, F32: meta.F32}
-	var grid *vec.QuantGrid
-	wantBits := meta.QuantBits
+	// say so). Missing blocks are materialized here, before any byte is
+	// written.
+	spec := ColumnSpec{Columnar: meta.Columnar}
 	for _, p := range pages {
-		if c := p.Cols; c != nil {
+		if p.Cols != nil {
 			spec.Columnar = true
-			if c.F32 != nil {
-				spec.F32 = true
-			}
-			if c.Codes != nil {
-				if grid == nil && c.Grid != nil {
-					grid = c.Grid
-				}
-				if wantBits == 0 {
-					wantBits = c.CodeBits // gridless pages: rebuild at their width
-				}
-			}
 		}
 	}
-	if wantBits != 0 || grid != nil {
-		if grid == nil || (wantBits != 0 && grid.Bits != wantBits) {
-			lo, hi := CoordinateBounds(pages, dim)
-			var err error
-			if grid, err = vec.BuildQuantGrid(wantBits, lo, hi); err != nil {
-				return fmt.Errorf("store: %w", err)
-			}
-		}
-		spec.Quant = grid
-	}
-	if spec.Any() {
-		spec.Columnar = true
+	if spec.Columnar {
 		for _, p := range pages {
 			if err := ColumnizePage(p, spec); err != nil {
 				return err
 			}
 			if len(p.Items) == 0 && p.Cols == nil {
 				p.Cols = vec.NewBlock(dim, 0) // itemless pages still need v2 records
-			}
-			// Codes from a foreign grid would desynchronize record and
-			// manifest; re-derive on the dataset-wide grid (idempotent
-			// when the grids match).
-			if grid != nil && p.Cols != nil && len(p.Items) > 0 && p.Cols.Grid != grid {
-				p.Cols.DeriveCodes(grid)
 			}
 		}
 	}
@@ -197,8 +162,6 @@ func WriteDataset(dir string, pages []*Page, meta DatasetMeta, opts WriteOptions
 		PagesFile:    pagesName,
 		Attrs:        meta.Attrs,
 		Columnar:     spec.Columnar,
-		F32:          spec.F32,
-		Quant:        NewQuantGridManifest(spec.Quant),
 		Pages:        make([]PageEntry, 0, len(pages)),
 	}
 
@@ -378,6 +341,9 @@ func (w *buildWriter) syncDir() error {
 func readManifest(dir string) (*Manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
+		if st, serr := os.Stat(dir); serr == nil && !st.IsDir() {
+			return nil, fmt.Errorf("%w: %s is a file, not a dataset directory (single-file datasets are no longer read: regenerate it with msqgen)", ErrNoDataset, dir)
+		}
 		if os.IsNotExist(err) {
 			return nil, fmt.Errorf("%w in %s", ErrNoDataset, dir)
 		}

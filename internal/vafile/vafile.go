@@ -49,9 +49,8 @@ type Config struct {
 	// fault-injected storage. Approximations are built from the in-memory
 	// pages, so construction never reads through the wrapper.
 	WrapDisk func(store.PageSource) (store.PageSource, error)
-	// Columns selects which sibling representations (columnar float64
-	// block, float32, quantized codes) are materialized on each page at
-	// build time for the blocked distance kernels.
+	// Columns selects whether a columnar float64 block is materialized on
+	// each page at build time for the blocked distance kernels.
 	Columns store.ColumnSpec
 }
 

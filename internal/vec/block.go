@@ -7,28 +7,14 @@ import (
 
 // Block is the columnar (SoA) representation of one page's item
 // coordinates: a single contiguous item-major float64 buffer instead of
-// one heap allocation per item, plus optional reduced-precision sibling
-// representations materialized at build time.
+// one heap allocation per item.
 //
 //	F64:   [item0 d0..dDim-1 | item1 d0..dDim-1 | ...]   8·Dim bytes/item
-//	F32:   same layout in float32                         4·Dim bytes/item
-//	Codes: same layout, one cell index byte per dimension  Dim bytes/item
 //
-// F64 is always present and is the source of truth: page Items alias rows
-// of it (Item(i) returns a subslice, never a copy), so every existing
-// per-pair code path reads the exact same float64 values whether or not a
-// block is attached — attaching one can change memory placement but never
-// results. The siblings trade precision for memory bandwidth:
-//
-//   - F32 stores coordinates rounded to float32. Distances computed over
-//     it (see RowWithinF32) accumulate in float64, so the only error is
-//     the half-ulp input rounding: for the coordinatewise metrics this
-//     bounds the distance error by ~Dim·2⁻²⁴ relative to the coordinate
-//     magnitudes — documented, not hidden, and opted into per open.
-//   - Codes is a VA-file-style fixed-bit quantization on a dataset-wide
-//     per-dimension grid (Grid). It supports only lower-bound filtering
-//     (QuantFilter): a code-level rejection proves dist > limit, and
-//     survivors are always refined on F64, so answers stay bit-identical.
+// Page Items alias rows of F64 (Item(i) returns a subslice, never a copy),
+// so every per-pair code path reads the exact same float64 values whether
+// or not a block is attached — attaching one can change memory placement
+// but never results.
 type Block struct {
 	// Dim is the dimensionality of every row.
 	Dim int
@@ -37,25 +23,9 @@ type Block struct {
 	// F64 is the item-major coordinate buffer, len N*Dim. Always non-nil
 	// for a built block.
 	F64 []float64
-	// F32 is the optional float32 sibling, len N*Dim when present.
-	F32 []float32
-	// Codes is the optional quantized sibling, one byte per coordinate
-	// (len N*Dim) regardless of CodeBits, which keeps decoding trivial
-	// and rows addressable; CodeBits ≤ 8 bounds the cell count.
-	Codes []uint8
-	// CodeBits is the quantization width in bits (1..8) when Codes is
-	// present. It is stored on the block (not only on Grid) because a
-	// decoded page record carries the codes and their width before the
-	// dataset-wide grid is attached.
-	CodeBits int
-	// Grid is the dataset-wide quantization grid for Codes. It is
-	// attached by whoever built or loaded the dataset; Codes without a
-	// Grid can be re-encoded to disk but not used for filtering.
-	Grid *QuantGrid
 }
 
-// NewBlock allocates a block for n items of the given dimensionality with
-// only the float64 representation.
+// NewBlock allocates a block for n items of the given dimensionality.
 func NewBlock(dim, n int) *Block {
 	return &Block{Dim: dim, N: n, F64: make([]float64, n*dim)}
 }
@@ -66,22 +36,6 @@ func (b *Block) Item(i int) Vector {
 	return b.F64[i*b.Dim : (i+1)*b.Dim : (i+1)*b.Dim]
 }
 
-// ItemF32 returns row i of the float32 sibling; nil if absent.
-func (b *Block) ItemF32(i int) []float32 {
-	if b.F32 == nil {
-		return nil
-	}
-	return b.F32[i*b.Dim : (i+1)*b.Dim : (i+1)*b.Dim]
-}
-
-// ItemCodes returns row i of the quantized sibling; nil if absent.
-func (b *Block) ItemCodes(i int) []uint8 {
-	if b.Codes == nil {
-		return nil
-	}
-	return b.Codes[i*b.Dim : (i+1)*b.Dim : (i+1)*b.Dim]
-}
-
 // SetItem copies v into row i of the float64 buffer.
 func (b *Block) SetItem(i int, v Vector) {
 	if len(v) != b.Dim {
@@ -90,267 +44,13 @@ func (b *Block) SetItem(i int, v Vector) {
 	copy(b.F64[i*b.Dim:(i+1)*b.Dim], v)
 }
 
-// DeriveF32 (re)materializes the float32 sibling by rounding F64.
-func (b *Block) DeriveF32() {
-	if b.F32 == nil {
-		b.F32 = make([]float32, len(b.F64))
-	}
-	for i, v := range b.F64 {
-		b.F32[i] = float32(v)
-	}
-}
-
-// DeriveCodes (re)materializes the quantized sibling on grid g and
-// attaches it.
-func (b *Block) DeriveCodes(g *QuantGrid) {
-	if g.Dim() != b.Dim {
-		panic(fmt.Sprintf("vec: grid dim %d, block dim %d", g.Dim(), b.Dim))
-	}
-	if b.Codes == nil {
-		b.Codes = make([]uint8, len(b.F64))
-	}
-	for i := 0; i < b.N; i++ {
-		g.EncodeInto(b.Item(i), b.Codes[i*b.Dim:(i+1)*b.Dim])
-	}
-	b.Grid = g
-	b.CodeBits = g.Bits
-}
-
-// ToF32 rounds a float64 vector to float32, the query-side counterpart of
-// Block.DeriveF32 (both sides of an F32 distance must be rounded the same
-// way for the documented error bound to hold).
-func ToF32(v Vector) []float32 {
-	out := make([]float32, len(v))
-	for i, x := range v {
-		out[i] = float32(x)
-	}
-	return out
-}
-
-// QuantGrid is a dataset-wide equi-width per-dimension quantization grid:
-// dimension d is cut into 2^Bits cells of width Step[d] starting at
-// Min[d]. It mirrors the VA-file construction in internal/vafile but lives
-// here so the storage layer and the kernels can share it without a
-// dependency cycle.
-type QuantGrid struct {
-	// Bits is the per-dimension cell index width, 1..8.
-	Bits int
-	// Min is the lower edge of cell 0 per dimension.
-	Min []float64
-	// Step is the cell width per dimension; 0 for degenerate dimensions
-	// (all values identical), which the encoder and filter handle
-	// explicitly.
-	Step []float64
-}
-
-// BuildQuantGrid constructs a grid from per-dimension data bounds.
-func BuildQuantGrid(bits int, lo, hi []float64) (*QuantGrid, error) {
-	if bits < 1 || bits > 8 {
-		return nil, fmt.Errorf("vec: quantization bits must be in [1,8], got %d", bits)
-	}
-	if len(lo) != len(hi) {
-		return nil, fmt.Errorf("vec: bound slices disagree: %d vs %d dims", len(lo), len(hi))
-	}
-	cells := float64(int(1) << bits)
-	g := &QuantGrid{Bits: bits, Min: make([]float64, len(lo)), Step: make([]float64, len(lo))}
-	for d := range lo {
-		if math.IsNaN(lo[d]) || math.IsNaN(hi[d]) || math.IsInf(lo[d], 0) || math.IsInf(hi[d], 0) {
-			return nil, fmt.Errorf("vec: non-finite bound on dimension %d", d)
-		}
-		if hi[d] < lo[d] {
-			return nil, fmt.Errorf("vec: inverted bounds on dimension %d", d)
-		}
-		g.Min[d] = lo[d]
-		g.Step[d] = (hi[d] - lo[d]) / cells
-		if g.Step[d] == 0 && hi[d] > lo[d] {
-			// The division underflowed on a pathologically narrow
-			// dimension; one full-range cell keeps every invariant the
-			// filter relies on (values below boundary(1) = hi).
-			g.Step[d] = hi[d] - lo[d]
-		}
-	}
-	return g, nil
-}
-
-// Dim returns the grid's dimensionality.
-func (g *QuantGrid) Dim() int { return len(g.Min) }
-
-// Cells returns the number of cells per dimension.
-func (g *QuantGrid) Cells() int { return 1 << g.Bits }
-
-// boundary returns the lower edge of cell c on dimension d.
-func (g *QuantGrid) boundary(d, c int) float64 {
-	return g.Min[d] + g.Step[d]*float64(c)
-}
-
-// EncodeInto quantizes v into dst (len == Dim). Cell assignment divides by
-// the step, then nudges against the computed boundaries — the same
-// floating-point edge-drift guard the VA-file uses — so the invariant
-// boundary(c) <= v (for c > 0) and v < boundary(c+1) (for c < cells-1)
-// holds exactly. Values outside the grid (possible when the grid was built
-// from different data) clamp into the edge cells; the filter treats the
-// edge cells as open-ended, so clamping stays sound.
-func (g *QuantGrid) EncodeInto(v Vector, dst []uint8) {
-	if len(v) != len(g.Min) || len(dst) != len(g.Min) {
-		panic(fmt.Sprintf("vec: grid dim %d, vector dim %d, dst %d", len(g.Min), len(v), len(dst)))
-	}
-	top := g.Cells() - 1
-	for d, x := range v {
-		c := 0
-		if step := g.Step[d]; step > 0 {
-			c = int((x - g.Min[d]) / step)
-			if c < 0 {
-				c = 0
-			}
-			if c > top {
-				c = top
-			}
-			for c > 0 && x < g.boundary(d, c) {
-				c--
-			}
-			for c < top && x >= g.boundary(d, c+1) {
-				c++
-			}
-		}
-		// Degenerate dimensions (Step == 0: every value equal) stay in
-		// cell 0, where v == boundary(1) holds non-strictly — exactly
-		// what the filter's upper-gap bound needs.
-		dst[d] = uint8(c)
-	}
-}
-
-// quantXform selects how QuantFilter transforms a distance limit into the
-// pre-finalization accumulation space its table lives in.
-type quantXform int
-
-const (
-	xformIdentity quantXform = iota // L1, L∞: accumulate plain gaps
-	xformSquare                     // L2, weighted L2: accumulate squared gaps
-	xformPow                        // general Lp: accumulate gap^p
-)
-
-// QuantFilter is the per-query lower-bound filter over quantized codes: a
-// precomputed dim×cells table of per-dimension gap terms between the query
-// coordinate and the nearest edge of each cell, in the metric's
-// pre-finalization space. Accumulating the table entries for an item's
-// codes yields a lower bound on the true distance (every coordinate of the
-// item lies inside its cell, edge cells open-ended), so Exceeds==true
-// proves dist > limit without touching the item's coordinates.
-//
-// The filter is sound for the coordinatewise metrics only; NewQuantFilter
-// returns nil for anything else (e.g. the quadratic form) and a nil filter
-// rejects nothing.
-type QuantFilter struct {
-	dim, cells int
-	table      []float64 // dim*cells pre-finalization gap terms
-	xform      quantXform
-	p          float64 // order for xformPow
-	maxCombine bool    // Chebyshev: combine by max instead of sum
-}
-
-// NewQuantFilter builds the filter for query q under metric m on grid g,
-// or nil when the metric does not support code-level lower bounds.
-// Counting wrappers are stripped first.
-func NewQuantFilter(m Metric, g *QuantGrid, q Vector) *QuantFilter {
-	base := BaseMetric(m)
-	dim, cells := g.Dim(), g.Cells()
-	if len(q) != dim {
-		panic(fmt.Sprintf("vec: grid dim %d, query dim %d", dim, len(q)))
-	}
-	f := &QuantFilter{dim: dim, cells: cells, table: make([]float64, dim*cells)}
-	var term func(d int, gap float64) float64
-	switch bm := base.(type) {
-	case Euclidean:
-		f.xform = xformSquare
-		term = func(_ int, gap float64) float64 { return gap * gap }
-	case Manhattan:
-		f.xform = xformIdentity
-		term = func(_ int, gap float64) float64 { return gap }
-	case Chebyshev:
-		f.xform = xformIdentity
-		f.maxCombine = true
-		term = func(_ int, gap float64) float64 { return gap }
-	case Minkowski:
-		switch bm.p {
-		case 1:
-			f.xform = xformIdentity
-			term = func(_ int, gap float64) float64 { return gap }
-		case 2:
-			f.xform = xformSquare
-			term = func(_ int, gap float64) float64 { return gap * gap }
-		default:
-			f.xform = xformPow
-			f.p = bm.p
-			term = func(_ int, gap float64) float64 { return bm.term(gap) }
-		}
-	case *WeightedEuclidean:
-		if len(bm.weights) != dim {
-			return nil
-		}
-		f.xform = xformSquare
-		w := bm.weights
-		term = func(d int, gap float64) float64 { return w[d] * gap * gap }
-	default:
-		return nil
-	}
-	for d := 0; d < dim; d++ {
-		qv := q[d]
-		for c := 0; c < cells; c++ {
-			var gap float64
-			if lo := g.boundary(d, c); c > 0 && qv < lo {
-				gap = lo - qv
-			} else if hi := g.boundary(d, c+1); c < cells-1 && qv > hi {
-				gap = qv - hi
-			}
-			f.table[d*cells+c] = term(d, gap)
-		}
-	}
-	return f
-}
-
-// Exceeds reports whether the code-level lower bound for an item with the
-// given codes provably exceeds limit, i.e. the true distance to the
-// filter's query is > limit and the pair can be skipped without reading
-// coordinates. A nil filter rejects nothing.
-func (f *QuantFilter) Exceeds(codes []uint8, limit float64) bool {
-	if f == nil {
-		return false
-	}
-	var t float64
-	switch f.xform {
-	case xformSquare:
-		t = limit * limit
-	case xformPow:
-		t = math.Pow(limit, f.p)
-	default:
-		t = limit
-	}
-	table, cells := f.table, f.cells
-	if f.maxCombine {
-		for d, c := range codes {
-			if table[d*cells+int(c)] > t {
-				return true
-			}
-		}
-		return false
-	}
-	var s float64
-	for d, c := range codes {
-		s += table[d*cells+int(c)]
-		if s > t {
-			return true
-		}
-	}
-	return false
-}
-
 // BlockKernel evaluates one item of a columnar block against many queries
 // at once: the row-at-a-time building block of the blocked page pass. The
 // m-queries × page-items tile streams each item row through the cache once
 // for the whole active set, and the per-metric implementations call the
-// exact scalar kernel bodies (euclideanWithin and friends), so for float64
-// the results — d, within, and the abandon point — are bit-identical to m
-// independent DistanceWithin calls with the same limits.
+// exact scalar kernel bodies (euclideanWithin and friends), so the results
+// — d, within, and the abandon point — are bit-identical to m independent
+// DistanceWithin calls with the same limits.
 type BlockKernel interface {
 	// RowWithin evaluates every query against item i of b under the
 	// per-query limits, writing distances to dOut and within flags to
@@ -362,20 +62,6 @@ type BlockKernel interface {
 	// rather than pay the scalar kernel's abandon-point square root), and
 	// the page passes never read it.
 	RowWithin(queries []Vector, b *Block, i int, limits []float64, dOut []float64, wOut []bool) int
-
-	// RowWithinF32 is RowWithin over the float32 sibling: queries must be
-	// pre-rounded with ToF32, accumulation is float64, and results carry
-	// the documented input-rounding error. Panics when the metric has no
-	// float32 kernel — guard with SupportsF32.
-	RowWithinF32(queries [][]float32, b *Block, i int, limits []float64, dOut []float64, wOut []bool) int
-
-	// PairWithinF32 is the single-pair float32 evaluation used by code
-	// paths (triangle-inequality avoidance) that cannot batch a whole
-	// row. Panics when the metric has no float32 kernel.
-	PairWithinF32(q []float32, b *Block, i int, limit float64) (float64, bool)
-
-	// SupportsF32 reports whether the float32 entry points are available.
-	SupportsF32() bool
 }
 
 // NewBlockKernel returns the blocked kernel for m: a specialized
@@ -405,21 +91,6 @@ func NewBlockKernel(m BoundedMetric) BlockKernel {
 	return genericBlockKernel{bm: m}
 }
 
-// DistanceBlockWithin evaluates the queries × items tile over rows
-// [lo, hi) of b: row i-lo of dOut/wOut receives the per-query results for
-// item i, exactly as RowWithin would produce them. It returns the batch
-// counter deltas — calcs evaluations performed, abandoned of them resolved
-// by their limit — for a single Counting.AddCalls settlement per block.
-func DistanceBlockWithin(k BlockKernel, queries []Vector, b *Block, lo, hi int, limits []float64, dOut [][]float64, wOut [][]bool) (calcs, abandoned int64) {
-	m := int64(len(queries))
-	for i := lo; i < hi; i++ {
-		ab := k.RowWithin(queries, b, i, limits, dOut[i-lo], wOut[i-lo])
-		calcs += m
-		abandoned += int64(ab)
-	}
-	return calcs, abandoned
-}
-
 // eucBlockKernel is the Euclidean row kernel. Queries are processed in
 // groups of four so the item row — just loaded into L1 — feeds four
 // independent accumulation chains; when none of the group's limits is
@@ -427,8 +98,6 @@ func DistanceBlockWithin(k BlockKernel, queries []Vector, b *Block, lo, hi int, 
 // otherwise the bounded interleaved path (euclideanRow4) does, whose
 // flags and within-distances match the scalar kernel bit-for-bit.
 type eucBlockKernel struct{}
-
-func (eucBlockKernel) SupportsF32() bool { return true }
 
 func (eucBlockKernel) RowWithin(queries []Vector, b *Block, i int, limits []float64, dOut []float64, wOut []bool) int {
 	it := b.Item(i)
@@ -452,23 +121,6 @@ func (eucBlockKernel) RowWithin(queries []Vector, b *Block, i int, limits []floa
 		}
 	}
 	return ab
-}
-
-func (eucBlockKernel) RowWithinF32(queries [][]float32, b *Block, i int, limits []float64, dOut []float64, wOut []bool) int {
-	it := b.ItemF32(i)
-	ab := 0
-	for a := range queries {
-		d, w := euclideanWithinF32(queries[a], it, limits[a])
-		dOut[a], wOut[a] = d, w
-		if !w {
-			ab++
-		}
-	}
-	return ab
-}
-
-func (eucBlockKernel) PairWithinF32(q []float32, b *Block, i int, limit float64) (float64, bool) {
-	return euclideanWithinF32(q, b.ItemF32(i), limit)
 }
 
 // euclideanRow4Inf accumulates four unbounded Euclidean distances against
@@ -664,44 +316,8 @@ func euclideanRow4(q0, q1, q2, q3, it Vector, limits, dOut []float64, wOut []boo
 	return ab
 }
 
-// euclideanWithinF32 is the early-abandoning Euclidean kernel over float32
-// coordinates with float64 accumulation: the error versus the exact
-// distance comes only from rounding the inputs to float32.
-func euclideanWithinF32(a, b []float32, limit float64) (float64, bool) {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vec: dimension mismatch: %d vs %d", len(a), len(b)))
-	}
-	lim2 := limit * limit
-	var s float64
-	n := len(a)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		d0 := float64(a[i]) - float64(b[i])
-		s += d0 * d0
-		d1 := float64(a[i+1]) - float64(b[i+1])
-		s += d1 * d1
-		d2 := float64(a[i+2]) - float64(b[i+2])
-		s += d2 * d2
-		d3 := float64(a[i+3]) - float64(b[i+3])
-		s += d3 * d3
-		if s > lim2 {
-			if d := math.Sqrt(s); d > limit {
-				return d, false
-			}
-		}
-	}
-	for ; i < n; i++ {
-		d := float64(a[i]) - float64(b[i])
-		s += d * d
-	}
-	d := math.Sqrt(s)
-	return d, d <= limit
-}
-
 // manBlockKernel is the L1 row kernel.
 type manBlockKernel struct{}
-
-func (manBlockKernel) SupportsF32() bool { return true }
 
 func (manBlockKernel) RowWithin(queries []Vector, b *Block, i int, limits []float64, dOut []float64, wOut []bool) int {
 	it := b.Item(i)
@@ -716,51 +332,8 @@ func (manBlockKernel) RowWithin(queries []Vector, b *Block, i int, limits []floa
 	return ab
 }
 
-func (manBlockKernel) RowWithinF32(queries [][]float32, b *Block, i int, limits []float64, dOut []float64, wOut []bool) int {
-	it := b.ItemF32(i)
-	ab := 0
-	for a := range queries {
-		d, w := manhattanWithinF32(queries[a], it, limits[a])
-		dOut[a], wOut[a] = d, w
-		if !w {
-			ab++
-		}
-	}
-	return ab
-}
-
-func (manBlockKernel) PairWithinF32(q []float32, b *Block, i int, limit float64) (float64, bool) {
-	return manhattanWithinF32(q, b.ItemF32(i), limit)
-}
-
-// manhattanWithinF32 is the early-abandoning L1 kernel over float32
-// coordinates with float64 accumulation.
-func manhattanWithinF32(a, b []float32, limit float64) (float64, bool) {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vec: dimension mismatch: %d vs %d", len(a), len(b)))
-	}
-	var s float64
-	n := len(a)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s += math.Abs(float64(a[i]) - float64(b[i]))
-		s += math.Abs(float64(a[i+1]) - float64(b[i+1]))
-		s += math.Abs(float64(a[i+2]) - float64(b[i+2]))
-		s += math.Abs(float64(a[i+3]) - float64(b[i+3]))
-		if s > limit {
-			return s, false
-		}
-	}
-	for ; i < n; i++ {
-		s += math.Abs(float64(a[i]) - float64(b[i]))
-	}
-	return s, s <= limit
-}
-
 // chebBlockKernel is the L∞ row kernel.
 type chebBlockKernel struct{}
-
-func (chebBlockKernel) SupportsF32() bool { return true }
 
 func (chebBlockKernel) RowWithin(queries []Vector, b *Block, i int, limits []float64, dOut []float64, wOut []bool) int {
 	it := b.Item(i)
@@ -775,61 +348,8 @@ func (chebBlockKernel) RowWithin(queries []Vector, b *Block, i int, limits []flo
 	return ab
 }
 
-func (chebBlockKernel) RowWithinF32(queries [][]float32, b *Block, i int, limits []float64, dOut []float64, wOut []bool) int {
-	it := b.ItemF32(i)
-	ab := 0
-	for a := range queries {
-		d, w := chebyshevWithinF32(queries[a], it, limits[a])
-		dOut[a], wOut[a] = d, w
-		if !w {
-			ab++
-		}
-	}
-	return ab
-}
-
-func (chebBlockKernel) PairWithinF32(q []float32, b *Block, i int, limit float64) (float64, bool) {
-	return chebyshevWithinF32(q, b.ItemF32(i), limit)
-}
-
-// chebyshevWithinF32 is the early-abandoning L∞ kernel over float32
-// coordinates with float64 accumulation.
-func chebyshevWithinF32(a, b []float32, limit float64) (float64, bool) {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vec: dimension mismatch: %d vs %d", len(a), len(b)))
-	}
-	var m float64
-	n := len(a)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		if d := math.Abs(float64(a[i]) - float64(b[i])); d > m {
-			m = d
-		}
-		if d := math.Abs(float64(a[i+1]) - float64(b[i+1])); d > m {
-			m = d
-		}
-		if d := math.Abs(float64(a[i+2]) - float64(b[i+2])); d > m {
-			m = d
-		}
-		if d := math.Abs(float64(a[i+3]) - float64(b[i+3])); d > m {
-			m = d
-		}
-		if m > limit {
-			return m, false
-		}
-	}
-	for ; i < n; i++ {
-		if d := math.Abs(float64(a[i]) - float64(b[i])); d > m {
-			m = d
-		}
-	}
-	return m, m <= limit
-}
-
 // minkBlockKernel is the general-order Lp row kernel (p ∉ {1, 2}).
 type minkBlockKernel struct{ m Minkowski }
-
-func (minkBlockKernel) SupportsF32() bool { return false }
 
 func (k minkBlockKernel) RowWithin(queries []Vector, b *Block, i int, limits []float64, dOut []float64, wOut []bool) int {
 	it := b.Item(i)
@@ -844,18 +364,8 @@ func (k minkBlockKernel) RowWithin(queries []Vector, b *Block, i int, limits []f
 	return ab
 }
 
-func (minkBlockKernel) RowWithinF32([][]float32, *Block, int, []float64, []float64, []bool) int {
-	panic("vec: Minkowski block kernel has no float32 path")
-}
-
-func (minkBlockKernel) PairWithinF32([]float32, *Block, int, float64) (float64, bool) {
-	panic("vec: Minkowski block kernel has no float32 path")
-}
-
 // wgtBlockKernel is the weighted-L2 row kernel.
 type wgtBlockKernel struct{ m *WeightedEuclidean }
-
-func (wgtBlockKernel) SupportsF32() bool { return false }
 
 func (k wgtBlockKernel) RowWithin(queries []Vector, b *Block, i int, limits []float64, dOut []float64, wOut []bool) int {
 	it := b.Item(i)
@@ -870,21 +380,11 @@ func (k wgtBlockKernel) RowWithin(queries []Vector, b *Block, i int, limits []fl
 	return ab
 }
 
-func (wgtBlockKernel) RowWithinF32([][]float32, *Block, int, []float64, []float64, []bool) int {
-	panic("vec: weighted Euclidean block kernel has no float32 path")
-}
-
-func (wgtBlockKernel) PairWithinF32([]float32, *Block, int, float64) (float64, bool) {
-	panic("vec: weighted Euclidean block kernel has no float32 path")
-}
-
 // genericBlockKernel evaluates rows through the wrapped BoundedMetric —
 // the fallback for metrics without a specialized kernel. Results are
 // identical to per-pair calls by construction; only the dispatch saving is
 // lost.
 type genericBlockKernel struct{ bm BoundedMetric }
-
-func (genericBlockKernel) SupportsF32() bool { return false }
 
 func (k genericBlockKernel) RowWithin(queries []Vector, b *Block, i int, limits []float64, dOut []float64, wOut []bool) int {
 	it := b.Item(i)
@@ -897,12 +397,4 @@ func (k genericBlockKernel) RowWithin(queries []Vector, b *Block, i int, limits 
 		}
 	}
 	return ab
-}
-
-func (genericBlockKernel) RowWithinF32([][]float32, *Block, int, []float64, []float64, []bool) int {
-	panic("vec: metric has no float32 block kernel")
-}
-
-func (genericBlockKernel) PairWithinF32([]float32, *Block, int, float64) (float64, bool) {
-	panic("vec: metric has no float32 block kernel")
 }

@@ -18,11 +18,10 @@ import "sync/atomic"
 // abandoned counter additionally records how many of those calculations
 // were resolved by the bound instead of running to completion.
 type Counting struct {
-	inner    Metric
-	bounded  BoundedMetric // inner's native bounded kernel, or nil
-	n        atomic.Int64
-	abandon  atomic.Int64
-	filtered atomic.Int64
+	inner   Metric
+	bounded BoundedMetric // inner's native bounded kernel, or nil
+	n       atomic.Int64
+	abandon atomic.Int64
 }
 
 // NewCounting returns a counting wrapper around m.
@@ -92,17 +91,6 @@ func (c *Counting) AddCalls(calcs, abandoned int64) {
 	}
 }
 
-// AddFiltered credits rows excluded by a lossy filter (quantized-page
-// refinement, VA-file bounds) before any distance calculation ran. The
-// cumulative counter is the lifetime sibling of the per-batch
-// Stats.QuantFiltered delta, giving operators the full distance-work
-// partition next to Count()/Abandoned().
-func (c *Counting) AddFiltered(n int64) {
-	if n != 0 {
-		c.filtered.Add(n)
-	}
-}
-
 // fullKernel adapts a metric without a native bounded kernel to the
 // BoundedMetric contract by always computing the full distance.
 type fullKernel struct{ m Metric }
@@ -126,15 +114,10 @@ func (c *Counting) Count() int64 { return c.n.Load() }
 // limit (within == false) so far. Always <= Count().
 func (c *Counting) Abandoned() int64 { return c.abandon.Load() }
 
-// Filtered returns how many rows lossy filters excluded without a
-// distance calculation so far.
-func (c *Counting) Filtered() int64 { return c.filtered.Load() }
-
 // Reset sets the counters back to zero and returns the previous total
 // calculation count.
 func (c *Counting) Reset() int64 {
 	c.abandon.Store(0)
-	c.filtered.Store(0)
 	return c.n.Swap(0)
 }
 

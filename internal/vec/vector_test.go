@@ -218,19 +218,11 @@ func TestCounting(t *testing.T) {
 	if got := c.Count(); got != 5 {
 		t.Errorf("Count = %d, want 5", got)
 	}
-	c.AddFiltered(7)
-	c.AddFiltered(0)
-	if got := c.Filtered(); got != 7 {
-		t.Errorf("Filtered = %d, want 7", got)
-	}
 	if got := c.Reset(); got != 5 {
 		t.Errorf("Reset returned %d, want 5", got)
 	}
 	if got := c.Count(); got != 0 {
 		t.Errorf("Count after Reset = %d, want 0", got)
-	}
-	if got := c.Filtered(); got != 0 {
-		t.Errorf("Filtered after Reset = %d, want 0", got)
 	}
 	if c.Unwrap() != (Euclidean{}) {
 		t.Error("Unwrap did not return the inner metric")

@@ -155,9 +155,6 @@ type Stats struct {
 	// pivot-filtering engines — the rest of the distance-work partition
 	// next to DistCalcs. Zero for engines without a pivot phase.
 	PivotDistCalcs int64 `json:"pivot_dist_calcs,omitempty"`
-	// QuantFiltered counts (query, item) pairs a lossy filter excluded
-	// without any distance calculation (quant layout, VA-file bounds).
-	QuantFiltered int64 `json:"quant_filtered,omitempty"`
 	// Degraded and Coverage expose the degraded-result contract when the
 	// backing processor runs over a partitioned execution; a single-node
 	// server always reports Degraded=false, Coverage=1.
@@ -204,7 +201,6 @@ func fromStats(s msq.Stats) Stats {
 		Avoided:          s.Avoided,
 		PartialAbandoned: s.PartialAbandoned,
 		PivotDistCalcs:   s.PivotDistCalcs,
-		QuantFiltered:    s.QuantFiltered,
 		Degraded:         s.Degraded,
 		Coverage:         s.Coverage(),
 	}

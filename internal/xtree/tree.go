@@ -44,9 +44,8 @@ type Config struct {
 	// splitting, which tightens MBRs. 0 disables reinsertion (default);
 	// the R*-tree paper recommends 0.3. Must be in [0, 0.5].
 	ReinsertFraction float64
-	// Columns selects which sibling representations (columnar float64
-	// block, float32, quantized codes) Build materializes on each data
-	// page for the blocked distance kernels.
+	// Columns selects whether Build materializes a columnar float64 block
+	// on each data page for the blocked distance kernels.
 	Columns store.ColumnSpec
 }
 

@@ -4,9 +4,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"metricdb/internal/dataset"
+	"metricdb/internal/store"
 )
 
 func layoutBatch(dim int, seed int64) []Query {
@@ -26,7 +31,8 @@ func layoutBatch(dim int, seed int64) []Query {
 	}
 }
 
-func compareLayoutAnswers(t *testing.T, label string, want, got [][]Answer, tol float64) {
+// compareLayoutAnswers requires bit-identical answer lists.
+func compareLayoutAnswers(t *testing.T, label string, want, got [][]Answer) {
 	t.Helper()
 	if len(want) != len(got) {
 		t.Fatalf("%s: %d vs %d answer lists", label, len(want), len(got))
@@ -40,21 +46,17 @@ func compareLayoutAnswers(t *testing.T, label string, want, got [][]Answer, tol 
 			if a.ID != b.ID {
 				t.Fatalf("%s: query %d answer %d: id %d vs %d", label, q, i, a.ID, b.ID)
 			}
-			if tol == 0 {
-				if math.Float64bits(a.Dist) != math.Float64bits(b.Dist) {
-					t.Fatalf("%s: query %d answer %d: dist %v vs %v", label, q, i, a.Dist, b.Dist)
-				}
-			} else if math.Abs(a.Dist-b.Dist) > tol {
-				t.Fatalf("%s: query %d answer %d: |Δdist| %g exceeds %g", label, q, i, math.Abs(a.Dist-b.Dist), tol)
+			if math.Float64bits(a.Dist) != math.Float64bits(b.Dist) {
+				t.Fatalf("%s: query %d answer %d: dist %v vs %v", label, q, i, a.Dist, b.Dist)
 			}
 		}
 	}
 }
 
-// TestOpenLayouts: for every engine, each layout must answer like the
-// default AoS database — bit-identically for soa and quant, and within
-// the float32 rounding bound for f32 (whose rows engage only on
-// avoidance-free pages, so run with AvoidOff to actually exercise them).
+// TestOpenLayouts: for every engine, the soa layout must answer like the
+// default AoS database, bit-identically in answers and statistics (the
+// rows engage only on avoidance-free pages, so run with AvoidOff to
+// actually exercise them).
 func TestOpenLayouts(t *testing.T) {
 	const dim, n, capacity = 4, 260, 16
 	items := testItems(91, n, dim)
@@ -70,39 +72,30 @@ func TestOpenLayouts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, layout := range []string{"soa", "f32", "quant"} {
-			t.Run(fmt.Sprintf("%s/%s", kind, layout), func(t *testing.T) {
-				opts := base
-				opts.Layout = layout
-				db, err := Open(items, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := db.ProcessorStats().Layout; got != layout {
-					t.Errorf("ProcessorStats().Layout = %q, want %q", got, layout)
-				}
-				ans, stats, err := db.NewBatch().QueryAll(batch)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tol := 0.0
-				if layout == "f32" {
-					tol = 1e-5
-				}
-				compareLayoutAnswers(t, layout, aosAns, ans, tol)
-				if stats.PagesRead != aosStats.PagesRead {
-					t.Errorf("PagesRead = %d, aos %d", stats.PagesRead, aosStats.PagesRead)
-				}
-				if layout == "soa" && stats != aosStats {
-					t.Errorf("soa stats differ:\n  aos: %+v\n  soa: %+v", aosStats, stats)
-				}
-			})
-		}
+		t.Run(string(kind), func(t *testing.T) {
+			opts := base
+			opts.Layout = "soa"
+			db, err := Open(items, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := db.ProcessorStats().Layout; got != "soa" {
+				t.Errorf("ProcessorStats().Layout = %q, want soa", got)
+			}
+			ans, stats, err := db.NewBatch().QueryAll(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compareLayoutAnswers(t, "soa", aosAns, ans)
+			if stats != aosStats {
+				t.Errorf("soa stats differ:\n  aos: %+v\n  soa: %+v", aosStats, stats)
+			}
+		})
 	}
 }
 
 // TestOpenStoredLayouts covers both persistence directions: a version-2
-// dataset whose pages already carry the siblings must serve every layout
+// dataset whose pages already carry blocks must serve either layout
 // directly, and a plain version-1 dataset must serve them anyway by
 // columnizing pages on read (the WrapColumns path). Answers always match
 // the in-memory AoS database.
@@ -126,14 +119,14 @@ func TestOpenStoredLayouts(t *testing.T) {
 	}
 	v2 := t.TempDir()
 	if err := dataset.SaveDir(v2, items, dataset.SaveOptions{
-		PageCapacity: capacity, NoSync: true, Columnar: true, F32: true, QuantBits: 8,
+		PageCapacity: capacity, NoSync: true, Columnar: true,
 	}); err != nil {
 		t.Fatal(err)
 	}
 
 	for _, dir := range []struct{ name, path string }{{"v1", v1}, {"v2", v2}} {
 		for _, kind := range []EngineKind{EngineScan, EngineXTree, EngineVAFile} {
-			for _, layout := range []string{"aos", "soa", "f32", "quant"} {
+			for _, layout := range []string{"aos", "soa"} {
 				t.Run(fmt.Sprintf("%s/%s/%s", dir.name, kind, layout), func(t *testing.T) {
 					db, err := OpenStored(dir.path, Options{
 						Engine: kind, PageCapacity: capacity, BufferPages: 4,
@@ -150,11 +143,59 @@ func TestOpenStoredLayouts(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					tol := 0.0
-					if layout == "f32" {
-						tol = 1e-5
+					compareLayoutAnswers(t, layout, aosAns, ans)
+				})
+			}
+		}
+	}
+}
+
+// TestOpenStoredLegacySections serves the two datasets committed under
+// internal/store/testdata, written by the last build that had the f32 and
+// quant layouts (msqgen -kind uniform -n 64 -dim 4 -pagecap 16 -seed 7
+// -layout f32|quant). They must hold the items that command generates and
+// serve them exactly like the same items stored as soa: same answers, same
+// Stats, same IOStats, with and without avoidance.
+func TestOpenStoredLegacySections(t *testing.T) {
+	items := testItems(7, 64, 4)
+	soaDir := t.TempDir()
+	if err := dataset.SaveDir(soaDir, items, dataset.SaveOptions{PageCapacity: 16, NoSync: true, Columnar: true}); err != nil {
+		t.Fatal(err)
+	}
+	batch := layoutBatch(4, 96)
+	run := func(t *testing.T, dir string, opts Options) ([][]Answer, Stats, store.IOStats) {
+		t.Helper()
+		db, err := OpenStored(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close() //nolint:errcheck
+		if !reflect.DeepEqual(db.Items(), items) {
+			t.Fatalf("%s holds different items than its generator command", dir)
+		}
+		ans, stats, err := db.NewBatch().QueryAll(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ans, stats, db.IOStats()
+	}
+	for _, name := range []string{"legacy_f32", "legacy_quant"} {
+		// A copy, so engines that persist a derived layout next to the
+		// dataset do not write into testdata.
+		legacyDir := t.TempDir()
+		if err := os.CopyFS(legacyDir, os.DirFS(filepath.Join("internal", "store", "testdata", name))); err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []EngineKind{EngineScan, EngineXTree} {
+			for _, mode := range []AvoidanceMode{AvoidOff, AvoidBoth} {
+				t.Run(fmt.Sprintf("%s/%s/%v", name, kind, mode), func(t *testing.T) {
+					opts := Options{Engine: kind, BufferPages: 2, Avoidance: mode, Layout: "soa"}
+					wantAns, wantStats, wantIO := run(t, soaDir, opts)
+					ans, stats, io := run(t, legacyDir, opts)
+					compareLayoutAnswers(t, name, wantAns, ans)
+					if stats != wantStats || io != wantIO {
+						t.Errorf("legacy dataset served differently:\n  soa:    %+v %+v\n  legacy: %+v %+v", wantStats, wantIO, stats, io)
 					}
-					compareLayoutAnswers(t, layout, aosAns, ans, tol)
 				})
 			}
 		}
@@ -167,23 +208,13 @@ func TestLayoutOptionValidation(t *testing.T) {
 	if err := (Options{Layout: "columnar"}).Validate(); err == nil {
 		t.Error("unknown layout accepted")
 	}
-	if err := (Options{QuantBits: 4}).Validate(); err == nil {
-		t.Error("QuantBits without quant layout accepted")
-	}
-	if err := (Options{Layout: "quant", QuantBits: 9}).Validate(); err == nil {
-		t.Error("out-of-range QuantBits accepted")
-	}
-	if err := (Options{Layout: "quant", QuantBits: 4}).Validate(); err != nil {
-		t.Errorf("valid quant options rejected: %v", err)
+	for _, removed := range []string{"f32", "quant"} {
+		err := (Options{Layout: removed}).Validate()
+		if err == nil || !strings.Contains(err.Error(), "aos, soa") {
+			t.Errorf("layout %q: Validate returned %v, want an error listing aos, soa", removed, err)
+		}
 	}
 	if err := (Options{Layout: "soa"}).Validate(); err != nil {
 		t.Errorf("soa layout rejected: %v", err)
-	}
-	mink, err := Minkowski(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(testItems(95, 40, 3), Options{Layout: "f32", Metric: mink}); err == nil {
-		t.Error("f32 layout with a Minkowski metric accepted; no float32 kernel exists")
 	}
 }

@@ -74,25 +74,19 @@ func openStoredDirect(dir string, items []Item, dim int, opts Options, bufferPag
 		return nil, fmt.Errorf("metricdb: %w", err)
 	}
 	man := fd.Manifest()
-	// Serve pages through a columnizing wrapper when the layout wants
-	// sibling representations the stored format does not carry: a
-	// version-1 dataset (or one written without the f32/quant sections)
-	// then materializes them per page on first read, with the buffer
-	// caching the columnized page. Datasets that already store the
-	// siblings decode them directly and skip the wrapper. A stored
-	// quantization grid wins over a freshly derived one so the on-page
-	// codes and the filter agree.
-	columns, err := opts.columnSpec(items, dim)
+	layout, err := parseLayout(opts.Layout)
 	if err != nil {
 		fd.Close() //nolint:errcheck
 		return nil, err
 	}
-	if man.Quant != nil {
-		columns.Quant = nil
-	}
+	// Serve pages through a columnizing wrapper when the layout wants
+	// blocks the stored format does not carry: a version-1 dataset then
+	// materializes them per page on first read, with the buffer caching
+	// the columnized page. Columnar datasets decode straight into blocks
+	// and skip the wrapper.
 	var src store.PageSource = fd
-	if (columns.Columnar && !man.Columnar) || (columns.F32 && !man.F32) || columns.Quant != nil {
-		src = store.WrapColumns(fd, columns)
+	if !man.Columnar {
+		src = store.WrapColumns(fd, columnSpec(layout))
 	}
 	var buf *store.Buffer
 	if bufferPages > 0 {
@@ -134,11 +128,6 @@ func openStoredDirect(dir string, items []Item, dim int, opts Options, bufferPag
 	// The stored layout dictates the page capacity; reflect it in the
 	// options so DB introspection reports the truth.
 	opts.PageCapacity = man.PageCapacity
-	layout, err := parseLayout(opts.Layout)
-	if err != nil {
-		fd.Close() //nolint:errcheck
-		return nil, err
-	}
 	proc, err := msq.New(eng, opts.Metric, msq.Options{Avoidance: opts.Avoidance, Concurrency: opts.Concurrency, Layout: layout})
 	if err != nil {
 		fd.Close() //nolint:errcheck
@@ -184,14 +173,11 @@ func storedPivotTable(dir string, items []Item, man *store.Manifest, lens []int,
 // pages from the file system through the engine's WrapDisk hook.
 func openStoredDerived(dir string, items []Item, dim int, opts Options, bufferPages int) (*DB, error) {
 	layoutDir := filepath.Join(dir, "layout-"+string(opts.Engine))
-	columns, err := opts.columnSpec(items, dim)
-	if err != nil {
-		return nil, err
-	}
 	layout, err := parseLayout(opts.Layout)
 	if err != nil {
 		return nil, err
 	}
+	columns := columnSpec(layout)
 	var fd *store.FileDisk
 	wrap := func(src store.PageSource) (store.PageSource, error) {
 		pages := make([]*store.Page, src.NumPages())
@@ -208,14 +194,11 @@ func openStoredDerived(dir string, items []Item, dim int, opts Options, bufferPa
 		}
 		// The engine columnized its pages before building the disk, so
 		// the blocks ride along into the persisted layout: the meta
-		// fields make the written records carry them, and the reopened
+		// field makes the written records carry them, and the reopened
 		// FileDisk decodes them back.
 		meta := store.DatasetMeta{Dim: dim, PageCapacity: capacity,
-			Columnar: columns.Columnar, F32: columns.F32,
-			Attrs: map[string]string{"layout": string(opts.Engine)}}
-		if columns.Quant != nil {
-			meta.QuantBits = columns.Quant.Bits
-		}
+			Columnar: columns.Columnar,
+			Attrs:    map[string]string{"layout": string(opts.Engine)}}
 		if err := store.WriteDataset(layoutDir, pages, meta, store.WriteOptions{}); err != nil {
 			return nil, err
 		}
