@@ -48,7 +48,7 @@ fuzz-smoke:
 # min-of-N measurements in one process: the real MultiQuery with a tracer
 # installed must run within 10% of the same batch untraced, and a DBSCAN
 # job sliding a window of 50 queries through its session must take at most
-# twice the same job with single queries. The only wall-clock assertions in
+# 1.15 times the same job with single queries. The only wall-clock assertions in
 # the repository: they skip themselves unless METRICDB_OBSGATE is set, so
 # `go test ./...` never judges time, and they run without the race detector.
 obsgate:

@@ -40,7 +40,8 @@ type ClusterOptions struct {
 	// BufferPages per server; 0 selects the 10 % default, negative
 	// disables buffering.
 	BufferPages int
-	// Avoidance selects the triangle-inequality mode.
+	// Avoidance selects the triangle-inequality mode; the zero value is
+	// AvoidAuto (see Options.Avoidance).
 	Avoidance AvoidanceMode
 }
 

@@ -205,6 +205,18 @@ func run(experiment, scaleName, csvDir string, measure bool, intraOut, kernelsOu
 		if err := emit(sweep.Figure()); err != nil {
 			return err
 		}
+		if sweep.Avoidance, err = experiments.RunBlockAvoidance([]int{8, 16, 32, 64, 128}, []int{8, 32, 100}, 2000); err != nil {
+			return err
+		}
+		for _, c := range sweep.Avoidance.Cells {
+			if !c.Identical {
+				return fmt.Errorf("block: %s on %s data at dim %d, m %d: the avoidance modes disagree on the answers",
+					c.Metric, c.Data, c.Dim, c.M)
+			}
+		}
+		if err := emit(sweep.Avoidance.Figure()); err != nil {
+			return err
+		}
 		if err := experiments.WriteBlockJSONFile(blockOut, sweep); err != nil {
 			return err
 		}

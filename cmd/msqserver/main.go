@@ -92,7 +92,7 @@ func main() {
 		n        = flag.Int("n", 20000, "generated dataset size")
 		dim      = flag.Int("dim", 16, "generated dataset dimensionality")
 		engine   = flag.String("engine", "xtree", "physical organization: scan, xtree, vafile, pivot or pmtree")
-		layout   = flag.String("layout", "", "page layout: aos (default) or soa — soa runs the blocked row kernels")
+		layout   = flag.String("layout", "", "page layout: aos (default) or soa — soa materializes each page's vectors in one contiguous block")
 		width    = flag.Int("concurrency", 1, "intra-server pipeline width per query batch (1 = sequential)")
 
 		maxConns  = flag.Int("max-conns", 0, "concurrent connection limit (0 = unlimited)")
@@ -153,11 +153,14 @@ func run(addr, dataFile string, mmap bool, n, dim int, engine, layout string, ca
 		return err
 	}
 	defer db.Close() //nolint:errcheck
+	// The avoidance mode is printed resolved: an operator who later sees
+	// "avoided 0" on every batch can see here that no lemma is being probed.
+	avoid := db.ProcessorStats().Avoidance
 	if mode, ok := db.Stored(); ok {
-		fmt.Printf("serving %d items (%s engine, %s storage from %s) on %s\n",
-			db.Len(), engine, mode, dataFile, lis.Addr())
+		fmt.Printf("serving %d items (%s engine, avoidance %s, %s storage from %s) on %s\n",
+			db.Len(), engine, avoid, mode, dataFile, lis.Addr())
 	} else {
-		fmt.Printf("serving %d items (%s engine) on %s\n", db.Len(), engine, lis.Addr())
+		fmt.Printf("serving %d items (%s engine, avoidance %s) on %s\n", db.Len(), engine, avoid, lis.Addr())
 	}
 	if adminLis != nil {
 		fmt.Printf("admin HTTP (metrics, traces, pprof) on %s\n", adminLis.lis.Addr())

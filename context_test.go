@@ -14,6 +14,8 @@ func TestOptionsValidate(t *testing.T) {
 		{Engine: EngineXTree, XTree: &XTreeOptions{MaxOverlap: 0.2, MinFillRatio: 0.4}},
 		{Engine: EngineVAFile, VAFileBits: 8},
 		{BufferPages: -1}, // sentinel: unbuffered
+		{Avoidance: AvoidAuto},
+		{Avoidance: AvoidLemma2},
 	}
 	for i, o := range good {
 		if err := o.Validate(); err != nil {
@@ -25,6 +27,8 @@ func TestOptionsValidate(t *testing.T) {
 		{PageCapacity: -1},
 		{Concurrency: -2},
 		{VAFileBits: -1},
+		{Avoidance: AvoidanceMode(9)},
+		{Avoidance: AvoidanceMode(-1)},
 		{Engine: EngineXTree, XTree: &XTreeOptions{MaxOverlap: 1.5}},
 		{Engine: EngineXTree, XTree: &XTreeOptions{MinFillRatio: 0.9}},
 		{Engine: EngineXTree, XTree: &XTreeOptions{ReinsertFraction: 1}},
@@ -129,7 +133,9 @@ func TestProcessorStatsFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := db.ProcessorStats()
-	if st.Concurrency != 3 || st.Avoidance != AvoidBoth {
+	// The default mode is reported resolved: Euclidean has a native bounded
+	// kernel, so AvoidAuto runs as AvoidOff.
+	if st.Concurrency != 3 || st.Avoidance != AvoidOff {
 		t.Errorf("fresh ProcessorStats = %+v", st)
 	}
 	if st.DistCalcs != 0 {

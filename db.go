@@ -45,7 +45,8 @@ const (
 
 // Options configures Open. The zero value selects a sequential scan with
 // Euclidean distance, a page capacity derived from 32 KB blocks, the
-// paper's 10 %-of-pages LRU buffer, and both avoidance lemmas.
+// paper's 10 %-of-pages LRU buffer, and no avoidance lemmas (AvoidAuto with
+// a metric whose kernel abandons early).
 type Options struct {
 	// Engine selects the physical organization; empty means EngineScan.
 	Engine EngineKind
@@ -58,7 +59,10 @@ type Options struct {
 	// and a negative value disables buffering.
 	BufferPages int
 	// Avoidance selects the triangle-inequality mode; the zero value is
-	// AvoidBoth.
+	// AvoidAuto, which applies both lemmas only when a distance is a full
+	// calculation (the metric has no early-abandoning kernel of its own:
+	// QuadraticForm, or any metric from outside this module).
+	// ProcessorStats reports the mode in effect.
 	Avoidance AvoidanceMode
 	// Concurrency is the intra-server pipeline width of the multi-query
 	// processor: how many goroutines evaluate each data page, with page
@@ -75,11 +79,11 @@ type Options struct {
 	Pivot *PivotOptions
 	// PMTree overrides PM-tree parameters; nil uses defaults.
 	PMTree *PMTreeOptions
-	// Layout selects the page representation the distance loops consume:
-	// "" or "aos" evaluates item vectors one at a time (the original
-	// path); "soa" materializes contiguous float64 blocks per page and
-	// runs the blocked row kernels over them, bit-identical to "aos" in
-	// answers and every statistic.
+	// Layout selects how pages are materialized, nothing else: "" or "aos"
+	// gives every item its own vector, "soa" one contiguous float64 block
+	// per page that the items alias. The page pass is the same on both —
+	// the blocked row kernels run whenever the lemmas are not being probed
+	// — and so are the answers and every statistic.
 	Layout string
 	// Mmap serves a stored database by memory-mapping its page file
 	// instead of issuing preads. Only OpenStored consults it; on platforms
@@ -144,6 +148,9 @@ func (o Options) Validate() error {
 	}
 	if o.Concurrency < 0 {
 		return fmt.Errorf("metricdb: concurrency must be >= 0, got %d", o.Concurrency)
+	}
+	if err := o.Avoidance.Validate(); err != nil {
+		return fmt.Errorf("metricdb: %w", err)
 	}
 	if o.VAFileBits < 0 {
 		return fmt.Errorf("metricdb: VA-file bits must be >= 0 (0 selects the default), got %d", o.VAFileBits)
@@ -498,12 +505,13 @@ func (db *DB) Ranking(q Vector) (*Ranking, error) {
 // (or the last ResetCounters). Unlike the per-call Stats, these counters
 // aggregate over every query, batch, and mining method on the DB.
 type ProcessorStats struct {
-	// Avoidance is the active triangle-inequality mode.
+	// Avoidance is the triangle-inequality mode in effect: never AvoidAuto,
+	// but what it resolved to for this database's metric.
 	Avoidance AvoidanceMode
 	// Concurrency is the effective intra-server pipeline width (>= 1).
 	Concurrency int
-	// Layout names the page representation the distance loops consume
-	// ("aos" or "soa").
+	// Layout names how the database's pages are materialized ("aos" or
+	// "soa").
 	Layout string
 	// DistCalcs counts distance calculations, including ones abandoned
 	// mid-vector by the bounded kernel.

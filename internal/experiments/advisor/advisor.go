@@ -166,11 +166,11 @@ func Run(dims []int, n int) (*Sweep, error) {
 // predictions on fresh batches while checking the calibrated run stays
 // bit-identical to a plain reference.
 func run(kind metricdb.EngineKind, items []metricdb.Item, dim int) (Result, error) {
-	calibrated, err := metricdb.Open(items, metricdb.Options{Engine: kind, Calibrate: true})
+	calibrated, err := metricdb.Open(items, metricdb.Options{Engine: kind, Avoidance: metricdb.AvoidBoth, Calibrate: true})
 	if err != nil {
 		return Result{}, err
 	}
-	plain, err := metricdb.Open(items, metricdb.Options{Engine: kind})
+	plain, err := metricdb.Open(items, metricdb.Options{Engine: kind, Avoidance: metricdb.AvoidBoth})
 	if err != nil {
 		return Result{}, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"metricdb/internal/fault"
+	"metricdb/internal/msq"
 	"metricdb/internal/parallel"
 	"metricdb/internal/query"
 	"metricdb/internal/report"
@@ -45,6 +46,7 @@ func RunChaos(w Workload, s, m int) (*ChaosResult, error) {
 			Dim:          w.Dim,
 			PageCapacity: capacity,
 			BufferPages:  0,
+			Avoidance:    msq.AvoidBoth,
 			Degrade:      true,
 			Retries:      1,
 			WrapDisk: func(server int, src store.PageSource) (store.PageSource, error) {

@@ -128,7 +128,7 @@ func newDistObsCluster(w Workload, s, width int, traced bool) (*distObsCluster, 
 			c.close()
 			return nil, err
 		}
-		proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{Concurrency: width})
+		proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{Avoidance: msq.AvoidBoth, Concurrency: width})
 		if err != nil {
 			c.close()
 			return nil, err
@@ -291,7 +291,7 @@ func RunDistObs(w Workload, s int, widths []int, m int) (*DistObsProfile, error)
 		if err != nil {
 			return nil, err
 		}
-		proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{Concurrency: width})
+		proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{Avoidance: msq.AvoidBoth, Concurrency: width})
 		if err != nil {
 			return nil, err
 		}

@@ -93,7 +93,7 @@ func enginesRun(kind engines.Kind, items []store.Item, dim, width int, queries [
 	if err != nil {
 		return blockRun{}, nil, err
 	}
-	proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{Concurrency: width})
+	proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{Avoidance: msq.AvoidBoth, Concurrency: width})
 	if err != nil {
 		return blockRun{}, nil, err
 	}

@@ -64,7 +64,7 @@ func RunIntra(w Workload, widths []int, m int) (*IntraSweep, error) {
 			if err != nil {
 				return nil, err
 			}
-			proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{Concurrency: width})
+			proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{Avoidance: msq.AvoidBoth, Concurrency: width})
 			if err != nil {
 				return nil, err
 			}

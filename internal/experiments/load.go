@@ -181,7 +181,7 @@ func startServer(w Workload, scfg wire.ServerConfig) (*wire.Server, string, erro
 	if err != nil {
 		return nil, "", err
 	}
-	proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{})
+	proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{Avoidance: msq.AvoidBoth})
 	if err != nil {
 		return nil, "", err
 	}

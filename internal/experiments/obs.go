@@ -78,7 +78,7 @@ func RunObs(w Workload, widths []int, m int) (*ObsProfile, error) {
 				if err != nil {
 					return nil, msq.Stats{}, 0, err
 				}
-				proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{Concurrency: width})
+				proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{Avoidance: msq.AvoidBoth, Concurrency: width})
 				if err != nil {
 					return nil, msq.Stats{}, 0, err
 				}

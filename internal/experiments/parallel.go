@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"metricdb/internal/cost"
+	"metricdb/internal/msq"
 	"metricdb/internal/parallel"
 	"metricdb/internal/report"
 	"metricdb/internal/store"
@@ -78,6 +79,7 @@ func RunParallelSweep(w Workload, sc Scale, engineKind parallel.EngineKind, mode
 			Dim:          w.Dim,
 			PageCapacity: capacity,
 			BufferPages:  -1,
+			Avoidance:    msq.AvoidBoth,
 		})
 		if err != nil {
 			return nil, err

@@ -130,7 +130,7 @@ func RunStorage(w Workload, m int) (*StorageResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{})
+		proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{Avoidance: msq.AvoidBoth})
 		if err != nil {
 			return nil, err
 		}

@@ -11,15 +11,17 @@ import (
 	"metricdb/internal/xtree"
 )
 
-// TestIncrementalOverheadGate bounds what the incremental multiple query
-// costs over single queries on the paper's headline use: one DBSCAN job
-// whose neighbourhood queries slide a window of m = 50 through the session,
-// against the same job issuing them one by one. The batched job does less
-// work by every counter, so what the ratio measures is the bookkeeping of a
-// call — restoring the buffered queries, their distance matrix, the pass
-// set-up — plus the avoidance probes; with the per-pair distance map the
-// session used to keep it was 2.9, and the gate is 2.0. The two jobs
-// run in one process, interleaved, each as the minimum of several trials.
+// TestIncrementalOverheadGate holds the incremental multiple query to the
+// paper's claim on its headline use: one DBSCAN job whose neighbourhood
+// queries slide a window of m = 50 through the session must not take longer
+// than the same job issuing them one by one. The batched job reads fewer
+// pages; what it pays on top is the bookkeeping of a call — restoring the
+// buffered queries, the pass set-up — and, for a metric that gets the
+// lemmas, the matrix and the probes. This job is Euclidean, so the default
+// mode probes nothing and the ratio measures 0.7 (1.1 with both lemmas
+// forced); the gate is 1.15, parity plus the run-to-run spread of the
+// ratio. The two jobs run in one process, interleaved, each as the minimum
+// of several trials.
 //
 // It is a wall-clock assertion, so it is not part of `go test ./...`:
 // `make obsgate` sets METRICDB_OBSGATE and runs it without the race
@@ -28,7 +30,7 @@ func TestIncrementalOverheadGate(t *testing.T) {
 	if os.Getenv("METRICDB_OBSGATE") == "" {
 		t.Skip("wall-clock gate; run via make obsgate")
 	}
-	const n, dim, eps, minPts, m, gate = 8000, 8, 0.05, 5, 50, 2.0
+	const n, dim, eps, minPts, m, gate = 8000, 8, 0.05, 5, 50, 1.15
 	items, err := dataset.Clustered(dataset.ClusteredConfig{Seed: 1, N: n, Dim: dim, Clusters: 20, Spread: 0.03})
 	if err != nil {
 		t.Fatal(err)
@@ -66,8 +68,8 @@ func TestIncrementalOverheadGate(t *testing.T) {
 			bestRatio = r
 		}
 	}
-	t.Logf("DBSCAN at m = %d / m = 1 wall time: best ratio %.2f (gate %.1f)", m, bestRatio, gate)
+	t.Logf("DBSCAN at m = %d / m = 1 wall time: best ratio %.2f (gate %.2f)", m, bestRatio, gate)
 	if bestRatio > gate {
-		t.Errorf("the sliding window at m = %d takes %.2f times the single queries, gate is %.1f", m, bestRatio, gate)
+		t.Errorf("the sliding window at m = %d takes %.2f times the single queries, gate is %.2f", m, bestRatio, gate)
 	}
 }

@@ -136,3 +136,66 @@ func TestOverlapWithPointMatchesUnion(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// foreignL1 is a coordinatewise metric vec.BoxDistance does not know.
+type foreignL1 struct{ vec.Manhattan }
+
+// TestBoundsMatchGapVectorForm: for every coordinatewise metric the
+// repository ships the allocation-free bounds return the bits of the
+// definition — the metric applied to the materialized gap vector — and
+// allocate nothing; a coordinatewise metric from elsewhere still gets the
+// definition.
+func TestBoundsMatchGapVectorForm(t *testing.T) {
+	const dim = 7
+	rng := rand.New(rand.NewSource(15))
+	metrics := []vec.Metric{vec.Euclidean{}, vec.Manhattan{}, vec.Chebyshev{}, foreignL1{}}
+	for _, p := range []float64{1, 2, 3, 2.5, 40} {
+		mk, err := vec.NewMinkowski(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		metrics = append(metrics, mk)
+	}
+	w := make(vec.Vector, dim)
+	for i := range w {
+		w[i] = 0.1 + 3*rng.Float64()
+	}
+	we, err := vec.NewWeightedEuclidean(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics = append(metrics, we, vec.NewCounting(we))
+
+	for round := 0; round < 2000; round++ {
+		r := randRect(rng, dim)
+		q := randVec(rng, dim)
+		switch round % 4 {
+		case 1: // a query inside the rectangle: all-zero lower gaps
+			for i := range q {
+				q[i] = r.Min[i] + rng.Float64()*(r.Max[i]-r.Min[i])
+			}
+		case 2: // a degenerate rectangle, the query on one of its faces
+			r = PointRect(randVec(rng, dim))
+			q[0] = r.Min[0]
+		}
+		for _, m := range metrics {
+			base := vec.BaseMetric(m)
+			if got, want := LowerBound(m, r, q), boundByGapVector(base, r, q, false); got != want {
+				t.Fatalf("%s: LowerBound = %v, gap-vector form %v (r=%v q=%v)", m.Name(), got, want, r, q)
+			}
+			if got, want := UpperBound(m, r, q), boundByGapVector(base, r, q, true); got != want {
+				t.Fatalf("%s: UpperBound = %v, gap-vector form %v (r=%v q=%v)", m.Name(), got, want, r, q)
+			}
+		}
+	}
+
+	r, q := randRect(rng, dim), randVec(rng, dim)
+	for _, m := range metrics {
+		if _, foreign := m.(foreignL1); foreign {
+			continue
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = LowerBound(m, r, q) + UpperBound(m, r, q) }); n != 0 {
+			t.Errorf("%s: %v allocations per LowerBound+UpperBound", m.Name(), n)
+		}
+	}
+}

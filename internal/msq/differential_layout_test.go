@@ -15,11 +15,13 @@ import (
 	"metricdb/internal/xtree"
 )
 
-// The layout differential harness pins the contract of the columnar
-// layout: LayoutSoA is bit-identical to LayoutAoS in answers AND in every
-// statistic (I/O, buffer behaviour, DistCalcs/Avoided/AvoidTries,
-// PartialAbandoned) at every pipeline width — the row kernels are required
-// to reproduce the scalar kernels' decisions exactly.
+// The layout differential harness pins the contract of columnar pages: a
+// run over pages whose items alias one contiguous block is bit-identical
+// to a run over pages whose items own their vectors, in answers AND in
+// every statistic (I/O, buffer behaviour, DistCalcs/Avoided/AvoidTries,
+// PartialAbandoned) at every pipeline width. The page pass is the same on
+// both — the processor takes no layout — so what is compared is the page
+// materialization.
 
 // layoutMakers mirrors diffMakers but materializes the given page
 // representation on every page at build time.
@@ -68,28 +70,6 @@ func layoutMakers(spec store.ColumnSpec) []diffMaker {
 	}
 }
 
-// runLayout evaluates the batch on a fresh engine with the given layout.
-func runLayout(t *testing.T, mk diffMaker, m vec.Metric, mode AvoidanceMode, width int, layout Layout, items []store.Item, dim int, queries []Query) diffRun {
-	t.Helper()
-	eng := mk.make(t, items, dim, m)
-	proc, err := New(eng, m, Options{Avoidance: mode, Concurrency: width, Layout: layout})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lists, stats, err := proc.NewSession().MultiQueryAll(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := diffRun{stats: stats, io: eng.Pager().Disk().Stats()}
-	for _, l := range lists {
-		r.answers = append(r.answers, append([]query.Answer(nil), l.Answers()...))
-	}
-	if buf := eng.Pager().Buffer(); buf != nil {
-		r.hits, r.misses, _ = buf.HitRate()
-	}
-	return r
-}
-
 // TestDifferentialLayoutSoA: for every engine × metric × avoidance mode ×
 // width, the SoA run must be indistinguishable from the AoS run — answers
 // and the full Stats record compare with ==.
@@ -112,8 +92,8 @@ func TestDifferentialLayoutSoA(t *testing.T) {
 			for _, mode := range []AvoidanceMode{AvoidBoth, AvoidOff} {
 				for _, width := range []int{1, 2, 8} {
 					t.Run(fmt.Sprintf("%s/%s/%s/w%d", aosMakers[i].name, mt.name, mode, width), func(t *testing.T) {
-						aos := runLayout(t, aosMakers[i], mt.m, mode, width, LayoutAoS, items, dim, queries)
-						soa := runLayout(t, soaMakers[i], mt.m, mode, width, LayoutSoA, items, dim, queries)
+						aos := runDifferential(t, aosMakers[i], mt.m, mode, width, items, dim, queries)
+						soa := runDifferential(t, soaMakers[i], mt.m, mode, width, items, dim, queries)
 						if diag, ok := identicalAnswers(aos.answers, soa.answers); !ok {
 							t.Errorf("soa answers differ from aos: %s", diag)
 						}
@@ -183,8 +163,8 @@ func TestDifferentialLayoutSoADegenerate(t *testing.T) {
 				for _, width := range []int{1, 2, 8} {
 					t.Run(fmt.Sprintf("%s/%s/%s/w%d", tc.name, aosMakers[i].name, mode, width), func(t *testing.T) {
 						m := vec.Euclidean{}
-						aos := runLayout(t, aosMakers[i], m, mode, width, LayoutAoS, tc.items, dim, tc.queries)
-						soa := runLayout(t, soaMakers[i], m, mode, width, LayoutSoA, tc.items, dim, tc.queries)
+						aos := runDifferential(t, aosMakers[i], m, mode, width, tc.items, dim, tc.queries)
+						soa := runDifferential(t, soaMakers[i], m, mode, width, tc.items, dim, tc.queries)
 						for q, ans := range aos.answers {
 							if len(ans) != tc.wantLen {
 								t.Errorf("query %d: %d answers, want %d", q, len(ans), tc.wantLen)

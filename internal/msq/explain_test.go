@@ -91,6 +91,10 @@ func TestExplainBufferAndPhaseFields(t *testing.T) {
 	if ex.WallNs <= 0 {
 		t.Error("wall time not recorded")
 	}
+	// The header names the mode in effect, not the option as given.
+	if ex.Avoidance != "off" {
+		t.Errorf("EXPLAIN avoidance = %q, want the resolved mode \"off\"", ex.Avoidance)
+	}
 	if ex.PhaseNs["kernel"] <= 0 {
 		t.Errorf("phase wall times = %v, want a kernel entry", ex.PhaseNs)
 	}

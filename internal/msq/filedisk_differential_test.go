@@ -33,8 +33,9 @@ import (
 
 // persistToFileDisk returns a WrapDisk hook that dumps the freshly built
 // simulated disk into a dataset directory in the on-disk format and hands
-// the engine a FileDisk over it, discarding the in-memory disk.
-func persistToFileDisk(t *testing.T, mmap bool) func(store.PageSource) (store.PageSource, error) {
+// the engine a FileDisk over it, discarding the in-memory disk. The stored
+// records are AoS; spec says how the pages read back are materialized.
+func persistToFileDisk(t *testing.T, mmap bool, spec store.ColumnSpec) func(store.PageSource) (store.PageSource, error) {
 	t.Helper()
 	return func(src store.PageSource) (store.PageSource, error) {
 		dir := t.TempDir()
@@ -62,18 +63,18 @@ func persistToFileDisk(t *testing.T, mmap bool) func(store.PageSource) (store.Pa
 			return nil, err
 		}
 		t.Cleanup(func() { fd.Close() }) //nolint:errcheck
-		return fd, nil
+		return store.WrapColumns(fd, spec), nil
 	}
 }
 
 // fileDiskMakers mirrors diffMakers but every engine runs on persistent
 // storage via its WrapDisk hook.
-func fileDiskMakers(mmap bool) []diffMaker {
+func fileDiskMakers(mmap bool, spec store.ColumnSpec) []diffMaker {
 	return []diffMaker{
 		{"scan", func(t *testing.T, items []store.Item, dim int, m vec.Metric) engine.Engine {
 			t.Helper()
 			e, err := scan.NewWithConfig(items, scan.Config{
-				PageCapacity: 16, BufferPages: 4, WrapDisk: persistToFileDisk(t, mmap),
+				PageCapacity: 16, BufferPages: 4, WrapDisk: persistToFileDisk(t, mmap, spec),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -84,7 +85,7 @@ func fileDiskMakers(mmap bool) []diffMaker {
 			t.Helper()
 			e, err := xtree.Bulk(items, dim, xtree.Config{
 				LeafCapacity: 16, DirFanout: 8, BufferPages: 4, Metric: m,
-				WrapDisk: persistToFileDisk(t, mmap),
+				WrapDisk: persistToFileDisk(t, mmap, spec),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -95,7 +96,7 @@ func fileDiskMakers(mmap bool) []diffMaker {
 			t.Helper()
 			e, err := vafile.New(items, vafile.Config{
 				PageCapacity: 16, BufferPages: 4, Metric: m,
-				WrapDisk: persistToFileDisk(t, mmap),
+				WrapDisk: persistToFileDisk(t, mmap, spec),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -106,7 +107,7 @@ func fileDiskMakers(mmap bool) []diffMaker {
 			t.Helper()
 			e, err := pivot.New(items, pivot.Config{
 				PageCapacity: 16, BufferPages: 4, Pivots: 8, Metric: m,
-				WrapDisk: persistToFileDisk(t, mmap),
+				WrapDisk: persistToFileDisk(t, mmap, spec),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -117,7 +118,7 @@ func fileDiskMakers(mmap bool) []diffMaker {
 			t.Helper()
 			e, err := pmtree.New(items, pmtree.Config{
 				PageCapacity: 16, BufferPages: 4, Pivots: 8, Metric: m,
-				WrapDisk: persistToFileDisk(t, mmap),
+				WrapDisk: persistToFileDisk(t, mmap, spec),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -128,20 +129,21 @@ func fileDiskMakers(mmap bool) []diffMaker {
 }
 
 // requireSameRun asserts two differential runs are observationally
-// identical in every dimension the harness records.
+// identical in every dimension the harness records: the reference (sim,
+// here the run on the simulated disk) and the run under test.
 func requireSameRun(t *testing.T, label string, sim, file diffRun) {
 	t.Helper()
 	if diag, ok := identicalAnswers(sim.answers, file.answers); !ok {
-		t.Errorf("%s: answers differ between disk backends: %s", label, diag)
+		t.Errorf("%s: answers differ: %s", label, diag)
 	}
 	if file.stats != sim.stats {
-		t.Errorf("%s: stats differ:\n  simulated: %+v\n  file:      %+v", label, sim.stats, file.stats)
+		t.Errorf("%s: stats differ:\n  want: %+v\n  got:  %+v", label, sim.stats, file.stats)
 	}
 	if file.io != sim.io {
-		t.Errorf("%s: disk stats differ: simulated %+v, file %+v", label, sim.io, file.io)
+		t.Errorf("%s: disk stats differ: want %+v, got %+v", label, sim.io, file.io)
 	}
 	if file.hits != sim.hits || file.misses != sim.misses {
-		t.Errorf("%s: buffer hits/misses %d/%d, simulated %d/%d",
+		t.Errorf("%s: buffer hits/misses %d/%d, want %d/%d",
 			label, file.hits, file.misses, sim.hits, sim.misses)
 	}
 }
@@ -159,7 +161,7 @@ func TestDifferentialFileDisk(t *testing.T) {
 	}
 	modes := []AvoidanceMode{AvoidBoth, AvoidOff, AvoidLemma1, AvoidLemma2}
 	sims := diffMakers()
-	files := fileDiskMakers(false)
+	files := fileDiskMakers(false, store.ColumnSpec{})
 
 	for i := range sims {
 		for _, mt := range metrics {
@@ -186,7 +188,7 @@ func TestDifferentialFileDiskMmap(t *testing.T) {
 	queries := diffBatch(dim, 52)
 	m := vec.Euclidean{}
 	sims := diffMakers()
-	files := fileDiskMakers(true)
+	files := fileDiskMakers(true, store.ColumnSpec{})
 
 	for i := range sims {
 		for _, mode := range []AvoidanceMode{AvoidBoth, AvoidOff} {

@@ -89,14 +89,59 @@ func TestNewValidation(t *testing.T) {
 	if p.Engine() != e {
 		t.Error("Engine() accessor wrong")
 	}
-	if p.Options() != (Options{}) {
+	// Options reports the avoidance mode resolved (see TestAvoidAutoResolution).
+	if p.Options() != (Options{Avoidance: AvoidOff}) {
 		t.Error("Options() accessor wrong")
+	}
+	for _, mode := range []AvoidanceMode{-1, AvoidLemma2 + 1, 9} {
+		if _, err := New(e, c, Options{Avoidance: mode}); err == nil {
+			t.Errorf("avoidance mode %d accepted", int(mode))
+		}
+	}
+}
+
+// fullOnly hides a metric's bounded kernel: a caller-supplied metric of
+// unknown cost.
+type fullOnly struct{ vec.Metric }
+
+// TestAvoidAutoResolution: the zero-value mode is resolved once, in New,
+// from whether the metric has a native early-abandoning kernel; explicit
+// modes are kept as given.
+func TestAvoidAutoResolution(t *testing.T) {
+	const dim = 4
+	e := scanEngine(t, testDB(1, 50, dim))
+	base := autoMetrics(t, dim)
+	cases := base
+	for _, c := range base {
+		// An existing counting wrapper is looked through.
+		cases = append(cases, struct {
+			m    vec.Metric
+			want AvoidanceMode
+		}{vec.NewCounting(c.m), c.want})
+	}
+	for _, c := range cases {
+		p, err := New(e, c.m, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Options().Avoidance; got != c.want {
+			t.Errorf("%s: AvoidAuto resolved to %v, want %v", c.m.Name(), got, c.want)
+		}
+		for _, mode := range []AvoidanceMode{AvoidBoth, AvoidOff, AvoidLemma1, AvoidLemma2} {
+			p, err := New(e, c.m, Options{Avoidance: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := p.Options().Avoidance; got != mode {
+				t.Errorf("%s: explicit %v became %v", c.m.Name(), mode, got)
+			}
+		}
 	}
 }
 
 func TestAvoidanceModeString(t *testing.T) {
 	for mode, want := range map[AvoidanceMode]string{
-		AvoidBoth: "both", AvoidOff: "off", AvoidLemma1: "lemma1", AvoidLemma2: "lemma2",
+		AvoidAuto: "auto", AvoidBoth: "both", AvoidOff: "off", AvoidLemma1: "lemma1", AvoidLemma2: "lemma2",
 	} {
 		if got := mode.String(); got != want {
 			t.Errorf("String() = %q, want %q", got, want)
@@ -625,7 +670,7 @@ func TestXTreeMultiQueryDoesNotInflateCPU(t *testing.T) {
 		singles = singles.Add(st)
 	}
 
-	pMulti, err := New(xtreeEngine(t, items, dim), m, Options{})
+	pMulti, err := New(xtreeEngine(t, items, dim), m, Options{Avoidance: AvoidBoth})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ var skippedDist = math.NaN()
 // one and hands it to every run (Session.pagePass); every buffer is sized
 // for the widest batch so far and resliced to the page's active set, so
 // neither a pass nor a call allocates in steady state, whoever observes it.
-// Workers only read the barrier state; known, rowW and counts are per
+// Workers only read the barrier state; known, rowW, rowB and counts are per
 // worker — index w is owned by the one goroutine running as worker w — so
 // they need no locking, and the width-1 loop is simply worker 0.
 type pagePass struct {
@@ -149,6 +149,7 @@ type pagePass struct {
 	rowD   []float64     // the live row pass's distances
 	known  [][]knownDist // per worker
 	rowW   [][]bool      // per worker
+	rowB   []vec.Block   // per worker: the one-row view RowWithin reads an item through
 	counts []passCounts  // per worker; the pipeline sums them at the barrier
 	dists  []float64     // the pipeline's items × active result buffer
 }
@@ -175,21 +176,16 @@ func newPagePass(s *Session, width, nStates int) *pagePass {
 		activeIdx: make([]int, nStates),
 		limits:    make([]float64, nStates),
 		raise:     make([]float64, nStates),
+		qvecs:     make([]vec.Vector, nStates),
+		rowD:      make([]float64, nStates),
 		known:     make([][]knownDist, width),
+		rowW:      make([][]bool, width),
+		rowB:      make([]vec.Block, width),
 		counts:    make([]passCounts, width),
 	}
 	for w := range p.known {
 		p.known[w] = make([]knownDist, 0, nStates)
-	}
-	// The remaining buffers serve the row body (see rowPath); the default
-	// AoS run carries none of them.
-	if s.proc.opts.Layout == LayoutSoA {
-		p.qvecs = make([]vec.Vector, nStates)
-		p.rowD = make([]float64, nStates)
-		p.rowW = make([][]bool, width)
-		for w := range p.rowW {
-			p.rowW[w] = make([]bool, nStates)
-		}
+		p.rowW[w] = make([]bool, nStates)
 	}
 	return p
 }
@@ -234,7 +230,7 @@ func (p *pagePass) begin(page *store.Page, active []*queryState) {
 	if p.matrix != nil {
 		p.raise = lemma1Raises(p.activeIdx, p.matrix, p.limits, p.raise[:n])
 	}
-	p.rows = p.s.rowPath(page, p.matrix != nil, n)
+	p.rows = rowPath(p.matrix != nil, n)
 	if !p.rows {
 		return
 	}
@@ -357,16 +353,19 @@ func (p *pagePass) evalPairs(lo, hi, worker int, out []float64) passCounts {
 	return passCounts{calcs: calcs, abandoned: abandoned, tries: probes, avoided: avoided}
 }
 
-// evalRows is the blocked (SoA) body: one row-kernel call per item
-// evaluates the whole active set against the item's block row, so the row —
-// just loaded into cache — is reused m times and the kernel dispatch is
-// devirtualized once per pass instead of once per pair. Only reached when
-// rowPath holds, under which the results are bit-identical to evalPairs
-// (see rowPath).
+// evalRows is the blocked body: one row-kernel call per item evaluates the
+// whole active set against the item's vector, so the vector — just loaded
+// into cache — is reused m times and the kernel dispatch is devirtualized
+// once per pass instead of once per pair. The kernel takes a vec.Block; the
+// item's vector is handed to it as a block of one row, the same contiguous
+// float64s whether the page's items own them or alias a columnar block.
+// Only reached when rowPath holds, under which the results are
+// bit-identical to evalPairs (see rowPath).
 func (p *pagePass) evalRows(lo, hi, worker int, out []float64) passCounts {
 	rows := p.s.proc.rows
 	page, active, limits, prof := p.page, p.active, p.limits, p.prof
-	qvecs, b := p.qvecs, page.Cols
+	qvecs, b := p.qvecs, &p.rowB[worker]
+	b.N = 1
 	n := len(active)
 	wOut := p.rowW[worker][:n]
 	dOut := p.rowD[:n] // a deferred pass writes straight into its out row instead
@@ -375,7 +374,9 @@ func (p *pagePass) evalRows(lo, hi, worker int, out []float64) passCounts {
 		if out != nil {
 			dOut = out[it*n : (it+1)*n]
 		}
-		ab := rows.RowWithin(qvecs, b, it, limits, dOut, wOut)
+		b.F64 = page.Items[it].Vec
+		b.Dim = len(b.F64)
+		ab := rows.RowWithin(qvecs, b, 0, limits, dOut, wOut)
 		abandoned += int64(ab)
 		if prof != nil {
 			for a, within := range wOut {
@@ -405,22 +406,20 @@ func (p *pagePass) evalRows(lo, hi, worker int, out []float64) passCounts {
 	return passCounts{calcs: int64(hi-lo) * int64(n), abandoned: abandoned}
 }
 
-// rowPath reports whether this page runs through the blocked row kernels
-// under the configured layout. Rows require a columnar block and no
-// avoidance interleaving: with avoidance off, a query's pruning distance
-// within one item can only have been tightened by earlier items (each
-// query's limit is updated solely by its own Consider accepts), so passing
-// the pass's limits as the row limits reproduces the per-pair body's limits — and with them its distances,
+// rowPath reports whether a page with m active queries runs through the
+// blocked row kernels. Rows require no avoidance interleaving: without the
+// lemmas, a query's pruning distance within one item can only have been
+// tightened by earlier items (each query's limit is updated solely by its
+// own Consider accepts), so passing the pass's limits as the row limits
+// reproduces the per-pair body's limits — and with them its distances,
 // within flags, abandon points and Consider sequence — exactly. Under
 // avoidance the per-pair body couples the queries of one item through the
 // known list, which has no row equivalent; those pages keep the per-pair
-// body, which reads the same block-backed float64s anyway. Batches narrower
-// than one lane group (m < 4) also keep the per-pair body: the grouped
-// lanes of the row kernels never engage there, so the row body would only
-// add per-item bookkeeping on top of the same scalar kernel calls.
-func (s *Session) rowPath(page *store.Page, avoiding bool, m int) bool {
-	b := page.Cols
-	return s.proc.opts.Layout == LayoutSoA && b != nil && !avoiding && b.N == len(page.Items) && m >= 4
+// body. Batches narrower than one lane group (m < 4) also keep it: the
+// grouped lanes of the row kernels never engage there, so the row body would
+// only add per-item bookkeeping on top of the same scalar kernel calls.
+func rowPath(avoiding bool, m int) bool {
+	return !avoiding && m >= 4
 }
 
 // maxAvoidProbes caps how many known distances one avoidance decision

@@ -14,11 +14,20 @@ import (
 // processor applies to avoid distance calculations.
 type AvoidanceMode int
 
-// Avoidance modes. The paper always uses both lemmas; the single-lemma
-// modes exist for the ablation experiments.
+// Avoidance modes. The paper always uses both lemmas, because its distance
+// functions are expensive (§5.2); the single-lemma modes exist for the
+// ablation experiments.
 const (
+	// AvoidAuto, the zero value, lets New choose from what the metric says
+	// about its own cost: a metric with a native early-abandoning kernel
+	// (vec.BoundedMetric) runs as AvoidOff — a probe costs about what the
+	// abandoned distance it might save does, and the blocked row body beats
+	// the lemmas at every dimension measured (BENCH_block.json) — and any
+	// other metric, whose every evaluation is a full calculation of unknown
+	// cost, runs as AvoidBoth. A Processor never holds AvoidAuto.
+	AvoidAuto AvoidanceMode = iota
 	// AvoidBoth applies Lemma 1 and Lemma 2 (the paper's method).
-	AvoidBoth AvoidanceMode = iota
+	AvoidBoth
 	// AvoidOff disables avoidance entirely.
 	AvoidOff
 	// AvoidLemma1 only skips objects far from a known query object
@@ -29,9 +38,19 @@ const (
 	AvoidLemma2
 )
 
+// Validate rejects a value that names no mode.
+func (m AvoidanceMode) Validate() error {
+	if m < AvoidAuto || m > AvoidLemma2 {
+		return fmt.Errorf("msq: unknown avoidance mode %d", int(m))
+	}
+	return nil
+}
+
 // String names the mode.
 func (m AvoidanceMode) String() string {
 	switch m {
+	case AvoidAuto:
+		return "auto"
 	case AvoidBoth:
 		return "both"
 	case AvoidOff:
@@ -45,20 +64,17 @@ func (m AvoidanceMode) String() string {
 	}
 }
 
-// Layout selects which page representation the processor's inner loops
-// consume. It is an execution choice, not a storage one: pages may or may
-// not carry a columnar block, and the layout says whether the distance
-// loops read it.
+// Layout names a page representation. It selects nothing in this package:
+// the blocked row body reads item vectors, which a columnar page's items
+// alias and an AoS page's items own, so every page takes it on the same
+// terms (see rowPath). Whether pages carry a columnar block is decided where
+// they are materialized (store.ColumnSpec).
 type Layout int
 
+// The page representations. Declared, like Options.Layout, for the callers
+// that still name them.
 const (
-	// LayoutAoS evaluates item vectors one at a time through the counting
-	// metric — the original array-of-structs path, and the fallback for
-	// pages without a columnar block.
 	LayoutAoS Layout = iota
-	// LayoutSoA runs the blocked row kernels over each page's contiguous
-	// float64 block. Bit-identical to LayoutAoS in answers and in every
-	// statistic: the row kernels share the scalar kernels' loop bodies.
 	LayoutSoA
 )
 
@@ -76,7 +92,8 @@ func (l Layout) String() string {
 
 // Options tunes the processor.
 type Options struct {
-	// Avoidance selects the triangle-inequality mode (default AvoidBoth).
+	// Avoidance selects the triangle-inequality mode. The zero value,
+	// AvoidAuto, is resolved by New; Processor.Options reports the result.
 	Avoidance AvoidanceMode
 	// Concurrency is the intra-server pipeline width: the number of worker
 	// goroutines that evaluate a data page's items against the active
@@ -85,9 +102,7 @@ type Options struct {
 	// produces bit-identical answers and an identical disk read sequence;
 	// see internal/msq/pipeline.go for the determinism argument.
 	Concurrency int
-	// Layout selects the page representation the distance loops consume
-	// (default LayoutAoS). Pages lacking the representation fall back to
-	// the AoS path item by item.
+	// Layout is ignored (see Layout).
 	Layout Layout
 }
 
@@ -134,9 +149,9 @@ type Processor struct {
 	// identical with and without a tracer (pinned by the observation
 	// differential test).
 	tracer *obs.Tracer
-	// rows is the blocked kernel matching the metric, used by the SoA
-	// layout. Built once; the row body reports its calc/abandon
-	// totals through the same counting metric as the pair body.
+	// rows is the blocked kernel matching the metric. Built once; the row
+	// body reports its calc/abandon totals through the same counting metric
+	// as the pair body.
 	rows vec.BlockKernel
 	// dim is the dimensionality of the stored vectors as the engine's
 	// pager reports it; 0 when unknown (see CheckQuery).
@@ -156,9 +171,18 @@ func New(eng engine.Engine, m vec.Metric, opts Options) (*Processor, error) {
 	if opts.Concurrency < 0 {
 		return nil, fmt.Errorf("msq: concurrency must be >= 0, got %d", opts.Concurrency)
 	}
+	if err := opts.Avoidance.Validate(); err != nil {
+		return nil, err
+	}
 	counting, ok := m.(*vec.Counting)
 	if !ok {
 		counting = vec.NewCounting(m)
+	}
+	if opts.Avoidance == AvoidAuto {
+		opts.Avoidance = AvoidBoth
+		if _, native := counting.Unwrap().(vec.BoundedMetric); native {
+			opts.Avoidance = AvoidOff
+		}
 	}
 	rows := vec.NewBlockKernel(counting.Kernel())
 	return &Processor{eng: eng, metric: counting, opts: opts, rows: rows, dim: eng.Pager().Dim()}, nil

@@ -329,7 +329,7 @@ func TestSessionMatrixAgainstBruteForce(t *testing.T) {
 func TestCompletedQueriesReleaseTheirState(t *testing.T) {
 	const dim, n, m, steps = 4, 5008, 8, 5000
 	items := testDB(32, n, dim)
-	proc, err := New(xtreeEngine(t, items, dim), vec.Euclidean{}, Options{})
+	proc, err := New(xtreeEngine(t, items, dim), vec.Euclidean{}, Options{Avoidance: AvoidBoth})
 	if err != nil {
 		t.Fatal(err)
 	}

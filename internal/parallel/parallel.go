@@ -132,7 +132,8 @@ type Config struct {
 	// disables buffering.
 	BufferPages int
 	Metric      vec.Metric
-	// Avoidance is forwarded to each server's processor.
+	// Avoidance is forwarded to each server's processor; the zero value is
+	// msq.AvoidAuto.
 	Avoidance msq.AvoidanceMode
 	// Concurrency is each server's intra-server pipeline width (the msq
 	// Concurrency knob): inter-server parallelism comes from the cluster
@@ -203,6 +204,9 @@ func New(items []store.Item, cfg Config) (*Cluster, error) {
 	}
 	if cfg.Dim < 1 {
 		return nil, fmt.Errorf("parallel: dimension must be >= 1, got %d", cfg.Dim)
+	}
+	if err := cfg.Avoidance.Validate(); err != nil {
+		return nil, fmt.Errorf("parallel: %w", err)
 	}
 	if len(cfg.ServerTracers) != 0 && len(cfg.ServerTracers) != cfg.Servers {
 		return nil, fmt.Errorf("parallel: ServerTracers must hold one tracer per server (%d), got %d",

@@ -86,6 +86,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(items, Config{Servers: 2, Dim: 3, PageCapacity: 8, Engine: EngineKind("bogus")}); err == nil {
 		t.Error("unknown engine accepted")
 	}
+	if _, err := New(items, Config{Servers: 2, Dim: 3, PageCapacity: 8, Avoidance: msq.AvoidanceMode(9)}); err == nil {
+		t.Error("unknown avoidance mode accepted")
+	}
 }
 
 // TestParallelMatchesSequential is the correctness core: merged parallel

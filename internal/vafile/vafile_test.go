@@ -187,7 +187,7 @@ func TestMultiQueryOnVAFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := vec.Euclidean{}
-	p, err := msq.New(va, m, msq.Options{})
+	p, err := msq.New(va, m, msq.Options{Avoidance: msq.AvoidBoth})
 	if err != nil {
 		t.Fatal(err)
 	}

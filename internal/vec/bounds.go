@@ -1,5 +1,10 @@
 package vec
 
+import (
+	"fmt"
+	"math"
+)
+
 // Coordinatewise is implemented by metrics whose distance is a monotone
 // function of the per-coordinate absolute differences |a_i - b_i|. For such
 // metrics a valid lower bound on the distance from a query point to any
@@ -41,4 +46,90 @@ func BaseMetric(m Metric) Metric {
 		}
 		m = c.Unwrap()
 	}
+}
+
+// BoxDistance returns m.Distance(gap, zero) for the gap vector between q
+// and the axis-aligned box [lo, hi] — per coordinate the distance to the
+// box (far == false: 0 inside it) or to its farther face (far == true) —
+// without materializing either vector: the generalized MINDIST and MAXDIST
+// of geom, which every index engine evaluates once per (page, query). ok is
+// false when m is not one of the coordinatewise metrics this package ships;
+// the caller then builds the gap vector itself.
+//
+// Each case repeats its metric's Distance loop with gap[i] - 0, which is
+// gap[i] exactly, as the per-coordinate difference — the same terms in the
+// same summation order, so the same bits.
+func BoxDistance(m Metric, q, lo, hi Vector, far bool) (d float64, ok bool) {
+	switch bm := m.(type) {
+	case Euclidean:
+		return boxEuclidean(q, lo, hi, far), true
+	case Manhattan:
+		return boxManhattan(q, lo, hi, far), true
+	case Chebyshev:
+		var mx float64
+		for i := range q {
+			if g := math.Abs(boxGap(q[i], lo[i], hi[i], far)); g > mx {
+				mx = g
+			}
+		}
+		return mx, true
+	case Minkowski:
+		switch bm.p {
+		case 1:
+			return boxManhattan(q, lo, hi, far), true
+		case 2:
+			return boxEuclidean(q, lo, hi, far), true
+		}
+		var s float64
+		for i := range q {
+			s += bm.term(math.Abs(boxGap(q[i], lo[i], hi[i], far)))
+		}
+		return math.Pow(s, bm.invp), true
+	case *WeightedEuclidean:
+		if len(q) != len(bm.weights) {
+			panic(fmt.Sprintf("vec: weighted Euclidean configured for dim %d, got %d", len(bm.weights), len(q)))
+		}
+		var s float64
+		for i := range q {
+			g := boxGap(q[i], lo[i], hi[i], far)
+			s += bm.weights[i] * g * g
+		}
+		return math.Sqrt(s), true
+	}
+	return 0, false
+}
+
+// boxGap is one coordinate of the gap vector (see BoxDistance).
+func boxGap(q, lo, hi float64, far bool) float64 {
+	if far {
+		l, h := math.Abs(q-lo), math.Abs(q-hi)
+		if l > h {
+			return l
+		}
+		return h
+	}
+	switch {
+	case q < lo:
+		return lo - q
+	case q > hi:
+		return q - hi
+	}
+	return 0
+}
+
+func boxEuclidean(q, lo, hi Vector, far bool) float64 {
+	var s float64
+	for i := range q {
+		g := boxGap(q[i], lo[i], hi[i], far)
+		s += g * g
+	}
+	return math.Sqrt(s)
+}
+
+func boxManhattan(q, lo, hi Vector, far bool) float64 {
+	var s float64
+	for i := range q {
+		s += math.Abs(boxGap(q[i], lo[i], hi[i], far))
+	}
+	return s
 }

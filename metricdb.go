@@ -92,8 +92,11 @@ type (
 
 // Avoidance modes, re-exported.
 const (
-	// AvoidBoth applies Lemma 1 and Lemma 2 (the default and the
-	// paper's method).
+	// AvoidAuto, the default, chooses between AvoidOff and AvoidBoth from
+	// the metric: lemmas where a distance is a full calculation, none
+	// where the metric's own kernel abandons early.
+	AvoidAuto = msq.AvoidAuto
+	// AvoidBoth applies Lemma 1 and Lemma 2 (the paper's method).
 	AvoidBoth = msq.AvoidBoth
 	// AvoidOff disables distance-calculation avoidance.
 	AvoidOff = msq.AvoidOff

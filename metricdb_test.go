@@ -122,7 +122,7 @@ func TestQueryAgainstBruteForce(t *testing.T) {
 
 func TestBatchIncrementalSemantics(t *testing.T) {
 	items := testItems(5, 500, 6)
-	db, err := Open(items, Options{Engine: EngineXTree, PageCapacity: 16})
+	db, err := Open(items, Options{Engine: EngineXTree, PageCapacity: 16, Avoidance: AvoidBoth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestBatchQueryAllSavesIO(t *testing.T) {
 		singleStats = singleStats.Add(st)
 	}
 
-	dbMulti, err := Open(items, Options{BufferPages: -1})
+	dbMulti, err := Open(items, Options{BufferPages: -1, Avoidance: AvoidBoth})
 	if err != nil {
 		t.Fatal(err)
 	}
