@@ -28,10 +28,10 @@ race:
 
 # The pipeline determinism gate: differential (width 1 vs 2 vs 8), Lemma
 # 1/2 soundness properties, the bounded-kernel contract properties, the
-# session/pager stress tests, and the store concurrency tests — all under
-# the race detector.
+# session/pager stress tests, the store concurrency tests and the page
+# pin/recycle protocol tests — all under the race detector.
 differential:
-	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight' \
+	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPageRecycle' \
 		./internal/msq/ ./internal/store/ ./internal/vec/
 
 # A short fuzz of the persistent-storage decoders: corrupt page records

@@ -409,6 +409,8 @@ func newRegistry(tracer *obs.Tracer, db *metricdb.DB, srv *wire.Server, engine s
 			func() float64 { st, _ := db.StorageStats(); return float64(st.BytesRead) })
 		reg.Counter("metricdb_storage_checksum_failures_total", "", "Page reads rejected by checksum or structural verification.",
 			func() float64 { st, _ := db.StorageStats(); return float64(st.ChecksumFailures) })
+		reg.Counter("metricdb_store_pages_reused_total", "", "Page reads decoded into a recycled page; far below the preads, a reader is not releasing its pages.",
+			func() float64 { st, _ := db.StorageStats(); return float64(st.PagesReused) })
 	}
 
 	buf := db.Processor().Engine().Pager().Buffer()

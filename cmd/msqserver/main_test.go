@@ -432,6 +432,7 @@ func TestServeStoredDataset(t *testing.T) {
 		"metricdb_storage_preads_total",
 		"metricdb_storage_bytes_read_total",
 		"metricdb_storage_checksum_failures_total 0",
+		"metricdb_store_pages_reused_total",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -73,6 +73,39 @@ func BenchmarkMultiQueryAll(b *testing.B) {
 	}
 }
 
+// BenchmarkStoredScan is the serve_stored benchmark's page path without the
+// wire: 10 000 items of dimension 16 on 42 stored pages behind a buffer of
+// four, so every page of every scan is a pread, a verify and a decode, and
+// one iteration is the two-query block the server's batch former builds.
+// Run with -benchmem (allocation per block) or -cpuprofile (where a stored
+// read spends its time).
+func BenchmarkStoredScan(b *testing.B) {
+	const n, dim, capacity = 10000, 16, 240
+	items := testDB(9, n, dim)
+	e, err := scan.NewWithConfig(items, scan.Config{
+		PageCapacity: capacity, BufferPages: store.DefaultBufferPages((n + capacity - 1) / capacity),
+		WrapDisk: persistToFileDisk(b, false, store.ColumnSpec{}),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	proc, err := New(e, vec.Euclidean{}, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	queries := []Query{
+		{ID: 1, Vec: items[17].Vec, Type: query.NewKNN(10)},
+		{ID: 2, Vec: items[4242].Vec, Type: query.NewKNN(10)},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := proc.NewSession().MultiQueryAll(queries); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // clusteredDB draws n objects from k Gaussian clusters and lays them out
 // cluster by cluster, so a window of consecutive objects is a window of
 // neighbours — the shape of DBSCAN's seed list.

@@ -35,7 +35,7 @@ import (
 // simulated disk into a dataset directory in the on-disk format and hands
 // the engine a FileDisk over it, discarding the in-memory disk. The stored
 // records are AoS; spec says how the pages read back are materialized.
-func persistToFileDisk(t *testing.T, mmap bool, spec store.ColumnSpec) func(store.PageSource) (store.PageSource, error) {
+func persistToFileDisk(t testing.TB, mmap bool, spec store.ColumnSpec) func(store.PageSource) (store.PageSource, error) {
 	t.Helper()
 	return func(src store.PageSource) (store.PageSource, error) {
 		dir := t.TempDir()

@@ -342,6 +342,7 @@ func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]floa
 
 		pass.begin(page, active)
 		s.settle(stats, pass.eval(0, len(page.Items), 0, nil))
+		s.proc.eng.Pager().Release(page) // answers hold IDs and distances, never an item
 
 		for _, st := range active {
 			st.processed[ref.ID] = struct{}{}
@@ -446,6 +447,7 @@ func (s *Session) seedFirstPages(states []*queryState, stats *Stats) error {
 				c.abandoned++
 			}
 		}
+		eng.Pager().Release(page)
 		s.observeSince(obs.PhaseKernel, evalStart)
 		s.settle(stats, c)
 		st.processed[best] = struct{}{}

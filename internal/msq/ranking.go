@@ -91,6 +91,7 @@ func (r *Ranking) Next() (a query.Answer, ok bool, err error) {
 			r.stats.DistCalcs++
 			heap.Push(&r.pending, query.Answer{ID: page.Items[i].ID, Dist: d})
 		}
+		r.proc.eng.Pager().Release(page)
 	}
 }
 

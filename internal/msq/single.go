@@ -88,6 +88,7 @@ func (p *Processor) SingleContext(ctx context.Context, q vec.Vector, t query.Typ
 				answers.Consider(page.Items[i].ID, d)
 			}
 		}
+		p.eng.Pager().Release(page)
 		if traced {
 			tr.ObserveSince(obs.PhaseKernel, evalStart)
 		}

@@ -15,7 +15,7 @@ import (
 type Buffer struct {
 	mu        sync.Mutex
 	capacity  int
-	order     *list.List // front = most recently used; values are PageID
+	order     *list.List // front = most recently used; values are *bufferEntry
 	entries   map[PageID]*bufferEntry
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -23,6 +23,7 @@ type Buffer struct {
 }
 
 type bufferEntry struct {
+	pid  PageID
 	page *Page
 	elem *list.Element
 }
@@ -52,6 +53,8 @@ func DefaultBufferPages(numPages int) int {
 }
 
 // Get returns the cached page and true on a hit, or nil and false on a miss.
+// A hit is pinned for the caller while the LRU lock still guarantees the
+// buffer's own pin, so no eviction can recycle it in between.
 func (b *Buffer) Get(pid PageID) (*Page, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -62,32 +65,41 @@ func (b *Buffer) Get(pid PageID) (*Page, bool) {
 	}
 	b.hits.Add(1)
 	b.order.MoveToFront(e.elem)
+	e.page.pin(1)
 	return e.page, true
 }
 
 // Put inserts or refreshes a page, evicting the least recently used page if
-// the buffer is full.
+// the buffer is full. The buffer holds one pin on every page it caches and
+// drops it when the page is evicted, replaced or cleared. A full buffer
+// reuses the evicted entry, so a steady stream of misses allocates nothing
+// here.
 func (b *Buffer) Put(pid PageID, p *Page) {
 	if b.capacity == 0 {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	p.pin(1)
 	if e, ok := b.entries[pid]; ok {
+		e.page.unpin()
 		e.page = p
 		b.order.MoveToFront(e.elem)
 		return
 	}
-	if b.order.Len() >= b.capacity {
-		oldest := b.order.Back()
-		if oldest != nil {
-			b.order.Remove(oldest)
-			delete(b.entries, oldest.Value.(PageID))
-			b.evictions.Add(1)
-		}
+	if oldest := b.order.Back(); oldest != nil && b.order.Len() >= b.capacity {
+		e := oldest.Value.(*bufferEntry)
+		delete(b.entries, e.pid)
+		b.evictions.Add(1)
+		e.page.unpin()
+		e.pid, e.page = pid, p
+		b.order.MoveToFront(oldest)
+		b.entries[pid] = e
+		return
 	}
-	elem := b.order.PushFront(pid)
-	b.entries[pid] = &bufferEntry{page: p, elem: elem}
+	e := &bufferEntry{pid: pid, page: p}
+	e.elem = b.order.PushFront(e)
+	b.entries[pid] = e
 }
 
 // Len returns the number of buffered pages.
@@ -118,6 +130,9 @@ func (b *Buffer) Evictions() int64 { return b.evictions.Load() }
 func (b *Buffer) Clear() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	for _, e := range b.entries {
+		e.page.unpin()
+	}
 	b.order.Init()
 	b.entries = make(map[PageID]*bufferEntry)
 	b.hits.Store(0)

@@ -42,6 +42,12 @@ func ColumnizePage(p *Page, spec ColumnSpec) error {
 	dim := p.Items[0].Vec.Dim()
 	b := p.Cols
 	if b == nil || b.Dim != dim || b.N != len(p.Items) {
+		if p.rowsAreSlab(dim) {
+			// A decoded page is one contiguous slab already (see
+			// decodePageInto): serve it as the block, copy nothing.
+			p.slabBlock(dim)
+			return nil
+		}
 		b = vec.NewBlock(dim, len(p.Items))
 		for i := range p.Items {
 			if p.Items[i].Vec.Dim() != dim {
@@ -56,11 +62,26 @@ func ColumnizePage(p *Page, spec ColumnSpec) error {
 	return nil
 }
 
+// rowsAreSlab reports whether every item vector is still the dim-wide row
+// of the page's slab that the decoder pointed it at.
+func (p *Page) rowsAreSlab(dim int) bool {
+	if dim == 0 || len(p.slab) != len(p.Items)*dim {
+		return false
+	}
+	for i := range p.Items {
+		if v := p.Items[i].Vec; len(v) != dim || &v[0] != &p.slab[i*dim] {
+			return false
+		}
+	}
+	return true
+}
+
 // ColumnSource is a PageSource wrapper that columnizes pages as they are
 // read — the adapter that lets a layout-requesting open serve a stored
 // dataset whose records are not columnar (a version-1 dataset). It sits
-// between the disk and the buffer pool, so each page pays the conversion
-// once per fetch and cached pages stay columnar.
+// between the disk and the buffer pool, so cached pages stay columnar; a
+// FileDisk's pages are decoded into one slab, which the conversion wraps
+// rather than copies.
 type ColumnSource struct {
 	src  PageSource
 	spec ColumnSpec

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -32,6 +33,10 @@ type StorageStats struct {
 	// ChecksumFailures counts reads rejected because the page record
 	// failed validation — torn writes, bit rot, misdirected I/O.
 	ChecksumFailures int64
+	// PagesReused counts reads decoded into a recycled page instead of a
+	// fresh allocation. Far below the read count, it says some reader of
+	// ReadPage is not calling Release.
+	PagesReused int64
 }
 
 // FileDisk is a file-backed PageSource: it serves the pages of a persistent
@@ -57,6 +62,14 @@ type FileDisk struct {
 	preads      atomic.Int64
 	bytesRead   atomic.Int64
 	checksumErr atomic.Int64
+	reused      atomic.Int64
+
+	// scratch is the record buffer preads land in, owned under mu; free
+	// holds the pages whose last holder let go (see Page.unpin), each to be
+	// decoded into again. A fixed small bound: what does not fit is the
+	// garbage collector's.
+	scratch []byte
+	free    chan *Page
 
 	// tracer, when set, times each read (pread + verify + decode) as a
 	// storage_read span. Atomic so SetTracer is safe mid-flight.
@@ -64,6 +77,9 @@ type FileDisk struct {
 }
 
 var _ PageSource = (*FileDisk)(nil)
+
+// freePages bounds a FileDisk's free list.
+const freePages = 64
 
 // OpenFileDisk opens the persistent dataset in dir: it loads and validates
 // the published manifest, opens the page file it references, and checks the
@@ -74,7 +90,7 @@ func OpenFileDisk(dir string, opts FileDiskOptions) (*FileDisk, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &FileDisk{dir: dir, man: man, mode: "pread", lastRead: InvalidPage - 1}
+	d := &FileDisk{dir: dir, man: man, mode: "pread", lastRead: InvalidPage - 1, free: make(chan *Page, freePages)}
 	if len(man.Pages) > 0 {
 		f, err := os.Open(filepath.Join(dir, man.PagesFile))
 		if err != nil {
@@ -169,33 +185,51 @@ func (d *FileDisk) Read(pid PageID) (*Page, error) {
 	return page, nil
 }
 
-// fetch reads, verifies and decodes one page record.
+// fetch reads, verifies and decodes one page record, into a recycled page
+// when the free list has one. The CRC-32C is computed once and held against
+// both the record's trailer and the manifest. A page that fails any check
+// is dropped — not served, not returned to the free list.
 func (d *FileDisk) fetch(pid PageID) (*Page, error) {
 	e := d.man.Pages[pid]
 	var rec []byte
 	if d.data != nil {
 		rec = d.data[e.Offset : e.Offset+e.Length]
 	} else {
-		rec = make([]byte, e.Length)
+		if int64(cap(d.scratch)) < e.Length {
+			d.scratch = make([]byte, e.Length)
+		}
+		rec = d.scratch[:e.Length]
 		if _, err := d.f.ReadAt(rec, e.Offset); err != nil {
 			return nil, fmt.Errorf("store: pread page %d: %w", pid, err)
 		}
 		d.preads.Add(1)
 	}
 	d.bytesRead.Add(e.Length)
-	page, err := DecodePage(rec)
+	var page *Page
+	select {
+	case page = <-d.free:
+	default:
+		page = new(Page)
+	}
+	recycled := page.home != nil
+	sum, err := decodePageInto(page, rec)
 	if err != nil {
 		d.checksumErr.Add(1)
 		return nil, fmt.Errorf("store: page %d: %w", pid, err)
 	}
-	if page.ID != pid || len(page.Items) != e.Items || crcOf(rec) != e.CRC32C {
+	if page.ID != pid || len(page.Items) != e.Items || sum != e.CRC32C {
 		d.checksumErr.Add(1)
 		return nil, fmt.Errorf("store: page %d: %w: record disagrees with manifest entry", pid, ErrCorruptPage)
 	}
-	if (page.Cols != nil) != d.man.Columnar {
+	if (binary.LittleEndian.Uint32(rec) == pageMagic2) != d.man.Columnar {
 		d.checksumErr.Add(1)
 		return nil, fmt.Errorf("store: page %d: %w: record layout disagrees with manifest", pid, ErrCorruptPage)
 	}
+	if recycled {
+		d.reused.Add(1)
+	}
+	page.home = d
+	page.pins.Store(1) // the reader's
 	return page, nil
 }
 
@@ -229,6 +263,7 @@ func (d *FileDisk) Storage() StorageStats {
 		Preads:           d.preads.Load(),
 		BytesRead:        d.bytesRead.Load(),
 		ChecksumFailures: d.checksumErr.Load(),
+		PagesReused:      d.reused.Load(),
 	}
 }
 

@@ -269,107 +269,100 @@ func EncodePage(p *Page, dim int) ([]byte, error) {
 // validated against the actual data size before any allocation, and all
 // failures return an error wrapping ErrCorruptPage.
 func DecodePage(data []byte) (*Page, error) {
-	if len(data) < pageHeaderLen+pageTrailerLen {
-		return nil, fmt.Errorf("%w: record of %d bytes is shorter than the %d-byte envelope",
-			ErrCorruptPage, len(data), pageHeaderLen+pageTrailerLen)
-	}
-	switch m := binary.LittleEndian.Uint32(data[0:4]); m {
-	case pageMagic:
-	case pageMagic2:
-		return decodePageV2(data)
-	default:
-		return nil, fmt.Errorf("%w: bad magic %#08x", ErrCorruptPage, m)
-	}
-	id := binary.LittleEndian.Uint32(data[4:8])
-	count := binary.LittleEndian.Uint32(data[8:12])
-	dim := binary.LittleEndian.Uint32(data[12:16])
-	if id > math.MaxInt32 {
-		return nil, fmt.Errorf("%w: page ID %d overflows PageID", ErrCorruptPage, id)
-	}
-	if count > maxPageItems || dim > maxPageDim {
-		return nil, fmt.Errorf("%w: implausible header (items %d, dim %d)", ErrCorruptPage, count, dim)
-	}
-	want := uint64(pageHeaderLen) + uint64(count)*uint64(itemFixedLen+8*dim) + pageTrailerLen
-	if uint64(len(data)) != want {
-		return nil, fmt.Errorf("%w: record is %d bytes, header implies %d", ErrCorruptPage, len(data), want)
-	}
-	sum := binary.LittleEndian.Uint32(data[len(data)-pageTrailerLen:])
-	if got := crc32.Checksum(data[:len(data)-pageTrailerLen], castagnoli); got != sum {
-		return nil, fmt.Errorf("%w: checksum %#08x, record claims %#08x", ErrCorruptPage, got, sum)
-	}
-	p := &Page{ID: PageID(id), Items: make([]Item, count)}
-	off := pageHeaderLen
-	for i := range p.Items {
-		it := &p.Items[i]
-		it.ID = ItemID(binary.LittleEndian.Uint64(data[off:]))
-		it.Label = int(int64(binary.LittleEndian.Uint64(data[off+8:])))
-		off += itemFixedLen
-		v := make(vec.Vector, dim)
-		for d := range v {
-			v[d] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-			off += 8
-		}
-		it.Vec = v
+	p := new(Page)
+	if _, err := decodePageInto(p, data); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
 
-// decodePageV2 deserializes a columnar page record. The coordinates land
-// in one contiguous block with every Item.Vec aliasing its row; legacy
-// sections are length-checked and skipped. The same
-// never-panics/size-validated discipline as version 1 applies: every
-// length is checked against the actual data before any allocation.
-func decodePageV2(data []byte) (*Page, error) {
-	if len(data) < pageHeaderLenV2+pageTrailerLen {
-		return nil, fmt.Errorf("%w: columnar record of %d bytes is shorter than the %d-byte envelope",
-			ErrCorruptPage, len(data), pageHeaderLenV2+pageTrailerLen)
+// decodePageInto is DecodePage into a page the caller owns, for both record
+// versions: dst's Items array and coordinate slab are reused when large
+// enough, so decoding into a recycled page allocates nothing, and the
+// result equals a fresh decode field by field whatever dst held. The
+// coordinates land item-major in the one slab, every Item.Vec a capped row
+// of it; a columnar record's block is a view of the same slab, and its
+// legacy sections are length-checked and skipped. It returns the CRC-32C it
+// computed over the record body — already compared with the record's
+// trailer — for the caller to hold against the manifest. dst is touched
+// only after every check has passed: on an error it is as it was.
+func decodePageInto(dst *Page, data []byte) (uint32, error) {
+	header, columnar := pageHeaderLen, false
+	if len(data) >= 4 && binary.LittleEndian.Uint32(data) == pageMagic2 {
+		header, columnar = pageHeaderLenV2, true
+	}
+	if len(data) < header+pageTrailerLen {
+		return 0, fmt.Errorf("%w: record of %d bytes is shorter than the %d-byte envelope",
+			ErrCorruptPage, len(data), header+pageTrailerLen)
+	}
+	if m := binary.LittleEndian.Uint32(data); m != pageMagic && m != pageMagic2 {
+		return 0, fmt.Errorf("%w: bad magic %#08x", ErrCorruptPage, m)
 	}
 	id := binary.LittleEndian.Uint32(data[4:8])
 	count := binary.LittleEndian.Uint32(data[8:12])
 	dim := binary.LittleEndian.Uint32(data[12:16])
-	flags := binary.LittleEndian.Uint32(data[16:20])
-	qbits := binary.LittleEndian.Uint32(data[20:24])
 	if id > math.MaxInt32 {
-		return nil, fmt.Errorf("%w: page ID %d overflows PageID", ErrCorruptPage, id)
+		return 0, fmt.Errorf("%w: page ID %d overflows PageID", ErrCorruptPage, id)
 	}
 	if count > maxPageItems || dim > maxPageDim {
-		return nil, fmt.Errorf("%w: implausible header (items %d, dim %d)", ErrCorruptPage, count, dim)
+		return 0, fmt.Errorf("%w: implausible header (items %d, dim %d)", ErrCorruptPage, count, dim)
 	}
-	if flags&^uint32(pageFlagLegacyF32|pageFlagLegacyQuant) != 0 {
-		return nil, fmt.Errorf("%w: unknown flags %#x", ErrCorruptPage, flags)
-	}
-	if flags&pageFlagLegacyQuant != 0 {
-		if qbits < 1 || qbits > 8 {
-			return nil, fmt.Errorf("%w: %d quantization bits, want 1..8", ErrCorruptPage, qbits)
+	var legacy uint64
+	if columnar {
+		flags := binary.LittleEndian.Uint32(data[16:20])
+		qbits := binary.LittleEndian.Uint32(data[20:24])
+		if flags&^uint32(pageFlagLegacyF32|pageFlagLegacyQuant) != 0 {
+			return 0, fmt.Errorf("%w: unknown flags %#x", ErrCorruptPage, flags)
 		}
-	} else if qbits != 0 {
-		return nil, fmt.Errorf("%w: quantization bits %d without a code section", ErrCorruptPage, qbits)
+		if flags&pageFlagLegacyQuant != 0 {
+			if qbits < 1 || qbits > 8 {
+				return 0, fmt.Errorf("%w: %d quantization bits, want 1..8", ErrCorruptPage, qbits)
+			}
+		} else if qbits != 0 {
+			return 0, fmt.Errorf("%w: quantization bits %d without a code section", ErrCorruptPage, qbits)
+		}
+		legacy = legacySectionsLen(flags, uint64(count), uint64(dim))
 	}
-	want := uint64(pageHeaderLenV2) + uint64(count)*uint64(itemFixedLen+8*dim) +
-		legacySectionsLen(flags, uint64(count), uint64(dim)) + pageTrailerLen
+	want := uint64(header) + uint64(count)*uint64(itemFixedLen+8*dim) + legacy + pageTrailerLen
 	if uint64(len(data)) != want {
-		return nil, fmt.Errorf("%w: columnar record is %d bytes, header implies %d", ErrCorruptPage, len(data), want)
+		return 0, fmt.Errorf("%w: record is %d bytes, header implies %d", ErrCorruptPage, len(data), want)
 	}
-	sum := binary.LittleEndian.Uint32(data[len(data)-pageTrailerLen:])
-	if got := crc32.Checksum(data[:len(data)-pageTrailerLen], castagnoli); got != sum {
-		return nil, fmt.Errorf("%w: checksum %#08x, record claims %#08x", ErrCorruptPage, got, sum)
+	body := data[:len(data)-pageTrailerLen]
+	sum := crc32.Checksum(body, castagnoli)
+	if claimed := binary.LittleEndian.Uint32(data[len(body):]); sum != claimed {
+		return 0, fmt.Errorf("%w: checksum %#08x, record claims %#08x", ErrCorruptPage, sum, claimed)
 	}
-	b := vec.NewBlock(int(dim), int(count))
-	p := &Page{ID: PageID(id), Items: make([]Item, count), Cols: b}
-	off := pageHeaderLenV2
-	for i := range p.Items {
-		it := &p.Items[i]
+
+	n, d := int(count), int(dim)
+	if dst.Items == nil || cap(dst.Items) < n {
+		dst.Items = make([]Item, n)
+	}
+	if dst.slab == nil || cap(dst.slab) < n*d {
+		dst.slab = make([]float64, n*d)
+	}
+	dst.ID, dst.Items, dst.slab, dst.Cols = PageID(id), dst.Items[:n], dst.slab[:n*d], nil
+	off := header
+	for i := range dst.Items {
+		it := &dst.Items[i]
 		it.ID = ItemID(binary.LittleEndian.Uint64(data[off:]))
 		it.Label = int(int64(binary.LittleEndian.Uint64(data[off+8:])))
 		off += itemFixedLen
-		row := b.Item(i)
-		for d := range row {
-			row[d] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
+		it.Vec = dst.slab[i*d : (i+1)*d : (i+1)*d]
+		for c := range it.Vec {
+			it.Vec[c] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
 			off += 8
 		}
-		it.Vec = row
 	}
-	return p, nil
+	if columnar {
+		dst.slabBlock(d)
+	}
+	return sum, nil
+}
+
+// slabBlock serves the slab as the page's columnar block.
+func (p *Page) slabBlock(dim int) {
+	p.cols = vec.Block{Dim: dim, N: len(p.Items), F64: p.slab}
+	p.Cols = &p.cols
 }
 
 // EncodeManifest serializes a manifest as indented JSON (the file is meant

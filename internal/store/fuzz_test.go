@@ -9,6 +9,69 @@ import (
 	"metricdb/internal/vec"
 )
 
+// checkRecycledDecode decodes data a second time, into a destination that
+// last held a larger page of another shape (tenant, a valid record) and was
+// recycled, and holds the result against the fresh decode: an accepted
+// record yields the same page field by field — same bits, every vector a
+// capped row of one slab, a block exactly when the fresh page has one — and
+// a rejected record leaves the destination as it found it, with nothing to
+// serve.
+func checkRecycledDecode(t *testing.T, tenant, data []byte, fresh *Page) {
+	t.Helper()
+	dst := new(Page)
+	if _, err := decodePageInto(dst, tenant); err != nil {
+		t.Fatal(err)
+	}
+	dst.home = &FileDisk{free: make(chan *Page, 1)}
+	dst.pins.Store(1)
+	dst.unpin()
+	if _, err := decodePageInto(dst, data); err != nil {
+		if fresh != nil {
+			t.Fatalf("fresh decode accepted what the recycled decode rejects: %v", err)
+		}
+		if dst.ID != InvalidPage || len(dst.Items) != 0 {
+			t.Fatal("a rejected record changed its destination")
+		}
+		return
+	}
+	if fresh == nil {
+		t.Fatal("recycled decode accepted what the fresh decode rejects")
+	}
+	if !samePage(dst, fresh) {
+		t.Fatal("recycled decode differs from the fresh one")
+	}
+	for i := range dst.Items {
+		if v, w := dst.Items[i].Vec, fresh.Items[i].Vec; cap(v) != len(v) || (v == nil) != (w == nil) {
+			t.Fatalf("item %d: vector len %d cap %d nil %v, fresh nil %v", i, len(v), cap(v), v == nil, w == nil)
+		}
+	}
+	if (dst.Cols == nil) != (fresh.Cols == nil) {
+		t.Fatalf("recycled decode has block %v, fresh has %v", dst.Cols != nil, fresh.Cols != nil)
+	}
+	if b, f := dst.Cols, fresh.Cols; b != nil {
+		if b.Dim != f.Dim || b.N != f.N || len(b.F64) != len(f.F64) {
+			t.Fatalf("recycled block is %d×%d (%d), fresh %d×%d (%d)", b.N, b.Dim, len(b.F64), f.N, f.Dim, len(f.F64))
+		}
+		if b.Dim > 0 && b.N > 0 && &b.F64[0] != &dst.Items[0].Vec[0] {
+			t.Fatal("recycled block is not a view of the slab the items alias")
+		}
+	}
+}
+
+// tenantRecord encodes the page a fuzzed record's recycled destination held
+// before: 40 items of dimension 7, larger than any seed.
+func tenantRecord(f *testing.F, columnar bool) []byte {
+	p := &Page{ID: 11, Items: testItems(40, 7)}
+	if err := ColumnizePage(p, ColumnSpec{Columnar: columnar}); err != nil {
+		f.Fatal(err)
+	}
+	rec, err := EncodePage(p, 7)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return rec
+}
+
 // FuzzPageDecode throws arbitrary bytes at the page-record decoder. The
 // contract under fuzzing: never panic, never over-allocate from a
 // corrupt header, and on success uphold the structural invariants
@@ -48,8 +111,11 @@ func FuzzPageDecode(f *testing.F) {
 	huge[10] = 0xFF
 	f.Add(huge)
 
+	tenant := tenantRecord(f, true) // a columnar tenant under version-1 records
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodePage(data)
+		checkRecycledDecode(t, tenant, data, p)
 		if err != nil {
 			if p != nil {
 				t.Fatal("decoder returned both a page and an error")
@@ -137,8 +203,11 @@ func FuzzColumnarPageDecode(f *testing.F) {
 	huge[10] = 0xFF
 	f.Add(huge)
 
+	tenant := tenantRecord(f, false) // a version-1 tenant under columnar records
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodePage(data)
+		checkRecycledDecode(t, tenant, data, p)
 		if err != nil {
 			if p != nil {
 				t.Fatal("decoder returned both a page and an error")

@@ -12,6 +12,8 @@ package store
 
 import (
 	"fmt"
+	"math"
+	"sync/atomic"
 
 	"metricdb/internal/vec"
 )
@@ -43,11 +45,61 @@ const InvalidPage PageID = -1
 // values either way; the block only adds contiguity. Cols is
 // set at build time (Columnize, engine configs) or by the version-2 page
 // decoder, never mutated while a page is served.
+//
+// A page a FileDisk decoded also has a lifetime (the unexported fields; all
+// zero on every other page): it counts its holders, and when the last one
+// lets go it returns to the disk's free list to be decoded into again.
 type Page struct {
 	ID    PageID
 	Items []Item
 	Cols  *vec.Block
+
+	home *FileDisk    // takes the page back at zero pins; nil: no lifetime, left to the GC
+	pins atomic.Int32 // holders: one per ReadPage caller, one for the buffer
+	slab []float64    // item-major coordinates; every Items[i].Vec is a capped row of it
+	cols vec.Block    // what Cols points at when the slab is served as a block
 }
+
+// pin adds n holders. Only a holder may call it (the buffer for a reader
+// under the LRU lock, the reading goroutine for its single-flight waiters),
+// so a count that reached zero never rises again.
+func (p *Page) pin(n int) {
+	if p.home != nil {
+		p.pins.Add(int32(n))
+	}
+}
+
+// unpin drops one holder. The last one truncates the page — a stale holder
+// then sees no items or an index panic, never another page's — and offers it
+// to its disk's bounded free list.
+func (p *Page) unpin() {
+	if p.home == nil {
+		return
+	}
+	n := p.pins.Add(-1)
+	if n < 0 {
+		panic("store: page released twice")
+	}
+	if n > 0 {
+		return
+	}
+	p.ID, p.Items = InvalidPage, p.Items[:0]
+	if p.Cols != nil {
+		p.Cols.N = 0
+	}
+	if poisonRecycled {
+		for i := range p.slab {
+			p.slab[i] = math.NaN()
+		}
+	}
+	select {
+	case p.home.free <- p:
+	default: // list full: the GC has it
+	}
+}
+
+// poisonRecycled, a test hook, additionally fills a recycled slab with NaN.
+var poisonRecycled bool
 
 // Paginate packs items into pages of at most capacity items each, in the
 // given order, assigning consecutive PageIDs starting at 0. It returns an

@@ -39,9 +39,10 @@ type Pager struct {
 
 // flight is one in-progress disk read awaited by one or more callers.
 type flight struct {
-	done chan struct{}
-	page *Page
-	err  error
+	done    sync.WaitGroup
+	waiters int // callers blocked on done; guarded by Pager.mu
+	page    *Page
+	err     error
 }
 
 // NewPager combines a page source and a buffer. A nil buffer means
@@ -58,6 +59,9 @@ func NewPager(disk PageSource, buf *Buffer) (*Pager, error) {
 // hit-or-miss count) is charged per call, and so that a miss and the
 // in-flight registration are atomic — two concurrent misses cannot both
 // reach the disk.
+//
+// Every caller is handed one pin on the page it gets and may hand it back
+// with Release; a caller that never does keeps the page alive, as before.
 func (p *Pager) ReadPage(pid PageID) (*Page, error) {
 	p.mu.Lock()
 	if p.buf != nil {
@@ -67,11 +71,13 @@ func (p *Pager) ReadPage(pid PageID) (*Page, error) {
 		}
 	}
 	if f, ok := p.inflight[pid]; ok {
+		f.waiters++
 		p.mu.Unlock()
-		<-f.done
+		f.done.Wait()
 		return f.page, f.err
 	}
-	f := &flight{done: make(chan struct{})}
+	f := &flight{}
+	f.done.Add(1)
 	p.inflight[pid] = f
 	p.mu.Unlock()
 
@@ -94,13 +100,26 @@ func (p *Pager) ReadPage(pid PageID) (*Page, error) {
 	p.mu.Lock()
 	f.page, f.err = page, err
 	delete(p.inflight, pid)
+	if err == nil {
+		// The reader's own pin came with the read; it pins once more for
+		// each waiter before waking them, while nobody else can let go.
+		page.pin(f.waiters)
+	}
 	p.mu.Unlock()
-	close(f.done)
+	f.done.Done()
 	if err != nil {
 		return nil, err
 	}
 	return page, nil
 }
+
+// Release hands back the pin ReadPage gave the caller on page: whoever got
+// a page from ReadPage may release it once, after its last read of Items.
+// When the buffer has let go of it too, a FileDisk's page is recycled for a
+// later read. Releasing is optional — a page never released is never
+// recycled and is left to the garbage collector — and on pages of any other
+// source it does nothing.
+func (p *Pager) Release(page *Page) { page.unpin() }
 
 // SetTracer installs (or, with nil, removes) the tracer that times the
 // pager's disk reads as page_fetch spans. It may be called at any time,
