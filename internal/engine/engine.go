@@ -14,8 +14,9 @@
 // The contract is split in two. Engine is the long-lived, concurrency-safe
 // physical organization; Prepare(q) returns a PreparedQuery — a per-query
 // handle that carries whatever per-query state the engine wants to pay for
-// exactly once (pivot distances d(q, p_i) for the pivot-based engines,
-// scratch buffers for the VA-file) and answers all subsequent Plan /
+// exactly once (pivot distances d(q, p_i) for the pivot-based engines, every
+// page's bounds from one sweep of the approximations, through per-query
+// cell tables, for the VA-file) and answers all subsequent Plan /
 // MinDist / MaxDist probes for that query against it. The multi-query
 // processor keeps one handle per query for the lifetime of the batch, so an
 // engine's per-query setup cost is amortized over every page probe the

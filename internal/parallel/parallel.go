@@ -513,15 +513,20 @@ func (c *Cluster) callServer(ctx context.Context, srv *server, queries []msq.Que
 	defer cancel()
 	ch := make(chan outcome, 1)
 	go func() { ch <- run(attemptCtx) }()
+	deadline := time.Now().Add(c.cfg.Timeout)
 	timer := time.NewTimer(c.cfg.Timeout)
 	defer timer.Stop()
 	select {
 	case o := <-ch:
-		return o.res, o.st, o.err
+		// With both cases ready select takes either one; an answer picked
+		// up after the deadline is a timeout all the same.
+		if time.Now().Before(deadline) {
+			return o.res, o.st, o.err
+		}
 	case <-timer.C:
-		cancel() // let the abandoned attempt stop at its next page barrier
-		return nil, ServerStats{}, fmt.Errorf("parallel: server timed out after %v", c.cfg.Timeout)
 	}
+	cancel() // let the abandoned attempt stop at its next page barrier
+	return nil, ServerStats{}, fmt.Errorf("parallel: server timed out after %v", c.cfg.Timeout)
 }
 
 // Single evaluates one similarity query on all servers and merges the

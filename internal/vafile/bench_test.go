@@ -31,12 +31,8 @@ func BenchmarkSortRefs(b *testing.B) {
 	}
 }
 
-// BenchmarkPlan exercises the full approximation scan over a many-page
-// VA-file, whose output ordering runs through sortRefs.
-func BenchmarkPlan(b *testing.B) {
-	const dim, nItems = 8, 8192
-	rng := rand.New(rand.NewSource(2))
-	items := make([]store.Item, nItems)
+func benchItems(rng *rand.Rand, n, dim int) []store.Item {
+	items := make([]store.Item, n)
 	for i := range items {
 		v := make(vec.Vector, dim)
 		for d := range v {
@@ -44,6 +40,15 @@ func BenchmarkPlan(b *testing.B) {
 		}
 		items[i] = store.Item{ID: store.ItemID(i), Vec: v}
 	}
+	return items
+}
+
+// BenchmarkPlan exercises the full approximation scan over a many-page
+// VA-file, whose output ordering runs through sortRefs.
+func BenchmarkPlan(b *testing.B) {
+	const dim, nItems = 8, 8192
+	rng := rand.New(rand.NewSource(2))
+	items := benchItems(rng, nItems, dim)
 	e, err := New(items, Config{PageCapacity: 4})
 	if err != nil {
 		b.Fatal(err)
@@ -58,6 +63,30 @@ func BenchmarkPlan(b *testing.B) {
 		refs := e.Prepare(q).Plan(0.4)
 		benchSinkRefs = len(refs)
 	}
+}
+
+// BenchmarkSweep is what one query costs the engines_lowdim workload's
+// VA-file before any page is read: a handle, the cell tables, one sweep of
+// 20 000 × 8-d approximations, then the probes the processor makes — a
+// MaxDist and a MinDist of every page and a plan — as array reads.
+func BenchmarkSweep(b *testing.B) {
+	const dim, nItems = 8, 20000
+	items := benchItems(rand.New(rand.NewSource(3)), nItems, dim)
+	e, err := New(items, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sink float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pq := e.Prepare(items[i%nItems].Vec)
+		for pid := 0; pid < e.NumPages(); pid++ {
+			sink += pq.MaxDist(store.PageID(pid)) + pq.MinDist(store.PageID(pid))
+		}
+		benchSinkRefs = len(pq.Plan(0.3))
+	}
+	_ = sink
 }
 
 var benchSinkRefs int

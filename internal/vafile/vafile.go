@@ -12,17 +12,20 @@
 // query machinery (page sharing, incremental buffering, avoidance) works
 // unchanged on top of a VA-file — demonstrating the paper's claim that the
 // techniques apply to "an implementation based on an index or using a
-// sequential scan".
+// sequential scan". A query scans the approximations once, on its handle's
+// first probe, and every probe reads the per-page bounds that scan left.
 //
-// The approximation array is immutable after construction, so the query
-// path (Plan/MinDist/MaxDist/ReadPage) is safe for concurrent readers, as
-// the engine contract requires.
+// The approximation array is immutable after construction and a scan's
+// working tables come from a free list, so the query path
+// (Prepare/ReadPage and any number of handles) is safe for concurrent
+// readers, as the engine contract requires.
 package vafile
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"metricdb/internal/engine"
 	"metricdb/internal/store"
@@ -56,10 +59,15 @@ type Config struct {
 
 // Engine is a VA-file over a paged vector file.
 type Engine struct {
-	pager    *store.Pager
-	metric   vec.Metric
-	base     vec.Metric // unwrapped metric used for bound arithmetic
-	cw       bool       // base is coordinatewise
+	pager  *store.Pager
+	metric vec.Metric
+	base   vec.Metric // unwrapped metric used for bound arithmetic
+	cw     bool       // base is coordinatewise
+	// kernel is base's term/combine/finish when vec ships it (Term is nil
+	// otherwise); tables is the free list of the per-sweep cell tables built
+	// from it — a sweep holds one, so a few cover any number of sessions.
+	kernel   vec.GapKernel
+	tables   chan []cellTerm
 	dim      int
 	bits     int
 	cells    int
@@ -145,6 +153,8 @@ func New(items []store.Item, cfg Config) (*Engine, error) {
 	e.base = vec.BaseMetric(cfg.Metric)
 	if cw, ok := e.base.(vec.Coordinatewise); ok && cw.CoordinatewiseMetric() {
 		e.cw = true
+		e.kernel, _ = vec.GapKernelOf(e.base)
+		e.tables = make(chan []cellTerm, 4)
 	}
 	e.buildBoundaries(items)
 	e.quantize(pages)
@@ -217,50 +227,6 @@ func (e *Engine) cellOf(d int, v float64) uint8 {
 	return uint8(c)
 }
 
-// itemLowerBound returns the cell-derived lower bound on the distance from
-// q to the it-th item of page pi, writing the per-dimension gaps into
-// scratch (len dim).
-func (e *Engine) itemLowerBound(q vec.Vector, pi store.PageID, it int, scratch, zero vec.Vector) float64 {
-	if !e.cw {
-		return 0
-	}
-	cells := e.pages[pi].cells[it*e.dim : (it+1)*e.dim]
-	for d := 0; d < e.dim; d++ {
-		b := e.bounds[d]
-		c := int(cells[d])
-		lo, hi := b[c], b[c+1]
-		switch {
-		case q[d] < lo:
-			scratch[d] = lo - q[d]
-		case q[d] > hi:
-			scratch[d] = q[d] - hi
-		default:
-			scratch[d] = 0
-		}
-	}
-	return e.base.Distance(scratch, zero)
-}
-
-// itemUpperBound is the matching farthest-corner bound.
-func (e *Engine) itemUpperBound(q vec.Vector, pi store.PageID, it int, scratch, zero vec.Vector) float64 {
-	if !e.cw {
-		return math.Inf(1)
-	}
-	cells := e.pages[pi].cells[it*e.dim : (it+1)*e.dim]
-	for d := 0; d < e.dim; d++ {
-		b := e.bounds[d]
-		c := int(cells[d])
-		lo := math.Abs(q[d] - b[c])
-		hi := math.Abs(q[d] - b[c+1])
-		if lo > hi {
-			scratch[d] = lo
-		} else {
-			scratch[d] = hi
-		}
-	}
-	return e.base.Distance(scratch, zero)
-}
-
 // Name returns "vafile".
 func (e *Engine) Name() string { return "vafile" }
 
@@ -269,25 +235,122 @@ func (e *Engine) Describe() engine.Config {
 	return engine.Config{PageCapacity: e.pageCapacity, Bits: e.bits}
 }
 
-// Prepare returns the per-query handle. The handle owns the per-dimension
-// scratch vectors that the cell-bound arithmetic needs, so a query pays the
-// two allocations once instead of on every page probe.
+// Prepare returns the per-query handle; the approximation scan runs on its
+// first probe.
 func (e *Engine) Prepare(q vec.Vector) engine.PreparedQuery {
-	return &prepared{
-		e:       e,
-		q:       q,
-		scratch: make(vec.Vector, e.dim),
-		zero:    make(vec.Vector, e.dim),
+	return &prepared{e: e, q: q}
+}
+
+// prepared answers page probes for one query: its first probe sweeps the
+// approximation array and keeps every page's bounds, so each Plan, MinDist
+// and MaxDist after it is an array read.
+type prepared struct {
+	e *Engine
+	q vec.Vector
+	// bounds[2*pid], bounds[2*pid+1]: lower and upper bound of page pid.
+	bounds []float64 // nil until the first probe
+}
+
+// swept returns the per-page bounds — the minimum item lower bound and the
+// maximum item upper bound of every page — computing them on first use. A
+// metric that is not coordinatewise knows nothing about a cell: every page
+// gets [0, +Inf) without a sweep and the VA-file degrades to the scan.
+func (p *prepared) swept() []float64 {
+	if p.bounds != nil {
+		return p.bounds
+	}
+	e := p.e
+	p.bounds = make([]float64, 2*len(e.pages))
+	switch {
+	case !e.cw:
+		for pi := range e.pages {
+			p.bounds[2*pi+1] = math.Inf(1)
+		}
+	case e.kernel.Term != nil:
+		var t []cellTerm
+		select {
+		case t = <-e.tables:
+		default:
+			t = make([]cellTerm, e.dim*e.cells)
+		}
+		e.fillTables(t, p.q)
+		for pi := range e.pages {
+			p.bounds[2*pi], p.bounds[2*pi+1] = e.sweepPage(t, &e.pages[pi])
+		}
+		select {
+		case e.tables <- t:
+		default:
+		}
+	default:
+		gap, zero := make(vec.Vector, e.dim), make(vec.Vector, e.dim)
+		for pi := range e.pages {
+			p.bounds[2*pi], p.bounds[2*pi+1] = e.sweepPageByGapVector(p.q, &e.pages[pi], gap, zero)
+		}
+	}
+	return p.bounds
+}
+
+// cellTerm is what one cell of one dimension adds to a bound: the term of
+// the metric's Distance loop for the gap between the query's coordinate and
+// the cell (lo; 0 inside the cell) and its farther edge (up).
+type cellTerm struct{ lo, up float64 }
+
+// fillTables writes the cellTerm of cell c of dimension d to t[d*cells+c].
+func (e *Engine) fillTables(t []cellTerm, q vec.Vector) {
+	for d, b := range e.bounds {
+		row := t[d*e.cells : (d+1)*e.cells]
+		for c := range row {
+			row[c] = cellTerm{
+				lo: e.kernel.Term(d, vec.BoxGap(q[d], b[c], b[c+1], false)),
+				up: e.kernel.Term(d, vec.BoxGap(q[d], b[c], b[c+1], true)),
+			}
+		}
 	}
 }
 
-// prepared answers page probes for one query against the in-memory
-// approximation array.
-type prepared struct {
-	e       *Engine
-	q       vec.Vector
-	scratch vec.Vector
-	zero    vec.Vector
+// sweepPage combines the table entries of each item's cells the way the
+// metric combines its terms — in dimension order, so with the bits of
+// Distance(gap, zero) — and returns the page's smallest lower and largest
+// upper combination, finished (sqrt, pow or nothing: monotone, so once per
+// page does what once per item did).
+func (e *Engine) sweepPage(t []cellTerm, pa *pageApprox) (lb, ub float64) {
+	dim, ncells, byMax := e.dim, e.cells, e.kernel.Max
+	lb = math.Inf(1)
+	for cells := pa.cells; len(cells) >= dim; cells = cells[dim:] {
+		var lo, up float64
+		if byMax {
+			for d, c := range cells[:dim] {
+				ct := &t[d*ncells+int(c)]
+				lo, up = max(lo, ct.lo), max(up, ct.up)
+			}
+		} else {
+			for d, c := range cells[:dim] {
+				ct := &t[d*ncells+int(c)]
+				lo, up = lo+ct.lo, up+ct.up
+			}
+		}
+		lb, ub = min(lb, lo), max(ub, up)
+	}
+	return e.kernel.Finish(lb), e.kernel.Finish(ub)
+}
+
+// sweepPageByGapVector is sweepPage for a coordinatewise metric vec does not
+// ship: it fills each item's two gap vectors and asks the metric itself.
+func (e *Engine) sweepPageByGapVector(q vec.Vector, pa *pageApprox, gap, zero vec.Vector) (lb, ub float64) {
+	lb = math.Inf(1)
+	for cells := pa.cells; len(cells) >= e.dim; cells = cells[e.dim:] {
+		for _, far := range [2]bool{false, true} {
+			for d, c := range cells[:e.dim] {
+				gap[d] = vec.BoxGap(q[d], e.bounds[d][c], e.bounds[d][int(c)+1], far)
+			}
+			if b := e.base.Distance(gap, zero); far {
+				ub = max(ub, b)
+			} else {
+				lb = min(lb, b)
+			}
+		}
+	}
+	return lb, ub
 }
 
 // Plan performs the approximation scan (phase 1 of VA-file query
@@ -295,13 +358,17 @@ type prepared struct {
 // becomes a candidate, ordered by ascending lower bound so that k-NN
 // processing can stop early, exactly like an index plan.
 func (p *prepared) Plan(queryDist float64) []engine.PageRef {
-	e := p.e
-	refs := make([]engine.PageRef, 0, len(e.pages))
-	for pi := range e.pages {
-		pid := store.PageID(pi)
-		lb := e.pageLowerBound(p.q, pid, p.scratch, p.zero)
-		if lb <= queryDist {
-			refs = append(refs, engine.PageRef{ID: pid, MinDist: lb})
+	bounds := p.swept()
+	n := 0
+	for pi := 0; pi < len(bounds); pi += 2 {
+		if bounds[pi] <= queryDist {
+			n++
+		}
+	}
+	refs := make([]engine.PageRef, 0, n)
+	for pi := 0; pi < len(bounds); pi += 2 {
+		if bounds[pi] <= queryDist {
+			refs = append(refs, engine.PageRef{ID: store.PageID(pi / 2), MinDist: bounds[pi]})
 		}
 	}
 	sortRefs(refs)
@@ -309,53 +376,20 @@ func (p *prepared) Plan(queryDist float64) []engine.PageRef {
 }
 
 func sortRefs(refs []engine.PageRef) {
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].MinDist != refs[j].MinDist {
-			return refs[i].MinDist < refs[j].MinDist
+	slices.SortFunc(refs, func(a, b engine.PageRef) int {
+		if c := cmp.Compare(a.MinDist, b.MinDist); c != 0 {
+			return c
 		}
-		return refs[i].ID < refs[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 }
 
-// pageLowerBound is the minimum item lower bound of the page.
-func (e *Engine) pageLowerBound(q vec.Vector, pid store.PageID, scratch, zero vec.Vector) float64 {
-	pa := &e.pages[pid]
-	best := math.Inf(1)
-	for it := 0; it < pa.n; it++ {
-		if lb := e.itemLowerBound(q, pid, it, scratch, zero); lb < best {
-			best = lb
-			if best == 0 {
-				break
-			}
-		}
-	}
-	if math.IsInf(best, 1) {
-		return 0
-	}
-	return best
-}
-
 // MinDist returns the page's approximation lower bound.
-func (p *prepared) MinDist(pid store.PageID) float64 {
-	return p.e.pageLowerBound(p.q, pid, p.scratch, p.zero)
-}
+func (p *prepared) MinDist(pid store.PageID) float64 { return p.swept()[2*pid] }
 
 // MaxDist returns an upper bound on the distance from q to any item on the
 // page (the maximum item upper bound).
-func (p *prepared) MaxDist(pid store.PageID) float64 {
-	e := p.e
-	if !e.cw {
-		return math.Inf(1)
-	}
-	pa := &e.pages[pid]
-	worst := 0.0
-	for it := 0; it < pa.n; it++ {
-		if ub := e.itemUpperBound(p.q, pid, it, p.scratch, p.zero); ub > worst {
-			worst = ub
-		}
-	}
-	return worst
-}
+func (p *prepared) MaxDist(pid store.PageID) float64 { return p.swept()[2*pid+1] }
 
 // PageLen returns the number of items on the page.
 func (e *Engine) PageLen(pid store.PageID) int { return e.pages[pid].n }

@@ -68,7 +68,7 @@ func BoxDistance(m Metric, q, lo, hi Vector, far bool) (d float64, ok bool) {
 	case Chebyshev:
 		var mx float64
 		for i := range q {
-			if g := math.Abs(boxGap(q[i], lo[i], hi[i], far)); g > mx {
+			if g := math.Abs(BoxGap(q[i], lo[i], hi[i], far)); g > mx {
 				mx = g
 			}
 		}
@@ -82,7 +82,7 @@ func BoxDistance(m Metric, q, lo, hi Vector, far bool) (d float64, ok bool) {
 		}
 		var s float64
 		for i := range q {
-			s += bm.term(math.Abs(boxGap(q[i], lo[i], hi[i], far)))
+			s += bm.term(math.Abs(BoxGap(q[i], lo[i], hi[i], far)))
 		}
 		return math.Pow(s, bm.invp), true
 	case *WeightedEuclidean:
@@ -91,7 +91,7 @@ func BoxDistance(m Metric, q, lo, hi Vector, far bool) (d float64, ok bool) {
 		}
 		var s float64
 		for i := range q {
-			g := boxGap(q[i], lo[i], hi[i], far)
+			g := BoxGap(q[i], lo[i], hi[i], far)
 			s += bm.weights[i] * g * g
 		}
 		return math.Sqrt(s), true
@@ -99,8 +99,47 @@ func BoxDistance(m Metric, q, lo, hi Vector, far bool) (d float64, ok bool) {
 	return 0, false
 }
 
-// boxGap is one coordinate of the gap vector (see BoxDistance).
-func boxGap(q, lo, hi float64, far bool) float64 {
+// GapKernel takes a shipped coordinatewise metric's Distance(gap, zero)
+// apart for callers whose boxes share few distinct gaps (the VA-file
+// tabulates Term once per cell and query): the distance is Finish, which is
+// monotone, of the Terms of gap[0], gap[1], … combined in that order, from
+// 0, by + (by max when Max) — evaluated so, with the bits of Distance.
+type GapKernel struct {
+	Term   func(i int, g float64) float64
+	Max    bool
+	Finish func(s float64) float64
+}
+
+// GapKernelOf returns m's GapKernel; ok is as for BoxDistance.
+func GapKernelOf(m Metric) (k GapKernel, ok bool) {
+	square := func(_ int, g float64) float64 { return g * g }
+	abs := func(_ int, g float64) float64 { return math.Abs(g) }
+	same := func(s float64) float64 { return s }
+	switch bm := m.(type) {
+	case Euclidean:
+		return GapKernel{Term: square, Finish: math.Sqrt}, true
+	case Manhattan:
+		return GapKernel{Term: abs, Finish: same}, true
+	case Chebyshev:
+		return GapKernel{Term: abs, Max: true, Finish: same}, true
+	case Minkowski:
+		switch bm.p {
+		case 1:
+			return GapKernel{Term: abs, Finish: same}, true
+		case 2:
+			return GapKernel{Term: square, Finish: math.Sqrt}, true
+		}
+		term := func(_ int, g float64) float64 { return bm.term(math.Abs(g)) }
+		return GapKernel{Term: term, Finish: func(s float64) float64 { return math.Pow(s, bm.invp) }}, true
+	case *WeightedEuclidean:
+		term := func(i int, g float64) float64 { return bm.weights[i] * g * g }
+		return GapKernel{Term: term, Finish: math.Sqrt}, true
+	}
+	return GapKernel{}, false
+}
+
+// BoxGap is one coordinate of the gap vector (see BoxDistance).
+func BoxGap(q, lo, hi float64, far bool) float64 {
 	if far {
 		l, h := math.Abs(q-lo), math.Abs(q-hi)
 		if l > h {
@@ -120,7 +159,7 @@ func boxGap(q, lo, hi float64, far bool) float64 {
 func boxEuclidean(q, lo, hi Vector, far bool) float64 {
 	var s float64
 	for i := range q {
-		g := boxGap(q[i], lo[i], hi[i], far)
+		g := BoxGap(q[i], lo[i], hi[i], far)
 		s += g * g
 	}
 	return math.Sqrt(s)
@@ -129,7 +168,7 @@ func boxEuclidean(q, lo, hi Vector, far bool) float64 {
 func boxManhattan(q, lo, hi Vector, far bool) float64 {
 	var s float64
 	for i := range q {
-		s += math.Abs(boxGap(q[i], lo[i], hi[i], far))
+		s += math.Abs(BoxGap(q[i], lo[i], hi[i], far))
 	}
 	return s
 }

@@ -1,6 +1,7 @@
 package xtree
 
 import (
+	"math"
 	"sort"
 
 	"metricdb/internal/geom"
@@ -27,12 +28,21 @@ func (s splitResult) overlapRatio() float64 {
 	return s.overlap / u
 }
 
+// splitScratch is the working memory of a split, owned by the Tree and
+// reused across sort orders and splits: the prefix and suffix MBRs of every
+// split position, views into one coordinate slab. What a split returns is
+// copied out of it.
+type splitScratch struct{ prefix, suffix []geom.Rect }
+
 // topologicalSplit performs the R*-tree topological split over rects:
 // the split axis is the one minimizing the total margin over all candidate
 // distributions, and along that axis the distribution with minimal overlap
 // (ties broken by minimal combined area) wins. minFill is the minimum group
-// size; it is clamped to [1, len(rects)/2].
-func topologicalSplit(rects []geom.Rect, minFill int) splitResult {
+// size; it is clamped to [1, len(rects)/2]. points says every rect is a
+// point (Min == Max): sorting by upper edge then repeats the lower-edge
+// order and its margin, which only a strictly smaller one beats, so the
+// order is not tried.
+func (s *splitScratch) topologicalSplit(rects []geom.Rect, minFill int, points bool) splitResult {
 	n := len(rects)
 	if minFill < 1 {
 		minFill = 1
@@ -46,9 +56,11 @@ func topologicalSplit(rects []geom.Rect, minFill int) splitResult {
 	bestAxisUpper := false
 	bestMargin := -1.0
 	for axis := 0; axis < dim; axis++ {
-		for _, byUpper := range []bool{false, true} {
-			order := sortedOrder(rects, axis, byUpper)
-			prefix, suffix := cumulativeRects(rects, order)
+		for _, byUpper := range [2]bool{false, true} {
+			if byUpper && points {
+				continue
+			}
+			prefix, suffix := s.cumulativeRects(rects, sortedOrder(rects, axis, byUpper))
 			margin := 0.0
 			for k := minFill; k <= n-minFill; k++ {
 				margin += prefix[k].Margin() + suffix[k].Margin()
@@ -62,50 +74,64 @@ func topologicalSplit(rects []geom.Rect, minFill int) splitResult {
 	}
 
 	order := sortedOrder(rects, bestAxis, bestAxisUpper)
-	prefix, suffix := cumulativeRects(rects, order)
-	var best splitResult
+	prefix, suffix := s.cumulativeRects(rects, order)
+	bestK := -1
 	bestScore := -1.0
 	bestArea := 0.0
 	for k := minFill; k <= n-minFill; k++ {
-		l, r := prefix[k], suffix[k]
-		ov := l.Overlap(r)
-		area := l.Area() + r.Area()
+		ov := prefix[k].Overlap(suffix[k])
+		area := prefix[k].Area() + suffix[k].Area()
 		if bestScore < 0 || ov < bestScore || (ov == bestScore && area < bestArea) {
-			bestScore = ov
-			bestArea = area
-			best = splitResult{
-				left:      append([]int(nil), order[:k]...),
-				right:     append([]int(nil), order[k:]...),
-				leftRect:  l.Clone(),
-				rightRect: r.Clone(),
-				overlap:   ov,
-				axis:      bestAxis,
-			}
+			bestK, bestScore, bestArea = k, ov, area
 		}
 	}
-	return best
+	return splitResult{
+		left:      append([]int(nil), order[:bestK]...),
+		right:     append([]int(nil), order[bestK:]...),
+		leftRect:  prefix[bestK].Clone(),
+		rightRect: suffix[bestK].Clone(),
+		overlap:   bestScore,
+		axis:      bestAxis,
+	}
 }
 
 // cumulativeRects returns, for every split position k, the MBR of the
 // first k entries (prefix[k]) and of the remaining entries (suffix[k]) in
 // sorted order, computed in one linear pass instead of per-distribution —
-// the difference between O(n²·d) and O(n·d) per axis.
-func cumulativeRects(rects []geom.Rect, order []int) (prefix, suffix []geom.Rect) {
+// the difference between O(n²·d) and O(n·d) per axis. Both slices are the
+// scratch's and hold until the next call.
+func (s *splitScratch) cumulativeRects(rects []geom.Rect, order []int) (prefix, suffix []geom.Rect) {
 	n := len(order)
 	dim := rects[0].Dim()
-	prefix = make([]geom.Rect, n+1)
-	suffix = make([]geom.Rect, n+1)
-	prefix[0] = geom.EmptyRect(dim)
+	if len(s.prefix) <= n {
+		slab := make([]float64, 4*dim*(n+1))
+		s.prefix, s.suffix = make([]geom.Rect, n+1), make([]geom.Rect, n+1)
+		for k := range s.prefix {
+			row := slab[4*dim*k : 4*dim*(k+1)]
+			s.prefix[k] = geom.Rect{Min: row[:dim:dim], Max: row[dim : 2*dim : 2*dim]}
+			s.suffix[k] = geom.Rect{Min: row[2*dim : 3*dim : 3*dim], Max: row[3*dim:]}
+		}
+	}
+	prefix, suffix = s.prefix[:n+1], s.suffix[:n+1]
+	for i := 0; i < dim; i++ {
+		prefix[0].Min[i], prefix[0].Max[i] = math.Inf(1), math.Inf(-1) // geom.EmptyRect
+	}
 	for k := 1; k <= n; k++ {
-		prefix[k] = prefix[k-1].Clone()
+		setRect(prefix[k], prefix[k-1])
 		prefix[k].ExtendRect(rects[order[k-1]])
 	}
-	suffix[n] = geom.EmptyRect(dim)
+	setRect(suffix[n], prefix[0])
 	for k := n - 1; k >= 0; k-- {
-		suffix[k] = suffix[k+1].Clone()
+		setRect(suffix[k], suffix[k+1])
 		suffix[k].ExtendRect(rects[order[k]])
 	}
 	return prefix, suffix
+}
+
+// setRect overwrites dst's coordinates with src's.
+func setRect(dst, src geom.Rect) {
+	copy(dst.Min, src.Min)
+	copy(dst.Max, src.Max)
 }
 
 // sortedOrder returns entry indices sorted along axis by lower edge (or

@@ -112,6 +112,9 @@ type Tree struct {
 	// reinsertion per top-level insert.
 	reinserting bool
 
+	// split is the scratch every split of this tree works in.
+	split splitScratch
+
 	// Set by Build.
 	built     bool
 	pager     *store.Pager
@@ -298,12 +301,14 @@ func identity(n int) []int {
 // splitLeaf splits an overflowing leaf with the topological split and
 // returns the new right sibling.
 func (t *Tree) splitLeaf(n *node) *node {
+	// The split only reads its rects, so a point's two corners share the
+	// item's vector.
 	rects := make([]geom.Rect, len(n.items))
 	for i := range n.items {
-		rects[i] = geom.PointRect(n.items[i].Vec)
+		rects[i] = geom.Rect{Min: n.items[i].Vec, Max: n.items[i].Vec}
 	}
 	minFill := int(math.Ceil(t.cfg.MinFillRatio * float64(len(n.items))))
-	res := topologicalSplit(rects, minFill)
+	res := t.split.topologicalSplit(rects, minFill, true)
 
 	left := make([]store.Item, 0, len(res.left))
 	right := make([]store.Item, 0, len(res.right))
@@ -339,7 +344,7 @@ func (t *Tree) splitDir(n *node) *node {
 		rects[i] = c.rect
 	}
 	minFill := int(math.Ceil(t.cfg.MinFillRatio * float64(len(n.children))))
-	res := topologicalSplit(rects, minFill)
+	res := t.split.topologicalSplit(rects, minFill, false)
 	if res.overlapRatio() > t.cfg.MaxOverlap {
 		// The topological split overlaps too much. The X-tree then
 		// consults the split history for a guaranteed overlap-free
@@ -394,7 +399,7 @@ func (t *Tree) overlapFreeSplit(n *node, minFill int) (splitResult, bool) {
 			continue
 		}
 		order := sortedOrder(rects, d, false)
-		prefix, suffix := cumulativeRects(rects, order)
+		prefix, suffix := t.split.cumulativeRects(rects, order)
 		for k := minFill; k <= nEntries-minFill; k++ {
 			if prefix[k].Overlap(suffix[k]) != 0 {
 				continue
@@ -433,6 +438,9 @@ func (t *Tree) Build() error {
 	flush = func(n *node) {
 		if n.isLeaf() {
 			n.pid = store.PageID(len(pages))
+			// The page and the leaf share an array sized to the items;
+			// the append-grown one the inserts filled is dropped.
+			n.items = append(make([]store.Item, 0, len(n.items)), n.items...)
 			pages = append(pages, &store.Page{ID: n.pid, Items: n.items})
 			rects = append(rects, n.rect)
 			lens = append(lens, len(n.items))
@@ -475,6 +483,7 @@ func (t *Tree) Build() error {
 	t.leafRects = rects
 	t.leafLens = lens
 	t.built = true
+	t.split = splitScratch{} // no insert, so no split, follows
 	return nil
 }
 

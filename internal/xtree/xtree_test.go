@@ -328,7 +328,7 @@ func TestTopologicalSplitBalance(t *testing.T) {
 		r.Extend(vec.Vector{a[0] + rng.Float64()*0.1, a[1] + rng.Float64()*0.1})
 		rects[i] = r
 	}
-	res := topologicalSplit(rects, 8)
+	res := new(splitScratch).topologicalSplit(rects, 8, false)
 	if len(res.left) < 8 || len(res.right) < 8 {
 		t.Errorf("split violates minFill: %d/%d", len(res.left), len(res.right))
 	}
