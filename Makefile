@@ -1,12 +1,13 @@
-.PHONY: check fmt vet build test race differential obsgate fuzz-smoke bench bench-all bench-compare bench-check bench-smoke loc
+.PHONY: check fmt vet build portable test race differential obsgate fuzz-smoke bench bench-all bench-compare bench-check bench-smoke loc
 
-# The pre-PR gate: formatting, static analysis, build, race-enabled tests,
+# The pre-PR gate: formatting, static analysis, build, the portable row
+# kernel and the other architectures' build, race-enabled tests,
 # the multi-query differential suite under the race detector, the two
 # in-run wall-clock gates, the benchmark module's own build and tests, a
 # two-second run of every benchmark workload, and a short fuzz of the
 # storage decoders. It ends by printing `make loc`, so every PR's CI log
 # carries the line count ROADMAP tracks.
-check: fmt vet build race differential obsgate bench-check bench-smoke fuzz-smoke loc
+check: fmt vet build portable race differential obsgate bench-check bench-smoke fuzz-smoke loc
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -18,6 +19,17 @@ vet:
 build:
 	go build ./...
 
+# The row kernel has two bodies selected by GOARCH, the purego tag and the
+# CPU (internal/vec/rows_*.go). The default build tests the assembly against
+# the portable body; this runs both packages with the portable body as the
+# only one, and builds for an architecture that has no assembly so that the
+# build-tag split cannot rot. go vet (above) checks the .s file against its
+# Go declarations.
+portable:
+	go test -tags purego ./internal/vec/ ./internal/msq/
+	GOARCH=arm64 go build ./...
+	GOARCH=arm64 go vet ./internal/vec/
+
 # Tier-1: the fast suite. -short skips the stress tests and trims the
 # property-test rounds; the differential harness itself always runs.
 test:
@@ -28,18 +40,23 @@ race:
 
 # The pipeline determinism gate: differential (width 1 vs 2 vs 8), Lemma
 # 1/2 soundness properties, the bounded-kernel contract properties, the
+# row kernel's contract against the scalar kernel (both bodies, and the
+# fuzz target's seeds), the row body against the pair body, the
 # session/pager stress tests, the store concurrency tests, the page
 # pin/recycle protocol tests and concurrent sessions on one VA-file (its
 # cell-table free list) — all under the race detector.
 differential:
-	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPageRecycle' \
+	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|FuzzEucRows|TestRowBodyMatchesPairBody|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPageRecycle' \
 		./internal/msq/ ./internal/store/ ./internal/vec/ ./internal/vafile/
 
 # A short fuzz of the persistent-storage decoders: corrupt page records
 # and manifests must produce errors, never panics or over-allocation. The
 # committed seed corpora cover the interesting boundaries; 30 seconds per
-# target explores beyond them on every check.
+# target explores beyond them on every check. The row kernel's target
+# holds the assembly and the portable body to the scalar kernel on
+# coordinates and limits no generator would pick.
 fuzz-smoke:
+	go test -run='^$$' -fuzz=FuzzEucRows -fuzztime=30s ./internal/vec/
 	go test -run='^$$' -fuzz=FuzzPageDecode -fuzztime=30s ./internal/store/
 	go test -run='^$$' -fuzz=FuzzManifestDecode -fuzztime=30s ./internal/store/
 	go test -run='^$$' -fuzz=FuzzColumnarPageDecode -fuzztime=30s ./internal/store/
@@ -76,21 +93,25 @@ bench-smoke:
 	done
 
 # Non-test Go lines per package (comments included), the number the
-# design-debt items in ROADMAP.md are tracked with. bench/ is its own module.
+# design-debt items in ROADMAP.md are tracked with; assembly is reported
+# beside the total, not in it. bench/ is its own module.
 loc:
 	@for d in $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*' -exec dirname {} \; | sort -u); do \
 		printf '%7d %s\n' "$$(cat $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go') | wc -l)" "$$d"; \
 	done | awk '{ print; total += $$1 } END { printf "%7d total\n", total }'
+	@s="$$(find . -name '*.s' ! -path './bench/*' ! -path './.bench_build/*')"; \
+		printf '%7d assembly (%s)\n' "$$(cat $$s | wc -l)" "$$(echo $$s)"
 
 # The perf gate for the hot path: kernel microbenchmarks (full Distance vs
 # bounded DistanceWithin, with allocation counts for the scratch-reuse
-# check), the VA-file's plan and per-query sweep and the X-tree's dynamic
+# check; a pair of the page pass by the scalar kernel, the portable row
+# body and the assembly one), the VA-file's plan and per-query sweep and the X-tree's dynamic
 # build, then the end-to-end artifacts — the kernels experiment
 # (BENCH_kernels.json), the intra pipeline sweep
 # (BENCH_parallel_intra.json) and the phase-latency profile
 # (BENCH_obs.json).
 bench:
-	go test -bench='BenchmarkDistance|BenchmarkSortRefs|BenchmarkPlan|BenchmarkSweep|BenchmarkBulk|BenchmarkMultiQueryAll' -benchmem -run=^$$ \
+	go test -bench='BenchmarkDistance|BenchmarkRowKernel|BenchmarkSortRefs|BenchmarkPlan|BenchmarkSweep|BenchmarkBulk|BenchmarkMultiQueryAll' -benchmem -run=^$$ \
 		./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/msq/
 	go run ./cmd/msqbench -experiment kernels
 	go run ./cmd/msqbench -experiment intra

@@ -155,12 +155,14 @@ func run(addr, dataFile string, mmap bool, n, dim int, engine, layout string, ca
 	defer db.Close() //nolint:errcheck
 	// The avoidance mode is printed resolved: an operator who later sees
 	// "avoided 0" on every batch can see here that no lemma is being probed.
-	avoid := db.ProcessorStats().Avoidance
+	// The row kernel is printed because the two cost about 3x apart per pair.
+	ps := db.ProcessorStats()
 	if mode, ok := db.Stored(); ok {
-		fmt.Printf("serving %d items (%s engine, avoidance %s, %s storage from %s) on %s\n",
-			db.Len(), engine, avoid, mode, dataFile, lis.Addr())
+		fmt.Printf("serving %d items (%s engine, avoidance %s, row kernel %s, %s storage from %s) on %s\n",
+			db.Len(), engine, ps.Avoidance, ps.RowKernel, mode, dataFile, lis.Addr())
 	} else {
-		fmt.Printf("serving %d items (%s engine, avoidance %s) on %s\n", db.Len(), engine, avoid, lis.Addr())
+		fmt.Printf("serving %d items (%s engine, avoidance %s, row kernel %s) on %s\n",
+			db.Len(), engine, ps.Avoidance, ps.RowKernel, lis.Addr())
 	}
 	if adminLis != nil {
 		fmt.Printf("admin HTTP (metrics, traces, pprof) on %s\n", adminLis.lis.Addr())
@@ -425,6 +427,9 @@ func newRegistry(tracer *obs.Tracer, db *metricdb.DB, srv *wire.Server, engine s
 	reg.Gauge("metricdb_buffer_capacity_pages", "", "Buffer-pool capacity in pages.",
 		func() float64 { return float64(buf.Capacity()) })
 
+	reg.Gauge("metricdb_row_kernel", fmt.Sprintf("isa=%q", db.ProcessorStats().RowKernel),
+		"Always 1; the label carries the instruction set of the blocked page pass (avx2 or go).",
+		func() float64 { return 1 })
 	reg.Counter("metricdb_distance_calcs_total", "", "Distance function invocations.",
 		func() float64 { return float64(db.ProcessorStats().DistCalcs) })
 	reg.Counter("metricdb_distance_partial_total", "", "Distance calculations abandoned early by the bounded kernels.",

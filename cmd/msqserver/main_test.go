@@ -433,6 +433,7 @@ func TestServeStoredDataset(t *testing.T) {
 		"metricdb_storage_bytes_read_total",
 		"metricdb_storage_checksum_failures_total 0",
 		"metricdb_store_pages_reused_total",
+		`metricdb_row_kernel{isa="` + db.ProcessorStats().RowKernel + `"} 1`,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -82,7 +82,7 @@ type Options struct {
 	// Layout selects how pages are materialized, nothing else: "" or "aos"
 	// gives every item its own vector, "soa" one contiguous float64 block
 	// per page that the items alias. The page pass is the same on both —
-	// the blocked row kernels run whenever the lemmas are not being probed
+	// the blocked row kernel runs whenever the lemmas are not being probed
 	// — and so are the answers and every statistic.
 	Layout string
 	// Mmap serves a stored database by memory-mapping its page file
@@ -508,6 +508,9 @@ type ProcessorStats struct {
 	// Avoidance is the triangle-inequality mode in effect: never AvoidAuto,
 	// but what it resolved to for this database's metric.
 	Avoidance AvoidanceMode
+	// RowKernel is the instruction set the blocked page pass runs on:
+	// "avx2" (the assembly Euclidean kernel) or "go" (the portable one).
+	RowKernel string
 	// Concurrency is the effective intra-server pipeline width (>= 1).
 	Concurrency int
 	// Layout names how the database's pages are materialized ("aos" or
@@ -530,6 +533,7 @@ type ProcessorStats struct {
 func (db *DB) ProcessorStats() ProcessorStats {
 	ps := ProcessorStats{
 		Avoidance:        db.proc.Options().Avoidance,
+		RowKernel:        db.proc.RowKernel(),
 		Concurrency:      db.proc.Concurrency(),
 		Layout:           db.proc.Options().Layout.String(),
 		DistCalcs:        db.proc.Metric().Count(),

@@ -116,10 +116,7 @@ func runBody(t *testing.T, eng interface {
 			t.Fatal(err)
 		}
 		pass.begin(page, states)
-		pass.qvecs = pass.qvecs[:len(states)]
-		for a, st := range states {
-			pass.qvecs[a] = st.q.Vec
-		}
+		pass.loadRows() // whatever rowPath said
 		var out []float64
 		if deferred {
 			out = make([]float64, len(page.Items)*len(states))
@@ -160,14 +157,14 @@ func sameFloats(a, b []float64) bool {
 
 // TestRowBodyMatchesPairBody: without the lemmas the blocked row body is the
 // pair body computed in another order — on pages whose items own their
-// vectors as on columnar ones, for every block kernel, live and deferred:
-// the same answers, calculation and abandonment counts, pruning distances
-// after every page, per-position EXPLAIN counters and deferred distance
-// buffers. The widths straddle the row kernels' lane group (3: the tail
-// lanes alone; 4: one group; 5 and 9: groups and a tail), and the
-// degenerate inputs put a limit, a distance or an answer count on a
-// boundary: k larger than the database, ε = 0 at an item's own position,
-// identical items, one vector under several IDs.
+// vectors as on columnar ones, for every metric's row body, live and
+// deferred: the same answers, calculation and abandonment counts, pruning
+// distances after every page, per-position EXPLAIN counters and deferred
+// distance buffers. The widths straddle the row kernel's eight-lane block
+// (3, 4 and 5: one block, mostly padding; 9: a full block and a second with
+// one query), and the degenerate inputs put a limit, a distance or an
+// answer count on a boundary: k larger than the database, ε = 0 at an
+// item's own position, identical items, one vector under several IDs.
 func TestRowBodyMatchesPairBody(t *testing.T) {
 	const dim, n = 4, 90
 	items := testDB(63, n, dim)

@@ -76,6 +76,9 @@ type Explain struct {
 	Width int `json:"width"`
 	// Avoidance is the triangle-inequality mode ("both", "off", ...).
 	Avoidance string `json:"avoidance"`
+	// RowKernel is the instruction set of the blocked page pass ("avx2" or
+	// "go", see Processor.RowKernel).
+	RowKernel string `json:"row_kernel"`
 	// Queries holds one profile per query position, batch order.
 	Queries []Profile `json:"queries"`
 	// Stats is the call's batch-level counter record (the same Stats a
@@ -211,6 +214,7 @@ func (s *Session) ExplainAllContext(ctx context.Context, queries []Query) (*Expl
 			return engine.Config{}
 		}(),
 		Avoidance: s.proc.opts.Avoidance.String(),
+		RowKernel: s.proc.RowKernel(),
 		Queries:   make([]Profile, len(queries)),
 		Stats:     stats,
 		PhaseNs:   make(map[string]int64),

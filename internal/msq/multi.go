@@ -46,7 +46,7 @@ type queryState struct {
 	// one worker — per query, but the lock keeps the ownership explicit
 	// and race-detector-checkable). The sequential path never contends.
 	mu        sync.Mutex
-	processed map[store.PageID]struct{}
+	processed pageSet
 	done      bool
 	// bound is an a-priori upper bound on the final query distance,
 	// derived from MAXDIST over a data page holding enough items (see
@@ -55,6 +55,14 @@ type queryState struct {
 	// object distances have been calculated. +Inf when unknown.
 	bound float64
 }
+
+// pageSet is a set of page IDs, one bit per page: an engine's IDs are dense
+// in [0, NumPages()) and fixed once it is built, so the set is sized when
+// its query is admitted and never grows.
+type pageSet []uint64
+
+func (ps pageSet) has(pid store.PageID) bool { return ps[pid>>6]&(1<<(pid&63)) != 0 }
+func (ps pageSet) add(pid store.PageID)      { ps[pid>>6] |= 1 << (pid & 63) }
 
 // queryDist is the effective pruning distance: the adaptive answer-list
 // distance, capped by the a-priori bound. Both are upper bounds on the
@@ -231,7 +239,7 @@ func (s *Session) prepare(queries []Query) ([]*queryState, []*query.AnswerList, 
 		if st.answers == nil {
 			st.answers = query.NewAnswerList(st.q.Type)
 			st.pq = s.proc.eng.Prepare(st.q.Vec)
-			st.processed = make(map[store.PageID]struct{})
+			st.processed = make(pageSet, (s.proc.eng.NumPages()+63)/64)
 			st.bound = math.Inf(1)
 		}
 		results[i] = st.answers
@@ -326,7 +334,7 @@ func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]floa
 		if ref.MinDist > first.queryDist() {
 			break // prune_pages for Q1; later refs are even farther
 		}
-		if _, ok := first.processed[ref.ID]; ok {
+		if first.processed.has(ref.ID) {
 			continue // already examined for Q1 in an earlier call
 		}
 
@@ -345,7 +353,7 @@ func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]floa
 		s.proc.eng.Pager().Release(page) // answers hold IDs and distances, never an item
 
 		for _, st := range active {
-			st.processed[ref.ID] = struct{}{}
+			st.processed.add(ref.ID)
 		}
 	}
 
@@ -401,7 +409,7 @@ func (s *Session) seedFirstPages(states []*queryState, stats *Stats) error {
 		informative := false
 		for pid := 0; pid < nPages; pid++ {
 			p := store.PageID(pid)
-			if _, ok := st.processed[p]; ok {
+			if st.processed.has(p) {
 				continue
 			}
 			d := st.pq.MinDist(p)
@@ -450,7 +458,7 @@ func (s *Session) seedFirstPages(states []*queryState, stats *Stats) error {
 		eng.Pager().Release(page)
 		s.observeSince(obs.PhaseKernel, evalStart)
 		s.settle(stats, c)
-		st.processed[best] = struct{}{}
+		st.processed.add(best)
 	}
 	return nil
 }

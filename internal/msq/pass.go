@@ -109,7 +109,7 @@ var skippedDist = math.NaN()
 // one and hands it to every run (Session.pagePass); every buffer is sized
 // for the widest batch so far and resliced to the page's active set, so
 // neither a pass nor a call allocates in steady state, whoever observes it.
-// Workers only read the barrier state; known, rowW, rowB and counts are per
+// Workers only read the barrier state; known, rowSc and counts are per
 // worker — index w is owned by the one goroutine running as worker w — so
 // they need no locking, and the width-1 loop is simply worker 0.
 type pagePass struct {
@@ -142,16 +142,15 @@ type pagePass struct {
 	// then — an O(m) overapproximation (the suffix raise of a later
 	// position need not include the new query, but a higher raise stays
 	// valid). Each query transitions at most once per run.
-	raise []float64
-	rows  bool         // the page takes the row body (see rowPath)
-	qvecs []vec.Vector // row-kernel inputs, gathered at the barrier
+	raise  []float64
+	rows   bool         // the page takes the row body (see rowPath)
+	qvecs  []vec.Vector // the row body's queries, gathered at the barrier
+	rowSet *vec.Rows    // and loaded there, with limits, for every item of the page
 
-	rowD   []float64     // the live row pass's distances
-	known  [][]knownDist // per worker
-	rowW   [][]bool      // per worker
-	rowB   []vec.Block   // per worker: the one-row view RowWithin reads an item through
-	counts []passCounts  // per worker; the pipeline sums them at the barrier
-	dists  []float64     // the pipeline's items × active result buffer
+	known  [][]knownDist    // per worker
+	rowSc  []vec.RowScratch // per worker
+	counts []passCounts     // per worker; the pipeline sums them at the barrier
+	dists  []float64        // the pipeline's items × active result buffer
 }
 
 // pagePass returns the session's page pass, set up for a run over nStates
@@ -177,15 +176,13 @@ func newPagePass(s *Session, width, nStates int) *pagePass {
 		limits:    make([]float64, nStates),
 		raise:     make([]float64, nStates),
 		qvecs:     make([]vec.Vector, nStates),
-		rowD:      make([]float64, nStates),
+		rowSet:    vec.NewRows(s.proc.metric.Kernel()),
 		known:     make([][]knownDist, width),
-		rowW:      make([][]bool, width),
-		rowB:      make([]vec.Block, width),
+		rowSc:     make([]vec.RowScratch, width),
 		counts:    make([]passCounts, width),
 	}
 	for w := range p.known {
 		p.known[w] = make([]knownDist, 0, nStates)
-		p.rowW[w] = make([]bool, nStates)
 	}
 	return p
 }
@@ -203,7 +200,7 @@ func (p *pagePass) decideActive(pid store.PageID, states []*queryState) []*query
 		if st.done {
 			continue
 		}
-		if _, ok := st.processed[pid]; ok {
+		if st.processed.has(pid) {
 			continue
 		}
 		if i > 0 && st.pq.MinDist(pid) > st.queryDist() {
@@ -231,13 +228,19 @@ func (p *pagePass) begin(page *store.Page, active []*queryState) {
 		p.raise = lemma1Raises(p.activeIdx, p.matrix, p.limits, p.raise[:n])
 	}
 	p.rows = rowPath(p.matrix != nil, n)
-	if !p.rows {
-		return
+	if p.rows {
+		p.loadRows()
 	}
-	p.qvecs = p.qvecs[:n]
-	for a, st := range active {
+}
+
+// loadRows hands the begun page's active set and its barrier limits to the
+// row kernel, which transposes the queries once for all the page's items.
+func (p *pagePass) loadRows() {
+	p.qvecs = p.qvecs[:len(p.active)]
+	for a, st := range p.active {
 		p.qvecs[a] = st.q.Vec
 	}
+	p.rowSet.Load(p.qvecs, p.limits)
 }
 
 // eval evaluates items [lo, hi) of the begun page against the active set
@@ -353,71 +356,73 @@ func (p *pagePass) evalPairs(lo, hi, worker int, out []float64) passCounts {
 	return passCounts{calcs: calcs, abandoned: abandoned, tries: probes, avoided: avoided}
 }
 
-// evalRows is the blocked body: one row-kernel call per item evaluates the
-// whole active set against the item's vector, so the vector — just loaded
-// into cache — is reused m times and the kernel dispatch is devirtualized
-// once per pass instead of once per pair. The kernel takes a vec.Block; the
-// item's vector is handed to it as a block of one row, the same contiguous
-// float64s whether the page's items own them or alias a columnar block.
-// Only reached when rowPath holds, under which the results are
+// evalRows is the blocked body: one sweep per item evaluates the whole
+// active set, loaded at the barrier, against the item's vector — the same
+// contiguous float64s whether the page's items own them or alias a columnar
+// block — and returns the lanes within their limits; every other pair was
+// abandoned. Only reached when rowPath holds, under which the results are
 // bit-identical to evalPairs (see rowPath).
 func (p *pagePass) evalRows(lo, hi, worker int, out []float64) passCounts {
-	rows := p.s.proc.rows
+	rows, sc := p.rowSet, &p.rowSc[worker]
 	page, active, limits, prof := p.page, p.active, p.limits, p.prof
-	qvecs, b := p.qvecs, &p.rowB[worker]
-	b.N = 1
 	n := len(active)
-	wOut := p.rowW[worker][:n]
-	dOut := p.rowD[:n] // a deferred pass writes straight into its out row instead
-	var abandoned int64
+	var within int64
 	for it := lo; it < hi; it++ {
-		if out != nil {
-			dOut = out[it*n : (it+1)*n]
-		}
-		b.F64 = page.Items[it].Vec
-		b.Dim = len(b.F64)
-		ab := rows.RowWithin(qvecs, b, 0, limits, dOut, wOut)
-		abandoned += int64(ab)
+		item := &page.Items[it]
+		hits := rows.Sweep(item.Vec, sc)
+		within += int64(len(hits))
 		if prof != nil {
-			for a, within := range wOut {
-				prof[active[a].pos].calculated(within, 0)
+			next := 0 // hits are in lane order
+			for a, st := range active {
+				w := next < len(hits) && int(hits[next].Lane) == a
+				if w {
+					next++
+				}
+				prof[st.pos].calculated(w, 0)
 			}
 		}
 		if out != nil {
-			// An abandoned lane's distance is relaxed to +Inf by the row
-			// kernels; the merge phase wants the sentinel.
-			for a, within := range wOut {
-				if !within {
-					dOut[a] = skippedDist
-				}
+			row := out[it*n : (it+1)*n]
+			for a := range row {
+				row[a] = skippedDist
+			}
+			for _, hit := range hits {
+				row[hit.Lane] = hit.D
 			}
 			continue
 		}
-		if ab == n {
-			continue // no lane within: nothing to Consider
-		}
-		id := page.Items[it].ID
-		for a, st := range active {
-			if wOut[a] && st.answers.Consider(id, dOut[a]) {
-				limits[a] = st.queryDist()
+		for _, hit := range hits {
+			if st := active[hit.Lane]; st.answers.Consider(item.ID, hit.D) {
+				limits[hit.Lane] = st.queryDist()
+				rows.SetLimit(int(hit.Lane), limits[hit.Lane])
 			}
 		}
 	}
-	return passCounts{calcs: int64(hi-lo) * int64(n), abandoned: abandoned}
+	calcs := int64(hi-lo) * int64(n)
+	return passCounts{calcs: calcs, abandoned: calcs - within}
 }
 
 // rowPath reports whether a page with m active queries runs through the
-// blocked row kernels. Rows require no avoidance interleaving: without the
+// blocked row body. Rows require no avoidance interleaving: without the
 // lemmas, a query's pruning distance within one item can only have been
 // tightened by earlier items (each query's limit is updated solely by its
-// own Consider accepts), so passing the pass's limits as the row limits
+// own Consider accepts), so loading the pass's limits as the row limits
 // reproduces the per-pair body's limits — and with them its distances,
 // within flags, abandon points and Consider sequence — exactly. Under
 // avoidance the per-pair body couples the queries of one item through the
 // known list, which has no row equivalent; those pages keep the per-pair
-// body. Batches narrower than one lane group (m < 4) also keep it: the
-// grouped lanes of the row kernels never engage there, so the row body would
-// only add per-item bookkeeping on top of the same scalar kernel calls.
+// body.
+//
+// So do narrow pages. Measured per pair on a scan of 8 192 items, pair body
+// → row body on AVX2, dim 8 / dim 16: m = 1: 17–20 → 20–30 ns / 28–39 →
+// 39 (a lone query fills one lane of eight); m = 2: 16–21 → 13 / 21–26 →
+// 17–18; m = 3: 15–18 → 9–13 / 27 → 13–15; m = 4: 14–15 → 7–9 / 25–27 →
+// 8–11; m = 8: 14 → 4–5 / 23–25 → 5–7. Rows are ahead from m = 2. The
+// constant is 4 all the same: on dbscan_xtree and engines_lowdim, whose
+// pages are rarely two or three wide, 2 instead of 4 read ≈ 3 % better,
+// which is the spread between repeats there, and it charges every
+// two-query served request a fresh session's transposed buffer
+// (serve_stored: +0.6 KB on 7.1 KB allocated per query).
 func rowPath(avoiding bool, m int) bool {
 	return !avoiding && m >= 4
 }

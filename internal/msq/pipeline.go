@@ -183,7 +183,7 @@ func (s *Session) runPipeline(ctx context.Context, plan []engine.PageRef, states
 	floor := prefetchFloor(first)
 	prefetchable := make([]bool, len(plan))
 	for i, ref := range plan {
-		if _, seen := first.processed[ref.ID]; !seen && ref.MinDist <= floor {
+		if !first.processed.has(ref.ID) && ref.MinDist <= floor {
 			prefetchable[i] = true
 		}
 	}
@@ -221,7 +221,7 @@ func (s *Session) runPipeline(ctx context.Context, plan []engine.PageRef, states
 			if ref.MinDist > first.queryDist() {
 				break // prune_pages for Q1; later refs are even farther
 			}
-			if _, ok := first.processed[ref.ID]; ok {
+			if first.processed.has(ref.ID) {
 				resume <- struct{}{}
 				continue // already examined for Q1 in an earlier call
 			}
@@ -241,7 +241,7 @@ func (s *Session) runPipeline(ctx context.Context, plan []engine.PageRef, states
 		s.evalConcurrent(pool, pass, stats, width)
 
 		for _, st := range active {
-			st.processed[ref.ID] = struct{}{}
+			st.processed.add(ref.ID)
 		}
 	}
 	return nil

@@ -149,13 +149,10 @@ type Processor struct {
 	// identical with and without a tracer (pinned by the observation
 	// differential test).
 	tracer *obs.Tracer
-	// rows is the blocked kernel matching the metric. Built once; the row
-	// body reports its calc/abandon totals through the same counting metric
-	// as the pair body.
-	rows vec.BlockKernel
 	// dim is the dimensionality of the stored vectors as the engine's
 	// pager reports it; 0 when unknown (see CheckQuery).
-	dim int
+	dim       int
+	rowKernel string // see RowKernel
 }
 
 // New creates a processor over eng using metric m. The metric is wrapped in
@@ -184,8 +181,8 @@ func New(eng engine.Engine, m vec.Metric, opts Options) (*Processor, error) {
 			opts.Avoidance = AvoidOff
 		}
 	}
-	rows := vec.NewBlockKernel(counting.Kernel())
-	return &Processor{eng: eng, metric: counting, opts: opts, rows: rows, dim: eng.Pager().Dim()}, nil
+	return &Processor{eng: eng, metric: counting, opts: opts, dim: eng.Pager().Dim(),
+		rowKernel: vec.NewRows(counting.Kernel()).ISA()}, nil
 }
 
 // CheckQuery rejects a query this processor cannot evaluate: one that fails
@@ -210,6 +207,12 @@ func (p *Processor) Engine() engine.Engine { return p.eng }
 
 // Metric returns the counting metric used for all distance calculations.
 func (p *Processor) Metric() *vec.Counting { return p.metric }
+
+// RowKernel names the instruction set the blocked page pass runs on for
+// this processor's metric: "avx2" or "go" (see vec.Rows.ISA). The two cost
+// about three times apart per pair, so the start-up line, EXPLAIN and
+// /metrics carry it.
+func (p *Processor) RowKernel() string { return p.rowKernel }
 
 // Options returns the processor options.
 func (p *Processor) Options() Options { return p.opts }

@@ -1,6 +1,8 @@
 package vec
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -25,6 +27,10 @@ func blockMetrics(t *testing.T, dim int) []BoundedMetric {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mink2, err := NewMinkowski(2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	w := make(Vector, dim)
 	for i := range w {
 		w[i] = 0.5 + float64(i%4)
@@ -42,22 +48,72 @@ func blockMetrics(t *testing.T, dim int) []BoundedMetric {
 		t.Fatal(err)
 	}
 	return []BoundedMetric{
-		Euclidean{}, Manhattan{}, Chebyshev{}, mink, wgt,
-		NewCounting(qf).Kernel(), // generic fallback path
+		Euclidean{}, Manhattan{}, Chebyshev{}, mink, mink2, wgt,
+		NewCounting(qf).Kernel(), // no native kernel: the full-distance fallback
 	}
 }
 
-// TestBlockRowIdentical asserts the row kernels are bit-identical to
-// per-pair DistanceWithin calls for every metric, across limit regimes
-// (infinite, tight, mixed) and query counts that exercise the grouped
-// fast path, its remainder, and the scalar lanes.
+// rowBodies returns one freshly built Rows per body the build can run for
+// metric: the selected one and, where that is the assembly, the portable
+// one beside it.
+func rowBodies(metric BoundedMetric) map[string]*Rows {
+	bodies := map[string]*Rows{"selected": NewRows(metric)}
+	if bodies["selected"].asm {
+		portable := NewRows(metric)
+		portable.asm = false
+		bodies["portable"] = portable
+	}
+	return bodies
+}
+
+// checkSweep sweeps item and holds the result against one DistanceWithin
+// per loaded query under limits: the same lanes within, in lane order, none
+// of them a padding lane, the same distance bits, and hence the same
+// abandoned count. It returns the hits.
+func checkSweep(t *testing.T, what string, metric BoundedMetric, r *Rows, sc *RowScratch, queries []Vector, limits []float64, item Vector) []RowHit {
+	t.Helper()
+	hits := r.Sweep(item, sc)
+	next := 0
+	for a, q := range queries {
+		d, within := metric.DistanceWithin(q, item, limits[a])
+		got := next < len(hits) && int(hits[next].Lane) == a
+		if got != within {
+			t.Fatalf("%s: lane %d of %d (limit %v, distance %v): within %v, want %v", what, a, len(queries), limits[a], d, got, within)
+		}
+		if !within {
+			continue
+		}
+		if math.Float64bits(hits[next].D) != math.Float64bits(d) {
+			t.Fatalf("%s: lane %d: distance %v (%#x), want %v (%#x)", what, a,
+				hits[next].D, math.Float64bits(hits[next].D), d, math.Float64bits(d))
+		}
+		next++
+	}
+	if next != len(hits) {
+		t.Fatalf("%s: %d hits for %d queries, %d of them matched: %v", what, len(hits), len(queries), next, hits)
+	}
+	return hits
+}
+
+// TestBlockRowIdentical asserts the loaded row kernel is bit-identical to
+// per-pair DistanceWithin calls: every metric over a few shapes, then the
+// Euclidean bodies over every shape and limit boundary.
 func TestBlockRowIdentical(t *testing.T) {
+	t.Run("metrics", testRowsEveryMetric)
+	t.Run("euclidean", testEucRowsContract)
+}
+
+// testRowsEveryMetric runs every metric through every body the build can
+// run, the BlockKernel adapter included, across limit regimes (infinite,
+// tight, mixed) and query counts that fill a block, leave padding in the
+// last one, and span several.
+func testRowsEveryMetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for _, dim := range []int{1, 3, 4, 7, 16, 33} {
 		b := testBlock(t, rng, dim, 24)
 		for _, metric := range blockMetrics(t, dim) {
-			k := NewBlockKernel(metric)
-			for _, m := range []int{1, 2, 4, 5, 8, 11} {
+			adapter := NewBlockKernel(metric)
+			for _, m := range []int{1, 2, 4, 5, 8, 11, 17} {
 				queries := make([]Vector, m)
 				for a := range queries {
 					queries[a] = make(Vector, dim)
@@ -81,45 +137,176 @@ func TestBlockRowIdentical(t *testing.T) {
 							}
 						}
 					}
-					dOut := make([]float64, m)
-					wOut := make([]bool, m)
-					tileAb, wantTileAb := 0, 0
-					for i := 0; i < b.N; i++ {
-						ab := k.RowWithin(queries, b, i, limits, dOut, wOut)
-						tileAb += ab
-						wantAb := 0
-						for a := range queries {
-							d, w := metric.DistanceWithin(queries[a], b.Item(i), limits[a])
-							if w != wOut[a] {
-								t.Fatalf("%s dim=%d m=%d %s: row (%d,%d) within %v want %v",
-									metric.Name(), dim, m, regime, a, i, wOut[a], w)
-							}
-							// dOut is contractual only where within holds;
-							// an abandoned lane must merely exceed its limit.
-							if w && math.Float64bits(d) != math.Float64bits(dOut[a]) {
-								t.Fatalf("%s dim=%d m=%d %s: row (%d,%d) dist %v want %v",
-									metric.Name(), dim, m, regime, a, i, dOut[a], d)
-							}
-							if !w {
-								if !(dOut[a] > limits[a]) {
-									t.Fatalf("%s dim=%d m=%d %s: row (%d,%d) abandoned dist %v not beyond limit %v",
-										metric.Name(), dim, m, regime, a, i, dOut[a], limits[a])
-								}
-								wantAb++
+					what := fmt.Sprintf("%s dim=%d m=%d %s", metric.Name(), dim, m, regime)
+					var want [][]RowHit
+					for body, r := range rowBodies(metric) {
+						var sc RowScratch
+						r.Load(queries, limits)
+						for i := 0; i < b.N; i++ {
+							hits := checkSweep(t, what+" "+body, metric, r, &sc, queries, limits, b.Item(i))
+							if body == "selected" {
+								want = append(want, append([]RowHit(nil), hits...))
 							}
 						}
-						if ab != wantAb {
-							t.Fatalf("%s dim=%d m=%d %s: abandoned %d want %d", metric.Name(), dim, m, regime, ab, wantAb)
-						}
-						wantTileAb += wantAb
 					}
-					// The page pass settles one AddCalls per tile from the
-					// summed row returns, so the sum must be the tile's count.
-					if tileAb != wantTileAb {
-						t.Fatalf("%s dim=%d m=%d %s: tile abandoned %d want %d", metric.Name(), dim, m, regime, tileAb, wantTileAb)
+					dOut, wOut := make([]float64, m), make([]bool, m)
+					for i := 0; i < b.N; i++ {
+						ab := adapter.RowWithin(queries, b, i, limits, dOut, wOut)
+						if ab != m-len(want[i]) {
+							t.Fatalf("%s: adapter abandoned %d of item %d, want %d", what, ab, i, m-len(want[i]))
+						}
+						next := 0
+						for a := range queries {
+							within := next < len(want[i]) && int(want[i][next].Lane) == a
+							if wOut[a] != within {
+								t.Fatalf("%s: adapter lane %d of item %d within %v, want %v", what, a, i, wOut[a], within)
+							}
+							if !within {
+								if !math.IsInf(dOut[a], 1) {
+									t.Fatalf("%s: adapter lane %d of item %d abandoned at %v, want +Inf", what, a, i, dOut[a])
+								}
+								continue
+							}
+							if math.Float64bits(dOut[a]) != math.Float64bits(want[i][next].D) {
+								t.Fatalf("%s: adapter lane %d of item %d distance %v, want %v", what, a, i, dOut[a], want[i][next].D)
+							}
+							next++
+						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// eucLimit returns a limit for a pair at exact distance d: the boundary
+// cases of the squared-limit screen and of the exact comparison behind it.
+// Kinds 1–3 are the rowLimitSlack band: the distance itself and its
+// neighbours on both sides.
+func eucLimit(kind int, d float64) float64 {
+	switch kind % 7 {
+	case 0:
+		return 0
+	case 1:
+		return d
+	case 2:
+		return math.Nextafter(d, math.Inf(-1))
+	case 3:
+		return math.Nextafter(d, math.Inf(1))
+	case 4:
+		return 1e200 // finite; its square is not
+	case 5:
+		return math.Inf(1)
+	}
+	return d * 0.75
+}
+
+// testEucRowsContract holds the Euclidean bodies — the assembly where the
+// build has it, and the portable one — against euclideanWithin for every
+// dimension 1–40 (tails that are not a multiple of the check cadence) and
+// every set size 1–40 (every amount of padding in the last block), with
+// each lane's limit re-set before each item the way a live pass tightens
+// it: to a boundary of that very pair, to the distance a hit just returned,
+// or left alone.
+func testEucRowsContract(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	const nItems = 5
+	for dim := 1; dim <= 40; dim++ {
+		items := make([]Vector, nItems)
+		for i := range items {
+			items[i] = randomVector(rng, dim)
+		}
+		for m := 1; m <= 40; m++ {
+			queries := make([]Vector, m)
+			for a := range queries {
+				queries[a] = randomVector(rng, dim)
+			}
+			queries[m/2] = items[nItems/2] // one pair at distance 0
+			for body, r := range rowBodies(Euclidean{}) {
+				what := fmt.Sprintf("dim=%d m=%d %s", dim, m, body)
+				var sc RowScratch
+				limits := make([]float64, m)
+				for a := range limits {
+					limits[a] = eucLimit(a+dim, Euclidean{}.Distance(queries[a], items[0]))
+				}
+				r.Load(queries, limits)
+				for i, item := range items {
+					for a := range limits {
+						if (a+i)%3 == 0 {
+							limits[a] = eucLimit(a+i+m, Euclidean{}.Distance(queries[a], item))
+							r.SetLimit(a, limits[a])
+						}
+					}
+					for _, hit := range checkSweep(t, what, Euclidean{}, r, &sc, queries, limits, item) {
+						if hit.Lane%2 == 0 { // a 1-NN list accepting the hit
+							limits[hit.Lane] = hit.D
+							r.SetLimit(int(hit.Lane), hit.D)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzEucRows feeds the Euclidean bodies coordinates straight from the
+// fuzzer's bytes — any float64, NaN and infinities included — under limits
+// on every boundary of eucLimit, and requires what testEucRowsContract
+// does: lane for lane the outcome of euclideanWithin.
+func FuzzEucRows(f *testing.F) {
+	coords := func(xs ...float64) []byte {
+		b := make([]byte, 0, 8*len(xs))
+		for _, x := range xs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		}
+		return b
+	}
+	f.Add(coords(0.5, 0.25, 0.75), uint8(3), uint8(1), uint8(1))
+	f.Add(coords(1, 2, 3, 4, 5, 6, 7, 8, 9), uint8(4), uint8(8), uint8(0))
+	f.Add(coords(1e-300, 1e300, -1e300, 3), uint8(5), uint8(9), uint8(2))        // sums that underflow and overflow
+	f.Add(coords(math.Inf(1), 1, math.NaN(), -2), uint8(7), uint8(17), uint8(5)) // hostile items
+	f.Add(coords(0.1, 0.2, 0.3, 0.4, 0.5), uint8(20), uint8(40), uint8(3))
+	f.Add([]byte{1, 2, 3}, uint8(39), uint8(23), uint8(4))
+	f.Fuzz(func(t *testing.T, data []byte, dimIn, mIn, kind uint8) {
+		dim, m := 1+int(dimIn)%40, 1+int(mIn)%40
+		at := 0
+		next := func() float64 {
+			var b [8]byte
+			for i := range b {
+				if len(data) > 0 {
+					b[i] = data[at%len(data)]
+				}
+				at++
+			}
+			at += 3 // so that a short input does not repeat with period 8
+			return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+		}
+		vector := func() Vector {
+			v := make(Vector, dim)
+			for d := range v {
+				v[d] = next()
+			}
+			return v
+		}
+		queries := make([]Vector, m)
+		for a := range queries {
+			queries[a] = vector()
+		}
+		items := []Vector{vector(), vector(), queries[m-1]}
+		for body, r := range rowBodies(Euclidean{}) {
+			var sc RowScratch
+			limits := make([]float64, m)
+			for a := range limits {
+				limits[a] = eucLimit(int(kind)+a, Euclidean{}.Distance(queries[a], items[0]))
+			}
+			r.Load(queries, limits)
+			for i, item := range items {
+				what := fmt.Sprintf("dim=%d m=%d kind=%d item %d %s", dim, m, kind, i, body)
+				for _, hit := range checkSweep(t, what, Euclidean{}, r, &sc, queries, limits, item) {
+					limits[hit.Lane] = hit.D
+					r.SetLimit(int(hit.Lane), hit.D)
+				}
+			}
+		}
+	})
 }

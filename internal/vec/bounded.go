@@ -31,12 +31,10 @@ import (
 // monotonicity of the finalizer carries the strict inequality through to
 // the full-evaluation result.
 //
-// Each kernel body lives in a package-level function (euclideanWithin and
-// friends) shared verbatim by the exported method and the blocked row
-// kernels in block.go: one body means the scalar per-pair path and the
-// columnar page path cannot drift apart, which is what makes the SoA
-// layout's bit-identity guarantee a structural property rather than a
-// test-enforced one.
+// The blocked page pass (rows.go) evaluates the same predicate: its generic
+// body calls DistanceWithin itself, and its Euclidean bodies add each
+// lane's terms in euclideanWithin's order, so the per-pair path and the row
+// path cannot drift apart.
 type BoundedMetric interface {
 	Metric
 	// DistanceWithin reports whether dist(a, b) <= limit, abandoning the
@@ -68,7 +66,7 @@ func (Euclidean) DistanceWithin(a, b Vector, limit float64) (float64, bool) {
 	return euclideanWithin(a, b, limit)
 }
 
-// euclideanWithin is the shared Euclidean kernel body.
+// euclideanWithin is the Euclidean kernel body, shared with Minkowski p = 2.
 //
 // The check cadence is two-phase: every 4 elements for the first 16 —
 // low-dimensional vectors and far pairs abandon at the earliest possible
@@ -175,7 +173,7 @@ func (Manhattan) DistanceWithin(a, b Vector, limit float64) (float64, bool) {
 	return manhattanWithin(a, b, limit)
 }
 
-// manhattanWithin is the shared L1 kernel body.
+// manhattanWithin is the L1 kernel body, shared with Minkowski p = 1.
 func manhattanWithin(a, b Vector, limit float64) (float64, bool) {
 	mustSameDim(a, b)
 	var s float64
@@ -199,11 +197,6 @@ func manhattanWithin(a, b Vector, limit float64) (float64, bool) {
 // DistanceWithin is the early-abandoning L∞ kernel: the running maximum is
 // the distance so far, so it compares directly against limit.
 func (Chebyshev) DistanceWithin(a, b Vector, limit float64) (float64, bool) {
-	return chebyshevWithin(a, b, limit)
-}
-
-// chebyshevWithin is the shared L∞ kernel body.
-func chebyshevWithin(a, b Vector, limit float64) (float64, bool) {
 	mustSameDim(a, b)
 	var m float64
 	n := len(a)
@@ -245,11 +238,6 @@ func (m Minkowski) DistanceWithin(a, b Vector, limit float64) (float64, bool) {
 	case 2:
 		return euclideanWithin(a, b, limit)
 	}
-	return minkowskiWithin(m, a, b, limit)
-}
-
-// minkowskiWithin is the shared general-order Lp kernel body (p ∉ {1, 2}).
-func minkowskiWithin(m Minkowski, a, b Vector, limit float64) (float64, bool) {
 	mustSameDim(a, b)
 	limP := math.Pow(limit, m.p)
 	var s float64
@@ -280,12 +268,7 @@ func (m *WeightedEuclidean) DistanceWithin(a, b Vector, limit float64) (float64,
 	if len(a) != len(m.weights) {
 		panic(fmt.Sprintf("vec: weighted Euclidean configured for dim %d, got %d", len(m.weights), len(a)))
 	}
-	return weightedEuclideanWithin(m.weights, a, b, limit)
-}
-
-// weightedEuclideanWithin is the shared weighted-L2 kernel body; w must
-// already be validated against the vector dimensionality.
-func weightedEuclideanWithin(w []float64, a, b Vector, limit float64) (float64, bool) {
+	w := m.weights
 	lim2 := limit * limit
 	var s float64
 	n := len(a)

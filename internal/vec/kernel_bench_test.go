@@ -88,3 +88,74 @@ func BenchmarkDistanceWithin(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRowKernel prices one (query, item) pair of the Euclidean page
+// pass three ways: one scalar DistanceWithin per pair, the loaded rows
+// swept by the portable body, and by the assembly where the build and the
+// CPU have it. Every query carries the same limit, the quantile of the
+// pairs' distances at which the named share of them abandons; 0.998 is
+// what the scan batch of the benchmark runs at.
+func BenchmarkRowKernel(b *testing.B) {
+	const nItems = 1024
+	for _, dim := range []int{8, 20} {
+		rng := rand.New(rand.NewSource(int64(dim)))
+		items := make([]Vector, nItems)
+		for i := range items {
+			items[i] = randomVector(rng, dim)
+		}
+		for _, m := range []int{16, 100} {
+			queries := make([]Vector, m)
+			pairs := make([]benchPair, 0, m*nItems)
+			for a := range queries {
+				queries[a] = randomVector(rng, dim)
+				for _, it := range items {
+					pairs = append(pairs, benchPair{queries[a], it})
+				}
+			}
+			for _, share := range []float64{0, 0.95, 0.998} {
+				limit := limitForRate(Euclidean{}, pairs, share)
+				limits := make([]float64, m)
+				for a := range limits {
+					limits[a] = limit
+				}
+				name := fmt.Sprintf("dim=%d/m=%d/abandon=%v", dim, m, share)
+				perPair := func(b *testing.B) {
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m*nItems), "ns/pair")
+				}
+				b.Run(name+"/scalar", func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						for _, it := range items {
+							for _, q := range queries {
+								benchSinkF, benchSinkB = euclideanWithin(q, it, limit)
+							}
+						}
+					}
+					perPair(b)
+				})
+				for _, body := range []struct {
+					name string
+					asm  bool
+				}{{"portable", false}, {"avx2", true}} {
+					if body.asm && !haveAVX2 {
+						continue
+					}
+					b.Run(name+"/"+body.name, func(b *testing.B) {
+						r := NewRows(Euclidean{})
+						r.asm = body.asm
+						r.Load(queries, limits)
+						var sc RowScratch
+						n := 0
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							for _, it := range items {
+								n += len(r.Sweep(it, &sc))
+							}
+						}
+						benchSinkF = float64(n)
+						perPair(b)
+					})
+				}
+			}
+		}
+	}
+}

@@ -1,0 +1,32 @@
+//go:build amd64 && !purego
+
+package vec
+
+// haveAVX2 reports whether the assembly sweep may run: the CPU has AVX2
+// and the operating system saves the YMM registers across context switches
+// (OSXSAVE set and XCR0 enabling both the SSE and the AVX state).
+var haveAVX2 = func() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, c, _ := cpuid(1, 0); c&osxsave == 0 || c&avx == 0 {
+		return false
+	}
+	if lo, _ := xgetbv(); lo&6 != 6 {
+		return false
+	}
+	_, b, _, _ := cpuid(7, 0)
+	return b&(1<<5) != 0
+}()
+
+// eucRowsAVX2 is eucRowsGo, eight lanes to two registers: the same
+// arguments, the same sums, the same surviving blocks.
+//
+//go:noescape
+func eucRowsAVX2(q, h []float64, item Vector, sums []float64, alive []int32) int
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
