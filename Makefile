@@ -19,12 +19,12 @@ vet:
 build:
 	go build ./...
 
-# The row kernel has two bodies selected by GOARCH, the purego tag and the
-# CPU (internal/vec/rows_*.go). The default build tests the assembly against
-# the portable body; this runs both packages with the portable body as the
-# only one, and builds for an architecture that has no assembly so that the
-# build-tag split cannot rot. go vet (above) checks the .s file against its
-# Go declarations.
+# The row kernel and the item-lane kernel each have two bodies selected by
+# GOARCH, the purego tag and the CPU (internal/vec/rows_*.go, items*). The
+# default build tests the assembly against the portable bodies; this runs
+# both packages with the portable bodies as the only ones, and builds for an
+# architecture that has no assembly so that the build-tag split cannot rot.
+# go vet (above) checks the .s files against their Go declarations.
 portable:
 	go test -tags purego ./internal/vec/ ./internal/msq/
 	GOARCH=arm64 go build ./...
@@ -40,23 +40,25 @@ race:
 
 # The pipeline determinism gate: differential (width 1 vs 2 vs 8), Lemma
 # 1/2 soundness properties, the bounded-kernel contract properties, the
-# row kernel's contract against the scalar kernel (both bodies, and the
-# fuzz target's seeds), the row body against the pair body, the
-# session/pager stress tests, the store concurrency tests, the page
+# row and item-lane kernels' contracts against the scalar kernel (both
+# bodies each, and the fuzz targets' seeds), the row and item bodies against
+# the pair-by-pair reference and the single query against Figure 1's scalar
+# loop, the session/pager stress tests, the store concurrency tests, the page
 # pin/recycle protocol tests and concurrent sessions on one VA-file (its
 # cell-table free list) — all under the race detector.
 differential:
-	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|FuzzEucRows|TestRowBodyMatchesPairBody|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPageRecycle' \
+	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestItemLanes|FuzzEucItems|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPageRecycle' \
 		./internal/msq/ ./internal/store/ ./internal/vec/ ./internal/vafile/
 
 # A short fuzz of the persistent-storage decoders: corrupt page records
 # and manifests must produce errors, never panics or over-allocation. The
 # committed seed corpora cover the interesting boundaries; 30 seconds per
-# target explores beyond them on every check. The row kernel's target
-# holds the assembly and the portable body to the scalar kernel on
-# coordinates and limits no generator would pick.
+# target explores beyond them on every check. The two kernel targets hold
+# the assembly and the portable bodies to the scalar kernel on coordinates
+# and limits no generator would pick.
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzEucRows -fuzztime=30s ./internal/vec/
+	go test -run='^$$' -fuzz=FuzzEucItems -fuzztime=30s ./internal/vec/
 	go test -run='^$$' -fuzz=FuzzPageDecode -fuzztime=30s ./internal/store/
 	go test -run='^$$' -fuzz=FuzzManifestDecode -fuzztime=30s ./internal/store/
 	go test -run='^$$' -fuzz=FuzzColumnarPageDecode -fuzztime=30s ./internal/store/
@@ -104,14 +106,16 @@ loc:
 
 # The perf gate for the hot path: kernel microbenchmarks (full Distance vs
 # bounded DistanceWithin, with allocation counts for the scratch-reuse
-# check; a pair of the page pass by the scalar kernel, the portable row
-# body and the assembly one), the VA-file's plan and per-query sweep and the X-tree's dynamic
-# build, then the end-to-end artifacts — the kernels experiment
+# check; a pair of the page pass by the scalar kernel, the portable row and
+# item-lane bodies and the assembly ones, then by the three bodies of the
+# page pass at the widths around rowPath's constant), the VA-file's plan and
+# per-query sweep and the X-tree's dynamic build, then the end-to-end
+# artifacts — the kernels experiment
 # (BENCH_kernels.json), the intra pipeline sweep
 # (BENCH_parallel_intra.json) and the phase-latency profile
 # (BENCH_obs.json).
 bench:
-	go test -bench='BenchmarkDistance|BenchmarkRowKernel|BenchmarkSortRefs|BenchmarkPlan|BenchmarkSweep|BenchmarkBulk|BenchmarkMultiQueryAll' -benchmem -run=^$$ \
+	go test -bench='BenchmarkDistance|BenchmarkRowKernel|BenchmarkItemKernel|BenchmarkSortRefs|BenchmarkPlan|BenchmarkSweep|BenchmarkBulk|BenchmarkMultiQueryAll|BenchmarkPassBodies' -benchmem -run=^$$ \
 		./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/msq/
 	go run ./cmd/msqbench -experiment kernels
 	go run ./cmd/msqbench -experiment intra

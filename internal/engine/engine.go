@@ -51,6 +51,8 @@ type PreparedQuery interface {
 	// k-NN); the scan returns all pages in physical order so that reads
 	// are sequential. Each page appears at most once in a plan — the msq
 	// pipeline's ordered prefetcher depends on plans being duplicate-free.
+	// Callers must not modify the returned plan: an engine whose plan does
+	// not depend on the query (the scan) returns the same slice every time.
 	Plan(queryDist float64) []PageRef
 
 	// MinDist returns a lower bound on dist(q, o) for every item o on

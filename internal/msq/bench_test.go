@@ -160,3 +160,55 @@ func BenchmarkIncrementalWindow(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPassBodies prices one (query, item) pair of a page pass without
+// the lemmas three ways — the scalar pair-by-pair reference (refPairs, what
+// evalPairs' non-avoiding arm was), the item body and the row body — on an
+// in-memory scan of 8 192 items, for the widths on both sides of
+// rowThreshold. One iteration is every page for m fresh 10-NN queries, live
+// limits; rowPath's constant is read off this table (EXPERIMENTS, "Items as
+// lanes").
+func BenchmarkPassBodies(b *testing.B) {
+	const n = 8192
+	for _, dim := range []int{8, 16} {
+		items := testDB(int64(dim), n, dim)
+		e, err := scan.New(items, 256, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		proc, err := New(e, vec.Euclidean{}, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 12} {
+			queries := make([]Query, m)
+			for i := range queries {
+				queries[i] = Query{ID: uint64(i), Vec: testDB(int64(100*dim+i), 1, dim)[0].Vec, Type: query.NewKNN(10)}
+			}
+			for _, body := range []struct {
+				name string
+				body passBody
+			}{{"pairs", bodyPairs}, {"items", bodyItems}, {"rows", bodyRows}} {
+				b.Run(fmt.Sprintf("dim=%d/m=%d/%s", dim, m, body.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						s := proc.NewSession()
+						states, _, err := s.prepare(queries)
+						if err != nil {
+							b.Fatal(err)
+						}
+						pass := s.pagePass(1, m, nil)
+						for pid := 0; pid < e.NumPages(); pid++ {
+							page, err := e.ReadPage(store.PageID(pid))
+							if err != nil {
+								b.Fatal(err)
+							}
+							pass.begin(page, states)
+							evalBody(pass, body.body, nil)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*m), "ns/pair")
+				})
+			}
+		}
+	}
+}

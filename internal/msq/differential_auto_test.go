@@ -5,7 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"metricdb/internal/engine"
 	"metricdb/internal/query"
+	"metricdb/internal/scan"
 	"metricdb/internal/store"
 	"metricdb/internal/vec"
 )
@@ -93,14 +95,62 @@ type bodyRun struct {
 	out     [][]float64 // deferred passes only: each page's distance buffer
 }
 
+// refPairs is the reference the vector bodies are held to: the begun page
+// pair by pair, item-major, one scalar DistanceWithin each under the
+// query's limit of the moment — Figure 4's inner loops with nothing
+// between them and the kernel. It fills out, updates the limits and the
+// EXPLAIN counters and returns the counts exactly as a body does.
+func refPairs(p *pagePass, out []float64) passCounts {
+	kernel := p.s.proc.metric.Kernel()
+	n := len(p.active)
+	var c passCounts
+	for it := range p.page.Items {
+		item := &p.page.Items[it]
+		for a, st := range p.active {
+			d, within := kernel.DistanceWithin(st.q.Vec, item.Vec, p.limits[a])
+			c.calcs++
+			if p.prof != nil {
+				p.prof[st.pos].calculated(within, 0)
+			}
+			switch {
+			case !within:
+				c.abandoned++
+				if out != nil {
+					out[it*n+a] = skippedDist
+				}
+			case out != nil:
+				out[it*n+a] = d
+			case st.answers.Consider(item.ID, d):
+				p.limits[a] = st.queryDist()
+			}
+		}
+	}
+	return c
+}
+
+// evalBody runs the begun page through body, whatever rowPath picked for it;
+// bodyPairs stands for the reference (evalPairs itself runs only under the
+// lemmas).
+func evalBody(p *pagePass, body passBody, out []float64) passCounts {
+	switch body {
+	case bodyRows:
+		p.rowSet.Load(p.qvecs, p.limits)
+		return p.evalRows(0, len(p.page.Items), 0, out)
+	case bodyItems:
+		return p.evalItems(0, len(p.page.Items), out)
+	}
+	return refPairs(p, out)
+}
+
 // runBody drives one body over every page of eng for the whole batch, the
-// way Session.run drives it over a scan: begin, eval, next page. rows picks
-// the body regardless of rowPath; deferred runs the pipeline's variant,
-// which leaves the answer lists alone.
+// way Session.run drives it over a scan: begin, eval, next page. body picks
+// the body regardless of rowPath, bodyPairs standing for the reference
+// (evalPairs itself runs only under the lemmas); deferred runs the
+// pipeline's variant, which leaves the answer lists alone.
 func runBody(t *testing.T, eng interface {
 	NumPages() int
 	ReadPage(store.PageID) (*store.Page, error)
-}, proc *Processor, queries []Query, rows, deferred bool) bodyRun {
+}, proc *Processor, queries []Query, body passBody, deferred bool) bodyRun {
 	t.Helper()
 	s := proc.NewSession()
 	s.explain = newExplainState(len(queries))
@@ -116,16 +166,11 @@ func runBody(t *testing.T, eng interface {
 			t.Fatal(err)
 		}
 		pass.begin(page, states)
-		pass.loadRows() // whatever rowPath said
 		var out []float64
 		if deferred {
 			out = make([]float64, len(page.Items)*len(states))
 		}
-		if rows {
-			r.counts.add(pass.evalRows(0, len(page.Items), 0, out))
-		} else {
-			r.counts.add(pass.evalPairs(0, len(page.Items), 0, out))
-		}
+		r.counts.add(evalBody(pass, body, out))
 		r.limits = append(r.limits, append([]float64(nil), pass.limits...))
 		if deferred {
 			r.out = append(r.out, out)
@@ -155,16 +200,18 @@ func sameFloats(a, b []float64) bool {
 	return true
 }
 
-// TestRowBodyMatchesPairBody: without the lemmas the blocked row body is the
-// pair body computed in another order — on pages whose items own their
-// vectors as on columnar ones, for every metric's row body, live and
-// deferred: the same answers, calculation and abandonment counts, pruning
-// distances after every page, per-position EXPLAIN counters and deferred
-// distance buffers. The widths straddle the row kernel's eight-lane block
-// (3, 4 and 5: one block, mostly padding; 9: a full block and a second with
-// one query), and the degenerate inputs put a limit, a distance or an
-// answer count on a boundary: k larger than the database, ε = 0 at an
-// item's own position, identical items, one vector under several IDs.
+// TestRowBodyMatchesPairBody: without the lemmas the two vector bodies are
+// the pair-by-pair evaluation computed in another order — on every engine's
+// pages, whether their items own their vectors or alias a columnar block,
+// for every metric, live and deferred: the same answers, calculation and
+// abandonment counts, pruning distances after every page, per-position
+// EXPLAIN counters and deferred distance buffers. The widths are the item
+// body's (1, 2, 3), then straddle the row kernel's eight-lane block (4 and
+// 5: one block, mostly padding; 9: a full block and a second with one
+// query); both bodies run at every width, whatever rowPath would pick. The
+// degenerate inputs put a limit, a distance or an answer count on a
+// boundary: k larger than the database, ε = 0 at an item's own position,
+// identical items, one vector under several IDs.
 func TestRowBodyMatchesPairBody(t *testing.T) {
 	const dim, n = 4, 90
 	items := testDB(63, n, dim)
@@ -199,6 +246,7 @@ func TestRowBodyMatchesPairBody(t *testing.T) {
 		items   []store.Item
 		queries []Query
 	}{
+		{"m=1", items, mixed(1)}, {"m=2", items, mixed(2)}, {"m=1-range", items, mixed(2)[1:]},
 		{"m=3", items, mixed(3)}, {"m=4", items, mixed(4)}, {"m=5", items, mixed(5)}, {"m=9", items, mixed(9)},
 		{"k>n", items, at(items, query.NewKNN(n+5), query.NewKNN(2*n), query.NewBoundedKNN(n+1, 10), query.NewKNN(n+1), query.NewKNN(n))},
 		{"eps=0", items, at(items, query.NewRange(0), query.NewRange(0), query.NewBoundedKNN(5, 0), query.NewRange(0), query.NewRange(0))},
@@ -212,44 +260,128 @@ func TestRowBodyMatchesPairBody(t *testing.T) {
 
 	for _, tc := range cases {
 		for _, lay := range layouts {
-			for _, mt := range autoMetrics(t, dim) {
-				for _, deferred := range []bool{false, true} {
-					t.Run(fmt.Sprintf("%s/%s/%s/deferred=%v", tc.name, lay.name, mt.m.Name(), deferred), func(t *testing.T) {
-						eng := layoutMakers(lay.spec)[0].make(t, tc.items, dim, mt.m) // the scan
-						proc, err := New(eng, mt.m, Options{Avoidance: AvoidOff})
+			for _, mk := range layoutMakers(lay.spec) {
+				for _, mt := range autoMetrics(t, dim) {
+					for _, deferred := range []bool{false, true} {
+						pages := lay.name // the scan's pages, or "<layout>-<engine>"
+						if mk.name != "scan" {
+							pages += "-" + mk.name
+						}
+						t.Run(fmt.Sprintf("%s/%s/%s/deferred=%v", tc.name, pages, mt.m.Name(), deferred), func(t *testing.T) {
+							eng := mk.make(t, tc.items, dim, mt.m)
+							proc, err := New(eng, mt.m, Options{Avoidance: AvoidOff})
+							if err != nil {
+								t.Fatal(err)
+							}
+							pairs := runBody(t, eng, proc, tc.queries, bodyPairs, deferred)
+							for name, body := range map[string]passBody{"rows": bodyRows, "items": bodyItems} {
+								requireSameBody(t, name, pairs, runBody(t, eng, proc, tc.queries, body, deferred))
+							}
+							if !deferred && len(pairs.answers[0]) == 0 {
+								t.Error("the pass produced no answers: the comparison is vacuous")
+							}
+						})
+					}
+				}
+			}
+		}
+	}
+}
+
+// requireSameBody holds one vector body's run to the reference's.
+func requireSameBody(t *testing.T, name string, pairs, got bodyRun) {
+	t.Helper()
+	if diag, ok := identicalAnswers(pairs.answers, got.answers); !ok {
+		t.Errorf("%s: answers differ: %s", name, diag)
+	}
+	if got.counts != pairs.counts {
+		t.Errorf("counts: %s %+v, pairs %+v", name, got.counts, pairs.counts)
+	}
+	for p := range pairs.limits {
+		if !sameFloats(pairs.limits[p], got.limits[p]) {
+			t.Fatalf("page %d: pruning distances: %s %v, pairs %v", p, name, got.limits[p], pairs.limits[p])
+		}
+	}
+	for i := range pairs.prof {
+		if got.prof[i] != pairs.prof[i] {
+			t.Errorf("position %d: EXPLAIN counters (calculated, abandoned, tries): %s %v, pairs %v",
+				i, name, got.prof[i], pairs.prof[i])
+		}
+	}
+	for p := range pairs.out {
+		if !sameFloats(pairs.out[p], got.out[p]) {
+			t.Fatalf("page %d: deferred distances: %s differs", p, name)
+		}
+	}
+}
+
+// TestSingleMatchesScalarLoop holds SingleContext, which sweeps each page
+// through the item-lane kernel, to Figure 1 written out with one scalar
+// DistanceWithin per item: the same answers, pages visited, calculations and
+// abandonments, on every engine and metric, for k-NN, range and bounded
+// k-NN, on pages shorter than a sweep tile and on pages several tiles long.
+func TestSingleMatchesScalarLoop(t *testing.T) {
+	const dim, n = 4, 330
+	items := testDB(65, n, dim)
+	makers := append(layoutMakers(store.ColumnSpec{}), diffMaker{"scan-long-pages",
+		func(t *testing.T, items []store.Item, dim int, m vec.Metric) engine.Engine {
+			t.Helper()
+			e, err := scan.NewWithConfig(items, scan.Config{PageCapacity: 3*sweepTile + 5, BufferPages: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}})
+	types := []query.Type{query.NewKNN(1), query.NewKNN(7), query.NewRange(0.3), query.NewBoundedKNN(4, 0.5), query.NewKNN(n + 1), query.NewRange(0)}
+	for _, mk := range makers {
+		for _, mt := range autoMetrics(t, dim) {
+			t.Run(mk.name+"/"+mt.m.Name(), func(t *testing.T) {
+				eng := mk.make(t, items, dim, mt.m)
+				proc, err := New(eng, mt.m, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				kernel := proc.metric.Kernel()
+				for i, typ := range types {
+					q := items[(37*i)%n].Vec
+					if i%2 == 1 {
+						q = diffBatch(dim, int64(66+i))[0].Vec
+					}
+					want := query.NewAnswerList(typ)
+					var ws Stats
+					for _, ref := range eng.Prepare(q).Plan(typ.InitialQueryDist()) {
+						if ref.MinDist > want.QueryDist() {
+							break
+						}
+						page, err := eng.ReadPage(ref.ID)
 						if err != nil {
 							t.Fatal(err)
 						}
-						pairs := runBody(t, eng, proc, tc.queries, false, deferred)
-						rows := runBody(t, eng, proc, tc.queries, true, deferred)
-						if diag, ok := identicalAnswers(pairs.answers, rows.answers); !ok {
-							t.Errorf("answers differ: %s", diag)
-						}
-						if rows.counts != pairs.counts {
-							t.Errorf("counts: rows %+v, pairs %+v", rows.counts, pairs.counts)
-						}
-						for p := range pairs.limits {
-							if !sameFloats(pairs.limits[p], rows.limits[p]) {
-								t.Fatalf("page %d: pruning distances: rows %v, pairs %v", p, rows.limits[p], pairs.limits[p])
+						ws.PageVisits++
+						for _, it := range page.Items {
+							d, within := kernel.DistanceWithin(q, it.Vec, want.QueryDist())
+							ws.DistCalcs++
+							if within {
+								want.Consider(it.ID, d)
+							} else {
+								ws.PartialAbandoned++
 							}
 						}
-						for i := range pairs.prof {
-							if rows.prof[i] != pairs.prof[i] {
-								t.Errorf("position %d: EXPLAIN counters (calculated, abandoned, tries): rows %v, pairs %v",
-									i, rows.prof[i], pairs.prof[i])
-							}
-						}
-						for p := range pairs.out {
-							if !sameFloats(pairs.out[p], rows.out[p]) {
-								t.Fatalf("page %d: deferred distances differ", p)
-							}
-						}
-						if !deferred && len(pairs.answers[0]) == 0 {
-							t.Error("the pass produced no answers: the comparison is vacuous")
-						}
-					})
+						eng.Pager().Release(page)
+					}
+					got, gs, err := proc.Single(q, typ)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if diag, ok := identicalAnswers([][]query.Answer{want.Answers()}, [][]query.Answer{got.Answers()}); !ok {
+						t.Errorf("%v: answers differ: %s", typ, diag)
+					}
+					if gs.PageVisits != ws.PageVisits || gs.DistCalcs != ws.DistCalcs || gs.PartialAbandoned != ws.PartialAbandoned {
+						t.Errorf("%v: visits/calcs/abandoned %d/%d/%d, scalar loop %d/%d/%d", typ,
+							gs.PageVisits, gs.DistCalcs, gs.PartialAbandoned, ws.PageVisits, ws.DistCalcs, ws.PartialAbandoned)
+					}
 				}
-			}
+			})
 		}
 	}
 }

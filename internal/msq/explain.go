@@ -178,6 +178,13 @@ func (c *explainCounters) calculated(within bool, tries int) {
 	}
 }
 
+// swept attributes one item-lane sweep: calcs pairs, within of them inside
+// their limit, no probes.
+func (c *explainCounters) swept(calcs, within int64) {
+	c.distCalcs.Add(calcs)
+	c.abandoned.Add(calcs - within)
+}
+
 // ExplainAllContext evaluates the whole batch to completion, exactly like
 // MultiQueryAllContext, while building per-query profiles. The profiling
 // run is a real run: answers land in the session's buffers and the

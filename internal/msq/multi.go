@@ -11,6 +11,7 @@ import (
 	"metricdb/internal/obs"
 	"metricdb/internal/query"
 	"metricdb/internal/store"
+	"metricdb/internal/vec"
 )
 
 // queryState is the per-query bookkeeping that persists across incremental
@@ -398,7 +399,6 @@ func (s *Session) bootstrap(states []*queryState) {
 // such as the scan would always seed page 0 for everyone).
 func (s *Session) seedFirstPages(states []*queryState, stats *Stats) error {
 	eng := s.proc.eng
-	kernel := s.proc.metric.Kernel()
 	nPages := eng.NumPages()
 	for idx, st := range states {
 		if idx == 0 || st.done || st.answers.Full() || !st.q.Type.Bounded() {
@@ -429,31 +429,20 @@ func (s *Session) seedFirstPages(states []*queryState, stats *Stats) error {
 		if err != nil {
 			return fmt.Errorf("msq: seeding query %d: %w", st.q.ID, err)
 		}
-		// A seed page has its own loop rather than a one-query page pass:
-		// it is nearly always cold, the items are cache misses, and a body
-		// this short lets the misses of several iterations overlap. Routed
-		// through the pair body, the index engines' batches of the
-		// engines_lowdim benchmark ran about a tenth slower. The live bound
-		// (a-priori MAXDIST, tightening as the list fills) lets later items
-		// abandon early; an abandoned item could not have entered the list.
+		// The live bound (a-priori MAXDIST, tightening as the list fills)
+		// lets later items abandon early; an abandoned item could not have
+		// entered the list.
 		s.visit(states[idx:idx+1], stats)
 		evalStart := s.clock()
-		var prof *explainCounters
+		items, limit, within := page.Items, [1]float64{st.queryDist()}, int64(0)
+		sweepItems(s.proc.lanes, items, []vec.Vector{st.q.Vec}, limit[:], func(_, it int, d float64) {
+			within++
+			st.answers.Consider(items[it].ID, d)
+			limit[0] = st.queryDist()
+		})
+		c := passCounts{calcs: int64(len(items)), abandoned: int64(len(items)) - within}
 		if ex := s.explain; ex != nil {
-			prof = &ex.prof[st.pos]
-		}
-		var c passCounts
-		for i := range page.Items {
-			d, within := kernel.DistanceWithin(st.q.Vec, page.Items[i].Vec, st.queryDist())
-			c.calcs++
-			if prof != nil {
-				prof.calculated(within, 0)
-			}
-			if within {
-				st.answers.Consider(page.Items[i].ID, d)
-			} else {
-				c.abandoned++
-			}
+			ex.prof[st.pos].swept(c.calcs, within)
 		}
 		eng.Pager().Release(page)
 		s.observeSince(obs.PhaseKernel, evalStart)

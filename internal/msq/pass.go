@@ -10,12 +10,21 @@ import (
 )
 
 // This file is the page pass of Figure 4: every item of a page against
-// every query that still needs the page. There is one pair body (evalPairs)
-// and one row body (evalRows); the sequential loop runs them over a whole
-// page with live pruning distances, a pipeline worker over an item range
-// with the barrier's snapshot. Observers do not get a copy of their own: a
-// pass is timed as a whole, and EXPLAIN's per-query attribution is a
-// nil-checked pointer inside the bodies.
+// every query that still needs the page. There are three bodies, and the
+// barrier picks one per page (rowPath). Under the lemmas the pair body
+// (evalPairs) takes each item through the active queries in order, because
+// what one query's distance proves about the next is the point. Without
+// them the queries of a page do not interact, and the page is a matrix of
+// independent pairs that a vector kernel may walk either way: the row body
+// (evalRows) loads a wide active set once and sweeps each item across it,
+// queries as lanes; the item body (evalItems, built on sweepItems) takes a
+// narrow one query by query and sweeps the page's items, items as lanes —
+// and is also how a single query and a seed page are evaluated. The
+// sequential loop runs a body over a whole page with live pruning
+// distances, a pipeline worker over an item range with the barrier's
+// snapshot. Observers do not get a copy of their own: a pass is timed as a
+// whole, and EXPLAIN's per-query attribution is a nil-checked pointer
+// inside the bodies.
 
 // passCounts is what one page pass, or one chunk of one, did. The bodies
 // count in locals and return the totals, so the per-pair path touches no
@@ -143,9 +152,9 @@ type pagePass struct {
 	// position need not include the new query, but a higher raise stays
 	// valid). Each query transitions at most once per run.
 	raise  []float64
-	rows   bool         // the page takes the row body (see rowPath)
-	qvecs  []vec.Vector // the row body's queries, gathered at the barrier
-	rowSet *vec.Rows    // and loaded there, with limits, for every item of the page
+	body   passBody     // which body the page takes (see rowPath)
+	qvecs  []vec.Vector // the vector bodies' queries, gathered at the barrier
+	rowSet *vec.Rows    // the row body's: qvecs loaded, with limits, for every item of the page
 
 	known  [][]knownDist    // per worker
 	rowSc  []vec.RowScratch // per worker
@@ -227,20 +236,18 @@ func (p *pagePass) begin(page *store.Page, active []*queryState) {
 	if p.matrix != nil {
 		p.raise = lemma1Raises(p.activeIdx, p.matrix, p.limits, p.raise[:n])
 	}
-	p.rows = rowPath(p.matrix != nil, n)
-	if p.rows {
-		p.loadRows()
+	p.body = rowPath(p.matrix != nil, n)
+	if p.body == bodyPairs {
+		return
 	}
-}
-
-// loadRows hands the begun page's active set and its barrier limits to the
-// row kernel, which transposes the queries once for all the page's items.
-func (p *pagePass) loadRows() {
-	p.qvecs = p.qvecs[:len(p.active)]
-	for a, st := range p.active {
+	p.qvecs = p.qvecs[:n]
+	for a, st := range active {
 		p.qvecs[a] = st.q.Vec
 	}
-	p.rowSet.Load(p.qvecs, p.limits)
+	if p.body == bodyRows {
+		// The row kernel transposes the queries once for all the page's items.
+		p.rowSet.Load(p.qvecs, p.limits)
+	}
 }
 
 // eval evaluates items [lo, hi) of the begun page against the active set
@@ -259,27 +266,31 @@ func (p *pagePass) loadRows() {
 func (p *pagePass) eval(lo, hi, worker int, out []float64) passCounts {
 	start := p.s.clock()
 	var c passCounts
-	if p.rows {
+	switch p.body {
+	case bodyRows:
 		c = p.evalRows(lo, hi, worker, out)
-	} else {
+	case bodyItems:
+		c = p.evalItems(lo, hi, out)
+	default:
 		c = p.evalPairs(lo, hi, worker, out)
 	}
 	p.s.observeSince(obs.PhaseKernel, start)
 	return c
 }
 
-// evalPairs is the per-pair body: for each item, each active query in
-// order is first probed against the distances already known for the item
-// (Lemmas 1 and 2), and only then evaluated by the bounded distance kernel,
-// which abandons mid-vector as soon as the partial result proves the exact
-// distance irrelevant. The abandonment limit is not the query's own pruning
-// distance but the abandonLimit raise of it, so an abandoned calculation
-// provably (a) could never have produced an answer (Consider would reject
-// it) and (b) fires Lemma 1 — and withholds Lemma 2 — for every later query
-// on this item exactly where the exact distance would, leaving the calc and
-// avoided counts untouched relative to full-distance evaluation. The
-// partial result is appended to known like any other distance, so later
-// probes see the same entry sequence either way.
+// evalPairs is the per-pair body, the one that runs the lemmas: for each
+// item, each active query in order is first probed against the distances
+// already known for the item (Lemmas 1 and 2), and only then evaluated by
+// the bounded distance kernel, which abandons mid-vector as soon as the
+// partial result proves the exact distance irrelevant. The abandonment
+// limit is not the query's own pruning distance but the abandonLimit raise
+// of it, so an abandoned calculation provably (a) could never have produced
+// an answer (Consider would reject it) and (b) fires Lemma 1 — and
+// withholds Lemma 2 — for every later query on this item exactly where the
+// exact distance would, leaving the calc and avoided counts untouched
+// relative to full-distance evaluation. The partial result is appended to
+// known like any other distance, so later probes see the same entry
+// sequence either way. Only reached with a matrix (see rowPath).
 func (p *pagePass) evalPairs(lo, hi, worker int, out []float64) passCounts {
 	// Scalars, not a passCounts: the compiler keeps a four-field struct in
 	// memory, and these are bumped once per pair.
@@ -288,7 +299,6 @@ func (p *pagePass) evalPairs(lo, hi, worker int, out []float64) passCounts {
 	mode := p.s.proc.opts.Avoidance
 	page, active, activeIdx := p.page, p.active, p.activeIdx
 	matrix, limits, raise, prof := p.matrix, p.limits, p.raise, p.prof
-	avoiding := matrix != nil
 	n := len(active)
 	known := p.known[worker]
 	for it := lo; it < hi; it++ {
@@ -304,31 +314,25 @@ func (p *pagePass) evalPairs(lo, hi, worker int, out []float64) passCounts {
 		for a, st := range active {
 			slot := activeIdx[a]
 			qd := limits[a]
-			limit := qd
+			// The item's first query has nothing to probe; skipping the call
+			// matters on index engines, where few queries share a page and a
+			// first query is a large share of the pairs.
 			var tries int
-			if avoiding {
-				// The item's first query has nothing to probe; skipping the
-				// call matters on index engines, where few queries share a
-				// page and a first query is a large share of the pairs.
-				if len(known) > 0 {
-					var lemma int
-					lemma, tries = avoidable(mode, qd, matrix[slot], known)
-					probes += int64(tries)
-					if lemma != 0 {
-						avoided++
-						if prof != nil {
-							prof[st.pos].avoided(lemma, tries)
-						}
-						continue
+			if len(known) > 0 {
+				var lemma int
+				lemma, tries = avoidable(mode, qd, matrix[slot], known)
+				probes += int64(tries)
+				if lemma != 0 {
+					avoided++
+					if prof != nil {
+						prof[st.pos].avoided(lemma, tries)
 					}
+					continue
 				}
-				limit = abandonLimit(qd, raise[a], len(known))
 			}
-			d, within := kernel.DistanceWithin(st.q.Vec, item.Vec, limit)
+			d, within := kernel.DistanceWithin(st.q.Vec, item.Vec, abandonLimit(qd, raise[a], len(known)))
 			calcs++
-			if avoiding {
-				known = append(known, knownDist{d: d, idx: int32(slot)})
-			}
+			known = append(known, knownDist{d: d, idx: int32(slot)})
 			if prof != nil {
 				prof[st.pos].calculated(within, tries)
 			}
@@ -342,7 +346,7 @@ func (p *pagePass) evalPairs(lo, hi, worker int, out []float64) passCounts {
 			}
 			if st.answers.Consider(item.ID, d) {
 				limits[a] = st.queryDist()
-				if avoiding && math.IsInf(qd, 1) && !math.IsInf(limits[a], 1) {
+				if math.IsInf(qd, 1) && !math.IsInf(limits[a], 1) {
 					mrow := matrix[slot]
 					for j, q := range activeIdx {
 						if t := mrow[q] + limits[a]; t > raise[j] {
@@ -361,7 +365,7 @@ func (p *pagePass) evalPairs(lo, hi, worker int, out []float64) passCounts {
 // contiguous float64s whether the page's items own them or alias a columnar
 // block — and returns the lanes within their limits; every other pair was
 // abandoned. Only reached when rowPath holds, under which the results are
-// bit-identical to evalPairs (see rowPath).
+// bit-identical to the pair-by-pair evaluation (see rowPath).
 func (p *pagePass) evalRows(lo, hi, worker int, out []float64) passCounts {
 	rows, sc := p.rowSet, &p.rowSc[worker]
 	page, active, limits, prof := p.page, p.active, p.limits, p.prof
@@ -402,29 +406,129 @@ func (p *pagePass) evalRows(lo, hi, worker int, out []float64) passCounts {
 	return passCounts{calcs: calcs, abandoned: calcs - within}
 }
 
-// rowPath reports whether a page with m active queries runs through the
-// blocked row body. Rows require no avoidance interleaving: without the
-// lemmas, a query's pruning distance within one item can only have been
-// tightened by earlier items (each query's limit is updated solely by its
-// own Consider accepts), so loading the pass's limits as the row limits
-// reproduces the per-pair body's limits — and with them its distances,
-// within flags, abandon points and Consider sequence — exactly. Under
-// avoidance the per-pair body couples the queries of one item through the
-// known list, which has no row equivalent; those pages keep the per-pair
-// body.
+// evalItems is the narrow body: the active queries sweep items [lo, hi)
+// through the item-lane kernel, tile by tile. Only reached when rowPath
+// holds, under which no query's outcome depends on another's, so each meets
+// the items in page order under its own limit of the moment (see
+// sweepItems) — evalPairs' sequence for that query, whatever the others do
+// in between.
+func (p *pagePass) evalItems(lo, hi int, out []float64) passCounts {
+	items, active, limits, n := p.page.Items[lo:hi], p.active, p.limits, len(p.active)
+	if out != nil {
+		chunk := out[lo*n : hi*n]
+		for i := range chunk {
+			chunk[i] = skippedDist
+		}
+	}
+	var few [rowThreshold]int64
+	hits := few[:] // per active query
+	if n > len(few) {
+		hits = make([]int64, n) // wider than rowPath sends here: tests only
+	}
+	sweepItems(p.s.proc.lanes, items, p.qvecs, limits, func(a, it int, d float64) {
+		hits[a]++
+		if out != nil {
+			out[(lo+it)*n+a] = d
+		} else if st := active[a]; st.answers.Consider(items[it].ID, d) {
+			limits[a] = st.queryDist()
+		}
+	})
+	calcs := int64(len(items))
+	var c passCounts
+	for a, st := range active {
+		c.calcs += calcs
+		c.abandoned += calcs - hits[a]
+		if p.prof != nil {
+			p.prof[st.pos].swept(calcs, hits[a])
+		}
+	}
+	return c
+}
+
+// sweepTile is how many items sweepItems hands the kernel at once. The
+// kernel runs a whole tile under the limit the tile started with, so a
+// larger tile saves calls and a smaller one abandons under a fresher limit;
+// neither changes a result. A k-NN limit moves a few dozen times in a scan
+// of ten thousand items, nearly all of them on the first page.
+const sweepTile = 32
+
+// sweepItems is the items-as-lanes body, shared by the narrow page pass,
+// the single query and the seed page: every query against every item, each
+// query meeting the items in order under limits[a], which lives with the
+// caller. hit is called for each pair within the limit of that moment, with
+// its exact distance, and may tighten limits[a] for the items after it.
+// For each query that is the scalar loop "d, within := DistanceWithin(q,
+// item, limits[a]); if within { hit(a, it, d) }" call for call: the kernel
+// sweeps a tile under the limit the tile started with and reports each
+// item's exact distance or something beyond that limit (vec.Items.Sweep),
+// and d <= limits[a] against the live limit is DistanceWithin's own final
+// comparison. A pair hit is not called for was abandoned. The queries take
+// turns tile by tile, so a tile's rows are gathered once and are still in
+// the nearest cache for the second query.
+func sweepItems(lanes *vec.Items, items []store.Item, queries []vec.Vector, limits []float64, hit func(a, it int, d float64)) {
+	var rows [sweepTile]vec.Vector
+	var dists [sweepTile]float64
+	for base := 0; base < len(items); base += sweepTile {
+		tile := items[base:min(base+sweepTile, len(items))]
+		for j := range tile {
+			rows[j] = tile[j].Vec
+		}
+		for a, q := range queries {
+			if !lanes.Sweep(q, rows[:len(tile)], limits[a], dists[:]) {
+				continue
+			}
+			for j, d := range dists[:len(tile)] {
+				if d <= limits[a] {
+					hit(a, base+j, d)
+				}
+			}
+		}
+	}
+}
+
+// passBody names one of the page pass's three bodies.
+type passBody uint8
+
+const (
+	bodyPairs passBody = iota // evalPairs: the lemmas
+	bodyRows                  // evalRows: queries as lanes
+	bodyItems                 // evalItems: items as lanes
+)
+
+// rowThreshold is the narrowest active set that takes the row body.
+const rowThreshold = 8
+
+// rowPath picks the body for a page with m active queries.
 //
-// So do narrow pages. Measured per pair on a scan of 8 192 items, pair body
-// → row body on AVX2, dim 8 / dim 16: m = 1: 17–20 → 20–30 ns / 28–39 →
-// 39 (a lone query fills one lane of eight); m = 2: 16–21 → 13 / 21–26 →
-// 17–18; m = 3: 15–18 → 9–13 / 27 → 13–15; m = 4: 14–15 → 7–9 / 25–27 →
-// 8–11; m = 8: 14 → 4–5 / 23–25 → 5–7. Rows are ahead from m = 2. The
-// constant is 4 all the same: on dbscan_xtree and engines_lowdim, whose
-// pages are rarely two or three wide, 2 instead of 4 read ≈ 3 % better,
-// which is the spread between repeats there, and it charges every
-// two-query served request a fresh session's transposed buffer
-// (serve_stored: +0.6 KB on 7.1 KB allocated per query).
-func rowPath(avoiding bool, m int) bool {
-	return !avoiding && m >= 4
+// Under avoidance it is the pair body: the lemmas couple the queries of one
+// item through the known list, which has no vector equivalent. Without
+// them, a query's pruning distance within one item can only have been
+// tightened by earlier items (each query's limit is updated solely by its
+// own Consider accepts), so the pairs of a page may be evaluated in any
+// order that keeps each query's items in page order: loading the pass's
+// limits as the row limits, or sweeping the page once per query, reproduces
+// the per-pair limits — and with them the distances, within flags, abandon
+// points and Consider sequences — exactly.
+//
+// Which of the two is a matter of width alone. The row body pads the active
+// set to eight lanes, so a lone query fills one lane of eight; the item
+// body fills its lanes with items whatever the width, but walks the page
+// once per query and pays the in-register transpose the loaded rows do not.
+// rowThreshold is where they cross. Measured per pair on a scan of 8 192
+// items (BenchmarkPassBodies), scalar pair by pair → items → rows, dim 8 /
+// dim 16: m = 1: 13 → 4.6 → 17 ns / 19 → 6.3 → 25; m = 2: 12 → 3.6 → 10 /
+// 19 → 4.5 → 13; m = 4: 11 → 3.6 → 5.9 / 20 → 4.7 → 8.0; m = 6: 12 → 3.7 →
+// 4.5 / 21 → 5.1 → 5.5; m = 7: 11 → 3.5 → 4.0 / 20 → 5.3 → 5.0; m = 8: 11 →
+// 3.4 → 3.2 / 20 → 4.5 → 4.2; m = 12: 11 → 3.8 → 3.7 / 20 → 5.0 → 4.8
+// (EXPERIMENTS, "Items as lanes").
+func rowPath(avoiding bool, m int) passBody {
+	switch {
+	case avoiding:
+		return bodyPairs
+	case m >= rowThreshold:
+		return bodyRows
+	}
+	return bodyItems
 }
 
 // maxAvoidProbes caps how many known distances one avoidance decision

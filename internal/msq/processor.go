@@ -152,7 +152,8 @@ type Processor struct {
 	// dim is the dimensionality of the stored vectors as the engine's
 	// pager reports it; 0 when unknown (see CheckQuery).
 	dim       int
-	rowKernel string // see RowKernel
+	rowKernel string     // see RowKernel
+	lanes     *vec.Items // the one-query kernel (sweepItems); stateless
 }
 
 // New creates a processor over eng using metric m. The metric is wrapped in
@@ -182,7 +183,7 @@ func New(eng engine.Engine, m vec.Metric, opts Options) (*Processor, error) {
 		}
 	}
 	return &Processor{eng: eng, metric: counting, opts: opts, dim: eng.Pager().Dim(),
-		rowKernel: vec.NewRows(counting.Kernel()).ISA()}, nil
+		rowKernel: vec.NewRows(counting.Kernel()).ISA(), lanes: vec.NewItems(counting.Kernel())}, nil
 }
 
 // CheckQuery rejects a query this processor cannot evaluate: one that fails
@@ -208,10 +209,11 @@ func (p *Processor) Engine() engine.Engine { return p.eng }
 // Metric returns the counting metric used for all distance calculations.
 func (p *Processor) Metric() *vec.Counting { return p.metric }
 
-// RowKernel names the instruction set the blocked page pass runs on for
-// this processor's metric: "avx2" or "go" (see vec.Rows.ISA). The two cost
-// about three times apart per pair, so the start-up line, EXPLAIN and
-// /metrics carry it.
+// RowKernel names the instruction set the page pass's vector bodies run on
+// for this processor's metric: "avx2" or "go" (see vec.Rows.ISA; one rule
+// selects the row and the item-lane kernel alike). The two cost two to
+// three times apart per pair, so the start-up line, EXPLAIN and /metrics
+// carry it.
 func (p *Processor) RowKernel() string { return p.rowKernel }
 
 // Options returns the processor options.

@@ -52,6 +52,7 @@ func (p *Processor) SingleContext(ctx context.Context, q vec.Vector, t query.Typ
 	pq := p.eng.Prepare(q)
 	plan := pq.Plan(t.InitialQueryDist())
 	sp.End()
+	queries := [1]vec.Vector{q}
 	for _, ref := range plan {
 		if err := ctx.Err(); err != nil {
 			return nil, stats, fmt.Errorf("msq: single query: %w", err)
@@ -78,16 +79,17 @@ func (p *Processor) SingleContext(ctx context.Context, q vec.Vector, t query.Typ
 		if traced {
 			evalStart = time.Now()
 		}
-		for i := range page.Items {
-			// The live pruning distance doubles as the bounded kernel's
-			// abandonment limit: an abandoned item is strictly farther
-			// than the current query distance, so Consider would have
-			// rejected it anyway and the answer list is unchanged.
-			d, within := p.metric.DistanceWithin(q, page.Items[i].Vec, answers.QueryDist())
-			if within {
-				answers.Consider(page.Items[i].ID, d)
-			}
-		}
+		// The live pruning distance doubles as the kernel's abandonment
+		// limit: an abandoned item is strictly farther than the current
+		// query distance, so Consider would have rejected it anyway and the
+		// answer list is unchanged.
+		items, limit, within := page.Items, [1]float64{answers.QueryDist()}, int64(0)
+		sweepItems(p.lanes, items, queries[:], limit[:], func(_, it int, d float64) {
+			within++
+			answers.Consider(items[it].ID, d)
+			limit[0] = answers.QueryDist()
+		})
+		p.metric.AddCalls(int64(len(items)), int64(len(items))-within)
 		p.eng.Pager().Release(page)
 		if traced {
 			tr.ObserveSince(obs.PhaseKernel, evalStart)

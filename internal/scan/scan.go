@@ -26,6 +26,9 @@ type Engine struct {
 	pager    *store.Pager
 	numItems int
 	pageLens []int
+	// plan is every page in physical order at lower bound 0: the plan of
+	// every query, built once and shared (callers only read a plan).
+	plan []engine.PageRef
 }
 
 var _ engine.Engine = (*Engine)(nil)
@@ -88,7 +91,7 @@ func NewWithConfig(items []store.Item, cfg Config) (*Engine, error) {
 	for i, p := range pages {
 		lens[i] = len(p.Items)
 	}
-	return &Engine{pager: pager, numItems: len(items), pageLens: lens}, nil
+	return newEngine(pager, len(items), lens), nil
 }
 
 // NewStored builds a scan engine over an existing pager whose page sizes
@@ -113,7 +116,7 @@ func NewStored(pager *store.Pager, numItems int, pageLens []int) (*Engine, error
 	if total != numItems {
 		return nil, fmt.Errorf("scan: page lengths sum to %d items, expected %d", total, numItems)
 	}
-	return &Engine{pager: pager, numItems: numItems, pageLens: append([]int(nil), pageLens...)}, nil
+	return newEngine(pager, numItems, append([]int(nil), pageLens...)), nil
 }
 
 // NewFromPager builds a scan engine over an existing pager holding numItems
@@ -132,7 +135,15 @@ func NewFromPager(pager *store.Pager, numItems int) (*Engine, error) {
 		lens[i] = len(p.Items)
 	}
 	pager.ResetStats()
-	return &Engine{pager: pager, numItems: numItems, pageLens: lens}, nil
+	return newEngine(pager, numItems, lens), nil
+}
+
+func newEngine(pager *store.Pager, numItems int, pageLens []int) *Engine {
+	plan := make([]engine.PageRef, len(pageLens))
+	for i := range plan {
+		plan[i] = engine.PageRef{ID: store.PageID(i)}
+	}
+	return &Engine{pager: pager, numItems: numItems, pageLens: pageLens, plan: plan}
 }
 
 // Name returns "scan".
@@ -147,14 +158,9 @@ func (e *Engine) Prepare(vec.Vector) engine.PreparedQuery { return prepared{e} }
 type prepared struct{ e *Engine }
 
 // Plan returns every data page in physical order with lower bound 0: a scan
-// can exclude nothing, so all pages are relevant regardless of queryDist.
-func (p prepared) Plan(_ float64) []engine.PageRef {
-	refs := make([]engine.PageRef, p.e.pager.NumPages())
-	for i := range refs {
-		refs[i] = engine.PageRef{ID: store.PageID(i)}
-	}
-	return refs
-}
+// can exclude nothing, so all pages are relevant regardless of queryDist —
+// one plan for every query, the engine's own.
+func (p prepared) Plan(_ float64) []engine.PageRef { return p.e.plan }
 
 // MinDist returns 0: the scan has no geometric knowledge of page contents.
 func (prepared) MinDist(store.PageID) float64 { return 0 }

@@ -55,6 +55,15 @@ func TestPlanCoversAllPagesInPhysicalOrder(t *testing.T) {
 	if got := e.Prepare(vec.Vector{9, 9}).MinDist(2); got != 0 {
 		t.Errorf("MinDist = %v, want 0", got)
 	}
+	// The plan is the identity whatever the query, so it is built with the
+	// engine and a run pays nothing for it.
+	pages := 0
+	if n := testing.AllocsPerRun(100, func() { pages += len(e.Prepare(vec.Vector{1, 2}).Plan(0.5)) }); n != 0 {
+		t.Errorf("Prepare + Plan allocate %v times per query, want 0", n)
+	}
+	if pages != 101*4 {
+		t.Errorf("the measured plans held %d pages, want %d", pages, 101*4)
+	}
 }
 
 func TestSequentialIOAccounting(t *testing.T) {

@@ -249,28 +249,24 @@ func testEucRowsContract(t *testing.T) {
 	}
 }
 
-// FuzzEucRows feeds the Euclidean bodies coordinates straight from the
-// fuzzer's bytes — any float64, NaN and infinities included — under limits
-// on every boundary of eucLimit, and requires what testEucRowsContract
-// does: lane for lane the outcome of euclideanWithin.
-func FuzzEucRows(f *testing.F) {
-	coords := func(xs ...float64) []byte {
-		b := make([]byte, 0, 8*len(xs))
-		for _, x := range xs {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-		}
-		return b
+// fuzzCoords is a fuzz seed: the given coordinates as the bytes fuzzVectors
+// reads them from.
+func fuzzCoords(xs ...float64) []byte {
+	b := make([]byte, 0, 8*len(xs))
+	for _, x := range xs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 	}
-	f.Add(coords(0.5, 0.25, 0.75), uint8(3), uint8(1), uint8(1))
-	f.Add(coords(1, 2, 3, 4, 5, 6, 7, 8, 9), uint8(4), uint8(8), uint8(0))
-	f.Add(coords(1e-300, 1e300, -1e300, 3), uint8(5), uint8(9), uint8(2))        // sums that underflow and overflow
-	f.Add(coords(math.Inf(1), 1, math.NaN(), -2), uint8(7), uint8(17), uint8(5)) // hostile items
-	f.Add(coords(0.1, 0.2, 0.3, 0.4, 0.5), uint8(20), uint8(40), uint8(3))
-	f.Add([]byte{1, 2, 3}, uint8(39), uint8(23), uint8(4))
-	f.Fuzz(func(t *testing.T, data []byte, dimIn, mIn, kind uint8) {
-		dim, m := 1+int(dimIn)%40, 1+int(mIn)%40
-		at := 0
-		next := func() float64 {
+	return b
+}
+
+// fuzzVectors returns a source of dim-dimensional vectors whose coordinates
+// come straight from the fuzzer's bytes, cycling through them — any float64,
+// NaN and infinities included.
+func fuzzVectors(data []byte, dim int) func() Vector {
+	at := 0
+	return func() Vector {
+		v := make(Vector, dim)
+		for d := range v {
 			var b [8]byte
 			for i := range b {
 				if len(data) > 0 {
@@ -279,15 +275,26 @@ func FuzzEucRows(f *testing.F) {
 				at++
 			}
 			at += 3 // so that a short input does not repeat with period 8
-			return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+			v[d] = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
 		}
-		vector := func() Vector {
-			v := make(Vector, dim)
-			for d := range v {
-				v[d] = next()
-			}
-			return v
-		}
+		return v
+	}
+}
+
+// FuzzEucRows feeds the Euclidean bodies coordinates straight from the
+// fuzzer's bytes — any float64, NaN and infinities included — under limits
+// on every boundary of eucLimit, and requires what testEucRowsContract
+// does: lane for lane the outcome of euclideanWithin.
+func FuzzEucRows(f *testing.F) {
+	f.Add(fuzzCoords(0.5, 0.25, 0.75), uint8(3), uint8(1), uint8(1))
+	f.Add(fuzzCoords(1, 2, 3, 4, 5, 6, 7, 8, 9), uint8(4), uint8(8), uint8(0))
+	f.Add(fuzzCoords(1e-300, 1e300, -1e300, 3), uint8(5), uint8(9), uint8(2))        // sums that underflow and overflow
+	f.Add(fuzzCoords(math.Inf(1), 1, math.NaN(), -2), uint8(7), uint8(17), uint8(5)) // hostile items
+	f.Add(fuzzCoords(0.1, 0.2, 0.3, 0.4, 0.5), uint8(20), uint8(40), uint8(3))
+	f.Add([]byte{1, 2, 3}, uint8(39), uint8(23), uint8(4))
+	f.Fuzz(func(t *testing.T, data []byte, dimIn, mIn, kind uint8) {
+		dim, m := 1+int(dimIn)%40, 1+int(mIn)%40
+		vector := fuzzVectors(data, dim)
 		queries := make([]Vector, m)
 		for a := range queries {
 			queries[a] = vector()
@@ -309,4 +316,93 @@ func FuzzEucRows(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRowsLoadAgain: Load keeps the transposed copy when it is handed the
+// set it already holds (a mark in a padding lane survives) and transposes
+// any other (the copy, poisoned beforehand, does not show). Either way the
+// sweeps that follow are those of a freshly built Rows loaded with the same
+// arguments: after the same set under tightened limits, and after a set
+// that differs in one lane, in order, or in length.
+func TestRowsLoadAgain(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	const dim, m = 6, 11
+	items := make([]Vector, 12)
+	for i := range items {
+		items[i] = randomVector(rng, dim)
+	}
+	queries := make([]Vector, m)
+	for a := range queries {
+		queries[a] = randomVector(rng, dim)
+	}
+	swapped := append([]Vector(nil), queries...)
+	swapped[2], swapped[7] = swapped[7], swapped[2]
+	replaced := append([]Vector(nil), queries...)
+	replaced[m-1] = randomVector(rng, dim)
+	// Each lane's limit is its query's distance to one of the items, scaled:
+	// some items within, some not, at every scale used.
+	limitsAt := func(scale float64) []float64 {
+		limits := make([]float64, m)
+		for a := range limits {
+			limits[a] = scale * Euclidean{}.Distance(queries[a], items[a])
+		}
+		return limits
+	}
+	steps := []struct {
+		name    string
+		queries []Vector
+		limits  []float64
+		changed bool
+	}{
+		{"first", queries, limitsAt(1), true},
+		{"same set, tighter", queries, limitsAt(0.95), false},
+		{"same set from another slice", append([]Vector(nil), queries...), limitsAt(0.9), false},
+		{"one lane replaced", replaced, limitsAt(0.9), true},
+		{"back", queries, limitsAt(0.9), true},
+		{"two lanes swapped", swapped, limitsAt(0.9), true},
+		{"a prefix", queries[:5], limitsAt(0.9), true},
+		{"the prefix again, tighter", queries[:5], limitsAt(0.85), false},
+		{"grown back", queries, limitsAt(0.85), true},
+	}
+	for body, r := range rowBodies(Euclidean{}) {
+		var sc RowScratch
+		for _, step := range steps {
+			// The first padding lane's first coordinate: no sweep reads it, a
+			// transpose zeroes it.
+			n := len(step.queries)
+			mark := n/rowLanes*rowLanes*dim + n%rowLanes
+			if step.changed {
+				for i := range r.q {
+					r.q[i] = math.NaN() // a stale copy would show in the sweeps
+				}
+			} else {
+				r.q[mark] = 1
+			}
+			r.Load(step.queries, step.limits)
+			if !step.changed && r.q[mark] != 1 {
+				t.Errorf("%s, %s: the set was transposed again", body, step.name)
+			}
+			fresh := NewRows(Euclidean{})
+			fresh.asm = r.asm
+			fresh.Load(step.queries, step.limits)
+			var fsc RowScratch
+			hits := 0
+			for i, item := range items {
+				got := checkSweep(t, body+", "+step.name, Euclidean{}, r, &sc, step.queries, step.limits, item)
+				hits += len(got)
+				want := fresh.Sweep(item, &fsc)
+				if len(got) != len(want) {
+					t.Fatalf("%s, %s, item %d: %d hits, a fresh Load gives %d", body, step.name, i, len(got), len(want))
+				}
+				for k := range got {
+					if got[k].Lane != want[k].Lane || math.Float64bits(got[k].D) != math.Float64bits(want[k].D) {
+						t.Fatalf("%s, %s, item %d: hit %v, a fresh Load gives %v", body, step.name, i, got[k], want[k])
+					}
+				}
+			}
+			if hits == 0 || hits == len(items)*len(step.queries) {
+				t.Errorf("%s, %s: %d hits of %d pairs: the limits decide nothing", body, step.name, hits, len(items)*len(step.queries))
+			}
+		}
+	}
 }

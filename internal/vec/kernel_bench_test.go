@@ -159,3 +159,73 @@ func BenchmarkRowKernel(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkItemKernel prices one (query, item) pair of a one-query sweep
+// three ways: one scalar DistanceWithin per item, and tiles of 32 rows —
+// gathered from the items the way the page pass gathers them — through the
+// portable body and through the assembly where the build and the CPU have
+// it. The limit is fixed at the quantile of the distances at which the
+// named share of the pairs abandons.
+func BenchmarkItemKernel(b *testing.B) {
+	const nItems, tile = 1024, 32
+	type item struct {
+		id  int
+		vec Vector
+	}
+	for _, dim := range []int{8, 16, 20} {
+		rng := rand.New(rand.NewSource(int64(dim)))
+		items := make([]item, nItems)
+		q := randomVector(rng, dim)
+		pairs := make([]benchPair, nItems)
+		for i := range items {
+			items[i] = item{i, randomVector(rng, dim)}
+			pairs[i] = benchPair{q, items[i].vec}
+		}
+		for _, share := range []float64{0, 0.95, 0.998} {
+			limit := limitForRate(Euclidean{}, pairs, share)
+			name := fmt.Sprintf("dim=%d/abandon=%v", dim, share)
+			perPair := func(b *testing.B) {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/nItems, "ns/pair")
+			}
+			b.Run(name+"/scalar", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for j := range items {
+						benchSinkF, benchSinkB = euclideanWithin(q, items[j].vec, limit)
+					}
+				}
+				perPair(b)
+			})
+			for _, body := range []struct {
+				name string
+				asm  bool
+			}{{"portable", false}, {"avx2", true}} {
+				if body.asm && !haveAVX2 {
+					continue
+				}
+				b.Run(name+"/"+body.name, func(b *testing.B) {
+					k := &Items{asm: body.asm}
+					var rows [tile]Vector
+					var dists [tile]float64
+					n := 0
+					for i := 0; i < b.N; i++ {
+						for base := 0; base < nItems; base += tile {
+							for j := range rows {
+								rows[j] = items[base+j].vec
+							}
+							if !k.Sweep(q, rows[:], limit, dists[:]) {
+								continue
+							}
+							for _, d := range dists {
+								if d <= limit {
+									n++
+								}
+							}
+						}
+					}
+					benchSinkF = float64(n)
+					perPair(b)
+				})
+			}
+		}
+	}
+}

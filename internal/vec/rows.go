@@ -43,6 +43,7 @@ type Rows struct {
 	asm     bool
 	dim, m  int
 	queries []Vector  // as loaded, until the next Load (generic body only)
+	loaded  []Vector  // the set q holds transposed, Load's own copy of the headers
 	limits  []float64 // per lane, len m
 	q       []float64 // [block][dim][rowLanes]
 	h       []float64 // [block][rowLanes]: limit²·rowLimitSlack, -1 on padding
@@ -66,13 +67,8 @@ type RowScratch struct {
 // Euclidean and Minkowski p = 2 (matching the scalar delegation), the
 // generic body for anything else.
 func NewRows(m BoundedMetric) *Rows {
-	switch bm := m.(type) {
-	case Euclidean:
+	if euclideanKernel(m) {
 		return &Rows{asm: haveAVX2}
-	case Minkowski:
-		if bm.p == 2 {
-			return &Rows{asm: haveAVX2}
-		}
 	}
 	return &Rows{bm: m}
 }
@@ -91,6 +87,12 @@ func (r *Rows) ISA() string {
 // Load replaces the loaded set. queries must stay unchanged until the next
 // Load; limits is copied. The queries' common dimension is checked here,
 // once, and each item's against it in Sweep.
+//
+// A page pass loads the same active set page after page with nothing but
+// tighter limits, so Load recognizes the previous set — the same backing
+// arrays in the same lanes — and then rewrites the limits only. A caller
+// that reuses a query's backing array for other coordinates must not hand
+// it to the Load after the one that saw the old ones.
 func (r *Rows) Load(queries []Vector, limits []float64) {
 	r.m = len(queries)
 	r.limits = append(r.limits[:0], limits[:r.m]...)
@@ -99,9 +101,16 @@ func (r *Rows) Load(queries []Vector, limits []float64) {
 		return
 	}
 	if r.m == 0 {
-		r.h = r.h[:0]
+		r.h, r.loaded = r.h[:0], r.loaded[:0]
 		return
 	}
+	if sameVectors(queries, r.loaded) {
+		for a, limit := range r.limits {
+			r.h[a] = limit * limit * rowLimitSlack
+		}
+		return
+	}
+	r.loaded = r.loaded[:0] // nothing, should a dimension check below panic
 	dim := len(queries[0])
 	r.dim = dim
 	padded := (r.m + rowLanes - 1) / rowLanes * rowLanes
@@ -127,6 +136,21 @@ func (r *Rows) Load(queries []Vector, limits []float64) {
 		}
 		r.h[a] = limits[a] * limits[a] * rowLimitSlack
 	}
+	r.loaded = append(r.loaded, queries...)
+}
+
+// sameVectors reports whether a and b are the same vectors lane for lane:
+// equal lengths over one backing array.
+func sameVectors(a, b []Vector) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, v := range a {
+		if len(v) != len(b[i]) || (len(v) > 0 && &v[0] != &b[i][0]) {
+			return false
+		}
+	}
+	return true
 }
 
 // SetLimit replaces lane a's limit for the items swept from now on — what

@@ -27,6 +27,13 @@ var haveAVX2 = func() bool {
 //go:noescape
 func eucRowsAVX2(q, h []float64, item Vector, sums []float64, alive []int32) int
 
+// eucItemsAVX2 is eucItemsGo, itemLanes rows to two registers. len(rows)
+// must be a multiple of itemLanes, every row must have len(q) coordinates —
+// it reads exactly those — and dists room for one value per row.
+//
+//go:noescape
+func eucItemsAVX2(q Vector, rows []Vector, h float64, dists []float64) bool
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)

@@ -2,9 +2,13 @@
 
 package vec
 
-// Off amd64, and under -tags purego, the portable sweep is the only one.
+// Off amd64, and under -tags purego, the portable sweeps are the only ones.
 const haveAVX2 = false
 
 func eucRowsAVX2(q, h []float64, item Vector, sums []float64, alive []int32) int {
 	panic("vec: no assembly row kernel in this build")
+}
+
+func eucItemsAVX2(q Vector, rows []Vector, h float64, dists []float64) bool {
+	panic("vec: no assembly item kernel in this build")
 }
