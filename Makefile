@@ -19,14 +19,15 @@ vet:
 build:
 	go build ./...
 
-# The row kernel and the item-lane kernel each have two bodies selected by
-# GOARCH, the purego tag and the CPU (internal/vec/rows_*.go, items*). The
-# default build tests the assembly against the portable bodies; this runs
-# both packages with the portable bodies as the only ones, and builds for an
-# architecture that has no assembly so that the build-tag split cannot rot.
+# The row kernel, the item-lane kernel and the box-lane kernel each have two
+# bodies selected by GOARCH, the purego tag and the CPU (internal/vec/rows_*.go,
+# items*, boxes*). The default build tests the assembly against the portable
+# bodies; this runs their packages and the X-tree, whose plan sweeps boxes,
+# with the portable bodies as the only ones, and builds for an architecture
+# that has no assembly so that the build-tag split cannot rot.
 # go vet (above) checks the .s files against their Go declarations.
 portable:
-	go test -tags purego ./internal/vec/ ./internal/msq/
+	go test -tags purego ./internal/vec/ ./internal/msq/ ./internal/xtree/
 	GOARCH=arm64 go build ./...
 	GOARCH=arm64 go vet ./internal/vec/
 
@@ -41,24 +42,27 @@ race:
 # The pipeline determinism gate: differential (width 1 vs 2 vs 8), Lemma
 # 1/2 soundness properties, the bounded-kernel contract properties, the
 # row and item-lane kernels' contracts against the scalar kernel (both
-# bodies each, and the fuzz targets' seeds), the row and item bodies against
-# the pair-by-pair reference and the single query against Figure 1's scalar
-# loop, the session/pager stress tests, the store concurrency tests, the page
-# pin/recycle protocol tests and concurrent sessions on one VA-file (its
-# cell-table free list) — all under the race detector.
+# bodies each, and the fuzz targets' seeds), the box-lane kernel against the
+# gap-vector form and the X-tree's plan against the recursive walk, the row
+# and item bodies against the pair-by-pair reference and the single query
+# against Figure 1's scalar loop, the session/pager stress tests, the store
+# concurrency tests, the page pin/recycle protocol tests and concurrent
+# sessions on one VA-file (its cell-table free list) — all under the race
+# detector.
 differential:
-	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestItemLanes|FuzzEucItems|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPageRecycle' \
-		./internal/msq/ ./internal/store/ ./internal/vec/ ./internal/vafile/
+	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestItemLanes|FuzzEucItems|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPageRecycle' \
+		./internal/msq/ ./internal/store/ ./internal/vec/ ./internal/vafile/ ./internal/xtree/
 
 # A short fuzz of the persistent-storage decoders: corrupt page records
 # and manifests must produce errors, never panics or over-allocation. The
 # committed seed corpora cover the interesting boundaries; 30 seconds per
-# target explores beyond them on every check. The two kernel targets hold
-# the assembly and the portable bodies to the scalar kernel on coordinates
-# and limits no generator would pick.
+# target explores beyond them on every check. The three kernel targets hold
+# the assembly and the portable bodies to the scalar kernel (the boxes: to
+# the gap-vector form) on coordinates and limits no generator would pick.
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzEucRows -fuzztime=30s ./internal/vec/
 	go test -run='^$$' -fuzz=FuzzEucItems -fuzztime=30s ./internal/vec/
+	go test -run='^$$' -fuzz=FuzzEucBoxes -fuzztime=30s ./internal/vec/
 	go test -run='^$$' -fuzz=FuzzPageDecode -fuzztime=30s ./internal/store/
 	go test -run='^$$' -fuzz=FuzzManifestDecode -fuzztime=30s ./internal/store/
 	go test -run='^$$' -fuzz=FuzzColumnarPageDecode -fuzztime=30s ./internal/store/
@@ -108,14 +112,16 @@ loc:
 # bounded DistanceWithin, with allocation counts for the scratch-reuse
 # check; a pair of the page pass by the scalar kernel, the portable row and
 # item-lane bodies and the assembly ones, then by the three bodies of the
-# page pass at the widths around rowPath's constant), the VA-file's plan and
-# per-query sweep and the X-tree's dynamic build, then the end-to-end
+# page pass at the widths around rowPath's constant; a sweep of child MBRs by
+# the per-box loop and the box-lane bodies), the VA-file's plan and per-query
+# sweep, the X-tree's plan and dynamic build and the sliding window of a
+# mining loop, then the end-to-end
 # artifacts — the kernels experiment
 # (BENCH_kernels.json), the intra pipeline sweep
 # (BENCH_parallel_intra.json) and the phase-latency profile
 # (BENCH_obs.json).
 bench:
-	go test -bench='BenchmarkDistance|BenchmarkRowKernel|BenchmarkItemKernel|BenchmarkSortRefs|BenchmarkPlan|BenchmarkSweep|BenchmarkBulk|BenchmarkMultiQueryAll|BenchmarkPassBodies' -benchmem -run=^$$ \
+	go test -bench='BenchmarkDistance|BenchmarkRowKernel|BenchmarkItemKernel|BenchmarkBoxKernel|BenchmarkSortRefs|BenchmarkPlan|BenchmarkSweep|BenchmarkBulk|BenchmarkMultiQueryAll|BenchmarkPassBodies|BenchmarkIncrementalWindow' -benchmem -run=^$$ \
 		./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/msq/
 	go run ./cmd/msqbench -experiment kernels
 	go run ./cmd/msqbench -experiment intra

@@ -24,6 +24,9 @@
 package engine
 
 import (
+	"cmp"
+	"slices"
+
 	"metricdb/internal/store"
 	"metricdb/internal/vec"
 )
@@ -35,6 +38,18 @@ type PageRef struct {
 	// MinDist satisfies: for every item o on the page,
 	// dist(q, o) >= MinDist. Zero for the sequential scan.
 	MinDist float64
+}
+
+// SortPlan puts refs in plan order: ascending lower bound, ties by page ID
+// (the Hjaltason–Samet schedule, deterministic whatever order the engine
+// found the pages in).
+func SortPlan(refs []PageRef) {
+	slices.SortFunc(refs, func(a, b PageRef) int {
+		if c := cmp.Compare(a.MinDist, b.MinDist); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
 }
 
 // PreparedQuery is a per-query view of an engine. It is created once per

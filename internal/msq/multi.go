@@ -201,38 +201,44 @@ func (s *Session) MultiQueryContext(ctx context.Context, queries []Query) ([]*qu
 // admitted, so a rejected call leaves the session as it found it and pays
 // no Engine.Prepare. The returned states are session scratch, valid until
 // the next call; the answer lists are the caller's.
+//
+// A mining loop slides a window: the query at position i of this call sat at
+// i+1 of the previous one, or at i. Those two places are looked at before the
+// registry (held), and a query the session holds that arrives with the very
+// vector it was admitted with — the same array, not an equal one — and the
+// same type was validated then and is not validated again: MultiQuery's
+// contract is that the vectors do not change, and only identity, never
+// equality, shows that nothing has been put in their place.
 func (s *Session) prepare(queries []Query) ([]*queryState, []*query.AnswerList, error) {
 	if len(queries) == 0 {
 		return nil, nil, fmt.Errorf("msq: empty multiple similarity query")
 	}
 	s.stamp++
-	states := s.batch[:0]
-	reject := func(err error) ([]*queryState, []*query.AnswerList, error) {
-		for _, st := range states {
-			if st.answers == nil { // registered by this call
-				delete(s.states, st.q.ID)
+	prev, states := s.batch, s.batch[:0]
+	for i, q := range queries {
+		st := held(prev, i, q.ID) // restore_from_buffer
+		if st == nil {
+			st = s.states[q.ID]
+		}
+		known := st != nil && st.q.Type == q.Type && len(st.q.Vec) == len(q.Vec) && &st.q.Vec[0] == &q.Vec[0]
+		if !known {
+			if err := s.proc.CheckQuery(q); err != nil {
+				return s.reject(states, err)
 			}
 		}
-		return nil, nil, err
-	}
-	for i, q := range queries {
-		if err := s.proc.CheckQuery(q); err != nil {
-			return reject(err)
-		}
-		st, ok := s.states[q.ID] // restore_from_buffer
 		switch {
-		case !ok:
+		case st == nil:
 			// Registered bare, so that a second occurrence of the ID in this
 			// batch finds it; admitted below once the batch is known good.
 			st = &queryState{q: q, slot: noSlot}
 			s.states[q.ID] = st
 		case st.stamp == s.stamp:
-			return reject(fmt.Errorf("msq: query ID %d appears twice in one call", q.ID))
-		case !st.q.Vec.Equal(q.Vec) || st.q.Type != q.Type:
-			return reject(fmt.Errorf("msq: query ID %d reused with a different object or type", q.ID))
+			return s.reject(states, fmt.Errorf("msq: query ID %d appears twice in one call", q.ID))
+		case !known && (!st.q.Vec.Equal(q.Vec) || st.q.Type != q.Type):
+			return s.reject(states, fmt.Errorf("msq: query ID %d reused with a different object or type", q.ID))
 		}
 		st.stamp, st.pos = s.stamp, int32(i)
-		states = append(states, st)
+		states = append(states, st) // overwrites prev[i], already looked at
 	}
 	s.batch = states
 	results := make([]*query.AnswerList, len(queries))
@@ -246,6 +252,31 @@ func (s *Session) prepare(queries []Query) ([]*queryState, []*query.AnswerList, 
 		results[i] = st.answers
 	}
 	return states, results, nil
+}
+
+// reject withdraws from the registry the states a call registered before it
+// found the query that fails it.
+func (s *Session) reject(states []*queryState, err error) ([]*queryState, []*query.AnswerList, error) {
+	for _, st := range states {
+		if st.answers == nil { // registered by this call
+			delete(s.states, st.q.ID)
+		}
+	}
+	return nil, nil, err
+}
+
+// held returns the state of query id if the previous call's batch holds it
+// at position i+1 or i, nil otherwise. A rejected call leaves the bare states
+// it registered, and then withdrew from the registry, in that batch: a state
+// is only ever found here once it has been admitted.
+func held(prev []*queryState, i int, id uint64) *queryState {
+	if i+1 < len(prev) && prev[i+1].q.ID == id && prev[i+1].answers != nil {
+		return prev[i+1]
+	}
+	if i < len(prev) && prev[i].q.ID == id && prev[i].answers != nil {
+		return prev[i]
+	}
+	return nil
 }
 
 // complete marks st's answers final and releases everything only an

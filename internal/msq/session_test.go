@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -456,6 +457,118 @@ func TestRejectedCallLeavesSessionUntouched(t *testing.T) {
 	for i, q := range batch {
 		if want := brute(items, metric, q.Vec, q.Type); !sameAnswers(res[i].Answers(), want) {
 			t.Errorf("query %d: wrong answers after rejected calls", q.ID)
+		}
+	}
+
+	// That was the window the rejected calls presented: they left the bare
+	// states of 10 and 11, withdrawn from the registry, in the batch the
+	// window hint reads. The valid call must have registered its own, so the
+	// same window once more finds those — the same lists, nothing admitted.
+	if len(s.states) != 5 {
+		t.Errorf("%d states in the registry, want 5", len(s.states))
+	}
+	again, st, err := s.MultiQueryAll(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PivotDistCalcs != 0 || len(s.states) != 5 {
+		t.Errorf("repeating the window paid %d pivot distances and left %d states", st.PivotDistCalcs, len(s.states))
+	}
+	for i, q := range batch {
+		if again[i] != res[i] || s.states[q.ID] != s.batch[i] {
+			t.Errorf("query %d: the repeated window got another answer list or state", q.ID)
+		}
+	}
+}
+
+// TestWindowHint: a query found where a sliding window leaves it — the
+// previous batch at its position or one further on — skips validation only
+// when it arrives with the very vector the session holds and the same type;
+// everything else at a hinted position is judged as it is anywhere.
+func TestWindowHint(t *testing.T) {
+	const dim = 4
+	items := testDB(34, 300, dim)
+	metric := vec.Euclidean{}
+	rng := query.NewRange(0.3)
+	good := func(i int) Query { return Query{ID: uint64(i), Vec: items[i].Vec, Type: rng} }
+	window := func(from int) []Query {
+		return []Query{good(from), good(from + 1), good(from + 2), good(from + 3)}
+	}
+	for _, mk := range diffMakers() {
+		if mk.name != "xtree" {
+			continue
+		}
+		proc, err := New(mk.make(t, items, dim, metric), metric, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := proc.NewSession()
+		first, _, err := s.MultiQuery(window(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if st := held(s.batch, i, uint64(i+1)); st == nil || st != s.states[uint64(i+1)] {
+				t.Fatalf("position %d of the next window: the hint found %v", i, st)
+			}
+		}
+		if held(s.batch, 3, 4) != nil || held(s.batch, 0, 2) != nil {
+			t.Fatal("the hint found a query the previous batch does not hold there")
+		}
+
+		clone, moved, retyped := good(2), good(2), good(2)
+		clone.Vec = clone.Vec.Clone()
+		moved.Vec = items[9].Vec
+		retyped.Type = query.NewKNN(3)
+		nan := good(2)
+		nan.Vec = clone.Vec.Clone()
+		nan.Vec[1] = math.NaN()
+		for _, c := range []struct {
+			name  string
+			batch []Query
+			ok    bool
+		}{
+			{"twice, both hinted", []Query{good(1), good(1), good(3), good(4)}, false},
+			{"different vector", []Query{good(1), moved, good(3), good(4)}, false},
+			{"non-finite vector", []Query{good(1), nan, good(3), good(4)}, false},
+			{"different type", []Query{good(1), retyped, good(3), good(4)}, false},
+			{"equal but distinct vector", []Query{good(1), clone, good(3), good(4)}, true},
+			{"completed query", window(0), true},
+		} {
+			name := c.name
+			states := len(s.states)
+			res, st, err := s.MultiQuery(c.batch)
+			if !c.ok {
+				if err == nil || len(s.states) != states {
+					t.Errorf("%s: err %v, %d states after and %d before", name, err, len(s.states), states)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if name == "completed query" && (st != Stats{} || res[0] != first[0]) {
+				t.Errorf("%s: stats %+v, the buffered list %v", name, st, res[0] == first[0])
+			}
+			for i, q := range c.batch {
+				if res[i] != s.states[q.ID].answers {
+					t.Errorf("%s: query %d got a list that is not the session's", name, q.ID)
+				}
+			}
+			if want := brute(items, metric, c.batch[0].Vec, rng); !sameAnswers(res[0].Answers(), want) {
+				t.Errorf("%s: wrong answers for query %d", name, c.batch[0].ID)
+			}
+		}
+
+		// The window slides on to the end, whatever was presented above.
+		for from := 1; from < 40; from++ {
+			res, _, err := s.MultiQuery(window(from))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := brute(items, metric, items[from].Vec, rng); !sameAnswers(res[0].Answers(), want) {
+				t.Errorf("window %d: wrong answers", from)
+			}
 		}
 	}
 }

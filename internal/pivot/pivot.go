@@ -406,7 +406,7 @@ func (p *prepared) Plan(queryDist float64) []engine.PageRef {
 			refs = append(refs, engine.PageRef{ID: store.PageID(pid), MinDist: lb})
 		}
 	}
-	sortRefs(refs)
+	engine.SortPlan(refs)
 	return refs
 }
 
@@ -442,17 +442,6 @@ func (p *prepared) lowerBound(pid int) float64 {
 		}
 	}
 	return best
-}
-
-// sortRefs orders refs by ascending lower bound with page ID as the
-// deterministic tiebreak (the Hjaltason–Samet schedule).
-func sortRefs(refs []engine.PageRef) {
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].MinDist != refs[j].MinDist {
-			return refs[i].MinDist < refs[j].MinDist
-		}
-		return refs[i].ID < refs[j].ID
-	})
 }
 
 // PageLen returns the number of items on the page.

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"slices"
 	"sort"
 
 	"metricdb/internal/store"
@@ -100,7 +101,15 @@ func (l *AnswerList) Type() Type { return l.typ }
 // returned slice is owned by the list; callers must not modify it.
 func (l *AnswerList) Answers() []Answer {
 	if !l.sorted {
-		sort.Slice(l.answers, func(i, j int) bool { return less(l.answers[i], l.answers[j]) })
+		slices.SortFunc(l.answers, func(a, b Answer) int {
+			switch {
+			case less(a, b):
+				return -1
+			case less(b, a):
+				return 1
+			}
+			return 0
+		})
 		l.sorted = true
 	}
 	return l.answers

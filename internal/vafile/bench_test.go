@@ -25,7 +25,7 @@ func BenchmarkSortRefs(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				copy(scratch, refs)
-				sortRefs(scratch)
+				engine.SortPlan(scratch)
 			}
 		})
 	}
@@ -44,7 +44,7 @@ func benchItems(rng *rand.Rand, n, dim int) []store.Item {
 }
 
 // BenchmarkPlan exercises the full approximation scan over a many-page
-// VA-file, whose output ordering runs through sortRefs.
+// VA-file, whose output ordering runs through engine.SortPlan.
 func BenchmarkPlan(b *testing.B) {
 	const dim, nItems = 8, 8192
 	rng := rand.New(rand.NewSource(2))

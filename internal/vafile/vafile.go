@@ -22,10 +22,8 @@
 package vafile
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"metricdb/internal/engine"
 	"metricdb/internal/store"
@@ -371,17 +369,8 @@ func (p *prepared) Plan(queryDist float64) []engine.PageRef {
 			refs = append(refs, engine.PageRef{ID: store.PageID(pi / 2), MinDist: bounds[pi]})
 		}
 	}
-	sortRefs(refs)
+	engine.SortPlan(refs)
 	return refs
-}
-
-func sortRefs(refs []engine.PageRef) {
-	slices.SortFunc(refs, func(a, b engine.PageRef) int {
-		if c := cmp.Compare(a.MinDist, b.MinDist); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
 }
 
 // MinDist returns the page's approximation lower bound.

@@ -1,9 +1,6 @@
 package vec
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Coordinatewise is implemented by metrics whose distance is a monotone
 // function of the per-coordinate absolute differences |a_i - b_i|. For such
@@ -48,60 +45,9 @@ func BaseMetric(m Metric) Metric {
 	}
 }
 
-// BoxDistance returns m.Distance(gap, zero) for the gap vector between q
-// and the axis-aligned box [lo, hi] — per coordinate the distance to the
-// box (far == false: 0 inside it) or to its farther face (far == true) —
-// without materializing either vector: the generalized MINDIST and MAXDIST
-// of geom, which every index engine evaluates once per (page, query). ok is
-// false when m is not one of the coordinatewise metrics this package ships;
-// the caller then builds the gap vector itself.
-//
-// Each case repeats its metric's Distance loop with gap[i] - 0, which is
-// gap[i] exactly, as the per-coordinate difference — the same terms in the
-// same summation order, so the same bits.
-func BoxDistance(m Metric, q, lo, hi Vector, far bool) (d float64, ok bool) {
-	switch bm := m.(type) {
-	case Euclidean:
-		return boxEuclidean(q, lo, hi, far), true
-	case Manhattan:
-		return boxManhattan(q, lo, hi, far), true
-	case Chebyshev:
-		var mx float64
-		for i := range q {
-			if g := math.Abs(BoxGap(q[i], lo[i], hi[i], far)); g > mx {
-				mx = g
-			}
-		}
-		return mx, true
-	case Minkowski:
-		switch bm.p {
-		case 1:
-			return boxManhattan(q, lo, hi, far), true
-		case 2:
-			return boxEuclidean(q, lo, hi, far), true
-		}
-		var s float64
-		for i := range q {
-			s += bm.term(math.Abs(BoxGap(q[i], lo[i], hi[i], far)))
-		}
-		return math.Pow(s, bm.invp), true
-	case *WeightedEuclidean:
-		if len(q) != len(bm.weights) {
-			panic(fmt.Sprintf("vec: weighted Euclidean configured for dim %d, got %d", len(bm.weights), len(q)))
-		}
-		var s float64
-		for i := range q {
-			g := BoxGap(q[i], lo[i], hi[i], far)
-			s += bm.weights[i] * g * g
-		}
-		return math.Sqrt(s), true
-	}
-	return 0, false
-}
-
 // GapKernel takes a shipped coordinatewise metric's Distance(gap, zero)
-// apart for callers whose boxes share few distinct gaps (the VA-file
-// tabulates Term once per cell and query): the distance is Finish, which is
+// apart, for Boxes and for callers whose boxes share few distinct gaps (the
+// VA-file tabulates Term once per cell and query): the distance is Finish, which is
 // monotone, of the Terms of gap[0], gap[1], … combined in that order, from
 // 0, by + (by max when Max) — evaluated so, with the bits of Distance.
 type GapKernel struct {
@@ -110,7 +56,8 @@ type GapKernel struct {
 	Finish func(s float64) float64
 }
 
-// GapKernelOf returns m's GapKernel; ok is as for BoxDistance.
+// GapKernelOf returns m's GapKernel; ok is false when m is not one of the
+// coordinatewise metrics this package ships.
 func GapKernelOf(m Metric) (k GapKernel, ok bool) {
 	square := func(_ int, g float64) float64 { return g * g }
 	abs := func(_ int, g float64) float64 { return math.Abs(g) }
@@ -138,7 +85,10 @@ func GapKernelOf(m Metric) (k GapKernel, ok bool) {
 	return GapKernel{}, false
 }
 
-// BoxGap is one coordinate of the gap vector (see BoxDistance).
+// BoxGap is one coordinate of the gap vector between q and the axis-aligned
+// box [lo, hi]: the distance to the box (far == false: 0 inside it) or to its
+// farther face (far == true). A metric applied to the gap vector and the
+// origin is the generalized MINDIST or MAXDIST of the box (see Boxes).
 func BoxGap(q, lo, hi float64, far bool) float64 {
 	if far {
 		l, h := math.Abs(q-lo), math.Abs(q-hi)
@@ -154,21 +104,4 @@ func BoxGap(q, lo, hi float64, far bool) float64 {
 		return q - hi
 	}
 	return 0
-}
-
-func boxEuclidean(q, lo, hi Vector, far bool) float64 {
-	var s float64
-	for i := range q {
-		g := BoxGap(q[i], lo[i], hi[i], far)
-		s += g * g
-	}
-	return math.Sqrt(s)
-}
-
-func boxManhattan(q, lo, hi Vector, far bool) float64 {
-	var s float64
-	for i := range q {
-		s += math.Abs(BoxGap(q[i], lo[i], hi[i], far))
-	}
-	return s
 }

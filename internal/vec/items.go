@@ -46,7 +46,7 @@ func NewItems(m BoundedMetric) *Items {
 }
 
 // euclideanKernel reports whether m's DistanceWithin is euclideanWithin.
-func euclideanKernel(m BoundedMetric) bool {
+func euclideanKernel(m Metric) bool {
 	switch bm := m.(type) {
 	case Euclidean:
 		return true

@@ -11,13 +11,14 @@ import (
 	"unsafe"
 )
 
-// guardedVector maps two pages, makes the second inaccessible and returns
-// a random vector whose last coordinate ends flush against it: a load of
-// even one byte past v[dim-1] faults.
-func guardedVector(t *testing.T, rng *rand.Rand, dim int) Vector {
+// guardedFloats maps enough pages for n float64s and one more, makes the
+// last inaccessible and returns n zeros whose last one ends flush against
+// it: a load of even one byte past v[n-1] faults.
+func guardedFloats(t *testing.T, n int) []float64 {
 	t.Helper()
 	page := syscall.Getpagesize()
-	mem, err := syscall.Mmap(-1, 0, 2*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	size := (n*8 + page - 1) / page * page
+	mem, err := syscall.Mmap(-1, 0, size+page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,10 +27,17 @@ func guardedVector(t *testing.T, rng *rand.Rand, dim int) Vector {
 			t.Error(err)
 		}
 	})
-	if err := syscall.Mprotect(mem[page:], syscall.PROT_NONE); err != nil {
+	if err := syscall.Mprotect(mem[size:], syscall.PROT_NONE); err != nil {
 		t.Fatal(err)
 	}
-	v := unsafe.Slice((*float64)(unsafe.Pointer(&mem[page-dim*8])), dim)
+	return unsafe.Slice((*float64)(unsafe.Pointer(&mem[size-n*8])), n)
+}
+
+// guardedVector returns a random vector that ends flush against an
+// inaccessible page (see guardedFloats).
+func guardedVector(t *testing.T, rng *rand.Rand, dim int) Vector {
+	t.Helper()
+	v := guardedFloats(t, dim)
 	for d := range v {
 		v[d] = rng.NormFloat64()
 	}
@@ -55,6 +63,38 @@ func TestItemLanesStayInBounds(t *testing.T) {
 					checkItems(t, what, Euclidean{}, k, n, q, rows, limit, func(_ int, _ float64, _ bool, limit float64) float64 {
 						return limit
 					})
+				}
+			}
+		}
+	}
+}
+
+// TestBoxLanesStayInBounds is TestItemLanesStayInBounds for the box-lane
+// kernel: the query and the group storage each end flush against an
+// inaccessible page, for dimensions 1–20 and 1–9 boxes (every short last
+// group, full ones and one more), swept whole, in chunks and box by box. A
+// body that reads past q[dim-1] or past the last group dies of SIGSEGV here.
+func TestBoxLanesStayInBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for dim := 1; dim <= 20; dim++ {
+		for n := 1; n <= 9; n++ {
+			lo, hi := testBoxes(rng, dim, n)
+			q := guardedVector(t, rng, dim)
+			for body, b := range boxBodies(Euclidean{}, lo, hi) {
+				data := guardedFloats(t, len(b.data))
+				copy(data, b.data)
+				b.data = data
+				got := make([]float64, n)
+				for _, far := range []bool{false, true} {
+					b.Sweep(q, far, 0, got)
+					for i, want := range got {
+						if d := b.Bound(q, i, far); math.Float64bits(d) != math.Float64bits(want) {
+							t.Fatalf("dim=%d n=%d %s far=%v: box %d alone %v, swept %v", dim, n, body, far, i, d, want)
+						}
+					}
+					for from := 0; from < n; from += boxLanes {
+						b.Sweep(q, far, from, got[from:min(from+boxLanes, n)])
+					}
 				}
 			}
 		}

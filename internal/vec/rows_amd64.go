@@ -34,6 +34,13 @@ func eucRowsAVX2(q, h []float64, item Vector, sums []float64, alive []int32) int
 //go:noescape
 func eucItemsAVX2(q Vector, rows []Vector, h float64, dists []float64) bool
 
+// eucBoxesAVX2 is eucBoxesGo, a group of four boxes to two registers. boxes
+// must hold len(dst)/4 whole groups of len(q) dimensions — it reads exactly
+// those and q — and len(dst) must be a multiple of four.
+//
+//go:noescape
+func eucBoxesAVX2(q Vector, boxes []float64, far bool, dst []float64)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)

@@ -22,6 +22,7 @@ func treeDigest(t *testing.T, tr *Tree) string {
 		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
+	rects := leafRects(tr)
 	for pid := 0; pid < tr.NumPages(); pid++ {
 		page, err := tr.ReadPage(store.PageID(pid))
 		if err != nil {
@@ -35,7 +36,7 @@ func treeDigest(t *testing.T, tr *Tree) string {
 		for i := range page.Items {
 			put(uint64(page.Items[i].ID))
 		}
-		r := tr.leafRects[pid]
+		r := rects[pid]
 		for d := range r.Min {
 			put(math.Float64bits(r.Min[d]))
 			put(math.Float64bits(r.Max[d]))

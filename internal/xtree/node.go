@@ -20,6 +20,7 @@ package xtree
 import (
 	"metricdb/internal/geom"
 	"metricdb/internal/store"
+	"metricdb/internal/vec"
 )
 
 // node is one X-tree node. Leaves (level 0) hold items and map 1:1 to disk
@@ -29,6 +30,7 @@ type node struct {
 	level    int // 0 for leaves
 	rect     geom.Rect
 	children []*node      // directory nodes only
+	boxes    *vec.Boxes   // the children's MBRs in child order; set by Build
 	items    []store.Item // leaves only
 	pid      store.PageID // assigned by flush; InvalidPage before
 	// splitHist is the X-tree split history: a bit per dimension that

@@ -2,10 +2,8 @@ package xtree
 
 import (
 	"fmt"
-	"sort"
 
 	"metricdb/internal/engine"
-	"metricdb/internal/geom"
 	"metricdb/internal/store"
 	"metricdb/internal/vec"
 )
@@ -16,8 +14,10 @@ var _ engine.Engine = (*Tree)(nil)
 // Name returns "xtree".
 func (t *Tree) Name() string { return "xtree" }
 
-// Prepare returns the per-query handle. MBR bounds are cheap enough to
-// compute per probe, so the handle only pins the query vector.
+// Prepare returns the per-query handle. It only pins the query vector: a
+// bound is a sweep of MBRs laid out at Build (vec.Boxes), and what a query
+// would memoize — every page's bounds — costs more to allocate than the
+// probes a mining query makes cost to compute.
 func (t *Tree) Prepare(q vec.Vector) engine.PreparedQuery {
 	t.mustBeBuilt()
 	return &prepared{t: t, q: q}
@@ -35,43 +35,77 @@ type prepared struct {
 // lower-bound order (the Hjaltason–Samet page schedule). For a k-NN query
 // the caller passes queryDist = +Inf and prunes while consuming the plan as
 // its answer list tightens.
+//
+// The walk is one loop over a stack of directory nodes: a node's child MBRs
+// are swept in one call, the surviving directory children pushed, the
+// surviving leaves collected. Bounds, pending nodes and the first refs live
+// in this frame; the result is the only allocation, sized once — to the refs
+// when they fit the frame, to every page when they do not.
 func (p *prepared) Plan(queryDist float64) []engine.PageRef {
 	t := p.t
-	var refs []engine.PageRef
-	var walk func(n *node)
-	walk = func(n *node) {
-		b := geom.LowerBound(t.cfg.Metric, n.rect, p.q)
-		if b > queryDist {
-			return
+	if t.root.isLeaf() {
+		if b := p.MinDist(t.root.pid); b <= queryDist {
+			return []engine.PageRef{{ID: t.root.pid, MinDist: b}}
 		}
-		if n.isLeaf() {
-			refs = append(refs, engine.PageRef{ID: n.pid, MinDist: b})
-			return
-		}
-		for _, c := range n.children {
-			walk(c)
+		return nil
+	}
+	var (
+		bounds  [128]float64
+		pending [32]*node
+		local   [32]engine.PageRef
+		refs    []engine.PageRef
+		n       int
+	)
+	// The root's MBR contains every child's, so its own bound excludes
+	// nothing the children's bounds do not.
+	stack := append(pending[:0], t.root)
+	for len(stack) > 0 {
+		nd := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for from := 0; from < len(nd.children); from += len(bounds) {
+			chunk := bounds[:min(len(bounds), len(nd.children)-from)]
+			nd.boxes.Sweep(p.q, false, from, chunk)
+			for i, b := range chunk {
+				if b > queryDist {
+					continue
+				}
+				c := nd.children[from+i]
+				if !c.isLeaf() {
+					stack = append(stack, c)
+					continue
+				}
+				if n == len(local) {
+					if refs == nil {
+						refs = make([]engine.PageRef, 0, t.pager.NumPages())
+					}
+					refs, n = append(refs, local[:]...), 0
+				}
+				local[n] = engine.PageRef{ID: c.pid, MinDist: b}
+				n++
+			}
 		}
 	}
-	walk(t.root)
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].MinDist != refs[j].MinDist {
-			return refs[i].MinDist < refs[j].MinDist
+	if refs == nil {
+		if n == 0 {
+			return nil
 		}
-		return refs[i].ID < refs[j].ID
-	})
+		refs = make([]engine.PageRef, 0, n)
+	}
+	refs = append(refs, local[:n]...)
+	engine.SortPlan(refs)
 	return refs
 }
 
 // MinDist returns the lower bound on the distance from q to any item on
 // data page pid.
 func (p *prepared) MinDist(pid store.PageID) float64 {
-	return geom.LowerBound(p.t.cfg.Metric, p.t.leafRects[pid], p.q)
+	return p.t.leaves.Bound(p.q, int(pid), false)
 }
 
 // MaxDist returns the upper bound (MAXDIST of the page MBR) on the distance
 // from q to any item on data page pid.
 func (p *prepared) MaxDist(pid store.PageID) float64 {
-	return geom.UpperBound(p.t.cfg.Metric, p.t.leafRects[pid], p.q)
+	return p.t.leaves.Bound(p.q, int(pid), true)
 }
 
 // Describe reports the directory tuning for EXPLAIN output.

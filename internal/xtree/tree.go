@@ -116,10 +116,10 @@ type Tree struct {
 	split splitScratch
 
 	// Set by Build.
-	built     bool
-	pager     *store.Pager
-	leafRects []geom.Rect // indexed by PageID
-	leafLens  []int       // items per page, indexed by PageID
+	built    bool
+	pager    *store.Pager
+	leaves   *vec.Boxes // the data pages' MBRs, indexed by PageID
+	leafLens []int      // items per page, indexed by PageID
 }
 
 // New creates an empty X-tree for dim-dimensional items.
@@ -426,7 +426,8 @@ func (t *Tree) overlapFreeSplit(n *node, minFill int) (splitResult, bool) {
 
 // Build materializes the leaf level as data pages on a fresh simulated
 // disk, laid out in tree (DFS) order so that physically close pages are
-// spatially close. After Build the tree is immutable and serves queries.
+// spatially close, and lays every directory node's child MBRs out as the
+// lanes Plan sweeps. After Build the tree is immutable and serves queries.
 func (t *Tree) Build() error {
 	if t.built {
 		return fmt.Errorf("xtree: already built")
@@ -446,9 +447,12 @@ func (t *Tree) Build() error {
 			lens = append(lens, len(n.items))
 			return
 		}
-		for _, c := range n.children {
+		kids := make([]geom.Rect, len(n.children))
+		for i, c := range n.children {
+			kids[i] = c.rect
 			flush(c)
 		}
+		n.boxes = t.boxes(kids)
 	}
 	flush(t.root)
 
@@ -480,11 +484,20 @@ func (t *Tree) Build() error {
 		return fmt.Errorf("xtree: %w", err)
 	}
 	t.pager = pager
-	t.leafRects = rects
+	t.leaves = t.boxes(rects)
 	t.leafLens = lens
 	t.built = true
 	t.split = splitScratch{} // no insert, so no split, follows
 	return nil
+}
+
+// boxes lays rects out for bound sweeps under the tree's metric.
+func (t *Tree) boxes(rects []geom.Rect) *vec.Boxes {
+	lo, hi := make([]vec.Vector, len(rects)), make([]vec.Vector, len(rects))
+	for i, r := range rects {
+		lo[i], hi[i] = r.Min, r.Max
+	}
+	return vec.NewBoxes(t.cfg.Metric, lo, hi)
 }
 
 // Bulk builds an X-tree over items using dynamic insertion followed by
