@@ -25,11 +25,16 @@ build:
 # bodies; this runs their packages and the X-tree, whose plan sweeps boxes,
 # with the portable bodies as the only ones, and builds for an architecture
 # that has no assembly so that the build-tag split cannot rot.
-# go vet (above) checks the .s files against their Go declarations.
+# go vet (above) checks the .s files against their Go declarations. The
+# store decodes a page where its record lies and byte-swaps the coordinates
+# in place on a big-endian host; s390x builds and vets that body here
+# (TestBindSwapsBigEndianWords runs it on this host).
 portable:
 	go test -tags purego ./internal/vec/ ./internal/msq/ ./internal/xtree/
 	GOARCH=arm64 go build ./...
 	GOARCH=arm64 go vet ./internal/vec/
+	GOARCH=s390x go build ./...
+	GOARCH=s390x go vet ./internal/store/
 
 # Tier-1: the fast suite. -short skips the stress tests and trims the
 # property-test rounds; the differential harness itself always runs.
@@ -46,11 +51,15 @@ race:
 # gap-vector form and the X-tree's plan against the recursive walk, the row
 # and item bodies against the pair-by-pair reference and the single query
 # against Figure 1's scalar loop, the session/pager stress tests, the store
-# concurrency tests, the page pin/recycle protocol tests and concurrent
-# sessions on one VA-file (its cell-table free list) — all under the race
-# detector.
+# concurrency tests, the page pin/recycle protocol tests, the ranking against
+# its scalar loop, the decoded page against its record (vectors in place,
+# the allocation count, the byte swap, the decoder fuzz seeds — under -race,
+# checkptr checks that every vector pointed into a record stays inside that
+# one allocation; the tests check the alignment) and
+# concurrent sessions on one VA-file (its cell-table free list) — all under
+# the race detector.
 differential:
-	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestItemLanes|FuzzEucItems|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPageRecycle' \
+	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestItemLanes|FuzzEucItems|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPageRecycle|TestDecodedPageAliasesRecord|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode' \
 		./internal/msq/ ./internal/store/ ./internal/vec/ ./internal/vafile/ ./internal/xtree/
 
 # A short fuzz of the persistent-storage decoders: corrupt page records
@@ -59,6 +68,9 @@ differential:
 # target explores beyond them on every check. The three kernel targets hold
 # the assembly and the portable bodies to the scalar kernel (the boxes: to
 # the gap-vector form) on coordinates and limits no generator would pick.
+# The request path a client can reach — one arbitrary line to a server with
+# admission on, over a stored scan — must answer with JSON and a code, never
+# panic, and keep serving the oracle's answers.
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzEucRows -fuzztime=30s ./internal/vec/
 	go test -run='^$$' -fuzz=FuzzEucItems -fuzztime=30s ./internal/vec/
@@ -67,6 +79,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzManifestDecode -fuzztime=30s ./internal/store/
 	go test -run='^$$' -fuzz=FuzzColumnarPageDecode -fuzztime=30s ./internal/store/
 	go test -run='^$$' -fuzz=FuzzTableDecode -fuzztime=30s ./internal/pivot/
+	go test -run='^$$' -fuzz=FuzzServeRequest -fuzztime=30s ./internal/wire/
 
 # The in-run wall-clock gates. Two are ratios of two interleaved min-of-N
 # measurements in one process: the real MultiQuery with a tracer installed
@@ -114,15 +127,16 @@ loc:
 # item-lane bodies and the assembly ones, then by the three bodies of the
 # page pass at the widths around rowPath's constant; a sweep of child MBRs by
 # the per-box loop and the box-lane bodies), the VA-file's plan and per-query
-# sweep, the X-tree's plan and dynamic build and the sliding window of a
-# mining loop, then the end-to-end
+# sweep, the X-tree's plan and dynamic build, the sliding window of a mining
+# loop, a stored page's decode (in place and from caller memory, ns/page and
+# B/op) and the stored scan's page path, then the end-to-end
 # artifacts — the kernels experiment
 # (BENCH_kernels.json), the intra pipeline sweep
 # (BENCH_parallel_intra.json) and the phase-latency profile
 # (BENCH_obs.json).
 bench:
-	go test -bench='BenchmarkDistance|BenchmarkRowKernel|BenchmarkItemKernel|BenchmarkBoxKernel|BenchmarkSortRefs|BenchmarkPlan|BenchmarkSweep|BenchmarkBulk|BenchmarkMultiQueryAll|BenchmarkPassBodies|BenchmarkIncrementalWindow' -benchmem -run=^$$ \
-		./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/msq/
+	go test -bench='BenchmarkDistance|BenchmarkRowKernel|BenchmarkItemKernel|BenchmarkBoxKernel|BenchmarkSortRefs|BenchmarkPlan|BenchmarkSweep|BenchmarkBulk|BenchmarkMultiQueryAll|BenchmarkPassBodies|BenchmarkIncrementalWindow|BenchmarkStoredScan|BenchmarkDecodePage' -benchmem -run=^$$ \
+		./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/msq/ ./internal/store/
 	go run ./cmd/msqbench -experiment kernels
 	go run ./cmd/msqbench -experiment intra
 	go run ./cmd/msqbench -experiment obs

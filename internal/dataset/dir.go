@@ -59,7 +59,9 @@ func SaveDir(dir string, items []store.Item, opts SaveOptions) error {
 
 // LoadDir loads every item of a dataset directory, verifying each page's
 // checksum on the way. Items come back in storage order (the order SaveDir
-// received them).
+// received them), their vectors rows of one coordinate slab: a read page's
+// vectors point into its record, identifiers and labels included, which
+// the loaded items would otherwise keep alive.
 func LoadDir(dir string) ([]store.Item, error) {
 	fd, err := store.OpenFileDisk(dir, store.FileDiskOptions{})
 	if err != nil {
@@ -68,12 +70,18 @@ func LoadDir(dir string) ([]store.Item, error) {
 	defer fd.Close() //nolint:errcheck
 	man := fd.Manifest()
 	items := make([]store.Item, 0, man.Items)
+	coords := make([]float64, 0, man.Items*man.Dim)
 	for pid := 0; pid < fd.NumPages(); pid++ {
 		p, err := fd.Read(store.PageID(pid))
 		if err != nil {
 			return nil, fmt.Errorf("dataset: %w", err)
 		}
-		items = append(items, p.Items...)
+		for _, it := range p.Items {
+			start := len(coords)
+			coords = append(coords, it.Vec...)
+			it.Vec = coords[start:len(coords):len(coords)]
+			items = append(items, it)
+		}
 	}
 	if len(items) != man.Items {
 		return nil, fmt.Errorf("dataset: manifest promises %d items, pages hold %d", man.Items, len(items))

@@ -1,6 +1,7 @@
 package msq
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 	"testing"
@@ -382,6 +383,89 @@ func TestSingleMatchesScalarLoop(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestRankingMatchesScalarLoop holds Ranking.Next, which sweeps each page it
+// loads through the item-lane kernel under an infinite limit, to the loop it
+// replaced — one scalar Distance per item pushed on the heap — on every
+// engine and metric, in memory and over a FileDisk: the same objects in the
+// same order with the same distance bits, the same Stats, and the same
+// calculations (none abandoned) on the processor's counting metric.
+func TestRankingMatchesScalarLoop(t *testing.T) {
+	const dim, n = 4, 150
+	items := testDB(67, n, dim)
+	backends := map[string][]diffMaker{"memory": layoutMakers(store.ColumnSpec{}), "filedisk": fileDiskMakers(false, store.ColumnSpec{})}
+	for backend, makers := range backends {
+		for _, mk := range makers {
+			for _, mt := range autoMetrics(t, dim) {
+				t.Run(backend+"/"+mk.name+"/"+mt.m.Name(), func(t *testing.T) {
+					eng := mk.make(t, items, dim, mt.m)
+					proc, err := New(eng, mt.m, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, q := range []vec.Vector{items[11].Vec, diffBatch(dim, 68)[0].Vec} {
+						var want answerHeap
+						var ws Stats
+						var order []query.Answer
+						plan := eng.Prepare(q).Plan(query.NewKNN(1).InitialQueryDist())
+						for next := 0; ; {
+							if len(want) > 0 && (next >= len(plan) || want[0].Dist <= plan[next].MinDist) {
+								order = append(order, heap.Pop(&want).(query.Answer))
+								continue
+							}
+							if next >= len(plan) {
+								break
+							}
+							page, err := eng.ReadPage(plan[next].ID)
+							if err != nil {
+								t.Fatal(err)
+							}
+							next++
+							ws.PagesRead++
+							ws.PageVisits++
+							for _, it := range page.Items {
+								ws.DistCalcs++
+								heap.Push(&want, query.Answer{ID: it.ID, Dist: mt.m.Distance(q, it.Vec)})
+							}
+							eng.Pager().Release(page)
+						}
+
+						calcs, abandoned := proc.metric.Count(), proc.metric.Abandoned()
+						r, err := proc.Ranking(q)
+						if err != nil {
+							t.Fatal(err)
+						}
+						var got []query.Answer
+						for {
+							a, ok, err := r.Next()
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !ok {
+								break
+							}
+							got = append(got, a)
+						}
+						if diag, ok := identicalAnswers([][]query.Answer{order}, [][]query.Answer{got}); !ok || len(got) != n {
+							t.Fatalf("query %d: %d objects ranked, want %d in the scalar loop's order: %s", i, len(got), n, diag)
+						}
+						for j := range got {
+							if math.Float64bits(got[j].Dist) != math.Float64bits(order[j].Dist) {
+								t.Fatalf("query %d rank %d: distance bits %#x, scalar loop %#x", i, j, math.Float64bits(got[j].Dist), math.Float64bits(order[j].Dist))
+							}
+						}
+						if gs := r.Stats(); gs != ws {
+							t.Errorf("query %d: stats %+v, scalar loop %+v", i, gs, ws)
+						}
+						if c, a := proc.metric.Count()-calcs, proc.metric.Abandoned()-abandoned; c != ws.DistCalcs || a != 0 {
+							t.Errorf("query %d: the metric counted %d calculations, %d abandoned; want %d, 0", i, c, a, ws.DistCalcs)
+						}
+					}
+				})
+			}
 		}
 	}
 }

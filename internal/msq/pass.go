@@ -453,7 +453,8 @@ func (p *pagePass) evalItems(lo, hi int, out []float64) passCounts {
 const sweepTile = 32
 
 // sweepItems is the items-as-lanes body, shared by the narrow page pass,
-// the single query and the seed page: every query against every item, each
+// the single query, the seed page and the ranking (under an infinite
+// limit): every query against every item, each
 // query meeting the items in order under limits[a], which lives with the
 // caller. hit is called for each pair within the limit of that moment, with
 // its exact distance, and may tighten limits[a] for the items after it.

@@ -3,6 +3,7 @@ package msq
 import (
 	"container/heap"
 	"fmt"
+	"math"
 
 	"metricdb/internal/engine"
 	"metricdb/internal/query"
@@ -86,11 +87,18 @@ func (r *Ranking) Next() (a query.Answer, ok bool, err error) {
 		}
 		r.stats.PagesRead++ // buffer hits included: counts page visits for the iterator
 		r.stats.PageVisits++
-		for i := range page.Items {
-			d := r.proc.metric.Distance(r.q, page.Items[i].Vec)
-			r.stats.DistCalcs++
-			heap.Push(&r.pending, query.Answer{ID: page.Items[i].ID, Dist: d})
-		}
+		// Every distance is wanted, so the page is one item-lane sweep under
+		// an infinite limit — each pair's exact distance, Distance's bits —
+		// settled once per page. A pair the sweep abandons could only have a
+		// NaN distance, which finite queries and items do not produce.
+		items, within := page.Items, int64(0)
+		queries, limits := [1]vec.Vector{r.q}, [1]float64{math.Inf(1)}
+		sweepItems(r.proc.lanes, items, queries[:], limits[:], func(_, it int, d float64) {
+			within++
+			heap.Push(&r.pending, query.Answer{ID: items[it].ID, Dist: d})
+		})
+		r.stats.DistCalcs += int64(len(items))
+		r.proc.metric.AddCalls(int64(len(items)), int64(len(items))-within)
 		r.proc.eng.Pager().Release(page)
 	}
 }

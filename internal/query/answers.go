@@ -35,11 +35,17 @@ type AnswerList struct {
 // NewAnswerList returns an empty answer list for the given query type.
 func NewAnswerList(t Type) *AnswerList {
 	l := &AnswerList{typ: t, sorted: true}
-	if t.Bounded() && t.Cardinality < 1<<20 {
-		l.answers = make([]Answer, 0, t.Cardinality)
+	if t.Bounded() {
+		// k comes from the client: it sizes the list only up to a bound, so
+		// a 4 KB batch of k = 10⁶ queries cannot ask for gigabytes up front.
+		l.answers = make([]Answer, 0, min(max(t.Cardinality, 0), maxPresized))
 	}
 	return l
 }
+
+// maxPresized bounds the capacity NewAnswerList allocates before any answer
+// arrives; a longer list grows by append.
+const maxPresized = 1 << 10
 
 // less orders answers by (distance, ID).
 func less(a, b Answer) bool {

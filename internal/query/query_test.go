@@ -151,6 +151,28 @@ func TestAnswerListBoundedKNN(t *testing.T) {
 	}
 }
 
+// TestAnswerListPresizeIsBounded: k arrives from clients, so it must not
+// size an allocation by itself — a 4 KB request of k = 10⁶ queries asked for
+// 16 MB a query — while a list longer than the bound still keeps every
+// answer.
+func TestAnswerListPresizeIsBounded(t *testing.T) {
+	for _, typ := range []Type{NewKNN(1 << 19), NewBoundedKNN(1<<19, 1), NewKNN(1 << 40), NewKNN(-3)} {
+		if l := NewAnswerList(typ); cap(l.answers) > maxPresized {
+			t.Errorf("%v: presized to %d answers", typ, cap(l.answers))
+		}
+	}
+	if l := NewAnswerList(NewKNN(10)); cap(l.answers) != 10 {
+		t.Errorf("k = 10: presized to %d, want 10", cap(l.answers))
+	}
+	l := NewAnswerList(NewKNN(3 * maxPresized))
+	for i := 0; i < 4*maxPresized; i++ {
+		l.Consider(store.ItemID(i), float64(i))
+	}
+	if ids := l.IDs(); len(ids) != 3*maxPresized || ids[len(ids)-1] != store.ItemID(3*maxPresized-1) {
+		t.Errorf("k = %d: kept %d answers", 3*maxPresized, len(ids))
+	}
+}
+
 func TestAnswerListTieBreaking(t *testing.T) {
 	l := NewAnswerList(NewKNN(2))
 	l.Consider(7, 1.0)

@@ -34,54 +34,42 @@ func Columnize(pages []*Page, spec ColumnSpec) error {
 	return nil
 }
 
-// ColumnizePage is Columnize for a single page.
+// ColumnizePage is Columnize for a single page: the coordinates are copied
+// row by row into the page's slab, kept across reads of a recycled page, so
+// columnizing a FileDisk page allocates nothing after the first few reads.
 func ColumnizePage(p *Page, spec ColumnSpec) error {
 	if !spec.Columnar || len(p.Items) == 0 {
 		return nil
 	}
 	dim := p.Items[0].Vec.Dim()
-	b := p.Cols
-	if b == nil || b.Dim != dim || b.N != len(p.Items) {
-		if p.rowsAreSlab(dim) {
-			// A decoded page is one contiguous slab already (see
-			// decodePageInto): serve it as the block, copy nothing.
-			p.slabBlock(dim)
-			return nil
-		}
-		b = vec.NewBlock(dim, len(p.Items))
-		for i := range p.Items {
-			if p.Items[i].Vec.Dim() != dim {
-				return fmt.Errorf("store: page %d item %d has dimension %d, item 0 has %d",
-					p.ID, i, p.Items[i].Vec.Dim(), dim)
-			}
-			b.SetItem(i, p.Items[i].Vec)
-			p.Items[i].Vec = b.Item(i)
-		}
-		p.Cols = b
+	if b := p.Cols; b != nil && b.Dim == dim && b.N == len(p.Items) {
+		return nil
 	}
+	for i := range p.Items {
+		if p.Items[i].Vec.Dim() != dim {
+			return fmt.Errorf("store: page %d item %d has dimension %d, item 0 has %d",
+				p.ID, i, p.Items[i].Vec.Dim(), dim)
+		}
+	}
+	if n := len(p.Items) * dim; p.slab == nil || cap(p.slab) < n {
+		p.slab = make([]float64, n)
+	} else {
+		p.slab = p.slab[:n]
+	}
+	for i := range p.Items {
+		row := p.slab[i*dim : (i+1)*dim : (i+1)*dim]
+		copy(row, p.Items[i].Vec)
+		p.Items[i].Vec = row
+	}
+	p.cols = vec.Block{Dim: dim, N: len(p.Items), F64: p.slab}
+	p.Cols = &p.cols
 	return nil
 }
 
-// rowsAreSlab reports whether every item vector is still the dim-wide row
-// of the page's slab that the decoder pointed it at.
-func (p *Page) rowsAreSlab(dim int) bool {
-	if dim == 0 || len(p.slab) != len(p.Items)*dim {
-		return false
-	}
-	for i := range p.Items {
-		if v := p.Items[i].Vec; len(v) != dim || &v[0] != &p.slab[i*dim] {
-			return false
-		}
-	}
-	return true
-}
-
 // ColumnSource is a PageSource wrapper that columnizes pages as they are
-// read — the adapter that lets a layout-requesting open serve a stored
-// dataset whose records are not columnar (a version-1 dataset). It sits
-// between the disk and the buffer pool, so cached pages stay columnar; a
-// FileDisk's pages are decoded into one slab, which the conversion wraps
-// rather than copies.
+// read — the adapter that serves a stored dataset to a layout that asks for
+// blocks, whatever its record version (the decoder never builds one). It
+// sits between the disk and the buffer pool, so cached pages stay columnar.
 type ColumnSource struct {
 	src  PageSource
 	spec ColumnSpec

@@ -99,7 +99,8 @@ func TestColumnSourceWrapsV1Reads(t *testing.T) {
 }
 
 // TestWriteDatasetColumnar round-trips a columnar dataset through the file
-// disk: version-2 manifest, bit-identical coordinates decoded into blocks.
+// disk: version-2 manifest, bit-identical coordinates, served as blocks
+// through WrapColumns (the decoder itself builds none).
 func TestWriteDatasetColumnar(t *testing.T) {
 	dir := t.TempDir()
 	items := regularItems(50, 3)
@@ -122,13 +123,14 @@ func TestWriteDatasetColumnar(t *testing.T) {
 		t.Fatalf("manifest misses columnar facts: %+v", man)
 	}
 	k := 0
+	src := WrapColumns(d, ColumnSpec{Columnar: true})
 	for pid := 0; pid < d.NumPages(); pid++ {
-		p, err := d.Read(PageID(pid))
+		p, err := src.Read(PageID(pid))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if p.Cols == nil {
-			t.Fatalf("page %d decoded without a block", pid)
+			t.Fatalf("page %d served without a block", pid)
 		}
 		for i := range p.Items {
 			if p.Items[i].ID != items[k].ID || p.Items[i].Label != items[k].Label {
@@ -176,7 +178,8 @@ func TestWriteDatasetPlainStaysV1(t *testing.T) {
 }
 
 // TestWriteDatasetAdoptsPageBlocks: pages that already arrive columnar force
-// a version-2 dataset even when the meta requests nothing.
+// a version-2 dataset even when the meta requests nothing. Its records then
+// decode like version-1 ones: the block is the reader's to ask for.
 func TestWriteDatasetAdoptsPageBlocks(t *testing.T) {
 	dir := t.TempDir()
 	pages, err := Paginate(regularItems(20, 4), 8)
@@ -202,7 +205,7 @@ func TestWriteDatasetAdoptsPageBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Cols == nil {
-		t.Fatal("adopted dataset pages miss the block the build carried")
+	if p.Cols != nil || !samePage(p, pages[0]) {
+		t.Fatal("a version-2 record decoded with a block, or with other items than were written")
 	}
 }

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,8 +13,8 @@ import (
 
 // FileDiskOptions parameterizes OpenFileDisk.
 type FileDiskOptions struct {
-	// Mmap maps the page file into memory and decodes pages from the
-	// mapping instead of issuing preads. Best effort: when the platform
+	// Mmap maps the page file into memory and copies each record out of
+	// the mapping instead of issuing a pread. Best effort: when the platform
 	// has no mmap support (or the map fails), the disk falls back to
 	// pread and Mode reports which path is live.
 	Mmap bool
@@ -64,12 +63,10 @@ type FileDisk struct {
 	checksumErr atomic.Int64
 	reused      atomic.Int64
 
-	// scratch is the record buffer preads land in, owned under mu; free
-	// holds the pages whose last holder let go (see Page.unpin), each to be
-	// decoded into again. A fixed small bound: what does not fit is the
+	// free holds the pages whose last holder let go (see Page.unpin), each
+	// to be read into again. A fixed small bound: what does not fit is the
 	// garbage collector's.
-	scratch []byte
-	free    chan *Page
+	free chan *Page
 
 	// tracer, when set, times each read (pread + verify + decode) as a
 	// storage_read span. Atomic so SetTracer is safe mid-flight.
@@ -185,26 +182,16 @@ func (d *FileDisk) Read(pid PageID) (*Page, error) {
 	return page, nil
 }
 
-// fetch reads, verifies and decodes one page record, into a recycled page
-// when the free list has one. The CRC-32C is computed once and held against
-// both the record's trailer and the manifest. A page that fails any check
-// is dropped — not served, not returned to the free list.
+// fetch reads, verifies and decodes one page record into a page from the
+// free list, or a fresh one. A pread lands in the page's own record buffer
+// and is decoded where it lies; a mapped record is checked in the mapping
+// and then copied into the buffer (mapped offsets are not 8-aligned, and the
+// page must outlive Close). The CRC-32C is computed once and held against
+// both the record's trailer and the manifest, and the items are bound only
+// after every check has passed. A page that fails any check is dropped —
+// not served, not returned to the free list.
 func (d *FileDisk) fetch(pid PageID) (*Page, error) {
 	e := d.man.Pages[pid]
-	var rec []byte
-	if d.data != nil {
-		rec = d.data[e.Offset : e.Offset+e.Length]
-	} else {
-		if int64(cap(d.scratch)) < e.Length {
-			d.scratch = make([]byte, e.Length)
-		}
-		rec = d.scratch[:e.Length]
-		if _, err := d.f.ReadAt(rec, e.Offset); err != nil {
-			return nil, fmt.Errorf("store: pread page %d: %w", pid, err)
-		}
-		d.preads.Add(1)
-	}
-	d.bytesRead.Add(e.Length)
 	var page *Page
 	select {
 	case page = <-d.free:
@@ -212,19 +199,31 @@ func (d *FileDisk) fetch(pid PageID) (*Page, error) {
 		page = new(Page)
 	}
 	recycled := page.home != nil
-	sum, err := decodePageInto(page, rec)
+	var rec []byte
+	if d.data != nil {
+		rec = d.data[e.Offset : e.Offset+e.Length]
+	} else {
+		rec = page.record(int(e.Length))
+		if _, err := d.f.ReadAt(rec, e.Offset); err != nil {
+			return nil, fmt.Errorf("store: pread page %d: %w", pid, err)
+		}
+		d.preads.Add(1)
+	}
+	d.bytesRead.Add(e.Length)
+	r, err := checkRecord(rec)
 	if err != nil {
 		d.checksumErr.Add(1)
 		return nil, fmt.Errorf("store: page %d: %w", pid, err)
 	}
-	if page.ID != pid || len(page.Items) != e.Items || sum != e.CRC32C {
+	if r.id != pid || r.n != e.Items || r.sum != e.CRC32C {
 		d.checksumErr.Add(1)
 		return nil, fmt.Errorf("store: page %d: %w: record disagrees with manifest entry", pid, ErrCorruptPage)
 	}
-	if (binary.LittleEndian.Uint32(rec) == pageMagic2) != d.man.Columnar {
+	if r.columnar != d.man.Columnar {
 		d.checksumErr.Add(1)
 		return nil, fmt.Errorf("store: page %d: %w: record layout disagrees with manifest", pid, ErrCorruptPage)
 	}
+	page.bind(rec, r, bigEndian)
 	if recycled {
 		d.reused.Add(1)
 	}

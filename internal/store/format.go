@@ -30,8 +30,18 @@
 // decoded page is bit-identical to the encoded one — the property the
 // FileDisk-vs-Disk differential suite (internal/msq) depends on.
 //
-// Format version 2 ("columnar") page records carry the same items and
-// decode directly into a contiguous vec.Block (see Page.Cols):
+// Item i's coordinates start at header + 16 + i·(16+8d) bytes from the
+// record's start, a multiple of 8 for both headers (16 and 24 bytes). A
+// record read into a buffer that starts 8-aligned therefore holds every
+// coordinate aligned, and a decoded page's item vectors point at them where
+// they lie (see Page). The file offsets are not aligned: every record this
+// build writes is 4 mod 8 bytes long (the CRC trailer), so every other
+// record of a page file starts at 4 mod 8, which is why a mapped record is
+// copied, not aliased.
+//
+// Format version 2 ("columnar") page records carry the same item section
+// after a longer header and decode exactly like version 1; a contiguous
+// vec.Block is built only on request (ColumnizePage):
 //
 //	offset  size  field
 //	0       4     magic "MDP2"
@@ -64,9 +74,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"strings"
-
-	"metricdb/internal/vec"
+	"unsafe"
 )
 
 // Format constants.
@@ -84,8 +94,8 @@ const (
 	// this version, byte-identical to older builds.
 	FormatVersion = 1
 	// FormatVersionColumnar is the columnar format version: version-2
-	// page records (contiguous coordinates) and the matching manifest
-	// field.
+	// page records (a longer header before the same item section) and the
+	// matching manifest field.
 	FormatVersionColumnar = 2
 
 	// pageMagic opens every version-1 page record ("MDPG").
@@ -267,102 +277,138 @@ func EncodePage(p *Page, dim int) ([]byte, error) {
 // DecodePage deserializes one page record, verifying structure and the
 // embedded checksum. It never panics on arbitrary input: every length is
 // validated against the actual data size before any allocation, and all
-// failures return an error wrapping ErrCorruptPage.
+// failures return an error wrapping ErrCorruptPage. The page keeps a copy
+// of the record, which its item vectors point into; data is not retained.
 func DecodePage(data []byte) (*Page, error) {
 	p := new(Page)
-	if _, err := decodePageInto(p, data); err != nil {
+	if err := decodePageInto(p, data); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// decodePageInto is DecodePage into a page the caller owns, for both record
-// versions: dst's Items array and coordinate slab are reused when large
-// enough, so decoding into a recycled page allocates nothing, and the
-// result equals a fresh decode field by field whatever dst held. The
-// coordinates land item-major in the one slab, every Item.Vec a capped row
-// of it; a columnar record's block is a view of the same slab, and its
-// legacy sections are length-checked and skipped. It returns the CRC-32C it
-// computed over the record body — already compared with the record's
-// trailer — for the caller to hold against the manifest. dst is touched
-// only after every check has passed: on an error it is as it was.
-func decodePageInto(dst *Page, data []byte) (uint32, error) {
-	header, columnar := pageHeaderLen, false
-	if len(data) >= 4 && binary.LittleEndian.Uint32(data) == pageMagic2 {
-		header, columnar = pageHeaderLenV2, true
+// decodePageInto is DecodePage into a page the caller owns: checkRecord,
+// then bind. dst is touched only after every check has passed.
+func decodePageInto(dst *Page, data []byte) error {
+	r, err := checkRecord(data)
+	if err != nil {
+		return err
 	}
-	if len(data) < header+pageTrailerLen {
-		return 0, fmt.Errorf("%w: record of %d bytes is shorter than the %d-byte envelope",
-			ErrCorruptPage, len(data), header+pageTrailerLen)
+	dst.bind(data, r, bigEndian)
+	return nil
+}
+
+// checkedRecord is what checkRecord learned of a record that passed every check.
+type checkedRecord struct {
+	id       PageID
+	n, dim   int
+	header   int    // bytes before the first item
+	columnar bool   // a version-2 record
+	sum      uint32 // the CRC-32C of the body, equal to the record's trailer
+}
+
+// checkRecord validates one page record of either version — magic, header
+// bounds, exact length (legacy sections included), checksum — without
+// touching anything but data.
+func checkRecord(data []byte) (checkedRecord, error) {
+	r := checkedRecord{header: pageHeaderLen}
+	if len(data) >= 4 && binary.LittleEndian.Uint32(data) == pageMagic2 {
+		r.header, r.columnar = pageHeaderLenV2, true
+	}
+	if len(data) < r.header+pageTrailerLen {
+		return r, fmt.Errorf("%w: record of %d bytes is shorter than the %d-byte envelope",
+			ErrCorruptPage, len(data), r.header+pageTrailerLen)
 	}
 	if m := binary.LittleEndian.Uint32(data); m != pageMagic && m != pageMagic2 {
-		return 0, fmt.Errorf("%w: bad magic %#08x", ErrCorruptPage, m)
+		return r, fmt.Errorf("%w: bad magic %#08x", ErrCorruptPage, m)
 	}
 	id := binary.LittleEndian.Uint32(data[4:8])
 	count := binary.LittleEndian.Uint32(data[8:12])
 	dim := binary.LittleEndian.Uint32(data[12:16])
 	if id > math.MaxInt32 {
-		return 0, fmt.Errorf("%w: page ID %d overflows PageID", ErrCorruptPage, id)
+		return r, fmt.Errorf("%w: page ID %d overflows PageID", ErrCorruptPage, id)
 	}
 	if count > maxPageItems || dim > maxPageDim {
-		return 0, fmt.Errorf("%w: implausible header (items %d, dim %d)", ErrCorruptPage, count, dim)
+		return r, fmt.Errorf("%w: implausible header (items %d, dim %d)", ErrCorruptPage, count, dim)
 	}
 	var legacy uint64
-	if columnar {
+	if r.columnar {
 		flags := binary.LittleEndian.Uint32(data[16:20])
 		qbits := binary.LittleEndian.Uint32(data[20:24])
 		if flags&^uint32(pageFlagLegacyF32|pageFlagLegacyQuant) != 0 {
-			return 0, fmt.Errorf("%w: unknown flags %#x", ErrCorruptPage, flags)
+			return r, fmt.Errorf("%w: unknown flags %#x", ErrCorruptPage, flags)
 		}
 		if flags&pageFlagLegacyQuant != 0 {
 			if qbits < 1 || qbits > 8 {
-				return 0, fmt.Errorf("%w: %d quantization bits, want 1..8", ErrCorruptPage, qbits)
+				return r, fmt.Errorf("%w: %d quantization bits, want 1..8", ErrCorruptPage, qbits)
 			}
 		} else if qbits != 0 {
-			return 0, fmt.Errorf("%w: quantization bits %d without a code section", ErrCorruptPage, qbits)
+			return r, fmt.Errorf("%w: quantization bits %d without a code section", ErrCorruptPage, qbits)
 		}
 		legacy = legacySectionsLen(flags, uint64(count), uint64(dim))
 	}
-	want := uint64(header) + uint64(count)*uint64(itemFixedLen+8*dim) + legacy + pageTrailerLen
+	want := uint64(r.header) + uint64(count)*uint64(itemFixedLen+8*dim) + legacy + pageTrailerLen
 	if uint64(len(data)) != want {
-		return 0, fmt.Errorf("%w: record is %d bytes, header implies %d", ErrCorruptPage, len(data), want)
+		return r, fmt.Errorf("%w: record is %d bytes, header implies %d", ErrCorruptPage, len(data), want)
 	}
 	body := data[:len(data)-pageTrailerLen]
-	sum := crc32.Checksum(body, castagnoli)
-	if claimed := binary.LittleEndian.Uint32(data[len(body):]); sum != claimed {
-		return 0, fmt.Errorf("%w: checksum %#08x, record claims %#08x", ErrCorruptPage, sum, claimed)
+	r.sum = crc32.Checksum(body, castagnoli)
+	if claimed := binary.LittleEndian.Uint32(data[len(body):]); r.sum != claimed {
+		return r, fmt.Errorf("%w: checksum %#08x, record claims %#08x", ErrCorruptPage, r.sum, claimed)
 	}
-
-	n, d := int(count), int(dim)
-	if dst.Items == nil || cap(dst.Items) < n {
-		dst.Items = make([]Item, n)
-	}
-	if dst.slab == nil || cap(dst.slab) < n*d {
-		dst.slab = make([]float64, n*d)
-	}
-	dst.ID, dst.Items, dst.slab, dst.Cols = PageID(id), dst.Items[:n], dst.slab[:n*d], nil
-	off := header
-	for i := range dst.Items {
-		it := &dst.Items[i]
-		it.ID = ItemID(binary.LittleEndian.Uint64(data[off:]))
-		it.Label = int(int64(binary.LittleEndian.Uint64(data[off+8:])))
-		off += itemFixedLen
-		it.Vec = dst.slab[i*d : (i+1)*d : (i+1)*d]
-		for c := range it.Vec {
-			it.Vec[c] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-			off += 8
-		}
-	}
-	if columnar {
-		dst.slabBlock(d)
-	}
-	return sum, nil
+	r.id, r.n, r.dim = PageID(id), int(count), int(dim)
+	return r, nil
 }
 
-// slabBlock serves the slab as the page's columnar block.
-func (p *Page) slabBlock(dim int) {
-	p.cols = vec.Block{Dim: dim, N: len(p.Items), F64: p.slab}
-	p.Cols = &p.cols
+// bigEndian reports a host whose float64 words read a record's
+// little-endian coordinates byte-reversed.
+var bigEndian = binary.NativeEndian.Uint16([]byte{0, 1}) == 1
+
+// bind makes p the page of data, a record checkRecord accepted as r. Unless
+// data already is p's record buffer (a pread landed there), it is copied in
+// whole; either way every Items[i].Vec then points at item i's coordinates
+// inside that buffer, cap == len, and p.Items is reused when large enough,
+// so binding a recycled page allocates nothing. swap (a big-endian host)
+// byte-reverses the coordinate words in place first: the record has passed
+// its checksum, and they are read only through the vectors from here on.
+func (p *Page) bind(data []byte, r checkedRecord, swap bool) {
+	rec := p.record(len(data))
+	if unsafe.SliceData(rec) != unsafe.SliceData(data) {
+		copy(rec, data)
+	}
+	if p.Items == nil || cap(p.Items) < r.n {
+		p.Items = make([]Item, r.n)
+	}
+	p.ID, p.Items, p.Cols = r.id, p.Items[:r.n], nil
+	stride, item := itemFixedLen+8*r.dim, rec[r.header:]
+	for i := range p.Items {
+		it := &p.Items[i]
+		it.ID = ItemID(binary.LittleEndian.Uint64(item))
+		it.Label = int(int64(binary.LittleEndian.Uint64(item[8:])))
+		coords := unsafe.Pointer(&item[itemFixedLen])
+		if swap {
+			reverseWords(unsafe.Slice((*uint64)(coords), r.dim))
+		}
+		it.Vec = unsafe.Slice((*float64)(coords), r.dim)
+		item = item[stride:]
+	}
+}
+
+// reverseWords byte-reverses every word of w.
+func reverseWords(w []uint64) {
+	for j, x := range w {
+		w[j] = bits.ReverseBytes64(x)
+	}
+}
+
+// record returns the page's record buffer as n bytes, replacing it when n
+// does not fit. It is a []uint64 underneath, so its start — and with it
+// every coordinate of a record read into it — is 8-aligned by type.
+func (p *Page) record(n int) []byte {
+	if words := (n + 7) / 8; len(p.rec) < words {
+		p.rec = make([]uint64, words)
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(p.rec))), n)
 }
 
 // EncodeManifest serializes a manifest as indented JSON (the file is meant

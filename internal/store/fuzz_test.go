@@ -4,57 +4,55 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+	"slices"
 	"testing"
 
 	"metricdb/internal/vec"
 )
 
-// checkRecycledDecode decodes data a second time, into a destination that
-// last held a larger page of another shape (tenant, a valid record) and was
-// recycled, and holds the result against the fresh decode: an accepted
-// record yields the same page field by field — same bits, every vector a
-// capped row of one slab, a block exactly when the fresh page has one — and
-// a rejected record leaves the destination as it found it, with nothing to
-// serve.
+// checkRecycledDecode decodes data twice more and holds both against the
+// fresh decode (DecodePage, from the caller's memory): once from the
+// caller's memory into a destination that last held a larger page of
+// another shape (tenant, a valid record) and was recycled, and once in
+// place, from a page's own record buffer, where a pread lands. An accepted
+// record yields the same page field by field every way, each vector a
+// capped, aligned view of its own page's record and no block; a rejected
+// one is rejected every way and leaves the recycled destination as it found
+// it — no ID, no items, the record it held byte for byte.
 func checkRecycledDecode(t *testing.T, tenant, data []byte, fresh *Page) {
 	t.Helper()
 	dst := new(Page)
-	if _, err := decodePageInto(dst, tenant); err != nil {
+	if err := decodePageInto(dst, tenant); err != nil {
 		t.Fatal(err)
 	}
 	dst.home = &FileDisk{free: make(chan *Page, 1)}
 	dst.pins.Store(1)
 	dst.unpin()
-	if _, err := decodePageInto(dst, data); err != nil {
-		if fresh != nil {
-			t.Fatalf("fresh decode accepted what the recycled decode rejects: %v", err)
+	held := slices.Clone(dst.rec)
+
+	inPlace := new(Page)
+	copy(inPlace.record(len(data)), data)
+	inPlaceErr := decodePageInto(inPlace, inPlace.record(len(data)))
+	if err := decodePageInto(dst, data); err != nil {
+		if fresh != nil || inPlaceErr == nil {
+			t.Fatalf("fresh decode accepted %v, in place %v, what the recycled decode rejects: %v", fresh != nil, inPlaceErr == nil, err)
 		}
-		if dst.ID != InvalidPage || len(dst.Items) != 0 {
+		if dst.ID != InvalidPage || len(dst.Items) != 0 || !slices.Equal(dst.rec, held) {
 			t.Fatal("a rejected record changed its destination")
 		}
 		return
 	}
-	if fresh == nil {
-		t.Fatal("recycled decode accepted what the fresh decode rejects")
+	if fresh == nil || inPlaceErr != nil {
+		t.Fatalf("recycled decode accepted what the fresh decode (%v) or the one in place (%v) rejects", fresh != nil, inPlaceErr)
 	}
-	if !samePage(dst, fresh) {
-		t.Fatal("recycled decode differs from the fresh one")
-	}
-	for i := range dst.Items {
-		if v, w := dst.Items[i].Vec, fresh.Items[i].Vec; cap(v) != len(v) || (v == nil) != (w == nil) {
-			t.Fatalf("item %d: vector len %d cap %d nil %v, fresh nil %v", i, len(v), cap(v), v == nil, w == nil)
+	for _, p := range []*Page{fresh, dst, inPlace} {
+		if !samePage(p, fresh) {
+			t.Fatal("recycled or in-place decode differs from the fresh one")
 		}
-	}
-	if (dst.Cols == nil) != (fresh.Cols == nil) {
-		t.Fatalf("recycled decode has block %v, fresh has %v", dst.Cols != nil, fresh.Cols != nil)
-	}
-	if b, f := dst.Cols, fresh.Cols; b != nil {
-		if b.Dim != f.Dim || b.N != f.N || len(b.F64) != len(f.F64) {
-			t.Fatalf("recycled block is %d×%d (%d), fresh %d×%d (%d)", b.N, b.Dim, len(b.F64), f.N, f.Dim, len(f.F64))
+		if p.Cols != nil {
+			t.Fatal("the decoder built a block nobody asked for")
 		}
-		if b.Dim > 0 && b.N > 0 && &b.F64[0] != &dst.Items[0].Vec[0] {
-			t.Fatal("recycled block is not a view of the slab the items alias")
-		}
+		requireAliasesRecord(t, p)
 	}
 }
 
@@ -153,9 +151,9 @@ func FuzzPageDecode(f *testing.F) {
 // decoder with seeds covering every legacy-section combination earlier
 // builds wrote. Same contract as FuzzPageDecode — never panic, never
 // allocate from an unvalidated size — plus the columnar structural
-// invariants: an accepted record yields a block whose rows the item
-// vectors alias, legacy sections are skipped, and re-encoding reproduces
-// the record without them bit for bit.
+// invariants: an accepted record columnizes on request into a block whose
+// rows the item vectors alias, legacy sections are skipped, and re-encoding
+// reproduces the record without them bit for bit.
 func FuzzColumnarPageDecode(f *testing.F) {
 	// seed encodes a columnar record and, for non-zero flags, grafts on
 	// the legacy sections the way the removed writer laid them out (flags,
@@ -220,11 +218,19 @@ func FuzzColumnarPageDecode(f *testing.F) {
 		if len(data) < 16 || binary.LittleEndian.Uint32(data[0:4]) != pageMagic2 {
 			return // version-1 record; FuzzPageDecode owns those invariants
 		}
-		b := p.Cols
-		if b == nil {
-			t.Fatal("columnar record decoded without a block")
-		}
+		// A version-2 record decodes like a version-1 one; its block is
+		// built on request, as a copy of the rows.
 		dim := int(binary.LittleEndian.Uint32(data[12:16]))
+		if err := ColumnizePage(p, ColumnSpec{Columnar: true}); err != nil {
+			t.Fatal(err)
+		}
+		if p.Cols == nil {
+			if len(p.Items) != 0 {
+				t.Fatal("columnized page without a block")
+			}
+			p.Cols = vec.NewBlock(dim, 0) // nothing to columnize; the encoder needs the shape
+		}
+		b := p.Cols
 		if b.Dim != dim || b.N != len(p.Items) {
 			t.Fatalf("block is %d×%d, record header says %d items × dim %d", b.N, b.Dim, len(p.Items), dim)
 		}

@@ -39,16 +39,21 @@ const InvalidPage PageID = -1
 
 // Page is a fixed-capacity data page holding items.
 //
+// A decoded page (FileDisk, DecodePage) is its record: it owns the record's
+// bytes, and every Items[i].Vec points at item i's coordinates inside them,
+// cap == len — nothing is copied out. A vector is valid for as long as the
+// page is held (see below) and must not be written.
+//
 // When Cols is non-nil the page is columnar: the item coordinates live in
 // one contiguous item-major float64 buffer and every Items[i].Vec aliases
 // its row of that buffer. Per-pair code therefore reads the exact same
-// values either way; the block only adds contiguity. Cols is
-// set at build time (Columnize, engine configs) or by the version-2 page
-// decoder, never mutated while a page is served.
+// values either way; the block only adds contiguity. Cols exists only on
+// request — Columnize at build time, engine configs, a WrapColumns source —
+// never from the decoder, and is never mutated while a page is served.
 //
 // A page a FileDisk decoded also has a lifetime (the unexported fields; all
 // zero on every other page): it counts its holders, and when the last one
-// lets go it returns to the disk's free list to be decoded into again.
+// lets go it returns to the disk's free list to be read into again.
 type Page struct {
 	ID    PageID
 	Items []Item
@@ -56,8 +61,9 @@ type Page struct {
 
 	home *FileDisk    // takes the page back at zero pins; nil: no lifetime, left to the GC
 	pins atomic.Int32 // holders: one per ReadPage caller, one for the buffer
-	slab []float64    // item-major coordinates; every Items[i].Vec is a capped row of it
-	cols vec.Block    // what Cols points at when the slab is served as a block
+	rec  []uint64     // the record a decoded page was read into; its vectors point here
+	slab []float64    // ColumnizePage's item-major copy of the coordinates, kept across reads
+	cols vec.Block    // what Cols points at: the slab as a block
 }
 
 // pin adds n holders. Only a holder may call it (the buffer for a reader
@@ -83,14 +89,16 @@ func (p *Page) unpin() {
 	if n > 0 {
 		return
 	}
+	if poisonRecycled {
+		for _, it := range p.Items {
+			for j := range it.Vec {
+				it.Vec[j] = math.NaN()
+			}
+		}
+	}
 	p.ID, p.Items = InvalidPage, p.Items[:0]
 	if p.Cols != nil {
 		p.Cols.N = 0
-	}
-	if poisonRecycled {
-		for i := range p.slab {
-			p.slab[i] = math.NaN()
-		}
 	}
 	select {
 	case p.home.free <- p:
@@ -98,7 +106,8 @@ func (p *Page) unpin() {
 	}
 }
 
-// poisonRecycled, a test hook, additionally fills a recycled slab with NaN.
+// poisonRecycled, a test hook, additionally fills a recycled page's
+// coordinates — in its record, or in its slab when columnized — with NaN.
 var poisonRecycled bool
 
 // Paginate packs items into pages of at most capacity items each, in the

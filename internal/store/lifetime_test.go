@@ -9,11 +9,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
-// Every test of the package runs with the poison hook on: a recycled slab is
-// filled with NaN, so a stale reader is wrong loudly even when no later read
-// has overwritten what it is looking at yet.
+// Every test of the package runs with the poison hook on: a recycled page's
+// coordinates are filled with NaN, so a stale reader is wrong loudly even
+// when no later read has overwritten what it is looking at yet.
 func init() { poisonRecycled = true }
 
 // openStored writes n items of the given shape as a stored dataset and
@@ -170,6 +171,7 @@ func TestPagerPinsSingleflightWaiters(t *testing.T) {
 		t.Fatalf("%d disk reads for one coalesced miss", fd.Stats().Reads)
 	}
 	page, want := held[0], fingerprint(pages[2])
+	stale := page.Items[len(page.Items)-1].Vec
 	if n := page.pins.Load(); n != readers+1 {
 		t.Fatalf("page has %d pins, want one per reader plus the buffer's (%d)", n, readers+1)
 	}
@@ -195,9 +197,9 @@ func TestPagerPinsSingleflightWaiters(t *testing.T) {
 	if page.ID != InvalidPage || len(page.Items) != 0 || len(fd.free) != 1 {
 		t.Fatalf("last release did not recycle the page (ID %d, %d items, %d free)", page.ID, len(page.Items), len(fd.free))
 	}
-	for _, c := range page.slab {
+	for _, c := range stale {
 		if !math.IsNaN(c) {
-			t.Fatal("recycled slab not poisoned")
+			t.Fatal("recycled record not poisoned")
 		}
 	}
 }
@@ -350,38 +352,56 @@ func TestPageRecycleDropsRejectedPages(t *testing.T) {
 
 // TestStoredScanAllocations is the allocation tripwire — a count, not a
 // time. A steady-state scan of a stored dataset through the pager, every
-// page released after use, allocates at most two objects per page read (the
-// parent allocated upwards of 240: the record, the Items array and a vector
-// per item), and every read after the free list's warm-up is a reuse.
+// page released after use, allocates at most one object per page read on
+// the default path and copies no coordinate: every vector points into the
+// record the pread landed in. Through WrapColumns (the soa layout) it
+// allocates at most two, the block served from the page's recycled slab.
+// (PR 17's parent allocated upwards of 240: the record, the Items array and
+// a vector per item.) Either way, every read after the free list's warm-up
+// is a reuse. Both record versions take both paths.
 func TestStoredScanAllocations(t *testing.T) {
 	for _, columnar := range []bool{false, true} {
-		fd, pages := openStored(t, 30*64, 8, 64, columnar)
-		capacity := DefaultBufferPages(len(pages))
-		pager := storedPager(t, WrapColumns(fd, ColumnSpec{Columnar: true}), capacity)
-		var sink float64
-		scan := func() {
-			for pid := range pages {
-				pg, err := pager.ReadPage(PageID(pid))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if pg.Cols == nil || pg.Cols.N != len(pg.Items) || &pg.Cols.F64[0] != &pg.Items[0].Vec[0] {
-					t.Fatal("page served without its block, or with a copy for one")
-				}
-				sink += pg.Items[len(pg.Items)-1].Vec[0]
-				pager.Release(pg)
+		for _, soa := range []bool{false, true} {
+			fd, pages := openStored(t, 30*64, 8, 64, columnar)
+			capacity := DefaultBufferPages(len(pages))
+			src, limit := PageSource(fd), 1.0
+			if soa {
+				src, limit = WrapColumns(fd, ColumnSpec{Columnar: true}), 2
 			}
-		}
-		scan()
-		perPage := testing.AllocsPerRun(5, scan) / float64(len(pages))
-		if perPage > 2 {
-			t.Errorf("columnar=%v: %.2f allocations per page read, want at most 2", columnar, perPage)
-		}
-		// Fresh pages: what the buffer holds plus the one being read.
-		reads, warmup := fd.Stats().Reads, int64(capacity+1)
-		if st := fd.Storage(); st.PagesReused != reads-warmup {
-			t.Errorf("columnar=%v: %d of %d reads reused a page, want all but the first %d",
-				columnar, st.PagesReused, reads, warmup)
+			pager := storedPager(t, src, capacity)
+			coords := pageHeaderLen + itemFixedLen // item 0's coordinates, bytes into the record
+			if columnar {
+				coords = pageHeaderLenV2 + itemFixedLen
+			}
+			var sink float64
+			scan := func() {
+				for pid := range pages {
+					pg, err := pager.ReadPage(PageID(pid))
+					if err != nil {
+						t.Fatal(err)
+					}
+					first := unsafe.Pointer(&pg.Items[0].Vec[0])
+					if soa && (pg.Cols == nil || pg.Cols.N != len(pg.Items) || first != unsafe.Pointer(&pg.Cols.F64[0]) || first != unsafe.Pointer(&pg.slab[0])) {
+						t.Fatal("soa page served without its block, or with a block outside its slab")
+					}
+					if !soa && (pg.Cols != nil || first != unsafe.Pointer(&pg.rec[coords/8])) {
+						t.Fatal("aos page served with a block, or with its coordinates copied out of the record")
+					}
+					sink += pg.Items[len(pg.Items)-1].Vec[0]
+					pager.Release(pg)
+				}
+			}
+			scan()
+			perPage := testing.AllocsPerRun(5, scan) / float64(len(pages))
+			if perPage > limit {
+				t.Errorf("columnar=%v soa=%v: %.2f allocations per page read, want at most %v", columnar, soa, perPage, limit)
+			}
+			// Fresh pages: what the buffer holds plus the one being read.
+			reads, warmup := fd.Stats().Reads, int64(capacity+1)
+			if st := fd.Storage(); st.PagesReused != reads-warmup {
+				t.Errorf("columnar=%v soa=%v: %d of %d reads reused a page, want all but the first %d",
+					columnar, soa, st.PagesReused, reads, warmup)
+			}
 		}
 	}
 }

@@ -80,14 +80,9 @@ func openStoredDirect(dir string, items []Item, dim int, opts Options, bufferPag
 		return nil, err
 	}
 	// Serve pages through a columnizing wrapper when the layout wants
-	// blocks the stored format does not carry: a version-1 dataset then
-	// materializes them per page on first read, with the buffer caching
-	// the columnized page. Columnar datasets decode straight into blocks
-	// and skip the wrapper.
-	var src store.PageSource = fd
-	if !man.Columnar {
-		src = store.WrapColumns(fd, columnSpec(layout))
-	}
+	// blocks: a decoded page of either record version has none, so each is
+	// materialized on read, with the buffer caching the columnized page.
+	src := store.WrapColumns(fd, columnSpec(layout))
 	var buf *store.Buffer
 	if bufferPages > 0 {
 		if buf, err = store.NewBuffer(bufferPages); err != nil {
@@ -195,7 +190,8 @@ func openStoredDerived(dir string, items []Item, dim int, opts Options, bufferPa
 		// The engine columnized its pages before building the disk, so
 		// the blocks ride along into the persisted layout: the meta
 		// field makes the written records carry them, and the reopened
-		// FileDisk decodes them back.
+		// FileDisk's pages get them back through the same wrapper as a
+		// direct open.
 		meta := store.DatasetMeta{Dim: dim, PageCapacity: capacity,
 			Columnar: columns.Columnar,
 			Attrs:    map[string]string{"layout": string(opts.Engine)}}
@@ -206,7 +202,7 @@ func openStoredDerived(dir string, items []Item, dim int, opts Options, bufferPa
 		if fd, err = store.OpenFileDisk(layoutDir, store.FileDiskOptions{Mmap: opts.Mmap}); err != nil {
 			return nil, err
 		}
-		return fd, nil
+		return store.WrapColumns(fd, columns), nil
 	}
 
 	eng, err := engines.Build(opts.engineSpec(items, dim, bufferPages, columns, wrap))
