@@ -55,11 +55,12 @@ race:
 # its scalar loop, the decoded page against its record (vectors in place,
 # the allocation count, the byte swap, the decoder fuzz seeds — under -race,
 # checkptr checks that every vector pointed into a record stays inside that
-# one allocation; the tests check the alignment) and
-# concurrent sessions on one VA-file (its cell-table free list) — all under
-# the race detector.
+# one allocation; the tests check the alignment),
+# concurrent sessions on one VA-file (its cell-table free lists, which every
+# session's block of queries shares) and the VA-file's block sweep against
+# its lone sweep, bit for bit — all under the race detector.
 differential:
-	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestItemLanes|FuzzEucItems|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPageRecycle|TestDecodedPageAliasesRecord|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode' \
+	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestItemLanes|FuzzEucItems|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPageRecycle|TestDecodedPageAliasesRecord|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode|TestBlockSweepMatchesLone' \
 		./internal/msq/ ./internal/store/ ./internal/vec/ ./internal/vafile/ ./internal/xtree/
 
 # A short fuzz of the persistent-storage decoders: corrupt page records

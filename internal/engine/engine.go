@@ -21,6 +21,12 @@
 // processor keeps one handle per query for the lifetime of the batch, so an
 // engine's per-query setup cost is amortized over every page probe the
 // batch makes, not paid per probe.
+//
+// Queries that enter a batch together may also be prepared as one block
+// (BlockPreparer), which lets an engine share per-query work across them —
+// the VA-file sweeps its approximations once for four queries. A block's
+// handles may share state, so they are probed from one goroutine at a time,
+// as every handle already is.
 package engine
 
 import (
@@ -53,10 +59,12 @@ func SortPlan(refs []PageRef) {
 }
 
 // PreparedQuery is a per-query view of an engine. It is created once per
-// query object by Engine.Prepare and answers every page-level probe for that
+// query object by Engine.Prepare, or for several at once by
+// BlockPreparer.PrepareBlock, and answers every page-level probe for that
 // query. A PreparedQuery is used by a single goroutine at a time (the
-// processor's coordinator); it need not be safe for concurrent use, which
-// frees implementations to memoize lazily.
+// processor's coordinator), and so are all the handles of one block
+// together; it need not be safe for concurrent use, which frees
+// implementations to memoize lazily.
 type PreparedQuery interface {
 	// Plan implements determine_relevant_data_pages of Figure 1: it
 	// returns references to every data page that may contain an answer
@@ -119,6 +127,16 @@ type Engine interface {
 // filter's cost visible next to the DistCalcs it saves.
 type PivotCoster interface {
 	PivotDistCalcs() int64
+}
+
+// BlockPreparer is implemented by engines that prepare several queries more
+// cheaply together than one at a time. PrepareBlock writes the handle for
+// qs[i] to dst[i] (len(dst) == len(qs)); each answers every probe with the
+// bits Prepare(qs[i])'s handle would. The handles of one block may share
+// state and are probed from one goroutine at a time; qs and dst stay the
+// caller's, the engine keeps neither slice.
+type BlockPreparer interface {
+	PrepareBlock(qs []vec.Vector, dst []PreparedQuery)
 }
 
 // Config describes an engine's tuning for EXPLAIN output and the advisor.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -37,7 +38,9 @@ type queryState struct {
 	// matrix, noSlot while it holds none (see queryMatrix).
 	slot int32
 	// pq is the engine's prepared handle for this query, created once when
-	// the query first enters the session. Pivot-based engines pay their
+	// the query first enters the session — through PrepareBlock, with the
+	// queries that enter in the same call, when the engine is an
+	// engine.BlockPreparer. Pivot-based engines pay their
 	// query-to-pivot distances here, so every later page probe (plans,
 	// relevance checks, bootstrap bounds) across every incremental call
 	// reuses them for free.
@@ -114,6 +117,10 @@ type Session struct {
 	// allocate them once.
 	batch []*queryState
 	pass  *pagePass
+	// blockQs and blockPQs are prepareBlock's scratch when the engine is an
+	// engine.BlockPreparer: the entering queries' vectors and their handles.
+	blockQs  []vec.Vector
+	blockPQs []engine.PreparedQuery
 	// explain, when non-nil, collects per-query profiles and phase times
 	// for the duration of one ExplainAllContext call (set and cleared
 	// under mu; the pipeline's workers only read it).
@@ -199,8 +206,8 @@ func (s *Session) MultiQueryContext(ctx context.Context, queries []Query) ([]*qu
 // buffered states. The whole batch is validated — dimension, finiteness,
 // duplicate IDs, ID reuse with a different object — before any query is
 // admitted, so a rejected call leaves the session as it found it and pays
-// no Engine.Prepare. The returned states are session scratch, valid until
-// the next call; the answer lists are the caller's.
+// no Engine.Prepare or PrepareBlock. The returned states are session
+// scratch, valid until the next call; the answer lists are the caller's.
 //
 // A mining loop slides a window: the query at position i of this call sat at
 // i+1 of the previous one, or at i. Those two places are looked at before the
@@ -245,13 +252,43 @@ func (s *Session) prepare(queries []Query) ([]*queryState, []*query.AnswerList, 
 	for i, st := range states {
 		if st.answers == nil {
 			st.answers = query.NewAnswerList(st.q.Type)
-			st.pq = s.proc.eng.Prepare(st.q.Vec)
+			if s.proc.block == nil {
+				st.pq = s.proc.eng.Prepare(st.q.Vec)
+			}
 			st.processed = make(pageSet, (s.proc.eng.NumPages()+63)/64)
 			st.bound = math.Inf(1)
 		}
 		results[i] = st.answers
 	}
+	if s.proc.block != nil {
+		s.prepareBlock(states)
+	}
 	return states, results, nil
+}
+
+// prepareBlock hands the queries that entered this call — the admitted ones
+// without a handle — to the engine as one block, in batch order.
+func (s *Session) prepareBlock(states []*queryState) {
+	qs := slices.Grow(s.blockQs[:0], len(states))
+	for _, st := range states {
+		if st.pq == nil && !st.done {
+			qs = append(qs, st.q.Vec)
+		}
+	}
+	if len(qs) == 0 {
+		return
+	}
+	pqs := slices.Grow(s.blockPQs[:0], len(qs))[:len(qs)]
+	s.proc.block.PrepareBlock(qs, pqs)
+	j := 0
+	for _, st := range states {
+		if st.pq == nil && !st.done {
+			st.pq, j = pqs[j], j+1
+		}
+	}
+	clear(qs) // the scratch outlives the call; the vectors and handles need not
+	clear(pqs)
+	s.blockQs, s.blockPQs = qs[:0], pqs[:0]
 }
 
 // reject withdraws from the registry the states a call registered before it

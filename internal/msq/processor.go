@@ -154,6 +154,9 @@ type Processor struct {
 	dim       int
 	rowKernel string     // see RowKernel
 	lanes     *vec.Items // the one-query kernel (sweepItems); stateless
+	// block is eng as an engine.BlockPreparer, nil when it is not one; a
+	// session prepares the queries that enter a call through it together.
+	block engine.BlockPreparer
 }
 
 // New creates a processor over eng using metric m. The metric is wrapped in
@@ -182,8 +185,9 @@ func New(eng engine.Engine, m vec.Metric, opts Options) (*Processor, error) {
 			opts.Avoidance = AvoidOff
 		}
 	}
+	block, _ := eng.(engine.BlockPreparer)
 	return &Processor{eng: eng, metric: counting, opts: opts, dim: eng.Pager().Dim(),
-		rowKernel: vec.NewRows(counting.Kernel()).ISA(), lanes: vec.NewItems(counting.Kernel())}, nil
+		rowKernel: vec.NewRows(counting.Kernel()).ISA(), lanes: vec.NewItems(counting.Kernel()), block: block}, nil
 }
 
 // CheckQuery rejects a query this processor cannot evaluate: one that fails

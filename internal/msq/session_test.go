@@ -572,3 +572,87 @@ func TestWindowHint(t *testing.T) {
 		}
 	}
 }
+
+// blockRecorder is an engine.BlockPreparer that prepares each query of a
+// block alone and records the blocks it was handed.
+type blockRecorder struct {
+	engine.Engine
+	blocks [][]vec.Vector
+}
+
+func (b *blockRecorder) PrepareBlock(qs []vec.Vector, dst []engine.PreparedQuery) {
+	b.blocks = append(b.blocks, append([]vec.Vector(nil), qs...))
+	for i, q := range qs {
+		dst[i] = b.Prepare(q)
+	}
+}
+
+// TestSessionPreparesEnteringQueriesAsOneBlock: on an engine.BlockPreparer a
+// call hands exactly the queries that enter the session to PrepareBlock, in
+// batch order, once; a rejected call and a call whose queries are all held
+// hand it nothing; each handle serves its own query; and the session's
+// scratch keeps no vector or handle past the call.
+func TestSessionPreparesEnteringQueriesAsOneBlock(t *testing.T) {
+	const dim = 4
+	items := testDB(35, 400, dim)
+	metric := vec.Euclidean{}
+	rec := &blockRecorder{Engine: xtreeEngine(t, items, dim)}
+	proc, err := New(rec, metric, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	knn := query.NewKNN(5)
+	q := func(i int) Query { return Query{ID: uint64(i), Vec: items[i*7].Vec, Type: knn} }
+	s := proc.NewSession()
+	for _, c := range []struct {
+		batch []Query
+		all   bool
+		ok    bool
+		block []int // IDs PrepareBlock must be handed; nil for no call
+	}{
+		{[]Query{q(0), q(1), q(2)}, false, true, []int{0, 1, 2}},
+		{[]Query{q(2), q(5), q(5)}, false, false, nil}, // ID 5 twice
+		{[]Query{q(1), q(2), q(3), q(4)}, false, true, []int{3, 4}},
+		{[]Query{q(4), q(3), q(2)}, false, true, nil},
+		{[]Query{q(6), q(4), q(7), q(0)}, true, true, []int{6, 7}},
+	} {
+		before := len(rec.blocks)
+		call := s.MultiQuery
+		if c.all {
+			call = s.MultiQueryAll
+		}
+		res, _, err := call(c.batch)
+		if (err == nil) != c.ok {
+			t.Fatalf("batch %v: err %v", c.batch, err)
+		}
+		got := rec.blocks[before:]
+		if c.block == nil {
+			if len(got) != 0 {
+				t.Errorf("batch %v: PrepareBlock handed %d blocks, want none", c.batch, len(got))
+			}
+		} else if len(got) != 1 || len(got[0]) != len(c.block) {
+			t.Errorf("batch %v: PrepareBlock handed %d blocks (%v), want one of %v", c.batch, len(got), got, c.block)
+		} else {
+			for i, id := range c.block {
+				if &got[0][i][0] != &q(id).Vec[0] {
+					t.Errorf("batch %v: block member %d is not query %d", c.batch, i, id)
+				}
+			}
+		}
+		for i := 0; c.ok && i < len(c.batch) && (i == 0 || c.all); i++ {
+			if want := brute(items, metric, c.batch[i].Vec, knn); !sameAnswers(res[i].Answers(), want) {
+				t.Errorf("batch %v: wrong answers for query %d", c.batch, c.batch[i].ID)
+			}
+		}
+		for _, v := range s.blockQs[:cap(s.blockQs)] {
+			if v != nil {
+				t.Fatalf("batch %v: the session's scratch keeps a vector", c.batch)
+			}
+		}
+		for _, pq := range s.blockPQs[:cap(s.blockPQs)] {
+			if pq != nil {
+				t.Fatalf("batch %v: the session's scratch keeps a handle", c.batch)
+			}
+		}
+	}
+}

@@ -68,7 +68,10 @@ func BenchmarkPlan(b *testing.B) {
 // BenchmarkSweep is what one query costs the engines_lowdim workload's
 // VA-file before any page is read: a handle, the cell tables, one sweep of
 // 20 000 × 8-d approximations, then the probes the processor makes — a
-// MaxDist and a MinDist of every page and a plan — as array reads.
+// MaxDist and a MinDist of every page and a plan — as array reads. The lone
+// arm prepares each query alone, the block arms prepare that many together
+// (PrepareBlock: one pass per four queries, a remainder swept alone);
+// ns/query compares them.
 func BenchmarkSweep(b *testing.B) {
 	const dim, nItems = 8, 20000
 	items := benchItems(rand.New(rand.NewSource(3)), nItems, dim)
@@ -76,17 +79,35 @@ func BenchmarkSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var sink float64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pq := e.Prepare(items[i%nItems].Vec)
-		for pid := 0; pid < e.NumPages(); pid++ {
-			sink += pq.MaxDist(store.PageID(pid)) + pq.MinDist(store.PageID(pid))
+	for _, block := range []int{1, 2, 3, 4, 16} {
+		name := "lone"
+		if block > 1 {
+			name = fmt.Sprintf("block=%d", block)
 		}
-		benchSinkRefs = len(pq.Plan(0.3))
+		b.Run(name, func(b *testing.B) {
+			qs, pqs := make([]vec.Vector, block), make([]engine.PreparedQuery, block)
+			var sink float64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j := range qs {
+					qs[j] = items[(i*block+j)%nItems].Vec
+				}
+				if block == 1 {
+					pqs[0] = e.Prepare(qs[0])
+				} else {
+					e.PrepareBlock(qs, pqs)
+				}
+				for _, pq := range pqs {
+					for pid := 0; pid < e.NumPages(); pid++ {
+						sink += pq.MaxDist(store.PageID(pid)) + pq.MinDist(store.PageID(pid))
+					}
+					benchSinkRefs = len(pq.Plan(0.3))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*block), "ns/query")
+			_ = sink
+		})
 	}
-	_ = sink
 }
 
 var benchSinkRefs int

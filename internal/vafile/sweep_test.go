@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"metricdb/internal/engine"
 	"metricdb/internal/msq"
@@ -261,7 +263,111 @@ func TestSweepAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { fresh = e.Prepare(q); sink += fresh.MaxDist(0) }); n != 2 {
 		t.Errorf("fresh handle's first probe: %v allocations, want 2 (handle, memo)", n)
 	}
+	qs, pqs := make([]vec.Vector, 16), make([]engine.PreparedQuery, 16)
+	for i := range qs {
+		qs[i] = items[i].Vec
+	}
+	lone := testing.AllocsPerRun(20, func() {
+		for _, q := range qs {
+			fresh = e.Prepare(q)
+			sink += fresh.MaxDist(0)
+		}
+	})
+	block := testing.AllocsPerRun(20, func() {
+		e.PrepareBlock(qs, pqs)
+		for _, pq := range pqs {
+			sink += pq.MaxDist(0)
+		}
+	})
+	if lone != 32 || block > lone {
+		t.Errorf("sixteen handles probed: %v allocations lone (want 32), %v as one block (want at most as many)", lone, block)
+	}
+	if n := testing.AllocsPerRun(100, func() { e.PrepareBlock(qs[:1], pqs[:1]); sink += pqs[0].MaxDist(0) }); n != 2 {
+		t.Errorf("a block of one probed: %v allocations, want 2 as a lone handle", n)
+	}
 	_ = sink
+}
+
+// TestBlockSweepMatchesLone: handles prepared as one block answer Plan,
+// MinDist and MaxDist with the bits of lone handles — for blocks of full
+// lane groups, a padded short group and remainders swept alone, for every
+// metric (sum- and max-combined, and one vec does not ship), resolution and
+// dimension, whichever member is probed first.
+func TestBlockSweepMatchesLone(t *testing.T) {
+	for _, dim := range []int{1, 3, 8} {
+		items := testItems(16, 200, dim)
+		for _, m := range sweepMetrics(t, dim) {
+			for _, bits := range []int{1, 6, 8} {
+				e, err := New(items, Config{PageCapacity: 16, Bits: bits, Metric: m})
+				if err != nil {
+					t.Fatal(err)
+				}
+				pool := sweepQueries(e, rand.New(rand.NewSource(int64(dim*bits))))
+				for size := 1; size <= 9; size++ {
+					qs, block := make([]vec.Vector, size), make([]engine.PreparedQuery, size)
+					for i := range qs {
+						qs[i] = pool[(size+i)%len(pool)]
+					}
+					e.PrepareBlock(qs, block)
+					block[size/2].MinDist(0) // sweeps the block from a member other than the first
+					for i, pq := range block {
+						if err := sameHandles(e, pq, e.Prepare(qs[i])); err != nil {
+							t.Fatalf("%s bits %d dim %d block of %d, member %d: %v", m.Name(), bits, dim, size, i, err)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameHandles reports the first probe on which got's answer differs from
+// want's in a bit.
+func sameHandles(e *Engine, got, want engine.PreparedQuery) error {
+	for pid := store.PageID(0); int(pid) < e.NumPages(); pid++ {
+		g, w := got.MinDist(pid), want.MinDist(pid)
+		if math.Float64bits(g) != math.Float64bits(w) {
+			return fmt.Errorf("page %d: MinDist %v, lone %v", pid, g, w)
+		}
+		g, w = got.MaxDist(pid), want.MaxDist(pid)
+		if math.Float64bits(g) != math.Float64bits(w) {
+			return fmt.Errorf("page %d: MaxDist %v, lone %v", pid, g, w)
+		}
+	}
+	limit := want.MinDist(store.PageID(e.NumPages() / 2))
+	gp, wp := got.Plan(limit), want.Plan(limit)
+	if len(gp) != len(wp) {
+		return fmt.Errorf("plan of %d refs, lone %d", len(gp), len(wp))
+	}
+	for i := range wp {
+		if gp[i].ID != wp[i].ID || math.Float64bits(gp[i].MinDist) != math.Float64bits(wp[i].MinDist) {
+			return fmt.Errorf("plan ref %d: %+v, lone %+v", i, gp[i], wp[i])
+		}
+	}
+	return nil
+}
+
+// TestZeroDimensionRejected: New refuses items of dimension 0, as the X-tree
+// does. A VA-file built over them used to hang on its first probe: the sweep
+// stepped through the approximations dim bytes at a time.
+func TestZeroDimensionRejected(t *testing.T) {
+	items := []store.Item{{ID: 0, Vec: vec.Vector{}}, {ID: 1, Vec: vec.Vector{}}}
+	done := make(chan error, 1)
+	go func() {
+		e, err := New(items, Config{PageCapacity: 2})
+		if err == nil {
+			e.Prepare(vec.Vector{}).MaxDist(0)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "dimension must be positive") {
+			t.Errorf("zero-dimensional items: error %v, want a positive-dimension error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first probe of a zero-dimensional VA-file did not return")
+	}
 }
 
 // bruteForce answers q over items with m.
@@ -286,9 +392,11 @@ func sameAnswers(got, want []query.Answer) bool {
 }
 
 // TestDifferentialConcurrentSessions: eight goroutines, each with sessions
-// of its own on one Engine (twice the free list's length, so tables are
+// of its own on one Engine (twice the free lists' length, so tables are
 // taken, made, returned and dropped concurrently), return the serial
-// answers. Run under -race by `make differential`.
+// answers. Each session prepares its five queries as one block — a lane
+// pass for four, a lone sweep for the fifth — so both free lists are shared.
+// Run under -race by `make differential`.
 func TestDifferentialConcurrentSessions(t *testing.T) {
 	const dim, workers, rounds, width = 6, 8, 6, 5
 	items := testItems(14, 1500, dim)

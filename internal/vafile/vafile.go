@@ -14,6 +14,8 @@
 // techniques apply to "an implementation based on an index or using a
 // sequential scan". A query scans the approximations once, on its handle's
 // first probe, and every probe reads the per-page bounds that scan left.
+// Queries prepared as one block (PrepareBlock) share their scan, four to a
+// pass, as Weber et al. share it among the queries of a batch.
 //
 // The approximation array is immutable after construction and a scan's
 // working tables come from a free list, so the query path
@@ -62,16 +64,18 @@ type Engine struct {
 	base   vec.Metric // unwrapped metric used for bound arithmetic
 	cw     bool       // base is coordinatewise
 	// kernel is base's term/combine/finish when vec ships it (Term is nil
-	// otherwise); tables is the free list of the per-sweep cell tables built
-	// from it — a sweep holds one, so a few cover any number of sessions.
-	kernel   vec.GapKernel
-	tables   chan []cellTerm
-	dim      int
-	bits     int
-	cells    int
-	bounds   [][]float64 // per dimension: cells+1 boundaries
-	pages    []pageApprox
-	numItems int
+	// otherwise); tables and laneTables are the free lists of the per-sweep
+	// cell tables built from it, one query's and four's — a sweep holds one,
+	// so a few cover any number of sessions.
+	kernel     vec.GapKernel
+	tables     chan []cellTerm
+	laneTables chan []laneTerm
+	dim        int
+	bits       int
+	cells      int
+	bounds     [][]float64 // per dimension: cells+1 boundaries
+	pages      []pageApprox
+	numItems   int
 	// pageCapacity is the resolved build-time page capacity, kept for
 	// EXPLAIN output.
 	pageCapacity int
@@ -83,7 +87,10 @@ type pageApprox struct {
 	n     int
 }
 
-var _ engine.Engine = (*Engine)(nil)
+var (
+	_ engine.Engine        = (*Engine)(nil)
+	_ engine.BlockPreparer = (*Engine)(nil)
+)
 
 // New builds a VA-file over items.
 func New(items []store.Item, cfg Config) (*Engine, error) {
@@ -97,6 +104,9 @@ func New(items []store.Item, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("vafile: bits per dimension must be in [1,8], got %d", cfg.Bits)
 	}
 	dim := items[0].Vec.Dim()
+	if dim < 1 {
+		return nil, fmt.Errorf("vafile: dimension must be positive, got %d", dim)
+	}
 	if cfg.PageCapacity == 0 {
 		cfg.PageCapacity = store.PageCapacityForBlockSize(32768, dim)
 	}
@@ -153,6 +163,7 @@ func New(items []store.Item, cfg Config) (*Engine, error) {
 		e.cw = true
 		e.kernel, _ = vec.GapKernelOf(e.base)
 		e.tables = make(chan []cellTerm, 4)
+		e.laneTables = make(chan []laneTerm, 4)
 	}
 	e.buildBoundaries(items)
 	e.quantize(pages)
@@ -239,53 +250,111 @@ func (e *Engine) Prepare(q vec.Vector) engine.PreparedQuery {
 	return &prepared{e: e, q: q}
 }
 
+// PrepareBlock prepares qs as one block: the first probe of any of its
+// handles sweeps the approximations for all of them, four queries a pass
+// (sweepLanes), and leaves each the bits its lone handle would compute.
+func (e *Engine) PrepareBlock(qs []vec.Vector, dst []engine.PreparedQuery) {
+	block := make([]prepared, len(qs))
+	for i, q := range qs {
+		block[i] = prepared{e: e, q: q, block: block}
+		dst[i] = &block[i]
+	}
+}
+
 // prepared answers page probes for one query: its first probe sweeps the
 // approximation array and keeps every page's bounds, so each Plan, MinDist
 // and MaxDist after it is an array read.
 type prepared struct {
 	e *Engine
 	q vec.Vector
+	// block holds the handles prepared together with this one, itself
+	// included; nil for a lone handle.
+	block []prepared
 	// bounds[2*pid], bounds[2*pid+1]: lower and upper bound of page pid.
 	bounds []float64 // nil until the first probe
 }
 
-// swept returns the per-page bounds — the minimum item lower bound and the
-// maximum item upper bound of every page — computing them on first use. A
-// metric that is not coordinatewise knows nothing about a cell: every page
-// gets [0, +Inf) without a sweep and the VA-file degrades to the scan.
+// swept returns the per-page bounds, computing them — for the whole block,
+// if the handle has one — on first use.
 func (p *prepared) swept() []float64 {
-	if p.bounds != nil {
-		return p.bounds
-	}
-	e := p.e
-	p.bounds = make([]float64, 2*len(e.pages))
-	switch {
-	case !e.cw:
-		for pi := range e.pages {
-			p.bounds[2*pi+1] = math.Inf(1)
-		}
-	case e.kernel.Term != nil:
-		var t []cellTerm
-		select {
-		case t = <-e.tables:
-		default:
-			t = make([]cellTerm, e.dim*e.cells)
-		}
-		e.fillTables(t, p.q)
-		for pi := range e.pages {
-			p.bounds[2*pi], p.bounds[2*pi+1] = e.sweepPage(t, &e.pages[pi])
-		}
-		select {
-		case e.tables <- t:
-		default:
-		}
-	default:
-		gap, zero := make(vec.Vector, e.dim), make(vec.Vector, e.dim)
-		for pi := range e.pages {
-			p.bounds[2*pi], p.bounds[2*pi+1] = e.sweepPageByGapVector(p.q, &e.pages[pi], gap, zero)
+	if p.bounds == nil {
+		if p.block != nil {
+			p.e.sweepBlock(p.block)
+		} else {
+			p.bounds = make([]float64, 2*len(p.e.pages))
+			p.e.sweep(p.q, p.bounds)
 		}
 	}
 	return p.bounds
+}
+
+// sweep writes the bounds of every page for q — its minimum item lower bound
+// and maximum item upper bound — to bounds. A metric that is not
+// coordinatewise knows nothing about a cell: every page gets [0, +Inf)
+// without a sweep and the VA-file degrades to the scan.
+func (e *Engine) sweep(q vec.Vector, bounds []float64) {
+	switch {
+	case !e.cw:
+		for pi := range e.pages {
+			bounds[2*pi+1] = math.Inf(1)
+		}
+	case e.kernel.Term != nil:
+		t := take(e.tables, e.dim*e.cells)
+		e.fillTables(t, q)
+		for pi := range e.pages {
+			bounds[2*pi], bounds[2*pi+1] = e.sweepPage(t, &e.pages[pi])
+		}
+		give(e.tables, t)
+	default:
+		gap, zero := make(vec.Vector, e.dim), make(vec.Vector, e.dim)
+		for pi := range e.pages {
+			bounds[2*pi], bounds[2*pi+1] = e.sweepPageByGapVector(q, &e.pages[pi], gap, zero)
+		}
+	}
+}
+
+// lanes is the number of queries one pass of sweepLanes serves, and
+// minLanes the fewest worth a pass: a shorter remainder of a block costs
+// less swept one query at a time (BenchmarkSweep's block arms price both).
+const lanes, minLanes = 4, 3
+
+// sweepBlock sweeps for every handle of block into one allocation: each
+// group of lanes queries shares a pass, and so does a remainder of at least
+// minLanes; a shorter one, and every query of a metric whose terms are
+// combined by max or that vec does not ship, is swept alone.
+func (e *Engine) sweepBlock(block []prepared) {
+	n := 2 * len(e.pages)
+	slab := make([]float64, n*len(block))
+	for i := range block {
+		block[i].bounds = slab[i*n : (i+1)*n : (i+1)*n]
+	}
+	i := 0
+	if e.kernel.Term != nil && !e.kernel.Max {
+		for ; i+minLanes <= len(block); i += lanes {
+			e.sweepLanes(block[i:min(i+lanes, len(block))])
+		}
+	}
+	for ; i < len(block); i++ {
+		e.sweep(block[i].q, block[i].bounds)
+	}
+}
+
+// take returns a table from free, or a new one of n entries.
+func take[T any](free chan []T, n int) []T {
+	select {
+	case t := <-free:
+		return t
+	default:
+		return make([]T, n)
+	}
+}
+
+// give returns t to free, or drops it when the list is full.
+func give[T any](free chan []T, t []T) {
+	select {
+	case free <- t:
+	default:
+	}
 }
 
 // cellTerm is what one cell of one dimension adds to a bound: the term of
@@ -330,6 +399,62 @@ func (e *Engine) sweepPage(t []cellTerm, pa *pageApprox) (lb, ub float64) {
 		lb, ub = min(lb, lo), max(ub, up)
 	}
 	return e.kernel.Finish(lb), e.kernel.Finish(ub)
+}
+
+// laneTerm is cellTerm for the queries of one sweepLanes pass: lane j of lo
+// and up belongs to query j.
+type laneTerm struct{ lo, up [lanes]float64 }
+
+// sweepLanes sweeps the approximations once for the minLanes to lanes
+// queries of group; the idle lanes of a short group repeat its last query.
+func (e *Engine) sweepLanes(group []prepared) {
+	t := take(e.laneTables, e.dim*e.cells)
+	for d, b := range e.bounds {
+		row := t[d*e.cells : (d+1)*e.cells]
+		for j := range lanes {
+			q := group[min(j, len(group)-1)].q
+			for c := range row {
+				row[c].lo[j] = e.kernel.Term(d, vec.BoxGap(q[d], b[c], b[c+1], false))
+				row[c].up[j] = e.kernel.Term(d, vec.BoxGap(q[d], b[c], b[c+1], true))
+			}
+		}
+	}
+	for pi := range e.pages {
+		lb, ub := e.sweepPageLanes(t, &e.pages[pi])
+		for j := range group {
+			group[j].bounds[2*pi], group[j].bounds[2*pi+1] = lb[j], ub[j]
+		}
+	}
+	give(e.laneTables, t)
+}
+
+// sweepPageLanes is sweepPage for a sum-combined metric and four queries:
+// each lane adds its own terms in dimension order from zero, takes the same
+// min and max and is finished once, so lane j returns the bits sweepPage
+// returns for query j. The dimension loop tests at its bottom (New rejects
+// dim 0) so that the sum leaving it is the last add's, not the loop
+// header's: the compiler then folds each table load into its add and keeps
+// all eight sums in registers, which a range loop spills (≈ 1.35× slower).
+func (e *Engine) sweepPageLanes(t []laneTerm, pa *pageApprox) (lb, ub [lanes]float64) {
+	dim, ncells := e.dim, e.cells
+	lb = [lanes]float64{math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)}
+	for cells := pa.cells; len(cells) >= dim; cells = cells[dim:] {
+		var lo0, lo1, lo2, lo3, up0, up1, up2, up3 float64
+		for d := 0; ; {
+			ct := &t[d*ncells+int(cells[d])]
+			lo0, lo1, lo2, lo3 = lo0+ct.lo[0], lo1+ct.lo[1], lo2+ct.lo[2], lo3+ct.lo[3]
+			up0, up1, up2, up3 = up0+ct.up[0], up1+ct.up[1], up2+ct.up[2], up3+ct.up[3]
+			if d++; d == dim {
+				break
+			}
+		}
+		lb[0], lb[1], lb[2], lb[3] = min(lb[0], lo0), min(lb[1], lo1), min(lb[2], lo2), min(lb[3], lo3)
+		ub[0], ub[1], ub[2], ub[3] = max(ub[0], up0), max(ub[1], up1), max(ub[2], up2), max(ub[3], up3)
+	}
+	for j := range lanes {
+		lb[j], ub[j] = e.kernel.Finish(lb[j]), e.kernel.Finish(ub[j])
+	}
+	return lb, ub
 }
 
 // sweepPageByGapVector is sweepPage for a coordinatewise metric vec does not
