@@ -23,6 +23,7 @@ import (
 
 	"metricdb/internal/cost"
 	"metricdb/internal/dataset"
+	"metricdb/internal/engines"
 	"metricdb/internal/experiments"
 	"metricdb/internal/msq"
 	"metricdb/internal/parallel"
@@ -186,9 +187,9 @@ func parallelBench(b *testing.B, fig11 bool) {
 	astro, _ := benchWorkloads(b)
 	sc := benchScale()
 	model := cost.PaperModel(astro.Dim)
-	for _, kind := range []parallel.EngineKind{parallel.ScanEngine, parallel.XTreeEngine} {
+	for _, kind := range []engines.Kind{engines.Scan, engines.XTree} {
 		name := "scan"
-		if kind == parallel.XTreeEngine {
+		if kind == engines.XTree {
 			name = "xtree"
 		}
 		b.Run(name, func(b *testing.B) {
@@ -336,7 +337,7 @@ func BenchmarkAblationDecluster(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cluster, err := parallel.New(astro.Items, parallel.Config{
 					Servers: 4, Strategy: strategy, Seed: 5,
-					Engine: parallel.XTreeEngine, Dim: astro.Dim,
+					Engine: engines.XTree, Dim: astro.Dim,
 					PageCapacity: 195, BufferPages: -1,
 				})
 				if err != nil {

@@ -47,8 +47,8 @@
 // phase baseline to -obs-out as JSON.
 //
 // The distobs experiment exercises the distributed observability layer: a
-// coordinator fans one batch out to 4 wire servers on loopback TCP (one on
-// a transient disk fault, forcing a retried attempt), checks that a single
+// cluster fans one batch out to 4 wire.Remote servers on loopback TCP (one
+// on a transient disk fault, forcing a retried attempt), checks that a single
 // stitched cross-server trace with one child span per server call was
 // recorded and that traced and untraced runs returned bit-identical
 // answers and counters at every pipeline width, verifies the per-query
@@ -99,9 +99,9 @@ import (
 	"strings"
 
 	"metricdb/internal/cost"
+	"metricdb/internal/engines"
 	"metricdb/internal/experiments"
 	"metricdb/internal/experiments/advisor"
-	"metricdb/internal/parallel"
 	"metricdb/internal/report"
 	"metricdb/internal/vec"
 )
@@ -469,7 +469,7 @@ func run(experiment, scaleName, csvDir string, measure bool, intraOut, kernelsOu
 	if needParallel {
 		for _, wl := range workloads {
 			var f11, f12 []*report.Figure
-			for _, kind := range []parallel.EngineKind{parallel.ScanEngine, parallel.XTreeEngine} {
+			for _, kind := range []engines.Kind{engines.Scan, engines.XTree} {
 				sw, err := experiments.RunParallelSweep(wl.w, sc, kind, wl.model)
 				if err != nil {
 					return err

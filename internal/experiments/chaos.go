@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"metricdb/internal/engines"
 	"metricdb/internal/fault"
 	"metricdb/internal/msq"
 	"metricdb/internal/parallel"
@@ -42,13 +43,12 @@ func RunChaos(w Workload, s, m int) (*ChaosResult, error) {
 		return parallel.New(w.Items, parallel.Config{
 			Servers:      s,
 			Strategy:     parallel.RoundRobin,
-			Engine:       parallel.ScanEngine,
+			Engine:       engines.Scan,
 			Dim:          w.Dim,
 			PageCapacity: capacity,
 			BufferPages:  0,
 			Avoidance:    msq.AvoidBoth,
-			Degrade:      true,
-			Retries:      1,
+			FanOut:       parallel.FanOut{Degrade: true, Retries: 1},
 			WrapDisk: func(server int, src store.PageSource) (store.PageSource, error) {
 				if server >= failed {
 					return src, nil

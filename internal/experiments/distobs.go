@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"time"
 
 	"metricdb/internal/fault"
@@ -22,15 +23,15 @@ import (
 )
 
 // The distobs experiment exercises the distributed observability layer
-// end to end: a coordinator fans one m-query batch out to s wire servers
-// on loopback TCP, each with its own node-labelled tracer. One server
-// sits on a transient disk fault, so the first attempt fails and the
-// coordinator's retry appears as a sibling attempt span. The experiment
-// asserts the tentpole contracts — a single stitched cross-server trace
-// with one child span per server call (retries included), and
-// traced-vs-untraced bit-identity of answers and counters at every
-// pipeline width — and records the per-query EXPLAIN width-stability
-// check. The results are the BENCH_distobs.json artifact.
+// end to end: a parallel.Cluster fans one m-query batch out to s wire
+// servers on loopback TCP (wire.Remote), each with its own node-labelled
+// tracer. One server sits on a transient disk fault, so the first attempt
+// fails and the cluster's retry appears as a sibling attempt span. The
+// experiment asserts the tentpole contracts — a single stitched
+// cross-server trace with one child span per server call (retries
+// included), and traced-vs-untraced bit-identity of answers and counters
+// at every pipeline width — and records the per-query EXPLAIN
+// width-stability check. The results are the BENCH_distobs.json artifact.
 
 // DistObsRun is one (width, traced?) comparison over the wire cluster.
 type DistObsRun struct {
@@ -81,14 +82,13 @@ type DistObsProfile struct {
 }
 
 // distObsCluster is one wire cluster: s servers on loopback listeners and
-// a coordinator over them. Server 0 sits on a transient fault (one
-// injected read failure, then the disk behaves), so the first call to it
-// fails and the coordinator's retry succeeds.
+// a cluster over them. Server 0 sits on a transient fault (one injected
+// read failure, then the disk behaves), so the first call to it fails and
+// the cluster's retry succeeds.
 type distObsCluster struct {
-	coord     *wire.Coordinator
-	coordTr   *obs.Tracer
-	servers   []*wire.Server
-	listeners []net.Listener
+	cluster *parallel.Cluster
+	coordTr *obs.Tracer
+	servers []*wire.Server
 }
 
 func (c *distObsCluster) close() {
@@ -109,8 +109,10 @@ func newDistObsCluster(w Workload, s, width int, traced bool) (*distObsCluster, 
 	}
 	capacity := store.PageCapacityForBlockSize(32768, w.Dim)
 	c := &distObsCluster{}
-	var serverTrs []*obs.Tracer
-	addrs := make([]string, s)
+	if traced {
+		c.coordTr = obs.New(obs.Config{SlowQueryThreshold: -1, Node: "coordinator"})
+	}
+	remotes := make([]parallel.Server, s)
 	for i, part := range parts {
 		var wrap func(store.PageSource) (store.PageSource, error)
 		if i == 0 {
@@ -134,11 +136,12 @@ func newDistObsCluster(w Workload, s, width int, traced bool) (*distObsCluster, 
 			return nil, err
 		}
 		cfg := wire.ServerConfig{WriteTimeout: 10 * time.Second}
+		var phases *obs.Tracer
 		if traced {
 			tr := obs.New(obs.Config{SlowQueryThreshold: -1, Node: fmt.Sprintf("srv%d", i)})
 			proc = proc.WithTracer(tr)
 			cfg.Tracer = tr
-			serverTrs = append(serverTrs, obs.New(obs.Config{SlowQueryThreshold: -1}))
+			phases = obs.New(obs.Config{SlowQueryThreshold: -1})
 		}
 		srv, err := wire.NewServerWithConfig(proc, cfg)
 		if err != nil {
@@ -152,63 +155,19 @@ func newDistObsCluster(w Workload, s, width int, traced bool) (*distObsCluster, 
 		}
 		go srv.Serve(lis) //nolint:errcheck
 		c.servers = append(c.servers, srv)
-		c.listeners = append(c.listeners, lis)
-		addrs[i] = lis.Addr().String()
+		remotes[i] = wire.Remote(lis.Addr().String(), phases)
 	}
-	ccfg := wire.CoordinatorConfig{
-		Addrs:   addrs,
+	cluster, err := parallel.NewCluster(remotes, parallel.FanOut{
 		Retries: 2,
 		Timeout: 30 * time.Second,
-	}
-	if traced {
-		c.coordTr = obs.New(obs.Config{SlowQueryThreshold: -1, Node: "coordinator"})
-		ccfg.Tracer = c.coordTr
-		ccfg.ServerTracers = serverTrs
-	}
-	coord, err := wire.NewCoordinator(ccfg)
+		Tracer:  c.coordTr,
+	})
 	if err != nil {
 		c.close()
 		return nil, err
 	}
-	c.coord = coord
+	c.cluster = cluster
 	return c, nil
-}
-
-// toSpecs converts a query batch to wire form. KNN ranges are +Inf, which
-// JSON cannot carry, so each spec only states the fields its kind uses.
-func toSpecs(queries []msq.Query) []wire.QuerySpec {
-	specs := make([]wire.QuerySpec, len(queries))
-	for i, q := range queries {
-		spec := wire.QuerySpec{ID: q.ID, Vector: []float64(q.Vec), Kind: q.Type.Kind.String()}
-		switch q.Type.Kind {
-		case query.Range:
-			spec.Range = q.Type.Range
-		case query.KNN:
-			spec.K = q.Type.Cardinality
-		case query.BoundedKNN:
-			spec.Range = q.Type.Range
-			spec.K = q.Type.Cardinality
-		}
-		specs[i] = spec
-	}
-	return specs
-}
-
-func sameWireAnswers(a, b [][]wire.Answer) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j].ID != b[i][j].ID || a[i][j].Dist != b[i][j].Dist {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // RunDistObs runs the m-query batch over s wire servers at every width,
@@ -220,19 +179,18 @@ func RunDistObs(w Workload, s int, widths []int, m int) (*DistObsProfile, error)
 	if err != nil {
 		return nil, err
 	}
-	specs := toSpecs(queries)
 	profile := &DistObsProfile{Workload: w.Name, M: m, Servers: s, Widths: widths}
 
 	for _, width := range widths {
-		run := func(traced bool) ([][]wire.Answer, wire.Stats, *obs.Tracer, float64, error) {
+		run := func(traced bool) ([]*query.AnswerList, msq.Stats, *obs.Tracer, float64, error) {
 			c, err := newDistObsCluster(w, s, width, traced)
 			if err != nil {
-				return nil, wire.Stats{}, nil, 0, err
+				return nil, msq.Stats{}, nil, 0, err
 			}
 			defer c.close()
 			start := time.Now()
-			answers, stats, err := c.coord.MultiAllContext(context.Background(), specs)
-			return answers, stats, c.coordTr, time.Since(start).Seconds(), err
+			answers, rep, err := c.cluster.MultiQueryAll(queries)
+			return answers, rep.Sum().Query, c.coordTr, time.Since(start).Seconds(), err
 		}
 
 		refAnswers, refStats, _, _, err := run(false)
@@ -247,7 +205,9 @@ func RunDistObs(w Workload, s int, widths []int, m int) (*DistObsProfile, error)
 		res := DistObsRun{
 			Width:   width,
 			Seconds: elapsed,
-			Identical: sameWireAnswers(refAnswers, answers) &&
+			Identical: slices.EqualFunc(refAnswers, answers, func(a, b *query.AnswerList) bool {
+				return slices.Equal(a.Answers(), b.Answers())
+			}) &&
 				stats.PagesRead == refStats.PagesRead &&
 				stats.DistCalcs == refStats.DistCalcs &&
 				stats.Avoided == refStats.Avoided &&

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"metricdb/internal/cost"
-	"metricdb/internal/parallel"
+	"metricdb/internal/engines"
 )
 
 // testScale is a fast variant for CI: same structure, fewer objects.
@@ -173,7 +173,7 @@ func TestParallelSweepShapes(t *testing.T) {
 	astro := Astronomy(sc)
 	model := cost.PaperModel(20)
 
-	for _, kind := range []parallel.EngineKind{parallel.ScanEngine, parallel.XTreeEngine} {
+	for _, kind := range []engines.Kind{engines.Scan, engines.XTree} {
 		sw, err := RunParallelSweep(astro, sc, kind, model)
 		if err != nil {
 			t.Fatal(err)
@@ -233,11 +233,11 @@ func TestMergeFigures(t *testing.T) {
 	sc.AstroN = 1500
 	astro := Astronomy(sc)
 	model := cost.PaperModel(20)
-	a, err := RunParallelSweep(astro, sc, parallel.ScanEngine, model)
+	a, err := RunParallelSweep(astro, sc, engines.Scan, model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunParallelSweep(astro, sc, parallel.XTreeEngine, model)
+	b, err := RunParallelSweep(astro, sc, engines.XTree, model)
 	if err != nil {
 		t.Fatal(err)
 	}

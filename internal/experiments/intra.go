@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"metricdb/internal/msq"
@@ -94,7 +95,7 @@ func RunIntra(w Workload, widths []int, m int) (*IntraSweep, error) {
 				res.Speedup = 1
 			} else {
 				res.Speedup = sweep.resultFor(maker.Name, widths[0]).Seconds / elapsed
-				res.Identical = stats.PagesRead == refPages && sameFlatAnswers(ref, flat)
+				res.Identical = stats.PagesRead == refPages && slices.Equal(ref, flat)
 			}
 			sweep.Results = append(sweep.Results, res)
 		}
@@ -109,18 +110,6 @@ func (s *IntraSweep) resultFor(engine string, width int) IntraResult {
 		}
 	}
 	return IntraResult{Seconds: 1}
-}
-
-func sameFlatAnswers(a, b []query.Answer) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].ID != b[i].ID || a[i].Dist != b[i].Dist {
-			return false
-		}
-	}
-	return true
 }
 
 // Figure renders the sweep as speedup-vs-width curves, one series per

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -205,7 +206,7 @@ func RunLoad(w Workload, cfg LoadConfig) (*LoadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs := toSpecs(queries)
+	specs := wire.Specs(queries)
 
 	// Unbatched sequential reference answers on an identically built
 	// engine: the bit-identity yardstick for every admitted response.
@@ -455,7 +456,7 @@ func (h *loadHarness) oneRequest(qi int) arrivalOutcome {
 		service:   time.Duration(resp.Stats.ServiceUs) * time.Microsecond,
 		width:     resp.Stats.BatchWidth,
 		admitted:  true,
-		identical: sameWireAnswers([][]wire.Answer{h.ref[qi]}, resp.Answers),
+		identical: slices.Equal(h.ref[qi], resp.Answers[0]),
 	}
 }
 

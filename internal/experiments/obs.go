@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"metricdb/internal/msq"
@@ -121,7 +122,7 @@ func RunObs(w Workload, widths []int, m int) (*ObsProfile, error) {
 				Avoided:          stats.Avoided,
 				AvoidTries:       stats.AvoidTries,
 				PartialAbandoned: stats.PartialAbandoned,
-				Identical: sameFlatAnswers(refAnswers, answers) &&
+				Identical: slices.Equal(refAnswers, answers) &&
 					stats.PagesRead == refStats.PagesRead &&
 					stats.DistCalcs == refStats.DistCalcs &&
 					stats.Avoided == refStats.Avoided &&

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"metricdb/internal/cost"
+	"metricdb/internal/engines"
 	"metricdb/internal/msq"
 	"metricdb/internal/parallel"
 	"metricdb/internal/report"
@@ -34,9 +35,9 @@ type ParallelSweep struct {
 // The per-query parallel cost follows the shared-nothing latency model:
 // all servers work concurrently, so the slowest server determines the
 // elapsed time; inter-server communication is negligible (§5.3).
-func RunParallelSweep(w Workload, sc Scale, engineKind parallel.EngineKind, model cost.Model) (*ParallelSweep, error) {
+func RunParallelSweep(w Workload, sc Scale, engineKind engines.Kind, model cost.Model) (*ParallelSweep, error) {
 	kindName := "scan"
-	if engineKind == parallel.XTreeEngine {
+	if engineKind == engines.XTree {
 		kindName = "xtree"
 	}
 	sw := &ParallelSweep{Workload: w.Name, Engine: kindName, ServerCounts: sc.ServerCounts}
@@ -54,7 +55,7 @@ func RunParallelSweep(w Workload, sc Scale, engineKind parallel.EngineKind, mode
 
 	// Sequential baselines on the equivalent single-server engine.
 	var mk EngineMaker
-	if engineKind == parallel.ScanEngine {
+	if engineKind == engines.Scan {
 		mk = ScanMaker(w)
 	} else {
 		mk = XTreeMaker(w)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"metricdb/internal/msq"
@@ -180,7 +181,7 @@ func RunStorage(w Workload, m int) (*StorageResult, error) {
 }
 
 func sameObservation(a, b storageObservation) bool {
-	return a.stats == b.stats && a.io == b.io && sameFlatAnswers(a.answers, b.answers)
+	return a.stats == b.stats && a.io == b.io && slices.Equal(a.answers, b.answers)
 }
 
 // Figure renders cold and warm wall clocks per backend.

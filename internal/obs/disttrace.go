@@ -166,6 +166,14 @@ func (sp *ActiveSpan) Context() SpanContext {
 	return SpanContext{Trace: sp.span.Trace, Span: sp.span.Span}
 }
 
+// Tracer returns the tracer the span records to (nil for inert spans).
+func (sp *ActiveSpan) Tracer() *Tracer {
+	if sp == nil {
+		return nil
+	}
+	return sp.tr
+}
+
 // StartChild starts a child span of sp on the same tracer.
 func (sp *ActiveSpan) StartChild(name string) *ActiveSpan {
 	if sp == nil {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"metricdb/internal/engines"
 	"metricdb/internal/msq"
 	"metricdb/internal/query"
 	"metricdb/internal/store"
@@ -42,7 +43,7 @@ func TestClusterIntraServerConcurrency(t *testing.T) {
 	build := func(width int) *Cluster {
 		c, err := New(items, Config{
 			Servers:      3,
-			Engine:       ScanEngine,
+			Engine:       engines.Scan,
 			Dim:          dim,
 			PageCapacity: 16,
 			Concurrency:  width,

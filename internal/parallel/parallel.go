@@ -1,10 +1,18 @@
-// Package parallel simulates the shared-nothing parallel query processor of
-// §5.3: the database is declustered over s servers, each holding its
-// partition on a private simulated disk with a private engine, and every
-// similarity query runs on all servers concurrently against s-times smaller
-// data. Per-query answers are merged, which is correct because every
-// server returns (at least) its local top answers and the global result is
-// contained in their union.
+// Package parallel is the shared-nothing parallel query processor of §5.3:
+// the database is declustered over s servers, each holding its partition
+// with a private engine, and every similarity query runs on all servers
+// concurrently against s-times smaller data. Per-query answers are merged,
+// which is correct because every server returns (at least) its local top
+// answers and the global result is contained in their union.
+//
+// A Cluster reaches its partitions through the Server interface, one
+// attempt of a batch at a time, and owns everything around the attempts:
+// the fan-out, the per-server circuit breaker, the per-attempt timeout, the
+// retries, the coverage decision under FanOut.Degrade, the union-merge and
+// the server_call spans. New builds in-process servers (an engine and a
+// multi-query processor per partition); package wire supplies servers that
+// answer over TCP (wire.Remote), so a cross-process cluster is the same
+// Cluster over different servers.
 //
 // The paper's headline effect — parallel speed-up beyond s — comes from
 // running blocks of m·s queries (s-times the memory buffers s-times the
@@ -14,13 +22,13 @@ package parallel
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
 	"time"
 
-	"metricdb/internal/engine"
 	"metricdb/internal/engines"
 	"metricdb/internal/msq"
 	"metricdb/internal/obs"
@@ -101,31 +109,16 @@ func Decluster(items []store.Item, s int, strategy Strategy, seed int64) ([][]st
 	return parts, nil
 }
 
-// EngineKind selects the per-server physical organization. It is the
-// engine registry's kind, so every registered engine works per server.
-type EngineKind = engines.Kind
-
-// Engine kinds (aliases of the registry's names; the zero value "" selects
-// the scan).
-const (
-	// ScanEngine gives each server a sequential scan.
-	ScanEngine = engines.Scan
-	// XTreeEngine gives each server an X-tree.
-	XTreeEngine = engines.XTree
-	// VAFileEngine gives each server a vector-approximation file.
-	VAFileEngine = engines.VAFile
-	// PivotEngine gives each server a LAESA pivot table.
-	PivotEngine = engines.Pivot
-	// PMTreeEngine gives each server a PM-tree.
-	PMTreeEngine = engines.PMTree
-)
-
-// Config parameterizes a cluster.
+// Config parameterizes a cluster of in-process servers: the fields describe
+// the servers New builds, and the embedded FanOut how the cluster reaches
+// them.
 type Config struct {
-	Servers      int
-	Strategy     Strategy
-	Seed         int64
-	Engine       EngineKind
+	Servers  int
+	Strategy Strategy
+	Seed     int64
+	// Engine selects each server's physical organization; the zero value
+	// "" selects the scan.
+	Engine       engines.Kind
 	Dim          int
 	PageCapacity int
 	// BufferPages per server; negative selects the 10 % default, zero
@@ -148,57 +141,75 @@ type Config struct {
 	// storage.
 	WrapDisk func(server int, src store.PageSource) (store.PageSource, error)
 
-	// Timeout bounds each server's work per cluster operation (per
-	// attempt); zero means no timeout. A timed-out attempt counts as a
-	// failure and is retried like any other.
+	// ServerTracers, when non-empty, must hold one tracer per server;
+	// server i's processor and pager then report to ServerTracers[i]
+	// instead of FanOut.Tracer, so per-server phase costs stay separable.
+	// The fan-out's spans still go to FanOut.Tracer. RegisterMetrics
+	// exposes the per-server histograms under server="i" labels.
+	ServerTracers []*obs.Tracer
+
+	// FanOut's Tracer is also installed on every server's processor and
+	// pager, unless ServerTracers is set.
+	FanOut
+}
+
+// FanOut parameterizes how a Cluster reaches its servers, whatever they are.
+type FanOut struct {
+	// Timeout bounds each attempt on each server; zero means no bound. A
+	// timed-out attempt is abandoned and counts as a failure, retried like
+	// any other.
 	Timeout time.Duration
-	// Retries is the number of additional attempts after a failed or
-	// timed-out server call.
+	// Retries is the number of additional attempts after a failed one.
+	// An attempt the server refused as final (the caller's invalid query,
+	// a remote server's shutting_down) is not retried, and an overloaded
+	// server is retried no sooner than its retry-after hint.
 	Retries int
-	// Backoff is the wait before the first retry, doubling on each
-	// subsequent one. Zero retries immediately.
-	Backoff time.Duration
 	// Degrade allows partial results: when a server still fails after all
 	// retries, the cluster merges the surviving servers' answers and
 	// reports a degraded result (coverage < 1) instead of an error. With
 	// Degrade false any server failure fails the whole operation, the
 	// pre-existing strict behavior.
 	Degrade bool
-
-	// Tracer, when non-nil, is installed on every server's processor and
-	// pager, and additionally receives one server_call span per server
-	// attempt from the cluster fan-out. Nil disables tracing at no cost.
-	// When the tracer retains distributed spans, every cluster operation
-	// records a root span with one child span per server attempt (retries
-	// are sibling attempt spans), viewable stitched at /debug/traces.
+	// Tracer, when non-nil, receives the fan-out's spans: when the tracer
+	// retains distributed spans, every operation records a root span with
+	// one server_call child per server attempt (retries are sibling attempt
+	// spans), under which remote servers' own spans are stitched, viewable
+	// at /debug/traces. Nil disables tracing at no cost.
 	Tracer *obs.Tracer
-	// ServerTracers, when non-empty, must hold one tracer per server;
-	// server i's processor and pager then report to ServerTracers[i]
-	// instead of Tracer, so per-server phase costs stay separable. The
-	// coordinator-side spans still go to Tracer. RegisterMetrics exposes
-	// the per-server histograms under server="i" labels.
-	ServerTracers []*obs.Tracer
 }
 
-// server is one shared-nothing node.
-type server struct {
+// Server is one partition as the fan-out reaches it.
+type Server interface {
+	// Call runs one attempt of the batch: one answer list per query,
+	// aligned with queries, and the attempt's cost (Health is the
+	// caller's). span is the attempt's server_call span, nil when
+	// untraced; a server in another process propagates its context. The
+	// fan-out abandons an attempt that outlives its timeout or ctx, so
+	// Call should stop once ctx is done.
+	Call(ctx context.Context, queries []msq.Query, span *obs.ActiveSpan) ([]*query.AnswerList, ServerStats, error)
+	// RegisterMetrics registers the server's metrics on reg under labels
+	// (server="i").
+	RegisterMetrics(reg *obs.Registry, labels string)
+}
+
+// local is an in-process server: one partition's engine and processor.
+type local struct {
 	proc *msq.Processor
-	eng  engine.Engine
+	// phases is the server's own tracer (Config.ServerTracers), exposed by
+	// RegisterMetrics; nil when the server reports to the shared Tracer.
+	phases *obs.Tracer
 }
 
 // Cluster is a set of shared-nothing servers answering similarity queries
 // in parallel.
 type Cluster struct {
-	servers []*server
-	metric  vec.Metric
-	cfg     Config
+	servers  []Server
+	breakers []breaker
+	cfg      FanOut
 }
 
-// New declusters items and builds one engine and processor per server.
+// New declusters items and builds one in-process server per partition.
 func New(items []store.Item, cfg Config) (*Cluster, error) {
-	if cfg.Metric == nil {
-		cfg.Metric = vec.Euclidean{}
-	}
 	if cfg.PageCapacity < 1 {
 		return nil, fmt.Errorf("parallel: page capacity must be >= 1, got %d", cfg.PageCapacity)
 	}
@@ -216,54 +227,86 @@ func New(items []store.Item, cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{metric: cfg.Metric, servers: make([]*server, cfg.Servers), cfg: cfg}
+	servers := make([]Server, len(parts))
 	for i, part := range parts {
-		var wrap func(store.PageSource) (store.PageSource, error)
-		if cfg.WrapDisk != nil {
-			si := i
-			wrap = func(src store.PageSource) (store.PageSource, error) {
-				return cfg.WrapDisk(si, src)
-			}
-		}
-		kind := cfg.Engine
-		if kind == "" {
-			kind = ScanEngine
-		}
-		// The per-server buffer sentinel (negative = the 10 % default)
-		// is resolved against the partition's own page count.
-		buf := cfg.BufferPages
-		if buf < 0 {
-			buf = store.DefaultBufferPages((len(part) + cfg.PageCapacity - 1) / cfg.PageCapacity)
-		}
-		eng, err := engines.Build(engines.Spec{
-			Kind:         kind,
-			Items:        part,
-			Dim:          cfg.Dim,
-			Metric:       cfg.Metric,
-			PageCapacity: cfg.PageCapacity,
-			BufferPages:  buf,
-			WrapDisk:     wrap,
-		})
+		proc, err := newProcessor(i, part, cfg)
 		if err != nil {
-			return nil, fmt.Errorf("parallel: server %d: %w", i, err)
+			return nil, err
 		}
-		// Each server gets its own counting metric so per-server CPU
-		// cost can be reported.
-		proc, err := msq.New(eng, vec.NewCounting(cfg.Metric), msq.Options{Avoidance: cfg.Avoidance, Concurrency: cfg.Concurrency})
-		if err != nil {
-			return nil, fmt.Errorf("parallel: server %d: %w", i, err)
+		l := &local{proc: proc}
+		if len(cfg.ServerTracers) > 0 {
+			l.phases = cfg.ServerTracers[i]
 		}
-		switch {
-		case len(cfg.ServerTracers) > 0:
-			if cfg.ServerTracers[i] != nil {
-				proc = proc.WithTracer(cfg.ServerTracers[i])
-			}
-		case cfg.Tracer != nil:
-			proc = proc.WithTracer(cfg.Tracer)
-		}
-		c.servers[i] = &server{proc: proc, eng: eng}
+		servers[i] = l
 	}
-	return c, nil
+	return NewCluster(servers, cfg.FanOut)
+}
+
+// newProcessor builds partition i's engine and processor. Every engine
+// needs items to build over, so an empty partition (more servers than
+// items, or a declustering that left one none) is an error naming it.
+func newProcessor(i int, part []store.Item, cfg Config) (*msq.Processor, error) {
+	if len(part) == 0 {
+		return nil, fmt.Errorf("parallel: partition %d is empty", i)
+	}
+	var wrap func(store.PageSource) (store.PageSource, error)
+	if cfg.WrapDisk != nil {
+		wrap = func(src store.PageSource) (store.PageSource, error) {
+			return cfg.WrapDisk(i, src)
+		}
+	}
+	kind := cfg.Engine
+	if kind == "" {
+		kind = engines.Scan
+	}
+	metric := cfg.Metric
+	if metric == nil {
+		metric = vec.Euclidean{}
+	}
+	// The per-server buffer sentinel (negative = the 10 % default) is
+	// resolved against the partition's own page count.
+	buf := cfg.BufferPages
+	if buf < 0 {
+		buf = store.DefaultBufferPages((len(part) + cfg.PageCapacity - 1) / cfg.PageCapacity)
+	}
+	eng, err := engines.Build(engines.Spec{
+		Kind:         kind,
+		Items:        part,
+		Dim:          cfg.Dim,
+		Metric:       metric,
+		PageCapacity: cfg.PageCapacity,
+		BufferPages:  buf,
+		WrapDisk:     wrap,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("parallel: server %d: %w", i, err)
+	}
+	// Each server gets its own counting metric so per-server CPU cost can
+	// be reported.
+	proc, err := msq.New(eng, vec.NewCounting(metric), msq.Options{Avoidance: cfg.Avoidance, Concurrency: cfg.Concurrency})
+	if err != nil {
+		return nil, fmt.Errorf("parallel: server %d: %w", i, err)
+	}
+	switch {
+	case len(cfg.ServerTracers) > 0:
+		if cfg.ServerTracers[i] != nil {
+			proc = proc.WithTracer(cfg.ServerTracers[i])
+		}
+	case cfg.Tracer != nil:
+		proc = proc.WithTracer(cfg.Tracer)
+	}
+	return proc, nil
+}
+
+// NewCluster fans out over the given servers, one partition each.
+func NewCluster(servers []Server, cfg FanOut) (*Cluster, error) {
+	if len(servers) == 0 {
+		return nil, fmt.Errorf("parallel: need at least one server")
+	}
+	if cfg.Retries < 0 {
+		return nil, fmt.Errorf("parallel: negative retries %d", cfg.Retries)
+	}
+	return &Cluster{servers: servers, breakers: make([]breaker, len(servers)), cfg: cfg}, nil
 }
 
 // Servers returns the number of servers.
@@ -274,17 +317,18 @@ type ServerHealth struct {
 	// OK is true when the server contributed answers.
 	OK bool
 	// Attempts counts calls made to the server (1 for a first-try
-	// success).
+	// success, 0 when its circuit breaker was open).
 	Attempts int
 	// Err holds the final failure, empty on success.
 	Err string
 	// Latency is the wall time of the server's final attempt — the
-	// successful one, or the last failed one. Retried attempts' backoff
-	// waits are not included.
+	// successful one, or the last failed one. Waits between attempts are
+	// not included.
 	Latency time.Duration
 }
 
 // ServerStats is the per-server cost and health of one cluster operation.
+// IO is zero for a remote server, whose disk the cluster cannot see.
 type ServerStats struct {
 	Query  msq.Stats
 	IO     store.IOStats
@@ -370,25 +414,31 @@ func (r Report) MaxDistCalcs() int64 {
 // parallel and merges the per-server answers into global answers, aligned
 // with queries.
 //
-// Each server call is bounded by Config.Timeout and retried up to
-// Config.Retries times with exponential backoff. When a server still fails
-// and Config.Degrade is set, the surviving servers' answers are merged
-// into a degraded result (Report.Degraded, coverage < 1): by the
-// union-merge property every returned answer genuinely satisfies its query
-// on a covered partition, so the lists are a sound subset of the
-// fault-free result. Without Degrade any persistent server failure fails
-// the whole operation.
+// Each attempt on a server is bounded by FanOut.Timeout, and a failed one
+// is retried up to FanOut.Retries times unless its server's circuit breaker
+// is open. When a server still fails and FanOut.Degrade is set, the
+// surviving servers' answers are merged into a degraded result
+// (Report.Degraded, coverage < 1): by the union-merge property every
+// returned answer genuinely satisfies its query on a covered partition, so
+// the lists are a sound subset of the fault-free result. Without Degrade
+// any persistent server failure fails the whole operation. An invalid batch
+// is the caller's mistake: it fails without retries and without counting
+// against any server's breaker.
 func (c *Cluster) MultiQueryAll(queries []msq.Query) ([]*query.AnswerList, Report, error) {
 	return c.MultiQueryAllContext(context.Background(), queries)
 }
 
 // MultiQueryAllContext is MultiQueryAll with cancellation: ctx bounds the
-// whole cluster operation. Cancellation aborts every server's page loop,
-// interrupts retry backoff waits, and suppresses further retries; the
-// operation then fails (or degrades, under Config.Degrade with surviving
+// whole cluster operation. Cancellation abandons every server's attempt in
+// flight (each stops at its next page barrier or connection deadline),
+// interrupts waits between attempts, and suppresses further retries; the
+// operation then fails (or degrades, under FanOut.Degrade with surviving
 // servers) with the context error recorded per server.
 func (c *Cluster) MultiQueryAllContext(ctx context.Context, queries []msq.Query) ([]*query.AnswerList, Report, error) {
 	report := Report{PerServer: make([]ServerStats, len(c.servers)), Servers: len(c.servers)}
+	if err := check(queries); err != nil {
+		return nil, report, err
+	}
 	perServer := make([][]*query.AnswerList, len(c.servers))
 	errs := make([]error, len(c.servers))
 
@@ -400,54 +450,12 @@ func (c *Cluster) MultiQueryAllContext(ctx context.Context, queries []msq.Query)
 	defer root.End()
 
 	var wg sync.WaitGroup
-	for i, srv := range c.servers {
+	for i := range c.servers {
 		wg.Add(1)
-		go func(i int, srv *server) {
+		go func() {
 			defer wg.Done()
-			attempts := 0
-			backoff := c.cfg.Backoff
-			var lastErr error
-			var lastLatency time.Duration
-			for try := 0; try <= c.cfg.Retries; try++ {
-				if try > 0 {
-					if backoff > 0 {
-						select {
-						case <-time.After(backoff):
-						case <-ctx.Done():
-						}
-						backoff *= 2
-					}
-					if err := ctx.Err(); err != nil {
-						lastErr = err
-						break
-					}
-				}
-				attempts++
-				span := root.StartChild("server_call")
-				span.SetServer(fmt.Sprintf("srv%d", i))
-				span.SetAttempt(attempts)
-				start := time.Now()
-				res, st, err := c.callServer(ctx, srv, queries)
-				lastLatency = time.Since(start)
-				c.cfg.Tracer.Observe(obs.PhaseServerCall, lastLatency)
-				if err != nil {
-					span.SetErr(err.Error())
-				}
-				span.End()
-				if err == nil {
-					perServer[i] = res
-					st.Health = ServerHealth{OK: true, Attempts: attempts, Latency: lastLatency}
-					report.PerServer[i] = st
-					return
-				}
-				lastErr = err
-				if ctx.Err() != nil {
-					break // canceled: further retries cannot succeed
-				}
-			}
-			report.PerServer[i].Health = ServerHealth{Attempts: attempts, Err: lastErr.Error(), Latency: lastLatency}
-			errs[i] = lastErr
-		}(i, srv)
+			perServer[i], report.PerServer[i], errs[i] = c.call(ctx, i, queries, root)
+		}()
 	}
 	wg.Wait()
 
@@ -462,6 +470,7 @@ func (c *Cluster) MultiQueryAllContext(ctx context.Context, queries []msq.Query)
 	}
 	if firstErr != nil {
 		if !c.cfg.Degrade || report.Covered == 0 {
+			root.SetErr(firstErr.Error())
 			return nil, report, fmt.Errorf("parallel: server %d: %w", firstIdx, firstErr)
 		}
 		report.Degraded = true
@@ -483,108 +492,214 @@ func (c *Cluster) MultiQueryAllContext(ctx context.Context, queries []msq.Query)
 	return merged, report, nil
 }
 
-// callServer runs one batch on one server, optionally bounded by the
-// configured timeout. The query processor checks its context once per page,
-// but a single page read may stall indefinitely (a hung simulated disk), so
-// the timeout still races a timer against the attempt: on expiry the attempt
-// is abandoned — its goroutine aborts at its next page barrier via the
-// canceled attempt context, any I/O it issued still shows up in the server's
-// cumulative disk statistics, and its result is discarded.
-func (c *Cluster) callServer(ctx context.Context, srv *server, queries []msq.Query) ([]*query.AnswerList, ServerStats, error) {
+// check refuses, before any server is called, a batch no server could
+// answer; a query only a server can judge (its dimension) comes back from
+// each as a final refusal that does not count against it (see rejected).
+func check(queries []msq.Query) error {
+	if len(queries) == 0 {
+		return errors.New("parallel: empty batch")
+	}
+	seen := make(map[uint64]bool, len(queries))
+	for _, q := range queries {
+		if err := q.Validate(); err != nil {
+			return fmt.Errorf("parallel: %w", err)
+		}
+		if seen[q.ID] {
+			return fmt.Errorf("parallel: query ID %d appears twice in one batch", q.ID)
+		}
+		seen[q.ID] = true
+	}
+	return nil
+}
+
+// call runs server i's attempts for one operation: the breaker check, one
+// server_call span per attempt, the retry policy (see classify) and the
+// health record.
+func (c *Cluster) call(ctx context.Context, i int, queries []msq.Query, root *obs.ActiveSpan) ([]*query.AnswerList, ServerStats, error) {
+	br := &c.breakers[i]
+	var health ServerHealth
+	var wait time.Duration
+	var err error
+	for try := 0; try <= c.cfg.Retries; try++ {
+		if try > 0 && wait > 0 {
+			select {
+			case <-time.After(wait):
+			case <-ctx.Done():
+			}
+			if err = ctx.Err(); err != nil {
+				break
+			}
+		}
+		if !br.allow() {
+			err = ErrCircuitOpen
+			break
+		}
+		health.Attempts++
+		span := root.StartChild("server_call")
+		span.SetServer(fmt.Sprintf("srv%d", i))
+		span.SetAttempt(health.Attempts)
+		start := time.Now()
+		var res []*query.AnswerList
+		var st ServerStats
+		res, st, err = c.attempt(ctx, c.servers[i], queries, span)
+		health.Latency = time.Since(start)
+		c.cfg.Tracer.Observe(obs.PhaseServerCall, health.Latency)
+		if err == nil {
+			span.End()
+			br.success()
+			health.OK = true
+			st.Health = health
+			return res, st, nil
+		}
+		span.SetErr(err.Error())
+		span.End()
+		retryable, after, trips := classify(err)
+		// An attempt the caller cancelled says nothing about the server.
+		if trips && ctx.Err() == nil {
+			br.failure()
+		}
+		if !retryable || ctx.Err() != nil {
+			break
+		}
+		// A server's retry-after hint is the least wait: retrying sooner
+		// than it asked just gets shed again.
+		wait = after
+	}
+	health.Err = err.Error()
+	return nil, ServerStats{Health: health}, err
+}
+
+// attempt runs one call under the per-attempt timeout. The call runs on its
+// own goroutine and races the timer and ctx, because a page read or a
+// connection may hang where no context reaches it: on expiry the attempt is
+// abandoned — its context is cancelled, so it stops at its next page
+// barrier or connection deadline, and its result is discarded. I/O an
+// abandoned in-process attempt issued still shows in its disk's cumulative
+// statistics.
+func (c *Cluster) attempt(ctx context.Context, srv Server, queries []msq.Query, span *obs.ActiveSpan) ([]*query.AnswerList, ServerStats, error) {
 	type outcome struct {
 		res []*query.AnswerList
 		st  ServerStats
 		err error
 	}
-	run := func(ctx context.Context) outcome {
-		ioBefore := srv.eng.Pager().Disk().Stats()
-		res, st, err := srv.proc.MultiQueryContext(ctx, queries)
-		io := diffIO(srv.eng.Pager().Disk().Stats(), ioBefore)
-		if err != nil {
-			return outcome{err: err}
-		}
-		return outcome{res: res, st: ServerStats{Query: st, IO: io}}
-	}
-	if c.cfg.Timeout <= 0 {
-		o := run(ctx)
-		return o.res, o.st, o.err
-	}
 	attemptCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	ch := make(chan outcome, 1)
-	go func() { ch <- run(attemptCtx) }()
-	deadline := time.Now().Add(c.cfg.Timeout)
-	timer := time.NewTimer(c.cfg.Timeout)
-	defer timer.Stop()
-	select {
-	case o := <-ch:
-		// With both cases ready select takes either one; an answer picked
-		// up after the deadline is a timeout all the same.
-		if time.Now().Before(deadline) {
-			return o.res, o.st, o.err
-		}
-	case <-timer.C:
+	done := make(chan outcome, 1)
+	go func() {
+		res, st, err := srv.Call(attemptCtx, queries, span)
+		done <- outcome{res, st, err}
+	}()
+	var expired <-chan time.Time
+	if c.cfg.Timeout > 0 {
+		timer := time.NewTimer(c.cfg.Timeout)
+		defer timer.Stop()
+		expired = timer.C
 	}
-	cancel() // let the abandoned attempt stop at its next page barrier
-	return nil, ServerStats{}, fmt.Errorf("parallel: server timed out after %v", c.cfg.Timeout)
+	select {
+	case o := <-done:
+		return o.res, o.st, o.err
+	case <-expired:
+		return nil, ServerStats{}, fmt.Errorf("parallel: server timed out after %v", c.cfg.Timeout)
+	case <-ctx.Done():
+		return nil, ServerStats{}, ctx.Err()
+	}
 }
+
+// classify maps a failed attempt onto the retry policy: whether another
+// attempt can help, the least wait before it, and whether the failure is
+// server trouble that counts toward the circuit breaker. An error that
+// carries its own policy — a remote server's coded refusal, an in-process
+// server's rejected query — states it through a Classify method; anything
+// else (a storage fault, a timeout, a broken connection) is retryable
+// server trouble.
+func classify(err error) (retryable bool, retryAfter time.Duration, trips bool) {
+	var policy interface {
+		Classify() (retryable bool, retryAfter time.Duration, trips bool)
+	}
+	if errors.As(err, &policy) {
+		return policy.Classify()
+	}
+	return true, 0, true
+}
+
+// rejected is a query an in-process server refused as the caller's
+// mistake, the counterpart of a remote server's bad_request: final, and no
+// sign of trouble on the server, which answered.
+type rejected struct{ error }
+
+func (rejected) Classify() (bool, time.Duration, bool) { return false, 0, false }
 
 // Single evaluates one similarity query on all servers and merges the
 // results.
 func (c *Cluster) Single(q vec.Vector, t query.Type) (*query.AnswerList, Report, error) {
-	return c.SingleContext(context.Background(), q, t)
-}
-
-// SingleContext is Single with cancellation (see MultiQueryAllContext).
-func (c *Cluster) SingleContext(ctx context.Context, q vec.Vector, t query.Type) (*query.AnswerList, Report, error) {
-	res, rep, err := c.MultiQueryAllContext(ctx, []msq.Query{{ID: 0, Vec: q, Type: t}})
+	res, rep, err := c.MultiQueryAll([]msq.Query{{ID: 0, Vec: q, Type: t}})
 	if err != nil {
 		return nil, rep, err
 	}
 	return res[0], rep, nil
 }
 
-// RegisterMetrics registers the cluster's per-server live counters on reg
-// under server="i" labels — disk reads, buffer-pool hits/misses/evictions,
-// and distance-calculation totals — and, when Config.ServerTracers is set,
-// attaches each server's tracer so its phase histograms (with p50/p95/p99
-// summaries) appear in the same exposition. One scrape of the coordinator's
-// registry then covers the whole cluster.
+// RegisterMetrics registers every server's metrics on reg under server="i"
+// labels, so one scrape of the coordinator's registry covers the whole
+// cluster.
 func (c *Cluster) RegisterMetrics(reg *obs.Registry) {
 	for i, srv := range c.servers {
-		labels := fmt.Sprintf("server=%q", fmt.Sprint(i))
-		pager := srv.eng.Pager()
-		metric := srv.proc.Metric()
-		reg.Counter("metricdb_server_disk_reads_total", labels,
-			"Simulated-disk page reads on one server.",
-			func() float64 { return float64(pager.Disk().Stats().Reads) })
-		reg.Counter("metricdb_server_dist_calcs_total", labels,
-			"Object distance calculations on one server.",
-			func() float64 { return float64(metric.Count()) })
-		reg.Counter("metricdb_server_dist_abandoned_total", labels,
-			"Early-abandoned distance calculations on one server.",
-			func() float64 { return float64(metric.Abandoned()) })
-		if buf := pager.Buffer(); buf != nil {
-			reg.Counter("metricdb_server_buffer_hits_total", labels,
-				"Buffer-pool hits on one server.",
-				func() float64 { h, _, _ := buf.HitRate(); return float64(h) })
-			reg.Counter("metricdb_server_buffer_misses_total", labels,
-				"Buffer-pool misses on one server.",
-				func() float64 { _, m, _ := buf.HitRate(); return float64(m) })
-			reg.Counter("metricdb_server_buffer_evictions_total", labels,
-				"Buffer-pool LRU evictions on one server.",
-				func() float64 { return float64(buf.Evictions()) })
-		}
-		if i < len(c.cfg.ServerTracers) && c.cfg.ServerTracers[i] != nil {
-			reg.AttachTracer(labels, c.cfg.ServerTracers[i])
-		}
+		srv.RegisterMetrics(reg, fmt.Sprintf("server=%q", fmt.Sprint(i)))
 	}
 }
 
-func diffIO(after, before store.IOStats) store.IOStats {
-	return store.IOStats{
+// Call runs the batch on the partition's processor. A query the processor
+// cannot evaluate is refused as rejected, as a wire server refuses it as
+// bad_request.
+func (l *local) Call(ctx context.Context, queries []msq.Query, _ *obs.ActiveSpan) ([]*query.AnswerList, ServerStats, error) {
+	for _, q := range queries {
+		if err := l.proc.CheckQuery(q); err != nil {
+			return nil, ServerStats{}, rejected{err}
+		}
+	}
+	disk := l.proc.Engine().Pager().Disk()
+	before := disk.Stats()
+	res, st, err := l.proc.MultiQueryContext(ctx, queries)
+	if err != nil {
+		return nil, ServerStats{}, err
+	}
+	after := disk.Stats()
+	return res, ServerStats{Query: st, IO: store.IOStats{
 		Reads:     after.Reads - before.Reads,
 		SeqReads:  after.SeqReads - before.SeqReads,
 		RandReads: after.RandReads - before.RandReads,
+	}}, nil
+}
+
+// RegisterMetrics registers the server's live counters — disk reads,
+// buffer-pool hits/misses/evictions and distance-calculation totals — and,
+// when it has a tracer of its own (Config.ServerTracers), attaches it so
+// its phase histograms (with p50/p95/p99 summaries) appear in the same
+// exposition.
+func (l *local) RegisterMetrics(reg *obs.Registry, labels string) {
+	pager := l.proc.Engine().Pager()
+	metric := l.proc.Metric()
+	reg.Counter("metricdb_server_disk_reads_total", labels,
+		"Simulated-disk page reads on one server.",
+		func() float64 { return float64(pager.Disk().Stats().Reads) })
+	reg.Counter("metricdb_server_dist_calcs_total", labels,
+		"Object distance calculations on one server.",
+		func() float64 { return float64(metric.Count()) })
+	reg.Counter("metricdb_server_dist_abandoned_total", labels,
+		"Early-abandoned distance calculations on one server.",
+		func() float64 { return float64(metric.Abandoned()) })
+	if buf := pager.Buffer(); buf != nil {
+		reg.Counter("metricdb_server_buffer_hits_total", labels,
+			"Buffer-pool hits on one server.",
+			func() float64 { h, _, _ := buf.HitRate(); return float64(h) })
+		reg.Counter("metricdb_server_buffer_misses_total", labels,
+			"Buffer-pool misses on one server.",
+			func() float64 { _, m, _ := buf.HitRate(); return float64(m) })
+		reg.Counter("metricdb_server_buffer_evictions_total", labels,
+			"Buffer-pool LRU evictions on one server.",
+			func() float64 { return float64(buf.Evictions()) })
+	}
+	if l.phases != nil {
+		reg.AttachTracer(labels, l.phases)
 	}
 }

@@ -1,15 +1,18 @@
 package parallel
 
 import (
+	"context"
+	"errors"
 	"math"
-	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"metricdb/internal/dataset"
-	"metricdb/internal/fault"
+	"metricdb/internal/engines"
 	"metricdb/internal/msq"
+	"metricdb/internal/obs"
 	"metricdb/internal/query"
 	"metricdb/internal/scan"
 	"metricdb/internal/store"
@@ -83,11 +86,17 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(items, Config{Servers: 0, Dim: 3, PageCapacity: 8}); err == nil {
 		t.Error("zero servers accepted")
 	}
-	if _, err := New(items, Config{Servers: 2, Dim: 3, PageCapacity: 8, Engine: EngineKind("bogus")}); err == nil {
+	if _, err := New(items, Config{Servers: 2, Dim: 3, PageCapacity: 8, Engine: engines.Kind("bogus")}); err == nil {
 		t.Error("unknown engine accepted")
 	}
 	if _, err := New(items, Config{Servers: 2, Dim: 3, PageCapacity: 8, Avoidance: msq.AvoidanceMode(9)}); err == nil {
 		t.Error("unknown avoidance mode accepted")
+	}
+	if _, err := New(items, Config{Servers: 2, Dim: 3, PageCapacity: 8, FanOut: FanOut{Retries: -1}}); err == nil {
+		t.Error("negative retries accepted")
+	}
+	if _, err := NewCluster(nil, FanOut{}); err == nil {
+		t.Error("cluster without servers accepted")
 	}
 }
 
@@ -125,7 +134,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, kind := range []EngineKind{ScanEngine, XTreeEngine} {
+	for _, kind := range []engines.Kind{engines.Scan, engines.XTree} {
 		for _, s := range []int{1, 3, 4} {
 			c, err := New(items, Config{
 				Servers: s, Strategy: RoundRobin, Engine: kind,
@@ -173,7 +182,7 @@ func TestPerServerWorkShrinksWithServers(t *testing.T) {
 
 	run := func(s int) Report {
 		c, err := New(items, Config{
-			Servers: s, Strategy: RoundRobin, Engine: ScanEngine,
+			Servers: s, Strategy: RoundRobin, Engine: engines.Scan,
 			Dim: dim, PageCapacity: 16, BufferPages: 0,
 		})
 		if err != nil {
@@ -212,7 +221,7 @@ func TestSingle(t *testing.T) {
 	const dim = 3
 	items := dataset.Uniform(7, 300, dim)
 	c, err := New(items, Config{
-		Servers: 3, Strategy: RangePartition, Engine: XTreeEngine,
+		Servers: 3, Strategy: RangePartition, Engine: engines.XTree,
 		Dim: dim, PageCapacity: 16, BufferPages: -1,
 	})
 	if err != nil {
@@ -246,168 +255,139 @@ func TestReportSum(t *testing.T) {
 	}
 }
 
-// degradedFixture builds a 4-server cluster whose given servers sit on
-// permanently failing disks, plus a batch of mixed queries and the
-// fault-free reference answers. The items are returned too so tests can
-// brute-force per-partition references (round-robin: item i lives on
-// server i%4).
-func degradedFixture(t *testing.T, failServers map[int]bool, cfg Config) (*Cluster, []msq.Query, []*query.AnswerList, []store.Item) {
-	t.Helper()
-	const dim = 4
-	items := dataset.Uniform(21, 400, dim)
-	queries := make([]msq.Query, 6)
-	qItems, err := dataset.SampleQueries(22, items, len(queries))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, it := range qItems {
-		typ := query.NewKNN(5)
-		if i%2 == 1 {
-			typ = query.NewRange(0.4)
-		}
-		queries[i] = msq.Query{ID: uint64(it.ID), Vec: it.Vec, Type: typ}
-	}
+// fake is a scripted Server for the fan-out's unit tests: it answers from
+// its items by brute force, and its script decides each attempt's fate.
+type fake struct {
+	items []store.Item
+	// fail returns the n-th attempt's error (n counts from 1), nil to
+	// answer; a nil fail answers every attempt.
+	fail func(n int) error
+	// hang blocks every attempt until its context is done.
+	hang bool
 
-	base := cfg
-	base.Servers = 4
-	base.Strategy = RoundRobin
-	base.Engine = ScanEngine
-	base.Dim = dim
-	base.PageCapacity = 16
-	base.BufferPages = 0
-
-	clean := base
-	clean.WrapDisk = nil
-	ref, err := New(items, clean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := ref.MultiQueryAll(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	base.WrapDisk = func(server int, src store.PageSource) (store.PageSource, error) {
-		if !failServers[server] {
-			return src, nil
-		}
-		return fault.Wrap(src, fault.Config{Seed: int64(server), ErrProb: 1})
-	}
-	c, err := New(items, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, queries, want, items
+	calls    atomic.Int32
+	returned atomic.Int32 // attempts whose Call has returned
 }
 
-// TestDegradedMerge is the acceptance scenario: with faults injected into
-// 1 of s=4 servers, a batch returns a degraded result with coverage 3/4.
-// Range answers are exact subsets of the fault-free answers; k-NN answers
-// are the exact top-k over the surviving partitions (bounded-k-NN).
+func (f *fake) Call(ctx context.Context, queries []msq.Query, _ *obs.ActiveSpan) ([]*query.AnswerList, ServerStats, error) {
+	defer f.returned.Add(1)
+	n := int(f.calls.Add(1))
+	if f.hang {
+		<-ctx.Done()
+		return nil, ServerStats{}, ctx.Err()
+	}
+	if f.fail != nil {
+		if err := f.fail(n); err != nil {
+			return nil, ServerStats{}, err
+		}
+	}
+	return bruteForce(f.items, queries), ServerStats{Query: msq.Stats{Queries: int64(len(queries)), PagesRead: int64(len(f.items))}}, nil
+}
+
+func (f *fake) RegisterMetrics(*obs.Registry, string) {}
+
+func bruteForce(items []store.Item, queries []msq.Query) []*query.AnswerList {
+	lists := make([]*query.AnswerList, len(queries))
+	for i, q := range queries {
+		lists[i] = query.NewAnswerList(q.Type)
+		for _, it := range items {
+			lists[i].Consider(it.ID, vec.Euclidean{}.Distance(q.Vec, it.Vec))
+		}
+	}
+	return lists
+}
+
+var errDown = errors.New("server down")
+
+func always(err error) func(int) error { return func(int) error { return err } }
+
+// fakeCluster declusters a small dataset round-robin over len(fails)
+// scripted servers, server i failing by fails[i] (nil: healthy), and
+// returns it with a mixed k-NN/range batch.
+func fakeCluster(t *testing.T, cfg FanOut, fails ...func(int) error) (*Cluster, []*fake, []store.Item, []msq.Query) {
+	t.Helper()
+	items := dataset.Uniform(21, 200, 3)
+	parts, err := Decluster(items, len(fails), RoundRobin, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fakes := make([]*fake, len(fails))
+	servers := make([]Server, len(fails))
+	for i := range fails {
+		fakes[i] = &fake{items: parts[i], fail: fails[i]}
+		servers[i] = fakes[i]
+	}
+	c, err := NewCluster(servers, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []msq.Query{
+		{ID: 1, Vec: items[3].Vec, Type: query.NewKNN(5)},
+		{ID: 2, Vec: items[50].Vec, Type: query.NewRange(0.3)},
+	}
+	return c, fakes, items, queries
+}
+
+func sameAnswers(t *testing.T, got []*query.AnswerList, want []*query.AnswerList) {
+	t.Helper()
+	for qi := range want {
+		g, w := got[qi].Answers(), want[qi].Answers()
+		if len(g) != len(w) {
+			t.Fatalf("query %d: %d answers, want %d", qi, len(g), len(w))
+		}
+		for j := range w {
+			if g[j] != w[j] {
+				t.Fatalf("query %d answer %d = %+v, want %+v", qi, j, g[j], w[j])
+			}
+		}
+	}
+}
+
+// TestDegradedMerge: with one of four servers failing every attempt, the
+// fan-out merges the other three (coverage 3/4), records each server's
+// health, and the report's note and summed stats carry the contract.
 func TestDegradedMerge(t *testing.T) {
-	c, queries, want, items := degradedFixture(t, map[int]bool{1: true}, Config{
-		Degrade: true, Retries: 1, Backoff: time.Millisecond,
-	})
+	c, _, items, queries := fakeCluster(t, FanOut{Degrade: true, Retries: 1}, nil, always(errDown), nil, nil)
 	got, rep, err := c.MultiQueryAll(queries)
 	if err != nil {
 		t.Fatalf("degraded cluster errored: %v", err)
 	}
-	if !rep.Degraded {
-		t.Fatal("report not marked degraded")
-	}
-	if rep.Servers != 4 || rep.Covered != 3 || rep.Coverage() != 0.75 {
-		t.Fatalf("coverage: servers=%d covered=%d frac=%g", rep.Servers, rep.Covered, rep.Coverage())
+	if !rep.Degraded || rep.Servers != 4 || rep.Covered != 3 || rep.Coverage() != 0.75 {
+		t.Fatalf("coverage: degraded=%v servers=%d covered=%d", rep.Degraded, rep.Servers, rep.Covered)
 	}
 	if !strings.Contains(rep.Note(), "3/4") || !strings.Contains(rep.Note(), "sound subset") {
 		t.Errorf("note = %q", rep.Note())
 	}
-
-	// Per-server health: server 1 failed after 2 attempts, others fine.
 	for i, s := range rep.PerServer {
+		h := s.Health
 		if i == 1 {
-			if s.Health.OK || s.Health.Attempts != 2 || !strings.Contains(s.Health.Err, "injected") {
-				t.Errorf("server 1 health = %+v", s.Health)
+			if h.OK || h.Attempts != 2 || h.Err != errDown.Error() {
+				t.Errorf("server 1 health = %+v, want 2 failed attempts", h)
 			}
-		} else if !s.Health.OK || s.Health.Attempts != 1 || s.Health.Err != "" {
-			t.Errorf("server %d health = %+v", i, s.Health)
+		} else if !h.OK || h.Attempts != 1 || h.Err != "" || h.Latency <= 0 {
+			t.Errorf("server %d health = %+v", i, h)
 		}
 	}
-
-	// The covered partitions under RoundRobin with server 1 down are the
-	// items whose index is not ≡ 1 (mod 4).
 	var covered []store.Item
 	for i, it := range items {
 		if i%4 != 1 {
 			covered = append(covered, it)
 		}
 	}
-	metric := vec.Euclidean{}
-	for qi, q := range queries {
-		g := got[qi].Answers()
-		if qi%2 == 1 {
-			// Range query: the degraded list must be an exact subset of
-			// the fault-free answers, with identical distances.
-			ref := make(map[store.ItemID]float64, want[qi].Len())
-			for _, a := range want[qi].Answers() {
-				ref[a.ID] = a.Dist
-			}
-			if len(g) > want[qi].Len() {
-				t.Fatalf("query %d: degraded range result has %d answers, fault-free %d", qi, len(g), want[qi].Len())
-			}
-			for _, a := range g {
-				d, ok := ref[a.ID]
-				if !ok {
-					t.Fatalf("query %d: answer %d not in fault-free result", qi, a.ID)
-				}
-				if math.Abs(d-a.Dist) > 1e-12 {
-					t.Fatalf("query %d: answer %d distance drifted", qi, a.ID)
-				}
-			}
-			continue
-		}
-		// k-NN query: the degraded list is the exact top-k over the
-		// covered partitions (bounded-k-NN over what survived).
-		type cand struct {
-			id   store.ItemID
-			dist float64
-		}
-		cands := make([]cand, len(covered))
-		for i, it := range covered {
-			cands[i] = cand{it.ID, metric.Distance(q.Vec, it.Vec)}
-		}
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].dist != cands[j].dist {
-				return cands[i].dist < cands[j].dist
-			}
-			return cands[i].id < cands[j].id
-		})
-		const k = 5
-		if len(g) != k {
-			t.Fatalf("query %d: degraded k-NN result has %d answers, want %d", qi, len(g), k)
-		}
-		for j, a := range g {
-			if a.ID != cands[j].id || math.Abs(a.Dist-cands[j].dist) > 1e-12 {
-				t.Fatalf("query %d: rank %d = (%d, %g), want (%d, %g) over covered partitions",
-					qi, j, a.ID, a.Dist, cands[j].id, cands[j].dist)
-			}
-		}
-	}
-
-	// The summed stats carry the degradation contract for upper layers.
+	sameAnswers(t, got, bruteForce(covered, queries))
 	sum := rep.Sum()
-	if !sum.Query.Degraded || sum.Query.PartitionsTotal != 4 || sum.Query.PartitionsAnswered != 3 {
+	if !sum.Query.Degraded || sum.Query.PartitionsTotal != 4 || sum.Query.PartitionsAnswered != 3 ||
+		sum.Query.Coverage() != 0.75 || sum.Query.PagesRead != int64(len(covered)) {
 		t.Errorf("summed stats = %+v", sum.Query)
-	}
-	if sum.Query.Coverage() != 0.75 {
-		t.Errorf("stats coverage = %g", sum.Query.Coverage())
 	}
 }
 
 // TestStrictModeFailsFast: without Degrade, one failing server fails the
-// whole operation (the pre-existing contract).
+// whole operation, and the error names it.
 func TestStrictModeFailsFast(t *testing.T) {
-	c, queries, _, _ := degradedFixture(t, map[int]bool{2: true}, Config{})
-	if _, _, err := c.MultiQueryAll(queries); err == nil || !strings.Contains(err.Error(), "server 2") {
+	c, _, _, queries := fakeCluster(t, FanOut{}, nil, nil, always(errDown), nil)
+	_, _, err := c.MultiQueryAll(queries)
+	if !errors.Is(err, errDown) || !strings.Contains(err.Error(), "server 2") {
 		t.Fatalf("strict cluster returned %v", err)
 	}
 }
@@ -415,90 +395,90 @@ func TestStrictModeFailsFast(t *testing.T) {
 // TestAllServersFailingErrorsEvenWhenDegraded: coverage 0 is an error, not
 // an empty result.
 func TestAllServersFailingErrorsEvenWhenDegraded(t *testing.T) {
-	c, queries, _, _ := degradedFixture(t, map[int]bool{0: true, 1: true, 2: true, 3: true}, Config{Degrade: true})
+	c, _, _, queries := fakeCluster(t, FanOut{Degrade: true}, always(errDown), always(errDown))
 	if _, _, err := c.MultiQueryAll(queries); err == nil {
 		t.Fatal("cluster with zero coverage returned a result")
 	}
 }
 
-// TestRetryRecoversTransientFaults: a bounded fault budget is outlasted by
-// retries and the final result is complete (coverage 1, not degraded) and
-// identical to the fault-free answers.
-func TestRetryRecoversTransientFaults(t *testing.T) {
-	const dim = 4
-	items := dataset.Uniform(23, 400, dim)
-	queries := make([]msq.Query, 4)
-	qItems, err := dataset.SampleQueries(24, items, len(queries))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, it := range qItems {
-		queries[i] = msq.Query{ID: uint64(it.ID), Vec: it.Vec, Type: query.NewKNN(4)}
-	}
-	base := Config{
-		Servers: 4, Strategy: RoundRobin, Engine: ScanEngine,
-		Dim: dim, PageCapacity: 16, BufferPages: 0,
-	}
-	ref, err := New(items, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := ref.MultiQueryAll(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
+// refusal is an error carrying its own retry policy, as a remote server's
+// coded refusal does.
+type refusal struct {
+	retryable bool
+	after     time.Duration
+	trips     bool
+}
 
-	faulted := base
-	faulted.Degrade = true
-	faulted.Retries = 3
-	faulted.WrapDisk = func(server int, src store.PageSource) (store.PageSource, error) {
-		if server != 0 {
-			return src, nil
+func (r refusal) Error() string { return "refused" }
+func (r refusal) Classify() (bool, time.Duration, bool) {
+	return r.retryable, r.after, r.trips
+}
+
+// TestRetryRecoversTransientFaults: failures the retries outlast leave a
+// complete result; an error whose policy says another attempt cannot help
+// is not retried, and a retry-after hint is waited out first.
+func TestRetryRecoversTransientFaults(t *testing.T) {
+	transient := func(n int) error {
+		if n <= 2 {
+			return errDown
 		}
-		return fault.Wrap(src, fault.Config{ErrProb: 1, MaxFaults: 2})
+		return nil
 	}
-	c, err := New(items, faulted)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, _, items, queries := fakeCluster(t, FanOut{Retries: 3}, transient, nil)
 	got, rep, err := c.MultiQueryAll(queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Degraded || rep.Coverage() != 1 {
-		t.Fatalf("transient faults left the result degraded: %+v", rep)
+	if rep.Degraded || rep.Coverage() != 1 || rep.PerServer[0].Health.Attempts != 3 {
+		t.Fatalf("transient faults: %+v", rep)
 	}
-	if rep.PerServer[0].Health.Attempts < 2 {
-		t.Errorf("server 0 recovered without retrying: %+v", rep.PerServer[0].Health)
+	sameAnswers(t, got, bruteForce(items, queries))
+
+	c, fakes, _, _ := fakeCluster(t, FanOut{Retries: 3}, always(refusal{}), nil)
+	if _, _, err := c.MultiQueryAll(queries); err == nil || fakes[0].calls.Load() != 1 {
+		t.Fatalf("final refusal: err %v after %d attempts, want 1", err, fakes[0].calls.Load())
 	}
-	for qi := range queries {
-		w, g := want[qi].Answers(), got[qi].Answers()
-		if len(w) != len(g) {
-			t.Fatalf("query %d: %d vs %d answers", qi, len(g), len(w))
+
+	const hint = 30 * time.Millisecond
+	shed := func(n int) error {
+		if n == 1 {
+			return refusal{retryable: true, after: hint, trips: true}
 		}
-		for j := range w {
-			if w[j].ID != g[j].ID {
-				t.Fatalf("query %d answer %d differs after retries", qi, j)
-			}
-		}
+		return nil
+	}
+	c, _, _, _ = fakeCluster(t, FanOut{Retries: 1}, shed)
+	start := time.Now()
+	if _, rep, err := c.MultiQueryAll(queries); err != nil || rep.PerServer[0].Health.Attempts != 2 {
+		t.Fatalf("overload then answer: %v, %+v", err, rep.PerServer[0].Health)
+	}
+	if elapsed := time.Since(start); elapsed < hint {
+		t.Fatalf("retried after %v, before the %v retry-after hint", elapsed, hint)
 	}
 }
 
-// TestServerTimeout: an unmeetable per-server deadline fails every server,
-// which is an error even in degraded mode (nothing survived).
+// TestServerTimeout: an attempt that outlives the per-attempt timeout is
+// abandoned as a failure — here on every server, which is an error even in
+// degraded mode — and its context is cancelled, so it returns.
 func TestServerTimeout(t *testing.T) {
-	const dim = 4
-	items := dataset.Uniform(25, 600, dim)
-	queries := []msq.Query{{ID: 1, Vec: items[0].Vec, Type: query.NewKNN(3)}}
-	c, err := New(items, Config{
-		Servers: 2, Strategy: RoundRobin, Engine: ScanEngine,
-		Dim: dim, PageCapacity: 8, BufferPages: 0,
-		Degrade: true, Timeout: time.Nanosecond,
-	})
+	hung := []*fake{{hang: true}, {hang: true}}
+	c, err := NewCluster([]Server{hung[0], hung[1]}, FanOut{Degrade: true, Retries: 1, Timeout: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.MultiQueryAll(queries); err == nil || !strings.Contains(err.Error(), "timed out") {
+	_, rep, err := c.MultiQueryAll([]msq.Query{{ID: 1, Vec: vec.Vector{0, 0, 0}, Type: query.NewKNN(3)}})
+	if err == nil || !strings.Contains(err.Error(), "timed out") {
 		t.Fatalf("timeout did not surface: %v", err)
+	}
+	for i, f := range hung {
+		if h := rep.PerServer[i].Health; h.Attempts != 2 {
+			t.Errorf("server %d health = %+v, want 2 timed-out attempts", i, h)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for f.returned.Load() != 2 {
+			if time.Now().After(deadline) {
+				t.Fatalf("server %d: %d of 2 abandoned attempts returned", i, f.returned.Load())
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }

@@ -5,14 +5,14 @@ import (
 	"testing"
 
 	"metricdb/internal/dataset"
-	"metricdb/internal/fault"
+	"metricdb/internal/engines"
 	"metricdb/internal/msq"
 	"metricdb/internal/obs"
 	"metricdb/internal/query"
 	"metricdb/internal/store"
 )
 
-// traceWorkload builds a small cluster workload shared by the trace tests.
+// traceWorkload builds a small cluster workload for the metrics test.
 func traceWorkload(t *testing.T) ([]store.Item, []msq.Query) {
 	t.Helper()
 	const dim = 3
@@ -28,44 +28,38 @@ func traceWorkload(t *testing.T) ([]store.Item, []msq.Query) {
 	return items, queries
 }
 
-// TestClusterTraceWithRetrySiblings: one batch under a transient fault on
-// server 0 records a single trace whose root has one server_call child per
-// server attempt — the failed attempt and its retry appear as siblings.
+// TestClusterTraceWithRetrySiblings: one batch with a failed first attempt
+// on server 0 records a single trace whose root has one server_call child
+// per server attempt — the failed attempt and its retry appear as siblings.
 func TestClusterTraceWithRetrySiblings(t *testing.T) {
-	items, queries := traceWorkload(t)
-	const servers = 3
 	tr := obs.New(obs.Config{SlowQueryThreshold: -1, Node: "coordinator"})
-	c, err := New(items, Config{
-		Servers: servers, Strategy: RoundRobin, Engine: ScanEngine,
-		Dim: 3, PageCapacity: 16, BufferPages: 0,
-		Retries: 2, Tracer: tr,
-		WrapDisk: func(server int, src store.PageSource) (store.PageSource, error) {
-			if server != 0 {
-				return src, nil
-			}
-			return fault.Wrap(src, fault.Config{ErrProb: 1, MaxFaults: 1})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	once := func(n int) error {
+		if n == 1 {
+			return errDown
+		}
+		return nil
 	}
+	c, _, _, queries := fakeCluster(t, FanOut{Retries: 2, Tracer: tr}, once, nil, nil)
 	if _, rep, err := c.MultiQueryAll(queries); err != nil {
 		t.Fatal(err)
 	} else if rep.Degraded {
 		t.Fatalf("transient fault left the result degraded: %+v", rep)
 	}
+	checkRetrySiblings(t, tr, 3)
+}
 
+// checkRetrySiblings checks the trace of one operation whose server 0
+// failed its first attempt and answered its second: one trace whose root
+// holds one server_call span per attempt, the two attempts side by side.
+func checkRetrySiblings(t *testing.T, tr *obs.Tracer, servers int) {
+	t.Helper()
 	ids := tr.TraceIDs()
 	if len(ids) != 1 {
-		t.Fatalf("TraceIDs = %v, want exactly one trace for one batch", ids)
+		t.Fatalf("TraceIDs = %v, want one trace for one operation", ids)
 	}
 	tree := tr.Trace(ids[0])
-	if tree == nil || tree.Name != "multi_all" {
-		t.Fatalf("stitched root = %+v", tree)
-	}
-	// servers calls + 1 retry of server 0.
-	if len(tree.Children) != servers+1 {
-		t.Fatalf("root has %d children, want %d", len(tree.Children), servers+1)
+	if tree == nil || tree.Name != "multi_all" || len(tree.Children) != servers+1 {
+		t.Fatalf("trace root = %+v, want multi_all with %d server calls", tree, servers+1)
 	}
 	var failed, retried int
 	for _, ch := range tree.Children {
@@ -101,9 +95,9 @@ func TestClusterRegisterMetricsLabels(t *testing.T) {
 		serverTrs[i] = obs.New(obs.Config{SlowQueryThreshold: -1})
 	}
 	c, err := New(items, Config{
-		Servers: servers, Strategy: RoundRobin, Engine: ScanEngine,
+		Servers: servers, Strategy: RoundRobin, Engine: engines.Scan,
 		Dim: 3, PageCapacity: 16, BufferPages: 4,
-		Tracer: coord, ServerTracers: serverTrs,
+		FanOut: FanOut{Tracer: coord}, ServerTracers: serverTrs,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,11 @@
 // query-distance matrix are buffered across requests exactly like a local
 // Batch: a client can stream an ExploreNeighborhoods workload and get the
 // incremental first-query-complete semantics of Definition 4 over the wire.
+//
+// Remote makes a server one partition of a parallel.Cluster: the §5.3
+// cross-process cluster is package parallel's fan-out over servers that
+// answer over TCP, and the transport's own concerns — dialing, the trace
+// context, the retry policy of each error code — stay here.
 package wire
 
 import (
@@ -160,10 +165,6 @@ type Stats struct {
 	// server always reports Degraded=false, Coverage=1.
 	Degraded bool    `json:"degraded,omitempty"`
 	Coverage float64 `json:"coverage"`
-	// PerServer carries per-server health — including the final-attempt
-	// latency — when the stats describe a coordinated multi-server
-	// operation. Single-node servers leave it empty.
-	PerServer []ServerHealth `json:"per_server,omitempty"`
 	// BatchWidth is the number of single queries the admission
 	// controller's batch former executed together with this one (1 = the
 	// request ran alone). Zero on paths that do not batch across callers.
@@ -178,17 +179,6 @@ type Stats struct {
 	// scheduling delay on either side. Zero on paths without admission
 	// control.
 	ServiceUs int64 `json:"service_us,omitempty"`
-}
-
-// ServerHealth mirrors parallel.ServerHealth over the wire: one server's
-// fate during a coordinated operation, latency included.
-type ServerHealth struct {
-	OK       bool   `json:"ok"`
-	Attempts int    `json:"attempts"`
-	Err      string `json:"err,omitempty"`
-	// LatencyNs is the wall time of the server's final attempt in
-	// nanoseconds (backoff waits excluded).
-	LatencyNs int64 `json:"latency_ns"`
 }
 
 func fromStats(s msq.Stats) Stats {
@@ -794,7 +784,15 @@ type Client struct {
 
 // Dial connects to a server.
 func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+	return DialContext(context.Background(), addr)
+}
+
+// DialContext connects to a server within ctx: a cancelled or expired ctx
+// abandons the connect, which against a black-holed address would
+// otherwise wait for the operating system's connect timeout.
+func DialContext(ctx context.Context, addr string) (*Client, error) {
+	var d net.Dialer
+	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: %w", err)
 	}
@@ -828,6 +826,25 @@ func (e *ServerError) Error() string {
 		return fmt.Sprintf("wire: server: %s", e.Msg)
 	}
 	return fmt.Sprintf("wire: server [%s]: %s", e.Code, e.Msg)
+}
+
+// Classify states the refusal's retry policy to a parallel.Cluster, which
+// reads it from any failed attempt's error: bad_request is the caller's own
+// mistake — never retried, never counted against the server's circuit
+// breaker, since the server answered; shutting_down is deliberate and final
+// for this server; overload is retryable, but no sooner than the server's
+// retry-after hint; anything else is retryable server trouble.
+func (e *ServerError) Classify() (retryable bool, retryAfter time.Duration, trips bool) {
+	switch e.Code {
+	case CodeBadRequest:
+		return false, 0, false
+	case CodeShutdown:
+		return false, 0, true
+	case CodeOverload:
+		return true, e.RetryAfter, true
+	default:
+		return true, 0, true
+	}
 }
 
 // ErrMalformedResponse marks a structurally invalid server response (e.g.
@@ -965,8 +982,8 @@ func (c *Client) ExplainContext(ctx context.Context, qs []QuerySpec) (*msq.Expla
 }
 
 // DoContext sends one raw request — trace context included — and returns
-// the raw response. It is the coordinator's entry point; most callers want
-// the typed helpers instead.
+// the raw response. It is Remote's entry point; most callers want the
+// typed helpers instead.
 func (c *Client) DoContext(ctx context.Context, req Request) (Response, error) {
 	return c.roundTripContext(ctx, req)
 }
