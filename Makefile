@@ -19,12 +19,13 @@ vet:
 build:
 	go build ./...
 
-# The row kernel, the item-lane kernel and the box-lane kernel each have two
-# bodies selected by GOARCH, the purego tag and the CPU (internal/vec/rows_*.go,
-# items*, boxes*). The default build tests the assembly against the portable
-# bodies; this runs their packages and the X-tree, whose plan sweeps boxes,
-# with the portable bodies as the only ones, and builds for an architecture
-# that has no assembly so that the build-tag split cannot rot.
+# The row kernel has three bodies (portable, AVX2, AVX-512), the item-lane
+# and box-lane kernels two (portable, AVX2), each selected by GOARCH, the
+# purego tag and the CPU (internal/vec/rows*, items*, boxes*). The default
+# build tests every assembly body the CPU can run against the portable ones;
+# this runs their packages and the X-tree, whose plan sweeps boxes, with the
+# portable bodies as the only ones, and builds for an architecture that has
+# no assembly so that the build-tag split cannot rot.
 # go vet (above) checks the .s files against their Go declarations. The
 # store decodes a page where its record lies and byte-swaps the coordinates
 # in place on a big-endian host; s390x builds and vets that body here
@@ -46,8 +47,9 @@ race:
 
 # The pipeline determinism gate: differential (width 1 vs 2 vs 8), Lemma
 # 1/2 soundness properties, the bounded-kernel contract properties, the
-# row and item-lane kernels' contracts against the scalar kernel (both
-# bodies each, and the fuzz targets' seeds), the box-lane kernel against the
+# row and item-lane kernels' contracts against the scalar kernel (every
+# body the CPU runs, the fuzz targets' seeds, and every body's loads held
+# inside guard pages), the box-lane kernel against the
 # gap-vector form and the X-tree's plan against the recursive walk, the row
 # and item bodies against the pair-by-pair reference and the single query
 # against Figure 1's scalar loop, the session/pager stress tests, the store
@@ -62,7 +64,7 @@ race:
 # in-process and loopback-TCP servers (same answers, same health) and its
 # goroutine-leak checks — all under the race detector.
 differential:
-	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestItemLanes|FuzzEucItems|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPageRecycle|TestDecodedPageAliasesRecord|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode|TestBlockSweepMatchesLone|TestFanOut' \
+	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestRowLanes|TestItemLanes|FuzzEucItems|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPageRecycle|TestDecodedPageAliasesRecord|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode|TestBlockSweepMatchesLone|TestFanOut' \
 		./internal/msq/ ./internal/store/ ./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/parallel/
 
 # A short fuzz of the persistent-storage decoders: corrupt page records
@@ -127,7 +129,8 @@ loc:
 # The perf gate for the hot path: kernel microbenchmarks (full Distance vs
 # bounded DistanceWithin, with allocation counts for the scratch-reuse
 # check; a pair of the page pass by the scalar kernel, the portable row and
-# item-lane bodies and the assembly ones, then by the three bodies of the
+# item-lane bodies and the assembly ones (avx2 and avx512 rows, avx2 items),
+# at one block, two and thirteen, then by the three bodies of the
 # page pass at the widths around rowPath's constant; a sweep of child MBRs by
 # the per-box loop and the box-lane bodies), the VA-file's plan and per-query
 # sweep, the X-tree's plan and dynamic build, the sliding window of a mining

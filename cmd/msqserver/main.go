@@ -428,7 +428,7 @@ func newRegistry(tracer *obs.Tracer, db *metricdb.DB, srv *wire.Server, engine s
 		func() float64 { return float64(buf.Capacity()) })
 
 	reg.Gauge("metricdb_row_kernel", fmt.Sprintf("isa=%q", db.ProcessorStats().RowKernel),
-		"Always 1; the label carries the instruction set of the blocked page pass (avx2 or go).",
+		"Always 1; the label carries the instruction set of the blocked page pass (avx512, avx2 or go).",
 		func() float64 { return 1 })
 	reg.Counter("metricdb_distance_calcs_total", "", "Distance function invocations.",
 		func() float64 { return float64(db.ProcessorStats().DistCalcs) })

@@ -509,7 +509,8 @@ type ProcessorStats struct {
 	// but what it resolved to for this database's metric.
 	Avoidance AvoidanceMode
 	// RowKernel is the instruction set the blocked page pass runs on:
-	// "avx2" (the assembly Euclidean kernel) or "go" (the portable one).
+	// "avx512" or "avx2" (an assembly Euclidean kernel) or "go" (the
+	// portable one, and every other metric's).
 	RowKernel string
 	// Concurrency is the effective intra-server pipeline width (>= 1).
 	Concurrency int

@@ -76,8 +76,8 @@ type Explain struct {
 	Width int `json:"width"`
 	// Avoidance is the triangle-inequality mode ("both", "off", ...).
 	Avoidance string `json:"avoidance"`
-	// RowKernel is the instruction set of the blocked page pass ("avx2" or
-	// "go", see Processor.RowKernel).
+	// RowKernel is the instruction set of the blocked page pass ("avx512",
+	// "avx2" or "go", see Processor.RowKernel).
 	RowKernel string `json:"row_kernel"`
 	// Queries holds one profile per query position, batch order.
 	Queries []Profile `json:"queries"`

@@ -95,8 +95,8 @@ func TestExplainBufferAndPhaseFields(t *testing.T) {
 	if ex.Avoidance != "off" {
 		t.Errorf("EXPLAIN avoidance = %q, want the resolved mode \"off\"", ex.Avoidance)
 	}
-	if want := vec.NewRows(vec.Euclidean{}).ISA(); ex.RowKernel != want || (want != "avx2" && want != "go") {
-		t.Errorf("EXPLAIN row kernel = %q, want %q, one of avx2 and go", ex.RowKernel, want)
+	if want := vec.NewRows(vec.Euclidean{}).ISA(); ex.RowKernel != want || (want != "avx512" && want != "avx2" && want != "go") {
+		t.Errorf("EXPLAIN row kernel = %q, want %q, one of avx512, avx2 and go", ex.RowKernel, want)
 	}
 	if ex.PhaseNs["kernel"] <= 0 {
 		t.Errorf("phase wall times = %v, want a kernel entry", ex.PhaseNs)

@@ -213,11 +213,12 @@ func (p *Processor) Engine() engine.Engine { return p.eng }
 // Metric returns the counting metric used for all distance calculations.
 func (p *Processor) Metric() *vec.Counting { return p.metric }
 
-// RowKernel names the instruction set the page pass's vector bodies run on
-// for this processor's metric: "avx2" or "go" (see vec.Rows.ISA; one rule
-// selects the row and the item-lane kernel alike). The two cost two to
-// three times apart per pair, so the start-up line, EXPLAIN and /metrics
-// carry it.
+// RowKernel names the instruction set the page pass's row body runs on for
+// this processor's metric: "avx512", "avx2" or "go" (see vec.Rows.ISA). The
+// item-lane kernel follows the same rule without the AVX-512 step: it runs
+// "avx2" wherever the row body runs either assembly body. The portable body
+// costs two to three times the assembly per pair, so the start-up line,
+// EXPLAIN and /metrics carry it.
 func (p *Processor) RowKernel() string { return p.rowKernel }
 
 // Options returns the processor options.

@@ -13,6 +13,7 @@ import (
 
 	"metricdb/internal/dataset"
 	"metricdb/internal/fault"
+	"metricdb/internal/leakcheck"
 	"metricdb/internal/msq"
 	"metricdb/internal/obs"
 	"metricdb/internal/parallel"
@@ -548,7 +549,7 @@ func TestFanOutLeaks(t *testing.T) {
 			t.Fatalf("hung server: %v, covered %d", err, rep.Covered)
 		}
 		hang.free()
-		settle(t, base)
+		leakcheck.Settle(t, base)
 	})
 
 	t.Run("tripped breaker", func(t *testing.T) {
@@ -565,7 +566,7 @@ func TestFanOutLeaks(t *testing.T) {
 				t.Fatalf("operation %d: %v, %+v", i, err, rep.PerServer[0].Health)
 			}
 		}
-		settle(t, base)
+		leakcheck.Settle(t, base)
 	})
 
 	for _, tr := range transports {
@@ -591,21 +592,7 @@ func TestFanOutLeaks(t *testing.T) {
 				t.Fatalf("cancelled operation returned %v", err)
 			}
 			hang.free()
-			settle(t, base)
+			leakcheck.Settle(t, base)
 		})
-	}
-}
-
-// settle waits, up to a deadline, for the goroutine count to fall back to
-// base.
-func settle(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines, baseline %d:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

@@ -53,17 +53,49 @@ func blockMetrics(t *testing.T, dim int) []BoundedMetric {
 	}
 }
 
-// rowBodies returns one freshly built Rows per body the build can run for
-// metric: the selected one and, where that is the assembly, the portable
-// one beside it.
+// rowBodies returns one freshly built Rows per body the build and the CPU
+// can run for metric: for the Euclidean kernel the portable body and every
+// assembly body, whichever NewRows selects; for any other metric the
+// generic body alone.
 func rowBodies(metric BoundedMetric) map[string]*Rows {
-	bodies := map[string]*Rows{"selected": NewRows(metric)}
-	if bodies["selected"].asm {
-		portable := NewRows(metric)
-		portable.asm = false
-		bodies["portable"] = portable
+	if r := NewRows(metric); r.bm != nil {
+		return map[string]*Rows{"generic": r}
+	}
+	bodies := map[string]*Rows{}
+	for b := rowGo; b <= rowAVX512; b++ {
+		if b.runs() {
+			r := NewRows(metric)
+			r.body = b
+			bodies[b.String()] = r
+		}
 	}
 	return bodies
+}
+
+// checkBlocks sweeps item's blocks with r's body and with eucRowsGo, and
+// requires the same surviving blocks in the same order with the same sums,
+// bit for bit — a NaN sum only as a NaN: the bodies subtract in opposite
+// orders, which can carry another NaN's payload, and eucLane rejects every
+// NaN alike.
+func checkBlocks(t *testing.T, what string, r *Rows, item Vector) {
+	t.Helper()
+	sums, alive := make([]float64, len(r.h)), make([]int32, len(r.h)/rowLanes)
+	wantSums, wantAlive := make([]float64, len(r.h)), make([]int32, len(r.h)/rowLanes)
+	n, want := r.sweepBlocks(item, sums, alive), eucRowsGo(r.q, r.h, item, wantSums, wantAlive)
+	if n != want {
+		t.Fatalf("%s: %d surviving blocks %v, eucRowsGo %d %v", what, n, alive[:max(n, 0)], want, wantAlive[:want])
+	}
+	for k, b := range wantAlive[:n] {
+		if alive[k] != b {
+			t.Fatalf("%s: surviving blocks %v, eucRowsGo %v", what, alive[:n], wantAlive[:n])
+		}
+	}
+	for i, s := range wantSums[:n*rowLanes] {
+		if got := sums[i]; math.Float64bits(got) != math.Float64bits(s) && !(math.IsNaN(got) && math.IsNaN(s)) {
+			t.Fatalf("%s: block %d lane %d sum %v (%#x), eucRowsGo %v (%#x)", what, alive[i/rowLanes], i%rowLanes,
+				got, math.Float64bits(got), s, math.Float64bits(s))
+		}
+	}
 }
 
 // checkSweep sweeps item and holds the result against one DistanceWithin
@@ -97,10 +129,12 @@ func checkSweep(t *testing.T, what string, metric BoundedMetric, r *Rows, sc *Ro
 
 // TestBlockRowIdentical asserts the loaded row kernel is bit-identical to
 // per-pair DistanceWithin calls: every metric over a few shapes, then the
-// Euclidean bodies over every shape and limit boundary.
+// Euclidean bodies over every shape and limit boundary, and over blocks
+// made to die at chosen checks.
 func TestBlockRowIdentical(t *testing.T) {
 	t.Run("metrics", testRowsEveryMetric)
 	t.Run("euclidean", testEucRowsContract)
+	t.Run("fates", testEucRowsFates)
 }
 
 // testRowsEveryMetric runs every metric through every body the build can
@@ -142,9 +176,10 @@ func testRowsEveryMetric(t *testing.T) {
 					for body, r := range rowBodies(metric) {
 						var sc RowScratch
 						r.Load(queries, limits)
+						first := want == nil
 						for i := 0; i < b.N; i++ {
 							hits := checkSweep(t, what+" "+body, metric, r, &sc, queries, limits, b.Item(i))
-							if body == "selected" {
+							if first {
 								want = append(want, append([]RowHit(nil), hits...))
 							}
 						}
@@ -201,13 +236,14 @@ func eucLimit(kind int, d float64) float64 {
 	return d * 0.75
 }
 
-// testEucRowsContract holds the Euclidean bodies — the assembly where the
-// build has it, and the portable one — against euclideanWithin for every
-// dimension 1–40 (tails that are not a multiple of the check cadence) and
-// every set size 1–40 (every amount of padding in the last block), with
-// each lane's limit re-set before each item the way a live pass tightens
-// it: to a boundary of that very pair, to the distance a hit just returned,
-// or left alone.
+// testEucRowsContract holds the Euclidean bodies — every assembly body the
+// CPU can run, and the portable one — against euclideanWithin, and their
+// blocks against eucRowsGo's, for every dimension 1–40 (tails that are not a
+// multiple of the check cadence) and every set size 1–40 (every amount of
+// padding in the last block) and then every whole block count to 9 (two
+// groups of four in flight and every remainder after them), with each lane's limit re-set before each item the way a live
+// pass tightens it: to a boundary of that very pair, to the distance a hit
+// just returned, or left alone.
 func testEucRowsContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	const nItems = 5
@@ -216,7 +252,10 @@ func testEucRowsContract(t *testing.T) {
 		for i := range items {
 			items[i] = randomVector(rng, dim)
 		}
-		for m := 1; m <= 40; m++ {
+		for m := 1; m <= 9*rowLanes; m++ {
+			if m > 40 && m%rowLanes != 0 {
+				continue
+			}
 			queries := make([]Vector, m)
 			for a := range queries {
 				queries[a] = randomVector(rng, dim)
@@ -237,12 +276,74 @@ func testEucRowsContract(t *testing.T) {
 							r.SetLimit(a, limits[a])
 						}
 					}
+					checkBlocks(t, what, r, item)
 					for _, hit := range checkSweep(t, what, Euclidean{}, r, &sc, queries, limits, item) {
 						if hit.Lane%2 == 0 { // a 1-NN list accepting the hit
 							limits[hit.Lane] = hit.D
 							r.SetLimit(int(hit.Lane), hit.D)
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// testEucRowsFates decides, block by block, at which check a block dies —
+// the first, a later one, the last, or never — and holds every Euclidean
+// body to eucRowsGo and euclideanWithin on it: groups in flight that die
+// whole at one check or one block at a time, dead groups before and after
+// live ones, in every position of 1–9 blocks. Every coordinate is 1 and the
+// item 0, so a lane's sum after d dimensions is d exactly and a squared
+// limit just under a check's dimension kills the lane there. In some sets
+// one lane turns NaN at a random dimension: after its block died, a NaN is
+// not past its limit, and only eucRowsGo's early stop says the block is dead.
+func testEucRowsFates(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, dim := range []int{3, 5, 8, 10, 13} {
+		var checks []int // the dimensions after which eucRowsGo checks a block
+		for d := 4; d < dim; d += 4 {
+			checks = append(checks, d)
+		}
+		checks = append(checks, dim)
+		item, half := make(Vector, dim), make(Vector, dim)
+		for d := range half {
+			half[d] = 0.5
+		}
+		for trial := 0; trial < 400; trial++ {
+			blocks := 1 + rng.Intn(9)
+			m := (blocks-1)*rowLanes + 1 + rng.Intn(rowLanes)
+			queries, limits := make([]Vector, m), make([]float64, m)
+			for a := range queries {
+				queries[a] = make(Vector, dim)
+				for d := range queries[a] {
+					queries[a][d] = 1
+				}
+			}
+			for b := 0; b < blocks; b++ {
+				lo, hi := b*rowLanes, min((b+1)*rowLanes, m)
+				fate := rng.Intn(len(checks) + 1) // len(checks): survives
+				for a := lo; a < hi; a++ {
+					dies := rng.Intn(fate + 1)
+					if a == lo+rng.Intn(hi-lo) {
+						dies = fate // the lane that holds the block until its fate
+					}
+					limits[a] = math.Inf(1)
+					if dies < len(checks) {
+						limits[a] = math.Sqrt(float64(checks[dies]) - 0.5)
+					}
+				}
+			}
+			if rng.Intn(3) == 0 {
+				queries[rng.Intn(m)][rng.Intn(dim)] = math.NaN()
+			}
+			for body, r := range rowBodies(Euclidean{}) {
+				var sc RowScratch
+				r.Load(queries, limits)
+				for _, it := range []Vector{item, half} {
+					what := fmt.Sprintf("dim=%d m=%d trial %d %s", dim, m, trial, body)
+					checkBlocks(t, what, r, it)
+					checkSweep(t, what, Euclidean{}, r, &sc, queries, limits, it)
 				}
 			}
 		}
@@ -284,7 +385,8 @@ func fuzzVectors(data []byte, dim int) func() Vector {
 // FuzzEucRows feeds the Euclidean bodies coordinates straight from the
 // fuzzer's bytes — any float64, NaN and infinities included — under limits
 // on every boundary of eucLimit, and requires what testEucRowsContract
-// does: lane for lane the outcome of euclideanWithin.
+// does: lane for lane the outcome of euclideanWithin, block for block the
+// sums of eucRowsGo.
 func FuzzEucRows(f *testing.F) {
 	f.Add(fuzzCoords(0.5, 0.25, 0.75), uint8(3), uint8(1), uint8(1))
 	f.Add(fuzzCoords(1, 2, 3, 4, 5, 6, 7, 8, 9), uint8(4), uint8(8), uint8(0))
@@ -292,8 +394,10 @@ func FuzzEucRows(f *testing.F) {
 	f.Add(fuzzCoords(math.Inf(1), 1, math.NaN(), -2), uint8(7), uint8(17), uint8(5)) // hostile items
 	f.Add(fuzzCoords(0.1, 0.2, 0.3, 0.4, 0.5), uint8(20), uint8(40), uint8(3))
 	f.Add([]byte{1, 2, 3}, uint8(39), uint8(23), uint8(4))
+	f.Add(fuzzCoords(math.NaN(), 1, 2, math.Inf(-1), 0.5), uint8(6), uint8(71), uint8(6)) // nine blocks: two groups of four, one alone
+	f.Add(fuzzCoords(3, -1, 0.5, 2, 7), uint8(11), uint8(47), uint8(5))                   // six blocks: a group and a pair
 	f.Fuzz(func(t *testing.T, data []byte, dimIn, mIn, kind uint8) {
-		dim, m := 1+int(dimIn)%40, 1+int(mIn)%40
+		dim, m := 1+int(dimIn)%40, 1+int(mIn)%(9*rowLanes)
 		vector := fuzzVectors(data, dim)
 		queries := make([]Vector, m)
 		for a := range queries {
@@ -309,6 +413,7 @@ func FuzzEucRows(f *testing.F) {
 			r.Load(queries, limits)
 			for i, item := range items {
 				what := fmt.Sprintf("dim=%d m=%d kind=%d item %d %s", dim, m, kind, i, body)
+				checkBlocks(t, what, r, item)
 				for _, hit := range checkSweep(t, what, Euclidean{}, r, &sc, queries, limits, item) {
 					limits[hit.Lane] = hit.D
 					r.SetLimit(int(hit.Lane), hit.D)
@@ -383,7 +488,7 @@ func TestRowsLoadAgain(t *testing.T) {
 				t.Errorf("%s, %s: the set was transposed again", body, step.name)
 			}
 			fresh := NewRows(Euclidean{})
-			fresh.asm = r.asm
+			fresh.body = r.body
 			fresh.Load(step.queries, step.limits)
 			var fsc RowScratch
 			hits := 0

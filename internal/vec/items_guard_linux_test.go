@@ -69,6 +69,49 @@ func TestItemLanesStayInBounds(t *testing.T) {
 	}
 }
 
+// TestRowLanesStayInBounds is TestItemLanesStayInBounds for the row kernel:
+// the swept item, the transposed queries and their squared limits each end
+// flush against an inaccessible page, for dimensions 1–20 and 1–40 queries
+// (1–5 blocks: every remainder after a group of four in flight, and every
+// amount of padding), with limits that abandon early (0), late (just under
+// the distance, so that only the last check can tell) and never. A body
+// that reads past item[dim-1], past the last block or past its limits dies
+// of SIGSEGV here.
+func TestRowLanesStayInBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for dim := 1; dim <= 20; dim++ {
+		item := guardedVector(t, rng, dim)
+		for m := 1; m <= 40; m++ {
+			queries := make([]Vector, m)
+			for a := range queries {
+				queries[a] = randomVector(rng, dim)
+			}
+			for _, limit := range []string{"early", "late", "never"} {
+				limits := make([]float64, m)
+				for a, q := range queries {
+					switch limit {
+					case "late":
+						limits[a] = 0.99 * Euclidean{}.Distance(q, item)
+					case "never":
+						limits[a] = math.Inf(1)
+					}
+				}
+				for body, r := range rowBodies(Euclidean{}) {
+					r.Load(queries, limits)
+					q, h := guardedFloats(t, len(r.q)), guardedFloats(t, len(r.h))
+					copy(q, r.q)
+					copy(h, r.h)
+					r.q, r.h = q, h
+					what := fmt.Sprintf("dim=%d m=%d limit %s %s", dim, m, limit, body)
+					checkBlocks(t, what, r, item)
+					var sc RowScratch
+					checkSweep(t, what, Euclidean{}, r, &sc, queries, limits, item)
+				}
+			}
+		}
+	}
+}
+
 // TestBoxLanesStayInBounds is TestItemLanesStayInBounds for the box-lane
 // kernel: the query and the group storage each end flush against an
 // inaccessible page, for dimensions 1–20 and 1–9 boxes (every short last

@@ -90,11 +90,13 @@ func BenchmarkDistanceWithin(b *testing.B) {
 }
 
 // BenchmarkRowKernel prices one (query, item) pair of the Euclidean page
-// pass three ways: one scalar DistanceWithin per pair, the loaded rows
-// swept by the portable body, and by the assembly where the build and the
-// CPU have it. Every query carries the same limit, the quantile of the
+// pass four ways: one scalar DistanceWithin per pair, the loaded rows swept
+// by the portable body, and by each assembly body (avx2, avx512) the build
+// and the CPU have. Every query carries the same limit, the quantile of the
 // pairs' distances at which the named share of them abandons; 0.998 is
-// what the scan batch of the benchmark runs at.
+// what the scan batch of the benchmark runs at. m = 8 is one block, which
+// the AVX-512 body runs alone; m = 100 is thirteen, three groups of four in
+// flight and one alone — the scan batch's width.
 func BenchmarkRowKernel(b *testing.B) {
 	const nItems = 1024
 	for _, dim := range []int{8, 20} {
@@ -103,7 +105,7 @@ func BenchmarkRowKernel(b *testing.B) {
 		for i := range items {
 			items[i] = randomVector(rng, dim)
 		}
-		for _, m := range []int{16, 100} {
+		for _, m := range []int{8, 16, 100} {
 			queries := make([]Vector, m)
 			pairs := make([]benchPair, 0, m*nItems)
 			for a := range queries {
@@ -132,16 +134,17 @@ func BenchmarkRowKernel(b *testing.B) {
 					}
 					perPair(b)
 				})
-				for _, body := range []struct {
-					name string
-					asm  bool
-				}{{"portable", false}, {"avx2", true}} {
-					if body.asm && !haveAVX2 {
+				for body := rowGo; body <= rowAVX512; body++ {
+					if !body.runs() {
 						continue
 					}
-					b.Run(name+"/"+body.name, func(b *testing.B) {
+					label := body.String()
+					if body == rowGo {
+						label = "portable"
+					}
+					b.Run(name+"/"+label, func(b *testing.B) {
 						r := NewRows(Euclidean{})
-						r.asm = body.asm
+						r.body = body
 						r.Load(queries, limits)
 						var sc RowScratch
 						n := 0

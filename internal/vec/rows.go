@@ -6,11 +6,14 @@ import (
 )
 
 // rowLanes is the width of one block of loaded queries: eight float64
-// lanes, two AVX2 registers. An abandon-point histogram of the scan batch
-// chose it (EXPERIMENTS, "Where the batch spends its time, again"): under
-// live limits a lane on its own is past its limit after 1.30 four-dimension
-// chunks, a group of four after 1.78 and a group of eight after 2.11 —
-// twice the lanes per instruction for a fifth more chunks.
+// lanes, one AVX-512 register or two AVX2 ones. An abandon-point histogram
+// of the scan batch chose it (EXPERIMENTS, "Where the batch spends its time,
+// again"): under live limits a lane on its own is past its limit after 1.30
+// four-dimension chunks, a group of four after 1.78 and a group of eight
+// after 2.11 — twice the lanes per instruction for a fifth more chunks.
+// Wider blocks were not the way on (EXPERIMENTS, "Where the row kernel
+// waits"): a block is one chain of dependent adds, so the AVX-512 body keeps
+// the width and runs four blocks at once instead.
 const rowLanes = 8
 
 // Rows is a set of queries loaded for one page, the row-at-a-time building
@@ -37,10 +40,9 @@ const rowLanes = 8
 type Rows struct {
 	// bm is the generic body's kernel, nil when the Euclidean bodies run.
 	bm BoundedMetric
-	// asm selects the assembly sweep over the portable one. Fixed by
-	// NewRows from the build and the CPU; tests clear it to run the portable
-	// body on the same inputs.
-	asm     bool
+	// body is the Euclidean sweep. Fixed by NewRows from the build and the
+	// CPU; tests set it to run every body on the same inputs.
+	body    rowBody
 	dim, m  int
 	queries []Vector  // as loaded, until the next Load (generic body only)
 	loaded  []Vector  // the set q holds transposed, Load's own copy of the headers
@@ -68,21 +70,42 @@ type RowScratch struct {
 // generic body for anything else.
 func NewRows(m BoundedMetric) *Rows {
 	if euclideanKernel(m) {
-		return &Rows{asm: haveAVX2}
+		return &Rows{body: bestRowBody}
 	}
 	return &Rows{bm: m}
 }
 
-// ISA names the instruction set r sweeps with: "avx2" for the assembly
-// body, "go" for the portable Euclidean body (another architecture, a
-// -tags purego build, a CPU without AVX2 or an operating system that does
-// not save the YMM registers) and for the generic one.
-func (r *Rows) ISA() string {
-	if r.asm {
-		return "avx2"
-	}
-	return "go"
+// A rowBody is one implementation of eucRowsGo's contract.
+type rowBody uint8
+
+const (
+	rowGo     rowBody = iota // eucRowsGo, on every build
+	rowAVX2                  // eucRowsAVX2: a block to two YMM registers
+	rowAVX512                // eucRowsAVX512: a block to a ZMM register, four in flight
+)
+
+func (b rowBody) String() string { return [...]string{"go", "avx2", "avx512"}[b] }
+
+// runs reports whether the build and the CPU can run b.
+func (b rowBody) runs() bool {
+	return b == rowGo || b == rowAVX2 && haveAVX2 || b == rowAVX512 && haveAVX512
 }
+
+// bestRowBody is the body NewRows gives a Euclidean set: the widest one the
+// build and the CPU can run.
+var bestRowBody = func() rowBody {
+	b := rowAVX512
+	for !b.runs() {
+		b--
+	}
+	return b
+}()
+
+// ISA names the instruction set r sweeps with: "avx512" or "avx2" for an
+// assembly body, "go" for the portable Euclidean body (another architecture,
+// a -tags purego build, a CPU without AVX2 or an operating system that does
+// not save the YMM registers) and for the generic one.
+func (r *Rows) ISA() string { return r.body.String() }
 
 // Load replaces the loaded set. queries must stay unchanged until the next
 // Load; limits is copied. The queries' common dimension is checked here,
@@ -190,12 +213,7 @@ func (r *Rows) Sweep(item Vector, sc *RowScratch) []RowHit {
 		sc.alive = make([]int32, len(r.h)/rowLanes)
 	}
 	sums, alive := sc.sums[:len(r.h)], sc.alive[:len(r.h)/rowLanes]
-	var n int
-	if r.asm {
-		n = eucRowsAVX2(r.q, r.h, item, sums, alive)
-	} else {
-		n = eucRowsGo(r.q, r.h, item, sums, alive)
-	}
+	n := r.sweepBlocks(item, sums, alive)
 	for k, b := range alive[:n] {
 		lo := int(b) * rowLanes
 		hi := min(lo+rowLanes, r.m)
@@ -206,6 +224,21 @@ func (r *Rows) Sweep(item Vector, sc *RowScratch) []RowHit {
 		}
 	}
 	return hits
+}
+
+// sweepBlocks runs r's body over every loaded block: eucRowsGo's contract.
+func (r *Rows) sweepBlocks(item Vector, sums []float64, alive []int32) int {
+	switch r.body {
+	case rowAVX512:
+		if n := eucRowsAVX512(r.q, r.h, item, sums, alive); n >= 0 {
+			return n
+		}
+		// A NaN sum, which no checked item or query produces: the definition
+		// decides what the four blocks in flight could not.
+	case rowAVX2:
+		return eucRowsAVX2(r.q, r.h, item, sums, alive)
+	}
+	return eucRowsGo(r.q, r.h, item, sums, alive)
 }
 
 // rowLimitSlack widens the squared-limit screen of the Euclidean row

@@ -3,9 +3,13 @@
 package vec
 
 // Off amd64, and under -tags purego, the portable sweeps are the only ones.
-const haveAVX2 = false
+const haveAVX2, haveAVX512 = false, false
 
 func eucRowsAVX2(q, h []float64, item Vector, sums []float64, alive []int32) int {
+	panic("vec: no assembly row kernel in this build")
+}
+
+func eucRowsAVX512(q, h []float64, item Vector, sums []float64, alive []int32) int {
 	panic("vec: no assembly row kernel in this build")
 }
 

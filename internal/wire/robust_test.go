@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"metricdb/internal/admit"
 	"metricdb/internal/dataset"
 	"metricdb/internal/fault"
+	"metricdb/internal/leakcheck"
 	"metricdb/internal/msq"
 	"metricdb/internal/scan"
 	"metricdb/internal/store"
@@ -325,6 +327,76 @@ func TestShutdownWithConcurrentClients(t *testing.T) {
 		}
 		c.Close()
 	}
+}
+
+// TestShutdownLeaks: a server with admission on, drained by Shutdown while
+// its clients have requests queued and in flight, leaves no goroutine
+// behind — no connection handler, batch former, accept loop or drain
+// waiter outlives it.
+func TestShutdownLeaks(t *testing.T) {
+	base := runtime.NumGoroutine()
+	items := dataset.Uniform(12, 64, 3)
+	eng, err := scan.New(items, 16, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc, err := msq.New(eng, slowWireMetric{delay: 20 * time.Microsecond}, msq.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServerWithConfig(proc, ServerConfig{Admit: &admit.Config{
+		MaxQueue: 8, MaxWidth: 4, MaxWait: 5 * time.Millisecond, DefaultSLO: 30 * time.Second,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		srv.Serve(lis) //nolint:errcheck // ends with net.ErrClosed on shutdown
+		close(served)
+	}()
+
+	const clients = 6 // fewer than MaxQueue: nothing is shed before Shutdown
+	var wg sync.WaitGroup
+	answered := make(chan struct{}, clients)
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var once sync.Once
+			defer once.Do(func() { answered <- struct{}{} }) // a client that failed early
+			c, err := Dial(lis.Addr().String())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer c.Close()
+			for i := 0; ; i++ {
+				v := []float64{float64(g) / clients, float64(i%20) / 20, 0.5}
+				if _, _, err := c.Query(QuerySpec{Vector: v, Kind: "knn", K: 3}); err != nil {
+					var se *ServerError
+					if errors.As(err, &se) && se.Code != CodeShutdown && se.Code != CodeOverload {
+						t.Errorf("client %d: %v", g, err)
+					}
+					return
+				}
+				once.Do(func() { answered <- struct{}{} })
+			}
+		}(g)
+	}
+	for g := 0; g < clients; g++ {
+		<-answered // every client is past its first answer and sending again
+	}
+	if err := srv.Shutdown(5 * time.Second); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	wg.Wait()
+	<-served
+	leakcheck.Settle(t, base)
 }
 
 // TestWrongDimensionQuery: a query whose dimension differs from the data's
