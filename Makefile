@@ -62,10 +62,16 @@ race:
 # session's block of queries shares) and the VA-file's block sweep against
 # its lone sweep, bit for bit, the cluster fan-out's failure scenarios over
 # in-process and loopback-TCP servers (same answers, same health) and its
-# goroutine-leak checks — all under the race detector.
+# goroutine-leak checks, and what a sliding window may cost and must not
+# change: the slice of answer lists a session call returns is session
+# scratch that the next call overwrites while the lists stay live, a steady
+# slide allocates only for the query that enters (no result slice, no
+# singleflight record — an uncontended miss reuses the last one), and
+# DBSCAN's labels and the order its seeds enter the window are the same,
+# and pinned, for every batch size — all under the race detector.
 differential:
-	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestRowLanes|TestItemLanes|FuzzEucItems|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPageRecycle|TestDecodedPageAliasesRecord|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode|TestBlockSweepMatchesLone|TestFanOut' \
-		./internal/msq/ ./internal/store/ ./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/parallel/
+	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestRowLanes|TestItemLanes|FuzzEucItems|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPagerUncontendedMissAllocatesNothing|TestPageRecycle|TestDecodedPageAliasesRecord|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode|TestBlockSweepMatchesLone|TestFanOut|TestResultsSliceIsSessionScratch|TestSlideAllocations|TestDBSCANBatchSizesAgree' \
+		./internal/msq/ ./internal/store/ ./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/parallel/ ./internal/explore/
 
 # A short fuzz of the persistent-storage decoders: corrupt page records
 # and manifests must produce errors, never panics or over-allocation. The

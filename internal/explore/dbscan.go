@@ -30,7 +30,9 @@ type DBSCANResult struct {
 // with parameters eps and minPts, issuing its neighborhood retrievals as
 // multiple similarity queries of cfg.BatchSize per the transformed
 // ExploreNeighborhoodsMultiple scheme: while a cluster is expanded, the
-// pending seed objects are prefetched alongside the object being processed.
+// pending seed objects are prefetched alongside the object being processed —
+// each call's batch is that object and the next BatchSize-1 seeds in the
+// order they were found, so consecutive batches slide by one.
 // cfg.SimType is ignored; DBSCAN always uses range queries of radius eps.
 func DBSCAN(cfg Config, eps float64, minPts int) (*DBSCANResult, error) {
 	cfg.SimType = query.NewRange(eps)
@@ -46,26 +48,17 @@ func DBSCAN(cfg Config, eps float64, minPts int) (*DBSCANResult, error) {
 	res := &DBSCANResult{Labels: labels}
 	session := cfg.Proc.NewSession()
 
-	// neighborhood evaluates the range query for the object at the head
-	// of seeds, prefetching up to BatchSize-1 pending seeds. The batch is
-	// built into one slice for the whole job: the session copies what it
-	// keeps of a call's queries.
-	m := cfg.BatchSize
-	if m < 1 {
-		m = 1
+	// neighborhood completes the range query at the front of batch; the
+	// others ride along. Every batch is a window on the seed list — the
+	// seed being expanded and up to BatchSize-1 pending seeds after it — so
+	// a step costs the query that enters the window, not the window: the
+	// session keeps what it needs of a call's queries, and the seed list,
+	// built once per seed and reset per cluster, is one array for the job.
+	m := max(cfg.BatchSize, 1)
+	seed := func(id store.ItemID) msq.Query {
+		return msq.Query{ID: uint64(id), Vec: cfg.Items[id].Vec, Type: cfg.SimType}
 	}
-	batch := make([]msq.Query, 0, m)
-	neighborhood := func(head store.ItemID, pending []store.ItemID) ([]query.Answer, error) {
-		batch = append(batch[:0], msq.Query{ID: uint64(head), Vec: cfg.Items[head].Vec, Type: cfg.SimType})
-		for _, id := range pending {
-			if len(batch) == m {
-				break
-			}
-			if id == head {
-				continue
-			}
-			batch = append(batch, msq.Query{ID: uint64(id), Vec: cfg.Items[id].Vec, Type: cfg.SimType})
-		}
+	neighborhood := func(batch []msq.Query) ([]query.Answer, error) {
 		results, qs, err := session.MultiQuery(batch)
 		res.Stats.Query = res.Stats.Query.Add(qs)
 		res.Stats.Steps++
@@ -75,11 +68,13 @@ func DBSCAN(cfg Config, eps float64, minPts int) (*DBSCANResult, error) {
 		return results[0].Answers(), nil
 	}
 
+	var seeds []msq.Query
 	for i := 0; i < n; i++ {
 		if labels[i] != Unclassified {
 			continue
 		}
-		answers, err := neighborhood(store.ItemID(i), nil)
+		seeds = append(seeds[:0], seed(store.ItemID(i)))
+		answers, err := neighborhood(seeds)
 		if err != nil {
 			return nil, err
 		}
@@ -91,19 +86,17 @@ func DBSCAN(cfg Config, eps float64, minPts int) (*DBSCANResult, error) {
 		res.Clusters++
 		c := res.Clusters
 		labels[i] = c
-		var seeds []store.ItemID
+		seeds = seeds[:0]
 		for _, a := range answers {
 			if labels[a.ID] == Unclassified || labels[a.ID] == Noise {
 				if labels[a.ID] == Unclassified {
-					seeds = append(seeds, a.ID)
+					seeds = append(seeds, seed(a.ID))
 				}
 				labels[a.ID] = c
 			}
 		}
-		for len(seeds) > 0 {
-			id := seeds[0]
-			seeds = seeds[1:]
-			nbrs, err := neighborhood(id, seeds)
+		for head := 0; head < len(seeds); head++ {
+			nbrs, err := neighborhood(seeds[head:min(head+m, len(seeds))])
 			if err != nil {
 				return nil, err
 			}
@@ -114,7 +107,7 @@ func DBSCAN(cfg Config, eps float64, minPts int) (*DBSCANResult, error) {
 				switch labels[a.ID] {
 				case Unclassified:
 					labels[a.ID] = c
-					seeds = append(seeds, a.ID)
+					seeds = append(seeds, seed(a.ID))
 				case Noise:
 					labels[a.ID] = c // density-reachable border object
 				}

@@ -86,14 +86,18 @@ type Stats struct {
 }
 
 // controlList is the scheme's ControlList: FIFO with an ever-seen set so no
-// object is enqueued twice.
+// object is enqueued twice. An object is enqueued as its similarity query,
+// built once, and the list is walked with a head index, so the pending
+// objects are one slice a batch can be cut from.
 type controlList struct {
-	queue []store.ItemID
+	cfg   Config
+	queue []msq.Query
+	head  int
 	seen  map[store.ItemID]bool
 }
 
-func newControlList(start []store.ItemID) *controlList {
-	c := &controlList{seen: make(map[store.ItemID]bool, len(start))}
+func newControlList(cfg Config, start []store.ItemID) *controlList {
+	c := &controlList{cfg: cfg, seen: make(map[store.ItemID]bool, len(start))}
 	for _, id := range start {
 		c.push(id)
 	}
@@ -105,16 +109,19 @@ func (c *controlList) push(id store.ItemID) {
 		return
 	}
 	c.seen[id] = true
-	c.queue = append(c.queue, id)
+	c.queue = append(c.queue, msq.Query{ID: uint64(id), Vec: c.cfg.Items[id].Vec, Type: c.cfg.SimType})
 }
 
 func (c *controlList) pop() store.ItemID {
-	id := c.queue[0]
-	c.queue = c.queue[1:]
+	id := store.ItemID(c.queue[c.head].ID)
+	c.head++
 	return id
 }
 
-func (c *controlList) len() int { return len(c.queue) }
+// pending returns the objects still on the list, in order.
+func (c *controlList) pending() []msq.Query { return c.queue[c.head:] }
+
+func (c *controlList) len() int { return len(c.queue) - c.head }
 
 // Run executes the ExploreNeighborhoods scheme of Figure 2 with single
 // similarity queries.
@@ -123,7 +130,7 @@ func Run(cfg Config, start []store.ItemID, hooks Hooks) (Stats, error) {
 		return Stats{}, err
 	}
 	var stats Stats
-	control := newControlList(start)
+	control := newControlList(cfg, start)
 	for hooks.condition(control.len(), stats.Steps) {
 		obj := cfg.Items[control.pop()]
 		if hooks.Proc1 != nil {
@@ -154,21 +161,13 @@ func RunMultiple(cfg Config, start []store.ItemID, hooks Hooks) (Stats, error) {
 		return Run(cfg, start, hooks)
 	}
 	var stats Stats
-	control := newControlList(start)
+	control := newControlList(cfg, start)
 	session := cfg.Proc.NewSession()
-	// One slice holds every step's batch: the session copies what it keeps.
-	batch := make([]msq.Query, 0, cfg.BatchSize)
 	for hooks.condition(control.len(), stats.Steps) {
-		// choose_multiple: the first min(m, len) objects.
-		m := cfg.BatchSize
-		if m > control.len() {
-			m = control.len()
-		}
-		batch = batch[:0]
-		for _, id := range control.queue[:m] {
-			it := cfg.Items[id]
-			batch = append(batch, msq.Query{ID: uint64(it.ID), Vec: it.Vec, Type: cfg.SimType})
-		}
+		// choose_multiple: the first min(m, len) objects, cut from the list
+		// itself — the session copies what it keeps of a call's queries.
+		batch := control.pending()
+		batch = batch[:min(cfg.BatchSize, len(batch))]
 		obj := cfg.Items[control.pop()]
 		if hooks.Proc1 != nil {
 			hooks.Proc1(obj)

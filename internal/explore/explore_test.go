@@ -1,12 +1,17 @@
 package explore
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash"
+	"hash/fnv"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"metricdb/internal/dataset"
+	"metricdb/internal/engine"
 	"metricdb/internal/msq"
 	"metricdb/internal/query"
 	"metricdb/internal/scan"
@@ -121,7 +126,8 @@ func TestRunMultipleDegeneratesToRun(t *testing.T) {
 }
 
 func TestControlListNoDuplicates(t *testing.T) {
-	c := newControlList([]store.ItemID{1, 2, 1})
+	items := dataset.Uniform(1, 4, 2)
+	c := newControlList(Config{Items: items, SimType: query.NewKNN(2)}, []store.ItemID{1, 2, 1})
 	if c.len() != 2 {
 		t.Fatalf("len = %d", c.len())
 	}
@@ -133,8 +139,9 @@ func TestControlListNoDuplicates(t *testing.T) {
 		t.Errorf("pop = %d", got)
 	}
 	c.push(1) // was seen before: must stay out
-	if c.len() != 1 {
-		t.Error("re-enqueued a previously seen ID")
+	c.push(3)
+	if p := c.pending(); len(p) != 2 || p[0].ID != 2 || p[1].ID != 3 || &p[1].Vec[0] != &items[3].Vec[0] {
+		t.Errorf("pending %v, want the queries of objects 2 and 3 only", p)
 	}
 }
 
@@ -182,13 +189,21 @@ func bruteDBSCAN(items []store.Item, eps float64, minPts int) []int {
 	return labels
 }
 
-func TestDBSCANMatchesReference(t *testing.T) {
+// referenceClusters is the DBSCAN tests' dataset: three tight clusters in
+// the unit square and 5 % noise, clustered with eps 0.08 and minPts 4.
+func referenceClusters(t *testing.T) []store.Item {
+	t.Helper()
 	items, err := dataset.Clustered(dataset.ClusteredConfig{
 		Seed: 4, N: 400, Dim: 2, Clusters: 3, Spread: 0.02, NoiseFraction: 0.05,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return items
+}
+
+func TestDBSCANMatchesReference(t *testing.T) {
+	items := referenceClusters(t)
 	const eps, minPts = 0.08, 4
 
 	cfg := newConfig(t, items, query.Type{}, 8)
@@ -207,6 +222,89 @@ func TestDBSCANMatchesReference(t *testing.T) {
 	}
 	if res.Stats.Query.PagesRead == 0 || res.Stats.Steps == 0 {
 		t.Error("no work recorded")
+	}
+}
+
+// entryOrder wraps an engine and hashes the objects whose queries it
+// prepares, in order: a session prepares a query once, when it first enters
+// a batch, so the hash is the order in which a job's queries enter its
+// window.
+type entryOrder struct {
+	engine.Engine
+	ids map[*float64]store.ItemID // a query's vector → its object
+	h   hash.Hash64
+}
+
+func (e *entryOrder) Prepare(q vec.Vector) engine.PreparedQuery {
+	binary.Write(e.h, binary.LittleEndian, int64(e.ids[&q[0]])) //nolint:errcheck
+	return e.Engine.Prepare(q)
+}
+
+// TestDBSCANBatchSizesAgree: the batch size changes which queries share a
+// page, never the clustering — the labels, cluster numbers included, are
+// equal for every m on the scan and on an X-tree, not merely the same
+// partition — and never the seed walk: on the X-tree every object's query
+// enters the window once, in the same order for every m. The digests of the
+// labels and of that order are pinned, so a walk that visits the seeds in
+// another order fails here even when it finds the same clusters; so are the
+// X-tree jobs' counters, which follow which seeds ride along in each call.
+func TestDBSCANBatchSizesAgree(t *testing.T) {
+	items := referenceClusters(t)
+	const eps, minPts = 0.08, 4
+	const labelDigest, entryDigest = 0x386b0342e71f7e8f, 0xb7d7d2b080b170b9
+	// A range query visits the pages its ε-ball reaches whoever it rides
+	// with, so only the pages read depend on m.
+	golden := map[int][4]int64{ // m → steps, pages read, page visits, distance calculations
+		1:  {400, 4732, 4732, 52674},
+		2:  {400, 2400, 4732, 52674},
+		8:  {400, 652, 4732, 52674},
+		50: {400, 160, 4732, 52674},
+	}
+	tr, err := xtree.Bulk(items, 2, xtree.Config{LeafCapacity: 16, DirFanout: 8, BufferPages: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &entryOrder{Engine: tr, ids: make(map[*float64]store.ItemID, len(items))}
+	for _, it := range items {
+		rec.ids[&it.Vec[0]] = it.ID
+	}
+	p, err := msq.New(rec, vec.Euclidean{}, msq.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int
+	for _, m := range []int{1, 2, 8, 50} {
+		for _, cfg := range []Config{newConfig(t, items, query.Type{}, m), {Proc: p, Items: items, BatchSize: m}} {
+			rec.h = fnv.New64a()
+			res, err := DBSCAN(cfg, eps, minPts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := cfg.Proc.Engine().Name()
+			if want == nil {
+				want = res.Labels
+				h := fnv.New64a()
+				for _, l := range want {
+					binary.Write(h, binary.LittleEndian, int64(l)) //nolint:errcheck
+				}
+				if got := h.Sum64(); got != labelDigest {
+					t.Errorf("label digest %#x, want %#x", got, uint64(labelDigest))
+				}
+			} else if !slices.Equal(res.Labels, want) {
+				t.Errorf("%s, m = %d: the labels differ from the scan's at m = 1", name, m)
+			}
+			if name != "xtree" {
+				continue
+			}
+			if got := rec.h.Sum64(); got != entryDigest {
+				t.Errorf("m = %d: the queries entered in an order with digest %#x, want %#x", m, got, uint64(entryDigest))
+			}
+			q := res.Stats.Query
+			got := [4]int64{int64(res.Stats.Steps), q.PagesRead, q.PageVisits, q.DistCalcs}
+			if got != golden[m] {
+				t.Errorf("m = %d: steps, pages read, page visits, distance calculations %v, want %v", m, got, golden[m])
+			}
+		}
 	}
 }
 

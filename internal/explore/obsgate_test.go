@@ -22,10 +22,14 @@ import (
 // a vector kernel, and 0.9-1.2 once the single query swept its pages through
 // the item-lane kernel too. Both jobs plan on swept box lanes now (an ε-plan
 // is 0.3 µs, so the m = 1 job lost its largest fixed cost too) and the window
-// is recognised instead of re-validated; what the ratio compares is the rest
-// of a 50-query call — one registry lookup and admission for the query that
-// entered, decideActive, the result slice — against the pages the window
-// saves, and on an in-memory disk a saved page costs little. It reads 0.9-1.1 (8 000 queries, both jobs 35-60 ms on the shared runner).
+// is recognised instead of re-validated; the batch is a window on the seed
+// list and the slice of answer lists is session scratch, so what the ratio
+// compares is the rest of a 50-query call — one registry lookup and
+// admission for the query that entered, decideActive — against the pages
+// the window saves, and on an in-memory disk a saved page costs little. It
+// reads 0.8-0.95, where it read 0.9-1.1 while every call rebuilt its batch
+// and allocated its result slice (8 000 queries, both jobs 35-60 ms on the
+// shared runner).
 // The gate is 1.15, parity plus the run-to-run spread of the ratio, met by
 // the first of up to five rounds that is under it. The two jobs run in one
 // process, interleaved, each as the minimum of several trials.

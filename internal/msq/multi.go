@@ -111,12 +111,13 @@ type Session struct {
 	stamp uint64
 	// matrix holds the distances between the buffered incomplete queries.
 	matrix queryMatrix
-	// batch and pass are per-call scratch that depends only on the batch
-	// width: the states of the current call's queries and the page pass's
-	// buffers. They live here so that a mining loop's thousands of calls
-	// allocate them once.
-	batch []*queryState
-	pass  *pagePass
+	// batch, results and pass are per-call scratch that depends only on the
+	// batch width: the states of the current call's queries, the answer
+	// lists a call returns and the page pass's buffers. They live here so
+	// that a mining loop's thousands of calls allocate them once.
+	batch   []*queryState
+	results []*query.AnswerList
+	pass    *pagePass
 	// blockQs and blockPQs are prepareBlock's scratch when the engine is an
 	// engine.BlockPreparer: the entering queries' vectors and their handles.
 	blockQs  []vec.Vector
@@ -140,10 +141,13 @@ func (p *Processor) NewSession() *Session {
 // buffered in the session for later calls.
 //
 // The returned answer lists are aligned with queries and owned by the
-// session: they remain live and may grow in subsequent calls. The session
-// copies what it keeps of queries (the Query values; the vectors they point
-// to must not change), so a caller may build every call's batch in one
-// slice.
+// session: they remain live and may grow in subsequent calls. The slice that
+// holds them is the session's too and is valid until the next call on the
+// session, which reuses it; a caller that wants the lists longer copies the
+// slice (the lists themselves stay live). The session copies what it keeps
+// of queries (the Query values; the vectors they point to must not change),
+// so a caller may build every call's batch in one slice, or cut it from a
+// longer one.
 func (s *Session) MultiQuery(queries []Query) ([]*query.AnswerList, Stats, error) {
 	return s.MultiQueryContext(context.Background(), queries)
 }
@@ -206,8 +210,9 @@ func (s *Session) MultiQueryContext(ctx context.Context, queries []Query) ([]*qu
 // buffered states. The whole batch is validated — dimension, finiteness,
 // duplicate IDs, ID reuse with a different object — before any query is
 // admitted, so a rejected call leaves the session as it found it and pays
-// no Engine.Prepare or PrepareBlock. The returned states are session
-// scratch, valid until the next call; the answer lists are the caller's.
+// no Engine.Prepare or PrepareBlock. The returned states and the slice of
+// answer lists are session scratch, valid until the next call; the answer
+// lists are the caller's.
 //
 // A mining loop slides a window: the query at position i of this call sat at
 // i+1 of the previous one, or at i. Those two places are looked at before the
@@ -248,7 +253,8 @@ func (s *Session) prepare(queries []Query) ([]*queryState, []*query.AnswerList, 
 		states = append(states, st) // overwrites prev[i], already looked at
 	}
 	s.batch = states
-	results := make([]*query.AnswerList, len(queries))
+	results := slices.Grow(s.results[:0], len(states))[:len(states)]
+	s.results = results
 	for i, st := range states {
 		if st.answers == nil {
 			st.answers = query.NewAnswerList(st.q.Type)
@@ -529,7 +535,9 @@ func (s *Session) seedFirstPages(states []*queryState, stats *Stats) error {
 // query-distance matrix is filled once for the whole batch. Calling
 // MultiQuery on each suffix computes the same answers at the same matrix
 // cost; what this saves is validating and restoring the batch m times, and
-// what it adds is one Stats for the batch.
+// what it adds is one Stats for the batch. The returned slice is session
+// scratch, valid until the next call, as MultiQuery's is; the complete answer
+// lists it holds stay live.
 func (s *Session) MultiQueryAll(queries []Query) ([]*query.AnswerList, Stats, error) {
 	return s.MultiQueryAllContext(context.Background(), queries)
 }
@@ -589,7 +597,7 @@ func (s *Session) multiQueryAllLocked(ctx context.Context, queries []Query) ([]*
 
 // MultiQuery is the convenience entry point for a one-shot batch: it runs a
 // fresh session to completion and returns the complete answers for every
-// query.
+// query. No call follows on that session, so the slice is the caller's.
 func (p *Processor) MultiQuery(queries []Query) ([]*query.AnswerList, Stats, error) {
 	return p.NewSession().MultiQueryAll(queries)
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"metricdb/internal/engine"
@@ -451,6 +452,7 @@ func TestRejectedCallLeavesSessionUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	res = slices.Clone(res) // the next call reuses the slice
 	if st.PivotDistCalcs == 0 {
 		t.Error("admitting two queries on a pivot engine reported no pivot distances")
 	}
@@ -503,10 +505,11 @@ func TestWindowHint(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := proc.NewSession()
-		first, _, err := s.MultiQuery(window(0))
+		res, _, err := s.MultiQuery(window(0))
 		if err != nil {
 			t.Fatal(err)
 		}
+		first := res[0]
 		for i := 0; i < 3; i++ {
 			if st := held(s.batch, i, uint64(i+1)); st == nil || st != s.states[uint64(i+1)] {
 				t.Fatalf("position %d of the next window: the hint found %v", i, st)
@@ -547,8 +550,8 @@ func TestWindowHint(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if name == "completed query" && (st != Stats{} || res[0] != first[0]) {
-				t.Errorf("%s: stats %+v, the buffered list %v", name, st, res[0] == first[0])
+			if name == "completed query" && (st != Stats{} || res[0] != first) {
+				t.Errorf("%s: stats %+v, the buffered list %v", name, st, res[0] == first)
 			}
 			for i, q := range c.batch {
 				if res[i] != s.states[q.ID].answers {
@@ -570,6 +573,104 @@ func TestWindowHint(t *testing.T) {
 				t.Errorf("window %d: wrong answers", from)
 			}
 		}
+	}
+}
+
+// TestResultsSliceIsSessionScratch: the slice a call returns is the
+// session's, and the next call writes over it; the answer lists it held are
+// the session's buffer and stay live — the same lists, completed later and
+// equal to brute force.
+func TestResultsSliceIsSessionScratch(t *testing.T) {
+	const dim = 4
+	items := testDB(36, 300, dim)
+	metric := vec.Euclidean{}
+	proc, err := New(xtreeEngine(t, items, dim), metric, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := proc.NewSession()
+	knn := query.NewKNN(4)
+	q := func(i int) Query { return Query{ID: uint64(i), Vec: items[i].Vec, Type: knn} }
+
+	first, _, err := s.MultiQuery([]Query{q(0), q(1), q(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := slices.Clone(first)
+	second, _, err := s.MultiQuery([]Query{q(3), q(4), q(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &first[0] != &second[0] {
+		t.Error("the second call returned another slice")
+	}
+	for i := range held {
+		if first[i] != s.states[uint64(3+i)].answers || first[i] == held[i] {
+			t.Errorf("position %d: the first call's slice still holds its own list", i)
+		}
+	}
+
+	batch := []Query{q(0), q(1), q(2), q(3), q(4), q(5)}
+	all, _, err := s.MultiQueryAll(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range batch {
+		if i < len(held) && all[i] != held[i] {
+			t.Errorf("query %d: its list was replaced", b.ID)
+		}
+		if want := brute(items, metric, b.Vec, b.Type); !sameAnswers(all[i].Answers(), want) {
+			t.Errorf("query %d: wrong answers", b.ID)
+		}
+	}
+}
+
+// TestSlideAllocations counts what a steady sliding window costs the heap:
+// a call of m range queries over an in-memory, unbuffered X-tree, one query
+// entering at the back and one completing at the front. Every allocation
+// left belongs to the query that enters:
+//
+//  1. its state (queryState);
+//  2. its answer list;
+//  3. the list's one answer (ε is far below the gap between two items,
+//     so each query finds only its own object);
+//  4. its prepared handle (xtree.Prepare);
+//  5. its page set;
+//  6. the plan of the call it completes in (xtree's Plan allocates its refs).
+//
+// Nothing scales with m, and neither the slice of answer lists the call
+// returns, which is session scratch, nor a page read's singleflight record,
+// which the pager reuses when nobody waited on it, is among them. The
+// registry map's growth is amortised below one allocation a call.
+func TestSlideAllocations(t *testing.T) {
+	const dim, n, m, warm = 4, 3000, 16, 500
+	items := testDB(37, n, dim)
+	proc, err := New(xtreeEngine(t, items, dim), vec.Euclidean{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := proc.NewSession()
+	typ := query.NewRange(1e-6)
+	seeds := make([]Query, n)
+	for i := range seeds {
+		seeds[i] = Query{ID: uint64(i), Vec: items[i].Vec, Type: typ}
+	}
+	head := 0
+	slide := func() {
+		res, _, err := s.MultiQuery(seeds[head : head+m])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a := res[0].Answers(); len(a) != 1 || a[0].ID != store.ItemID(head) {
+			t.Fatalf("query %d: answers %v, want its own object only", head, a)
+		}
+		head++
+	}
+	for head < warm {
+		slide()
+	}
+	if got := testing.AllocsPerRun(1000, slide); got != 6 {
+		t.Errorf("%v allocations a call, want 6", got)
 	}
 }
 

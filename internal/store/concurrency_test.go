@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"metricdb/internal/vec"
 )
@@ -183,6 +184,89 @@ func TestPagerSingleflight(t *testing.T) {
 	}
 	if hits+misses != goroutines*numPages {
 		t.Errorf("hits %d + misses %d != %d ReadPage calls", hits, misses, goroutines*numPages)
+	}
+}
+
+// TestPagerUncontendedMissAllocatesNothing: a miss nobody waited on leaves
+// its flight for the next miss, so reading an in-memory disk through an
+// unbuffered pager, or through a buffer of one page that every read
+// misses, allocates nothing in steady state. A flight that had waiters is
+// not kept: they read its page after they wake.
+func TestPagerUncontendedMissAllocatesNothing(t *testing.T) {
+	const numPages = 4
+	for _, capacity := range []int{0, 1} {
+		disk, err := NewDisk(concPages(t, numPages))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf *Buffer
+		if capacity > 0 {
+			if buf, err = NewBuffer(capacity); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pager, err := NewPager(disk, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pid := PageID(0)
+		read := func() {
+			pg, err := pager.ReadPage(pid % numPages)
+			if err != nil || pg.ID != pid%numPages {
+				t.Fatalf("ReadPage(%d): page %v, err %v", pid%numPages, pg, err)
+			}
+			pager.Release(pg)
+			pid++
+		}
+		if got := testing.AllocsPerRun(100, read); got != 0 {
+			t.Errorf("buffer of %d: %v allocations a miss, want 0", capacity, got)
+		}
+		if got := disk.Stats().Reads; got != int64(pid) {
+			t.Errorf("buffer of %d: %d disk reads for %d misses", capacity, got, pid)
+		}
+	}
+
+	disk, err := NewDisk(concPages(t, numPages))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &gatedSource{PageSource: disk, gate: make(chan struct{})}
+	pager, err := NewPager(src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan *Page, 2)
+	for r := 0; r < 2; r++ {
+		go func() {
+			pg, err := pager.ReadPage(1)
+			if err != nil {
+				t.Error(err)
+			}
+			got <- pg
+		}()
+	}
+	var f *flight
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		pager.mu.Lock()
+		f = pager.inflight[1]
+		joined := f != nil && f.waiters == 1
+		pager.mu.Unlock()
+		if joined {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the second reader never joined the flight")
+		}
+	}
+	close(src.gate)
+	if a, b := <-got, <-got; a != b || a.ID != 1 {
+		t.Fatalf("coalesced readers got pages %v and %v", a, b)
+	}
+	pager.mu.Lock()
+	kept, page := pager.spare == f, f.page
+	pager.mu.Unlock()
+	if kept || page == nil {
+		t.Error("a flight its waiter read from was kept for the next miss")
 	}
 }
 

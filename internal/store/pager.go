@@ -29,6 +29,11 @@ type Pager struct {
 
 	mu       sync.Mutex
 	inflight map[PageID]*flight
+	// spare is a finished flight nobody waited on, kept for the next miss:
+	// a miss with no company, the common case, then allocates nothing. A
+	// flight that had waiters is never reused, because they read its page
+	// and error after they wake.
+	spare *flight
 
 	// tracer, when set, receives a page_fetch span for every disk read the
 	// pager issues (buffer hits and singleflight waiters observe nothing).
@@ -76,7 +81,11 @@ func (p *Pager) ReadPage(pid PageID) (*Page, error) {
 		f.done.Wait()
 		return f.page, f.err
 	}
-	f := &flight{}
+	f := p.spare
+	if f == nil {
+		f = &flight{}
+	}
+	p.spare = nil
 	f.done.Add(1)
 	p.inflight[pid] = f
 	p.mu.Unlock()
@@ -98,15 +107,24 @@ func (p *Pager) ReadPage(pid PageID) (*Page, error) {
 		p.buf.Put(pid, page)
 	}
 	p.mu.Lock()
-	f.page, f.err = page, err
 	delete(p.inflight, pid)
-	if err == nil {
-		// The reader's own pin came with the read; it pins once more for
-		// each waiter before waking them, while nobody else can let go.
-		page.pin(f.waiters)
+	if f.waiters == 0 {
+		// Out of the map, the flight is nobody else's: it goes back as
+		// it came, with nothing to hand over.
+		f.done.Done()
+		p.spare = f
+		p.mu.Unlock()
+	} else {
+		f.page, f.err = page, err
+		if err == nil {
+			// The reader's own pin came with the read; it pins once more
+			// for each waiter before waking them, while nobody else can
+			// let go.
+			page.pin(f.waiters)
+		}
+		p.mu.Unlock()
+		f.done.Done()
 	}
-	p.mu.Unlock()
-	f.done.Done()
 	if err != nil {
 		return nil, err
 	}
