@@ -1,6 +1,8 @@
 package metricdb
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"sync"
 	"testing"
@@ -84,6 +86,113 @@ func TestCalibrationObservational(t *testing.T) {
 			if cex.Predicted[0].Engine != string(eng) {
 				t.Errorf("%s: predicted row prices engine %q", eng, cex.Predicted[0].Engine)
 			}
+		}
+	}
+}
+
+// calibrationGolden is the calibrated cost model's error, pinned: per
+// engine and dimensionality, the mean absolute percentage error of the raw
+// and of the calibrated model's predicted distance calculations and page
+// reads over ten judged batches.
+var calibrationGolden = []struct {
+	engine       EngineKind
+	dim          int
+	raw, refined float64
+}{
+	{EngineScan, 4, 0.8178157219517109, 0.03725309244291943},
+	{EngineXTree, 4, 2.098833606834625, 0.1395003596821018},
+	{EngineVAFile, 4, 1.6235868760212846, 0.03990409076925232},
+	{EnginePivot, 4, 0.8470126002558063, 0.18358795013720364},
+	{EnginePMTree, 4, 0.9503979749206763, 0.15326012149740265},
+	{EngineScan, 8, 0.141386133200136, 0.013754929516351854},
+	{EngineXTree, 8, 1.5233880286621797, 0.07695084995125444},
+	{EngineVAFile, 8, 1.8064980901666705, 0.05298930741668895},
+	{EnginePivot, 8, 0.42018838760594496, 0.07011515304383292},
+	{EnginePMTree, 8, 0.4494282347138291, 0.0653019365439925},
+}
+
+// TestCalibrationImprovesTheModel runs the calibration loop end to end on
+// 3 000 uniform items per dimensionality (seed 17 000 + dim): a calibrated
+// DB records four warmup batches of eight 10-NN queries, then ten fresh
+// batches compare AdviseBatch's raw and calibrated predictions for the
+// engine against what the batch cost. Calibration must shrink the error in
+// every row, and the errors must equal the golden bit for bit.
+func TestCalibrationImprovesTheModel(t *testing.T) {
+	const (
+		n, m, k        = 3000, 8, 10
+		warmup, judged = 4, 10
+	)
+	// mape accumulates |predicted - observed| / observed.
+	type mape struct {
+		sum float64
+		n   int
+	}
+	add := func(e *mape, predicted, observed int64) {
+		if observed > 0 {
+			e.sum += math.Abs(float64(predicted-observed)) / float64(observed)
+			e.n++
+		}
+	}
+	find := func(cands []Candidate, kind EngineKind) Candidate {
+		for _, c := range cands {
+			if c.Engine == string(kind) {
+				return c
+			}
+		}
+		t.Fatalf("%s missing from %+v", kind, cands)
+		return Candidate{}
+	}
+
+	for _, want := range calibrationGolden {
+		kind, dim := want.engine, want.dim
+		db, err := Open(testItems(int64(17000+dim), n, dim), Options{Engine: kind, Avoidance: AvoidBoth, Calibrate: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(19000 + 100*dim + len(kind))))
+		batch := func() []Query {
+			qs := make([]Query, m)
+			for i := range qs {
+				v := make(Vector, dim)
+				for j := range v {
+					v[j] = rng.Float64()
+				}
+				qs[i] = Query{ID: uint64(i), Vec: v, Type: KNNQuery(k)}
+			}
+			return qs
+		}
+		for i := 0; i < warmup; i++ {
+			if _, _, err := db.NewBatch().QueryAll(batch()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var raw, refined mape
+		for i := 0; i < judged; i++ {
+			qs := batch()
+			advice, err := db.AdviseBatch(qs, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, st, err := db.NewBatch().QueryAll(qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, c := find(advice.Candidates, kind), find(advice.Calibrated, kind)
+			add(&raw, r.DistCalcs, st.DistCalcs)
+			add(&raw, r.PagesRead, st.PagesRead)
+			add(&refined, c.DistCalcs, st.DistCalcs)
+			add(&refined, c.PagesRead, st.PagesRead)
+		}
+		gotRaw, gotRefined := raw.sum/float64(raw.n), refined.sum/float64(refined.n)
+		if !(gotRefined < gotRaw) {
+			t.Errorf("%s dim %d: calibrated error %v, raw %v", kind, dim, gotRefined, gotRaw)
+		}
+		if gotRaw != want.raw || gotRefined != want.refined {
+			t.Errorf("%s dim %d: error raw %v calibrated %v, want %v and %v",
+				kind, dim, gotRaw, gotRefined, want.raw, want.refined)
+		}
+		if got := db.Calibration().Samples(); got != warmup+judged {
+			t.Errorf("%s dim %d: %d samples, want %d", kind, dim, got, warmup+judged)
 		}
 	}
 }

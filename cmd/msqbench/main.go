@@ -4,17 +4,12 @@
 //
 // Usage:
 //
-//	msqbench [-experiment all|micro|fig7|fig8|fig9|fig10|fig11|fig12|chaos|intra|kernels|block|obs|distobs|load|storage|engines|advisor]
+//	msqbench [-experiment all|micro|fig7|fig8|fig9|fig10|fig11|fig12|chaos|intra|kernels|block|load]
 //	         [-scale small|medium|paper] [-csv dir] [-measure]
 //	         [-intra-out BENCH_parallel_intra.json]
 //	         [-kernels-out BENCH_kernels.json]
 //	         [-block-out BENCH_block.json]
-//	         [-obs-out BENCH_obs.json]
-//	         [-distobs-out BENCH_distobs.json]
 //	         [-load-out BENCH_load.json]
-//	         [-storage-out BENCH_storage.json]
-//	         [-engines-out BENCH_engines.json]
-//	         [-advisor-out BENCH_advisor.json]
 //
 // The chaos experiment is not a paper figure: it declusters each workload
 // over 4 servers, injects disk faults into 0..3 of them, and reports the
@@ -39,22 +34,6 @@
 // bit-identical to aos at pipeline widths 1, 2 and 8. Results go to
 // -block-out as JSON.
 //
-// The obs experiment profiles the multi-query processor with the
-// observability tracer enabled: per-phase latency histograms (page fetch
-// and wait, query-distance matrix, kernel, avoidance checks, merge) per
-// engine and pipeline width, re-checking that every traced run returned
-// answers and counters identical to an untraced reference, and writes the
-// phase baseline to -obs-out as JSON.
-//
-// The distobs experiment exercises the distributed observability layer: a
-// cluster fans one batch out to 4 wire.Remote servers on loopback TCP (one
-// on a transient disk fault, forcing a retried attempt), checks that a single
-// stitched cross-server trace with one child span per server call was
-// recorded and that traced and untraced runs returned bit-identical
-// answers and counters at every pipeline width, verifies the per-query
-// EXPLAIN profile's width stability, and writes the results to
-// -distobs-out as JSON.
-//
 // The load experiment drives an admission-controlled wire server with an
 // open-loop generator through ramp, spike and sustained-overload traffic
 // profiles (rates expressed as multiples of the host's own calibrated
@@ -64,31 +43,14 @@
 // bit-identical to the unbatched sequential path, and writes the results
 // to -load-out as JSON.
 //
-// The storage experiment measures the file-backed page store (pread and
-// mmap modes) against the simulated disk on the scan engine: one m-query
-// batch per backend run cold (empty buffer, every page fetched) and warm
-// (buffer covering the dataset), verifying that every backend returned
-// answers, statistics and I/O counters bit-identical to the simulated
-// reference, and writes the results to -storage-out as JSON.
-//
-// The engines experiment compares every physical organization the engine
-// registry can build (scan, xtree, vafile, pivot, pmtree) on one k-NN
-// batch across dimensionality × batch width, re-checking that each engine
-// answered bit-identically to the sequential scan at pipeline widths 1 and
-// 8, and writes the deterministic work counters (distance calculations,
-// pages read, pivot setup distances) to -engines-out as JSON.
-//
-// The advisor experiment evaluates the calibration loop: per engine and
-// dimensionality a calibrated database records predicted-vs-observed work
-// counters over a warmup, then fresh judged batches compare the raw cost
-// model's predictions against the calibrated ones. The run fails unless
-// calibration strictly improves the prediction error wherever the raw
-// model left any, and unless the calibrated database stayed bit-identical
-// to a plain reference on every judged batch. Results go to -advisor-out
-// as JSON.
-//
 // -measure calibrates the cost model on this host instead of using the
 // paper's nominal 1999 hardware constants.
+//
+// No experiment here judges the deterministic work counters: go test pins
+// them byte for byte next to the code (TestEngineWorkGolden in
+// internal/engines for every engine's distance calculations and page
+// reads, TestCalibrationImprovesTheModel in the root package for the
+// calibrated cost model's error), and bench/ is what judges time.
 package main
 
 import (
@@ -101,35 +63,29 @@ import (
 	"metricdb/internal/cost"
 	"metricdb/internal/engines"
 	"metricdb/internal/experiments"
-	"metricdb/internal/experiments/advisor"
 	"metricdb/internal/report"
 	"metricdb/internal/vec"
 )
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "experiment to run: all, micro, fig7..fig12, chaos, intra, kernels, block, obs, distobs, load, storage, engines, advisor")
+		experiment = flag.String("experiment", "all", "experiment to run: all, micro, fig7..fig12, chaos, intra, kernels, block, load")
 		scaleName  = flag.String("scale", "small", "dataset scale: small, medium or paper")
 		csvDir     = flag.String("csv", "", "also write each figure as CSV into this directory")
 		measure    = flag.Bool("measure", false, "calibrate the cost model on this host instead of nominal 1999 constants")
 		intraOut   = flag.String("intra-out", "BENCH_parallel_intra.json", "output file for the intra experiment's JSON results")
 		kernelsOut = flag.String("kernels-out", "BENCH_kernels.json", "output file for the kernels experiment's JSON results")
 		blockOut   = flag.String("block-out", "BENCH_block.json", "output file for the block experiment's JSON results")
-		obsOut     = flag.String("obs-out", "BENCH_obs.json", "output file for the obs experiment's JSON results")
-		distObsOut = flag.String("distobs-out", "BENCH_distobs.json", "output file for the distobs experiment's JSON results")
 		loadOut    = flag.String("load-out", "BENCH_load.json", "output file for the load experiment's JSON results")
-		storageOut = flag.String("storage-out", "BENCH_storage.json", "output file for the storage experiment's JSON results")
-		enginesOut = flag.String("engines-out", "BENCH_engines.json", "output file for the engines experiment's JSON results")
-		advisorOut = flag.String("advisor-out", "BENCH_advisor.json", "output file for the advisor experiment's JSON results")
 	)
 	flag.Parse()
-	if err := run(*experiment, *scaleName, *csvDir, *measure, *intraOut, *kernelsOut, *blockOut, *obsOut, *distObsOut, *loadOut, *storageOut, *enginesOut, *advisorOut); err != nil {
+	if err := run(*experiment, *scaleName, *csvDir, *measure, *intraOut, *kernelsOut, *blockOut, *loadOut); err != nil {
 		fmt.Fprintln(os.Stderr, "msqbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(experiment, scaleName, csvDir string, measure bool, intraOut, kernelsOut, blockOut, obsOut, distObsOut, loadOut, storageOut, enginesOut, advisorOut string) error {
+func run(experiment, scaleName, csvDir string, measure bool, intraOut, kernelsOut, blockOut, loadOut string) error {
 	sc, err := experiments.ScaleByName(scaleName)
 	if err != nil {
 		return err
@@ -143,8 +99,7 @@ func run(experiment, scaleName, csvDir string, measure bool, intraOut, kernelsOu
 	want := func(name string) bool { return experiment == "all" || experiment == name }
 	valid := map[string]bool{"all": true, "micro": true, "fig7": true, "fig8": true,
 		"fig9": true, "fig10": true, "fig11": true, "fig12": true, "chaos": true,
-		"intra": true, "kernels": true, "block": true, "obs": true, "distobs": true,
-		"load": true, "storage": true, "engines": true, "advisor": true}
+		"intra": true, "kernels": true, "block": true, "load": true}
 	if !valid[experiment] {
 		return fmt.Errorf("unknown experiment %q", experiment)
 	}
@@ -223,59 +178,12 @@ func run(experiment, scaleName, csvDir string, measure bool, intraOut, kernelsOu
 		fmt.Printf("wrote %s\n\n", blockOut)
 	}
 
-	if want("engines") {
-		sweep, err := experiments.RunEngines([]int{4, 8, 16}, []int{1, 8, 32}, 4000)
-		if err != nil {
-			return err
-		}
-		for _, r := range sweep.Results {
-			if !r.Identical {
-				return fmt.Errorf("engines: %s at dim %d, m %d diverged from the scan reference",
-					r.Engine, r.Dim, r.M)
-			}
-		}
-		if err := emit(sweep.Figure()); err != nil {
-			return err
-		}
-		if err := experiments.WriteEnginesJSONFile(enginesOut, sweep); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", enginesOut)
-	}
-
-	if want("advisor") {
-		sweep, err := advisor.Run([]int{4, 8}, 3000)
-		if err != nil {
-			return err
-		}
-		for _, r := range sweep.Results {
-			if !r.Identical {
-				return fmt.Errorf("advisor: %s at dim %d: calibrated run diverged from the plain reference",
-					r.Engine, r.Dim)
-			}
-			if !r.Improved {
-				return fmt.Errorf("advisor: %s at dim %d: calibration did not improve the cost model (MAPE %.4f raw vs %.4f calibrated)",
-					r.Engine, r.Dim, r.MAPERaw, r.MAPECalibrated)
-			}
-		}
-		if err := emit(sweep.Figure()); err != nil {
-			return err
-		}
-		if err := advisor.WriteJSONFile(advisorOut, sweep); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", advisorOut)
-	}
-
 	needSweep := want("fig7") || want("fig8") || want("fig9") || want("fig10")
 	needParallel := want("fig11") || want("fig12")
 	needChaos := want("chaos")
 	needIntra := want("intra")
-	needObs := want("obs")
-	needDistObs := want("distobs")
 	needLoad := want("load")
-	needStorage := want("storage")
-	if !needSweep && !needParallel && !needChaos && !needIntra && !needObs && !needDistObs && !needLoad && !needStorage {
+	if !needSweep && !needParallel && !needChaos && !needIntra && !needLoad {
 		return nil
 	}
 
@@ -357,68 +265,6 @@ func run(experiment, scaleName, csvDir string, measure bool, intraOut, kernelsOu
 		fmt.Printf("wrote %s\n\n", intraOut)
 	}
 
-	if needObs {
-		var profiles []*experiments.ObsProfile
-		for _, wl := range workloads {
-			profile, err := experiments.RunObs(wl.w, []int{1, 2, 8}, sc.BaseM)
-			if err != nil {
-				return err
-			}
-			for _, r := range profile.Results {
-				if !r.Identical {
-					return fmt.Errorf("obs: %s/%s width %d: traced run diverged from the untraced reference",
-						r.Workload, r.Engine, r.Width)
-				}
-			}
-			if err := emit(profile.Figure()); err != nil {
-				return err
-			}
-			profiles = append(profiles, profile)
-		}
-		if err := experiments.WriteObsJSONFile(obsOut, profiles); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", obsOut)
-	}
-
-	if needDistObs {
-		var profiles []*experiments.DistObsProfile
-		for _, wl := range workloads {
-			profile, err := experiments.RunDistObs(wl.w, 4, []int{1, 2, 8}, sc.BaseM)
-			if err != nil {
-				return err
-			}
-			for _, r := range profile.Runs {
-				if !r.Identical {
-					return fmt.Errorf("distobs: %s width %d: traced run diverged from the untraced reference",
-						profile.Workload, r.Width)
-				}
-				if r.Traces != 1 {
-					return fmt.Errorf("distobs: %s width %d: %d stitched traces, want exactly 1",
-						profile.Workload, r.Width, r.Traces)
-				}
-				if r.ServerCalls < profile.Servers+1 {
-					return fmt.Errorf("distobs: %s width %d: %d server_call spans, want >= %d (servers + retried attempt)",
-						profile.Workload, r.Width, r.ServerCalls, profile.Servers+1)
-				}
-			}
-			for _, e := range profile.Explain {
-				if !e.Stable {
-					return fmt.Errorf("distobs: %s: EXPLAIN profile moved between widths %d and %d",
-						profile.Workload, profile.Explain[0].Width, e.Width)
-				}
-			}
-			if err := emit(profile.Figure()); err != nil {
-				return err
-			}
-			profiles = append(profiles, profile)
-		}
-		if err := experiments.WriteDistObsJSONFile(distObsOut, profiles); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", distObsOut)
-	}
-
 	if needLoad {
 		result, err := experiments.RunLoad(astro, experiments.LoadConfig{})
 		if err != nil {
@@ -440,30 +286,6 @@ func run(experiment, scaleName, csvDir string, measure bool, intraOut, kernelsOu
 			return err
 		}
 		fmt.Printf("wrote %s\n\n", loadOut)
-	}
-
-	if needStorage {
-		var results []*experiments.StorageResult
-		for _, wl := range workloads {
-			res, err := experiments.RunStorage(wl.w, sc.BaseM)
-			if err != nil {
-				return err
-			}
-			for _, r := range res.Runs {
-				if !r.Identical {
-					return fmt.Errorf("storage: %s/%s backend diverged from the simulated-disk reference",
-						r.Workload, r.Backend)
-				}
-			}
-			if err := emit(res.Figure()); err != nil {
-				return err
-			}
-			results = append(results, res)
-		}
-		if err := experiments.WriteStorageJSONFile(storageOut, results); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", storageOut)
 	}
 
 	if needParallel {

@@ -40,7 +40,7 @@ type BlockResult struct {
 	M      int    `json:"m"`
 	Layout string `json:"layout"`
 	// NsPerPair is wall time per (query, item) pair of the sequential
-	// page pass (machine-dependent; not judged by benchcompare).
+	// page pass (machine-dependent).
 	NsPerPair float64 `json:"ns_per_pair"`
 	// Speedup is the AoS row's wall time over this row's (the median of the
 	// in-run ratios): > 1 means the layout beats AoS at this configuration.
@@ -213,16 +213,6 @@ func medianRatio(turns [][]time.Duration, ratio func(turn []time.Duration) float
 		return (rs[n/2-1] + rs[n/2]) / 2
 	}
 	return rs[len(rs)/2]
-}
-
-// timeBatch reports the best wall time of fn over enough repetitions to
-// dominate timer granularity.
-func timeBatch(fn func() error) (time.Duration, error) {
-	turns, err := timeTurns(3, fn)
-	if err != nil {
-		return 0, err
-	}
-	return fastest(turns, 0), nil
 }
 
 // RunBlockLayouts sweeps dim × m × layout on the scan engine over n

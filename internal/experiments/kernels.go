@@ -36,9 +36,10 @@ type KernelResult struct {
 	ObservedAbandonRate float64 `json:"observed_abandon_rate"`
 	FullNsPerOp         float64 `json:"full_ns_per_op"`
 	BoundedNsPerOp      float64 `json:"bounded_ns_per_op"`
-	// Speedup is FullNsPerOp / BoundedNsPerOp: > 1 means the bounded
-	// kernel beats the full calculation at this abandon rate.
-	Speedup float64 `json:"speedup"`
+	// WallRatio is FullNsPerOp / BoundedNsPerOp, a ratio of wall clocks:
+	// > 1 means the bounded kernel beats the full calculation at this
+	// abandon rate.
+	WallRatio float64 `json:"wall_ratio"`
 }
 
 // KernelSweep is the full kernel measurement set.
@@ -138,7 +139,7 @@ func RunKernels(dims []int, rates []float64, nPairs int) (*KernelSweep, error) {
 					ObservedAbandonRate: float64(abandoned) / float64(nPairs),
 					FullNsPerOp:         fullNs,
 					BoundedNsPerOp:      boundedNs,
-					Speedup:             fullNs / boundedNs,
+					WallRatio:           fullNs / boundedNs,
 				})
 			}
 		}
@@ -194,13 +195,13 @@ func timeKernel(nPairs int, fn func(i int)) float64 {
 	}
 }
 
-// Figure renders the sweep as speedup per abandon rate, one series per
+// Figure renders the sweep as the wall ratio per abandon rate, one series per
 // (metric, dim) at the largest dim for readability.
 func (s *KernelSweep) Figure() *report.Figure {
 	fig := &report.Figure{
 		Title:  "Bounded-kernel speed-up wrt abandon rate",
 		XLabel: "abandon rate",
-		YLabel: "full / bounded ns per op",
+		YLabel: "wall ratio (full / bounded ns per op)",
 	}
 	for _, r := range s.Rates {
 		fig.XVals = append(fig.XVals, r)
@@ -212,7 +213,7 @@ func (s *KernelSweep) Figure() *report.Figure {
 		if _, ok := bySeries[key]; !ok {
 			order = append(order, key)
 		}
-		bySeries[key] = append(bySeries[key], r.Speedup)
+		bySeries[key] = append(bySeries[key], r.WallRatio)
 	}
 	for _, name := range order {
 		fig.AddSeries(name, bySeries[name]) //nolint:errcheck // lengths match by construction

@@ -26,7 +26,7 @@ func TestRunKernelsSmoke(t *testing.T) {
 		t.Fatalf("got %d results, want %d", got, want)
 	}
 	for _, r := range sweep.Results {
-		if r.FullNsPerOp <= 0 || r.BoundedNsPerOp <= 0 || r.Speedup <= 0 {
+		if r.FullNsPerOp <= 0 || r.BoundedNsPerOp <= 0 || r.WallRatio <= 0 {
 			t.Fatalf("%s/d=%d/rate=%g: non-positive timing %+v", r.Metric, r.Dim, r.AbandonRate, r)
 		}
 		if math.Abs(r.ObservedAbandonRate-r.AbandonRate) > 0.1 {

@@ -35,9 +35,9 @@ import (
 // sequential reference) and `stable` (admitted p95 within the SLO, every
 // overload shed structured with a retry-after hint, no unexpected errors —
 // plus, under sustained overload, sheds actually happening and achieved
-// batch width > 1 across independent callers). Absolute latencies and
-// rates are recorded for inspection but deliberately use key names
-// benchcompare does not judge.
+// batch width > 1 across independent callers); the run fails without them,
+// and TestCommittedLoadArtifactHoldsTheSLO holds the committed file to
+// them. Absolute latencies and rates are recorded for inspection.
 
 // LoadProfileSpec is one traffic profile: an offered rate as a multiple of
 // the calibrated capacity, sustained for a number of open-loop arrivals.
@@ -126,11 +126,11 @@ type LoadRun struct {
 	// positive retry-after hint.
 	RetryAfterHints bool `json:"retry_after_hints"`
 	// Identical: every admitted answer matched the unbatched sequential
-	// reference bit for bit (judged by benchcompare).
+	// reference bit for bit.
 	Identical bool `json:"identical"`
 	// Stable: admitted p95 within the SLO, all sheds structured with
 	// hints, no unexpected errors; under sustained overload additionally
-	// sheds > 0 and achieved width > 1 (judged by benchcompare).
+	// sheds > 0 and achieved width > 1.
 	Stable bool `json:"stable"`
 }
 

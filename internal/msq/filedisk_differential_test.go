@@ -176,6 +176,39 @@ func TestDifferentialFileDisk(t *testing.T) {
 			}
 		}
 	}
+
+	// The cold batch's pages came from real preads; with a buffer that
+	// covers every page, a second batch never reaches the backend.
+	var fd *store.FileDisk
+	persist := persistToFileDisk(t, false, store.ColumnSpec{})
+	eng, err := scan.NewWithConfig(items, scan.Config{
+		PageCapacity: 16, BufferPages: (len(items) + 15) / 16,
+		WrapDisk: func(src store.PageSource) (store.PageSource, error) {
+			disk, err := persist(src)
+			fd, _ = disk.(*store.FileDisk)
+			return disk, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc, err := New(eng, vec.Euclidean{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := proc.NewSession().MultiQueryAll(queries); err != nil {
+		t.Fatal(err)
+	}
+	if st := fd.Storage(); st.Preads == 0 || st.BytesRead == 0 {
+		t.Errorf("cold batch: file disk counters %+v, want preads and bytes read", st)
+	}
+	cold := eng.Pager().Disk().Stats().Reads
+	if _, _, err := proc.NewSession().MultiQueryAll(queries); err != nil {
+		t.Fatal(err)
+	}
+	if warm := eng.Pager().Disk().Stats().Reads - cold; warm != 0 {
+		t.Errorf("warm batch over a covering buffer read %d pages from the backend", warm)
+	}
 }
 
 // TestDifferentialFileDiskMmap repeats a narrower sweep in mmap mode: the

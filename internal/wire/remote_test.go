@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -180,7 +181,8 @@ func TestCoordinatorUnionMerge(t *testing.T) {
 // appears in the stitched cross-server trace as a failed attempt span with
 // a retry sibling, the retry carrying the server-side request span; the
 // servers' phase deltas land in the per-server tracers and a coordinator
-// scrape exposes them under server labels.
+// scrape exposes them under server labels. An untraced cluster over the same
+// partitions and fault returns the same answers and counters.
 func TestCoordinatorTraceAcrossRetries(t *testing.T) {
 	const servers = 3
 	serverTrs := make([]*obs.Tracer, servers)
@@ -268,6 +270,21 @@ func TestCoordinatorTraceAcrossRetries(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), obs.PhaseHistogramMetric+`_count{phase="kernel",server="0"}`) {
 		t.Error("coordinator scrape missing server-labeled kernel histogram")
+	}
+
+	// Tracing is observational across the wire: the same partitions behind
+	// the same fault, with no tracer anywhere, merge to the same answers and
+	// sum to the same counters.
+	plainAddrs, _ := startPartitionedServers(t, servers, wrap, nil)
+	plainGot, plainRep, err := coordinator(t, plainAddrs, nil, parallel.FanOut{Timeout: 30 * time.Second, Retries: 2}).MultiQueryAll(queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(got, plainGot, func(a, b *query.AnswerList) bool { return slices.Equal(a.Answers(), b.Answers()) }) {
+		t.Error("traced answers differ from the untraced cluster's")
+	}
+	if traced, plain := rep.Sum().Query, plainRep.Sum().Query; traced != plain {
+		t.Errorf("traced stats %+v, untraced %+v", traced, plain)
 	}
 }
 
