@@ -66,12 +66,16 @@ race:
 # change: the slice of answer lists a session call returns is session
 # scratch that the next call overwrites while the lists stay live, a steady
 # slide allocates only for the query that enters (no result slice, no
-# singleflight record — an uncontended miss reuses the last one), and
-# DBSCAN's labels and the order its seeds enter the window are the same,
-# and pinned, for every batch size — all under the race detector.
+# singleflight record — an uncontended miss reuses the last one, and no
+# state or page set — a completed query's are recycled), a recycled state
+# is never reached under its old ID and a refused call gives back each
+# state it took once, a page's range accepts landed in one call leave every
+# list, Stats and profile as accepts landed one by one would, and DBSCAN's
+# labels and the order its seeds enter the window are the same, and pinned,
+# for every batch size — all under the race detector.
 differential:
-	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestRowLanes|TestItemLanes|FuzzEucItems|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPagerUncontendedMissAllocatesNothing|TestPageRecycle|TestDecodedPageAliasesRecord|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode|TestBlockSweepMatchesLone|TestFanOut|TestResultsSliceIsSessionScratch|TestSlideAllocations|TestDBSCANBatchSizesAgree' \
-		./internal/msq/ ./internal/store/ ./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/parallel/ ./internal/explore/
+	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestRowLanes|TestItemLanes|FuzzEucItems|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPagerUncontendedMissAllocatesNothing|TestPageRecycle|TestDecodedPageAliasesRecord|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode|TestBlockSweepMatchesLone|TestFanOut|TestResultsSliceIsSessionScratch|TestSlideAllocations|TestCompletedQueriesReleaseTheirState|TestRecycledStateIsNeverStale|TestStagedAcceptsMatchPerAccept|TestConsiderAllMatchesConsider|TestDBSCANBatchSizesAgree' \
+		./internal/msq/ ./internal/query/ ./internal/store/ ./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/parallel/ ./internal/explore/
 
 # A short fuzz of the persistent-storage decoders: corrupt page records
 # and manifests must produce errors, never panics or over-allocation. The
@@ -140,7 +144,7 @@ loc:
 # page pass at the widths around rowPath's constant; a sweep of child MBRs by
 # the per-box loop and the box-lane bodies), the VA-file's plan and per-query
 # sweep, the X-tree's plan and dynamic build, the sliding window of a mining
-# loop, a stored page's decode (in place and from caller memory, ns/page and
+# loop, a whole DBSCAN job (ns and heap bytes per query), a stored page's decode (in place and from caller memory, ns/page and
 # B/op) and the stored scan's page path, then the end-to-end
 # artifacts — the kernels experiment
 # (BENCH_kernels.json), the intra pipeline sweep
@@ -149,8 +153,8 @@ loc:
 # (BENCH_block.json). The deterministic work counters are not here: go test
 # pins them (TestEngineWorkGolden, TestCalibrationImprovesTheModel).
 bench:
-	go test -bench='BenchmarkDistance|BenchmarkRowKernel|BenchmarkItemKernel|BenchmarkBoxKernel|BenchmarkSortRefs|BenchmarkPlan|BenchmarkSweep|BenchmarkBulk|BenchmarkMultiQueryAll|BenchmarkPassBodies|BenchmarkIncrementalWindow|BenchmarkStoredScan|BenchmarkDecodePage' -benchmem -run=^$$ \
-		./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/msq/ ./internal/store/
+	go test -bench='BenchmarkDistance|BenchmarkRowKernel|BenchmarkItemKernel|BenchmarkBoxKernel|BenchmarkSortRefs|BenchmarkPlan|BenchmarkSweep|BenchmarkBulk|BenchmarkMultiQueryAll|BenchmarkPassBodies|BenchmarkIncrementalWindow|BenchmarkDBSCAN|BenchmarkStoredScan|BenchmarkDecodePage' -benchmem -run=^$$ \
+		./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/msq/ ./internal/explore/ ./internal/store/
 	go run ./cmd/msqbench -experiment kernels
 	go run ./cmd/msqbench -experiment intra
 	go run ./cmd/msqbench -experiment load

@@ -49,6 +49,18 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// checkIDs rejects an ID that names no object of a database of n objects:
+// the mining entry points index the database with the IDs they are given,
+// and their hooks', before any query runs.
+func checkIDs(n int, ids ...store.ItemID) error {
+	for _, id := range ids {
+		if id >= store.ItemID(n) {
+			return fmt.Errorf("explore: item ID %d names no object of the %d in the database", id, n)
+		}
+	}
+	return nil
+}
+
 // Hooks are the task-specific procedures of the scheme. Any hook may be
 // nil:
 //
@@ -65,7 +77,8 @@ type Hooks struct {
 	Proc2 func(obj store.Item, answers []query.Answer)
 	// Filter selects which answers become new query objects. Objects
 	// that were ever on the control list are dropped automatically, which
-	// (together with a finite database) guarantees termination.
+	// (together with a finite database) guarantees termination. An ID that
+	// names no database object ends the run with an error.
 	Filter func(obj store.Item, answers []query.Answer) []store.ItemID
 }
 
@@ -129,6 +142,9 @@ func Run(cfg Config, start []store.ItemID, hooks Hooks) (Stats, error) {
 	if err := cfg.Validate(); err != nil {
 		return Stats{}, err
 	}
+	if err := checkIDs(len(cfg.Items), start...); err != nil {
+		return Stats{}, err
+	}
 	var stats Stats
 	control := newControlList(cfg, start)
 	for hooks.condition(control.len(), stats.Steps) {
@@ -141,8 +157,10 @@ func Run(cfg Config, start []store.ItemID, hooks Hooks) (Stats, error) {
 		if err != nil {
 			return stats, err
 		}
-		finishStep(cfg, hooks, obj, answers.Answers(), control)
 		stats.Steps++
+		if err := finishStep(cfg, hooks, obj, answers.Answers(), control); err != nil {
+			return stats, err
+		}
 	}
 	return stats, nil
 }
@@ -155,6 +173,9 @@ func Run(cfg Config, start []store.ItemID, hooks Hooks) (Stats, error) {
 // Run's.
 func RunMultiple(cfg Config, start []store.ItemID, hooks Hooks) (Stats, error) {
 	if err := cfg.Validate(); err != nil {
+		return Stats{}, err
+	}
+	if err := checkIDs(len(cfg.Items), start...); err != nil {
 		return Stats{}, err
 	}
 	if cfg.BatchSize < 2 {
@@ -177,21 +198,30 @@ func RunMultiple(cfg Config, start []store.ItemID, hooks Hooks) (Stats, error) {
 		if err != nil {
 			return stats, err
 		}
-		finishStep(cfg, hooks, obj, results[0].Answers(), control)
 		stats.Steps++
+		if err := finishStep(cfg, hooks, obj, results[0].Answers(), control); err != nil {
+			return stats, err
+		}
 	}
 	return stats, nil
 }
 
-// finishStep runs proc_2 and the filter and updates the control list.
-func finishStep(cfg Config, hooks Hooks, obj store.Item, answers []query.Answer, control *controlList) {
+// finishStep runs proc_2 and the filter and updates the control list. A
+// filter result naming no database object is an error, and nothing of it is
+// enqueued.
+func finishStep(cfg Config, hooks Hooks, obj store.Item, answers []query.Answer, control *controlList) error {
 	if hooks.Proc2 != nil {
 		hooks.Proc2(obj, answers)
 	}
 	if hooks.Filter == nil {
-		return
+		return nil
 	}
-	for _, id := range hooks.Filter(obj, answers) {
+	ids := hooks.Filter(obj, answers)
+	if err := checkIDs(len(cfg.Items), ids...); err != nil {
+		return fmt.Errorf("explore: filter after object %d: %w", obj.ID, err)
+	}
+	for _, id := range ids {
 		control.push(id)
 	}
+	return nil
 }

@@ -24,8 +24,8 @@ import (
 // is 0.3 µs, so the m = 1 job lost its largest fixed cost too) and the window
 // is recognised instead of re-validated; the batch is a window on the seed
 // list and the slice of answer lists is session scratch, so what the ratio
-// compares is the rest of a 50-query call — one registry lookup and
-// admission for the query that entered, decideActive — against the pages
+// compares is the rest of a 50-query call — the lookups and admission, on
+// a recycled state, of the query that entered, decideActive — against the pages
 // the window saves, and on an in-memory disk a saved page costs little. It
 // reads 0.8-0.95, where it read 0.9-1.1 while every call rebuilt its batch
 // and allocated its result slice (8 000 queries, both jobs 35-60 ms on the

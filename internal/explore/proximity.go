@@ -31,6 +31,9 @@ func ProximityTopK(cfg Config, clusterIDs []store.ItemID, k int) ([]query.Answer
 	if len(clusterIDs) == 0 {
 		return nil, stats, fmt.Errorf("explore: empty cluster")
 	}
+	if err := checkIDs(len(cfg.Items), clusterIDs...); err != nil {
+		return nil, stats, err
+	}
 
 	member := make(map[store.ItemID]bool, len(clusterIDs))
 	batch := make([]msq.Query, 0, len(clusterIDs))
@@ -100,6 +103,9 @@ func CommonFeatures(items []store.Item, ids []store.ItemID, ratio float64) ([]Fe
 	}
 	if ratio <= 0 {
 		return nil, fmt.Errorf("explore: ratio must be positive, got %g", ratio)
+	}
+	if err := checkIDs(len(items), ids...); err != nil {
+		return nil, err
 	}
 	dim := items[0].Vec.Dim()
 	features := make([]Feature, dim)

@@ -70,6 +70,9 @@ func DetectTrends(cfg Config, start store.ItemID, attr func(store.Item) float64,
 	if attr == nil {
 		return nil, stats, fmt.Errorf("explore: nil attribute function")
 	}
+	if err := checkIDs(len(cfg.Items), start); err != nil {
+		return nil, stats, err
+	}
 
 	type path struct {
 		ids   []store.ItemID

@@ -15,16 +15,18 @@ import (
 	"metricdb/internal/vec"
 )
 
-// queryState is the per-query bookkeeping that persists across incremental
-// multi-query calls: the (partial) answer list and the set of pages whose
-// items have already been tested for this query. Together they are the
+// queryState is the live part of a query the session is evaluating: what
+// the page loop needs of it between the call in which it enters and the
+// call that completes it. Together with the answer list it is the
 // "internal buffer" of Figure 4 (restore_from_buffer / buffer_answers).
 //
-// Only an incomplete query needs more than q and answers. When the query
-// completes, Session.complete drops the rest — the matrix slot, the page
-// set, the prepared handle and the layout caches — so a session's memory
-// grows with the answers it has produced, not with the work it did to
-// produce them.
+// A completed query keeps its answer list and nothing else: the list
+// records the query object and type, which is all that answering a
+// resubmission from the buffer and refusing its ID with another object need
+// (Session.completed). Its state goes back to the session's free list — the
+// matrix slot, the page set and the struct itself are taken by the next
+// query that enters — so a session's memory grows with the answers it has
+// produced, not with the work it did to produce them.
 type queryState struct {
 	q       Query
 	answers *query.AnswerList
@@ -49,9 +51,15 @@ type queryState struct {
 	// workers feed per-page results into the list (one shard — and hence
 	// one worker — per query, but the lock keeps the ownership explicit
 	// and race-detector-checkable). The sequential path never contends.
-	mu        sync.Mutex
+	mu sync.Mutex
+	// processed is the set of pages already examined for the query. It
+	// stays with the struct through the free list, unless retire lets it go,
+	// and is cleared when the next query takes it.
 	processed pageSet
-	done      bool
+	// done marks a completed query, whose state waits in the batch for the
+	// next call to retire it (Session.retire). A state that stands for a
+	// query completed in an earlier call is done from the start.
+	done bool
 	// bound is an a-priori upper bound on the final query distance,
 	// derived from MAXDIST over a data page holding enough items (see
 	// Session.bootstrap). It lets a k-NN query participate in page
@@ -85,15 +93,19 @@ func (st *queryState) queryDist() float64 {
 // previous one) are inherently ordered. Parallelism happens *inside* a
 // call when the processor's Concurrency is above 1.
 //
-// What is buffered: for every query ever submitted, the query and its
-// answer list; for every incomplete one also the pages already examined for
-// it, the engine's prepared handle and — while it stays in the batch — a
-// slot in the query-distance matrix (matrix.go). A call therefore costs
-// O(new × m) to admit the queries that entered and fill their matrix rows,
-// plus O(pages × active) for the page loop; nothing in it is proportional
-// to m² or to the session's length. Memory is O(w²) for the matrix, w the
-// widest batch so far, plus the incomplete queries' page sets, plus the
-// answers.
+// What is buffered: for every query ever completed, its answer list, which
+// records the query (completed); for every incomplete one its live state —
+// the list, the pages already examined for it, the engine's prepared handle
+// and, while it stays in the batch, a slot in the query-distance matrix
+// (matrix.go). A completed query's state is recycled through a free list,
+// so a sliding window allocates a query's answer list and its handle, not
+// its bookkeeping. A call therefore costs O(new × m) to admit the queries
+// that entered and fill their matrix rows, plus O(pages × active) for the
+// page loop; nothing in it is proportional to m² or to the session's
+// length. Memory is O(w²) for the matrix, w the widest batch so far, plus
+// the incomplete queries' states, plus the free list — at most w structs,
+// and page sets (pages/64 words each) for at most as many as the last call
+// was wide (retire) — plus one map entry and one list per completed query.
 //
 // MatrixDistCalcs counts what is calculated: each pair of incomplete
 // queries once for as long as both stay in the batch. It charges nothing
@@ -105,8 +117,18 @@ type Session struct {
 	// mu serializes top-level calls on the session. The pipeline's worker
 	// goroutines never take it; they synchronize through per-query state
 	// locks and the page barrier (see pipeline.go).
-	mu     sync.Mutex
-	states map[uint64]*queryState
+	mu sync.Mutex
+	// live indexes the states the session holds by query ID: the incomplete
+	// queries, and during a call also the states the call registered (bare
+	// ones before admission, and those standing for completed queries). A
+	// sliding window finds its queries without it (held); it answers the
+	// rest, and sees every duplicate ID in a call.
+	live map[uint64]*queryState
+	// completed is the registry of completed queries: one answer list per
+	// ID, which records the query object and type.
+	completed map[uint64]*query.AnswerList
+	// spare holds retired states for the next queries that enter.
+	spare []*queryState
 	// stamp counts the calls on the session; see queryState.stamp.
 	stamp uint64
 	// matrix holds the distances between the buffered incomplete queries.
@@ -130,7 +152,7 @@ type Session struct {
 
 // NewSession starts an empty multi-query session.
 func (p *Processor) NewSession() *Session {
-	return &Session{proc: p, states: make(map[uint64]*queryState)}
+	return &Session{proc: p}
 }
 
 // MultiQuery evaluates a multiple similarity query per Definition 4 and the
@@ -209,45 +231,62 @@ func (s *Session) MultiQueryContext(ctx context.Context, queries []Query) ([]*qu
 // prepare validates the batch and restores (or creates) the per-query
 // buffered states. The whole batch is validated — dimension, finiteness,
 // duplicate IDs, ID reuse with a different object — before any query is
-// admitted, so a rejected call leaves the session as it found it and pays
-// no Engine.Prepare or PrepareBlock. The returned states and the slice of
-// answer lists are session scratch, valid until the next call; the answer
-// lists are the caller's.
+// admitted, so a rejected call leaves the session's queries as it found
+// them and pays no Engine.Prepare or PrepareBlock. The returned states and
+// the slice of answer lists are session scratch, valid until the next call;
+// the answer lists are the caller's.
 //
 // A mining loop slides a window: the query at position i of this call sat at
 // i+1 of the previous one, or at i. Those two places are looked at before the
-// registry (held), and a query the session holds that arrives with the very
+// live index (held), and a query the session holds that arrives with the very
 // vector it was admitted with — the same array, not an equal one — and the
 // same type was validated then and is not validated again: MultiQuery's
 // contract is that the vectors do not change, and only identity, never
-// equality, shows that nothing has been put in their place.
+// equality, shows that nothing has been put in their place. A completed
+// query is looked up in the registry and stands in the batch as a done
+// state taken from the free list, for this call only.
 func (s *Session) prepare(queries []Query) ([]*queryState, []*query.AnswerList, error) {
 	if len(queries) == 0 {
 		return nil, nil, fmt.Errorf("msq: empty multiple similarity query")
 	}
+	prev := s.batch
+	s.retire(prev, len(queries))
+	if s.live == nil {
+		s.live = make(map[uint64]*queryState, len(queries))
+	}
 	s.stamp++
-	prev, states := s.batch, s.batch[:0]
+	states := prev[:0]
 	for i, q := range queries {
 		st := held(prev, i, q.ID) // restore_from_buffer
 		if st == nil {
-			st = s.states[q.ID]
+			st = s.live[q.ID]
 		}
-		known := st != nil && st.q.Type == q.Type && len(st.q.Vec) == len(q.Vec) && &st.q.Vec[0] == &q.Vec[0]
+		// The query's list, if the session buffers one: a bare state,
+		// registered earlier in this call, has none yet.
+		var list *query.AnswerList
+		if st != nil {
+			list = st.answers
+		} else {
+			list = s.completed[q.ID]
+		}
+		known := list != nil && list.Type() == q.Type && sameArray(list.Object(), q.Vec)
 		if !known {
 			if err := s.proc.CheckQuery(q); err != nil {
 				return s.reject(states, err)
 			}
 		}
 		switch {
-		case st == nil:
+		case st == nil && list == nil:
 			// Registered bare, so that a second occurrence of the ID in this
 			// batch finds it; admitted below once the batch is known good.
-			st = &queryState{q: q, slot: noSlot}
-			s.states[q.ID] = st
-		case st.stamp == s.stamp:
+			st = s.take(q)
+		case st != nil && st.stamp == s.stamp:
 			return s.reject(states, fmt.Errorf("msq: query ID %d appears twice in one call", q.ID))
-		case !known && (!st.q.Vec.Equal(q.Vec) || st.q.Type != q.Type):
+		case !known && (!list.Object().Equal(q.Vec) || list.Type() != q.Type):
 			return s.reject(states, fmt.Errorf("msq: query ID %d reused with a different object or type", q.ID))
+		case st == nil:
+			st = s.take(Query{ID: q.ID, Vec: list.Object(), Type: list.Type()})
+			st.answers, st.done = list, true
 		}
 		st.stamp, st.pos = s.stamp, int32(i)
 		states = append(states, st) // overwrites prev[i], already looked at
@@ -257,12 +296,7 @@ func (s *Session) prepare(queries []Query) ([]*queryState, []*query.AnswerList, 
 	s.results = results
 	for i, st := range states {
 		if st.answers == nil {
-			st.answers = query.NewAnswerList(st.q.Type)
-			if s.proc.block == nil {
-				st.pq = s.proc.eng.Prepare(st.q.Vec)
-			}
-			st.processed = make(pageSet, (s.proc.eng.NumPages()+63)/64)
-			st.bound = math.Inf(1)
+			s.admit(st)
 		}
 		results[i] = st.answers
 	}
@@ -270,6 +304,78 @@ func (s *Session) prepare(queries []Query) ([]*queryState, []*query.AnswerList, 
 		s.prepareBlock(states)
 	}
 	return states, results, nil
+}
+
+// sameArray reports whether a and b are the same vector: one array, one
+// length.
+func sameArray(a, b vec.Vector) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
+}
+
+// take registers a bare state for q under its ID, from the free list when
+// it has one.
+func (s *Session) take(q Query) *queryState {
+	var st *queryState
+	if n := len(s.spare); n > 0 {
+		st, s.spare = s.spare[n-1], s.spare[:n-1]
+	} else {
+		st = &queryState{slot: noSlot}
+	}
+	st.q = q
+	s.live[q.ID] = st
+	return st
+}
+
+// admit gives a bare state what the page loop needs: its answer list, its
+// page set (cleared when the state is recycled) and, unless the engine
+// prepares the call's entering queries as one block, its prepared handle.
+func (s *Session) admit(st *queryState) {
+	st.answers = query.NewAnswerListFor(st.q.Vec, st.q.Type)
+	if s.proc.block == nil {
+		st.pq = s.proc.eng.Prepare(st.q.Vec)
+	}
+	if st.processed == nil {
+		st.processed = make(pageSet, (s.proc.eng.NumPages()+63)/64)
+	} else {
+		clear(st.processed)
+	}
+	st.bound = math.Inf(1)
+}
+
+// release withdraws st from the live index and puts it on the free list.
+// Its list, if it has one, is the registry's or was never admitted; either
+// way the state lets go of it, so that held never finds a state on the free
+// list and a recycled state starts bare.
+func (s *Session) release(st *queryState) {
+	delete(s.live, st.q.ID)
+	st.q, st.answers, st.pq, st.done = Query{}, nil, nil, false
+	s.spare = append(s.spare, st)
+}
+
+// retire moves the queries the previous call completed into the registry
+// and their states to the free list, together with the states that stood
+// for already completed queries. It runs when the next call begins, before
+// the window is read: every merge of the call that completed them has
+// drained by then, and a session that is never called again — a one-shot
+// batch — pays neither registry nor free list. The free list keeps the
+// page sets of at most width states, as many as a call of that width can
+// take (take pops from the top, where they are): after a wide call a
+// narrower session lets the other page sets go, and keeps their structs —
+// as many as the widest batch, like the matrix — for the next wide call.
+func (s *Session) retire(prev []*queryState, width int) {
+	for _, st := range prev {
+		if !st.done {
+			continue
+		}
+		if s.completed == nil {
+			s.completed = make(map[uint64]*query.AnswerList)
+		}
+		s.completed[st.q.ID] = st.answers
+		s.release(st)
+	}
+	for _, st := range s.spare[:max(len(s.spare)-width, 0)] {
+		st.processed = nil
+	}
 }
 
 // prepareBlock hands the queries that entered this call — the admitted ones
@@ -297,21 +403,25 @@ func (s *Session) prepareBlock(states []*queryState) {
 	s.blockQs, s.blockPQs = qs[:0], pqs[:0]
 }
 
-// reject withdraws from the registry the states a call registered before it
-// found the query that fails it.
+// reject gives back the states a call registered before it found the query
+// that fails it — the bare ones and those standing for completed queries —
+// each once: a state is in states at most once, since a second occurrence
+// of its ID is what rejects a call.
 func (s *Session) reject(states []*queryState, err error) ([]*queryState, []*query.AnswerList, error) {
 	for _, st := range states {
-		if st.answers == nil { // registered by this call
-			delete(s.states, st.q.ID)
+		if st.answers == nil || st.done {
+			s.release(st)
 		}
 	}
 	return nil, nil, err
 }
 
 // held returns the state of query id if the previous call's batch holds it
-// at position i+1 or i, nil otherwise. A rejected call leaves the bare states
-// it registered, and then withdrew from the registry, in that batch: a state
-// is only ever found here once it has been admitted.
+// at position i+1 or i, nil otherwise. The previous batch has been retired
+// (its done states are on the free list), and a rejected call leaves the
+// states it registered, and then released, in that batch: a released state
+// holds no list, and a state is only ever found here while it is admitted
+// and live.
 func held(prev []*queryState, i int, id uint64) *queryState {
 	if i+1 < len(prev) && prev[i+1].q.ID == id && prev[i+1].answers != nil {
 		return prev[i+1]
@@ -322,13 +432,13 @@ func held(prev []*queryState, i int, id uint64) *queryState {
 	return nil
 }
 
-// complete marks st's answers final and releases everything only an
-// incomplete query needs. What stays is the query, for the ID-reuse check,
-// and the answer list the caller may still hold.
+// complete marks st's answers final and gives back what only an incomplete
+// query needs and nobody recycles: its matrix slot and its prepared handle.
+// The state itself waits in the batch until the next call retires it.
 func (s *Session) complete(st *queryState) {
 	st.done = true
 	s.matrix.release(st)
-	st.pq, st.processed = nil, nil
+	st.pq = nil
 }
 
 // accounting snapshots the I/O and distance counters so a call can report

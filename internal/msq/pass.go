@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"metricdb/internal/obs"
+	"metricdb/internal/query"
 	"metricdb/internal/store"
 	"metricdb/internal/vec"
 )
@@ -25,6 +26,14 @@ import (
 // snapshot. Observers do not get a copy of their own: a pass is timed as a
 // whole, and EXPLAIN's per-query attribution is a nil-checked pointer
 // inside the bodies.
+//
+// A live pass lands a range query's accepts once per page: its pruning
+// distance is ε whatever its list holds, so no accept changes a limit, an
+// abandonment or a later pair of the page, and the bodies stage them
+// (accept) and append each query's in one call at the end (flush) — the
+// same answers in the same order, with one growth of the list instead of a
+// doubling per accept. A bounded (k-NN) list takes each accept at once:
+// its limit moves with it.
 
 // passCounts is what one page pass, or one chunk of one, did. The bodies
 // count in locals and return the totals, so the per-pair path touches no
@@ -151,10 +160,15 @@ type pagePass struct {
 	// then — an O(m) overapproximation (the suffix raise of a later
 	// position need not include the new query, but a higher raise stays
 	// valid). Each query transitions at most once per run.
-	raise  []float64
-	body   passBody     // which body the page takes (see rowPath)
-	qvecs  []vec.Vector // the vector bodies' queries, gathered at the barrier
-	rowSet *vec.Rows    // the row body's: qvecs loaded, with limits, for every item of the page
+	raise []float64
+	body  passBody // which body the page takes (see rowPath)
+	// perAccept is the processor's (Processor.perAccept): no staging.
+	perAccept bool
+	qvecs     []vec.Vector // the vector bodies' queries, gathered at the barrier
+	rowSet    *vec.Rows    // the row body's: qvecs loaded, with limits, for every item of the page
+	// stage[a] holds a live pass's accepts for active range query a until
+	// the page ends (accept, flush); made when a range query first accepts.
+	stage [][]query.Answer
 
 	known  [][]knownDist    // per worker
 	rowSc  []vec.RowScratch // per worker
@@ -170,7 +184,7 @@ func (s *Session) pagePass(width, nStates int, matrix [][]float64) *pagePass {
 		s.pass = newPagePass(s, width, nStates)
 	}
 	p := s.pass
-	p.matrix, p.prof = matrix, nil
+	p.matrix, p.prof, p.perAccept = matrix, nil, s.proc.perAccept
 	if ex := s.explain; ex != nil {
 		p.prof = ex.prof
 	}
@@ -278,6 +292,36 @@ func (p *pagePass) eval(lo, hi, worker int, out []float64) passCounts {
 	return c
 }
 
+// accept offers item id at distance d, within the pass's limit for it, to
+// active query a. A range query's accept is staged for flush; a bounded
+// query's goes to its list at once, and accept reports whether the list took
+// it — whether a's pruning distance may have moved.
+func (p *pagePass) accept(a int, id store.ItemID, d float64) bool {
+	st := p.active[a]
+	if st.q.Type.Bounded() || p.perAccept {
+		return st.answers.Consider(id, d)
+	}
+	if p.stage == nil {
+		p.stage = make([][]query.Answer, cap(p.limits))
+	}
+	p.stage[a] = append(p.stage[a], query.Answer{ID: id, Dist: d})
+	return false
+}
+
+// flush lands the page's staged accepts, one ConsiderAll a range query. The
+// live bodies call it when they end; a deferred pass stages nothing.
+func (p *pagePass) flush() {
+	if p.stage == nil {
+		return
+	}
+	for a, st := range p.active {
+		if staged := p.stage[a]; len(staged) > 0 {
+			st.answers.ConsiderAll(staged)
+			p.stage[a] = staged[:0]
+		}
+	}
+}
+
 // evalPairs is the per-pair body, the one that runs the lemmas: for each
 // item, each active query in order is first probed against the distances
 // already known for the item (Lemmas 1 and 2), and only then evaluated by
@@ -344,7 +388,7 @@ func (p *pagePass) evalPairs(lo, hi, worker int, out []float64) passCounts {
 				row[a] = d
 				continue
 			}
-			if st.answers.Consider(item.ID, d) {
+			if p.accept(a, item.ID, d) {
 				limits[a] = st.queryDist()
 				if math.IsInf(qd, 1) && !math.IsInf(limits[a], 1) {
 					mrow := matrix[slot]
@@ -356,6 +400,9 @@ func (p *pagePass) evalPairs(lo, hi, worker int, out []float64) passCounts {
 				}
 			}
 		}
+	}
+	if out == nil {
+		p.flush()
 	}
 	return passCounts{calcs: calcs, abandoned: abandoned, tries: probes, avoided: avoided}
 }
@@ -396,11 +443,14 @@ func (p *pagePass) evalRows(lo, hi, worker int, out []float64) passCounts {
 			continue
 		}
 		for _, hit := range hits {
-			if st := active[hit.Lane]; st.answers.Consider(item.ID, hit.D) {
-				limits[hit.Lane] = st.queryDist()
-				rows.SetLimit(int(hit.Lane), limits[hit.Lane])
+			if a := int(hit.Lane); p.accept(a, item.ID, hit.D) {
+				limits[a] = active[a].queryDist()
+				rows.SetLimit(a, limits[a])
 			}
 		}
+	}
+	if out == nil {
+		p.flush()
 	}
 	calcs := int64(hi-lo) * int64(n)
 	return passCounts{calcs: calcs, abandoned: calcs - within}
@@ -429,10 +479,13 @@ func (p *pagePass) evalItems(lo, hi int, out []float64) passCounts {
 		hits[a]++
 		if out != nil {
 			out[(lo+it)*n+a] = d
-		} else if st := active[a]; st.answers.Consider(items[it].ID, d) {
-			limits[a] = st.queryDist()
+		} else if p.accept(a, items[it].ID, d) {
+			limits[a] = active[a].queryDist()
 		}
 	})
+	if out == nil {
+		p.flush()
+	}
 	calcs := int64(len(items))
 	var c passCounts
 	for a, st := range active {

@@ -157,6 +157,11 @@ type Processor struct {
 	// block is eng as an engine.BlockPreparer, nil when it is not one; a
 	// session prepares the queries that enter a call through it together.
 	block engine.BlockPreparer
+	// perAccept makes the sessions' page passes send every range accept to
+	// its list at once instead of staging a page's accepts
+	// (pagePass.accept): the path the staging is held to, set only by the
+	// test that compares the two.
+	perAccept bool
 }
 
 // New creates a processor over eng using metric m. The metric is wrapped in

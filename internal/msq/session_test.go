@@ -55,8 +55,53 @@ func (d *sessionDriver) newQuery() Query {
 }
 
 func (d *sessionDriver) done(id uint64) bool {
-	st := d.s.states[id]
-	return st != nil && st.done
+	if st := d.s.live[id]; st != nil {
+		return st.done
+	}
+	return d.s.completed[id] != nil
+}
+
+// listOf returns the answer list s buffers for query id: its live state's,
+// or the registry's once the query is completed and retired.
+func listOf(s *Session, id uint64) *query.AnswerList {
+	if st := s.live[id]; st != nil {
+		return st.answers
+	}
+	return s.completed[id]
+}
+
+// registered counts the query IDs s knows: the completed ones and the live
+// ones, a done state standing for a completed query counted once.
+func registered(s *Session) int {
+	n := len(s.completed)
+	for id := range s.live {
+		if s.completed[id] == nil {
+			n++
+		}
+	}
+	return n
+}
+
+// checkSpare holds the free list to its contract: every state on it is
+// released — no query, no list, no handle, in no index — and on it once.
+func checkSpare(t *testing.T, s *Session) {
+	t.Helper()
+	seen := make(map[*queryState]bool, len(s.spare))
+	for _, st := range s.spare {
+		if seen[st] {
+			t.Fatalf("a state is on the free list twice")
+		}
+		seen[st] = true
+		if st.answers != nil || st.pq != nil || st.done || st.slot != noSlot || st.q.Vec != nil {
+			t.Fatalf("a state on the free list still holds its query (list %v, handle %v, done %v, slot %d)",
+				st.answers != nil, st.pq != nil, st.done, st.slot)
+		}
+	}
+	for id, st := range s.live {
+		if seen[st] {
+			t.Fatalf("query %d's state is live and on the free list", id)
+		}
+	}
 }
 
 // expectMatrixCalcs advances the model over one call and returns the
@@ -138,9 +183,9 @@ func (d *sessionDriver) checkStore(batch []Query, full bool) {
 	}
 	var live []*queryState
 	for _, q := range batch {
-		st := d.s.states[q.ID]
-		if st.done {
-			if st.slot != noSlot {
+		st := d.s.live[q.ID]
+		if st == nil || st.done { // completed: retired, or waiting to be
+			if st != nil && st.slot != noSlot {
 				d.t.Fatalf("completed query %d holds slot %d", q.ID, st.slot)
 			}
 			continue
@@ -177,14 +222,15 @@ func (d *sessionDriver) call(ctx context.Context, batch []Query, all bool) ([]*q
 // refusing it changed nothing.
 func (d *sessionDriver) expectRejected(batch []Query, all bool) {
 	d.t.Helper()
-	states, live := len(d.s.states), d.s.matrix.live
+	states, live := registered(d.s), d.s.matrix.live
 	holders := append([]*queryState(nil), d.s.matrix.holder...)
 	if _, st, err := d.call(context.Background(), batch, all); err == nil || st != (Stats{}) {
 		d.t.Fatalf("ID reuse with a different object: err %v, stats %+v", err, st)
 	}
-	if len(d.s.states) != states || d.s.matrix.live != live {
-		d.t.Fatalf("rejected call left %d states (%d before), %d live slots (%d before)", len(d.s.states), states, d.s.matrix.live, live)
+	if registered(d.s) != states || d.s.matrix.live != live {
+		d.t.Fatalf("rejected call left %d states (%d before), %d live slots (%d before)", registered(d.s), states, d.s.matrix.live, live)
 	}
+	checkSpare(d.t, d.s)
 	for slot, st := range d.s.matrix.holder {
 		if holders[slot] != st {
 			d.t.Fatalf("rejected call changed the holder of slot %d", slot)
@@ -326,8 +372,10 @@ func TestSessionMatrixAgainstBruteForce(t *testing.T) {
 }
 
 // TestCompletedQueriesReleaseTheirState is the unbounded-growth fix: after a
-// long sliding-window session, what a completed query still holds is its
-// query and its answers, and the matrix is as wide as the window.
+// long sliding-window session, a completed query is its answer list — which
+// records the query's vector and type — and one registry entry; the states
+// the session holds, live or on the free list, are as many as the window
+// is wide, and the matrix is as wide as the window.
 func TestCompletedQueriesReleaseTheirState(t *testing.T) {
 	const dim, n, m, steps = 4, 5008, 8, 5000
 	items := testDB(32, n, dim)
@@ -348,25 +396,26 @@ func TestCompletedQueriesReleaseTheirState(t *testing.T) {
 		if s.matrix.live != m-1 {
 			t.Fatalf("step %d: %d live slots, window of %d", i, s.matrix.live, m)
 		}
+		if len(s.live) > m || len(s.live)+len(s.spare) > m {
+			t.Fatalf("step %d: %d live states and %d spare, window of %d", i, len(s.live), len(s.spare), m)
+		}
 	}
 	if len(s.matrix.rows) != m {
 		t.Errorf("matrix is %d wide after %d steps, window of %d", len(s.matrix.rows), steps, m)
 	}
-	completed := 0
-	for id, st := range s.states {
-		if !st.done {
-			continue
+	checkSpare(t, s)
+	// The last call's completed query waits in its batch for the next call
+	// to retire it; every earlier one is in the registry.
+	for id, l := range s.completed {
+		if l.Len() == 0 || !sameArray(l.Object(), items[id].Vec) || l.Type() != typ {
+			t.Fatalf("completed query %d lost its answers, its query or its type", id)
 		}
-		completed++
-		if st.processed != nil || st.pq != nil || st.slot != noSlot {
-			t.Fatalf("completed query %d still holds page set %v, prepared %v, slot %d", id, st.processed != nil, st.pq != nil, st.slot)
-		}
-		if st.answers == nil || !st.q.Vec.Equal(items[id].Vec) {
-			t.Fatalf("completed query %d lost its query or its answers", id)
+		if s.live[id] != nil {
+			t.Fatalf("completed query %d still has a live state", id)
 		}
 	}
-	if completed != steps {
-		t.Errorf("%d completed queries, want %d", completed, steps)
+	if got := len(s.completed); got != steps-1 || !s.live[steps-1].done {
+		t.Errorf("%d completed queries in the registry and query %d done %v, want %d and true", got, steps-1, s.live[steps-1].done, steps-1)
 	}
 
 	// A completed query has no prepared handle to ask, so everything that
@@ -388,6 +437,48 @@ func TestCompletedQueriesReleaseTheirState(t *testing.T) {
 		if want := brute(items, vec.Euclidean{}, q.Vec, q.Type); !sameAnswers(res[i].Answers(), want) {
 			t.Errorf("query %d: wrong answers after resubmission", q.ID)
 		}
+	}
+
+	// Wide, then narrow: a call of 64 new queries completes them all, and the
+	// next call of two keeps no more than two page sets on the free list, so
+	// the wide call's do not outlive it; the structs stay, as many as the
+	// widest batch.
+	const wide, narrow = 64, 2
+	batch = make([]Query, wide)
+	for j := range batch {
+		batch[j] = Query{ID: 2<<20 + uint64(j), Vec: items[70*j].Vec, Type: typ}
+	}
+	if _, _, err := s.MultiQueryAll(batch); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.MultiQueryAll(batch[:narrow]); err != nil {
+		t.Fatal(err)
+	}
+	checkSpare(t, s)
+	sets := 0
+	for _, st := range s.spare {
+		if st.processed != nil {
+			sets++
+		}
+	}
+	if sets > narrow || len(s.spare) > wide {
+		t.Errorf("%d states on the free list, %d with a page set, after a call of %d following one of %d", len(s.spare), sets, narrow, wide)
+	}
+	// The next wide call takes the structs back and gives them page sets.
+	for j := range batch {
+		batch[j] = Query{ID: 3<<20 + uint64(j), Vec: items[70*j+1].Vec, Type: typ}
+	}
+	res, _, err = s.MultiQueryAll(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range batch {
+		if want := brute(items, vec.Euclidean{}, q.Vec, q.Type); !sameAnswers(res[i].Answers(), want) {
+			t.Fatalf("query %d: wrong answers from a state that lost its page set", q.ID)
+		}
+	}
+	if got := len(s.completed); got < steps-1+wide {
+		t.Errorf("%d completed queries in the registry after the wide call, want at least %d", got, steps-1+wide)
 	}
 }
 
@@ -424,7 +515,7 @@ func TestRejectedCallLeavesSessionUntouched(t *testing.T) {
 		"duplicate buffered":  good(1),
 		"ID of another query": moved,
 	} {
-		states, live, paid := len(s.states), s.matrix.live, pivots.PivotDistCalcs()
+		states, live, paid := registered(s), s.matrix.live, pivots.PivotDistCalcs()
 		for _, all := range []bool{false, true} {
 			batch := []Query{good(10), good(1), good(11), bad}
 			var st Stats
@@ -437,9 +528,10 @@ func TestRejectedCallLeavesSessionUntouched(t *testing.T) {
 				t.Fatalf("%s: err %v, stats %+v", name, err, st)
 			}
 		}
-		if len(s.states) != states || s.matrix.live != live {
-			t.Errorf("%s: %d states and %d live slots after, %d and %d before", name, len(s.states), s.matrix.live, states, live)
+		if registered(s) != states || s.matrix.live != live {
+			t.Errorf("%s: %d states and %d live slots after, %d and %d before", name, registered(s), s.matrix.live, states, live)
 		}
+		checkSpare(t, s)
 		if got := pivots.PivotDistCalcs(); got != paid {
 			t.Errorf("%s: the rejected call paid %d pivot distances", name, got-paid)
 		}
@@ -466,18 +558,18 @@ func TestRejectedCallLeavesSessionUntouched(t *testing.T) {
 	// states of 10 and 11, withdrawn from the registry, in the batch the
 	// window hint reads. The valid call must have registered its own, so the
 	// same window once more finds those — the same lists, nothing admitted.
-	if len(s.states) != 5 {
-		t.Errorf("%d states in the registry, want 5", len(s.states))
+	if registered(s) != 5 {
+		t.Errorf("%d states in the registry, want 5", registered(s))
 	}
 	again, st, err := s.MultiQueryAll(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.PivotDistCalcs != 0 || len(s.states) != 5 {
-		t.Errorf("repeating the window paid %d pivot distances and left %d states", st.PivotDistCalcs, len(s.states))
+	if st.PivotDistCalcs != 0 || registered(s) != 5 {
+		t.Errorf("repeating the window paid %d pivot distances and left %d states", st.PivotDistCalcs, registered(s))
 	}
 	for i, q := range batch {
-		if again[i] != res[i] || s.states[q.ID] != s.batch[i] {
+		if again[i] != res[i] || s.live[q.ID] != s.batch[i] {
 			t.Errorf("query %d: the repeated window got another answer list or state", q.ID)
 		}
 	}
@@ -511,7 +603,7 @@ func TestWindowHint(t *testing.T) {
 		}
 		first := res[0]
 		for i := 0; i < 3; i++ {
-			if st := held(s.batch, i, uint64(i+1)); st == nil || st != s.states[uint64(i+1)] {
+			if st := held(s.batch, i, uint64(i+1)); st == nil || st != s.live[uint64(i+1)] {
 				t.Fatalf("position %d of the next window: the hint found %v", i, st)
 			}
 		}
@@ -539,11 +631,11 @@ func TestWindowHint(t *testing.T) {
 			{"completed query", window(0), true},
 		} {
 			name := c.name
-			states := len(s.states)
+			states := registered(s)
 			res, st, err := s.MultiQuery(c.batch)
 			if !c.ok {
-				if err == nil || len(s.states) != states {
-					t.Errorf("%s: err %v, %d states after and %d before", name, err, len(s.states), states)
+				if err == nil || registered(s) != states {
+					t.Errorf("%s: err %v, %d states after and %d before", name, err, registered(s), states)
 				}
 				continue
 			}
@@ -554,7 +646,7 @@ func TestWindowHint(t *testing.T) {
 				t.Errorf("%s: stats %+v, the buffered list %v", name, st, res[0] == first)
 			}
 			for i, q := range c.batch {
-				if res[i] != s.states[q.ID].answers {
+				if res[i] != listOf(s, q.ID) {
 					t.Errorf("%s: query %d got a list that is not the session's", name, q.ID)
 				}
 			}
@@ -605,7 +697,7 @@ func TestResultsSliceIsSessionScratch(t *testing.T) {
 		t.Error("the second call returned another slice")
 	}
 	for i := range held {
-		if first[i] != s.states[uint64(3+i)].answers || first[i] == held[i] {
+		if first[i] != listOf(s, uint64(3+i)) || first[i] == held[i] {
 			t.Errorf("position %d: the first call's slice still holds its own list", i)
 		}
 	}
@@ -628,20 +720,20 @@ func TestResultsSliceIsSessionScratch(t *testing.T) {
 // TestSlideAllocations counts what a steady sliding window costs the heap:
 // a call of m range queries over an in-memory, unbuffered X-tree, one query
 // entering at the back and one completing at the front. Every allocation
-// left belongs to the query that enters:
+// left belongs to what the call returns or to the query that enters:
 //
-//  1. its state (queryState);
-//  2. its answer list;
-//  3. the list's one answer (ε is far below the gap between two items,
-//     so each query finds only its own object);
-//  4. its prepared handle (xtree.Prepare);
-//  5. its page set;
-//  6. the plan of the call it completes in (xtree's Plan allocates its refs).
+//  1. the entering query's answer list;
+//  2. the list's one answer (ε is far below the gap between two items,
+//     so each query finds only its own object), appended once for its page;
+//  3. its prepared handle (xtree.Prepare);
+//  4. the plan of the call it completes in (xtree's Plan allocates its refs).
 //
-// Nothing scales with m, and neither the slice of answer lists the call
-// returns, which is session scratch, nor a page read's singleflight record,
-// which the pager reuses when nobody waited on it, is among them. The
-// registry map's growth is amortised below one allocation a call.
+// Nothing scales with m. The entering query's state and page set are the
+// ones the query that completed a call earlier gave back; the slice of
+// answer lists the call returns is session scratch; a page read's
+// singleflight record is reused when nobody waited on it. The registry's
+// growth is amortised below one allocation a call, and the live index
+// stays as wide as the window.
 func TestSlideAllocations(t *testing.T) {
 	const dim, n, m, warm = 4, 3000, 16, 500
 	items := testDB(37, n, dim)
@@ -669,8 +761,8 @@ func TestSlideAllocations(t *testing.T) {
 	for head < warm {
 		slide()
 	}
-	if got := testing.AllocsPerRun(1000, slide); got != 6 {
-		t.Errorf("%v allocations a call, want 6", got)
+	if got := testing.AllocsPerRun(1000, slide); got != 4 {
+		t.Errorf("%v allocations a call, want 4", got)
 	}
 }
 
@@ -754,6 +846,190 @@ func TestSessionPreparesEnteringQueriesAsOneBlock(t *testing.T) {
 			if pq != nil {
 				t.Fatalf("batch %v: the session's scratch keeps a handle", c.batch)
 			}
+		}
+	}
+}
+
+// TestRecycledStateIsNeverStale: a completed query's state is taken by the
+// next query that enters, and nothing that could still reach it under its
+// old ID does. Query 0 completes; the window slides, query 4 enters on its
+// state and query 1 completes; that batch comes back, query 1 at its front,
+// where the window hint looks and where query 1's state, retired as the call
+// begins, still sits; query 0 comes back at the front (answered from the
+// buffer, no page read) and at a later position; and query 0 with another
+// vector or type is refused, at the front and later, with the error it
+// always got, every bare state of the refused call back on the free list
+// exactly once. Every answer equals brute force.
+func TestRecycledStateIsNeverStale(t *testing.T) {
+	const dim = 4
+	items := testDB(38, 300, dim)
+	metric := vec.Euclidean{}
+	proc, err := New(xtreeEngine(t, items, dim), metric, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := proc.NewSession()
+	eps := query.NewRange(0.3)
+	q := func(i int) Query { return Query{ID: uint64(i), Vec: items[i].Vec, Type: eps} }
+	call := func(name string, all bool, batch ...Query) ([]*query.AnswerList, Stats) {
+		t.Helper()
+		res, st, err := s.MultiQuery(batch)
+		if all {
+			res, st, err = s.MultiQueryAll(batch)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, b := range batch {
+			if i > 0 && !all {
+				break
+			}
+			if want := brute(items, metric, b.Vec, b.Type); !sameAnswers(res[i].Answers(), want) {
+				t.Errorf("%s: query %d: wrong answers", name, b.ID)
+			}
+		}
+		checkSpare(t, s)
+		return slices.Clone(res), st
+	}
+
+	res, _ := call("complete query 0", false, q(0), q(1), q(2), q(3))
+	list0, state0 := res[0], s.batch[0]
+	window := []Query{q(1), q(2), q(3), q(4)}
+	res, _ = call("query 4 enters", false, window...)
+	list1 := res[0]
+	if s.live[4] != state0 || s.live[0] != nil || s.completed[0] != list0 {
+		t.Fatalf("query 4 did not take query 0's state, or query 0 left the registry")
+	}
+	if state0.answers == list0 || !sameArray(list0.Object(), items[0].Vec) {
+		t.Fatalf("the recycled state still holds query 0's list, or the list lost its query")
+	}
+
+	res, st := call("the previous batch", false, window...)
+	if st != (Stats{}) || res[0] != list1 {
+		t.Errorf("query 1 at the front: stats %+v, the buffered list %v", st, res[0] == list1)
+	}
+	res, st = call("query 0 at the front", false, q(0), q(2), q(3), q(4))
+	if st != (Stats{}) || res[0] != list0 {
+		t.Errorf("query 0 at the front: stats %+v, the buffered list %v", st, res[0] == list0)
+	}
+	res, st = call("query 0 behind a new query", true, q(5), q(0), q(4), q(1))
+	if res[1] != list0 || res[3] != list1 || st.PagesRead == 0 {
+		t.Errorf("queries 0 and 1 behind new ones: the buffered lists %v %v, %d pages read", res[1] == list0, res[3] == list1, st.PagesRead)
+	}
+
+	moved, retyped := q(0), q(0)
+	moved.Vec = items[9].Vec
+	retyped.Type = query.NewKNN(3)
+	want := "msq: query ID 0 reused with a different object or type"
+	for _, bad := range []Query{moved, retyped} {
+		for _, pos := range []int{0, 2} {
+			batch := []Query{q(20), q(21), q(22)}
+			batch = slices.Insert(batch, pos, bad)
+			ids, held := registered(s), len(s.live)+len(s.spare)
+			for range 2 {
+				_, st, err := s.MultiQuery(batch)
+				if err == nil || err.Error() != want || st != (Stats{}) {
+					t.Fatalf("query 0 with %v at %d: err %v, stats %+v", bad.Type, pos, err, st)
+				}
+				checkSpare(t, s)
+				if registered(s) != ids || s.live[20] != nil || s.live[0] != nil || s.completed[0] != list0 {
+					t.Fatalf("the refused call changed the registry")
+				}
+				// The second refusal takes the states the first one gave back.
+				if pos == 0 && len(s.live)+len(s.spare) != held {
+					t.Fatalf("%d states held, %d before", len(s.live)+len(s.spare), held)
+				}
+				held = len(s.live) + len(s.spare)
+			}
+		}
+	}
+	call("the refused queries", true, q(20), q(0), q(21), q(22), q(4))
+}
+
+// TestStagedAcceptsMatchPerAccept: a live page pass stages a range query's
+// accepts and lands them once per page; the processor's perAccept switch
+// sends each to its list at once instead. On every engine, for batches of
+// range, k-NN and bounded k-NN queries through the row body (AvoidOff, 12
+// wide on the scan's pages), the item body (AvoidOff, 5 wide) and the pair
+// body (AvoidBoth), with the seed pages of the k-NN queries that ride along,
+// both must give the same answers with the same distance bits, partial
+// lists included, the same Stats call for call and the same EXPLAIN
+// profiles.
+func TestStagedAcceptsMatchPerAccept(t *testing.T) {
+	const dim = 4
+	items := testDB(39, 400, dim)
+	metric := vec.Euclidean{}
+	types := []query.Type{query.NewRange(0.3), query.NewKNN(6), query.NewRange(0.45), query.NewBoundedKNN(4, 0.4), query.NewRange(0.2)}
+	batch := func(m int) []Query {
+		qs := make([]Query, m)
+		for i := range qs {
+			qs[i] = Query{ID: uint64(i), Vec: items[(31*i+7)%len(items)].Vec, Type: types[i%len(types)]}
+		}
+		return qs
+	}
+	type run struct {
+		answers  [][]query.Answer
+		stats    []Stats
+		profiles []Profile
+	}
+	for _, mk := range diffMakers() {
+		for _, body := range []struct {
+			name string
+			mode AvoidanceMode
+			m    int
+		}{{"rows", AvoidOff, 12}, {"items", AvoidOff, 5}, {"pairs", AvoidBoth, 9}} {
+			t.Run(mk.name+"/"+body.name, func(t *testing.T) {
+				do := func(perAccept bool) run {
+					proc, err := New(mk.make(t, items, dim, metric), metric, Options{Avoidance: body.mode})
+					if err != nil {
+						t.Fatal(err)
+					}
+					proc.perAccept = perAccept
+					s := proc.NewSession()
+					qs := batch(body.m + 3)
+					var r run
+					for from := 0; from <= 3; from++ {
+						window := qs[from : from+body.m]
+						res, st, err := s.MultiQuery(window)
+						if err != nil {
+							t.Fatal(err)
+						}
+						r.stats = append(r.stats, st)
+						for _, l := range res {
+							r.answers = append(r.answers, slices.Clone(l.Answers()))
+						}
+					}
+					ex, err := s.ExplainAllContext(context.Background(), qs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					r.stats, r.profiles = append(r.stats, ex.Stats), ex.Queries
+					for _, q := range qs {
+						r.answers = append(r.answers, slices.Clone(listOf(s, q.ID).Answers()))
+					}
+					return r
+				}
+				staged, each := do(false), do(true)
+				if diag, ok := identicalAnswers(each.answers, staged.answers); !ok {
+					t.Fatalf("answers: %s", diag)
+				}
+				for i := range each.answers {
+					for j := range each.answers[i] {
+						if math.Float64bits(each.answers[i][j].Dist) != math.Float64bits(staged.answers[i][j].Dist) {
+							t.Fatalf("list %d answer %d: distance bits differ", i, j)
+						}
+					}
+				}
+				if !slices.Equal(each.stats, staged.stats) {
+					t.Errorf("stats: staged %+v, per accept %+v", staged.stats, each.stats)
+				}
+				if !slices.Equal(each.profiles, staged.profiles) {
+					t.Errorf("EXPLAIN profiles: staged %+v, per accept %+v", staged.profiles, each.profiles)
+				}
+				if len(each.answers[len(each.answers)-1]) == 0 {
+					t.Error("the last query has no answers: the comparison is thin")
+				}
+			})
 		}
 	}
 }

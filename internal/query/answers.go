@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"metricdb/internal/store"
+	"metricdb/internal/vec"
 )
 
 // Answer is one element of a similarity query result: an item and its
@@ -29,12 +30,22 @@ type Answer struct {
 type AnswerList struct {
 	typ     Type
 	answers []Answer
-	sorted  bool
+	// obj is the query object the list answers, when it was created for one
+	// (NewAnswerListFor): a completed query is its list, and the session
+	// that buffers it checks a resubmitted ID against it.
+	obj    vec.Vector
+	sorted bool
 }
 
 // NewAnswerList returns an empty answer list for the given query type.
 func NewAnswerList(t Type) *AnswerList {
-	l := &AnswerList{typ: t, sorted: true}
+	return NewAnswerListFor(nil, t)
+}
+
+// NewAnswerListFor returns an empty answer list for query object obj of
+// type t. The list keeps obj (not a copy) and reports it from Object.
+func NewAnswerListFor(obj vec.Vector, t Type) *AnswerList {
+	l := &AnswerList{typ: t, obj: obj, sorted: true}
 	if t.Bounded() {
 		// k comes from the client: it sizes the list only up to a bound, so
 		// a 4 KB batch of k = 10⁶ queries cannot ask for gigabytes up front.
@@ -80,6 +91,32 @@ func (l *AnswerList) Consider(id store.ItemID, dist float64) bool {
 	return true
 }
 
+// ConsiderAll offers as to a range list in order, each under Consider's own
+// d ≤ ε rule, and is how a page's accepts for a range query land in one
+// call. A range list's query distance is ε whatever it holds, so no answer
+// can change what the next one meets: the list grows once for the answers
+// within ε and appends them as Consider would have, one by one. A bounded
+// list's query distance moves with its contents; it takes its answers
+// through Consider, and ConsiderAll panics on one.
+func (l *AnswerList) ConsiderAll(as []Answer) {
+	if l.typ.Bounded() {
+		panic("query: ConsiderAll on a bounded answer list")
+	}
+	n := len(l.answers)
+	if cap(l.answers)-n < len(as) {
+		l.answers = append(l.answers, as...)[:n] // one growth for the batch
+	}
+	for _, a := range as {
+		if a.Dist > l.typ.Range {
+			continue
+		}
+		l.answers = append(l.answers, a)
+	}
+	if len(l.answers) > n {
+		l.sorted = len(l.answers) <= 1
+	}
+}
+
 // QueryDist returns the current pruning distance: any object farther away
 // can neither enter the answers nor force out a current answer. For a range
 // query this is always ε; for bounded kinds it is ε until the list is full
@@ -103,6 +140,10 @@ func (l *AnswerList) Len() int { return len(l.answers) }
 // Type returns the query type this list was created for.
 func (l *AnswerList) Type() Type { return l.typ }
 
+// Object returns the query object the list was created for, nil when it
+// was created without one (NewAnswerList).
+func (l *AnswerList) Object() vec.Vector { return l.obj }
+
 // Answers returns the answers in ascending (distance, ID) order. The
 // returned slice is owned by the list; callers must not modify it.
 func (l *AnswerList) Answers() []Answer {
@@ -124,7 +165,7 @@ func (l *AnswerList) Answers() []Answer {
 // Clone returns a deep copy of the list, used when buffering partial
 // answers between incremental multi-query calls.
 func (l *AnswerList) Clone() *AnswerList {
-	c := &AnswerList{typ: l.typ, sorted: l.sorted}
+	c := &AnswerList{typ: l.typ, obj: l.obj, sorted: l.sorted}
 	c.answers = append([]Answer(nil), l.answers...)
 	return c
 }

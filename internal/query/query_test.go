@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"metricdb/internal/store"
+	"metricdb/internal/vec"
 )
 
 func TestTypeConstructors(t *testing.T) {
@@ -197,6 +198,71 @@ func TestAnswerListClone(t *testing.T) {
 	}
 	if c.Type() != l.Type() {
 		t.Error("Clone changed the type")
+	}
+}
+
+// TestConsiderAllMatchesConsider: a batch offered through ConsiderAll leaves
+// the list exactly as the same answers offered one by one through Consider —
+// the same elements in the same order, the same sortedness — for range lists
+// of finite, zero and infinite ε, on fresh and on partly filled, sorted and
+// unsorted lists, with distances on ε, past it, infinite and NaN, and for an
+// empty batch. A bounded list refuses ConsiderAll.
+func TestConsiderAllMatchesConsider(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	inf := math.Inf(1)
+	for _, typ := range []Type{NewKNN(3), NewBoundedKNN(4, 0.5)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v: ConsiderAll on a bounded list did not panic", typ)
+				}
+			}()
+			NewAnswerList(typ).ConsiderAll([]Answer{{ID: 1, Dist: 0}})
+		}()
+	}
+	for _, typ := range []Type{NewRange(0.5), NewRange(0), NewRange(inf)} {
+		for round := 0; round < 200; round++ {
+			batches := make([][]Answer, 1+rng.Intn(4))
+			for b := range batches {
+				batch := make([]Answer, rng.Intn(6))
+				for i := range batch {
+					d := []float64{0, 0.5, 0.25, 0.75, inf, math.NaN(), rng.Float64()}[rng.Intn(7)]
+					batch[i] = Answer{ID: store.ItemID(rng.Intn(50)), Dist: d}
+				}
+				batches[b] = batch
+			}
+			one, all := NewAnswerListFor(vec.Vector{1, 2}, typ), NewAnswerListFor(vec.Vector{1, 2}, typ)
+			for b, batch := range batches {
+				for _, a := range batch {
+					one.Consider(a.ID, a.Dist)
+				}
+				all.ConsiderAll(batch)
+				if b == 1 { // read mid-stream: the next batch lands on a sorted list
+					one.Answers()
+					all.Answers()
+				}
+				if one.sorted != all.sorted || len(one.answers) != len(all.answers) {
+					t.Fatalf("%v round %d batch %d: sorted %v/%v, %d/%d answers", typ, round, b, all.sorted, one.sorted, len(all.answers), len(one.answers))
+				}
+				for i := range one.answers {
+					x, y := one.answers[i], all.answers[i]
+					if x.ID != y.ID || math.Float64bits(x.Dist) != math.Float64bits(y.Dist) {
+						t.Fatalf("%v round %d batch %d: answer %d is %v, Consider's %v", typ, round, b, i, y, x)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestAnswerListRecordsItsQuery(t *testing.T) {
+	q := vec.Vector{1, 2}
+	l := NewAnswerListFor(q, NewKNN(2))
+	if c := l.Clone(); &l.Object()[0] != &q[0] || &c.Object()[0] != &q[0] {
+		t.Error("the list, or its clone, lost the query object")
+	}
+	if NewAnswerList(NewKNN(2)).Object() != nil {
+		t.Error("a list created without a query object reports one")
 	}
 }
 

@@ -376,6 +376,44 @@ func TestMiningFacade(t *testing.T) {
 	}
 }
 
+// TestMiningRejectsUnknownIDs: an ItemID that names no object — as a start
+// object, a cluster member, an analysed object, or a Filter result in the
+// middle of a run — is an error from every mining entry point, never an
+// index panic; a run the filter stops reports the steps it completed.
+func TestMiningRejectsUnknownIDs(t *testing.T) {
+	const n, bad = 50, ItemID(999)
+	db, err := Open(testItems(12, n, 3), Options{PageCapacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	strays := Hooks{Filter: func(Item, []Answer) []ItemID { return []ItemID{1, bad} }}
+	run := func(batch int, start []ItemID, hooks Hooks) (ExploreStats, error) {
+		if batch == 1 {
+			return db.Explore(start, KNNQuery(3), hooks)
+		}
+		return db.ExploreMultiple(start, KNNQuery(3), batch, hooks)
+	}
+	for _, batch := range []int{1, 4} {
+		if st, err := run(batch, []ItemID{0, bad}, Hooks{}); err == nil || st.Steps != 0 {
+			t.Errorf("batch %d: start ID %d: steps %d, err %v", batch, bad, st.Steps, err)
+		}
+		st, err := run(batch, []ItemID{0}, strays)
+		if err == nil || st.Steps != 1 || st.Query.PagesRead == 0 {
+			t.Errorf("batch %d: filter result %d: steps %d, pages read %d, err %v", batch, bad, st.Steps, st.Query.PagesRead, err)
+		}
+	}
+	if _, _, err := db.ProximityTopK([]ItemID{0, bad}, 3, 4); err == nil {
+		t.Errorf("ProximityTopK accepted cluster member %d", bad)
+	}
+	if _, err := db.CommonFeatures([]ItemID{2, bad}, 0.5); err == nil {
+		t.Errorf("CommonFeatures accepted object %d", bad)
+	}
+	attr := func(it Item) float64 { return it.Vec[0] }
+	if _, _, err := db.DetectTrends(bad, attr, TrendConfig{K: 3, Branch: 1, MaxLength: 3}, 4); err == nil {
+		t.Errorf("DetectTrends accepted start %d", bad)
+	}
+}
+
 func TestClusterFacade(t *testing.T) {
 	items := testItems(10, 400, 4)
 	if _, err := OpenCluster(items, ClusterOptions{Servers: 0}); err == nil {
