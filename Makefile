@@ -20,20 +20,22 @@ build:
 	go build ./...
 
 # The row kernel has three bodies (portable, AVX2, AVX-512), the item-lane
-# and box-lane kernels two (portable, AVX2), each selected by GOARCH, the
-# purego tag and the CPU (internal/vec/rows*, items*, boxes*). The default
-# build tests every assembly body the CPU can run against the portable ones;
-# this runs their packages and the X-tree, whose plan sweeps boxes, with the
-# portable bodies as the only ones, and builds for an architecture that has
-# no assembly so that the build-tag split cannot rot.
+# and box-lane kernels and the VA-file's four-query lane sweep two
+# (portable, AVX2), each selected by GOARCH, the purego tag and the CPU
+# (internal/vec/rows*, items*, boxes*; internal/vafile/sweep*, by vec's
+# probe). The default build tests every assembly body the CPU can run
+# against the portable ones; this runs their packages and the X-tree, whose
+# plan sweeps boxes, with the portable bodies as the only ones, and builds
+# and vets for an architecture that has no assembly so that the build-tag
+# split cannot rot.
 # go vet (above) checks the .s files against their Go declarations. The
 # store decodes a page where its record lies and byte-swaps the coordinates
 # in place on a big-endian host; s390x builds and vets that body here
 # (TestBindSwapsBigEndianWords runs it on this host).
 portable:
-	go test -tags purego ./internal/vec/ ./internal/msq/ ./internal/xtree/
+	go test -tags purego ./internal/vec/ ./internal/msq/ ./internal/xtree/ ./internal/vafile/
 	GOARCH=arm64 go build ./...
-	GOARCH=arm64 go vet ./internal/vec/
+	GOARCH=arm64 go vet ./internal/vec/ ./internal/vafile/
 	GOARCH=s390x go build ./...
 	GOARCH=s390x go vet ./internal/store/
 
@@ -59,9 +61,12 @@ race:
 # checkptr checks that every vector pointed into a record stays inside that
 # one allocation; the tests check the alignment),
 # concurrent sessions on one VA-file (its cell-table free lists, which every
-# session's block of queries shares) and the VA-file's block sweep against
-# its lone sweep, bit for bit, the cluster fan-out's failure scenarios over
-# in-process and loopback-TCP servers (same answers, same health) and its
+# session's block of queries shares), the VA-file's block sweep against
+# its lone sweep, bit for bit, and its lane-sweep bodies against a one-lane
+# reference (every body the CPU runs, the fuzz target's seeds, and the
+# assembly's loads held inside guard pages), the cluster fan-out's failure
+# scenarios over in-process and loopback-TCP servers (same answers, same
+# health) and its
 # goroutine-leak checks, and what a sliding window may cost and must not
 # change: the slice of answer lists a session call returns is session
 # scratch that the next call overwrites while the lists stay live, a steady
@@ -74,15 +79,16 @@ race:
 # labels and the order its seeds enter the window are the same, and pinned,
 # for every batch size — all under the race detector.
 differential:
-	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestRowLanes|TestItemLanes|FuzzEucItems|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPagerUncontendedMissAllocatesNothing|TestPageRecycle|TestDecodedPageAliasesRecord|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode|TestBlockSweepMatchesLone|TestFanOut|TestResultsSliceIsSessionScratch|TestSlideAllocations|TestCompletedQueriesReleaseTheirState|TestRecycledStateIsNeverStale|TestStagedAcceptsMatchPerAccept|TestConsiderAllMatchesConsider|TestDBSCANBatchSizesAgree' \
+	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestRowLanes|TestItemLanes|FuzzEucItems|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPagerUncontendedMissAllocatesNothing|TestPageRecycle|TestDecodedPageAliasesRecord|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode|TestBlockSweepMatchesLone|TestLaneSweep|FuzzLaneSweep|TestFanOut|TestResultsSliceIsSessionScratch|TestSlideAllocations|TestCompletedQueriesReleaseTheirState|TestRecycledStateIsNeverStale|TestStagedAcceptsMatchPerAccept|TestConsiderAllMatchesConsider|TestDBSCANBatchSizesAgree' \
 		./internal/msq/ ./internal/query/ ./internal/store/ ./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/parallel/ ./internal/explore/
 
 # A short fuzz of the persistent-storage decoders: corrupt page records
 # and manifests must produce errors, never panics or over-allocation. The
 # committed seed corpora cover the interesting boundaries; 30 seconds per
-# target explores beyond them on every check. The three kernel targets hold
+# target explores beyond them on every check. The four kernel targets hold
 # the assembly and the portable bodies to the scalar kernel (the boxes: to
-# the gap-vector form) on coordinates and limits no generator would pick.
+# the gap-vector form; the VA-file's lane sweep: to a one-lane reference) on
+# coordinates, limits, cells and tables no generator would pick.
 # The request path a client can reach — one arbitrary line to a server with
 # admission on, over a stored scan — must answer with JSON and a code, never
 # panic, and keep serving the oracle's answers.
@@ -90,6 +96,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzEucRows -fuzztime=30s ./internal/vec/
 	go test -run='^$$' -fuzz=FuzzEucItems -fuzztime=30s ./internal/vec/
 	go test -run='^$$' -fuzz=FuzzEucBoxes -fuzztime=30s ./internal/vec/
+	go test -run='^$$' -fuzz=FuzzLaneSweep -fuzztime=30s ./internal/vafile/
 	go test -run='^$$' -fuzz=FuzzPageDecode -fuzztime=30s ./internal/store/
 	go test -run='^$$' -fuzz=FuzzManifestDecode -fuzztime=30s ./internal/store/
 	go test -run='^$$' -fuzz=FuzzColumnarPageDecode -fuzztime=30s ./internal/store/
@@ -142,8 +149,8 @@ loc:
 # item-lane bodies and the assembly ones (avx2 and avx512 rows, avx2 items),
 # at one block, two and thirteen, then by the three bodies of the
 # page pass at the widths around rowPath's constant; a sweep of child MBRs by
-# the per-box loop and the box-lane bodies), the VA-file's plan and per-query
-# sweep, the X-tree's plan and dynamic build, the sliding window of a mining
+# the per-box loop and the box-lane bodies), the VA-file's plan and its sweep
+# per query (lone, and in blocks by the portable and the AVX2 lane body), the X-tree's plan and dynamic build, the sliding window of a mining
 # loop, a whole DBSCAN job (ns and heap bytes per query), a stored page's decode (in place and from caller memory, ns/page and
 # B/op) and the stored scan's page path, then the end-to-end
 # artifacts — the kernels experiment

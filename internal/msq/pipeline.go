@@ -144,7 +144,8 @@ func prefetchFloor(first *queryState) float64 {
 // in plan order. At every non-prefetchable reference it consumes one resume
 // token — sent by the coordinator after it has handled that reference itself
 // — so that the global disk read sequence is exactly the plan order the
-// sequential path produces. done aborts the prefetcher on early exit.
+// sequential path produces. done aborts the prefetcher on early exit; a page
+// it read but could no longer deliver it releases itself.
 func (s *Session) prefetch(plan []engine.PageRef, prefetchable []bool, out chan<- fetched, resume <-chan struct{}, done <-chan struct{}) {
 	defer close(out)
 	for i := range plan {
@@ -160,6 +161,9 @@ func (s *Session) prefetch(plan []engine.PageRef, prefetchable []bool, out chan<
 		select {
 		case out <- fetched{idx: i, page: page, err: err}:
 		case <-done:
+			if page != nil {
+				s.proc.eng.Pager().Release(page)
+			}
 			return
 		}
 		if err != nil {
@@ -170,8 +174,11 @@ func (s *Session) prefetch(plan []engine.PageRef, prefetchable []bool, out chan<
 
 // runPipeline is the concurrent counterpart of run()'s page loop. width is
 // the pipeline width (>= 2): the worker-pool size and the prefetch lookahead.
-// The coordinator checks ctx once per page barrier; on cancellation the
-// deferred done close aborts the prefetcher before the error returns.
+// The coordinator checks ctx once per page barrier. However the loop ends,
+// closing done aborts the prefetcher, and runPipeline returns only once it
+// has exited — no read of it is in flight when the caller goes on to close
+// the database — releasing every page it delivered that the loop did not
+// take.
 func (s *Session) runPipeline(ctx context.Context, plan []engine.PageRef, states []*queryState, stats *Stats, pass *pagePass, width int) error {
 	first := states[0]
 
@@ -194,7 +201,14 @@ func (s *Session) runPipeline(ctx context.Context, plan []engine.PageRef, states
 	out := make(chan fetched, width) // bounded lookahead
 	resume := make(chan struct{}, len(plan))
 	done := make(chan struct{})
-	defer close(done)
+	defer func() {
+		close(done)
+		for f := range out {
+			if f.page != nil {
+				s.proc.eng.Pager().Release(f.page)
+			}
+		}
+	}()
 	go s.prefetch(plan, prefetchable, out, resume, done)
 
 	for i, ref := range plan {

@@ -1,12 +1,18 @@
 package msq
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"metricdb/internal/engine"
 	"metricdb/internal/query"
+	"metricdb/internal/store"
 	"metricdb/internal/vec"
 )
 
@@ -139,5 +145,84 @@ func TestStressSharedProcessor(t *testing.T) {
 				t.Fatal(f)
 			}
 		})
+	}
+}
+
+// heldReads is an engine whose second page read blocks until release is
+// closed; inflight counts the reads under way.
+type heldReads struct {
+	engine.Engine
+	reads, inflight atomic.Int32
+	started         chan struct{} // closed by the first read
+	held            chan struct{} // closed when the second read blocks
+	release         chan struct{}
+}
+
+func (h *heldReads) ReadPage(pid store.PageID) (*store.Page, error) {
+	h.inflight.Add(1)
+	defer h.inflight.Add(-1)
+	switch h.reads.Add(1) {
+	case 1:
+		close(h.started)
+	case 2:
+		close(h.held)
+		<-h.release
+	}
+	return h.Engine.ReadPage(pid)
+}
+
+// cancelAtHeldRead is canceled for every page check made after the first
+// read: it waits for the second read to be held, so the page loop ends while
+// its prefetcher is inside that read.
+type cancelAtHeldRead struct {
+	context.Context
+	h *heldReads
+}
+
+func (c cancelAtHeldRead) Err() error {
+	select {
+	case <-c.h.started:
+		<-c.h.held
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+// TestPipelineCancelWaitsForPrefetch: a call canceled while the prefetcher's
+// read is under way returns only after that read has finished, so a caller
+// that closes the database next never races it (the data race `go test -race
+// -run TestCloseAndCancelLeaks -count=150 .` used to report about once).
+func TestPipelineCancelWaitsForPrefetch(t *testing.T) {
+	h := &heldReads{
+		Engine:  scanEngine(t, testDB(51, 400, 4)),
+		started: make(chan struct{}),
+		held:    make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	proc, err := New(h, vec.Euclidean{}, Options{Concurrency: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	var inflight int32
+	go func() {
+		_, _, err := proc.NewSession().MultiQueryAllContext(cancelAtHeldRead{context.Background(), h}, stressQueries(4, 1, 3, 52)[0])
+		inflight = h.inflight.Load()
+		done <- err
+	}()
+	<-h.held
+	select {
+	case err := <-done:
+		close(h.release)
+		t.Fatalf("the call returned (%v) while its prefetcher's read was held", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(h.release)
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("error %v, want context.Canceled", err)
+	}
+	if inflight != 0 {
+		t.Fatalf("%d reads in flight when the call returned", inflight)
 	}
 }

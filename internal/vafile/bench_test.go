@@ -70,8 +70,9 @@ func BenchmarkPlan(b *testing.B) {
 // 20 000 × 8-d approximations, then the probes the processor makes — a
 // MaxDist and a MinDist of every page and a plan — as array reads. The lone
 // arm prepares each query alone, the block arms prepare that many together
-// (PrepareBlock: one pass per four queries, a remainder swept alone);
-// ns/query compares them.
+// (PrepareBlock: one pass per four queries, a short remainder swept alone)
+// with each lane-pass body the build and the CPU run; ns/query compares
+// them.
 func BenchmarkSweep(b *testing.B) {
 	const dim, nItems = 8, 20000
 	items := benchItems(rand.New(rand.NewSource(3)), nItems, dim)
@@ -79,12 +80,21 @@ func BenchmarkSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, block := range []int{1, 2, 3, 4, 16} {
-		name := "lone"
-		if block > 1 {
-			name = fmt.Sprintf("block=%d", block)
+	type arm struct {
+		name  string
+		block int
+		asm   bool
+	}
+	arms := []arm{{"lone", 1, false}}
+	for _, asm := range laneBodies() {
+		for _, block := range []int{1, 2, 3, 4, 16} {
+			arms = append(arms, arm{fmt.Sprintf("%s/block=%d", bodyName(asm), block), block, asm})
 		}
-		b.Run(name, func(b *testing.B) {
+	}
+	for _, a := range arms {
+		block := a.block
+		e.asm = a.asm
+		b.Run(a.name, func(b *testing.B) {
 			qs, pqs := make([]vec.Vector, block), make([]engine.PreparedQuery, block)
 			var sink float64
 			b.ReportAllocs()
@@ -92,7 +102,7 @@ func BenchmarkSweep(b *testing.B) {
 				for j := range qs {
 					qs[j] = items[(i*block+j)%nItems].Vec
 				}
-				if block == 1 {
+				if a.name == "lone" {
 					pqs[0] = e.Prepare(qs[0])
 				} else {
 					e.PrepareBlock(qs, pqs)

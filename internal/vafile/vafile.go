@@ -79,6 +79,10 @@ type Engine struct {
 	// pageCapacity is the resolved build-time page capacity, kept for
 	// EXPLAIN output.
 	pageCapacity int
+	// asm selects sweepPageLanesAVX2 over sweepPageLanes, by the row kernel's
+	// rule (GOARCH, the purego tag, the CPU); tests clear it to run the
+	// portable body.
+	asm bool
 }
 
 // pageApprox holds the in-memory approximations of one data page.
@@ -164,20 +168,27 @@ func New(items []store.Item, cfg Config) (*Engine, error) {
 		e.kernel, _ = vec.GapKernelOf(e.base)
 		e.tables = make(chan []cellTerm, 4)
 		e.laneTables = make(chan []laneTerm, 4)
+		e.asm = vec.HaveAVX2()
 	}
-	e.buildBoundaries(items)
+	if err := e.buildBoundaries(items); err != nil {
+		return nil, err
+	}
 	e.quantize(pages)
 	return e, nil
 }
 
 // buildBoundaries computes equi-width cell boundaries per dimension from
-// the data's min/max range.
-func (e *Engine) buildBoundaries(items []store.Item) {
+// the data's min/max range. A coordinate that is not finite has no cell, and
+// a range wider than float64 has no cell width: both are errors.
+func (e *Engine) buildBoundaries(items []store.Item) error {
 	e.bounds = make([][]float64, e.dim)
 	for d := 0; d < e.dim; d++ {
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for i := range items {
 			v := items[i].Vec[d]
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("vafile: item %d has coordinate %v in dimension %d", items[i].ID, v, d)
+			}
 			if v < lo {
 				lo = v
 			}
@@ -188,6 +199,9 @@ func (e *Engine) buildBoundaries(items []store.Item) {
 		if hi == lo {
 			hi = lo + 1 // constant dimension: one degenerate cell range
 		}
+		if math.IsInf(hi-lo, 1) {
+			return fmt.Errorf("vafile: dimension %d spans [%v, %v], wider than float64 holds", d, lo, hi)
+		}
 		b := make([]float64, e.cells+1)
 		step := (hi - lo) / float64(e.cells)
 		for c := 0; c <= e.cells; c++ {
@@ -196,6 +210,7 @@ func (e *Engine) buildBoundaries(items []store.Item) {
 		b[e.cells] = hi // avoid floating-point shortfall at the top edge
 		e.bounds[d] = b
 	}
+	return nil
 }
 
 // quantize stores the approximation of every page.
@@ -314,23 +329,28 @@ func (e *Engine) sweep(q vec.Vector, bounds []float64) {
 }
 
 // lanes is the number of queries one pass of sweepLanes serves, and
-// minLanes the fewest worth a pass: a shorter remainder of a block costs
-// less swept one query at a time (BenchmarkSweep's block arms price both).
+// minLanes the fewest worth a pass of the portable body: a shorter remainder
+// of a block costs less swept one query at a time. A pass of the assembly
+// costs no more than one lone sweep, so there every remainder takes one
+// (BenchmarkSweep's block arms price both bodies).
 const lanes, minLanes = 4, 3
 
 // sweepBlock sweeps for every handle of block into one allocation: each
-// group of lanes queries shares a pass, and so does a remainder of at least
-// minLanes; a shorter one, and every query of a metric whose terms are
-// combined by max or that vec does not ship, is swept alone.
+// group of lanes queries shares a pass, and so does a remainder worth one; a
+// shorter one, and every query of a metric whose terms are combined by max
+// or that vec does not ship, is swept alone.
 func (e *Engine) sweepBlock(block []prepared) {
 	n := 2 * len(e.pages)
 	slab := make([]float64, n*len(block))
 	for i := range block {
 		block[i].bounds = slab[i*n : (i+1)*n : (i+1)*n]
 	}
-	i := 0
+	i, least := 0, minLanes
+	if e.asm {
+		least = 1
+	}
 	if e.kernel.Term != nil && !e.kernel.Max {
-		for ; i+minLanes <= len(block); i += lanes {
+		for ; i+least <= len(block); i += lanes {
 			e.sweepLanes(block[i:min(i+lanes, len(block))])
 		}
 	}
@@ -402,13 +422,36 @@ func (e *Engine) sweepPage(t []cellTerm, pa *pageApprox) (lb, ub float64) {
 }
 
 // laneTerm is cellTerm for the queries of one sweepLanes pass: lane j of lo
-// and up belongs to query j.
+// and up belongs to query j. It is 64 bytes, one cache line and two AVX2
+// registers.
 type laneTerm struct{ lo, up [lanes]float64 }
 
-// sweepLanes sweeps the approximations once for the minLanes to lanes
-// queries of group; the idle lanes of a short group repeat its last query.
+// laneBounds is what a lane pass over one page leaves: lane j's smallest
+// lower and largest upper combination, not yet finished.
+type laneBounds struct{ lb, ub [lanes]float64 }
+
+// sweepLanes sweeps the approximations once for the one to lanes queries of
+// group; the idle lanes of a short group repeat its last query.
 func (e *Engine) sweepLanes(group []prepared) {
 	t := take(e.laneTables, e.dim*e.cells)
+	e.fillLaneTables(t, group)
+	var b laneBounds
+	for pi := range e.pages {
+		if e.asm {
+			sweepPageLanesAVX2(t, e.pages[pi].cells, e.dim, e.cells, &b)
+		} else {
+			sweepPageLanes(t, e.pages[pi].cells, e.dim, e.cells, &b)
+		}
+		for j := range group {
+			group[j].bounds[2*pi], group[j].bounds[2*pi+1] = e.kernel.Finish(b.lb[j]), e.kernel.Finish(b.ub[j])
+		}
+	}
+	give(e.laneTables, t)
+}
+
+// fillLaneTables is fillTables for the queries of group, lane j for group[j];
+// the idle lanes of a short group repeat its last query.
+func (e *Engine) fillLaneTables(t []laneTerm, group []prepared) {
 	for d, b := range e.bounds {
 		row := t[d*e.cells : (d+1)*e.cells]
 		for j := range lanes {
@@ -419,26 +462,21 @@ func (e *Engine) sweepLanes(group []prepared) {
 			}
 		}
 	}
-	for pi := range e.pages {
-		lb, ub := e.sweepPageLanes(t, &e.pages[pi])
-		for j := range group {
-			group[j].bounds[2*pi], group[j].bounds[2*pi+1] = lb[j], ub[j]
-		}
-	}
-	give(e.laneTables, t)
 }
 
-// sweepPageLanes is sweepPage for a sum-combined metric and four queries:
-// each lane adds its own terms in dimension order from zero, takes the same
-// min and max and is finished once, so lane j returns the bits sweepPage
-// returns for query j. The dimension loop tests at its bottom (New rejects
-// dim 0) so that the sum leaving it is the last add's, not the loop
-// header's: the compiler then folds each table load into its add and keeps
-// all eight sums in registers, which a range loop spills (≈ 1.35× slower).
-func (e *Engine) sweepPageLanes(t []laneTerm, pa *pageApprox) (lb, ub [lanes]float64) {
-	dim, ncells := e.dim, e.cells
-	lb = [lanes]float64{math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)}
-	for cells := pa.cells; len(cells) >= dim; cells = cells[dim:] {
+// sweepPageLanes is sweepPage for a sum-combined metric and four queries,
+// short of the finish: each lane adds its own terms t[d*ncells+cell] in
+// dimension order from zero and takes the same min and max, so once its
+// caller finishes lane j it holds the bits sweepPage returns for query j. It
+// is the portable body and the definition of sweepPageLanesAVX2. The
+// dimension loop tests at its bottom (New rejects dim 0) so that the sum
+// leaving it is the last add's, not the loop header's: the compiler then
+// folds each table load into its add and keeps all eight sums in registers,
+// which a range loop spills (≈ 1.35× slower).
+func sweepPageLanes(t []laneTerm, cells []uint8, dim, ncells int, b *laneBounds) {
+	lb := [lanes]float64{math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)}
+	var ub [lanes]float64
+	for ; len(cells) >= dim; cells = cells[dim:] {
 		var lo0, lo1, lo2, lo3, up0, up1, up2, up3 float64
 		for d := 0; ; {
 			ct := &t[d*ncells+int(cells[d])]
@@ -451,10 +489,7 @@ func (e *Engine) sweepPageLanes(t []laneTerm, pa *pageApprox) (lb, ub [lanes]flo
 		lb[0], lb[1], lb[2], lb[3] = min(lb[0], lo0), min(lb[1], lo1), min(lb[2], lo2), min(lb[3], lo3)
 		ub[0], ub[1], ub[2], ub[3] = max(ub[0], up0), max(ub[1], up1), max(ub[2], up2), max(ub[3], up3)
 	}
-	for j := range lanes {
-		lb[j], ub[j] = e.kernel.Finish(lb[j]), e.kernel.Finish(ub[j])
-	}
-	return lb, ub
+	b.lb, b.ub = lb, ub
 }
 
 // sweepPageByGapVector is sweepPage for a coordinatewise metric vec does not

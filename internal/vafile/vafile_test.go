@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -29,6 +30,11 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(items, Config{Bits: -1}); err == nil {
 		t.Error("negative bits accepted")
+	}
+	wide := testItems(1, 50, 4)
+	wide[3].Vec[1], wide[9].Vec[1] = -math.MaxFloat64, math.MaxFloat64
+	if _, err := New(wide, Config{}); err == nil || !strings.Contains(err.Error(), "dimension 1 spans") {
+		t.Errorf("a range wider than float64: error %v, want one naming dimension 1", err)
 	}
 	e, err := New(items, Config{PageCapacity: 8})
 	if err != nil {

@@ -101,6 +101,11 @@ var bestRowBody = func() rowBody {
 	return b
 }()
 
+// HaveAVX2 reports whether the build and the CPU run the AVX2 bodies: the
+// probe behind every kernel here, for a package that keeps an AVX2 body of
+// its own (the VA-file's lane sweep).
+func HaveAVX2() bool { return haveAVX2 }
+
 // ISA names the instruction set r sweeps with: "avx512" or "avx2" for an
 // assembly body, "go" for the portable Euclidean body (another architecture,
 // a -tags purego build, a CPU without AVX2 or an operating system that does

@@ -5,10 +5,13 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"metricdb/internal/dataset"
+	"metricdb/internal/engines"
+	"metricdb/internal/vafile"
 )
 
 func testItems(seed int64, n, dim int) []Item {
@@ -34,6 +37,37 @@ func TestOpenValidation(t *testing.T) {
 	}
 	if _, err := Open([]Item{{ID: 0, Vec: Vector{}}}, Options{}); err == nil {
 		t.Error("zero-dimensional items accepted")
+	}
+}
+
+// TestVAFileRejectsNonFiniteCoordinates: a NaN or infinite coordinate has no
+// cell, and a VA-file over one used to panic with an index out of range.
+// vafile.New, engines.Build and Open now return an error naming the item and
+// the dimension.
+func TestVAFileRejectsNonFiniteCoordinates(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		items := testItems(3, 40, 4)
+		items[17].Vec[2] = v
+		want := fmt.Sprintf("item 17 has coordinate %v in dimension 2", v)
+		builds := map[string]func() error{
+			"vafile.New": func() error {
+				_, err := vafile.New(items, vafile.Config{PageCapacity: 8})
+				return err
+			},
+			"engines.Build": func() error {
+				_, err := engines.Build(engines.Spec{Kind: engines.VAFile, Items: items, Dim: 4, PageCapacity: 8})
+				return err
+			},
+			"Open": func() error {
+				_, err := Open(items, Options{Engine: EngineVAFile, PageCapacity: 8})
+				return err
+			},
+		}
+		for name, build := range builds {
+			if err := build(); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s with coordinate %v: error %v, want one containing %q", name, v, err, want)
+			}
+		}
 	}
 }
 
