@@ -77,10 +77,15 @@ race:
 # state it took once, a page's range accepts landed in one call leave every
 # list, Stats and profile as accepts landed one by one would, and DBSCAN's
 # labels and the order its seeds enter the window are the same, and pinned,
-# for every batch size — all under the race detector.
+# for every batch size, and what an index build decides: the X-tree's and
+# the PM-tree's layouts are pinned bit for bit (leaf order, page contents,
+# MBRs, balls, rings, build distances) however the build sorts and selects
+# (and the PM-tree's selection takes exactly what a sort would),
+# and every engine kind refuses a NaN or infinite coordinate — all under the
+# race detector.
 differential:
-	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestRowLanes|TestItemLanes|FuzzEucItems|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPagerUncontendedMissAllocatesNothing|TestPageRecycle|TestDecodedPageAliasesRecord|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode|TestBlockSweepMatchesLone|TestLaneSweep|FuzzLaneSweep|TestFanOut|TestResultsSliceIsSessionScratch|TestSlideAllocations|TestCompletedQueriesReleaseTheirState|TestRecycledStateIsNeverStale|TestStagedAcceptsMatchPerAccept|TestConsiderAllMatchesConsider|TestDBSCANBatchSizesAgree' \
-		./internal/msq/ ./internal/query/ ./internal/store/ ./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/parallel/ ./internal/explore/
+	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestRowLanes|TestItemLanes|FuzzEucItems|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPagerUncontendedMissAllocatesNothing|TestPageRecycle|TestDecodedPageAliasesRecord|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode|TestBlockSweepMatchesLone|TestLaneSweep|FuzzLaneSweep|TestFanOut|TestResultsSliceIsSessionScratch|TestSlideAllocations|TestCompletedQueriesReleaseTheirState|TestRecycledStateIsNeverStale|TestStagedAcceptsMatchPerAccept|TestConsiderAllMatchesConsider|TestDBSCANBatchSizesAgree|TestBulkGoldenDigest|TestLayoutGoldenDigest|TestNearestFirstTakesTheSmallest|TestNonFiniteCoordinatesRejected' \
+		./internal/msq/ ./internal/query/ ./internal/store/ ./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/pmtree/ ./internal/parallel/ ./internal/explore/ .
 
 # A short fuzz of the persistent-storage decoders: corrupt page records
 # and manifests must produce errors, never panics or over-allocation. The
@@ -150,7 +155,8 @@ loc:
 # at one block, two and thirteen, then by the three bodies of the
 # page pass at the widths around rowPath's constant; a sweep of child MBRs by
 # the per-box loop and the box-lane bodies), the VA-file's plan and its sweep
-# per query (lone, and in blocks by the portable and the AVX2 lane body), the X-tree's plan and dynamic build, the sliding window of a mining
+# per query (lone, and in blocks by the portable and the AVX2 lane body), the X-tree's plan and dynamic build, every engine's build over
+# the engines_lowdim shape (ns and heap bytes per build), the sliding window of a mining
 # loop, a whole DBSCAN job (ns and heap bytes per query), a stored page's decode (in place and from caller memory, ns/page and
 # B/op) and the stored scan's page path, then the end-to-end
 # artifacts — the kernels experiment
@@ -160,8 +166,8 @@ loc:
 # (BENCH_block.json). The deterministic work counters are not here: go test
 # pins them (TestEngineWorkGolden, TestCalibrationImprovesTheModel).
 bench:
-	go test -bench='BenchmarkDistance|BenchmarkRowKernel|BenchmarkItemKernel|BenchmarkBoxKernel|BenchmarkSortRefs|BenchmarkPlan|BenchmarkSweep|BenchmarkBulk|BenchmarkMultiQueryAll|BenchmarkPassBodies|BenchmarkIncrementalWindow|BenchmarkDBSCAN|BenchmarkStoredScan|BenchmarkDecodePage' -benchmem -run=^$$ \
-		./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/msq/ ./internal/explore/ ./internal/store/
+	go test -bench='BenchmarkDistance|BenchmarkRowKernel|BenchmarkItemKernel|BenchmarkBoxKernel|BenchmarkSortRefs|BenchmarkPlan|BenchmarkSweep|BenchmarkBulk|BenchmarkBuild|BenchmarkMultiQueryAll|BenchmarkPassBodies|BenchmarkIncrementalWindow|BenchmarkDBSCAN|BenchmarkStoredScan|BenchmarkDecodePage' -benchmem -run=^$$ \
+		./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/engines/ ./internal/msq/ ./internal/explore/ ./internal/store/
 	go run ./cmd/msqbench -experiment kernels
 	go run ./cmd/msqbench -experiment intra
 	go run ./cmd/msqbench -experiment load

@@ -118,11 +118,15 @@ func Kinds() []Kind {
 }
 
 // Build constructs the engine the spec asks for. This is the module's
-// single engine-construction site.
+// single engine-construction site, and where every kind refuses an item
+// with a NaN or infinite coordinate.
 func Build(s Spec) (engine.Engine, error) {
 	b, ok := registry[s.Kind]
 	if !ok {
 		return nil, fmt.Errorf("engines: unknown engine %q (have %v)", s.Kind, Kinds())
+	}
+	if err := store.CheckFinite(s.Items); err != nil {
+		return nil, fmt.Errorf("engines: %w", err)
 	}
 	return b(s)
 }

@@ -29,7 +29,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"metricdb/internal/engine"
@@ -130,8 +130,9 @@ func New(items []store.Item, cfg Config) (*Engine, error) {
 		fanout:       cfg.Fanout,
 	}
 
-	clusters := e.cluster(items, cfg.PageCapacity)
-	e.selectPivots(items, cfg.Pivots)
+	far := newFarthestFirst(e.metric, items)
+	clusters := e.cluster(items, cfg.PageCapacity, far)
+	e.selectPivots(items, cfg.Pivots, far)
 
 	// Materialize the leaf pages in cluster order and their nodes.
 	pages := make([]*store.Page, len(clusters))
@@ -188,60 +189,36 @@ type clusterInfo struct {
 	members []int
 }
 
-func (e *Engine) cluster(items []store.Item, capacity int) []clusterInfo {
+func (e *Engine) cluster(items []store.Item, capacity int, far *farthestFirst) []clusterInfo {
 	n := len(items)
 	numPages := (n + capacity - 1) / capacity
 	// Farthest-first seeds.
 	seeds := make([]int, 0, numPages)
-	nearest := make([]float64, n)
-	for i := range nearest {
-		nearest[i] = math.Inf(1)
-	}
-	next := 0
-	for len(seeds) < numPages {
+	far.reset()
+	for next := 0; len(seeds) < numPages; {
 		seeds = append(seeds, next)
-		sv := items[next].Vec
-		for o := 0; o < n; o++ {
-			d := e.metric.Distance(sv, items[o].Vec)
-			if d < nearest[o] {
-				nearest[o] = d
-			}
-		}
+		next = far.add(items[next].Vec)
 		e.buildCalcs += int64(n)
-		next = 0
-		for o := 1; o < n; o++ {
-			if nearest[o] > nearest[next] {
-				next = o
-			}
-		}
 	}
 	// Capacity-bounded assignment: each seed in order claims its nearest
 	// unassigned items. The last cluster absorbs the remainder, so every
-	// item is assigned and no cluster exceeds the capacity.
+	// item is assigned and no cluster exceeds the capacity. left and rows
+	// are the unassigned items' indexes, ascending, and vectors.
 	assigned := make([]bool, n)
 	clusters := make([]clusterInfo, numPages)
-	type cand struct {
-		d   float64
-		idx int
-	}
 	cands := make([]cand, 0, n)
+	left, rows := make([]int, n), slices.Clone(far.rows)
+	for o := range left {
+		left[o] = o
+	}
 	for ci, seed := range seeds {
+		dists := far.dists[:len(rows)]
+		far.distances(items[seed].Vec, rows, dists)
 		cands = cands[:0]
-		sv := items[seed].Vec
-		for o := 0; o < n; o++ {
-			if assigned[o] {
-				continue
-			}
-			d := e.metric.Distance(sv, items[o].Vec)
-			cands = append(cands, cand{d: d, idx: o})
+		for j, o := range left {
+			cands = append(cands, cand{d: dists[j], idx: o})
 		}
 		e.buildCalcs += int64(len(cands))
-		sort.Slice(cands, func(i, j int) bool {
-			if cands[i].d != cands[j].d {
-				return cands[i].d < cands[j].d
-			}
-			return cands[i].idx < cands[j].idx
-		})
 		take := capacity
 		if remainingClusters := numPages - ci - 1; len(cands)-take < remainingClusters {
 			// Never strand later seeds without items (cannot happen with
@@ -251,50 +228,174 @@ func (e *Engine) cluster(items []store.Item, capacity int) []clusterInfo {
 		if ci == numPages-1 {
 			take = len(cands)
 		}
+		nearestFirst(cands, take)
 		members := make([]int, 0, take)
 		for _, c := range cands[:take] {
 			assigned[c.idx] = true
 			members = append(members, c.idx)
 		}
-		sort.Ints(members) // keep the dataset's item order within a page
+		slices.Sort(members) // keep the dataset's item order within a page
 		clusters[ci] = clusterInfo{seed: seed, members: members}
+		kept := 0
+		for j, o := range left {
+			if !assigned[o] {
+				left[kept], rows[kept] = o, rows[j]
+				kept++
+			}
+		}
+		left, rows = left[:kept], rows[:kept]
 	}
 	return clusters
 }
 
+// cand is an unassigned item at distance d from the seed claiming items.
+type cand struct {
+	d   float64
+	idx int
+}
+
+// candLess orders candidates by distance, then index: a strict total order
+// on finite distances, so the k smallest are one set however they are
+// found.
+func candLess(a, b cand) bool {
+	return a.d < b.d || (a.d == b.d && a.idx < b.idx)
+}
+
+// nearestFirst reorders cands so that its first k entries are the k
+// smallest under candLess, in no particular order — Hoare's selection with a
+// median-of-three pivot, O(len(cands)) expected, where sorting every
+// candidate cost O(n log n) per seed.
+func nearestFirst(cands []cand, k int) {
+	lo, hi := 0, len(cands)
+	if k <= lo || k >= hi {
+		return
+	}
+	// Invariant: every entry of [0, lo) is below every entry of [lo, n),
+	// every entry of [hi, n) above every entry of [0, hi), lo <= k <= hi.
+	for hi-lo > 16 {
+		mid := lo + (hi-lo)/2
+		last := hi - 1
+		if candLess(cands[mid], cands[lo]) {
+			cands[mid], cands[lo] = cands[lo], cands[mid]
+		}
+		if candLess(cands[last], cands[mid]) {
+			cands[last], cands[mid] = cands[mid], cands[last]
+			if candLess(cands[mid], cands[lo]) {
+				cands[mid], cands[lo] = cands[lo], cands[mid]
+			}
+		}
+		// The median is the pivot; park it at the end and partition.
+		cands[mid], cands[last] = cands[last], cands[mid]
+		pivot := cands[last]
+		below := lo
+		for i := lo; i < last; i++ {
+			if candLess(cands[i], pivot) {
+				cands[i], cands[below] = cands[below], cands[i]
+				below++
+			}
+		}
+		cands[below], cands[last] = cands[last], cands[below]
+		switch {
+		case below == k:
+			return
+		case below < k:
+			lo = below + 1
+		default:
+			hi = below
+		}
+	}
+	// A short range left: sorting it puts every entry in its place.
+	for i := lo + 1; i < hi; i++ {
+		for j := i; j > lo && candLess(cands[j], cands[j-1]); j-- {
+			cands[j], cands[j-1] = cands[j-1], cands[j]
+		}
+	}
+}
+
 // selectPivots chooses the global hyper-ring pivots by the same
 // deterministic farthest-first traversal the pivot table uses.
-func (e *Engine) selectPivots(items []store.Item, npivots int) {
+func (e *Engine) selectPivots(items []store.Item, npivots int, far *farthestFirst) {
 	if npivots <= 0 {
 		npivots = DefaultPivots
 	}
 	if npivots > len(items) {
 		npivots = len(items)
 	}
-	n := len(items)
-	nearest := make([]float64, n)
-	for i := range nearest {
-		nearest[i] = math.Inf(1)
-	}
-	next := 0
+	far.reset()
 	e.pivots = make([]vec.Vector, 0, npivots)
-	for len(e.pivots) < npivots {
+	for next := 0; len(e.pivots) < npivots; {
 		pv := append(vec.Vector(nil), items[next].Vec...)
 		e.pivots = append(e.pivots, pv)
-		for o := 0; o < n; o++ {
-			d := e.metric.Distance(pv, items[o].Vec)
-			if d < nearest[o] {
-				nearest[o] = d
-			}
+		next = far.add(pv)
+		e.buildCalcs += int64(len(items))
+	}
+}
+
+// farthestFirst is the state of a farthest-first traversal over the items:
+// each item's distance to the nearest point chosen so far, and the scratch
+// its distance sweeps write, which the claims in cluster reuse.
+type farthestFirst struct {
+	metric  vec.Metric
+	lanes   *vec.Items // nil: the metric has no bounded kernel
+	rows    []vec.Vector
+	dists   []float64
+	nearest []float64
+}
+
+func newFarthestFirst(m vec.Metric, items []store.Item) *farthestFirst {
+	f := &farthestFirst{
+		metric:  m,
+		rows:    make([]vec.Vector, len(items)),
+		dists:   make([]float64, len(items)),
+		nearest: make([]float64, len(items)),
+	}
+	if bm, ok := m.(vec.BoundedMetric); ok {
+		f.lanes = vec.NewItems(bm)
+	}
+	for i := range items {
+		f.rows[i] = items[i].Vec
+	}
+	return f
+}
+
+// reset starts a new traversal: no point chosen, every item infinitely far.
+func (f *farthestFirst) reset() {
+	for i := range f.nearest {
+		f.nearest[i] = math.Inf(1)
+	}
+}
+
+// distances sets dists[i] to the metric's distance from q to rows[i]. Where
+// the metric has a bounded kernel they come from the item-lane kernel under
+// an infinite limit, which by the BoundedMetric contract is Distance bit for
+// bit; only a NaN distance comes back +Inf, and coordinates the engines
+// accept give none.
+func (f *farthestFirst) distances(q vec.Vector, rows []vec.Vector, dists []float64) {
+	if f.lanes != nil {
+		f.lanes.Sweep(q, rows, math.Inf(1), dists)
+		return
+	}
+	for i, r := range rows {
+		dists[i] = f.metric.Distance(q, r)
+	}
+}
+
+// add takes p as a chosen point and returns the item now farthest from
+// every chosen point, the lowest index among equals.
+func (f *farthestFirst) add(p vec.Vector) int {
+	f.distances(p, f.rows, f.dists)
+	next, farthest := 0, math.Inf(-1) // no nearest distance is NaN
+	for o, d := range f.dists {
+		near := f.nearest[o]
+		if d < near {
+			near = d
+			f.nearest[o] = d
 		}
-		e.buildCalcs += int64(n)
-		next = 0
-		for o := 1; o < n; o++ {
-			if nearest[o] > nearest[next] {
-				next = o
-			}
+		if near > farthest {
+			next, farthest = o, near
 		}
 	}
+	return next
 }
 
 // leafNode computes a leaf's ball and hyper-rings from its members.

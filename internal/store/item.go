@@ -131,6 +131,30 @@ func Paginate(items []Item, capacity int) ([]*Page, error) {
 	return pages, nil
 }
 
+// CheckFinite returns an error naming the first item, in item order, with a
+// NaN or infinite coordinate, and that coordinate's dimension. Such an item
+// can never be answered, has no VA-file cell, and breaks the total orders
+// the index builds sort and select by.
+func CheckFinite(items []Item) error {
+	for i := range items {
+		// v·0 is ±0 for a finite v and NaN for NaN and ±Inf, so one sum
+		// an item spares the scan a branch a coordinate.
+		var s float64
+		for _, v := range items[i].Vec {
+			s += v * 0
+		}
+		if s == 0 {
+			continue
+		}
+		for d, v := range items[i].Vec {
+			if v*0 != 0 {
+				return fmt.Errorf("item %d has coordinate %v in dimension %d", items[i].ID, v, d)
+			}
+		}
+	}
+	return nil
+}
+
 // PageCapacityForBlockSize returns how many d-dimensional float64 items fit
 // in a disk block of blockSize bytes, assuming 8 bytes per coordinate plus
 // 8 bytes of identifier per item (the layout the paper's 32 KB X-tree blocks

@@ -181,14 +181,14 @@ func New(items []store.Item, cfg Config) (*Engine, error) {
 // the data's min/max range. A coordinate that is not finite has no cell, and
 // a range wider than float64 has no cell width: both are errors.
 func (e *Engine) buildBoundaries(items []store.Item) error {
+	if err := store.CheckFinite(items); err != nil {
+		return fmt.Errorf("vafile: %w", err)
+	}
 	e.bounds = make([][]float64, e.dim)
 	for d := 0; d < e.dim; d++ {
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for i := range items {
 			v := items[i].Vec[d]
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("vafile: item %d has coordinate %v in dimension %d", items[i].ID, v, d)
-			}
 			if v < lo {
 				lo = v
 			}

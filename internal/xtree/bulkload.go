@@ -1,9 +1,10 @@
 package xtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"metricdb/internal/geom"
 	"metricdb/internal/store"
@@ -86,11 +87,11 @@ func strTiles(items []store.Item, capacity, dim int) [][]store.Item {
 			}
 			return
 		}
-		sort.SliceStable(part, func(i, j int) bool {
-			if part[i].Vec[d] != part[j].Vec[d] {
-				return part[i].Vec[d] < part[j].Vec[d]
+		slices.SortStableFunc(part, func(a, b store.Item) int {
+			if c := cmp.Compare(a.Vec[d], b.Vec[d]); c != 0 {
+				return c
 			}
-			return part[i].ID < part[j].ID
+			return cmp.Compare(a.ID, b.ID)
 		})
 		pages := (len(part) + capacity - 1) / capacity
 		slabs := int(math.Ceil(math.Pow(float64(pages), 1/float64(dim-d))))

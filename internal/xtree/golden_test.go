@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"metricdb/internal/store"
+	"metricdb/internal/vec"
 )
 
 // treeDigest hashes everything a build decides: the leaf order, every
@@ -46,27 +47,50 @@ func treeDigest(t *testing.T, tr *Tree) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// duplicateItems draws n items from only distinct uniform points, so
+// splits meet equal keys on every axis and chooseSubtree meets points
+// already inside several children.
+func duplicateItems(rng *rand.Rand, n, dim, distinct int) []store.Item {
+	base := uniformItems(rng, distinct, dim)
+	items := make([]store.Item, n)
+	for i := range items {
+		items[i] = store.Item{ID: store.ItemID(i), Vec: append(vec.Vector(nil), base[rng.Intn(distinct)].Vec...)}
+	}
+	return items
+}
+
 // TestBulkGoldenDigest pins the trees dynamic insertion builds to the ones
 // the commit before the split scratch built (digests taken there): the
 // scratch and the skipped upper-edge order of point leaves change where the
-// prefix and suffix MBRs live, not one comparison.
+// prefix and suffix MBRs live, not one comparison. The duplicate and
+// reinsertion cases were taken before the split sorts moved to precomputed
+// keys.
 func TestBulkGoldenDigest(t *testing.T) {
 	cases := []struct {
-		name   string
-		seed   int64
-		n, dim int
-		cfg    Config
-		want   string
+		name     string
+		seed     int64
+		n, dim   int
+		distinct int // 0: every point drawn afresh
+		cfg      Config
+		want     string
 	}{
-		{"seed1/20000x8", 1, 20000, 8, DefaultConfig(8), "7a414dd417ebc36b"},
-		{"seed2/20000x8", 2, 20000, 8, DefaultConfig(8), "a65628cd5ed0bbb0"},
+		{"seed1/20000x8", 1, 20000, 8, 0, DefaultConfig(8), "7a414dd417ebc36b"},
+		{"seed2/20000x8", 2, 20000, 8, 0, DefaultConfig(8), "a65628cd5ed0bbb0"},
 		// Small pages in 16-d: directory splits, the history-based
 		// overlap-free split and supernodes all happen.
-		{"seed3/6000x16", 3, 6000, 16, Config{LeafCapacity: 8, DirFanout: 6}, "90761b53264dbc34"},
+		{"seed3/6000x16", 3, 6000, 16, 0, Config{LeafCapacity: 8, DirFanout: 6}, "90761b53264dbc34"},
+		{"seed4/8000x4/duplicates", 4, 8000, 4, 900, Config{LeafCapacity: 16, DirFanout: 8}, "6eafca17b17b8350"},
+		{"seed5/10000x8/reinsert", 5, 10000, 8, 0, Config{LeafCapacity: 40, DirFanout: 10, ReinsertFraction: 0.3}, "ca61ba106d0933b7"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			items := uniformItems(rand.New(rand.NewSource(c.seed)), c.n, c.dim)
+			rng := rand.New(rand.NewSource(c.seed))
+			var items []store.Item
+			if c.distinct > 0 {
+				items = duplicateItems(rng, c.n, c.dim, c.distinct)
+			} else {
+				items = uniformItems(rng, c.n, c.dim)
+			}
 			tr, err := Bulk(items, c.dim, c.cfg)
 			if err != nil {
 				t.Fatal(err)

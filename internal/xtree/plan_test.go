@@ -1,10 +1,11 @@
 package xtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"metricdb/internal/engine"
@@ -54,11 +55,11 @@ func recursivePlan(tr *Tree, q vec.Vector, queryDist float64) []engine.PageRef {
 		}
 	}
 	walk(tr.root)
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].MinDist != refs[j].MinDist {
-			return refs[i].MinDist < refs[j].MinDist
+	slices.SortFunc(refs, func(a, b engine.PageRef) int {
+		if c := cmp.Compare(a.MinDist, b.MinDist); c != 0 {
+			return c
 		}
-		return refs[i].ID < refs[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	return refs
 }

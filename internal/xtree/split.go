@@ -1,8 +1,9 @@
 package xtree
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"metricdb/internal/geom"
 )
@@ -29,10 +30,43 @@ func (s splitResult) overlapRatio() float64 {
 }
 
 // splitScratch is the working memory of a split, owned by the Tree and
-// reused across sort orders and splits: the prefix and suffix MBRs of every
-// split position, views into one coordinate slab. What a split returns is
-// copied out of it.
-type splitScratch struct{ prefix, suffix []geom.Rect }
+// reused across sort orders and splits: the entry rects of the node being
+// split, the sort keys, two entry orders — the one being tried and the best
+// so far, swapped when the tried one wins — the running MBR and suffix
+// margins of marginSum, and the prefix and suffix MBRs of every split
+// position, views into one coordinate slab. What a split returns is copied
+// out of it.
+type splitScratch struct {
+	rects          []geom.Rect
+	keys           []splitKey
+	order, best    []int
+	lo, hi         []float64
+	margins        []float64
+	prefix, suffix []geom.Rect
+}
+
+// splitKey is one entry's sort key along an axis: the edge sorted by, the
+// other edge, and the entry's index. cmpSplitKey orders keys by the three
+// in turn, a strict total order on finite edges, so every correct sort
+// yields the same permutation.
+type splitKey struct {
+	lead, trail float64
+	idx         int
+}
+
+func cmpSplitKey(a, b splitKey) int {
+	switch {
+	case a.lead < b.lead:
+		return -1
+	case a.lead > b.lead:
+		return 1
+	case a.trail < b.trail:
+		return -1
+	case a.trail > b.trail:
+		return 1
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
 
 // topologicalSplit performs the R*-tree topological split over rects:
 // the split axis is the one minimizing the total margin over all candidate
@@ -41,7 +75,7 @@ type splitScratch struct{ prefix, suffix []geom.Rect }
 // size; it is clamped to [1, len(rects)/2]. points says every rect is a
 // point (Min == Max): sorting by upper edge then repeats the lower-edge
 // order and its margin, which only a strictly smaller one beats, so the
-// order is not tried.
+// order is not tried. There are at least two rects, none of them empty.
 func (s *splitScratch) topologicalSplit(rects []geom.Rect, minFill int, points bool) splitResult {
 	n := len(rects)
 	if minFill < 1 {
@@ -53,28 +87,23 @@ func (s *splitScratch) topologicalSplit(rects []geom.Rect, minFill int, points b
 	dim := rects[0].Dim()
 
 	bestAxis := 0
-	bestAxisUpper := false
 	bestMargin := -1.0
 	for axis := 0; axis < dim; axis++ {
 		for _, byUpper := range [2]bool{false, true} {
 			if byUpper && points {
 				continue
 			}
-			prefix, suffix := s.cumulativeRects(rects, sortedOrder(rects, axis, byUpper))
-			margin := 0.0
-			for k := minFill; k <= n-minFill; k++ {
-				margin += prefix[k].Margin() + suffix[k].Margin()
-			}
-			if bestMargin < 0 || margin < bestMargin {
+			s.sortAxis(rects, axis, byUpper)
+			if margin := s.marginSum(rects, minFill); bestMargin < 0 || margin < bestMargin {
 				bestMargin = margin
 				bestAxis = axis
-				bestAxisUpper = byUpper
+				s.order, s.best = s.best, s.order // keep the winner's order
 			}
 		}
 	}
 
-	order := sortedOrder(rects, bestAxis, bestAxisUpper)
-	prefix, suffix := s.cumulativeRects(rects, order)
+	order := s.best
+	prefix, suffix := s.cumulate(rects, order)
 	bestK := -1
 	bestScore := -1.0
 	bestArea := 0.0
@@ -95,12 +124,83 @@ func (s *splitScratch) topologicalSplit(rects []geom.Rect, minFill int, points b
 	}
 }
 
-// cumulativeRects returns, for every split position k, the MBR of the
-// first k entries (prefix[k]) and of the remaining entries (suffix[k]) in
-// sorted order, computed in one linear pass instead of per-distribution —
-// the difference between O(n²·d) and O(n·d) per axis. Both slices are the
-// scratch's and hold until the next call.
-func (s *splitScratch) cumulativeRects(rects []geom.Rect, order []int) (prefix, suffix []geom.Rect) {
+// sortAxis sorts the entries along axis — by lower edge, or by upper edge
+// when byUpper, with the other edge and the index as tie-breakers — into
+// s.order.
+func (s *splitScratch) sortAxis(rects []geom.Rect, axis int, byUpper bool) {
+	keys := s.keys[:0]
+	for i, r := range rects {
+		k := splitKey{lead: r.Min[axis], trail: r.Max[axis], idx: i}
+		if byUpper {
+			k.lead, k.trail = k.trail, k.lead
+		}
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, cmpSplitKey)
+	order := s.order[:0]
+	for _, k := range keys {
+		order = append(order, k.idx)
+	}
+	s.keys, s.order = keys, order
+}
+
+// marginSum returns the margin criterion of s.order: the sum over
+// the distributions k ∈ [minFill, n−minFill] of the margins of the first k
+// entries' MBR and of the rest's, added in ascending k as
+// prefix[k].Margin() + suffix[k].Margin() — without materializing the MBRs.
+// A running MBR grows entry by entry as cumulate grows its prefixes and
+// suffixes, and each margin adds its edge lengths in dimension order, as
+// Margin does for a non-empty rect.
+func (s *splitScratch) marginSum(rects []geom.Rect, minFill int) float64 {
+	order := s.order
+	n, dim := len(order), rects[0].Dim()
+	if cap(s.lo) < dim {
+		s.lo, s.hi = make([]float64, dim), make([]float64, dim)
+	}
+	if cap(s.margins) < n+1 {
+		s.margins = make([]float64, n+1)
+	}
+	lo, hi, suffix := s.lo[:dim], s.hi[:dim], s.margins[:n+1]
+	grow := func(r geom.Rect) float64 {
+		m := 0.0
+		for i := range lo {
+			if r.Min[i] < lo[i] {
+				lo[i] = r.Min[i]
+			}
+			if r.Max[i] > hi[i] {
+				hi[i] = r.Max[i]
+			}
+			m += hi[i] - lo[i]
+		}
+		return m
+	}
+	empty := func() {
+		for i := range lo {
+			lo[i], hi[i] = math.Inf(1), math.Inf(-1)
+		}
+	}
+	empty()
+	for k := n - 1; k >= minFill; k-- {
+		suffix[k] = grow(rects[order[k]])
+	}
+	empty()
+	total := 0.0
+	for k := 1; k <= n-minFill; k++ {
+		if m := grow(rects[order[k-1]]); k >= minFill {
+			total += m + suffix[k]
+		}
+	}
+	return total
+}
+
+// cumulate returns, for every split position k, the MBR of the first k
+// entries in order (prefix[k]) and of the remaining entries (suffix[k]),
+// computed in one linear pass that extends both at once — O(n·d) per order
+// instead of O(n²·d) per distribution. Each step writes the previous MBR
+// extended by the entry under ExtendRect's comparisons; that ExtendRect
+// skips an empty entry is why none may be empty. Both slices hold until the
+// next call.
+func (s *splitScratch) cumulate(rects []geom.Rect, order []int) (prefix, suffix []geom.Rect) {
 	n := len(order)
 	dim := rects[0].Dim()
 	if len(s.prefix) <= n {
@@ -115,49 +215,30 @@ func (s *splitScratch) cumulativeRects(rects []geom.Rect, order []int) (prefix, 
 	prefix, suffix = s.prefix[:n+1], s.suffix[:n+1]
 	for i := 0; i < dim; i++ {
 		prefix[0].Min[i], prefix[0].Max[i] = math.Inf(1), math.Inf(-1) // geom.EmptyRect
+		suffix[n].Min[i], suffix[n].Max[i] = math.Inf(1), math.Inf(-1)
 	}
 	for k := 1; k <= n; k++ {
-		setRect(prefix[k], prefix[k-1])
-		prefix[k].ExtendRect(rects[order[k-1]])
-	}
-	setRect(suffix[n], prefix[0])
-	for k := n - 1; k >= 0; k-- {
-		setRect(suffix[k], suffix[k+1])
-		suffix[k].ExtendRect(rects[order[k]])
+		p, pp, a := prefix[k], prefix[k-1], rects[order[k-1]]
+		j := n - k
+		q, qq, b := suffix[j], suffix[j+1], rects[order[j]]
+		for i := 0; i < dim; i++ {
+			lo, hi := pp.Min[i], pp.Max[i]
+			if a.Min[i] < lo {
+				lo = a.Min[i]
+			}
+			if a.Max[i] > hi {
+				hi = a.Max[i]
+			}
+			p.Min[i], p.Max[i] = lo, hi
+			lo, hi = qq.Min[i], qq.Max[i]
+			if b.Min[i] < lo {
+				lo = b.Min[i]
+			}
+			if b.Max[i] > hi {
+				hi = b.Max[i]
+			}
+			q.Min[i], q.Max[i] = lo, hi
+		}
 	}
 	return prefix, suffix
-}
-
-// setRect overwrites dst's coordinates with src's.
-func setRect(dst, src geom.Rect) {
-	copy(dst.Min, src.Min)
-	copy(dst.Max, src.Max)
-}
-
-// sortedOrder returns entry indices sorted along axis by lower edge (or
-// upper edge when byUpper), with the other edge and index as tie-breakers
-// for determinism.
-func sortedOrder(rects []geom.Rect, axis int, byUpper bool) []int {
-	order := make([]int, len(rects))
-	for i := range order {
-		order[i] = i
-	}
-	key := func(i int) (float64, float64) {
-		if byUpper {
-			return rects[i].Max[axis], rects[i].Min[axis]
-		}
-		return rects[i].Min[axis], rects[i].Max[axis]
-	}
-	sort.Slice(order, func(a, b int) bool {
-		pa, sa := key(order[a])
-		pb, sb := key(order[b])
-		if pa != pb {
-			return pa < pb
-		}
-		if sa != sb {
-			return sa < sb
-		}
-		return order[a] < order[b]
-	})
-	return order
 }

@@ -1,9 +1,10 @@
 package xtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"metricdb/internal/geom"
 	"metricdb/internal/store"
@@ -112,8 +113,11 @@ type Tree struct {
 	// reinsertion per top-level insert.
 	reinserting bool
 
-	// split is the scratch every split of this tree works in.
-	split splitScratch
+	// split is the scratch every split of this tree works in; choose and
+	// reinsert are chooseSubtree's and reinsertOverflow's.
+	split    splitScratch
+	choose   chooseScratch
+	reinsert []scoredItem
 
 	// Set by Build.
 	built    bool
@@ -232,27 +236,30 @@ func (t *Tree) chooseSubtree(n *node, p vec.Vector) *node {
 		return n.children[best]
 	}
 
-	// Area enlargements for every child (one linear pass).
-	areaIncs := make([]float64, len(n.children))
-	areas := make([]float64, len(n.children))
+	// Area enlargements for every child (one linear pass), and the
+	// candidates in child order.
+	sc := &t.choose
+	sc.areas, sc.areaIncs, sc.candidates = sc.areas[:0], sc.areaIncs[:0], sc.candidates[:0]
 	for i, c := range n.children {
-		areas[i] = c.rect.Area()
-		areaIncs[i] = c.rect.AreaWithPoint(p) - areas[i]
+		a := c.rect.Area()
+		sc.areas = append(sc.areas, a)
+		sc.areaIncs = append(sc.areaIncs, c.rect.AreaWithPoint(p)-a)
+		sc.candidates = append(sc.candidates, i)
 	}
+	areas, areaIncs, candidates := sc.areas, sc.areaIncs, sc.candidates
 
 	// R*-style criterion. The overlap-enlargement test above the leaf
 	// level is O(f²·d); following the R*-tree's own mitigation, it is
 	// evaluated only for the few children with the least area
 	// enlargement (the rest cannot plausibly win).
-	candidates := identity(len(n.children))
 	if n.level == 1 {
 		const overlapCandidates = 8
 		if len(candidates) > overlapCandidates {
-			sort.Slice(candidates, func(a, b int) bool {
-				if areaIncs[candidates[a]] != areaIncs[candidates[b]] {
-					return areaIncs[candidates[a]] < areaIncs[candidates[b]]
+			slices.SortFunc(candidates, func(a, b int) int {
+				if c := cmp.Compare(areaIncs[a], areaIncs[b]); c != 0 {
+					return c
 				}
-				return candidates[a] < candidates[b]
+				return cmp.Compare(a, b)
 			})
 			candidates = candidates[:overlapCandidates]
 		}
@@ -267,7 +274,22 @@ func (t *Tree) chooseSubtree(n *node, p vec.Vector) *node {
 				if j == i {
 					continue
 				}
-				overlapInc += c.rect.OverlapWithPoint(p, o.rect) - c.rect.Overlap(o.rect)
+				// A sibling the grown child does not overlap was not
+				// overlapped before either (the grown child covers the
+				// ungrown one), so its term is 0 − 0 = +0, and adding
+				// +0 to a sum that starts at +0 changes no bit.
+				grown := c.rect.OverlapWithPoint(p, o.rect)
+				if grown == 0 {
+					continue
+				}
+				overlapInc += grown - c.rect.Overlap(o.rect)
+				if best != -1 && overlapInc > bestOverlapInc {
+					// Every term is ≥ 0, so the sum cannot fall back
+					// to the best one: the switch below rejects the
+					// candidate on this partial sum as it would on the
+					// whole.
+					break
+				}
 			}
 		}
 		better := false
@@ -289,13 +311,11 @@ func (t *Tree) chooseSubtree(n *node, p vec.Vector) *node {
 	return n.children[best]
 }
 
-// identity returns [0..n).
-func identity(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
+// chooseScratch is chooseSubtree's working memory, reused across inserts:
+// each child's area and area enlargement, and the candidate children.
+type chooseScratch struct {
+	areas, areaIncs []float64
+	candidates      []int
 }
 
 // splitLeaf splits an overflowing leaf with the topological split and
@@ -303,10 +323,11 @@ func identity(n int) []int {
 func (t *Tree) splitLeaf(n *node) *node {
 	// The split only reads its rects, so a point's two corners share the
 	// item's vector.
-	rects := make([]geom.Rect, len(n.items))
+	rects := t.split.rects[:0]
 	for i := range n.items {
-		rects[i] = geom.Rect{Min: n.items[i].Vec, Max: n.items[i].Vec}
+		rects = append(rects, geom.Rect{Min: n.items[i].Vec, Max: n.items[i].Vec})
 	}
+	t.split.rects = rects
 	minFill := int(math.Ceil(t.cfg.MinFillRatio * float64(len(n.items))))
 	res := t.split.topologicalSplit(rects, minFill, true)
 
@@ -339,10 +360,11 @@ func historyBit(axis, dim int) uint64 {
 // node becomes (or grows as) a supernode and nil is returned. This is the
 // X-tree's central deviation from the R*-tree.
 func (t *Tree) splitDir(n *node) *node {
-	rects := make([]geom.Rect, len(n.children))
-	for i, c := range n.children {
-		rects[i] = c.rect
+	rects := t.split.rects[:0]
+	for _, c := range n.children {
+		rects = append(rects, c.rect)
 	}
+	t.split.rects = rects
 	minFill := int(math.Ceil(t.cfg.MinFillRatio * float64(len(n.children))))
 	res := t.split.topologicalSplit(rects, minFill, false)
 	if res.overlapRatio() > t.cfg.MaxOverlap {
@@ -350,7 +372,7 @@ func (t *Tree) splitDir(n *node) *node {
 		// consults the split history for a guaranteed overlap-free
 		// split; only when that would be too unbalanced does the node
 		// become (or grow as) a supernode.
-		alt, ok := t.overlapFreeSplit(n, minFill)
+		alt, ok := t.overlapFreeSplit(n, rects, minFill)
 		if !ok {
 			return nil // supernode: capacity grows via dirCapacity
 		}
@@ -374,9 +396,10 @@ func (t *Tree) splitDir(n *node) *node {
 // overlapFreeSplit tries the X-tree's history-based split of a directory
 // node: a dimension d along which *every* child has previously been split
 // admits a zero-overlap partition; among the balanced zero-overlap
-// candidates the most balanced one wins. ok is false when no common split
-// dimension exists or every zero-overlap split violates the minimum fill.
-func (t *Tree) overlapFreeSplit(n *node, minFill int) (splitResult, bool) {
+// candidates the most balanced one wins. rects are the children's MBRs. ok
+// is false when no common split dimension exists or every zero-overlap
+// split violates the minimum fill.
+func (t *Tree) overlapFreeSplit(n *node, rects []geom.Rect, minFill int) (splitResult, bool) {
 	if t.dim > 64 || len(n.children) < 2 {
 		return splitResult{}, false
 	}
@@ -387,10 +410,6 @@ func (t *Tree) overlapFreeSplit(n *node, minFill int) (splitResult, bool) {
 	if common == 0 {
 		return splitResult{}, false
 	}
-	rects := make([]geom.Rect, len(n.children))
-	for i, c := range n.children {
-		rects[i] = c.rect
-	}
 	nEntries := len(rects)
 	var best splitResult
 	bestBalance := -1
@@ -398,8 +417,9 @@ func (t *Tree) overlapFreeSplit(n *node, minFill int) (splitResult, bool) {
 		if common&(1<<uint(d)) == 0 {
 			continue
 		}
-		order := sortedOrder(rects, d, false)
-		prefix, suffix := t.split.cumulativeRects(rects, order)
+		t.split.sortAxis(rects, d, false)
+		order := t.split.order
+		prefix, suffix := t.split.cumulate(rects, order)
 		for k := minFill; k <= nEntries-minFill; k++ {
 			if prefix[k].Overlap(suffix[k]) != 0 {
 				continue
@@ -487,7 +507,8 @@ func (t *Tree) Build() error {
 	t.leaves = t.boxes(rects)
 	t.leafLens = lens
 	t.built = true
-	t.split = splitScratch{} // no insert, so no split, follows
+	// No insert, so no split, subtree choice or reinsertion, follows.
+	t.split, t.choose, t.reinsert = splitScratch{}, chooseScratch{}, nil
 	return nil
 }
 
@@ -544,27 +565,20 @@ func (t *Tree) Dim() int { return t.dim }
 func (t *Tree) reinsertOverflow(n *node) {
 	center := n.rect.Center()
 	m := vec.BaseMetric(t.cfg.Metric)
-	type withDist struct {
-		item store.Item
-		d    float64
+	scored := t.reinsert[:0]
+	for _, it := range n.items {
+		scored = append(scored, scoredItem{item: it, d: m.Distance(center, it.Vec)})
 	}
-	scored := make([]withDist, len(n.items))
-	for i, it := range n.items {
-		scored[i] = withDist{item: it, d: m.Distance(center, it.Vec)}
-	}
-	sort.Slice(scored, func(i, j int) bool {
-		if scored[i].d != scored[j].d {
-			return scored[i].d > scored[j].d // farthest first
+	t.reinsert = scored
+	slices.SortFunc(scored, func(a, b scoredItem) int {
+		if c := cmp.Compare(b.d, a.d); c != 0 {
+			return c // farthest first
 		}
-		return scored[i].item.ID < scored[j].item.ID
+		return cmp.Compare(a.item.ID, b.item.ID)
 	})
 	k := int(t.cfg.ReinsertFraction * float64(len(scored)))
 	if k < 1 {
 		k = 1
-	}
-	removed := make([]store.Item, k)
-	for i := 0; i < k; i++ {
-		removed[i] = scored[i].item
 	}
 	n.items = n.items[:0]
 	for _, s := range scored[k:] {
@@ -574,8 +588,16 @@ func (t *Tree) reinsertOverflow(n *node) {
 
 	t.reinserting = true
 	defer func() { t.reinserting = false }()
-	// Close-reinsert order: nearest removed items first (R* default).
+	// Close-reinsert order: nearest removed items first (R* default). The
+	// reinsertions cannot reinsert again, so scored holds.
 	for i := k - 1; i >= 0; i-- {
-		t.insertTop(removed[i])
+		t.insertTop(scored[i].item)
 	}
+}
+
+// scoredItem is an item of an overflowing leaf with its distance from the
+// leaf's center.
+type scoredItem struct {
+	item store.Item
+	d    float64
 }
