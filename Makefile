@@ -47,7 +47,8 @@ test:
 race:
 	go test -race ./...
 
-# The pipeline determinism gate: differential (width 1 vs 2 vs 8), Lemma
+# The determinism gate: the differential suites (engines, layouts, disk
+# backends, observers and incremental calls against their references), Lemma
 # 1/2 soundness properties, the bounded-kernel contract properties, the
 # row and item-lane kernels' contracts against the scalar kernel (every
 # body the CPU runs, the fuzz targets' seeds, and every body's loads held
@@ -160,8 +161,7 @@ loc:
 # loop, a whole DBSCAN job (ns and heap bytes per query), a stored page's decode (in place and from caller memory, ns/page and
 # B/op) and the stored scan's page path, then the end-to-end
 # artifacts — the kernels experiment
-# (BENCH_kernels.json), the intra pipeline sweep
-# (BENCH_parallel_intra.json), the admission-control load profiles
+# (BENCH_kernels.json), the admission-control load profiles
 # (BENCH_load.json) and the page pass's layout and avoidance axes
 # (BENCH_block.json). The deterministic work counters are not here: go test
 # pins them (TestEngineWorkGolden, TestCalibrationImprovesTheModel).
@@ -169,7 +169,6 @@ bench:
 	go test -bench='BenchmarkDistance|BenchmarkRowKernel|BenchmarkItemKernel|BenchmarkBoxKernel|BenchmarkSortRefs|BenchmarkPlan|BenchmarkSweep|BenchmarkBulk|BenchmarkBuild|BenchmarkMultiQueryAll|BenchmarkPassBodies|BenchmarkIncrementalWindow|BenchmarkDBSCAN|BenchmarkStoredScan|BenchmarkDecodePage' -benchmem -run=^$$ \
 		./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/engines/ ./internal/msq/ ./internal/explore/ ./internal/store/
 	go run ./cmd/msqbench -experiment kernels
-	go run ./cmd/msqbench -experiment intra
 	go run ./cmd/msqbench -experiment load
 	go run ./cmd/msqbench -experiment block
 

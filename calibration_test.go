@@ -274,7 +274,7 @@ func TestCalibrationConcurrentStress(t *testing.T) {
 		t.Skip("stress test skipped in -short")
 	}
 	items := testItems(13, 400, 4)
-	db, err := Open(items, Options{Engine: EngineScan, Calibrate: true, Concurrency: 2})
+	db, err := Open(items, Options{Engine: EngineScan, Calibrate: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,8 @@
 //
 // Usage:
 //
-//	msqbench [-experiment all|micro|fig7|fig8|fig9|fig10|fig11|fig12|chaos|intra|kernels|block|load]
+//	msqbench [-experiment all|micro|fig7|fig8|fig9|fig10|fig11|fig12|chaos|kernels|block|load]
 //	         [-scale small|medium|paper] [-csv dir] [-measure]
-//	         [-intra-out BENCH_parallel_intra.json]
 //	         [-kernels-out BENCH_kernels.json]
 //	         [-block-out BENCH_block.json]
 //	         [-load-out BENCH_load.json]
@@ -15,24 +14,16 @@
 // over 4 servers, injects disk faults into 0..3 of them, and reports the
 // degraded-mode coverage and recall of the surviving cluster.
 //
-// The intra experiment is not a paper figure either: it sweeps the
-// intra-server pipeline width of the multi-query processor (goroutines
-// evaluating each page, with page I/O prefetched alongside), reports the
-// wall-clock speedup per engine, re-checks that every width returned
-// answers and page reads identical to the sequential run, and writes the
-// results to -intra-out as JSON.
-//
 // The kernels experiment microbenchmarks the bounded distance kernels:
 // full Distance against early-abandoning DistanceWithin per metric, vector
 // dimensionality and abandon rate, writing the ns/op table to -kernels-out
 // as JSON.
 //
 // The block experiment measures the columnar (SoA) page layout end to
-// end: sequential page-pass throughput of one m-query batch on the scan
-// engine across dimensionality × batch width × layout (aos, soa),
-// re-checking on the measured runs that soa answers and page reads are
-// bit-identical to aos at pipeline widths 1, 2 and 8. Results go to
-// -block-out as JSON.
+// end: page-pass throughput of one m-query batch on the scan engine across
+// dimensionality × batch width × layout (aos, soa), re-checking on the
+// measured runs that soa answers and page reads are bit-identical to aos.
+// Results go to -block-out as JSON.
 //
 // The load experiment drives an admission-controlled wire server with an
 // open-loop generator through ramp, spike and sustained-overload traffic
@@ -69,23 +60,22 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "experiment to run: all, micro, fig7..fig12, chaos, intra, kernels, block, load")
+		experiment = flag.String("experiment", "all", "experiment to run: all, micro, fig7..fig12, chaos, kernels, block, load")
 		scaleName  = flag.String("scale", "small", "dataset scale: small, medium or paper")
 		csvDir     = flag.String("csv", "", "also write each figure as CSV into this directory")
 		measure    = flag.Bool("measure", false, "calibrate the cost model on this host instead of nominal 1999 constants")
-		intraOut   = flag.String("intra-out", "BENCH_parallel_intra.json", "output file for the intra experiment's JSON results")
 		kernelsOut = flag.String("kernels-out", "BENCH_kernels.json", "output file for the kernels experiment's JSON results")
 		blockOut   = flag.String("block-out", "BENCH_block.json", "output file for the block experiment's JSON results")
 		loadOut    = flag.String("load-out", "BENCH_load.json", "output file for the load experiment's JSON results")
 	)
 	flag.Parse()
-	if err := run(*experiment, *scaleName, *csvDir, *measure, *intraOut, *kernelsOut, *blockOut, *loadOut); err != nil {
+	if err := run(*experiment, *scaleName, *csvDir, *measure, *kernelsOut, *blockOut, *loadOut); err != nil {
 		fmt.Fprintln(os.Stderr, "msqbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(experiment, scaleName, csvDir string, measure bool, intraOut, kernelsOut, blockOut, loadOut string) error {
+func run(experiment, scaleName, csvDir string, measure bool, kernelsOut, blockOut, loadOut string) error {
 	sc, err := experiments.ScaleByName(scaleName)
 	if err != nil {
 		return err
@@ -99,7 +89,7 @@ func run(experiment, scaleName, csvDir string, measure bool, intraOut, kernelsOu
 	want := func(name string) bool { return experiment == "all" || experiment == name }
 	valid := map[string]bool{"all": true, "micro": true, "fig7": true, "fig8": true,
 		"fig9": true, "fig10": true, "fig11": true, "fig12": true, "chaos": true,
-		"intra": true, "kernels": true, "block": true, "load": true}
+		"kernels": true, "block": true, "load": true}
 	if !valid[experiment] {
 		return fmt.Errorf("unknown experiment %q", experiment)
 	}
@@ -181,9 +171,8 @@ func run(experiment, scaleName, csvDir string, measure bool, intraOut, kernelsOu
 	needSweep := want("fig7") || want("fig8") || want("fig9") || want("fig10")
 	needParallel := want("fig11") || want("fig12")
 	needChaos := want("chaos")
-	needIntra := want("intra")
 	needLoad := want("load")
-	if !needSweep && !needParallel && !needChaos && !needIntra && !needLoad {
+	if !needSweep && !needParallel && !needChaos && !needLoad {
 		return nil
 	}
 
@@ -239,30 +228,6 @@ func run(experiment, scaleName, csvDir string, measure bool, intraOut, kernelsOu
 				return err
 			}
 		}
-	}
-
-	if needIntra {
-		var sweeps []*experiments.IntraSweep
-		for _, wl := range workloads {
-			sweep, err := experiments.RunIntra(wl.w, []int{1, 2, 4, 8}, sc.BaseM)
-			if err != nil {
-				return err
-			}
-			for _, r := range sweep.Results {
-				if !r.Identical {
-					return fmt.Errorf("intra: %s/%s width %d returned different answers or page reads than sequential",
-						r.Workload, r.Engine, r.Width)
-				}
-			}
-			if err := emit(sweep.Figure()); err != nil {
-				return err
-			}
-			sweeps = append(sweeps, sweep)
-		}
-		if err := experiments.WriteIntraJSONFile(intraOut, sweeps); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", intraOut)
 	}
 
 	if needLoad {

@@ -3,6 +3,7 @@ package metricdb
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -25,7 +26,6 @@ func TestOptionsValidate(t *testing.T) {
 	bad := []Options{
 		{Engine: "btree"},
 		{PageCapacity: -1},
-		{Concurrency: -2},
 		{VAFileBits: -1},
 		{Avoidance: AvoidanceMode(9)},
 		{Avoidance: AvoidanceMode(-1)},
@@ -33,6 +33,9 @@ func TestOptionsValidate(t *testing.T) {
 		{Engine: EngineXTree, XTree: &XTreeOptions{MinFillRatio: 0.9}},
 		{Engine: EngineXTree, XTree: &XTreeOptions{ReinsertFraction: 1}},
 		{Engine: EngineXTree, XTree: &XTreeOptions{DirFanout: -3}},
+		{Engine: EngineXTree, XTree: &XTreeOptions{MaxOverlap: math.NaN()}},
+		{Engine: EngineXTree, XTree: &XTreeOptions{MinFillRatio: math.NaN()}},
+		{Engine: EngineXTree, XTree: &XTreeOptions{ReinsertFraction: math.NaN()}},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {
@@ -128,14 +131,14 @@ func TestBatchContextCancellationAndResume(t *testing.T) {
 }
 
 func TestProcessorStatsFacade(t *testing.T) {
-	db, err := Open(testItems(82, 200, 4), Options{Concurrency: 3})
+	db, err := Open(testItems(82, 200, 4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := db.ProcessorStats()
 	// The default mode is reported resolved: Euclidean has a native bounded
 	// kernel, so AvoidAuto runs as AvoidOff.
-	if st.Concurrency != 3 || st.Avoidance != AvoidOff {
+	if st.Avoidance != AvoidOff {
 		t.Errorf("fresh ProcessorStats = %+v", st)
 	}
 	if st.DistCalcs != 0 {
@@ -150,17 +153,5 @@ func TestProcessorStatsFacade(t *testing.T) {
 	}
 	if after.PartialAbandoned > after.DistCalcs {
 		t.Errorf("PartialAbandoned %d exceeds DistCalcs %d", after.PartialAbandoned, after.DistCalcs)
-	}
-
-	// WithConcurrency shares the counters and storage but repins the width.
-	wide := db.WithConcurrency(8)
-	if got := wide.ProcessorStats().Concurrency; got != 8 {
-		t.Errorf("WithConcurrency(8) width = %d", got)
-	}
-	if got := wide.ProcessorStats().DistCalcs; got != after.DistCalcs {
-		t.Errorf("WithConcurrency counters diverged: %d != %d", got, after.DistCalcs)
-	}
-	if db.ProcessorStats().Concurrency != 3 {
-		t.Error("WithConcurrency mutated the receiver")
 	}
 }

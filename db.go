@@ -64,11 +64,6 @@ type Options struct {
 	// QuadraticForm, or any metric from outside this module).
 	// ProcessorStats reports the mode in effect.
 	Avoidance AvoidanceMode
-	// Concurrency is the intra-server pipeline width of the multi-query
-	// processor: how many goroutines evaluate each data page, with page
-	// I/O prefetched alongside. 0 and 1 run sequentially. Results are
-	// bit-identical at every width (see internal/msq/pipeline.go).
-	Concurrency int
 	// XTree overrides advanced X-tree parameters; nil uses defaults
 	// derived from PageCapacity.
 	XTree *XTreeOptions
@@ -146,9 +141,6 @@ func (o Options) Validate() error {
 	if o.PageCapacity < 0 {
 		return fmt.Errorf("metricdb: page capacity must be >= 0 (0 derives from 32 KB blocks), got %d", o.PageCapacity)
 	}
-	if o.Concurrency < 0 {
-		return fmt.Errorf("metricdb: concurrency must be >= 0, got %d", o.Concurrency)
-	}
 	if err := o.Avoidance.Validate(); err != nil {
 		return fmt.Errorf("metricdb: %w", err)
 	}
@@ -162,13 +154,13 @@ func (o Options) Validate() error {
 		if x.DirFanout < 0 {
 			return fmt.Errorf("metricdb: X-tree directory fanout must be >= 0, got %d", x.DirFanout)
 		}
-		if x.MaxOverlap < 0 || x.MaxOverlap > 1 {
+		if !(0 <= x.MaxOverlap && x.MaxOverlap <= 1) {
 			return fmt.Errorf("metricdb: X-tree max overlap must be in [0, 1], got %g", x.MaxOverlap)
 		}
-		if x.MinFillRatio < 0 || x.MinFillRatio > 0.5 {
+		if !(0 <= x.MinFillRatio && x.MinFillRatio <= 0.5) {
 			return fmt.Errorf("metricdb: X-tree min fill ratio must be in [0, 0.5], got %g", x.MinFillRatio)
 		}
-		if x.ReinsertFraction < 0 || x.ReinsertFraction >= 1 {
+		if !(0 <= x.ReinsertFraction && x.ReinsertFraction < 1) {
 			return fmt.Errorf("metricdb: X-tree reinsert fraction must be in [0, 1), got %g", x.ReinsertFraction)
 		}
 	}
@@ -280,8 +272,7 @@ type DB struct {
 	proc  *msq.Processor
 	opts  Options
 	// calib is the predicted-vs-observed calibration meter, nil unless
-	// Options.Calibrate was set. Held by pointer so WithConcurrency's
-	// struct copy shares one recorder.
+	// Options.Calibrate was set.
 	calib *calibMeter
 	// closers holds the file-backed disks of a stored database; nil for
 	// the in-memory databases Open builds.
@@ -315,7 +306,7 @@ func Open(items []Item, opts Options) (*DB, error) {
 		return nil, err
 	}
 
-	proc, err := msq.New(eng, opts.Metric, msq.Options{Avoidance: opts.Avoidance, Concurrency: opts.Concurrency, Layout: layout})
+	proc, err := msq.New(eng, opts.Metric, msq.Options{Avoidance: opts.Avoidance, Layout: layout})
 	if err != nil {
 		return nil, err
 	}
@@ -512,8 +503,6 @@ type ProcessorStats struct {
 	// "avx512" or "avx2" (an assembly Euclidean kernel) or "go" (the
 	// portable one, and every other metric's).
 	RowKernel string
-	// Concurrency is the effective intra-server pipeline width (>= 1).
-	Concurrency int
 	// Layout names how the database's pages are materialized ("aos" or
 	// "soa").
 	Layout string
@@ -535,7 +524,6 @@ func (db *DB) ProcessorStats() ProcessorStats {
 	ps := ProcessorStats{
 		Avoidance:        db.proc.Options().Avoidance,
 		RowKernel:        db.proc.RowKernel(),
-		Concurrency:      db.proc.Concurrency(),
 		Layout:           db.proc.Options().Layout.String(),
 		DistCalcs:        db.proc.Metric().Count(),
 		PartialAbandoned: db.proc.Metric().Abandoned(),
@@ -550,24 +538,11 @@ func (db *DB) ProcessorStats() ProcessorStats {
 	return ps
 }
 
-// WithConcurrency returns a DB sharing this DB's storage, buffer, and
-// counters but answering batches at the given intra-server pipeline width
-// (0 and 1 select the sequential path). It is the tuning facade for serving
-// layers that pin widths per workload; answers are bit-identical at every
-// width.
-func (db *DB) WithConcurrency(n int) *DB {
-	ndb := *db
-	ndb.proc = db.proc.WithConcurrency(n)
-	ndb.opts.Concurrency = ndb.proc.Options().Concurrency
-	return &ndb
-}
-
 // Processor exposes the underlying multiple-similarity-query processor for
 // in-module integrations such as the wire server.
 //
 // Deprecated: Processor leaks the internal msq package through the public
 // API, so code outside this module cannot use the returned value. Use
-// Query/QueryContext, NewBatch, ProcessorStats, and WithConcurrency
-// instead; in-module integrations (cmd/msqserver) remain the only
-// sanctioned callers.
+// Query/QueryContext, NewBatch and ProcessorStats instead; in-module
+// integrations (cmd/msqserver) remain the only sanctioned callers.
 func (db *DB) Processor() *msq.Processor { return db.proc }

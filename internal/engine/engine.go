@@ -72,8 +72,7 @@ type PreparedQuery interface {
 	// optimal processing order. Index engines return pages in ascending
 	// MinDist order (the Hjaltason–Samet schedule, proven I/O-optimal for
 	// k-NN); the scan returns all pages in physical order so that reads
-	// are sequential. Each page appears at most once in a plan — the msq
-	// pipeline's ordered prefetcher depends on plans being duplicate-free.
+	// are sequential. Each page appears at most once in a plan.
 	// Callers must not modify the returned plan: an engine whose plan does
 	// not depend on the query (the scan) returns the same slice every time.
 	Plan(queryDist float64) []PageRef

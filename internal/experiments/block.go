@@ -25,7 +25,7 @@ import (
 // The layout axis is the wall-clock throughput of one m-query batch as
 // (dimensionality × batch width × page layout) varies, always re-checking
 // the layout contract on the measured runs themselves — SoA bit-identical
-// to AoS in answers and counters at pipeline widths 1, 2 and 8. Avoidance
+// to AoS in answers and counters. Avoidance
 // is off, so both layouts take the blocked row body and what is left to
 // measure is the page materialization.
 //
@@ -39,18 +39,17 @@ type BlockResult struct {
 	Dim    int    `json:"dim"`
 	M      int    `json:"m"`
 	Layout string `json:"layout"`
-	// NsPerPair is wall time per (query, item) pair of the sequential
+	// NsPerPair is wall time per (query, item) pair of the
 	// page pass (machine-dependent).
 	NsPerPair float64 `json:"ns_per_pair"`
 	// Speedup is the AoS row's wall time over this row's (the median of the
 	// in-run ratios): > 1 means the layout beats AoS at this configuration.
 	// The AoS row itself is 1.
 	Speedup float64 `json:"speedup"`
-	// DistCalcs is the sequential run's deterministic kernel count.
+	// DistCalcs is the reference run's deterministic kernel count.
 	DistCalcs int64 `json:"dist_calcs"`
 	// Identical reports the layout's correctness contract against the
-	// sequential AoS reference, checked at widths 1, 2 and 8: answers and
-	// page reads bit-identical.
+	// AoS reference: answers and page reads bit-identical.
 	Identical bool `json:"identical"`
 }
 
@@ -67,8 +66,6 @@ type BlockSweep struct {
 }
 
 const blockCapacity = 256
-
-var blockWidths = []int{1, 2, 8}
 
 // blockLayouts maps the sweep's layout axis onto the page representation
 // the engine materializes.
@@ -231,22 +228,18 @@ func RunBlockLayouts(dims, ms []int, n int) (*BlockSweep, error) {
 			results := make([]BlockResult, len(blockLayouts))
 			timed := make([]func() error, len(blockLayouts))
 			for i, lay := range blockLayouts {
-				// A fresh engine per evaluated run keeps the buffer cold,
-				// so PagesRead of independent runs is comparable (the
+				// A fresh engine per layout keeps the buffer cold, so
+				// PagesRead of the two reference runs is comparable (the
 				// convention of the differential harness).
-				freshProc := func(width int) (*msq.Processor, error) {
-					eng, err := scan.NewWithConfig(items, scan.Config{
-						PageCapacity: blockCapacity,
-						BufferPages:  (n + blockCapacity - 1) / blockCapacity,
-						Columns:      lay.spec,
-					})
-					if err != nil {
-						return nil, err
-					}
-					return msq.New(eng, vec.Euclidean{}, msq.Options{Avoidance: msq.AvoidOff, Concurrency: width})
+				eng, err := scan.NewWithConfig(items, scan.Config{
+					PageCapacity: blockCapacity,
+					BufferPages:  (n + blockCapacity - 1) / blockCapacity,
+					Columns:      lay.spec,
+				})
+				if err != nil {
+					return nil, err
 				}
-
-				proc, err := freshProc(1)
+				proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{Avoidance: msq.AvoidOff})
 				if err != nil {
 					return nil, err
 				}
@@ -254,28 +247,11 @@ func RunBlockLayouts(dims, ms []int, n int) (*BlockSweep, error) {
 				if err != nil {
 					return nil, err
 				}
-				res := BlockResult{Dim: dim, M: m, Layout: lay.name,
-					DistCalcs: ref.stats.DistCalcs, Identical: true}
 				if lay.name == "aos" {
 					aosRef = ref
 				}
-				if !blockIdentical(aosRef, ref) {
-					res.Identical = false
-				}
-				for _, width := range blockWidths[1:] {
-					wproc, err := freshProc(width)
-					if err != nil {
-						return nil, err
-					}
-					run, err := blockEval(wproc, queries)
-					if err != nil {
-						return nil, err
-					}
-					if !blockIdentical(aosRef, run) {
-						res.Identical = false
-					}
-				}
-				results[i] = res
+				results[i] = BlockResult{Dim: dim, M: m, Layout: lay.name,
+					DistCalcs: ref.stats.DistCalcs, Identical: blockIdentical(aosRef, ref)}
 				// Timing reuses proc's engine: after the reference run its
 				// buffer holds the whole dataset, so the measurement is the
 				// pure CPU page pass, layout against layout.

@@ -495,6 +495,9 @@ func TestCommonFeatures(t *testing.T) {
 	if _, err := CommonFeatures(items, []store.ItemID{0}, 0); err == nil {
 		t.Error("zero ratio accepted")
 	}
+	if _, err := CommonFeatures(items, []store.ItemID{0, 1, 2}, math.NaN()); err == nil {
+		t.Error("NaN ratio accepted")
+	}
 }
 
 func TestDetectTrends(t *testing.T) {

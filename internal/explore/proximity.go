@@ -101,7 +101,7 @@ func CommonFeatures(items []store.Item, ids []store.ItemID, ratio float64) ([]Fe
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("explore: no objects to analyze")
 	}
-	if ratio <= 0 {
+	if !(ratio > 0) { // NaN too
 		return nil, fmt.Errorf("explore: ratio must be positive, got %g", ratio)
 	}
 	if err := checkIDs(len(items), ids...); err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"metricdb/internal/dataset"
+	"metricdb/internal/engine"
 	"metricdb/internal/query"
 	"metricdb/internal/scan"
 	"metricdb/internal/store"
@@ -16,9 +17,8 @@ import (
 
 // BenchmarkMultiQueryAll measures a whole multi-query batch per iteration.
 // Run with -benchmem: allocations per op must stay flat in the page count,
-// because the page loop's avoidance scratch (known / dists / snap) is
-// pre-sized once per pass and reused across pages — per-worker in the
-// pipeline, a single buffer in the sequential path.
+// because the page pass's scratch is sized once per session and reused
+// across pages.
 func BenchmarkMultiQueryAll(b *testing.B) {
 	const n, dim, m = 4096, 16, 12
 	items := testDB(5, n, dim)
@@ -32,44 +32,33 @@ func BenchmarkMultiQueryAll(b *testing.B) {
 		queries[i] = Query{ID: uint64(i + 1), Vec: v, Type: query.NewKNN(8)}
 	}
 
-	for _, cfg := range []struct {
-		name  string
-		width int
-	}{{"seq", 1}, {"pipeline4", 4}} {
-		b.Run(fmt.Sprintf("scan/%s", cfg.name), func(b *testing.B) {
-			e, err := scan.New(items, 32, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
-			proc, err := New(e, vec.Euclidean{}, Options{Concurrency: cfg.width})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := proc.NewSession().MultiQueryAll(queries); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("xtree/%s", cfg.name), func(b *testing.B) {
-			tr, err := xtree.Bulk(items, dim, xtree.Config{LeafCapacity: 32, DirFanout: 8, BufferPages: 0})
-			if err != nil {
-				b.Fatal(err)
-			}
-			proc, err := New(tr, vec.Euclidean{}, Options{Concurrency: cfg.width})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := proc.NewSession().MultiQueryAll(queries); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.Run("scan", func(b *testing.B) {
+		e, err := scan.New(items, 32, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchMultiQueryAll(b, e, queries)
+	})
+	b.Run("xtree", func(b *testing.B) {
+		tr, err := xtree.Bulk(items, dim, xtree.Config{LeafCapacity: 32, DirFanout: 8, BufferPages: 0})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchMultiQueryAll(b, tr, queries)
+	})
+}
+
+func benchMultiQueryAll(b *testing.B, eng engine.Engine, queries []Query) {
+	proc, err := New(eng, vec.Euclidean{}, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := proc.NewSession().MultiQueryAll(queries); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -196,14 +185,14 @@ func BenchmarkPassBodies(b *testing.B) {
 						if err != nil {
 							b.Fatal(err)
 						}
-						pass := s.pagePass(1, m, nil)
+						pass := s.pagePass(m, nil)
 						for pid := 0; pid < e.NumPages(); pid++ {
 							page, err := e.ReadPage(store.PageID(pid))
 							if err != nil {
 								b.Fatal(err)
 							}
 							pass.begin(page, states)
-							evalBody(pass, body.body, nil)
+							evalBody(pass, body.body)
 						}
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n*m), "ns/pair")

@@ -53,8 +53,8 @@ func autoMetrics(t *testing.T, dim int) []struct {
 }
 
 // TestDifferentialAvoidAuto: the default mode is not a fourth behaviour. On
-// every engine, page materialization, disk backend and pipeline width a
-// processor built with AvoidAuto is indistinguishable — answers, the full
+// every engine, page materialization and disk backend a processor built
+// with AvoidAuto is indistinguishable — answers, the full
 // Stats record, disk statistics, buffer hits — from one built with the
 // explicit mode the rule names for its metric.
 func TestDifferentialAvoidAuto(t *testing.T) {
@@ -75,11 +75,9 @@ func TestDifferentialAvoidAuto(t *testing.T) {
 		for _, mk := range be.makers {
 			for _, mt := range autoMetrics(t, dim) {
 				t.Run(fmt.Sprintf("%s/%s/%s", be.name, mk.name, mt.m.Name()), func(t *testing.T) {
-					for _, width := range []int{1, 2, 8} {
-						explicit := runDifferential(t, mk, mt.m, mt.want, width, items, dim, queries)
-						auto := runDifferential(t, mk, mt.m, AvoidAuto, width, items, dim, queries)
-						requireSameRun(t, fmt.Sprintf("width %d, auto vs %v", width, mt.want), explicit, auto)
-					}
+					explicit := runDifferential(t, mk, mt.m, mt.want, 1, items, dim, queries)
+					auto := runDifferential(t, mk, mt.m, AvoidAuto, 1, items, dim, queries)
+					requireSameRun(t, fmt.Sprintf("auto vs %v", mt.want), explicit, auto)
 				})
 			}
 		}
@@ -93,17 +91,16 @@ type bodyRun struct {
 	counts  passCounts
 	limits  [][]float64 // the pruning distances after each page
 	prof    [][3]int64  // per batch position: calculated, abandoned, tries
-	out     [][]float64 // deferred passes only: each page's distance buffer
 }
 
 // refPairs is the reference the vector bodies are held to: the begun page
 // pair by pair, item-major, one scalar DistanceWithin each under the
 // query's limit of the moment — Figure 4's inner loops with nothing
-// between them and the kernel. It fills out, updates the limits and the
-// EXPLAIN counters and returns the counts exactly as a body does.
-func refPairs(p *pagePass, out []float64) passCounts {
+// between them and the kernel, each accept landing in its list at once. It
+// updates the limits and the EXPLAIN counters and returns the counts
+// exactly as a body does.
+func refPairs(p *pagePass) passCounts {
 	kernel := p.s.proc.metric.Kernel()
-	n := len(p.active)
 	var c passCounts
 	for it := range p.page.Items {
 		item := &p.page.Items[it]
@@ -116,11 +113,6 @@ func refPairs(p *pagePass, out []float64) passCounts {
 			switch {
 			case !within:
 				c.abandoned++
-				if out != nil {
-					out[it*n+a] = skippedDist
-				}
-			case out != nil:
-				out[it*n+a] = d
 			case st.answers.Consider(item.ID, d):
 				p.limits[a] = st.queryDist()
 			}
@@ -132,26 +124,25 @@ func refPairs(p *pagePass, out []float64) passCounts {
 // evalBody runs the begun page through body, whatever rowPath picked for it;
 // bodyPairs stands for the reference (evalPairs itself runs only under the
 // lemmas).
-func evalBody(p *pagePass, body passBody, out []float64) passCounts {
+func evalBody(p *pagePass, body passBody) passCounts {
 	switch body {
 	case bodyRows:
 		p.rowSet.Load(p.qvecs, p.limits)
-		return p.evalRows(0, len(p.page.Items), 0, out)
+		return p.evalRows()
 	case bodyItems:
-		return p.evalItems(0, len(p.page.Items), out)
+		return p.evalItems()
 	}
-	return refPairs(p, out)
+	return refPairs(p)
 }
 
 // runBody drives one body over every page of eng for the whole batch, the
 // way Session.run drives it over a scan: begin, eval, next page. body picks
 // the body regardless of rowPath, bodyPairs standing for the reference
-// (evalPairs itself runs only under the lemmas); deferred runs the
-// pipeline's variant, which leaves the answer lists alone.
+// (evalPairs itself runs only under the lemmas).
 func runBody(t *testing.T, eng interface {
 	NumPages() int
 	ReadPage(store.PageID) (*store.Page, error)
-}, proc *Processor, queries []Query, body passBody, deferred bool) bodyRun {
+}, proc *Processor, queries []Query, body passBody) bodyRun {
 	t.Helper()
 	s := proc.NewSession()
 	s.explain = newExplainState(len(queries))
@@ -159,7 +150,7 @@ func runBody(t *testing.T, eng interface {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pass := s.pagePass(1, len(states), nil)
+	pass := s.pagePass(len(states), nil)
 	var r bodyRun
 	for pid := 0; pid < eng.NumPages(); pid++ {
 		page, err := eng.ReadPage(store.PageID(pid))
@@ -167,28 +158,24 @@ func runBody(t *testing.T, eng interface {
 			t.Fatal(err)
 		}
 		pass.begin(page, states)
-		var out []float64
-		if deferred {
-			out = make([]float64, len(page.Items)*len(states))
-		}
-		r.counts.add(evalBody(pass, body, out))
+		c := evalBody(pass, body)
+		r.counts.calcs += c.calcs
+		r.counts.abandoned += c.abandoned
+		r.counts.tries += c.tries
+		r.counts.avoided += c.avoided
 		r.limits = append(r.limits, append([]float64(nil), pass.limits...))
-		if deferred {
-			r.out = append(r.out, out)
-		}
 	}
 	for _, l := range results {
 		r.answers = append(r.answers, append([]query.Answer(nil), l.Answers()...))
 	}
 	for i := range s.explain.prof {
 		c := &s.explain.prof[i]
-		r.prof = append(r.prof, [3]int64{c.distCalcs.Load(), c.abandoned.Load(), c.tries.Load()})
+		r.prof = append(r.prof, [3]int64{c.distCalcs, c.abandoned, c.tries})
 	}
 	return r
 }
 
-// sameFloats compares bit patterns, so that the skipped-slot NaNs of a
-// deferred pass compare equal.
+// sameFloats compares bit patterns.
 func sameFloats(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -204,9 +191,10 @@ func sameFloats(a, b []float64) bool {
 // TestRowBodyMatchesPairBody: without the lemmas the two vector bodies are
 // the pair-by-pair evaluation computed in another order — on every engine's
 // pages, whether their items own their vectors or alias a columnar block,
-// for every metric, live and deferred: the same answers, calculation and
-// abandonment counts, pruning distances after every page, per-position
-// EXPLAIN counters and deferred distance buffers. The widths are the item
+// for every metric, whether a range query's accepts are deferred to the
+// page's end (staged, the default) or each lands at once (perAccept): the
+// same answers, calculation and abandonment counts, pruning distances after
+// every page and per-position EXPLAIN counters. The widths are the item
 // body's (1, 2, 3), then straddle the row kernel's eight-lane block (4 and
 // 5: one block, mostly padding; 9: a full block and a second with one
 // query); both bodies run at every width, whatever rowPath would pick. The
@@ -274,11 +262,12 @@ func TestRowBodyMatchesPairBody(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							pairs := runBody(t, eng, proc, tc.queries, bodyPairs, deferred)
+							proc.perAccept = !deferred
+							pairs := runBody(t, eng, proc, tc.queries, bodyPairs)
 							for name, body := range map[string]passBody{"rows": bodyRows, "items": bodyItems} {
-								requireSameBody(t, name, pairs, runBody(t, eng, proc, tc.queries, body, deferred))
+								requireSameBody(t, name, pairs, runBody(t, eng, proc, tc.queries, body))
 							}
-							if !deferred && len(pairs.answers[0]) == 0 {
+							if len(pairs.answers[0]) == 0 {
 								t.Error("the pass produced no answers: the comparison is vacuous")
 							}
 						})
@@ -307,11 +296,6 @@ func requireSameBody(t *testing.T, name string, pairs, got bodyRun) {
 		if got.prof[i] != pairs.prof[i] {
 			t.Errorf("position %d: EXPLAIN counters (calculated, abandoned, tries): %s %v, pairs %v",
 				i, name, got.prof[i], pairs.prof[i])
-		}
-	}
-	for p := range pairs.out {
-		if !sameFloats(pairs.out[p], got.out[p]) {
-			t.Fatalf("page %d: deferred distances: %s differs", p, name)
 		}
 	}
 }

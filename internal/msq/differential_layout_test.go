@@ -19,7 +19,7 @@ import (
 // run over pages whose items alias one contiguous block is bit-identical
 // to a run over pages whose items own their vectors, in answers AND in
 // every statistic (I/O, buffer behaviour, DistCalcs/Avoided/AvoidTries,
-// PartialAbandoned) at every pipeline width. The page pass is the same on
+// PartialAbandoned). The page pass is the same on
 // both — the processor takes no layout — so what is compared is the page
 // materialization.
 
@@ -71,7 +71,7 @@ func layoutMakers(spec store.ColumnSpec) []diffMaker {
 }
 
 // TestDifferentialLayoutSoA: for every engine × metric × avoidance mode ×
-// width, the SoA run must be indistinguishable from the AoS run — answers
+// width (runDifferential), the SoA run must be indistinguishable from the AoS run — answers
 // and the full Stats record compare with ==.
 func TestDifferentialLayoutSoA(t *testing.T) {
 	const dim = 4

@@ -12,7 +12,7 @@ import (
 
 // The observation differential pins that watching a batch changes nothing
 // about it. There is one page pass and observers ride it (pass.go), so for
-// every engine × layout × avoidance mode × pipeline width, running with a
+// every engine × layout × avoidance mode × width (runDifferential), running with a
 // tracer, under EXPLAIN, or both must leave answers, the full Stats record,
 // disk I/O and buffer hit/miss counts bit-identical to the unobserved run —
 // and what the observers report must add up: the per-query profiles sum to
@@ -26,13 +26,14 @@ type observedRun struct {
 	ex     *Explain    // nil unless explained
 }
 
-func runObserved(t *testing.T, mk diffMaker, m vec.Metric, opts Options, traced, explained bool, items []store.Item, dim int, queries []Query) observedRun {
+func runObserved(t *testing.T, mk diffMaker, m vec.Metric, opts Options, width int, traced, explained bool, items []store.Item, dim int, queries []Query) observedRun {
 	t.Helper()
 	eng := mk.make(t, items, dim, m)
 	proc, err := New(eng, m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	proc = proc.WithConcurrency(width)
 	r := observedRun{engine: eng.Name()}
 	if traced {
 		r.tr = obs.New(obs.Config{SlowQueryThreshold: -1})
@@ -94,10 +95,10 @@ func TestDifferentialObservation(t *testing.T) {
 				for _, width := range []int{1, 2, 8} {
 					cfg := fmt.Sprintf("%s/%s/w%d", mk.name, mode, width)
 					t.Run(lay.layout.String()+"/"+cfg, func(t *testing.T) {
-						opts := Options{Avoidance: mode, Concurrency: width, Layout: lay.layout}
-						bare := runObserved(t, mk, m, opts, false, false, items, dim, queries)
+						opts := Options{Avoidance: mode, Layout: lay.layout}
+						bare := runObserved(t, mk, m, opts, width, false, false, items, dim, queries)
 						for _, o := range observers {
-							r := runObserved(t, mk, m, opts, o.traced, o.explained, items, dim, queries)
+							r := runObserved(t, mk, m, opts, width, o.traced, o.explained, items, dim, queries)
 							if diag, ok := identicalAnswers(bare.answers, r.answers); !ok {
 								t.Errorf("%s: answers differ from the unobserved run: %s", o.name, diag)
 							}
@@ -112,7 +113,7 @@ func TestDifferentialObservation(t *testing.T) {
 									o.name, r.hits, r.misses, bare.hits, bare.misses)
 							}
 							if r.tr != nil {
-								checkTracerSawRun(t, o.name, r.tr, width)
+								checkTracerSawRun(t, o.name, r.tr)
 							}
 							if r.ex != nil {
 								checkProfiles(t, o.name, r, queries, opts)
@@ -132,8 +133,8 @@ func TestDifferentialObservation(t *testing.T) {
 }
 
 // checkTracerSawRun requires the tracer to have actually observed the run:
-// the call itself, page waits, page passes and, in the pipeline, merges.
-func checkTracerSawRun(t *testing.T, name string, tr *obs.Tracer, width int) {
+// the call itself, page waits and page passes.
+func checkTracerSawRun(t *testing.T, name string, tr *obs.Tracer) {
 	t.Helper()
 	if tr.Queries() == 0 {
 		t.Errorf("%s: tracer recorded no query calls", name)
@@ -144,9 +145,6 @@ func checkTracerSawRun(t *testing.T, name string, tr *obs.Tracer, width int) {
 	if tr.Snapshot(obs.PhasePageWait).Count == 0 {
 		t.Errorf("%s: tracer recorded no page_wait spans", name)
 	}
-	if width > 1 && tr.Snapshot(obs.PhaseMerge).Count == 0 {
-		t.Errorf("%s: pipelined run recorded no merge spans", name)
-	}
 }
 
 // checkProfiles requires the EXPLAIN to describe the run it profiled: the
@@ -155,8 +153,8 @@ func checkTracerSawRun(t *testing.T, name string, tr *obs.Tracer, width int) {
 func checkProfiles(t *testing.T, name string, r observedRun, queries []Query, opts Options) {
 	t.Helper()
 	ex := r.ex
-	if ex.Engine != r.engine || ex.Width != opts.Concurrency || ex.Avoidance != opts.Avoidance.String() {
-		t.Errorf("%s: header says engine %s, width %d, avoidance %s", name, ex.Engine, ex.Width, ex.Avoidance)
+	if ex.Engine != r.engine || ex.Avoidance != opts.Avoidance.String() {
+		t.Errorf("%s: header says engine %s, avoidance %s", name, ex.Engine, ex.Avoidance)
 	}
 	if len(ex.Queries) != len(queries) {
 		t.Fatalf("%s: %d profiles for %d queries", name, len(ex.Queries), len(queries))

@@ -16,20 +16,16 @@ import (
 	"metricdb/internal/xtree"
 )
 
-// The differential harness proves the pipeline's determinism claim: for
-// every (engine × metric × avoidance mode) combination and a mixed k-NN /
-// range / bounded-k-NN batch, running at Concurrency 1, 2 and 8 must give
+// The differential harness runs a mixed k-NN / range / bounded-k-NN batch
+// on a fresh engine per run and compares everything observable about the
+// runs (diffRun): the answers with exact float equality, the full Stats
+// record, the simulated disk's read counts and sequential/random split, and
+// the buffer's hits and misses.
 //
-//   - byte-identical answers (exact float equality — the same distance
-//     calculations are performed in the same item order, so not even
-//     rounding may differ),
-//   - identical page-read counts, page visits, and the identical
-//     sequential/random split of the simulated disk, and
-//   - identical buffer hit/miss counts.
-//
-// DistCalcs/Avoided may differ between width 1 (live bounds) and widths
-// >= 2 (page-start snapshot bounds), but must be identical among all
-// widths >= 2 — and identical across every width when avoidance is off.
+// Several suites still carry the widths 1, 2 and 8 in their subtest names,
+// from the intra-server pipeline the processor no longer has. runDifferential
+// hands the width to the deprecated WithConcurrency shim, which must change
+// nothing, so each width is held to the same run.
 
 // diffMaker builds a fresh engine over its own disk and buffer, so the
 // I/O counters of independent runs are comparable.
@@ -83,10 +79,9 @@ func diffMakers() []diffMaker {
 	}
 }
 
-// diffBatch builds a mixed workload. The first query is a range query so
-// that the suffix evaluation of MultiQueryAll exercises both prefetch
-// floors: the ε floor (range first) on the first pass and the zero floor
-// (k-NN first) on later passes.
+// diffBatch builds a mixed workload. The first query is a range query, so
+// the suffix evaluation of MultiQueryAll runs passes led by a range query
+// and passes led by a k-NN query.
 func diffBatch(dim int, seed int64) []Query {
 	rng := rand.New(rand.NewSource(seed))
 	point := func() vec.Vector {
@@ -115,25 +110,33 @@ type diffRun struct {
 	misses  int64
 }
 
+// runDifferential evaluates the batch to completion on a fresh engine built
+// by mk, through the processor WithConcurrency(width) returns.
 func runDifferential(t *testing.T, mk diffMaker, m vec.Metric, mode AvoidanceMode, width int, items []store.Item, dim int, queries []Query) diffRun {
 	t.Helper()
 	eng := mk.make(t, items, dim, m)
-	proc, err := New(eng, m, Options{Avoidance: mode, Concurrency: width})
+	proc, err := New(eng, m, Options{Avoidance: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lists, stats, err := proc.NewSession().MultiQueryAll(queries)
+	lists, stats, err := proc.WithConcurrency(width).NewSession().MultiQueryAll(queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := diffRun{stats: stats, io: eng.Pager().Disk().Stats()}
-	for _, l := range lists {
-		r.answers = append(r.answers, append([]query.Answer(nil), l.Answers()...))
-	}
+	r := diffRun{stats: stats, io: eng.Pager().Disk().Stats(), answers: answersOf(lists)}
 	if buf := eng.Pager().Buffer(); buf != nil {
 		r.hits, r.misses, _ = buf.HitRate()
 	}
 	return r
+}
+
+// answersOf copies the answers out of a batch's lists.
+func answersOf(lists []*query.AnswerList) [][]query.Answer {
+	out := make([][]query.Answer, len(lists))
+	for i, l := range lists {
+		out[i] = append([]query.Answer(nil), l.Answers()...)
+	}
+	return out
 }
 
 // identicalAnswers requires exact equality — no tolerance.
@@ -155,6 +158,10 @@ func identicalAnswers(a, b [][]query.Answer) (string, bool) {
 	return "", true
 }
 
+// TestDifferentialPipeline: a batch run through WithConcurrency(2) or
+// WithConcurrency(8) is the batch run at width 1, in every observable, on
+// every engine, metric and avoidance mode. The shim ignores its width; the
+// test is named for the intra-server pipeline the width once configured.
 func TestDifferentialPipeline(t *testing.T) {
 	const dim = 4
 	items := testDB(11, 300, dim)
@@ -173,55 +180,9 @@ func TestDifferentialPipeline(t *testing.T) {
 			for _, mode := range modes {
 				t.Run(fmt.Sprintf("%s/%s/%s", mk.name, mt.name, mode), func(t *testing.T) {
 					seq := runDifferential(t, mk, mt.m, mode, 1, items, dim, queries)
-					var wide []diffRun
 					for _, width := range []int{2, 8} {
 						r := runDifferential(t, mk, mt.m, mode, width, items, dim, queries)
-						wide = append(wide, r)
-						if diag, ok := identicalAnswers(seq.answers, r.answers); !ok {
-							t.Errorf("width %d: answers differ from sequential: %s", width, diag)
-						}
-						if r.stats.PagesRead != seq.stats.PagesRead {
-							t.Errorf("width %d: PagesRead = %d, sequential %d", width, r.stats.PagesRead, seq.stats.PagesRead)
-						}
-						if r.stats.PageVisits != seq.stats.PageVisits {
-							t.Errorf("width %d: PageVisits = %d, sequential %d", width, r.stats.PageVisits, seq.stats.PageVisits)
-						}
-						if r.io != seq.io {
-							t.Errorf("width %d: disk stats %+v, sequential %+v", width, r.io, seq.io)
-						}
-						if r.hits != seq.hits || r.misses != seq.misses {
-							t.Errorf("width %d: buffer hits/misses %d/%d, sequential %d/%d",
-								width, r.hits, r.misses, seq.hits, seq.misses)
-						}
-						if r.stats.MatrixDistCalcs != seq.stats.MatrixDistCalcs {
-							t.Errorf("width %d: MatrixDistCalcs = %d, sequential %d",
-								width, r.stats.MatrixDistCalcs, seq.stats.MatrixDistCalcs)
-						}
-						if mode == AvoidOff {
-							if r.stats.DistCalcs != seq.stats.DistCalcs {
-								t.Errorf("width %d: AvoidOff DistCalcs = %d, sequential %d",
-									width, r.stats.DistCalcs, seq.stats.DistCalcs)
-							}
-							if r.stats.Avoided != 0 || r.stats.AvoidTries != 0 {
-								t.Errorf("width %d: AvoidOff counted avoidance: %+v", width, r.stats)
-							}
-						}
-						// Avoidance with snapshot bounds never computes
-						// more than no avoidance, and computed + avoided
-						// partitions the same offered set.
-						if r.stats.DistCalcs > seq.stats.DistCalcs+seq.stats.Avoided {
-							t.Errorf("width %d: DistCalcs %d exceeds offered set %d",
-								width, r.stats.DistCalcs, seq.stats.DistCalcs+seq.stats.Avoided)
-						}
-						if r.stats.DistCalcs+r.stats.Avoided != seq.stats.DistCalcs+seq.stats.Avoided {
-							t.Errorf("width %d: DistCalcs+Avoided = %d, sequential %d",
-								width, r.stats.DistCalcs+r.stats.Avoided, seq.stats.DistCalcs+seq.stats.Avoided)
-						}
-					}
-					// Widths >= 2 share the snapshot-bound evaluation and
-					// must agree on every statistic, not just answers.
-					if wide[0].stats != wide[1].stats {
-						t.Errorf("width 2 and 8 stats differ:\n  2: %+v\n  8: %+v", wide[0].stats, wide[1].stats)
+						requireSameRun(t, fmt.Sprintf("width %d", width), seq, r)
 					}
 				})
 			}
@@ -230,10 +191,10 @@ func TestDifferentialPipeline(t *testing.T) {
 }
 
 // TestDifferentialEnginesMatchScan pins answer identity across physical
-// organizations: every indexed engine, under every metric, avoidance mode
-// and pipeline width, must return the exact answers of the sequential scan
-// — same IDs, bit-identical distances. Pruning may only skip work, never
-// change results.
+// organizations: every indexed engine, under every metric and avoidance
+// mode, must return the exact answers of the scan — same IDs,
+// bit-identical distances. Pruning may only skip work, never change
+// results.
 func TestDifferentialEnginesMatchScan(t *testing.T) {
 	const dim = 4
 	items := testDB(91, 300, dim)
@@ -264,87 +225,83 @@ func TestDifferentialEnginesMatchScan(t *testing.T) {
 	}
 }
 
+// TestConcurrencyKnob: the deprecated WithConcurrency shim returns its
+// receiver whatever the width, and a batch through it has the receiver's
+// answers and Stats.
 func TestConcurrencyKnob(t *testing.T) {
 	items := testDB(1, 64, 3)
-	eng := scanEngine(t, items)
-	if _, err := New(eng, vec.Euclidean{}, Options{Concurrency: -1}); err == nil {
-		t.Error("negative concurrency accepted")
-	}
-	proc, err := New(eng, vec.Euclidean{}, Options{})
+	queries := diffBatch(3, 2)
+	proc, err := New(scanEngine(t, items), vec.Euclidean{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := proc.Concurrency(); got != 1 {
-		t.Errorf("zero-value Concurrency() = %d, want 1", got)
+	// The runs share the engine, so the first one warms its buffer and the
+	// reference is the second.
+	if _, _, err := proc.MultiQuery(queries); err != nil {
+		t.Fatal(err)
 	}
-	wide := proc.WithConcurrency(8)
-	if got := wide.Concurrency(); got != 8 {
-		t.Errorf("WithConcurrency(8).Concurrency() = %d", got)
+	want, wantStats, err := proc.MultiQuery(queries)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if wide.Engine() != proc.Engine() || wide.Metric() != proc.Metric() {
-		t.Error("WithConcurrency did not share the engine and counting metric")
-	}
-	if proc.Concurrency() != 1 {
-		t.Error("WithConcurrency mutated the original processor")
-	}
-	if got := proc.WithConcurrency(-3).Concurrency(); got != 1 {
-		t.Errorf("WithConcurrency(-3).Concurrency() = %d, want 1", got)
+	for _, n := range []int{0, 1, 8} {
+		shim := proc.WithConcurrency(n)
+		if shim != proc {
+			t.Errorf("WithConcurrency(%d) returned another processor", n)
+		}
+		got, stats, err := shim.MultiQuery(queries)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diag, ok := identicalAnswers(answersOf(want), answersOf(got)); !ok {
+			t.Errorf("WithConcurrency(%d): answers differ: %s", n, diag)
+		}
+		if stats != wantStats {
+			t.Errorf("WithConcurrency(%d): stats %+v, want %+v", n, stats, wantStats)
+		}
 	}
 }
 
-// TestDifferentialIncremental checks the incremental entry point: two
-// MultiQuery calls sharing a session (the second reuses buffered partial
-// answers of the first) must behave identically at every width.
+// TestDifferentialIncremental checks the incremental entry point: of two
+// MultiQuery calls sharing a session, the second restores the buffered
+// partial answers of the first, and each query a call completes — the
+// first of each batch, and one completed earlier and resubmitted — has
+// exactly its brute-force answers.
 func TestDifferentialIncremental(t *testing.T) {
 	const dim = 4
 	items := testDB(21, 300, dim)
 	queries := diffBatch(dim, 22)
 	m := vec.Euclidean{}
+	exact := func(t *testing.T, call string, l *query.AnswerList, q Query) {
+		t.Helper()
+		if !sameAnswers(l.Answers(), brute(items, m, q.Vec, q.Type)) {
+			t.Errorf("%s: query %d: answers differ from brute force", call, q.ID)
+		}
+	}
 
 	for _, mk := range diffMakers() {
 		t.Run(mk.name, func(t *testing.T) {
-			run := func(width int) diffRun {
-				eng := mk.make(t, items, dim, m)
-				proc, err := New(eng, m, Options{Concurrency: width})
-				if err != nil {
-					t.Fatal(err)
-				}
-				s := proc.NewSession()
-				var total Stats
-				// First call completes queries[0] and buffers partials.
-				if _, st, err := s.MultiQuery(queries); err != nil {
-					t.Fatal(err)
-				} else {
-					total = total.Add(st)
-				}
-				// Second call rotates the batch so query 1 completes next,
-				// restoring the buffered state from the first call.
-				rotated := append(append([]Query(nil), queries[1:]...), queries[0])
-				lists, st, err := s.MultiQuery(rotated)
-				if err != nil {
-					t.Fatal(err)
-				}
-				total = total.Add(st)
-				r := diffRun{stats: total, io: eng.Pager().Disk().Stats()}
-				for _, l := range lists {
-					r.answers = append(r.answers, append([]query.Answer(nil), l.Answers()...))
-				}
-				return r
+			proc, err := New(mk.make(t, items, dim, m), m, Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			seq := run(1)
-			for _, width := range []int{2, 8} {
-				r := run(width)
-				if diag, ok := identicalAnswers(seq.answers, r.answers); !ok {
-					t.Errorf("width %d: answers differ: %s", width, diag)
-				}
-				if r.io != seq.io {
-					t.Errorf("width %d: disk stats %+v, sequential %+v", width, r.io, seq.io)
-				}
-				if r.stats.PagesRead != seq.stats.PagesRead || r.stats.PageVisits != seq.stats.PageVisits {
-					t.Errorf("width %d: pages read/visited %d/%d, sequential %d/%d",
-						width, r.stats.PagesRead, r.stats.PageVisits, seq.stats.PagesRead, seq.stats.PageVisits)
-				}
+			s := proc.NewSession()
+			// The first call completes queries[0] and buffers partials.
+			lists, _, err := s.MultiQuery(queries)
+			if err != nil {
+				t.Fatal(err)
 			}
+			exact(t, "first call", lists[0], queries[0])
+			// The second rotates the batch so query 1 completes next, from
+			// the state the first call buffered; query 0 comes back from
+			// the buffer.
+			rotated := append(append([]Query(nil), queries[1:]...), queries[0])
+			lists, _, err = s.MultiQuery(rotated)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact(t, "second call", lists[0], rotated[0])
+			exact(t, "second call", lists[len(lists)-1], queries[0])
 		})
 	}
 }

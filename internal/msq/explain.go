@@ -2,7 +2,6 @@ package msq
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 
 	"metricdb/internal/engine"
@@ -19,16 +18,8 @@ import (
 // records each pair's disposal through a pointer that is nil when nothing
 // profiles, so no decision can depend on it and answers and the batch
 // counters are identical with and without profiling. Summed over the
-// queries, the profiles' counters equal the batch Stats.
-//
-// Width stability: page visits, answers, and the per-query offered set
-// (DistCalcs + Lemma1Avoided + Lemma2Avoided) are pure functions of the
-// page-barrier state and therefore identical at every pipeline width. The
-// split of the offered set into calculated/avoided/abandoned is identical
-// across all widths >= 2 (snapshot-pure decisions, chunk-independent known
-// lists) but may shift slightly against width 1, which tightens pruning
-// bounds item by item (see pipeline.go). Wall-time fields are timing, not
-// counters, and are never expected to be stable.
+// queries, the profiles' counters equal the batch Stats. Wall-time fields
+// are timing, not counters, and are never expected to be stable.
 
 // Profile is the EXPLAIN record of one query position in a batch.
 type Profile struct {
@@ -57,8 +48,7 @@ type Profile struct {
 }
 
 // Offered returns the query's offered set: every (item, query) pair the
-// page loop considered, whether calculated or avoided. It is identical at
-// every pipeline width.
+// page loop considered, whether calculated or avoided.
 func (p Profile) Offered() int64 {
 	return p.DistCalcs + p.Lemma1Avoided + p.Lemma2Avoided
 }
@@ -72,8 +62,6 @@ type Explain struct {
 	// approximation bits, directory fanout) for engines that implement
 	// engine.Described; the zero value means the engine describes nothing.
 	EngineConfig engine.Config `json:"engine_config,omitzero"`
-	// Width is the pipeline width the batch ran at.
-	Width int `json:"width"`
 	// Avoidance is the triangle-inequality mode ("both", "off", ...).
 	Avoidance string `json:"avoidance"`
 	// RowKernel is the instruction set of the blocked page pass ("avx512",
@@ -92,10 +80,8 @@ type Explain struct {
 	BufferEvictions int64   `json:"buffer_evictions"`
 	BufferHitRatio  float64 `json:"buffer_hit_ratio"`
 	// PhaseNs is the call's wall time per phase (plan, matrix, page_wait,
-	// kernel, merge), in nanoseconds; kernel is the page passes, avoidance
-	// probes included. Phases the call never entered are absent. Concurrent
-	// phases sum across workers, so the values can exceed WallNs at widths
-	// >= 2.
+	// kernel), in nanoseconds; kernel is the page passes, avoidance probes
+	// included. Phases the call never entered are absent.
 	PhaseNs map[string]int64 `json:"phase_ns"`
 	// WallNs is the call's total wall time.
 	WallNs int64 `json:"wall_ns"`
@@ -124,17 +110,15 @@ type PredictedCost struct {
 	TotalNs        int64  `json:"total_ns"`
 }
 
-// explainCounters is the mutable accumulator behind one Profile. The
-// pipeline's workers update it concurrently, so the fields are atomic; the
-// sequential path pays a few uncontended atomic adds per pair, acceptable
-// on a diagnostic path.
+// explainCounters is the mutable accumulator behind one Profile. Only the
+// session's own call updates it, under the session's lock.
 type explainCounters struct {
-	pagesVisited atomic.Int64
-	distCalcs    atomic.Int64
-	abandoned    atomic.Int64
-	lemma1       atomic.Int64
-	lemma2       atomic.Int64
-	tries        atomic.Int64
+	pagesVisited int64
+	distCalcs    int64
+	abandoned    int64
+	lemma1       int64
+	lemma2       int64
+	tries        int64
 }
 
 // explainState is attached to a Session for the duration of one
@@ -143,7 +127,7 @@ type explainCounters struct {
 // batch position.
 type explainState struct {
 	prof    []explainCounters
-	phaseNs [obs.NumPhases]atomic.Int64
+	phaseNs [obs.NumPhases]int64
 }
 
 func newExplainState(m int) *explainState {
@@ -151,38 +135,35 @@ func newExplainState(m int) *explainState {
 }
 
 // observe accumulates phase wall time (the explain counterpart of
-// Tracer.Observe; safe from concurrent workers).
+// Tracer.Observe).
 func (ex *explainState) observe(p obs.Phase, d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	ex.phaseNs[p].Add(int64(d))
+	ex.phaseNs[p] += max(int64(d), 0)
 }
 
 // avoided and calculated attribute one pair's disposal — and the
 // probes spent reaching it — to the query's profile.
 func (c *explainCounters) avoided(lemma, tries int) {
-	c.tries.Add(int64(tries))
+	c.tries += int64(tries)
 	if lemma == 1 {
-		c.lemma1.Add(1)
+		c.lemma1++
 	} else {
-		c.lemma2.Add(1)
+		c.lemma2++
 	}
 }
 
 func (c *explainCounters) calculated(within bool, tries int) {
-	c.tries.Add(int64(tries))
-	c.distCalcs.Add(1)
+	c.tries += int64(tries)
+	c.distCalcs++
 	if !within {
-		c.abandoned.Add(1)
+		c.abandoned++
 	}
 }
 
 // swept attributes one item-lane sweep: calcs pairs, within of them inside
 // their limit, no probes.
 func (c *explainCounters) swept(calcs, within int64) {
-	c.distCalcs.Add(calcs)
-	c.abandoned.Add(calcs - within)
+	c.distCalcs += calcs
+	c.abandoned += calcs - within
 }
 
 // ExplainAllContext evaluates the whole batch to completion, exactly like
@@ -213,7 +194,6 @@ func (s *Session) ExplainAllContext(ctx context.Context, queries []Query) (*Expl
 
 	out := &Explain{
 		Engine: s.proc.eng.Name(),
-		Width:  s.proc.Concurrency(),
 		EngineConfig: func() engine.Config {
 			if d, ok := s.proc.eng.(engine.Described); ok {
 				return d.Describe()
@@ -237,7 +217,7 @@ func (s *Session) ExplainAllContext(ctx context.Context, queries []Query) (*Expl
 		}
 	}
 	for p := 0; p < obs.NumPhases; p++ {
-		if ns := ex.phaseNs[p].Load(); ns > 0 {
+		if ns := ex.phaseNs[p]; ns > 0 {
 			out.PhaseNs[obs.Phase(p).String()] = ns
 		}
 	}
@@ -246,12 +226,12 @@ func (s *Session) ExplainAllContext(ctx context.Context, queries []Query) (*Expl
 		out.Queries[i] = Profile{
 			ID:            queries[i].ID,
 			Kind:          queries[i].Type.Kind.String(),
-			PagesVisited:  c.pagesVisited.Load(),
-			DistCalcs:     c.distCalcs.Load(),
-			Abandoned:     c.abandoned.Load(),
-			Lemma1Avoided: c.lemma1.Load(),
-			Lemma2Avoided: c.lemma2.Load(),
-			AvoidTries:    c.tries.Load(),
+			PagesVisited:  c.pagesVisited,
+			DistCalcs:     c.distCalcs,
+			Abandoned:     c.abandoned,
+			Lemma1Avoided: c.lemma1,
+			Lemma2Avoided: c.lemma2,
+			AvoidTries:    c.tries,
 			Answers:       results[i].Len(),
 		}
 	}

@@ -17,7 +17,7 @@ import (
 // This file extends the differential harness across the storage boundary:
 // the file-backed page store (store.FileDisk) must be observationally
 // indistinguishable from the simulated disk it replaces. For every
-// engine × metric × avoidance mode × pipeline width, a run whose pages
+// engine × metric × avoidance mode, a run whose pages
 // come from a persistent dataset directory must produce
 //
 //   - bit-identical answers (exact float equality),
@@ -167,11 +167,9 @@ func TestDifferentialFileDisk(t *testing.T) {
 		for _, mt := range metrics {
 			for _, mode := range modes {
 				t.Run(fmt.Sprintf("%s/%s/%s", sims[i].name, mt.name, mode), func(t *testing.T) {
-					for _, width := range []int{1, 2, 8} {
-						sim := runDifferential(t, sims[i], mt.m, mode, width, items, dim, queries)
-						file := runDifferential(t, files[i], mt.m, mode, width, items, dim, queries)
-						requireSameRun(t, fmt.Sprintf("width %d", width), sim, file)
-					}
+					sim := runDifferential(t, sims[i], mt.m, mode, 1, items, dim, queries)
+					file := runDifferential(t, files[i], mt.m, mode, 1, items, dim, queries)
+					requireSameRun(t, "file vs memory", sim, file)
 				})
 			}
 		}
@@ -226,11 +224,9 @@ func TestDifferentialFileDiskMmap(t *testing.T) {
 	for i := range sims {
 		for _, mode := range []AvoidanceMode{AvoidBoth, AvoidOff} {
 			t.Run(fmt.Sprintf("%s/%s", sims[i].name, mode), func(t *testing.T) {
-				for _, width := range []int{1, 2, 8} {
-					sim := runDifferential(t, sims[i], m, mode, width, items, dim, queries)
-					file := runDifferential(t, files[i], m, mode, width, items, dim, queries)
-					requireSameRun(t, fmt.Sprintf("width %d", width), sim, file)
-				}
+				sim := runDifferential(t, sims[i], m, mode, 1, items, dim, queries)
+				file := runDifferential(t, files[i], m, mode, 1, items, dim, queries)
+				requireSameRun(t, "file vs memory", sim, file)
 			})
 		}
 	}

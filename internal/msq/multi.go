@@ -47,11 +47,6 @@ type queryState struct {
 	// relevance checks, bootstrap bounds) across every incremental call
 	// reuses them for free.
 	pq engine.PreparedQuery
-	// mu guards answers while the concurrent pipeline's sharded merge
-	// workers feed per-page results into the list (one shard — and hence
-	// one worker — per query, but the lock keeps the ownership explicit
-	// and race-detector-checkable). The sequential path never contends.
-	mu sync.Mutex
 	// processed is the set of pages already examined for the query. It
 	// stays with the struct through the free list, unless retire lets it go,
 	// and is cleared when the next query takes it.
@@ -90,8 +85,9 @@ func (st *queryState) queryDist() float64 {
 // calls. A session is bound to one processor. It is safe for concurrent
 // use: calls are serialized by an internal mutex, because the paper's
 // incremental semantics (each call builds on the buffered answers of the
-// previous one) are inherently ordered. Parallelism happens *inside* a
-// call when the processor's Concurrency is above 1.
+// previous one) are inherently ordered. Separate sessions on one processor
+// may run concurrently; they share only the engine and its pager. The
+// paper's parallelism is across servers (§5.3, internal/parallel).
 //
 // What is buffered: for every query ever completed, its answer list, which
 // records the query (completed); for every incomplete one its live state —
@@ -114,9 +110,7 @@ func (st *queryState) queryDist() float64 {
 // after a call that evaluated pages without it.
 type Session struct {
 	proc *Processor
-	// mu serializes top-level calls on the session. The pipeline's worker
-	// goroutines never take it; they synchronize through per-query state
-	// locks and the page barrier (see pipeline.go).
+	// mu serializes top-level calls on the session.
 	mu sync.Mutex
 	// live indexes the states the session holds by query ID: the incomplete
 	// queries, and during a call also the states the call registered (bare
@@ -146,7 +140,7 @@ type Session struct {
 	blockPQs []engine.PreparedQuery
 	// explain, when non-nil, collects per-query profiles and phase times
 	// for the duration of one ExplainAllContext call (set and cleared
-	// under mu; the pipeline's workers only read it).
+	// under mu).
 	explain *explainState
 }
 
@@ -355,8 +349,7 @@ func (s *Session) release(st *queryState) {
 // retire moves the queries the previous call completed into the registry
 // and their states to the free list, together with the states that stood
 // for already completed queries. It runs when the next call begins, before
-// the window is read: every merge of the call that completed them has
-// drained by then, and a session that is never called again — a one-shot
+// the window is read, so a session that is never called again — a one-shot
 // batch — pays neither registry nor free list. The free list keeps the
 // page sets of at most width states, as many as a call of that width can
 // take (take pops from the top, where they are): after a wide call a
@@ -502,16 +495,7 @@ func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]floa
 	plan := first.pq.Plan(first.queryDist())
 	s.observeSince(obs.PhasePlan, planStart)
 
-	width := s.proc.Concurrency()
-	pass := s.pagePass(width, len(states), matrix)
-	if width > 1 {
-		if err := s.runPipeline(ctx, plan, states, stats, pass, width); err != nil {
-			return err
-		}
-		s.complete(first)
-		return nil
-	}
-
+	pass := s.pagePass(len(states), matrix)
 	for _, ref := range plan {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("msq: multiple query: %w", err)
@@ -534,7 +518,7 @@ func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]floa
 		s.visit(active, stats)
 
 		pass.begin(page, active)
-		s.settle(stats, pass.eval(0, len(page.Items), 0, nil))
+		s.settle(stats, pass.eval())
 		s.proc.eng.Pager().Release(page) // answers hold IDs and distances, never an item
 
 		for _, st := range active {

@@ -11,8 +11,8 @@ import (
 )
 
 // This file is the page pass of Figure 4: every item of a page against
-// every query that still needs the page. There are three bodies, and the
-// barrier picks one per page (rowPath). Under the lemmas the pair body
+// every query that still needs the page. There are three bodies, and begin
+// picks one per page (rowPath). Under the lemmas the pair body
 // (evalPairs) takes each item through the active queries in order, because
 // what one query's distance proves about the next is the point. Without
 // them the queries of a page do not interact, and the page is a matrix of
@@ -20,14 +20,12 @@ import (
 // (evalRows) loads a wide active set once and sweeps each item across it,
 // queries as lanes; the item body (evalItems, built on sweepItems) takes a
 // narrow one query by query and sweeps the page's items, items as lanes —
-// and is also how a single query and a seed page are evaluated. The
-// sequential loop runs a body over a whole page with live pruning
-// distances, a pipeline worker over an item range with the barrier's
-// snapshot. Observers do not get a copy of their own: a pass is timed as a
-// whole, and EXPLAIN's per-query attribution is a nil-checked pointer
-// inside the bodies.
+// and is also how a single query and a seed page are evaluated. A body
+// runs over a whole page with live pruning distances. Observers do not get
+// a copy of their own: a pass is timed as a whole, and EXPLAIN's per-query
+// attribution is a nil-checked pointer inside the bodies.
 //
-// A live pass lands a range query's accepts once per page: its pruning
+// A pass lands a range query's accepts once per page: its pruning
 // distance is ε whatever its list holds, so no accept changes a limit, an
 // abandonment or a later pair of the page, and the bodies stage them
 // (accept) and append each query's in one call at the end (flush) — the
@@ -35,21 +33,14 @@ import (
 // doubling per accept. A bounded (k-NN) list takes each accept at once:
 // its limit moves with it.
 
-// passCounts is what one page pass, or one chunk of one, did. The bodies
-// count in locals and return the totals, so the per-pair path touches no
-// shared memory; the caller settles them once per page.
+// passCounts is what one page pass did. The bodies count in locals and
+// return the totals, so the per-pair path touches no shared memory; the
+// caller settles them once per page.
 type passCounts struct {
 	calcs     int64 // kernel evaluations (object distance calculations)
 	abandoned int64 // calcs the bounded kernel cut short at its limit
 	tries     int64 // triangle-inequality probes
 	avoided   int64 // pairs a probe disposed of
-}
-
-func (c *passCounts) add(d passCounts) {
-	c.calcs += d.calcs
-	c.abandoned += d.abandoned
-	c.tries += d.tries
-	c.avoided += d.avoided
 }
 
 // settle charges a pass to the call's stats and to the processor's
@@ -74,7 +65,7 @@ func (s *Session) clock() time.Time {
 }
 
 // observeSince records the time since start under phase p with whichever
-// observers are attached. Safe from pipeline workers.
+// observers are attached.
 func (s *Session) observeSince(p obs.Phase, start time.Time) {
 	if start.IsZero() {
 		return
@@ -86,12 +77,12 @@ func (s *Session) observeSince(p obs.Phase, start time.Time) {
 	}
 }
 
-// visit accounts the (page, query) visits decided at one page barrier.
+// visit accounts the (page, query) visits decided for one page.
 func (s *Session) visit(active []*queryState, stats *Stats) {
 	stats.PageVisits += int64(len(active))
 	if ex := s.explain; ex != nil {
 		for _, st := range active {
-			ex.prof[st.pos].pagesVisited.Add(1)
+			ex.prof[st.pos].pagesVisited++
 		}
 	}
 }
@@ -116,20 +107,12 @@ type knownDist struct {
 	idx int32
 }
 
-// skippedDist marks an (item, query) slot of a deferred pass whose distance
-// is not offered to the answer list — avoided by the triangle inequality,
-// screened out, or abandoned by the bounded kernel. Proper metrics never
-// produce NaN, so the sentinel cannot collide with a computed distance.
-var skippedDist = math.NaN()
-
 // pagePass holds the page-pass state: what is fixed for one run, what begin
-// fixes at each page barrier, and the buffers both reuse. The session keeps
-// one and hands it to every run (Session.pagePass); every buffer is sized
-// for the widest batch so far and resliced to the page's active set, so
-// neither a pass nor a call allocates in steady state, whoever observes it.
-// Workers only read the barrier state; known, rowSc and counts are per
-// worker — index w is owned by the one goroutine running as worker w — so
-// they need no locking, and the width-1 loop is simply worker 0.
+// fixes at the start of each page, and the buffers both reuse. The session
+// keeps one and hands it to every run (Session.pagePass); every buffer is
+// sized for the widest batch so far and resliced to the page's active set,
+// so neither a pass nor a call allocates in steady state, whoever observes
+// it.
 type pagePass struct {
 	s *Session
 	// matrix is the query-distance matrix, indexed by slot; nil means no
@@ -143,45 +126,42 @@ type pagePass struct {
 	page      *store.Page
 	active    []*queryState
 	activeIdx []int // matrix slot of each active query
-	// limits holds each active query's pruning distance at the barrier. A
-	// live pass keeps it exact: a pruning distance changes only when the
-	// query's own Consider accepts an item (its a-priori bound is fixed
-	// during the page loop), and every accept refreshes the entry — so the
-	// per-pair limit is a cached read, not a call.
+	// limits holds each active query's pruning distance. The pass keeps it
+	// exact: a pruning distance changes only when the query's own Consider
+	// accepts an item (its a-priori bound is fixed during the page loop),
+	// and every accept refreshes the entry — so the per-pair limit is a
+	// cached read, not a call.
 	limits []float64
 	// raise[a] caches the Lemma-1 horizon bound of abandonLimit, computed
-	// from the barrier limits. Pruning distances only shrink during the
-	// page, which leaves the cached raise too high — still at or above
-	// every live horizon (the identity requirement), merely abandoning
-	// less — so shrinks do not invalidate it. The one event that would
-	// make it too low is a pruning distance turning finite (a k-NN list
-	// filling up mid-page): that query's horizon springs into existence,
-	// so the live pass lifts every cached raise to cover the new horizon
-	// then — an O(m) overapproximation (the suffix raise of a later
-	// position need not include the new query, but a higher raise stays
-	// valid). Each query transitions at most once per run.
+	// from the limits at the page's start. Pruning distances only shrink
+	// during the page, which leaves the cached raise too high — still at
+	// or above every live horizon (the identity requirement), merely
+	// abandoning less — so shrinks do not invalidate it. The one event
+	// that would make it too low is a pruning distance turning finite (a
+	// k-NN list filling up mid-page): that query's horizon springs into
+	// existence, so the pass lifts every cached raise to cover the new
+	// horizon then — an O(m) overapproximation (the suffix raise of a
+	// later position need not include the new query, but a higher raise
+	// stays valid). Each query transitions at most once per run.
 	raise []float64
 	body  passBody // which body the page takes (see rowPath)
 	// perAccept is the processor's (Processor.perAccept): no staging.
 	perAccept bool
-	qvecs     []vec.Vector // the vector bodies' queries, gathered at the barrier
+	qvecs     []vec.Vector // the vector bodies' queries, gathered by begin
 	rowSet    *vec.Rows    // the row body's: qvecs loaded, with limits, for every item of the page
-	// stage[a] holds a live pass's accepts for active range query a until
-	// the page ends (accept, flush); made when a range query first accepts.
+	rowSc     vec.RowScratch
+	known     []knownDist // the pair body's distances known for the current item
+	// stage[a] holds the pass's accepts for active range query a until the
+	// page ends (accept, flush); made when a range query first accepts.
 	stage [][]query.Answer
-
-	known  [][]knownDist    // per worker
-	rowSc  []vec.RowScratch // per worker
-	counts []passCounts     // per worker; the pipeline sums them at the barrier
-	dists  []float64        // the pipeline's items × active result buffer
 }
 
 // pagePass returns the session's page pass, set up for a run over nStates
-// queries. The buffers depend only on the width and nStates, so they are
-// allocated when a batch is wider than any before it and reused otherwise.
-func (s *Session) pagePass(width, nStates int, matrix [][]float64) *pagePass {
+// queries. The buffers depend only on nStates, so they are allocated when a
+// batch is wider than any before it and reused otherwise.
+func (s *Session) pagePass(nStates int, matrix [][]float64) *pagePass {
 	if s.pass == nil || cap(s.pass.limits) < nStates {
-		s.pass = newPagePass(s, width, nStates)
+		s.pass = newPagePass(s, nStates)
 	}
 	p := s.pass
 	p.matrix, p.prof, p.perAccept = matrix, nil, s.proc.perAccept
@@ -191,8 +171,8 @@ func (s *Session) pagePass(width, nStates int, matrix [][]float64) *pagePass {
 	return p
 }
 
-func newPagePass(s *Session, width, nStates int) *pagePass {
-	p := &pagePass{
+func newPagePass(s *Session, nStates int) *pagePass {
+	return &pagePass{
 		s:         s,
 		active:    make([]*queryState, 0, nStates),
 		activeIdx: make([]int, nStates),
@@ -200,23 +180,14 @@ func newPagePass(s *Session, width, nStates int) *pagePass {
 		raise:     make([]float64, nStates),
 		qvecs:     make([]vec.Vector, nStates),
 		rowSet:    vec.NewRows(s.proc.metric.Kernel()),
-		known:     make([][]knownDist, width),
-		rowSc:     make([]vec.RowScratch, width),
-		counts:    make([]passCounts, width),
+		known:     make([]knownDist, 0, nStates),
 	}
-	for w := range p.known {
-		p.known[w] = make([]knownDist, 0, nStates)
-	}
-	return p
 }
 
 // decideActive computes which queries still need the page: not finished, not
 // already processed for the page, and (for non-first queries) not excludable
 // by the engine's lower bound against the query's current pruning distance.
-// Both the sequential loop and the concurrent pipeline call it at the same
-// point — after all earlier pages are fully merged — so the decisions, and
-// hence page visits, are identical regardless of the pipeline width. The
-// result is the pass's own buffer, valid until the next page.
+// The result is the pass's own buffer, valid until the next page.
 func (p *pagePass) decideActive(pid store.PageID, states []*queryState) []*queryState {
 	active := p.active[:0]
 	for i, st := range states {
@@ -234,11 +205,9 @@ func (p *pagePass) decideActive(pid store.PageID, states []*queryState) []*query
 	return active
 }
 
-// begin fixes the barrier state for one page: the active set, its pruning
+// begin fixes the state for one page: the active set, its pruning
 // distances, and everything the run's options derive from them — the
-// abandonment raises under avoidance, the row-kernel inputs. Only the
-// coordinator calls it, with every earlier page fully merged, so each
-// input is the value the sequential loop would see.
+// abandonment raises under avoidance, the row-kernel inputs.
 func (p *pagePass) begin(page *store.Page, active []*queryState) {
 	p.page, p.active = page, active
 	n := len(active)
@@ -264,29 +233,23 @@ func (p *pagePass) begin(page *store.Page, active []*queryState) {
 	}
 }
 
-// eval evaluates items [lo, hi) of the begun page against the active set
-// and returns what it did, for the caller to settle.
-//
-// With out == nil the pass is live: a within distance goes straight to the
-// query's answer list and an accept tightens limits for the items after it
-// — the sequential loop, which must be the only goroutine on the pass.
-// With out != nil the pass is deferred: limits is read-only, and slot
-// out[it*len(active)+a] receives the within distance of item it to query a,
-// or skippedDist, for the pipeline's merge phase. Deferred decisions are a
-// pure function of (page, barrier state, matrix), whatever the chunking.
+// eval evaluates the begun page against the active set and returns what it
+// did, for the caller to settle. A within distance goes to the query's
+// answer list (accept) and an accept tightens limits for the items after
+// it.
 //
 // The clock is read here, twice per pass when something observes and never
 // otherwise: probes and kernel calls are too short to time one by one.
-func (p *pagePass) eval(lo, hi, worker int, out []float64) passCounts {
+func (p *pagePass) eval() passCounts {
 	start := p.s.clock()
 	var c passCounts
 	switch p.body {
 	case bodyRows:
-		c = p.evalRows(lo, hi, worker, out)
+		c = p.evalRows()
 	case bodyItems:
-		c = p.evalItems(lo, hi, out)
+		c = p.evalItems()
 	default:
-		c = p.evalPairs(lo, hi, worker, out)
+		c = p.evalPairs()
 	}
 	p.s.observeSince(obs.PhaseKernel, start)
 	return c
@@ -309,7 +272,7 @@ func (p *pagePass) accept(a int, id store.ItemID, d float64) bool {
 }
 
 // flush lands the page's staged accepts, one ConsiderAll a range query. The
-// live bodies call it when they end; a deferred pass stages nothing.
+// bodies call it when they end.
 func (p *pagePass) flush() {
 	if p.stage == nil {
 		return
@@ -335,7 +298,7 @@ func (p *pagePass) flush() {
 // relative to full-distance evaluation. The partial result is appended to
 // known like any other distance, so later probes see the same entry
 // sequence either way. Only reached with a matrix (see rowPath).
-func (p *pagePass) evalPairs(lo, hi, worker int, out []float64) passCounts {
+func (p *pagePass) evalPairs() passCounts {
 	// Scalars, not a passCounts: the compiler keeps a four-field struct in
 	// memory, and these are bumped once per pair.
 	var calcs, abandoned, probes, avoided int64
@@ -343,17 +306,9 @@ func (p *pagePass) evalPairs(lo, hi, worker int, out []float64) passCounts {
 	mode := p.s.proc.opts.Avoidance
 	page, active, activeIdx := p.page, p.active, p.activeIdx
 	matrix, limits, raise, prof := p.matrix, p.limits, p.raise, p.prof
-	n := len(active)
-	known := p.known[worker]
-	for it := lo; it < hi; it++ {
+	known := p.known
+	for it := range page.Items {
 		item := &page.Items[it]
-		var row []float64
-		if out != nil {
-			row = out[it*n : (it+1)*n]
-			for a := range row {
-				row[a] = skippedDist
-			}
-		}
 		known = known[:0]
 		for a, st := range active {
 			slot := activeIdx[a]
@@ -384,10 +339,6 @@ func (p *pagePass) evalPairs(lo, hi, worker int, out []float64) passCounts {
 				abandoned++
 				continue
 			}
-			if row != nil {
-				row[a] = d
-				continue
-			}
 			if p.accept(a, item.ID, d) {
 				limits[a] = st.queryDist()
 				if math.IsInf(qd, 1) && !math.IsInf(limits[a], 1) {
@@ -401,24 +352,21 @@ func (p *pagePass) evalPairs(lo, hi, worker int, out []float64) passCounts {
 			}
 		}
 	}
-	if out == nil {
-		p.flush()
-	}
+	p.flush()
 	return passCounts{calcs: calcs, abandoned: abandoned, tries: probes, avoided: avoided}
 }
 
 // evalRows is the blocked body: one sweep per item evaluates the whole
-// active set, loaded at the barrier, against the item's vector — the same
+// active set, loaded by begin, against the item's vector — the same
 // contiguous float64s whether the page's items own them or alias a columnar
 // block — and returns the lanes within their limits; every other pair was
 // abandoned. Only reached when rowPath holds, under which the results are
 // bit-identical to the pair-by-pair evaluation (see rowPath).
-func (p *pagePass) evalRows(lo, hi, worker int, out []float64) passCounts {
-	rows, sc := p.rowSet, &p.rowSc[worker]
+func (p *pagePass) evalRows() passCounts {
+	rows, sc := p.rowSet, &p.rowSc
 	page, active, limits, prof := p.page, p.active, p.limits, p.prof
-	n := len(active)
 	var within int64
-	for it := lo; it < hi; it++ {
+	for it := range page.Items {
 		item := &page.Items[it]
 		hits := rows.Sweep(item.Vec, sc)
 		within += int64(len(hits))
@@ -432,16 +380,6 @@ func (p *pagePass) evalRows(lo, hi, worker int, out []float64) passCounts {
 				prof[st.pos].calculated(w, 0)
 			}
 		}
-		if out != nil {
-			row := out[it*n : (it+1)*n]
-			for a := range row {
-				row[a] = skippedDist
-			}
-			for _, hit := range hits {
-				row[hit.Lane] = hit.D
-			}
-			continue
-		}
 		for _, hit := range hits {
 			if a := int(hit.Lane); p.accept(a, item.ID, hit.D) {
 				limits[a] = active[a].queryDist()
@@ -449,43 +387,31 @@ func (p *pagePass) evalRows(lo, hi, worker int, out []float64) passCounts {
 			}
 		}
 	}
-	if out == nil {
-		p.flush()
-	}
-	calcs := int64(hi-lo) * int64(n)
+	p.flush()
+	calcs := int64(len(page.Items)) * int64(len(active))
 	return passCounts{calcs: calcs, abandoned: calcs - within}
 }
 
-// evalItems is the narrow body: the active queries sweep items [lo, hi)
+// evalItems is the narrow body: the active queries sweep the page's items
 // through the item-lane kernel, tile by tile. Only reached when rowPath
 // holds, under which no query's outcome depends on another's, so each meets
 // the items in page order under its own limit of the moment (see
 // sweepItems) — evalPairs' sequence for that query, whatever the others do
 // in between.
-func (p *pagePass) evalItems(lo, hi int, out []float64) passCounts {
-	items, active, limits, n := p.page.Items[lo:hi], p.active, p.limits, len(p.active)
-	if out != nil {
-		chunk := out[lo*n : hi*n]
-		for i := range chunk {
-			chunk[i] = skippedDist
-		}
-	}
+func (p *pagePass) evalItems() passCounts {
+	items, active, limits := p.page.Items, p.active, p.limits
 	var few [rowThreshold]int64
 	hits := few[:] // per active query
-	if n > len(few) {
-		hits = make([]int64, n) // wider than rowPath sends here: tests only
+	if len(active) > len(few) {
+		hits = make([]int64, len(active)) // wider than rowPath sends here: tests only
 	}
 	sweepItems(p.s.proc.lanes, items, p.qvecs, limits, func(a, it int, d float64) {
 		hits[a]++
-		if out != nil {
-			out[(lo+it)*n+a] = d
-		} else if p.accept(a, items[it].ID, d) {
+		if p.accept(a, items[it].ID, d) {
 			limits[a] = active[a].queryDist()
 		}
 	})
-	if out == nil {
-		p.flush()
-	}
+	p.flush()
 	calcs := int64(len(items))
 	var c passCounts
 	for a, st := range active {

@@ -95,13 +95,6 @@ type Options struct {
 	// Avoidance selects the triangle-inequality mode. The zero value,
 	// AvoidAuto, is resolved by New; Processor.Options reports the result.
 	Avoidance AvoidanceMode
-	// Concurrency is the intra-server pipeline width: the number of worker
-	// goroutines that evaluate a data page's items against the active
-	// queries, plus a prefetcher that overlaps page I/O with evaluation.
-	// 0 and 1 select the sequential path (today's behavior). Any width
-	// produces bit-identical answers and an identical disk read sequence;
-	// see internal/msq/pipeline.go for the determinism argument.
-	Concurrency int
 	// Layout is ignored (see Layout).
 	Layout Layout
 }
@@ -174,9 +167,6 @@ func New(eng engine.Engine, m vec.Metric, opts Options) (*Processor, error) {
 	if m == nil {
 		return nil, fmt.Errorf("msq: nil metric")
 	}
-	if opts.Concurrency < 0 {
-		return nil, fmt.Errorf("msq: concurrency must be >= 0, got %d", opts.Concurrency)
-	}
 	if err := opts.Avoidance.Validate(); err != nil {
 		return nil, err
 	}
@@ -229,28 +219,12 @@ func (p *Processor) RowKernel() string { return p.rowKernel }
 // Options returns the processor options.
 func (p *Processor) Options() Options { return p.opts }
 
-// Concurrency returns the effective pipeline width (at least 1).
-func (p *Processor) Concurrency() int {
-	if p.opts.Concurrency > 1 {
-		return p.opts.Concurrency
-	}
-	return 1
-}
-
-// WithConcurrency returns a processor sharing this processor's engine and
-// counting metric but running its multi-query pipeline at the given width.
-// It lets a serving layer widen (or pin) the pipeline without rebuilding
-// the engine. Widths below 2 select the sequential path.
-func (p *Processor) WithConcurrency(n int) *Processor {
-	if n < 0 {
-		n = 0
-	}
-	opts := p.opts
-	opts.Concurrency = n
-	np := *p
-	np.opts = opts
-	return &np
-}
+// WithConcurrency returns p and ignores n: every call runs one page loop.
+//
+// Deprecated: there is no intra-server pipeline to widen; parallelism is
+// across servers (internal/parallel). Kept only because the benchmark
+// module still calls it; delete it with the next change to bench/.
+func (p *Processor) WithConcurrency(n int) *Processor { return p }
 
 // Tracer returns the tracer this processor reports to, or nil.
 func (p *Processor) Tracer() *obs.Tracer { return p.tracer }

@@ -1,26 +1,20 @@
 package msq
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"metricdb/internal/engine"
 	"metricdb/internal/query"
-	"metricdb/internal/store"
 	"metricdb/internal/vec"
 )
 
-// Stress tests for the pipeline's shared state, meant to run under the race
+// Stress tests for the state sessions share, meant to run under the race
 // detector (make differential / make race). They hammer one shared Session
-// and one shared Processor from many goroutines while the pipeline itself
-// runs at width 4, so every lock — session serialization, per-query answer
-// shards, pager singleflight, buffer LRU, disk counters — sees contention.
+// and one shared Processor from many goroutines, so every lock — session
+// serialization, pager singleflight, buffer LRU, disk counters — sees
+// contention.
 
 // stressQueries builds g disjoint-ID query batches over one dataset.
 func stressQueries(dim int, groups, perGroup int, seed int64) [][]Query {
@@ -49,9 +43,8 @@ func stressQueries(dim int, groups, perGroup int, seed int64) [][]Query {
 }
 
 // TestStressSharedSession drives one Session from many goroutines. Calls
-// serialize on the session mutex, but each call runs the width-4 pipeline,
-// so the test exercises pipeline teardown/startup back to back plus the
-// shared pager underneath, and verifies the final answers are still exact.
+// serialize on the session mutex over the shared pager underneath; the
+// final answers must still be exact.
 func TestStressSharedSession(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in short mode")
@@ -59,7 +52,7 @@ func TestStressSharedSession(t *testing.T) {
 	const dim = 4
 	items := testDB(31, 400, dim)
 	eng := scanEngine(t, items)
-	proc, err := New(eng, vec.Euclidean{}, Options{Concurrency: 4})
+	proc, err := New(eng, vec.Euclidean{}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,9 +94,11 @@ func TestStressSharedSession(t *testing.T) {
 }
 
 // TestStressSharedProcessor runs many independent sessions concurrently on
-// one processor, so the pipelines contend for the same engine, pager,
+// one processor, so the sessions contend for the same engine, pager,
 // buffer and disk — the deployment shape of the wire server, where each
-// connection owns a session over a shared database.
+// connection owns a session over a shared database. The subtests keep the
+// pipeline widths they once ran at; the width goes to the deprecated
+// WithConcurrency shim.
 func TestStressSharedProcessor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test skipped in short mode")
@@ -114,10 +109,11 @@ func TestStressSharedProcessor(t *testing.T) {
 		width := width
 		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
 			eng := xtreeEngine(t, items, dim)
-			proc, err := New(eng, vec.Euclidean{}, Options{Concurrency: width})
+			proc, err := New(eng, vec.Euclidean{}, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			proc = proc.WithConcurrency(width)
 			const goroutines = 8
 			batches := stressQueries(dim, goroutines, 4, 42)
 			var wg sync.WaitGroup
@@ -145,84 +141,5 @@ func TestStressSharedProcessor(t *testing.T) {
 				t.Fatal(f)
 			}
 		})
-	}
-}
-
-// heldReads is an engine whose second page read blocks until release is
-// closed; inflight counts the reads under way.
-type heldReads struct {
-	engine.Engine
-	reads, inflight atomic.Int32
-	started         chan struct{} // closed by the first read
-	held            chan struct{} // closed when the second read blocks
-	release         chan struct{}
-}
-
-func (h *heldReads) ReadPage(pid store.PageID) (*store.Page, error) {
-	h.inflight.Add(1)
-	defer h.inflight.Add(-1)
-	switch h.reads.Add(1) {
-	case 1:
-		close(h.started)
-	case 2:
-		close(h.held)
-		<-h.release
-	}
-	return h.Engine.ReadPage(pid)
-}
-
-// cancelAtHeldRead is canceled for every page check made after the first
-// read: it waits for the second read to be held, so the page loop ends while
-// its prefetcher is inside that read.
-type cancelAtHeldRead struct {
-	context.Context
-	h *heldReads
-}
-
-func (c cancelAtHeldRead) Err() error {
-	select {
-	case <-c.h.started:
-		<-c.h.held
-		return context.Canceled
-	default:
-		return nil
-	}
-}
-
-// TestPipelineCancelWaitsForPrefetch: a call canceled while the prefetcher's
-// read is under way returns only after that read has finished, so a caller
-// that closes the database next never races it (the data race `go test -race
-// -run TestCloseAndCancelLeaks -count=150 .` used to report about once).
-func TestPipelineCancelWaitsForPrefetch(t *testing.T) {
-	h := &heldReads{
-		Engine:  scanEngine(t, testDB(51, 400, 4)),
-		started: make(chan struct{}),
-		held:    make(chan struct{}),
-		release: make(chan struct{}),
-	}
-	proc, err := New(h, vec.Euclidean{}, Options{Concurrency: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	var inflight int32
-	go func() {
-		_, _, err := proc.NewSession().MultiQueryAllContext(cancelAtHeldRead{context.Background(), h}, stressQueries(4, 1, 3, 52)[0])
-		inflight = h.inflight.Load()
-		done <- err
-	}()
-	<-h.held
-	select {
-	case err := <-done:
-		close(h.release)
-		t.Fatalf("the call returned (%v) while its prefetcher's read was held", err)
-	case <-time.After(100 * time.Millisecond):
-	}
-	close(h.release)
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("error %v, want context.Canceled", err)
-	}
-	if inflight != 0 {
-		t.Fatalf("%d reads in flight when the call returned", inflight)
 	}
 }

@@ -8,9 +8,8 @@
 // The paper's evaluation (§5.1 I/O cost, §5.2 CPU cost avoidance) is
 // expressed in end-of-run totals — pages read, distance calculations,
 // avoidance tries. Those totals say nothing about *where wall-clock time
-// went inside a batch*: waiting for a page, running the distance kernel,
-// probing the triangle-inequality lemmas, merging per-query answers, or
-// encoding responses. The phase histograms here provide exactly that
+// went inside a batch*: waiting for a page, running the distance kernel
+// and probing the triangle-inequality lemmas, or encoding responses. The phase histograms here provide exactly that
 // decomposition, the precondition for any further "fast as the hardware
 // allows" tuning, and the VA-file line of work (Weber et al., VLDB 1998)
 // motivates the same split: its win is shifting cost between approximation
@@ -19,8 +18,8 @@
 // # Granularity
 //
 // Every Tracer method is safe — and a near-free no-op — on a nil receiver,
-// and no instrumented site is finer than one page pass (one chunk of it in
-// the pipeline), one request or one per-server call: the clock is never
+// and no instrumented site is finer than one page pass, one request or one
+// per-server call: the clock is never
 // read per item or per (item, query) pair. A pair costs a few nanoseconds
 // of triangle-inequality or kernel work, less than the clock read that
 // would time it, so a per-pair split reports mostly its own overhead.
@@ -37,8 +36,8 @@ import (
 // Phase identifies one stage of query processing whose latency is
 // histogrammed separately. The taxonomy follows the life of a multiple
 // similarity query: plan the pages, build the query-distance matrix, then
-// per page fetch/wait, the page pass (avoidance checks and kernel
-// evaluation together) and answer merging — plus the serving layer's
+// per page fetch/wait and the page pass (avoidance checks, kernel
+// evaluation and answer-list updates together) — plus the serving layer's
 // per-server calls and wire codec work.
 type Phase uint8
 
@@ -48,24 +47,18 @@ const (
 	// PhasePageFetch is one simulated-disk page read (a buffer miss),
 	// observed inside the store pager.
 	PhasePageFetch Phase = iota
-	// PhasePageWait is the query processor's wait for a page: the ReadPage
-	// call (buffer hits are ~0) or, in the pipeline, the wait on the
-	// prefetcher's delivery channel.
+	// PhasePageWait is the query processor's wait for a page: one ReadPage
+	// call (buffer hits are ~0).
 	PhasePageWait
 	// PhasePlan is determine_relevant_data_pages: one engine Plan call.
 	PhasePlan
 	// PhaseMatrix is the inter-query distance matrix build (§5.2's
 	// quadratic-in-m initialization overhead).
 	PhaseMatrix
-	// PhaseKernel is one page pass: every (item, query) pair of a page (of
-	// one chunk of it in the pipeline) through the Lemma-1/2 probes, the
-	// bounded distance kernel and, on the sequential path, the answer-list
-	// update. A seed page's evaluation counts as a pass too.
+	// PhaseKernel is one page pass: every (item, query) pair of a page
+	// through the Lemma-1/2 probes, the bounded distance kernel and the
+	// answer-list update. A seed page's evaluation counts as a pass too.
 	PhaseKernel
-	// PhaseMerge is the per-query merge of one page's results into the
-	// answer lists (the pipeline's phase 2; the sequential path merges
-	// inline and charges it to PhaseKernel).
-	PhaseMerge
 	// PhaseServerCall is one per-server call of the parallel cluster
 	// (attempt granularity, including retries separately).
 	PhaseServerCall
@@ -93,7 +86,6 @@ var phaseNames = [NumPhases]string{
 	"plan",
 	"matrix",
 	"kernel",
-	"merge",
 	"server_call",
 	"wire_decode",
 	"wire_encode",

@@ -151,7 +151,7 @@ func TestTraceExportJSONL(t *testing.T) {
 	}
 	// Overflow: the ring keeps the newest spans.
 	for i := 0; i < 10; i++ {
-		tr.Observe(PhaseMerge, time.Duration(i)*time.Microsecond)
+		tr.Observe(PhasePlan, time.Duration(i)*time.Microsecond)
 	}
 	sb.Reset()
 	if n, _ := tr.WriteTraces(&sb); n != 4 {

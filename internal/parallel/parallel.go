@@ -128,11 +128,6 @@ type Config struct {
 	// Avoidance is forwarded to each server's processor; the zero value is
 	// msq.AvoidAuto.
 	Avoidance msq.AvoidanceMode
-	// Concurrency is each server's intra-server pipeline width (the msq
-	// Concurrency knob): inter-server parallelism comes from the cluster
-	// fan-out, intra-server parallelism from this. 0 and 1 keep the
-	// servers sequential inside.
-	Concurrency int
 
 	// WrapDisk, when non-nil, interposes on each server's freshly built
 	// disk — the fault-injection hook. It is called once per server with
@@ -283,7 +278,7 @@ func newProcessor(i int, part []store.Item, cfg Config) (*msq.Processor, error) 
 	}
 	// Each server gets its own counting metric so per-server CPU cost can
 	// be reported.
-	proc, err := msq.New(eng, vec.NewCounting(metric), msq.Options{Avoidance: cfg.Avoidance, Concurrency: cfg.Concurrency})
+	proc, err := msq.New(eng, vec.NewCounting(metric), msq.Options{Avoidance: cfg.Avoidance})
 	if err != nil {
 		return nil, fmt.Errorf("parallel: server %d: %w", i, err)
 	}

@@ -11,7 +11,7 @@ import (
 // buffer sized at 10 % of the index, which DefaultBufferPages computes.
 // Buffer is safe for concurrent use; the hit/miss counters are atomic so
 // that HitRate can be sampled without contending with readers on the LRU
-// lock while a query pipeline is running.
+// lock while queries are running.
 type Buffer struct {
 	mu        sync.Mutex
 	capacity  int

@@ -21,8 +21,8 @@ import (
 // coalesced into a single disk read ("singleflight"): the first caller goes
 // to disk, later callers wait for its result. This keeps the cost-model
 // invariant that a page is read from disk at most once per working set even
-// when several goroutines — e.g. the msq pipeline's prefetcher and
-// coordinator, or parallel sessions — request it at the same instant.
+// when several goroutines — e.g. parallel sessions — request it at the
+// same instant.
 type Pager struct {
 	disk PageSource
 	buf  *Buffer

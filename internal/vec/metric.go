@@ -166,9 +166,10 @@ func (m *WeightedEuclidean) Distance(a, b Vector) float64 {
 func (*WeightedEuclidean) Name() string { return "weighted-euclidean" }
 
 // QuadraticForm is the quadratic-form distance sqrt((a-b)^T A (a-b)) used for
-// color-histogram similarity. The matrix A must be symmetric positive
-// definite for the result to be a metric; NewQuadraticForm verifies symmetry
-// and positive diagonal and checks definiteness via a Cholesky factorization.
+// color-histogram similarity. The matrix A must be finite, symmetric and
+// positive definite for the result to be a metric; NewQuadraticForm verifies
+// finiteness and symmetry and checks definiteness via a Cholesky
+// factorization.
 type QuadraticForm struct {
 	dim int
 	// chol is the lower-triangular Cholesky factor L of A, stored row-major,
@@ -185,6 +186,13 @@ func NewQuadraticForm(dim int, a []float64) (*QuadraticForm, error) {
 	}
 	if len(a) != dim*dim {
 		return nil, fmt.Errorf("vec: quadratic form matrix has %d entries, want %d", len(a), dim*dim)
+	}
+	// A NaN fails no comparison below, and an infinite diagonal entry
+	// factors, so both are refused here.
+	for i, x := range a {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, fmt.Errorf("vec: quadratic form matrix entry (%d,%d) is %v", i/dim, i%dim, x)
+		}
 	}
 	for i := 0; i < dim; i++ {
 		for j := i + 1; j < dim; j++ {
@@ -210,7 +218,7 @@ func cholesky(n int, a []float64) ([]float64, error) {
 				s -= l[i*n+k] * l[j*n+k]
 			}
 			if i == j {
-				if s <= 0 {
+				if !(s > 0) { // NaN too
 					return nil, fmt.Errorf("vec: quadratic form matrix not positive definite (pivot %d is %g)", i, s)
 				}
 				l[i*n+i] = math.Sqrt(s)

@@ -186,6 +186,18 @@ func TestQuadraticFormRejectsBadMatrices(t *testing.T) {
 	if _, err := NewQuadraticForm(0, nil); err == nil {
 		t.Error("zero dimension accepted")
 	}
+	// Non-finite entries, on the diagonal and off it (symmetric, so that
+	// only finiteness can refuse them).
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, a := range [][]float64{
+		{nan, 0, 0, 1}, {1, 0, 0, nan}, {1, nan, nan, 1},
+		{inf, 0, 0, 1}, {1, 0, 0, inf}, {1, inf, inf, 1},
+		{-inf, 0, 0, 1}, {1, 0, 0, -inf}, {1, -inf, -inf, 1},
+	} {
+		if q, err := NewQuadraticForm(2, a); err == nil {
+			t.Errorf("matrix %v accepted, Cholesky factor %v", a, q.chol)
+		}
+	}
 }
 
 func TestHistogramSimilarityMatrix(t *testing.T) {

@@ -13,8 +13,8 @@
 //
 // A built tree is immutable on the query path: Plan, MinDist, MaxDist and
 // ReadPage only walk the in-memory directory and read through the pager,
-// so they are safe for concurrent readers (the engine contract the msq
-// pipeline relies on). Insert is not concurrent with queries.
+// so they are safe for concurrent readers (the engine contract concurrent
+// sessions rely on). Insert is not concurrent with queries.
 package xtree
 
 import (

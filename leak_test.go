@@ -31,9 +31,8 @@ func (m cancelAt) Distance(a, b Vector) float64 {
 func (cancelAt) Name() string { return "cancel-at" }
 
 // TestCloseAndCancelLeaks: no goroutine outlives a stored DB's Close — after
-// batches at widths 1 and 4, over pread and mmap — or a batch cancelled in
-// the middle of its page loop, in memory and stored, at either width (the
-// width-4 pipeline runs workers and a prefetcher of its own).
+// batches over pread and mmap — or a batch cancelled in the middle of its
+// page loop, in memory and stored.
 func TestCloseAndCancelLeaks(t *testing.T) {
 	const n, dim = 600, 6
 	items := testItems(85, n, dim)
@@ -47,8 +46,7 @@ func TestCloseAndCancelLeaks(t *testing.T) {
 		base := runtime.NumGoroutine()
 		for _, opts := range []Options{
 			{Engine: EngineScan, BufferPages: 4},
-			{Engine: EngineScan, BufferPages: 4, Concurrency: 4},
-			{Engine: EngineXTree, PageCapacity: 8, Mmap: true, Concurrency: 4},
+			{Engine: EngineXTree, PageCapacity: 8, Mmap: true},
 		} {
 			db, err := OpenStored(dir, opts)
 			if err != nil {
@@ -67,39 +65,38 @@ func TestCloseAndCancelLeaks(t *testing.T) {
 		leakcheck.Settle(t, base)
 	})
 
+	// The names keep the width the cases ran at when the page loop had a
+	// second, pipelined path.
 	for _, stored := range []bool{false, true} {
-		for _, width := range []int{1, 4} {
-			t.Run(fmt.Sprintf("cancelled mid-batch/stored=%v/width=%d", stored, width), func(t *testing.T) {
-				base := runtime.NumGoroutine()
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				var calls atomic.Int64
-				opts := Options{
-					PageCapacity: 8,
-					Concurrency:  width,
-					Metric:       cancelAt{calls: &calls, n: 100, cancel: cancel},
-				}
-				var db *DB
-				var err error
-				if stored {
-					db, err = OpenStored(dir, opts)
-				} else {
-					db, err = Open(items, opts)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, _, err := db.NewBatch().QueryAllContext(ctx, queries); !errors.Is(err, context.Canceled) {
-					t.Fatalf("batch cancelled at distance 100 of ≈ %d returned %v", n*len(queries), err)
-				}
-				if calls.Load() >= int64(n*len(queries)) {
-					t.Fatalf("%d distances: the batch ran to the end before it saw the cancellation", calls.Load())
-				}
-				if err := db.Close(); err != nil {
-					t.Fatal(err)
-				}
-				leakcheck.Settle(t, base)
-			})
-		}
+		t.Run(fmt.Sprintf("cancelled mid-batch/stored=%v/width=1", stored), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var calls atomic.Int64
+			opts := Options{
+				PageCapacity: 8,
+				Metric:       cancelAt{calls: &calls, n: 100, cancel: cancel},
+			}
+			var db *DB
+			var err error
+			if stored {
+				db, err = OpenStored(dir, opts)
+			} else {
+				db, err = Open(items, opts)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := db.NewBatch().QueryAllContext(ctx, queries); !errors.Is(err, context.Canceled) {
+				t.Fatalf("batch cancelled at distance 100 of ≈ %d returned %v", n*len(queries), err)
+			}
+			if calls.Load() >= int64(n*len(queries)) {
+				t.Fatalf("%d distances: the batch ran to the end before it saw the cancellation", calls.Load())
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			leakcheck.Settle(t, base)
+		})
 	}
 }

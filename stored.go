@@ -123,7 +123,7 @@ func openStoredDirect(dir string, items []Item, dim int, opts Options, bufferPag
 	// The stored layout dictates the page capacity; reflect it in the
 	// options so DB introspection reports the truth.
 	opts.PageCapacity = man.PageCapacity
-	proc, err := msq.New(eng, opts.Metric, msq.Options{Avoidance: opts.Avoidance, Concurrency: opts.Concurrency, Layout: layout})
+	proc, err := msq.New(eng, opts.Metric, msq.Options{Avoidance: opts.Avoidance, Layout: layout})
 	if err != nil {
 		fd.Close() //nolint:errcheck
 		return nil, err
@@ -212,7 +212,7 @@ func openStoredDerived(dir string, items []Item, dim int, opts Options, bufferPa
 		}
 		return nil, err
 	}
-	proc, err := msq.New(eng, opts.Metric, msq.Options{Avoidance: opts.Avoidance, Concurrency: opts.Concurrency, Layout: layout})
+	proc, err := msq.New(eng, opts.Metric, msq.Options{Avoidance: opts.Avoidance, Layout: layout})
 	if err != nil {
 		if fd != nil {
 			fd.Close() //nolint:errcheck
