@@ -19,15 +19,18 @@ vet:
 build:
 	go build ./...
 
-# The row kernel has three bodies (portable, AVX2, AVX-512), the item-lane
-# and box-lane kernels and the VA-file's four-query lane sweep two
-# (portable, AVX2), each selected by GOARCH, the purego tag and the CPU
-# (internal/vec/rows*, items*, boxes*; internal/vafile/sweep*, by vec's
-# probe). The default build tests every assembly body the CPU can run
-# against the portable ones; this runs their packages and the X-tree, whose
-# plan sweeps boxes, with the portable bodies as the only ones, and builds
-# and vets for an architecture that has no assembly so that the build-tag
-# split cannot rot.
+# The row kernel has three bodies (the portable one and the AVX2 and
+# AVX-512 screens, a fused multiply-add matrix product resolved by the
+# scalar kernel), the item-lane and box-lane kernels and the VA-file's
+# four-query lane sweep two (portable, AVX2), each selected by GOARCH, the
+# purego tag and the CPU (internal/vec/rows*, screen*, items*, boxes*;
+# internal/vafile/sweep*, by vec's probe). The default build tests every
+# assembly body the CPU can run against the portable ones and the screens
+# against their definition; this runs their packages and the X-tree, whose
+# plan sweeps boxes, with the portable bodies as the only ones (the
+# screens' definition and its soundness test still run), and builds and
+# vets for an architecture that has no assembly so that the build-tag split
+# cannot rot.
 # go vet (above) checks the .s files against their Go declarations. The
 # store decodes a page where its record lies and byte-swaps the coordinates
 # in place on a big-endian host; s390x builds and vets that body here
@@ -52,7 +55,10 @@ race:
 # 1/2 soundness properties, the bounded-kernel contract properties, the
 # row and item-lane kernels' contracts against the scalar kernel (every
 # body the CPU runs, the fuzz targets' seeds, and every body's loads held
-# inside guard pages), the box-lane kernel against the
+# inside guard pages), the row screens' soundness (a lane the screen
+# rejects is one the scalar kernel rejects, on offset, duplicate,
+# overflowing and underflowing data) and their masks against the screen's
+# definition, the box-lane kernel against the
 # gap-vector form and the X-tree's plan against the recursive walk, the row
 # and item bodies against the pair-by-pair reference and the single query
 # against Figure 1's scalar loop, the session/pager stress tests, the store
@@ -85,16 +91,18 @@ race:
 # and every engine kind refuses a NaN or infinite coordinate — all under the
 # race detector.
 differential:
-	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestRowLanes|TestItemLanes|FuzzEucItems|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPagerUncontendedMissAllocatesNothing|TestPageRecycle|TestDecodedPageAliasesRecord|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode|TestBlockSweepMatchesLone|TestLaneSweep|FuzzLaneSweep|TestFanOut|TestResultsSliceIsSessionScratch|TestSlideAllocations|TestCompletedQueriesReleaseTheirState|TestRecycledStateIsNeverStale|TestStagedAcceptsMatchPerAccept|TestConsiderAllMatchesConsider|TestDBSCANBatchSizesAgree|TestBulkGoldenDigest|TestLayoutGoldenDigest|TestNearestFirstTakesTheSmallest|TestNonFiniteCoordinatesRejected' \
+	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestRowScreenSound|TestRowLanes|TestItemLanes|FuzzEucItems|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPagerUncontendedMissAllocatesNothing|TestPageRecycle|TestDecodedPageAliasesRecord|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode|TestBlockSweepMatchesLone|TestLaneSweep|FuzzLaneSweep|TestFanOut|TestResultsSliceIsSessionScratch|TestSlideAllocations|TestCompletedQueriesReleaseTheirState|TestRecycledStateIsNeverStale|TestStagedAcceptsMatchPerAccept|TestConsiderAllMatchesConsider|TestDBSCANBatchSizesAgree|TestBulkGoldenDigest|TestLayoutGoldenDigest|TestNearestFirstTakesTheSmallest|TestNonFiniteCoordinatesRejected' \
 		./internal/msq/ ./internal/query/ ./internal/store/ ./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/pmtree/ ./internal/parallel/ ./internal/explore/ .
 
 # A short fuzz of the persistent-storage decoders: corrupt page records
 # and manifests must produce errors, never panics or over-allocation. The
 # committed seed corpora cover the interesting boundaries; 30 seconds per
 # target explores beyond them on every check. The four kernel targets hold
-# the assembly and the portable bodies to the scalar kernel (the boxes: to
-# the gap-vector form; the VA-file's lane sweep: to a one-lane reference) on
-# coordinates, limits, cells and tables no generator would pick.
+# the assembly and the portable bodies to the scalar kernel (the row
+# screens: also their rejections to the scalar kernel's and their masks to
+# the screen's definition; the boxes: to the gap-vector form; the VA-file's
+# lane sweep: to a one-lane reference) on coordinates, limits, cells and
+# tables no generator would pick.
 # The request path a client can reach — one arbitrary line to a server with
 # admission on, over a stored scan — must answer with JSON and a code, never
 # panic, and keep serving the oracle's answers.
@@ -152,8 +160,9 @@ loc:
 # The perf gate for the hot path: kernel microbenchmarks (full Distance vs
 # bounded DistanceWithin, with allocation counts for the scratch-reuse
 # check; a pair of the page pass by the scalar kernel, the portable row and
-# item-lane bodies and the assembly ones (avx2 and avx512 rows, avx2 items),
-# at one block, two and thirteen, then by the three bodies of the
+# item-lane bodies and the assembly ones (the avx2 and avx512 row screens
+# over tiles of 32 items, at one block, two and thirteen, and over tiles of
+# one and offset data; avx2 items), then by the three bodies of the
 # page pass at the widths around rowPath's constant; a sweep of child MBRs by
 # the per-box loop and the box-lane bodies), the VA-file's plan and its sweep
 # per query (lone, and in blocks by the portable and the AVX2 lane body), the X-tree's plan and dynamic build, every engine's build over

@@ -169,7 +169,7 @@ func BenchmarkPassBodies(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 12} {
+		for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12} {
 			queries := make([]Query, m)
 			for i := range queries {
 				queries[i] = Query{ID: uint64(i), Vec: testDB(int64(100*dim+i), 1, dim)[0].Vec, Type: query.NewKNN(10)}

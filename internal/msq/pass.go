@@ -2,6 +2,7 @@ package msq
 
 import (
 	"math"
+	"math/bits"
 	"time"
 
 	"metricdb/internal/obs"
@@ -356,39 +357,55 @@ func (p *pagePass) evalPairs() passCounts {
 	return passCounts{calcs: calcs, abandoned: abandoned, tries: probes, avoided: avoided}
 }
 
-// evalRows is the blocked body: one sweep per item evaluates the whole
-// active set, loaded by begin, against the item's vector — the same
-// contiguous float64s whether the page's items own them or alias a columnar
-// block — and returns the lanes within their limits; every other pair was
-// abandoned. Only reached when rowPath holds, under which the results are
-// bit-identical to the pair-by-pair evaluation (see rowPath).
+// evalRows is the blocked body: the active set, loaded by begin, screens
+// the page's items a tile at a time — the same contiguous float64s
+// whether the page's items own them or alias a columnar block — and each
+// item the screen left live, in page order, resolves the lanes within
+// their limits of that moment; every other pair was abandoned. The screen
+// runs under the limits the tile started with and only rejects pairs
+// beyond them, which are beyond every later limit too (limits only shrink
+// within a page), so a tile changes no result, as in sweepItems. Only
+// reached when rowPath holds, under which the results are bit-identical to
+// the pair-by-pair evaluation (see rowPath).
 func (p *pagePass) evalRows() passCounts {
 	rows, sc := p.rowSet, &p.rowSc
-	page, active, limits, prof := p.page, p.active, p.limits, p.prof
+	items, active, limits, prof := p.page.Items, p.active, p.limits, p.prof
+	var tile [sweepTile]vec.Vector
 	var within int64
-	for it := range page.Items {
-		item := &page.Items[it]
-		hits := rows.Sweep(item.Vec, sc)
-		within += int64(len(hits))
-		if prof != nil {
-			next := 0 // hits are in lane order
-			for a, st := range active {
-				w := next < len(hits) && int(hits[next].Lane) == a
-				if w {
-					next++
-				}
-				prof[st.pos].calculated(w, 0)
-			}
+	for base := 0; base < len(items); base += sweepTile {
+		n := min(sweepTile, len(items)-base)
+		for j := range tile[:n] {
+			tile[j] = items[base+j].Vec
 		}
-		for _, hit := range hits {
-			if a := int(hit.Lane); p.accept(a, item.ID, hit.D) {
-				limits[a] = active[a].queryDist()
-				rows.SetLimit(a, limits[a])
+		live := rows.Screen(tile[:n], sc)
+		if prof != nil {
+			live = 1<<n - 1 // EXPLAIN counts every pair, the ones without a hit too
+		}
+		for ; live != 0; live &= live - 1 {
+			j := bits.TrailingZeros64(live)
+			item := &items[base+j]
+			hits := rows.Resolve(j, sc)
+			within += int64(len(hits))
+			if prof != nil {
+				next := 0 // hits are in lane order
+				for a, st := range active {
+					w := next < len(hits) && int(hits[next].Lane) == a
+					if w {
+						next++
+					}
+					prof[st.pos].calculated(w, 0)
+				}
+			}
+			for _, hit := range hits {
+				if a := int(hit.Lane); p.accept(a, item.ID, hit.D) {
+					limits[a] = active[a].queryDist()
+					rows.SetLimit(a, limits[a])
+				}
 			}
 		}
 	}
 	p.flush()
-	calcs := int64(len(page.Items)) * int64(len(active))
+	calcs := int64(len(items)) * int64(len(active))
 	return passCounts{calcs: calcs, abandoned: calcs - within}
 }
 
@@ -424,10 +441,11 @@ func (p *pagePass) evalItems() passCounts {
 	return c
 }
 
-// sweepTile is how many items sweepItems hands the kernel at once. The
-// kernel runs a whole tile under the limit the tile started with, so a
-// larger tile saves calls and a smaller one abandons under a fresher limit;
-// neither changes a result. A k-NN limit moves a few dozen times in a scan
+// sweepTile is how many items sweepItems hands the item kernel at once,
+// and evalRows the row screen (at most 64, one bit each of its live
+// mask). Either runs a whole tile under the limits the tile started with,
+// so a larger tile saves calls and a smaller one abandons under a fresher
+// limit; neither changes a result. A k-NN limit moves a few dozen times in a scan
 // of ten thousand items, nearly all of them on the first page.
 const sweepTile = 32
 
@@ -494,13 +512,19 @@ const rowThreshold = 8
 // set to eight lanes, so a lone query fills one lane of eight; the item
 // body fills its lanes with items whatever the width, but walks the page
 // once per query and pays the in-register transpose the loaded rows do not.
-// rowThreshold is where they cross. Measured per pair on a scan of 8 192
-// items (BenchmarkPassBodies), scalar pair by pair → items → rows, dim 8 /
-// dim 16: m = 1: 13 → 4.6 → 17 ns / 19 → 6.3 → 25; m = 2: 12 → 3.6 → 10 /
-// 19 → 4.5 → 13; m = 4: 11 → 3.6 → 5.9 / 20 → 4.7 → 8.0; m = 6: 12 → 3.7 →
-// 4.5 / 21 → 5.1 → 5.5; m = 7: 11 → 3.5 → 4.0 / 20 → 5.3 → 5.0; m = 8: 11 →
-// 3.4 → 3.2 / 20 → 4.5 → 4.2; m = 12: 11 → 3.8 → 3.7 / 20 → 5.0 → 4.8
-// (EXPERIMENTS, "Items as lanes").
+// rowThreshold is where they crossed when it was chosen: between 7 and 8
+// (EXPERIMENTS, "Items as lanes"). Measured per pair with the AVX-512
+// screen as the row body, on a scan of 8 192 items (BenchmarkPassBodies;
+// medians of three runs alternated with runs of the previous row body on
+// a shared 2-core x86-64 runner, which spread about ±20 %), scalar pair by
+// pair → items → rows, dim 8 / dim 16: m = 1: 22 → 8.5 → 30 / 30 → 12 →
+// 31; m = 2: 15 → 6.7 → 16 / 31 → 9.4 → 16; m = 4: 15 → 6.2 → 8.7 / 29 →
+// 7.2 → 6.8; m = 5: 22 → 7.2 → 6.1 / 23 → 7.1 → 8.4; m = 6: 20 → 6.5 →
+// 6.0 / 28 → 6.6 → 5.6; m = 8: 13 → 6.6 → 4.8 / 30 → 8.3 → 4.1; m = 12: 17
+// → 5.9 → 4.2 / 26 → 7.8 → 3.8. The bodies now cross at m = 5 (dim 8) and
+// 4–6 (dim 16); the constant stays 8 until the benchmark has a workload on
+// each side of a lower one (ROADMAP; EXPERIMENTS, "The row body as a
+// matrix product").
 func rowPath(avoiding bool, m int) passBody {
 	switch {
 	case avoiding:

@@ -211,9 +211,11 @@ func (p *Processor) Metric() *vec.Counting { return p.metric }
 // RowKernel names the instruction set the page pass's row body runs on for
 // this processor's metric: "avx512", "avx2" or "go" (see vec.Rows.ISA). The
 // item-lane kernel follows the same rule without the AVX-512 step: it runs
-// "avx2" wherever the row body runs either assembly body. The portable body
-// costs two to three times the assembly per pair, so the start-up line,
-// EXPLAIN and /metrics carry it.
+// "avx2" wherever the row body runs either screen. Where most pairs are
+// past their limits, the portable body costs four (dim 8, 16 queries) to
+// twenty (dim 20, 100 queries) times the AVX-512 screen per pair
+// (BenchmarkRowKernel), so the start-up line, EXPLAIN and /metrics carry
+// it.
 func (p *Processor) RowKernel() string { return p.rowKernel }
 
 // Options returns the processor options.

@@ -72,39 +72,134 @@ func rowBodies(metric BoundedMetric) map[string]*Rows {
 	return bodies
 }
 
-// checkBlocks sweeps item's blocks with r's body and with eucRowsGo, and
-// requires the same surviving blocks in the same order with the same sums,
-// bit for bit — a NaN sum only as a NaN: the bodies subtract in opposite
-// orders, which can carry another NaN's payload, and eucLane rejects every
-// NaN alike.
-func checkBlocks(t *testing.T, what string, r *Rows, item Vector) {
-	t.Helper()
-	sums, alive := make([]float64, len(r.h)), make([]int32, len(r.h)/rowLanes)
-	wantSums, wantAlive := make([]float64, len(r.h)), make([]int32, len(r.h)/rowLanes)
-	n, want := r.sweepBlocks(item, sums, alive), eucRowsGo(r.q, r.h, item, wantSums, wantAlive)
-	if n != want {
-		t.Fatalf("%s: %d surviving blocks %v, eucRowsGo %d %v", what, n, alive[:max(n, 0)], want, wantAlive[:want])
-	}
-	for k, b := range wantAlive[:n] {
-		if alive[k] != b {
-			t.Fatalf("%s: surviving blocks %v, eucRowsGo %v", what, alive[:n], wantAlive[:n])
-		}
-	}
-	for i, s := range wantSums[:n*rowLanes] {
-		if got := sums[i]; math.Float64bits(got) != math.Float64bits(s) && !(math.IsNaN(got) && math.IsNaN(s)) {
-			t.Fatalf("%s: block %d lane %d sum %v (%#x), eucRowsGo %v (%#x)", what, alive[i/rowLanes], i%rowLanes,
-				got, math.Float64bits(got), s, math.Float64bits(s))
+// eucScreenGo is the screen bodies' definition, operation by operation
+// (see screenSlack): for each tile item and each block of lanes, one
+// accumulator per lane starts at the item's scaled norm and takes one fused
+// multiply-add per dimension, in dimension order — the lane's −2·(q −
+// centre) by the item's centred coordinate — and the lane is kept where the
+// accumulator is not greater than its threshold. A fused multiply-add
+// rounds once whatever unit runs it, so the assembly's accumulators are
+// these bit for bit, and its masks are these. kept is [item][words], lane a
+// bit a%64 of word a/64.
+func eucScreenGo(q, t, x, nx []float64, kept []uint64, dim int) {
+	blocks := len(t) / rowLanes
+	words := (len(t) + 63) / 64
+	for j, norm := range nx {
+		xj := x[j/screenItems*screenItems*dim+j%screenItems:]
+		for b := 0; b < blocks; b++ {
+			var mask uint64
+			for l := 0; l < rowLanes; l++ {
+				s := norm
+				for d := 0; d < dim; d++ {
+					s = math.FMA(q[(b*dim+d)*rowLanes+l], xj[d*screenItems], s)
+				}
+				if !(s > t[b*rowLanes+l]) {
+					mask |= 1 << l
+				}
+			}
+			kept[j*words+b/8] |= mask << (b % 8 * rowLanes)
 		}
 	}
 }
 
-// checkSweep sweeps item and holds the result against one DistanceWithin
-// per loaded query under limits: the same lanes within, in lane order, none
-// of them a padding lane, the same distance bits, and hence the same
-// abandoned count. It returns the hits.
-func checkSweep(t *testing.T, what string, metric BoundedMetric, r *Rows, sc *RowScratch, queries []Vector, limits []float64, item Vector) []RowHit {
+// eucCentreGo is eucCentreAVX2's definition: each row's coordinates less
+// centre's, to x as [group][dim][screenItems], and the sum of their squares
+// to nx: one fused multiply-add each, the even dimensions' and the odd
+// ones' in two sums in dimension order, added at the end.
+func eucCentreGo(rows []Vector, centre, x, nx []float64) {
+	dim := len(centre)
+	for j, row := range rows {
+		xj := x[j/screenItems*screenItems*dim+j%screenItems:]
+		var s [2]float64
+		for d, v := range row[:dim] {
+			c := v - centre[d]
+			xj[d*screenItems] = c
+			s[d%2] = math.FMA(c, c, s[d%2])
+		}
+		nx[j] = s[0] + s[1]
+	}
+}
+
+// screenDefinition screens items as eucCentreGo and eucScreenGo define it
+// against r's loaded set under r's limits, whichever body r runs, and
+// returns the kept lanes, [item][keptWords], and the padded tile, centred:
+// its rows, coordinates and sums of squares.
+func screenDefinition(r *Rows, items []Vector) (kept []uint64, rows []Vector, x, nx []float64) {
+	def := &Rows{body: rowAVX512} // the screens' layout; nothing here runs the assembly
+	def.Load(r.loaded, r.limits)
+	sc := RowScratch{tile: append([]Vector(nil), items...)}
+	def.padTile(&sc)
+	rows, x, nx = sc.tile, make([]float64, len(sc.tile)*def.dim), make([]float64, len(sc.tile))
+	eucCentreGo(rows, def.centre, x, nx)
+	scaled := append([]float64(nil), nx...)
+	def.scaleNorms(scaled)
+	kept = make([]uint64, len(sc.kept))
+	eucScreenGo(def.q, def.h, x, scaled, kept, def.dim)
+	return kept, rows, x, nx
+}
+
+// keptLane reports whether kept, as screenDefinition returns it for r,
+// keeps lane a of item j.
+func keptLane(r *Rows, kept []uint64, j, a int) bool {
+	words := (r.m + 63) / 64
+	return kept[j*words+a/64]>>(a%64)&1 != 0
+}
+
+// sameBits reports whether got and want hold the same float64s bit for
+// bit, a NaN matching any NaN.
+func sameBits(got, want []float64) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i, w := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(w) && !(math.IsNaN(got[i]) && math.IsNaN(w)) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkScreen holds the screen to its contract on items against r's
+// loaded set and limits: by the definition, every lane it rejects is one
+// euclideanWithin rejects, whichever body r runs; and where r's body is a
+// screen the build and the CPU run, its centred tile and masks are the
+// definition's, bit for bit.
+func checkScreen(t *testing.T, what string, r *Rows, items ...Vector) {
 	t.Helper()
-	hits := r.Sweep(item, sc)
+	want, rows, wantX, wantNx := screenDefinition(r, items)
+	for j, item := range items {
+		for a, q := range r.loaded {
+			if keptLane(r, want, j, a) {
+				continue
+			}
+			if d, within := euclideanWithin(q, item, r.limits[a]); within {
+				t.Fatalf("%s: item %d lane %d: the screen rejects a pair at %v (%#x) within its limit %v (%#x)",
+					what, j, a, d, math.Float64bits(d), r.limits[a], math.Float64bits(r.limits[a]))
+			}
+		}
+	}
+	if !r.screens() || !r.body.runs() {
+		return
+	}
+	x, nx := make([]float64, len(wantX)), make([]float64, len(wantNx))
+	eucCentreAVX2(rows, r.centre, x, nx)
+	if !sameBits(x, wantX) || !sameBits(nx, wantNx) {
+		t.Fatalf("%s: the tile centred to %v, sums %v; the definition %v, %v", what, x, nx, wantX, wantNx)
+	}
+	var sc RowScratch
+	r.Screen(items, &sc)
+	for i, w := range want {
+		if sc.kept[i] != w {
+			t.Fatalf("%s: kept word %d: %s keeps lanes %064b, the definition %064b", what, i, r.body, sc.kept[i], w)
+		}
+	}
+}
+
+// checkHits holds one item's hits against one DistanceWithin per loaded
+// query under limits: the same lanes within, in lane order, none of them a
+// padding lane, the same distance bits, and hence the same abandoned count.
+func checkHits(t *testing.T, what string, metric BoundedMetric, hits []RowHit, queries []Vector, limits []float64, item Vector) {
+	t.Helper()
 	next := 0
 	for a, q := range queries {
 		d, within := metric.DistanceWithin(q, item, limits[a])
@@ -124,13 +219,47 @@ func checkSweep(t *testing.T, what string, metric BoundedMetric, r *Rows, sc *Ro
 	if next != len(hits) {
 		t.Fatalf("%s: %d hits for %d queries, %d of them matched: %v", what, len(hits), len(queries), next, hits)
 	}
+}
+
+// checkSweep sweeps item and holds the result to checkHits. It returns the
+// hits.
+func checkSweep(t *testing.T, what string, metric BoundedMetric, r *Rows, sc *RowScratch, queries []Vector, limits []float64, item Vector) []RowHit {
+	t.Helper()
+	hits := r.Sweep(item, sc)
+	checkHits(t, what, metric, hits, queries, limits, item)
 	return hits
 }
 
+// checkTile screens items as one tile and resolves the live ones in order,
+// each held to checkHits under the limits of that moment — an item the
+// screen left out to having no hits; after each item, a hit on an even
+// lane tightens the lane's limit to its distance, as a k-NN list's accept
+// does between the items of a live tile.
+func checkTile(t *testing.T, what string, metric BoundedMetric, r *Rows, sc *RowScratch, queries []Vector, limits []float64, items []Vector) {
+	t.Helper()
+	live := r.Screen(items, sc)
+	if live>>len(items) != 0 {
+		t.Fatalf("%s: live items %b of %d", what, live, len(items))
+	}
+	for j, item := range items {
+		var hits []RowHit
+		if live>>j&1 != 0 {
+			hits = r.Resolve(j, sc)
+		}
+		checkHits(t, fmt.Sprintf("%s, tile item %d", what, j), metric, hits, queries, limits, item)
+		for _, hit := range hits {
+			if hit.Lane%2 == 0 {
+				limits[hit.Lane] = hit.D
+				r.SetLimit(int(hit.Lane), hit.D)
+			}
+		}
+	}
+}
+
 // TestBlockRowIdentical asserts the loaded row kernel is bit-identical to
-// per-pair DistanceWithin calls: every metric over a few shapes, then the
-// Euclidean bodies over every shape and limit boundary, and over blocks
-// made to die at chosen checks.
+// per-pair DistanceWithin calls, one item at a time and a tile at a time:
+// every metric over a few shapes, then the Euclidean bodies over every
+// shape and limit boundary, and over blocks made to die at chosen checks.
 func TestBlockRowIdentical(t *testing.T) {
 	t.Run("metrics", testRowsEveryMetric)
 	t.Run("euclidean", testEucRowsContract)
@@ -138,9 +267,9 @@ func TestBlockRowIdentical(t *testing.T) {
 }
 
 // testRowsEveryMetric runs every metric through every body the build can
-// run, the BlockKernel adapter included, across limit regimes (infinite,
-// tight, mixed) and query counts that fill a block, leave padding in the
-// last one, and span several.
+// run, item by item and as one tile of every item, the BlockKernel adapter
+// included, across limit regimes (infinite, tight, mixed) and query counts
+// that fill a block, leave padding in the last one, and span several.
 func testRowsEveryMetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for _, dim := range []int{1, 3, 4, 7, 16, 33} {
@@ -173,16 +302,23 @@ func testRowsEveryMetric(t *testing.T) {
 					}
 					what := fmt.Sprintf("%s dim=%d m=%d %s", metric.Name(), dim, m, regime)
 					var want [][]RowHit
+					items := make([]Vector, b.N)
+					for i := range items {
+						items[i] = b.Item(i)
+					}
 					for body, r := range rowBodies(metric) {
 						var sc RowScratch
 						r.Load(queries, limits)
 						first := want == nil
-						for i := 0; i < b.N; i++ {
-							hits := checkSweep(t, what+" "+body, metric, r, &sc, queries, limits, b.Item(i))
+						for _, item := range items {
+							hits := checkSweep(t, what+" "+body, metric, r, &sc, queries, limits, item)
 							if first {
 								want = append(want, append([]RowHit(nil), hits...))
 							}
 						}
+						tight := append([]float64(nil), limits...)
+						r.Load(queries, tight)
+						checkTile(t, what+" "+body, metric, r, &sc, queries, tight, items)
 					}
 					dOut, wOut := make([]float64, m), make([]bool, m)
 					for i := 0; i < b.N; i++ {
@@ -236,14 +372,15 @@ func eucLimit(kind int, d float64) float64 {
 	return d * 0.75
 }
 
-// testEucRowsContract holds the Euclidean bodies — every assembly body the
-// CPU can run, and the portable one — against euclideanWithin, and their
-// blocks against eucRowsGo's, for every dimension 1–40 (tails that are not a
-// multiple of the check cadence) and every set size 1–40 (every amount of
-// padding in the last block) and then every whole block count to 9 (two
-// groups of four in flight and every remainder after them), with each lane's limit re-set before each item the way a live
-// pass tightens it: to a boundary of that very pair, to the distance a hit
-// just returned, or left alone.
+// testEucRowsContract holds the Euclidean bodies — every screen body the
+// CPU can run, and the portable one — against euclideanWithin, and the
+// screens against their definition, for every dimension 1–40 (tails that
+// are not a multiple of the portable body's check cadence) and every set
+// size 1–40 (every amount of padding in the last block) and then every
+// whole block count to 9 (two runs of four blocks and every remainder after
+// them). Item by item, each lane's limit is re-set before each item: to a
+// boundary of that very pair, to the distance a hit just returned, or left
+// alone. Then the items go as one tile, the limits only tightening.
 func testEucRowsContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	const nItems = 5
@@ -276,7 +413,7 @@ func testEucRowsContract(t *testing.T) {
 							r.SetLimit(a, limits[a])
 						}
 					}
-					checkBlocks(t, what, r, item)
+					checkScreen(t, what, r, item)
 					for _, hit := range checkSweep(t, what, Euclidean{}, r, &sc, queries, limits, item) {
 						if hit.Lane%2 == 0 { // a 1-NN list accepting the hit
 							limits[hit.Lane] = hit.D
@@ -284,16 +421,23 @@ func testEucRowsContract(t *testing.T) {
 						}
 					}
 				}
+				for a := range limits {
+					limits[a] = eucLimit(a+m, Euclidean{}.Distance(queries[a], items[a%nItems]))
+				}
+				r.Load(queries, limits)
+				checkScreen(t, what, r, items...)
+				checkTile(t, what, Euclidean{}, r, &sc, queries, limits, items)
 			}
 		}
 	}
 }
 
-// testEucRowsFates decides, block by block, at which check a block dies —
-// the first, a later one, the last, or never — and holds every Euclidean
-// body to eucRowsGo and euclideanWithin on it: groups in flight that die
-// whole at one check or one block at a time, dead groups before and after
-// live ones, in every position of 1–9 blocks. Every coordinate is 1 and the
+// testEucRowsFates decides, block by block, at which of the portable body's
+// checks a block dies — the first, a later one, the last, or never — and
+// holds every Euclidean body to euclideanWithin on it, and the screens to
+// their definition: runs of blocks that die whole at one check or one block
+// at a time, dead blocks before and after live ones, in every position of
+// 1–9 blocks. Every coordinate is 1 and the
 // item 0, so a lane's sum after d dimensions is d exactly and a squared
 // limit just under a check's dimension kills the lane there. In some sets
 // one lane turns NaN at a random dimension: after its block died, a NaN is
@@ -342,7 +486,7 @@ func testEucRowsFates(t *testing.T) {
 				r.Load(queries, limits)
 				for _, it := range []Vector{item, half} {
 					what := fmt.Sprintf("dim=%d m=%d trial %d %s", dim, m, trial, body)
-					checkBlocks(t, what, r, it)
+					checkScreen(t, what, r, it)
 					checkSweep(t, what, Euclidean{}, r, &sc, queries, limits, it)
 				}
 			}
@@ -385,8 +529,9 @@ func fuzzVectors(data []byte, dim int) func() Vector {
 // FuzzEucRows feeds the Euclidean bodies coordinates straight from the
 // fuzzer's bytes — any float64, NaN and infinities included — under limits
 // on every boundary of eucLimit, and requires what testEucRowsContract
-// does: lane for lane the outcome of euclideanWithin, block for block the
-// sums of eucRowsGo.
+// does: lane for lane the outcome of euclideanWithin, item by item and as a
+// tile, and from the screen only rejections euclideanWithin makes too, in
+// the definition's masks.
 func FuzzEucRows(f *testing.F) {
 	f.Add(fuzzCoords(0.5, 0.25, 0.75), uint8(3), uint8(1), uint8(1))
 	f.Add(fuzzCoords(1, 2, 3, 4, 5, 6, 7, 8, 9), uint8(4), uint8(8), uint8(0))
@@ -396,6 +541,8 @@ func FuzzEucRows(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, uint8(39), uint8(23), uint8(4))
 	f.Add(fuzzCoords(math.NaN(), 1, 2, math.Inf(-1), 0.5), uint8(6), uint8(71), uint8(6)) // nine blocks: two groups of four, one alone
 	f.Add(fuzzCoords(3, -1, 0.5, 2, 7), uint8(11), uint8(47), uint8(5))                   // six blocks: a group and a pair
+	f.Add(fuzzCoords(1e9+0.5, 1e9-0.25, 1e9+1e-5, 1e9), uint8(2), uint8(16), uint8(1))    // offset data, neighbours 1e-5 apart
+	f.Add(fuzzCoords(3e155, -2e154, 1e200, 7), uint8(3), uint8(12), uint8(4))             // coordinates whose squares overflow
 	f.Fuzz(func(t *testing.T, data []byte, dimIn, mIn, kind uint8) {
 		dim, m := 1+int(dimIn)%40, 1+int(mIn)%(9*rowLanes)
 		vector := fuzzVectors(data, dim)
@@ -413,12 +560,19 @@ func FuzzEucRows(f *testing.F) {
 			r.Load(queries, limits)
 			for i, item := range items {
 				what := fmt.Sprintf("dim=%d m=%d kind=%d item %d %s", dim, m, kind, i, body)
-				checkBlocks(t, what, r, item)
+				checkScreen(t, what, r, item)
 				for _, hit := range checkSweep(t, what, Euclidean{}, r, &sc, queries, limits, item) {
 					limits[hit.Lane] = hit.D
 					r.SetLimit(int(hit.Lane), hit.D)
 				}
 			}
+			for a := range limits {
+				limits[a] = eucLimit(int(kind)+a+1, Euclidean{}.Distance(queries[a], items[a%len(items)]))
+			}
+			r.Load(queries, limits)
+			what := fmt.Sprintf("dim=%d m=%d kind=%d tile %s", dim, m, kind, body)
+			checkScreen(t, what, r, items...)
+			checkTile(t, what, Euclidean{}, r, &sc, queries, limits, items)
 		}
 	})
 }
@@ -508,6 +662,129 @@ func TestRowsLoadAgain(t *testing.T) {
 			if hits == 0 || hits == len(items)*len(step.queries) {
 				t.Errorf("%s, %s: %d hits of %d pairs: the limits decide nothing", body, step.name, hits, len(items)*len(step.queries))
 			}
+		}
+	}
+}
+
+// TestRowScreenSound holds the screen to the one thing it promises — a lane
+// it rejects is one euclideanWithin rejects — where its error bound is
+// tightest: data offset by 0, 1e6 and 1e9 from the origin (the case
+// centring is for), items that are near-duplicates of a query (a few ulps
+// off) or exact duplicates (under limit 0), limits of +Inf, exactly the
+// distance, one ulp either side of it, inside the rowLimitSlack band above
+// and below it, coordinates whose squares overflow and, under limit 0,
+// coordinates so small that theirs underflow. By the definition
+// (eucScreenGo, on every build) and by every screen body the CPU runs,
+// against the definition's masks; and every body's Resolves, as a tile and
+// item by item, equal euclideanWithin bit for bit. Offset data must also
+// be screened: the definition rejects nearly every pair that is not a
+// near-duplicate and is farther than twice its limit.
+func TestRowScreenSound(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	limitAt := func(kind int, d float64) float64 {
+		switch kind % 9 {
+		case 0:
+			return math.Inf(1)
+		case 1:
+			return d
+		case 2:
+			return math.Nextafter(d, math.Inf(-1))
+		case 3:
+			return math.Nextafter(d, math.Inf(1))
+		case 4:
+			return d / (1 + 3e-11) // h is past d²: the exact comparison decides
+		case 5:
+			return d * (1 + 3e-11)
+		case 6:
+			return 0
+		case 7:
+			return d / 2
+		}
+		return 2 * d
+	}
+	trials := 300
+	if testing.Short() {
+		trials = 60
+	}
+	for _, offset := range []float64{0, 1e6, 1e9} {
+		far, farRejected := 0, 0
+		for trial := 0; trial < trials; trial++ {
+			dim, m := 1+rng.Intn(24), 1+rng.Intn(3*rowLanes)
+			scale, tiny := 1.0, trial%10 == 8 && offset == 0
+			switch {
+			case trial%10 == 9:
+				scale = 1e154 // squares that overflow, norms past screenMax
+			case tiny:
+				scale = 0x1p-540 // squares that underflow: below screenFloor
+			}
+			point := func() Vector {
+				v := make(Vector, dim)
+				for d := range v {
+					if tiny {
+						v[d] = scale * float64(rng.Intn(9)-4)
+					} else {
+						v[d] = offset + scale*rng.NormFloat64()
+					}
+				}
+				return v
+			}
+			queries := make([]Vector, m)
+			for a := range queries {
+				queries[a] = point()
+			}
+			items := make([]Vector, 1+rng.Intn(9))
+			for j := range items {
+				switch j % 3 {
+				case 0:
+					items[j] = point()
+				case 1: // a near-duplicate of a query: a few ulps off in each coordinate
+					items[j] = append(Vector(nil), queries[rng.Intn(m)]...)
+					for d := range items[j] {
+						for k := rng.Intn(4); k > 0; k-- {
+							items[j][d] = math.Nextafter(items[j][d], math.Inf(2*rng.Intn(2)-1))
+						}
+					}
+				default: // an exact duplicate
+					items[j] = queries[rng.Intn(m)]
+				}
+			}
+			limits := make([]float64, m)
+			for a := range limits {
+				if !tiny {
+					limits[a] = limitAt(rng.Intn(9), Euclidean{}.Distance(queries[a], items[rng.Intn(len(items))]))
+				}
+			}
+			what := fmt.Sprintf("offset %g dim=%d m=%d trial %d", offset, dim, m, trial)
+			def := &Rows{body: rowAVX512} // the screens' layout; nothing here runs the assembly
+			def.Load(queries, limits)
+			checkScreen(t, what, def, items...)
+			if scale == 1 {
+				kept, _, _, _ := screenDefinition(def, items)
+				for j, item := range items {
+					for a, q := range queries {
+						if d := (Euclidean{}).Distance(q, item); d > 2*limits[a] && d > 1e-3 {
+							far++
+							if !keptLane(def, kept, j, a) {
+								farRejected++
+							}
+						}
+					}
+				}
+			}
+			for body, r := range rowBodies(Euclidean{}) {
+				var sc RowScratch
+				tight := append([]float64(nil), limits...)
+				r.Load(queries, tight)
+				checkScreen(t, what+" "+body, r, items...)
+				checkTile(t, what+" "+body, Euclidean{}, r, &sc, queries, tight, items)
+				r.Load(queries, limits)
+				for _, item := range items {
+					checkSweep(t, what+" "+body, Euclidean{}, r, &sc, queries, limits, item)
+				}
+			}
+		}
+		if far == 0 || float64(farRejected) < 0.99*float64(far) {
+			t.Errorf("offset %g: the screen rejects %d of %d pairs farther than twice their limit", offset, farRejected, far)
 		}
 	}
 }

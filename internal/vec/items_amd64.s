@@ -136,3 +136,111 @@ last:
 done:
 	VZEROUPPER
 	RET
+
+// One dimension of a group of four rows for eucCentreAVX2, their
+// coordinates in v: the centre's subtracted, the result stored as the
+// group's row of x and squared into sum.
+#define CENTRE(coff, v, sum) \
+	VBROADCASTSD coff(R10)(R11*1), Y3; \
+	VSUBPD       Y3, v, v;             \
+	VMOVUPD      v, (DI);              \
+	VFMADD231PD  v, v, sum;            \
+	ADDQ         $32, DI
+
+// PREFETCHROW asks for the cache lines of the row whose header is at
+// hdr(R8): its first byte, every 64th after it, and its last, R12 bytes
+// past its start.
+#define PREFETCHROW(hdr) \
+	MOVQ       hdr(R8), AX;     \
+	MOVQ       AX, BX;          \
+	LEAQ       (AX)(R12*1), CX; \
+	PREFETCHT0 (CX);            \
+	PREFETCHT0 (BX);            \
+	ADDQ       $64, BX;         \
+	CMPQ       BX, CX;          \
+	JLT        -3(PC)
+
+// func eucCentreAVX2(rows []Vector, centre, x, nx []float64)
+//
+// See eucCentreGo. A group of four rows at a time, transposed four
+// dimensions at a time as in eucItemsAVX2 and one at a time in the tail:
+// the even dimensions' squares go to Y0, the odd ones' to Y1, and the two
+// sums are added at the end. R8 walks the row headers, AX BX CX DX are the
+// group's rows, R10 is the centre, R11 the byte offset of the dimension in
+// it and in every row, R12 the dimensions left, DI walks x and SI nx.
+//
+// Rows past the len(nx) it centres are not read, but the four after them,
+// when rows has them, are prefetched first: a caller that centres a tile
+// a group at a time, screening each before the next, has the next group's
+// rows on their way while it screens.
+TEXT ·eucCentreAVX2(SB), NOSPLIT, $0-96
+	MOVQ rows_base+0(FP), R8
+	MOVQ nx_len+80(FP), R9
+	MOVQ rows_len+8(FP), R10
+	SUBQ R9, R10
+	CMPQ R10, $4
+	JLT  centre
+	LEAQ (R9)(R9*2), R10
+	LEAQ (R8)(R10*8), R8
+	MOVQ centre_len+32(FP), R12
+	SHLQ $3, R12
+	SUBQ $8, R12
+	PREFETCHROW(0)
+	PREFETCHROW(24)
+	PREFETCHROW(48)
+	PREFETCHROW(72)
+	MOVQ rows_base+0(FP), R8
+
+centre:
+	MOVQ centre_base+24(FP), R10
+	MOVQ x_base+48(FP), DI
+	MOVQ nx_base+72(FP), SI
+	SHRQ $2, R9
+
+centregroup:
+	MOVQ   (R8), AX
+	MOVQ   24(R8), BX
+	MOVQ   48(R8), CX
+	MOVQ   72(R8), DX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	XORQ   R11, R11
+	MOVQ   centre_len+32(FP), R12
+
+centrechunk:
+	CMPQ R12, $4
+	JLT  centretail
+	TRANSPOSE(AX, BX, CX, DX, Y8, Y9, Y10, Y11)
+	CENTRE(0, Y8, Y0)
+	CENTRE(8, Y9, Y1)
+	CENTRE(16, Y10, Y0)
+	CENTRE(24, Y11, Y1)
+	ADDQ $32, R11
+	SUBQ $4, R12
+	JMP  centrechunk
+
+centretail: // up to three dimensions, even, odd, even
+	TESTQ R12, R12
+	JZ    centresums
+	COLUMN(AX, BX, CX, DX, X8, X5, Y8)
+	CENTRE(0, Y8, Y0)
+	ADDQ  $8, R11
+	CMPQ  R12, $1
+	JEQ   centresums
+	COLUMN(AX, BX, CX, DX, X8, X5, Y8)
+	CENTRE(0, Y8, Y1)
+	ADDQ  $8, R11
+	CMPQ  R12, $2
+	JEQ   centresums
+	COLUMN(AX, BX, CX, DX, X8, X5, Y8)
+	CENTRE(0, Y8, Y0)
+
+centresums:
+	VADDPD  Y1, Y0, Y0
+	VMOVUPD Y0, (SI)
+	ADDQ    $32, SI
+	ADDQ    $96, R8
+	DECQ    R9
+	JNZ     centregroup
+	VZEROUPPER
+	RET

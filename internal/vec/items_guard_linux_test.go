@@ -11,14 +11,15 @@ import (
 	"unsafe"
 )
 
-// guardedFloats maps enough pages for n float64s and one more, makes the
-// last inaccessible and returns n zeros whose last one ends flush against
-// it: a load of even one byte past v[n-1] faults.
-func guardedFloats(t *testing.T, n int) []float64 {
+// guarded maps enough pages for n values of T and one more, makes the last
+// inaccessible and returns n zeros whose last one ends flush against it: a
+// load of even one byte past v[n-1] faults.
+func guarded[T any](t *testing.T, n int) []T {
 	t.Helper()
+	size := int(unsafe.Sizeof(*new(T))) * n
 	page := syscall.Getpagesize()
-	size := (n*8 + page - 1) / page * page
-	mem, err := syscall.Mmap(-1, 0, size+page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	mapped := (size + page - 1) / page * page
+	mem, err := syscall.Mmap(-1, 0, mapped+page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,11 +28,14 @@ func guardedFloats(t *testing.T, n int) []float64 {
 			t.Error(err)
 		}
 	})
-	if err := syscall.Mprotect(mem[size:], syscall.PROT_NONE); err != nil {
+	if err := syscall.Mprotect(mem[mapped:], syscall.PROT_NONE); err != nil {
 		t.Fatal(err)
 	}
-	return unsafe.Slice((*float64)(unsafe.Pointer(&mem[size-n*8])), n)
+	return unsafe.Slice((*T)(unsafe.Pointer(&mem[mapped-size])), n)
 }
+
+// guardedFloats is guarded for float64s.
+func guardedFloats(t *testing.T, n int) []float64 { return guarded[float64](t, n) }
 
 // guardedVector returns a random vector that ends flush against an
 // inaccessible page (see guardedFloats).
@@ -69,46 +73,63 @@ func TestItemLanesStayInBounds(t *testing.T) {
 	}
 }
 
-// TestRowLanesStayInBounds is TestItemLanesStayInBounds for the row kernel:
-// the swept item, the transposed queries and their squared limits each end
-// flush against an inaccessible page, for dimensions 1–20 and 1–40 queries
-// (1–5 blocks: every remainder after a group of four in flight, and every
-// amount of padding), with limits that abandon early (0), late (just under
-// the distance, so that only the last check can tell) and never. A body
-// that reads past item[dim-1], past the last block or past its limits dies
-// of SIGSEGV here.
+// TestRowLanesStayInBounds is TestItemLanesStayInBounds for the row
+// kernel: the transposed queries, their thresholds and the screened tile
+// (centred coordinates, norms and kept masks) each end flush against an
+// inaccessible page, as does the item, for dimensions 1–20, 1–40 queries
+// (1–5 blocks: every remainder after a run of four, and every amount of
+// padding) and tiles of one and two groups, with limits that abandon early
+// (0), late (just under the distance) and never. A body that reads or
+// writes past any of them dies of SIGSEGV here.
 func TestRowLanesStayInBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for dim := 1; dim <= 20; dim++ {
-		item := guardedVector(t, rng, dim)
-		for m := 1; m <= 40; m++ {
-			queries := make([]Vector, m)
-			for a := range queries {
-				queries[a] = randomVector(rng, dim)
-			}
-			for _, limit := range []string{"early", "late", "never"} {
-				limits := make([]float64, m)
-				for a, q := range queries {
-					switch limit {
-					case "late":
-						limits[a] = 0.99 * Euclidean{}.Distance(q, item)
-					case "never":
-						limits[a] = math.Inf(1)
+		t.Run(fmt.Sprint("dim=", dim), func(t *testing.T) {
+			item := guardedVector(t, rng, dim)
+			tile := []Vector{item, randomVector(rng, dim), item, randomVector(rng, dim), item}
+			for m := 1; m <= 40; m++ {
+				queries := make([]Vector, m)
+				for a := range queries {
+					queries[a] = randomVector(rng, dim)
+				}
+				for _, limit := range []string{"early", "late", "never"} {
+					limits := make([]float64, m)
+					for a, q := range queries {
+						switch limit {
+						case "late":
+							limits[a] = 0.99 * Euclidean{}.Distance(q, item)
+						case "never":
+							limits[a] = math.Inf(1)
+						}
+					}
+					for body, r := range rowBodies(Euclidean{}) {
+						r.Load(queries, limits)
+						q, h := guardedFloats(t, len(r.q)), guardedFloats(t, len(r.h))
+						copy(q, r.q)
+						copy(h, r.h)
+						r.q, r.h = q, h
+						what := fmt.Sprintf("dim=%d m=%d limit %s %s", dim, m, limit, body)
+						var sc RowScratch
+						checkSweep(t, what, Euclidean{}, r, &sc, queries, limits, item)
+						if !r.screens() {
+							continue
+						}
+						for _, n := range []int{1, len(tile)} {
+							want, rows, wantX, _ := screenDefinition(r, tile[:n])
+							x, nx, kept := guardedFloats(t, len(wantX)), guardedFloats(t, len(rows)), guarded[uint64](t, len(want))
+							eucCentreAVX2(rows, r.centre, x, nx)
+							r.scaleNorms(nx)
+							r.screen(x, nx, kept)
+							for i, w := range want {
+								if kept[i] != w {
+									t.Fatalf("%s: tile of %d: kept word %d is %064b, the definition %064b", what, n, i, kept[i], w)
+								}
+							}
+						}
 					}
 				}
-				for body, r := range rowBodies(Euclidean{}) {
-					r.Load(queries, limits)
-					q, h := guardedFloats(t, len(r.q)), guardedFloats(t, len(r.h))
-					copy(q, r.q)
-					copy(h, r.h)
-					r.q, r.h = q, h
-					what := fmt.Sprintf("dim=%d m=%d limit %s %s", dim, m, limit, body)
-					checkBlocks(t, what, r, item)
-					var sc RowScratch
-					checkSweep(t, what, Euclidean{}, r, &sc, queries, limits, item)
-				}
 			}
-		}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package vec
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
@@ -90,75 +91,107 @@ func BenchmarkDistanceWithin(b *testing.B) {
 }
 
 // BenchmarkRowKernel prices one (query, item) pair of the Euclidean page
-// pass four ways: one scalar DistanceWithin per pair, the loaded rows swept
-// by the portable body, and by each assembly body (avx2, avx512) the build
-// and the CPU have. Every query carries the same limit, the quantile of the
+// pass: one scalar DistanceWithin per pair, then the loaded rows by the
+// portable body and by each screen body (avx2, avx512) the build and the
+// CPU have, screening tiles of 32 items and resolving the live ones, as
+// evalRows does. Every query carries the same limit, the quantile of the
 // pairs' distances at which the named share of them abandons; 0.998 is
-// what the scan batch of the benchmark runs at. m = 8 is one block, which
-// the AVX-512 body runs alone; m = 100 is thirteen, three groups of four in
-// flight and one alone — the scan batch's width.
+// what the scan batch of the benchmark runs at. m = 8 is one block, m = 100 is
+// thirteen — the scan batch's width. Two more cells at the scan batch's
+// abandon share: tile=1, one item a screen (Sweep, what the benchmark
+// module's row probe calls), and offset=1e6, the coordinates moved a
+// million from the origin, where the screen's error bound works only
+// because it centres them.
 func BenchmarkRowKernel(b *testing.B) {
 	const nItems = 1024
+	type cell struct {
+		dim, m int
+		share  float64
+		tile   int
+		offset float64
+	}
+	var cells []cell
 	for _, dim := range []int{8, 20} {
-		rng := rand.New(rand.NewSource(int64(dim)))
+		for _, m := range []int{8, 16, 100} {
+			for _, share := range []float64{0, 0.95, 0.998} {
+				cells = append(cells, cell{dim, m, share, 32, 0})
+			}
+		}
+	}
+	cells = append(cells, cell{20, 100, 0.998, 1, 0}, cell{8, 16, 0.998, 1, 0}, cell{8, 16, 0.998, 32, 1e6})
+	for _, c := range cells {
+		rng := rand.New(rand.NewSource(int64(c.dim)))
+		point := func() Vector {
+			v := randomVector(rng, c.dim)
+			for d := range v {
+				v[d] += c.offset
+			}
+			return v
+		}
 		items := make([]Vector, nItems)
 		for i := range items {
-			items[i] = randomVector(rng, dim)
+			items[i] = point()
 		}
-		for _, m := range []int{8, 16, 100} {
-			queries := make([]Vector, m)
-			pairs := make([]benchPair, 0, m*nItems)
-			for a := range queries {
-				queries[a] = randomVector(rng, dim)
-				for _, it := range items {
-					pairs = append(pairs, benchPair{queries[a], it})
-				}
+		queries := make([]Vector, c.m)
+		pairs := make([]benchPair, 0, c.m*nItems)
+		for a := range queries {
+			queries[a] = point()
+			for _, it := range items {
+				pairs = append(pairs, benchPair{queries[a], it})
 			}
-			for _, share := range []float64{0, 0.95, 0.998} {
-				limit := limitForRate(Euclidean{}, pairs, share)
-				limits := make([]float64, m)
-				for a := range limits {
-					limits[a] = limit
-				}
-				name := fmt.Sprintf("dim=%d/m=%d/abandon=%v", dim, m, share)
-				perPair := func(b *testing.B) {
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m*nItems), "ns/pair")
-				}
-				b.Run(name+"/scalar", func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						for _, it := range items {
-							for _, q := range queries {
-								benchSinkF, benchSinkB = euclideanWithin(q, it, limit)
-							}
+		}
+		limit := limitForRate(Euclidean{}, pairs, c.share)
+		limits := make([]float64, c.m)
+		for a := range limits {
+			limits[a] = limit
+		}
+		name := fmt.Sprintf("dim=%d/m=%d/abandon=%v", c.dim, c.m, c.share)
+		switch {
+		case c.offset != 0:
+			name += fmt.Sprintf("/offset=%g", c.offset)
+		case c.tile != 32:
+			name += fmt.Sprintf("/tile=%d", c.tile)
+		}
+		perPair := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.m*nItems), "ns/pair")
+		}
+		if c.tile == 32 && c.offset == 0 {
+			b.Run(name+"/scalar", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for _, it := range items {
+						for _, q := range queries {
+							benchSinkF, benchSinkB = euclideanWithin(q, it, limit)
 						}
 					}
-					perPair(b)
-				})
-				for body := rowGo; body <= rowAVX512; body++ {
-					if !body.runs() {
-						continue
-					}
-					label := body.String()
-					if body == rowGo {
-						label = "portable"
-					}
-					b.Run(name+"/"+label, func(b *testing.B) {
-						r := NewRows(Euclidean{})
-						r.body = body
-						r.Load(queries, limits)
-						var sc RowScratch
-						n := 0
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							for _, it := range items {
-								n += len(r.Sweep(it, &sc))
-							}
-						}
-						benchSinkF = float64(n)
-						perPair(b)
-					})
 				}
+				perPair(b)
+			})
+		}
+		for body := rowGo; body <= rowAVX512; body++ {
+			if !body.runs() {
+				continue
 			}
+			label := body.String()
+			if body == rowGo {
+				label = "portable"
+			}
+			b.Run(name+"/"+label, func(b *testing.B) {
+				r := NewRows(Euclidean{})
+				r.body = body
+				r.Load(queries, limits)
+				var sc RowScratch
+				n := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for base := 0; base < nItems; base += c.tile {
+						for live := r.Screen(items[base:base+c.tile], &sc); live != 0; live &= live - 1 {
+							n += len(r.Resolve(bits.TrailingZeros64(live), &sc))
+						}
+					}
+				}
+				benchSinkF = float64(n)
+				perPair(b)
+			})
 		}
 	}
 }

@@ -3,14 +3,18 @@
 package vec
 
 // Off amd64, and under -tags purego, the portable sweeps are the only ones.
-const haveAVX2, haveAVX512 = false, false
+const haveAVX2, haveFMA, haveAVX512 = false, false, false
 
-func eucRowsAVX2(q, h []float64, item Vector, sums []float64, alive []int32) int {
-	panic("vec: no assembly row kernel in this build")
+func eucCentreAVX2(rows []Vector, centre, x, nx []float64) {
+	panic("vec: no assembly row screen in this build")
 }
 
-func eucRowsAVX512(q, h []float64, item Vector, sums []float64, alive []int32) int {
-	panic("vec: no assembly row kernel in this build")
+func eucScreenAVX2(q, t, x, nx []float64, kept []uint64, dim int) {
+	panic("vec: no assembly row screen in this build")
+}
+
+func eucScreenAVX512(q, t, x, nx []float64, kept []uint64, dim int) {
+	panic("vec: no assembly row screen in this build")
 }
 
 func eucItemsAVX2(q Vector, rows []Vector, h float64, dists []float64) bool {
