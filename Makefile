@@ -28,7 +28,9 @@ build:
 # assembly body the CPU can run against the portable ones and the screens
 # against their definition; this runs their packages and the X-tree, whose
 # plan sweeps boxes, with the portable bodies as the only ones (the
-# screens' definition and its soundness test still run), and builds and
+# screens' definition and its soundness test still run; the item-lane
+# tests sweep the page's records in place through the portable body, which
+# walks them in Go at their stride as the assembly does), and builds and
 # vets for an architecture that has no assembly so that the build-tag split
 # cannot rot.
 # go vet (above) checks the .s files against their Go declarations. The
@@ -55,7 +57,9 @@ race:
 # 1/2 soundness properties, the bounded-kernel contract properties, the
 # row and item-lane kernels' contracts against the scalar kernel (every
 # body the CPU runs, the fuzz targets' seeds, and every body's loads held
-# inside guard pages), the row screens' soundness (a lane the screen
+# inside guard pages; the item lanes through both entries, the []Vector
+# and the records swept in place, with their masks, their length checks
+# and the record-field check), the row screens' soundness (a lane the screen
 # rejects is one the scalar kernel rejects, on offset, duplicate,
 # overflowing and underflowing data) and their masks against the screen's
 # definition, the box-lane kernel against the
@@ -91,7 +95,7 @@ race:
 # and every engine kind refuses a NaN or infinite coordinate — all under the
 # race detector.
 differential:
-	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestRowScreenSound|TestRowLanes|TestItemLanes|FuzzEucItems|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPagerUncontendedMissAllocatesNothing|TestPageRecycle|TestDecodedPageAliasesRecord|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode|TestBlockSweepMatchesLone|TestLaneSweep|FuzzLaneSweep|TestFanOut|TestResultsSliceIsSessionScratch|TestSlideAllocations|TestCompletedQueriesReleaseTheirState|TestRecycledStateIsNeverStale|TestStagedAcceptsMatchPerAccept|TestConsiderAllMatchesConsider|TestDBSCANBatchSizesAgree|TestBulkGoldenDigest|TestLayoutGoldenDigest|TestNearestFirstTakesTheSmallest|TestNonFiniteCoordinatesRejected' \
+	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestRowScreenSound|TestRowLanes|TestItemLanes|FuzzEucItems|TestItemsDimensionMismatch|TestSweepRecords|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPagerUncontendedMissAllocatesNothing|TestPageRecycle|TestDecodedPageAliasesRecord|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode|TestBlockSweepMatchesLone|TestLaneSweep|FuzzLaneSweep|TestFanOut|TestResultsSliceIsSessionScratch|TestSlideAllocations|TestCompletedQueriesReleaseTheirState|TestRecycledStateIsNeverStale|TestStagedAcceptsMatchPerAccept|TestConsiderAllMatchesConsider|TestDBSCANBatchSizesAgree|TestBulkGoldenDigest|TestLayoutGoldenDigest|TestNearestFirstTakesTheSmallest|TestNonFiniteCoordinatesRejected' \
 		./internal/msq/ ./internal/query/ ./internal/store/ ./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/pmtree/ ./internal/parallel/ ./internal/explore/ .
 
 # A short fuzz of the persistent-storage decoders: corrupt page records
@@ -100,9 +104,10 @@ differential:
 # target explores beyond them on every check. The four kernel targets hold
 # the assembly and the portable bodies to the scalar kernel (the row
 # screens: also their rejections to the scalar kernel's and their masks to
-# the screen's definition; the boxes: to the gap-vector form; the VA-file's
-# lane sweep: to a one-lane reference) on coordinates, limits, cells and
-# tables no generator would pick.
+# the screen's definition; the item lanes: through both entries, in
+# sweeps of up to 64 rows, their masks included; the boxes: to the
+# gap-vector form; the VA-file's lane sweep: to a one-lane reference) on
+# coordinates, limits, cells and tables no generator would pick.
 # The request path a client can reach — one arbitrary line to a server with
 # admission on, over a stored scan — must answer with JSON and a code, never
 # panic, and keep serving the oracle's answers.

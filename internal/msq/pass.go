@@ -442,7 +442,7 @@ func (p *pagePass) evalItems() passCounts {
 }
 
 // sweepTile is how many items sweepItems hands the item kernel at once,
-// and evalRows the row screen (at most 64, one bit each of its live
+// and evalRows the row screen (at most 64, one bit each of either's
 // mask). Either runs a whole tile under the limits the tile started with,
 // so a larger tile saves calls and a smaller one abandons under a fresher
 // limit; neither changes a result. A k-NN limit moves a few dozen times in a scan
@@ -457,32 +457,31 @@ const sweepTile = 32
 // its exact distance, and may tighten limits[a] for the items after it.
 // For each query that is the scalar loop "d, within := DistanceWithin(q,
 // item, limits[a]); if within { hit(a, it, d) }" call for call: the kernel
-// sweeps a tile under the limit the tile started with and reports each
-// item's exact distance or something beyond that limit (vec.Items.Sweep),
-// and d <= limits[a] against the live limit is DistanceWithin's own final
+// sweeps a tile of the page's items where they lie, under the limit the
+// tile started with, and returns a mask of the items that may be within
+// it, each with its exact distance or something beyond that limit
+// (vec.SweepRecords); an item whose bit is clear is beyond it, and d <=
+// limits[a] against the live limit is DistanceWithin's own final
 // comparison. A pair hit is not called for was abandoned. The queries take
-// turns tile by tile, so a tile's rows are gathered once and are still in
-// the nearest cache for the second query.
+// turns tile by tile, so a tile's records are still in the nearest cache
+// for the second query.
 func sweepItems(lanes *vec.Items, items []store.Item, queries []vec.Vector, limits []float64, hit func(a, it int, d float64)) {
-	var rows [sweepTile]vec.Vector
 	var dists [sweepTile]float64
 	for base := 0; base < len(items); base += sweepTile {
 		tile := items[base:min(base+sweepTile, len(items))]
-		for j := range tile {
-			rows[j] = tile[j].Vec
-		}
 		for a, q := range queries {
-			if !lanes.Sweep(q, rows[:len(tile)], limits[a], dists[:]) {
-				continue
-			}
-			for j, d := range dists[:len(tile)] {
-				if d <= limits[a] {
+			for m := vec.SweepRecords(lanes, q, tile, itemVec, limits[a], dists[:]); m != 0; m &= m - 1 {
+				j := bits.TrailingZeros64(m)
+				if d := dists[j]; d <= limits[a] {
 					hit(a, base+j, d)
 				}
 			}
 		}
 	}
 }
+
+// itemVec is where sweepItems' kernel finds an item's vector in the page.
+func itemVec(it *store.Item) *vec.Vector { return &it.Vec }
 
 // passBody names one of the page pass's three bodies.
 type passBody uint8
@@ -514,17 +513,18 @@ const rowThreshold = 8
 // once per query and pays the in-register transpose the loaded rows do not.
 // rowThreshold is where they crossed when it was chosen: between 7 and 8
 // (EXPERIMENTS, "Items as lanes"). Measured per pair with the AVX-512
-// screen as the row body, on a scan of 8 192 items (BenchmarkPassBodies;
-// medians of three runs alternated with runs of the previous row body on
-// a shared 2-core x86-64 runner, which spread about ±20 %), scalar pair by
-// pair → items → rows, dim 8 / dim 16: m = 1: 22 → 8.5 → 30 / 30 → 12 →
-// 31; m = 2: 15 → 6.7 → 16 / 31 → 9.4 → 16; m = 4: 15 → 6.2 → 8.7 / 29 →
-// 7.2 → 6.8; m = 5: 22 → 7.2 → 6.1 / 23 → 7.1 → 8.4; m = 6: 20 → 6.5 →
-// 6.0 / 28 → 6.6 → 5.6; m = 8: 13 → 6.6 → 4.8 / 30 → 8.3 → 4.1; m = 12: 17
-// → 5.9 → 4.2 / 26 → 7.8 → 3.8. The bodies now cross at m = 5 (dim 8) and
-// 4–6 (dim 16); the constant stays 8 until the benchmark has a workload on
-// each side of a lower one (ROADMAP; EXPERIMENTS, "The row body as a
-// matrix product").
+// screen as the row body and the item body sweeping the page in place, on
+// a scan of 8 192 items (BenchmarkPassBodies, -benchtime 100x; medians of
+// three runs alternated with runs of the previous item body, which
+// gathered each tile, on a shared 2-core x86-64 runner that spreads about
+// ±20 %), scalar pair by pair → items → rows, dim 8 / dim 16: m = 1: 18 →
+// 5.2 → 24 / 26 → 6.9 → 28; m = 2: 18 → 4.0 → 13 / 25 → 7.9 → 17; m = 4:
+// 18 → 3.7 → 6.3 / 29 → 5.6 → 8.1; m = 5: 15 → 4.7 → 5.0 / 28 → 7.6 →
+// 8.2; m = 6: 15 → 3.6 → 3.8 / 28 → 6.7 → 6.9; m = 7: 14 → 5.0 → 4.4 / 28
+// → 6.6 → 5.3; m = 8: 16 → 4.9 → 3.7 / 26 → 6.7 → 4.9; m = 12: 18 → 5.3
+// → 2.5 / 27 → 6.1 → 4.2. The bodies now cross at m = 7 at both
+// dimensions (with the gathering item body, at m = 5 and 4–6): a cheaper
+// item body moves the crossing up, never below 8, so the constant stays 8.
 func rowPath(avoiding bool, m int) passBody {
 	switch {
 	case avoiding:

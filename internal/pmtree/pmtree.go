@@ -367,12 +367,14 @@ func (f *farthestFirst) reset() {
 
 // distances sets dists[i] to the metric's distance from q to rows[i]. Where
 // the metric has a bounded kernel they come from the item-lane kernel under
-// an infinite limit, which by the BoundedMetric contract is Distance bit for
-// bit; only a NaN distance comes back +Inf, and coordinates the engines
-// accept give none.
+// an infinite limit, vec.MaxSweepRows rows a sweep, which by the
+// BoundedMetric contract is Distance bit for bit; only a NaN distance comes
+// back +Inf, and coordinates the engines accept give none.
 func (f *farthestFirst) distances(q vec.Vector, rows []vec.Vector, dists []float64) {
 	if f.lanes != nil {
-		f.lanes.Sweep(q, rows, math.Inf(1), dists)
+		for base := 0; base < len(rows); base += vec.MaxSweepRows {
+			f.lanes.Sweep(q, rows[base:min(base+vec.MaxSweepRows, len(rows))], math.Inf(1), dists[base:])
+		}
 		return
 	}
 	for i, r := range rows {

@@ -48,40 +48,47 @@
 	VANDPD Y4, Y5, Y4;        \
 	VMOVMSKPD Y4, R13
 
-// func eucItemsAVX2(q Vector, rows []Vector, h float64, dists []float64) bool
+// The next row's header, at R11: its base to r, and its length held
+// against the query's in R12 before any coordinate of the group is read.
+// R11 then steps a record, R13 bytes.
+#define HEADER(r) \
+	MOVQ (R11), r;    \
+	CMPQ 8(R11), R12; \
+	JNE  bad;         \
+	ADDQ R13, R11
+
+// func eucItemsAVX2(q Vector, rows unsafe.Pointer, stride uintptr, n int, h float64, dists []float64) (within uint64, ok bool)
 //
-// See eucItemsGo. The frame holds the cursor over the row headers (a group
-// is 8 × 24 bytes), its end, and the cursor over the results (8 × 8 bytes a
-// group). In a group, lanes 0-3 are rows AX BX CX DX with their sums in Y0,
-// lanes 4-7 rows SI DI R8 R9 in Y1; R11 is the byte offset of the next
-// dimension in the query and in every row, R12 the dimensions left.
-TEXT ·eucItemsAVX2(SB), NOSPLIT, $24-81
+// See eucItemsGo. rows is the first row's header, each next one stride
+// bytes on, n >= itemLanes of them. The frame holds the index of the
+// group's first row, which steps by eight and for the last group to n-8:
+// a last group short of eight overlaps the one before it instead of reading
+// past row n-1, and its rows get the same values and bits twice. In a
+// group, lanes 0-3 are rows AX BX CX DX with their sums in Y0, lanes 4-7
+// rows SI DI R8 R9 in Y1; R11 is the byte offset of the next dimension in
+// the query and in every row, R12 the dimensions left. A row whose length
+// is not the query's stops the sweep with ok false.
+TEXT ·eucItemsAVX2(SB), NOSPLIT, $8-89
 	MOVQ q_base+0(FP), R10
-	MOVQ rows_base+24(FP), AX
-	MOVQ AX, cur-8(SP)
-	MOVQ rows_len+32(FP), BX
-	LEAQ (BX)(BX*2), BX
-	LEAQ (AX)(BX*8), AX
-	MOVQ AX, end-16(SP)
-	MOVQ dists_base+56(FP), AX
-	MOVQ AX, out-24(SP)
 	VBROADCASTSD h+48(FP), Y2
-	MOVB $0, ret+80(FP)
+	MOVQ $0, within+80(FP)
+	MOVB $1, ok+88(FP)
+	MOVQ $0, first-8(SP)
 
 group:
-	MOVQ cur-8(SP), R11
-	CMPQ R11, end-16(SP)
-	JEQ  done
-	MOVQ 0(R11), AX
-	MOVQ 24(R11), BX
-	MOVQ 48(R11), CX
-	MOVQ 72(R11), DX
-	MOVQ 96(R11), SI
-	MOVQ 120(R11), DI
-	MOVQ 144(R11), R8
-	MOVQ 168(R11), R9
-	ADDQ $192, cur-8(SP)
-	MOVQ q_len+8(FP), R12
+	MOVQ  first-8(SP), R11
+	IMULQ stride+32(FP), R11
+	ADDQ  rows+24(FP), R11
+	MOVQ  stride+32(FP), R13
+	MOVQ  q_len+8(FP), R12
+	HEADER(AX)
+	HEADER(BX)
+	HEADER(CX)
+	HEADER(DX)
+	HEADER(SI)
+	HEADER(DI)
+	HEADER(R8)
+	HEADER(R9)
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	XORQ   R11, R11
@@ -106,13 +113,24 @@ dead: // every lane is past h: the remaining dimensions are not read
 	VPSLLQ   $53, Y0, Y0
 	VPSRLQ   $1, Y0, Y0 // +Inf
 	VMOVUPD  Y0, Y1
+	XORQ     R13, R13
 
-store:
-	MOVQ out-24(SP), R13
-	VMOVUPD Y0, (R13)
-	VMOVUPD Y1, 32(R13)
-	ADDQ $64, out-24(SP)
-	JMP  group
+store: // R13 holds the group's bits: the lanes that got a root
+	MOVQ    first-8(SP), CX
+	MOVQ    dists_base+56(FP), DX
+	VMOVUPD Y0, (DX)(CX*8)
+	VMOVUPD Y1, 32(DX)(CX*8)
+	SHLQ    CX, R13
+	ORQ     R13, within+80(FP)
+	MOVQ    n+40(FP), DX
+	SUBQ    $8, DX
+	CMPQ    CX, DX
+	JEQ     done
+	ADDQ    $8, CX
+	CMPQ    CX, DX
+	CMOVQGT DX, CX
+	MOVQ    CX, first-8(SP)
+	JMP     group
 
 tail:
 	TESTQ R12, R12
@@ -124,14 +142,21 @@ tail:
 	DECQ  R12
 	JMP   tail
 
-last:
-	CHECK
-	CMPL R13, $15
-	JEQ  dead
+last: // R13 = the lanes whose sums are not past h
+	VCMPPD    $0x1E, Y2, Y0, Y4
+	VCMPPD    $0x1E, Y2, Y1, Y5
+	VMOVMSKPD Y4, R13
+	VMOVMSKPD Y5, AX
+	SHLQ      $4, AX
+	ORQ       AX, R13
+	XORQ      $0xff, R13
+	JZ        dead
 	VSQRTPD Y0, Y0
 	VSQRTPD Y1, Y1
-	MOVB $1, ret+80(FP)
 	JMP  store
+
+bad:
+	MOVB $0, ok+88(FP)
 
 done:
 	VZEROUPPER

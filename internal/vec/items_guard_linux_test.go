@@ -48,23 +48,27 @@ func guardedVector(t *testing.T, rng *rand.Rand, dim int) Vector {
 	return v
 }
 
-// TestItemLanesStayInBounds runs every body over rows and a query that each
-// end flush against an inaccessible page, for dimensions 1–20 (every tail of
-// the four-dimension chunk) and 1–9 rows (every short group, a full one and
-// one more), with limits that abandon early, late and never. A body that
-// loads past a row's last coordinate dies of SIGSEGV here.
+// TestItemLanesStayInBounds runs every body, through both entries, over a
+// query and rows that each end flush against an inaccessible page, for
+// dimensions 1–20 (every tail of the four-dimension chunk) and 1–9 rows
+// (every short group, a full one and one more), with limits that abandon
+// early, late and never. The rows' headers lie flush against one too, at
+// both strides: the []Vector Sweep walks and the records SweepRecords does.
+// A body that loads past a row's last coordinate, or past the last header,
+// dies of SIGSEGV here.
 func TestItemLanesStayInBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for dim := 1; dim <= 20; dim++ {
 		for n := 1; n <= 9; n++ {
-			q, rows := guardedVector(t, rng, dim), make([]Vector, n)
+			q, rows, recs := guardedVector(t, rng, dim), guarded[Vector](t, n), guarded[itemRecord](t, n)
 			for i := range rows {
 				rows[i] = guardedVector(t, rng, dim)
+				recs[i] = itemRecord{ID: uint64(i), Vec: rows[i], Label: i}
 			}
 			for _, limit := range []float64{0, math.Sqrt(float64(dim)), math.Inf(1)} {
 				for body, k := range itemBodies(Euclidean{}) {
 					what := fmt.Sprintf("dim=%d n=%d limit=%v %s", dim, n, limit, body)
-					checkItems(t, what, Euclidean{}, k, n, q, rows, limit, func(_ int, _ float64, _ bool, limit float64) float64 {
+					checkItems(t, what, Euclidean{}, k, n, q, rows, recs, limit, func(_ int, _ float64, _ bool, limit float64) float64 {
 						return limit
 					})
 				}

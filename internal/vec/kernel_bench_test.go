@@ -197,11 +197,12 @@ func BenchmarkRowKernel(b *testing.B) {
 }
 
 // BenchmarkItemKernel prices one (query, item) pair of a one-query sweep
-// three ways: one scalar DistanceWithin per item, and tiles of 32 rows —
-// gathered from the items the way the page pass gathers them — through the
-// portable body and through the assembly where the build and the CPU have
-// it. The limit is fixed at the quantile of the distances at which the
-// named share of the pairs abandons.
+// three ways: one scalar DistanceWithin per item, and tiles of 32 items —
+// swept where they lie, the way the page pass sweeps its page, and resolved
+// through the set bits of the mask — through the portable body and through
+// the assembly where the build and the CPU have it. The limit is fixed at
+// the quantile of the distances at which the named share of the pairs
+// abandons.
 func BenchmarkItemKernel(b *testing.B) {
 	const nItems, tile = 1024, 32
 	type item struct {
@@ -240,19 +241,13 @@ func BenchmarkItemKernel(b *testing.B) {
 				}
 				b.Run(name+"/"+body.name, func(b *testing.B) {
 					k := &Items{asm: body.asm}
-					var rows [tile]Vector
+					itemVec := func(it *item) *Vector { return &it.vec }
 					var dists [tile]float64
 					n := 0
 					for i := 0; i < b.N; i++ {
 						for base := 0; base < nItems; base += tile {
-							for j := range rows {
-								rows[j] = items[base+j].vec
-							}
-							if !k.Sweep(q, rows[:], limit, dists[:]) {
-								continue
-							}
-							for _, d := range dists {
-								if d <= limit {
+							for m := SweepRecords(k, q, items[base:base+tile], itemVec, limit, dists[:]); m != 0; m &= m - 1 {
+								if dists[bits.TrailingZeros64(m)] <= limit {
 									n++
 								}
 							}

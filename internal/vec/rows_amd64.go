@@ -2,6 +2,8 @@
 
 package vec
 
+import "unsafe"
+
 // haveAVX2 reports whether the AVX2 sweeps may run: the CPU has AVX2 and
 // the operating system saves the YMM registers across context switches
 // (OSXSAVE set and XCR0 enabling both the SSE and the AVX state). haveFMA
@@ -50,12 +52,15 @@ func eucScreenAVX2(q, t, x, nx []float64, kept []uint64, dim int)
 //go:noescape
 func eucScreenAVX512(q, t, x, nx []float64, kept []uint64, dim int)
 
-// eucItemsAVX2 is eucItemsGo, itemLanes rows to two registers. len(rows)
-// must be a multiple of itemLanes, every row must have len(q) coordinates —
-// it reads exactly those — and dists room for one value per row.
+// eucItemsAVX2 is eucItemsGo, itemLanes rows to two registers, over the n
+// >= itemLanes vector headers at rows, stride bytes apart, and with dists
+// room for n values. It reads each group's headers, and the coordinates of
+// none of its rows unless every length in it is len(q); then it reads
+// exactly len(q) coordinates of each. ok is false when a length was not:
+// the sweep stopped there.
 //
 //go:noescape
-func eucItemsAVX2(q Vector, rows []Vector, h float64, dists []float64) bool
+func eucItemsAVX2(q Vector, rows unsafe.Pointer, stride uintptr, n int, h float64, dists []float64) (within uint64, ok bool)
 
 // eucBoxesAVX2 is eucBoxesGo, a group of four boxes to two registers. boxes
 // must hold len(dst)/4 whole groups of len(q) dimensions — it reads exactly

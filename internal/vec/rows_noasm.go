@@ -2,6 +2,8 @@
 
 package vec
 
+import "unsafe"
+
 // Off amd64, and under -tags purego, the portable sweeps are the only ones.
 const haveAVX2, haveFMA, haveAVX512 = false, false, false
 
@@ -17,7 +19,7 @@ func eucScreenAVX512(q, t, x, nx []float64, kept []uint64, dim int) {
 	panic("vec: no assembly row screen in this build")
 }
 
-func eucItemsAVX2(q Vector, rows []Vector, h float64, dists []float64) bool {
+func eucItemsAVX2(q Vector, rows unsafe.Pointer, stride uintptr, n int, h float64, dists []float64) (uint64, bool) {
 	panic("vec: no assembly item kernel in this build")
 }
 
