@@ -34,13 +34,16 @@ build:
 # vets for an architecture that has no assembly so that the build-tag split
 # cannot rot.
 # go vet (above) checks the .s files against their Go declarations. The
-# store decodes a page where its record lies and byte-swaps the coordinates
-# in place on a big-endian host; s390x builds and vets that body here
-# (TestBindSwapsBigEndianWords runs it on this host).
+# store's CRC-32C has two bodies, hash/crc32 and the AVX-512 fold
+# (internal/store/crc32c*, by vec's probe): the purego run holds its tests
+# to hash/crc32 alone and the arm64 vet checks the build without the fold.
+# The store decodes a page where its record lies and byte-swaps the
+# coordinates in place on a big-endian host; s390x builds and vets that
+# body here (TestBindSwapsBigEndianWords runs it on this host).
 portable:
-	go test -tags purego ./internal/vec/ ./internal/msq/ ./internal/xtree/ ./internal/vafile/
+	go test -tags purego ./internal/vec/ ./internal/msq/ ./internal/xtree/ ./internal/vafile/ ./internal/store/
 	GOARCH=arm64 go build ./...
-	GOARCH=arm64 go vet ./internal/vec/ ./internal/vafile/
+	GOARCH=arm64 go vet ./internal/vec/ ./internal/vafile/ ./internal/store/
 	GOARCH=s390x go build ./...
 	GOARCH=s390x go vet ./internal/store/
 
@@ -70,7 +73,13 @@ race:
 # its scalar loop, the decoded page against its record (vectors in place,
 # the allocation count, the byte swap, the decoder fuzz seeds — under -race,
 # checkptr checks that every vector pointed into a record stays inside that
-# one allocation; the tests check the alignment),
+# one allocation; the tests check the alignment), a recycled page rebound
+# with the vector headers it kept against its record (one FileDisk in both
+# modes through a record that grows, a columnized holder, fewer and more
+# items; records of other shapes in place), the store's CRC-32C against
+# hash/crc32 through every body (every length to 2 048 and the served
+# record's ± 300 at 64 offsets, chained at random splits, the fuzz seeds,
+# and the fold's loads held inside a guard page),
 # concurrent sessions on one VA-file (its cell-table free lists, which every
 # session's block of queries shares), the VA-file's block sweep against
 # its lone sweep, bit for bit, and its lane-sweep bodies against a one-lane
@@ -95,11 +104,12 @@ race:
 # and every engine kind refuses a NaN or infinite coordinate — all under the
 # race detector.
 differential:
-	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestRowScreenSound|TestRowLanes|TestItemLanes|FuzzEucItems|TestItemsDimensionMismatch|TestSweepRecords|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPagerUncontendedMissAllocatesNothing|TestPageRecycle|TestDecodedPageAliasesRecord|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode|TestBlockSweepMatchesLone|TestLaneSweep|FuzzLaneSweep|TestFanOut|TestResultsSliceIsSessionScratch|TestSlideAllocations|TestCompletedQueriesReleaseTheirState|TestRecycledStateIsNeverStale|TestStagedAcceptsMatchPerAccept|TestConsiderAllMatchesConsider|TestDBSCANBatchSizesAgree|TestBulkGoldenDigest|TestLayoutGoldenDigest|TestNearestFirstTakesTheSmallest|TestNonFiniteCoordinatesRejected' \
+	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestRowScreenSound|TestRowLanes|TestItemLanes|FuzzEucItems|TestItemsDimensionMismatch|TestSweepRecords|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPagerUncontendedMissAllocatesNothing|TestPageRecycle|TestDecodedPageAliasesRecord|TestRebind|TestCRC32C|FuzzCRC32C|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode|TestBlockSweepMatchesLone|TestLaneSweep|FuzzLaneSweep|TestFanOut|TestResultsSliceIsSessionScratch|TestSlideAllocations|TestCompletedQueriesReleaseTheirState|TestRecycledStateIsNeverStale|TestStagedAcceptsMatchPerAccept|TestConsiderAllMatchesConsider|TestDBSCANBatchSizesAgree|TestBulkGoldenDigest|TestLayoutGoldenDigest|TestNearestFirstTakesTheSmallest|TestNonFiniteCoordinatesRejected' \
 		./internal/msq/ ./internal/query/ ./internal/store/ ./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/pmtree/ ./internal/parallel/ ./internal/explore/ .
 
 # A short fuzz of the persistent-storage decoders: corrupt page records
-# and manifests must produce errors, never panics or over-allocation. The
+# and manifests must produce errors, never panics or over-allocation; the
+# store's CRC-32C must equal hash/crc32 through every body. The
 # committed seed corpora cover the interesting boundaries; 30 seconds per
 # target explores beyond them on every check. The four kernel targets hold
 # the assembly and the portable bodies to the scalar kernel (the row
@@ -119,6 +129,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzPageDecode -fuzztime=30s ./internal/store/
 	go test -run='^$$' -fuzz=FuzzManifestDecode -fuzztime=30s ./internal/store/
 	go test -run='^$$' -fuzz=FuzzColumnarPageDecode -fuzztime=30s ./internal/store/
+	go test -run='^$$' -fuzz=FuzzCRC32C -fuzztime=30s ./internal/store/
 	go test -run='^$$' -fuzz=FuzzTableDecode -fuzztime=30s ./internal/pivot/
 	go test -run='^$$' -fuzz=FuzzServeRequest -fuzztime=30s ./internal/wire/
 
@@ -173,14 +184,15 @@ loc:
 # per query (lone, and in blocks by the portable and the AVX2 lane body), the X-tree's plan and dynamic build, every engine's build over
 # the engines_lowdim shape (ns and heap bytes per build), the sliding window of a mining
 # loop, a whole DBSCAN job (ns and heap bytes per query), a stored page's decode (in place and from caller memory, ns/page and
-# B/op) and the stored scan's page path, then the end-to-end
+# B/op), a stored read split into pread, verify, bind and the whole miss,
+# the CRC-32C's two bodies and the stored scan's page path, then the end-to-end
 # artifacts — the kernels experiment
 # (BENCH_kernels.json), the admission-control load profiles
 # (BENCH_load.json) and the page pass's layout and avoidance axes
 # (BENCH_block.json). The deterministic work counters are not here: go test
 # pins them (TestEngineWorkGolden, TestCalibrationImprovesTheModel).
 bench:
-	go test -bench='BenchmarkDistance|BenchmarkRowKernel|BenchmarkItemKernel|BenchmarkBoxKernel|BenchmarkSortRefs|BenchmarkPlan|BenchmarkSweep|BenchmarkBulk|BenchmarkBuild|BenchmarkMultiQueryAll|BenchmarkPassBodies|BenchmarkIncrementalWindow|BenchmarkDBSCAN|BenchmarkStoredScan|BenchmarkDecodePage' -benchmem -run=^$$ \
+	go test -bench='BenchmarkDistance|BenchmarkRowKernel|BenchmarkItemKernel|BenchmarkBoxKernel|BenchmarkSortRefs|BenchmarkPlan|BenchmarkSweep|BenchmarkBulk|BenchmarkBuild|BenchmarkMultiQueryAll|BenchmarkPassBodies|BenchmarkIncrementalWindow|BenchmarkDBSCAN|BenchmarkStoredScan|BenchmarkDecodePage|BenchmarkFileDiskRead|BenchmarkCRC32C' -benchmem -run=^$$ \
 		./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/engines/ ./internal/msq/ ./internal/explore/ ./internal/store/
 	go run ./cmd/msqbench -experiment kernels
 	go run ./cmd/msqbench -experiment load

@@ -62,7 +62,7 @@ func ColumnizePage(p *Page, spec ColumnSpec) error {
 		p.Items[i].Vec = row
 	}
 	p.cols = vec.Block{Dim: dim, N: len(p.Items), F64: p.slab}
-	p.Cols = &p.cols
+	p.Cols, p.hdrs = &p.cols, 0
 	return nil
 }
 

@@ -183,10 +183,11 @@ func (d *FileDisk) Read(pid PageID) (*Page, error) {
 }
 
 // fetch reads, verifies and decodes one page record into a page from the
-// free list, or a fresh one. A pread lands in the page's own record buffer
-// and is decoded where it lies; a mapped record is checked in the mapping
-// and then copied into the buffer (mapped offsets are not 8-aligned, and the
-// page must outlive Close). The CRC-32C is computed once and held against
+// free list, or a fresh one. The record lands in the page's own record
+// buffer — by pread, or copied out of the mapping (mapped offsets are not
+// 8-aligned, and the page must outlive Close) — and is verified and decoded
+// where it lies, so the bytes served are the bytes checked even if the file
+// changes under the mapping. The CRC-32C is computed once and held against
 // both the record's trailer and the manifest, and the items are bound only
 // after every check has passed. A page that fails any check is dropped —
 // not served, not returned to the free list.
@@ -199,11 +200,10 @@ func (d *FileDisk) fetch(pid PageID) (*Page, error) {
 		page = new(Page)
 	}
 	recycled := page.home != nil
-	var rec []byte
+	rec := page.record(int(e.Length))
 	if d.data != nil {
-		rec = d.data[e.Offset : e.Offset+e.Length]
+		copy(rec, d.data[e.Offset:e.Offset+e.Length])
 	} else {
-		rec = page.record(int(e.Length))
 		if _, err := d.f.ReadAt(rec, e.Offset); err != nil {
 			return nil, fmt.Errorf("store: pread page %d: %w", pid, err)
 		}

@@ -136,8 +136,22 @@ var (
 	ErrNoDataset = errors.New("store: no dataset manifest")
 )
 
-// castagnoli is the CRC-32C table (hardware-accelerated on amd64/arm64).
+// castagnoli is the CRC-32C table: the definition of crc32c and its
+// portable body.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// crc32c returns crc32.Update(crc, castagnoli, p), the one CRC-32C of the
+// store's reads and writes. Where the CPU folds carry-less products on ZMM
+// registers (haveFold), the whole 256-byte blocks of p go through the fold,
+// about four times hash/crc32's rate; the tail, and every other build,
+// through hash/crc32.
+func crc32c(crc uint32, p []byte) uint32 {
+	if n := len(p) &^ 255; n > 0 && haveFold {
+		crc = ^crc32cFold(^crc, p[:n], &foldConsts)
+		p = p[n:]
+	}
+	return crc32.Update(crc, castagnoli, p)
+}
 
 // PageEntry is the manifest's record of one page in the page file.
 type PageEntry struct {
@@ -270,7 +284,7 @@ func EncodePage(p *Page, dim int) ([]byte, error) {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c))
 		}
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32c(0, buf))
 	return buf, nil
 }
 
@@ -352,7 +366,7 @@ func checkRecord(data []byte) (checkedRecord, error) {
 		return r, fmt.Errorf("%w: record is %d bytes, header implies %d", ErrCorruptPage, len(data), want)
 	}
 	body := data[:len(data)-pageTrailerLen]
-	r.sum = crc32.Checksum(body, castagnoli)
+	r.sum = crc32c(0, body)
 	if claimed := binary.LittleEndian.Uint32(data[len(body):]); r.sum != claimed {
 		return r, fmt.Errorf("%w: checksum %#08x, record claims %#08x", ErrCorruptPage, r.sum, claimed)
 	}
@@ -365,22 +379,28 @@ func checkRecord(data []byte) (checkedRecord, error) {
 var bigEndian = binary.NativeEndian.Uint16([]byte{0, 1}) == 1
 
 // bind makes p the page of data, a record checkRecord accepted as r. Unless
-// data already is p's record buffer (a pread landed there), it is copied in
-// whole; either way every Items[i].Vec then points at item i's coordinates
-// inside that buffer, cap == len, and p.Items is reused when large enough,
-// so binding a recycled page allocates nothing. swap (a big-endian host)
-// byte-reverses the coordinate words in place first: the record has passed
-// its checksum, and they are read only through the vectors from here on.
+// data already is p's record buffer (where FileDisk reads a record), it is
+// copied in whole (DecodePage); either way every Items[i].Vec then points at
+// item i's coordinates inside that buffer, cap == len, and p.Items is reused
+// when large enough, so binding a recycled page allocates nothing. A
+// recycled page whose vectors already point there — the same buffer, dim and
+// header, see hdrs — keeps them: a rebind writes only IDs and labels. swap
+// (a big-endian host) byte-reverses the coordinate words in place first: the
+// record has passed its checksum, and they are read only through the vectors
+// from here on.
 func (p *Page) bind(data []byte, r checkedRecord, swap bool) {
 	rec := p.record(len(data))
 	if unsafe.SliceData(rec) != unsafe.SliceData(data) {
 		copy(rec, data)
 	}
 	if p.Items == nil || cap(p.Items) < r.n {
-		p.Items = make([]Item, r.n)
+		p.Items, p.hdrs = make([]Item, r.n), 0
+	}
+	if r.dim != p.hdrDim || r.header != p.hdrLen {
+		p.hdrs, p.hdrDim, p.hdrLen = 0, r.dim, r.header
 	}
 	p.ID, p.Items, p.Cols = r.id, p.Items[:r.n], nil
-	stride, item := itemFixedLen+8*r.dim, rec[r.header:]
+	stride, item, kept := itemFixedLen+8*r.dim, rec[r.header:], p.hdrs
 	for i := range p.Items {
 		it := &p.Items[i]
 		it.ID = ItemID(binary.LittleEndian.Uint64(item))
@@ -389,9 +409,12 @@ func (p *Page) bind(data []byte, r checkedRecord, swap bool) {
 		if swap {
 			reverseWords(unsafe.Slice((*uint64)(coords), r.dim))
 		}
-		it.Vec = unsafe.Slice((*float64)(coords), r.dim)
+		if i >= kept {
+			it.Vec = unsafe.Slice((*float64)(coords), r.dim)
+		}
 		item = item[stride:]
 	}
+	p.hdrs = max(kept, r.n)
 }
 
 // reverseWords byte-reverses every word of w.
@@ -402,11 +425,12 @@ func reverseWords(w []uint64) {
 }
 
 // record returns the page's record buffer as n bytes, replacing it when n
-// does not fit. It is a []uint64 underneath, so its start — and with it
-// every coordinate of a record read into it — is 8-aligned by type.
+// does not fit (the vectors bind kept then point at the old one). It is a
+// []uint64 underneath, so its start — and with it every coordinate of a
+// record read into it — is 8-aligned by type.
 func (p *Page) record(n int) []byte {
 	if words := (n + 7) / 8; len(p.rec) < words {
-		p.rec = make([]uint64, words)
+		p.rec, p.hdrs = make([]uint64, words), 0
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(p.rec))), n)
 }

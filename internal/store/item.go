@@ -64,6 +64,12 @@ type Page struct {
 	rec  []uint64     // the record a decoded page was read into; its vectors point here
 	slab []float64    // ColumnizePage's item-major copy of the coordinates, kept across reads
 	cols vec.Block    // what Cols points at: the slab as a block
+
+	// hdrs counts the leading entries of Items' backing array whose vectors
+	// are the headers bind writes for a record in rec of dimension hdrDim
+	// after a header of hdrLen bytes: a rebind of that shape writes only
+	// their IDs and labels. Whatever repoints a vector resets it.
+	hdrs, hdrDim, hdrLen int
 }
 
 // pin adds n holders. Only a holder may call it (the buffer for a reader

@@ -19,7 +19,7 @@ func init() { poisonRecycled = true }
 
 // openStored writes n items of the given shape as a stored dataset and
 // opens it, returning the disk and the in-memory pages it was written from.
-func openStored(t *testing.T, n, dim, capacity int, columnar bool) (*FileDisk, []*Page) {
+func openStored(t testing.TB, n, dim, capacity int, columnar bool) (*FileDisk, []*Page) {
 	t.Helper()
 	dir := t.TempDir()
 	pages, err := Paginate(testItems(n, dim), capacity)
@@ -38,7 +38,7 @@ func openStored(t *testing.T, n, dim, capacity int, columnar bool) (*FileDisk, [
 	return fd, pages
 }
 
-func storedPager(t *testing.T, src PageSource, capacity int) *Pager {
+func storedPager(t testing.TB, src PageSource, capacity int) *Pager {
 	t.Helper()
 	buf, err := NewBuffer(capacity)
 	if err != nil {

@@ -130,6 +130,12 @@ var bestRowBody = func() rowBody {
 // its own (the VA-file's lane sweep).
 func HaveAVX2() bool { return haveAVX2 }
 
+// HaveAVX512CLMUL reports whether the build and the CPU run carry-less
+// multiplies on ZMM registers (AVX512F, AVX512VL, VPCLMULQDQ and SSE4.2,
+// the operating system saving the ZMM state). No kernel here uses it: it is
+// exported for the store's CRC-32C fold, so the tree keeps one CPUID probe.
+func HaveAVX512CLMUL() bool { return haveCLMUL512 }
+
 // ISA names the instruction set r sweeps with: "avx512" or "avx2" for a
 // screen body, "go" for the portable Euclidean body (another architecture,
 // a -tags purego build, a CPU without AVX2 and FMA or an operating system

@@ -11,22 +11,26 @@ import "unsafe"
 // reports the same for the AVX-512 screen: AVX512F for the ZMM arithmetic,
 // fused multiply-adds and compares, AVX512DQ for KMOVB, and XCR0 enabling
 // the opmask and both halves of the ZMM state as well (bits 5, 6 and 7).
-var haveAVX2, haveFMA, haveAVX512 = func() (bool, bool, bool) {
+// haveCLMUL512 is the ZMM state with AVX512F, AVX512VL for the EVEX forms
+// on X and Y registers, VPCLMULQDQ and SSE4.2's CRC32: no body here uses
+// it (see HaveAVX512CLMUL).
+var haveAVX2, haveFMA, haveAVX512, haveCLMUL512 = func() (bool, bool, bool, bool) {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
-		return false, false, false
+		return false, false, false, false
 	}
-	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
+	const fma, sse42, osxsave, avx = 1 << 12, 1 << 20, 1 << 27, 1 << 28
 	_, _, c, _ := cpuid(1, 0)
 	if c&osxsave == 0 || c&avx == 0 {
-		return false, false, false
+		return false, false, false, false
 	}
 	xcr0, _ := xgetbv()
-	_, b, _, _ := cpuid(7, 0)
-	const avx2, avx512f, avx512dq = 1 << 5, 1 << 16, 1 << 17
+	_, b, c7, _ := cpuid(7, 0)
+	const avx2, avx512f, avx512dq, avx512vl, vpclmulqdq = 1 << 5, 1 << 16, 1 << 17, 1 << 31, 1 << 10
 	ymm := xcr0&0x06 == 0x06
-	zmm := xcr0&0xe6 == 0xe6
-	return ymm && b&avx2 != 0, ymm && c&fma != 0, zmm && b&avx512f != 0 && b&avx512dq != 0
+	zmm := xcr0&0xe6 == 0xe6 && b&avx512f != 0
+	return ymm && b&avx2 != 0, ymm && c&fma != 0, zmm && b&avx512dq != 0,
+		zmm && b&avx512vl != 0 && c7&vpclmulqdq != 0 && c&sse42 != 0
 }()
 
 // eucCentreAVX2 writes the first len(nx) rows, whole groups of screenItems

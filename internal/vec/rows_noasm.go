@@ -5,7 +5,7 @@ package vec
 import "unsafe"
 
 // Off amd64, and under -tags purego, the portable sweeps are the only ones.
-const haveAVX2, haveFMA, haveAVX512 = false, false, false
+const haveAVX2, haveFMA, haveAVX512, haveCLMUL512 = false, false, false, false
 
 func eucCentreAVX2(rows []Vector, centre, x, nx []float64) {
 	panic("vec: no assembly row screen in this build")
