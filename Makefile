@@ -186,15 +186,12 @@ loc:
 # loop, a whole DBSCAN job (ns and heap bytes per query), a stored page's decode (in place and from caller memory, ns/page and
 # B/op), a stored read split into pread, verify, bind and the whole miss,
 # the CRC-32C's two bodies and the stored scan's page path, then the end-to-end
-# artifacts — the kernels experiment
-# (BENCH_kernels.json), the admission-control load profiles
-# (BENCH_load.json) and the page pass's layout and avoidance axes
-# (BENCH_block.json). The deterministic work counters are not here: go test
-# pins them (TestEngineWorkGolden, TestCalibrationImprovesTheModel).
+# artifacts — the admission-control load profiles (BENCH_load.json) and the
+# page pass's layout and avoidance axes (BENCH_block.json). The deterministic
+# work counters are not here: go test pins them (TestEngineWorkGolden).
 bench:
 	go test -bench='BenchmarkDistance|BenchmarkRowKernel|BenchmarkItemKernel|BenchmarkBoxKernel|BenchmarkSortRefs|BenchmarkPlan|BenchmarkSweep|BenchmarkBulk|BenchmarkBuild|BenchmarkMultiQueryAll|BenchmarkPassBodies|BenchmarkIncrementalWindow|BenchmarkDBSCAN|BenchmarkStoredScan|BenchmarkDecodePage|BenchmarkFileDiskRead|BenchmarkCRC32C' -benchmem -run=^$$ \
 		./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/engines/ ./internal/msq/ ./internal/explore/ ./internal/store/
-	go run ./cmd/msqbench -experiment kernels
 	go run ./cmd/msqbench -experiment load
 	go run ./cmd/msqbench -experiment block
 

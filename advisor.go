@@ -3,17 +3,11 @@ package metricdb
 import (
 	"fmt"
 
-	"metricdb/internal/cost"
 	"metricdb/internal/dataset"
-	"metricdb/internal/query"
+	"metricdb/internal/store"
 )
 
-// Candidate is one engine's predicted cost for a concrete batch: counted
-// work (pages, distance calculations) and its priced I/O/CPU split.
-type Candidate = cost.EngineEstimate
-
-// Advice is the result of analyzing a dataset — and optionally a batch —
-// for physical design.
+// Advice is the result of analyzing a dataset for physical design.
 type Advice struct {
 	// IntrinsicDim is the estimated intrinsic dimensionality of the data
 	// (Levina–Bickel MLE); real feature data usually has a much lower
@@ -30,15 +24,6 @@ type Advice struct {
 	// recommendation then rests on a fallback; callers that log should
 	// surface it rather than drop it.
 	Warning string `json:"warning,omitempty"`
-	// Candidates holds every engine's predicted batch cost, cheapest
-	// first, when the advice was computed for a concrete batch
-	// (AdviseBatch); nil for dataset-only advice.
-	Candidates []Candidate `json:"candidates,omitempty"`
-	// Calibrated holds the same candidates after the database's
-	// calibration recorder applied its learned per-engine correction
-	// factors, re-ranked by corrected total. Present only on DB.AdviseBatch
-	// with calibration enabled and at least one recorded sample.
-	Calibrated []Candidate `json:"calibrated,omitempty"`
 }
 
 // Advise estimates the dataset's intrinsic dimensionality and recommends a
@@ -53,6 +38,9 @@ type Advice struct {
 // the failure is reported in Advice.Warning.
 func Advise(items []Item, seed int64) (Advice, error) {
 	if _, err := validateItems(items); err != nil {
+		return Advice{}, err
+	}
+	if err := store.CheckFinite(items); err != nil {
 		return Advice{}, err
 	}
 	a := Advice{AmbientDim: items[0].Vec.Dim()}
@@ -78,153 +66,4 @@ func Advise(items []Item, seed int64) (Advice, error) {
 		a.Reason = fmt.Sprintf("estimated intrinsic dimensionality %.1f leaves no index selectivity; sequential scan with multiple similarity queries wins", est)
 	}
 	return a, nil
-}
-
-// advisorSampleItems bounds the distance sampling AdviseBatch performs to
-// measure range-query selectivity.
-const advisorSampleItems = 256
-
-// AdviseBatch recommends an engine for a concrete batch: the dataset's
-// intrinsic dimensionality AND the batch's shape (how many queries, their
-// cardinalities and radii, the metric) are priced through the cost model of
-// internal/cost, and every registered engine's predicted cost is returned
-// in Advice.Candidates, cheapest first. This is the per-batch counterpart
-// of Advise: a dataset whose intrinsics favor a tree can still be served
-// cheaper by the scan when the batch is large (the shared sweep amortizes
-// m-fold), and by the pivot table in between.
-//
-// The prediction uses the paper-testbed cost constants at the dataset's
-// dimensionality, a seeded bounded sample for measurements, and no
-// randomness — the same inputs always produce the same advice.
-func AdviseBatch(items []Item, queries []Query, opts Options, seed int64) (Advice, error) {
-	dim, err := validateItems(items)
-	if err != nil {
-		return Advice{}, err
-	}
-	if len(queries) == 0 {
-		return Advice{}, fmt.Errorf("metricdb: empty batch")
-	}
-	for i := range queries {
-		if err := queries[i].Type.Validate(); err != nil {
-			return Advice{}, fmt.Errorf("metricdb: batch query %d: %w", i, err)
-		}
-	}
-	if err := opts.Validate(); err != nil {
-		return Advice{}, err
-	}
-	opts, _ = opts.withDefaults(dim, len(items))
-
-	a := Advice{AmbientDim: dim}
-	intrinsic, err := dataset.EstimateIntrinsicDimension(items, 100, 10, seed)
-	if err != nil {
-		// Price with the ambient dimension and say so: degenerate data
-		// usually means the scan wins anyway, and the caller deserves to
-		// know the estimate is a fallback.
-		a.Warning = fmt.Sprintf("intrinsic-dimension estimate failed: %v; pricing with ambient dimension %d", err, dim)
-		intrinsic = float64(dim)
-	}
-	a.IntrinsicDim = intrinsic
-
-	shape := batchShape(items, queries, opts, intrinsic)
-	cands, err := cost.PaperModel(dim).EstimateBatch(shape)
-	if err != nil {
-		return Advice{}, fmt.Errorf("metricdb: %w", err)
-	}
-	a.Candidates = cands
-	a.Engine = EngineKind(cands[0].Engine)
-	a.Reason = fmt.Sprintf("cheapest predicted cost for %d queries at intrinsic dimensionality %.1f (%v vs %v runner-up)",
-		len(queries), intrinsic, cands[0].Total, cands[1].Total)
-	return a, nil
-}
-
-// batchShape assembles the cost model's input for one batch: its width,
-// the dataset's size/paging, the intrinsic-dimension estimate, and the
-// batch's measured or modeled selectivity. The calibration recorder uses
-// the same helper, so recorded predictions are the predictions AdviseBatch
-// would have served.
-func batchShape(items []Item, queries []Query, opts Options, intrinsic float64) cost.BatchShape {
-	shape := cost.BatchShape{
-		Queries:      len(queries),
-		Items:        len(items),
-		PageCapacity: opts.PageCapacity,
-		IntrinsicDim: intrinsic,
-		MeanK:        batchMeanK(queries, len(items)),
-		Selectivity:  batchRangeSelectivity(items, queries, opts.Metric),
-	}
-	if opts.Pivot != nil {
-		shape.Pivots = opts.Pivot.Pivots
-	}
-	return shape
-}
-
-// AdviseBatch prices this database's own items, metric, and page capacity
-// against the batch. See the package-level AdviseBatch. When the database
-// was opened with Options.Calibrate and has recorded at least one batch,
-// the advice additionally carries the calibrated ranking in
-// Advice.Calibrated.
-func (db *DB) AdviseBatch(queries []Query, seed int64) (Advice, error) {
-	a, err := AdviseBatch(db.items, queries, db.opts, seed)
-	if err != nil {
-		return a, err
-	}
-	if db.calib != nil && db.calib.rec.Samples() > 0 {
-		a.Calibrated = db.calib.rec.Calibrate(a.Candidates)
-	}
-	return a, nil
-}
-
-// batchMeanK returns the mean answer cardinality of the batch's bounded
-// queries, defaulting to 1 when the batch is all range queries (their
-// cardinality is unbounded; selectivity sampling covers them instead).
-func batchMeanK(queries []Query, n int) float64 {
-	var sum, cnt float64
-	for i := range queries {
-		t := queries[i].Type
-		if t.Bounded() && t.Cardinality > 0 {
-			k := t.Cardinality
-			if k > n {
-				k = n
-			}
-			sum += float64(k)
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return 1
-	}
-	return sum / cnt
-}
-
-// batchRangeSelectivity measures the mean fraction of items a range query
-// captures, from real distances on a bounded deterministic sample (every
-// stride-th item, every query). It returns 0 — "not measured, use the
-// model" — when the batch has no pure range queries.
-func batchRangeSelectivity(items []Item, queries []Query, metric Metric) float64 {
-	stride := (len(items) + advisorSampleItems - 1) / advisorSampleItems
-	if stride < 1 {
-		stride = 1
-	}
-	var sum float64
-	var ranges int
-	for qi := range queries {
-		t := queries[qi].Type
-		if t.Kind != query.Range {
-			continue
-		}
-		ranges++
-		within, sampled := 0, 0
-		for i := 0; i < len(items); i += stride {
-			sampled++
-			if metric.Distance(queries[qi].Vec, items[i].Vec) <= t.Range {
-				within++
-			}
-		}
-		if sampled > 0 {
-			sum += float64(within) / float64(sampled)
-		}
-	}
-	if ranges == 0 {
-		return 0
-	}
-	return sum / float64(ranges)
 }

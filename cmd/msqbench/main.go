@@ -4,20 +4,14 @@
 //
 // Usage:
 //
-//	msqbench [-experiment all|micro|fig7|fig8|fig9|fig10|fig11|fig12|chaos|kernels|block|load]
+//	msqbench [-experiment all|micro|fig7|fig8|fig9|fig10|fig11|fig12|chaos|block|load]
 //	         [-scale small|medium|paper] [-csv dir] [-measure]
-//	         [-kernels-out BENCH_kernels.json]
 //	         [-block-out BENCH_block.json]
 //	         [-load-out BENCH_load.json]
 //
 // The chaos experiment is not a paper figure: it declusters each workload
 // over 4 servers, injects disk faults into 0..3 of them, and reports the
 // degraded-mode coverage and recall of the surviving cluster.
-//
-// The kernels experiment microbenchmarks the bounded distance kernels:
-// full Distance against early-abandoning DistanceWithin per metric, vector
-// dimensionality and abandon rate, writing the ns/op table to -kernels-out
-// as JSON.
 //
 // The block experiment measures the columnar (SoA) page layout end to
 // end: page-pass throughput of one m-query batch on the scan engine across
@@ -40,8 +34,7 @@
 // No experiment here judges the deterministic work counters: go test pins
 // them byte for byte next to the code (TestEngineWorkGolden in
 // internal/engines for every engine's distance calculations and page
-// reads, TestCalibrationImprovesTheModel in the root package for the
-// calibrated cost model's error), and bench/ is what judges time.
+// reads), and bench/ is what judges time.
 package main
 
 import (
@@ -60,22 +53,21 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "experiment to run: all, micro, fig7..fig12, chaos, kernels, block, load")
+		experiment = flag.String("experiment", "all", "experiment to run: all, micro, fig7..fig12, chaos, block, load")
 		scaleName  = flag.String("scale", "small", "dataset scale: small, medium or paper")
 		csvDir     = flag.String("csv", "", "also write each figure as CSV into this directory")
 		measure    = flag.Bool("measure", false, "calibrate the cost model on this host instead of nominal 1999 constants")
-		kernelsOut = flag.String("kernels-out", "BENCH_kernels.json", "output file for the kernels experiment's JSON results")
 		blockOut   = flag.String("block-out", "BENCH_block.json", "output file for the block experiment's JSON results")
 		loadOut    = flag.String("load-out", "BENCH_load.json", "output file for the load experiment's JSON results")
 	)
 	flag.Parse()
-	if err := run(*experiment, *scaleName, *csvDir, *measure, *kernelsOut, *blockOut, *loadOut); err != nil {
+	if err := run(*experiment, *scaleName, *csvDir, *measure, *blockOut, *loadOut); err != nil {
 		fmt.Fprintln(os.Stderr, "msqbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(experiment, scaleName, csvDir string, measure bool, kernelsOut, blockOut, loadOut string) error {
+func run(experiment, scaleName, csvDir string, measure bool, blockOut, loadOut string) error {
 	sc, err := experiments.ScaleByName(scaleName)
 	if err != nil {
 		return err
@@ -89,7 +81,7 @@ func run(experiment, scaleName, csvDir string, measure bool, kernelsOut, blockOu
 	want := func(name string) bool { return experiment == "all" || experiment == name }
 	valid := map[string]bool{"all": true, "micro": true, "fig7": true, "fig8": true,
 		"fig9": true, "fig10": true, "fig11": true, "fig12": true, "chaos": true,
-		"kernels": true, "block": true, "load": true}
+		"block": true, "load": true}
 	if !valid[experiment] {
 		return fmt.Errorf("unknown experiment %q", experiment)
 	}
@@ -120,20 +112,6 @@ func run(experiment, scaleName, csvDir string, measure bool, kernelsOut, blockOu
 		if err := emit(experiments.MicroFigure([]int{20, 64})); err != nil {
 			return err
 		}
-	}
-
-	if want("kernels") {
-		sweep, err := experiments.RunKernels([]int{4, 16, 64}, []float64{0, 0.5, 0.95}, 512)
-		if err != nil {
-			return err
-		}
-		if err := emit(sweep.Figure()); err != nil {
-			return err
-		}
-		if err := experiments.WriteKernelsJSONFile(kernelsOut, sweep); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", kernelsOut)
 	}
 
 	if want("block") {

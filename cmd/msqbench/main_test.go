@@ -21,10 +21,10 @@ func TestSlug(t *testing.T) {
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run("fig99", "small", "", false, "kernels.json", "block.json", "load.json"); err == nil {
+	if err := run("fig99", "small", "", false, "block.json", "load.json"); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	if err := run("all", "galactic", "", false, "kernels.json", "block.json", "load.json"); err == nil {
+	if err := run("all", "galactic", "", false, "block.json", "load.json"); err == nil {
 		t.Error("unknown scale accepted")
 	}
 }
@@ -45,7 +45,7 @@ func TestRunMicroWritesCSV(t *testing.T) {
 		devnull.Close()
 	}()
 
-	if err := run("micro", "small", dir, false, "kernels.json", "block.json", "load.json"); err != nil {
+	if err := run("micro", "small", dir, false, "block.json", "load.json"); err != nil {
 		t.Fatal(err)
 	}
 	entries, err := os.ReadDir(dir)

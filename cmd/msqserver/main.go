@@ -12,7 +12,7 @@
 //	          [-read-timeout 0] [-write-timeout 10s] [-drain 5s]
 //	          [-admin 127.0.0.1:7708] [-slow-query 100ms]
 //	          [-admit] [-admit-queue 256] [-admit-max-width 16]
-//	          [-admit-max-wait 2ms] [-admit-slo 1s] [-calibrate]
+//	          [-admit-max-wait 2ms] [-admit-slo 1s]
 //
 // Request/response format (one JSON object per line):
 //
@@ -45,25 +45,12 @@
 // GET /metrics (Prometheus text: per-phase latency histograms, buffer and
 // disk gauges, wire counters), GET /debug/traces (recent phase spans as
 // JSONL), GET /debug/slow (the slow-query log, threshold -slow-query),
-// GET /debug/advise (per-batch engine advice: ?m=8&k=10[&range=r][&seed=1];
-// the response always carries a "warning" field — empty when the estimator
-// ran cleanly, the fallback explanation otherwise — so a degraded ranking
-// is never served silently) and /debug/pprof/*. When -admin is empty no
-// tracer is installed and the query path runs with observability hooks
-// disabled (the near-zero overhead configuration).
-//
-// -calibrate attaches the advisor calibration loop: every completed batch
-// is scored against the cost model's prediction for the active engine,
-// /metrics exports the metricdb_advisor_* gauges (prediction error, learned
-// correction factors, fitted unit constants), /debug/advise?calibrated=1
-// additionally returns the raw-vs-calibrated rankings with the recent
-// residual history, and — combined with -admit — the admission release
-// gate consults the calibrated model's width-m pricing once it has enough
-// samples.
+// POST /debug/explain (a batch's EXPLAIN profile) and /debug/pprof/*. When
+// -admin is empty no tracer is installed and the query path runs with
+// observability hooks disabled (the near-zero overhead configuration).
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -72,7 +59,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -108,8 +94,6 @@ func main() {
 		admitMaxWidth = flag.Int("admit-max-width", admit.DefaultMaxWidth, "maximum formed batch width m")
 		admitMaxWait  = flag.Duration("admit-max-wait", admit.DefaultMaxWait, "maximum linger waiting for arrivals to widen a batch")
 		admitSLO      = flag.Duration("admit-slo", admit.DefaultDefaultSLO, "deadline budget for requests that carry no deadline_ms")
-
-		calibrate = flag.Bool("calibrate", false, "record predicted-vs-observed batch costs, export metricdb_advisor_* gauges, and let -admit consult the calibrated pricing")
 	)
 	flag.Parse()
 	cfg := wire.ServerConfig{
@@ -127,14 +111,14 @@ func main() {
 			DefaultSLO: *admitSLO,
 		}
 	}
-	if err := run(*addr, *dataFile, *mmap, *n, *dim, *engine, *layout, *calibrate, cfg, *drain, *adminAddr, *slowQuery, *node); err != nil {
+	if err := run(*addr, *dataFile, *mmap, *n, *dim, *engine, *layout, cfg, *drain, *adminAddr, *slowQuery, *node); err != nil {
 		fmt.Fprintln(os.Stderr, "msqserver:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, dataFile string, mmap bool, n, dim int, engine, layout string, calibrate bool, cfg wire.ServerConfig, drain time.Duration, adminAddr string, slowQuery time.Duration, node string) error {
-	src := dataSource{mmap: mmap, layout: layout, calibrate: calibrate}
+func run(addr, dataFile string, mmap bool, n, dim int, engine, layout string, cfg wire.ServerConfig, drain time.Duration, adminAddr string, slowQuery time.Duration, node string) error {
+	src := dataSource{mmap: mmap, layout: layout}
 	if dataFile != "" {
 		src.dir = dataFile
 	} else {
@@ -211,11 +195,10 @@ type adminListener struct {
 // dataSource selects where the served database lives: in-memory items, or
 // a persistent dataset directory read through a file-backed page store.
 type dataSource struct {
-	items     []metricdb.Item
-	dir       string
-	mmap      bool
-	layout    string
-	calibrate bool
+	items  []metricdb.Item
+	dir    string
+	mmap   bool
+	layout string
 }
 
 // serve builds the database and binds the listeners (separated for tests).
@@ -223,7 +206,7 @@ type dataSource struct {
 // and the returned adminListener serves the observability endpoints. The
 // caller owns the returned DB and must Close it after shutdown.
 func serve(addr string, src dataSource, engine string, cfg wire.ServerConfig, adminAddr string, slowQuery time.Duration, node string) (*metricdb.DB, *wire.Server, net.Listener, *adminListener, error) {
-	opts := metricdb.Options{Engine: metricdb.EngineKind(engine), Mmap: src.mmap, Layout: src.layout, Calibrate: src.calibrate}
+	opts := metricdb.Options{Engine: metricdb.EngineKind(engine), Mmap: src.mmap, Layout: src.layout}
 	if err := opts.Validate(); err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -246,13 +229,6 @@ func serve(addr string, src dataSource, engine string, cfg wire.ServerConfig, ad
 		tracer = obs.New(obs.Config{SlowQueryThreshold: slowQuery, Node: node})
 		proc = proc.WithTracer(tracer) // also installs the pager's page_fetch hook
 		cfg.Tracer = tracer
-	}
-	if src.calibrate && cfg.Admit != nil {
-		// Close the loop: the admission release gate consults the calibrated
-		// model's width-m pricing (silent until the recorder has evidence),
-		// and every admitted block feeds an observation back.
-		cfg.Admit.PredictBlock = db.PredictBlock
-		cfg.Admit.BlockObserver = db.ObserveBlock
 	}
 	srv, err := wire.NewServerWithConfig(proc, cfg)
 	if err != nil {
@@ -278,7 +254,6 @@ func serve(addr string, src dataSource, engine string, cfg wire.ServerConfig, ad
 			srv: &http.Server{
 				Handler: obs.AdminHandler(reg,
 					obs.Endpoint{Pattern: "/debug/explain", Handler: srv.ExplainHandler()},
-					obs.Endpoint{Pattern: "/debug/advise", Handler: adviseHandler(db)},
 				),
 				ReadHeaderTimeout: 5 * time.Second,
 			},
@@ -286,100 +261,6 @@ func serve(addr string, src dataSource, engine string, cfg wire.ServerConfig, ad
 		}
 	}
 	return db, srv, lis, admin, nil
-}
-
-// adviseResponse wraps Advice for the admin endpoint. The outer Warning
-// shadows the embedded omitempty field so the "warning" key is always
-// present in the JSON: an empty string is the explicit healthy signal, and
-// a fallback explanation can never be mistaken for a clean run by a client
-// that only checks key presence.
-type adviseResponse struct {
-	metricdb.Advice
-	Warning     string                     `json:"warning"`
-	Calibration *metricdb.CalibrationStats `json:"calibration,omitempty"`
-}
-
-// adviseHandler serves GET /debug/advise: it prices every engine for a
-// synthetic batch shaped by the query parameters (m = batch width, k = kNN
-// cardinality, range = radius turning the batch into range queries, seed)
-// against the live dataset, and returns the per-batch Advice as JSON —
-// recommended engine, reason, intrinsic dimensionality, the predicted cost
-// of every candidate engine, and (with -calibrate) the calibrated ranking.
-// ?calibrated=1 additionally attaches the recorder snapshot with the recent
-// residual history; it is a 400 when the server runs without -calibrate.
-func adviseHandler(db *metricdb.DB) http.HandlerFunc {
-	intParam := func(r *http.Request, name string, def int) (int, error) {
-		s := r.URL.Query().Get(name)
-		if s == "" {
-			return def, nil
-		}
-		return strconv.Atoi(s)
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		m, err := intParam(r, "m", 8)
-		if err == nil && m < 1 {
-			err = fmt.Errorf("m must be >= 1")
-		}
-		k, kerr := intParam(r, "k", 10)
-		if err == nil {
-			err = kerr
-		}
-		if err == nil && k < 1 {
-			err = fmt.Errorf("k must be >= 1")
-		}
-		seed, serr := intParam(r, "seed", 1)
-		if err == nil {
-			err = serr
-		}
-		qt := metricdb.KNNQuery(k)
-		if s := r.URL.Query().Get("range"); err == nil && s != "" {
-			radius, perr := strconv.ParseFloat(s, 64)
-			if perr != nil || radius < 0 {
-				err = fmt.Errorf("bad range %q", s)
-			} else {
-				qt = metricdb.RangeQuery(radius)
-			}
-		}
-		wantCalib := false
-		if s := r.URL.Query().Get("calibrated"); err == nil && s != "" {
-			wantCalib, err = strconv.ParseBool(s)
-			if err != nil {
-				err = fmt.Errorf("bad calibrated %q", s)
-			} else if wantCalib && db.Calibration() == nil {
-				err = fmt.Errorf("calibration is not enabled (run msqserver with -calibrate)")
-			}
-		}
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-
-		// Query points are dataset items at a deterministic stride, so the
-		// batch is representative of the data and the advice reproducible.
-		items := db.Items()
-		stride := len(items) / m
-		if stride < 1 {
-			stride = 1
-		}
-		batch := make([]metricdb.Query, m)
-		for i := range batch {
-			batch[i] = metricdb.Query{ID: uint64(i), Vec: items[(i*stride)%len(items)].Vec, Type: qt}
-		}
-		advice, err := db.AdviseBatch(batch, int64(seed))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		resp := adviseResponse{Advice: advice, Warning: advice.Warning}
-		if wantCalib {
-			snap := db.Calibration().Snapshot(32)
-			resp.Calibration = &snap
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(resp) //nolint:errcheck // best effort on a live conn
-	}
 }
 
 // newRegistry registers gauges and counters over the live database, buffer
@@ -433,35 +314,6 @@ func newRegistry(tracer *obs.Tracer, db *metricdb.DB, srv *wire.Server, engine s
 		func() float64 { return float64(db.ProcessorStats().PartialAbandoned) })
 	reg.Counter("metricdb_distance_pivot_total", engLabel, "Distance calculations spent on pivot-table filtering (a partition of the distance budget).",
 		func() float64 { return float64(db.ProcessorStats().PivotDistCalcs) })
-
-	if rec := db.Calibration(); rec != nil {
-		eng := engine
-		for _, counter := range []string{"dist_calcs", "pages_read"} {
-			counter := counter
-			reg.Gauge("metricdb_advisor_abs_pct_error",
-				fmt.Sprintf("engine=%q,counter=%q,model=%q", eng, counter, "raw"),
-				"EWMA absolute relative prediction error of the cost model, per counter; model=raw is the uncorrected paper model, model=calibrated the leave-one-out corrected one.",
-				func() float64 { return rec.AbsPctError(eng, counter, false) })
-			reg.Gauge("metricdb_advisor_abs_pct_error",
-				fmt.Sprintf("engine=%q,counter=%q,model=%q", eng, counter, "calibrated"),
-				"EWMA absolute relative prediction error of the cost model, per counter; model=raw is the uncorrected paper model, model=calibrated the leave-one-out corrected one.",
-				func() float64 { return rec.AbsPctError(eng, counter, true) })
-			reg.Gauge("metricdb_advisor_factor",
-				fmt.Sprintf("engine=%q,counter=%q", eng, counter),
-				"Learned multiplicative correction applied to the raw model's counter prediction (1 = uncorrected).",
-				func() float64 { return rec.Factor(eng, counter) })
-		}
-		for _, unit := range []string{"dist_calc", "page_read", "time_scale"} {
-			unit := unit
-			reg.Gauge("metricdb_advisor_fitted_ns",
-				fmt.Sprintf("engine=%q,unit=%q", eng, unit),
-				"Fitted unit time constants in nanoseconds (time_scale is the dimensionless wall-clock scale); 0 while unfitted.",
-				func() float64 { return rec.FittedNs(eng, unit) })
-		}
-		reg.Gauge("metricdb_advisor_samples", engLabel,
-			"Batches recorded by the advisor calibration loop.",
-			func() float64 { return float64(rec.EngineSamples(eng)) })
-	}
 
 	reg.Gauge("metricdb_wire_connections", "", "Open client connections.",
 		func() float64 { return float64(srv.ConnCount()) })

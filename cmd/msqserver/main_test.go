@@ -143,8 +143,10 @@ func TestGracefulDrain(t *testing.T) {
 }
 
 // TestAdminEndpoints serves with -admin enabled, runs a query over the
-// wire, and checks that /metrics exposes the phase histograms and wire
-// counters and that /debug/traces returns the recorded spans as JSONL.
+// wire, and checks that /metrics exposes every series an in-memory server
+// registers and that /debug/traces returns the recorded spans as JSONL.
+// It then serves with -admit and finds the admission series after several
+// queries went through the batch former.
 func TestAdminEndpoints(t *testing.T) {
 	items := dataset.Uniform(7, 400, 4)
 	db, srv, lis, admin, err := serve("127.0.0.1:0", dataSource{items: items}, "scan", wire.ServerConfig{}, "127.0.0.1:0", time.Nanosecond, "server")
@@ -169,39 +171,39 @@ func TestAdminEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	get := func(path string) string {
-		t.Helper()
-		resp, err := http.Get("http://" + admin.lis.Addr().String() + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
-	}
-
-	metrics := get("/metrics")
-	for _, want := range []string{
+	metrics := adminGet(t, admin, "/metrics")
+	requireSeries(t, metrics,
 		`metricdb_phase_duration_seconds_count{phase="kernel"}`,
-		"metricdb_wire_requests_total 1",
-		"metricdb_buffer_capacity_pages",
-		"metricdb_buffer_evictions_total",
-		`metricdb_disk_reads_total{kind="rand"}`,
-		"metricdb_traced_queries_total 1",
 		`metricdb_phase_duration_quantile_seconds{phase="kernel",quantile="0.95"}`,
-	} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("/metrics missing %q", want)
+		"metricdb_slow_queries_total 1",
+		"metricdb_traced_queries_total 1",
+		"metricdb_dist_spans_total",
+		`metricdb_db_items{engine="scan"} 400`,
+		`metricdb_db_pages{engine="scan"}`,
+		`metricdb_disk_reads_total{kind="seq"}`,
+		`metricdb_disk_reads_total{kind="rand"}`,
+		"metricdb_buffer_hits_total",
+		"metricdb_buffer_misses_total",
+		"metricdb_buffer_evictions_total",
+		"metricdb_buffer_pages",
+		"metricdb_buffer_capacity_pages",
+		`metricdb_row_kernel{isa="`+db.ProcessorStats().RowKernel+`"} 1`,
+		"metricdb_distance_calcs_total",
+		"metricdb_distance_partial_total",
+		`metricdb_distance_pivot_total{engine="scan"} 0`,
+		"metricdb_wire_connections 1",
+		"metricdb_wire_requests_total 1",
+		"metricdb_wire_bad_requests_total 0",
+		"metricdb_wire_engine_errors_total 0",
+		"metricdb_wire_refused_total 0",
+	)
+	for _, gone := range []string{"metricdb_advisor_", "metricdb_trace_spans_total", "metricdb_admit_", "metricdb_storage_"} {
+		if strings.Contains(metrics, gone) {
+			t.Errorf("/metrics of an in-memory server without -admit serves %s*", gone)
 		}
 	}
 
-	traces := get("/debug/traces")
+	traces := adminGet(t, admin, "/debug/traces")
 	if !strings.Contains(traces, `"phase":"kernel"`) {
 		t.Errorf("/debug/traces has no kernel span: %.200s", traces)
 	}
@@ -210,7 +212,7 @@ func TestAdminEndpoints(t *testing.T) {
 		t.Errorf("/debug/traces first line is not JSON: %v", err)
 	}
 
-	slow := get("/debug/slow")
+	slow := adminGet(t, admin, "/debug/slow")
 	if !strings.Contains(slow, `"op": "single"`) {
 		t.Errorf("/debug/slow missing the query at 1ns threshold: %.200s", slow)
 	}
@@ -234,147 +236,77 @@ func TestAdminEndpoints(t *testing.T) {
 		t.Errorf("/debug/explain has no profile: %.200s", explain)
 	}
 
-	// /debug/advise prices a synthetic batch against the live dataset.
-	advise := get("/debug/advise?m=4&k=5")
-	var advice struct {
-		Engine       string           `json:"engine"`
-		Reason       string           `json:"reason"`
-		IntrinsicDim float64          `json:"intrinsic_dim"`
-		Candidates   []map[string]any `json:"candidates"`
-	}
-	if err := json.Unmarshal([]byte(advise), &advice); err != nil {
-		t.Fatalf("/debug/advise is not JSON: %v: %.200s", err, advise)
-	}
-	if advice.Engine == "" || advice.Reason == "" || advice.IntrinsicDim <= 0 {
-		t.Errorf("/debug/advise incomplete: %.300s", advise)
-	}
-	if len(advice.Candidates) != 5 {
-		t.Errorf("/debug/advise priced %d candidates, want 5", len(advice.Candidates))
-	}
-	if resp, err := http.Get("http://" + admin.lis.Addr().String() + "/debug/advise?m=0"); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("/debug/advise?m=0: status %d, want 400", resp.StatusCode)
-		}
-	}
-}
-
-// TestCalibrationEndToEnd serves with -calibrate and -admit, drives single
-// queries through the admission former (whose BlockObserver feeds the
-// calibration recorder), and checks the whole loop is visible from the
-// admin surface: the metricdb_advisor_* gauges and the counter-partition
-// counters on /metrics, the always-present warning field on /debug/advise,
-// and the ?calibrated=1 recorder snapshot with a live sample count.
-func TestCalibrationEndToEnd(t *testing.T) {
-	items := dataset.Uniform(9, 500, 4)
+	// With -admit, single queries are answered through the batch former
+	// and the admission series join the exposition.
 	cfg := wire.ServerConfig{Admit: &admit.Config{
 		MaxQueue:   admit.DefaultMaxQueue,
 		MaxWidth:   admit.DefaultMaxWidth,
 		MaxWait:    time.Millisecond,
 		DefaultSLO: time.Second,
 	}}
-	db, srv, lis, admin, err := serve("127.0.0.1:0", dataSource{items: items, calibrate: true}, "scan", cfg, "127.0.0.1:0", -1, "server")
+	adb, asrv, alis, aadmin, err := serve("127.0.0.1:0", dataSource{items: items}, "scan", cfg, "127.0.0.1:0", -1, "server")
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(lis) //nolint:errcheck
-	defer srv.Close()
-	defer db.Close()              //nolint:errcheck
-	go admin.srv.Serve(admin.lis) //nolint:errcheck
-	defer admin.srv.Close()
-
-	c, err := wire.Dial(lis.Addr().String())
+	go asrv.Serve(alis) //nolint:errcheck
+	defer asrv.Close()
+	defer adb.Close()               //nolint:errcheck
+	go aadmin.srv.Serve(aadmin.lis) //nolint:errcheck
+	defer aadmin.srv.Close()
+	ac, err := wire.Dial(alis.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	defer ac.Close()
 	for i := 0; i < 4; i++ {
-		if _, _, err := c.Query(wire.QuerySpec{Vector: []float64{0.5, 0.4, 0.3, 0.2}, Kind: "knn", K: 5}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := db.Calibration().Samples(); got == 0 {
-		t.Fatal("admitted queries recorded no calibration samples")
-	}
-
-	get := func(path string) string {
-		t.Helper()
-		resp, err := http.Get("http://" + admin.lis.Addr().String() + path)
+		answers, _, err := ac.Query(wire.QuerySpec{Vector: []float64{0.5, 0.4, 0.3, 0.2}, Kind: "knn", K: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(body)
-	}
-
-	metrics := get("/metrics")
-	for _, want := range []string{
-		`metricdb_advisor_abs_pct_error{engine="scan",counter="dist_calcs",model="raw"}`,
-		`metricdb_advisor_abs_pct_error{engine="scan",counter="dist_calcs",model="calibrated"}`,
-		`metricdb_advisor_abs_pct_error{engine="scan",counter="pages_read",model="raw"}`,
-		`metricdb_advisor_factor{engine="scan",counter="dist_calcs"}`,
-		`metricdb_advisor_factor{engine="scan",counter="pages_read"}`,
-		`metricdb_advisor_fitted_ns{engine="scan",unit="dist_calc"}`,
-		`metricdb_advisor_fitted_ns{engine="scan",unit="time_scale"}`,
-		`metricdb_distance_pivot_total{engine="scan"}`,
-	} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("/metrics missing %q", want)
+		if len(answers) != 5 {
+			t.Fatalf("admitted query %d: %d answers, want 5", i, len(answers))
 		}
 	}
-	if !strings.Contains(metrics, `metricdb_advisor_samples{engine="scan"}`) ||
-		strings.Contains(metrics, `metricdb_advisor_samples{engine="scan"} 0`) {
-		t.Errorf("/metrics advisor sample count absent or zero")
-	}
+	requireSeries(t, adminGet(t, aadmin, "/metrics"),
+		"metricdb_admit_queue_depth 0",
+		"metricdb_admit_width_target",
+		"metricdb_admit_width_achieved",
+		"metricdb_admit_admitted_total 4",
+		"metricdb_admit_batches_total",
+		`metricdb_admit_shed_total{reason="queue_full"} 0`,
+		`metricdb_admit_shed_total{reason="deadline"}`,
+		`metricdb_admit_shed_total{reason="shutting_down"} 0`,
+		"metricdb_wire_requests_total 4",
+	)
+}
 
-	// The advise response always carries the warning key ("" when healthy)
-	// and, with ?calibrated=1, the recorder snapshot.
-	advise := get("/debug/advise?m=2&k=3&calibrated=1")
-	var doc map[string]any
-	if err := json.Unmarshal([]byte(advise), &doc); err != nil {
-		t.Fatalf("/debug/advise is not JSON: %v: %.200s", err, advise)
-	}
-	if _, ok := doc["warning"]; !ok {
-		t.Error("/debug/advise response has no warning key")
-	}
-	cal, ok := doc["calibration"].(map[string]any)
-	if !ok {
-		t.Fatalf("/debug/advise?calibrated=1 has no calibration section: %.300s", advise)
-	}
-	if samples, _ := cal["samples"].(float64); samples < 1 {
-		t.Errorf("calibration snapshot samples = %v, want >= 1", cal["samples"])
-	}
-	if _, ok := doc["calibrated"].([]any); !ok {
-		t.Errorf("advise response carries no calibrated ranking: %.300s", advise)
-	}
-
-	// Asking for the calibrated view on a server running without -calibrate
-	// is a client error, not a silently absent section.
-	pdb, psrv, plis, padmin, err := serve("127.0.0.1:0", dataSource{items: items}, "scan", wire.ServerConfig{}, "127.0.0.1:0", -1, "server")
+// adminGet fetches path from the admin listener and fails the test on any
+// status but 200.
+func adminGet(t *testing.T, admin *adminListener, path string) string {
+	t.Helper()
+	resp, err := http.Get("http://" + admin.lis.Addr().String() + path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer psrv.Close()
-	defer pdb.Close()               //nolint:errcheck
-	plis.Close()                    //nolint:errcheck
-	go padmin.srv.Serve(padmin.lis) //nolint:errcheck
-	defer padmin.srv.Close()
-	resp, err := http.Get("http://" + padmin.lis.Addr().String() + "/debug/advise?calibrated=1")
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+	}
+	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("?calibrated=1 without -calibrate: status %d, want 400", resp.StatusCode)
+	return string(body)
+}
+
+// requireSeries fails the test for every wanted line prefix the /metrics
+// exposition lacks.
+func requireSeries(t *testing.T, metrics string, want ...string) {
+	t.Helper()
+	for _, w := range want {
+		if !strings.Contains(metrics, w) {
+			t.Errorf("/metrics missing %q", w)
+		}
 	}
 }
 
@@ -417,28 +349,14 @@ func TestServeStoredDataset(t *testing.T) {
 		t.Errorf("answers=%d stats=%+v", len(answers), stats)
 	}
 
-	resp, err := http.Get("http://" + admin.lis.Addr().String() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics := string(body)
-	for _, want := range []string{
+	requireSeries(t, adminGet(t, admin, "/metrics"),
 		`metricdb_storage_mode{mode="pread"} 1`,
 		"metricdb_storage_preads_total",
 		"metricdb_storage_bytes_read_total",
 		"metricdb_storage_checksum_failures_total 0",
 		"metricdb_store_pages_reused_total",
-		`metricdb_row_kernel{isa="` + db.ProcessorStats().RowKernel + `"} 1`,
-	} {
-		if !strings.Contains(metrics, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
+		`metricdb_row_kernel{isa="`+db.ProcessorStats().RowKernel+`"} 1`,
+	)
 	st, ok := db.StorageStats()
 	if !ok || st.Preads == 0 {
 		t.Errorf("storage stats after query: %+v ok=%v", st, ok)

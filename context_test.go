@@ -154,4 +154,19 @@ func TestProcessorStatsFacade(t *testing.T) {
 	if after.PartialAbandoned > after.DistCalcs {
 		t.Errorf("PartialAbandoned %d exceeds DistCalcs %d", after.PartialAbandoned, after.DistCalcs)
 	}
+	if after.PivotDistCalcs != 0 {
+		t.Errorf("PivotDistCalcs on the scan = %d, want 0", after.PivotDistCalcs)
+	}
+
+	// The pivot engine reports its query-to-pivot setup distances.
+	pivot, err := Open(testItems(12, 500, 6), Options{Engine: EnginePivot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := pivot.NewBatch().QueryAll([]Query{{Vec: Vector{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}, Type: KNNQuery(5)}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := pivot.ProcessorStats().PivotDistCalcs; got <= 0 {
+		t.Errorf("PivotDistCalcs on the pivot engine = %d, want > 0", got)
+	}
 }

@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"metricdb/internal/engine"
 	"metricdb/internal/engines"
 	"metricdb/internal/msq"
-	"metricdb/internal/obs"
 	"metricdb/internal/store"
 )
 
@@ -84,13 +82,6 @@ type Options struct {
 	// instead of issuing preads. Only OpenStored consults it; on platforms
 	// without mmap support the disk silently falls back to pread.
 	Mmap bool
-	// Calibrate attaches a predicted-vs-observed calibration recorder to
-	// the database: every completed QueryAll batch and EXPLAIN run is
-	// scored against the advisor's cost prediction for the active engine,
-	// and DB.AdviseBatch additionally returns the calibrated ranking.
-	// Strictly observational — answers and Stats are bit-identical with
-	// and without it (see internal/calib).
-	Calibrate bool
 }
 
 // XTreeOptions exposes the X-tree tuning knobs.
@@ -271,9 +262,6 @@ type DB struct {
 	eng   engine.Engine
 	proc  *msq.Processor
 	opts  Options
-	// calib is the predicted-vs-observed calibration meter, nil unless
-	// Options.Calibrate was set.
-	calib *calibMeter
 	// closers holds the file-backed disks of a stored database; nil for
 	// the in-memory databases Open builds.
 	closers []io.Closer
@@ -310,9 +298,7 @@ func Open(items []Item, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{items: items, dim: dim, eng: eng, proc: proc, opts: opts}
-	db.setupCalibration()
-	return db, nil
+	return &DB{items: items, dim: dim, eng: eng, proc: proc, opts: opts}, nil
 }
 
 // Len returns the number of stored items.
@@ -421,20 +407,9 @@ func (b *Batch) QueryAll(queries []Query) ([][]Answer, Stats, error) {
 // QueryAllContext is QueryAll with cancellation (see QueryContext for the
 // resume-after-abort semantics).
 func (b *Batch) QueryAllContext(ctx context.Context, queries []Query) ([][]Answer, Stats, error) {
-	m := b.db.calib
-	var begin time.Time
-	var kern0, fetch0 int64
-	if m != nil {
-		begin = time.Now()
-		kern0, fetch0 = m.phaseSums(b.db.proc)
-	}
 	lists, stats, err := b.session.MultiQueryAllContext(ctx, queries)
 	if err != nil {
 		return nil, stats, err
-	}
-	if m != nil {
-		kern1, fetch1 := m.phaseSums(b.db.proc)
-		m.record(queries, stats, time.Since(begin), kern1-kern0, fetch1-fetch0)
 	}
 	out := make([][]Answer, len(lists))
 	for i, l := range lists {
@@ -461,21 +436,8 @@ func (db *DB) Explain(queries []Query) (*Explain, error) {
 }
 
 // ExplainContext is Explain bounded by ctx (checked once per data page).
-// With calibration enabled the profile additionally carries the advisor's
-// predicted-cost rows (raw model and, once samples exist, calibrated) next
-// to the observed counters, and the run is recorded as a calibration
-// sample with its exact phase split.
 func (db *DB) ExplainContext(ctx context.Context, queries []Query) (*Explain, error) {
-	ex, err := db.proc.ExplainContext(ctx, queries)
-	if err != nil {
-		return ex, err
-	}
-	if m := db.calib; m != nil {
-		m.annotateExplain(ex, queries)
-		m.record(queries, ex.Stats, time.Duration(ex.WallNs),
-			ex.PhaseNs[obs.PhaseKernel.String()], ex.PhaseNs[obs.PhasePageFetch.String()])
-	}
-	return ex, nil
+	return db.proc.ExplainContext(ctx, queries)
 }
 
 // Ranking is an incremental nearest-neighbor iterator: objects are emitted
@@ -514,9 +476,6 @@ type ProcessorStats struct {
 	// PivotDistCalcs counts the query-to-pivot setup distances of the
 	// pivot-filtering engines (zero for engines without a pivot phase).
 	PivotDistCalcs int64
-	// Calibration is the advisor calibration snapshot (without the sample
-	// ring); nil unless the DB was opened with Options.Calibrate.
-	Calibration *CalibrationStats
 }
 
 // ProcessorStats reports the processor's configuration and cumulative work.
@@ -530,10 +489,6 @@ func (db *DB) ProcessorStats() ProcessorStats {
 	}
 	if pc, ok := db.eng.(engine.PivotCoster); ok {
 		ps.PivotDistCalcs = pc.PivotDistCalcs()
-	}
-	if db.calib != nil {
-		snap := db.calib.rec.Snapshot(0)
-		ps.Calibration = &snap
 	}
 	return ps
 }

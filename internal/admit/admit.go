@@ -109,17 +109,9 @@ type Config struct {
 	// Tracer, when non-nil, receives one admit_wait observation per
 	// admitted query (enqueue to block release). Nil disables at no cost.
 	Tracer *obs.Tracer
-	// PredictBlock, when non-nil, predicts the wall time of executing the
-	// given queries as one block (the calibrated cost model's width-m
-	// pricing). The release gate takes the maximum of this prediction and
-	// its own execution EWMA before applying the safety factor, so a
-	// trustworthy model can shed doomed work the EWMA is too coarse to
-	// see. A return of 0 means "no prediction" and the gate falls back to
-	// the EWMA alone. Nil disables (the default).
-	PredictBlock func(queries []msq.Query) time.Duration
 	// BlockObserver, when non-nil, receives every successfully executed
 	// block (its queries, batch Stats, and wall time) after delivery
-	// accounting — the calibration recorder's feed. Nil disables.
+	// accounting. Nil disables.
 	BlockObserver func(queries []msq.Query, stats msq.Stats, elapsed time.Duration)
 }
 
@@ -452,19 +444,6 @@ func (c *Controller) execute(block []*waiter) {
 	predicted := time.Duration(c.perQueryEWMA.Load()) * time.Duration(len(block))
 	if whole := time.Duration(c.execEWMA.Load()); whole > predicted {
 		predicted = whole
-	}
-	// The calibrated cost model, when wired in and past its evidence
-	// floor, can price THIS block's width and shape instead of
-	// extrapolating from past blocks; take whichever estimate is more
-	// pessimistic before the safety factor.
-	if c.cfg.PredictBlock != nil {
-		qs := make([]msq.Query, len(block))
-		for i, w := range block {
-			qs[i] = w.q
-		}
-		if p := c.cfg.PredictBlock(qs); p > predicted {
-			predicted = p
-		}
 	}
 	predicted *= 2
 	live := block[:0]

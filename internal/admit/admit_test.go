@@ -325,11 +325,9 @@ func TestInvalidQuery(t *testing.T) {
 	}
 }
 
-// TestBlockObserverAndPredictBlock wires the calibration hooks in: every
-// successfully executed block must reach the observer with its queries and
-// stats, and a pessimistic PredictBlock must shed submissions whose
-// deadline its prediction says cannot be met.
-func TestBlockObserverAndPredictBlock(t *testing.T) {
+// TestBlockObserver wires the observer in: every successfully executed
+// block must reach it with its queries and stats.
+func TestBlockObserver(t *testing.T) {
 	const n, dim, m = 512, 8, 12
 	items := testDB(3, n, dim)
 	proc := newProc(t, items, vec.Euclidean{})
@@ -375,34 +373,5 @@ func TestBlockObserverAndPredictBlock(t *testing.T) {
 	}
 	if observedBatches == 0 {
 		t.Fatal("observer saw no batches")
-	}
-
-	// A model predicting far past every deadline must shed at release.
-	proc2 := newProc(t, items, vec.Euclidean{})
-	ctl2, err := admit.New(proc2, admit.Config{
-		DefaultSLO:   50 * time.Millisecond,
-		PredictBlock: func(qs []msq.Query) time.Duration { return time.Hour },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctl2.Close()
-	_, _, _, _, err = ctl2.Submit(context.Background(), queries[0])
-	var ov *admit.Overload
-	if !errors.As(err, &ov) || ov.Reason != admit.ReasonDeadline {
-		t.Fatalf("want deadline shed from PredictBlock, got %v", err)
-	}
-
-	// A zero prediction means "no prediction": the EWMA path admits.
-	proc3 := newProc(t, items, vec.Euclidean{})
-	ctl3, err := admit.New(proc3, admit.Config{
-		PredictBlock: func(qs []msq.Query) time.Duration { return 0 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctl3.Close()
-	if _, _, _, _, err := ctl3.Submit(context.Background(), queries[0]); err != nil {
-		t.Fatalf("zero prediction should admit: %v", err)
 	}
 }

@@ -138,7 +138,7 @@ type BlockPreparer interface {
 	PrepareBlock(qs []vec.Vector, dst []PreparedQuery)
 }
 
-// Config describes an engine's tuning for EXPLAIN output and the advisor.
+// Config describes an engine's tuning for EXPLAIN output.
 // Zero fields are omitted from JSON, so each engine only reports the knobs
 // it actually has.
 type Config struct {

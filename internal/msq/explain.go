@@ -85,29 +85,6 @@ type Explain struct {
 	PhaseNs map[string]int64 `json:"phase_ns"`
 	// WallNs is the call's total wall time.
 	WallNs int64 `json:"wall_ns"`
-	// Predicted, when present, holds the advisor's cost predictions for
-	// the engine the batch ran on — the raw model row and, when a
-	// calibration recorder has samples, the calibrated row — so the
-	// prediction sits next to the observed counters it should match. msq
-	// itself never fills this (the cost model lives above this package);
-	// the metricdb layer annotates it after the profiling run.
-	Predicted []PredictedCost `json:"predicted,omitempty"`
-}
-
-// PredictedCost is one predicted cost row for an EXPLAIN: the advisor's
-// estimate of the batch's counters and wall time under one model variant.
-// The fields mirror cost.EngineEstimate without importing it (cost sits
-// above msq in the dependency order).
-type PredictedCost struct {
-	// Engine is the engine the prediction priced.
-	Engine string `json:"engine"`
-	// Source is the model variant: "model" for the raw analytic constants,
-	// "calibrated" after per-engine correction factors.
-	Source         string `json:"source"`
-	PagesRead      int64  `json:"pages_read"`
-	DistCalcs      int64  `json:"dist_calcs"`
-	PivotDistCalcs int64  `json:"pivot_dist_calcs,omitempty"`
-	TotalNs        int64  `json:"total_ns"`
 }
 
 // explainCounters is the mutable accumulator behind one Profile. Only the

@@ -83,9 +83,6 @@ func TestNilTracer(t *testing.T) {
 	if got := tr.SlowQueriesTotal(); got != 0 {
 		t.Errorf("nil SlowQueriesTotal() = %d", got)
 	}
-	if got := tr.SpansTotal(); got != 0 {
-		t.Errorf("nil SpansTotal() = %d", got)
-	}
 	if n, err := tr.WriteTraces(&strings.Builder{}); n != 0 || err != nil {
 		t.Errorf("nil WriteTraces = %d, %v", n, err)
 	}
@@ -157,8 +154,8 @@ func TestTraceExportJSONL(t *testing.T) {
 	if n, _ := tr.WriteTraces(&sb); n != 4 {
 		t.Errorf("after overflow retained %d spans, want 4", n)
 	}
-	if tr.SpansTotal() != 12 {
-		t.Errorf("SpansTotal = %d, want 12", tr.SpansTotal())
+	if got := tr.Snapshot(PhasePlan).Count; got != 10 {
+		t.Errorf("plan histogram count = %d, want 10: the ring drops spans, not observations", got)
 	}
 }
 

@@ -227,8 +227,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				fn: func() float64 { return float64(t.SlowQueriesTotal()) }},
 			{name: "metricdb_traced_queries_total", help: "Query calls observed by the tracer.",
 				fn: func() float64 { return float64(t.Queries()) }},
-			{name: "metricdb_trace_spans_total", help: "Phase spans recorded by the tracer.",
-				fn: func() float64 { return float64(t.SpansTotal()) }},
 			{name: "metricdb_dist_spans_total", help: "Distributed spans recorded or imported by the tracer.",
 				fn: func() float64 { return float64(t.DistSpansTotal()) }},
 		}

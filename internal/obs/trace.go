@@ -19,10 +19,9 @@ type span struct {
 // oldest. A plain mutex suffices: spans are recorded at page/request
 // granularity, not per item.
 type spanRing struct {
-	mu    sync.Mutex
-	ring  []span
-	next  int
-	total int64
+	mu   sync.Mutex
+	ring []span
+	next int
 }
 
 func newSpanRing(size int) *spanRing {
@@ -35,7 +34,6 @@ func newSpanRing(size int) *spanRing {
 func (r *spanRing) add(s span) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.total++
 	if len(r.ring) < cap(r.ring) {
 		r.ring = append(r.ring, s)
 		r.next = len(r.ring) % cap(r.ring)
@@ -54,17 +52,6 @@ func (r *spanRing) snapshot() []span {
 	}
 	out = append(out, r.ring[r.next:]...)
 	return append(out, r.ring[:r.next]...)
-}
-
-// SpansTotal returns how many spans were recorded over the tracer's
-// lifetime (including ones already overwritten in the ring).
-func (t *Tracer) SpansTotal() int64 {
-	if t == nil || t.spans == nil {
-		return 0
-	}
-	t.spans.mu.Lock()
-	defer t.spans.mu.Unlock()
-	return t.spans.total
 }
 
 // WriteTraces writes the retained spans as JSONL, oldest first: one object

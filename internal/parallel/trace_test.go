@@ -117,7 +117,10 @@ func TestClusterRegisterMetricsLabels(t *testing.T) {
 		`metricdb_server_disk_reads_total{server="0"}`,
 		`metricdb_server_disk_reads_total{server="1"}`,
 		`metricdb_server_dist_calcs_total{server="0"}`,
+		`metricdb_server_dist_abandoned_total{server="0"}`,
 		`metricdb_server_buffer_hits_total{server="1"}`,
+		`metricdb_server_buffer_misses_total{server="1"}`,
+		`metricdb_server_buffer_evictions_total{server="1"}`,
 		obs.PhaseHistogramMetric + `_count{phase="kernel",server="0"}`,
 		obs.PhaseQuantileMetric + `{phase="kernel",quantile="0.99",server="1"}`,
 	} {

@@ -80,6 +80,10 @@ func TestNonFiniteCoordinatesRejected(t *testing.T) {
 				return err
 			}
 		}
+		builds["Advise"] = func() error {
+			_, err := Advise(items, 1)
+			return err
+		}
 		return builds
 	})
 }
@@ -684,85 +688,6 @@ func TestAdvise(t *testing.T) {
 
 	if _, err := Advise(nil, 1); err == nil {
 		t.Error("empty database accepted")
-	}
-}
-
-func TestAdviseBatch(t *testing.T) {
-	lowDim, err := dataset.NearUniform(60, 1500, 20, 6, 0.005)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := make([]Query, 16)
-	for i := range batch {
-		batch[i] = Query{ID: uint64(i), Vec: lowDim[i*7].Vec, Type: KNNQuery(5)}
-	}
-
-	a, err := AdviseBatch(lowDim, batch, Options{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Candidates) != 5 {
-		t.Fatalf("priced %d candidate engines, want 5", len(a.Candidates))
-	}
-	if a.Engine != EngineKind(a.Candidates[0].Engine) {
-		t.Errorf("recommended %q but cheapest candidate is %q", a.Engine, a.Candidates[0].Engine)
-	}
-	for i := 1; i < len(a.Candidates); i++ {
-		if a.Candidates[i].Total < a.Candidates[i-1].Total {
-			t.Errorf("candidates not sorted ascending at %d: %+v", i, a.Candidates)
-		}
-	}
-	if a.Warning != "" {
-		t.Errorf("unexpected warning: %s", a.Warning)
-	}
-
-	// The DB method prices its own items and options identically.
-	db, err := Open(lowDim, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromDB, err := db.AdviseBatch(batch, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fromDB.Engine != a.Engine || fromDB.IntrinsicDim != a.IntrinsicDim {
-		t.Errorf("DB.AdviseBatch diverges: %+v vs %+v", fromDB, a)
-	}
-
-	// Range queries get their selectivity measured from real distances: a
-	// radius covering everything must push the advice to the scan.
-	wide := []Query{{ID: 0, Vec: lowDim[0].Vec, Type: RangeQuery(1e9)}}
-	w, err := AdviseBatch(lowDim, wide, Options{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Engine != EngineScan {
-		t.Errorf("radius covering the dataset recommended %q, want scan", w.Engine)
-	}
-
-	// Degenerate data still yields advice, with the estimator failure in
-	// the structured Warning field.
-	dup := make([]Item, 50)
-	for i := range dup {
-		dup[i] = Item{ID: ItemID(i), Vec: Vector{1, 2}}
-	}
-	d, err := AdviseBatch(dup, []Query{{Vec: Vector{1, 2}, Type: KNNQuery(3)}}, Options{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Warning == "" {
-		t.Error("estimator failure not surfaced in Warning")
-	}
-	if len(d.Candidates) == 0 {
-		t.Error("no candidates despite fallback pricing")
-	}
-
-	if _, err := AdviseBatch(lowDim, nil, Options{}, 1); err == nil {
-		t.Error("empty batch accepted")
-	}
-	bad := []Query{{Vec: lowDim[0].Vec, Type: RangeQuery(-1)}}
-	if _, err := AdviseBatch(lowDim, bad, Options{}, 1); err == nil {
-		t.Error("invalid query accepted")
 	}
 }
 

@@ -128,9 +128,7 @@ func openStoredDirect(dir string, items []Item, dim int, opts Options, bufferPag
 		fd.Close() //nolint:errcheck
 		return nil, err
 	}
-	db := &DB{items: items, dim: dim, eng: eng, proc: proc, opts: opts, closers: []io.Closer{fd}}
-	db.setupCalibration()
-	return db, nil
+	return &DB{items: items, dim: dim, eng: eng, proc: proc, opts: opts, closers: []io.Closer{fd}}, nil
 }
 
 // storedPivotTable returns the dataset's pivot table: the persisted one
@@ -219,9 +217,7 @@ func openStoredDerived(dir string, items []Item, dim int, opts Options, bufferPa
 		}
 		return nil, err
 	}
-	db := &DB{items: items, dim: dim, eng: eng, proc: proc, opts: opts, closers: []io.Closer{fd}}
-	db.setupCalibration()
-	return db, nil
+	return &DB{items: items, dim: dim, eng: eng, proc: proc, opts: opts, closers: []io.Closer{fd}}, nil
 }
 
 // Close releases the file handles and memory mappings of a stored database.
