@@ -1,13 +1,14 @@
-.PHONY: check fmt vet build portable test race differential obsgate fuzz-smoke bench bench-all bench-check bench-smoke loc
+.PHONY: check fmt vet compat build portable test race differential obsgate fuzz-smoke bench bench-all bench-check bench-smoke loc
 
-# The pre-PR gate: formatting, static analysis, build, the portable row
+# The pre-PR gate: formatting, static analysis, the compat shims' fence,
+# build, the portable row
 # kernel and the other architectures' build, race-enabled tests,
 # the multi-query differential suite under the race detector, the two
 # in-run wall-clock gates, the benchmark module's own build and tests, a
 # two-second run of every benchmark workload, and a short fuzz of the
 # storage decoders. It ends by printing `make loc`, so every PR's CI log
 # carries the line count ROADMAP tracks.
-check: fmt vet build portable race differential obsgate bench-check bench-smoke fuzz-smoke loc
+check: fmt vet compat build portable race differential obsgate bench-check bench-smoke fuzz-smoke loc
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -15,6 +16,16 @@ fmt:
 
 vet:
 	go vet ./...
+
+# The compat shims are one-way. Each package's compat.go keeps a symbol only
+# because bench/, a module of its own, names it, until ROADMAP item 1a
+# deletes the file; no other non-test Go file may name one, so nothing new
+# grows a dependency on them before then.
+compat:
+	@out="$$(grep -rnE --include='*.go' --exclude='*_test.go' --exclude=compat.go \
+		--exclude-dir=bench --exclude-dir=.bench_build \
+		'LayoutAoS|LayoutSoA|ColumnSpec|ColumnizePage|BlockKernel|RowWithin|vec\.Block\b|\.Cols\b' .)"; \
+	if [ -n "$$out" ]; then echo "compat shims named outside bench/ and the compat.go files:"; echo "$$out"; exit 1; fi
 
 build:
 	go build ./...
@@ -55,7 +66,7 @@ test:
 race:
 	go test -race ./...
 
-# The determinism gate: the differential suites (engines, layouts, disk
+# The determinism gate: the differential suites (engines, item placement, disk
 # backends, observers and incremental calls against their references), Lemma
 # 1/2 soundness properties, the bounded-kernel contract properties, the
 # row and item-lane kernels' contracts against the scalar kernel (every
@@ -75,8 +86,8 @@ race:
 # checkptr checks that every vector pointed into a record stays inside that
 # one allocation; the tests check the alignment), a recycled page rebound
 # with the vector headers it kept against its record (one FileDisk in both
-# modes through a record that grows, a columnized holder, fewer and more
-# items; records of other shapes in place), the store's CRC-32C against
+# modes, over version-1 and version-2 records, through a record that grows,
+# fewer and more items; records of other shapes in place), the store's CRC-32C against
 # hash/crc32 through every body (every length to 2 048 and the served
 # record's ± 300 at 64 offsets, chained at random splits, the fuzz seeds,
 # and the fold's loads held inside a guard page),
@@ -187,7 +198,7 @@ loc:
 # B/op), a stored read split into pread, verify, bind and the whole miss,
 # the CRC-32C's two bodies and the stored scan's page path, then the end-to-end
 # artifacts — the admission-control load profiles (BENCH_load.json) and the
-# page pass's layout and avoidance axes (BENCH_block.json). The deterministic
+# page pass's avoidance axis (BENCH_block.json). The deterministic
 # work counters are not here: go test pins them (TestEngineWorkGolden).
 bench:
 	go test -bench='BenchmarkDistance|BenchmarkRowKernel|BenchmarkItemKernel|BenchmarkBoxKernel|BenchmarkSortRefs|BenchmarkPlan|BenchmarkSweep|BenchmarkBulk|BenchmarkBuild|BenchmarkMultiQueryAll|BenchmarkPassBodies|BenchmarkIncrementalWindow|BenchmarkDBSCAN|BenchmarkStoredScan|BenchmarkDecodePage|BenchmarkFileDiskRead|BenchmarkCRC32C' -benchmem -run=^$$ \

@@ -370,66 +370,6 @@ func BenchmarkXTreeBuild(b *testing.B) {
 	b.ReportMetric(float64(len(items)), "items/build")
 }
 
-// BenchmarkMTree measures generic metric-index operations under a
-// non-vector metric (string edit distance on WWW sessions).
-func BenchmarkMTree(b *testing.B) {
-	sessions := dataset.Sessions(9, 3000)
-	edit := func(a, c string) float64 {
-		la, lc := len(a), len(c)
-		if la == 0 || lc == 0 {
-			return float64(la + lc)
-		}
-		prev := make([]int, lc+1)
-		cur := make([]int, lc+1)
-		for j := range prev {
-			prev[j] = j
-		}
-		for i := 1; i <= la; i++ {
-			cur[0] = i
-			for j := 1; j <= lc; j++ {
-				cost := 1
-				if a[i-1] == c[j-1] {
-					cost = 0
-				}
-				m := prev[j] + 1
-				if v := cur[j-1] + 1; v < m {
-					m = v
-				}
-				if v := prev[j-1] + cost; v < m {
-					m = v
-				}
-				cur[j] = m
-			}
-			prev, cur = cur, prev
-		}
-		return float64(prev[lc])
-	}
-	tree, err := NewMTree(edit, 32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, s := range sessions {
-		tree.Insert(s)
-	}
-
-	b.Run("range", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = tree.Range(sessions[i%len(sessions)], 3)
-		}
-	})
-	b.Run("knn", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			_ = tree.KNN(sessions[i%len(sessions)], 5)
-		}
-	})
-	b.Run("batch-range-20", func(b *testing.B) {
-		queries := sessions[:20]
-		for i := 0; i < b.N; i++ {
-			_, _ = tree.BatchRange(queries, 3)
-		}
-	})
-}
-
 func maxInt(xs []int) int {
 	m := 0
 	for _, x := range xs {

@@ -13,11 +13,11 @@
 // over 4 servers, injects disk faults into 0..3 of them, and reports the
 // degraded-mode coverage and recall of the surviving cluster.
 //
-// The block experiment measures the columnar (SoA) page layout end to
-// end: page-pass throughput of one m-query batch on the scan engine across
-// dimensionality × batch width × layout (aos, soa), re-checking on the
-// measured runs that soa answers and page reads are bit-identical to aos.
-// Results go to -block-out as JSON.
+// The block experiment measures the page pass end to end on the scan
+// engine: one k-NN batch per data shape × metric × dimensionality × batch
+// width, under the default avoidance mode, both lemmas and none,
+// re-checking on the measured runs that every mode returns the same
+// answers. Results go to -block-out as JSON.
 //
 // The load experiment drives an admission-controlled wire server with an
 // open-loop generator through ramp, spike and sustained-overload traffic
@@ -115,32 +115,20 @@ func run(experiment, scaleName, csvDir string, measure bool, blockOut, loadOut s
 	}
 
 	if want("block") {
-		sweep, err := experiments.RunBlockLayouts([]int{4, 8, 16, 32}, []int{1, 8, 32}, 6000)
+		avoidance, err := experiments.RunBlockAvoidance([]int{8, 16, 32, 64, 128}, []int{8, 32, 100}, 2000)
 		if err != nil {
 			return err
 		}
-		for _, r := range sweep.Results {
-			if !r.Identical {
-				return fmt.Errorf("block: layout %s at dim %d, m %d diverged from the sequential AoS reference",
-					r.Layout, r.Dim, r.M)
-			}
-		}
-		if err := emit(sweep.Figure()); err != nil {
-			return err
-		}
-		if sweep.Avoidance, err = experiments.RunBlockAvoidance([]int{8, 16, 32, 64, 128}, []int{8, 32, 100}, 2000); err != nil {
-			return err
-		}
-		for _, c := range sweep.Avoidance.Cells {
+		for _, c := range avoidance.Cells {
 			if !c.Identical {
 				return fmt.Errorf("block: %s on %s data at dim %d, m %d: the avoidance modes disagree on the answers",
 					c.Metric, c.Data, c.Dim, c.M)
 			}
 		}
-		if err := emit(sweep.Avoidance.Figure()); err != nil {
+		if err := emit(avoidance.Figure()); err != nil {
 			return err
 		}
-		if err := experiments.WriteBlockJSONFile(blockOut, sweep); err != nil {
+		if err := experiments.WriteBlockJSONFile(blockOut, &experiments.BlockSweep{Avoidance: avoidance}); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n\n", blockOut)

@@ -8,17 +8,16 @@
 //	msqgen -out data.dir -kind uniform|nearuniform|clustered
 //	       [-pagecap 0] [-n 100000] [-dim 20]
 //	       [-clusters 10] [-spread 0.05] [-intrinsic 8] [-histogram]
-//	       [-noise 0.0] [-seed 1] [-layout aos|soa] [-advise]
+//	       [-noise 0.0] [-seed 1] [-advise]
 //
 // -advise additionally runs the engine advisor on the generated items and
 // prints the recommendation; advisor warnings (estimator fallbacks) are
 // appended to the stdout advice line and repeated on stderr — a fallback
 // ranking is never printed silently.
 //
-// -layout soa writes version-2 columnar page records (contiguous float64
-// blocks per page). A version-1 (aos) dataset serves any layout too:
-// OpenStored columnizes on read when the session's layout wants blocks the
-// file lacks.
+// -n and -dim must be at least 1, and every generated coordinate must be
+// finite (a -spread or -noise of NaN is refused by the store's writer);
+// otherwise nothing is written.
 package main
 
 import (
@@ -45,25 +44,26 @@ func main() {
 		histogram = flag.Bool("histogram", false, "L1-normalize to histograms (clustered kind)")
 		noise     = flag.Float64("noise", 0, "noise fraction (clustered) or noise level (nearuniform)")
 		seed      = flag.Int64("seed", 1, "random seed")
-		layout    = flag.String("layout", "aos", "page representation: aos or soa")
 		advise    = flag.Bool("advise", false, "print an engine recommendation for the generated dataset")
 	)
 	flag.Parse()
-	if err := run(*out, *pagecap, *kind, *n, *dim, *clusters, *spread, *intrinsic, *histogram, *noise, *seed, *layout, *advise); err != nil {
+	if err := run(*out, *pagecap, *kind, *n, *dim, *clusters, *spread, *intrinsic, *histogram, *noise, *seed, *advise); err != nil {
 		fmt.Fprintln(os.Stderr, "msqgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out string, pagecap int, kind string, n, dim, clusters int, spread float64, intrinsic int, histogram bool, noise float64, seed int64, layout string, advise bool) error {
+func run(out string, pagecap int, kind string, n, dim, clusters int, spread float64, intrinsic int, histogram bool, noise float64, seed int64, advise bool) error {
 	if out == "" {
 		return fmt.Errorf("-out is required")
 	}
-	// Options.Validate owns the list of layouts; soa is the columnar one.
-	if err := (metricdb.Options{Layout: layout}).Validate(); err != nil {
-		return err
+	if n < 1 {
+		return fmt.Errorf("-n must be at least 1, got %d", n)
 	}
-	save := dataset.SaveOptions{PageCapacity: pagecap, Columnar: layout == "soa",
+	if dim < 1 {
+		return fmt.Errorf("-dim must be at least 1, got %d", dim)
+	}
+	save := dataset.SaveOptions{PageCapacity: pagecap,
 		Attrs: map[string]string{"kind": kind, "seed": strconv.FormatInt(seed, 10)}}
 	var items []store.Item
 	var err error
@@ -86,7 +86,7 @@ func run(out string, pagecap int, kind string, n, dim, clusters int, spread floa
 	if err := dataset.SaveDir(out, items, save); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d %d-d items (%s, %s layout) to %s\n", len(items), dim, kind, layout, out)
+	fmt.Printf("wrote %d %d-d items (%s) to %s\n", len(items), dim, kind, out)
 	if advise {
 		a, err := metricdb.Advise(items, seed)
 		if err != nil {

@@ -25,7 +25,7 @@ func TestRunGeneratesAllKinds(t *testing.T) {
 	}
 	for _, c := range cases {
 		out := filepath.Join(dir, c.kind)
-		if err := run(out, 0, c.kind, 500, c.dim, 4, 0.05, 4, c.kind == "clustered", 0, 7, "aos", false); err != nil {
+		if err := run(out, 0, c.kind, 500, c.dim, 4, 0.05, 4, c.kind == "clustered", 0, 7, false); err != nil {
 			t.Fatalf("%s: %v", c.kind, err)
 		}
 		items, err := dataset.LoadDir(out)
@@ -38,72 +38,79 @@ func TestRunGeneratesAllKinds(t *testing.T) {
 	}
 }
 
-// TestRunLayoutsRoundTrip: the aos and soa layouts of one generator run
-// load back bit-identical items — the generator's own output, not merely
-// each other — and the manifest carries the provenance attrs.
+// TestRunLayoutsRoundTrip: a generator run loads back bit-identical items
+// (the generator's own output, not merely a stable one) from a version-1
+// dataset whose manifest carries the provenance attrs.
 func TestRunLayoutsRoundTrip(t *testing.T) {
-	base := t.TempDir()
-	aosOut := filepath.Join(base, "ds.aos")
-	dirOut := filepath.Join(base, "ds.soa")
-	if err := run(aosOut, 0, "clustered", 400, 5, 4, 0.05, 0, false, 0.1, 9, "aos", false); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(dirOut, 16, "clustered", 400, 5, 4, 0.05, 0, false, 0.1, 9, "soa", false); err != nil {
+	out := filepath.Join(t.TempDir(), "ds")
+	if err := run(out, 16, "clustered", 400, 5, 4, 0.05, 0, false, 0.1, 9, false); err != nil {
 		t.Fatal(err)
 	}
 	want, err := dataset.Clustered(dataset.ClusteredConfig{Seed: 9, N: 400, Dim: 5, Clusters: 4, Spread: 0.05, NoiseFraction: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, out := range []string{aosOut, dirOut} {
-		got, err := dataset.LoadDir(out)
-		if err != nil {
-			t.Fatal(err)
+	got, err := dataset.LoadDir(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d items, generator made %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID || got[i].Label != want[i].Label {
+			t.Fatalf("item %d metadata differs", i)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d items, generator made %d", out, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].ID != want[i].ID || got[i].Label != want[i].Label {
-				t.Fatalf("%s: item %d metadata differs", out, i)
-			}
-			for d := range want[i].Vec {
-				if math.Float64bits(got[i].Vec[d]) != math.Float64bits(want[i].Vec[d]) {
-					t.Fatalf("%s: item %d coord %d differs from the generator's", out, i, d)
-				}
+		for d := range want[i].Vec {
+			if math.Float64bits(got[i].Vec[d]) != math.Float64bits(want[i].Vec[d]) {
+				t.Fatalf("item %d coord %d differs from the generator's", i, d)
 			}
 		}
 	}
-	fd, err := store.OpenFileDisk(dirOut, store.FileDiskOptions{})
+	fd, err := store.OpenFileDisk(out, store.FileDiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fd.Close() //nolint:errcheck
 	man := fd.Manifest()
-	if man.Attrs["kind"] != "clustered" || man.Attrs["seed"] != "9" || man.PageCapacity != 16 || !man.Columnar {
+	if man.Attrs["kind"] != "clustered" || man.Attrs["seed"] != "9" || man.PageCapacity != 16 ||
+		man.Version != store.FormatVersion || man.Columnar {
 		t.Errorf("manifest provenance: %+v", man)
 	}
 }
 
+// TestRunValidation: a mistake in the flags is an error naming it, and
+// nothing is written: not a dataset, not a directory.
 func TestRunValidation(t *testing.T) {
-	if err := run("", 0, "uniform", 10, 2, 1, 0, 1, false, 0, 1, "aos", false); err == nil {
+	cases := []struct {
+		name, kind string
+		n, dim     int
+		intrinsic  int
+		spread     float64
+		want       string
+	}{
+		{"unknown kind", "weird", 10, 2, 1, 0, "unknown kind"},
+		{"bad intrinsic", "nearuniform", 10, 2, 99, 0, "intrinsic"},
+		{"negative n", "uniform", -1, 2, 1, 0, "-n must be at least 1"},
+		{"zero n", "uniform", 0, 2, 1, 0, "-n must be at least 1"},
+		{"negative dim", "uniform", 10, -3, 1, 0, "-dim must be at least 1"},
+		{"zero dim", "uniform", 10, 0, 1, 0, "-dim must be at least 1"},
+		{"NaN spread", "clustered", 10, 2, 1, math.NaN(), "coordinate NaN"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "x")
+			err := run(out, 0, c.kind, c.n, c.dim, 1, c.spread, c.intrinsic, false, 0, 1, false)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("run returned %v, want an error containing %q", err, c.want)
+			}
+			if _, serr := os.Stat(out); serr == nil {
+				t.Errorf("%s was created before the mistake was reported", out)
+			}
+		})
+	}
+	if err := run("", 0, "uniform", 10, 2, 1, 0, 1, false, 0, 1, false); err == nil {
 		t.Error("missing -out accepted")
-	}
-	if err := run(filepath.Join(t.TempDir(), "x"), 0, "weird", 10, 2, 1, 0, 1, false, 0, 1, "aos", false); err == nil {
-		t.Error("unknown kind accepted")
-	}
-	if err := run(filepath.Join(t.TempDir(), "x"), 0, "nearuniform", 10, 2, 1, 0, 99, false, 0, 1, "aos", false); err == nil {
-		t.Error("bad intrinsic dimension accepted")
-	}
-	for _, removed := range []string{"f32", "quant"} {
-		out := filepath.Join(t.TempDir(), "x")
-		err := run(out, 0, "uniform", 10, 2, 1, 0, 1, false, 0, 1, removed, false)
-		if err == nil || !strings.Contains(err.Error(), "aos, soa") {
-			t.Errorf("-layout %s: run returned %v, want an error listing aos, soa", removed, err)
-		}
-		if _, serr := os.Stat(out); serr == nil {
-			t.Errorf("-layout %s: a dataset was written before the layout was rejected", removed)
-		}
 	}
 }
 

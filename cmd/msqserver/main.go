@@ -7,7 +7,7 @@
 //
 //	msqserver -addr :7707 [-data dataset-dir] [-mmap]
 //	          [-n 20000] [-dim 16]
-//	          [-engine scan|xtree|vafile|pivot|pmtree] [-layout aos|soa]
+//	          [-engine scan|xtree|vafile|pivot|pmtree]
 //	          [-max-conns 0] [-max-request-bytes 1048576]
 //	          [-read-timeout 0] [-write-timeout 10s] [-drain 5s]
 //	          [-admin 127.0.0.1:7708] [-slow-query 100ms]
@@ -77,7 +77,6 @@ func main() {
 		n        = flag.Int("n", 20000, "generated dataset size")
 		dim      = flag.Int("dim", 16, "generated dataset dimensionality")
 		engine   = flag.String("engine", "xtree", "physical organization: scan, xtree, vafile, pivot or pmtree")
-		layout   = flag.String("layout", "", "page layout: aos (default) or soa — soa materializes each page's vectors in one contiguous block")
 
 		maxConns  = flag.Int("max-conns", 0, "concurrent connection limit (0 = unlimited)")
 		maxReqLen = flag.Int("max-request-bytes", wire.DefaultMaxRequestBytes, "request line size cap")
@@ -111,14 +110,14 @@ func main() {
 			DefaultSLO: *admitSLO,
 		}
 	}
-	if err := run(*addr, *dataFile, *mmap, *n, *dim, *engine, *layout, cfg, *drain, *adminAddr, *slowQuery, *node); err != nil {
+	if err := run(*addr, *dataFile, *mmap, *n, *dim, *engine, cfg, *drain, *adminAddr, *slowQuery, *node); err != nil {
 		fmt.Fprintln(os.Stderr, "msqserver:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, dataFile string, mmap bool, n, dim int, engine, layout string, cfg wire.ServerConfig, drain time.Duration, adminAddr string, slowQuery time.Duration, node string) error {
-	src := dataSource{mmap: mmap, layout: layout}
+func run(addr, dataFile string, mmap bool, n, dim int, engine string, cfg wire.ServerConfig, drain time.Duration, adminAddr string, slowQuery time.Duration, node string) error {
+	src := dataSource{mmap: mmap}
 	if dataFile != "" {
 		src.dir = dataFile
 	} else {
@@ -195,10 +194,9 @@ type adminListener struct {
 // dataSource selects where the served database lives: in-memory items, or
 // a persistent dataset directory read through a file-backed page store.
 type dataSource struct {
-	items  []metricdb.Item
-	dir    string
-	mmap   bool
-	layout string
+	items []metricdb.Item
+	dir   string
+	mmap  bool
 }
 
 // serve builds the database and binds the listeners (separated for tests).
@@ -206,7 +204,7 @@ type dataSource struct {
 // and the returned adminListener serves the observability endpoints. The
 // caller owns the returned DB and must Close it after shutdown.
 func serve(addr string, src dataSource, engine string, cfg wire.ServerConfig, adminAddr string, slowQuery time.Duration, node string) (*metricdb.DB, *wire.Server, net.Listener, *adminListener, error) {
-	opts := metricdb.Options{Engine: metricdb.EngineKind(engine), Mmap: src.mmap, Layout: src.layout}
+	opts := metricdb.Options{Engine: metricdb.EngineKind(engine), Mmap: src.mmap}
 	if err := opts.Validate(); err != nil {
 		return nil, nil, nil, nil, err
 	}

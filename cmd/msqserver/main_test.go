@@ -53,17 +53,10 @@ func TestServeRejectsBadEngine(t *testing.T) {
 	}
 }
 
-// TestServeRejectsRemovedLayoutsAndFiles: -layout f32|quant fail with the
-// surviving values named, and a -data path that is a regular file (the
-// removed single-file format) fails with the way out.
+// TestServeRejectsRemovedLayoutsAndFiles: a -data path that is a regular
+// file (the removed single-file format) fails with the way out. (The
+// removed -layout flag is no flag at all now: the flag package refuses it.)
 func TestServeRejectsRemovedLayoutsAndFiles(t *testing.T) {
-	items := dataset.Uniform(4, 50, 3)
-	for _, removed := range []string{"f32", "quant"} {
-		_, _, _, _, err := serve("127.0.0.1:0", dataSource{items: items, layout: removed}, "scan", wire.ServerConfig{}, "", 0, "server")
-		if err == nil || !strings.Contains(err.Error(), "aos, soa") {
-			t.Errorf("-layout %s: serve returned %v, want an error listing aos, soa", removed, err)
-		}
-	}
 	file := filepath.Join(t.TempDir(), "d.gob")
 	if err := os.WriteFile(file, []byte("gob"), 0o644); err != nil {
 		t.Fatal(err)

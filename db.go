@@ -72,12 +72,6 @@ type Options struct {
 	Pivot *PivotOptions
 	// PMTree overrides PM-tree parameters; nil uses defaults.
 	PMTree *PMTreeOptions
-	// Layout selects how pages are materialized, nothing else: "" or "aos"
-	// gives every item its own vector, "soa" one contiguous float64 block
-	// per page that the items alias. The page pass is the same on both —
-	// the blocked row kernel runs whenever the lemmas are not being probed
-	// — and so are the answers and every statistic.
-	Layout string
 	// Mmap serves a stored database by memory-mapping its page file
 	// instead of issuing preads. Only OpenStored consults it; on platforms
 	// without mmap support the disk silently falls back to pread.
@@ -138,9 +132,6 @@ func (o Options) Validate() error {
 	if o.VAFileBits < 0 {
 		return fmt.Errorf("metricdb: VA-file bits must be >= 0 (0 selects the default), got %d", o.VAFileBits)
 	}
-	if _, err := parseLayout(o.Layout); err != nil {
-		return err
-	}
 	if x := o.XTree; x != nil {
 		if x.DirFanout < 0 {
 			return fmt.Errorf("metricdb: X-tree directory fanout must be >= 0, got %d", x.DirFanout)
@@ -169,24 +160,6 @@ func (o Options) Validate() error {
 		}
 	}
 	return nil
-}
-
-// parseLayout maps the public layout string onto the processor's enum.
-func parseLayout(s string) (msq.Layout, error) {
-	switch s {
-	case "", "aos":
-		return msq.LayoutAoS, nil
-	case "soa":
-		return msq.LayoutSoA, nil
-	default:
-		return 0, fmt.Errorf("metricdb: unknown layout %q (want one of: aos, soa)", s)
-	}
-}
-
-// columnSpec translates the layout choice into the page representation the
-// engine must materialize.
-func columnSpec(layout msq.Layout) store.ColumnSpec {
-	return store.ColumnSpec{Columnar: layout == msq.LayoutSoA}
 }
 
 // withDefaults resolves the zero and sentinel values of validated options
@@ -220,7 +193,7 @@ func (o Options) withDefaults(dim, nItems int) (Options, int) {
 // engineSpec translates resolved public options into the engine registry's
 // request — the module's only bridge to engine construction. The options
 // must already be defaulted (withDefaults); wrap may be nil.
-func (o Options) engineSpec(items []Item, dim, bufferPages int, columns store.ColumnSpec,
+func (o Options) engineSpec(items []Item, dim, bufferPages int,
 	wrap func(store.PageSource) (store.PageSource, error)) engines.Spec {
 	s := engines.Spec{
 		Kind:         engines.Kind(o.Engine),
@@ -229,7 +202,6 @@ func (o Options) engineSpec(items []Item, dim, bufferPages int, columns store.Co
 		Metric:       o.Metric,
 		PageCapacity: o.PageCapacity,
 		BufferPages:  bufferPages,
-		Columns:      columns,
 		WrapDisk:     wrap,
 		VAFileBits:   o.VAFileBits,
 	}
@@ -284,17 +256,12 @@ func Open(items []Item, opts Options) (*DB, error) {
 		return nil, fmt.Errorf("metricdb: page capacity must be >= 1, got %d", opts.PageCapacity)
 	}
 
-	layout, err := parseLayout(opts.Layout)
+	eng, err := engines.Build(opts.engineSpec(items, dim, bufferPages, nil))
 	if err != nil {
 		return nil, err
 	}
 
-	eng, err := engines.Build(opts.engineSpec(items, dim, bufferPages, columnSpec(layout), nil))
-	if err != nil {
-		return nil, err
-	}
-
-	proc, err := msq.New(eng, opts.Metric, msq.Options{Avoidance: opts.Avoidance, Layout: layout})
+	proc, err := msq.New(eng, opts.Metric, msq.Options{Avoidance: opts.Avoidance})
 	if err != nil {
 		return nil, err
 	}
@@ -465,9 +432,6 @@ type ProcessorStats struct {
 	// "avx512" or "avx2" (an assembly Euclidean kernel) or "go" (the
 	// portable one, and every other metric's).
 	RowKernel string
-	// Layout names how the database's pages are materialized ("aos" or
-	// "soa").
-	Layout string
 	// DistCalcs counts distance calculations, including ones abandoned
 	// mid-vector by the bounded kernel.
 	DistCalcs int64
@@ -483,7 +447,6 @@ func (db *DB) ProcessorStats() ProcessorStats {
 	ps := ProcessorStats{
 		Avoidance:        db.proc.Options().Avoidance,
 		RowKernel:        db.proc.RowKernel(),
-		Layout:           db.proc.Options().Layout.String(),
 		DistCalcs:        db.proc.Metric().Count(),
 		PartialAbandoned: db.proc.Metric().Abandoned(),
 	}

@@ -96,36 +96,6 @@ func ExampleDB_DBSCAN() {
 	// 2 clusters, 1 noise object(s)
 }
 
-// ExampleNewMTree indexes strings under a custom metric.
-func ExampleNewMTree() {
-	hamming := func(a, b string) float64 {
-		n := 0
-		for i := 0; i < len(a) && i < len(b); i++ {
-			if a[i] != b[i] {
-				n++
-			}
-		}
-		diff := len(a) - len(b)
-		if diff < 0 {
-			diff = -diff
-		}
-		return float64(n + diff)
-	}
-	tree, err := metricdb.NewMTree(hamming, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, w := range []string{"karolin", "kathrin", "kerstin", "monika"} {
-		tree.Insert(w)
-	}
-	for _, r := range tree.KNN("karolin", 2) {
-		fmt.Printf("%s (distance %.0f)\n", r.Obj, r.Dist)
-	}
-	// Output:
-	// karolin (distance 0)
-	// kathrin (distance 3)
-}
-
 // ExampleDB_QueryContext bounds a similarity query with a timeout. The
 // page loop checks the context once per data page, so a deadline or a
 // cancellation aborts the query cleanly without affecting the database.

@@ -9,8 +9,6 @@
 //     64-dimensional, "highly clustered" color histograms. A seeded
 //     Gaussian mixture with L1-normalized non-negative components
 //     reproduces the clustering that drives the paper's CPU-cost results.
-//   - Sessions: synthetic WWW-access sessions (URL paths) for the general
-//     metric-database case under edit distance.
 //
 // All generators are deterministic in their seed.
 package dataset
@@ -184,27 +182,4 @@ func SampleQueries(seed int64, items []store.Item, m int) ([]store.Item, error) 
 		out[i] = items[perm[i]]
 	}
 	return out, nil
-}
-
-// Sessions generates n synthetic WWW-access session strings: URL-like paths
-// over a small site graph, so edit distances between sessions of the same
-// area are small. Used by the M-tree examples and tests.
-func Sessions(seed int64, n int) []string {
-	rng := rand.New(rand.NewSource(seed))
-	areas := []string{"index", "shop", "blog", "help", "account"}
-	leaves := []string{"view", "edit", "list", "search", "item", "post", "cart", "pay", "faq"}
-	out := make([]string, n)
-	for i := range out {
-		area := areas[rng.Intn(len(areas))]
-		depth := 1 + rng.Intn(3)
-		s := "/" + area
-		for d := 0; d < depth; d++ {
-			s += "/" + leaves[rng.Intn(len(leaves))]
-			if rng.Intn(2) == 0 {
-				s += fmt.Sprintf("/%d", rng.Intn(50))
-			}
-		}
-		out[i] = s
-	}
-	return out
 }

@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"metricdb/internal/store"
@@ -140,22 +139,6 @@ func TestSampleQueries(t *testing.T) {
 	for i := range qs {
 		if qs[i].ID != qs2[i].ID {
 			t.Fatal("sampling not deterministic")
-		}
-	}
-}
-
-func TestSessions(t *testing.T) {
-	a := Sessions(7, 50)
-	b := Sessions(7, 50)
-	if len(a) != 50 {
-		t.Fatalf("len = %d", len(a))
-	}
-	for i, s := range a {
-		if !strings.HasPrefix(s, "/") {
-			t.Fatalf("session %q is not a path", s)
-		}
-		if s != b[i] {
-			t.Fatal("sessions not deterministic")
 		}
 	}
 }

@@ -21,9 +21,6 @@ type SaveOptions struct {
 	// NoSync skips fsyncs; only for tests that build many throwaway
 	// datasets.
 	NoSync bool
-	// Columnar writes version-2 columnar page records (contiguous
-	// float64 blocks).
-	Columnar bool
 }
 
 // SaveDir persists items as a dataset directory in the on-disk format
@@ -49,8 +46,7 @@ func SaveDir(dir string, items []store.Item, opts SaveOptions) error {
 	if err != nil {
 		return fmt.Errorf("dataset: %w", err)
 	}
-	meta := store.DatasetMeta{Dim: dim, PageCapacity: capacity, Attrs: opts.Attrs,
-		Columnar: opts.Columnar}
+	meta := store.DatasetMeta{Dim: dim, PageCapacity: capacity, Attrs: opts.Attrs}
 	if err := store.WriteDataset(dir, pages, meta, store.WriteOptions{Hook: opts.Hook, NoSync: opts.NoSync}); err != nil {
 		return fmt.Errorf("dataset: %w", err)
 	}

@@ -70,8 +70,10 @@ type Spec struct {
 	PageCapacity int
 	// BufferPages is the concrete LRU buffer size; 0 disables buffering.
 	BufferPages int
-	// Columns selects the page representation (columnar blocks or none).
-	Columns store.ColumnSpec
+	// Columns is ignored.
+	//
+	// Deprecated: removed by ROADMAP item 1a (item 8); see compat.go.
+	Columns columnSpec
 	// WrapDisk interposes on the freshly built disk (fault injection,
 	// persisted layouts); nil serves the engine's own disk.
 	WrapDisk func(store.PageSource) (store.PageSource, error)
@@ -136,7 +138,6 @@ func buildScan(s Spec) (engine.Engine, error) {
 		PageCapacity: s.PageCapacity,
 		BufferPages:  s.BufferPages,
 		WrapDisk:     s.WrapDisk,
-		Columns:      s.Columns,
 	})
 }
 
@@ -147,7 +148,6 @@ func buildVAFile(s Spec) (engine.Engine, error) {
 		BufferPages:  s.BufferPages,
 		Metric:       s.Metric,
 		WrapDisk:     s.WrapDisk,
-		Columns:      s.Columns,
 	})
 }
 
@@ -157,7 +157,6 @@ func buildXTree(s Spec) (engine.Engine, error) {
 	cfg.BufferPages = s.BufferPages
 	cfg.Metric = s.Metric
 	cfg.WrapDisk = s.WrapDisk
-	cfg.Columns = s.Columns
 	str := false
 	if x := s.XTree; x != nil {
 		if x.DirFanout != 0 {
@@ -181,7 +180,6 @@ func buildPivot(s Spec) (engine.Engine, error) {
 		BufferPages:  s.BufferPages,
 		Metric:       s.Metric,
 		WrapDisk:     s.WrapDisk,
-		Columns:      s.Columns,
 	})
 }
 
@@ -193,6 +191,5 @@ func buildPMTree(s Spec) (engine.Engine, error) {
 		BufferPages:  s.BufferPages,
 		Metric:       s.Metric,
 		WrapDisk:     s.WrapDisk,
-		Columns:      s.Columns,
 	})
 }

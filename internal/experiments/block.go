@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"runtime"
 	"sort"
@@ -20,106 +19,20 @@ import (
 )
 
 // The block experiment measures the page pass end to end on the scan
-// engine, along two axes; the results are the BENCH_block.json artifact.
-//
-// The layout axis is the wall-clock throughput of one m-query batch as
-// (dimensionality × batch width × page layout) varies, always re-checking
-// the layout contract on the measured runs themselves — SoA bit-identical
-// to AoS in answers and counters. Avoidance
-// is off, so both layouts take the blocked row body and what is left to
-// measure is the page materialization.
-//
-// The avoidance axis (RunBlockAvoidance) is the evidence behind
-// msq.AvoidAuto: the same batch under the default mode, both lemmas and no
-// lemmas, for a metric with an early-abandoning kernel and one whose every
-// distance is a full O(d²) calculation.
+// engine; the result is the BENCH_block.json artifact. Its one axis
+// (RunBlockAvoidance) is the evidence behind msq.AvoidAuto: the same batch
+// under the default mode, both lemmas and no lemmas, for a metric with an
+// early-abandoning kernel and one whose every distance is a full O(d²)
+// calculation.
 
-// BlockResult is one (dim, m, layout) measurement.
-type BlockResult struct {
-	Dim    int    `json:"dim"`
-	M      int    `json:"m"`
-	Layout string `json:"layout"`
-	// NsPerPair is wall time per (query, item) pair of the
-	// page pass (machine-dependent).
-	NsPerPair float64 `json:"ns_per_pair"`
-	// Speedup is the AoS row's wall time over this row's (the median of the
-	// in-run ratios): > 1 means the layout beats AoS at this configuration.
-	// The AoS row itself is 1.
-	Speedup float64 `json:"speedup"`
-	// DistCalcs is the reference run's deterministic kernel count.
-	DistCalcs int64 `json:"dist_calcs"`
-	// Identical reports the layout's correctness contract against the
-	// AoS reference: answers and page reads bit-identical.
-	Identical bool `json:"identical"`
-}
-
-// BlockSweep is the full measurement set: the layout axis, and the
-// avoidance axis when it was run.
+// BlockSweep is the artifact's document. The committed BENCH_block.json
+// also holds the rows of a layout axis that earlier builds measured; they
+// are history, and nothing reads them.
 type BlockSweep struct {
-	N            int             `json:"n"`
-	PageCapacity int             `json:"page_capacity"`
-	Dims         []int           `json:"dims"`
-	MValues      []int           `json:"m_values"`
-	Layouts      []string        `json:"layouts"`
-	Results      []BlockResult   `json:"results"`
-	Avoidance    *AvoidanceSweep `json:"avoidance,omitempty"`
+	Avoidance *AvoidanceSweep `json:"avoidance,omitempty"`
 }
 
 const blockCapacity = 256
-
-// blockLayouts maps the sweep's layout axis onto the page representation
-// the engine materializes.
-var blockLayouts = []struct {
-	name string
-	spec store.ColumnSpec
-}{
-	{"aos", store.ColumnSpec{}},
-	{"soa", store.ColumnSpec{Columnar: true}},
-}
-
-func blockItems(seed int64, n, dim int) []store.Item {
-	rng := rand.New(rand.NewSource(seed))
-	items := make([]store.Item, n)
-	for i := range items {
-		v := make(vec.Vector, dim)
-		for j := range v {
-			v[j] = rng.Float64()
-		}
-		items[i] = store.Item{ID: store.ItemID(i), Vec: v}
-	}
-	return items
-}
-
-// blockEps picks the range radius as a low quantile of sampled
-// query-to-item distances, so each query answers a small fraction of the
-// database and the pruning bound is finite from the first page — the
-// regime the multi-query page pass actually runs in.
-func blockEps(rng *rand.Rand, items []store.Item, dim int) float64 {
-	const samples = 512
-	m := vec.Euclidean{}
-	q := make(vec.Vector, dim)
-	ds := make([]float64, 0, samples)
-	for i := 0; i < samples; i++ {
-		for j := range q {
-			q[j] = rng.Float64()
-		}
-		ds = append(ds, m.Distance(q, items[rng.Intn(len(items))].Vec))
-	}
-	sort.Float64s(ds)
-	return ds[samples/100] // ~1% selectivity
-}
-
-func blockQueries(rng *rand.Rand, m, dim int, eps float64) []msq.Query {
-	queries := make([]msq.Query, m)
-	for i := range queries {
-		v := make(vec.Vector, dim)
-		for j := range v {
-			v[j] = rng.Float64()
-		}
-		queries[i] = msq.Query{ID: uint64(i), Vec: v, Type: query.NewRange(eps)}
-	}
-	return queries
-}
 
 type blockRun struct {
 	answers [][]query.Answer
@@ -136,13 +49,6 @@ func blockEval(proc *msq.Processor, queries []msq.Query) (blockRun, error) {
 		r.answers = append(r.answers, append([]query.Answer(nil), l.Answers()...))
 	}
 	return r, nil
-}
-
-// blockIdentical checks the layout's contract against the AoS reference:
-// exact equality of answers and page reads.
-func blockIdentical(ref, got blockRun) bool {
-	return blockSameAnswers(ref.answers, got.answers) &&
-		got.stats.PagesRead == ref.stats.PagesRead && got.stats.PageVisits == ref.stats.PageVisits
 }
 
 func blockSameAnswers(ref, got [][]query.Answer) bool {
@@ -210,70 +116,6 @@ func medianRatio(turns [][]time.Duration, ratio func(turn []time.Duration) float
 		return (rs[n/2-1] + rs[n/2]) / 2
 	}
 	return rs[len(rs)/2]
-}
-
-// RunBlockLayouts sweeps dim × m × layout on the scan engine over n
-// fixed-seed uniform items per dimensionality.
-func RunBlockLayouts(dims, ms []int, n int) (*BlockSweep, error) {
-	sweep := &BlockSweep{N: n, PageCapacity: blockCapacity, Dims: dims, MValues: ms,
-		Layouts: []string{"aos", "soa"}}
-	for _, dim := range dims {
-		rng := rand.New(rand.NewSource(int64(9000 + dim)))
-		items := blockItems(int64(7000+dim), n, dim)
-		eps := blockEps(rng, items, dim)
-
-		for _, m := range ms {
-			queries := blockQueries(rng, m, dim, eps)
-			var aosRef blockRun
-			results := make([]BlockResult, len(blockLayouts))
-			timed := make([]func() error, len(blockLayouts))
-			for i, lay := range blockLayouts {
-				// A fresh engine per layout keeps the buffer cold, so
-				// PagesRead of the two reference runs is comparable (the
-				// convention of the differential harness).
-				eng, err := scan.NewWithConfig(items, scan.Config{
-					PageCapacity: blockCapacity,
-					BufferPages:  (n + blockCapacity - 1) / blockCapacity,
-					Columns:      lay.spec,
-				})
-				if err != nil {
-					return nil, err
-				}
-				proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{Avoidance: msq.AvoidOff})
-				if err != nil {
-					return nil, err
-				}
-				ref, err := blockEval(proc, queries)
-				if err != nil {
-					return nil, err
-				}
-				if lay.name == "aos" {
-					aosRef = ref
-				}
-				results[i] = BlockResult{Dim: dim, M: m, Layout: lay.name,
-					DistCalcs: ref.stats.DistCalcs, Identical: blockIdentical(aosRef, ref)}
-				// Timing reuses proc's engine: after the reference run its
-				// buffer holds the whole dataset, so the measurement is the
-				// pure CPU page pass, layout against layout.
-				timed[i] = func() error {
-					_, _, err := proc.NewSession().MultiQueryAll(queries)
-					return err
-				}
-			}
-			turns, err := timeTurns(5, timed...)
-			if err != nil {
-				return nil, err
-			}
-			for i := range results {
-				results[i].NsPerPair = float64(fastest(turns, i).Nanoseconds()) / (float64(n) * float64(m))
-				results[i].Speedup = medianRatio(turns, func(turn []time.Duration) float64 {
-					return float64(turn[0]) / float64(turn[i]) // blockLayouts[0] is AoS
-				})
-			}
-			sweep.Results = append(sweep.Results, results...)
-		}
-	}
-	return sweep, nil
 }
 
 // AvoidanceSweep is the avoidance axis of the block experiment: one cell per
@@ -463,35 +305,6 @@ func (s *AvoidanceSweep) Figure() *report.Figure {
 			order = append(order, key)
 		}
 		bySeries[key] = append(bySeries[key], c.BothOverOff)
-	}
-	for _, name := range order {
-		fig.AddSeries(name, bySeries[name]) //nolint:errcheck // lengths match by construction
-	}
-	return fig
-}
-
-// Figure renders the sweep as layout speedup over AoS against the batch
-// width, one series per (layout, dim), AoS omitted (identically 1).
-func (s *BlockSweep) Figure() *report.Figure {
-	fig := &report.Figure{
-		Title:  fmt.Sprintf("Columnar layout speed-up wrt m (scan, n=%d)", s.N),
-		XLabel: "m (queries per batch)",
-		YLabel: "AoS ns/pair over layout ns/pair",
-	}
-	for _, m := range s.MValues {
-		fig.XVals = append(fig.XVals, float64(m))
-	}
-	bySeries := map[string][]float64{}
-	var order []string
-	for _, r := range s.Results {
-		if r.Layout == "aos" {
-			continue
-		}
-		key := fmt.Sprintf("%s d=%d", r.Layout, r.Dim)
-		if _, ok := bySeries[key]; !ok {
-			order = append(order, key)
-		}
-		bySeries[key] = append(bySeries[key], r.Speedup)
 	}
 	for _, name := range order {
 		fig.AddSeries(name, bySeries[name]) //nolint:errcheck // lengths match by construction

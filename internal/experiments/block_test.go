@@ -6,21 +6,6 @@ import (
 	"testing"
 )
 
-func TestBlockLayoutsSmall(t *testing.T) {
-	sweep, err := RunBlockLayouts([]int{4}, []int{8}, 600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sweep.Results) != 2 {
-		t.Fatalf("%d results, want one per layout", len(sweep.Results))
-	}
-	for _, r := range sweep.Results {
-		if !r.Identical || r.DistCalcs != 8*600 || r.NsPerPair <= 0 || r.Speedup <= 0 {
-			t.Errorf("%+v", r)
-		}
-	}
-}
-
 // TestBlockAvoidanceSmall runs the avoidance axis at toy size and checks
 // what does not depend on the clock: the modes agree on the answers, the
 // default resolves by the metric's kernel and then does exactly the work

@@ -73,7 +73,7 @@ func BenchmarkStoredScan(b *testing.B) {
 	items := testDB(9, n, dim)
 	e, err := scan.NewWithConfig(items, scan.Config{
 		PageCapacity: capacity, BufferPages: store.DefaultBufferPages((n + capacity - 1) / capacity),
-		WrapDisk: persistToFileDisk(b, false, store.ColumnSpec{}),
+		WrapDisk: persistToFileDisk(b, false, false),
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -61,15 +61,14 @@ func TestDifferentialAvoidAuto(t *testing.T) {
 	const dim = 4
 	items := testDB(61, 300, dim)
 	queries := diffBatch(dim, 62)
-	soa := store.ColumnSpec{Columnar: true}
 	backends := []struct {
 		name   string
 		makers []diffMaker
 	}{
 		{"memory/aos", diffMakers()},
-		{"memory/soa", layoutMakers(soa)},
-		{"file/aos", fileDiskMakers(false, store.ColumnSpec{})},
-		{"file/soa", fileDiskMakers(false, soa)},
+		{"memory/soa", contiguousMakers()},
+		{"file/aos", fileDiskMakers(false, false)},
+		{"file/soa", fileDiskMakers(false, true)},
 	}
 	for _, be := range backends {
 		for _, mk := range be.makers {
@@ -190,7 +189,7 @@ func sameFloats(a, b []float64) bool {
 
 // TestRowBodyMatchesPairBody: without the lemmas the two vector bodies are
 // the pair-by-pair evaluation computed in another order — on every engine's
-// pages, whether their items own their vectors or alias a columnar block,
+// pages, whether their items own their vectors or are rows of one slab,
 // for every metric, whether a range query's accepts are deferred to the
 // page's end (staged, the default) or each lands at once (perAccept): the
 // same answers, calculation and abandonment counts, pruning distances after
@@ -243,13 +242,13 @@ func TestRowBodyMatchesPairBody(t *testing.T) {
 		{"duplicate-queries", items, at(items[:1], query.NewKNN(n), query.NewKNN(7), query.NewRange(10), query.NewBoundedKNN(n, 10), query.NewKNN(7))},
 	}
 	layouts := []struct {
-		name string
-		spec store.ColumnSpec
-	}{{"aos", store.ColumnSpec{}}, {"soa", store.ColumnSpec{Columnar: true}}}
+		name   string
+		makers []diffMaker
+	}{{"aos", diffMakers()}, {"soa", contiguousMakers()}}
 
 	for _, tc := range cases {
 		for _, lay := range layouts {
-			for _, mk := range layoutMakers(lay.spec) {
+			for _, mk := range lay.makers {
 				for _, mt := range autoMetrics(t, dim) {
 					for _, deferred := range []bool{false, true} {
 						pages := lay.name // the scan's pages, or "<layout>-<engine>"
@@ -308,7 +307,7 @@ func requireSameBody(t *testing.T, name string, pairs, got bodyRun) {
 func TestSingleMatchesScalarLoop(t *testing.T) {
 	const dim, n = 4, 330
 	items := testDB(65, n, dim)
-	makers := append(layoutMakers(store.ColumnSpec{}), diffMaker{"scan-long-pages",
+	makers := append(diffMakers(), diffMaker{"scan-long-pages",
 		func(t *testing.T, items []store.Item, dim int, m vec.Metric) engine.Engine {
 			t.Helper()
 			e, err := scan.NewWithConfig(items, scan.Config{PageCapacity: 3*sweepTile + 5, BufferPages: 2})
@@ -380,7 +379,7 @@ func TestSingleMatchesScalarLoop(t *testing.T) {
 func TestRankingMatchesScalarLoop(t *testing.T) {
 	const dim, n = 4, 150
 	items := testDB(67, n, dim)
-	backends := map[string][]diffMaker{"memory": layoutMakers(store.ColumnSpec{}), "filedisk": fileDiskMakers(false, store.ColumnSpec{})}
+	backends := map[string][]diffMaker{"memory": diffMakers(), "filedisk": fileDiskMakers(false, false)}
 	for backend, makers := range backends {
 		for _, mk := range makers {
 			for _, mt := range autoMetrics(t, dim) {

@@ -5,73 +5,49 @@ import (
 	"testing"
 
 	"metricdb/internal/engine"
-	"metricdb/internal/pivot"
-	"metricdb/internal/pmtree"
 	"metricdb/internal/query"
-	"metricdb/internal/scan"
 	"metricdb/internal/store"
-	"metricdb/internal/vafile"
 	"metricdb/internal/vec"
-	"metricdb/internal/xtree"
 )
 
-// The layout differential harness pins the contract of columnar pages: a
-// run over pages whose items alias one contiguous block is bit-identical
-// to a run over pages whose items own their vectors, in answers AND in
-// every statistic (I/O, buffer behaviour, DistCalcs/Avoided/AvoidTries,
-// PartialAbandoned). The page pass is the same on
-// both — the processor takes no layout — so what is compared is the page
-// materialization.
+// The layout differential harness pins that where a page's coordinates lie
+// changes nothing: a run over items whose vectors are the rows of one
+// contiguous item-major slab (the placement a columnar page gave them, the
+// "soa" arms) is bit-identical to a run over items that own their vectors,
+// in answers AND in every statistic (I/O, buffer behaviour,
+// DistCalcs/Avoided/AvoidTries, PartialAbandoned).
 
-// layoutMakers mirrors diffMakers but materializes the given page
-// representation on every page at build time.
-func layoutMakers(spec store.ColumnSpec) []diffMaker {
-	return []diffMaker{
-		{"scan", func(t *testing.T, items []store.Item, dim int, m vec.Metric) engine.Engine {
-			t.Helper()
-			e, err := scan.NewWithConfig(items, scan.Config{PageCapacity: 16, BufferPages: 4, Columns: spec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e
-		}},
-		{"xtree", func(t *testing.T, items []store.Item, dim int, m vec.Metric) engine.Engine {
-			t.Helper()
-			e, err := xtree.Bulk(items, dim, xtree.Config{LeafCapacity: 16, DirFanout: 8, BufferPages: 4, Metric: m, Columns: spec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e
-		}},
-		{"vafile", func(t *testing.T, items []store.Item, dim int, m vec.Metric) engine.Engine {
-			t.Helper()
-			e, err := vafile.New(items, vafile.Config{PageCapacity: 16, BufferPages: 4, Metric: m, Columns: spec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e
-		}},
-		{"pivot", func(t *testing.T, items []store.Item, dim int, m vec.Metric) engine.Engine {
-			t.Helper()
-			e, err := pivot.New(items, pivot.Config{PageCapacity: 16, BufferPages: 4, Pivots: 8, Metric: m, Columns: spec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e
-		}},
-		{"pmtree", func(t *testing.T, items []store.Item, dim int, m vec.Metric) engine.Engine {
-			t.Helper()
-			e, err := pmtree.New(items, pmtree.Config{PageCapacity: 16, BufferPages: 4, Pivots: 8, Metric: m, Columns: spec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return e
-		}},
+// contiguousMakers mirrors diffMakers over contiguous copies of the items.
+func contiguousMakers() []diffMaker {
+	makers := diffMakers()
+	for i := range makers {
+		build := makers[i].make
+		makers[i].make = func(t *testing.T, items []store.Item, dim int, m vec.Metric) engine.Engine {
+			return build(t, contiguous(items), dim, m)
+		}
 	}
+	return makers
+}
+
+// contiguous copies items, their coordinates into one item-major slab of
+// which every copied vector is a capped row.
+func contiguous(items []store.Item) []store.Item {
+	out := make([]store.Item, len(items))
+	var slab []float64
+	for _, it := range items {
+		slab = append(slab, it.Vec...)
+	}
+	for i, it := range items {
+		out[i] = it
+		out[i].Vec = slab[:it.Vec.Dim():it.Vec.Dim()]
+		slab = slab[it.Vec.Dim():]
+	}
+	return out
 }
 
 // TestDifferentialLayoutSoA: for every engine × metric × avoidance mode ×
-// width (runDifferential), the SoA run must be indistinguishable from the AoS run — answers
+// width (runDifferential), the run over contiguous items ("soa") must be
+// indistinguishable from the run over the items as built ("aos"): answers
 // and the full Stats record compare with ==.
 func TestDifferentialLayoutSoA(t *testing.T) {
 	const dim = 4
@@ -85,7 +61,7 @@ func TestDifferentialLayoutSoA(t *testing.T) {
 		{"manhattan", vec.Manhattan{}},
 	}
 	aosMakers := diffMakers()
-	soaMakers := layoutMakers(store.ColumnSpec{Columnar: true})
+	soaMakers := contiguousMakers()
 
 	for i := range aosMakers {
 		for _, mt := range metrics {
@@ -156,7 +132,7 @@ func TestDifferentialLayoutSoADegenerate(t *testing.T) {
 			query.NewKNN(n), query.NewKNN(n), query.NewRange(10), query.NewBoundedKNN(n, 10), query.NewKNN(n)), n},
 	}
 	aosMakers := diffMakers()
-	soaMakers := layoutMakers(store.ColumnSpec{Columnar: true})
+	soaMakers := contiguousMakers()
 	for _, tc := range cases {
 		for i := range aosMakers {
 			for _, mode := range []AvoidanceMode{AvoidBoth, AvoidOff} {

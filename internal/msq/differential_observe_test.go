@@ -12,11 +12,12 @@ import (
 
 // The observation differential pins that watching a batch changes nothing
 // about it. There is one page pass and observers ride it (pass.go), so for
-// every engine × layout × avoidance mode × width (runDifferential), running with a
+// every engine × item placement × avoidance mode × width (runDifferential), running with a
 // tracer, under EXPLAIN, or both must leave answers, the full Stats record,
 // disk I/O and buffer hit/miss counts bit-identical to the unobserved run —
 // and what the observers report must add up: the per-query profiles sum to
-// the batch Stats, and an SoA run's profiles equal the AoS run's.
+// the batch Stats, and a run over contiguous items ("soa",
+// contiguousMakers) reports the profiles of the run over the items as built.
 
 // observedRun is a diffRun plus what its observers saw.
 type observedRun struct {
@@ -71,11 +72,11 @@ func TestDifferentialObservation(t *testing.T) {
 	queries := diffBatch(dim, 32)
 	m := vec.Euclidean{}
 	layouts := []struct {
-		layout Layout
+		name   string
 		makers []diffMaker
 	}{
-		{LayoutAoS, diffMakers()},
-		{LayoutSoA, layoutMakers(store.ColumnSpec{Columnar: true})},
+		{"aos", diffMakers()},
+		{"soa", contiguousMakers()},
 	}
 	observers := []struct {
 		name              string
@@ -94,8 +95,8 @@ func TestDifferentialObservation(t *testing.T) {
 			for _, mode := range []AvoidanceMode{AvoidBoth, AvoidOff} {
 				for _, width := range []int{1, 2, 8} {
 					cfg := fmt.Sprintf("%s/%s/w%d", mk.name, mode, width)
-					t.Run(lay.layout.String()+"/"+cfg, func(t *testing.T) {
-						opts := Options{Avoidance: mode, Layout: lay.layout}
+					t.Run(lay.name+"/"+cfg, func(t *testing.T) {
+						opts := Options{Avoidance: mode}
 						bare := runObserved(t, mk, m, opts, width, false, false, items, dim, queries)
 						for _, o := range observers {
 							r := runObserved(t, mk, m, opts, width, o.traced, o.explained, items, dim, queries)
@@ -118,7 +119,7 @@ func TestDifferentialObservation(t *testing.T) {
 							if r.ex != nil {
 								checkProfiles(t, o.name, r, queries, opts)
 								want, haveAoS := aosProfiles[cfg] // absent when -run selects soa alone
-								if lay.layout == LayoutAoS {
+								if lay.name == "aos" {
 									aosProfiles[cfg] = r.ex.Queries
 								} else if diag := sameProfiles(want, r.ex.Queries); haveAoS && diag != "" {
 									t.Errorf("%s: profiles differ from the aos run: %s", o.name, diag)

@@ -1,7 +1,11 @@
 package msq
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"metricdb/internal/engine"
@@ -34,8 +38,9 @@ import (
 // persistToFileDisk returns a WrapDisk hook that dumps the freshly built
 // simulated disk into a dataset directory in the on-disk format and hands
 // the engine a FileDisk over it, discarding the in-memory disk. The stored
-// records are AoS; spec says how the pages read back are materialized.
-func persistToFileDisk(t testing.TB, mmap bool, spec store.ColumnSpec) func(store.PageSource) (store.PageSource, error) {
+// records are version 1, or with columnar the version-2 records earlier
+// builds wrote (spliceV2Dataset).
+func persistToFileDisk(t testing.TB, mmap, columnar bool) func(store.PageSource) (store.PageSource, error) {
 	t.Helper()
 	return func(src store.PageSource) (store.PageSource, error) {
 		dir := t.TempDir()
@@ -58,23 +63,70 @@ func persistToFileDisk(t testing.TB, mmap bool, spec store.ColumnSpec) func(stor
 		if err := store.WriteDataset(dir, pages, meta, store.WriteOptions{NoSync: true}); err != nil {
 			return nil, err
 		}
+		if columnar {
+			if err := spliceV2Dataset(dir); err != nil {
+				return nil, err
+			}
+		}
 		fd, err := store.OpenFileDisk(dir, store.FileDiskOptions{Mmap: mmap})
 		if err != nil {
 			return nil, err
 		}
 		t.Cleanup(func() { fd.Close() }) //nolint:errcheck
-		return store.WrapColumns(fd, spec), nil
+		return fd, nil
 	}
+}
+
+// spliceV2Dataset rewrites the version-1 dataset in dir as the version-2
+// dataset an earlier build wrote for the same pages: each record gets the
+// "MDP2" magic, eight zero bytes of flags and quantization bits after the
+// version-1 header, and a new CRC-32C; the manifest gets version 2, the
+// columnar flag, and the records' new offsets, lengths and checksums.
+func spliceV2Dataset(dir string) error {
+	manPath := filepath.Join(dir, store.ManifestName)
+	body, err := os.ReadFile(manPath)
+	if err != nil {
+		return err
+	}
+	man, err := store.DecodeManifest(body)
+	if err != nil {
+		return err
+	}
+	pagesPath := filepath.Join(dir, man.PagesFile)
+	data, err := os.ReadFile(pagesPath)
+	if err != nil {
+		return err
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	var out []byte
+	for i, e := range man.Pages {
+		rec := data[e.Offset : e.Offset+e.Length]
+		v2 := append([]byte("MDP2"), rec[4:16]...)
+		v2 = append(v2, make([]byte, 8)...)
+		v2 = append(v2, rec[16:len(rec)-4]...)
+		sum := crc32.Checksum(v2, castagnoli)
+		v2 = binary.LittleEndian.AppendUint32(v2, sum)
+		man.Pages[i] = store.PageEntry{Offset: int64(len(out)), Length: int64(len(v2)), Items: e.Items, CRC32C: sum}
+		out = append(out, v2...)
+	}
+	man.Version, man.Columnar, man.PagesBytes = store.FormatVersionColumnar, true, int64(len(out))
+	if body, err = store.EncodeManifest(man); err != nil {
+		return err
+	}
+	if err := os.WriteFile(pagesPath, out, 0o666); err != nil {
+		return err
+	}
+	return os.WriteFile(manPath, body, 0o666)
 }
 
 // fileDiskMakers mirrors diffMakers but every engine runs on persistent
 // storage via its WrapDisk hook.
-func fileDiskMakers(mmap bool, spec store.ColumnSpec) []diffMaker {
+func fileDiskMakers(mmap, columnar bool) []diffMaker {
 	return []diffMaker{
 		{"scan", func(t *testing.T, items []store.Item, dim int, m vec.Metric) engine.Engine {
 			t.Helper()
 			e, err := scan.NewWithConfig(items, scan.Config{
-				PageCapacity: 16, BufferPages: 4, WrapDisk: persistToFileDisk(t, mmap, spec),
+				PageCapacity: 16, BufferPages: 4, WrapDisk: persistToFileDisk(t, mmap, columnar),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -85,7 +137,7 @@ func fileDiskMakers(mmap bool, spec store.ColumnSpec) []diffMaker {
 			t.Helper()
 			e, err := xtree.Bulk(items, dim, xtree.Config{
 				LeafCapacity: 16, DirFanout: 8, BufferPages: 4, Metric: m,
-				WrapDisk: persistToFileDisk(t, mmap, spec),
+				WrapDisk: persistToFileDisk(t, mmap, columnar),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -96,7 +148,7 @@ func fileDiskMakers(mmap bool, spec store.ColumnSpec) []diffMaker {
 			t.Helper()
 			e, err := vafile.New(items, vafile.Config{
 				PageCapacity: 16, BufferPages: 4, Metric: m,
-				WrapDisk: persistToFileDisk(t, mmap, spec),
+				WrapDisk: persistToFileDisk(t, mmap, columnar),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -107,7 +159,7 @@ func fileDiskMakers(mmap bool, spec store.ColumnSpec) []diffMaker {
 			t.Helper()
 			e, err := pivot.New(items, pivot.Config{
 				PageCapacity: 16, BufferPages: 4, Pivots: 8, Metric: m,
-				WrapDisk: persistToFileDisk(t, mmap, spec),
+				WrapDisk: persistToFileDisk(t, mmap, columnar),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -118,7 +170,7 @@ func fileDiskMakers(mmap bool, spec store.ColumnSpec) []diffMaker {
 			t.Helper()
 			e, err := pmtree.New(items, pmtree.Config{
 				PageCapacity: 16, BufferPages: 4, Pivots: 8, Metric: m,
-				WrapDisk: persistToFileDisk(t, mmap, spec),
+				WrapDisk: persistToFileDisk(t, mmap, columnar),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -161,7 +213,7 @@ func TestDifferentialFileDisk(t *testing.T) {
 	}
 	modes := []AvoidanceMode{AvoidBoth, AvoidOff, AvoidLemma1, AvoidLemma2}
 	sims := diffMakers()
-	files := fileDiskMakers(false, store.ColumnSpec{})
+	files := fileDiskMakers(false, false)
 
 	for i := range sims {
 		for _, mt := range metrics {
@@ -178,7 +230,7 @@ func TestDifferentialFileDisk(t *testing.T) {
 	// The cold batch's pages came from real preads; with a buffer that
 	// covers every page, a second batch never reaches the backend.
 	var fd *store.FileDisk
-	persist := persistToFileDisk(t, false, store.ColumnSpec{})
+	persist := persistToFileDisk(t, false, false)
 	eng, err := scan.NewWithConfig(items, scan.Config{
 		PageCapacity: 16, BufferPages: (len(items) + 15) / 16,
 		WrapDisk: func(src store.PageSource) (store.PageSource, error) {
@@ -219,7 +271,7 @@ func TestDifferentialFileDiskMmap(t *testing.T) {
 	queries := diffBatch(dim, 52)
 	m := vec.Euclidean{}
 	sims := diffMakers()
-	files := fileDiskMakers(true, store.ColumnSpec{})
+	files := fileDiskMakers(true, false)
 
 	for i := range sims {
 		for _, mode := range []AvoidanceMode{AvoidBoth, AvoidOff} {

@@ -358,9 +358,7 @@ func (p *pagePass) evalPairs() passCounts {
 }
 
 // evalRows is the blocked body: the active set, loaded by begin, screens
-// the page's items a tile at a time — the same contiguous float64s
-// whether the page's items own them or alias a columnar block — and each
-// item the screen left live, in page order, resolves the lanes within
+// the page's items a tile at a time and each item the screen left live, in page order, resolves the lanes within
 // their limits of that moment; every other pair was abandoned. The screen
 // runs under the limits the tile started with and only rejects pairs
 // beyond them, which are beyond every later limit too (limits only shrink

@@ -64,38 +64,14 @@ func (m AvoidanceMode) String() string {
 	}
 }
 
-// Layout names a page representation. It selects nothing in this package:
-// the blocked row body reads item vectors, which a columnar page's items
-// alias and an AoS page's items own, so every page takes it on the same
-// terms (see rowPath). Whether pages carry a columnar block is decided where
-// they are materialized (store.ColumnSpec).
-type Layout int
-
-// The page representations. Declared, like Options.Layout, for the callers
-// that still name them.
-const (
-	LayoutAoS Layout = iota
-	LayoutSoA
-)
-
-// String names the layout.
-func (l Layout) String() string {
-	switch l {
-	case LayoutAoS:
-		return "aos"
-	case LayoutSoA:
-		return "soa"
-	default:
-		return fmt.Sprintf("layout(%d)", int(l))
-	}
-}
-
 // Options tunes the processor.
 type Options struct {
 	// Avoidance selects the triangle-inequality mode. The zero value,
 	// AvoidAuto, is resolved by New; Processor.Options reports the result.
 	Avoidance AvoidanceMode
-	// Layout is ignored (see Layout).
+	// Layout is ignored.
+	//
+	// Deprecated: removed by ROADMAP item 1a (item 8); see compat.go.
 	Layout Layout
 }
 
@@ -220,13 +196,6 @@ func (p *Processor) RowKernel() string { return p.rowKernel }
 
 // Options returns the processor options.
 func (p *Processor) Options() Options { return p.opts }
-
-// WithConcurrency returns p and ignores n: every call runs one page loop.
-//
-// Deprecated: there is no intra-server pipeline to widen; parallelism is
-// across servers (internal/parallel). Kept only because the benchmark
-// module still calls it; delete it with the next change to bench/.
-func (p *Processor) WithConcurrency(n int) *Processor { return p }
 
 // Tracer returns the tracer this processor reports to, or nil.
 func (p *Processor) Tracer() *obs.Tracer { return p.tracer }

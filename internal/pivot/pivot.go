@@ -62,9 +62,6 @@ type Config struct {
 	// WrapDisk, when non-nil, interposes on the freshly built disk before
 	// the pager is attached (fault injection).
 	WrapDisk func(store.PageSource) (store.PageSource, error)
-	// Columns selects whether a columnar block is materialized on each
-	// page at build time.
-	Columns store.ColumnSpec
 }
 
 // Table is the precomputed pivot structure: the pivots themselves and the
@@ -259,9 +256,6 @@ func New(items []store.Item, cfg Config) (*Engine, error) {
 	items = orderByPivot(items, cfg.Metric)
 	pages, err := store.Paginate(items, cfg.PageCapacity)
 	if err != nil {
-		return nil, fmt.Errorf("pivot: %w", err)
-	}
-	if err := store.Columnize(pages, cfg.Columns); err != nil {
 		return nil, fmt.Errorf("pivot: %w", err)
 	}
 	disk, err := store.NewDisk(pages)

@@ -63,9 +63,6 @@ type Config struct {
 	// WrapDisk, when non-nil, interposes on the freshly built disk before
 	// the pager is attached (fault injection, persisted layouts).
 	WrapDisk func(store.PageSource) (store.PageSource, error)
-	// Columns selects whether a columnar block is materialized on each
-	// page at build time.
-	Columns store.ColumnSpec
 }
 
 // node is one tree node. Leaves reference a data page; internal nodes
@@ -150,9 +147,6 @@ func New(items []store.Item, cfg Config) (*Engine, error) {
 	}
 	e.buildDirectory(len(clusters))
 
-	if err := store.Columnize(pages, cfg.Columns); err != nil {
-		return nil, fmt.Errorf("pmtree: %w", err)
-	}
 	disk, err := store.NewDisk(pages)
 	if err != nil {
 		return nil, fmt.Errorf("pmtree: %w", err)

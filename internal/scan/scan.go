@@ -41,9 +41,6 @@ type Config struct {
 	// the pager is attached — the hook used to run the engine on
 	// fault-injected storage.
 	WrapDisk func(store.PageSource) (store.PageSource, error)
-	// Columns selects whether a columnar float64 block is materialized on
-	// each page at build time for the blocked distance kernels.
-	Columns store.ColumnSpec
 }
 
 // New builds a scan engine over items, paginating them into pages of
@@ -60,9 +57,6 @@ func NewWithConfig(items []store.Item, cfg Config) (*Engine, error) {
 	}
 	pages, err := store.Paginate(items, cfg.PageCapacity)
 	if err != nil {
-		return nil, fmt.Errorf("scan: %w", err)
-	}
-	if err := store.Columnize(pages, cfg.Columns); err != nil {
 		return nil, fmt.Errorf("scan: %w", err)
 	}
 	disk, err := store.NewDisk(pages)

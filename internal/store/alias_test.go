@@ -53,10 +53,7 @@ func TestDecodedPageAliasesRecord(t *testing.T) {
 					}
 					pages = append(pages, &Page{ID: PageID(len(pages))}) // empty, and the fifth
 					dir := t.TempDir()
-					meta := DatasetMeta{Dim: dim, PageCapacity: capacity, Columnar: columnar}
-					if err := WriteDataset(dir, pages, meta, WriteOptions{NoSync: true}); err != nil {
-						t.Fatal(err)
-					}
+					writeDataset(t, dir, pages, DatasetMeta{Dim: dim, PageCapacity: capacity}, columnar)
 					fd, err := OpenFileDisk(dir, FileDiskOptions{Mmap: mmap})
 					if err != nil {
 						t.Fatal(err)
@@ -123,13 +120,7 @@ func TestBindSwapsBigEndianWords(t *testing.T) {
 	for _, columnar := range []bool{false, true} {
 		const n, dim = 9, 5
 		want := &Page{ID: 4, Items: testItems(n, dim)}
-		if err := ColumnizePage(want, ColumnSpec{Columnar: columnar}); err != nil {
-			t.Fatal(err)
-		}
-		rec, err := EncodePage(want, dim)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rec := encodeRecord(t, want, dim, columnar)
 		r, err := checkRecord(rec)
 		if err != nil {
 			t.Fatal(err)
@@ -160,11 +151,9 @@ func TestBindSwapsBigEndianWords(t *testing.T) {
 // version-1 or a version-2 dataset, reads every page into the one page its
 // free list holds, and the page is its record after every read — however
 // the page's last holder left it. The sequence reads the short last page
-// first, so the record buffer grows under the full pages after it; serves
-// pages through WrapColumns, whose vectors point into the slab, and reads
-// the recycled page plain after them; and reads fewer items than the last
-// holder had, then more. A rebind that kept a header it should have
-// rewritten points a vector at the old buffer or the slab, and
+// first, so the record buffer grows under the full pages after it, and
+// reads fewer items than the last holder had, then more. A rebind that kept
+// a header it should have rewritten points a vector at the old buffer, and
 // requireAliasesRecord fails. The poison hook is on, so every release
 // NaNs what the last holder could see.
 func TestRebindKeepsRecordHeaders(t *testing.T) {
@@ -177,10 +166,7 @@ func TestRebindKeepsRecordHeaders(t *testing.T) {
 					t.Fatal(err)
 				}
 				dir := t.TempDir()
-				meta := DatasetMeta{Dim: dim, PageCapacity: capacity, Columnar: columnar}
-				if err := WriteDataset(dir, pages, meta, WriteOptions{NoSync: true}); err != nil {
-					t.Fatal(err)
-				}
+				writeDataset(t, dir, pages, DatasetMeta{Dim: dim, PageCapacity: capacity}, columnar)
 				fd, err := OpenFileDisk(dir, FileDiskOptions{Mmap: mmap})
 				if err != nil {
 					t.Fatal(err)
@@ -189,40 +175,27 @@ func TestRebindKeepsRecordHeaders(t *testing.T) {
 				if mmap && fd.Mode() != "mmap" {
 					t.Skip("no mmap on this platform")
 				}
-				soa, short := WrapColumns(fd, ColumnSpec{Columnar: true}), PageID(len(pages)-1)
-				steps := []struct {
-					pid  PageID
-					cols bool
-				}{
-					{short, false}, {0, false}, {1, false}, // the record grows, then a rebind of its shape
-					{2, true}, {3, false}, // columnized, then read plain
-					{short, false}, {0, false}, // fewer items than the last holder, then more
-					{short, true}, {1, true}, {short, false}, {2, false},
+				short := PageID(len(pages) - 1)
+				steps := []PageID{
+					short, 0, 1, // the record grows, then a rebind of its shape
+					2, 3,
+					short, 0, // fewer items than the last holder, then more
+					short, 1, short, 2,
 				}
 				var held *Page
-				for i, s := range steps {
-					src := PageSource(fd)
-					if s.cols {
-						src = soa
-					}
-					pg, err := src.Read(s.pid)
+				for i, pid := range steps {
+					pg, err := fd.Read(pid)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if held != nil && pg != held {
-						t.Fatalf("step %d: page %d read into a fresh page, not the recycled one", i, s.pid)
+						t.Fatalf("step %d: page %d read into a fresh page, not the recycled one", i, pid)
 					}
 					held = pg
-					if !samePage(pg, pages[s.pid]) {
-						t.Fatalf("step %d: page %d decoded differently from what was written", i, s.pid)
+					if !samePage(pg, pages[pid]) {
+						t.Fatalf("step %d: page %d decoded differently from what was written", i, pid)
 					}
-					if s.cols {
-						if pg.Cols == nil || len(pg.Items) > 0 && &pg.Items[0].Vec[0] != &pg.slab[0] {
-							t.Fatalf("step %d: page %d served without its block", i, s.pid)
-						}
-					} else {
-						requireAliasesRecord(t, pg)
-					}
+					requireAliasesRecord(t, pg)
 					pg.unpin()
 				}
 				if st := fd.Storage(); st.PagesReused != int64(len(steps)-1) {
@@ -243,13 +216,7 @@ func TestRebindKeepsRecordHeaders(t *testing.T) {
 func TestRebindAcrossShapes(t *testing.T) {
 	encode := func(n, dim int, columnar, legacy bool) ([]byte, *Page) {
 		want := &Page{ID: PageID(n), Items: testItems(n, dim)}
-		if err := ColumnizePage(want, ColumnSpec{Columnar: columnar}); err != nil {
-			t.Fatal(err)
-		}
-		rec, err := EncodePage(want, dim)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rec := encodeRecord(t, want, dim, columnar)
 		if legacy { // graft on the float32 section an earlier writer appended
 			rec = rec[:len(rec)-pageTrailerLen]
 			binary.LittleEndian.PutUint32(rec[16:], pageFlagLegacyF32)
@@ -293,14 +260,7 @@ func TestRebindAcrossShapes(t *testing.T) {
 func BenchmarkDecodePage(b *testing.B) {
 	const n, dim = 240, 16
 	for _, columnar := range []bool{false, true} {
-		p := &Page{ID: 3, Items: testItems(n, dim)}
-		if err := ColumnizePage(p, ColumnSpec{Columnar: columnar}); err != nil {
-			b.Fatal(err)
-		}
-		rec, err := EncodePage(p, dim)
-		if err != nil {
-			b.Fatal(err)
-		}
+		rec := encodeRecord(b, &Page{ID: 3, Items: testItems(n, dim)}, dim, columnar)
 		for _, inPlace := range []bool{true, false} {
 			b.Run(fmt.Sprintf("columnar=%v/in-place=%v", columnar, inPlace), func(b *testing.B) {
 				if inPlace && bigEndian {

@@ -43,6 +43,20 @@ type PageSource interface {
 	ResetStats() IOStats
 }
 
+// UnwrapSource strips PageSource wrappers (anything exposing
+// Unwrap() PageSource) down to the innermost source, so facades that
+// type-assert for a concrete disk (*FileDisk for its storage statistics)
+// see through an interposed wrapper.
+func UnwrapSource(src PageSource) PageSource {
+	for {
+		u, ok := src.(interface{ Unwrap() PageSource })
+		if !ok {
+			return src
+		}
+		src = u.Unwrap()
+	}
+}
+
 // Disk simulates a disk holding data pages at consecutive physical
 // addresses. It is safe for concurrent use: reads serialize on a mutex (a
 // disk head is a serial device, and the sequential/random classification

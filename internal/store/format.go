@@ -40,8 +40,9 @@
 // copied, not aliased.
 //
 // Format version 2 ("columnar") page records carry the same item section
-// after a longer header and decode exactly like version 1; a contiguous
-// vec.Block is built only on request (ColumnizePage):
+// after a longer header and decode exactly like version 1. Earlier builds
+// wrote them; this one only reads them, so directories those builds wrote
+// keep opening:
 //
 //	offset  size  field
 //	0       4     magic "MDP2"
@@ -55,16 +56,16 @@
 //	…       n*d   legacy quantized-code section (flag bit 1), skipped
 //	…       4     CRC-32C (Castagnoli) over bytes [0, len-4)
 //
-// The writer always emits flags 0. The two legacy sections were written by
-// earlier builds (the removed f32 and quant layouts); the decoder still
-// length-checks them against the record and the checksum still covers
-// them, but nothing is materialized from them, so such a dataset opens
-// and serves as a plain columnar one.
+// The version-2 writer emitted flags 0. The two legacy sections were
+// written by still earlier builds (the removed f32 and quant layouts); the
+// decoder still length-checks them against the record and the checksum
+// still covers them, but nothing is materialized from them, so such a
+// dataset opens and serves as a plain columnar one.
 //
 // A version-2 dataset's manifest says Version 2 and Columnar true; a
 // version-1 manifest never claims the columnar field. Readers accept both
-// versions — old datasets keep working unchanged, and the version-1
-// writer output is byte-identical to before version 2 existed.
+// versions, and the writer emits version 1 only, byte-identical to the
+// output of every earlier build's version-1 writer.
 package store
 
 import (
@@ -89,13 +90,12 @@ const (
 	manifestTmpName = "MANIFEST.tmp"
 	// ManifestMagic guards against loading unrelated JSON documents.
 	ManifestMagic = "metricdb-dataset-dir"
-	// FormatVersion is the baseline on-disk format version (AoS page
-	// records). Datasets without columnar siblings are still written at
-	// this version, byte-identical to older builds.
+	// FormatVersion is the on-disk format version WriteDataset writes.
 	FormatVersion = 1
-	// FormatVersionColumnar is the columnar format version: version-2
-	// page records (a longer header before the same item section) and the
-	// matching manifest field.
+	// FormatVersionColumnar is the columnar format version earlier builds
+	// also wrote: version-2 page records (a longer header before the same
+	// item section) and the matching manifest field. It is read, never
+	// written.
 	FormatVersionColumnar = 2
 
 	// pageMagic opens every version-1 page record ("MDPG").
@@ -239,10 +239,8 @@ func (m *Manifest) validRecordLen(e PageEntry) bool {
 	return false
 }
 
-// EncodePage serializes one page record. Every item must have exactly dim
-// coordinates. Pages without an attached columnar block encode as
-// version-1 records, byte-identical to the pre-columnar writer; pages
-// with one encode as version-2 records.
+// EncodePage serializes one page as a version-1 record. Every item must
+// have exactly dim coordinates.
 func EncodePage(p *Page, dim int) ([]byte, error) {
 	if p == nil {
 		return nil, fmt.Errorf("store: encode of nil page")
@@ -256,23 +254,12 @@ func EncodePage(p *Page, dim int) ([]byte, error) {
 	if len(p.Items) > maxPageItems {
 		return nil, fmt.Errorf("store: page holds %d items, format maximum is %d", len(p.Items), maxPageItems)
 	}
-	magic, header := uint32(pageMagic), pageHeaderLen
-	if b := p.Cols; b != nil {
-		if b.Dim != dim || b.N != len(p.Items) {
-			return nil, fmt.Errorf("store: page %d block is %d×%d, page is %d×%d",
-				p.ID, b.N, b.Dim, len(p.Items), dim)
-		}
-		magic, header = pageMagic2, pageHeaderLenV2
-	}
-	size := header + len(p.Items)*(itemFixedLen+8*dim) + pageTrailerLen
+	size := pageHeaderLen + len(p.Items)*(itemFixedLen+8*dim) + pageTrailerLen
 	buf := make([]byte, 0, size)
-	buf = binary.LittleEndian.AppendUint32(buf, magic)
+	buf = binary.LittleEndian.AppendUint32(buf, pageMagic)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.ID))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Items)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(dim))
-	if p.Cols != nil {
-		buf = binary.LittleEndian.AppendUint64(buf, 0) // flags and legacy quantization bits
-	}
 	for i := range p.Items {
 		it := &p.Items[i]
 		if it.Vec.Dim() != dim {
@@ -399,7 +386,7 @@ func (p *Page) bind(data []byte, r checkedRecord, swap bool) {
 	if r.dim != p.hdrDim || r.header != p.hdrLen {
 		p.hdrs, p.hdrDim, p.hdrLen = 0, r.dim, r.header
 	}
-	p.ID, p.Items, p.Cols = r.id, p.Items[:r.n], nil
+	p.ID, p.Items = r.id, p.Items[:r.n]
 	stride, item, kept := itemFixedLen+8*r.dim, rec[r.header:], p.hdrs
 	for i := range p.Items {
 		it := &p.Items[i]

@@ -16,7 +16,7 @@ import (
 // another shape (tenant, a valid record) and was recycled, and once in
 // place, from a page's own record buffer, where a pread lands. An accepted
 // record yields the same page field by field every way, each vector a
-// capped, aligned view of its own page's record and no block; a rejected
+// capped, aligned view of its own page's record; a rejected
 // one is rejected every way and leaves the recycled destination as it found
 // it — no ID, no items, the record it held byte for byte.
 func checkRecycledDecode(t *testing.T, tenant, data []byte, fresh *Page) {
@@ -49,9 +49,6 @@ func checkRecycledDecode(t *testing.T, tenant, data []byte, fresh *Page) {
 		if !samePage(p, fresh) {
 			t.Fatal("recycled or in-place decode differs from the fresh one")
 		}
-		if p.Cols != nil {
-			t.Fatal("the decoder built a block nobody asked for")
-		}
 		requireAliasesRecord(t, p)
 	}
 }
@@ -59,15 +56,7 @@ func checkRecycledDecode(t *testing.T, tenant, data []byte, fresh *Page) {
 // tenantRecord encodes the page a fuzzed record's recycled destination held
 // before: 40 items of dimension 7, larger than any seed.
 func tenantRecord(f *testing.F, columnar bool) []byte {
-	p := &Page{ID: 11, Items: testItems(40, 7)}
-	if err := ColumnizePage(p, ColumnSpec{Columnar: columnar}); err != nil {
-		f.Fatal(err)
-	}
-	rec, err := EncodePage(p, 7)
-	if err != nil {
-		f.Fatal(err)
-	}
-	return rec
+	return encodeRecord(f, &Page{ID: 11, Items: testItems(40, 7)}, 7, columnar)
 }
 
 // FuzzPageDecode throws arbitrary bytes at the page-record decoder. The
@@ -151,25 +140,17 @@ func FuzzPageDecode(f *testing.F) {
 // decoder with seeds covering every legacy-section combination earlier
 // builds wrote. Same contract as FuzzPageDecode — never panic, never
 // allocate from an unvalidated size — plus the columnar structural
-// invariants: an accepted record columnizes on request into a block whose
-// rows the item vectors alias, legacy sections are skipped, and re-encoding
-// reproduces the record without them bit for bit.
+// invariants: legacy sections are skipped, and an accepted record is the
+// version-1 record of the page it decodes to, spliced to version 2
+// (spliceV2), with its legacy sections after the items. The seeds are
+// encoded pages spliced the same way, and the first record of the
+// version-2 dataset an earlier build wrote (testdata/v2_columnar).
 func FuzzColumnarPageDecode(f *testing.F) {
-	// seed encodes a columnar record and, for non-zero flags, grafts on
-	// the legacy sections the way the removed writer laid them out (flags,
-	// quantization bits, section bytes, fresh checksum).
+	// seed splices an encoded page to version 2 and, for non-zero flags,
+	// grafts on the legacy sections the way the removed writers laid them
+	// out (flags, quantization bits, section bytes, fresh checksum).
 	seed := func(n, dim int, flags, qbits uint32) []byte {
-		p := &Page{ID: 7, Items: testItems(n, dim)}
-		if err := ColumnizePage(p, ColumnSpec{Columnar: true}); err != nil {
-			f.Fatal(err)
-		}
-		if p.Cols == nil {
-			p.Cols = vec.NewBlock(dim, 0)
-		}
-		rec, err := EncodePage(p, dim)
-		if err != nil {
-			f.Fatal(err)
-		}
+		rec := encodeRecord(f, &Page{ID: 7, Items: testItems(n, dim)}, dim, true)
 		if flags == 0 {
 			return rec
 		}
@@ -200,6 +181,7 @@ func FuzzColumnarPageDecode(f *testing.F) {
 	huge[9] = 0xFF
 	huge[10] = 0xFF
 	f.Add(huge)
+	f.Add(fixtureRecord(f, "v2_columnar", 0))
 
 	tenant := tenantRecord(f, false) // a version-1 tenant under columnar records
 
@@ -218,39 +200,18 @@ func FuzzColumnarPageDecode(f *testing.F) {
 		if len(data) < 16 || binary.LittleEndian.Uint32(data[0:4]) != pageMagic2 {
 			return // version-1 record; FuzzPageDecode owns those invariants
 		}
-		// A version-2 record decodes like a version-1 one; its block is
-		// built on request, as a copy of the rows.
+		// A version-2 record decodes like a version-1 one: re-encoded
+		// (version 1) and spliced back, the page reproduces the record up
+		// to the end of the items, with flags and quantization bits
+		// cleared and a checksum of its own.
 		dim := int(binary.LittleEndian.Uint32(data[12:16]))
-		if err := ColumnizePage(p, ColumnSpec{Columnar: true}); err != nil {
-			t.Fatal(err)
-		}
-		if p.Cols == nil {
-			if len(p.Items) != 0 {
-				t.Fatal("columnized page without a block")
-			}
-			p.Cols = vec.NewBlock(dim, 0) // nothing to columnize; the encoder needs the shape
-		}
-		b := p.Cols
-		if b.Dim != dim || b.N != len(p.Items) {
-			t.Fatalf("block is %d×%d, record header says %d items × dim %d", b.N, b.Dim, len(p.Items), dim)
-		}
-		if len(b.F64) != b.N*b.Dim {
-			t.Fatal("block buffer length disagrees with its shape")
-		}
-		for i := range p.Items {
-			if dim > 0 && &p.Items[i].Vec[0] != &b.Item(i)[0] {
-				t.Fatalf("item %d vector does not alias its block row", i)
-			}
-		}
-		re, err := EncodePage(p, dim)
+		v1, err := EncodePage(p, dim)
 		if err != nil {
 			t.Fatalf("re-encode of decoded page failed: %v", err)
 		}
-		// The writer emits no legacy sections: the round trip reproduces
-		// the record up to the end of the items, with flags and
-		// quantization bits cleared, and a checksum of its own.
+		re := spliceV2(v1)
 		flags := binary.LittleEndian.Uint32(data[16:20])
-		legacy := int(legacySectionsLen(flags, uint64(b.N), uint64(b.Dim)))
+		legacy := int(legacySectionsLen(flags, uint64(len(p.Items)), uint64(dim)))
 		if len(re) != len(data)-legacy {
 			t.Fatalf("re-encoded record is %d bytes, want %d-%d", len(re), len(data), legacy)
 		}
@@ -305,9 +266,6 @@ func FuzzManifestDecode(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		if err := Columnize(pages, ColumnSpec{Columnar: true}); err != nil {
-			f.Fatal(err)
-		}
 		man := Manifest{
 			Magic: ManifestMagic, Version: FormatVersionColumnar, Generation: 1,
 			Items: n, Dim: dim, PageCapacity: capacity,
@@ -315,10 +273,7 @@ func FuzzManifestDecode(f *testing.F) {
 			Columnar:  true,
 		}
 		for _, p := range pages {
-			rec, err := EncodePage(p, dim)
-			if err != nil {
-				f.Fatal(err)
-			}
+			rec := encodeRecord(f, p, dim, true)
 			length := int64(len(rec))
 			if legacy {
 				length += int64(legacySectionsLen(pageFlagLegacyQuant, uint64(len(p.Items)), uint64(dim)))

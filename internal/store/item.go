@@ -42,14 +42,8 @@ const InvalidPage PageID = -1
 // A decoded page (FileDisk, DecodePage) is its record: it owns the record's
 // bytes, and every Items[i].Vec points at item i's coordinates inside them,
 // cap == len — nothing is copied out. A vector is valid for as long as the
-// page is held (see below) and must not be written.
-//
-// When Cols is non-nil the page is columnar: the item coordinates live in
-// one contiguous item-major float64 buffer and every Items[i].Vec aliases
-// its row of that buffer. Per-pair code therefore reads the exact same
-// values either way; the block only adds contiguity. Cols exists only on
-// request — Columnize at build time, engine configs, a WrapColumns source —
-// never from the decoder, and is never mutated while a page is served.
+// page is held (see below) and must not be written. A built page's items
+// are the caller's, vectors included; they are not copied either.
 //
 // A page a FileDisk decoded also has a lifetime (the unexported fields; all
 // zero on every other page): it counts its holders, and when the last one
@@ -57,13 +51,12 @@ const InvalidPage PageID = -1
 type Page struct {
 	ID    PageID
 	Items []Item
-	Cols  *vec.Block
+	// pageCompat carries Cols, for bench/ alone (compat.go).
+	pageCompat
 
 	home *FileDisk    // takes the page back at zero pins; nil: no lifetime, left to the GC
 	pins atomic.Int32 // holders: one per ReadPage caller, one for the buffer
 	rec  []uint64     // the record a decoded page was read into; its vectors point here
-	slab []float64    // ColumnizePage's item-major copy of the coordinates, kept across reads
-	cols vec.Block    // what Cols points at: the slab as a block
 
 	// hdrs counts the leading entries of Items' backing array whose vectors
 	// are the headers bind writes for a record in rec of dimension hdrDim
@@ -103,9 +96,6 @@ func (p *Page) unpin() {
 		}
 	}
 	p.ID, p.Items = InvalidPage, p.Items[:0]
-	if p.Cols != nil {
-		p.Cols.N = 0
-	}
 	select {
 	case p.home.free <- p:
 	default: // list full: the GC has it
@@ -113,7 +103,7 @@ func (p *Page) unpin() {
 }
 
 // poisonRecycled, a test hook, additionally fills a recycled page's
-// coordinates — in its record, or in its slab when columnized — with NaN.
+// coordinates, in its record, with NaN.
 var poisonRecycled bool
 
 // Paginate packs items into pages of at most capacity items each, in the

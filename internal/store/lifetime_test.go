@@ -17,8 +17,9 @@ import (
 // when no later read has overwritten what it is looking at yet.
 func init() { poisonRecycled = true }
 
-// openStored writes n items of the given shape as a stored dataset and
-// opens it, returning the disk and the in-memory pages it was written from.
+// openStored writes n items of the given shape as a stored dataset, as
+// version-2 records with columnar, and opens it, returning the disk and
+// the in-memory pages it was written from.
 func openStored(t testing.TB, n, dim, capacity int, columnar bool) (*FileDisk, []*Page) {
 	t.Helper()
 	dir := t.TempDir()
@@ -26,10 +27,7 @@ func openStored(t testing.TB, n, dim, capacity int, columnar bool) (*FileDisk, [
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := DatasetMeta{Dim: dim, PageCapacity: capacity, Columnar: columnar}
-	if err := WriteDataset(dir, pages, meta, WriteOptions{NoSync: true}); err != nil {
-		t.Fatal(err)
-	}
+	writeDataset(t, dir, pages, DatasetMeta{Dim: dim, PageCapacity: capacity}, columnar)
 	fd, err := OpenFileDisk(dir, FileDiskOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +207,7 @@ func TestPagerPinsSingleflightWaiters(t *testing.T) {
 // recycled from under it.
 func TestPageRecycleNeverReleased(t *testing.T) {
 	fd, pages := openStored(t, 10*16, 4, 16, true)
-	pager := storedPager(t, WrapColumns(fd, ColumnSpec{Columnar: true}), 1)
+	pager := storedPager(t, fd, 1)
 	var held []*Page
 	for round := 0; round < 3; round++ {
 		for pid := range pages {
@@ -354,54 +352,42 @@ func TestPageRecycleDropsRejectedPages(t *testing.T) {
 // time. A steady-state scan of a stored dataset through the pager, every
 // page released after use, allocates at most one object per page read on
 // the default path and copies no coordinate: every vector points into the
-// record the pread landed in. Through WrapColumns (the soa layout) it
-// allocates at most two, the block served from the page's recycled slab.
-// (PR 17's parent allocated upwards of 240: the record, the Items array and
-// a vector per item.) Either way, every read after the free list's warm-up
-// is a reuse. Both record versions take both paths.
+// record the pread landed in. (An earlier build allocated upwards of 240:
+// the record, the Items array and a vector per item.) Every read after the
+// free list's warm-up is a reuse. Both record versions are read.
 func TestStoredScanAllocations(t *testing.T) {
 	for _, columnar := range []bool{false, true} {
-		for _, soa := range []bool{false, true} {
-			fd, pages := openStored(t, 30*64, 8, 64, columnar)
-			capacity := DefaultBufferPages(len(pages))
-			src, limit := PageSource(fd), 1.0
-			if soa {
-				src, limit = WrapColumns(fd, ColumnSpec{Columnar: true}), 2
-			}
-			pager := storedPager(t, src, capacity)
-			coords := pageHeaderLen + itemFixedLen // item 0's coordinates, bytes into the record
-			if columnar {
-				coords = pageHeaderLenV2 + itemFixedLen
-			}
-			var sink float64
-			scan := func() {
-				for pid := range pages {
-					pg, err := pager.ReadPage(PageID(pid))
-					if err != nil {
-						t.Fatal(err)
-					}
-					first := unsafe.Pointer(&pg.Items[0].Vec[0])
-					if soa && (pg.Cols == nil || pg.Cols.N != len(pg.Items) || first != unsafe.Pointer(&pg.Cols.F64[0]) || first != unsafe.Pointer(&pg.slab[0])) {
-						t.Fatal("soa page served without its block, or with a block outside its slab")
-					}
-					if !soa && (pg.Cols != nil || first != unsafe.Pointer(&pg.rec[coords/8])) {
-						t.Fatal("aos page served with a block, or with its coordinates copied out of the record")
-					}
-					sink += pg.Items[len(pg.Items)-1].Vec[0]
-					pager.Release(pg)
+		fd, pages := openStored(t, 30*64, 8, 64, columnar)
+		capacity := DefaultBufferPages(len(pages))
+		pager := storedPager(t, fd, capacity)
+		coords := pageHeaderLen + itemFixedLen // item 0's coordinates, bytes into the record
+		if columnar {
+			coords = pageHeaderLenV2 + itemFixedLen
+		}
+		var sink float64
+		scan := func() {
+			for pid := range pages {
+				pg, err := pager.ReadPage(PageID(pid))
+				if err != nil {
+					t.Fatal(err)
 				}
+				if unsafe.Pointer(&pg.Items[0].Vec[0]) != unsafe.Pointer(&pg.rec[coords/8]) {
+					t.Fatal("page served with its coordinates copied out of the record")
+				}
+				sink += pg.Items[len(pg.Items)-1].Vec[0]
+				pager.Release(pg)
 			}
-			scan()
-			perPage := testing.AllocsPerRun(5, scan) / float64(len(pages))
-			if perPage > limit {
-				t.Errorf("columnar=%v soa=%v: %.2f allocations per page read, want at most %v", columnar, soa, perPage, limit)
-			}
-			// Fresh pages: what the buffer holds plus the one being read.
-			reads, warmup := fd.Stats().Reads, int64(capacity+1)
-			if st := fd.Storage(); st.PagesReused != reads-warmup {
-				t.Errorf("columnar=%v soa=%v: %d of %d reads reused a page, want all but the first %d",
-					columnar, soa, st.PagesReused, reads, warmup)
-			}
+		}
+		scan()
+		perPage := testing.AllocsPerRun(5, scan) / float64(len(pages))
+		if perPage > 1 {
+			t.Errorf("columnar=%v: %.2f allocations per page read, want at most 1", columnar, perPage)
+		}
+		// Fresh pages: what the buffer holds plus the one being read.
+		reads, warmup := fd.Stats().Reads, int64(capacity+1)
+		if st := fd.Storage(); st.PagesReused != reads-warmup {
+			t.Errorf("columnar=%v: %d of %d reads reused a page, want all but the first %d",
+				columnar, st.PagesReused, reads, warmup)
 		}
 	}
 }

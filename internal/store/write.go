@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-
-	"metricdb/internal/vec"
 )
 
 // FileOp names one filesystem mutation of the dataset writer. The write
@@ -71,15 +69,13 @@ type DatasetMeta struct {
 	PageCapacity int
 	// Attrs is copied into the manifest verbatim.
 	Attrs map[string]string
-	// Columnar requests version-2 columnar page records (a dataset that
-	// opens straight into SoA pages). Pages that already carry a columnar
-	// block force this on.
-	Columnar bool
 }
 
 // WriteDataset builds (or atomically replaces) the persistent dataset in
 // dir from pages, which must have consecutive IDs starting at 0 (the
-// NewDisk contract). The protocol makes the build crash-safe:
+// NewDisk contract). Every coordinate must be finite (CheckFinite): pages
+// holding a NaN or an infinity are refused before anything is created, as
+// every engine build refuses them. The protocol makes the build crash-safe:
 //
 //  1. the new page file is written under a generation-tagged name no
 //     previous manifest references, then fsynced;
@@ -98,6 +94,9 @@ func WriteDataset(dir string, pages []*Page, meta DatasetMeta, opts WriteOptions
 		if p == nil || p.ID != PageID(i) {
 			return fmt.Errorf("store: page at slot %d is missing or misnumbered", i)
 		}
+		if err := CheckFinite(p.Items); err != nil {
+			return fmt.Errorf("store: page %d: %w", i, err)
+		}
 	}
 	dim := meta.Dim
 	capacity := meta.PageCapacity
@@ -115,28 +114,6 @@ func WriteDataset(dir string, pages []*Page, meta DatasetMeta, opts WriteOptions
 		return fmt.Errorf("store: %w", err)
 	}
 
-	// Resolve the columnar shape of the build: what the meta requests,
-	// widened by whatever the pages already carry (a page that arrives
-	// with a block is encoded as a version-2 record, so the manifest must
-	// say so). Missing blocks are materialized here, before any byte is
-	// written.
-	spec := ColumnSpec{Columnar: meta.Columnar}
-	for _, p := range pages {
-		if p.Cols != nil {
-			spec.Columnar = true
-		}
-	}
-	if spec.Columnar {
-		for _, p := range pages {
-			if err := ColumnizePage(p, spec); err != nil {
-				return err
-			}
-			if len(p.Items) == 0 && p.Cols == nil {
-				p.Cols = vec.NewBlock(dim, 0) // itemless pages still need v2 records
-			}
-		}
-	}
-
 	// The new generation is one past the published one, so the new page
 	// file's name cannot collide with the file the live manifest needs.
 	gen := int64(1)
@@ -148,20 +125,15 @@ func WriteDataset(dir string, pages []*Page, meta DatasetMeta, opts WriteOptions
 
 	w := &buildWriter{dir: dir, opts: opts}
 	pagesName := fmt.Sprintf("pages-g%08d.dat", gen)
-	version := FormatVersion
-	if spec.Columnar {
-		version = FormatVersionColumnar
-	}
 	man := &Manifest{
 		Magic:        ManifestMagic,
-		Version:      version,
+		Version:      FormatVersion,
 		Generation:   gen,
 		Items:        items,
 		Dim:          dim,
 		PageCapacity: capacity,
 		PagesFile:    pagesName,
 		Attrs:        meta.Attrs,
-		Columnar:     spec.Columnar,
 		Pages:        make([]PageEntry, 0, len(pages)),
 	}
 

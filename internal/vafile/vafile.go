@@ -52,9 +52,6 @@ type Config struct {
 	// fault-injected storage. Approximations are built from the in-memory
 	// pages, so construction never reads through the wrapper.
 	WrapDisk func(store.PageSource) (store.PageSource, error)
-	// Columns selects whether a columnar float64 block is materialized on
-	// each page at build time for the blocked distance kernels.
-	Columns store.ColumnSpec
 }
 
 // Engine is a VA-file over a paged vector file.
@@ -123,9 +120,6 @@ func New(items []store.Item, cfg Config) (*Engine, error) {
 
 	pages, err := store.Paginate(items, cfg.PageCapacity)
 	if err != nil {
-		return nil, fmt.Errorf("vafile: %w", err)
-	}
-	if err := store.Columnize(pages, cfg.Columns); err != nil {
 		return nil, fmt.Errorf("vafile: %w", err)
 	}
 	disk, err := store.NewDisk(pages)

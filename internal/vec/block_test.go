@@ -10,13 +10,9 @@ import (
 
 func testBlock(t *testing.T, rng *rand.Rand, dim, n int) *Block {
 	t.Helper()
-	b := NewBlock(dim, n)
-	for i := 0; i < n; i++ {
-		row := make(Vector, dim)
-		for d := range row {
-			row[d] = rng.NormFloat64()
-		}
-		b.SetItem(i, row)
+	b := &Block{Dim: dim, N: n, F64: make([]float64, n*dim)}
+	for j := range b.F64 {
+		b.F64[j] = rng.NormFloat64()
 	}
 	return b
 }

@@ -1,20 +1,19 @@
 package vec
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// Block is the columnar (SoA) representation of one page's item
-// coordinates: a single contiguous item-major float64 buffer instead of
-// one heap allocation per item.
+// The symbols in this file are kept only because the benchmark module
+// (bench/) names them: its vec.row_ns_per_dist probe times RowWithin over
+// a block. Nothing else in the module may use them: `make compat` fails on
+// any other file that does. ROADMAP item 1a's item-8 line moves the probe
+// to Rows.Screen and Resolve and deletes this file.
+
+// Block holds n items' coordinates in one contiguous item-major float64
+// buffer:
 //
 //	F64:   [item0 d0..dDim-1 | item1 d0..dDim-1 | ...]   8·Dim bytes/item
 //
-// Page Items alias rows of F64 (Item(i) returns a subslice, never a copy),
-// so every per-pair code path reads the exact same float64 values whether
-// or not a block is attached — attaching one can change memory placement
-// but never results.
+// Deprecated: removed by ROADMAP item 1a (item 8).
 type Block struct {
 	// Dim is the dimensionality of every row.
 	Dim int
@@ -25,35 +24,24 @@ type Block struct {
 	F64 []float64
 }
 
-// NewBlock allocates a block for n items of the given dimensionality.
-func NewBlock(dim, n int) *Block {
-	return &Block{Dim: dim, N: n, F64: make([]float64, n*dim)}
-}
-
 // Item returns row i of the float64 buffer as a Vector. The returned slice
 // aliases the block.
 func (b *Block) Item(i int) Vector {
 	return b.F64[i*b.Dim : (i+1)*b.Dim : (i+1)*b.Dim]
 }
 
-// SetItem copies v into row i of the float64 buffer.
-func (b *Block) SetItem(i int, v Vector) {
-	if len(v) != b.Dim {
-		panic(fmt.Sprintf("vec: block row dim %d, vector dim %d", b.Dim, len(v)))
-	}
-	copy(b.F64[i*b.Dim:(i+1)*b.Dim], v)
-}
-
 // BlockKernel is the row kernel behind its former entry point: the loaded
-// Rows, reloaded for every call. Nothing in this module calls it; the
-// benchmark's vec.row_ns_per_dist probe does, and the benchmark PR that
-// moves the probe to Rows deletes it (ROADMAP item 1).
+// Rows, reloaded for every call.
+//
+// Deprecated: removed by ROADMAP item 1a (item 8).
 type BlockKernel struct {
 	rows *Rows
 	sc   RowScratch
 }
 
 // NewBlockKernel returns the adapter over NewRows(m).
+//
+// Deprecated: removed by ROADMAP item 1a (item 8).
 func NewBlockKernel(m BoundedMetric) *BlockKernel {
 	return &BlockKernel{rows: NewRows(m)}
 }
@@ -62,6 +50,8 @@ func NewBlockKernel(m BoundedMetric) *BlockKernel {
 // limits and returns how many lanes the limits abandoned. wOut[a] and,
 // where it holds, dOut[a] are DistanceWithin(queries[a], b.Item(i),
 // limits[a]) bit for bit; an abandoned lane's dOut is +Inf.
+//
+// Deprecated: removed by ROADMAP item 1a (item 8).
 func (k *BlockKernel) RowWithin(queries []Vector, b *Block, i int, limits []float64, dOut []float64, wOut []bool) int {
 	k.rows.Load(queries, limits)
 	for a := range queries {

@@ -45,9 +45,6 @@ type Config struct {
 	// splitting, which tightens MBRs. 0 disables reinsertion (default);
 	// the R*-tree paper recommends 0.3. Must be in [0, 0.5].
 	ReinsertFraction float64
-	// Columns selects whether Build materializes a columnar float64 block
-	// on each data page for the blocked distance kernels.
-	Columns store.ColumnSpec
 }
 
 // withDefaults fills in defaulted fields and validates the config.
@@ -476,9 +473,6 @@ func (t *Tree) Build() error {
 	}
 	flush(t.root)
 
-	if err := store.Columnize(pages, t.cfg.Columns); err != nil {
-		return fmt.Errorf("xtree: %w", err)
-	}
 	disk, err := store.NewDisk(pages)
 	if err != nil {
 		return fmt.Errorf("xtree: %w", err)

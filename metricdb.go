@@ -27,9 +27,10 @@
 //
 // Physical organizations: a sequential scan (always applicable, maximal
 // multi-query benefit), an X-tree (selective in low and moderate
-// dimensions), and a VA-file (the refined scan: bit-quantized
-// approximations). General metric data without vectors is served by the
-// generic M-tree (NewMTree). Mining algorithms from the paper are available
+// dimensions), a VA-file (the refined scan: bit-quantized approximations),
+// a pivot table and a PM-tree (bounds from the triangle inequality alone,
+// for any metric). Every one serves vectors; an item is a vector, and a
+// page holds items. Mining algorithms from the paper are available
 // as DB methods (DBSCAN, ClassifyKNN, ...) and via the Explore framework,
 // incremental nearest-neighbor ranking via DB.Ranking, and physical-design
 // advice via Advise. The cmd/msqserver command exposes all of it over TCP.
@@ -40,7 +41,6 @@ import (
 
 	"metricdb/internal/explore"
 	"metricdb/internal/msq"
-	"metricdb/internal/mtree"
 	"metricdb/internal/query"
 	"metricdb/internal/store"
 	"metricdb/internal/vec"
@@ -84,10 +84,6 @@ type (
 	Feature = explore.Feature
 	// ExplorationConfig parameterizes the manual-exploration simulation.
 	ExplorationConfig = explore.ExplorationConfig
-	// MTree is a generic metric index over any Go type; see NewMTree.
-	MTree[T any] = mtree.Tree[T]
-	// MTreeResult is one M-tree search answer.
-	MTreeResult[T any] = mtree.Result[T]
 )
 
 // Avoidance modes, re-exported.
@@ -146,14 +142,6 @@ func QuadraticForm(dim int, a []float64) (Metric, error) { return vec.NewQuadrat
 // nearby histogram bins, suitable for QuadraticForm.
 func HistogramMatrix(dim int, decay float64) ([]float64, error) {
 	return vec.HistogramSimilarityMatrix(dim, decay)
-}
-
-// NewMTree creates a generic metric index over any Go type T with the
-// given metric distance function — the structure for metric databases
-// whose objects are not vectors (e.g. WWW sessions under edit distance).
-// nodeCapacity 0 selects the default.
-func NewMTree[T any](dist func(a, b T) float64, nodeCapacity int) (*MTree[T], error) {
-	return mtree.New[T](dist, mtree.Config{NodeCapacity: nodeCapacity})
 }
 
 // NewItems packs vectors into items with IDs equal to their indexes, the

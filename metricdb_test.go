@@ -66,7 +66,8 @@ func TestVAFileRejectsNonFiniteCoordinates(t *testing.T) {
 // TestNonFiniteCoordinatesRejected: a NaN or infinite coordinate can never
 // be answered and breaks the total orders the index builds rely on. Every
 // engine kind refuses it — through engines.Build and Open — with the error
-// vafile.New returns.
+// vafile.New returns, and so does the store's writer, so that no dataset
+// directory holds one for OpenStored to serve.
 func TestNonFiniteCoordinatesRejected(t *testing.T) {
 	expectNonFiniteRejected(t, func(items []Item) map[string]func() error {
 		builds := map[string]func() error{}
@@ -83,6 +84,9 @@ func TestNonFiniteCoordinatesRejected(t *testing.T) {
 		builds["Advise"] = func() error {
 			_, err := Advise(items, 1)
 			return err
+		}
+		builds["dataset.SaveDir"] = func() error {
+			return dataset.SaveDir(t.TempDir(), items, dataset.SaveOptions{PageCapacity: 8, NoSync: true})
 		}
 		return builds
 	})
@@ -330,44 +334,6 @@ func TestQueryTypeConstructors(t *testing.T) {
 	if bk.Cardinality != 3 || bk.Range != 0.7 {
 		t.Error("BoundedKNNQuery wrong")
 	}
-}
-
-func TestMTreeFacade(t *testing.T) {
-	dist := func(a, b string) float64 {
-		// Hamming-ish toy metric on equal-length strings.
-		n := 0
-		for i := 0; i < len(a) && i < len(b); i++ {
-			if a[i] != b[i] {
-				n++
-			}
-		}
-		return float64(n + lenDiff(a, b))
-	}
-	tr, err := NewMTree(dist, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []string{"abcd", "abce", "zzzz", "abcf"} {
-		tr.Insert(s)
-	}
-	res := tr.KNN("abcd", 2)
-	if len(res) != 2 || res[0].Obj != "abcd" {
-		t.Errorf("KNN = %v", res)
-	}
-	var one MTreeResult[string] = res[0]
-	if one.Dist != 0 {
-		t.Errorf("self distance = %v", one.Dist)
-	}
-	if _, err := NewMTree[string](nil, 0); err == nil {
-		t.Error("nil metric accepted")
-	}
-}
-
-func lenDiff(a, b string) int {
-	if len(a) > len(b) {
-		return len(a) - len(b)
-	}
-	return len(b) - len(a)
 }
 
 func TestMiningFacade(t *testing.T) {

@@ -74,15 +74,6 @@ func openStoredDirect(dir string, items []Item, dim int, opts Options, bufferPag
 		return nil, fmt.Errorf("metricdb: %w", err)
 	}
 	man := fd.Manifest()
-	layout, err := parseLayout(opts.Layout)
-	if err != nil {
-		fd.Close() //nolint:errcheck
-		return nil, err
-	}
-	// Serve pages through a columnizing wrapper when the layout wants
-	// blocks: a decoded page of either record version has none, so each is
-	// materialized on read, with the buffer caching the columnized page.
-	src := store.WrapColumns(fd, columnSpec(layout))
 	var buf *store.Buffer
 	if bufferPages > 0 {
 		if buf, err = store.NewBuffer(bufferPages); err != nil {
@@ -90,7 +81,7 @@ func openStoredDirect(dir string, items []Item, dim int, opts Options, bufferPag
 			return nil, fmt.Errorf("metricdb: %w", err)
 		}
 	}
-	pager, err := store.NewPager(src, buf)
+	pager, err := store.NewPager(fd, buf)
 	if err != nil {
 		fd.Close() //nolint:errcheck
 		return nil, fmt.Errorf("metricdb: %w", err)
@@ -123,7 +114,7 @@ func openStoredDirect(dir string, items []Item, dim int, opts Options, bufferPag
 	// The stored layout dictates the page capacity; reflect it in the
 	// options so DB introspection reports the truth.
 	opts.PageCapacity = man.PageCapacity
-	proc, err := msq.New(eng, opts.Metric, msq.Options{Avoidance: opts.Avoidance, Layout: layout})
+	proc, err := msq.New(eng, opts.Metric, msq.Options{Avoidance: opts.Avoidance})
 	if err != nil {
 		fd.Close() //nolint:errcheck
 		return nil, err
@@ -166,11 +157,6 @@ func storedPivotTable(dir string, items []Item, man *store.Manifest, lens []int,
 // pages from the file system through the engine's WrapDisk hook.
 func openStoredDerived(dir string, items []Item, dim int, opts Options, bufferPages int) (*DB, error) {
 	layoutDir := filepath.Join(dir, "layout-"+string(opts.Engine))
-	layout, err := parseLayout(opts.Layout)
-	if err != nil {
-		return nil, err
-	}
-	columns := columnSpec(layout)
 	var fd *store.FileDisk
 	wrap := func(src store.PageSource) (store.PageSource, error) {
 		pages := make([]*store.Page, src.NumPages())
@@ -185,14 +171,8 @@ func openStoredDerived(dir string, items []Item, dim int, opts Options, bufferPa
 				capacity = len(p.Items)
 			}
 		}
-		// The engine columnized its pages before building the disk, so
-		// the blocks ride along into the persisted layout: the meta
-		// field makes the written records carry them, and the reopened
-		// FileDisk's pages get them back through the same wrapper as a
-		// direct open.
 		meta := store.DatasetMeta{Dim: dim, PageCapacity: capacity,
-			Columnar: columns.Columnar,
-			Attrs:    map[string]string{"layout": string(opts.Engine)}}
+			Attrs: map[string]string{"layout": string(opts.Engine)}}
 		if err := store.WriteDataset(layoutDir, pages, meta, store.WriteOptions{}); err != nil {
 			return nil, err
 		}
@@ -200,17 +180,17 @@ func openStoredDerived(dir string, items []Item, dim int, opts Options, bufferPa
 		if fd, err = store.OpenFileDisk(layoutDir, store.FileDiskOptions{Mmap: opts.Mmap}); err != nil {
 			return nil, err
 		}
-		return store.WrapColumns(fd, columns), nil
+		return fd, nil
 	}
 
-	eng, err := engines.Build(opts.engineSpec(items, dim, bufferPages, columns, wrap))
+	eng, err := engines.Build(opts.engineSpec(items, dim, bufferPages, wrap))
 	if err != nil {
 		if fd != nil {
 			fd.Close() //nolint:errcheck
 		}
 		return nil, err
 	}
-	proc, err := msq.New(eng, opts.Metric, msq.Options{Avoidance: opts.Avoidance, Layout: layout})
+	proc, err := msq.New(eng, opts.Metric, msq.Options{Avoidance: opts.Avoidance})
 	if err != nil {
 		if fd != nil {
 			fd.Close() //nolint:errcheck

@@ -6,10 +6,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"metricdb/internal/dataset"
 	"metricdb/internal/pivot"
+	"metricdb/internal/store"
 )
 
 func storedDir(t *testing.T, seed int64, n, dim, capacity int) string {
@@ -252,5 +254,97 @@ func TestOpenStoredErrors(t *testing.T) {
 	}
 	if _, err := OpenStored(storedDir(t, 81, 40, 2, 8), Options{Engine: "btree"}); err == nil {
 		t.Error("unknown engine accepted")
+	}
+}
+
+// TestOpenStoredLegacySections serves the three datasets committed under
+// internal/store/testdata, written by earlier builds with the command
+// msqgen -kind uniform -n 64 -dim 4 -pagecap 16 -seed 7 and -layout soa
+// (version-2 records), f32 or quant (version-2 records with the legacy
+// sections). They must hold the items that command generates and serve
+// them exactly like the same items written by this build (version 1): same
+// answers, same Stats, same IOStats, with and without avoidance.
+func TestOpenStoredLegacySections(t *testing.T) {
+	items := testItems(7, 64, 4)
+	v1Dir := t.TempDir()
+	if err := dataset.SaveDir(v1Dir, items, dataset.SaveOptions{PageCapacity: 16, NoSync: true}); err != nil {
+		t.Fatal(err)
+	}
+	batch := layoutBatch(4, 96)
+	run := func(t *testing.T, dir string, opts Options) ([][]Answer, Stats, store.IOStats) {
+		t.Helper()
+		db, err := OpenStored(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close() //nolint:errcheck
+		if !reflect.DeepEqual(db.Items(), items) {
+			t.Fatalf("%s holds different items than its generator command", dir)
+		}
+		ans, stats, err := db.NewBatch().QueryAll(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ans, stats, db.IOStats()
+	}
+	for _, name := range []string{"v2_columnar", "legacy_f32", "legacy_quant"} {
+		// A copy, so engines that persist a derived layout next to the
+		// dataset do not write into testdata.
+		oldDir := t.TempDir()
+		if err := os.CopyFS(oldDir, os.DirFS(filepath.Join("internal", "store", "testdata", name))); err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []EngineKind{EngineScan, EngineXTree} {
+			for _, mode := range []AvoidanceMode{AvoidOff, AvoidBoth} {
+				t.Run(fmt.Sprintf("%s/%s/%v", name, kind, mode), func(t *testing.T) {
+					opts := Options{Engine: kind, BufferPages: 2, Avoidance: mode}
+					wantAns, wantStats, wantIO := run(t, v1Dir, opts)
+					ans, stats, io := run(t, oldDir, opts)
+					compareLayoutAnswers(t, name, wantAns, ans)
+					if stats != wantStats || io != wantIO {
+						t.Errorf("%s served differently:\n  v1:  %+v %+v\n  old: %+v %+v", name, wantStats, wantIO, stats, io)
+					}
+				})
+			}
+		}
+	}
+}
+
+func layoutBatch(dim int, seed int64) []Query {
+	rng := rand.New(rand.NewSource(seed))
+	point := func() Vector {
+		v := make(Vector, dim)
+		for j := range v {
+			v[j] = rng.Float64()
+		}
+		return v
+	}
+	return []Query{
+		{ID: 0, Vec: point(), Type: RangeQuery(0.5)},
+		{ID: 1, Vec: point(), Type: KNNQuery(9)},
+		{ID: 2, Vec: point(), Type: BoundedKNNQuery(4, 0.7)},
+		{ID: 3, Vec: point(), Type: KNNQuery(3)},
+	}
+}
+
+// compareLayoutAnswers requires bit-identical answer lists.
+func compareLayoutAnswers(t *testing.T, label string, want, got [][]Answer) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d vs %d answer lists", label, len(want), len(got))
+	}
+	for q := range want {
+		if len(want[q]) != len(got[q]) {
+			t.Fatalf("%s: query %d: %d vs %d answers", label, q, len(want[q]), len(got[q]))
+		}
+		for i := range want[q] {
+			a, b := want[q][i], got[q][i]
+			if a.ID != b.ID {
+				t.Fatalf("%s: query %d answer %d: id %d vs %d", label, q, i, a.ID, b.ID)
+			}
+			if math.Float64bits(a.Dist) != math.Float64bits(b.Dist) {
+				t.Fatalf("%s: query %d answer %d: dist %v vs %v", label, q, i, a.Dist, b.Dist)
+			}
+		}
 	}
 }
