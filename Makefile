@@ -131,7 +131,10 @@ differential:
 # coordinates, limits, cells and tables no generator would pick.
 # The request path a client can reach — one arbitrary line to a server with
 # admission on, over a stored scan — must answer with JSON and a code, never
-# panic, and keep serving the oracle's answers.
+# panic, and keep serving the oracle's answers. The wire's hand-written codec
+# is held to encoding/json on both ends: a request or response line its
+# decoder takes must be one json.Unmarshal takes, to the same message, and a
+# message json.Unmarshal yields must encode to json.Marshal's bytes.
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzEucRows -fuzztime=30s ./internal/vec/
 	go test -run='^$$' -fuzz=FuzzEucItems -fuzztime=30s ./internal/vec/
@@ -143,6 +146,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzCRC32C -fuzztime=30s ./internal/store/
 	go test -run='^$$' -fuzz=FuzzTableDecode -fuzztime=30s ./internal/pivot/
 	go test -run='^$$' -fuzz=FuzzServeRequest -fuzztime=30s ./internal/wire/
+	go test -run='^$$' -fuzz=FuzzDecodeResponse -fuzztime=30s ./internal/wire/
 
 # The in-run wall-clock gates. Two are ratios of two interleaved min-of-N
 # measurements in one process: the real MultiQuery with a tracer installed
@@ -196,13 +200,16 @@ loc:
 # the engines_lowdim shape (ns and heap bytes per build), the sliding window of a mining
 # loop, a whole DBSCAN job (ns and heap bytes per query), a stored page's decode (in place and from caller memory, ns/page and
 # B/op), a stored read split into pread, verify, bind and the whole miss,
-# the CRC-32C's two bodies and the stored scan's page path, then the end-to-end
+# the CRC-32C's two bodies and the stored scan's page path, the wire's four
+# message operations by the hand codec and by encoding/json (one 10-NN query
+# over 16 coordinates and its ten answers) and a served single query over
+# loopback with admission on (ns, B and allocations per query, both ends), then the end-to-end
 # artifacts — the admission-control load profiles (BENCH_load.json) and the
 # page pass's avoidance axis (BENCH_block.json). The deterministic
 # work counters are not here: go test pins them (TestEngineWorkGolden).
 bench:
-	go test -bench='BenchmarkDistance|BenchmarkRowKernel|BenchmarkItemKernel|BenchmarkBoxKernel|BenchmarkSortRefs|BenchmarkPlan|BenchmarkSweep|BenchmarkBulk|BenchmarkBuild|BenchmarkMultiQueryAll|BenchmarkPassBodies|BenchmarkIncrementalWindow|BenchmarkDBSCAN|BenchmarkStoredScan|BenchmarkDecodePage|BenchmarkFileDiskRead|BenchmarkCRC32C' -benchmem -run=^$$ \
-		./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/engines/ ./internal/msq/ ./internal/explore/ ./internal/store/
+	go test -bench='BenchmarkDistance|BenchmarkRowKernel|BenchmarkItemKernel|BenchmarkBoxKernel|BenchmarkSortRefs|BenchmarkPlan|BenchmarkSweep|BenchmarkBulk|BenchmarkBuild|BenchmarkMultiQueryAll|BenchmarkPassBodies|BenchmarkIncrementalWindow|BenchmarkDBSCAN|BenchmarkStoredScan|BenchmarkDecodePage|BenchmarkFileDiskRead|BenchmarkCRC32C|BenchmarkCodec|BenchmarkServeQuery' -benchmem -run=^$$ \
+		./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/engines/ ./internal/msq/ ./internal/explore/ ./internal/store/ ./internal/wire/
 	go run ./cmd/msqbench -experiment load
 	go run ./cmd/msqbench -experiment block
 

@@ -469,6 +469,7 @@ func BenchmarkVAFileVsScan(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ResetTimer() // ns/op is the queries', not the build's
 			var pages, dists int64
 			for i := 0; i < b.N; i++ {
 				db.ResetCounters()

@@ -23,31 +23,32 @@ import (
 // fuzzMaxRequestBytes is the fuzzed server's request-line cap.
 const fuzzMaxRequestBytes = 4096
 
-// startStoredServer serves a small stored dataset — 200 3-d items written
-// with WriteDataset, read back by the scan through a FileDisk behind a
-// two-page buffer — with admission control on, over loopback TCP.
-func startStoredServer(f *testing.F) ([]store.Item, string) {
-	items := dataset.Uniform(21, 200, 3)
+// startStoredServer serves a small stored dataset — 200 items of dimension
+// dim written with WriteDataset, read back by the scan through a FileDisk
+// behind a two-page buffer — with admission control adm on, over loopback
+// TCP.
+func startStoredServer(tb testing.TB, dim int, adm admit.Config) ([]store.Item, string) {
+	items := dataset.Uniform(21, 200, dim)
 	pages, err := store.Paginate(items, 16)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	dir := f.TempDir()
-	if err := store.WriteDataset(dir, pages, store.DatasetMeta{Dim: 3, PageCapacity: 16}, store.WriteOptions{NoSync: true}); err != nil {
-		f.Fatal(err)
+	dir := tb.TempDir()
+	if err := store.WriteDataset(dir, pages, store.DatasetMeta{Dim: dim, PageCapacity: 16}, store.WriteOptions{NoSync: true}); err != nil {
+		tb.Fatal(err)
 	}
 	fd, err := store.OpenFileDisk(dir, store.FileDiskOptions{})
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	f.Cleanup(func() { fd.Close() }) //nolint:errcheck
+	tb.Cleanup(func() { fd.Close() }) //nolint:errcheck
 	buf, err := store.NewBuffer(2)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	pager, err := store.NewPager(fd, buf)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	lens := make([]int, len(pages))
 	for i, p := range pages {
@@ -55,25 +56,25 @@ func startStoredServer(f *testing.F) ([]store.Item, string) {
 	}
 	eng, err := scan.NewStored(pager, len(items), lens)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{})
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	srv, err := NewServerWithConfig(proc, ServerConfig{
 		MaxRequestBytes: fuzzMaxRequestBytes,
-		Admit:           &admit.Config{MaxWait: 200 * time.Microsecond},
+		Admit:           &adm,
 	})
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	go srv.Serve(lis) //nolint:errcheck // ends with net.ErrClosed on shutdown
-	f.Cleanup(func() { srv.Close() })
+	tb.Cleanup(func() { srv.Close() })
 	return items, lis.Addr().String()
 }
 
@@ -87,7 +88,7 @@ func startStoredServer(f *testing.F) ([]store.Item, string) {
 // it (not JSON, or over the size cap) — then the connection must be closed,
 // and a new one must be served.
 func FuzzServeRequest(f *testing.F) {
-	items, addr := startStoredServer(f)
+	items, addr := startStoredServer(f, 3, admit.Config{MaxWait: 200 * time.Microsecond})
 	follow := QuerySpec{ID: 7, Vector: []float64{0.25, 0.5, 0.75}, Kind: "knn", K: 5}
 	oracle := make([]Answer, len(items))
 	for i, it := range items {
@@ -122,6 +123,9 @@ func FuzzServeRequest(f *testing.F) {
 		`{"op":"query","deadline_ms":9223372036854775807,"queries":[{"vector":[0.1,0.2,0.3],"kind":"knn","k":3}]}`,
 		`{"op":"dance"}`,
 		`{"op":"query","queries":null}`,
+		`{"op":"query","queries":[{"id":07,"vector":[0.1,0.2,0.3],"kind":"knn","k":3}]}`, // a leading zero
+		`{"op":"query","queries":[{"id":7,"vector":[.1,0.2,0.3],"kind":"knn","k":3}]}`,
+		`{"op":"query","queries":[{"id":7,"vector":[0.1,0.2,0.3],"kind":"knn","k":3}],"deadline_ms":+5}`,
 		`not json at all`,
 		`{"op":"query","queries":[{"kind":"` + strings.Repeat("x", fuzzMaxRequestBytes) + `"}]}`, // oversized line
 		strings.Repeat("[", 20000) + strings.Repeat("]", 20000),                                  // deep nesting
@@ -133,6 +137,17 @@ func FuzzServeRequest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, line []byte) {
 		line = bytes.ReplaceAll(line, []byte("\n"), []byte(" ")) // one line
+		var cd codec
+		if got, ok := handRequest(&cd, append(line, '\n')); ok {
+			var want Request
+			if err := json.Unmarshal(line, &want); err != nil {
+				t.Fatalf("hand decoder accepted %q, json.Unmarshal: %v", line, err)
+			}
+			sameMessage(t, got, want)
+		}
+		if req := (Request{}); json.Unmarshal(line, &req) == nil {
+			sameEncoding(t, &cd, req)
+		}
 		// The server stops reading an oversized line at the cap, answers
 		// and closes; the unread tail may reset the connection under the
 		// reply, so for such a line only the fresh connection is judged.

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -488,30 +489,32 @@ func (s *Server) isDraining() bool {
 // errRequestTooLarge is returned by readLine for lines beyond the cap.
 var errRequestTooLarge = errors.New("wire: request exceeds size limit")
 
-// readLine reads one newline-terminated request line of at most max bytes.
-// A final unterminated line before EOF is returned as a request; EOF with
-// no pending bytes is returned as io.EOF (the clean-close signal).
+// readLine reads one newline-terminated line of at most max bytes. A line
+// that fits bufio's buffer is returned in place, valid until the next read;
+// a longer one is gathered into a fresh slice. A final unterminated line
+// before EOF is returned as a line; EOF with no pending bytes is returned as
+// io.EOF (the clean-close signal).
 func readLine(br *bufio.Reader, max int) ([]byte, error) {
-	var line []byte
-	for {
-		frag, err := br.ReadSlice('\n')
-		line = append(line, frag...)
-		if len(line) > max {
-			return nil, errRequestTooLarge
+	line, err := br.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) {
+		line = bytes.Clone(line)
+		for errors.Is(err, bufio.ErrBufferFull) && len(line) <= max {
+			var frag []byte
+			frag, err = br.ReadSlice('\n')
+			line = append(line, frag...)
 		}
-		switch {
-		case err == nil:
-			return line, nil
-		case errors.Is(err, bufio.ErrBufferFull):
-			continue
-		case errors.Is(err, io.EOF) && len(bytes.TrimSpace(line)) > 0:
-			return line, nil
-		default:
-			if len(line) == 0 && errors.Is(err, io.EOF) {
-				return nil, io.EOF
-			}
-			return nil, err
-		}
+	}
+	switch {
+	case len(line) > max:
+		return nil, errRequestTooLarge
+	case err == nil:
+		return line, nil
+	case errors.Is(err, io.EOF) && len(bytes.TrimSpace(line)) > 0:
+		return line, nil
+	case len(line) == 0 && errors.Is(err, io.EOF):
+		return nil, io.EOF
+	default:
+		return nil, err
 	}
 }
 
@@ -536,8 +539,7 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 
 	br := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-	enc := json.NewEncoder(w)
+	var cd codec
 	tr := s.cfg.Tracer
 	traced := tr.Enabled()
 	send := func(resp Response) error {
@@ -554,9 +556,9 @@ func (s *Server) handle(conn net.Conn) {
 		if traced {
 			encStart = time.Now()
 		}
-		err := enc.Encode(resp)
+		line, err := cd.encodeResponse(&resp)
 		if err == nil {
-			err = w.Flush()
+			_, err = conn.Write(line)
 		}
 		if traced {
 			tr.ObserveSince(obs.PhaseWireEncode, encStart)
@@ -592,8 +594,7 @@ func (s *Server) handle(conn net.Conn) {
 		if traced {
 			decStart = time.Now()
 		}
-		var req Request
-		err = json.Unmarshal(line, &req)
+		req, err := cd.decodeRequest(line)
 		if traced {
 			tr.ObserveSince(obs.PhaseWireDecode, decStart)
 		}
@@ -765,9 +766,11 @@ func toWireAnswers(as []query.Answer) []Answer {
 // Not safe for concurrent use; open one client per goroutine.
 type Client struct {
 	conn net.Conn
-	dec  *json.Decoder
-	w    *bufio.Writer
-	enc  *json.Encoder
+	br   *bufio.Reader
+	cd   codec
+	// aborted is signalled once a cancelled round trip has expired the
+	// connection (see roundTripContext).
+	aborted chan struct{}
 }
 
 // Dial connects to a server.
@@ -784,13 +787,7 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: %w", err)
 	}
-	w := bufio.NewWriter(conn)
-	return &Client{
-		conn: conn,
-		dec:  json.NewDecoder(bufio.NewReader(conn)),
-		w:    w,
-		enc:  json.NewEncoder(w),
-	}, nil
+	return &Client{conn: conn, br: bufio.NewReader(conn), aborted: make(chan struct{}, 1)}, nil
 }
 
 // Close closes the connection, ending the server-side session.
@@ -840,16 +837,21 @@ func (e *ServerError) Classify() (retryable bool, retryAfter time.Duration, trip
 // degraded server might produce).
 var ErrMalformedResponse = errors.New("wire: malformed server response")
 
-// roundTrip sends one request and reads one response.
+// roundTrip sends one request and reads one response line.
 func (c *Client) roundTrip(req Request) (Response, error) {
-	if err := c.enc.Encode(req); err != nil {
+	line, err := c.cd.encodeRequest(&req)
+	if err == nil {
+		_, err = c.conn.Write(line)
+	}
+	if err != nil {
 		return Response{}, fmt.Errorf("wire: send: %w", err)
 	}
-	if err := c.w.Flush(); err != nil {
-		return Response{}, fmt.Errorf("wire: send: %w", err)
+	line, err = readLine(c.br, math.MaxInt)
+	if err != nil {
+		return Response{}, fmt.Errorf("wire: receive: %w", err)
 	}
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
+	resp, err := c.cd.decodeResponse(line)
+	if err != nil {
 		return Response{}, fmt.Errorf("wire: receive: %w", err)
 	}
 	if resp.Err != "" {
@@ -874,22 +876,20 @@ func (c *Client) roundTripContext(ctx context.Context, req Request) (Response, e
 	if err := ctx.Err(); err != nil {
 		return Response{}, fmt.Errorf("wire: %w", err)
 	}
+	if ctx.Done() == nil { // never cancelled, so no deadline either
+		return c.roundTrip(req)
+	}
 	if d, ok := ctx.Deadline(); ok {
 		c.conn.SetDeadline(d) //nolint:errcheck
 	}
-	stop := make(chan struct{})
-	watcherDone := make(chan struct{})
-	go func() {
-		defer close(watcherDone)
-		select {
-		case <-ctx.Done():
-			c.conn.SetDeadline(time.Now()) //nolint:errcheck // unblock I/O now
-		case <-stop:
-		}
-	}()
+	stop := context.AfterFunc(ctx, func() {
+		c.conn.SetDeadline(time.Now()) //nolint:errcheck // unblock I/O now
+		c.aborted <- struct{}{}
+	})
 	resp, err := c.roundTrip(req)
-	close(stop)
-	<-watcherDone
+	if !stop() {
+		<-c.aborted // the expiry lands before the deadline is cleared below
+	}
 	if ctxErr := ctx.Err(); ctxErr != nil && err != nil {
 		return Response{}, fmt.Errorf("wire: %w", ctxErr)
 	}
