@@ -380,80 +380,6 @@ func maxInt(xs []int) int {
 	return m
 }
 
-// BenchmarkAblationSupernodes isolates the X-tree's supernode mechanism:
-// MaxOverlap near 1 never builds supernodes (a plain R*-tree), the 0.2
-// default is the X-tree, and a tiny threshold forces aggressive supernodes.
-// Reported: data pages read by a 10-NN query batch.
-func BenchmarkAblationSupernodes(b *testing.B) {
-	astro, _ := benchWorkloads(b)
-	queries, err := astro.Queries(55, 50)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, cfg := range []struct {
-		name       string
-		maxOverlap float64
-	}{
-		{"rstar(maxOverlap=0.999)", 0.999},
-		{"xtree(maxOverlap=0.2)", 0.2},
-		{"aggressive(maxOverlap=0.01)", 0.01},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			db, err := Open(astro.Items, Options{
-				Engine: EngineXTree, PageCapacity: 64,
-				XTree: &XTreeOptions{MaxOverlap: cfg.maxOverlap},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var pages int64
-			for i := 0; i < b.N; i++ {
-				db.ResetCounters()
-				if _, _, err := db.NewBatch().QueryAll(queries); err != nil {
-					b.Fatal(err)
-				}
-				pages = db.IOStats().Reads
-			}
-			b.ReportMetric(float64(pages), "pages")
-		})
-	}
-}
-
-// BenchmarkAblationBulkLoad compares dynamic insertion against STR bulk
-// loading: construction speed and the resulting page count and query I/O.
-func BenchmarkAblationBulkLoad(b *testing.B) {
-	astro, _ := benchWorkloads(b)
-	queries, err := astro.Queries(66, 50)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, str := range []bool{false, true} {
-		name := "dynamic-insert"
-		if str {
-			name = "str-bulk-load"
-		}
-		b.Run(name, func(b *testing.B) {
-			var db *DB
-			for i := 0; i < b.N; i++ {
-				var err error
-				db, err = Open(astro.Items, Options{
-					Engine: EngineXTree, PageCapacity: 64,
-					XTree: &XTreeOptions{STRBulkLoad: str},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(db.NumPages()), "pages-built")
-			db.ResetCounters()
-			if _, _, err := db.NewBatch().QueryAll(queries); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(db.IOStats().Reads), "query-pages")
-		})
-	}
-}
-
 // BenchmarkVAFileVsScan compares the VA-file's two-phase processing against
 // the plain scan and the X-tree for single 10-NN queries (an extension
 // beyond the paper's two engines).

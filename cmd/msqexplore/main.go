@@ -5,8 +5,8 @@
 //
 //	msqexplore -task dbscan|classify|explore|trends|rules
 //	           [-data dataset-dir] [-n 5000] [-dim 16] [-clusters 5]
-//	           [-engine scan|xtree|vafile] [-batch 20] [-eps 0.1] [-minpts 5]
-//	           [-k 10] [-users 4] [-rounds 5] [-seed 1]
+//	           [-engine scan|xtree|vafile|pivot|pmtree] [-batch 20] [-eps 0.1]
+//	           [-minpts 5] [-k 10] [-users 4] [-rounds 5] [-seed 1]
 //
 // Without -data, a clustered dataset is generated in memory.
 package main
@@ -28,7 +28,7 @@ func main() {
 		n        = flag.Int("n", 5000, "generated dataset size")
 		dim      = flag.Int("dim", 16, "generated dataset dimensionality")
 		clusters = flag.Int("clusters", 5, "generated cluster count")
-		engine   = flag.String("engine", "xtree", "physical organization: scan, xtree or vafile")
+		engine   = flag.String("engine", "xtree", "physical organization: scan, xtree, vafile, pivot or pmtree")
 		batch    = flag.Int("batch", 20, "multiple-similarity-query batch size m")
 		eps      = flag.Float64("eps", 0.1, "range-query radius (dbscan, rules)")
 		minPts   = flag.Int("minpts", 5, "DBSCAN density threshold")

@@ -3,17 +3,19 @@ package metricdb
 import (
 	"context"
 	"errors"
-	"math"
+	"strings"
 	"testing"
 	"time"
+
+	"metricdb/internal/engines"
 )
 
 func TestOptionsValidate(t *testing.T) {
 	good := []Options{
 		{},
 		{Engine: EngineScan},
-		{Engine: EngineXTree, XTree: &XTreeOptions{MaxOverlap: 0.2, MinFillRatio: 0.4}},
-		{Engine: EngineVAFile, VAFileBits: 8},
+		{Engine: EngineXTree, PageCapacity: 2},
+		{Engine: EngineVAFile, PageCapacity: 1},
 		{BufferPages: -1}, // sentinel: unbuffered
 		{Avoidance: AvoidAuto},
 		{Avoidance: AvoidLemma2},
@@ -26,23 +28,47 @@ func TestOptionsValidate(t *testing.T) {
 	bad := []Options{
 		{Engine: "btree"},
 		{PageCapacity: -1},
-		{VAFileBits: -1},
+		{Engine: EngineXTree, PageCapacity: 1},
 		{Avoidance: AvoidanceMode(9)},
 		{Avoidance: AvoidanceMode(-1)},
-		{Engine: EngineXTree, XTree: &XTreeOptions{MaxOverlap: 1.5}},
-		{Engine: EngineXTree, XTree: &XTreeOptions{MinFillRatio: 0.9}},
-		{Engine: EngineXTree, XTree: &XTreeOptions{ReinsertFraction: 1}},
-		{Engine: EngineXTree, XTree: &XTreeOptions{DirFanout: -3}},
-		{Engine: EngineXTree, XTree: &XTreeOptions{MaxOverlap: math.NaN()}},
-		{Engine: EngineXTree, XTree: &XTreeOptions{MinFillRatio: math.NaN()}},
-		{Engine: EngineXTree, XTree: &XTreeOptions{ReinsertFraction: math.NaN()}},
 	}
 	for i, o := range bad {
-		if err := o.Validate(); err == nil {
+		err := o.Validate()
+		if err == nil {
 			t.Errorf("bad options %d accepted: %+v", i, o)
+		} else if !strings.HasPrefix(err.Error(), "metricdb: ") {
+			t.Errorf("bad options %d: error %q lacks the metricdb: prefix", i, err)
 		}
 		if _, err := Open(testItems(1, 10, 3), o); err == nil {
 			t.Errorf("Open accepted bad options %d: %+v", i, o)
+		}
+	}
+}
+
+// TestValidateAgreesWithOpen holds Validate to its promise that a front end
+// can reject option mistakes before it loads data: over every engine kind
+// (and an unknown one), page capacities 0, 1 and 2, buffer sentinels and a
+// one-page buffer, and every avoidance mode (and one on each side of the
+// range), options Validate accepts must open a small dataset.
+func TestValidateAgreesWithOpen(t *testing.T) {
+	items := testItems(5, 60, 3)
+	kinds := []EngineKind{"", "btree"}
+	for _, k := range engines.Kinds() {
+		kinds = append(kinds, EngineKind(k))
+	}
+	for _, kind := range kinds {
+		for _, capacity := range []int{0, 1, 2} {
+			for _, buffer := range []int{-1, 0, 1} {
+				for mode := AvoidAuto - 1; mode <= AvoidLemma2+1; mode++ {
+					o := Options{Engine: kind, PageCapacity: capacity, BufferPages: buffer, Avoidance: mode}
+					if o.Validate() != nil {
+						continue
+					}
+					if _, err := Open(items, o); err != nil {
+						t.Errorf("Validate accepts %+v, Open refuses it: %v", o, err)
+					}
+				}
+			}
 		}
 	}
 }

@@ -44,7 +44,11 @@ const (
 // Options configures Open. The zero value selects a sequential scan with
 // Euclidean distance, a page capacity derived from 32 KB blocks, the
 // paper's 10 %-of-pages LRU buffer, and no avoidance lemmas (AvoidAuto with
-// a metric whose kernel abandons early).
+// a metric whose kernel abandons early). Each engine is built one way,
+// with fixed parameters: the X-tree by dynamic insertion with R*-style
+// splits and supernodes past 20 % directory overlap, the VA-file with 6 bits
+// a dimension, the pivot table with 16 pivots, the PM-tree with 8 pivots and
+// a directory fanout of 8.
 type Options struct {
 	// Engine selects the physical organization; empty means EngineScan.
 	Engine EngineKind
@@ -62,63 +66,20 @@ type Options struct {
 	// QuadraticForm, or any metric from outside this module).
 	// ProcessorStats reports the mode in effect.
 	Avoidance AvoidanceMode
-	// XTree overrides advanced X-tree parameters; nil uses defaults
-	// derived from PageCapacity.
-	XTree *XTreeOptions
-	// VAFileBits is the bits-per-dimension of the VA-file engine
-	// (0 selects 6).
-	VAFileBits int
-	// Pivot overrides pivot-table parameters; nil uses defaults.
-	Pivot *PivotOptions
-	// PMTree overrides PM-tree parameters; nil uses defaults.
-	PMTree *PMTreeOptions
 	// Mmap serves a stored database by memory-mapping its page file
 	// instead of issuing preads. Only OpenStored consults it; on platforms
 	// without mmap support the disk silently falls back to pread.
 	Mmap bool
 }
 
-// XTreeOptions exposes the X-tree tuning knobs.
-type XTreeOptions struct {
-	// DirFanout is the normal directory fanout (0: derived from block
-	// size).
-	DirFanout int
-	// MaxOverlap is the supernode threshold in (0, 1] (0: the 20 %
-	// default).
-	MaxOverlap float64
-	// MinFillRatio is the minimum node fill on splits (0: 0.4).
-	MinFillRatio float64
-	// STRBulkLoad builds the tree with Sort-Tile-Recursive packing
-	// instead of dynamic insertion: much faster construction and full
-	// pages, but more leaf overlap in high dimensions.
-	STRBulkLoad bool
-	// ReinsertFraction enables R*-style forced reinsertion during
-	// dynamic insertion (0 disables, 0.3 is the R* recommendation).
-	ReinsertFraction float64
-}
-
-// PivotOptions exposes the pivot-table tuning knobs.
-type PivotOptions struct {
-	// Pivots is the number of reference objects (0: 16). More pivots
-	// tighten the page bounds at the cost of that many distance
-	// calculations per query.
-	Pivots int
-}
-
-// PMTreeOptions exposes the PM-tree tuning knobs.
-type PMTreeOptions struct {
-	// Pivots is the number of hyper-ring pivots (0: 8).
-	Pivots int
-	// Fanout is the directory fanout (0: 8; otherwise >= 2).
-	Fanout int
-}
-
 // Validate checks the options for structural mistakes without consulting a
-// database: an unknown engine kind, negative tuning knobs, or X-tree
-// parameters outside their domains. It accepts every zero or sentinel value
-// that Open would default (PageCapacity 0, BufferPages <= 0, nil Metric,
-// empty Engine), so Validate(withDefaults(...)) is stable. Command-line
-// front ends call it to reject flag mistakes before any data is loaded.
+// database: an unknown engine kind, a negative page capacity or one the
+// engine cannot split (the X-tree halves an overflowing page, so it needs
+// at least two items a page), or an unknown avoidance mode. It accepts
+// every zero or sentinel value that Open would default (PageCapacity 0,
+// BufferPages <= 0, nil Metric, empty Engine), so Validate(withDefaults(...))
+// is stable. Command-line front ends call it to reject flag mistakes before
+// any data is loaded.
 func (o Options) Validate() error {
 	if o.Engine != "" && !engines.Known(engines.Kind(o.Engine)) {
 		return fmt.Errorf("metricdb: unknown engine %q (have %v)", o.Engine, engines.Kinds())
@@ -126,38 +87,11 @@ func (o Options) Validate() error {
 	if o.PageCapacity < 0 {
 		return fmt.Errorf("metricdb: page capacity must be >= 0 (0 derives from 32 KB blocks), got %d", o.PageCapacity)
 	}
+	if o.Engine == EngineXTree && o.PageCapacity == 1 {
+		return fmt.Errorf("metricdb: the X-tree needs a page capacity of 0 (derived) or >= 2, got 1")
+	}
 	if err := o.Avoidance.Validate(); err != nil {
 		return fmt.Errorf("metricdb: %w", err)
-	}
-	if o.VAFileBits < 0 {
-		return fmt.Errorf("metricdb: VA-file bits must be >= 0 (0 selects the default), got %d", o.VAFileBits)
-	}
-	if x := o.XTree; x != nil {
-		if x.DirFanout < 0 {
-			return fmt.Errorf("metricdb: X-tree directory fanout must be >= 0, got %d", x.DirFanout)
-		}
-		if !(0 <= x.MaxOverlap && x.MaxOverlap <= 1) {
-			return fmt.Errorf("metricdb: X-tree max overlap must be in [0, 1], got %g", x.MaxOverlap)
-		}
-		if !(0 <= x.MinFillRatio && x.MinFillRatio <= 0.5) {
-			return fmt.Errorf("metricdb: X-tree min fill ratio must be in [0, 0.5], got %g", x.MinFillRatio)
-		}
-		if !(0 <= x.ReinsertFraction && x.ReinsertFraction < 1) {
-			return fmt.Errorf("metricdb: X-tree reinsert fraction must be in [0, 1), got %g", x.ReinsertFraction)
-		}
-	}
-	if p := o.Pivot; p != nil {
-		if p.Pivots < 0 {
-			return fmt.Errorf("metricdb: pivot count must be >= 0 (0 selects the default), got %d", p.Pivots)
-		}
-	}
-	if p := o.PMTree; p != nil {
-		if p.Pivots < 0 {
-			return fmt.Errorf("metricdb: PM-tree pivot count must be >= 0 (0 selects the default), got %d", p.Pivots)
-		}
-		if p.Fanout != 0 && p.Fanout < 2 {
-			return fmt.Errorf("metricdb: PM-tree fanout must be 0 (default) or >= 2, got %d", p.Fanout)
-		}
 	}
 	return nil
 }
@@ -195,7 +129,7 @@ func (o Options) withDefaults(dim, nItems int) (Options, int) {
 // must already be defaulted (withDefaults); wrap may be nil.
 func (o Options) engineSpec(items []Item, dim, bufferPages int,
 	wrap func(store.PageSource) (store.PageSource, error)) engines.Spec {
-	s := engines.Spec{
+	return engines.Spec{
 		Kind:         engines.Kind(o.Engine),
 		Items:        items,
 		Dim:          dim,
@@ -203,27 +137,7 @@ func (o Options) engineSpec(items []Item, dim, bufferPages int,
 		PageCapacity: o.PageCapacity,
 		BufferPages:  bufferPages,
 		WrapDisk:     wrap,
-		VAFileBits:   o.VAFileBits,
 	}
-	if x := o.XTree; x != nil {
-		s.XTree = &engines.XTreeTuning{
-			DirFanout:        x.DirFanout,
-			MaxOverlap:       x.MaxOverlap,
-			MinFillRatio:     x.MinFillRatio,
-			STRBulkLoad:      x.STRBulkLoad,
-			ReinsertFraction: x.ReinsertFraction,
-		}
-	}
-	if p := o.Pivot; p != nil {
-		s.Pivots = p.Pivots
-	}
-	if p := o.PMTree; p != nil {
-		if o.Engine == EnginePMTree {
-			s.Pivots = p.Pivots
-		}
-		s.PMTreeFanout = p.Fanout
-	}
-	return s
 }
 
 // DB is a metric database ready to answer similarity queries. A DB is safe

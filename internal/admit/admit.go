@@ -87,9 +87,8 @@ type Config struct {
 	// MaxQueue submissions are already waiting are shed with
 	// ReasonQueueFull. Zero selects DefaultMaxQueue.
 	MaxQueue int
-	// MinWidth and MaxWidth bound the formed block width m. Zero selects
-	// DefaultMinWidth / DefaultMaxWidth.
-	MinWidth int
+	// MaxWidth bounds the formed block width m from above (the floor is
+	// DefaultMinWidth). Zero selects DefaultMaxWidth.
 	MaxWidth int
 	// MaxWait caps how long the former lingers waiting for more arrivals
 	// to widen a block. The effective linger is the minimum of MaxWait
@@ -100,9 +99,6 @@ type Config struct {
 	// DefaultSLO is the deadline budget applied to submissions whose
 	// context carries no deadline. Zero selects DefaultDefaultSLO.
 	DefaultSLO time.Duration
-	// MaxRetryAfter caps the retry-after hint. Zero selects
-	// DefaultMaxRetryAfter.
-	MaxRetryAfter time.Duration
 	// Pressure, when non-nil, overrides the built-in pressure signal.
 	// It must return a value in [0, 1]; values outside are clamped.
 	Pressure func() float64
@@ -115,7 +111,8 @@ type Config struct {
 	BlockObserver func(queries []msq.Query, stats msq.Stats, elapsed time.Duration)
 }
 
-// Config defaults.
+// Config defaults, and the fixed floor of the block width and cap of the
+// retry-after hint.
 const (
 	DefaultMaxQueue      = 256
 	DefaultMinWidth      = 1
@@ -126,32 +123,23 @@ const (
 )
 
 func (c *Config) withDefaults() error {
-	if c.MaxQueue < 0 || c.MinWidth < 0 || c.MaxWidth < 0 {
+	if c.MaxQueue < 0 || c.MaxWidth < 0 {
 		return fmt.Errorf("admit: negative limit in config")
 	}
-	if c.MaxWait < 0 || c.DefaultSLO < 0 || c.MaxRetryAfter < 0 {
+	if c.MaxWait < 0 || c.DefaultSLO < 0 {
 		return fmt.Errorf("admit: negative duration in config")
 	}
 	if c.MaxQueue == 0 {
 		c.MaxQueue = DefaultMaxQueue
 	}
-	if c.MinWidth == 0 {
-		c.MinWidth = DefaultMinWidth
-	}
 	if c.MaxWidth == 0 {
 		c.MaxWidth = DefaultMaxWidth
-	}
-	if c.MinWidth > c.MaxWidth {
-		return fmt.Errorf("admit: MinWidth %d > MaxWidth %d", c.MinWidth, c.MaxWidth)
 	}
 	if c.MaxWait == 0 {
 		c.MaxWait = DefaultMaxWait
 	}
 	if c.DefaultSLO == 0 {
 		c.DefaultSLO = DefaultDefaultSLO
-	}
-	if c.MaxRetryAfter == 0 {
-		c.MaxRetryAfter = DefaultMaxRetryAfter
 	}
 	return nil
 }
@@ -227,7 +215,7 @@ func New(proc *msq.Processor, cfg Config) (*Controller, error) {
 		queue: make(chan *waiter, cfg.MaxQueue),
 		done:  make(chan struct{}),
 	}
-	c.widthTarget.Store(int64(cfg.MinWidth))
+	c.widthTarget.Store(DefaultMinWidth)
 	go c.former()
 	return c, nil
 }
@@ -528,9 +516,9 @@ func ewma(avg *atomic.Int64, sample int64) {
 }
 
 // retryAfter estimates how long the current backlog needs to drain: queue
-// depth times the per-query service EWMA, clamped to [1ms, MaxRetryAfter].
-// It is a hint, not a reservation — the point is to spread retries out
-// instead of synchronizing them into the next collapse.
+// depth times the per-query service EWMA, clamped to [1ms,
+// DefaultMaxRetryAfter]. It is a hint, not a reservation — the point is to
+// spread retries out instead of synchronizing them into the next collapse.
 func (c *Controller) retryAfter() time.Duration {
 	per := c.perQueryEWMA.Load()
 	if per <= 0 {
@@ -540,8 +528,8 @@ func (c *Controller) retryAfter() time.Duration {
 	if est < time.Millisecond {
 		est = time.Millisecond
 	}
-	if est > c.cfg.MaxRetryAfter {
-		est = c.cfg.MaxRetryAfter
+	if est > DefaultMaxRetryAfter {
+		est = DefaultMaxRetryAfter
 	}
 	return est
 }
@@ -550,7 +538,7 @@ func (c *Controller) retryAfter() time.Duration {
 // widens it (queries already waiting should share one page pass), the
 // pressure signal widens it further, MaxWidth bounds it.
 func (c *Controller) targetWidth() int {
-	minW, maxW := c.cfg.MinWidth, c.cfg.MaxWidth
+	minW, maxW := DefaultMinWidth, c.cfg.MaxWidth
 	w := minW + int(math.Round(c.pressure()*float64(maxW-minW)))
 	if backlog := len(c.queue) + 1; backlog > w {
 		w = backlog

@@ -288,7 +288,6 @@ func TestCloseSheds(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	proc := newProc(t, testDB(11, 64, 4), vec.Euclidean{})
 	for _, cfg := range []admit.Config{
-		{MinWidth: 8, MaxWidth: 2},
 		{MaxQueue: -1},
 		{MaxWait: -time.Second},
 	} {

@@ -45,19 +45,9 @@ const (
 	PMTree Kind = "pmtree"
 )
 
-// XTreeTuning is the X-tree's advanced knobs (zero values select the
-// derived defaults).
-type XTreeTuning struct {
-	DirFanout        int
-	MaxOverlap       float64
-	MinFillRatio     float64
-	STRBulkLoad      bool
-	ReinsertFraction float64
-}
-
 // Spec is a fully resolved engine request: every field is concrete (the
-// callers' sentinel defaulting has already happened) except the per-engine
-// tuning values, whose zero values select the engine's own defaults.
+// callers' sentinel defaulting has already happened). Each kind builds one
+// way, with its package's default parameters.
 type Spec struct {
 	Kind  Kind
 	Items []store.Item
@@ -77,17 +67,6 @@ type Spec struct {
 	// WrapDisk interposes on the freshly built disk (fault injection,
 	// persisted layouts); nil serves the engine's own disk.
 	WrapDisk func(store.PageSource) (store.PageSource, error)
-
-	// XTree tuning; nil uses defaults derived from Dim and PageCapacity.
-	XTree *XTreeTuning
-	// VAFileBits is the VA-file's bits per dimension (0 selects 6).
-	VAFileBits int
-	// Pivots is the pivot count of the pivot table and the PM-tree's
-	// hyper-rings (0 selects each engine's default).
-	Pivots int
-	// PMTreeFanout is the PM-tree's directory fanout (0 selects its
-	// default).
-	PMTreeFanout int
 }
 
 // builder constructs one engine kind from a resolved spec.
@@ -143,7 +122,6 @@ func buildScan(s Spec) (engine.Engine, error) {
 
 func buildVAFile(s Spec) (engine.Engine, error) {
 	return vafile.New(s.Items, vafile.Config{
-		Bits:         s.VAFileBits,
 		PageCapacity: s.PageCapacity,
 		BufferPages:  s.BufferPages,
 		Metric:       s.Metric,
@@ -157,25 +135,11 @@ func buildXTree(s Spec) (engine.Engine, error) {
 	cfg.BufferPages = s.BufferPages
 	cfg.Metric = s.Metric
 	cfg.WrapDisk = s.WrapDisk
-	str := false
-	if x := s.XTree; x != nil {
-		if x.DirFanout != 0 {
-			cfg.DirFanout = x.DirFanout
-		}
-		cfg.MaxOverlap = x.MaxOverlap
-		cfg.MinFillRatio = x.MinFillRatio
-		cfg.ReinsertFraction = x.ReinsertFraction
-		str = x.STRBulkLoad
-	}
-	if str {
-		return xtree.BulkSTR(s.Items, s.Dim, cfg)
-	}
 	return xtree.Bulk(s.Items, s.Dim, cfg)
 }
 
 func buildPivot(s Spec) (engine.Engine, error) {
 	return pivot.New(s.Items, pivot.Config{
-		Pivots:       s.Pivots,
 		PageCapacity: s.PageCapacity,
 		BufferPages:  s.BufferPages,
 		Metric:       s.Metric,
@@ -186,8 +150,6 @@ func buildPivot(s Spec) (engine.Engine, error) {
 func buildPMTree(s Spec) (engine.Engine, error) {
 	return pmtree.New(s.Items, pmtree.Config{
 		PageCapacity: s.PageCapacity,
-		Fanout:       s.PMTreeFanout,
-		Pivots:       s.Pivots,
 		BufferPages:  s.BufferPages,
 		Metric:       s.Metric,
 		WrapDisk:     s.WrapDisk,

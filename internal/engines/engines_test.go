@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"metricdb/internal/dataset"
+	"metricdb/internal/engine"
 	"metricdb/internal/msq"
+	"metricdb/internal/pivot"
 	"metricdb/internal/query"
 	"metricdb/internal/vec"
 )
@@ -22,10 +24,11 @@ type engineWork struct {
 
 // engineWorkGolden holds the counters every engine pays for the same
 // batches: 4 000 uniform items per dimensionality, k = 10, 64 items a
-// page, a buffer of every page, 8 pivots, both lemmas on, width 1, a fresh
-// engine per batch. A changed row means an engine now reads or computes
-// something else — a plan, a bound or a split decision moved — and the
-// change has to say why.
+// page, a buffer of every page, 8 pivots (the pivot table's set here, the
+// PM-tree's by default), both lemmas on, width 1, a fresh engine per
+// batch. A changed row means an engine now reads or computes something
+// else — a plan, a bound or a split decision moved — and the change has to
+// say why.
 var engineWorkGolden = []engineWork{
 	{4, 1, Scan, 4000, 63, 0},
 	{4, 1, XTree, 184, 4, 0},
@@ -101,8 +104,16 @@ func TestEngineWorkGolden(t *testing.T) {
 			var scanAnswers [][]query.Answer
 			for _, kind := range []Kind{Scan, XTree, VAFile, Pivot, PMTree} {
 				label := fmt.Sprintf("%s dim=%d m=%d", kind, dim, m)
-				eng, err := Build(Spec{Kind: kind, Items: items, Dim: dim,
-					PageCapacity: capacity, BufferPages: (n + capacity - 1) / capacity, Pivots: 8})
+				buffer := (n + capacity - 1) / capacity
+				var eng engine.Engine
+				var err error
+				if kind == Pivot {
+					// The rows were pinned at 8 pivots; Build takes the
+					// pivot package's default.
+					eng, err = pivot.New(items, pivot.Config{Pivots: 8, PageCapacity: capacity, BufferPages: buffer})
+				} else {
+					eng, err = Build(Spec{Kind: kind, Items: items, Dim: dim, PageCapacity: capacity, BufferPages: buffer})
+				}
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}

@@ -49,21 +49,6 @@ func (n *node) isSuper(fanout int) bool {
 	return !n.isLeaf() && len(n.children) > fanout
 }
 
-// recompute rebuilds the node's MBR from its contents.
-func (n *node) recompute(dim int) {
-	r := geom.EmptyRect(dim)
-	if n.isLeaf() {
-		for i := range n.items {
-			r.Extend(n.items[i].Vec)
-		}
-	} else {
-		for _, c := range n.children {
-			r.ExtendRect(c.rect)
-		}
-	}
-	n.rect = r
-}
-
 // Stats describes the shape of a built X-tree.
 type Stats struct {
 	Height     int // number of levels, 1 for a single leaf

@@ -65,26 +65,28 @@ func recursivePlan(tr *Tree, q vec.Vector, queryDist float64) []engine.PageRef {
 }
 
 // planTrees builds the shapes the walk has to get right: a single leaf, a
-// root over leaves, deep trees of small fanout from both builders, a 16-d
-// tree with supernodes, and TestBulkGoldenDigest's 20 000 × 8-d tree — 66
-// leaves under one root, the shape of the benchmark's dbscan_xtree tree.
+// root over leaves, deep trees of small fanout (the fanout-8 one without
+// supernodes: at MaxOverlap 1 every directory split is taken, as in an
+// R*-tree), a 16-d tree with supernodes, and TestBulkGoldenDigest's
+// 20 000 × 8-d tree — 66 leaves under one root, the shape of the
+// benchmark's dbscan_xtree tree.
 func planTrees(t testing.TB) map[string]*Tree {
 	t.Helper()
 	trees := map[string]*Tree{}
-	add := func(name string, seed int64, n, dim int, cfg Config, build func([]store.Item, int, Config) (*Tree, error)) {
-		tr, err := build(uniformItems(rand.New(rand.NewSource(seed)), n, dim), dim, cfg)
+	add := func(name string, seed int64, n, dim int, cfg Config) {
+		tr, err := Bulk(uniformItems(rand.New(rand.NewSource(seed)), n, dim), dim, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		trees[name] = tr
 	}
-	add("height1", 1, 7, 3, testConfig(), Bulk)
-	add("height2", 2, 40, 3, testConfig(), Bulk)
-	add("deep/fanout4", 3, 2500, 4, Config{LeafCapacity: 4, DirFanout: 4}, Bulk)
-	add("deep/fanout8/str", 4, 6000, 5, Config{LeafCapacity: 4, DirFanout: 8}, BulkSTR)
-	add("supernodes/16d", 5, 3000, 16, Config{LeafCapacity: 8, DirFanout: 6}, Bulk)
-	add("manhattan", 6, 1500, 6, Config{LeafCapacity: 8, DirFanout: 5, Metric: vec.Manhattan{}}, Bulk)
-	add("66leaves", 1, 20000, 8, DefaultConfig(8), Bulk)
+	add("height1", 1, 7, 3, testConfig())
+	add("height2", 2, 40, 3, testConfig())
+	add("deep/fanout4", 3, 2500, 4, Config{LeafCapacity: 4, DirFanout: 4})
+	add("deep/fanout8", 4, 6000, 5, Config{LeafCapacity: 4, DirFanout: 8, MaxOverlap: 1})
+	add("supernodes/16d", 5, 3000, 16, Config{LeafCapacity: 8, DirFanout: 6})
+	add("manhattan", 6, 1500, 6, Config{LeafCapacity: 8, DirFanout: 5, Metric: vec.Manhattan{}})
+	add("66leaves", 1, 20000, 8, DefaultConfig(8))
 	return trees
 }
 
@@ -102,7 +104,7 @@ func TestPlanMatchesRecursiveWalk(t *testing.T) {
 			t.Errorf("%s: stats %+v", name, got)
 		}
 	}
-	for _, name := range []string{"deep/fanout4", "deep/fanout8/str"} {
+	for _, name := range []string{"deep/fanout4", "deep/fanout8"} {
 		if got := trees[name].Stats(); got.Height < 4 {
 			t.Errorf("%s: height %d, want at least 4", name, got.Height)
 		}
@@ -147,7 +149,7 @@ func TestPlanMatchesRecursiveWalk(t *testing.T) {
 // rectangle is (+Inf, −Inf) — infinitely far, so in no plan short of +Inf —
 // and a tree of one leaf has no directory node to sweep.
 func TestPlanDegenerateTrees(t *testing.T) {
-	empty, err := BulkSTR(nil, 3, testConfig())
+	empty, err := Bulk(nil, 3, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +189,7 @@ func TestPlanAllocatesItsResultOnly(t *testing.T) {
 		allocs    float64
 	}{
 		{"66leaves", 0.05, 1}, {"66leaves", math.Inf(1), 1}, {"66leaves", -1, 0},
-		{"deep/fanout8/str", 0.1, 1}, {"deep/fanout8/str", math.Inf(1), 1}, {"height1", 4, 1},
+		{"deep/fanout8", 0.1, 1}, {"deep/fanout8", math.Inf(1), 1}, {"height1", 4, 1},
 	} {
 		tr := trees[c.tree]
 		q := make(vec.Vector, tr.Dim())
@@ -211,7 +213,7 @@ func TestPlanAllocatesItsResultOnly(t *testing.T) {
 func BenchmarkPlan(b *testing.B) {
 	trees := planTrees(b)
 	rng := rand.New(rand.NewSource(10))
-	for _, name := range []string{"66leaves", "deep/fanout8/str"} {
+	for _, name := range []string{"66leaves", "deep/fanout8"} {
 		tr := trees[name]
 		queries := make([]engine.PreparedQuery, 256)
 		for i := range queries {

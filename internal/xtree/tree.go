@@ -11,6 +11,10 @@ import (
 	"metricdb/internal/vec"
 )
 
+// minFillRatio is the minimum fill of either half of a split, as a
+// fraction of the overflowing node's entries: the R*-tree's 40 %.
+const minFillRatio = 0.4
+
 // Config parameterizes an X-tree.
 type Config struct {
 	// LeafCapacity is the number of items per data page. Required.
@@ -18,9 +22,6 @@ type Config struct {
 	// DirFanout is the normal directory fanout; supernodes grow in
 	// multiples of it. Required.
 	DirFanout int
-	// MinFillRatio is the minimum node fill on splits (R*-tree default
-	// 0.4). Zero selects the default.
-	MinFillRatio float64
 	// MaxOverlap is the X-tree overlap threshold: if the best topological
 	// split of a directory node overlaps more than this fraction of the
 	// union volume, the node becomes a supernode instead. The X-tree
@@ -39,12 +40,6 @@ type Config struct {
 	// fault-injected storage. The directory stays in memory, so only data-
 	// page reads pass through the wrapper.
 	WrapDisk func(store.PageSource) (store.PageSource, error)
-	// ReinsertFraction enables R*-style forced reinsertion: on the first
-	// leaf overflow of an insertion, this fraction of the leaf's items
-	// farthest from its center are reinserted from the root instead of
-	// splitting, which tightens MBRs. 0 disables reinsertion (default);
-	// the R*-tree paper recommends 0.3. Must be in [0, 0.5].
-	ReinsertFraction float64
 }
 
 // withDefaults fills in defaulted fields and validates the config.
@@ -55,20 +50,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.DirFanout < 2 {
 		return c, fmt.Errorf("xtree: DirFanout must be >= 2, got %d", c.DirFanout)
 	}
-	if c.MinFillRatio == 0 {
-		c.MinFillRatio = 0.4
-	}
-	if c.MinFillRatio < 0 || c.MinFillRatio > 0.5 {
-		return c, fmt.Errorf("xtree: MinFillRatio must be in (0, 0.5], got %g", c.MinFillRatio)
-	}
 	if c.MaxOverlap == 0 {
 		c.MaxOverlap = 0.2
 	}
 	if c.MaxOverlap < 0 || c.MaxOverlap > 1 {
 		return c, fmt.Errorf("xtree: MaxOverlap must be in (0, 1], got %g", c.MaxOverlap)
-	}
-	if c.ReinsertFraction < 0 || c.ReinsertFraction > 0.5 {
-		return c, fmt.Errorf("xtree: ReinsertFraction must be in [0, 0.5], got %g", c.ReinsertFraction)
 	}
 	if c.Metric == nil {
 		c.Metric = vec.Euclidean{}
@@ -106,15 +92,10 @@ type Tree struct {
 	root  *node
 	count int
 
-	// reinserting guards against reinsertion cascades: at most one forced
-	// reinsertion per top-level insert.
-	reinserting bool
-
-	// split is the scratch every split of this tree works in; choose and
-	// reinsert are chooseSubtree's and reinsertOverflow's.
-	split    splitScratch
-	choose   chooseScratch
-	reinsert []scoredItem
+	// split is the scratch every split of this tree works in; choose is
+	// chooseSubtree's.
+	split  splitScratch
+	choose chooseScratch
 
 	// Set by Build.
 	built    bool
@@ -174,10 +155,6 @@ func (t *Tree) insertAt(n *node, it store.Item) *node {
 		n.items = append(n.items, it)
 		n.rect.Extend(it.Vec)
 		if len(n.items) > t.cfg.LeafCapacity {
-			if t.cfg.ReinsertFraction > 0 && !t.reinserting {
-				t.reinsertOverflow(n)
-				return nil
-			}
 			return t.splitLeaf(n)
 		}
 		return nil
@@ -325,7 +302,7 @@ func (t *Tree) splitLeaf(n *node) *node {
 		rects = append(rects, geom.Rect{Min: n.items[i].Vec, Max: n.items[i].Vec})
 	}
 	t.split.rects = rects
-	minFill := int(math.Ceil(t.cfg.MinFillRatio * float64(len(n.items))))
+	minFill := int(math.Ceil(minFillRatio * float64(len(n.items))))
 	res := t.split.topologicalSplit(rects, minFill, true)
 
 	left := make([]store.Item, 0, len(res.left))
@@ -362,7 +339,7 @@ func (t *Tree) splitDir(n *node) *node {
 		rects = append(rects, c.rect)
 	}
 	t.split.rects = rects
-	minFill := int(math.Ceil(t.cfg.MinFillRatio * float64(len(n.children))))
+	minFill := int(math.Ceil(minFillRatio * float64(len(n.children))))
 	res := t.split.topologicalSplit(rects, minFill, false)
 	if res.overlapRatio() > t.cfg.MaxOverlap {
 		// The topological split overlaps too much. The X-tree then
@@ -501,8 +478,8 @@ func (t *Tree) Build() error {
 	t.leaves = t.boxes(rects)
 	t.leafLens = lens
 	t.built = true
-	// No insert, so no split, subtree choice or reinsertion, follows.
-	t.split, t.choose, t.reinsert = splitScratch{}, chooseScratch{}, nil
+	// No insert, so no split or subtree choice, follows.
+	t.split, t.choose = splitScratch{}, chooseScratch{}
 	return nil
 }
 
@@ -515,8 +492,8 @@ func (t *Tree) boxes(rects []geom.Rect) *vec.Boxes {
 	return vec.NewBoxes(t.cfg.Metric, lo, hi)
 }
 
-// Bulk builds an X-tree over items using dynamic insertion followed by
-// Build — the convenience path used by the experiments.
+// Bulk builds an X-tree over items by dynamic insertion followed by Build —
+// the one way the engines and the experiments build the tree.
 func Bulk(items []store.Item, dim int, cfg Config) (*Tree, error) {
 	t, err := New(dim, cfg)
 	if err != nil {
@@ -549,49 +526,3 @@ func (t *Tree) Len() int { return t.count }
 
 // Dim returns the tree's dimensionality.
 func (t *Tree) Dim() int { return t.dim }
-
-// reinsertOverflow implements R* forced reinsertion: the fraction of the
-// overflowing leaf's items farthest from its center are removed and
-// reinserted from the root, tightening the leaf's MBR. Ancestor MBRs stay
-// valid supersets (they are never shrunk), so in-flight descents remain
-// correct. The reinserting flag limits the mechanism to once per
-// top-level insertion, as in the R*-tree.
-func (t *Tree) reinsertOverflow(n *node) {
-	center := n.rect.Center()
-	m := vec.BaseMetric(t.cfg.Metric)
-	scored := t.reinsert[:0]
-	for _, it := range n.items {
-		scored = append(scored, scoredItem{item: it, d: m.Distance(center, it.Vec)})
-	}
-	t.reinsert = scored
-	slices.SortFunc(scored, func(a, b scoredItem) int {
-		if c := cmp.Compare(b.d, a.d); c != 0 {
-			return c // farthest first
-		}
-		return cmp.Compare(a.item.ID, b.item.ID)
-	})
-	k := int(t.cfg.ReinsertFraction * float64(len(scored)))
-	if k < 1 {
-		k = 1
-	}
-	n.items = n.items[:0]
-	for _, s := range scored[k:] {
-		n.items = append(n.items, s.item)
-	}
-	n.recompute(t.dim)
-
-	t.reinserting = true
-	defer func() { t.reinserting = false }()
-	// Close-reinsert order: nearest removed items first (R* default). The
-	// reinsertions cannot reinsert again, so scored holds.
-	for i := k - 1; i >= 0; i-- {
-		t.insertTop(scored[i].item)
-	}
-}
-
-// scoredItem is an item of an overflowing leaf with its distance from the
-// leaf's center.
-type scoredItem struct {
-	item store.Item
-	d    float64
-}

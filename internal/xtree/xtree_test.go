@@ -32,9 +32,7 @@ func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{LeafCapacity: 1, DirFanout: 4},
 		{LeafCapacity: 4, DirFanout: 1},
-		{LeafCapacity: 4, DirFanout: 4, MinFillRatio: 0.9},
 		{LeafCapacity: 4, DirFanout: 4, MaxOverlap: 2},
-		{LeafCapacity: 4, DirFanout: 4, MinFillRatio: -0.1},
 	}
 	for _, c := range bad {
 		if _, err := New(2, c); err == nil {
@@ -374,175 +372,6 @@ func TestSplitOverlapRatio(t *testing.T) {
 	s3 := splitResult{leftRect: e, rightRect: e}
 	if got := s3.overlapRatio(); got != 0 {
 		t.Errorf("degenerate ratio = %v", got)
-	}
-}
-
-func TestBulkSTRMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	items := uniformItems(rng, 1700, 5)
-	tr, err := BulkSTR(items, 5, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr.Built() || tr.Len() != 1700 {
-		t.Fatalf("Built=%v Len=%d", tr.Built(), tr.Len())
-	}
-
-	// Every item stored exactly once and inside its page MBR.
-	seen := make(map[store.ItemID]bool)
-	total := 0
-	for pid := 0; pid < tr.NumPages(); pid++ {
-		p, err := tr.ReadPage(store.PageID(pid))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(p.Items) > testConfig().LeafCapacity {
-			t.Fatalf("page %d overflows: %d items", pid, len(p.Items))
-		}
-		total += len(p.Items)
-		for _, it := range p.Items {
-			if seen[it.ID] {
-				t.Fatalf("item %d duplicated", it.ID)
-			}
-			seen[it.ID] = true
-			if tr.Prepare(it.Vec).MinDist(store.PageID(pid)) != 0 {
-				t.Fatalf("item %d outside its page MBR", it.ID)
-			}
-		}
-	}
-	if total != 1700 {
-		t.Fatalf("pages hold %d items", total)
-	}
-
-	// Range query safety against brute force.
-	m := vec.Euclidean{}
-	for trial := 0; trial < 10; trial++ {
-		q := uniformItems(rng, 1, 5)[0].Vec
-		eps := 0.2 + rng.Float64()*0.2
-		want := bruteRange(items, m, q, eps)
-		got := 0
-		for _, ref := range tr.Prepare(q).Plan(eps) {
-			p, err := tr.ReadPage(ref.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, it := range p.Items {
-				if m.Distance(q, it.Vec) <= eps {
-					got++
-				}
-			}
-		}
-		if got != len(want) {
-			t.Fatalf("trial %d: STR plan yields %d answers, want %d", trial, got, len(want))
-		}
-	}
-}
-
-func TestBulkSTRPacksFullPages(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	items := uniformItems(rng, 2048, 4)
-	cfg := testConfig() // leaf capacity 8
-	str, err := BulkSTR(items, 4, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dyn, err := Bulk(items, 4, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// STR packs pages full: it must need no more (usually far fewer)
-	// pages than dynamic insertion.
-	if str.NumPages() > dyn.NumPages() {
-		t.Errorf("STR uses %d pages, dynamic %d", str.NumPages(), dyn.NumPages())
-	}
-	if str.NumPages() != 2048/8 {
-		t.Errorf("STR pages = %d, want fully packed %d", str.NumPages(), 2048/8)
-	}
-}
-
-func TestBulkSTREdgeCases(t *testing.T) {
-	if _, err := BulkSTR(nil, 3, testConfig()); err != nil {
-		t.Errorf("empty STR build failed: %v", err)
-	}
-	rng := rand.New(rand.NewSource(44))
-	bad := uniformItems(rng, 4, 3)
-	bad[2].Vec = vec.Vector{1}
-	if _, err := BulkSTR(bad, 3, testConfig()); err == nil {
-		t.Error("dimension mismatch accepted")
-	}
-	// Tiny dataset: single leaf.
-	tiny := uniformItems(rng, 3, 3)
-	tr, err := BulkSTR(tiny, 3, testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.NumPages() != 1 || tr.Stats().Height != 1 {
-		t.Errorf("tiny STR tree: pages=%d height=%d", tr.NumPages(), tr.Stats().Height)
-	}
-}
-
-func TestForcedReinsertion(t *testing.T) {
-	rng := rand.New(rand.NewSource(60))
-	items := uniformItems(rng, 3000, 4)
-
-	cfg := testConfig()
-	plain, err := Bulk(items, 4, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.ReinsertFraction = 0.3
-	reins, err := Bulk(items, 4, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Correctness: the reinserted tree stores every item exactly once
-	// and answers range queries like brute force.
-	seen := make(map[store.ItemID]bool)
-	for pid := 0; pid < reins.NumPages(); pid++ {
-		p, err := reins.ReadPage(store.PageID(pid))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, it := range p.Items {
-			if seen[it.ID] {
-				t.Fatalf("item %d duplicated", it.ID)
-			}
-			seen[it.ID] = true
-		}
-	}
-	if len(seen) != 3000 {
-		t.Fatalf("reinserted tree holds %d items", len(seen))
-	}
-	m := vec.Euclidean{}
-	for trial := 0; trial < 8; trial++ {
-		q := uniformItems(rng, 1, 4)[0].Vec
-		want := len(bruteRange(items, m, q, 0.25))
-		got := 0
-		for _, ref := range reins.Prepare(q).Plan(0.25) {
-			p, err := reins.ReadPage(ref.ID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, it := range p.Items {
-				if m.Distance(q, it.Vec) <= 0.25 {
-					got++
-				}
-			}
-		}
-		if got != want {
-			t.Fatalf("trial %d: %d answers, want %d", trial, got, want)
-		}
-	}
-
-	// Quality: reinsertion should not increase the page count materially
-	// (R* typically packs pages better).
-	if reins.NumPages() > plain.NumPages()*11/10 {
-		t.Errorf("reinsertion grew the tree: %d vs %d pages", reins.NumPages(), plain.NumPages())
-	}
-
-	if _, err := New(4, Config{LeafCapacity: 8, DirFanout: 6, ReinsertFraction: 0.9}); err == nil {
-		t.Error("ReinsertFraction > 0.5 accepted")
 	}
 }
 

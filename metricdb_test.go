@@ -501,7 +501,7 @@ func TestClusterFacade(t *testing.T) {
 
 func TestVAFileEngineFacade(t *testing.T) {
 	items := testItems(11, 500, 6)
-	dbVA, err := Open(items, Options{Engine: EngineVAFile, PageCapacity: 16, VAFileBits: 6})
+	dbVA, err := Open(items, Options{Engine: EngineVAFile, PageCapacity: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,28 +560,6 @@ func TestVAFileEngineFacade(t *testing.T) {
 		if pgot[i] != want[i] {
 			t.Fatalf("parallel VA-file answer %d: %+v vs %+v", i, pgot[i], want[i])
 		}
-	}
-}
-
-func TestSTRBulkLoadFacade(t *testing.T) {
-	items := testItems(12, 600, 5)
-	db, err := Open(items, Options{
-		Engine: EngineXTree, PageCapacity: 16,
-		XTree: &XTreeOptions{STRBulkLoad: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// STR packs pages full.
-	if want := (600 + 15) / 16; db.NumPages() != want {
-		t.Errorf("STR pages = %d, want %d", db.NumPages(), want)
-	}
-	got, _, err := db.Query(items[50].Vec, KNNQuery(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].ID != 50 || got[0].Dist != 0 {
-		t.Errorf("1-NN of stored object = %+v", got[0])
 	}
 }
 

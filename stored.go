@@ -126,15 +126,11 @@ func openStoredDirect(dir string, items []Item, dim int, opts Options, bufferPag
 // when its provenance (generation, metric, shape, pivot count) matches the
 // live manifest, and otherwise a fresh deterministic rebuild, persisted
 // crash-safely so the next open skips the distance matrix. A missing or
-// corrupt table file is not an error — the table is a pure cache.
+// corrupt table file is not an error — the table is a pure cache. The
+// pivot count is pivot.DefaultPivots, capped at the item count; a persisted
+// table with another count is rebuilt.
 func storedPivotTable(dir string, items []Item, man *store.Manifest, lens []int, opts Options) (*pivot.Table, error) {
-	want := pivot.DefaultPivots
-	if opts.Pivot != nil && opts.Pivot.Pivots > 0 {
-		want = opts.Pivot.Pivots
-	}
-	if want > len(items) {
-		want = len(items)
-	}
+	want := min(pivot.DefaultPivots, len(items))
 	if t, err := pivot.LoadTableFile(dir); err == nil {
 		if t.Generation == man.Generation && t.NumPivots() == want &&
 			t.CheckShape(opts.Metric.Name(), man.Items, len(man.Pages)) == nil {

@@ -162,7 +162,7 @@ func TestOpenStoredDerivedLayout(t *testing.T) {
 // silently rebuilt.
 func TestOpenStoredPivotTablePersistence(t *testing.T) {
 	dir := storedDir(t, 91, 200, 4, 16)
-	opts := Options{Engine: EnginePivot, Pivot: &PivotOptions{Pivots: 8}, BufferPages: 4}
+	opts := Options{Engine: EnginePivot, BufferPages: 4}
 
 	db, err := OpenStored(dir, opts)
 	if err != nil {
@@ -196,7 +196,7 @@ func TestOpenStoredPivotTablePersistence(t *testing.T) {
 	if eng2.Table().BuildDistCalcs != 0 {
 		t.Errorf("second open recomputed the matrix (%d distance calculations)", eng2.Table().BuildDistCalcs)
 	}
-	if got, want := eng2.Table().NumPivots(), 8; got != want {
+	if got, want := eng2.Table().NumPivots(), pivot.DefaultPivots; got != want {
 		t.Errorf("loaded table has %d pivots, want %d", got, want)
 	}
 	ans2, _, err := db.Query(Vector{0.4, 0.6, 0.2, 0.8}, KNNQuery(7))
@@ -215,16 +215,32 @@ func TestOpenStoredPivotTablePersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A different pivot count must not serve the stale table.
-	db, err = OpenStored(dir, Options{Engine: EnginePivot, Pivot: &PivotOptions{Pivots: 4}})
+	// A persisted table with another pivot count — here the first 4
+	// pivots of the live one, with its generation, metric and shape — is
+	// not served but rebuilt, and the rebuild persisted.
+	stale, err := pivot.LoadTableFile(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db.eng.(*pivot.Engine).Table().NumPivots(); got != 4 {
-		t.Errorf("table has %d pivots after reopen with 4", got)
+	stale.Pivots, stale.MinD, stale.MaxD = stale.Pivots[:4], stale.MinD[:4], stale.MaxD[:4]
+	if err := pivot.WriteTableFile(dir, stale); err != nil {
+		t.Fatal(err)
+	}
+	db, err = OpenStored(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab := db.eng.(*pivot.Engine).Table(); tab.NumPivots() != pivot.DefaultPivots || tab.BuildDistCalcs == 0 {
+		t.Errorf("a 4-pivot table on disk served as %d pivots, %d build distance calculations; want a rebuild of %d",
+			tab.NumPivots(), tab.BuildDistCalcs, pivot.DefaultPivots)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if tab, err := pivot.LoadTableFile(dir); err != nil {
+		t.Errorf("rebuilt table not persisted: %v", err)
+	} else if tab.NumPivots() != pivot.DefaultPivots {
+		t.Errorf("persisted table has %d pivots, want %d", tab.NumPivots(), pivot.DefaultPivots)
 	}
 
 	// Corruption is shrugged off with a rebuild.
