@@ -6,7 +6,6 @@ import (
 	"metricdb/internal/engines"
 	"metricdb/internal/msq"
 	"metricdb/internal/parallel"
-	"metricdb/internal/store"
 )
 
 // Declustering strategies for parallel databases.
@@ -35,7 +34,8 @@ type ClusterOptions struct {
 	Engine EngineKind
 	// Metric is the distance function; nil means Euclidean.
 	Metric Metric
-	// PageCapacity is items per page; 0 derives it from 32 KB blocks.
+	// PageCapacity is items per page; 0 derives it from 32 KB blocks as
+	// Options.PageCapacity does.
 	PageCapacity int
 	// BufferPages per server; 0 selects the 10 % default, negative
 	// disables buffering.
@@ -57,7 +57,8 @@ type ClusterDB struct {
 type ClusterReport = parallel.Report
 
 // OpenCluster declusters items over the configured servers and builds one
-// engine per server.
+// engine per server. The engine, metric, page capacity and avoidance mode
+// are checked and defaulted as Open checks and defaults them.
 func OpenCluster(items []Item, opts ClusterOptions) (*ClusterDB, error) {
 	dim, err := validateItems(items)
 	if err != nil {
@@ -66,12 +67,11 @@ func OpenCluster(items []Item, opts ClusterOptions) (*ClusterDB, error) {
 	if opts.Servers < 1 {
 		return nil, fmt.Errorf("metricdb: cluster needs at least one server, got %d", opts.Servers)
 	}
-	if opts.PageCapacity == 0 {
-		opts.PageCapacity = store.PageCapacityForBlockSize(32768, dim)
+	o := Options{Engine: opts.Engine, Metric: opts.Metric, PageCapacity: opts.PageCapacity, Avoidance: opts.Avoidance}
+	if err := o.Validate(); err != nil {
+		return nil, err
 	}
-	if opts.Engine != "" && !engines.Known(engines.Kind(opts.Engine)) {
-		return nil, fmt.Errorf("metricdb: unknown engine %q (have %v)", opts.Engine, engines.Kinds())
-	}
+	o, _ = o.withDefaults(dim, len(items))
 	bufferPages := opts.BufferPages
 	switch {
 	case bufferPages == 0:
@@ -83,12 +83,12 @@ func OpenCluster(items []Item, opts ClusterOptions) (*ClusterDB, error) {
 		Servers:      opts.Servers,
 		Strategy:     opts.Strategy,
 		Seed:         opts.Seed,
-		Engine:       engines.Kind(opts.Engine),
+		Engine:       engines.Kind(o.Engine),
 		Dim:          dim,
-		PageCapacity: opts.PageCapacity,
+		PageCapacity: o.PageCapacity,
 		BufferPages:  bufferPages,
-		Metric:       opts.Metric,
-		Avoidance:    opts.Avoidance,
+		Metric:       o.Metric,
+		Avoidance:    o.Avoidance,
 	})
 	if err != nil {
 		return nil, err

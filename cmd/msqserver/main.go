@@ -45,8 +45,10 @@
 // GET /metrics (Prometheus text: per-phase latency histograms, buffer and
 // disk gauges, wire counters), GET /debug/traces (recent phase spans as
 // JSONL), GET /debug/slow (the slow-query log, threshold -slow-query),
-// POST /debug/explain (a batch's EXPLAIN profile) and /debug/pprof/*. When
-// -admin is empty no tracer is installed and the query path runs with
+// POST /debug/explain (a batch's EXPLAIN profile) and /debug/pprof/*. The
+// process has one tracer, installed on the processor, which records every
+// phase: the page path, the wire codec and the admission wait. When -admin
+// is empty no tracer is installed and the query path runs with
 // observability hooks disabled (the near-zero overhead configuration).
 package main
 
@@ -86,7 +88,6 @@ func main() {
 
 		adminAddr = flag.String("admin", "", "admin HTTP listen address for /metrics, /debug/traces, /debug/explain and /debug/pprof (empty = observability disabled)")
 		slowQuery = flag.Duration("slow-query", obs.DefaultSlowQueryThreshold, "slow-query log threshold (needs -admin; negative disables the log)")
-		node      = flag.String("node", "server", "node label on distributed trace spans recorded by this process")
 
 		admitOn       = flag.Bool("admit", false, "enable admission control and cross-caller batch forming for single-query requests")
 		admitQueue    = flag.Int("admit-queue", admit.DefaultMaxQueue, "admission queue bound (requests beyond it are shed with overload)")
@@ -110,13 +111,13 @@ func main() {
 			DefaultSLO: *admitSLO,
 		}
 	}
-	if err := run(*addr, *dataFile, *mmap, *n, *dim, *engine, cfg, *drain, *adminAddr, *slowQuery, *node); err != nil {
+	if err := run(*addr, *dataFile, *mmap, *n, *dim, *engine, cfg, *drain, *adminAddr, *slowQuery); err != nil {
 		fmt.Fprintln(os.Stderr, "msqserver:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, dataFile string, mmap bool, n, dim int, engine string, cfg wire.ServerConfig, drain time.Duration, adminAddr string, slowQuery time.Duration, node string) error {
+func run(addr, dataFile string, mmap bool, n, dim int, engine string, cfg wire.ServerConfig, drain time.Duration, adminAddr string, slowQuery time.Duration) error {
 	src := dataSource{mmap: mmap}
 	if dataFile != "" {
 		src.dir = dataFile
@@ -128,7 +129,7 @@ func run(addr, dataFile string, mmap bool, n, dim int, engine string, cfg wire.S
 		src.items = items
 	}
 
-	db, srv, lis, adminLis, err := serve(addr, src, engine, cfg, adminAddr, slowQuery, node)
+	db, srv, lis, adminLis, err := serve(addr, src, engine, cfg, adminAddr, slowQuery)
 	if err != nil {
 		return err
 	}
@@ -200,10 +201,11 @@ type dataSource struct {
 }
 
 // serve builds the database and binds the listeners (separated for tests).
-// When adminAddr is non-empty the query path runs with a tracer installed
-// and the returned adminListener serves the observability endpoints. The
-// caller owns the returned DB and must Close it after shutdown.
-func serve(addr string, src dataSource, engine string, cfg wire.ServerConfig, adminAddr string, slowQuery time.Duration, node string) (*metricdb.DB, *wire.Server, net.Listener, *adminListener, error) {
+// When adminAddr is non-empty the processor runs with a tracer installed —
+// the one tracer of the page path, the wire codec and admission — and the
+// returned adminListener serves the observability endpoints. The caller
+// owns the returned DB and must Close it after shutdown.
+func serve(addr string, src dataSource, engine string, cfg wire.ServerConfig, adminAddr string, slowQuery time.Duration) (*metricdb.DB, *wire.Server, net.Listener, *adminListener, error) {
 	opts := metricdb.Options{Engine: metricdb.EngineKind(engine), Mmap: src.mmap}
 	if err := opts.Validate(); err != nil {
 		return nil, nil, nil, nil, err
@@ -224,9 +226,8 @@ func serve(addr string, src dataSource, engine string, cfg wire.ServerConfig, ad
 	proc := db.Processor()
 	var tracer *obs.Tracer
 	if adminAddr != "" {
-		tracer = obs.New(obs.Config{SlowQueryThreshold: slowQuery, Node: node})
+		tracer = obs.New(obs.Config{SlowQueryThreshold: slowQuery})
 		proc = proc.WithTracer(tracer) // also installs the pager's page_fetch hook
-		cfg.Tracer = tracer
 	}
 	srv, err := wire.NewServerWithConfig(proc, cfg)
 	if err != nil {

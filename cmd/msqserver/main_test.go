@@ -19,7 +19,7 @@ import (
 
 func TestServeEndToEnd(t *testing.T) {
 	items := dataset.Uniform(3, 500, 4)
-	db, srv, lis, _, err := serve("127.0.0.1:0", dataSource{items: items}, "xtree", wire.ServerConfig{}, "", 0, "server")
+	db, srv, lis, _, err := serve("127.0.0.1:0", dataSource{items: items}, "xtree", wire.ServerConfig{}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestServeEndToEnd(t *testing.T) {
 
 func TestServeRejectsBadEngine(t *testing.T) {
 	items := dataset.Uniform(4, 50, 3)
-	if _, _, _, _, err := serve("127.0.0.1:0", dataSource{items: items}, "btree", wire.ServerConfig{}, "", 0, "server"); err == nil {
+	if _, _, _, _, err := serve("127.0.0.1:0", dataSource{items: items}, "btree", wire.ServerConfig{}, "", 0); err == nil {
 		t.Error("unknown engine accepted")
 	}
 }
@@ -61,7 +61,7 @@ func TestServeRejectsRemovedLayoutsAndFiles(t *testing.T) {
 	if err := os.WriteFile(file, []byte("gob"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, _, err := serve("127.0.0.1:0", dataSource{dir: file}, "scan", wire.ServerConfig{}, "", 0, "server")
+	_, _, _, _, err := serve("127.0.0.1:0", dataSource{dir: file}, "scan", wire.ServerConfig{}, "", 0)
 	if err == nil || !strings.Contains(err.Error(), "regenerate it with msqgen") {
 		t.Errorf("-data with a regular file: serve returned %v", err)
 	}
@@ -72,7 +72,7 @@ func TestServeRejectsRemovedLayoutsAndFiles(t *testing.T) {
 // silently dropped connection.
 func TestMalformedRequestGetsErrorResponse(t *testing.T) {
 	items := dataset.Uniform(5, 200, 3)
-	db, srv, lis, _, err := serve("127.0.0.1:0", dataSource{items: items}, "scan", wire.ServerConfig{}, "", 0, "server")
+	db, srv, lis, _, err := serve("127.0.0.1:0", dataSource{items: items}, "scan", wire.ServerConfig{}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestMalformedRequestGetsErrorResponse(t *testing.T) {
 // listener, lets connected clients finish, and Serve returns cleanly.
 func TestGracefulDrain(t *testing.T) {
 	items := dataset.Uniform(6, 300, 3)
-	db, srv, lis, _, err := serve("127.0.0.1:0", dataSource{items: items}, "scan", wire.ServerConfig{}, "", 0, "server")
+	db, srv, lis, _, err := serve("127.0.0.1:0", dataSource{items: items}, "scan", wire.ServerConfig{}, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestGracefulDrain(t *testing.T) {
 // queries went through the batch former.
 func TestAdminEndpoints(t *testing.T) {
 	items := dataset.Uniform(7, 400, 4)
-	db, srv, lis, admin, err := serve("127.0.0.1:0", dataSource{items: items}, "scan", wire.ServerConfig{}, "127.0.0.1:0", time.Nanosecond, "server")
+	db, srv, lis, admin, err := serve("127.0.0.1:0", dataSource{items: items}, "scan", wire.ServerConfig{}, "127.0.0.1:0", time.Nanosecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,6 @@ func TestAdminEndpoints(t *testing.T) {
 		`metricdb_phase_duration_quantile_seconds{phase="kernel",quantile="0.95"}`,
 		"metricdb_slow_queries_total 1",
 		"metricdb_traced_queries_total 1",
-		"metricdb_dist_spans_total",
 		`metricdb_db_items{engine="scan"} 400`,
 		`metricdb_db_pages{engine="scan"}`,
 		`metricdb_disk_reads_total{kind="seq"}`,
@@ -190,7 +189,8 @@ func TestAdminEndpoints(t *testing.T) {
 		"metricdb_wire_engine_errors_total 0",
 		"metricdb_wire_refused_total 0",
 	)
-	for _, gone := range []string{"metricdb_advisor_", "metricdb_trace_spans_total", "metricdb_admit_", "metricdb_storage_"} {
+	for _, gone := range []string{"metricdb_advisor_", "metricdb_trace_spans_total", "metricdb_dist_spans_total",
+		"metricdb_server_", `phase="server_call"`, "metricdb_admit_", "metricdb_storage_"} {
 		if strings.Contains(metrics, gone) {
 			t.Errorf("/metrics of an in-memory server without -admit serves %s*", gone)
 		}
@@ -237,7 +237,7 @@ func TestAdminEndpoints(t *testing.T) {
 		MaxWait:    time.Millisecond,
 		DefaultSLO: time.Second,
 	}}
-	adb, asrv, alis, aadmin, err := serve("127.0.0.1:0", dataSource{items: items}, "scan", cfg, "127.0.0.1:0", -1, "server")
+	adb, asrv, alis, aadmin, err := serve("127.0.0.1:0", dataSource{items: items}, "scan", cfg, "127.0.0.1:0", -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestServeStoredDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	db, srv, lis, admin, err := serve("127.0.0.1:0", dataSource{dir: dir}, "scan",
-		wire.ServerConfig{}, "127.0.0.1:0", -1, "server")
+		wire.ServerConfig{}, "127.0.0.1:0", -1)
 	if err != nil {
 		t.Fatal(err)
 	}

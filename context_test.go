@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"metricdb/internal/dataset"
 	"metricdb/internal/engines"
 )
 
@@ -49,7 +50,9 @@ func TestOptionsValidate(t *testing.T) {
 // can reject option mistakes before it loads data: over every engine kind
 // (and an unknown one), page capacities 0, 1 and 2, buffer sentinels and a
 // one-page buffer, and every avoidance mode (and one on each side of the
-// range), options Validate accepts must open a small dataset.
+// range), options Validate accepts must open a small dataset. The default
+// options of every engine kind must also open three 4 096-d items, where a
+// 32 KB block holds a single vector, in memory, stored and as a cluster.
 func TestValidateAgreesWithOpen(t *testing.T) {
 	items := testItems(5, 60, 3)
 	kinds := []EngineKind{"", "btree"}
@@ -69,6 +72,27 @@ func TestValidateAgreesWithOpen(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+
+	wide := testItems(6, 3, 4096)
+	dir := t.TempDir()
+	if err := dataset.SaveDir(dir, wide, dataset.SaveOptions{NoSync: true}); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range engines.Kinds() {
+		o := Options{Engine: EngineKind(k)}
+		if _, err := Open(wide, o); err != nil {
+			t.Errorf("Open of 4 096-d items with %+v: %v", o, err)
+		}
+		db, err := OpenStored(dir, o)
+		if err != nil {
+			t.Errorf("OpenStored of 4 096-d items with %+v: %v", o, err)
+		} else if err := db.Close(); err != nil {
+			t.Error(err)
+		}
+		if _, err := OpenCluster(wide, ClusterOptions{Servers: 1, Engine: o.Engine}); err != nil {
+			t.Errorf("OpenCluster of 4 096-d items with %+v: %v", o, err)
 		}
 	}
 }

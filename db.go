@@ -98,9 +98,11 @@ func (o Options) Validate() error {
 
 // withDefaults resolves the zero and sentinel values of validated options
 // against a concrete database shape: nil Metric becomes Euclidean,
-// PageCapacity 0 derives from a 32 KB block at the data's dimensionality,
-// and the BufferPages sentinel (0 = the paper's 10 % default, negative =
-// unbuffered) is resolved into the returned concrete page count. The
+// PageCapacity 0 derives from a 32 KB block at the data's dimensionality
+// (at least two items for the X-tree, which halves an overflowing page, even
+// where a block holds one vector), and the BufferPages sentinel (0 = the
+// paper's 10 % default, negative = unbuffered) is resolved into the
+// returned concrete page count. The
 // returned options are fully explicit except BufferPages, which keeps its
 // sentinel so the caller's intent remains readable from DB.Options-style
 // introspection.
@@ -113,6 +115,9 @@ func (o Options) withDefaults(dim, nItems int) (Options, int) {
 	}
 	if o.PageCapacity == 0 {
 		o.PageCapacity = store.PageCapacityForBlockSize(32768, dim)
+		if o.Engine == EngineXTree {
+			o.PageCapacity = max(o.PageCapacity, 2)
+		}
 	}
 	bufferPages := o.BufferPages
 	switch {

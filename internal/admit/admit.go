@@ -102,9 +102,6 @@ type Config struct {
 	// Pressure, when non-nil, overrides the built-in pressure signal.
 	// It must return a value in [0, 1]; values outside are clamped.
 	Pressure func() float64
-	// Tracer, when non-nil, receives one admit_wait observation per
-	// admitted query (enqueue to block release). Nil disables at no cost.
-	Tracer *obs.Tracer
 	// BlockObserver, when non-nil, receives every successfully executed
 	// block (its queries, batch Stats, and wall time) after delivery
 	// accounting. Nil disables.
@@ -200,7 +197,9 @@ type Controller struct {
 }
 
 // New creates a Controller over proc and starts its former goroutine.
-// Close must be called to release it.
+// Close must be called to release it. When proc has a tracer
+// (msq.Processor.WithTracer), the controller records each admitted query's
+// admit_wait in it and reads pressure from its phase histograms.
 func New(proc *msq.Processor, cfg Config) (*Controller, error) {
 	if proc == nil {
 		return nil, fmt.Errorf("admit: nil processor")
@@ -451,7 +450,7 @@ func (c *Controller) execute(block []*waiter) {
 	if len(live) == 0 {
 		return
 	}
-	if tr := c.cfg.Tracer; tr.Enabled() {
+	if tr := c.proc.Tracer(); tr.Enabled() {
 		for _, w := range live {
 			tr.Observe(obs.PhaseAdmitWait, released.Sub(w.enqueued))
 		}

@@ -19,8 +19,6 @@ type Endpoint struct {
 //	/metrics             Prometheus text exposition (phase histograms with
 //	                     p50/p95/p99 summaries, gauges, counters)
 //	/debug/traces        retained phase spans as JSONL, oldest first
-//	/debug/traces?dist=1 retained distributed spans as JSONL, oldest first
-//	/debug/traces?trace=ID  one stitched cross-server trace as a JSON tree
 //	/debug/slow          slow-query log as JSON, oldest first
 //	/debug/pprof/*       the standard Go profiling endpoints
 //
@@ -35,25 +33,8 @@ func AdminHandler(r *Registry, extra ...Endpoint) http.Handler {
 		r.WritePrometheus(w) //nolint:errcheck // best effort on a live conn
 	})
 	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, req *http.Request) {
-		t := r.Tracer()
-		if id := req.URL.Query().Get("trace"); id != "" {
-			tree := t.Trace(TraceID(id))
-			if tree == nil {
-				http.Error(w, "trace not found", http.StatusNotFound)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(tree) //nolint:errcheck // best effort on a live conn
-			return
-		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		if req.URL.Query().Get("dist") != "" {
-			t.WriteDistTraces(w) //nolint:errcheck // best effort on a live conn
-			return
-		}
-		t.WriteTraces(w) //nolint:errcheck // best effort on a live conn
+		r.Tracer().WriteTraces(w) //nolint:errcheck // best effort on a live conn
 	})
 	mux.HandleFunc("/debug/slow", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

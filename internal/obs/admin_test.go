@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -83,5 +84,38 @@ func TestAdminPprofEndpoint(t *testing.T) {
 	code, body := get(t, NewRegistry(nil), "/debug/pprof/")
 	if code != 200 || !strings.Contains(body, "profile") {
 		t.Errorf("/debug/pprof/ status %d", code)
+	}
+}
+
+func TestMetricsQuantileSummaryLines(t *testing.T) {
+	tr := New(Config{})
+	for i := 0; i < 100; i++ {
+		tr.Observe(PhasePageFetch, time.Duration(i+1)*time.Microsecond)
+	}
+	_, body := get(t, NewRegistry(tr), "/metrics")
+	if !strings.Contains(body, "# TYPE "+PhaseQuantileMetric+" gauge") {
+		t.Fatalf("/metrics missing quantile family header:\n%s", body)
+	}
+	for _, q := range []string{"0.5", "0.95", "0.99"} {
+		want := PhaseQuantileMetric + `{phase="page_fetch",quantile="` + q + `"}`
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	// Phases with no observations must not emit summary lines.
+	if strings.Contains(body, `{phase="kernel",quantile=`) {
+		t.Error("empty phase emitted quantile lines")
+	}
+}
+
+func TestAdminExtraEndpoints(t *testing.T) {
+	h := AdminHandler(NewRegistry(nil), Endpoint{
+		Pattern: "/debug/custom",
+		Handler: func(w http.ResponseWriter, r *http.Request) { w.Write([]byte("custom ok")) },
+	})
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/custom", nil))
+	if rec.Code != 200 || rec.Body.String() != "custom ok" {
+		t.Errorf("extra endpoint: status %d body %q", rec.Code, rec.Body.String())
 	}
 }

@@ -82,54 +82,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// Sub returns the delta s − prev: the observations recorded between the two
-// snapshots (prev taken earlier on the same histogram). Buckets absent from
-// prev count as zero, so a zero-value prev returns s itself. Deltas are the
-// wire unit for shipping a server's per-request phase costs back to the
-// coordinator.
-func (s HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
-	d := HistSnapshot{
-		Counts: make([]int64, len(s.Counts)),
-		Count:  s.Count - prev.Count,
-		SumNs:  s.SumNs - prev.SumNs,
-	}
-	for i, c := range s.Counts {
-		d.Counts[i] = c
-		if i < len(prev.Counts) {
-			d.Counts[i] -= prev.Counts[i]
-		}
-	}
-	return d
-}
-
-// merge folds a snapshot's counts into the histogram (bucket-wise adds), the
-// receiving half of the wire delta transport. Snapshots with more buckets
-// than the histogram (a future format) spill the excess into overflow.
-func (h *Histogram) merge(s HistSnapshot) {
-	for i, c := range s.Counts {
-		if c == 0 {
-			continue
-		}
-		if i > histBuckets {
-			h.counts[histBuckets].Add(c)
-			continue
-		}
-		h.counts[i].Add(c)
-	}
-	h.count.Add(s.Count)
-	h.sumNs.Add(s.SumNs)
-}
-
-// MergeSnapshot folds a phase-histogram delta (HistSnapshot.Sub) received
-// from another node into this tracer's histogram for phase p. No-op on nil
-// tracers and empty deltas.
-func (t *Tracer) MergeSnapshot(p Phase, snap HistSnapshot) {
-	if t == nil || int(p) >= NumPhases || (snap.Count == 0 && snap.SumNs == 0) {
-		return
-	}
-	t.hist[p].merge(snap)
-}
-
 // Mean returns the mean observation, 0 when empty.
 func (s HistSnapshot) Mean() time.Duration {
 	if s.Count == 0 {

@@ -18,14 +18,14 @@
 // # Granularity
 //
 // Every Tracer method is safe — and a near-free no-op — on a nil receiver,
-// and no instrumented site is finer than one page pass, one request or one
-// per-server call: the clock is never
-// read per item or per (item, query) pair. A pair costs a few nanoseconds
-// of triangle-inequality or kernel work, less than the clock read that
-// would time it, so a per-pair split reports mostly its own overhead.
-// Whether avoidance pays is answered exactly by the AvoidTries, Avoided and
-// DistCalcs counters instead. `make obsgate` bounds the enabled cost at
-// <= 10 % of a multi-query batch's wall time, measured on the real loop.
+// and no instrumented site is finer than one page pass or one request: the
+// clock is never read per item or per (item, query) pair. A pair costs a
+// few nanoseconds of triangle-inequality or kernel work, less than the
+// clock read that would time it, so a per-pair split reports mostly its own
+// overhead. Whether avoidance pays is answered exactly by the AvoidTries,
+// Avoided and DistCalcs counters instead. `make obsgate` bounds the enabled
+// cost at <= 10 % of a multi-query batch's wall time, measured on the real
+// loop.
 package obs
 
 import (
@@ -38,7 +38,7 @@ import (
 // similarity query: plan the pages, build the query-distance matrix, then
 // per page fetch/wait and the page pass (avoidance checks, kernel
 // evaluation and answer-list updates together) — plus the serving layer's
-// per-server calls and wire codec work.
+// wire codec work and admission wait.
 type Phase uint8
 
 // Phases. The String values are the `phase` label on the exported
@@ -59,9 +59,6 @@ const (
 	// through the Lemma-1/2 probes, the bounded distance kernel and the
 	// answer-list update. A seed page's evaluation counts as a pass too.
 	PhaseKernel
-	// PhaseServerCall is one per-server call of the parallel cluster
-	// (attempt granularity, including retries separately).
-	PhaseServerCall
 	// PhaseWireDecode is the JSON decode of one wire request.
 	PhaseWireDecode
 	// PhaseWireEncode is the JSON encode + flush of one wire response.
@@ -86,7 +83,6 @@ var phaseNames = [NumPhases]string{
 	"plan",
 	"matrix",
 	"kernel",
-	"server_call",
 	"wire_decode",
 	"wire_encode",
 	"admit_wait",
@@ -101,37 +97,23 @@ func (p Phase) String() string {
 	return "unknown"
 }
 
-// PhaseNames returns the label values of all phases, indexed by Phase.
-func PhaseNames() []string {
-	names := make([]string, NumPhases)
-	copy(names, phaseNames[:])
-	return names
-}
-
 // Config tunes a Tracer. The zero value enables everything with defaults.
 type Config struct {
 	// SlowQueryThreshold is the duration at or above which a finished
 	// query call is recorded in the slow-query log. Zero selects
 	// DefaultSlowQueryThreshold; a negative value disables the log.
 	SlowQueryThreshold time.Duration
-	// SlowLogSize bounds the slow-query ring (0: DefaultSlowLogSize).
-	SlowLogSize int
-	// TraceBufferSize bounds the span ring served by /debug/traces and
-	// WriteTraces (0: DefaultTraceBufferSize; negative disables span
-	// retention, keeping only the histograms). The same size bounds the
-	// distributed-span ring (StartSpan/ImportSpans).
-	TraceBufferSize int
-	// Node labels every distributed span this tracer records, so spans
-	// stitched across processes identify their origin ("coordinator",
-	// "srv2", ...). Empty leaves spans unlabelled.
-	Node string
 }
 
-// Defaults for Config's zero values.
+// DefaultSlowQueryThreshold is what Config's zero SlowQueryThreshold
+// selects.
+const DefaultSlowQueryThreshold = 100 * time.Millisecond
+
+// The slow-query ring keeps the last slowLogSize records and the span ring
+// served by /debug/traces and WriteTraces the last traceBufferSize spans.
 const (
-	DefaultSlowQueryThreshold = 100 * time.Millisecond
-	DefaultSlowLogSize        = 128
-	DefaultTraceBufferSize    = 4096
+	slowLogSize     = 128
+	traceBufferSize = 4096
 )
 
 // Tracer collects per-phase latency histograms, recent spans, and slow
@@ -139,10 +121,8 @@ const (
 // concurrent use: histograms are atomic, the rings are mutex-guarded.
 type Tracer struct {
 	start   time.Time
-	node    string
 	hist    [NumPhases]Histogram
 	spans   *spanRing
-	dist    *distRing
 	slow    *SlowLog
 	queries atomic.Int64 // query calls observed via RecordQuery
 }
@@ -153,45 +133,25 @@ func New(cfg Config) *Tracer {
 	if cfg.SlowQueryThreshold == 0 {
 		cfg.SlowQueryThreshold = DefaultSlowQueryThreshold
 	}
-	if cfg.SlowLogSize == 0 {
-		cfg.SlowLogSize = DefaultSlowLogSize
-	}
-	if cfg.TraceBufferSize == 0 {
-		cfg.TraceBufferSize = DefaultTraceBufferSize
-	}
-	t := &Tracer{start: time.Now(), node: cfg.Node}
+	t := &Tracer{start: time.Now(), spans: newSpanRing(traceBufferSize)}
 	if cfg.SlowQueryThreshold > 0 {
-		t.slow = newSlowLog(cfg.SlowQueryThreshold, cfg.SlowLogSize)
-	}
-	if cfg.TraceBufferSize > 0 {
-		t.spans = newSpanRing(cfg.TraceBufferSize)
-		t.dist = newDistRing(cfg.TraceBufferSize)
+		t.slow = newSlowLog(cfg.SlowQueryThreshold, slowLogSize)
 	}
 	return t
-}
-
-// Node returns the tracer's node label ("" on nil tracers).
-func (t *Tracer) Node() string {
-	if t == nil {
-		return ""
-	}
-	return t.node
 }
 
 // Enabled reports whether the tracer is live. Hot loops hoist this test
 // once per page instead of calling Observe per item.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Observe records one duration under phase: a histogram sample and, when
-// span retention is on, a trace entry stamped at the observation time.
+// Observe records one duration under phase: a histogram sample and a trace
+// entry stamped at the observation time.
 func (t *Tracer) Observe(p Phase, d time.Duration) {
 	if t == nil {
 		return
 	}
 	t.hist[p].Observe(d)
-	if t.spans != nil {
-		t.spans.add(span{at: time.Since(t.start) - d, phase: p, dur: d})
-	}
+	t.spans.add(span{at: time.Since(t.start) - d, phase: p, dur: d})
 }
 
 // ObserveSince records the time elapsed since start under phase.
@@ -266,22 +226,10 @@ func (t *Tracer) SlowQueryThreshold() time.Duration {
 	return t.slow.threshold
 }
 
-// Histogram returns a snapshot of one phase's latency histogram.
+// Snapshot returns a snapshot of one phase's latency histogram.
 func (t *Tracer) Snapshot(p Phase) HistSnapshot {
 	if t == nil {
 		return HistSnapshot{}
 	}
 	return t.hist[p].Snapshot()
-}
-
-// Snapshots returns snapshots of all phase histograms, indexed by Phase.
-func (t *Tracer) Snapshots() []HistSnapshot {
-	out := make([]HistSnapshot, NumPhases)
-	if t == nil {
-		return out
-	}
-	for p := 0; p < NumPhases; p++ {
-		out[p] = t.hist[p].Snapshot()
-	}
-	return out
 }

@@ -11,22 +11,14 @@ import (
 // Registry is a metrics registry with Prometheus text exposition. Gauges
 // and counters are registered as callbacks, so the registry samples live
 // values (buffer hit counters, disk read totals, connection counts) at
-// scrape time instead of shadowing them; the attached tracer contributes
-// the per-phase latency histograms and the slow-query counter.
+// scrape time instead of shadowing them; the tracer contributes the
+// per-phase latency histograms and the slow-query counter.
 type Registry struct {
 	tracer *Tracer
 
 	mu       sync.Mutex
-	extra    []labeledTracer
 	gauges   []metricDef
 	counters []metricDef
-}
-
-// labeledTracer is an additional tracer exposed under extra labels — the
-// coordinator attaches one per server so a single scrape covers the cluster.
-type labeledTracer struct {
-	labels string
-	tracer *Tracer
 }
 
 // metricDef is one registered callback metric.
@@ -43,22 +35,8 @@ func NewRegistry(tracer *Tracer) *Registry {
 	return &Registry{tracer: tracer}
 }
 
-// Tracer returns the attached tracer (possibly nil).
+// Tracer returns the registry's tracer (possibly nil).
 func (r *Registry) Tracer() *Tracer { return r.tracer }
-
-// AttachTracer exposes another tracer's phase histograms under extra labels
-// (e.g. `server="2"`). The coordinator uses this to aggregate per-server
-// phase costs — each server's histogram deltas are merged into a per-server
-// tracer, and one scrape of the coordinator then covers the cluster. Nil
-// tracers are ignored.
-func (r *Registry) AttachTracer(labels string, tr *Tracer) {
-	if tr == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.extra = append(r.extra, labeledTracer{labels: labels, tracer: tr})
-}
 
 // Gauge registers a gauge sampled at scrape time. labels is a rendered
 // label set such as `engine="scan"` or empty.
@@ -127,108 +105,80 @@ var summaryQuantiles = []struct {
 	q     float64
 }{{"0.5", 0.5}, {"0.95", 0.95}, {"0.99", 0.99}}
 
-// writePhaseHistograms renders the tracers' phase histograms as one
-// Prometheus histogram family with a `phase` label (plus each tracer's extra
-// labels), cumulative buckets in seconds.
-func writePhaseHistograms(w io.Writer, tracers []labeledTracer) error {
-	if len(tracers) == 0 {
-		return nil
-	}
+// writePhaseHistograms renders the tracer's phase histograms as one
+// Prometheus histogram family with a `phase` label, cumulative buckets in
+// seconds.
+func writePhaseHistograms(w io.Writer, t *Tracer) error {
 	if _, err := fmt.Fprintf(w, "# HELP %s Query-processing phase latency.\n# TYPE %s histogram\n",
 		PhaseHistogramMetric, PhaseHistogramMetric); err != nil {
 		return err
 	}
-	for _, lt := range tracers {
-		extra := ""
-		if lt.labels != "" {
-			extra = "," + lt.labels
+	for p := 0; p < NumPhases; p++ {
+		snap := t.Snapshot(Phase(p))
+		name := Phase(p).String()
+		var cum int64
+		for i, c := range snap.Counts {
+			cum += c
+			le := "+Inf"
+			if b := BucketBound(i); b >= 0 {
+				le = formatFloat(b.Seconds())
+			}
+			if _, err := fmt.Fprintf(w, "%s_bucket{phase=%q,le=%q} %d\n",
+				PhaseHistogramMetric, name, le, cum); err != nil {
+				return err
+			}
 		}
-		for p := 0; p < NumPhases; p++ {
-			snap := lt.tracer.Snapshot(Phase(p))
-			name := Phase(p).String()
-			var cum int64
-			for i, c := range snap.Counts {
-				cum += c
-				le := "+Inf"
-				if b := BucketBound(i); b >= 0 {
-					le = formatFloat(b.Seconds())
-				}
-				if _, err := fmt.Fprintf(w, "%s_bucket{phase=%q,le=%q%s} %d\n",
-					PhaseHistogramMetric, name, le, extra, cum); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s_sum{phase=%q%s} %s\n", PhaseHistogramMetric, name, extra,
-				formatFloat(float64(snap.SumNs)/1e9)); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s_count{phase=%q%s} %d\n", PhaseHistogramMetric, name, extra, snap.Count); err != nil {
-				return err
-			}
+		if _, err := fmt.Fprintf(w, "%s_sum{phase=%q} %s\n", PhaseHistogramMetric, name,
+			formatFloat(float64(snap.SumNs)/1e9)); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintf(w, "%s_count{phase=%q} %d\n", PhaseHistogramMetric, name, snap.Count); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // writePhaseQuantiles renders the precomputed p50/p95/p99 summary lines per
-// phase (and per attached tracer), skipping empty histograms.
-func writePhaseQuantiles(w io.Writer, tracers []labeledTracer) error {
-	if len(tracers) == 0 {
-		return nil
-	}
+// phase, skipping empty histograms.
+func writePhaseQuantiles(w io.Writer, t *Tracer) error {
 	if _, err := fmt.Fprintf(w, "# HELP %s Upper-bound phase latency quantiles, precomputed from the histogram buckets.\n# TYPE %s gauge\n",
 		PhaseQuantileMetric, PhaseQuantileMetric); err != nil {
 		return err
 	}
-	for _, lt := range tracers {
-		extra := ""
-		if lt.labels != "" {
-			extra = "," + lt.labels
+	for p := 0; p < NumPhases; p++ {
+		snap := t.Snapshot(Phase(p))
+		if snap.Count == 0 {
+			continue
 		}
-		for p := 0; p < NumPhases; p++ {
-			snap := lt.tracer.Snapshot(Phase(p))
-			if snap.Count == 0 {
-				continue
-			}
-			name := Phase(p).String()
-			for _, sq := range summaryQuantiles {
-				if _, err := fmt.Fprintf(w, "%s{phase=%q,quantile=%q%s} %s\n",
-					PhaseQuantileMetric, name, sq.label, extra,
-					formatFloat(snap.Quantile(sq.q).Seconds())); err != nil {
-					return err
-				}
+		name := Phase(p).String()
+		for _, sq := range summaryQuantiles {
+			if _, err := fmt.Fprintf(w, "%s{phase=%q,quantile=%q} %s\n",
+				PhaseQuantileMetric, name, sq.label,
+				formatFloat(snap.Quantile(sq.q).Seconds())); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
 }
 
-// WritePrometheus writes the full exposition: phase histograms (the primary
-// tracer plus any attached per-server tracers) with precomputed quantile
-// summaries, the tracer's slow-query and span totals, then registered
-// counters and gauges.
+// WritePrometheus writes the full exposition: the tracer's phase histograms
+// with precomputed quantile summaries and its slow-query and query totals,
+// then registered counters and gauges.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	var tracers []labeledTracer
-	if r.tracer != nil {
-		tracers = append(tracers, labeledTracer{tracer: r.tracer})
-	}
-	r.mu.Lock()
-	tracers = append(tracers, r.extra...)
-	r.mu.Unlock()
-	if err := writePhaseHistograms(w, tracers); err != nil {
-		return err
-	}
-	if err := writePhaseQuantiles(w, tracers); err != nil {
-		return err
-	}
 	if t := r.tracer; t != nil {
+		if err := writePhaseHistograms(w, t); err != nil {
+			return err
+		}
+		if err := writePhaseQuantiles(w, t); err != nil {
+			return err
+		}
 		tracerCounters := []metricDef{
 			{name: "metricdb_slow_queries_total", help: "Query calls at or above the slow-query threshold.",
 				fn: func() float64 { return float64(t.SlowQueriesTotal()) }},
 			{name: "metricdb_traced_queries_total", help: "Query calls observed by the tracer.",
 				fn: func() float64 { return float64(t.Queries()) }},
-			{name: "metricdb_dist_spans_total", help: "Distributed spans recorded or imported by the tracer.",
-				fn: func() float64 { return float64(t.DistSpansTotal()) }},
 		}
 		if err := writeFamily(w, "counter", tracerCounters); err != nil {
 			return err

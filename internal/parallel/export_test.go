@@ -13,6 +13,3 @@ const BreakerThreshold = breakerThreshold
 // ExpireBreaker ends server i's breaker cooldown now, so the server's next
 // call is let through as the probe.
 func ExpireBreaker(c *Cluster, i int) { c.breakers[i].expire() }
-
-// CheckRetrySiblings checks the trace of a retried server 0 (trace_test.go).
-var CheckRetrySiblings = checkRetrySiblings

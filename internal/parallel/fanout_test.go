@@ -15,7 +15,6 @@ import (
 	"metricdb/internal/fault"
 	"metricdb/internal/leakcheck"
 	"metricdb/internal/msq"
-	"metricdb/internal/obs"
 	"metricdb/internal/parallel"
 	"metricdb/internal/query"
 	"metricdb/internal/store"
@@ -59,7 +58,7 @@ func overWire(t *testing.T, items []store.Item, cfg parallel.Config) (*parallel.
 		}
 		go srv.Serve(lis) //nolint:errcheck // ends with net.ErrClosed on Close
 		t.Cleanup(func() { srv.Close() })
-		servers[i] = wire.Remote(lis.Addr().String(), nil)
+		servers[i] = wire.Remote(lis.Addr().String())
 	}
 	return parallel.NewCluster(servers, cfg.FanOut)
 }
@@ -293,12 +292,11 @@ var fanOutRows = []fanOutRow{
 	},
 	{
 		// One injected read failure on server 0: the retry completes the
-		// batch, and the trace shows the two attempts as siblings.
+		// batch.
 		name: "transient fault",
 		cfg: func(*stall) parallel.Config {
 			cfg := baseConfig()
 			cfg.Retries = 2
-			cfg.Tracer = obs.New(obs.Config{SlowQueryThreshold: -1, Node: "coordinator"})
 			cfg.WrapDisk = faulty(map[int]fault.Config{0: {ErrProb: 1, MaxFaults: 1}})
 			return cfg
 		},
@@ -462,9 +460,6 @@ func TestFanOut(t *testing.T) {
 					cfg := row.cfg(hang)
 					c, err := tr.build(t, items, cfg)
 					runs = append(runs, row.check(t, c, err, items, queries))
-					if cfg.Tracer != nil {
-						parallel.CheckRetrySiblings(t, cfg.Tracer, cfg.Servers)
-					}
 				})
 			}
 			if len(runs) == len(transports) {

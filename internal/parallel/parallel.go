@@ -9,7 +9,7 @@
 // attempt of a batch at a time, and owns everything around the attempts:
 // the fan-out, the per-server circuit breaker, the per-attempt timeout, the
 // retries, the coverage decision under FanOut.Degrade, the union-merge and
-// the server_call spans. New builds in-process servers (an engine and a
+// the per-server Report. New builds in-process servers (an engine and a
 // multi-query processor per partition); package wire supplies servers that
 // answer over TCP (wire.Remote), so a cross-process cluster is the same
 // Cluster over different servers.
@@ -31,7 +31,6 @@ import (
 
 	"metricdb/internal/engines"
 	"metricdb/internal/msq"
-	"metricdb/internal/obs"
 	"metricdb/internal/query"
 	"metricdb/internal/store"
 	"metricdb/internal/vec"
@@ -136,15 +135,6 @@ type Config struct {
 	// storage.
 	WrapDisk func(server int, src store.PageSource) (store.PageSource, error)
 
-	// ServerTracers, when non-empty, must hold one tracer per server;
-	// server i's processor and pager then report to ServerTracers[i]
-	// instead of FanOut.Tracer, so per-server phase costs stay separable.
-	// The fan-out's spans still go to FanOut.Tracer. RegisterMetrics
-	// exposes the per-server histograms under server="i" labels.
-	ServerTracers []*obs.Tracer
-
-	// FanOut's Tracer is also installed on every server's processor and
-	// pager, unless ServerTracers is set.
 	FanOut
 }
 
@@ -165,34 +155,20 @@ type FanOut struct {
 	// Degrade false any server failure fails the whole operation, the
 	// pre-existing strict behavior.
 	Degrade bool
-	// Tracer, when non-nil, receives the fan-out's spans: when the tracer
-	// retains distributed spans, every operation records a root span with
-	// one server_call child per server attempt (retries are sibling attempt
-	// spans), under which remote servers' own spans are stitched, viewable
-	// at /debug/traces. Nil disables tracing at no cost.
-	Tracer *obs.Tracer
 }
 
 // Server is one partition as the fan-out reaches it.
 type Server interface {
 	// Call runs one attempt of the batch: one answer list per query,
 	// aligned with queries, and the attempt's cost (Health is the
-	// caller's). span is the attempt's server_call span, nil when
-	// untraced; a server in another process propagates its context. The
-	// fan-out abandons an attempt that outlives its timeout or ctx, so
-	// Call should stop once ctx is done.
-	Call(ctx context.Context, queries []msq.Query, span *obs.ActiveSpan) ([]*query.AnswerList, ServerStats, error)
-	// RegisterMetrics registers the server's metrics on reg under labels
-	// (server="i").
-	RegisterMetrics(reg *obs.Registry, labels string)
+	// caller's). The fan-out abandons an attempt that outlives its timeout
+	// or ctx, so Call should stop once ctx is done.
+	Call(ctx context.Context, queries []msq.Query) ([]*query.AnswerList, ServerStats, error)
 }
 
 // local is an in-process server: one partition's engine and processor.
 type local struct {
 	proc *msq.Processor
-	// phases is the server's own tracer (Config.ServerTracers), exposed by
-	// RegisterMetrics; nil when the server reports to the shared Tracer.
-	phases *obs.Tracer
 }
 
 // Cluster is a set of shared-nothing servers answering similarity queries
@@ -214,10 +190,6 @@ func New(items []store.Item, cfg Config) (*Cluster, error) {
 	if err := cfg.Avoidance.Validate(); err != nil {
 		return nil, fmt.Errorf("parallel: %w", err)
 	}
-	if len(cfg.ServerTracers) != 0 && len(cfg.ServerTracers) != cfg.Servers {
-		return nil, fmt.Errorf("parallel: ServerTracers must hold one tracer per server (%d), got %d",
-			cfg.Servers, len(cfg.ServerTracers))
-	}
 	parts, err := Decluster(items, cfg.Servers, cfg.Strategy, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -228,11 +200,7 @@ func New(items []store.Item, cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
-		l := &local{proc: proc}
-		if len(cfg.ServerTracers) > 0 {
-			l.phases = cfg.ServerTracers[i]
-		}
-		servers[i] = l
+		servers[i] = &local{proc: proc}
 	}
 	return NewCluster(servers, cfg.FanOut)
 }
@@ -281,14 +249,6 @@ func newProcessor(i int, part []store.Item, cfg Config) (*msq.Processor, error) 
 	proc, err := msq.New(eng, vec.NewCounting(metric), msq.Options{Avoidance: cfg.Avoidance})
 	if err != nil {
 		return nil, fmt.Errorf("parallel: server %d: %w", i, err)
-	}
-	switch {
-	case len(cfg.ServerTracers) > 0:
-		if cfg.ServerTracers[i] != nil {
-			proc = proc.WithTracer(cfg.ServerTracers[i])
-		}
-	case cfg.Tracer != nil:
-		proc = proc.WithTracer(cfg.Tracer)
 	}
 	return proc, nil
 }
@@ -437,19 +397,12 @@ func (c *Cluster) MultiQueryAllContext(ctx context.Context, queries []msq.Query)
 	perServer := make([][]*query.AnswerList, len(c.servers))
 	errs := make([]error, len(c.servers))
 
-	// The batch's root distributed span: every server attempt records a
-	// child span under it, so retries show up as sibling attempt spans of
-	// one trace. Nil tracers (or disabled span retention) make root nil
-	// and every span call below a no-op.
-	root := c.cfg.Tracer.StartSpan("multi_all")
-	defer root.End()
-
 	var wg sync.WaitGroup
 	for i := range c.servers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			perServer[i], report.PerServer[i], errs[i] = c.call(ctx, i, queries, root)
+			perServer[i], report.PerServer[i], errs[i] = c.call(ctx, i, queries)
 		}()
 	}
 	wg.Wait()
@@ -465,7 +418,6 @@ func (c *Cluster) MultiQueryAllContext(ctx context.Context, queries []msq.Query)
 	}
 	if firstErr != nil {
 		if !c.cfg.Degrade || report.Covered == 0 {
-			root.SetErr(firstErr.Error())
 			return nil, report, fmt.Errorf("parallel: server %d: %w", firstIdx, firstErr)
 		}
 		report.Degraded = true
@@ -507,10 +459,9 @@ func check(queries []msq.Query) error {
 	return nil
 }
 
-// call runs server i's attempts for one operation: the breaker check, one
-// server_call span per attempt, the retry policy (see classify) and the
-// health record.
-func (c *Cluster) call(ctx context.Context, i int, queries []msq.Query, root *obs.ActiveSpan) ([]*query.AnswerList, ServerStats, error) {
+// call runs server i's attempts for one operation: the breaker check, the
+// retry policy (see classify) and the health record.
+func (c *Cluster) call(ctx context.Context, i int, queries []msq.Query) ([]*query.AnswerList, ServerStats, error) {
 	br := &c.breakers[i]
 	var health ServerHealth
 	var wait time.Duration
@@ -530,24 +481,17 @@ func (c *Cluster) call(ctx context.Context, i int, queries []msq.Query, root *ob
 			break
 		}
 		health.Attempts++
-		span := root.StartChild("server_call")
-		span.SetServer(fmt.Sprintf("srv%d", i))
-		span.SetAttempt(health.Attempts)
 		start := time.Now()
 		var res []*query.AnswerList
 		var st ServerStats
-		res, st, err = c.attempt(ctx, c.servers[i], queries, span)
+		res, st, err = c.attempt(ctx, c.servers[i], queries)
 		health.Latency = time.Since(start)
-		c.cfg.Tracer.Observe(obs.PhaseServerCall, health.Latency)
 		if err == nil {
-			span.End()
 			br.success()
 			health.OK = true
 			st.Health = health
 			return res, st, nil
 		}
-		span.SetErr(err.Error())
-		span.End()
 		retryable, after, trips := classify(err)
 		// An attempt the caller cancelled says nothing about the server.
 		if trips && ctx.Err() == nil {
@@ -571,7 +515,7 @@ func (c *Cluster) call(ctx context.Context, i int, queries []msq.Query, root *ob
 // barrier or connection deadline, and its result is discarded. I/O an
 // abandoned in-process attempt issued still shows in its disk's cumulative
 // statistics.
-func (c *Cluster) attempt(ctx context.Context, srv Server, queries []msq.Query, span *obs.ActiveSpan) ([]*query.AnswerList, ServerStats, error) {
+func (c *Cluster) attempt(ctx context.Context, srv Server, queries []msq.Query) ([]*query.AnswerList, ServerStats, error) {
 	type outcome struct {
 		res []*query.AnswerList
 		st  ServerStats
@@ -581,7 +525,7 @@ func (c *Cluster) attempt(ctx context.Context, srv Server, queries []msq.Query, 
 	defer cancel()
 	done := make(chan outcome, 1)
 	go func() {
-		res, st, err := srv.Call(attemptCtx, queries, span)
+		res, st, err := srv.Call(attemptCtx, queries)
 		done <- outcome{res, st, err}
 	}()
 	var expired <-chan time.Time
@@ -634,19 +578,10 @@ func (c *Cluster) Single(q vec.Vector, t query.Type) (*query.AnswerList, Report,
 	return res[0], rep, nil
 }
 
-// RegisterMetrics registers every server's metrics on reg under server="i"
-// labels, so one scrape of the coordinator's registry covers the whole
-// cluster.
-func (c *Cluster) RegisterMetrics(reg *obs.Registry) {
-	for i, srv := range c.servers {
-		srv.RegisterMetrics(reg, fmt.Sprintf("server=%q", fmt.Sprint(i)))
-	}
-}
-
 // Call runs the batch on the partition's processor. A query the processor
 // cannot evaluate is refused as rejected, as a wire server refuses it as
 // bad_request.
-func (l *local) Call(ctx context.Context, queries []msq.Query, _ *obs.ActiveSpan) ([]*query.AnswerList, ServerStats, error) {
+func (l *local) Call(ctx context.Context, queries []msq.Query) ([]*query.AnswerList, ServerStats, error) {
 	for _, q := range queries {
 		if err := l.proc.CheckQuery(q); err != nil {
 			return nil, ServerStats{}, rejected{err}
@@ -664,37 +599,4 @@ func (l *local) Call(ctx context.Context, queries []msq.Query, _ *obs.ActiveSpan
 		SeqReads:  after.SeqReads - before.SeqReads,
 		RandReads: after.RandReads - before.RandReads,
 	}}, nil
-}
-
-// RegisterMetrics registers the server's live counters — disk reads,
-// buffer-pool hits/misses/evictions and distance-calculation totals — and,
-// when it has a tracer of its own (Config.ServerTracers), attaches it so
-// its phase histograms (with p50/p95/p99 summaries) appear in the same
-// exposition.
-func (l *local) RegisterMetrics(reg *obs.Registry, labels string) {
-	pager := l.proc.Engine().Pager()
-	metric := l.proc.Metric()
-	reg.Counter("metricdb_server_disk_reads_total", labels,
-		"Simulated-disk page reads on one server.",
-		func() float64 { return float64(pager.Disk().Stats().Reads) })
-	reg.Counter("metricdb_server_dist_calcs_total", labels,
-		"Object distance calculations on one server.",
-		func() float64 { return float64(metric.Count()) })
-	reg.Counter("metricdb_server_dist_abandoned_total", labels,
-		"Early-abandoned distance calculations on one server.",
-		func() float64 { return float64(metric.Abandoned()) })
-	if buf := pager.Buffer(); buf != nil {
-		reg.Counter("metricdb_server_buffer_hits_total", labels,
-			"Buffer-pool hits on one server.",
-			func() float64 { h, _, _ := buf.HitRate(); return float64(h) })
-		reg.Counter("metricdb_server_buffer_misses_total", labels,
-			"Buffer-pool misses on one server.",
-			func() float64 { _, m, _ := buf.HitRate(); return float64(m) })
-		reg.Counter("metricdb_server_buffer_evictions_total", labels,
-			"Buffer-pool LRU evictions on one server.",
-			func() float64 { return float64(buf.Evictions()) })
-	}
-	if l.phases != nil {
-		reg.AttachTracer(labels, l.phases)
-	}
 }

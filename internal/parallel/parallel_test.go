@@ -12,7 +12,6 @@ import (
 	"metricdb/internal/dataset"
 	"metricdb/internal/engines"
 	"metricdb/internal/msq"
-	"metricdb/internal/obs"
 	"metricdb/internal/query"
 	"metricdb/internal/scan"
 	"metricdb/internal/store"
@@ -269,7 +268,7 @@ type fake struct {
 	returned atomic.Int32 // attempts whose Call has returned
 }
 
-func (f *fake) Call(ctx context.Context, queries []msq.Query, _ *obs.ActiveSpan) ([]*query.AnswerList, ServerStats, error) {
+func (f *fake) Call(ctx context.Context, queries []msq.Query) ([]*query.AnswerList, ServerStats, error) {
 	defer f.returned.Add(1)
 	n := int(f.calls.Add(1))
 	if f.hang {
@@ -283,8 +282,6 @@ func (f *fake) Call(ctx context.Context, queries []msq.Query, _ *obs.ActiveSpan)
 	}
 	return bruteForce(f.items, queries), ServerStats{Query: msq.Stats{Queries: int64(len(queries)), PagesRead: int64(len(f.items))}}, nil
 }
-
-func (f *fake) RegisterMetrics(*obs.Registry, string) {}
 
 func bruteForce(items []store.Item, queries []msq.Query) []*query.AnswerList {
 	lists := make([]*query.AnswerList, len(queries))

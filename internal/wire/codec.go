@@ -7,14 +7,13 @@ import (
 )
 
 // codec is a connection's hand-written coder for the two messages that
-// carry almost all traffic: a request without a trace context, and a
-// response with only answers and stats. One walk per message serves both
-// directions, so the decoder takes exactly the shape the encoder writes:
-// json.Encoder's bytes in its key order with its omitempty, known op and
-// kind names, strict JSON numbers that strconv parses as encoding/json
-// does, and a newline right after the closing brace. Every other message
-// and line goes to encoding/json, so every accept, reject and error text
-// stays encoding/json's. Buffers are reused across messages; decoded lists
+// carry almost all traffic: a request, and a response with only answers and
+// stats. One walk per message serves both directions, so the decoder takes
+// exactly the shape the encoder writes: json.Encoder's bytes in its key
+// order with its omitempty, known op and kind names, strict JSON numbers
+// that strconv parses as encoding/json does, and a newline right after the
+// closing brace. Every other message and line goes to encoding/json, so
+// every accept, reject and error text stays encoding/json's. Buffers are reused across messages; decoded lists
 // are copied out at their length.
 type codec struct {
 	dec     bool   // decoding b, not encoding into buf
@@ -78,7 +77,7 @@ func (c *codec) decodeResponse(line []byte) (Response, error) {
 
 // request walks a request; decoding, it reports whether the line was one.
 func (c *codec) request(r *Request) bool {
-	c.bad = r.Trace != nil // a trace context is encoding/json's to write
+	c.bad = false
 	c.tok(`{"op":`)
 	c.str((*string)(&r.Op), `"query"`, `"multi"`, `"multi_all"`, `"stats"`, `"ping"`, `"explain"`)
 	if c.opt(`,"queries":`, len(r.Queries) > 0) {
@@ -107,8 +106,8 @@ func (c *codec) spec(q *QuerySpec) {
 
 // response walks a response; decoding, it reports whether the line was one.
 func (c *codec) response(r *Response) bool {
-	// Profiles, traces and errors are encoding/json's to write.
-	c.bad = r.Explain != nil || r.Trace != nil || r.Err != "" || r.Code != "" || r.RetryAfterMs != 0
+	// Profiles and errors are encoding/json's to write.
+	c.bad = r.Explain != nil || r.Err != "" || r.Code != "" || r.RetryAfterMs != 0
 	c.tok("{")
 	if c.opt(`"answers":`, len(r.Answers) > 0) {
 		list(c, &r.Answers, &c.lists, func(l *[]Answer) { list(c, l, &c.answers, c.answer) })

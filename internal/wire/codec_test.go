@@ -8,11 +8,14 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 
 	"metricdb/internal/admit"
+	"metricdb/internal/dataset"
 	"metricdb/internal/msq"
-	"metricdb/internal/obs"
+	"metricdb/internal/scan"
+	"metricdb/internal/vec"
 )
 
 // sameMessage fails t unless got and want are the same message: equal
@@ -106,7 +109,6 @@ func goldenCorpus() (shaped, other []any) {
 	shaped = append(shaped, Response{Answers: [][]Answer{{}}, Stats: Stats{Coverage: 1}}, Request{Op: OpPing})
 	spec := QuerySpec{ID: 1, Vector: []float64{0.5}, Kind: "knn", K: 2}
 	other = []any{
-		Request{Op: OpMultiAll, Queries: []QuerySpec{spec}, Trace: &obs.SpanContext{Trace: "0a", Span: "0b"}},
 		Request{Op: "a<b", Queries: []QuerySpec{spec}},
 		Request{Op: OpQuery, Queries: []QuerySpec{{Kind: `k"n\n`}}},
 		Request{Op: OpQuery, Queries: []QuerySpec{{Kind: "kné", Vector: []float64{}}}},
@@ -413,5 +415,73 @@ func BenchmarkServeQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 		i++
+	}
+}
+
+// TestRetiredTraceKey: a request line that still carries a "trace" key — the
+// span context coordinators used to send, or a value of any other type — is
+// answered as the same line without it, and the reply carries no trace key.
+// Each line runs on a fresh connection of a fresh unbuffered server, so both
+// replies start from the same state.
+func TestRetiredTraceKey(t *testing.T) {
+	knn := `{"id":1,"vector":[0.2,0.4,0.6],"kind":"knn","k":3}`
+	rng := `{"id":2,"vector":[0.5,0.5,0.5],"kind":"range","range":0.3}`
+	cases := []struct {
+		name  string
+		admit bool
+		line  string
+	}{
+		{"query", false, `{"op":"query","queries":[` + knn + `]}`},
+		{"query admitted", true, `{"op":"query","queries":[` + knn + `]}`},
+		{"multi_all", false, `{"op":"multi_all","queries":[` + knn + `,` + rng + `]}`},
+	}
+	exchange := func(t *testing.T, admitted bool, line string) (Response, []byte) {
+		t.Helper()
+		eng, err := scan.New(dataset.Uniform(9, 300, 3), 16, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cfg ServerConfig
+		if admitted {
+			cfg.Admit = &admit.Config{Pressure: func() float64 { return 0 }}
+		}
+		_, addr := serveProc(t, proc, cfg)
+		conn := dialFuzz(t, addr)
+		defer conn.Close()
+		if _, err := conn.Write([]byte(line + "\n")); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := bufio.NewReader(conn).ReadBytes('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp Response
+		if err := json.Unmarshal(reply, &resp); err != nil || resp.Err != "" || len(resp.Answers) == 0 {
+			t.Fatalf("%s: %q, %v", line, reply, err)
+		}
+		if admitted && resp.Stats.BatchWidth != 1 {
+			t.Fatalf("%s: batch width %d, want 1 through admission", line, resp.Stats.BatchWidth)
+		}
+		resp.Stats.ServiceUs = 0 // a measured time
+		return resp, reply
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			want, _ := exchange(t, c.admit, c.line)
+			for _, trace := range []string{`{"trace":"0a1b2c3d4e5f6071","span":"8192a3b4c5d6e7f8"}`, `5`, `null`} {
+				line := strings.TrimSuffix(c.line, "}") + `,"trace":` + trace + `}`
+				got, reply := exchange(t, c.admit, line)
+				if bytes.Contains(reply, []byte(`"trace"`)) {
+					t.Errorf("reply to %s carries a trace key: %s", line, reply)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: got %+v, want %+v", line, got, want)
+				}
+			}
+		})
 	}
 }

@@ -3,17 +3,12 @@ package wire
 import (
 	"context"
 	"encoding/json"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"metricdb/internal/dataset"
 	"metricdb/internal/msq"
-	"metricdb/internal/obs"
-	"metricdb/internal/scan"
-	"metricdb/internal/vec"
 )
 
 // TestExplainOverWire: the explain op returns the per-query profiles of a
@@ -84,78 +79,5 @@ func TestExplainHandler(t *testing.T) {
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("body %q: status %d, want 400", bad, rec.Code)
 		}
-	}
-}
-
-// TestTraceDispatch: a request carrying a span context gets the server's
-// request span and phase deltas back; requests without one stay untraced.
-func TestTraceDispatch(t *testing.T) {
-	// The tracer must be shared by the wire layer (request spans, delta
-	// window) and the processor (phase observations), as msqserver wires it.
-	tr := obs.New(obs.Config{SlowQueryThreshold: -1, Node: "srv0"})
-	eng, err := scan.New(dataset.Uniform(9, 300, 3), 16, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServerWithConfig(proc.WithTracer(tr), ServerConfig{Tracer: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(lis) //nolint:errcheck // ends with net.ErrClosed on shutdown
-	t.Cleanup(func() { srv.Close() })
-	c, err := Dial(lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	specs := []QuerySpec{
-		{ID: 1, Vector: []float64{0.2, 0.4, 0.6}, Kind: "knn", K: 3},
-		{ID: 2, Vector: []float64{0.5, 0.5, 0.5}, Kind: "range", Range: 0.3},
-	}
-
-	// Untraced request: no TraceInfo in the response.
-	resp, err := c.DoContext(context.Background(), Request{Op: OpMultiAll, Queries: specs})
-	if err != nil || resp.Err != "" {
-		t.Fatalf("untraced round trip: %v %q", err, resp.Err)
-	}
-	if resp.Trace != nil {
-		t.Error("untraced request returned trace info")
-	}
-
-	// Traced request on a fresh connection (a fresh session — the first
-	// request's session has the batch buffered, leaving no page work to
-	// profile): the server's span subtree hangs off the caller's span and
-	// the kernel phase delta comes back for merging.
-	c2, err := Dial(lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	caller := obs.New(obs.Config{SlowQueryThreshold: -1, Node: "coordinator"})
-	span := caller.StartSpan("server_call")
-	sc := span.Context()
-	resp, err = c2.DoContext(context.Background(), Request{Op: OpMultiAll, Queries: specs, Trace: &sc})
-	span.End()
-	if err != nil || resp.Err != "" {
-		t.Fatalf("traced round trip: %v %q", err, resp.Err)
-	}
-	if resp.Trace == nil || len(resp.Trace.Spans) == 0 {
-		t.Fatal("traced request returned no trace info")
-	}
-	req := resp.Trace.Spans[0]
-	if req.Name != "request:multi_all" || req.Node != "srv0" ||
-		req.Trace != sc.Trace || req.Parent != sc.Span {
-		t.Errorf("server span = %+v, want request:multi_all under the caller's span", req)
-	}
-	if snap, ok := resp.Trace.Phases["kernel"]; !ok || snap.Count == 0 {
-		t.Errorf("phase deltas = %v, want a kernel entry", resp.Trace.Phases)
 	}
 }

@@ -62,20 +62,8 @@ func startStoredServer(tb testing.TB, dim int, adm admit.Config) ([]store.Item, 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	srv, err := NewServerWithConfig(proc, ServerConfig{
-		MaxRequestBytes: fuzzMaxRequestBytes,
-		Admit:           &adm,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	go srv.Serve(lis) //nolint:errcheck // ends with net.ErrClosed on shutdown
-	tb.Cleanup(func() { srv.Close() })
-	return items, lis.Addr().String()
+	_, addr := serveProc(tb, proc, ServerConfig{MaxRequestBytes: fuzzMaxRequestBytes, Admit: &adm})
+	return items, addr
 }
 
 // FuzzServeRequest throws arbitrary bytes, as one request line, at the
@@ -126,6 +114,9 @@ func FuzzServeRequest(f *testing.F) {
 		`{"op":"query","queries":[{"id":07,"vector":[0.1,0.2,0.3],"kind":"knn","k":3}]}`, // a leading zero
 		`{"op":"query","queries":[{"id":7,"vector":[.1,0.2,0.3],"kind":"knn","k":3}]}`,
 		`{"op":"query","queries":[{"id":7,"vector":[0.1,0.2,0.3],"kind":"knn","k":3}],"deadline_ms":+5}`,
+		// The retired span context: ignored whatever its type.
+		`{"op":"multi_all","queries":[{"id":1,"vector":[0.1,0.2,0.3],"kind":"knn","k":3}],"trace":{"trace":"0a1b2c3d4e5f6071","span":"8192a3b4c5d6e7f8"}}`,
+		`{"op":"query","queries":[{"vector":[0.1,0.2,0.3],"kind":"knn","k":3}],"trace":[1,"x"]}`,
 		`not json at all`,
 		`{"op":"query","queries":[{"kind":"` + strings.Repeat("x", fuzzMaxRequestBytes) + `"}]}`, // oversized line
 		strings.Repeat("[", 20000) + strings.Repeat("]", 20000),                                  // deep nesting

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"metricdb/internal/admit"
 	"metricdb/internal/fault"
 	"metricdb/internal/obs"
 	"metricdb/internal/store"
@@ -99,17 +100,18 @@ func TestRefusedCountsShutdown(t *testing.T) {
 	}
 }
 
-// TestWireTracerSpans: a tracer in ServerConfig records decode and encode
-// spans for each request.
+// TestWireTracerSpans: the processor's tracer is the server's. With
+// admission on, one query records its decode and encode spans, its wait in
+// the admission queue and its page pass in that one tracer.
 func TestWireTracerSpans(t *testing.T) {
 	tr := obs.New(obs.Config{SlowQueryThreshold: -1})
-	_, addr := startServerCfg(t, ServerConfig{Tracer: tr}, nil)
+	_, addr := serveProc(t, newTestProc(t).WithTracer(tr), ServerConfig{Admit: &admit.Config{}})
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, _, err := c.Query(QuerySpec{Vector: []float64{0.2, 0.4, 0.6}, Kind: "knn", K: 2}); err != nil {
+	if _, _, err := c.Query(QuerySpec{Vector: []float64{0.2, 0.4}, Kind: "knn", K: 2}); err != nil {
 		t.Fatal(err)
 	}
 	// The server records a response's encode span after flushing it, so the
@@ -118,11 +120,10 @@ func TestWireTracerSpans(t *testing.T) {
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Snapshot(obs.PhaseWireDecode).Count; got == 0 {
-		t.Error("no wire_decode spans recorded")
-	}
-	if got := tr.Snapshot(obs.PhaseWireEncode).Count; got == 0 {
-		t.Error("no wire_encode spans recorded")
+	for _, p := range []obs.Phase{obs.PhaseWireDecode, obs.PhaseWireEncode, obs.PhaseAdmitWait, obs.PhaseKernel} {
+		if got := tr.Snapshot(p).Count; got == 0 {
+			t.Errorf("no %s spans recorded", p)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"math"
 	"net"
-	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -16,7 +15,6 @@ import (
 	"metricdb/internal/dataset"
 	"metricdb/internal/fault"
 	"metricdb/internal/msq"
-	"metricdb/internal/obs"
 	"metricdb/internal/parallel"
 	"metricdb/internal/query"
 	"metricdb/internal/scan"
@@ -27,15 +25,12 @@ import (
 // The coordinator of these tests is a parallel.Cluster over Remote servers;
 // the failure scenarios both transports share are parallel's TestFanOut.
 // These cover what only the wire can do: reach no server at all, hang on a
-// connection, refuse with a taxonomy code, send a malformed reply, and
-// carry a trace across the process boundary.
+// connection, refuse with a taxonomy code, and send a malformed reply.
 
 // startPartitionedServers declusters one dataset round-robin over n wire
 // servers and returns their addresses plus the full item set for reference
-// answers. wrap, when non-nil, interposes on each partition's storage;
-// tracers, when non-empty, installs tracers[i] on server i's processor and
-// wire layer.
-func startPartitionedServers(t *testing.T, n int, wrap func(server int, src store.PageSource) (store.PageSource, error), tracers []*obs.Tracer) (addrs []string, items []store.Item) {
+// answers. wrap, when non-nil, interposes on each partition's storage.
+func startPartitionedServers(t *testing.T, n int, wrap func(server int, src store.PageSource) (store.PageSource, error)) (addrs []string, items []store.Item) {
 	t.Helper()
 	const dim = 3
 	items = dataset.Uniform(17, 360, dim)
@@ -57,37 +52,18 @@ func startPartitionedServers(t *testing.T, n int, wrap func(server int, src stor
 		if err != nil {
 			t.Fatal(err)
 		}
-		var scfg ServerConfig
-		if len(tracers) > 0 && tracers[i] != nil {
-			proc = proc.WithTracer(tracers[i])
-			scfg.Tracer = tracers[i]
-		}
-		srv, err := NewServerWithConfig(proc, scfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go srv.Serve(lis) //nolint:errcheck // ends with net.ErrClosed on shutdown
-		t.Cleanup(func() { srv.Close() })
-		addrs = append(addrs, lis.Addr().String())
+		_, addr := serveProc(t, proc, ServerConfig{})
+		addrs = append(addrs, addr)
 	}
 	return addrs, items
 }
 
-// coordinator builds a cluster over Remote servers at addrs; phases, when
-// non-empty, holds server i's coordinator-side tracer.
-func coordinator(t *testing.T, addrs []string, phases []*obs.Tracer, cfg parallel.FanOut) *parallel.Cluster {
+// coordinator builds a cluster over Remote servers at addrs.
+func coordinator(t *testing.T, addrs []string, cfg parallel.FanOut) *parallel.Cluster {
 	t.Helper()
 	servers := make([]parallel.Server, len(addrs))
 	for i, addr := range addrs {
-		var tr *obs.Tracer
-		if len(phases) > 0 {
-			tr = phases[i]
-		}
-		servers[i] = Remote(addr, tr)
+		servers[i] = Remote(addr)
 	}
 	c, err := parallel.NewCluster(servers, cfg)
 	if err != nil {
@@ -145,7 +121,7 @@ func TestCoordinatorValidation(t *testing.T) {
 	if _, err := parallel.NewCluster(nil, parallel.FanOut{}); err == nil {
 		t.Error("empty server list accepted")
 	}
-	if _, err := parallel.NewCluster([]parallel.Server{Remote("a", nil)}, parallel.FanOut{Retries: -1}); err == nil {
+	if _, err := parallel.NewCluster([]parallel.Server{Remote("a")}, parallel.FanOut{Retries: -1}); err == nil {
 		t.Error("negative retries accepted")
 	}
 }
@@ -154,9 +130,9 @@ func TestCoordinatorValidation(t *testing.T) {
 // equal the single-node answers, and the report carries per-server health
 // with measured latency.
 func TestCoordinatorUnionMerge(t *testing.T) {
-	addrs, items := startPartitionedServers(t, 3, nil, nil)
+	addrs, items := startPartitionedServers(t, 3, nil)
 	queries := coordQueries(items)
-	c := coordinator(t, addrs, nil, parallel.FanOut{Timeout: 30 * time.Second})
+	c := coordinator(t, addrs, parallel.FanOut{Timeout: 30 * time.Second})
 	got, rep, err := c.MultiQueryAll(queries)
 	if err != nil {
 		t.Fatal(err)
@@ -177,123 +153,12 @@ func TestCoordinatorUnionMerge(t *testing.T) {
 	}
 }
 
-// TestCoordinatorTraceAcrossRetries: a transient fault on one server
-// appears in the stitched cross-server trace as a failed attempt span with
-// a retry sibling, the retry carrying the server-side request span; the
-// servers' phase deltas land in the per-server tracers and a coordinator
-// scrape exposes them under server labels. An untraced cluster over the same
-// partitions and fault returns the same answers and counters.
-func TestCoordinatorTraceAcrossRetries(t *testing.T) {
-	const servers = 3
-	serverTrs := make([]*obs.Tracer, servers)
-	for i := range serverTrs {
-		serverTrs[i] = obs.New(obs.Config{SlowQueryThreshold: -1, Node: "srv" + string(rune('0'+i))})
-	}
-	wrap := func(server int, src store.PageSource) (store.PageSource, error) {
-		if server != 0 {
-			return src, nil
-		}
-		return fault.Wrap(src, fault.Config{ErrProb: 1, MaxFaults: 1})
-	}
-	addrs, items := startPartitionedServers(t, servers, wrap, serverTrs)
-	queries := coordQueries(items)
-
-	coordTr := obs.New(obs.Config{SlowQueryThreshold: -1, Node: "coordinator"})
-	coordSide := make([]*obs.Tracer, servers)
-	for i := range coordSide {
-		coordSide[i] = obs.New(obs.Config{SlowQueryThreshold: -1})
-	}
-	c := coordinator(t, addrs, coordSide, parallel.FanOut{Timeout: 30 * time.Second, Retries: 2, Tracer: coordTr})
-	got, rep, err := c.MultiQueryAll(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Degraded {
-		t.Fatalf("transient fault left the result degraded: %+v", rep)
-	}
-	if !sameCoordAnswers(got, refAnswers(t, items, queries)) {
-		t.Error("answers after a recovered fault differ from the reference")
-	}
-	if h := rep.PerServer[0].Health; !h.OK || h.Attempts != 2 {
-		t.Errorf("faulted server health = %+v, want OK after 2 attempts", h)
-	}
-
-	ids := coordTr.TraceIDs()
-	if len(ids) != 1 {
-		t.Fatalf("TraceIDs = %v, want one trace for one operation", ids)
-	}
-	tree := coordTr.Trace(ids[0])
-	if tree == nil || tree.Name != "multi_all" {
-		t.Fatalf("stitched root = %+v", tree)
-	}
-	if len(tree.Children) != servers+1 {
-		t.Fatalf("root has %d children, want %d server calls (one retry)", len(tree.Children), servers+1)
-	}
-	var failed, retries, remote int
-	for _, ch := range tree.Children {
-		if ch.Name != "server_call" {
-			t.Errorf("child %q, want server_call", ch.Name)
-		}
-		if ch.Err != "" {
-			failed++
-			if ch.Node != "srv0" || ch.Attempt != 1 || len(ch.Children) != 0 {
-				t.Errorf("failed attempt = %+v, want bare srv0 attempt 1", ch.DistSpan)
-			}
-		}
-		if ch.Attempt > 1 {
-			retries++
-		}
-		for _, g := range ch.Children {
-			if strings.HasPrefix(g.Name, "request:") && g.Node != "" && g.Node != "coordinator" {
-				remote++
-			}
-		}
-	}
-	if failed != 1 || retries != 1 {
-		t.Errorf("trace shows %d failed / %d retry spans, want 1 / 1", failed, retries)
-	}
-	if remote != servers {
-		t.Errorf("trace carries %d server-side request spans, want %d", remote, servers)
-	}
-
-	// The servers' phase deltas were merged coordinator-side per server.
-	for i, tr := range coordSide {
-		if tr.Snapshot(obs.PhaseKernel).Count == 0 {
-			t.Errorf("server %d phase deltas not merged", i)
-		}
-	}
-	reg := obs.NewRegistry(coordTr)
-	c.RegisterMetrics(reg)
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), obs.PhaseHistogramMetric+`_count{phase="kernel",server="0"}`) {
-		t.Error("coordinator scrape missing server-labeled kernel histogram")
-	}
-
-	// Tracing is observational across the wire: the same partitions behind
-	// the same fault, with no tracer anywhere, merge to the same answers and
-	// sum to the same counters.
-	plainAddrs, _ := startPartitionedServers(t, servers, wrap, nil)
-	plainGot, plainRep, err := coordinator(t, plainAddrs, nil, parallel.FanOut{Timeout: 30 * time.Second, Retries: 2}).MultiQueryAll(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.EqualFunc(got, plainGot, func(a, b *query.AnswerList) bool { return slices.Equal(a.Answers(), b.Answers()) }) {
-		t.Error("traced answers differ from the untraced cluster's")
-	}
-	if traced, plain := rep.Sum().Query, plainRep.Sum().Query; traced != plain {
-		t.Errorf("traced stats %+v, untraced %+v", traced, plain)
-	}
-}
-
 // TestCoordinatorDegradedDeadServer: with Degrade set, a server nothing
 // listens for is dropped from the merge after its retries; the result is
 // exactly the surviving partitions' and the report says so. Without
 // Degrade the operation fails.
 func TestCoordinatorDegradedDeadServer(t *testing.T) {
-	addrs, items := startPartitionedServers(t, 3, nil, nil)
+	addrs, items := startPartitionedServers(t, 3, nil)
 	dead, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +167,7 @@ func TestCoordinatorDegradedDeadServer(t *testing.T) {
 	dead.Close() // nothing listens here any more
 
 	queries := coordQueries(items)
-	c := coordinator(t, addrs, nil, parallel.FanOut{Timeout: 5 * time.Second, Retries: 1, Degrade: true})
+	c := coordinator(t, addrs, parallel.FanOut{Timeout: 5 * time.Second, Retries: 1, Degrade: true})
 	got, rep, err := c.MultiQueryAll(queries)
 	if err != nil {
 		t.Fatal(err)
@@ -322,17 +187,17 @@ func TestCoordinatorDegradedDeadServer(t *testing.T) {
 		t.Error("degraded answers differ from the surviving-partition reference")
 	}
 
-	strict := coordinator(t, addrs, nil, parallel.FanOut{Timeout: 5 * time.Second})
+	strict := coordinator(t, addrs, parallel.FanOut{Timeout: 5 * time.Second})
 	if _, _, err := strict.MultiQueryAll(queries); err == nil {
 		t.Error("strict coordinator succeeded with a dead server")
 	}
 }
 
 // TestCoordinatorServerTimeout: a server that accepts but never answers
-// trips the per-attempt timeout; the attempts appear as failed spans in the
-// trace and the operation degrades around the server.
+// trips the per-attempt timeout on every attempt, and the operation
+// degrades around the server.
 func TestCoordinatorServerTimeout(t *testing.T) {
-	addrs, items := startPartitionedServers(t, 2, nil, nil)
+	addrs, items := startPartitionedServers(t, 2, nil)
 	hung, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -349,8 +214,7 @@ func TestCoordinatorServerTimeout(t *testing.T) {
 	}()
 	addrs = append(addrs, hung.Addr().String())
 
-	coordTr := obs.New(obs.Config{SlowQueryThreshold: -1, Node: "coordinator"})
-	c := coordinator(t, addrs, nil, parallel.FanOut{Timeout: 100 * time.Millisecond, Retries: 1, Degrade: true, Tracer: coordTr})
+	c := coordinator(t, addrs, parallel.FanOut{Timeout: 100 * time.Millisecond, Retries: 1, Degrade: true})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	_, rep, err := c.MultiQueryAllContext(ctx, coordQueries(items))
@@ -362,16 +226,6 @@ func TestCoordinatorServerTimeout(t *testing.T) {
 	}
 	if h := rep.PerServer[2].Health; h.OK || h.Attempts != 2 || !strings.Contains(h.Err, "timed out") {
 		t.Errorf("hung server health = %+v, want 2 timed-out attempts", h)
-	}
-	tree := coordTr.Trace(coordTr.TraceIDs()[0])
-	var timedOut int
-	for _, ch := range tree.Children {
-		if ch.Node == "srv2" && ch.Err != "" {
-			timedOut++
-		}
-	}
-	if timedOut != 2 {
-		t.Errorf("trace shows %d failed spans for the hung server, want 2", timedOut)
 	}
 }
 
@@ -443,7 +297,7 @@ func dummyQueries() []msq.Query {
 // reaches the server.
 func TestCoordinatorFailsFastOnBadRequest(t *testing.T) {
 	addr, calls := fakeServer(t, Response{Err: "nope", Code: CodeBadRequest})
-	c := coordinator(t, []string{addr}, nil, parallel.FanOut{Timeout: 5 * time.Second, Retries: 3})
+	c := coordinator(t, []string{addr}, parallel.FanOut{Timeout: 5 * time.Second, Retries: 3})
 	const ops = 8 // more than the breaker's threshold
 	for i := 0; i < ops; i++ {
 		_, rep, err := c.MultiQueryAll(dummyQueries())
@@ -467,7 +321,7 @@ func TestCoordinatorHonorsRetryAfter(t *testing.T) {
 	addr, calls := fakeServer(t, Response{
 		Err: "overloaded", Code: CodeOverload, RetryAfterMs: hint.Milliseconds(),
 	})
-	c := coordinator(t, []string{addr}, nil, parallel.FanOut{Timeout: 5 * time.Second, Retries: 1})
+	c := coordinator(t, []string{addr}, parallel.FanOut{Timeout: 5 * time.Second, Retries: 1})
 	start := time.Now()
 	_, _, err := c.MultiQueryAll(dummyQueries())
 	elapsed := time.Since(start)
@@ -504,7 +358,7 @@ func TestCoordinatorBreakerTripsAndProbes(t *testing.T) {
 	lis.Close() // nothing listens: every dial fails fast
 
 	// One try and four retries reach the breaker's threshold of five.
-	c := coordinator(t, []string{addr}, nil, parallel.FanOut{Timeout: time.Second, Retries: 4})
+	c := coordinator(t, []string{addr}, parallel.FanOut{Timeout: time.Second, Retries: 4})
 	queries := dummyQueries()
 	if _, rep, err := c.MultiQueryAll(queries); err == nil {
 		t.Fatal("dead server: want error")
@@ -543,11 +397,11 @@ func TestCoordinatorBreakerRecovers(t *testing.T) {
 	wrap := func(_ int, src store.PageSource) (store.PageSource, error) {
 		return fault.Wrap(src, fault.Config{ErrProb: 1, MaxFaults: 5})
 	}
-	addrs, items := startPartitionedServers(t, 1, wrap, nil)
+	addrs, items := startPartitionedServers(t, 1, wrap)
 	queries := coordQueries(items)
 	want := refAnswers(t, items, queries)
 
-	c := coordinator(t, addrs, nil, parallel.FanOut{Timeout: 5 * time.Second, Retries: 4})
+	c := coordinator(t, addrs, parallel.FanOut{Timeout: 5 * time.Second, Retries: 4})
 	if _, rep, err := c.MultiQueryAll(queries); err == nil {
 		t.Fatal("faulted server: want error")
 	} else if h := rep.PerServer[0].Health; h.Attempts != 5 {
@@ -578,12 +432,12 @@ func TestCoordinatorBreakerRecovers(t *testing.T) {
 // (coverage 3/4) or, strict, named in the operation's error — instead of
 // failing a batch the other servers answered.
 func TestRemoteMalformedReply(t *testing.T) {
-	addrs, items := startPartitionedServers(t, 3, nil, nil)
+	addrs, items := startPartitionedServers(t, 3, nil)
 	bad, calls := fakeServer(t, Response{Answers: [][]Answer{{{ID: 1, Dist: 0}}}})
 	addrs = append(addrs, bad)
 	queries := coordQueries(items)
 
-	c := coordinator(t, addrs, nil, parallel.FanOut{Timeout: 5 * time.Second, Retries: 1, Degrade: true})
+	c := coordinator(t, addrs, parallel.FanOut{Timeout: 5 * time.Second, Retries: 1, Degrade: true})
 	got, rep, err := c.MultiQueryAll(queries)
 	if err != nil {
 		t.Fatalf("degraded coordinator errored: %v", err)
@@ -601,7 +455,7 @@ func TestRemoteMalformedReply(t *testing.T) {
 		t.Error("answers of the three real partitions differ from the reference")
 	}
 
-	strict := coordinator(t, addrs, nil, parallel.FanOut{Timeout: 5 * time.Second})
+	strict := coordinator(t, addrs, parallel.FanOut{Timeout: 5 * time.Second})
 	_, _, err = strict.MultiQueryAll(queries)
 	if !errors.Is(err, ErrMalformedResponse) || !strings.Contains(err.Error(), "server 3") {
 		t.Fatalf("strict coordinator returned %v, want a malformed reply from server 3", err)

@@ -36,17 +36,7 @@ func startServerCfg(t *testing.T, cfg ServerConfig, wrap func(store.PageSource) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServerWithConfig(proc, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(lis) //nolint:errcheck // ends with net.ErrClosed on shutdown
-	t.Cleanup(func() { srv.Close() })
-	return srv, lis.Addr().String()
+	return serveProc(t, proc, cfg)
 }
 
 func TestServerConfigValidation(t *testing.T) {

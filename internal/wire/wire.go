@@ -10,8 +10,8 @@
 //
 // Remote makes a server one partition of a parallel.Cluster: the §5.3
 // cross-process cluster is package parallel's fan-out over servers that
-// answer over TCP, and the transport's own concerns — dialing, the trace
-// context, the retry policy of each error code — stay here.
+// answer over TCP, and the transport's own concerns — dialing and the retry
+// policy of each error code — stay here.
 package wire
 
 import (
@@ -115,28 +115,6 @@ type Request struct {
 	// early with an overload error; zero applies the server's default
 	// SLO. Other ops currently ignore it.
 	DeadlineMs int64 `json:"deadline_ms,omitempty"`
-	// Trace, when non-nil, is the caller's distributed-trace position (a
-	// coordinator's server_call span). A trace-enabled server then runs
-	// the request under a child span and returns its span subtree and
-	// phase-histogram deltas in Response.Trace, so the coordinator can
-	// stitch one cross-server trace. Absent on plain requests.
-	Trace *obs.SpanContext `json:"trace,omitempty"`
-}
-
-// TraceInfo is the server's contribution to a distributed trace, returned
-// when the request carried a Trace context and the server has a
-// trace-enabled tracer.
-type TraceInfo struct {
-	// Spans is the server-side span subtree of this request (the request
-	// span; wall-clock timestamps, so the coordinator can place it on the
-	// shared timeline).
-	Spans []obs.DistSpan `json:"spans,omitempty"`
-	// Phases maps phase names to the server's phase-histogram deltas over
-	// the request window (HistSnapshot.Sub). The server tracer is shared
-	// across connections, so under concurrent load a delta can include
-	// observations of overlapping requests; it is exact when requests do
-	// not overlap.
-	Phases map[string]obs.HistSnapshot `json:"phases,omitempty"`
 }
 
 // Answer is one result in wire form.
@@ -205,10 +183,7 @@ type Response struct {
 	Stats   Stats      `json:"stats"`
 	// Explain holds the per-query profiles for OpExplain responses.
 	Explain *msq.Explain `json:"explain,omitempty"`
-	// Trace holds the server's span subtree and phase deltas when the
-	// request carried a trace context (see TraceInfo).
-	Trace *TraceInfo `json:"trace,omitempty"`
-	Err   string     `json:"err,omitempty"`
+	Err     string       `json:"err,omitempty"`
 	// Code classifies a non-empty Err (CodeBadRequest, CodeEngine,
 	// CodeOverload, CodeShutdown).
 	Code string `json:"code,omitempty"`
@@ -241,16 +216,9 @@ type ServerConfig struct {
 	// Logf, when non-nil, receives per-connection lifecycle lines
 	// (session statistics at disconnect, rejected connections).
 	Logf func(format string, args ...any)
-	// Tracer, when non-nil, receives wire_decode and wire_encode spans for
-	// every request and response this server handles. It does not replace
-	// the processor's tracer — install that separately with
-	// msq.Processor.WithTracer (typically the same tracer). Nil disables
-	// wire-level tracing at no cost.
-	Tracer *obs.Tracer
 	// Admit, when non-nil, routes single-query ("query" op) requests
 	// through an admission controller that forms cross-caller batches and
-	// sheds early under overload (see internal/admit). The controller's
-	// Tracer defaults to this config's Tracer when unset. Batched ops
+	// sheds early under overload (see internal/admit). Batched ops
 	// ("multi", "multi_all", "explain") keep their per-connection session
 	// path — they already are batches.
 	Admit *admit.Config
@@ -259,7 +227,9 @@ type ServerConfig struct {
 // Server serves similarity queries over a metric database. Each accepted
 // connection gets its own multi-query session; connections are handled
 // concurrently (the processor's engine and counting metric are safe for
-// concurrent readers).
+// concurrent readers). When the processor has a tracer
+// (msq.Processor.WithTracer), the server records every request's
+// wire_decode and every response's wire_encode in it.
 type Server struct {
 	proc  *msq.Processor
 	cfg   ServerConfig
@@ -330,11 +300,7 @@ func NewServerWithConfig(proc *msq.Processor, cfg ServerConfig) (*Server, error)
 	}
 	s := &Server{proc: proc, cfg: cfg, conns: make(map[net.Conn]struct{})}
 	if cfg.Admit != nil {
-		acfg := *cfg.Admit
-		if acfg.Tracer == nil {
-			acfg.Tracer = cfg.Tracer
-		}
-		adm, err := admit.New(proc, acfg)
+		adm, err := admit.New(proc, *cfg.Admit)
 		if err != nil {
 			return nil, err
 		}
@@ -540,7 +506,7 @@ func (s *Server) handle(conn net.Conn) {
 
 	br := bufio.NewReader(conn)
 	var cd codec
-	tr := s.cfg.Tracer
+	tr := s.proc.Tracer()
 	traced := tr.Enabled()
 	send := func(resp Response) error {
 		switch resp.Code {
@@ -606,50 +572,13 @@ func (s *Server) handle(conn net.Conn) {
 			})
 			return
 		}
-		if err := send(s.traceDispatch(session, &total, req)); err != nil {
+		if err := send(s.dispatch(session, &total, req)); err != nil {
 			return
 		}
 		if s.isDraining() {
 			return // in-flight request finished; drain the connection
 		}
 	}
-}
-
-// traceDispatch runs dispatch under the request's distributed-trace
-// context when one is present: the server-side work becomes a child span
-// of the caller's span, and the response carries that span plus the phase-
-// histogram deltas over the request window, for the coordinator to stitch
-// and merge. Requests without a trace context (or servers without a
-// tracer) dispatch untouched.
-func (s *Server) traceDispatch(session *msq.Session, total *msq.Stats, req Request) Response {
-	tr := s.cfg.Tracer
-	if req.Trace == nil || !tr.Enabled() {
-		return s.dispatch(session, total, req)
-	}
-	span := tr.StartSpanFrom(*req.Trace, "request:"+string(req.Op))
-	before := tr.Snapshots()
-	resp := s.dispatch(session, total, req)
-	info := &TraceInfo{}
-	if span != nil {
-		if resp.Err != "" {
-			span.SetErr(resp.Err)
-		}
-		span.End()
-		info.Spans = []obs.DistSpan{span.Span()}
-	}
-	after := tr.Snapshots()
-	for p := range after {
-		if d := after[p].Sub(before[p]); d.Count > 0 {
-			if info.Phases == nil {
-				info.Phases = make(map[string]obs.HistSnapshot)
-			}
-			info.Phases[obs.Phase(p).String()] = d
-		}
-	}
-	if len(info.Spans) > 0 || len(info.Phases) > 0 {
-		resp.Trace = info
-	}
-	return resp
 }
 
 // dispatch executes one request against the connection's session. Errors
@@ -969,9 +898,8 @@ func (c *Client) ExplainContext(ctx context.Context, qs []QuerySpec) (*msq.Expla
 	return resp.Explain, resp.Stats, nil
 }
 
-// DoContext sends one raw request — trace context included — and returns
-// the raw response. It is Remote's entry point; most callers want the
-// typed helpers instead.
+// DoContext sends one raw request and returns the raw response; most
+// callers want the typed helpers instead.
 func (c *Client) DoContext(ctx context.Context, req Request) (Response, error) {
 	return c.roundTripContext(ctx, req)
 }

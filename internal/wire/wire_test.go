@@ -27,17 +27,25 @@ func startServer(t *testing.T, n, dim int) (addr string, proc *msq.Processor) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(proc)
+	_, addr = serveProc(t, proc, ServerConfig{})
+	return addr, proc
+}
+
+// serveProc serves proc with cfg on a loopback listener until the test
+// ends.
+func serveProc(tb testing.TB, proc *msq.Processor, cfg ServerConfig) (*Server, string) {
+	tb.Helper()
+	srv, err := NewServerWithConfig(proc, cfg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	go srv.Serve(lis) //nolint:errcheck // ends with net.ErrClosed on shutdown
-	t.Cleanup(func() { srv.Close() })
-	return lis.Addr().String(), proc
+	tb.Cleanup(func() { srv.Close() })
+	return srv, lis.Addr().String()
 }
 
 func TestNewServerValidation(t *testing.T) {
