@@ -22,6 +22,10 @@
 // engine's per-query setup cost is amortized over every page probe the
 // batch makes, not paid per probe.
 //
+// A handle whose plan is built per query may also append it to a buffer the
+// caller owns (PlanAppender), so that a session plans every query of a
+// mining loop into one slice instead of allocating a plan per query.
+//
 // Queries that enter a batch together may also be prepared as one block
 // (BlockPreparer), which lets an engine share per-query work across them —
 // the VA-file sweeps its approximations once for four queries. A block's
@@ -75,6 +79,8 @@ type PreparedQuery interface {
 	// are sequential. Each page appears at most once in a plan.
 	// Callers must not modify the returned plan: an engine whose plan does
 	// not depend on the query (the scan) returns the same slice every time.
+	// An engine that builds a plan per query also implements PlanAppender,
+	// and its Plan is AppendPlan into a new slice.
 	Plan(queryDist float64) []PageRef
 
 	// MinDist returns a lower bound on dist(q, o) for every item o on
@@ -136,6 +142,27 @@ type PivotCoster interface {
 // caller's, the engine keeps neither slice.
 type BlockPreparer interface {
 	PrepareBlock(qs []vec.Vector, dst []PreparedQuery)
+}
+
+// PlanAppender is implemented by the handles of engines that build a plan
+// per query. AppendPlan appends to dst the refs Plan(queryDist) would return,
+// in the same order with the same bits, sorts only what it appended, and
+// returns the extended slice; it allocates only when dst lacks the room. A
+// caller that plans query after query into one buffer, as a session does,
+// allocates for none of them once the buffer has grown. The engine keeps
+// nothing of dst.
+type PlanAppender interface {
+	AppendPlan(dst []PageRef, queryDist float64) []PageRef
+}
+
+// GrowPlan returns dst with room for at least n more refs: dst itself when it
+// has the room, else a copy in one new allocation (slices.Grow's make is a
+// second one under the race detector, which the allocation tests run).
+func GrowPlan(dst []PageRef, n int) []PageRef {
+	if cap(dst)-len(dst) >= n {
+		return dst
+	}
+	return append(make([]PageRef, 0, len(dst)+n), dst...)
 }
 
 // Config describes an engine's tuning for EXPLAIN output.

@@ -101,7 +101,8 @@ func (st *queryState) queryDist() float64 {
 // length. Memory is O(w²) for the matrix, w the widest batch so far, plus
 // the incomplete queries' states, plus the free list — at most w structs,
 // and page sets (pages/64 words each) for at most as many as the last call
-// was wide (retire) — plus one map entry and one list per completed query.
+// was wide (retire) — plus a plan buffer as long as the longest plan, plus
+// one map entry and one list per completed query.
 //
 // MatrixDistCalcs counts what is calculated: each pair of incomplete
 // queries once for as long as both stay in the batch. It charges nothing
@@ -134,6 +135,9 @@ type Session struct {
 	batch   []*queryState
 	results []*query.AnswerList
 	pass    *pagePass
+	// plan is run's plan when the first query's handle is an
+	// engine.PlanAppender: every call plans into it.
+	plan []engine.PageRef
 	// blockQs and blockPQs are prepareBlock's scratch when the engine is an
 	// engine.BlockPreparer: the entering queries' vectors and their handles.
 	blockQs  []vec.Vector
@@ -492,7 +496,13 @@ func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]floa
 	// page relevant for Q1, in optimal order. Buffered partial answers
 	// and the a-priori bound give Q1 a head start on its query distance.
 	planStart := s.clock()
-	plan := first.pq.Plan(first.queryDist())
+	var plan []engine.PageRef
+	if pa, ok := first.pq.(engine.PlanAppender); ok {
+		s.plan = pa.AppendPlan(s.plan[:0], first.queryDist())
+		plan = s.plan
+	} else {
+		plan = first.pq.Plan(first.queryDist())
+	}
 	s.observeSince(obs.PhasePlan, planStart)
 
 	pass := s.pagePass(len(states), matrix)

@@ -82,14 +82,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// Mean returns the mean observation, 0 when empty.
-func (s HistSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return time.Duration(s.SumNs / s.Count)
-}
-
 // Quantile returns an upper-bound estimate of the q-quantile (0 < q <= 1):
 // the upper bound of the bucket where the q-th observation falls. Overflow
 // observations report the last finite bound. Returns 0 when empty.

@@ -218,14 +218,6 @@ func (t *Tracer) SlowQueries() []SlowQuery {
 	return t.slow.entries()
 }
 
-// SlowQueryThreshold returns the active threshold (0 when disabled).
-func (t *Tracer) SlowQueryThreshold() time.Duration {
-	if t == nil || t.slow == nil {
-		return 0
-	}
-	return t.slow.threshold
-}
-
 // Snapshot returns a snapshot of one phase's latency histogram.
 func (t *Tracer) Snapshot(p Phase) HistSnapshot {
 	if t == nil {

@@ -53,9 +53,6 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 	if got := s.Quantile(0.99); got < time.Millisecond || got > 2*time.Millisecond {
 		t.Errorf("p99 = %v, want ~1ms bucket bound", got)
 	}
-	if got := s.Mean(); got < 90*time.Microsecond || got > 120*time.Microsecond {
-		t.Errorf("mean = %v, want ~100us", got)
-	}
 	var empty Histogram
 	if got := empty.Snapshot().Quantile(0.5); got != 0 {
 		t.Errorf("empty quantile = %v, want 0", got)
@@ -114,13 +111,10 @@ func TestSlowLogRingAndThreshold(t *testing.T) {
 	if tr.Queries() != 6 {
 		t.Errorf("Queries = %d, want 6", tr.Queries())
 	}
-	if tr.SlowQueryThreshold() != 10*time.Millisecond {
-		t.Errorf("threshold = %v", tr.SlowQueryThreshold())
-	}
 
 	off := New(Config{SlowQueryThreshold: -1})
 	off.RecordQuery("single", 1, time.Hour, 0, 0, 0)
-	if off.SlowQueries() != nil || off.SlowQueryThreshold() != 0 {
+	if off.SlowQueries() != nil {
 		t.Error("negative threshold did not disable the slow log")
 	}
 }

@@ -389,19 +389,23 @@ type prepared struct {
 	qp []float64
 }
 
-// Plan returns every page whose pivot lower bound is within queryDist, in
-// ascending lower-bound order (ties by page ID).
-func (p *prepared) Plan(queryDist float64) []engine.PageRef {
+// Plan returns AppendPlan's refs in a new slice.
+func (p *prepared) Plan(queryDist float64) []engine.PageRef { return p.AppendPlan(nil, queryDist) }
+
+// AppendPlan appends every page whose pivot lower bound is within
+// queryDist, in ascending lower-bound order (ties by page ID).
+func (p *prepared) AppendPlan(dst []engine.PageRef, queryDist float64) []engine.PageRef {
 	n := len(p.e.pageLens)
-	refs := make([]engine.PageRef, 0, n)
+	dst = engine.GrowPlan(dst, n)
+	start := len(dst)
 	for pid := 0; pid < n; pid++ {
 		lb := p.lowerBound(pid)
 		if lb <= queryDist {
-			refs = append(refs, engine.PageRef{ID: store.PageID(pid), MinDist: lb})
+			dst = append(dst, engine.PageRef{ID: store.PageID(pid), MinDist: lb})
 		}
 	}
-	engine.SortPlan(refs)
-	return refs
+	engine.SortPlan(dst[start:])
+	return dst
 }
 
 // MinDist returns the pivot lower bound for the page.

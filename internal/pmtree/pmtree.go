@@ -26,7 +26,6 @@
 package pmtree
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"slices"
@@ -600,35 +599,73 @@ type planEntry struct {
 	node int
 }
 
+// planHeap is the descent's min-heap by (lb, node), typed so that no entry
+// is boxed: push and pop sift as container/heap's Push and Pop do.
 type planHeap []planEntry
 
-func (h planHeap) Len() int { return len(h) }
-func (h planHeap) Less(i, j int) bool {
+func (h planHeap) less(i, j int) bool {
 	if h[i].lb != h[j].lb {
 		return h[i].lb < h[j].lb
 	}
 	return h[i].node < h[j].node
 }
-func (h planHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *planHeap) Push(x any)   { *h = append(*h, x.(planEntry)) }
-func (h *planHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
-// Plan descends the tree best-first: nodes are popped in ascending
-// lower-bound order, internal nodes expand their children, and leaves are
-// emitted — so the resulting page schedule is the Hjaltason–Samet order.
-// A child's lower bound is clamped to its parent's (a child region is
-// contained in its parent's, so mathematically lb(child) ≥ lb(parent); the
-// clamp keeps the emitted order monotone under floating-point rounding).
-func (p *prepared) Plan(queryDist float64) []engine.PageRef {
+func (h planHeap) push(e planEntry) planHeap {
+	h = append(h, e)
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+	return h
+}
+
+func (h planHeap) pop() (planEntry, planHeap) {
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h.less(j2, j) {
+			j = j2
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	return h[n], h[:n]
+}
+
+// Plan returns AppendPlan's refs in a new slice.
+func (p *prepared) Plan(queryDist float64) []engine.PageRef { return p.AppendPlan(nil, queryDist) }
+
+// AppendPlan descends the tree best-first and appends its leaves to dst:
+// nodes are popped in ascending lower-bound order, internal nodes expand
+// their children, and leaves are emitted — so the page schedule is the
+// Hjaltason–Samet order. A child's lower bound is clamped to its parent's (a
+// child region is contained in its parent's, so mathematically lb(child) ≥
+// lb(parent); the clamp keeps the emitted order monotone under
+// floating-point rounding). The heap lives in a frame array, on the heap
+// only for a descent with more than 128 entries pending at once.
+func (p *prepared) AppendPlan(dst []engine.PageRef, queryDist float64) []engine.PageRef {
 	e := p.e
 	if len(e.nodes) == 0 {
-		return nil
+		return dst
 	}
 	root := len(e.nodes) - 1
-	h := planHeap{{lb: p.rootLB(root), node: root}}
-	refs := make([]engine.PageRef, 0, len(e.pageLens))
+	var frame [128]planEntry
+	h := append(planHeap(frame[:0]), planEntry{lb: p.rootLB(root), node: root})
+	dst = engine.GrowPlan(dst, len(e.pageLens))
 	for len(h) > 0 {
-		ent := heap.Pop(&h).(planEntry)
+		var ent planEntry
+		ent, h = h.pop()
 		if ent.lb > queryDist {
 			break // every remaining entry is at least as far
 		}
@@ -640,7 +677,7 @@ func (p *prepared) Plan(queryDist float64) []engine.PageRef {
 				p.leafLB[nd.pid] = ent.lb
 				p.leafUB[nd.pid] = p.nodeUB(ent.node)
 			}
-			refs = append(refs, engine.PageRef{ID: nd.pid, MinDist: ent.lb})
+			dst = append(dst, engine.PageRef{ID: nd.pid, MinDist: ent.lb})
 			continue
 		}
 		for c := nd.firstChild; c < nd.firstChild+nd.numChildren; c++ {
@@ -649,11 +686,11 @@ func (p *prepared) Plan(queryDist float64) []engine.PageRef {
 				lb = ent.lb
 			}
 			if lb <= queryDist {
-				heap.Push(&h, planEntry{lb: lb, node: c})
+				h = h.push(planEntry{lb: lb, node: c})
 			}
 		}
 	}
-	return refs
+	return dst
 }
 
 // rootLB is the root's lower bound, or the leaf bound when the tree is a

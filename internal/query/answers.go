@@ -2,7 +2,6 @@ package query
 
 import (
 	"slices"
-	"sort"
 
 	"metricdb/internal/store"
 	"metricdb/internal/vec"
@@ -66,10 +65,14 @@ func less(a, b Answer) bool {
 	return a.ID < b.ID
 }
 
-// Consider offers an answer to the list. It returns true if the answer
-// currently qualifies (dist <= QueryDist()) and was inserted. A bounded
-// list that is already full drops its worst element, which tightens
-// QueryDist — the adapt_query_dist step.
+// Consider offers an answer to the list. It returns true whenever the
+// answer qualifies, dist <= QueryDist() at the call, and false otherwise.
+// A qualifying answer is inserted in (distance, ID) order, except on a full
+// bounded list where it ties the worst answer's distance and its ID sorts
+// after that answer's: the list keeps what it holds, and Consider still
+// returns true. A full bounded list that takes an answer drops its worst one
+// in place, which tightens QueryDist — the adapt_query_dist step — and
+// never grows the list past its cardinality.
 func (l *AnswerList) Consider(id store.ItemID, dist float64) bool {
 	if dist > l.QueryDist() {
 		return false
@@ -80,14 +83,22 @@ func (l *AnswerList) Consider(id store.ItemID, dist float64) bool {
 		l.sorted = len(l.answers) <= 1
 		return true
 	}
-	// Bounded: sorted insertion, then trim to cardinality.
-	i := sort.Search(len(l.answers), func(i int) bool { return less(a, l.answers[i]) })
-	l.answers = append(l.answers, Answer{})
-	copy(l.answers[i+1:], l.answers[i:])
-	l.answers[i] = a
-	if len(l.answers) > l.typ.Cardinality {
-		l.answers = l.answers[:l.typ.Cardinality]
+	// Bounded: the first answer a sorts before, by binary search.
+	i, hi := 0, len(l.answers)
+	for i < hi {
+		if h := int(uint(i+hi) >> 1); less(a, l.answers[h]) {
+			hi = h
+		} else {
+			i = h + 1
+		}
 	}
+	if len(l.answers) < l.typ.Cardinality {
+		l.answers = append(l.answers, Answer{})
+	} else if i == len(l.answers) {
+		return true // a tie at the worst distance that sorts last
+	}
+	copy(l.answers[i+1:], l.answers[i:]) // on a full list, the worst falls off
+	l.answers[i] = a
 	return true
 }
 

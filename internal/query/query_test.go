@@ -3,6 +3,7 @@ package query
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -329,5 +330,82 @@ func TestQueryDistMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBoundedConsiderMatchesModel holds a bounded list to a brute-force top-k
+// after every Consider, on streams whose distances tie often and which offer
+// the current worst distance under a random ID, so that ties at the worst
+// answer enter (a smaller ID) or are dropped (a larger one). The return value
+// follows the rule Consider documents: true whenever dist <= QueryDist() at
+// the call, a dropped tie included.
+func TestBoundedConsiderMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, k := range []int{1, 2, 10, maxPresized + 1} {
+		for _, typ := range []Type{NewKNN(k), NewBoundedKNN(k, 30)} {
+			n := 2*k + 200
+			ids := rng.Perm(n)
+			l := NewAnswerList(typ)
+			var seen []Answer // every qualifying answer offered, in (dist, ID) order
+			for i := 0; i < n; i++ {
+				a := Answer{ID: store.ItemID(ids[i]), Dist: float64(rng.Intn(40))}
+				if l.Full() && rng.Intn(3) == 0 {
+					a.Dist = l.QueryDist()
+				}
+				qd := l.QueryDist()
+				if got := l.Consider(a.ID, a.Dist); got != (a.Dist <= qd) {
+					t.Fatalf("%v: Consider(%v) = %v at query distance %v", typ, a, got, qd)
+				}
+				if a.Dist <= typ.Range {
+					j, _ := slices.BinarySearchFunc(seen, a, func(x, y Answer) int {
+						if less(x, y) {
+							return -1
+						}
+						if less(y, x) {
+							return 1
+						}
+						return 0
+					})
+					seen = slices.Insert(seen, j, a)
+				}
+				want := seen[:min(k, len(seen))]
+				if got := l.Answers(); !slices.Equal(got, want) {
+					t.Fatalf("%v after %d answers: list %v, want %v", typ, i+1, got, want)
+				}
+			}
+			if !l.Full() {
+				t.Fatalf("%v: list never filled", typ)
+			}
+		}
+	}
+}
+
+// TestFullBoundedConsiderAllocatesNothing: a full list presized to its k
+// takes a closer answer by shifting within its capacity — the first closer
+// answer too, which is why every run offers one to a list just filled.
+func TestFullBoundedConsiderAllocatesNothing(t *testing.T) {
+	const runs = 20
+	for _, k := range []int{1, 10, maxPresized} {
+		lists := make([]*AnswerList, runs+1) // AllocsPerRun calls once more to warm up
+		for i := range lists {
+			lists[i] = NewAnswerList(NewKNN(k))
+			for j := 0; j < k; j++ {
+				lists[i].Consider(store.ItemID(j), 1e6+float64(j))
+			}
+		}
+		next := 0
+		if got := testing.AllocsPerRun(runs, func() {
+			if !lists[next].Consider(store.ItemID(k), 0) {
+				t.Fatal("a closer answer was refused")
+			}
+			next++
+		}); got != 0 {
+			t.Errorf("k=%d: %v allocations per Consider on a full list, want 0", k, got)
+		}
+		for _, l := range lists {
+			if l.Len() != k || l.Answers()[0].Dist != 0 {
+				t.Fatalf("k=%d: list holds %d answers, the first %v", k, l.Len(), l.Answers()[0])
+			}
+		}
 	}
 }

@@ -505,11 +505,14 @@ func (e *Engine) sweepPageByGapVector(q vec.Vector, pa *pageApprox, gap, zero ve
 	return lb, ub
 }
 
-// Plan performs the approximation scan (phase 1 of VA-file query
+// Plan returns AppendPlan's refs in a new slice.
+func (p *prepared) Plan(queryDist float64) []engine.PageRef { return p.AppendPlan(nil, queryDist) }
+
+// AppendPlan performs the approximation scan (phase 1 of VA-file query
 // processing): every page whose best item lower bound is within queryDist
-// becomes a candidate, ordered by ascending lower bound so that k-NN
-// processing can stop early, exactly like an index plan.
-func (p *prepared) Plan(queryDist float64) []engine.PageRef {
+// becomes a candidate, appended to dst in ascending lower-bound order so
+// that k-NN processing can stop early, exactly like an index plan.
+func (p *prepared) AppendPlan(dst []engine.PageRef, queryDist float64) []engine.PageRef {
 	bounds := p.swept()
 	n := 0
 	for pi := 0; pi < len(bounds); pi += 2 {
@@ -517,14 +520,15 @@ func (p *prepared) Plan(queryDist float64) []engine.PageRef {
 			n++
 		}
 	}
-	refs := make([]engine.PageRef, 0, n)
+	dst = engine.GrowPlan(dst, n)
+	start := len(dst)
 	for pi := 0; pi < len(bounds); pi += 2 {
 		if bounds[pi] <= queryDist {
-			refs = append(refs, engine.PageRef{ID: store.PageID(pi / 2), MinDist: bounds[pi]})
+			dst = append(dst, engine.PageRef{ID: store.PageID(pi / 2), MinDist: bounds[pi]})
 		}
 	}
-	engine.SortPlan(refs)
-	return refs
+	engine.SortPlan(dst[start:])
+	return dst
 }
 
 // MinDist returns the page's approximation lower bound.

@@ -67,7 +67,9 @@ func recursivePlan(tr *Tree, q vec.Vector, queryDist float64) []engine.PageRef {
 // planTrees builds the shapes the walk has to get right: a single leaf, a
 // root over leaves, deep trees of small fanout (the fanout-8 one without
 // supernodes: at MaxOverlap 1 every directory split is taken, as in an
-// R*-tree), a 16-d tree with supernodes, and TestBulkGoldenDigest's
+// R*-tree), the same points at the default MaxOverlap, whose supernodes
+// make directory levels wider than the fanout, a 16-d tree with supernodes,
+// and TestBulkGoldenDigest's
 // 20 000 × 8-d tree — 66 leaves under one root, the shape of the
 // benchmark's dbscan_xtree tree.
 func planTrees(t testing.TB) map[string]*Tree {
@@ -84,6 +86,7 @@ func planTrees(t testing.TB) map[string]*Tree {
 	add("height2", 2, 40, 3, testConfig())
 	add("deep/fanout4", 3, 2500, 4, Config{LeafCapacity: 4, DirFanout: 4})
 	add("deep/fanout8", 4, 6000, 5, Config{LeafCapacity: 4, DirFanout: 8, MaxOverlap: 1})
+	add("supernodes/fanout8", 4, 6000, 5, Config{LeafCapacity: 4, DirFanout: 8})
 	add("supernodes/16d", 5, 3000, 16, Config{LeafCapacity: 8, DirFanout: 6})
 	add("manhattan", 6, 1500, 6, Config{LeafCapacity: 8, DirFanout: 5, Metric: vec.Manhattan{}})
 	add("66leaves", 1, 20000, 8, DefaultConfig(8))
@@ -178,9 +181,11 @@ func TestPlanDegenerateTrees(t *testing.T) {
 	}
 }
 
-// TestPlanAllocatesItsResultOnly: the walk's scratch is the frame's, so a
+// TestPlanAllocatesItsResultOnly: the walk's scratch is the frames', so a
 // plan costs one allocation — the refs, sized once even when there are more
-// of them than the frame holds — and an empty plan none.
+// of them than the frame holds — and an empty plan none; appended to a
+// buffer that an earlier plan grew, it costs none, however wide the
+// directory levels (the supernode tree's).
 func TestPlanAllocatesItsResultOnly(t *testing.T) {
 	trees := planTrees(t)
 	for _, c := range []struct {
@@ -190,18 +195,23 @@ func TestPlanAllocatesItsResultOnly(t *testing.T) {
 	}{
 		{"66leaves", 0.05, 1}, {"66leaves", math.Inf(1), 1}, {"66leaves", -1, 0},
 		{"deep/fanout8", 0.1, 1}, {"deep/fanout8", math.Inf(1), 1}, {"height1", 4, 1},
+		{"supernodes/fanout8", 0.1, 1}, {"supernodes/fanout8", math.Inf(1), 1},
 	} {
 		tr := trees[c.tree]
 		q := make(vec.Vector, tr.Dim())
 		for d := range q {
 			q[d] = 0.5
 		}
-		pq := tr.Prepare(q)
+		pq := tr.Prepare(q).(*prepared)
 		if c.allocs > 0 && len(pq.Plan(c.queryDist)) == 0 {
 			t.Fatalf("%s queryDist=%v: empty plan", c.tree, c.queryDist)
 		}
 		if got := testing.AllocsPerRun(50, func() { pq.Plan(c.queryDist) }); got != c.allocs {
 			t.Errorf("%s queryDist=%v: %v allocations per plan, want %v", c.tree, c.queryDist, got, c.allocs)
+		}
+		buf := pq.AppendPlan(nil, c.queryDist)
+		if got := testing.AllocsPerRun(50, func() { buf = pq.AppendPlan(buf[:0], c.queryDist) }); got != 0 {
+			t.Errorf("%s queryDist=%v: %v allocations per plan into a grown buffer, want 0", c.tree, c.queryDist, got)
 		}
 	}
 }

@@ -30,70 +30,74 @@ type prepared struct {
 	q vec.Vector
 }
 
-// Plan traverses the memory-resident directory and returns every data page
-// whose lower-bound distance to q does not exceed queryDist, in ascending
-// lower-bound order (the Hjaltason–Samet page schedule). For a k-NN query
-// the caller passes queryDist = +Inf and prunes while consuming the plan as
-// its answer list tightens.
+// Plan returns AppendPlan's refs in a new slice.
+func (p *prepared) Plan(queryDist float64) []engine.PageRef { return p.AppendPlan(nil, queryDist) }
+
+// AppendPlan traverses the memory-resident directory and appends to dst every
+// data page whose lower-bound distance to q does not exceed queryDist, in
+// ascending lower-bound order (the Hjaltason–Samet page schedule). For a
+// k-NN query the caller passes queryDist = +Inf and prunes while consuming
+// the plan as its answer list tightens.
 //
-// The walk is one loop over a stack of directory nodes: a node's child MBRs
-// are swept in one call, the surviving directory children pushed, the
-// surviving leaves collected. Bounds, pending nodes and the first refs live
-// in this frame; the result is the only allocation, sized once — to the refs
-// when they fit the frame, to every page when they do not.
-func (p *prepared) Plan(queryDist float64) []engine.PageRef {
+// The walk descends the directory depth first: a node's child MBRs are swept
+// in one call, the surviving leaves collected, the surviving directory
+// children descended into. Bounds live in the walk's frames, one per level,
+// and the first refs in planWalk, so a wide directory costs stack, not heap;
+// dst grows at most once — to the refs when they fit the frame, to every
+// page when they do not.
+func (p *prepared) AppendPlan(dst []engine.PageRef, queryDist float64) []engine.PageRef {
 	t := p.t
 	if t.root.isLeaf() {
 		if b := p.MinDist(t.root.pid); b <= queryDist {
-			return []engine.PageRef{{ID: t.root.pid, MinDist: b}}
+			return append(dst, engine.PageRef{ID: t.root.pid, MinDist: b})
 		}
-		return nil
+		return dst
 	}
-	var (
-		bounds  [128]float64
-		pending [32]*node
-		local   [32]engine.PageRef
-		refs    []engine.PageRef
-		n       int
-	)
 	// The root's MBR contains every child's, so its own bound excludes
 	// nothing the children's bounds do not.
-	stack := append(pending[:0], t.root)
-	for len(stack) > 0 {
-		nd := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for from := 0; from < len(nd.children); from += len(bounds) {
-			chunk := bounds[:min(len(bounds), len(nd.children)-from)]
-			nd.boxes.Sweep(p.q, false, from, chunk)
-			for i, b := range chunk {
-				if b > queryDist {
-					continue
-				}
-				c := nd.children[from+i]
-				if !c.isLeaf() {
-					stack = append(stack, c)
-					continue
-				}
-				if n == len(local) {
-					if refs == nil {
-						refs = make([]engine.PageRef, 0, t.pager.NumPages())
-					}
-					refs, n = append(refs, local[:]...), 0
-				}
-				local[n] = engine.PageRef{ID: c.pid, MinDist: b}
-				n++
+	w := planWalk{p: p, queryDist: queryDist, dst: dst, start: len(dst)}
+	w.descend(t.root)
+	dst = append(w.dst, w.local[:w.n]...)
+	engine.SortPlan(dst[w.start:])
+	return dst
+}
+
+// planWalk is AppendPlan's state: the refs found so far are dst[start:] and
+// local[:n].
+type planWalk struct {
+	p         *prepared
+	queryDist float64
+	dst       []engine.PageRef
+	start, n  int
+	local     [32]engine.PageRef
+}
+
+// descend collects the leaves under directory node nd within the query
+// distance.
+func (w *planWalk) descend(nd *node) {
+	var bounds [128]float64
+	for from := 0; from < len(nd.children); from += len(bounds) {
+		chunk := bounds[:min(len(bounds), len(nd.children)-from)]
+		nd.boxes.Sweep(w.p.q, false, from, chunk)
+		for i, b := range chunk {
+			if b > w.queryDist {
+				continue
 			}
+			c := nd.children[from+i]
+			if !c.isLeaf() {
+				w.descend(c)
+				continue
+			}
+			if w.n == len(w.local) {
+				if cap(w.dst)-len(w.dst) < len(w.local) {
+					w.dst = engine.GrowPlan(w.dst, w.p.t.pager.NumPages()-(len(w.dst)-w.start))
+				}
+				w.dst, w.n = append(w.dst, w.local[:]...), 0
+			}
+			w.local[w.n] = engine.PageRef{ID: c.pid, MinDist: b}
+			w.n++
 		}
 	}
-	if refs == nil {
-		if n == 0 {
-			return nil
-		}
-		refs = make([]engine.PageRef, 0, n)
-	}
-	refs = append(refs, local[:n]...)
-	engine.SortPlan(refs)
-	return refs
 }
 
 // MinDist returns the lower bound on the distance from q to any item on
