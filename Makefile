@@ -1,4 +1,4 @@
-.PHONY: check fmt vet compat build portable test race differential obsgate fuzz-smoke bench bench-all bench-check bench-smoke loc
+.PHONY: check fmt vet compat build portable test race differential obsgate fuzz-smoke bench bench-all bench-check bench-smoke loc pairs
 
 # The pre-PR gate: formatting, static analysis, the compat shims' fence,
 # build, the portable row
@@ -112,11 +112,16 @@ race:
 # the PM-tree's layouts are pinned bit for bit (leaf order, page contents,
 # MBRs, balls, rings, build distances) however the build sorts and selects
 # (and the PM-tree's selection takes exactly what a sort would),
-# and every engine kind refuses a NaN or infinite coordinate — all under the
-# race detector.
+# and every engine kind refuses a NaN or infinite coordinate; the page
+# buffer indexed by page ID against a container/list LRU (contents, order,
+# counters and pins), the short insertion sorts of answers and plans against
+# slices.SortFunc, and a session's matrix, answers and charges against brute
+# force over random call sequences that reorder the window and resubmit
+# held and completed IDs with the same array, an equal copy or another
+# vector — all under the race detector.
 differential:
-	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestRowScreenSound|TestRowLanes|TestItemLanes|FuzzEucItems|TestItemsDimensionMismatch|TestSweepRecords|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPagerUncontendedMissAllocatesNothing|TestPageRecycle|TestDecodedPageAliasesRecord|TestRebind|TestCRC32C|FuzzCRC32C|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode|TestBlockSweepMatchesLone|TestLaneSweep|FuzzLaneSweep|TestFanOut|TestResultsSliceIsSessionScratch|TestSlideAllocations|TestCompletedQueriesReleaseTheirState|TestRecycledStateIsNeverStale|TestStagedAcceptsMatchPerAccept|TestConsiderAllMatchesConsider|TestDBSCANBatchSizesAgree|TestBulkGoldenDigest|TestLayoutGoldenDigest|TestNearestFirstTakesTheSmallest|TestNonFiniteCoordinatesRejected|TestPlanAllocatesItsResultOnly|TestAppendPlanIsPlan|TestBoundedConsiderMatchesModel|TestFullBoundedConsiderAllocatesNothing' \
-		./internal/msq/ ./internal/query/ ./internal/store/ ./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/pmtree/ ./internal/engines/ ./internal/parallel/ ./internal/explore/ .
+	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestRowScreenSound|TestRowLanes|TestItemLanes|FuzzEucItems|TestItemsDimensionMismatch|TestSweepRecords|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPagerUncontendedMissAllocatesNothing|TestPageRecycle|TestDecodedPageAliasesRecord|TestRebind|TestCRC32C|FuzzCRC32C|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode|TestBlockSweepMatchesLone|TestLaneSweep|FuzzLaneSweep|TestFanOut|TestResultsSliceIsSessionScratch|TestSlideAllocations|TestCompletedQueriesReleaseTheirState|TestRecycledStateIsNeverStale|TestStagedAcceptsMatchPerAccept|TestConsiderAllMatchesConsider|TestDBSCANBatchSizesAgree|TestBulkGoldenDigest|TestLayoutGoldenDigest|TestNearestFirstTakesTheSmallest|TestNonFiniteCoordinatesRejected|TestPlanAllocatesItsResultOnly|TestAppendPlanIsPlan|TestBoundedConsiderMatchesModel|TestFullBoundedConsiderAllocatesNothing|TestBufferMatchesLRUModel|TestShortSortsMatchSortFunc|TestSessionMatrixAgainstBruteForce' \
+		./internal/msq/ ./internal/query/ ./internal/engine/ ./internal/store/ ./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/pmtree/ ./internal/engines/ ./internal/parallel/ ./internal/explore/ .
 
 # A short fuzz of the persistent-storage decoders: corrupt page records
 # and manifests must produce errors, never panics or over-allocation; the
@@ -213,6 +218,15 @@ bench:
 		./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/engines/ ./internal/msq/ ./internal/explore/ ./internal/store/ ./internal/wire/
 	go run ./cmd/msqbench -experiment load
 	go run ./cmd/msqbench -experiment block
+
+# The CPU cost of a change in alternating pairs: PKG's test binary built at
+# BASE and at HEAD (git revisions, "." for the working tree) and run on BENCH
+# in N pairs, the side that runs first alternating, with each run's user+sys
+# CPU, each pair's ratio and the median printed (scripts/pairs.sh;
+# BENCHTIME defaults to 40x).
+#   make pairs BENCH=BenchmarkDBSCAN PKG=./internal/explore/ BASE=HEAD HEAD=. N=12
+pairs:
+	@bash scripts/pairs.sh '$(BENCH)' '$(PKG)' '$(BASE)' '$(HEAD)' '$(N)' $(BENCHTIME)
 
 # Every benchmark in the repository, including the paper-figure suites.
 bench-all:

@@ -50,16 +50,38 @@ type PageRef struct {
 	MinDist float64
 }
 
-// SortPlan puts refs in plan order: ascending lower bound, ties by page ID
-// (the Hjaltason–Samet schedule, deterministic whatever order the engine
-// found the pages in).
+// SortPlan puts refs in plan order: ascending lower bound as cmp.Compare
+// orders bounds, ties by page ID (the Hjaltason–Samet schedule, the same
+// whatever order the engine found the pages in). Short plans: by insertion.
 func SortPlan(refs []PageRef) {
-	slices.SortFunc(refs, func(a, b PageRef) int {
-		if c := cmp.Compare(a.MinDist, b.MinDist); c != 0 {
-			return c
+	if len(refs) > 32 {
+		slices.SortFunc(refs, func(a, b PageRef) int {
+			if c := cmp.Compare(a.MinDist, b.MinDist); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.ID, b.ID)
+		})
+		return
+	}
+	for i := 1; i < len(refs); i++ {
+		r, j := refs[i], i
+		for ; j > 0 && planLess(r, refs[j-1]); j-- {
+			refs[j] = refs[j-1]
 		}
-		return cmp.Compare(a.ID, b.ID)
-	})
+		refs[j] = r
+	}
+}
+
+// planLess is SortPlan's order: a NaN bound first, two NaNs equal.
+func planLess(a, b PageRef) bool {
+	x, y := a.MinDist, b.MinDist
+	if x < y || x > y {
+		return x < y
+	}
+	if x == y || x != x && y != y {
+		return a.ID < b.ID
+	}
+	return x != x
 }
 
 // PreparedQuery is a per-query view of an engine. It is created once per

@@ -96,13 +96,14 @@ func (st *queryState) queryDist() float64 {
 // (matrix.go). A completed query's state is recycled through a free list,
 // so a sliding window allocates a query's answer list and its handle, not
 // its bookkeeping. A call therefore costs O(new × m) to admit the queries
-// that entered and fill their matrix rows, plus O(pages × active) for the
-// page loop; nothing in it is proportional to m² or to the session's
-// length. Memory is O(w²) for the matrix, w the widest batch so far, plus
-// the incomplete queries' states, plus the free list — at most w structs,
-// and page sets (pages/64 words each) for at most as many as the last call
-// was wide (retire) — plus a plan buffer as long as the longest plan, plus
-// one map entry and one list per completed query.
+// that entered (their IDs checked against the batch) and fill their matrix
+// rows, plus O(pages × active) for the page loop; nothing in it is
+// proportional to the session's length. Memory is O(w²) for the matrix, w
+// the widest batch so far, plus the incomplete queries' states, plus the
+// free list — at most w structs, and page sets (pages/64 words each) for at
+// most as many as the last call was wide (retire) — plus a plan buffer as
+// long as the longest plan, plus one map entry and one list per completed
+// query.
 //
 // MatrixDistCalcs counts what is calculated: each pair of incomplete
 // queries once for as long as both stay in the batch. It charges nothing
@@ -113,11 +114,8 @@ type Session struct {
 	proc *Processor
 	// mu serializes top-level calls on the session.
 	mu sync.Mutex
-	// live indexes the states the session holds by query ID: the incomplete
-	// queries, and during a call also the states the call registered (bare
-	// ones before admission, and those standing for completed queries). A
-	// sliding window finds its queries without it (held); it answers the
-	// rest, and sees every duplicate ID in a call.
+	// live indexes by ID the incomplete queries that ever left a window;
+	// the others are found in batch.
 	live map[uint64]*queryState
 	// completed is the registry of completed queries: one answer list per
 	// ID, which records the query object and type.
@@ -129,12 +127,16 @@ type Session struct {
 	// matrix holds the distances between the buffered incomplete queries.
 	matrix queryMatrix
 	// batch, results and pass are per-call scratch that depends only on the
-	// batch width: the states of the current call's queries, the answer
-	// lists a call returns and the page pass's buffers. They live here so
-	// that a mining loop's thousands of calls allocate them once.
-	batch   []*queryState
-	results []*query.AnswerList
-	pass    *pagePass
+	// batch width: the states of the current call's queries (next: the
+	// next call's), the answer lists a call returns and the page pass's
+	// buffers, allocated once for a mining loop's thousands of calls.
+	batch, next []*queryState
+	results     []*query.AnswerList
+	pass        *pagePass
+	// bounded: batch holds an incomplete bounded query (bootstrap's kind).
+	bounded bool
+	// finished holds batch's done states, for retire.
+	finished []*queryState
 	// plan is run's plan when the first query's handle is an
 	// engine.PlanAppender: every call plans into it.
 	plan []engine.PageRef
@@ -235,73 +237,134 @@ func (s *Session) MultiQueryContext(ctx context.Context, queries []Query) ([]*qu
 // the answer lists are the caller's.
 //
 // A mining loop slides a window: the query at position i of this call sat at
-// i+1 of the previous one, or at i. Those two places are looked at before the
-// live index (held), and a query the session holds that arrives with the very
-// vector it was admitted with — the same array, not an equal one — and the
-// same type was validated then and is not validated again: MultiQuery's
-// contract is that the vectors do not change, and only identity, never
-// equality, shows that nothing has been put in their place. A completed
-// query is looked up in the registry and stands in the batch as a done
-// state taken from the free list, for this call only.
+// i+1 of the previous one, or at i. Those two places are looked at first
+// (held), and a query the session holds that arrives with the very vector it
+// was admitted with — the same array, not an equal one — and the same type
+// was validated then and is not validated again: MultiQuery's contract is
+// that the vectors do not change, and only identity, never equality, shows
+// that nothing has been put in their place. Any other ID is a duplicate, a
+// query in live (index), one that moved in the previous batch further than
+// a slide (unplaced), a completed one (the registry; it stands in the batch
+// as a done state from the free list, for this call only) or new.
 func (s *Session) prepare(queries []Query) ([]*queryState, []*query.AnswerList, error) {
 	if len(queries) == 0 {
 		return nil, nil, fmt.Errorf("msq: empty multiple similarity query")
 	}
-	prev := s.batch
-	s.retire(prev, len(queries))
-	if s.live == nil {
-		s.live = make(map[uint64]*queryState, len(queries))
-	}
+	// left bounds prev's incomplete queries not yet placed: prev less its
+	// done states, less each one the hint places (too many after a refused
+	// call, never too few). After a slide it is 0 and nothing scans prev.
+	prev, left := s.batch, len(s.batch)-len(s.finished)
+	s.retire(len(queries))
 	s.stamp++
-	states := prev[:0]
-	for i, q := range queries {
+	states, bounded := slices.Grow(s.next[:0], len(queries)), false
+	results := slices.Grow(s.results[:0], len(queries))[:len(queries)]
+	s.results = results
+	stamp, entering := s.stamp, len(queries) // the first bare state
+	for i := range queries {
+		q := &queries[i]
 		st := held(prev, i, q.ID) // restore_from_buffer
-		if st == nil {
-			st = s.live[q.ID]
+		if st != nil && st.stamp != stamp && st.q.Type == q.Type && sameArray(st.q.Vec, q.Vec) {
+			left--
+			st.stamp, st.pos = stamp, int32(i)
+			bounded = bounded || st.q.Type.Bounded()
+			states = append(states, st)
+			results[i] = st.answers
+			continue
 		}
-		// The query's list, if the session buffers one: a bare state,
-		// registered earlier in this call, has none yet.
+		twice := st != nil && st.stamp == stamp
+		switch {
+		case st != nil:
+			left--
+		case seen(queries[:i], q.ID):
+			twice = true
+		default:
+			if st = s.live[q.ID]; st == nil && left > 0 {
+				st = unplaced(prev, q.ID, stamp) // it moved further than a slide
+			}
+		}
 		var list *query.AnswerList
+		var known bool
 		if st != nil {
-			list = st.answers
-		} else {
+			known = st.q.Type == q.Type && sameArray(st.q.Vec, q.Vec)
+		} else if !twice {
 			list = s.completed[q.ID]
+			known = list != nil && list.Type() == q.Type && sameArray(list.Object(), q.Vec)
 		}
-		known := list != nil && list.Type() == q.Type && sameArray(list.Object(), q.Vec)
 		if !known {
-			if err := s.proc.CheckQuery(q); err != nil {
+			if err := s.proc.CheckQuery(*q); err != nil {
 				return s.reject(states, err)
 			}
 		}
 		switch {
-		case st == nil && list == nil:
-			// Registered bare, so that a second occurrence of the ID in this
-			// batch finds it; admitted below once the batch is known good.
-			st = s.take(q)
-		case st != nil && st.stamp == s.stamp:
+		case twice:
 			return s.reject(states, fmt.Errorf("msq: query ID %d appears twice in one call", q.ID))
+		case st != nil:
+			if !known && (!st.q.Vec.Equal(q.Vec) || st.q.Type != q.Type) {
+				return s.reject(states, fmt.Errorf("msq: query ID %d reused with a different object or type", q.ID))
+			}
+		case list == nil:
+			st = s.take(*q) // admitted below once the batch is known good
+			entering = min(entering, i)
 		case !known && (!list.Object().Equal(q.Vec) || list.Type() != q.Type):
 			return s.reject(states, fmt.Errorf("msq: query ID %d reused with a different object or type", q.ID))
-		case st == nil:
+		default:
 			st = s.take(Query{ID: q.ID, Vec: list.Object(), Type: list.Type()})
 			st.answers, st.done = list, true
+			s.finished = append(s.finished, st)
 		}
-		st.stamp, st.pos = s.stamp, int32(i)
-		states = append(states, st) // overwrites prev[i], already looked at
-	}
-	s.batch = states
-	results := slices.Grow(s.results[:0], len(states))[:len(states)]
-	s.results = results
-	for i, st := range states {
-		if st.answers == nil {
-			s.admit(st)
-		}
+		st.stamp, st.pos = stamp, int32(i)
+		bounded = bounded || !st.done && st.q.Type.Bounded()
+		states = append(states, st)
 		results[i] = st.answers
+	}
+	if left > 0 {
+		s.index(prev)
+	}
+	s.batch, s.next, s.bounded = states, prev[:0], bounded
+	for i := entering; i < len(states); i++ {
+		if st := states[i]; st.answers == nil {
+			s.admit(st)
+			results[i] = st.answers
+		}
 	}
 	if s.proc.block != nil {
 		s.prepareBlock(states)
 	}
 	return states, results, nil
+}
+
+// seen reports whether id is the ID of one of qs.
+func seen(qs []Query, id uint64) bool {
+	for i := range qs {
+		if qs[i].ID == id {
+			return true
+		}
+	}
+	return false
+}
+
+// unplaced returns the state of query id if the previous batch holds it
+// incomplete and the call has not placed it yet, nil otherwise (see held).
+func unplaced(prev []*queryState, id, stamp uint64) *queryState {
+	for _, st := range prev {
+		if st.q.ID == id && st.answers != nil && st.stamp != stamp {
+			return st
+		}
+	}
+	return nil
+}
+
+// index puts the previous batch's incomplete queries that the call did not
+// place into live.
+func (s *Session) index(prev []*queryState) {
+	for _, st := range prev {
+		if st.answers != nil && st.stamp != s.stamp {
+			if s.live == nil {
+				s.live = make(map[uint64]*queryState)
+			}
+			s.live[st.q.ID] = st
+		}
+	}
 }
 
 // sameArray reports whether a and b are the same vector: one array, one
@@ -310,8 +373,7 @@ func sameArray(a, b vec.Vector) bool {
 	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
 }
 
-// take registers a bare state for q under its ID, from the free list when
-// it has one.
+// take returns a bare state for q, from the free list when it has one.
 func (s *Session) take(q Query) *queryState {
 	var st *queryState
 	if n := len(s.spare); n > 0 {
@@ -320,7 +382,6 @@ func (s *Session) take(q Query) *queryState {
 		st = &queryState{slot: noSlot}
 	}
 	st.q = q
-	s.live[q.ID] = st
 	return st
 }
 
@@ -340,10 +401,10 @@ func (s *Session) admit(st *queryState) {
 	st.bound = math.Inf(1)
 }
 
-// release withdraws st from the live index and puts it on the free list.
-// Its list, if it has one, is the registry's or was never admitted; either
-// way the state lets go of it, so that held never finds a state on the free
-// list and a recycled state starts bare.
+// release withdraws st from live and puts it on the free list. Its list, if
+// it has one, is the registry's or was never admitted; either way the state
+// lets go of it, so that held never finds a state on the free list and a
+// recycled state starts bare.
 func (s *Session) release(st *queryState) {
 	delete(s.live, st.q.ID)
 	st.q, st.answers, st.pq, st.done = Query{}, nil, nil, false
@@ -352,24 +413,22 @@ func (s *Session) release(st *queryState) {
 
 // retire moves the queries the previous call completed into the registry
 // and their states to the free list, together with the states that stood
-// for already completed queries. It runs when the next call begins, before
-// the window is read, so a session that is never called again — a one-shot
-// batch — pays neither registry nor free list. The free list keeps the
-// page sets of at most width states, as many as a call of that width can
-// take (take pops from the top, where they are): after a wide call a
+// for already completed queries (finished). It runs when the next call begins,
+// before the window is read, so a session that is never called again — a
+// one-shot batch — pays neither registry nor free list. The free list keeps
+// the page sets of at most width states, as many as a call of that width
+// can take (take pops from the top, where they are): after a wide call a
 // narrower session lets the other page sets go, and keeps their structs —
 // as many as the widest batch, like the matrix — for the next wide call.
-func (s *Session) retire(prev []*queryState, width int) {
-	for _, st := range prev {
-		if !st.done {
-			continue
-		}
+func (s *Session) retire(width int) {
+	for _, st := range s.finished {
 		if s.completed == nil {
 			s.completed = make(map[uint64]*query.AnswerList)
 		}
 		s.completed[st.q.ID] = st.answers
 		s.release(st)
 	}
+	s.finished = s.finished[:0]
 	for _, st := range s.spare[:max(len(s.spare)-width, 0)] {
 		st.processed = nil
 	}
@@ -400,25 +459,26 @@ func (s *Session) prepareBlock(states []*queryState) {
 	s.blockQs, s.blockPQs = qs[:0], pqs[:0]
 }
 
-// reject gives back the states a call registered before it found the query
-// that fails it — the bare ones and those standing for completed queries —
-// each once: a state is in states at most once, since a second occurrence
-// of its ID is what rejects a call.
+// reject gives back the states a call took from the free list before it
+// found the query that fails it — the bare ones and those standing for
+// completed queries — each once: a state is in states at most once, since a
+// second occurrence of its ID is what rejects a call.
 func (s *Session) reject(states []*queryState, err error) ([]*queryState, []*query.AnswerList, error) {
 	for _, st := range states {
 		if st.answers == nil || st.done {
 			s.release(st)
 		}
 	}
+	s.finished = s.finished[:0]
 	return nil, nil, err
 }
 
 // held returns the state of query id if the previous call's batch holds it
 // at position i+1 or i, nil otherwise. The previous batch has been retired
-// (its done states are on the free list), and a rejected call leaves the
-// states it registered, and then released, in that batch: a released state
-// holds no list, and a state is only ever found here while it is admitted
-// and live.
+// (its done states are on the free list) and a call does not write it; a
+// state the call took from the free list holds no list before admission
+// unless it stands for a completed query the call has placed, so a state
+// found here is live or a duplicate.
 func held(prev []*queryState, i int, id uint64) *queryState {
 	if i+1 < len(prev) && prev[i+1].q.ID == id && prev[i+1].answers != nil {
 		return prev[i+1]
@@ -434,6 +494,7 @@ func held(prev []*queryState, i int, id uint64) *queryState {
 // The state itself waits in the batch until the next call retires it.
 func (s *Session) complete(st *queryState) {
 	st.done = true
+	s.finished = append(s.finished, st)
 	s.matrix.release(st)
 	st.pq = nil
 }
@@ -487,9 +548,11 @@ func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]floa
 	// engines without geometric knowledge (the scan) the bound stays
 	// +Inf, which is fine — a scan processes every page for every query
 	// by design.
-	s.bootstrap(states)
-	if err := s.seedFirstPages(states, stats); err != nil {
-		return err
+	if s.bounded {
+		s.bootstrap(states)
+		if err := s.seedFirstPages(states, stats); err != nil {
+			return err
+		}
 	}
 
 	// determine_relevant_data_pages: the plan covers (at least) every

@@ -43,6 +43,10 @@ type sessionDriver struct {
 	paid map[[2]uint64]bool
 	held map[uint64]bool // the incomplete queries that should hold a slot
 	want map[uint64][]query.Answer
+	// lists is the answer list each query got from its first call: every
+	// later call must return the same one, so a query the session holds is
+	// never admitted again.
+	lists map[uint64]*query.AnswerList
 }
 
 func (d *sessionDriver) newQuery() Query {
@@ -55,16 +59,43 @@ func (d *sessionDriver) newQuery() Query {
 }
 
 func (d *sessionDriver) done(id uint64) bool {
-	if st := d.s.live[id]; st != nil {
+	if st := stateOf(d.s, id); st != nil {
 		return st.done
 	}
 	return d.s.completed[id] != nil
 }
 
+// stateOf returns the state s holds for query id — in the last call's
+// batch, or in live when the query left a window before it completed — and
+// nil when it holds none.
+func stateOf(s *Session, id uint64) *queryState {
+	for _, st := range s.batch {
+		if st.q.ID == id && st.answers != nil {
+			return st
+		}
+	}
+	return s.live[id]
+}
+
+// heldStates returns every state s holds, by query ID: the last call's
+// batch's and live's.
+func heldStates(s *Session) map[uint64]*queryState {
+	held := make(map[uint64]*queryState, len(s.batch)+len(s.live))
+	for _, st := range s.batch {
+		if st.answers != nil {
+			held[st.q.ID] = st
+		}
+	}
+	for id, st := range s.live {
+		held[id] = st
+	}
+	return held
+}
+
 // listOf returns the answer list s buffers for query id: its live state's,
 // or the registry's once the query is completed and retired.
 func listOf(s *Session, id uint64) *query.AnswerList {
-	if st := s.live[id]; st != nil {
+	if st := stateOf(s, id); st != nil {
 		return st.answers
 	}
 	return s.completed[id]
@@ -74,7 +105,7 @@ func listOf(s *Session, id uint64) *query.AnswerList {
 // ones, a done state standing for a completed query counted once.
 func registered(s *Session) int {
 	n := len(s.completed)
-	for id := range s.live {
+	for id := range heldStates(s) {
 		if s.completed[id] == nil {
 			n++
 		}
@@ -97,9 +128,26 @@ func checkSpare(t *testing.T, s *Session) {
 				st.answers != nil, st.pq != nil, st.done, st.slot)
 		}
 	}
-	for id, st := range s.live {
+	for id, st := range heldStates(s) {
 		if seen[st] {
 			t.Fatalf("query %d's state is live and on the free list", id)
+		}
+	}
+	// live holds admitted queries under their own IDs, a completed one only
+	// while it waits in the batch to be retired, and every incomplete query
+	// the last batch does not hold.
+	inBatch := make(map[*queryState]bool, len(s.batch))
+	for _, st := range s.batch {
+		inBatch[st] = true
+	}
+	for id, st := range s.live {
+		if st.q.ID != id || st.answers == nil || st.done && !inBatch[st] {
+			t.Fatalf("live holds query %d as query %d (done %v, in the batch %v)", id, st.q.ID, st.done, inBatch[st])
+		}
+	}
+	for _, st := range s.matrix.holder {
+		if st != nil && !inBatch[st] && s.live[st.q.ID] != st {
+			t.Fatalf("query %d holds a slot and is neither in the batch nor in live", st.q.ID)
 		}
 	}
 }
@@ -183,7 +231,7 @@ func (d *sessionDriver) checkStore(batch []Query, full bool) {
 	}
 	var live []*queryState
 	for _, q := range batch {
-		st := d.s.live[q.ID]
+		st := stateOf(d.s, q.ID)
 		if st == nil || st.done { // completed: retired, or waiting to be
 			if st != nil && st.slot != noSlot {
 				d.t.Fatalf("completed query %d holds slot %d", q.ID, st.slot)
@@ -267,6 +315,10 @@ func (d *sessionDriver) step() {
 			bad.Vec[0]++
 			d.expectRejected(append(append([]Query(nil), batch...), bad), d.rng.Intn(2) == 0)
 		}
+	case 5: // a held or completed ID again: the same array, an equal copy, another vector
+		d.resubmit(&batch)
+	case 6: // the window reordered: held queries move further than a slide moves them
+		d.rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
 	}
 	d.widest = max(d.widest, len(batch))
 
@@ -298,6 +350,12 @@ func (d *sessionDriver) step() {
 	}
 	d.checkStore(batch, false)
 	for i, q := range batch {
+		if l, ok := d.lists[q.ID]; ok && l != res[i] {
+			d.t.Fatalf("query %d: the call returned another answer list than its first", q.ID)
+		}
+		d.lists[q.ID] = res[i]
+	}
+	for i, q := range batch {
 		if i > 0 && !all {
 			break
 		}
@@ -326,10 +384,46 @@ func (d *sessionDriver) step() {
 	d.queue = rest
 }
 
+// resubmit puts into batch a query the session knows under its ID — one the
+// session holds, in its place, or a completed one, at a position after the
+// first — with the very vector it was submitted with, with an equal copy, or
+// with another vector. The first two are the same query; the third is
+// refused whole, and batch stays as it was.
+func (d *sessionDriver) resubmit(batch *[]Query) {
+	var known []int
+	for j, q := range *batch {
+		if stateOf(d.s, q.ID) != nil {
+			known = append(known, j)
+		}
+	}
+	b := append([]Query(nil), *batch...)
+	var j int
+	if len(d.finished) > 0 && (len(known) == 0 || d.rng.Intn(2) == 0) {
+		j = 1 + d.rng.Intn(len(b))
+		b = slices.Insert(b, j, d.finished[d.rng.Intn(len(d.finished))])
+	} else if len(known) > 0 {
+		j = known[d.rng.Intn(len(known))]
+	} else {
+		return
+	}
+	switch d.rng.Intn(3) {
+	case 0: // the same array
+	case 1:
+		b[j].Vec = b[j].Vec.Clone()
+	case 2:
+		b[j].Vec = b[j].Vec.Clone()
+		b[j].Vec[0]++
+		d.expectRejected(b, d.rng.Intn(2) == 0)
+		return
+	}
+	*batch = b
+}
+
 // TestSessionMatrixAgainstBruteForce drives sessions through random call
-// sequences — sliding windows, a query that leaves and returns, completed
-// queries resubmitted, MultiQuery and MultiQueryAll interleaved, batches
-// that shrink and grow, refused calls, canceled calls — and checks after
+// sequences — sliding windows, a query that leaves and returns, reordered
+// windows, held and completed queries resubmitted with the same array, an
+// equal copy or another vector, MultiQuery and MultiQueryAll interleaved,
+// batches that shrink and grow, refused calls, canceled calls — and checks after
 // every call that (a) the matrix equals brute force on every pair of
 // incomplete queries, (b) every completed answer equals Single, (c) each
 // call's MatrixDistCalcs equals what a per-pair cache would have charged,
@@ -360,6 +454,7 @@ func TestSessionMatrixAgainstBruteForce(t *testing.T) {
 						t: t, rng: rand.New(rand.NewSource(int64(walk)*100 + int64(mode))),
 						items: items, metric: metric, mode: mode, proc: proc, s: proc.NewSession(),
 						paid: map[[2]uint64]bool{}, held: map[uint64]bool{}, want: map[uint64][]query.Answer{},
+						lists: map[uint64]*query.AnswerList{},
 					}
 					for i := 0; i < steps; i++ {
 						d.step()
@@ -398,8 +493,8 @@ func TestCompletedQueriesReleaseTheirState(t *testing.T) {
 		if s.matrix.live != m-1 {
 			t.Fatalf("step %d: %d live slots, window of %d", i, s.matrix.live, m)
 		}
-		if len(s.live) > m || len(s.live)+len(s.spare) > m {
-			t.Fatalf("step %d: %d live states and %d spare, window of %d", i, len(s.live), len(s.spare), m)
+		if n := len(heldStates(s)); n > m || n+len(s.spare) > m {
+			t.Fatalf("step %d: %d live states and %d spare, window of %d", i, n, len(s.spare), m)
 		}
 	}
 	if len(s.matrix.rows) != m {
@@ -412,12 +507,12 @@ func TestCompletedQueriesReleaseTheirState(t *testing.T) {
 		if l.Len() == 0 || !sameArray(l.Object(), items[id].Vec) || l.Type() != typ {
 			t.Fatalf("completed query %d lost its answers, its query or its type", id)
 		}
-		if s.live[id] != nil {
+		if stateOf(s, id) != nil {
 			t.Fatalf("completed query %d still has a live state", id)
 		}
 	}
-	if got := len(s.completed); got != steps-1 || !s.live[steps-1].done {
-		t.Errorf("%d completed queries in the registry and query %d done %v, want %d and true", got, steps-1, s.live[steps-1].done, steps-1)
+	if got, last := len(s.completed), stateOf(s, steps-1); got != steps-1 || !last.done {
+		t.Errorf("%d completed queries in the registry and query %d done %v, want %d and true", got, steps-1, last.done, steps-1)
 	}
 
 	// A completed query has no prepared handle to ask, so everything that
@@ -571,7 +666,7 @@ func TestRejectedCallLeavesSessionUntouched(t *testing.T) {
 		t.Errorf("repeating the window paid %d pivot distances and left %d states", st.PivotDistCalcs, registered(s))
 	}
 	for i, q := range batch {
-		if again[i] != res[i] || s.live[q.ID] != s.batch[i] {
+		if again[i] != res[i] || stateOf(s, q.ID) != s.batch[i] || s.batch[i].answers != res[i] {
 			t.Errorf("query %d: the repeated window got another answer list or state", q.ID)
 		}
 	}
@@ -605,7 +700,7 @@ func TestWindowHint(t *testing.T) {
 		}
 		first := res[0]
 		for i := 0; i < 3; i++ {
-			if st := held(s.batch, i, uint64(i+1)); st == nil || st != s.live[uint64(i+1)] {
+			if st := held(s.batch, i, uint64(i+1)); st == nil || st != s.batch[i+1] {
 				t.Fatalf("position %d of the next window: the hint found %v", i, st)
 			}
 		}
@@ -899,7 +994,7 @@ func TestRecycledStateIsNeverStale(t *testing.T) {
 	window := []Query{q(1), q(2), q(3), q(4)}
 	res, _ = call("query 4 enters", false, window...)
 	list1 := res[0]
-	if s.live[4] != state0 || s.live[0] != nil || s.completed[0] != list0 {
+	if stateOf(s, 4) != state0 || stateOf(s, 0) != nil || s.completed[0] != list0 {
 		t.Fatalf("query 4 did not take query 0's state, or query 0 left the registry")
 	}
 	if state0.answers == list0 || !sameArray(list0.Object(), items[0].Vec) {
@@ -927,21 +1022,21 @@ func TestRecycledStateIsNeverStale(t *testing.T) {
 		for _, pos := range []int{0, 2} {
 			batch := []Query{q(20), q(21), q(22)}
 			batch = slices.Insert(batch, pos, bad)
-			ids, held := registered(s), len(s.live)+len(s.spare)
+			ids, held := registered(s), len(heldStates(s))+len(s.spare)
 			for range 2 {
 				_, st, err := s.MultiQuery(batch)
 				if err == nil || err.Error() != want || st != (Stats{}) {
 					t.Fatalf("query 0 with %v at %d: err %v, stats %+v", bad.Type, pos, err, st)
 				}
 				checkSpare(t, s)
-				if registered(s) != ids || s.live[20] != nil || s.live[0] != nil || s.completed[0] != list0 {
+				if registered(s) != ids || stateOf(s, 20) != nil || stateOf(s, 0) != nil || s.completed[0] != list0 {
 					t.Fatalf("the refused call changed the registry")
 				}
 				// The second refusal takes the states the first one gave back.
-				if pos == 0 && len(s.live)+len(s.spare) != held {
-					t.Fatalf("%d states held, %d before", len(s.live)+len(s.spare), held)
+				if pos == 0 && len(heldStates(s))+len(s.spare) != held {
+					t.Fatalf("%d states held, %d before", len(heldStates(s))+len(s.spare), held)
 				}
-				held = len(s.live) + len(s.spare)
+				held = len(heldStates(s)) + len(s.spare)
 			}
 		}
 	}

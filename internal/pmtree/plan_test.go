@@ -34,6 +34,7 @@ func boxedPlan(p *prepared, queryDist float64) ([]engine.PageRef, int) {
 	h := boxedHeap{{lb: p.rootLB(root), node: root}}
 	var refs []engine.PageRef
 	most := 1
+	lbs, ubs := p.leafMemo()
 	for len(h) > 0 {
 		ent := heap.Pop(&h).(planEntry)
 		if ent.lb > queryDist {
@@ -41,9 +42,9 @@ func boxedPlan(p *prepared, queryDist float64) ([]engine.PageRef, int) {
 		}
 		nd := &e.nodes[ent.node]
 		if nd.isLeaf() {
-			if math.IsNaN(p.leafLB[nd.pid]) {
-				p.leafLB[nd.pid] = ent.lb
-				p.leafUB[nd.pid] = p.nodeUB(ent.node)
+			if math.IsNaN(lbs[nd.pid]) {
+				lbs[nd.pid] = ent.lb
+				ubs[nd.pid] = p.nodeUB(ent.node)
 			}
 			refs = append(refs, engine.PageRef{ID: nd.pid, MinDist: ent.lb})
 			continue
@@ -61,15 +62,16 @@ func boxedPlan(p *prepared, queryDist float64) ([]engine.PageRef, int) {
 // TestPlanMatchesBoxedHeap holds the typed heap over its frame to
 // container/heap's: the same refs with the same bits in the same order, and
 // the same leaf memo, on a tree whose +Inf descent fits the frame and on one
-// whose descent holds more entries than the frame, so the heap spills.
+// whose descent holds more entries than the frame, so the heap spills, and
+// on a tree with more pivots than DefaultPivots.
 func TestPlanMatchesBoxedHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	spilled := false
 	for _, c := range []struct {
-		n, capacity, fanout int
-	}{{500, 16, 4}, {6000, 4, 8}} {
+		n, capacity, fanout, pivots int
+	}{{500, 16, 4, 4}, {6000, 4, 8, 4}, {500, 16, 4, DefaultPivots + 4}} {
 		const dim = 4
-		e, err := New(testItems(int64(c.n), c.n, dim), Config{PageCapacity: c.capacity, Pivots: 4, Fanout: c.fanout})
+		e, err := New(testItems(int64(c.n), c.n, dim), Config{PageCapacity: c.capacity, Pivots: c.pivots, Fanout: c.fanout})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +81,7 @@ func TestPlanMatchesBoxedHeap(t *testing.T) {
 				q[d] = 1.2*rng.Float64() - 0.1
 			}
 			for _, queryDist := range []float64{math.Inf(1), 0.4, 0.1, 0} {
-				label := fmt.Sprintf("n=%d round %d queryDist=%v", c.n, round, queryDist)
+				label := fmt.Sprintf("n=%d pivots=%d round %d queryDist=%v", c.n, c.pivots, round, queryDist)
 				got, oracle := e.Prepare(q).(*prepared), e.Prepare(q).(*prepared)
 				plan := got.Plan(queryDist)
 				want, most := boxedPlan(oracle, queryDist)
@@ -92,11 +94,13 @@ func TestPlanMatchesBoxedHeap(t *testing.T) {
 						t.Fatalf("%s: ref %d is %+v, want %+v", label, i, plan[i], want[i])
 					}
 				}
-				for pid := range got.leafLB {
-					if math.Float64bits(got.leafLB[pid]) != math.Float64bits(oracle.leafLB[pid]) ||
-						math.Float64bits(got.leafUB[pid]) != math.Float64bits(oracle.leafUB[pid]) {
+				gotLB, gotUB := got.leafMemo()
+				wantLB, wantUB := oracle.leafMemo()
+				for pid := range gotLB {
+					if math.Float64bits(gotLB[pid]) != math.Float64bits(wantLB[pid]) ||
+						math.Float64bits(gotUB[pid]) != math.Float64bits(wantUB[pid]) {
 						t.Fatalf("%s: page %d memo [%v, %v], want [%v, %v]", label, pid,
-							got.leafLB[pid], got.leafUB[pid], oracle.leafLB[pid], oracle.leafUB[pid])
+							gotLB[pid], gotUB[pid], wantLB[pid], wantUB[pid])
 					}
 				}
 			}

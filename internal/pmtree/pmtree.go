@@ -500,27 +500,17 @@ func (e *Engine) PivotDistCalcs() int64 { return e.pivotCalcs.Load() }
 func (e *Engine) BuildDistCalcs() int64 { return e.buildCalcs }
 
 // Prepare computes the query's pivot distances once and returns the handle
-// that memoizes routing-center distances and per-page bounds.
+// that memoizes routing-center distances and per-page bounds: the handle
+// and one slab holding the pivot distances and the memos.
 func (e *Engine) Prepare(q vec.Vector) engine.PreparedQuery {
-	qp := make([]float64, len(e.pivots))
+	np := len(e.pivots)
+	p := &prepared{e: e, q: q, memo: make([]float64, np+len(e.nodes)+2*len(e.pageLens))}
 	for i, pv := range e.pivots {
-		qp[i] = e.metric.Distance(q, pv)
+		p.memo[i] = e.metric.Distance(q, pv)
 	}
-	e.pivotCalcs.Add(int64(len(qp)))
-	p := &prepared{
-		e:          e,
-		q:          q,
-		qp:         qp,
-		centerDist: make([]float64, len(e.nodes)),
-		leafLB:     make([]float64, len(e.pageLens)),
-		leafUB:     make([]float64, len(e.pageLens)),
-	}
-	for i := range p.centerDist {
-		p.centerDist[i] = math.NaN()
-	}
-	for i := range p.leafLB {
-		p.leafLB[i] = math.NaN()
-		p.leafUB[i] = math.NaN()
+	e.pivotCalcs.Add(int64(np))
+	for i := np; i < len(p.memo); i++ {
+		p.memo[i] = math.NaN()
 	}
 	return p
 }
@@ -531,23 +521,29 @@ func (e *Engine) Prepare(q vec.Vector) engine.PreparedQuery {
 // only. PreparedQuery handles are single-owner by contract, so the memos
 // need no locking.
 type prepared struct {
-	e          *Engine
-	q          vec.Vector
-	qp         []float64
-	centerDist []float64 // per node, NaN = not yet computed
-	leafLB     []float64 // per page, NaN = not yet computed
-	leafUB     []float64
+	e *Engine
+	q vec.Vector
+	// memo: the query's pivot distances, then d(q, center) per node, then
+	// leafMemo; NaN = not yet computed.
+	memo []float64
+}
+
+// leafMemo returns the per-page memos: lower bounds and upper bounds.
+func (p *prepared) leafMemo() (lb, ub []float64) {
+	nl := len(p.e.pageLens)
+	at := len(p.e.pivots) + len(p.e.nodes)
+	return p.memo[at : at+nl : at+nl], p.memo[at+nl:]
 }
 
 // center returns the memoized d(q, center) of node i.
 func (p *prepared) center(i int) float64 {
-	if d := p.centerDist[i]; !math.IsNaN(d) {
-		return d
+	m := &p.memo[len(p.e.pivots)+i]
+	if !math.IsNaN(*m) {
+		return *m
 	}
-	d := p.e.metric.Distance(p.q, p.e.nodes[i].center)
+	*m = p.e.metric.Distance(p.q, p.e.nodes[i].center)
 	p.e.pivotCalcs.Add(1)
-	p.centerDist[i] = d
-	return d
+	return *m
 }
 
 // nodeLB is the node's lower bound: the larger of the ball bound and the
@@ -558,7 +554,7 @@ func (p *prepared) nodeLB(i int) float64 {
 	if lb < 0 {
 		lb = 0
 	}
-	for pi, qp := range p.qp {
+	for pi, qp := range p.memo[:len(p.e.pivots)] {
 		if d := qp - nd.ringMax[pi]; d > lb {
 			lb = d
 		}
@@ -574,7 +570,7 @@ func (p *prepared) nodeLB(i int) float64 {
 func (p *prepared) nodeUB(i int) float64 {
 	nd := &p.e.nodes[i]
 	ub := p.center(i) + nd.radius
-	for pi, qp := range p.qp {
+	for pi, qp := range p.memo[:len(p.e.pivots)] {
 		if d := qp + nd.ringMax[pi]; d < ub {
 			ub = d
 		}
@@ -585,11 +581,12 @@ func (p *prepared) nodeUB(i int) float64 {
 // leafBounds returns the memoized bounds of the leaf holding page pid.
 // Leaves occupy the first NumPages slots of the node slice in page order.
 func (p *prepared) leafBounds(pid store.PageID) (lb, ub float64) {
-	if lb = p.leafLB[pid]; !math.IsNaN(lb) {
-		return lb, p.leafUB[pid]
+	lbs, ubs := p.leafMemo()
+	if lb = lbs[pid]; !math.IsNaN(lb) {
+		return lb, ubs[pid]
 	}
 	lb, ub = p.nodeLB(int(pid)), p.nodeUB(int(pid))
-	p.leafLB[pid], p.leafUB[pid] = lb, ub
+	lbs[pid], ubs[pid] = lb, ub
 	return lb, ub
 }
 
@@ -663,6 +660,7 @@ func (p *prepared) AppendPlan(dst []engine.PageRef, queryDist float64) []engine.
 	var frame [128]planEntry
 	h := append(planHeap(frame[:0]), planEntry{lb: p.rootLB(root), node: root})
 	dst = engine.GrowPlan(dst, len(e.pageLens))
+	lbs, ubs := p.leafMemo()
 	for len(h) > 0 {
 		var ent planEntry
 		ent, h = h.pop()
@@ -673,9 +671,9 @@ func (p *prepared) AppendPlan(dst []engine.PageRef, queryDist float64) []engine.
 		if nd.isLeaf() {
 			// Memoize the leaf bound under the same clamp the emitted ref
 			// carries, so MinDist(pid) agrees with the plan entry.
-			if math.IsNaN(p.leafLB[nd.pid]) {
-				p.leafLB[nd.pid] = ent.lb
-				p.leafUB[nd.pid] = p.nodeUB(ent.node)
+			if math.IsNaN(lbs[nd.pid]) {
+				lbs[nd.pid] = ent.lb
+				ubs[nd.pid] = p.nodeUB(ent.node)
 			}
 			dst = append(dst, engine.PageRef{ID: nd.pid, MinDist: ent.lb})
 			continue

@@ -159,7 +159,19 @@ func (l *AnswerList) Object() vec.Vector { return l.obj }
 // returned slice is owned by the list; callers must not modify it.
 func (l *AnswerList) Answers() []Answer {
 	if !l.sorted {
-		slices.SortFunc(l.answers, func(a, b Answer) int {
+		sortAnswers(l.answers)
+		l.sorted = true
+	}
+	return l.answers
+}
+
+// shortSort: a mining query's range list is rarely longer.
+const shortSort = 32
+
+// sortAnswers puts as in (distance, ID) order.
+func sortAnswers(as []Answer) {
+	if len(as) > shortSort {
+		slices.SortFunc(as, func(a, b Answer) int {
 			switch {
 			case less(a, b):
 				return -1
@@ -168,17 +180,15 @@ func (l *AnswerList) Answers() []Answer {
 			}
 			return 0
 		})
-		l.sorted = true
+		return
 	}
-	return l.answers
-}
-
-// Clone returns a deep copy of the list, used when buffering partial
-// answers between incremental multi-query calls.
-func (l *AnswerList) Clone() *AnswerList {
-	c := &AnswerList{typ: l.typ, obj: l.obj, sorted: l.sorted}
-	c.answers = append([]Answer(nil), l.answers...)
-	return c
+	for i := 1; i < len(as); i++ {
+		a, j := as[i], i
+		for ; j > 0 && less(a, as[j-1]); j-- {
+			as[j] = as[j-1]
+		}
+		as[j] = a
+	}
 }
 
 // IDs returns just the item IDs of the answers, in result order.

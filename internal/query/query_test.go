@@ -1,6 +1,7 @@
 package query
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -186,22 +187,6 @@ func TestAnswerListTieBreaking(t *testing.T) {
 	}
 }
 
-func TestAnswerListClone(t *testing.T) {
-	l := NewAnswerList(NewKNN(2))
-	l.Consider(1, 1)
-	c := l.Clone()
-	c.Consider(2, 0.5)
-	if l.Len() != 1 {
-		t.Error("Clone shares answer storage")
-	}
-	if c.Len() != 2 {
-		t.Error("Clone lost answers")
-	}
-	if c.Type() != l.Type() {
-		t.Error("Clone changed the type")
-	}
-}
-
 // TestConsiderAllMatchesConsider: a batch offered through ConsiderAll leaves
 // the list exactly as the same answers offered one by one through Consider —
 // the same elements in the same order, the same sortedness — for range lists
@@ -259,8 +244,9 @@ func TestConsiderAllMatchesConsider(t *testing.T) {
 func TestAnswerListRecordsItsQuery(t *testing.T) {
 	q := vec.Vector{1, 2}
 	l := NewAnswerListFor(q, NewKNN(2))
-	if c := l.Clone(); &l.Object()[0] != &q[0] || &c.Object()[0] != &q[0] {
-		t.Error("the list, or its clone, lost the query object")
+	l.Consider(3, 0.5)
+	if &l.Object()[0] != &q[0] || len(l.Object()) != len(q) {
+		t.Error("the list lost the query object")
 	}
 	if NewAnswerList(NewKNN(2)).Object() != nil {
 		t.Error("a list created without a query object reports one")
@@ -405,6 +391,34 @@ func TestFullBoundedConsiderAllocatesNothing(t *testing.T) {
 		for _, l := range lists {
 			if l.Len() != k || l.Answers()[0].Dist != 0 {
 				t.Fatalf("k=%d: list holds %d answers, the first %v", k, l.Len(), l.Answers()[0])
+			}
+		}
+	}
+}
+
+// TestShortSortsMatchSortFunc: Answers sorts a short list by insertion and
+// a long one by slices.SortFunc; at every length from 0 to 40, over lists
+// with many ties on distance, both give what slices.SortFunc gives by
+// (distance, ID).
+func TestShortSortsMatchSortFunc(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	byDistID := func(a, b Answer) int {
+		if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	}
+	for n := 0; n <= 40; n++ {
+		for round := 0; round < 20; round++ {
+			l := NewAnswerListFor(vec.Vector{1}, NewRange(1))
+			for _, id := range rng.Perm(n) {
+				// Few distinct distances, so that most answers tie on one.
+				l.Consider(store.ItemID(id), float64(rng.Intn(1+n/4))/8)
+			}
+			want := slices.Clone(l.answers)
+			slices.SortFunc(want, byDistID)
+			if got := l.Answers(); !slices.Equal(got, want) {
+				t.Fatalf("%d answers, round %d: %v, want %v", n, round, got, want)
 			}
 		}
 	}

@@ -248,7 +248,7 @@ func TestPagerUncontendedMissAllocatesNothing(t *testing.T) {
 	var f *flight
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		pager.mu.Lock()
-		f = pager.inflight[1]
+		f = flying(pager, 1)
 		joined := f != nil && f.waiters == 1
 		pager.mu.Unlock()
 		if joined {

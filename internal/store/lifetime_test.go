@@ -147,7 +147,7 @@ func TestPagerPinsSingleflightWaiters(t *testing.T) {
 	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		pager.mu.Lock()
-		f := pager.inflight[2]
+		f := flying(pager, 2)
 		joined := f != nil && f.waiters == readers-1
 		pager.mu.Unlock()
 		if joined {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,8 +28,9 @@ type Pager struct {
 	disk PageSource
 	buf  *Buffer
 
-	mu       sync.Mutex
-	inflight map[PageID]*flight
+	mu sync.Mutex
+	// inflight holds the disk reads in progress, one per concurrent miss.
+	inflight []*flight
 	// spare is a finished flight nobody waited on, kept for the next miss:
 	// a miss with no company, the common case, then allocates nothing. A
 	// flight that had waiters is never reused, because they read its page
@@ -44,6 +46,7 @@ type Pager struct {
 
 // flight is one in-progress disk read awaited by one or more callers.
 type flight struct {
+	pid     PageID
 	done    sync.WaitGroup
 	waiters int // callers blocked on done; guarded by Pager.mu
 	page    *Page
@@ -56,7 +59,7 @@ func NewPager(disk PageSource, buf *Buffer) (*Pager, error) {
 	if disk == nil {
 		return nil, fmt.Errorf("store: pager needs a disk")
 	}
-	return &Pager{disk: disk, buf: buf, inflight: make(map[PageID]*flight)}, nil
+	return &Pager{disk: disk, buf: buf}, nil
 }
 
 // ReadPage returns the page, going to disk only on a buffer miss. The buffer
@@ -75,19 +78,22 @@ func (p *Pager) ReadPage(pid PageID) (*Page, error) {
 			return pg, nil
 		}
 	}
-	if f, ok := p.inflight[pid]; ok {
-		f.waiters++
-		p.mu.Unlock()
-		f.done.Wait()
-		return f.page, f.err
+	for _, f := range p.inflight {
+		if f.pid == pid {
+			f.waiters++
+			p.mu.Unlock()
+			f.done.Wait()
+			return f.page, f.err
+		}
 	}
 	f := p.spare
 	if f == nil {
 		f = &flight{}
 	}
 	p.spare = nil
+	f.pid = pid
 	f.done.Add(1)
-	p.inflight[pid] = f
+	p.inflight = append(p.inflight, f)
 	p.mu.Unlock()
 
 	tr := p.tracer.Load()
@@ -107,9 +113,9 @@ func (p *Pager) ReadPage(pid PageID) (*Page, error) {
 		p.buf.Put(pid, page)
 	}
 	p.mu.Lock()
-	delete(p.inflight, pid)
+	p.inflight = slices.DeleteFunc(p.inflight, func(g *flight) bool { return g == f })
 	if f.waiters == 0 {
-		// Out of the map, the flight is nobody else's: it goes back as
+		// Out of inflight, the flight is nobody else's: it goes back as
 		// it came, with nothing to hand over.
 		f.done.Done()
 		p.spare = f
