@@ -1,4 +1,4 @@
-.PHONY: check fmt vet compat build portable test race differential obsgate fuzz-smoke bench bench-all bench-check bench-smoke loc pairs
+.PHONY: check fmt vet compat build portable test race differential obsgate fuzz-smoke bench bench-all bench-check bench-smoke loc pairs e2e-pairs
 
 # The pre-PR gate: formatting, static analysis, the compat shims' fence,
 # build, the portable row
@@ -111,7 +111,9 @@ race:
 # for every batch size, and what an index build decides: the X-tree's and
 # the PM-tree's layouts are pinned bit for bit (leaf order, page contents,
 # MBRs, balls, rings, build distances) however the build sorts and selects
-# (and the PM-tree's selection takes exactly what a sort would),
+# (and the PM-tree's selection takes exactly what a sort would), the
+# X-tree's pages own their vectors (capped rows of one array in page order,
+# bit-equal to the caller's, which stay untouched; no leaf keeps its items),
 # and every engine kind refuses a NaN or infinite coordinate; the page
 # buffer indexed by page ID against a container/list LRU (contents, order,
 # counters and pins), the short insertion sorts of answers and plans against
@@ -120,7 +122,7 @@ race:
 # held and completed IDs with the same array, an equal copy or another
 # vector — all under the race detector.
 differential:
-	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestRowScreenSound|TestRowLanes|TestItemLanes|FuzzEucItems|TestItemsDimensionMismatch|TestSweepRecords|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPagerUncontendedMissAllocatesNothing|TestPageRecycle|TestDecodedPageAliasesRecord|TestRebind|TestCRC32C|FuzzCRC32C|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode|TestBlockSweepMatchesLone|TestLaneSweep|FuzzLaneSweep|TestFanOut|TestResultsSliceIsSessionScratch|TestSlideAllocations|TestCompletedQueriesReleaseTheirState|TestRecycledStateIsNeverStale|TestStagedAcceptsMatchPerAccept|TestConsiderAllMatchesConsider|TestDBSCANBatchSizesAgree|TestBulkGoldenDigest|TestLayoutGoldenDigest|TestNearestFirstTakesTheSmallest|TestNonFiniteCoordinatesRejected|TestPlanAllocatesItsResultOnly|TestAppendPlanIsPlan|TestBoundedConsiderMatchesModel|TestFullBoundedConsiderAllocatesNothing|TestBufferMatchesLRUModel|TestShortSortsMatchSortFunc|TestSessionMatrixAgainstBruteForce' \
+	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestRowScreenSound|TestRowLanes|TestItemLanes|FuzzEucItems|TestItemsDimensionMismatch|TestSweepRecords|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPagerUncontendedMissAllocatesNothing|TestPageRecycle|TestDecodedPageAliasesRecord|TestRebind|TestCRC32C|FuzzCRC32C|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode|TestBlockSweepMatchesLone|TestLaneSweep|FuzzLaneSweep|TestFanOut|TestResultsSliceIsSessionScratch|TestSlideAllocations|TestCompletedQueriesReleaseTheirState|TestRecycledStateIsNeverStale|TestStagedAcceptsMatchPerAccept|TestConsiderAllMatchesConsider|TestDBSCANBatchSizesAgree|TestBulkGoldenDigest|TestLayoutGoldenDigest|TestNearestFirstTakesTheSmallest|TestNonFiniteCoordinatesRejected|TestPlanAllocatesItsResultOnly|TestAppendPlanIsPlan|TestBoundedConsiderMatchesModel|TestFullBoundedConsiderAllocatesNothing|TestBufferMatchesLRUModel|TestShortSortsMatchSortFunc|TestSessionMatrixAgainstBruteForce|TestBuildPacksDataPages' \
 		./internal/msq/ ./internal/query/ ./internal/engine/ ./internal/store/ ./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/pmtree/ ./internal/engines/ ./internal/parallel/ ./internal/explore/ .
 
 # A short fuzz of the persistent-storage decoders: corrupt page records
@@ -227,6 +229,17 @@ bench:
 #   make pairs BENCH=BenchmarkDBSCAN PKG=./internal/explore/ BASE=HEAD HEAD=. N=12
 pairs:
 	@bash scripts/pairs.sh '$(BENCH)' '$(PKG)' '$(BASE)' '$(HEAD)' '$(N)' $(BENCHTIME)
+
+# The end-to-end cost of a change on one benchmark workload in alternating
+# pairs: the benchmark built at BASE and at HEAD as bench/run.sh builds it,
+# run on W for SECONDS (default 10) at seed 1 in N pairs, the side that
+# runs first alternating, with every end-to-end metric's per-pair change
+# ÷ base, its median and how many pairs went each way printed
+# (scripts/e2e-pairs.sh) — peak_rss_mb included, which `make pairs` cannot
+# see.
+#   make e2e-pairs W=dbscan_xtree BASE=HEAD HEAD=. N=6
+e2e-pairs:
+	@bash scripts/e2e-pairs.sh '$(W)' '$(BASE)' '$(HEAD)' '$(N)' $(SECONDS)
 
 # Every benchmark in the repository, including the paper-figure suites.
 bench-all:

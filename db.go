@@ -159,9 +159,12 @@ type DB struct {
 }
 
 // Open builds a database over items. Items must be numbered 0..n-1 (see
-// NewItems) and dimensionally consistent; they are not copied. Options are
-// checked with Options.Validate and defaulted with the documented sentinel
-// rules before the engine is built.
+// NewItems) and dimensionally consistent. The DB keeps the slice and the
+// vectors, so neither may change while it is open: the X-tree engine copies
+// the coordinates into its data pages (8·dim bytes an item, one array in
+// page order), and every other engine reads the caller's vectors. Options
+// are checked with Options.Validate and defaulted with the documented
+// sentinel rules before the engine is built.
 func Open(items []Item, opts Options) (*DB, error) {
 	dim, err := validateItems(items)
 	if err != nil {

@@ -120,8 +120,10 @@ type Session struct {
 	// completed is the registry of completed queries: one answer list per
 	// ID, which records the query object and type.
 	completed map[uint64]*query.AnswerList
-	// spare holds retired states for the next queries that enter.
-	spare []*queryState
+	// spare holds retired states for the next queries that enter;
+	// spare[:trimmed] are ones retire has taken the page sets of.
+	spare   []*queryState
+	trimmed int
 	// stamp counts the calls on the session; see queryState.stamp.
 	stamp uint64
 	// matrix holds the distances between the buffered incomplete queries.
@@ -378,6 +380,7 @@ func (s *Session) take(q Query) *queryState {
 	var st *queryState
 	if n := len(s.spare); n > 0 {
 		st, s.spare = s.spare[n-1], s.spare[:n-1]
+		s.trimmed = min(s.trimmed, n-1)
 	} else {
 		st = &queryState{slot: noSlot}
 	}
@@ -420,6 +423,8 @@ func (s *Session) release(st *queryState) {
 // can take (take pops from the top, where they are): after a wide call a
 // narrower session lets the other page sets go, and keeps their structs —
 // as many as the widest batch, like the matrix — for the next wide call.
+// The states trimmed by an earlier call stay at the bottom, so each state
+// is trimmed once.
 func (s *Session) retire(width int) {
 	for _, st := range s.finished {
 		if s.completed == nil {
@@ -429,9 +434,11 @@ func (s *Session) retire(width int) {
 		s.release(st)
 	}
 	s.finished = s.finished[:0]
-	for _, st := range s.spare[:max(len(s.spare)-width, 0)] {
+	keep := max(len(s.spare)-width, 0)
+	for _, st := range s.spare[min(s.trimmed, keep):keep] {
 		st.processed = nil
 	}
+	s.trimmed = max(s.trimmed, keep)
 }
 
 // prepareBlock hands the queries that entered this call — the admitted ones

@@ -114,9 +114,18 @@ func registered(s *Session) int {
 }
 
 // checkSpare holds the free list to its contract: every state on it is
-// released — no query, no list, no handle, in no index — and on it once.
+// released — no query, no list, no handle, in no index — and on it once,
+// and the trimmed bottom holds no page set.
 func checkSpare(t *testing.T, s *Session) {
 	t.Helper()
+	if s.trimmed > len(s.spare) {
+		t.Fatalf("%d states counted trimmed on a free list of %d", s.trimmed, len(s.spare))
+	}
+	for _, st := range s.spare[:s.trimmed] {
+		if st.processed != nil {
+			t.Fatalf("a state counted trimmed still holds its page set")
+		}
+	}
 	seen := make(map[*queryState]bool, len(s.spare))
 	for _, st := range s.spare {
 		if seen[st] {

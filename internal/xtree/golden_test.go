@@ -2,12 +2,14 @@ package xtree
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"metricdb/internal/store"
 	"metricdb/internal/vec"
@@ -116,7 +118,7 @@ func TestBulkAllocationCeiling(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
 		t.Errorf("Bulk allocated %.1f MB in %d objects, ceiling %d MB", float64(got)/(1<<20), after.Mallocs-before.Mallocs, ceiling>>20)
 	}
-	// A page's Items array is sized to the page, and the leaf shares it.
+	// A page's Items array is sized to the page.
 	for pid := 0; pid < tr.NumPages(); pid++ {
 		page, err := tr.ReadPage(store.PageID(pid))
 		if err != nil {
@@ -125,6 +127,147 @@ func TestBulkAllocationCeiling(t *testing.T) {
 		if cap(page.Items) != len(page.Items) {
 			t.Fatalf("page %d: cap %d for %d items", pid, cap(page.Items), len(page.Items))
 		}
+	}
+}
+
+// TestBuildPacksDataPages holds Build to the layout the page loop streams:
+// the pages' vectors are capped rows of one array, consecutive in page
+// order across pages, each bit-equal to the caller's item with its ID and
+// none sharing memory with the caller's vectors, which Build leaves as they
+// were; the leaves keep no items, and Stats still counts them all.
+func TestBuildPacksDataPages(t *testing.T) {
+	cases := []struct {
+		name   string
+		n, dim int
+		cfg    Config
+	}{
+		{"supernodes/fanout8", 6000, 5, Config{LeafCapacity: 4, DirFanout: 8}},
+		{"one leaf", 7, 3, testConfig()},
+		{"empty", 0, 3, testConfig()},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			items := uniformItems(rand.New(rand.NewSource(4)), c.n, c.dim)
+			for i := range items {
+				items[i].Label = 3 * i
+			}
+			before := make([]store.Item, len(items))
+			for i, it := range items {
+				before[i] = it
+				before[i].Vec = append(vec.Vector(nil), it.Vec...)
+			}
+			tr, err := Bulk(items, c.dim, c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			var rows []store.Item
+			for pid := 0; pid < tr.NumPages(); pid++ {
+				page, err := tr.ReadPage(store.PageID(pid))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows = append(rows, page.Items...)
+			}
+			if len(rows) != len(items) {
+				t.Fatalf("%d rows on the pages for %d items", len(rows), len(items))
+			}
+			row := c.dim * int(unsafe.Sizeof(float64(0)))
+			var base uintptr
+			seen := make([]bool, len(items))
+			for k, it := range rows {
+				if len(it.Vec) != c.dim || cap(it.Vec) != c.dim {
+					t.Fatalf("row %d: len %d cap %d, want %d", k, len(it.Vec), cap(it.Vec), c.dim)
+				}
+				at := uintptr(unsafe.Pointer(&it.Vec[0]))
+				if k == 0 {
+					base = at
+				}
+				if at != base+uintptr(k*row) {
+					t.Fatalf("row %d (item %d) at %#x, want %#x: not the next row of one array", k, it.ID, at, base+uintptr(k*row))
+				}
+				id := int(it.ID)
+				if id < 0 || id >= len(items) || seen[id] {
+					t.Fatalf("row %d holds item %d twice or out of range", k, id)
+				}
+				seen[id] = true
+				want := before[id]
+				if it.Label != want.Label {
+					t.Errorf("item %d: label %d, want %d", id, it.Label, want.Label)
+				}
+				for d := range want.Vec {
+					if math.Float64bits(it.Vec[d]) != math.Float64bits(want.Vec[d]) {
+						t.Fatalf("item %d: coordinate %d is %v, want %v", id, d, it.Vec[d], want.Vec[d])
+					}
+				}
+			}
+			end := base + uintptr(len(rows)*row)
+			for i, it := range items {
+				if at := uintptr(unsafe.Pointer(&it.Vec[0])); at >= base && at < end {
+					t.Fatalf("the caller's item %d lies inside the pages' array", i)
+				}
+				for d := range it.Vec {
+					if math.Float64bits(it.Vec[d]) != math.Float64bits(before[i].Vec[d]) {
+						t.Fatalf("the caller's item %d changed at coordinate %d", i, d)
+					}
+				}
+			}
+
+			var walk func(n *node)
+			walk = func(n *node) {
+				if n.items != nil {
+					t.Errorf("leaf of page %d holds %d items after Build", n.pid, len(n.items))
+				}
+				for _, ch := range n.children {
+					walk(ch)
+				}
+			}
+			walk(tr.root)
+			if got := tr.Stats().Items; got != tr.Len() || got != c.n {
+				t.Errorf("Stats().Items = %d, Len() = %d, want %d", got, tr.Len(), c.n)
+			}
+		})
+	}
+}
+
+// TestFailedBuildKeepsItems: a Build that fails in its disk hook leaves
+// the leaves their items, so a second Build packs every item.
+func TestFailedBuildKeepsItems(t *testing.T) {
+	items := uniformItems(rand.New(rand.NewSource(5)), 300, 4)
+	fail := true
+	cfg := testConfig()
+	cfg.WrapDisk = func(src store.PageSource) (store.PageSource, error) {
+		if fail {
+			return nil, errors.New("disk full")
+		}
+		return src, nil
+	}
+	tr, err := New(4, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range items {
+		if err := tr.Insert(it); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Build(); err == nil {
+		t.Fatal("Build succeeded through a failing disk hook")
+	}
+	fail = false
+	if err := tr.Build(); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for pid := 0; pid < tr.NumPages(); pid++ {
+		page, err := tr.ReadPage(store.PageID(pid))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += len(page.Items)
+	}
+	if n != len(items) {
+		t.Errorf("the second Build paged %d of %d items", n, len(items))
 	}
 }
 

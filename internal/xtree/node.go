@@ -9,7 +9,8 @@
 // on the simulated disk, so I/O accounting covers exactly the data-page
 // accesses that Figure 7 of the multi-query paper reports. Leaf pages are
 // laid out on disk in tree order, giving spatially clustered physical
-// addresses.
+// addresses, and their vectors in memory in the same order: Build copies
+// the coordinates into one array, so a page's rows are consecutive.
 //
 // A built tree is immutable on the query path: Plan, MinDist, MaxDist and
 // ReadPage only walk the in-memory directory and read through the pager,
@@ -23,15 +24,16 @@ import (
 	"metricdb/internal/vec"
 )
 
-// node is one X-tree node. Leaves (level 0) hold items and map 1:1 to disk
-// data pages after Build; directory nodes hold children. A directory node
-// whose children count exceeds the normal fanout is a supernode.
+// node is one X-tree node. Leaves (level 0) hold items until Build copies
+// them to the disk data pages the leaves map to 1:1; directory nodes hold
+// children. A directory node whose children count exceeds the normal fanout
+// is a supernode.
 type node struct {
 	level    int // 0 for leaves
 	rect     geom.Rect
 	children []*node      // directory nodes only
 	boxes    *vec.Boxes   // the children's MBRs in child order; set by Build
-	items    []store.Item // leaves only
+	items    []store.Item // leaves only, until Build copies them to the page
 	pid      store.PageID // assigned by flush; InvalidPage before
 	// splitHist is the X-tree split history: a bit per dimension that
 	// some ancestor split of this node used. If every child of a
@@ -61,7 +63,6 @@ type Stats struct {
 func collectStats(n *node, fanout int, s *Stats) {
 	if n.isLeaf() {
 		s.Leaves++
-		s.Items += len(n.items)
 		return
 	}
 	s.DirNodes++

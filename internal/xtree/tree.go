@@ -421,7 +421,11 @@ func (t *Tree) overlapFreeSplit(n *node, rects []geom.Rect, minFill int) (splitR
 // Build materializes the leaf level as data pages on a fresh simulated
 // disk, laid out in tree (DFS) order so that physically close pages are
 // spatially close, and lays every directory node's child MBRs out as the
-// lanes Plan sweeps. After Build the tree is immutable and serves queries.
+// lanes Plan sweeps. The pages own their coordinates: every item's vector
+// is copied into one array in page order, a capped row each, so a page's
+// vectors are consecutive in memory whatever the caller's layout, and the
+// leaves let their items go. After Build the tree is immutable and serves
+// queries.
 func (t *Tree) Build() error {
 	if t.built {
 		return fmt.Errorf("xtree: already built")
@@ -429,16 +433,24 @@ func (t *Tree) Build() error {
 	var pages []*store.Page
 	var rects []geom.Rect
 	var lens []int
+	var flushed []*node // the leaves, in page order
+	coords := make([]float64, t.count*t.dim)
 	var flush func(n *node)
 	flush = func(n *node) {
 		if n.isLeaf() {
 			n.pid = store.PageID(len(pages))
-			// The page and the leaf share an array sized to the items;
-			// the append-grown one the inserts filled is dropped.
-			n.items = append(make([]store.Item, 0, len(n.items)), n.items...)
-			pages = append(pages, &store.Page{ID: n.pid, Items: n.items})
+			items := make([]store.Item, len(n.items))
+			for i, it := range n.items {
+				row := coords[:t.dim:t.dim]
+				coords = coords[t.dim:]
+				copy(row, it.Vec)
+				it.Vec = row
+				items[i] = it
+			}
+			pages = append(pages, &store.Page{ID: n.pid, Items: items})
 			rects = append(rects, n.rect)
-			lens = append(lens, len(n.items))
+			lens = append(lens, len(items))
+			flushed = append(flushed, n)
 			return
 		}
 		kids := make([]geom.Rect, len(n.children))
@@ -478,6 +490,9 @@ func (t *Tree) Build() error {
 	t.leaves = t.boxes(rects)
 	t.leafLens = lens
 	t.built = true
+	for _, n := range flushed {
+		n.items = nil // the page holds them; a failed Build keeps them to retry
+	}
 	// No insert, so no split or subtree choice, follows.
 	t.split, t.choose = splitScratch{}, chooseScratch{}
 	return nil
@@ -512,8 +527,7 @@ func Bulk(items []store.Item, dim int, cfg Config) (*Tree, error) {
 
 // Stats returns shape statistics of the tree.
 func (t *Tree) Stats() Stats {
-	var s Stats
-	s.Height = t.root.level + 1
+	s := Stats{Height: t.root.level + 1, Items: t.count}
 	collectStats(t.root, t.cfg.DirFanout, &s)
 	return s
 }

@@ -26,24 +26,16 @@ bench=$1 pkg=$2 base=$3 head=$4 n=$5 benchtime=${6:-40x}
 case $n in '' | *[!0-9]*) echo "pairs: N must be a positive integer, got '$n'" >&2; exit 2 ;; esac
 [ "$n" -ge 1 ] || { echo "pairs: N must be at least 1" >&2; exit 2; }
 
-root=$(git rev-parse --show-toplevel)
+. "$(dirname "$0")/export.sh"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 # build REV NAME: export REV's tree (the working tree for ".") and build
 # PKG's test binary from it as $tmp/NAME.test.
 build() {
-	local rev=$1 name=$2 src="$tmp/$2-src"
-	mkdir -p "$src"
-	if [ "$rev" = "." ]; then
-		# Tracked and untracked files, less those deleted in the tree.
-		(cd "$root" && git ls-files -z --cached --others --exclude-standard |
-			while IFS= read -r -d '' f; do if [ -e "$f" ]; then printf '%s\0' "$f"; fi; done |
-			tar --null -T - -cf -) | tar -xf - -C "$src"
-	else
-		git -C "$root" archive "$rev" | tar -xf - -C "$src"
-	fi
-	(cd "$src" && go test -c -o "$tmp/$name.test" "$pkg")
+	local src="$tmp/$2-src"
+	export_rev "$1" "$src"
+	(cd "$src" && go test -c -o "$tmp/$2.test" "$pkg")
 }
 build "$base" base
 build "$head" head
