@@ -232,14 +232,14 @@ pairs:
 
 # The end-to-end cost of a change on one benchmark workload in alternating
 # pairs: the benchmark built at BASE and at HEAD as bench/run.sh builds it,
-# run on W for SECONDS (default 10) at seed 1 in N pairs, the side that
-# runs first alternating, with every end-to-end metric's per-pair change
-# ÷ base, its median and how many pairs went each way printed
-# (scripts/e2e-pairs.sh) — peak_rss_mb included, which `make pairs` cannot
-# see.
-#   make e2e-pairs W=dbscan_xtree BASE=HEAD HEAD=. N=6
+# run on W for BENCHMARK.json's run_seconds at seed 1 in N pairs, the
+# side that runs first alternating, with every end-to-end metric's
+# per-pair change ÷ base, its median and how many pairs went each way
+# printed (scripts/e2e-pairs.sh) — peak_rss_mb included, which `make pairs`
+# cannot see.
+#   make e2e-pairs W=dbscan_xtree BASE=HEAD HEAD=. N=10
 e2e-pairs:
-	@bash scripts/e2e-pairs.sh '$(W)' '$(BASE)' '$(HEAD)' '$(N)' $(SECONDS)
+	@bash scripts/e2e-pairs.sh '$(W)' '$(BASE)' '$(HEAD)' '$(N)'
 
 # Every benchmark in the repository, including the paper-figure suites.
 bench-all:

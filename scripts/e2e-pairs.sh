@@ -2,16 +2,17 @@
 # e2e-pairs.sh — a change's end-to-end cost on one benchmark workload,
 # measured in alternating pairs.
 #
-#   scripts/e2e-pairs.sh W BASE HEAD N [SECONDS]
-#   make e2e-pairs W=dbscan_xtree BASE=HEAD HEAD=. N=6
+#   scripts/e2e-pairs.sh W BASE HEAD N
+#   make e2e-pairs W=dbscan_xtree BASE=HEAD HEAD=. N=10
 #
 # Builds the benchmark (bench/) at two revisions — BASE and HEAD, any git
 # revision, or "." for the working tree — each from a temporary export of
 # its tree and with bench/run.sh's build line. Then it runs the two
-# binaries in N pairs on -workload W -seed 1 -seconds SECONDS (default 10)
-# -trace 0, the side that runs first alternating from pair to pair, and
-# prints every end-to-end metric's change (head − base) ÷ base in each
-# pair, its median, and how many pairs it went down and up. Unlike
+# binaries in N pairs on -workload W -seed 1 -trace 0 for the benchmark's
+# own run length (BENCHMARK.json's run_seconds), the side that runs first
+# alternating from pair to pair, and prints every end-to-end metric's
+# change (head − base) ÷ base in each pair, its median, and how many pairs
+# it went down and up. Unlike
 # `make pairs`, which times a Go benchmark's CPU, this sees what the
 # benchmark judges: peak_rss_mb, setup_s, the latencies and the rest. A run
 # that exits non-zero or reports "correct":false stops the script with its
@@ -20,10 +21,12 @@
 set -euo pipefail
 
 if [ $# -lt 4 ]; then
-	echo "usage: $0 W BASE HEAD N [SECONDS]" >&2
+	echo "usage: $0 W BASE HEAD N" >&2
 	exit 2
 fi
-workload=$1 base=$2 head=$3 n=$4 seconds=${5:-10}
+workload=$1 base=$2 head=$3 n=$4
+seconds=$(sed -n 's/^ *"run_seconds": *\([0-9][0-9]*\).*/\1/p' "$(dirname "$0")/../BENCHMARK.json")
+[ -n "$seconds" ] || { echo "e2e-pairs: no run_seconds in BENCHMARK.json" >&2; exit 2; }
 case $n in '' | *[!0-9]*) echo "e2e-pairs: N must be a positive integer, got '$n'" >&2; exit 2 ;; esac
 [ "$n" -ge 1 ] || { echo "e2e-pairs: N must be at least 1" >&2; exit 2; }
 
