@@ -50,13 +50,18 @@ build:
 # to hash/crc32 alone and the arm64 vet checks the build without the fold.
 # The store decodes a page where its record lies and byte-swaps the
 # coordinates in place on a big-endian host; s390x builds and vets that
-# body here (TestBindSwapsBigEndianWords runs it on this host).
+# body here (TestBindSwapsBigEndianWords runs it on this host). A unix
+# FileDisk reads out of a mapping of the page file, and no unix build
+# compiles the pread-only body (internal/store/mmap_other.go): the windows
+# build and vet keep it compiling.
 portable:
 	go test -tags purego ./internal/vec/ ./internal/msq/ ./internal/xtree/ ./internal/vafile/ ./internal/store/
 	GOARCH=arm64 go build ./...
 	GOARCH=arm64 go vet ./internal/vec/ ./internal/vafile/ ./internal/store/
 	GOARCH=s390x go build ./...
 	GOARCH=s390x go vet ./internal/store/
+	GOOS=windows go build ./...
+	GOOS=windows go vet ./internal/store/
 
 # Tier-1: the fast suite. -short skips the stress tests and trims the
 # property-test rounds; the differential harness itself always runs.
@@ -85,12 +90,16 @@ race:
 # the allocation count, the byte swap, the decoder fuzz seeds — under -race,
 # checkptr checks that every vector pointed into a record stays inside that
 # one allocation; the tests check the alignment), a recycled page rebound
-# with the vector headers it kept against its record (one FileDisk in both
-# modes, over version-1 and version-2 records, through a record that grows,
-# fewer and more items; records of other shapes in place), the store's CRC-32C against
+# with the vector headers it kept against its record (one FileDisk on the
+# mapping and on the pread fallback, over version-1 and version-2 records,
+# through a record that grows, fewer and more items; records of other
+# shapes in place), the store's CRC-32C and its copy form against
 # hash/crc32 through every body (every length to 2 048 and the served
 # record's ± 300 at 64 offsets, chained at random splits, the fuzz seeds,
-# and the fold's loads held inside a guard page),
+# the copy equal to its source byte for byte, and the fold's loads held
+# inside a guard page, the copy's stores inside another), a page file
+# truncated under its mapping (the reads it cut fail as corrupt pages, the
+# process lives, the page before the cut still verifies),
 # concurrent sessions on one VA-file (its cell-table free lists, which every
 # session's block of queries shares), the VA-file's block sweep against
 # its lone sweep, bit for bit, and its lane-sweep bodies against a one-lane
@@ -122,14 +131,14 @@ race:
 # held and completed IDs with the same array, an equal copy or another
 # vector — all under the race detector.
 differential:
-	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestRowScreenSound|TestRowLanes|TestItemLanes|FuzzEucItems|TestItemsDimensionMismatch|TestSweepRecords|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPagerUncontendedMissAllocatesNothing|TestPageRecycle|TestDecodedPageAliasesRecord|TestRebind|TestCRC32C|FuzzCRC32C|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode|TestBlockSweepMatchesLone|TestLaneSweep|FuzzLaneSweep|TestFanOut|TestResultsSliceIsSessionScratch|TestSlideAllocations|TestCompletedQueriesReleaseTheirState|TestRecycledStateIsNeverStale|TestStagedAcceptsMatchPerAccept|TestConsiderAllMatchesConsider|TestDBSCANBatchSizesAgree|TestBulkGoldenDigest|TestLayoutGoldenDigest|TestNearestFirstTakesTheSmallest|TestNonFiniteCoordinatesRejected|TestPlanAllocatesItsResultOnly|TestAppendPlanIsPlan|TestBoundedConsiderMatchesModel|TestFullBoundedConsiderAllocatesNothing|TestBufferMatchesLRUModel|TestShortSortsMatchSortFunc|TestSessionMatrixAgainstBruteForce|TestBuildPacksDataPages' \
+	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestRowScreenSound|TestRowLanes|TestItemLanes|FuzzEucItems|TestItemsDimensionMismatch|TestSweepRecords|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPagerUncontendedMissAllocatesNothing|TestPageRecycle|TestDecodedPageAliasesRecord|TestRebind|TestCRC32C|FuzzCRC32C|TestTruncatedMappingIsCorruption|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode|TestBlockSweepMatchesLone|TestLaneSweep|FuzzLaneSweep|TestFanOut|TestResultsSliceIsSessionScratch|TestSlideAllocations|TestCompletedQueriesReleaseTheirState|TestRecycledStateIsNeverStale|TestStagedAcceptsMatchPerAccept|TestConsiderAllMatchesConsider|TestDBSCANBatchSizesAgree|TestBulkGoldenDigest|TestLayoutGoldenDigest|TestNearestFirstTakesTheSmallest|TestNonFiniteCoordinatesRejected|TestPlanAllocatesItsResultOnly|TestAppendPlanIsPlan|TestBoundedConsiderMatchesModel|TestFullBoundedConsiderAllocatesNothing|TestBufferMatchesLRUModel|TestShortSortsMatchSortFunc|TestSessionMatrixAgainstBruteForce|TestBuildPacksDataPages' \
 		./internal/msq/ ./internal/query/ ./internal/engine/ ./internal/store/ ./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/pmtree/ ./internal/engines/ ./internal/parallel/ ./internal/explore/ .
 
 # A short fuzz of the persistent-storage decoders: corrupt page records
 # and manifests must produce errors, never panics or over-allocation; the
-# store's CRC-32C must equal hash/crc32 through every body. The
-# committed seed corpora cover the interesting boundaries; 30 seconds per
-# target explores beyond them on every check. The four kernel targets hold
+# store's CRC-32C and its copy form must equal hash/crc32 through every
+# body. The committed seed corpora cover the interesting boundaries; 30
+# seconds per target explores beyond them on every check. The four kernel targets hold
 # the assembly and the portable bodies to the scalar kernel (the row
 # screens: also their rejections to the scalar kernel's and their masks to
 # the screen's definition; the item lanes: through both entries, in
@@ -207,8 +216,10 @@ loc:
 # the engines_lowdim shape (ns and heap bytes per build) and a one-shot 16-query k-NN batch on each
 # engine over it (B and allocations per query), the sliding window of a mining
 # loop, a whole DBSCAN job (ns and heap bytes per query), a stored page's decode (in place and from caller memory, ns/page and
-# B/op), a stored read split into pread, verify, bind and the whole miss,
-# the CRC-32C's two bodies and the stored scan's page path, the wire's four
+# B/op), a stored read split into the copy out of the mapping, the
+# fallback's pread, verify, bind and the whole miss, the CRC-32C's two
+# bodies (in place, copied then summed, and the one-pass copy) and the
+# stored scan's page path, the wire's four
 # message operations by the hand codec and by encoding/json (one 10-NN query
 # over 16 coordinates and its ten answers) and a served single query over
 # loopback with admission on (ns, B and allocations per query, both ends), then the end-to-end
@@ -234,9 +245,10 @@ pairs:
 # pairs: the benchmark built at BASE and at HEAD as bench/run.sh builds it,
 # run on W for BENCHMARK.json's run_seconds at seed 1 in N pairs, the
 # side that runs first alternating, with every end-to-end metric's
-# per-pair change ÷ base, its median and how many pairs went each way
-# printed (scripts/e2e-pairs.sh) — peak_rss_mb included, which `make pairs`
-# cannot see.
+# per-pair change ÷ base, its median, how many pairs went each way, each
+# side's median and the base's interquartile range printed
+# (scripts/e2e-pairs.sh) — peak_rss_mb included, which `make pairs` cannot
+# see.
 #   make e2e-pairs W=dbscan_xtree BASE=HEAD HEAD=. N=10
 e2e-pairs:
 	@bash scripts/e2e-pairs.sh '$(W)' '$(BASE)' '$(HEAD)' '$(N)'

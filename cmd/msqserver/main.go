@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	msqserver -addr :7707 [-data dataset-dir] [-mmap]
+//	msqserver -addr :7707 [-data dataset-dir]
 //	          [-n 20000] [-dim 16]
 //	          [-engine scan|xtree|vafile|pivot|pmtree]
 //	          [-max-conns 0] [-max-request-bytes 1048576]
@@ -37,9 +37,9 @@
 //
 // When -data names a dataset directory written by msqgen (the persistent
 // page-store format), the server serves data pages from the file system —
-// pread by default, memory-mapped with -mmap — verifying page checksums on
-// every read, and /metrics additionally exports metricdb_storage_* real-I/O
-// counters. A generated dataset serves from memory.
+// copied out of a read-only mapping of the page file, by pread where it
+// cannot be mapped — verifying page checksums on every read, and /metrics
+// additionally exports metricdb_storage_* real-I/O counters. A generated dataset serves from memory.
 //
 // -admin binds a second, HTTP, listener with the observability surface:
 // GET /metrics (Prometheus text: per-phase latency histograms, buffer and
@@ -75,7 +75,6 @@ func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7707", "listen address")
 		dataFile = flag.String("data", "", "dataset directory written by msqgen (default: generate)")
-		mmap     = flag.Bool("mmap", false, "memory-map the page file of a -data dataset directory")
 		n        = flag.Int("n", 20000, "generated dataset size")
 		dim      = flag.Int("dim", 16, "generated dataset dimensionality")
 		engine   = flag.String("engine", "xtree", "physical organization: scan, xtree, vafile, pivot or pmtree")
@@ -111,14 +110,14 @@ func main() {
 			DefaultSLO: *admitSLO,
 		}
 	}
-	if err := run(*addr, *dataFile, *mmap, *n, *dim, *engine, cfg, *drain, *adminAddr, *slowQuery); err != nil {
+	if err := run(*addr, *dataFile, *n, *dim, *engine, cfg, *drain, *adminAddr, *slowQuery); err != nil {
 		fmt.Fprintln(os.Stderr, "msqserver:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, dataFile string, mmap bool, n, dim int, engine string, cfg wire.ServerConfig, drain time.Duration, adminAddr string, slowQuery time.Duration) error {
-	src := dataSource{mmap: mmap}
+func run(addr, dataFile string, n, dim int, engine string, cfg wire.ServerConfig, drain time.Duration, adminAddr string, slowQuery time.Duration) error {
+	var src dataSource
 	if dataFile != "" {
 		src.dir = dataFile
 	} else {
@@ -197,7 +196,6 @@ type adminListener struct {
 type dataSource struct {
 	items []metricdb.Item
 	dir   string
-	mmap  bool
 }
 
 // serve builds the database and binds the listeners (separated for tests).
@@ -206,7 +204,7 @@ type dataSource struct {
 // returned adminListener serves the observability endpoints. The caller
 // owns the returned DB and must Close it after shutdown.
 func serve(addr string, src dataSource, engine string, cfg wire.ServerConfig, adminAddr string, slowQuery time.Duration) (*metricdb.DB, *wire.Server, net.Listener, *adminListener, error) {
-	opts := metricdb.Options{Engine: metricdb.EngineKind(engine), Mmap: src.mmap}
+	opts := metricdb.Options{Engine: metricdb.EngineKind(engine)}
 	if err := opts.Validate(); err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -280,15 +278,13 @@ func newRegistry(tracer *obs.Tracer, db *metricdb.DB, srv *wire.Server, engine s
 
 	if mode, ok := db.Stored(); ok {
 		reg.Gauge("metricdb_storage_mode", fmt.Sprintf("mode=%q", mode),
-			"Always 1; the label carries the file-backed storage mode (pread or mmap).",
+			"Always 1; the label carries the file-backed read path (mmap, or pread where the page file cannot be mapped).",
 			func() float64 { return 1 })
-		reg.Counter("metricdb_storage_preads_total", "", "Real page reads issued to the file system.",
-			func() float64 { st, _ := db.StorageStats(); return float64(st.Preads) })
 		reg.Counter("metricdb_storage_bytes_read_total", "", "Bytes fetched from the page file.",
 			func() float64 { st, _ := db.StorageStats(); return float64(st.BytesRead) })
 		reg.Counter("metricdb_storage_checksum_failures_total", "", "Page reads rejected by checksum or structural verification.",
 			func() float64 { st, _ := db.StorageStats(); return float64(st.ChecksumFailures) })
-		reg.Counter("metricdb_store_pages_reused_total", "", "Page reads decoded into a recycled page; far below the preads, a reader is not releasing its pages.",
+		reg.Counter("metricdb_store_pages_reused_total", "", "Page reads decoded into a recycled page; far below the disk reads, a reader is not releasing its pages.",
 			func() float64 { st, _ := db.StorageStats(); return float64(st.PagesReused) })
 	}
 

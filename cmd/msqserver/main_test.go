@@ -342,16 +342,16 @@ func TestServeStoredDataset(t *testing.T) {
 		t.Errorf("answers=%d stats=%+v", len(answers), stats)
 	}
 
+	mode, _ := db.Stored()
 	requireSeries(t, adminGet(t, admin, "/metrics"),
-		`metricdb_storage_mode{mode="pread"} 1`,
-		"metricdb_storage_preads_total",
+		`metricdb_storage_mode{mode="`+mode+`"} 1`,
 		"metricdb_storage_bytes_read_total",
 		"metricdb_storage_checksum_failures_total 0",
 		"metricdb_store_pages_reused_total",
 		`metricdb_row_kernel{isa="`+db.ProcessorStats().RowKernel+`"} 1`,
 	)
 	st, ok := db.StorageStats()
-	if !ok || st.Preads == 0 {
+	if !ok || st.BytesRead == 0 {
 		t.Errorf("storage stats after query: %+v ok=%v", st, ok)
 	}
 }

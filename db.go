@@ -66,10 +66,6 @@ type Options struct {
 	// QuadraticForm, or any metric from outside this module).
 	// ProcessorStats reports the mode in effect.
 	Avoidance AvoidanceMode
-	// Mmap serves a stored database by memory-mapping its page file
-	// instead of issuing preads. Only OpenStored consults it; on platforms
-	// without mmap support the disk silently falls back to pread.
-	Mmap bool
 }
 
 // Validate checks the options for structural mistakes without consulting a

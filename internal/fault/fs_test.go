@@ -126,58 +126,56 @@ func TestFSTornWrite(t *testing.T) {
 
 // TestWrapFileDiskPassThrough: a zero-config injector in front of a real
 // file-backed disk is invisible — identical pages bit for bit, identical
-// I/O statistics — in both pread and mmap modes. This is what lets every
-// existing chaos test run unchanged against persistent storage.
+// I/O statistics. This is what lets every existing chaos test run unchanged
+// against persistent storage.
 func TestWrapFileDiskPassThrough(t *testing.T) {
-	for _, mmap := range []bool{false, true} {
-		dir := t.TempDir()
-		writeTestDataset(t, dir, 37, 3, 5)
+	dir := t.TempDir()
+	writeTestDataset(t, dir, 37, 3, 5)
 
-		bare, err := store.OpenFileDisk(dir, store.FileDiskOptions{Mmap: mmap})
-		if err != nil {
-			t.Fatal(err)
-		}
-		inner, err := store.OpenFileDisk(dir, store.FileDiskOptions{Mmap: mmap})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wrapped, err := Wrap(inner, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
+	bare, err := store.OpenFileDisk(dir, store.FileDiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bare.Close() //nolint:errcheck
+	inner, err := store.OpenFileDisk(dir, store.FileDiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inner.Close() //nolint:errcheck
+	wrapped, err := Wrap(inner, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		if wrapped.NumPages() != bare.NumPages() {
-			t.Fatalf("mmap=%v: NumPages %d vs %d", mmap, wrapped.NumPages(), bare.NumPages())
+	if wrapped.NumPages() != bare.NumPages() {
+		t.Fatalf("NumPages %d vs %d", wrapped.NumPages(), bare.NumPages())
+	}
+	seq := []store.PageID{0, 1, 2, 5, 0, 7, 3, 4, 4, 6}
+	for _, pid := range seq {
+		pb, errB := bare.Read(pid)
+		pw, errW := wrapped.Read(pid)
+		if errB != nil || errW != nil {
+			t.Fatalf("read %d: %v / %v", pid, errB, errW)
 		}
-		seq := []store.PageID{0, 1, 2, 5, 0, 7, 3, 4, 4, 6}
-		for _, pid := range seq {
-			pb, errB := bare.Read(pid)
-			pw, errW := wrapped.Read(pid)
-			if errB != nil || errW != nil {
-				t.Fatalf("mmap=%v: read %d: %v / %v", mmap, pid, errB, errW)
+		if pb.ID != pw.ID || len(pb.Items) != len(pw.Items) {
+			t.Fatalf("page %d shape differs", pid)
+		}
+		for i := range pb.Items {
+			if pb.Items[i].ID != pw.Items[i].ID || pb.Items[i].Label != pw.Items[i].Label {
+				t.Fatalf("page %d item %d differs", pid, i)
 			}
-			if pb.ID != pw.ID || len(pb.Items) != len(pw.Items) {
-				t.Fatalf("mmap=%v: page %d shape differs", mmap, pid)
-			}
-			for i := range pb.Items {
-				if pb.Items[i].ID != pw.Items[i].ID || pb.Items[i].Label != pw.Items[i].Label {
-					t.Fatalf("mmap=%v: page %d item %d differs", mmap, pid, i)
+			for d := range pb.Items[i].Vec {
+				if math.Float64bits(pb.Items[i].Vec[d]) != math.Float64bits(pw.Items[i].Vec[d]) {
+					t.Fatalf("page %d item %d coord %d differs", pid, i, d)
 				}
-				for d := range pb.Items[i].Vec {
-					if math.Float64bits(pb.Items[i].Vec[d]) != math.Float64bits(pw.Items[i].Vec[d]) {
-						t.Fatalf("mmap=%v: page %d item %d coord %d differs", mmap, pid, i, d)
-					}
-				}
 			}
 		}
-		if bare.Stats() != wrapped.Stats() {
-			t.Fatalf("mmap=%v: IOStats diverged: %+v vs %+v", mmap, bare.Stats(), wrapped.Stats())
-		}
-		if bare.ResetStats() != wrapped.ResetStats() {
-			t.Fatalf("mmap=%v: ResetStats diverged", mmap)
-		}
-		bare.Close()  //nolint:errcheck
-		inner.Close() //nolint:errcheck
+	}
+	if bare.Stats() != wrapped.Stats() {
+		t.Fatalf("IOStats diverged: %+v vs %+v", bare.Stats(), wrapped.Stats())
+	}
+	if bare.ResetStats() != wrapped.ResetStats() {
+		t.Fatal("ResetStats diverged")
 	}
 }
 

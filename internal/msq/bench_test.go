@@ -64,8 +64,9 @@ func benchMultiQueryAll(b *testing.B, eng engine.Engine, queries []Query) {
 
 // BenchmarkStoredScan is the serve_stored benchmark's page path without the
 // wire: 10 000 items of dimension 16 on 42 stored pages behind a buffer of
-// four, so every page of every scan is a pread, a verify and a decode, and
-// one iteration is the two-query block the server's batch former builds.
+// four, so every page of every scan is a copy out of the mapping (its
+// CRC-32C folded in) and a decode, and one iteration is the two-query block
+// the server's batch former builds.
 // Run with -benchmem (allocation per block) or -cpuprofile (where a stored
 // read spends its time).
 func BenchmarkStoredScan(b *testing.B) {
@@ -73,7 +74,7 @@ func BenchmarkStoredScan(b *testing.B) {
 	items := testDB(9, n, dim)
 	e, err := scan.NewWithConfig(items, scan.Config{
 		PageCapacity: capacity, BufferPages: store.DefaultBufferPages((n + capacity - 1) / capacity),
-		WrapDisk: persistToFileDisk(b, false, false),
+		WrapDisk: persistToFileDisk(b, false),
 	})
 	if err != nil {
 		b.Fatal(err)

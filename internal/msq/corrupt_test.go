@@ -24,7 +24,7 @@ func TestChecksumFailureMidBatch(t *testing.T) {
 	items := testDB(17, 300, dim)
 	queries := diffBatch(dim, 5)[:4]
 	m := vec.Euclidean{}
-	for i, mk := range fileDiskMakers(false, false)[:2] { // scan, xtree
+	for i, mk := range fileDiskMakers(false)[:2] { // scan, xtree
 		t.Run(mk.name, func(t *testing.T) {
 			want := runDifferential(t, diffMakers()[i], m, AvoidAuto, 1, items, dim, queries)
 

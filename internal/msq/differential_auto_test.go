@@ -67,8 +67,8 @@ func TestDifferentialAvoidAuto(t *testing.T) {
 	}{
 		{"memory/aos", diffMakers()},
 		{"memory/soa", contiguousMakers()},
-		{"file/aos", fileDiskMakers(false, false)},
-		{"file/soa", fileDiskMakers(false, true)},
+		{"file/aos", fileDiskMakers(false)},
+		{"file/soa", fileDiskMakers(true)},
 	}
 	for _, be := range backends {
 		for _, mk := range be.makers {
@@ -379,7 +379,7 @@ func TestSingleMatchesScalarLoop(t *testing.T) {
 func TestRankingMatchesScalarLoop(t *testing.T) {
 	const dim, n = 4, 150
 	items := testDB(67, n, dim)
-	backends := map[string][]diffMaker{"memory": diffMakers(), "filedisk": fileDiskMakers(false, false)}
+	backends := map[string][]diffMaker{"memory": diffMakers(), "filedisk": fileDiskMakers(false)}
 	for backend, makers := range backends {
 		for _, mk := range makers {
 			for _, mt := range autoMetrics(t, dim) {

@@ -40,7 +40,7 @@ import (
 // the engine a FileDisk over it, discarding the in-memory disk. The stored
 // records are version 1, or with columnar the version-2 records earlier
 // builds wrote (spliceV2Dataset).
-func persistToFileDisk(t testing.TB, mmap, columnar bool) func(store.PageSource) (store.PageSource, error) {
+func persistToFileDisk(t testing.TB, columnar bool) func(store.PageSource) (store.PageSource, error) {
 	t.Helper()
 	return func(src store.PageSource) (store.PageSource, error) {
 		dir := t.TempDir()
@@ -68,7 +68,7 @@ func persistToFileDisk(t testing.TB, mmap, columnar bool) func(store.PageSource)
 				return nil, err
 			}
 		}
-		fd, err := store.OpenFileDisk(dir, store.FileDiskOptions{Mmap: mmap})
+		fd, err := store.OpenFileDisk(dir, store.FileDiskOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -121,12 +121,12 @@ func spliceV2Dataset(dir string) error {
 
 // fileDiskMakers mirrors diffMakers but every engine runs on persistent
 // storage via its WrapDisk hook.
-func fileDiskMakers(mmap, columnar bool) []diffMaker {
+func fileDiskMakers(columnar bool) []diffMaker {
 	return []diffMaker{
 		{"scan", func(t *testing.T, items []store.Item, dim int, m vec.Metric) engine.Engine {
 			t.Helper()
 			e, err := scan.NewWithConfig(items, scan.Config{
-				PageCapacity: 16, BufferPages: 4, WrapDisk: persistToFileDisk(t, mmap, columnar),
+				PageCapacity: 16, BufferPages: 4, WrapDisk: persistToFileDisk(t, columnar),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -137,7 +137,7 @@ func fileDiskMakers(mmap, columnar bool) []diffMaker {
 			t.Helper()
 			e, err := xtree.Bulk(items, dim, xtree.Config{
 				LeafCapacity: 16, DirFanout: 8, BufferPages: 4, Metric: m,
-				WrapDisk: persistToFileDisk(t, mmap, columnar),
+				WrapDisk: persistToFileDisk(t, columnar),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -148,7 +148,7 @@ func fileDiskMakers(mmap, columnar bool) []diffMaker {
 			t.Helper()
 			e, err := vafile.New(items, vafile.Config{
 				PageCapacity: 16, BufferPages: 4, Metric: m,
-				WrapDisk: persistToFileDisk(t, mmap, columnar),
+				WrapDisk: persistToFileDisk(t, columnar),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -159,7 +159,7 @@ func fileDiskMakers(mmap, columnar bool) []diffMaker {
 			t.Helper()
 			e, err := pivot.New(items, pivot.Config{
 				PageCapacity: 16, BufferPages: 4, Pivots: 8, Metric: m,
-				WrapDisk: persistToFileDisk(t, mmap, columnar),
+				WrapDisk: persistToFileDisk(t, columnar),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -170,7 +170,7 @@ func fileDiskMakers(mmap, columnar bool) []diffMaker {
 			t.Helper()
 			e, err := pmtree.New(items, pmtree.Config{
 				PageCapacity: 16, BufferPages: 4, Pivots: 8, Metric: m,
-				WrapDisk: persistToFileDisk(t, mmap, columnar),
+				WrapDisk: persistToFileDisk(t, columnar),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -213,7 +213,7 @@ func TestDifferentialFileDisk(t *testing.T) {
 	}
 	modes := []AvoidanceMode{AvoidBoth, AvoidOff, AvoidLemma1, AvoidLemma2}
 	sims := diffMakers()
-	files := fileDiskMakers(false, false)
+	files := fileDiskMakers(false)
 
 	for i := range sims {
 		for _, mt := range metrics {
@@ -227,10 +227,10 @@ func TestDifferentialFileDisk(t *testing.T) {
 		}
 	}
 
-	// The cold batch's pages came from real preads; with a buffer that
+	// The cold batch's pages came from the page file; with a buffer that
 	// covers every page, a second batch never reaches the backend.
 	var fd *store.FileDisk
-	persist := persistToFileDisk(t, false, false)
+	persist := persistToFileDisk(t, false)
 	eng, err := scan.NewWithConfig(items, scan.Config{
 		PageCapacity: 16, BufferPages: (len(items) + 15) / 16,
 		WrapDisk: func(src store.PageSource) (store.PageSource, error) {
@@ -249,8 +249,8 @@ func TestDifferentialFileDisk(t *testing.T) {
 	if _, _, err := proc.NewSession().MultiQueryAll(queries); err != nil {
 		t.Fatal(err)
 	}
-	if st := fd.Storage(); st.Preads == 0 || st.BytesRead == 0 {
-		t.Errorf("cold batch: file disk counters %+v, want preads and bytes read", st)
+	if st := fd.Storage(); st.BytesRead == 0 {
+		t.Errorf("cold batch: file disk counters %+v, want bytes read", st)
 	}
 	cold := eng.Pager().Disk().Stats().Reads
 	if _, _, err := proc.NewSession().MultiQueryAll(queries); err != nil {
@@ -261,17 +261,17 @@ func TestDifferentialFileDisk(t *testing.T) {
 	}
 }
 
-// TestDifferentialFileDiskMmap repeats a narrower sweep in mmap mode: the
-// mapped read path shares only the decode step with the pread path, so it
-// earns its own equivalence check. (On platforms without mmap support
-// OpenFileDisk falls back to pread, which makes this a harmless repeat.)
+// TestDifferentialFileDiskMmap repeats a narrower sweep over a second
+// dataset. The name is from when the mapping was an option with a sweep of
+// its own; every FileDisk now reads through it (the store's own tests run
+// the pread fallback).
 func TestDifferentialFileDiskMmap(t *testing.T) {
 	const dim = 4
 	items := testDB(51, 300, dim)
 	queries := diffBatch(dim, 52)
 	m := vec.Euclidean{}
 	sims := diffMakers()
-	files := fileDiskMakers(true, false)
+	files := fileDiskMakers(false)
 
 	for i := range sims {
 		for _, mode := range []AvoidanceMode{AvoidBoth, AvoidOff} {

@@ -33,9 +33,10 @@ func requireAliasesRecord(t *testing.T, p *Page) {
 	}
 }
 
-// TestDecodedPageAliasesRecord: whatever the read path (pread, mmap), the
-// record version, the dimension (0, 1, 7, 16) and the page (empty or not),
-// a page a FileDisk serves is its record — every vector points at its
+// TestDecodedPageAliasesRecord: whatever the read path (the mapping, or the
+// pread fallback with the map made to fail), the record version, the
+// dimension (0, 1, 7, 16) and the page (empty or not), a page a FileDisk
+// serves is its record — every vector points at its
 // coordinates in the page's own buffer, aligned, capped, bit-equal to what
 // the encoder was given. Five records put two of them at 4 mod 8 in the
 // file, so the mapping is unaligned where it must be copied. A vector held
@@ -54,14 +55,8 @@ func TestDecodedPageAliasesRecord(t *testing.T) {
 					pages = append(pages, &Page{ID: PageID(len(pages))}) // empty, and the fifth
 					dir := t.TempDir()
 					writeDataset(t, dir, pages, DatasetMeta{Dim: dim, PageCapacity: capacity}, columnar)
-					fd, err := OpenFileDisk(dir, FileDiskOptions{Mmap: mmap})
-					if err != nil {
-						t.Fatal(err)
-					}
+					fd := openFileDisk(t, dir, mmap)
 					defer fd.Close() //nolint:errcheck
-					if mmap && fd.Mode() != "mmap" {
-						t.Skip("no mmap on this platform")
-					}
 					unaligned := 0
 					for _, e := range fd.Manifest().Pages {
 						unaligned += int(e.Offset % 8 / 4)
@@ -147,7 +142,7 @@ func TestBindSwapsBigEndianWords(t *testing.T) {
 	}
 }
 
-// TestRebindKeepsRecordHeaders: one FileDisk, in either mode, over a
+// TestRebindKeepsRecordHeaders: one FileDisk, on either read path, over a
 // version-1 or a version-2 dataset, reads every page into the one page its
 // free list holds, and the page is its record after every read — however
 // the page's last holder left it. The sequence reads the short last page
@@ -167,14 +162,8 @@ func TestRebindKeepsRecordHeaders(t *testing.T) {
 				}
 				dir := t.TempDir()
 				writeDataset(t, dir, pages, DatasetMeta{Dim: dim, PageCapacity: capacity}, columnar)
-				fd, err := OpenFileDisk(dir, FileDiskOptions{Mmap: mmap})
-				if err != nil {
-					t.Fatal(err)
-				}
+				fd := openFileDisk(t, dir, mmap)
 				defer fd.Close() //nolint:errcheck
-				if mmap && fd.Mode() != "mmap" {
-					t.Skip("no mmap on this platform")
-				}
 				short := PageID(len(pages) - 1)
 				steps := []PageID{
 					short, 0, 1, // the record grows, then a rebind of its shape
@@ -285,12 +274,15 @@ func BenchmarkDecodePage(b *testing.B) {
 
 // BenchmarkFileDiskRead splits a stored page read at serve_stored's shape
 // (10 000 items × 16 dimensions, 240 to a page: 42 pages, a buffer of 4)
-// into its stages, one op a page, cycling through the pages: pread, the
-// record read into a page's buffer; verify, checkRecord on a record in its
-// page (the CRC-32C and the header checks); bind, a recycled page bound to
-// its own record again; and read, the whole Pager.ReadPage miss and its
-// Release — the free-list take, the three stages, the LRU insert and the
-// eviction, with the tests' poison hook off. B/op reads 0 for every stage.
+// into its stages, one op a page, cycling through the pages: copy, the
+// record copied out of the mapping with its CRC-32C folded in (copyMapped);
+// pread, the fallback's read of the record instead — both into one page's
+// buffer, as a read lands in a recycled page; verify, checkRecord on a
+// record in its page (the CRC-32C the pread path adds, and the header
+// checks both paths run); bind, a recycled page bound to its own record
+// again; and read, the whole Pager.ReadPage miss and its Release — the
+// free-list take, copy, checks and bind, the LRU insert and the eviction,
+// with the tests' poison hook off. B/op reads 0 for every stage.
 func BenchmarkFileDiskRead(b *testing.B) {
 	const n, dim, capacity, buffer = 10000, 16, 240, 4
 	fd, _ := openStored(b, n, dim, capacity, false)
@@ -306,11 +298,24 @@ func BenchmarkFileDiskRead(b *testing.B) {
 		pg := pages[i%len(pages)]
 		return pg, pg.record(int(fd.Manifest().Pages[pg.ID].Length))
 	}
+	var landing Page
+	b.Run("copy", func(b *testing.B) {
+		if fd.data == nil {
+			b.Skip("no mmap on this platform")
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			e := fd.Manifest().Pages[i%len(pages)]
+			if _, err := copyMapped(landing.record(int(e.Length)), fd.data[e.Offset:e.Offset+e.Length]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("pread", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			pg, rec := records(i)
-			if _, err := fd.f.ReadAt(rec, fd.Manifest().Pages[pg.ID].Offset); err != nil {
+			e := fd.Manifest().Pages[i%len(pages)]
+			if _, err := fd.f.ReadAt(landing.record(int(e.Length)), e.Offset); err != nil {
 				b.Fatal(err)
 			}
 		}

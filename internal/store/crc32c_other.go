@@ -8,3 +8,7 @@ var haveFold = false
 func crc32cFold(crc uint32, p []byte, k *[12]uint64) uint32 {
 	panic("store: no assembly CRC-32C in this build")
 }
+
+func crc32cFoldCopy(crc uint32, dst, src []byte, k *[12]uint64) uint32 {
+	panic("store: no assembly CRC-32C in this build")
+}

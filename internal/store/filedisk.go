@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,23 +12,17 @@ import (
 	"metricdb/internal/obs"
 )
 
-// FileDiskOptions parameterizes OpenFileDisk.
-type FileDiskOptions struct {
-	// Mmap maps the page file into memory and copies each record out of
-	// the mapping instead of issuing a pread. Best effort: when the platform
-	// has no mmap support (or the map fails), the disk falls back to
-	// pread and Mode reports which path is live.
-	Mmap bool
-}
+// FileDiskOptions parameterizes OpenFileDisk. It has nothing left to set.
+//
+// Deprecated: ROADMAP item 1a drops it with OpenFileDisk's second parameter.
+type FileDiskOptions struct{}
 
 // StorageStats is a snapshot of a FileDisk's real-I/O activity — distinct
 // from IOStats, which carries the paper's cost-model accounting shared
 // with the simulated disk.
 type StorageStats struct {
-	// Preads counts read syscalls issued against the page file (zero in
-	// mmap mode, where the kernel pages data in transparently).
-	Preads int64
-	// BytesRead is the total page-record bytes fetched (both modes).
+	// BytesRead is the total page-record bytes fetched (on either read
+	// path).
 	BytesRead int64
 	// ChecksumFailures counts reads rejected because the page record
 	// failed validation — torn writes, bit rot, misdirected I/O.
@@ -39,18 +34,19 @@ type StorageStats struct {
 }
 
 // FileDisk is a file-backed PageSource: it serves the pages of a persistent
-// dataset directory (see WriteDataset) by positional reads of the page
-// file, verifying every record against the manifest checksum before
-// decoding. It implements exactly the simulated Disk's I/O accounting —
-// reads serialize on a mutex and are classified sequential/random by
-// physical adjacency — so the two backends are interchangeable under the
-// differential harness, the fault injector, and the buffer pool.
+// dataset directory (see WriteDataset) out of a read-only mapping of the
+// page file — by positional reads where nothing is mapped — verifying every
+// record against the manifest checksum before decoding. It implements
+// exactly the simulated Disk's I/O accounting — reads serialize on a mutex
+// and are classified sequential/random by physical adjacency — so the two
+// backends are interchangeable under the differential harness, the fault
+// injector, and the buffer pool.
 type FileDisk struct {
 	dir  string
 	man  *Manifest
 	f    *os.File
-	data []byte // non-nil in mmap mode
-	mode string // "pread" or "mmap"
+	data []byte // the mapped page file; nil where nothing is mapped
+	mode string // "mmap", or "pread" where nothing is mapped
 
 	mu        sync.Mutex
 	lastRead  PageID
@@ -58,7 +54,6 @@ type FileDisk struct {
 	seqReads  atomic.Int64
 	randReads atomic.Int64
 
-	preads      atomic.Int64
 	bytesRead   atomic.Int64
 	checksumErr atomic.Int64
 	reused      atomic.Int64
@@ -68,7 +63,7 @@ type FileDisk struct {
 	// garbage collector's.
 	free chan *Page
 
-	// tracer, when set, times each read (pread + verify + decode) as a
+	// tracer, when set, times each read (copy + verify + decode) as a
 	// storage_read span. Atomic so SetTracer is safe mid-flight.
 	tracer atomic.Pointer[obs.Tracer]
 }
@@ -78,11 +73,16 @@ var _ PageSource = (*FileDisk)(nil)
 // freePages bounds a FileDisk's free list.
 const freePages = 64
 
+// mapFile is mmapFile; the tests make it fail to run the pread fallback.
+var mapFile = mmapFile
+
 // OpenFileDisk opens the persistent dataset in dir: it loads and validates
-// the published manifest, opens the page file it references, and checks the
-// file is at least as long as the manifest requires. Page contents are not
-// read (and so not verified) until first access.
-func OpenFileDisk(dir string, opts FileDiskOptions) (*FileDisk, error) {
+// the published manifest, opens the page file it references, checks the
+// file is at least as long as the manifest requires, and maps it read-only.
+// Where the platform cannot map it, or the map fails, reads fall back to
+// pread, and Mode says which path is live. Page contents are not read (and
+// so not verified) until first access. The options have nothing to set.
+func OpenFileDisk(dir string, _ FileDiskOptions) (*FileDisk, error) {
 	man, err := readManifest(dir)
 	if err != nil {
 		return nil, err
@@ -104,11 +104,8 @@ func OpenFileDisk(dir string, opts FileDiskOptions) (*FileDisk, error) {
 				ErrCorruptPage, man.PagesFile, st.Size(), man.PagesBytes)
 		}
 		d.f = f
-		if opts.Mmap {
-			if data, err := mmapFile(f, int(man.PagesBytes)); err == nil {
-				d.data = data
-				d.mode = "mmap"
-			}
+		if data, err := mapFile(f, int(man.PagesBytes)); err == nil {
+			d.data, d.mode = data, "mmap"
 		}
 	}
 	return d, nil
@@ -138,7 +135,8 @@ func (d *FileDisk) Manifest() *Manifest { return d.man }
 // Dir returns the dataset directory the disk was opened from.
 func (d *FileDisk) Dir() string { return d.dir }
 
-// Mode reports the live read path: "pread" or "mmap".
+// Mode reports the live read path: "mmap", or "pread" where nothing is
+// mapped.
 func (d *FileDisk) Mode() string { return d.mode }
 
 // NumPages returns the number of pages in the dataset.
@@ -184,13 +182,15 @@ func (d *FileDisk) Read(pid PageID) (*Page, error) {
 
 // fetch reads, verifies and decodes one page record into a page from the
 // free list, or a fresh one. The record lands in the page's own record
-// buffer — by pread, or copied out of the mapping (mapped offsets are not
-// 8-aligned, and the page must outlive Close) — and is verified and decoded
-// where it lies, so the bytes served are the bytes checked even if the file
-// changes under the mapping. The CRC-32C is computed once and held against
-// both the record's trailer and the manifest, and the items are bound only
-// after every check has passed. A page that fails any check is dropped —
-// not served, not returned to the free list.
+// buffer — copied out of the mapping (mapped offsets are not 8-aligned, and
+// the page must outlive Close) with its CRC-32C folded over the bytes as
+// they are stored, or by pread and then summed — and is verified and
+// decoded where it lies, so the bytes served are the bytes checked even if
+// the file changes under the mapping. The CRC-32C is computed once and held
+// against both the record's trailer and the manifest, and the items are
+// bound only after every check has passed. A page that fails any check —
+// its read of the mapping faulting included — is dropped: not served, not
+// returned to the free list.
 func (d *FileDisk) fetch(pid PageID) (*Page, error) {
 	e := d.man.Pages[pid]
 	var page *Page
@@ -201,16 +201,21 @@ func (d *FileDisk) fetch(pid PageID) (*Page, error) {
 	}
 	recycled := page.home != nil
 	rec := page.record(int(e.Length))
+	var sum uint32
 	if d.data != nil {
-		copy(rec, d.data[e.Offset:e.Offset+e.Length])
+		var err error
+		if sum, err = copyMapped(rec, d.data[e.Offset:e.Offset+e.Length]); err != nil {
+			d.checksumErr.Add(1)
+			return nil, fmt.Errorf("store: page %d: %w", pid, err)
+		}
 	} else {
 		if _, err := d.f.ReadAt(rec, e.Offset); err != nil {
 			return nil, fmt.Errorf("store: pread page %d: %w", pid, err)
 		}
-		d.preads.Add(1)
+		sum = crc32c(0, recordBody(rec))
 	}
 	d.bytesRead.Add(e.Length)
-	r, err := checkRecord(rec)
+	r, err := checkSummed(rec, sum)
 	if err != nil {
 		d.checksumErr.Add(1)
 		return nil, fmt.Errorf("store: page %d: %w", pid, err)
@@ -230,6 +235,26 @@ func (d *FileDisk) fetch(pid PageID) (*Page, error) {
 	page.home = d
 	page.pins.Store(1) // the reader's
 	return page, nil
+}
+
+// copyMapped copies a record out of the mapping, src, into rec and returns
+// the CRC-32C of its body as stored (crc32cCopy). A fault in the mapping —
+// the file truncated under it — is an error wrapping ErrCorruptPage, not a
+// SIGBUS that kills the process.
+func copyMapped(rec, src []byte) (sum uint32, err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if p := recover(); p != nil {
+			if _, fault := p.(interface{ Addr() uintptr }); !fault {
+				panic(p)
+			}
+			err = fmt.Errorf("%w: the mapped page file faulted: %v", ErrCorruptPage, p)
+		}
+	}()
+	n := len(recordBody(rec))
+	sum = crc32cCopy(0, rec[:n], src[:n])
+	copy(rec[n:], src[n:])
+	return sum, nil
 }
 
 // Stats returns the cost-model I/O statistics (lock-free).
@@ -259,7 +284,6 @@ func (d *FileDisk) ResetStats() IOStats {
 // Storage returns a snapshot of the real-I/O counters.
 func (d *FileDisk) Storage() StorageStats {
 	return StorageStats{
-		Preads:           d.preads.Load(),
 		BytesRead:        d.bytesRead.Load(),
 		ChecksumFailures: d.checksumErr.Load(),
 		PagesReused:      d.reused.Load(),

@@ -153,6 +153,21 @@ func crc32c(crc uint32, p []byte) uint32 {
 	return crc32.Update(crc, castagnoli, p)
 }
 
+// crc32cCopy copies src to dst, which is as long, and returns crc32c(crc,
+// dst): the sum of the bytes stored, whatever src holds by the time the
+// copy ends. Where crc32c folds, its 256-byte blocks are copied and folded
+// in one pass (crc32cFoldCopy); the tail, and every other build, are copied
+// first and then summed.
+func crc32cCopy(crc uint32, dst, src []byte) uint32 {
+	dst = dst[:len(src)]
+	if n := len(src) &^ 255; n > 0 && haveFold {
+		crc = ^crc32cFoldCopy(^crc, dst[:n], src[:n], &foldConsts)
+		dst, src = dst[n:], src[n:]
+	}
+	copy(dst, src)
+	return crc32.Update(crc, castagnoli, dst)
+}
+
 // PageEntry is the manifest's record of one page in the page file.
 type PageEntry struct {
 	// Offset is the byte offset of the page record in the page file.
@@ -312,6 +327,16 @@ type checkedRecord struct {
 // bounds, exact length (legacy sections included), checksum — without
 // touching anything but data.
 func checkRecord(data []byte) (checkedRecord, error) {
+	return checkSummed(data, crc32c(0, recordBody(data)))
+}
+
+// recordBody is what a record's trailer sums: all of it but the last four
+// bytes.
+func recordBody(data []byte) []byte { return data[:max(len(data)-pageTrailerLen, 0)] }
+
+// checkSummed is checkRecord given sum, the CRC-32C of recordBody(data),
+// which FileDisk folds as it copies the record out of the mapping.
+func checkSummed(data []byte, sum uint32) (checkedRecord, error) {
 	r := checkedRecord{header: pageHeaderLen}
 	if len(data) >= 4 && binary.LittleEndian.Uint32(data) == pageMagic2 {
 		r.header, r.columnar = pageHeaderLenV2, true
@@ -352,9 +377,8 @@ func checkRecord(data []byte) (checkedRecord, error) {
 	if uint64(len(data)) != want {
 		return r, fmt.Errorf("%w: record is %d bytes, header implies %d", ErrCorruptPage, len(data), want)
 	}
-	body := data[:len(data)-pageTrailerLen]
-	r.sum = crc32c(0, body)
-	if claimed := binary.LittleEndian.Uint32(data[len(body):]); r.sum != claimed {
+	r.sum = sum
+	if claimed := binary.LittleEndian.Uint32(data[len(data)-pageTrailerLen:]); r.sum != claimed {
 		return r, fmt.Errorf("%w: checksum %#08x, record claims %#08x", ErrCorruptPage, r.sum, claimed)
 	}
 	r.id, r.n, r.dim = PageID(id), int(count), int(dim)

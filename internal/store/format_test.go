@@ -172,9 +172,33 @@ func TestManifestRoundTripAndValidation(t *testing.T) {
 	}
 }
 
+// openFileDisk opens the dataset in dir on the mapping or, mapped false, on
+// the pread fallback: the map made to fail, as on a platform without one.
+// A mapped open skips the test where the platform cannot map.
+func openFileDisk(t testing.TB, dir string, mapped bool) *FileDisk {
+	t.Helper()
+	if !mapped {
+		defer func(m func(*os.File, int) ([]byte, error)) { mapFile = m }(mapFile)
+		mapFile = func(*os.File, int) ([]byte, error) { return nil, errors.New("store: no map in this test") }
+	}
+	fd, err := OpenFileDisk(dir, FileDiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[bool]string{false: "pread", true: "mmap"}[mapped]; fd.Mode() != want {
+		fd.Close() //nolint:errcheck
+		if mapped {
+			t.Skip("no mmap on this platform")
+		}
+		t.Fatalf("Mode() = %q, want %q", fd.Mode(), want)
+	}
+	return fd
+}
+
 // TestFileDiskMatchesSimulatedDisk drives the identical read sequence
 // through a FileDisk and a simulated Disk and requires identical pages and
-// identical I/O accounting (reads and the sequential/random split).
+// identical I/O accounting (reads and the sequential/random split), on the
+// mapping and on the pread fallback.
 func TestFileDiskMatchesSimulatedDisk(t *testing.T) {
 	dir := t.TempDir()
 	pages := buildDataset(t, dir, 61, 6, 8)
@@ -183,10 +207,7 @@ func TestFileDiskMatchesSimulatedDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []bool{false, true} {
-		fd, err := OpenFileDisk(dir, FileDiskOptions{Mmap: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
+		fd := openFileDisk(t, dir, mode)
 		if fd.NumPages() != sim.NumPages() {
 			t.Fatalf("NumPages %d vs %d", fd.NumPages(), sim.NumPages())
 		}
@@ -227,13 +248,6 @@ func TestFileDiskMatchesSimulatedDisk(t *testing.T) {
 		if st.BytesRead == 0 || st.ChecksumFailures != 0 {
 			t.Errorf("storage stats: %+v", st)
 		}
-		if mode && fd.Mode() == "mmap" {
-			if st.Preads != 0 {
-				t.Errorf("mmap mode issued %d preads", st.Preads)
-			}
-		} else if st.Preads == 0 {
-			t.Errorf("pread mode recorded no preads")
-		}
 		if _, err := fd.Read(PageID(len(pages))); err == nil {
 			t.Error("out-of-range read succeeded")
 		}
@@ -264,10 +278,7 @@ func TestFileDiskDetectsOnDiskCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []bool{false, true} {
-		fd, err := OpenFileDisk(dir, FileDiskOptions{Mmap: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
+		fd := openFileDisk(t, dir, mode)
 		if _, err := fd.Read(0); err != nil {
 			t.Fatalf("mmap=%v: undamaged page unreadable: %v", mode, err)
 		}

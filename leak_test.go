@@ -31,8 +31,8 @@ func (m cancelAt) Distance(a, b Vector) float64 {
 func (cancelAt) Name() string { return "cancel-at" }
 
 // TestCloseAndCancelLeaks: no goroutine outlives a stored DB's Close — after
-// batches over pread and mmap — or a batch cancelled in the middle of its
-// page loop, in memory and stored.
+// batches over the dataset's own pages and over a derived layout — or a
+// batch cancelled in the middle of its page loop, in memory and stored.
 func TestCloseAndCancelLeaks(t *testing.T) {
 	const n, dim = 600, 6
 	items := testItems(85, n, dim)
@@ -46,7 +46,7 @@ func TestCloseAndCancelLeaks(t *testing.T) {
 		base := runtime.NumGoroutine()
 		for _, opts := range []Options{
 			{Engine: EngineScan, BufferPages: 4},
-			{Engine: EngineXTree, PageCapacity: 8, Mmap: true},
+			{Engine: EngineXTree, PageCapacity: 8},
 		} {
 			db, err := OpenStored(dir, opts)
 			if err != nil {

@@ -11,8 +11,10 @@
 # binaries in N pairs on -workload W -seed 1 -trace 0 for the benchmark's
 # own run length (BENCHMARK.json's run_seconds), the side that runs first
 # alternating from pair to pair, and prints every end-to-end metric's
-# change (head − base) ÷ base in each pair, its median, and how many pairs
-# it went down and up. Unlike
+# change (head − base) ÷ base in each pair, its median, how many pairs
+# it went down and up, each side's median and the base's interquartile
+# range (the distance between the medians of its lower and upper halves;
+# 0 for one pair), the spread a change's medians must differ by. Unlike
 # `make pairs`, which times a Go benchmark's CPU, this sees what the
 # benchmark judges: peak_rss_mb, setup_s, the latencies and the rest. A run
 # that exits non-zero or reports "correct":false stops the script with its
@@ -71,13 +73,24 @@ done
 for i in $(seq 1 "$n"); do
 	join <(sort "$tmp/base.$i") <(sort "$tmp/head.$i") | sed "s/^/$i /"
 done | awk -v n="$n" '
-	# median of a[1..n], sorted into s by insertion
-	function median(a, s, i, j) {
+	# sort a[1..n] into s by insertion
+	function sorted(a, s, i, j) {
 		for (i = 1; i <= n; i++) {
 			for (j = i - 1; j >= 1 && s[j] > a[i]; j--) s[j + 1] = s[j]
 			s[j + 1] = a[i]
 		}
-		return (n % 2) ? s[(n + 1) / 2] : (s[n / 2] + s[n / 2 + 1]) / 2
+	}
+	# median of s[lo..hi], sorted
+	function mid(s, lo, hi, k) {
+		k = hi - lo + 1
+		return (k % 2) ? s[lo + (k - 1) / 2] : (s[lo + k / 2 - 1] + s[lo + k / 2]) / 2
+	}
+	function median(a, s) { sorted(a, s); return mid(s, 1, n) }
+	# the medians of the lower and the upper half of a[1..n] apart
+	function iqr(a, s, h) {
+		if (n < 2) return 0
+		sorted(a, s); h = int(n / 2)
+		return mid(s, n - h + 1, n) - mid(s, 1, h)
 	}
 	{ m = $2; if (!(m in seen)) { seen[m] = 1; names[++k] = m }
 	  base[m, $1] = $3; head[m, $1] = $4
@@ -86,10 +99,10 @@ done | awk -v n="$n" '
 	END {
 		printf "%-20s", "metric"
 		for (i = 1; i <= n; i++) printf " %8s", "pair" i
-		printf " %8s %5s %5s %11s %11s\n", "median", "down", "up", "base_med", "head_med"
+		printf " %8s %5s %5s %11s %11s %11s\n", "median", "down", "up", "base_med", "head_med", "base_iqr"
 		for (j = 1; j <= k; j++) {
 			m = names[j]; printf "%-20s", m
 			for (i = 1; i <= n; i++) { printf " %+8.4f", ch[m, i]; c[i] = ch[m, i]; b[i] = base[m, i]; h[i] = head[m, i] }
-			printf " %+8.4f %5d %5d %11.5g %11.5g\n", median(c), down[m], up[m], median(b), median(h)
+			printf " %+8.4f %5d %5d %11.5g %11.5g %11.5g\n", median(c), down[m], up[m], median(b), median(h), iqr(b)
 		}
 	}'

@@ -18,9 +18,9 @@ import (
 // OpenStored opens a database over a persistent dataset directory — the
 // on-disk format written by dataset.SaveDir and cmd/msqgen. Unlike Open,
 // which paginates in-memory items onto a simulated disk, the returned DB
-// reads its data pages from the file system (pread, or mmap when
-// Options.Mmap is set), verifying each page's checksum on the way; I/O
-// statistics count real reads.
+// reads its data pages from the file system — copied out of a read-only
+// mapping of the page file, by pread where it cannot be mapped — verifying
+// each page's checksum on the way; I/O statistics count real reads.
 //
 // Engine mapping:
 //
@@ -69,7 +69,7 @@ func OpenStored(dir string, opts Options) (*DB, error) {
 // stored layout is the engine's layout. The scan uses it as-is; the pivot
 // engine additionally loads (or rebuilds and persists) its pivot table.
 func openStoredDirect(dir string, items []Item, dim int, opts Options, bufferPages int) (*DB, error) {
-	fd, err := store.OpenFileDisk(dir, store.FileDiskOptions{Mmap: opts.Mmap})
+	fd, err := store.OpenFileDisk(dir, store.FileDiskOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("metricdb: %w", err)
 	}
@@ -173,7 +173,7 @@ func openStoredDerived(dir string, items []Item, dim int, opts Options, bufferPa
 			return nil, err
 		}
 		var err error
-		if fd, err = store.OpenFileDisk(layoutDir, store.FileDiskOptions{Mmap: opts.Mmap}); err != nil {
+		if fd, err = store.OpenFileDisk(layoutDir, store.FileDiskOptions{}); err != nil {
 			return nil, err
 		}
 		return fd, nil
@@ -214,7 +214,8 @@ func (db *DB) Close() error {
 }
 
 // Stored reports whether the database serves its data pages from
-// persistent storage, and if so in which mode ("pread" or "mmap").
+// persistent storage, and if so on which read path: "mmap", or "pread" where
+// the page file cannot be mapped.
 func (db *DB) Stored() (mode string, ok bool) {
 	if fd, isFile := store.UnwrapSource(db.eng.Pager().Disk()).(*store.FileDisk); isFile {
 		return fd.Mode(), true
@@ -223,7 +224,7 @@ func (db *DB) Stored() (mode string, ok bool) {
 }
 
 // StorageStats returns the real-I/O counters of a stored database's
-// file-backed disk (preads issued, bytes read, checksum failures). ok is
+// file-backed disk (bytes read, checksum failures, pages reused). ok is
 // false for in-memory databases.
 func (db *DB) StorageStats() (stats store.StorageStats, ok bool) {
 	if fd, isFile := store.UnwrapSource(db.eng.Pager().Disk()).(*store.FileDisk); isFile {
