@@ -16,11 +16,12 @@
 // handle that carries whatever per-query state the engine wants to pay for
 // exactly once (pivot distances d(q, p_i) for the pivot-based engines, every
 // page's bounds from one sweep of the approximations, through per-query
-// cell tables, for the VA-file) and answers all subsequent Plan /
-// MinDist / MaxDist probes for that query against it. The multi-query
-// processor keeps one handle per query for the lifetime of the batch, so an
-// engine's per-query setup cost is amortized over every page probe the
-// batch makes, not paid per probe.
+// cell tables, for the VA-file) and answers all subsequent Plan / MinDist
+// probes for that query against it. The multi-query processor keeps one
+// handle per query for the lifetime of the batch, so an engine's per-query
+// setup cost is amortized over every page probe the batch makes, not paid
+// per probe. A handle answers lower bounds only: a k-NN query's query
+// distance is bounded by the distances on the pages it has read.
 //
 // A handle whose plan is built per query may also append it to a buffer the
 // caller owns (PlanAppender), so that a session plans every query of a
@@ -109,13 +110,6 @@ type PreparedQuery interface {
 	// page pid. The multi-query processor uses it to decide whether a
 	// page loaded for one query is also relevant for another.
 	MinDist(pid store.PageID) float64
-
-	// MaxDist returns an upper bound on dist(q, o) for every item o on
-	// page pid, or +Inf when the engine has no geometric knowledge (the
-	// scan). A page holding at least k items therefore upper-bounds the
-	// k-NN distance of q, which lets the multi-query processor bound a
-	// query before any object distance has been calculated.
-	MaxDist(pid store.PageID) float64
 }
 
 // Engine is a physical data organization that the query processors operate
@@ -129,9 +123,6 @@ type Engine interface {
 	// engines, the distances from q to every pivot) and returns the
 	// handle that serves all page probes for this query.
 	Prepare(q vec.Vector) PreparedQuery
-
-	// PageLen returns the number of items on page pid without reading it.
-	PageLen(pid store.PageID) int
 
 	// ReadPage fetches a data page through the engine's pager (buffer
 	// hits cost no I/O).

@@ -44,7 +44,7 @@ var engineWorkGolden = []engineWork{
 	{4, 32, XTree, 6842, 84, 0},
 	{4, 32, VAFile, 15729, 63, 0},
 	{4, 32, Pivot, 17207, 63, 256},
-	{4, 32, PMTree, 8974, 57, 2560},
+	{4, 32, PMTree, 8988, 57, 2560},
 	{8, 1, Scan, 4000, 63, 0},
 	{8, 1, XTree, 1535, 34, 0},
 	{8, 1, VAFile, 1024, 16, 0},

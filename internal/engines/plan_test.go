@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"metricdb/internal/dataset"
@@ -19,8 +20,9 @@ import (
 // caller's buffer exactly the refs its Plan returns — same pages, same bits,
 // same order — after whatever the buffer already holds, which it leaves as
 // it was; and into a buffer an earlier plan grew it allocates nothing, at
-// +Inf (a k-NN query's first plan) and at finite bounds. The scan, whose
-// plan is one shared slice, does not append.
+// +Inf (a k-NN query's first plan), at a 10-NN query distance (the tenth
+// smallest true distance) and at other finite bounds. The scan, whose plan
+// is one shared slice, does not append.
 func TestAppendPlanIsPlan(t *testing.T) {
 	const n, dim, capacity = 4000, 8, 64
 	items := dataset.Uniform(13008, n, dim)
@@ -43,11 +45,12 @@ func TestAppendPlanIsPlan(t *testing.T) {
 			}
 			pq := eng.Prepare(q)
 			pa := pq.(engine.PlanAppender)
-			bootstrap := math.Inf(1)
-			for pid := 0; pid < eng.NumPages(); pid++ {
-				bootstrap = min(bootstrap, pq.MaxDist(store.PageID(pid)))
+			dists := make([]float64, len(items))
+			for i, it := range items {
+				dists[i] = vec.Euclidean{}.Distance(q, it.Vec)
 			}
-			for _, queryDist := range []float64{math.Inf(1), bootstrap, 0.3, 0} {
+			slices.Sort(dists)
+			for _, queryDist := range []float64{math.Inf(1), dists[9], 0.3, 0} {
 				label := fmt.Sprintf("%s round %d queryDist=%v", kind, round, queryDist)
 				want := pq.Plan(queryDist)
 				prefix := []engine.PageRef{{ID: 7, MinDist: -1}, {ID: 3, MinDist: -2}}

@@ -9,11 +9,10 @@ import (
 	"metricdb/internal/vec"
 )
 
-// The generalized MINDIST and MAXDIST of a rectangle are vec.Boxes' (the
-// X-tree holds its MBRs as Rects while it builds and as Boxes once built);
-// LowerBound and UpperBound are those of one Rect.
-func LowerBound(m vec.Metric, r Rect, q vec.Vector) float64 { return oneBox(m, r).Bound(q, 0, false) }
-func UpperBound(m vec.Metric, r Rect, q vec.Vector) float64 { return oneBox(m, r).Bound(q, 0, true) }
+// The generalized MINDIST of a rectangle is vec.Boxes' (the X-tree holds its
+// MBRs as Rects while it builds and as Boxes once built); LowerBound is that
+// of one Rect.
+func LowerBound(m vec.Metric, r Rect, q vec.Vector) float64 { return oneBox(m, r).Bound(q, 0) }
 
 func oneBox(m vec.Metric, r Rect) *vec.Boxes {
 	return vec.NewBoxes(m, []vec.Vector{r.Min}, []vec.Vector{r.Max})
@@ -21,11 +20,11 @@ func oneBox(m vec.Metric, r Rect) *vec.Boxes {
 
 // boundByGapVector materializes the gap vector and hands it to the metric:
 // the definition of the bound, and what vec.Boxes must equal bit for bit.
-func boundByGapVector(base vec.Metric, r Rect, q vec.Vector, far bool) float64 {
+func boundByGapVector(base vec.Metric, r Rect, q vec.Vector) float64 {
 	gap := make(vec.Vector, len(q))
 	zero := make(vec.Vector, len(q))
 	for i := range q {
-		gap[i] = vec.BoxGap(q[i], r.Min[i], r.Max[i], far)
+		gap[i] = vec.BoxGap(q[i], r.Min[i], r.Max[i])
 	}
 	return base.Distance(gap, zero)
 }
@@ -42,20 +41,8 @@ func TestLowerBoundMatchesMinDistForEuclidean(t *testing.T) {
 	}
 }
 
-func TestUpperBoundMatchesMaxDistForEuclidean(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		r := randRect(rng, 4)
-		q := randVec(rng, 4)
-		return math.Abs(UpperBound(vec.Euclidean{}, r, q)-r.MaxDist(q)) < 1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestBoundsSandwichDistances: for any point p inside r and any metric in
-// the coordinatewise family, LowerBound <= dist(q, p) <= UpperBound.
+// the coordinatewise family, LowerBound <= dist(q, p).
 func TestBoundsSandwichDistances(t *testing.T) {
 	metrics := []vec.Metric{vec.Euclidean{}, vec.Manhattan{}, vec.Chebyshev{}}
 	mk, err := vec.NewMinkowski(3)
@@ -84,9 +71,6 @@ func TestBoundsSandwichDistances(t *testing.T) {
 			if LowerBound(m, r, q) > d+eps {
 				return false
 			}
-			if d > UpperBound(m, r, q)+eps {
-				return false
-			}
 		}
 		return true
 	}
@@ -109,9 +93,6 @@ func TestBoundsForNonCoordinatewiseMetric(t *testing.T) {
 	if got := LowerBound(qf, r, q); got != 0 {
 		t.Errorf("LowerBound = %v, want 0 for non-coordinatewise metric", got)
 	}
-	if got := UpperBound(qf, r, q); !math.IsInf(got, 1) {
-		t.Errorf("UpperBound = %v, want +Inf", got)
-	}
 }
 
 func TestBoundsUnwrapCountingMetric(t *testing.T) {
@@ -121,7 +102,6 @@ func TestBoundsUnwrapCountingMetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = LowerBound(c, r, vec.Vector{2, 0})
-	_ = UpperBound(c, r, vec.Vector{2, 0})
 	if got := c.Count(); got != 0 {
 		t.Errorf("bound evaluation charged %d distance calculations", got)
 	}
@@ -201,11 +181,8 @@ func TestBoundsMatchGapVectorForm(t *testing.T) {
 		}
 		for _, m := range metrics {
 			base := vec.BaseMetric(m)
-			if got, want := LowerBound(m, r, q), boundByGapVector(base, r, q, false); got != want {
+			if got, want := LowerBound(m, r, q), boundByGapVector(base, r, q); got != want {
 				t.Fatalf("%s: LowerBound = %v, gap-vector form %v (r=%v q=%v)", m.Name(), got, want, r, q)
-			}
-			if got, want := UpperBound(m, r, q), boundByGapVector(base, r, q, true); got != want {
-				t.Fatalf("%s: UpperBound = %v, gap-vector form %v (r=%v q=%v)", m.Name(), got, want, r, q)
 			}
 		}
 	}
@@ -216,8 +193,8 @@ func TestBoundsMatchGapVectorForm(t *testing.T) {
 			continue
 		}
 		b := oneBox(m, r)
-		if n := testing.AllocsPerRun(100, func() { _ = b.Bound(q, 0, false) + b.Bound(q, 0, true) }); n != 0 {
-			t.Errorf("%s: %v allocations per LowerBound+UpperBound", m.Name(), n)
+		if n := testing.AllocsPerRun(100, func() { _ = b.Bound(q, 0) }); n != 0 {
+			t.Errorf("%s: %v allocations per LowerBound", m.Name(), n)
 		}
 	}
 }

@@ -1,10 +1,10 @@
 // Package geom provides minimum bounding rectangles (MBRs) in d-dimensional
 // space, the geometric substrate of the X-tree directory.
 //
-// The key query-processing primitives are MinDist and MaxDist: MINDIST is a
-// lower bound on the distance from a query point to any point inside the
-// rectangle, so a data page whose MBR has MINDIST greater than the current
-// query distance can be excluded from the search.
+// The key query-processing primitive is MinDist: MINDIST is a lower bound on
+// the distance from a query point to any point inside the rectangle, so a
+// data page whose MBR has MINDIST greater than the current query distance
+// can be excluded from the search.
 package geom
 
 import (
@@ -262,17 +262,6 @@ func (r Rect) MinDist(p vec.Vector) float64 {
 		case p[i] > r.Max[i]:
 			d = p[i] - r.Max[i]
 		}
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
-// MaxDist returns MAXDIST(p, r): the Euclidean distance from p to the
-// farthest corner of r. For any point q in r, dist(p, q) <= MaxDist(p, r).
-func (r Rect) MaxDist(p vec.Vector) float64 {
-	var s float64
-	for i := range r.Min {
-		d := math.Max(math.Abs(p[i]-r.Min[i]), math.Abs(p[i]-r.Max[i]))
 		s += d * d
 	}
 	return math.Sqrt(s)

@@ -70,7 +70,7 @@ func TestChecksumFailureMidBatch(t *testing.T) {
 				if !ok {
 					continue
 				}
-				if pg.ID != store.PageID(pid) || len(pg.Items) != eng.PageLen(store.PageID(pid)) {
+				if pg.ID != store.PageID(pid) || len(pg.Items) != fd.Manifest().Pages[pid].Items {
 					t.Errorf("buffer slot %d holds page %d with %d items", pid, pg.ID, len(pg.Items))
 				}
 				pager.Release(pg)

@@ -113,7 +113,7 @@ func refPairs(p *pagePass) passCounts {
 			case !within:
 				c.abandoned++
 			case st.answers.Consider(item.ID, d):
-				p.limits[a] = st.queryDist()
+				p.limits[a] = st.answers.QueryDist()
 			}
 		}
 	}

@@ -644,11 +644,11 @@ func TestAnswerOrderIsSorted(t *testing.T) {
 	}
 }
 
-// TestXTreeMultiQueryDoesNotInflateCPU guards the bootstrap behaviour: on a
+// TestXTreeMultiQueryDoesNotInflateCPU guards seeding (seedFirstPages): on a
 // selective index, processing a batch as one multiple similarity query must
 // not cost more distance calculations than the equivalent single queries
 // (the failure mode is sharing every page with queries whose query distance
-// is still unbounded).
+// is still unbounded, which the page a query is seeded with prevents).
 func TestXTreeMultiQueryDoesNotInflateCPU(t *testing.T) {
 	const dim = 6
 	items := testDB(30, 3000, dim)
@@ -693,9 +693,10 @@ func TestXTreeMultiQueryDoesNotInflateCPU(t *testing.T) {
 	}
 }
 
-// TestBootstrapSkipsRangeQueries: range queries have a finite query
-// distance from the start, so no bootstrap page reads should happen for a
-// batch of selective range queries beyond the pages their plans require.
+// TestBootstrapSkipsRangeQueries guards seeding (seedFirstPages): range
+// queries have a finite query distance from the start, so no seeding page
+// reads should happen for a batch of selective range queries beyond the
+// pages their plans require.
 func TestBootstrapSkipsRangeQueries(t *testing.T) {
 	const dim = 4
 	items := testDB(32, 1000, dim)

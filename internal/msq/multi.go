@@ -44,8 +44,8 @@ type queryState struct {
 	// queries that enter in the same call, when the engine is an
 	// engine.BlockPreparer. Pivot-based engines pay their
 	// query-to-pivot distances here, so every later page probe (plans,
-	// relevance checks, bootstrap bounds) across every incremental call
-	// reuses them for free.
+	// relevance checks, seeding) across every incremental call reuses
+	// them for free.
 	pq engine.PreparedQuery
 	// processed is the set of pages already examined for the query. It
 	// stays with the struct through the free list, unless retire lets it go,
@@ -55,12 +55,6 @@ type queryState struct {
 	// next call to retire it (Session.retire). A state that stands for a
 	// query completed in an earlier call is done from the start.
 	done bool
-	// bound is an a-priori upper bound on the final query distance,
-	// derived from MAXDIST over a data page holding enough items (see
-	// Session.bootstrap). It lets a k-NN query participate in page
-	// relevance filtering and distance avoidance before any of its
-	// object distances have been calculated. +Inf when unknown.
-	bound float64
 }
 
 // pageSet is a set of page IDs, one bit per page: an engine's IDs are dense
@@ -70,16 +64,6 @@ type pageSet []uint64
 
 func (ps pageSet) has(pid store.PageID) bool { return ps[pid>>6]&(1<<(pid&63)) != 0 }
 func (ps pageSet) add(pid store.PageID)      { ps[pid>>6] |= 1 << (pid & 63) }
-
-// queryDist is the effective pruning distance: the adaptive answer-list
-// distance, capped by the a-priori bound. Both are upper bounds on the
-// final query distance, so the minimum is a safe pruning threshold.
-func (st *queryState) queryDist() float64 {
-	if qd := st.answers.QueryDist(); qd < st.bound {
-		return qd
-	}
-	return st.bound
-}
 
 // Session holds buffered (partial) answers between incremental multi-query
 // calls. A session is bound to one processor. It is safe for concurrent
@@ -135,7 +119,8 @@ type Session struct {
 	batch, next []*queryState
 	results     []*query.AnswerList
 	pass        *pagePass
-	// bounded: batch holds an incomplete bounded query (bootstrap's kind).
+	// bounded: batch holds an incomplete bounded query (seedFirstPages'
+	// kind).
 	bounded bool
 	// finished holds batch's done states, for retire.
 	finished []*queryState
@@ -401,7 +386,6 @@ func (s *Session) admit(st *queryState) {
 	} else {
 		clear(st.processed)
 	}
-	st.bound = math.Inf(1)
 }
 
 // release withdraws st from live and puts it on the free list. Its list, if
@@ -545,18 +529,13 @@ func (a accounting) finish(stats *Stats) {
 func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]float64, stats *Stats) error {
 	first := states[0]
 
-	// Bootstrap: a k-NN query that has no answers yet cannot exclude any
+	// Seeding: a k-NN query that has no answers yet cannot exclude any
 	// page (its query distance is infinite), so sharing Q1's pages with
 	// it would process *every* page for it. Definition 4 only requires
 	// partial answers for the non-first queries, so before the page loop
-	// each unbounded k-NN query receives an a-priori bound: MAXDIST to
-	// any single data page holding at least k items upper-bounds its
-	// k-NN distance, at zero I/O and zero object-distance cost. On
-	// engines without geometric knowledge (the scan) the bound stays
-	// +Inf, which is fine — a scan processes every page for every query
-	// by design.
+	// each new k-NN query reads the one page nearest to it, which bounds
+	// its query distance by the distances on that page.
 	if s.bounded {
-		s.bootstrap(states)
 		if err := s.seedFirstPages(states, stats); err != nil {
 			return err
 		}
@@ -564,14 +543,14 @@ func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]floa
 
 	// determine_relevant_data_pages: the plan covers (at least) every
 	// page relevant for Q1, in optimal order. Buffered partial answers
-	// and the a-priori bound give Q1 a head start on its query distance.
+	// give Q1 a head start on its query distance.
 	planStart := s.clock()
 	var plan []engine.PageRef
 	if pa, ok := first.pq.(engine.PlanAppender); ok {
-		s.plan = pa.AppendPlan(s.plan[:0], first.queryDist())
+		s.plan = pa.AppendPlan(s.plan[:0], first.answers.QueryDist())
 		plan = s.plan
 	} else {
-		plan = first.pq.Plan(first.queryDist())
+		plan = first.pq.Plan(first.answers.QueryDist())
 	}
 	s.observeSince(obs.PhasePlan, planStart)
 
@@ -580,7 +559,7 @@ func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]floa
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("msq: multiple query: %w", err)
 		}
-		if ref.MinDist > first.queryDist() {
+		if ref.MinDist > first.answers.QueryDist() {
 			break // prune_pages for Q1; later refs are even farther
 		}
 		if first.processed.has(ref.ID) {
@@ -610,35 +589,7 @@ func (s *Session) run(ctx context.Context, states []*queryState, matrix [][]floa
 	return nil
 }
 
-// bootstrap computes, for every query whose effective query distance is
-// still unbounded, the a-priori bound: the minimum over the data pages
-// holding at least Cardinality items of MAXDIST(query, page MBR). Every
-// item on such a page is within MAXDIST, so the final k-NN distance cannot
-// exceed it. The computation uses only MBR geometry — no I/O and no object
-// distance calculations.
-func (s *Session) bootstrap(states []*queryState) {
-	eng := s.proc.eng
-	nPages := eng.NumPages()
-	for _, st := range states {
-		if st.done || !st.q.Type.Bounded() || !math.IsInf(st.queryDist(), 1) {
-			continue
-		}
-		k := st.q.Type.Cardinality
-		best := math.Inf(1)
-		for pid := 0; pid < nPages; pid++ {
-			p := store.PageID(pid)
-			if eng.PageLen(p) < k {
-				continue
-			}
-			if d := st.pq.MaxDist(p); d < best {
-				best = d
-			}
-		}
-		st.bound = best
-	}
-}
-
-// seedFirstPages tightens the bound of each new bounded query further by
+// seedFirstPages bounds the query distance of each new bounded query by
 // processing the single unprocessed page nearest to it (by lower bound):
 // that page's true k-th distance is typically very close to the final k-NN
 // distance, so subsequent page sharing for the query admits few superfluous
@@ -677,16 +628,16 @@ func (s *Session) seedFirstPages(states []*queryState, stats *Stats) error {
 		if err != nil {
 			return fmt.Errorf("msq: seeding query %d: %w", st.q.ID, err)
 		}
-		// The live bound (a-priori MAXDIST, tightening as the list fills)
-		// lets later items abandon early; an abandoned item could not have
-		// entered the list.
+		// The live query distance (finite once the list fills, tightening
+		// after) lets later items abandon early; an abandoned item could
+		// not have entered the list.
 		s.visit(states[idx:idx+1], stats)
 		evalStart := s.clock()
-		items, limit, within := page.Items, [1]float64{st.queryDist()}, int64(0)
+		items, limit, within := page.Items, [1]float64{st.answers.QueryDist()}, int64(0)
 		sweepItems(s.proc.lanes, items, []vec.Vector{st.q.Vec}, limit[:], func(_, it int, d float64) {
 			within++
 			st.answers.Consider(items[it].ID, d)
-			limit[0] = st.queryDist()
+			limit[0] = st.answers.QueryDist()
 		})
 		c := passCounts{calcs: int64(len(items)), abandoned: int64(len(items)) - within}
 		if ex := s.explain; ex != nil {

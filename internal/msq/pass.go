@@ -129,9 +129,8 @@ type pagePass struct {
 	activeIdx []int // matrix slot of each active query
 	// limits holds each active query's pruning distance. The pass keeps it
 	// exact: a pruning distance changes only when the query's own Consider
-	// accepts an item (its a-priori bound is fixed during the page loop),
-	// and every accept refreshes the entry — so the per-pair limit is a
-	// cached read, not a call.
+	// accepts an item, and every accept refreshes the entry — so the
+	// per-pair limit is a cached read, not a call.
 	limits []float64
 	// raise[a] caches the Lemma-1 horizon bound of abandonLimit, computed
 	// from the limits at the page's start. Pruning distances only shrink
@@ -198,7 +197,7 @@ func (p *pagePass) decideActive(pid store.PageID, states []*queryState) []*query
 		if st.processed.has(pid) {
 			continue
 		}
-		if i > 0 && st.pq.MinDist(pid) > st.queryDist() {
+		if i > 0 && st.pq.MinDist(pid) > st.answers.QueryDist() {
 			continue
 		}
 		active = append(active, st)
@@ -214,7 +213,7 @@ func (p *pagePass) begin(page *store.Page, active []*queryState) {
 	n := len(active)
 	p.limits, p.activeIdx = p.limits[:n], p.activeIdx[:n]
 	for a, st := range active {
-		p.limits[a] = st.queryDist()
+		p.limits[a] = st.answers.QueryDist()
 		p.activeIdx[a] = int(st.slot)
 	}
 	if p.matrix != nil {
@@ -341,7 +340,7 @@ func (p *pagePass) evalPairs() passCounts {
 				continue
 			}
 			if p.accept(a, item.ID, d) {
-				limits[a] = st.queryDist()
+				limits[a] = st.answers.QueryDist()
 				if math.IsInf(qd, 1) && !math.IsInf(limits[a], 1) {
 					mrow := matrix[slot]
 					for j, q := range activeIdx {
@@ -396,7 +395,7 @@ func (p *pagePass) evalRows() passCounts {
 			}
 			for _, hit := range hits {
 				if a := int(hit.Lane); p.accept(a, item.ID, hit.D) {
-					limits[a] = active[a].queryDist()
+					limits[a] = active[a].answers.QueryDist()
 					rows.SetLimit(a, limits[a])
 				}
 			}
@@ -423,7 +422,7 @@ func (p *pagePass) evalItems() passCounts {
 	sweepItems(p.s.proc.lanes, items, p.qvecs, limits, func(a, it int, d float64) {
 		hits[a]++
 		if p.accept(a, items[it].ID, d) {
-			limits[a] = active[a].queryDist()
+			limits[a] = active[a].answers.QueryDist()
 		}
 	})
 	p.flush()

@@ -527,7 +527,7 @@ func TestCompletedQueriesReleaseTheirState(t *testing.T) {
 	// A completed query has no prepared handle to ask, so everything that
 	// walks the batch must skip it before touching one: resubmit completed
 	// queries behind a new first query, beside new k-NN queries that make
-	// bootstrap and seedFirstPages run.
+	// seedFirstPages run.
 	knn := query.NewKNN(3)
 	mixed := []Query{
 		{ID: 1 << 20, Vec: items[5000].Vec, Type: knn},

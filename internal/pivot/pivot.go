@@ -231,7 +231,7 @@ type Engine struct {
 	metric       vec.Metric
 	table        *Table
 	numItems     int
-	pageLens     []int
+	numPages     int
 	pageCapacity int
 	pivotCalcs   atomic.Int64
 }
@@ -295,7 +295,7 @@ func New(items []store.Item, cfg Config) (*Engine, error) {
 		metric:       cfg.Metric,
 		table:        table,
 		numItems:     len(items),
-		pageLens:     lens,
+		numPages:     len(lens),
 		pageCapacity: cfg.PageCapacity,
 	}, nil
 }
@@ -329,7 +329,7 @@ func NewStored(pager *store.Pager, table *Table, metric vec.Metric, numItems int
 		metric:       metric,
 		table:        table,
 		numItems:     numItems,
-		pageLens:     append([]int(nil), pageLens...),
+		numPages:     len(pageLens),
 		pageCapacity: pageCapacity,
 	}, nil
 }
@@ -371,8 +371,8 @@ func (e *Engine) Describe() engine.Config {
 func (e *Engine) PivotDistCalcs() int64 { return e.pivotCalcs.Load() }
 
 // Prepare computes d(q, p) for every pivot p — the engine's entire
-// per-query cost. Every subsequent Plan/MinDist/MaxDist probe is pure
-// arithmetic over the table.
+// per-query cost. Every subsequent Plan/MinDist probe is pure arithmetic
+// over the table.
 func (e *Engine) Prepare(q vec.Vector) engine.PreparedQuery {
 	qp := make([]float64, len(e.table.Pivots))
 	for i, pv := range e.table.Pivots {
@@ -395,7 +395,7 @@ func (p *prepared) Plan(queryDist float64) []engine.PageRef { return p.AppendPla
 // AppendPlan appends every page whose pivot lower bound is within
 // queryDist, in ascending lower-bound order (ties by page ID).
 func (p *prepared) AppendPlan(dst []engine.PageRef, queryDist float64) []engine.PageRef {
-	n := len(p.e.pageLens)
+	n := p.e.numPages
 	dst = engine.GrowPlan(dst, n)
 	start := len(dst)
 	for pid := 0; pid < n; pid++ {
@@ -411,23 +411,6 @@ func (p *prepared) AppendPlan(dst []engine.PageRef, queryDist float64) []engine.
 // MinDist returns the pivot lower bound for the page.
 func (p *prepared) MinDist(pid store.PageID) float64 { return p.lowerBound(int(pid)) }
 
-// MaxDist returns the pivot upper bound for the page: the tightest
-// d(q,pivot) + maxD over the pivots.
-func (p *prepared) MaxDist(pid store.PageID) float64 {
-	t := p.e.table
-	best := math.Inf(1)
-	for i, qp := range p.qp {
-		maxD := t.MaxD[i][pid]
-		if math.IsInf(maxD, -1) {
-			continue // empty page: no finite upper bound needed
-		}
-		if ub := qp + maxD; ub < best {
-			best = ub
-		}
-	}
-	return best
-}
-
 func (p *prepared) lowerBound(pid int) float64 {
 	t := p.e.table
 	best := 0.0
@@ -442,16 +425,13 @@ func (p *prepared) lowerBound(pid int) float64 {
 	return best
 }
 
-// PageLen returns the number of items on the page.
-func (e *Engine) PageLen(pid store.PageID) int { return e.pageLens[pid] }
-
 // ReadPage reads a data page through the pager.
 func (e *Engine) ReadPage(pid store.PageID) (*store.Page, error) {
 	return e.pager.ReadPage(pid)
 }
 
 // NumPages returns the number of data pages.
-func (e *Engine) NumPages() int { return len(e.pageLens) }
+func (e *Engine) NumPages() int { return e.numPages }
 
 // NumItems returns the number of stored items.
 func (e *Engine) NumItems() int { return e.numItems }

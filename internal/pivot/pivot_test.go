@@ -41,8 +41,15 @@ func TestNewValidation(t *testing.T) {
 	if e.NumItems() != 50 || e.NumPages() != 7 {
 		t.Errorf("NumItems=%d NumPages=%d", e.NumItems(), e.NumPages())
 	}
-	if e.PageLen(0) != 8 || e.PageLen(6) != 2 {
-		t.Errorf("PageLen = %d / %d", e.PageLen(0), e.PageLen(6))
+	for pid, want := range map[store.PageID]int{0: 8, 6: 2} {
+		p, err := e.ReadPage(pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Items) != want {
+			t.Errorf("page %d holds %d items, want %d", pid, len(p.Items), want)
+		}
+		e.Pager().Release(p)
 	}
 	if d := e.Describe(); d.Pivots != 4 || d.PageCapacity != 8 {
 		t.Errorf("Describe = %+v", d)
@@ -87,8 +94,8 @@ func TestBuildDeterminism(t *testing.T) {
 }
 
 // TestBoundsSafety property-tests the load-bearing contract: for every
-// page, MinDist ≤ the true distance of every item on the page ≤ MaxDist.
-// This is exactly the soundness of the |d(q,p) − d(p,o)| filter.
+// page, MinDist ≤ the true distance of every item on the page. This is
+// exactly the soundness of the |d(q,p) − d(p,o)| filter.
 func TestBoundsSafety(t *testing.T) {
 	const dim = 5
 	for _, metric := range []vec.Metric{vec.Euclidean{}, vec.Manhattan{}, vec.Chebyshev{}} {
@@ -111,12 +118,11 @@ func TestBoundsSafety(t *testing.T) {
 					return false
 				}
 				lb := pq.MinDist(store.PageID(pid))
-				ub := pq.MaxDist(store.PageID(pid))
 				for it := range p.Items {
 					d := metric.Distance(q, p.Items[it].Vec)
-					if d < lb-eps || d > ub+eps {
-						t.Logf("metric %s page %d item %d: d=%v outside [%v, %v]",
-							metric.Name(), pid, it, d, lb, ub)
+					if d < lb-eps {
+						t.Logf("metric %s page %d item %d: d=%v below %v",
+							metric.Name(), pid, it, d, lb)
 						return false
 					}
 				}
@@ -198,7 +204,6 @@ func TestPivotDistCalcs(t *testing.T) {
 	}
 	pq.Plan(math.Inf(1))
 	pq.MinDist(0)
-	pq.MaxDist(0)
 	if got := e.PivotDistCalcs(); got != 8 {
 		t.Fatalf("PivotDistCalcs after probes = %d, want 8 (probes must be arithmetic-only)", got)
 	}
@@ -293,9 +298,9 @@ func TestStoredRoundTrip(t *testing.T) {
 
 	// A stored engine over the same pager and the loaded table answers
 	// identically.
-	lens := make([]int, e.NumPages())
+	lens := make([]int, e.NumPages()) // New paginates 16 items a page
 	for i := range lens {
-		lens[i] = e.PageLen(store.PageID(i))
+		lens[i] = min(16, e.NumItems()-16*i)
 	}
 	se, err := NewStored(e.Pager(), loaded, vec.Euclidean{}, e.NumItems(), lens, 16)
 	if err != nil {
@@ -305,7 +310,7 @@ func TestStoredRoundTrip(t *testing.T) {
 	a, b := e.Prepare(q), se.Prepare(q)
 	for pid := 0; pid < e.NumPages(); pid++ {
 		id := store.PageID(pid)
-		if a.MinDist(id) != b.MinDist(id) || a.MaxDist(id) != b.MaxDist(id) {
+		if a.MinDist(id) != b.MinDist(id) {
 			t.Fatalf("page %d: stored bounds differ", pid)
 		}
 	}

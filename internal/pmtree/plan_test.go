@@ -34,7 +34,7 @@ func boxedPlan(p *prepared, queryDist float64) ([]engine.PageRef, int) {
 	h := boxedHeap{{lb: p.rootLB(root), node: root}}
 	var refs []engine.PageRef
 	most := 1
-	lbs, ubs := p.leafMemo()
+	lbs := p.leafMemo()
 	for len(h) > 0 {
 		ent := heap.Pop(&h).(planEntry)
 		if ent.lb > queryDist {
@@ -44,7 +44,6 @@ func boxedPlan(p *prepared, queryDist float64) ([]engine.PageRef, int) {
 		if nd.isLeaf() {
 			if math.IsNaN(lbs[nd.pid]) {
 				lbs[nd.pid] = ent.lb
-				ubs[nd.pid] = p.nodeUB(ent.node)
 			}
 			refs = append(refs, engine.PageRef{ID: nd.pid, MinDist: ent.lb})
 			continue
@@ -94,13 +93,10 @@ func TestPlanMatchesBoxedHeap(t *testing.T) {
 						t.Fatalf("%s: ref %d is %+v, want %+v", label, i, plan[i], want[i])
 					}
 				}
-				gotLB, gotUB := got.leafMemo()
-				wantLB, wantUB := oracle.leafMemo()
+				gotLB, wantLB := got.leafMemo(), oracle.leafMemo()
 				for pid := range gotLB {
-					if math.Float64bits(gotLB[pid]) != math.Float64bits(wantLB[pid]) ||
-						math.Float64bits(gotUB[pid]) != math.Float64bits(wantUB[pid]) {
-						t.Fatalf("%s: page %d memo [%v, %v], want [%v, %v]", label, pid,
-							gotLB[pid], gotUB[pid], wantLB[pid], wantUB[pid])
+					if math.Float64bits(gotLB[pid]) != math.Float64bits(wantLB[pid]) {
+						t.Fatalf("%s: page %d memo %v, want %v", label, pid, gotLB[pid], wantLB[pid])
 					}
 				}
 			}

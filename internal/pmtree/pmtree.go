@@ -90,7 +90,7 @@ type Engine struct {
 	pivots       []vec.Vector
 	nodes        []node // children before parents; root is the last entry
 	numItems     int
-	pageLens     []int
+	numPages     int
 	pageCapacity int
 	fanout       int
 	buildCalcs   int64
@@ -132,7 +132,7 @@ func New(items []store.Item, cfg Config) (*Engine, error) {
 
 	// Materialize the leaf pages in cluster order and their nodes.
 	pages := make([]*store.Page, len(clusters))
-	e.pageLens = make([]int, len(clusters))
+	e.numPages = len(clusters)
 	e.nodes = make([]node, 0, 2*len(clusters))
 	for pid, cl := range clusters {
 		members := make([]store.Item, len(cl.members))
@@ -140,7 +140,6 @@ func New(items []store.Item, cfg Config) (*Engine, error) {
 			members[i] = items[idx]
 		}
 		pages[pid] = &store.Page{ID: store.PageID(pid), Items: members}
-		e.pageLens[pid] = len(members)
 		e.numItems += len(members)
 		e.nodes = append(e.nodes, e.leafNode(store.PageID(pid), items[cl.seed].Vec, members))
 	}
@@ -504,7 +503,7 @@ func (e *Engine) BuildDistCalcs() int64 { return e.buildCalcs }
 // and one slab holding the pivot distances and the memos.
 func (e *Engine) Prepare(q vec.Vector) engine.PreparedQuery {
 	np := len(e.pivots)
-	p := &prepared{e: e, q: q, memo: make([]float64, np+len(e.nodes)+2*len(e.pageLens))}
+	p := &prepared{e: e, q: q, memo: make([]float64, np+len(e.nodes)+e.numPages)}
 	for i, pv := range e.pivots {
 		p.memo[i] = e.metric.Distance(q, pv)
 	}
@@ -517,7 +516,7 @@ func (e *Engine) Prepare(q vec.Vector) engine.PreparedQuery {
 
 // prepared answers page probes for one query. It memoizes the expensive
 // parts — routing-center distances and per-leaf bounds — so repeated probes
-// of the same page (plans, relevance checks, bootstrap) cost arithmetic
+// of the same page (plans, relevance checks, seeding) cost arithmetic
 // only. PreparedQuery handles are single-owner by contract, so the memos
 // need no locking.
 type prepared struct {
@@ -528,11 +527,9 @@ type prepared struct {
 	memo []float64
 }
 
-// leafMemo returns the per-page memos: lower bounds and upper bounds.
-func (p *prepared) leafMemo() (lb, ub []float64) {
-	nl := len(p.e.pageLens)
-	at := len(p.e.pivots) + len(p.e.nodes)
-	return p.memo[at : at+nl : at+nl], p.memo[at+nl:]
+// leafMemo returns the per-page memo of lower bounds.
+func (p *prepared) leafMemo() []float64 {
+	return p.memo[len(p.e.pivots)+len(p.e.nodes):]
 }
 
 // center returns the memoized d(q, center) of node i.
@@ -565,29 +562,14 @@ func (p *prepared) nodeLB(i int) float64 {
 	return lb
 }
 
-// nodeUB is the node's upper bound: the tighter of the ball bound and the
-// best ring bound.
-func (p *prepared) nodeUB(i int) float64 {
-	nd := &p.e.nodes[i]
-	ub := p.center(i) + nd.radius
-	for pi, qp := range p.memo[:len(p.e.pivots)] {
-		if d := qp + nd.ringMax[pi]; d < ub {
-			ub = d
-		}
-	}
-	return ub
-}
-
-// leafBounds returns the memoized bounds of the leaf holding page pid.
+// leafBound returns the memoized lower bound of the leaf holding page pid.
 // Leaves occupy the first NumPages slots of the node slice in page order.
-func (p *prepared) leafBounds(pid store.PageID) (lb, ub float64) {
-	lbs, ubs := p.leafMemo()
-	if lb = lbs[pid]; !math.IsNaN(lb) {
-		return lb, ubs[pid]
+func (p *prepared) leafBound(pid store.PageID) float64 {
+	lbs := p.leafMemo()
+	if math.IsNaN(lbs[pid]) {
+		lbs[pid] = p.nodeLB(int(pid))
 	}
-	lb, ub = p.nodeLB(int(pid)), p.nodeUB(int(pid))
-	lbs[pid], ubs[pid] = lb, ub
-	return lb, ub
+	return lbs[pid]
 }
 
 // planEntry is a heap entry of the best-first descent.
@@ -659,8 +641,8 @@ func (p *prepared) AppendPlan(dst []engine.PageRef, queryDist float64) []engine.
 	root := len(e.nodes) - 1
 	var frame [128]planEntry
 	h := append(planHeap(frame[:0]), planEntry{lb: p.rootLB(root), node: root})
-	dst = engine.GrowPlan(dst, len(e.pageLens))
-	lbs, ubs := p.leafMemo()
+	dst = engine.GrowPlan(dst, e.numPages)
+	lbs := p.leafMemo()
 	for len(h) > 0 {
 		var ent planEntry
 		ent, h = h.pop()
@@ -673,7 +655,6 @@ func (p *prepared) AppendPlan(dst []engine.PageRef, queryDist float64) []engine.
 			// carries, so MinDist(pid) agrees with the plan entry.
 			if math.IsNaN(lbs[nd.pid]) {
 				lbs[nd.pid] = ent.lb
-				ubs[nd.pid] = p.nodeUB(ent.node)
 			}
 			dst = append(dst, engine.PageRef{ID: nd.pid, MinDist: ent.lb})
 			continue
@@ -695,26 +676,13 @@ func (p *prepared) AppendPlan(dst []engine.PageRef, queryDist float64) []engine.
 // single leaf.
 func (p *prepared) rootLB(root int) float64 {
 	if p.e.nodes[root].isLeaf() {
-		lb, _ := p.leafBounds(p.e.nodes[root].pid)
-		return lb
+		return p.leafBound(p.e.nodes[root].pid)
 	}
 	return p.nodeLB(root)
 }
 
 // MinDist returns the leaf's lower bound.
-func (p *prepared) MinDist(pid store.PageID) float64 {
-	lb, _ := p.leafBounds(pid)
-	return lb
-}
-
-// MaxDist returns the leaf's upper bound.
-func (p *prepared) MaxDist(pid store.PageID) float64 {
-	_, ub := p.leafBounds(pid)
-	return ub
-}
-
-// PageLen returns the number of items on the page.
-func (e *Engine) PageLen(pid store.PageID) int { return e.pageLens[pid] }
+func (p *prepared) MinDist(pid store.PageID) float64 { return p.leafBound(pid) }
 
 // ReadPage reads a data page through the pager.
 func (e *Engine) ReadPage(pid store.PageID) (*store.Page, error) {
@@ -722,7 +690,7 @@ func (e *Engine) ReadPage(pid store.PageID) (*store.Page, error) {
 }
 
 // NumPages returns the number of data pages.
-func (e *Engine) NumPages() int { return len(e.pageLens) }
+func (e *Engine) NumPages() int { return e.numPages }
 
 // NumItems returns the number of stored items.
 func (e *Engine) NumItems() int { return e.numItems }

@@ -12,7 +12,6 @@ package scan
 
 import (
 	"fmt"
-	"math"
 
 	"metricdb/internal/engine"
 	"metricdb/internal/store"
@@ -23,7 +22,6 @@ import (
 type Engine struct {
 	pager    *store.Pager
 	numItems int
-	pageLens []int
 	// plan is every page in physical order at lower bound 0: the plan of
 	// every query, built once and shared (callers only read a plan).
 	plan []engine.PageRef
@@ -79,11 +77,7 @@ func NewWithConfig(items []store.Item, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scan: %w", err)
 	}
-	lens := make([]int, len(pages))
-	for i, p := range pages {
-		lens[i] = len(p.Items)
-	}
-	return newEngine(pager, len(items), lens), nil
+	return newEngine(pager, len(items)), nil
 }
 
 // NewStored builds a scan engine over an existing pager whose page sizes
@@ -108,34 +102,38 @@ func NewStored(pager *store.Pager, numItems int, pageLens []int) (*Engine, error
 	if total != numItems {
 		return nil, fmt.Errorf("scan: page lengths sum to %d items, expected %d", total, numItems)
 	}
-	return newEngine(pager, numItems, append([]int(nil), pageLens...)), nil
+	return newEngine(pager, numItems), nil
 }
 
 // NewFromPager builds a scan engine over an existing pager holding numItems
-// items. Page sizes are determined with one warm-up pass, after which the
-// pager's statistics are reset.
+// items. One warm-up pass reads every page to check that the pages hold
+// numItems items, after which the pager's statistics are reset.
 func NewFromPager(pager *store.Pager, numItems int) (*Engine, error) {
 	if pager == nil {
 		return nil, fmt.Errorf("scan: nil pager")
 	}
-	lens := make([]int, pager.NumPages())
-	for i := range lens {
+	total := 0
+	for i := 0; i < pager.NumPages(); i++ {
 		p, err := pager.ReadPage(store.PageID(i))
 		if err != nil {
 			return nil, fmt.Errorf("scan: sizing page %d: %w", i, err)
 		}
-		lens[i] = len(p.Items)
+		total += len(p.Items)
+		pager.Release(p)
+	}
+	if total != numItems {
+		return nil, fmt.Errorf("scan: pages hold %d items, expected %d", total, numItems)
 	}
 	pager.ResetStats()
-	return newEngine(pager, numItems, lens), nil
+	return newEngine(pager, numItems), nil
 }
 
-func newEngine(pager *store.Pager, numItems int, pageLens []int) *Engine {
-	plan := make([]engine.PageRef, len(pageLens))
+func newEngine(pager *store.Pager, numItems int) *Engine {
+	plan := make([]engine.PageRef, pager.NumPages())
 	for i := range plan {
 		plan[i] = engine.PageRef{ID: store.PageID(i)}
 	}
-	return &Engine{pager: pager, numItems: numItems, pageLens: pageLens, plan: plan}
+	return &Engine{pager: pager, numItems: numItems, plan: plan}
 }
 
 // Name returns "scan".
@@ -156,12 +154,6 @@ func (p prepared) Plan(_ float64) []engine.PageRef { return p.e.plan }
 
 // MinDist returns 0: the scan has no geometric knowledge of page contents.
 func (prepared) MinDist(store.PageID) float64 { return 0 }
-
-// MaxDist returns +Inf: the scan cannot bound page contents.
-func (prepared) MaxDist(store.PageID) float64 { return math.Inf(1) }
-
-// PageLen returns the number of items on the page.
-func (e *Engine) PageLen(pid store.PageID) int { return e.pageLens[pid] }
 
 // ReadPage reads a data page through the pager.
 func (e *Engine) ReadPage(pid store.PageID) (*store.Page, error) {

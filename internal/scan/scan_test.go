@@ -98,6 +98,9 @@ func TestNewFromPager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := NewFromPager(pager, 5); err == nil {
+		t.Error("4 items on the pages accepted as 5")
+	}
 	e, err := NewFromPager(pager, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -130,16 +133,3 @@ func TestNewFromPagerSurfacesSizingErrors(t *testing.T) {
 }
 
 var errBoom = errors.New("boom")
-
-func TestPageLenAndMaxDist(t *testing.T) {
-	e, err := New(items(5), 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.PageLen(0) != 2 || e.PageLen(2) != 1 {
-		t.Errorf("PageLen = %d / %d", e.PageLen(0), e.PageLen(2))
-	}
-	if !math.IsInf(e.Prepare(vec.Vector{0, 0}).MaxDist(0), 1) {
-		t.Error("scan MaxDist should be +Inf")
-	}
-}

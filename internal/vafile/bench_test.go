@@ -68,7 +68,7 @@ func BenchmarkPlan(b *testing.B) {
 // BenchmarkSweep is what one query costs the engines_lowdim workload's
 // VA-file before any page is read: a handle, the cell tables, one sweep of
 // 20 000 × 8-d approximations, then the probes the processor makes — a
-// MaxDist and a MinDist of every page and a plan — as array reads. The lone
+// MinDist of every page and a plan — as array reads. The lone
 // arm prepares each query alone, the block arms prepare that many together
 // (PrepareBlock: one pass per four queries, a short remainder swept alone)
 // with each lane-pass body the build and the CPU run; ns/query compares
@@ -109,7 +109,7 @@ func BenchmarkSweep(b *testing.B) {
 				}
 				for _, pq := range pqs {
 					for pid := 0; pid < e.NumPages(); pid++ {
-						sink += pq.MaxDist(store.PageID(pid)) + pq.MinDist(store.PageID(pid))
+						sink += pq.MinDist(store.PageID(pid))
 					}
 					benchSinkRefs = len(pq.Plan(0.3))
 				}

@@ -43,7 +43,7 @@ func TestLaneSweepStaysInBounds(t *testing.T) {
 			tab := guarded[laneTerm](t, dim*ncells)
 			for i := range tab {
 				for j := range lanes {
-					tab[i].lo[j], tab[i].up[j] = rng.Float64(), 1+rng.Float64()
+					tab[i][j] = rng.Float64()
 				}
 			}
 			for n := 1; n <= 9; n++ {

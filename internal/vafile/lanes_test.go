@@ -41,19 +41,17 @@ func runLanes(asm bool, t []laneTerm, cells []uint8, dim, ncells int) laneBounds
 
 // laneReference is what sweepPageLanes is defined to return, one lane and
 // one item at a time: each lane's sum of its terms in dimension order from
-// zero, the smallest lower and the largest upper of them over the whole
-// items of cells.
+// zero, the smallest of them over the whole items of cells.
 func laneReference(t []laneTerm, cells []uint8, dim, ncells int) laneBounds {
 	var b laneBounds
 	for j := range lanes {
-		b.lb[j] = math.Inf(1)
+		b[j] = math.Inf(1)
 		for it := 0; (it+1)*dim <= len(cells); it++ {
-			var lo, up float64
+			var lo float64
 			for d, c := range cells[it*dim : (it+1)*dim] {
-				lo += t[d*ncells+int(c)].lo[j]
-				up += t[d*ncells+int(c)].up[j]
+				lo += t[d*ncells+int(c)][j]
 			}
-			b.lb[j], b.ub[j] = min(b.lb[j], lo), max(b.ub[j], up)
+			b[j] = min(b[j], lo)
 		}
 	}
 	return b
@@ -62,8 +60,8 @@ func laneReference(t []laneTerm, cells []uint8, dim, ncells int) laneBounds {
 // sameLanes reports the first lane on which got differs from want in a bit.
 func sameLanes(got, want laneBounds) error {
 	for j := range lanes {
-		if math.Float64bits(got.lb[j]) != math.Float64bits(want.lb[j]) || math.Float64bits(got.ub[j]) != math.Float64bits(want.ub[j]) {
-			return fmt.Errorf("lane %d: [%v, %v], want [%v, %v]", j, got.lb[j], got.ub[j], want.lb[j], want.ub[j])
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			return fmt.Errorf("lane %d: %v, want %v", j, got[j], want[j])
 		}
 	}
 	return nil
@@ -87,7 +85,7 @@ func randomCells(rng *rand.Rand, n, dim, ncells int) []uint8 {
 // so far out that terms overflow to +Inf — for dimensions 1–20, bits 1/6/8
 // and every sum-combined metric, over every page of the engine, empty and
 // short pages (0–9 items) and cells with a tail shorter than an item; and a
-// block's handles answer MinDist, MaxDist and Plan with the same bits
+// block's handles answer MinDist and Plan with the same bits
 // whichever body swept them, a query with a NaN coordinate included.
 func TestLaneSweepBodiesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -190,7 +188,7 @@ func FuzzLaneSweep(f *testing.F) {
 		}
 		for i := range tab {
 			for j := range lanes {
-				tab[i].lo[j], tab[i].up[j] = term(i), term(i+j)
+				tab[i][j] = term(i + j)
 			}
 		}
 		want := laneReference(tab, cells, dim, ncells)

@@ -45,36 +45,14 @@ func (e *Engine) itemLowerBound(q vec.Vector, pi store.PageID, it int, scratch, 
 	return e.base.Distance(scratch, zero)
 }
 
-// itemUpperBound is the matching farthest-corner bound.
-func (e *Engine) itemUpperBound(q vec.Vector, pi store.PageID, it int, scratch, zero vec.Vector) float64 {
-	if !e.cw {
-		return math.Inf(1)
-	}
-	cells := e.pages[pi].cells[it*e.dim : (it+1)*e.dim]
-	for d := 0; d < e.dim; d++ {
-		b := e.bounds[d]
-		c := int(cells[d])
-		lo := math.Abs(q[d] - b[c])
-		hi := math.Abs(q[d] - b[c+1])
-		if lo > hi {
-			scratch[d] = lo
-		} else {
-			scratch[d] = hi
-		}
-	}
-	return e.base.Distance(scratch, zero)
-}
-
-// oraclePageBounds is the minimum item lower bound and the maximum item
-// upper bound of a page.
-func (e *Engine) oraclePageBounds(q vec.Vector, pid store.PageID) (lb, ub float64) {
+// oraclePageBound is the minimum item lower bound of a page.
+func (e *Engine) oraclePageBound(q vec.Vector, pid store.PageID) float64 {
 	scratch, zero := make(vec.Vector, e.dim), make(vec.Vector, e.dim)
-	lb = math.Inf(1)
-	for it := 0; it < e.pages[pid].n; it++ {
+	lb := math.Inf(1)
+	for it := 0; it < len(e.pages[pid].cells)/e.dim; it++ {
 		lb = math.Min(lb, e.itemLowerBound(q, pid, it, scratch, zero))
-		ub = math.Max(ub, e.itemUpperBound(q, pid, it, scratch, zero))
 	}
-	return lb, ub
+	return lb
 }
 
 // doubledManhattan is a coordinatewise metric vec does not ship, so the
@@ -145,8 +123,8 @@ func sweepQueries(e *Engine, rng *rand.Rand) []vec.Vector {
 }
 
 // TestSweepMatchesGapVectorOracle: the table path returns the float64 bits
-// of the gap-vector arithmetic for every page's MinDist and MaxDist, and
-// Plan is the oracle's plan.
+// of the gap-vector arithmetic for every page's MinDist, and Plan is the
+// oracle's plan.
 func TestSweepMatchesGapVectorOracle(t *testing.T) {
 	const dim = 5
 	items := sweepItems(11, 300, dim, 3)
@@ -165,19 +143,16 @@ func TestSweepMatchesGapVectorOracle(t *testing.T) {
 					var want []engine.PageRef
 					limit := 0.0
 					for pid := 0; pid < e.NumPages(); pid++ {
-						lb, ub := e.oraclePageBounds(q, store.PageID(pid))
+						lb := e.oraclePageBound(q, store.PageID(pid))
 						if got := pq.MinDist(store.PageID(pid)); math.Float64bits(got) != math.Float64bits(lb) {
 							t.Fatalf("q %v page %d: MinDist %v (%x), oracle %v (%x)", q, pid, got, math.Float64bits(got), lb, math.Float64bits(lb))
-						}
-						if got := pq.MaxDist(store.PageID(pid)); math.Float64bits(got) != math.Float64bits(ub) {
-							t.Fatalf("q %v page %d: MaxDist %v (%x), oracle %v (%x)", q, pid, got, math.Float64bits(got), ub, math.Float64bits(ub))
 						}
 						if pid == e.NumPages()/2 {
 							limit = lb // a query distance that cuts the plan and ties with a page
 						}
 					}
 					for pid := 0; pid < e.NumPages(); pid++ {
-						if lb, _ := e.oraclePageBounds(q, store.PageID(pid)); lb <= limit {
+						if lb := e.oraclePageBound(q, store.PageID(pid)); lb <= limit {
 							want = append(want, engine.PageRef{ID: store.PageID(pid), MinDist: lb})
 						}
 					}
@@ -189,7 +164,7 @@ func TestSweepMatchesGapVectorOracle(t *testing.T) {
 						if i > 0 && (got[i-1].MinDist > got[i].MinDist || got[i-1].MinDist == got[i].MinDist && got[i-1].ID >= got[i].ID) {
 							t.Fatalf("q %v: plan out of order at %d: %+v then %+v", q, i, got[i-1], got[i])
 						}
-						if lb, _ := e.oraclePageBounds(q, got[i].ID); lb != got[i].MinDist || lb > limit {
+						if lb := e.oraclePageBound(q, got[i].ID); lb != got[i].MinDist || lb > limit {
 							t.Fatalf("q %v: plan ref %+v, oracle bound %v, limit %v", q, got[i], lb, limit)
 						}
 					}
@@ -199,8 +174,8 @@ func TestSweepMatchesGapVectorOracle(t *testing.T) {
 	}
 }
 
-// TestSweepSoundness: MinDist(p) <= d(q, o) <= MaxDist(p) for every item o
-// of every page p. Against the metric's Distance that holds without a
+// TestSweepSoundness: MinDist(p) <= d(q, o) for every item o of every page
+// p. Against the metric's Distance that holds without a
 // tolerance — subtraction, the terms, their combination in Distance's order
 // and the finish are all monotone in floating point; the processor's
 // bounded kernel sums in another order, so it gets one of a few ulps.
@@ -220,12 +195,12 @@ func TestSweepSoundness(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					lb, ub := pq.MinDist(page.ID), pq.MaxDist(page.ID)
+					lb := pq.MinDist(page.ID)
 					for _, it := range page.Items {
 						d := m.Distance(q, it.Vec)
 						within, ok := vec.DistanceWithin(m, q, it.Vec, math.Inf(1))
-						if !ok || lb > d || d > ub || lb > within*(1+1e-14) || within > ub*(1+1e-14) {
-							t.Fatalf("%s bits %d q %v page %d item %d: [%v, %v] does not hold %v / %v", m.Name(), bits, q, pid, it.ID, lb, ub, d, within)
+						if !ok || lb > d || lb > within*(1+1e-14) {
+							t.Fatalf("%s bits %d q %v page %d item %d: %v exceeds %v / %v", m.Name(), bits, q, pid, it.ID, lb, d, within)
 						}
 					}
 				}
@@ -236,7 +211,7 @@ func TestSweepSoundness(t *testing.T) {
 
 // TestSweepAllocations: a handle's first probe pays for the handle and its
 // per-page memo and nothing else once the engine's free list holds a table;
-// after it MinDist and MaxDist allocate nothing and Plan exactly its result.
+// after it MinDist allocates nothing and Plan exactly its result.
 func TestSweepAllocations(t *testing.T) {
 	items := testItems(13, 4000, 8)
 	e, err := New(items, Config{})
@@ -247,8 +222,8 @@ func TestSweepAllocations(t *testing.T) {
 	pq := e.Prepare(q)
 	pq.MinDist(0) // sweeps, and leaves its table on the free list
 	var sink float64
-	if n := testing.AllocsPerRun(100, func() { sink += pq.MinDist(1) + pq.MaxDist(2) }); n != 0 {
-		t.Errorf("MinDist + MaxDist on a swept handle: %v allocations, want 0", n)
+	if n := testing.AllocsPerRun(100, func() { sink += pq.MinDist(1) + pq.MinDist(2) }); n != 0 {
+		t.Errorf("MinDist on a swept handle: %v allocations, want 0", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { benchSinkRefs += len(pq.Plan(0.3)) }); n != 1 {
 		t.Errorf("Plan on a swept handle: %v allocations, want 1 (its result)", n)
@@ -260,7 +235,7 @@ func TestSweepAllocations(t *testing.T) {
 		t.Errorf("empty Plan: %v allocations, want 0", n)
 	}
 	var fresh engine.PreparedQuery // keeps the handle on the heap, where a session's is
-	if n := testing.AllocsPerRun(100, func() { fresh = e.Prepare(q); sink += fresh.MaxDist(0) }); n != 2 {
+	if n := testing.AllocsPerRun(100, func() { fresh = e.Prepare(q); sink += fresh.MinDist(0) }); n != 2 {
 		t.Errorf("fresh handle's first probe: %v allocations, want 2 (handle, memo)", n)
 	}
 	qs, pqs := make([]vec.Vector, 16), make([]engine.PreparedQuery, 16)
@@ -270,26 +245,26 @@ func TestSweepAllocations(t *testing.T) {
 	lone := testing.AllocsPerRun(20, func() {
 		for _, q := range qs {
 			fresh = e.Prepare(q)
-			sink += fresh.MaxDist(0)
+			sink += fresh.MinDist(0)
 		}
 	})
 	block := testing.AllocsPerRun(20, func() {
 		e.PrepareBlock(qs, pqs)
 		for _, pq := range pqs {
-			sink += pq.MaxDist(0)
+			sink += pq.MinDist(0)
 		}
 	})
 	if lone != 32 || block > lone {
 		t.Errorf("sixteen handles probed: %v allocations lone (want 32), %v as one block (want at most as many)", lone, block)
 	}
-	if n := testing.AllocsPerRun(100, func() { e.PrepareBlock(qs[:1], pqs[:1]); sink += pqs[0].MaxDist(0) }); n != 2 {
+	if n := testing.AllocsPerRun(100, func() { e.PrepareBlock(qs[:1], pqs[:1]); sink += pqs[0].MinDist(0) }); n != 2 {
 		t.Errorf("a block of one probed: %v allocations, want 2 as a lone handle", n)
 	}
 	_ = sink
 }
 
-// TestBlockSweepMatchesLone: handles prepared as one block answer Plan,
-// MinDist and MaxDist with the bits of lone handles — for blocks of full
+// TestBlockSweepMatchesLone: handles prepared as one block answer Plan and
+// MinDist with the bits of lone handles — for blocks of full
 // lane groups, a padded short group and remainders swept alone, for every
 // metric (sum- and max-combined, and one vec does not ship), resolution and
 // dimension, whichever member is probed first.
@@ -329,10 +304,6 @@ func sameHandles(e *Engine, got, want engine.PreparedQuery) error {
 		if math.Float64bits(g) != math.Float64bits(w) {
 			return fmt.Errorf("page %d: MinDist %v, lone %v", pid, g, w)
 		}
-		g, w = got.MaxDist(pid), want.MaxDist(pid)
-		if math.Float64bits(g) != math.Float64bits(w) {
-			return fmt.Errorf("page %d: MaxDist %v, lone %v", pid, g, w)
-		}
 	}
 	limit := want.MinDist(store.PageID(e.NumPages() / 2))
 	gp, wp := got.Plan(limit), want.Plan(limit)
@@ -356,7 +327,7 @@ func TestZeroDimensionRejected(t *testing.T) {
 	go func() {
 		e, err := New(items, Config{PageCapacity: 2})
 		if err == nil {
-			e.Prepare(vec.Vector{}).MaxDist(0)
+			e.Prepare(vec.Vector{}).MinDist(0)
 		}
 		done <- err
 	}()

@@ -2,18 +2,21 @@
 // Weber, Schek and Blott (VLDB 1998), which the paper cites as the
 // refined alternative to the plain sequential scan: every vector is
 // quantized into a small bit approximation kept in memory; a query first
-// scans the approximations, deriving per-item lower and upper distance
-// bounds from the quantization cells, and only reads the exact vectors of
-// candidates that the bounds cannot exclude.
+// scans the approximations, deriving per-item lower distance bounds from
+// the quantization cells, and only reads the exact vectors of candidates
+// that the bounds cannot exclude.
 //
 // Mapped onto this library's engine interface, the approximation scan
-// implements Plan/MinDist/MaxDist: a data page's lower bound is the
+// implements Plan/MinDist: a data page's lower bound is the
 // minimum over its items' cell lower bounds, so the multiple-similarity-
 // query machinery (page sharing, incremental buffering, avoidance) works
 // unchanged on top of a VA-file — demonstrating the paper's claim that the
 // techniques apply to "an implementation based on an index or using a
 // sequential scan". A query scans the approximations once, on its handle's
 // first probe, and every probe reads the per-page bounds that scan left.
+// Weber et al. also derive upper bounds, to settle a k-NN query's candidates
+// before reading them; here a query's distance is bounded by the pages it
+// reads, so the scan computes lower bounds only.
 // Queries prepared as one block (PrepareBlock) share their scan, four to a
 // pass, as Weber et al. share it among the queries of a batch.
 //
@@ -65,7 +68,7 @@ type Engine struct {
 	// cell tables built from it, one query's and four's — a sweep holds one,
 	// so a few cover any number of sessions.
 	kernel     vec.GapKernel
-	tables     chan []cellTerm
+	tables     chan []float64
 	laneTables chan []laneTerm
 	dim        int
 	bits       int
@@ -85,7 +88,6 @@ type Engine struct {
 // pageApprox holds the in-memory approximations of one data page.
 type pageApprox struct {
 	cells []uint8 // item-major: item*dim + d
-	n     int
 }
 
 var (
@@ -160,7 +162,7 @@ func New(items []store.Item, cfg Config) (*Engine, error) {
 	if cw, ok := e.base.(vec.Coordinatewise); ok && cw.CoordinatewiseMetric() {
 		e.cw = true
 		e.kernel, _ = vec.GapKernelOf(e.base)
-		e.tables = make(chan []cellTerm, 4)
+		e.tables = make(chan []float64, 4)
 		e.laneTables = make(chan []laneTerm, 4)
 		e.asm = vec.HaveAVX2()
 	}
@@ -211,7 +213,7 @@ func (e *Engine) buildBoundaries(items []store.Item) error {
 func (e *Engine) quantize(pages []*store.Page) {
 	e.pages = make([]pageApprox, len(pages))
 	for pi, p := range pages {
-		pa := pageApprox{cells: make([]uint8, len(p.Items)*e.dim), n: len(p.Items)}
+		pa := pageApprox{cells: make([]uint8, len(p.Items)*e.dim)}
 		for it := range p.Items {
 			for d := 0; d < e.dim; d++ {
 				pa.cells[it*e.dim+d] = e.cellOf(d, p.Items[it].Vec[d])
@@ -271,15 +273,15 @@ func (e *Engine) PrepareBlock(qs []vec.Vector, dst []engine.PreparedQuery) {
 }
 
 // prepared answers page probes for one query: its first probe sweeps the
-// approximation array and keeps every page's bounds, so each Plan, MinDist
-// and MaxDist after it is an array read.
+// approximation array and keeps every page's bound, so each Plan and MinDist
+// after it is an array read.
 type prepared struct {
 	e *Engine
 	q vec.Vector
 	// block holds the handles prepared together with this one, itself
 	// included; nil for a lone handle.
 	block []prepared
-	// bounds[2*pid], bounds[2*pid+1]: lower and upper bound of page pid.
+	// bounds[pid]: the lower bound of page pid.
 	bounds []float64 // nil until the first probe
 }
 
@@ -290,34 +292,32 @@ func (p *prepared) swept() []float64 {
 		if p.block != nil {
 			p.e.sweepBlock(p.block)
 		} else {
-			p.bounds = make([]float64, 2*len(p.e.pages))
+			p.bounds = make([]float64, len(p.e.pages))
 			p.e.sweep(p.q, p.bounds)
 		}
 	}
 	return p.bounds
 }
 
-// sweep writes the bounds of every page for q — its minimum item lower bound
-// and maximum item upper bound — to bounds. A metric that is not
-// coordinatewise knows nothing about a cell: every page gets [0, +Inf)
-// without a sweep and the VA-file degrades to the scan.
+// sweep writes the bound of every page for q — its minimum item lower bound
+// — to bounds, which arrive zeroed. A metric that is not coordinatewise
+// knows nothing about a cell: every page keeps 0 without a sweep and the
+// VA-file degrades to the scan.
 func (e *Engine) sweep(q vec.Vector, bounds []float64) {
 	switch {
 	case !e.cw:
-		for pi := range e.pages {
-			bounds[2*pi+1] = math.Inf(1)
-		}
+		// every bound stays 0
 	case e.kernel.Term != nil:
 		t := take(e.tables, e.dim*e.cells)
 		e.fillTables(t, q)
 		for pi := range e.pages {
-			bounds[2*pi], bounds[2*pi+1] = e.sweepPage(t, &e.pages[pi])
+			bounds[pi] = e.sweepPage(t, &e.pages[pi])
 		}
 		give(e.tables, t)
 	default:
 		gap, zero := make(vec.Vector, e.dim), make(vec.Vector, e.dim)
 		for pi := range e.pages {
-			bounds[2*pi], bounds[2*pi+1] = e.sweepPageByGapVector(q, &e.pages[pi], gap, zero)
+			bounds[pi] = e.sweepPageByGapVector(q, &e.pages[pi], gap, zero)
 		}
 	}
 }
@@ -334,7 +334,7 @@ const lanes, minLanes = 4, 3
 // shorter one, and every query of a metric whose terms are combined by max
 // or that vec does not ship, is swept alone.
 func (e *Engine) sweepBlock(block []prepared) {
-	n := 2 * len(e.pages)
+	n := len(e.pages)
 	slab := make([]float64, n*len(block))
 	for i := range block {
 		block[i].bounds = slab[i*n : (i+1)*n : (i+1)*n]
@@ -371,58 +371,50 @@ func give[T any](free chan []T, t []T) {
 	}
 }
 
-// cellTerm is what one cell of one dimension adds to a bound: the term of
-// the metric's Distance loop for the gap between the query's coordinate and
-// the cell (lo; 0 inside the cell) and its farther edge (up).
-type cellTerm struct{ lo, up float64 }
-
-// fillTables writes the cellTerm of cell c of dimension d to t[d*cells+c].
-func (e *Engine) fillTables(t []cellTerm, q vec.Vector) {
+// fillTables writes to t[d*cells+c] what cell c of dimension d adds to a
+// bound: the term of the metric's Distance loop for the gap between the
+// query's coordinate and the cell (0 inside the cell).
+func (e *Engine) fillTables(t []float64, q vec.Vector) {
 	for d, b := range e.bounds {
 		row := t[d*e.cells : (d+1)*e.cells]
 		for c := range row {
-			row[c] = cellTerm{
-				lo: e.kernel.Term(d, vec.BoxGap(q[d], b[c], b[c+1], false)),
-				up: e.kernel.Term(d, vec.BoxGap(q[d], b[c], b[c+1], true)),
-			}
+			row[c] = e.kernel.Term(d, vec.BoxGap(q[d], b[c], b[c+1]))
 		}
 	}
 }
 
 // sweepPage combines the table entries of each item's cells the way the
 // metric combines its terms — in dimension order, so with the bits of
-// Distance(gap, zero) — and returns the page's smallest lower and largest
-// upper combination, finished (sqrt, pow or nothing: monotone, so once per
-// page does what once per item did).
-func (e *Engine) sweepPage(t []cellTerm, pa *pageApprox) (lb, ub float64) {
+// Distance(gap, zero) — and returns the page's smallest combination,
+// finished (sqrt, pow or nothing: monotone, so once per page does what once
+// per item did).
+func (e *Engine) sweepPage(t []float64, pa *pageApprox) float64 {
 	dim, ncells, byMax := e.dim, e.cells, e.kernel.Max
-	lb = math.Inf(1)
+	lb := math.Inf(1)
 	for cells := pa.cells; len(cells) >= dim; cells = cells[dim:] {
-		var lo, up float64
+		var lo float64
 		if byMax {
 			for d, c := range cells[:dim] {
-				ct := &t[d*ncells+int(c)]
-				lo, up = max(lo, ct.lo), max(up, ct.up)
+				lo = max(lo, t[d*ncells+int(c)])
 			}
 		} else {
 			for d, c := range cells[:dim] {
-				ct := &t[d*ncells+int(c)]
-				lo, up = lo+ct.lo, up+ct.up
+				lo += t[d*ncells+int(c)]
 			}
 		}
-		lb, ub = min(lb, lo), max(ub, up)
+		lb = min(lb, lo)
 	}
-	return e.kernel.Finish(lb), e.kernel.Finish(ub)
+	return e.kernel.Finish(lb)
 }
 
-// laneTerm is cellTerm for the queries of one sweepLanes pass: lane j of lo
-// and up belongs to query j. It is 64 bytes, one cache line and two AVX2
-// registers.
-type laneTerm struct{ lo, up [lanes]float64 }
+// laneTerm is a cell's term for the queries of one sweepLanes pass: lane j
+// belongs to query j. It is 32 bytes, half a cache line and one AVX2
+// register.
+type laneTerm [lanes]float64
 
 // laneBounds is what a lane pass over one page leaves: lane j's smallest
-// lower and largest upper combination, not yet finished.
-type laneBounds struct{ lb, ub [lanes]float64 }
+// combination, not yet finished.
+type laneBounds [lanes]float64
 
 // sweepLanes sweeps the approximations once for the one to lanes queries of
 // group; the idle lanes of a short group repeat its last query.
@@ -437,7 +429,7 @@ func (e *Engine) sweepLanes(group []prepared) {
 			sweepPageLanes(t, e.pages[pi].cells, e.dim, e.cells, &b)
 		}
 		for j := range group {
-			group[j].bounds[2*pi], group[j].bounds[2*pi+1] = e.kernel.Finish(b.lb[j]), e.kernel.Finish(b.ub[j])
+			group[j].bounds[pi] = e.kernel.Finish(b[j])
 		}
 	}
 	give(e.laneTables, t)
@@ -451,8 +443,7 @@ func (e *Engine) fillLaneTables(t []laneTerm, group []prepared) {
 		for j := range lanes {
 			q := group[min(j, len(group)-1)].q
 			for c := range row {
-				row[c].lo[j] = e.kernel.Term(d, vec.BoxGap(q[d], b[c], b[c+1], false))
-				row[c].up[j] = e.kernel.Term(d, vec.BoxGap(q[d], b[c], b[c+1], true))
+				row[c][j] = e.kernel.Term(d, vec.BoxGap(q[d], b[c], b[c+1]))
 			}
 		}
 	}
@@ -465,44 +456,35 @@ func (e *Engine) fillLaneTables(t []laneTerm, group []prepared) {
 // is the portable body and the definition of sweepPageLanesAVX2. The
 // dimension loop tests at its bottom (New rejects dim 0) so that the sum
 // leaving it is the last add's, not the loop header's: the compiler then
-// folds each table load into its add and keeps all eight sums in registers,
-// which a range loop spills (≈ 1.35× slower).
+// folds each table load into its add and keeps all four sums in registers,
+// which a range loop spills.
 func sweepPageLanes(t []laneTerm, cells []uint8, dim, ncells int, b *laneBounds) {
-	lb := [lanes]float64{math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)}
-	var ub [lanes]float64
+	lb := laneBounds{math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)}
 	for ; len(cells) >= dim; cells = cells[dim:] {
-		var lo0, lo1, lo2, lo3, up0, up1, up2, up3 float64
+		var lo0, lo1, lo2, lo3 float64
 		for d := 0; ; {
 			ct := &t[d*ncells+int(cells[d])]
-			lo0, lo1, lo2, lo3 = lo0+ct.lo[0], lo1+ct.lo[1], lo2+ct.lo[2], lo3+ct.lo[3]
-			up0, up1, up2, up3 = up0+ct.up[0], up1+ct.up[1], up2+ct.up[2], up3+ct.up[3]
+			lo0, lo1, lo2, lo3 = lo0+ct[0], lo1+ct[1], lo2+ct[2], lo3+ct[3]
 			if d++; d == dim {
 				break
 			}
 		}
 		lb[0], lb[1], lb[2], lb[3] = min(lb[0], lo0), min(lb[1], lo1), min(lb[2], lo2), min(lb[3], lo3)
-		ub[0], ub[1], ub[2], ub[3] = max(ub[0], up0), max(ub[1], up1), max(ub[2], up2), max(ub[3], up3)
 	}
-	b.lb, b.ub = lb, ub
+	*b = lb
 }
 
 // sweepPageByGapVector is sweepPage for a coordinatewise metric vec does not
-// ship: it fills each item's two gap vectors and asks the metric itself.
-func (e *Engine) sweepPageByGapVector(q vec.Vector, pa *pageApprox, gap, zero vec.Vector) (lb, ub float64) {
-	lb = math.Inf(1)
+// ship: it fills each item's gap vector and asks the metric itself.
+func (e *Engine) sweepPageByGapVector(q vec.Vector, pa *pageApprox, gap, zero vec.Vector) float64 {
+	lb := math.Inf(1)
 	for cells := pa.cells; len(cells) >= e.dim; cells = cells[e.dim:] {
-		for _, far := range [2]bool{false, true} {
-			for d, c := range cells[:e.dim] {
-				gap[d] = vec.BoxGap(q[d], e.bounds[d][c], e.bounds[d][int(c)+1], far)
-			}
-			if b := e.base.Distance(gap, zero); far {
-				ub = max(ub, b)
-			} else {
-				lb = min(lb, b)
-			}
+		for d, c := range cells[:e.dim] {
+			gap[d] = vec.BoxGap(q[d], e.bounds[d][c], e.bounds[d][int(c)+1])
 		}
+		lb = min(lb, e.base.Distance(gap, zero))
 	}
-	return lb, ub
+	return lb
 }
 
 // Plan returns AppendPlan's refs in a new slice.
@@ -515,16 +497,16 @@ func (p *prepared) Plan(queryDist float64) []engine.PageRef { return p.AppendPla
 func (p *prepared) AppendPlan(dst []engine.PageRef, queryDist float64) []engine.PageRef {
 	bounds := p.swept()
 	n := 0
-	for pi := 0; pi < len(bounds); pi += 2 {
-		if bounds[pi] <= queryDist {
+	for _, b := range bounds {
+		if b <= queryDist {
 			n++
 		}
 	}
 	dst = engine.GrowPlan(dst, n)
 	start := len(dst)
-	for pi := 0; pi < len(bounds); pi += 2 {
-		if bounds[pi] <= queryDist {
-			dst = append(dst, engine.PageRef{ID: store.PageID(pi / 2), MinDist: bounds[pi]})
+	for pi, b := range bounds {
+		if b <= queryDist {
+			dst = append(dst, engine.PageRef{ID: store.PageID(pi), MinDist: b})
 		}
 	}
 	engine.SortPlan(dst[start:])
@@ -532,14 +514,7 @@ func (p *prepared) AppendPlan(dst []engine.PageRef, queryDist float64) []engine.
 }
 
 // MinDist returns the page's approximation lower bound.
-func (p *prepared) MinDist(pid store.PageID) float64 { return p.swept()[2*pid] }
-
-// MaxDist returns an upper bound on the distance from q to any item on the
-// page (the maximum item upper bound).
-func (p *prepared) MaxDist(pid store.PageID) float64 { return p.swept()[2*pid+1] }
-
-// PageLen returns the number of items on the page.
-func (e *Engine) PageLen(pid store.PageID) int { return e.pages[pid].n }
+func (p *prepared) MinDist(pid store.PageID) float64 { return p.swept()[pid] }
 
 // ReadPage fetches the exact vectors of a page (phase 2).
 func (e *Engine) ReadPage(pid store.PageID) (*store.Page, error) {

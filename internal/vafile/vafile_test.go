@@ -46,8 +46,8 @@ func TestNewValidation(t *testing.T) {
 	if e.NumItems() != 50 || e.NumPages() != 7 {
 		t.Errorf("NumItems=%d NumPages=%d", e.NumItems(), e.NumPages())
 	}
-	if e.PageLen(0) != 8 || e.PageLen(6) != 2 {
-		t.Errorf("PageLen = %d / %d", e.PageLen(0), e.PageLen(6))
+	if n0, n6 := len(e.pages[0].cells)/4, len(e.pages[6].cells)/4; n0 != 8 || n6 != 2 {
+		t.Errorf("pages 0 and 6 approximate %d / %d items", n0, n6)
 	}
 	// 6 bits default, 4 dims, 50 items: 200 approximation bytes.
 	if got := e.ApproximationBytes(); got != 200 {
@@ -56,8 +56,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 // TestBoundsSafety property-tests the load-bearing contract: for every
-// item, itemLowerBound <= true distance <= itemUpperBound, and the page
-// bounds wrap them.
+// item, itemLowerBound <= true distance, and so is the page bound.
 func TestBoundsSafety(t *testing.T) {
 	const dim = 5
 	items := testItems(2, 300, dim)
@@ -82,15 +81,10 @@ func TestBoundsSafety(t *testing.T) {
 			}
 			pq := e.Prepare(q)
 			pageLB := pq.MinDist(store.PageID(pid))
-			pageUB := pq.MaxDist(store.PageID(pid))
 			for it := range p.Items {
 				d := m.Distance(q, p.Items[it].Vec)
 				lb := e.itemLowerBound(q, store.PageID(pid), it, scratch, zero)
-				ub := e.itemUpperBound(q, store.PageID(pid), it, scratch, zero)
-				if lb > d+eps || d > ub+eps {
-					return false
-				}
-				if pageLB > d+eps || d > pageUB+eps {
+				if lb > d+eps || pageLB > d+eps {
 					return false
 				}
 			}
@@ -247,8 +241,8 @@ func TestNonCoordinatewiseDegradesToScan(t *testing.T) {
 	if got := len(va.Prepare(items[0].Vec).Plan(0.01)); got != va.NumPages() {
 		t.Errorf("quadratic-form plan covers %d of %d pages", got, va.NumPages())
 	}
-	if !math.IsInf(va.Prepare(items[0].Vec).MaxDist(0), 1) {
-		t.Error("MaxDist not +Inf for non-coordinatewise metric")
+	if got := va.Prepare(items[0].Vec).MinDist(0); got != 0 {
+		t.Errorf("MinDist %v for a non-coordinatewise metric, want 0", got)
 	}
 
 	p, err := msq.New(va, qf, msq.Options{})

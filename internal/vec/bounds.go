@@ -86,17 +86,10 @@ func GapKernelOf(m Metric) (k GapKernel, ok bool) {
 }
 
 // BoxGap is one coordinate of the gap vector between q and the axis-aligned
-// box [lo, hi]: the distance to the box (far == false: 0 inside it) or to its
-// farther face (far == true). A metric applied to the gap vector and the
-// origin is the generalized MINDIST or MAXDIST of the box (see Boxes).
-func BoxGap(q, lo, hi float64, far bool) float64 {
-	if far {
-		l, h := math.Abs(q-lo), math.Abs(q-hi)
-		if l > h {
-			return l
-		}
-		return h
-	}
+// box [lo, hi]: the distance to the box, 0 inside it. A metric applied to the
+// gap vector and the origin is the generalized MINDIST of the box (see
+// Boxes).
+func BoxGap(q, lo, hi float64) float64 {
 	switch {
 	case q < lo:
 		return lo - q

@@ -2,28 +2,23 @@
 
 #include "textflag.h"
 
-// func eucBoxesAVX2(q Vector, boxes []float64, far bool, dst []float64)
+// func eucBoxesAVX2(q Vector, boxes []float64, dst []float64)
 //
 // See eucBoxesGo. AX walks the group storage, 64 bytes a dimension: four
 // lower faces, four upper faces. Per dimension the query's coordinate is
-// broadcast, Y4 = lo − q and Y5 = q − hi, both pass through the mask in Y6
-// (all ones for the near bound, everything but the sign — |x| — for the far
-// one), and the gap is their maximum, then the maximum of that and zero,
-// taken so that a NaN gap stays one. VMULPD then VADDPD into Y0, never a
-// fused multiply-add: each lane rounds twice per term, in dimension order,
-// as the scalar loop does. Reads exactly q[0..len(q)) and len(dst)/4 groups.
-TEXT ·eucBoxesAVX2(SB), NOSPLIT, $0-80
-	MOVQ     q_base+0(FP), R10
-	MOVQ     q_len+8(FP), R12
-	MOVQ     boxes_base+24(FP), AX
-	MOVQ     dst_base+56(FP), DI
-	MOVQ     dst_len+64(FP), CX
-	SHRQ     $2, CX
-	VXORPD   Y7, Y7, Y7
-	VPCMPEQD Y6, Y6, Y6
-	CMPB     far+48(FP), $0
-	JEQ      group
-	VPSRLQ   $1, Y6, Y6
+// broadcast, Y4 = lo − q and Y5 = q − hi, and the gap is their maximum, then
+// the maximum of that and zero, taken so that a NaN gap stays one. VMULPD
+// then VADDPD into Y0, never a fused multiply-add: each lane rounds twice per
+// term, in dimension order, as the scalar loop does. Reads exactly
+// q[0..len(q)) and len(dst)/4 groups.
+TEXT ·eucBoxesAVX2(SB), NOSPLIT, $0-72
+	MOVQ   q_base+0(FP), R10
+	MOVQ   q_len+8(FP), R12
+	MOVQ   boxes_base+24(FP), AX
+	MOVQ   dst_base+48(FP), DI
+	MOVQ   dst_len+56(FP), CX
+	SHRQ   $2, CX
+	VXORPD Y7, Y7, Y7
 
 group:
 	TESTQ  CX, CX
@@ -38,8 +33,6 @@ dimension:
 	VMOVUPD      (AX), Y4
 	VSUBPD       Y3, Y4, Y4
 	VSUBPD       32(AX), Y3, Y5
-	VANDPD       Y6, Y4, Y4
-	VANDPD       Y6, Y5, Y5
 	VMAXPD       Y5, Y4, Y4
 	VMAXPD       Y4, Y7, Y4
 	VMULPD       Y4, Y4, Y4

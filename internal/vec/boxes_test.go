@@ -13,18 +13,15 @@ type foreignL1 struct{ Manhattan }
 
 // gapVectorBound is the definition every body of Boxes must equal bit for
 // bit: the metric applied to the materialized gap vector and the origin —
-// 0 and +Inf for a metric that is not coordinatewise.
-func gapVectorBound(m Metric, q, lo, hi Vector, far bool) float64 {
+// 0 for a metric that is not coordinatewise.
+func gapVectorBound(m Metric, q, lo, hi Vector) float64 {
 	base := BaseMetric(m)
 	if cw, ok := base.(Coordinatewise); !ok || !cw.CoordinatewiseMetric() {
-		if far {
-			return math.Inf(1)
-		}
 		return 0
 	}
 	gap, zero := make(Vector, len(q)), make(Vector, len(q))
 	for d := range q {
-		gap[d] = BoxGap(q[d], lo[d], hi[d], far)
+		gap[d] = BoxGap(q[d], lo[d], hi[d])
 	}
 	return base.Distance(gap, zero)
 }
@@ -41,40 +38,37 @@ func boxBodies(m Metric, lo, hi []Vector) map[string]*Boxes {
 	return bodies
 }
 
-// checkBoxes holds every body to the definition, near and far: one sweep of
-// all the boxes, sweeps in chunks of four and of twelve (a caller with less
-// scratch than boxes), and the one-box form.
+// checkBoxes holds every body to the definition: one sweep of all the boxes,
+// sweeps in chunks of four and of twelve (a caller with less scratch than
+// boxes), and the one-box form.
 func checkBoxes(t *testing.T, what string, m Metric, lo, hi []Vector, q Vector) {
 	t.Helper()
 	n := len(lo)
-	got := make([]float64, n)
+	got, want := make([]float64, n), make([]float64, n)
+	for i := range want {
+		want[i] = gapVectorBound(m, q, lo[i], hi[i])
+	}
 	for body, b := range boxBodies(m, lo, hi) {
-		for _, far := range []bool{false, true} {
-			want := make([]float64, n)
-			for i := range want {
-				want[i] = gapVectorBound(m, q, lo[i], hi[i], far)
+		same := func(how string, i int, d float64) {
+			t.Helper()
+			if math.Float64bits(d) != math.Float64bits(want[i]) {
+				t.Fatalf("%s %s %s: box %d [%v, %v] q=%v: %v (%#x), want %v (%#x)", what, body, how,
+					i, lo[i], hi[i], q, d, math.Float64bits(d), want[i], math.Float64bits(want[i]))
 			}
-			same := func(how string, i int, d float64) {
-				t.Helper()
-				if math.Float64bits(d) != math.Float64bits(want[i]) {
-					t.Fatalf("%s %s far=%v %s: box %d [%v, %v] q=%v: %v (%#x), want %v (%#x)", what, body, far, how,
-						i, lo[i], hi[i], q, d, math.Float64bits(d), want[i], math.Float64bits(want[i]))
-				}
+		}
+		for _, chunk := range []int{n, 4, 12} {
+			for i := range got {
+				got[i] = -1
 			}
-			for _, chunk := range []int{n, 4, 12} {
-				for i := range got {
-					got[i] = -1
-				}
-				for from := 0; from < n; from += chunk {
-					b.Sweep(q, far, from, got[from:min(from+chunk, n)])
-				}
-				for i, d := range got {
-					same(fmt.Sprintf("chunk=%d", chunk), i, d)
-				}
+			for from := 0; from < n; from += chunk {
+				b.Sweep(q, from, got[from:min(from+chunk, n)])
 			}
-			for i := range want {
-				same("one box", i, b.Bound(q, i, far))
+			for i, d := range got {
+				same(fmt.Sprintf("chunk=%d", chunk), i, d)
 			}
+		}
+		for i := range want {
+			same("one box", i, b.Bound(q, i))
 		}
 	}
 }
@@ -174,8 +168,8 @@ func TestBoxesDimensionMismatch(t *testing.T) {
 		for body, b := range boxBodies(m, lo, hi) {
 			for _, q := range []Vector{{0.5, 0.5, 0.5}, {0.5, 0.5, 0.5, 0.5, 0.5}, nil} {
 				for name, call := range map[string]func(){
-					"Sweep": func() { b.Sweep(q, false, 0, make([]float64, 6)) },
-					"Bound": func() { b.Bound(q, 5, true) },
+					"Sweep": func() { b.Sweep(q, 0, make([]float64, 6)) },
+					"Bound": func() { b.Bound(q, 5) },
 				} {
 					func() {
 						defer func() {
@@ -224,8 +218,7 @@ func FuzzEucBoxes(f *testing.F) {
 		for _, x := range q {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
 				for _, b := range boxBodies(Euclidean{}, lo, hi) {
-					b.Sweep(q, false, 0, make([]float64, n))
-					b.Sweep(q, true, 0, make([]float64, n))
+					b.Sweep(q, 0, make([]float64, n))
 				}
 				return
 			}

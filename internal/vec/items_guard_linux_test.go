@@ -153,16 +153,14 @@ func TestBoxLanesStayInBounds(t *testing.T) {
 				copy(data, b.data)
 				b.data = data
 				got := make([]float64, n)
-				for _, far := range []bool{false, true} {
-					b.Sweep(q, far, 0, got)
-					for i, want := range got {
-						if d := b.Bound(q, i, far); math.Float64bits(d) != math.Float64bits(want) {
-							t.Fatalf("dim=%d n=%d %s far=%v: box %d alone %v, swept %v", dim, n, body, far, i, d, want)
-						}
+				b.Sweep(q, 0, got)
+				for i, want := range got {
+					if d := b.Bound(q, i); math.Float64bits(d) != math.Float64bits(want) {
+						t.Fatalf("dim=%d n=%d %s: box %d alone %v, swept %v", dim, n, body, i, d, want)
 					}
-					for from := 0; from < n; from += boxLanes {
-						b.Sweep(q, far, from, got[from:min(from+boxLanes, n)])
-					}
+				}
+				for from := 0; from < n; from += boxLanes {
+					b.Sweep(q, from, got[from:min(from+boxLanes, n)])
 				}
 			}
 		}

@@ -261,13 +261,13 @@ func BenchmarkItemKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkBoxKernel prices one sweep of a directory node's child MBRs three
-// ways, near (MINDIST) and far (MAXDIST): the per-box loop over BoxGap that
-// the X-tree's plan walked until the boxes became lanes, the portable
-// branch-free body, and the assembly where the build and the CPU have it.
-// 61 boxes of dimension 8 is the root of the benchmark's dbscan_xtree tree.
-// The query changes with every sweep, as it does in a plan: against one fixed
-// query the branch predictor learns BoxGap's branches and hides their cost.
+// BenchmarkBoxKernel prices one sweep of a directory node's child MBRs
+// (MINDIST) three ways: the per-box loop over BoxGap that the X-tree's plan
+// walked until the boxes became lanes, the portable branch-free body, and the
+// assembly where the build and the CPU have it. 61 boxes of dimension 8 is
+// the root of the benchmark's dbscan_xtree tree. The query changes with
+// every sweep, as it does in a plan: against one fixed query the branch
+// predictor learns BoxGap's branches and hides their cost.
 func BenchmarkBoxKernel(b *testing.B) {
 	for _, dim := range []int{8, 16} {
 		for _, n := range []int{8, 61, 240} {
@@ -283,42 +283,40 @@ func BenchmarkBoxKernel(b *testing.B) {
 			for i := range queries {
 				queries[i] = randomVector(rng, dim)
 			}
-			for _, far := range []bool{false, true} {
-				name := fmt.Sprintf("dim=%d/n=%d/far=%v", dim, n, far)
-				perBox := func(b *testing.B) {
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/box")
-				}
-				b.Run(name+"/scalar", func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						q := queries[i&255]
-						for j := range lo {
-							var s float64
-							for d, x := range q {
-								g := BoxGap(x, lo[j][d], hi[j][d], far)
-								s += g * g
-							}
-							dst[j] = math.Sqrt(s)
+			name := fmt.Sprintf("dim=%d/n=%d", dim, n)
+			perBox := func(b *testing.B) {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/box")
+			}
+			b.Run(name+"/scalar", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					q := queries[i&255]
+					for j := range lo {
+						var s float64
+						for d, x := range q {
+							g := BoxGap(x, lo[j][d], hi[j][d])
+							s += g * g
 						}
+						dst[j] = math.Sqrt(s)
+					}
+				}
+				perBox(b)
+			})
+			for _, body := range []struct {
+				name string
+				asm  bool
+			}{{"portable", false}, {"avx2", true}} {
+				if body.asm && !haveAVX2 {
+					continue
+				}
+				b.Run(name+"/"+body.name, func(b *testing.B) {
+					boxes := NewBoxes(Euclidean{}, lo, hi)
+					boxes.asm = body.asm
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						boxes.Sweep(queries[i&255], 0, dst)
 					}
 					perBox(b)
 				})
-				for _, body := range []struct {
-					name string
-					asm  bool
-				}{{"portable", false}, {"avx2", true}} {
-					if body.asm && !haveAVX2 {
-						continue
-					}
-					b.Run(name+"/"+body.name, func(b *testing.B) {
-						boxes := NewBoxes(Euclidean{}, lo, hi)
-						boxes.asm = body.asm
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							boxes.Sweep(queries[i&255], far, 0, dst)
-						}
-						perBox(b)
-					})
-				}
 			}
 		}
 	}

@@ -71,7 +71,7 @@ func eucItemsAVX2(q Vector, rows unsafe.Pointer, stride uintptr, n int, h float6
 // those and q — and len(dst) must be a multiple of four.
 //
 //go:noescape
-func eucBoxesAVX2(q Vector, boxes []float64, far bool, dst []float64)
+func eucBoxesAVX2(q Vector, boxes []float64, dst []float64)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -23,6 +23,6 @@ func eucItemsAVX2(q Vector, rows unsafe.Pointer, stride uintptr, n int, h float6
 	panic("vec: no assembly item kernel in this build")
 }
 
-func eucBoxesAVX2(q Vector, boxes []float64, far bool, dst []float64) {
+func eucBoxesAVX2(q Vector, boxes []float64, dst []float64) {
 	panic("vec: no assembly box kernel in this build")
 }

@@ -31,9 +31,6 @@ func treeDigest(t *testing.T, tr *Tree) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(page.Items) != tr.PageLen(page.ID) {
-			t.Fatalf("page %d holds %d items, PageLen says %d", pid, len(page.Items), tr.PageLen(page.ID))
-		}
 		put(uint64(page.ID))
 		put(uint64(len(page.Items)))
 		for i := range page.Items {

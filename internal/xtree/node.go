@@ -12,8 +12,8 @@
 // addresses, and their vectors in memory in the same order: Build copies
 // the coordinates into one array, so a page's rows are consecutive.
 //
-// A built tree is immutable on the query path: Plan, MinDist, MaxDist and
-// ReadPage only walk the in-memory directory and read through the pager,
+// A built tree is immutable on the query path: Plan, MinDist and ReadPage
+// only walk the in-memory directory and read through the pager,
 // so they are safe for concurrent readers (the engine contract concurrent
 // sessions rely on). Insert is not concurrent with queries.
 package xtree

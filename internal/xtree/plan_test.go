@@ -31,8 +31,28 @@ func leafRects(tr *Tree) []geom.Rect {
 }
 
 // rectBound is the bound of one MBR as a vec.Boxes of one box computes it.
-func rectBound(m vec.Metric, r geom.Rect, q vec.Vector, far bool) float64 {
-	return vec.NewBoxes(m, []vec.Vector{r.Min}, []vec.Vector{r.Max}).Bound(q, 0, far)
+func rectBound(m vec.Metric, r geom.Rect, q vec.Vector) float64 {
+	return vec.NewBoxes(m, []vec.Vector{r.Min}, []vec.Vector{r.Max}).Bound(q, 0)
+}
+
+// kthDistance is the k-th smallest distance from q to the tree's items (the
+// largest when it holds fewer): a k-NN query distance as the page loop
+// reaches it, finite and between the plan's lower bounds.
+func kthDistance(t testing.TB, tr *Tree, q vec.Vector, k int) float64 {
+	t.Helper()
+	var dists []float64
+	for pid := 0; pid < tr.NumPages(); pid++ {
+		page, err := tr.ReadPage(store.PageID(pid))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, it := range page.Items {
+			dists = append(dists, tr.cfg.Metric.Distance(q, it.Vec))
+		}
+		tr.Pager().Release(page)
+	}
+	slices.Sort(dists)
+	return dists[min(k, len(dists))-1]
 }
 
 // recursivePlan is the plan as it was walked before the child MBRs became
@@ -42,7 +62,7 @@ func recursivePlan(tr *Tree, q vec.Vector, queryDist float64) []engine.PageRef {
 	var refs []engine.PageRef
 	var walk func(n *node)
 	walk = func(n *node) {
-		b := rectBound(tr.cfg.Metric, n.rect, q, false)
+		b := rectBound(tr.cfg.Metric, n.rect, q)
 		if b > queryDist {
 			return
 		}
@@ -95,8 +115,8 @@ func planTrees(t testing.TB) map[string]*Tree {
 
 // TestPlanMatchesRecursiveWalk holds the stack loop over swept lanes to the
 // recursive walk it replaced: the same refs with the same bits in the same
-// order at queryDist 0, ε, a k-NN bootstrap bound and +Inf, and MinDist and
-// MaxDist of every page equal to the bounds of its MBR.
+// order at queryDist 0, ε, a k-NN query distance and +Inf, and MinDist of
+// every page equal to the bound of its MBR.
 func TestPlanMatchesRecursiveWalk(t *testing.T) {
 	trees := planTrees(t)
 	for name, want := range map[string]Stats{
@@ -125,15 +145,12 @@ func TestPlanMatchesRecursiveWalk(t *testing.T) {
 				q[d] = 1.4*rng.Float64() - 0.2
 			}
 			pq := tr.Prepare(q)
-			bootstrap := math.Inf(1)
 			for pid, r := range rects {
-				lo, hi := pq.MinDist(store.PageID(pid)), pq.MaxDist(store.PageID(pid))
-				if wantLo, wantHi := rectBound(tr.cfg.Metric, r, q, false), rectBound(tr.cfg.Metric, r, q, true); lo != wantLo || hi != wantHi {
-					t.Fatalf("%s: page %d bounds [%v, %v], want [%v, %v]", name, pid, lo, hi, wantLo, wantHi)
+				if lo, want := pq.MinDist(store.PageID(pid)), rectBound(tr.cfg.Metric, r, q); lo != want {
+					t.Fatalf("%s: page %d bound %v, want %v", name, pid, lo, want)
 				}
-				bootstrap = min(bootstrap, hi)
 			}
-			for _, queryDist := range []float64{0, 0.05, 0.3, bootstrap, math.Inf(1)} {
+			for _, queryDist := range []float64{0, 0.05, 0.3, kthDistance(t, tr, q, 10), math.Inf(1)} {
 				got, want := pq.Plan(queryDist), recursivePlan(tr, q, queryDist)
 				if len(got) != len(want) {
 					t.Fatalf("%s queryDist=%v: %d refs, want %d", name, queryDist, len(got), len(want))
@@ -161,8 +178,8 @@ func TestPlanDegenerateTrees(t *testing.T) {
 	if plan := pq.Plan(1e300); len(plan) != 0 {
 		t.Errorf("empty tree: plan %v", plan)
 	}
-	if lo, hi := pq.MinDist(0), pq.MaxDist(0); !math.IsInf(lo, 1) || !math.IsInf(hi, 1) {
-		t.Errorf("empty tree: bounds [%v, %v], want +Inf", lo, hi)
+	if lo := pq.MinDist(0); !math.IsInf(lo, 1) {
+		t.Errorf("empty tree: bound %v, want +Inf", lo)
 	}
 	if got, want := pq.Plan(math.Inf(1)), recursivePlan(empty, q, math.Inf(1)); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("empty tree: +Inf plan %v, the recursive walk's %v", got, want)

@@ -78,7 +78,7 @@ func (w *planWalk) descend(nd *node) {
 	var bounds [128]float64
 	for from := 0; from < len(nd.children); from += len(bounds) {
 		chunk := bounds[:min(len(bounds), len(nd.children)-from)]
-		nd.boxes.Sweep(w.p.q, false, from, chunk)
+		nd.boxes.Sweep(w.p.q, from, chunk)
 		for i, b := range chunk {
 			if b > w.queryDist {
 				continue
@@ -103,24 +103,12 @@ func (w *planWalk) descend(nd *node) {
 // MinDist returns the lower bound on the distance from q to any item on
 // data page pid.
 func (p *prepared) MinDist(pid store.PageID) float64 {
-	return p.t.leaves.Bound(p.q, int(pid), false)
-}
-
-// MaxDist returns the upper bound (MAXDIST of the page MBR) on the distance
-// from q to any item on data page pid.
-func (p *prepared) MaxDist(pid store.PageID) float64 {
-	return p.t.leaves.Bound(p.q, int(pid), true)
+	return p.t.leaves.Bound(p.q, int(pid))
 }
 
 // Describe reports the directory tuning for EXPLAIN output.
 func (t *Tree) Describe() engine.Config {
 	return engine.Config{PageCapacity: t.cfg.LeafCapacity, Fanout: t.cfg.DirFanout}
-}
-
-// PageLen returns the number of items on data page pid.
-func (t *Tree) PageLen(pid store.PageID) int {
-	t.mustBeBuilt()
-	return t.leafLens[pid]
 }
 
 // ReadPage fetches a data page through the tree's pager.

@@ -98,10 +98,9 @@ type Tree struct {
 	choose chooseScratch
 
 	// Set by Build.
-	built    bool
-	pager    *store.Pager
-	leaves   *vec.Boxes // the data pages' MBRs, indexed by PageID
-	leafLens []int      // items per page, indexed by PageID
+	built  bool
+	pager  *store.Pager
+	leaves *vec.Boxes // the data pages' MBRs, indexed by PageID
 }
 
 // New creates an empty X-tree for dim-dimensional items.
@@ -432,7 +431,6 @@ func (t *Tree) Build() error {
 	}
 	var pages []*store.Page
 	var rects []geom.Rect
-	var lens []int
 	var flushed []*node // the leaves, in page order
 	coords := make([]float64, t.count*t.dim)
 	var flush func(n *node)
@@ -449,7 +447,6 @@ func (t *Tree) Build() error {
 			}
 			pages = append(pages, &store.Page{ID: n.pid, Items: items})
 			rects = append(rects, n.rect)
-			lens = append(lens, len(items))
 			flushed = append(flushed, n)
 			return
 		}
@@ -488,7 +485,6 @@ func (t *Tree) Build() error {
 	}
 	t.pager = pager
 	t.leaves = t.boxes(rects)
-	t.leafLens = lens
 	t.built = true
 	for _, n := range flushed {
 		n.items = nil // the page holds them; a failed Build keeps them to retry
