@@ -104,10 +104,9 @@ race:
 # session's block of queries shares), the VA-file's block sweep against
 # its lone sweep, bit for bit, and its lane-sweep bodies against a one-lane
 # reference (every body the CPU runs, the fuzz target's seeds, and the
-# assembly's loads held inside guard pages), the cluster fan-out's failure
-# scenarios over in-process and loopback-TCP servers (same answers, same
-# health) and its
-# goroutine-leak checks, and what a sliding window may cost and must not
+# assembly's loads held inside guard pages), the cluster fan-out's exact
+# answers and the strict failure over in-process and loopback-TCP servers
+# and its goroutine-leak checks, and what a sliding window may cost and must not
 # change: the slice of answer lists a session call returns is session
 # scratch that the next call overwrites while the lists stay live, a steady
 # slide allocates only for the query that enters (no result slice, no
@@ -129,9 +128,16 @@ race:
 # slices.SortFunc, and a session's matrix, answers and charges against brute
 # force over random call sequences that reorder the window and resubmit
 # held and completed IDs with the same array, an equal copy or another
-# vector — all under the race detector.
+# vector — all under the race detector. A listed name that matches no test
+# function outside bench/ fails the target, so a renamed or deleted test
+# cannot drop out of the pattern unseen.
+DIFFERENTIAL = TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestRowScreenSound|TestRowLanes|TestItemLanes|FuzzEucItems|TestItemsDimensionMismatch|TestSweepRecords|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPagerUncontendedMissAllocatesNothing|TestPageRecycle|TestDecodedPageAliasesRecord|TestRebind|TestCRC32C|FuzzCRC32C|TestTruncatedMappingIsCorruption|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode|TestBlockSweepMatchesLone|TestLaneSweep|FuzzLaneSweep|TestFanOut|TestResultsSliceIsSessionScratch|TestSlideAllocations|TestCompletedQueriesReleaseTheirState|TestRecycledStateIsNeverStale|TestStagedAcceptsMatchPerAccept|TestConsiderAllMatchesConsider|TestDBSCANBatchSizesAgree|TestBulkGoldenDigest|TestLayoutGoldenDigest|TestNearestFirstTakesTheSmallest|TestNonFiniteCoordinatesRejected|TestPlanAllocatesItsResultOnly|TestAppendPlanIsPlan|TestBoundedConsiderMatchesModel|TestFullBoundedConsiderAllocatesNothing|TestBufferMatchesLRUModel|TestShortSortsMatchSortFunc|TestSessionMatrixAgainstBruteForce|TestBuildPacksDataPages
 differential:
-	go test -race -count=1 -run 'TestDifferential|TestLemma|TestStress|TestDistanceWithin|TestMinkowski|TestBlockRowIdentical|TestRowsLoadAgain|FuzzEucRows|TestRowScreenSound|TestRowLanes|TestItemLanes|FuzzEucItems|TestItemsDimensionMismatch|TestSweepRecords|TestBoxLanes|FuzzEucBoxes|TestPlanMatchesRecursiveWalk|TestRowBodyMatchesPairBody|TestSingleMatchesScalarLoop|TestRankingMatchesScalarLoop|TestBufferConcurrency|TestDiskConcurrent|TestPagerSingleflight|TestPagerPins|TestPagerUncontendedMissAllocatesNothing|TestPageRecycle|TestDecodedPageAliasesRecord|TestRebind|TestCRC32C|FuzzCRC32C|TestTruncatedMappingIsCorruption|TestStoredScanAllocations|TestBindSwapsBigEndianWords|FuzzPageDecode|FuzzColumnarPageDecode|TestBlockSweepMatchesLone|TestLaneSweep|FuzzLaneSweep|TestFanOut|TestResultsSliceIsSessionScratch|TestSlideAllocations|TestCompletedQueriesReleaseTheirState|TestRecycledStateIsNeverStale|TestStagedAcceptsMatchPerAccept|TestConsiderAllMatchesConsider|TestDBSCANBatchSizesAgree|TestBulkGoldenDigest|TestLayoutGoldenDigest|TestNearestFirstTakesTheSmallest|TestNonFiniteCoordinatesRejected|TestPlanAllocatesItsResultOnly|TestAppendPlanIsPlan|TestBoundedConsiderMatchesModel|TestFullBoundedConsiderAllocatesNothing|TestBufferMatchesLRUModel|TestShortSortsMatchSortFunc|TestSessionMatrixAgainstBruteForce|TestBuildPacksDataPages' \
+	@for name in $$(echo '$(DIFFERENTIAL)' | tr '|' ' '); do \
+		grep -rqE --include='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build "^func $$name" . || \
+			{ echo "differential: no test matches $$name"; exit 1; }; \
+	done
+	go test -race -count=1 -run '$(DIFFERENTIAL)' \
 		./internal/msq/ ./internal/query/ ./internal/engine/ ./internal/store/ ./internal/vec/ ./internal/vafile/ ./internal/xtree/ ./internal/pmtree/ ./internal/engines/ ./internal/parallel/ ./internal/explore/ .
 
 # A short fuzz of the persistent-storage decoders: corrupt page records

@@ -53,7 +53,9 @@ type ClusterDB struct {
 	servers int
 }
 
-// ClusterReport is the per-server cost of one parallel operation.
+// ClusterReport is the per-server cost of one parallel operation. There is
+// no partial result to report on: a server that fails fails the operation,
+// so answers always cover every partition.
 type ClusterReport = parallel.Report
 
 // OpenCluster declusters items over the configured servers and builds one

@@ -4,14 +4,10 @@
 //
 // Usage:
 //
-//	msqbench [-experiment all|micro|fig7|fig8|fig9|fig10|fig11|fig12|chaos|block|load]
+//	msqbench [-experiment all|micro|fig7|fig8|fig9|fig10|fig11|fig12|block|load]
 //	         [-scale small|medium|paper] [-csv dir] [-measure]
 //	         [-block-out BENCH_block.json]
 //	         [-load-out BENCH_load.json]
-//
-// The chaos experiment is not a paper figure: it declusters each workload
-// over 4 servers, injects disk faults into 0..3 of them, and reports the
-// degraded-mode coverage and recall of the surviving cluster.
 //
 // The block experiment measures the page pass end to end on the scan
 // engine: one k-NN batch per data shape × metric × dimensionality × batch
@@ -53,7 +49,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "experiment to run: all, micro, fig7..fig12, chaos, block, load")
+		experiment = flag.String("experiment", "all", "experiment to run: all, micro, fig7..fig12, block, load")
 		scaleName  = flag.String("scale", "small", "dataset scale: small, medium or paper")
 		csvDir     = flag.String("csv", "", "also write each figure as CSV into this directory")
 		measure    = flag.Bool("measure", false, "calibrate the cost model on this host instead of nominal 1999 constants")
@@ -80,7 +76,7 @@ func run(experiment, scaleName, csvDir string, measure bool, blockOut, loadOut s
 
 	want := func(name string) bool { return experiment == "all" || experiment == name }
 	valid := map[string]bool{"all": true, "micro": true, "fig7": true, "fig8": true,
-		"fig9": true, "fig10": true, "fig11": true, "fig12": true, "chaos": true,
+		"fig9": true, "fig10": true, "fig11": true, "fig12": true,
 		"block": true, "load": true}
 	if !valid[experiment] {
 		return fmt.Errorf("unknown experiment %q", experiment)
@@ -136,9 +132,8 @@ func run(experiment, scaleName, csvDir string, measure bool, blockOut, loadOut s
 
 	needSweep := want("fig7") || want("fig8") || want("fig9") || want("fig10")
 	needParallel := want("fig11") || want("fig12")
-	needChaos := want("chaos")
 	needLoad := want("load")
-	if !needSweep && !needParallel && !needChaos && !needLoad {
+	if !needSweep && !needParallel && !needLoad {
 		return nil
 	}
 
@@ -180,18 +175,6 @@ func run(experiment, scaleName, csvDir string, measure bool, blockOut, loadOut s
 						return err
 					}
 				}
-			}
-		}
-	}
-
-	if needChaos {
-		for _, wl := range workloads {
-			res, err := experiments.RunChaos(wl.w, 4, sc.BaseM)
-			if err != nil {
-				return err
-			}
-			if err := emit(res.Figure()); err != nil {
-				return err
 			}
 		}
 	}

@@ -43,7 +43,7 @@ type Config struct {
 	FailPages []store.PageID
 	// MaxFaults, when positive, bounds the total number of injected
 	// failures; after the budget is exhausted the disk behaves perfectly
-	// (a transient fault that clears, letting retries succeed).
+	// (a transient fault that clears, so a later read succeeds).
 	MaxFaults int
 }
 

@@ -127,7 +127,7 @@ func TestFailPages(t *testing.T) {
 }
 
 // TestMaxFaultsExhaustion: a bounded fault budget clears, after which the
-// disk behaves perfectly — the property the retry layers rely on.
+// disk behaves perfectly, so a test can show recovery after a fault.
 func TestMaxFaultsExhaustion(t *testing.T) {
 	d, err := Wrap(testDisk(t, 4), Config{ErrProb: 1, Seed: 3, MaxFaults: 3})
 	if err != nil {

@@ -74,11 +74,10 @@ func (f *FS) Tripped() bool {
 // IsCorruption reports whether err is a storage-corruption failure — a
 // page record that failed checksum or structural validation on a
 // file-backed disk. It extends the package's fault taxonomy beyond
-// injected read errors (ErrInjected): both classes are storage faults the
-// degraded-mode machinery treats alike (the page's contents are
-// unavailable; answers from surviving pages remain a sound subset), but
-// corruption is never transient, so retry loops should give up on the
-// page instead of re-reading it.
+// injected read errors (ErrInjected): both classes are storage faults (the
+// page's contents are unavailable), but corruption is never transient, so
+// a caller that retries should give up on the page instead of re-reading
+// it.
 func IsCorruption(err error) bool {
 	return errors.Is(err, store.ErrCorruptPage)
 }

@@ -34,7 +34,7 @@ func TestLowerBoundMatchesMinDistForEuclidean(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		r := randRect(rng, 4)
 		q := randVec(rng, 4)
-		return math.Abs(LowerBound(vec.Euclidean{}, r, q)-r.MinDist(q)) < 1e-12
+		return math.Abs(LowerBound(vec.Euclidean{}, r, q)-minDist(r, q)) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

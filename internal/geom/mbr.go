@@ -1,10 +1,11 @@
 // Package geom provides minimum bounding rectangles (MBRs) in d-dimensional
 // space, the geometric substrate of the X-tree directory.
 //
-// The key query-processing primitive is MinDist: MINDIST is a lower bound on
+// The key query-processing primitive on an MBR is MINDIST, a lower bound on
 // the distance from a query point to any point inside the rectangle, so a
 // data page whose MBR has MINDIST greater than the current query distance
-// can be excluded from the search.
+// can be excluded from the search. A built X-tree evaluates it over its MBRs
+// as vec.Boxes.
 package geom
 
 import (
@@ -247,24 +248,6 @@ func (r Rect) Center() vec.Vector {
 		c[i] = (r.Min[i] + r.Max[i]) / 2
 	}
 	return c
-}
-
-// MinDist returns MINDIST(p, r): the Euclidean distance from p to the
-// nearest point of r, 0 if p is inside r. For any point q in r,
-// dist(p, q) >= MinDist(p, r), which is what makes index pruning safe.
-func (r Rect) MinDist(p vec.Vector) float64 {
-	var s float64
-	for i := range r.Min {
-		var d float64
-		switch {
-		case p[i] < r.Min[i]:
-			d = r.Min[i] - p[i]
-		case p[i] > r.Max[i]:
-			d = p[i] - r.Max[i]
-		}
-		s += d * d
-	}
-	return math.Sqrt(s)
 }
 
 // String renders the rectangle as "[min .. max]".

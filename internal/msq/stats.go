@@ -53,17 +53,6 @@ type Stats struct {
 	// the call — so all paper invariants over those counters are
 	// unchanged by the kernels.
 	PartialAbandoned int64
-	// Degraded marks a result assembled under failures: some partition of
-	// the data could not be consulted, so answer lists are a sound subset
-	// of the fault-free result (k-NN answers become bounded-k-NN answers
-	// over the surviving partitions).
-	Degraded bool
-	// PartitionsTotal and PartitionsAnswered describe coverage when the
-	// result was produced by a partitioned (parallel) execution: how many
-	// partitions the data is declustered over and how many contributed
-	// answers. Both are zero for single-node execution.
-	PartitionsTotal    int64
-	PartitionsAnswered int64
 }
 
 // Add returns the component-wise sum of s and t.
@@ -79,20 +68,7 @@ func (s Stats) Add(t Stats) Stats {
 		QuantFiltered:    s.QuantFiltered + t.QuantFiltered,
 		PivotDistCalcs:   s.PivotDistCalcs + t.PivotDistCalcs,
 		PartialAbandoned: s.PartialAbandoned + t.PartialAbandoned,
-
-		Degraded:           s.Degraded || t.Degraded,
-		PartitionsTotal:    s.PartitionsTotal + t.PartitionsTotal,
-		PartitionsAnswered: s.PartitionsAnswered + t.PartitionsAnswered,
 	}
-}
-
-// Coverage returns the fraction of partitions that contributed answers, or
-// 1 for single-node execution (no partitioning recorded).
-func (s Stats) Coverage() float64 {
-	if s.PartitionsTotal == 0 {
-		return 1
-	}
-	return float64(s.PartitionsAnswered) / float64(s.PartitionsTotal)
 }
 
 // TotalDistCalcs returns all distance calculations including the

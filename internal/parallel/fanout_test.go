@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"metricdb/internal/dataset"
 	"metricdb/internal/fault"
@@ -60,7 +59,7 @@ func overWire(t *testing.T, items []store.Item, cfg parallel.Config) (*parallel.
 		t.Cleanup(func() { srv.Close() })
 		servers[i] = wire.Remote(lis.Addr().String())
 	}
-	return parallel.NewCluster(servers, cfg.FanOut)
+	return parallel.NewCluster(servers)
 }
 
 // stall makes a server's page reads block until release is closed — a hung
@@ -145,22 +144,6 @@ func exact(items []store.Item, queries []msq.Query) [][]query.Answer {
 	return out
 }
 
-// surviving returns the items of the partitions a round-robin cluster of s
-// servers still covers when the servers in down are lost.
-func surviving(items []store.Item, s int, down ...int) []store.Item {
-	var out []store.Item
-	for i, it := range items {
-		lost := false
-		for _, d := range down {
-			lost = lost || i%s == d
-		}
-		if !lost {
-			out = append(out, it)
-		}
-	}
-	return out
-}
-
 func checkAnswers(t *testing.T, got []*query.AnswerList, want [][]query.Answer) {
 	t.Helper()
 	for qi := range want {
@@ -192,9 +175,8 @@ type fanOutRow struct {
 	name string
 	n    int // items; 0 means 400
 	// cfg returns the row's configuration for one run (the disk wrappers
-	// are stateful, so each run gets fresh ones); hang is the run's stall
-	// for a row that needs a hung disk.
-	cfg func(hang *stall) parallel.Config
+	// are stateful, so each run gets fresh ones).
+	cfg func() parallel.Config
 	// check runs the row's operations on one cluster, checks them and
 	// returns them; err is the cluster's construction error.
 	check func(t *testing.T, c *parallel.Cluster, err error, items []store.Item, queries []msq.Query) []op
@@ -206,52 +188,8 @@ func baseConfig() parallel.Config {
 
 var fanOutRows = []fanOutRow{
 	{
-		// The acceptance scenario: range answers are exact subsets of the
-		// fault-free answers, k-NN answers the exact top-k over the
-		// surviving partitions (bounded-k-NN).
-		name: "dead shard, degraded",
-		cfg: func(*stall) parallel.Config {
-			cfg := baseConfig()
-			cfg.Degrade, cfg.Retries = true, 1
-			cfg.WrapDisk = faulty(map[int]fault.Config{1: {Seed: 1, ErrProb: 1}})
-			return cfg
-		},
-		check: func(t *testing.T, c *parallel.Cluster, err error, items []store.Item, queries []msq.Query) []op {
-			if err != nil {
-				t.Fatal(err)
-			}
-			o := run(c, queries)
-			if o.err != nil {
-				t.Fatalf("degraded cluster errored: %v", o.err)
-			}
-			if !o.report.Degraded || o.report.Covered != 3 {
-				t.Fatalf("coverage %d/%d", o.report.Covered, o.report.Servers)
-			}
-			if h := o.report.PerServer[1].Health; h.OK || h.Attempts != 2 || !strings.Contains(h.Err, "injected") {
-				t.Errorf("dead server health = %+v, want 2 failed attempts", h)
-			}
-			full := exact(items, queries)
-			for qi, q := range queries {
-				if q.Type.Kind != query.Range {
-					continue
-				}
-				ref := map[store.ItemID]float64{}
-				for _, a := range full[qi] {
-					ref[a.ID] = a.Dist
-				}
-				for _, a := range o.answers[qi].Answers() {
-					if d, ok := ref[a.ID]; !ok || math.Abs(d-a.Dist) > 1e-12 {
-						t.Fatalf("query %d: answer %+v not in the fault-free result", qi, a)
-					}
-				}
-			}
-			checkAnswers(t, o.answers, exact(surviving(items, 4, 1), queries))
-			return []op{o}
-		},
-	},
-	{
 		name: "dead shard, strict",
-		cfg: func(*stall) parallel.Config {
+		cfg: func() parallel.Config {
 			cfg := baseConfig()
 			cfg.WrapDisk = faulty(map[int]fault.Config{1: {Seed: 1, ErrProb: 1}})
 			return cfg
@@ -268,10 +206,10 @@ var fanOutRows = []fanOutRow{
 		},
 	},
 	{
+		// Every server fails: the error is the lowest-numbered one's.
 		name: "all shards dead",
-		cfg: func(*stall) parallel.Config {
+		cfg: func() parallel.Config {
 			cfg := baseConfig()
-			cfg.Degrade = true
 			dead := map[int]fault.Config{}
 			for i := 0; i < cfg.Servers; i++ {
 				dead[i] = fault.Config{Seed: int64(i), ErrProb: 1}
@@ -284,19 +222,19 @@ var fanOutRows = []fanOutRow{
 				t.Fatal(err)
 			}
 			o := run(c, queries)
-			if o.err == nil || o.report.Covered != 0 {
-				t.Fatalf("zero coverage returned %v, covered %d", o.err, o.report.Covered)
+			if o.err == nil || !strings.Contains(o.err.Error(), "server 0") {
+				t.Fatalf("dead cluster returned %v, want an error naming server 0", o.err)
 			}
 			return []op{o}
 		},
 	},
 	{
-		// One injected read failure on server 0: the retry completes the
-		// batch.
+		// One injected read failure on server 0 fails the operation that
+		// meets it; the cluster keeps no state about it, so the next
+		// operation is answered in full.
 		name: "transient fault",
-		cfg: func(*stall) parallel.Config {
+		cfg: func() parallel.Config {
 			cfg := baseConfig()
-			cfg.Retries = 2
 			cfg.WrapDisk = faulty(map[int]fault.Config{0: {ErrProb: 1, MaxFaults: 1}})
 			return cfg
 		},
@@ -304,93 +242,24 @@ var fanOutRows = []fanOutRow{
 			if err != nil {
 				t.Fatal(err)
 			}
-			o := run(c, queries)
-			if o.err != nil || o.report.Degraded {
-				t.Fatalf("transient fault: %v, degraded %v", o.err, o.report.Degraded)
+			failed := run(c, queries)
+			if failed.err == nil || !strings.Contains(failed.err.Error(), "injected") {
+				t.Fatalf("operation meeting the fault returned %v", failed.err)
 			}
-			if h := o.report.PerServer[0].Health; !h.OK || h.Attempts != 2 {
-				t.Errorf("faulted server health = %+v, want OK after 2 attempts", h)
+			o := run(c, queries)
+			if o.err != nil {
+				t.Fatalf("operation after the fault: %v", o.err)
 			}
 			checkAnswers(t, o.answers, exact(items, queries))
-			return []op{o}
+			return []op{failed, o}
 		},
 	},
 	{
-		// Server 0 fails its first five attempts, then recovers. The
-		// breaker opens at the fifth and cuts the first operation's
-		// retries short; the second is answered around server 0 without
-		// calling it; after the cooldown the third probes, succeeds and
-		// closes the breaker.
-		name: "breaker trips then probes",
-		cfg: func(*stall) parallel.Config {
-			cfg := baseConfig()
-			cfg.Servers, cfg.Degrade, cfg.Retries = 3, true, 7
-			cfg.WrapDisk = faulty(map[int]fault.Config{0: {ErrProb: 1, MaxFaults: 5}})
-			return cfg
-		},
-		check: func(t *testing.T, c *parallel.Cluster, err error, items []store.Item, queries []msq.Query) []op {
-			if err != nil {
-				t.Fatal(err)
-			}
-			trip := run(c, queries)
-			if h := trip.report.PerServer[0].Health; trip.err != nil || h.Attempts != 5 || h.Err != parallel.ErrCircuitOpen.Error() {
-				t.Fatalf("tripping operation: %v, health %+v", trip.err, h)
-			}
-			open := run(c, queries)
-			if h := open.report.PerServer[0].Health; open.err != nil || h.Attempts != 0 || h.Err != parallel.ErrCircuitOpen.Error() {
-				t.Fatalf("open breaker: %v, health %+v", open.err, h)
-			}
-			checkAnswers(t, open.answers, exact(surviving(items, 3, 0), queries))
-			parallel.ExpireBreaker(c, 0)
-			probe := run(c, queries)
-			if h := probe.report.PerServer[0].Health; probe.err != nil || !h.OK || h.Attempts != 1 {
-				t.Fatalf("probe: %v, health %+v", probe.err, h)
-			}
-			checkAnswers(t, probe.answers, exact(items, queries))
-			return []op{trip, open, probe}
-		},
-	},
-	{
-		// Server 1's disk hangs: each attempt is abandoned at the timeout
-		// and the operation degrades around it.
-		name: "attempt timeout",
-		cfg: func(hang *stall) parallel.Config {
-			cfg := baseConfig()
-			// Generous beside a healthy server's few milliseconds, so only
-			// the hung one times out even on a loaded machine.
-			cfg.Degrade, cfg.Retries, cfg.Timeout = true, 1, 200*time.Millisecond
-			cfg.WrapDisk = func(i int, src store.PageSource) (store.PageSource, error) {
-				if i != 1 {
-					return src, nil
-				}
-				return hang.wrap(src), nil
-			}
-			return cfg
-		},
-		check: func(t *testing.T, c *parallel.Cluster, err error, items []store.Item, queries []msq.Query) []op {
-			if err != nil {
-				t.Fatal(err)
-			}
-			o := run(c, queries)
-			if h := o.report.PerServer[1].Health; o.err != nil || h.Attempts != 2 || !strings.Contains(h.Err, "timed out") {
-				t.Fatalf("hung server: %v, health %+v", o.err, h)
-			}
-			checkAnswers(t, o.answers, exact(surviving(items, 4, 1), queries))
-			return []op{o}
-		},
-	},
-	{
-		// The caller's mistakes, more often than the breaker tolerates
-		// server failures: a query of the wrong dimension is refused by
-		// every server at its one attempt, a duplicate ID by the cluster
-		// before any attempt. Neither counts against a server, so the valid
-		// batch after them is answered in full.
+		// The caller's mistakes: a query of the wrong dimension is refused
+		// by every server, a duplicate ID by the cluster before any server
+		// is called. The valid batch after them is answered in full.
 		name: "invalid queries",
-		cfg: func(*stall) parallel.Config {
-			cfg := baseConfig()
-			cfg.Retries = parallel.BreakerThreshold
-			return cfg
-		},
+		cfg:  func() parallel.Config { return baseConfig() },
 		check: func(t *testing.T, c *parallel.Cluster, err error, items []store.Item, queries []msq.Query) []op {
 			if err != nil {
 				t.Fatal(err)
@@ -398,26 +267,16 @@ var fanOutRows = []fanOutRow{
 			wrongDim := []msq.Query{{ID: 1, Vec: vec.Vector{0.5, 0.5}, Type: query.NewKNN(3)}}
 			twice := []msq.Query{queries[0], queries[0]}
 			var ops []op
-			for i := 0; i <= parallel.BreakerThreshold; i++ {
-				for _, bad := range []struct {
-					batch    []msq.Query
-					attempts int
-				}{{wrongDim, 1}, {twice, 0}} {
-					o := run(c, bad.batch)
-					if o.err == nil {
-						t.Fatalf("invalid batch %v accepted", bad.batch)
-					}
-					for s, st := range o.report.PerServer {
-						if st.Health.Attempts != bad.attempts {
-							t.Fatalf("%v: server %d made %d attempts, want %d", o.err, s, st.Health.Attempts, bad.attempts)
-						}
-					}
-					ops = append(ops, o)
+			for _, bad := range [][]msq.Query{wrongDim, twice} {
+				o := run(c, bad)
+				if o.err == nil {
+					t.Fatalf("invalid batch %v accepted", bad)
 				}
+				ops = append(ops, o)
 			}
 			o := run(c, queries)
-			if o.err != nil || o.report.Degraded {
-				t.Fatalf("valid batch after invalid ones: %v, degraded %v", o.err, o.report.Degraded)
+			if o.err != nil {
+				t.Fatalf("valid batch after invalid ones: %v", o.err)
 			}
 			checkAnswers(t, o.answers, exact(items, queries))
 			return append(ops, o)
@@ -427,7 +286,7 @@ var fanOutRows = []fanOutRow{
 		// More servers than items: every engine would build over nothing.
 		name: "empty partition",
 		n:    3,
-		cfg:  func(*stall) parallel.Config { return baseConfig() },
+		cfg:  func() parallel.Config { return baseConfig() },
 		check: func(t *testing.T, _ *parallel.Cluster, err error, _ []store.Item, _ []msq.Query) []op {
 			if err == nil || !strings.Contains(err.Error(), "partition 3 is empty") {
 				t.Fatalf("cluster over an empty partition: %v", err)
@@ -437,9 +296,9 @@ var fanOutRows = []fanOutRow{
 	},
 }
 
-// TestFanOut runs every failure scenario once over in-process servers and
-// once over loopback wire servers on the same partitions: the one fan-out
-// must give both the same answers and the same per-server health.
+// TestFanOut runs every scenario once over in-process servers and once over
+// loopback wire servers on the same partitions: the one fan-out must give
+// both the same outcomes, answers and per-server work.
 func TestFanOut(t *testing.T) {
 	for _, row := range fanOutRows {
 		t.Run(row.name, func(t *testing.T) {
@@ -455,10 +314,7 @@ func TestFanOut(t *testing.T) {
 			var runs [][]op
 			for _, tr := range transports {
 				t.Run(tr.name, func(t *testing.T) {
-					hang := newStall()
-					defer hang.free()
-					cfg := row.cfg(hang)
-					c, err := tr.build(t, items, cfg)
+					c, err := tr.build(t, items, row.cfg())
 					runs = append(runs, row.check(t, c, err, items, queries))
 				})
 			}
@@ -470,7 +326,7 @@ func TestFanOut(t *testing.T) {
 }
 
 // sameOps holds two transports' runs of a row to the same outcome: errors
-// alike, answers bit-identical, and the same report health.
+// alike, answers bit-identical, and the same per-server work.
 func sameOps(t *testing.T, a, b []op) {
 	t.Helper()
 	if len(a) != len(b) {
@@ -496,14 +352,7 @@ func sameOps(t *testing.T, a, b []op) {
 			}
 		}
 		rx, ry := x.report, y.report
-		if rx.Degraded != ry.Degraded || rx.Servers != ry.Servers || rx.Covered != ry.Covered {
-			t.Fatalf("operation %d: coverage %d/%d vs %d/%d", i, rx.Covered, rx.Servers, ry.Covered, ry.Servers)
-		}
 		for s := range rx.PerServer {
-			hx, hy := rx.PerServer[s].Health, ry.PerServer[s].Health
-			if hx.OK != hy.OK || hx.Attempts != hy.Attempts || (hx.Err == "") != (hy.Err == "") {
-				t.Errorf("operation %d server %d: health %+v vs %+v", i, s, hx, hy)
-			}
 			qx, qy := rx.PerServer[s].Query, ry.PerServer[s].Query
 			if qx.PagesRead != qy.PagesRead || qx.DistCalcs != qy.DistCalcs || qx.Avoided != qy.Avoided {
 				t.Errorf("operation %d server %d: stats %+v vs %+v", i, s, qx, qy)
@@ -512,64 +361,27 @@ func sameOps(t *testing.T, a, b []op) {
 	}
 }
 
-// TestFanOutLeaks: after an abandoned in-process attempt, a tripped breaker
-// and a context cancelled mid-batch on either transport, the goroutine
-// count returns to its baseline once the hung source is released.
+// TestFanOutLeaks: a context cancelled mid-batch on either transport fails
+// the operation with context.Canceled, and the goroutine count returns to
+// its baseline. The operation waits for every server's call: over the wire
+// the call stops at once, its connection's deadline expired, but an
+// in-process call stops only at its next page barrier, so the stalled read
+// is freed after the cancel and before the operation is awaited.
 func TestFanOutLeaks(t *testing.T) {
 	items := dataset.Uniform(23, 200, fanOutDim)
 	queries := fanOutBatch(t, items)
-	hungOn := func(hang *stall, server int) parallel.Config {
-		cfg := baseConfig()
-		cfg.Servers, cfg.Degrade = 2, true
-		cfg.WrapDisk = func(i int, src store.PageSource) (store.PageSource, error) {
-			if i != server {
-				return src, nil
-			}
-			return hang.wrap(src), nil
-		}
-		return cfg
-	}
-
-	t.Run("abandoned attempt", func(t *testing.T) {
-		hang := newStall()
-		defer hang.free()
-		cfg := hungOn(hang, 0)
-		cfg.Timeout = 200 * time.Millisecond
-		c, err := parallel.New(items, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base := runtime.NumGoroutine()
-		if _, rep, err := c.MultiQueryAll(queries); err != nil || rep.Covered != 1 {
-			t.Fatalf("hung server: %v, covered %d", err, rep.Covered)
-		}
-		hang.free()
-		leakcheck.Settle(t, base)
-	})
-
-	t.Run("tripped breaker", func(t *testing.T) {
-		cfg := baseConfig()
-		cfg.Servers, cfg.Degrade, cfg.Retries = 2, true, 5
-		cfg.WrapDisk = faulty(map[int]fault.Config{0: {ErrProb: 1}})
-		c, err := parallel.New(items, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		base := runtime.NumGoroutine()
-		for i := 0; i < 2; i++ {
-			if _, rep, err := c.MultiQueryAll(queries); err != nil || rep.PerServer[0].Health.Err != parallel.ErrCircuitOpen.Error() {
-				t.Fatalf("operation %d: %v, %+v", i, err, rep.PerServer[0].Health)
-			}
-		}
-		leakcheck.Settle(t, base)
-	})
-
 	for _, tr := range transports {
 		t.Run("cancelled mid-batch/"+tr.name, func(t *testing.T) {
 			hang := newStall()
 			defer hang.free()
-			cfg := hungOn(hang, 1)
-			cfg.Degrade = false // the cancelled server fails the operation
+			cfg := baseConfig()
+			cfg.Servers = 2
+			cfg.WrapDisk = func(i int, src store.PageSource) (store.PageSource, error) {
+				if i != 1 {
+					return src, nil
+				}
+				return hang.wrap(src), nil
+			}
 			c, err := tr.build(t, items, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -583,10 +395,10 @@ func TestFanOutLeaks(t *testing.T) {
 			}()
 			<-hang.entered
 			cancel()
+			hang.free()
 			if err := <-done; !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled operation returned %v", err)
 			}
-			hang.free()
 			leakcheck.Settle(t, base)
 		})
 	}

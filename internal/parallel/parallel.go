@@ -5,14 +5,13 @@
 // which is correct because every server returns (at least) its local top
 // answers and the global result is contained in their union.
 //
-// A Cluster reaches its partitions through the Server interface, one
-// attempt of a batch at a time, and owns everything around the attempts:
-// the fan-out, the per-server circuit breaker, the per-attempt timeout, the
-// retries, the coverage decision under FanOut.Degrade, the union-merge and
-// the per-server Report. New builds in-process servers (an engine and a
-// multi-query processor per partition); package wire supplies servers that
-// answer over TCP (wire.Remote), so a cross-process cluster is the same
-// Cluster over different servers.
+// A Cluster reaches its partitions through the Server interface and owns the
+// fan-out, the union-merge and the per-server Report. The cluster is the
+// paper's: fault-free, so a server that fails fails the operation. New
+// builds in-process servers (an engine and a multi-query processor per
+// partition); package wire supplies servers that answer over TCP
+// (wire.Remote), so a cross-process cluster is the same Cluster over
+// different servers.
 //
 // The paper's headline effect — parallel speed-up beyond s — comes from
 // running blocks of m·s queries (s-times the memory buffers s-times the
@@ -27,7 +26,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"time"
 
 	"metricdb/internal/engines"
 	"metricdb/internal/msq"
@@ -108,9 +106,7 @@ func Decluster(items []store.Item, s int, strategy Strategy, seed int64) ([][]st
 	return parts, nil
 }
 
-// Config parameterizes a cluster of in-process servers: the fields describe
-// the servers New builds, and the embedded FanOut how the cluster reaches
-// them.
+// Config parameterizes a cluster of in-process servers.
 type Config struct {
 	Servers  int
 	Strategy Strategy
@@ -129,40 +125,17 @@ type Config struct {
 	Avoidance msq.AvoidanceMode
 
 	// WrapDisk, when non-nil, interposes on each server's freshly built
-	// disk — the fault-injection hook. It is called once per server with
-	// the server index, so faults can be confined to chosen partitions;
-	// returning the source unchanged leaves that server on reliable
-	// storage.
+	// disk: the test hook through which the package's tests fail or hang
+	// chosen partitions. It is called once per server with the server
+	// index; returning the source unchanged leaves that server as built.
 	WrapDisk func(server int, src store.PageSource) (store.PageSource, error)
-
-	FanOut
-}
-
-// FanOut parameterizes how a Cluster reaches its servers, whatever they are.
-type FanOut struct {
-	// Timeout bounds each attempt on each server; zero means no bound. A
-	// timed-out attempt is abandoned and counts as a failure, retried like
-	// any other.
-	Timeout time.Duration
-	// Retries is the number of additional attempts after a failed one.
-	// An attempt the server refused as final (the caller's invalid query,
-	// a remote server's shutting_down) is not retried, and an overloaded
-	// server is retried no sooner than its retry-after hint.
-	Retries int
-	// Degrade allows partial results: when a server still fails after all
-	// retries, the cluster merges the surviving servers' answers and
-	// reports a degraded result (coverage < 1) instead of an error. With
-	// Degrade false any server failure fails the whole operation, the
-	// pre-existing strict behavior.
-	Degrade bool
 }
 
 // Server is one partition as the fan-out reaches it.
 type Server interface {
-	// Call runs one attempt of the batch: one answer list per query,
-	// aligned with queries, and the attempt's cost (Health is the
-	// caller's). The fan-out abandons an attempt that outlives its timeout
-	// or ctx, so Call should stop once ctx is done.
+	// Call runs the batch: one answer list per query, aligned with
+	// queries, and the call's cost. The fan-out waits for every server's
+	// call, so Call should stop once ctx is done.
 	Call(ctx context.Context, queries []msq.Query) ([]*query.AnswerList, ServerStats, error)
 }
 
@@ -174,9 +147,7 @@ type local struct {
 // Cluster is a set of shared-nothing servers answering similarity queries
 // in parallel.
 type Cluster struct {
-	servers  []Server
-	breakers []breaker
-	cfg      FanOut
+	servers []Server
 }
 
 // New declusters items and builds one in-process server per partition.
@@ -202,7 +173,7 @@ func New(items []store.Item, cfg Config) (*Cluster, error) {
 		}
 		servers[i] = &local{proc: proc}
 	}
-	return NewCluster(servers, cfg.FanOut)
+	return NewCluster(servers)
 }
 
 // newProcessor builds partition i's engine and processor. Every engine
@@ -254,90 +225,35 @@ func newProcessor(i int, part []store.Item, cfg Config) (*msq.Processor, error) 
 }
 
 // NewCluster fans out over the given servers, one partition each.
-func NewCluster(servers []Server, cfg FanOut) (*Cluster, error) {
+func NewCluster(servers []Server) (*Cluster, error) {
 	if len(servers) == 0 {
 		return nil, fmt.Errorf("parallel: need at least one server")
 	}
-	if cfg.Retries < 0 {
-		return nil, fmt.Errorf("parallel: negative retries %d", cfg.Retries)
-	}
-	return &Cluster{servers: servers, breakers: make([]breaker, len(servers)), cfg: cfg}, nil
+	return &Cluster{servers: servers}, nil
 }
 
 // Servers returns the number of servers.
 func (c *Cluster) Servers() int { return len(c.servers) }
 
-// ServerHealth describes one server's fate during a cluster operation.
-type ServerHealth struct {
-	// OK is true when the server contributed answers.
-	OK bool
-	// Attempts counts calls made to the server (1 for a first-try
-	// success, 0 when its circuit breaker was open).
-	Attempts int
-	// Err holds the final failure, empty on success.
-	Err string
-	// Latency is the wall time of the server's final attempt — the
-	// successful one, or the last failed one. Waits between attempts are
-	// not included.
-	Latency time.Duration
-}
-
-// ServerStats is the per-server cost and health of one cluster operation.
-// IO is zero for a remote server, whose disk the cluster cannot see.
+// ServerStats is one server's cost in a cluster operation. IO is zero for a
+// remote server, whose disk the cluster cannot see.
 type ServerStats struct {
-	Query  msq.Stats
-	IO     store.IOStats
-	Health ServerHealth
+	Query msq.Stats
+	IO    store.IOStats
 }
 
-// Report carries per-server costs and the degradation state of one
-// parallel operation.
+// Report carries the per-server costs of one parallel operation.
 type Report struct {
 	PerServer []ServerStats
-	// Degraded is true when at least one server failed and the merged
-	// result covers only the surviving partitions.
-	Degraded bool
-	// Servers and Covered count partitions total and partitions answered;
-	// Covered/Servers is the coverage fraction of the merged result.
-	Servers int
-	Covered int
 }
 
-// Coverage returns the fraction of partitions that contributed answers
-// (1 when the report predates any operation).
-func (r Report) Coverage() float64 {
-	if r.Servers == 0 {
-		return 1
-	}
-	return float64(r.Covered) / float64(r.Servers)
-}
-
-// Note states the correctness contract of the report's result. Degraded
-// results exploit the union-merge property: every answer returned was
-// truly within the query's constraint on some surviving partition, so
-// answer lists are a sound subset of the fault-free result; k-NN answers
-// become "up to k nearest among the covered partitions" (bounded-k-NN
-// semantics).
-func (r Report) Note() string {
-	if !r.Degraded {
-		return "complete: all partitions answered"
-	}
-	return fmt.Sprintf("degraded: %d/%d partitions answered; answers are a sound subset "+
-		"of the fault-free result, k-NN lists are bounded-k-NN over the covered partitions",
-		r.Covered, r.Servers)
-}
-
-// Sum returns the total work across servers (throughput view). The summed
-// query stats carry the report's degradation state and coverage counters.
+// Sum returns the total work across servers (throughput view).
 func (r Report) Sum() ServerStats {
 	var out ServerStats
 	for _, s := range r.PerServer {
 		out.Query = out.Query.Add(s.Query)
 		out.IO = out.IO.Add(s.IO)
 	}
-	out.Query.Degraded = r.Degraded
-	out.Query.PartitionsTotal = int64(r.Servers)
-	out.Query.PartitionsAnswered = int64(r.Covered)
 	return out
 }
 
@@ -367,30 +283,18 @@ func (r Report) MaxDistCalcs() int64 {
 
 // MultiQueryAll evaluates the batch to completion on every server in
 // parallel and merges the per-server answers into global answers, aligned
-// with queries.
-//
-// Each attempt on a server is bounded by FanOut.Timeout, and a failed one
-// is retried up to FanOut.Retries times unless its server's circuit breaker
-// is open. When a server still fails and FanOut.Degrade is set, the
-// surviving servers' answers are merged into a degraded result
-// (Report.Degraded, coverage < 1): by the union-merge property every
-// returned answer genuinely satisfies its query on a covered partition, so
-// the lists are a sound subset of the fault-free result. Without Degrade
-// any persistent server failure fails the whole operation. An invalid batch
-// is the caller's mistake: it fails without retries and without counting
-// against any server's breaker.
+// with queries. The merge is complete only with every partition's answers,
+// so any server's failure fails the operation.
 func (c *Cluster) MultiQueryAll(queries []msq.Query) ([]*query.AnswerList, Report, error) {
 	return c.MultiQueryAllContext(context.Background(), queries)
 }
 
-// MultiQueryAllContext is MultiQueryAll with cancellation: ctx bounds the
-// whole cluster operation. Cancellation abandons every server's attempt in
-// flight (each stops at its next page barrier or connection deadline),
-// interrupts waits between attempts, and suppresses further retries; the
-// operation then fails (or degrades, under FanOut.Degrade with surviving
-// servers) with the context error recorded per server.
+// MultiQueryAllContext is MultiQueryAll with cancellation: ctx reaches every
+// server's call, which stops at its next page barrier (in process) or
+// connection deadline (wire.Remote). Once every call has returned, an
+// operation whose ctx is done fails with the context error.
 func (c *Cluster) MultiQueryAllContext(ctx context.Context, queries []msq.Query) ([]*query.AnswerList, Report, error) {
-	report := Report{PerServer: make([]ServerStats, len(c.servers)), Servers: len(c.servers)}
+	report := Report{PerServer: make([]ServerStats, len(c.servers))}
 	if err := check(queries); err != nil {
 		return nil, report, err
 	}
@@ -398,38 +302,29 @@ func (c *Cluster) MultiQueryAllContext(ctx context.Context, queries []msq.Query)
 	errs := make([]error, len(c.servers))
 
 	var wg sync.WaitGroup
-	for i := range c.servers {
+	for i, srv := range c.servers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			perServer[i], report.PerServer[i], errs[i] = c.call(ctx, i, queries)
+			perServer[i], report.PerServer[i], errs[i] = srv.Call(ctx, queries)
 		}()
 	}
 	wg.Wait()
 
-	var firstErr error
-	firstIdx := -1
 	for i, err := range errs {
-		if err == nil {
-			report.Covered++
-		} else if firstErr == nil {
-			firstErr, firstIdx = err, i
+		if err != nil {
+			return nil, report, fmt.Errorf("parallel: server %d: %w", i, err)
 		}
 	}
-	if firstErr != nil {
-		if !c.cfg.Degrade || report.Covered == 0 {
-			return nil, report, fmt.Errorf("parallel: server %d: %w", firstIdx, firstErr)
-		}
-		report.Degraded = true
+	// A call may finish its last page, or its reply may land, after ctx is
+	// done; the operation fails all the same, on either transport.
+	if err := ctx.Err(); err != nil {
+		return nil, report, fmt.Errorf("parallel: %w", err)
 	}
-
 	merged := make([]*query.AnswerList, len(queries))
 	for qi := range queries {
 		l := query.NewAnswerList(queries[qi].Type)
 		for si := range c.servers {
-			if errs[si] != nil {
-				continue
-			}
 			for _, a := range perServer[si][qi].Answers() {
 				l.Consider(a.ID, a.Dist)
 			}
@@ -440,8 +335,8 @@ func (c *Cluster) MultiQueryAllContext(ctx context.Context, queries []msq.Query)
 }
 
 // check refuses, before any server is called, a batch no server could
-// answer; a query only a server can judge (its dimension) comes back from
-// each as a final refusal that does not count against it (see rejected).
+// answer; a query only a server can judge (its dimension) each server
+// refuses.
 func check(queries []msq.Query) error {
 	if len(queries) == 0 {
 		return errors.New("parallel: empty batch")
@@ -459,115 +354,6 @@ func check(queries []msq.Query) error {
 	return nil
 }
 
-// call runs server i's attempts for one operation: the breaker check, the
-// retry policy (see classify) and the health record.
-func (c *Cluster) call(ctx context.Context, i int, queries []msq.Query) ([]*query.AnswerList, ServerStats, error) {
-	br := &c.breakers[i]
-	var health ServerHealth
-	var wait time.Duration
-	var err error
-	for try := 0; try <= c.cfg.Retries; try++ {
-		if try > 0 && wait > 0 {
-			select {
-			case <-time.After(wait):
-			case <-ctx.Done():
-			}
-			if err = ctx.Err(); err != nil {
-				break
-			}
-		}
-		if !br.allow() {
-			err = ErrCircuitOpen
-			break
-		}
-		health.Attempts++
-		start := time.Now()
-		var res []*query.AnswerList
-		var st ServerStats
-		res, st, err = c.attempt(ctx, c.servers[i], queries)
-		health.Latency = time.Since(start)
-		if err == nil {
-			br.success()
-			health.OK = true
-			st.Health = health
-			return res, st, nil
-		}
-		retryable, after, trips := classify(err)
-		// An attempt the caller cancelled says nothing about the server.
-		if trips && ctx.Err() == nil {
-			br.failure()
-		}
-		if !retryable || ctx.Err() != nil {
-			break
-		}
-		// A server's retry-after hint is the least wait: retrying sooner
-		// than it asked just gets shed again.
-		wait = after
-	}
-	health.Err = err.Error()
-	return nil, ServerStats{Health: health}, err
-}
-
-// attempt runs one call under the per-attempt timeout. The call runs on its
-// own goroutine and races the timer and ctx, because a page read or a
-// connection may hang where no context reaches it: on expiry the attempt is
-// abandoned — its context is cancelled, so it stops at its next page
-// barrier or connection deadline, and its result is discarded. I/O an
-// abandoned in-process attempt issued still shows in its disk's cumulative
-// statistics.
-func (c *Cluster) attempt(ctx context.Context, srv Server, queries []msq.Query) ([]*query.AnswerList, ServerStats, error) {
-	type outcome struct {
-		res []*query.AnswerList
-		st  ServerStats
-		err error
-	}
-	attemptCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	done := make(chan outcome, 1)
-	go func() {
-		res, st, err := srv.Call(attemptCtx, queries)
-		done <- outcome{res, st, err}
-	}()
-	var expired <-chan time.Time
-	if c.cfg.Timeout > 0 {
-		timer := time.NewTimer(c.cfg.Timeout)
-		defer timer.Stop()
-		expired = timer.C
-	}
-	select {
-	case o := <-done:
-		return o.res, o.st, o.err
-	case <-expired:
-		return nil, ServerStats{}, fmt.Errorf("parallel: server timed out after %v", c.cfg.Timeout)
-	case <-ctx.Done():
-		return nil, ServerStats{}, ctx.Err()
-	}
-}
-
-// classify maps a failed attempt onto the retry policy: whether another
-// attempt can help, the least wait before it, and whether the failure is
-// server trouble that counts toward the circuit breaker. An error that
-// carries its own policy — a remote server's coded refusal, an in-process
-// server's rejected query — states it through a Classify method; anything
-// else (a storage fault, a timeout, a broken connection) is retryable
-// server trouble.
-func classify(err error) (retryable bool, retryAfter time.Duration, trips bool) {
-	var policy interface {
-		Classify() (retryable bool, retryAfter time.Duration, trips bool)
-	}
-	if errors.As(err, &policy) {
-		return policy.Classify()
-	}
-	return true, 0, true
-}
-
-// rejected is a query an in-process server refused as the caller's
-// mistake, the counterpart of a remote server's bad_request: final, and no
-// sign of trouble on the server, which answered.
-type rejected struct{ error }
-
-func (rejected) Classify() (bool, time.Duration, bool) { return false, 0, false }
-
 // Single evaluates one similarity query on all servers and merges the
 // results.
 func (c *Cluster) Single(q vec.Vector, t query.Type) (*query.AnswerList, Report, error) {
@@ -578,15 +364,9 @@ func (c *Cluster) Single(q vec.Vector, t query.Type) (*query.AnswerList, Report,
 	return res[0], rep, nil
 }
 
-// Call runs the batch on the partition's processor. A query the processor
-// cannot evaluate is refused as rejected, as a wire server refuses it as
-// bad_request.
+// Call runs the batch on the partition's processor, which refuses a query
+// it cannot evaluate before it reads a page.
 func (l *local) Call(ctx context.Context, queries []msq.Query) ([]*query.AnswerList, ServerStats, error) {
-	for _, q := range queries {
-		if err := l.proc.CheckQuery(q); err != nil {
-			return nil, ServerStats{}, rejected{err}
-		}
-	}
 	disk := l.proc.Engine().Pager().Disk()
 	before := disk.Stats()
 	res, st, err := l.proc.MultiQueryContext(ctx, queries)

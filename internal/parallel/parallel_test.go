@@ -5,9 +5,7 @@ import (
 	"errors"
 	"math"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"metricdb/internal/dataset"
 	"metricdb/internal/engines"
@@ -91,10 +89,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(items, Config{Servers: 2, Dim: 3, PageCapacity: 8, Avoidance: msq.AvoidanceMode(9)}); err == nil {
 		t.Error("unknown avoidance mode accepted")
 	}
-	if _, err := New(items, Config{Servers: 2, Dim: 3, PageCapacity: 8, FanOut: FanOut{Retries: -1}}); err == nil {
-		t.Error("negative retries accepted")
-	}
-	if _, err := NewCluster(nil, FanOut{}); err == nil {
+	if _, err := NewCluster(nil); err == nil {
 		t.Error("cluster without servers accepted")
 	}
 }
@@ -255,227 +250,50 @@ func TestReportSum(t *testing.T) {
 }
 
 // fake is a scripted Server for the fan-out's unit tests: it answers from
-// its items by brute force, and its script decides each attempt's fate.
+// its items by brute force, or fails with err.
 type fake struct {
 	items []store.Item
-	// fail returns the n-th attempt's error (n counts from 1), nil to
-	// answer; a nil fail answers every attempt.
-	fail func(n int) error
-	// hang blocks every attempt until its context is done.
-	hang bool
-
-	calls    atomic.Int32
-	returned atomic.Int32 // attempts whose Call has returned
+	err   error
 }
 
-func (f *fake) Call(ctx context.Context, queries []msq.Query) ([]*query.AnswerList, ServerStats, error) {
-	defer f.returned.Add(1)
-	n := int(f.calls.Add(1))
-	if f.hang {
-		<-ctx.Done()
-		return nil, ServerStats{}, ctx.Err()
+func (f *fake) Call(_ context.Context, queries []msq.Query) ([]*query.AnswerList, ServerStats, error) {
+	if f.err != nil {
+		return nil, ServerStats{}, f.err
 	}
-	if f.fail != nil {
-		if err := f.fail(n); err != nil {
-			return nil, ServerStats{}, err
-		}
-	}
-	return bruteForce(f.items, queries), ServerStats{Query: msq.Stats{Queries: int64(len(queries)), PagesRead: int64(len(f.items))}}, nil
-}
-
-func bruteForce(items []store.Item, queries []msq.Query) []*query.AnswerList {
 	lists := make([]*query.AnswerList, len(queries))
 	for i, q := range queries {
 		lists[i] = query.NewAnswerList(q.Type)
-		for _, it := range items {
+		for _, it := range f.items {
 			lists[i].Consider(it.ID, vec.Euclidean{}.Distance(q.Vec, it.Vec))
 		}
 	}
-	return lists
+	return lists, ServerStats{Query: msq.Stats{Queries: int64(len(queries)), PagesRead: int64(len(f.items))}}, nil
 }
 
-var errDown = errors.New("server down")
-
-func always(err error) func(int) error { return func(int) error { return err } }
-
-// fakeCluster declusters a small dataset round-robin over len(fails)
-// scripted servers, server i failing by fails[i] (nil: healthy), and
-// returns it with a mixed k-NN/range batch.
-func fakeCluster(t *testing.T, cfg FanOut, fails ...func(int) error) (*Cluster, []*fake, []store.Item, []msq.Query) {
-	t.Helper()
+// TestStrictModeFailsFast: one failing server fails the whole operation;
+// with several failing, the error is the lowest-numbered server's, named.
+func TestStrictModeFailsFast(t *testing.T) {
 	items := dataset.Uniform(21, 200, 3)
-	parts, err := Decluster(items, len(fails), RoundRobin, 0)
+	parts, err := Decluster(items, 4, RoundRobin, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fakes := make([]*fake, len(fails))
-	servers := make([]Server, len(fails))
-	for i := range fails {
-		fakes[i] = &fake{items: parts[i], fail: fails[i]}
-		servers[i] = fakes[i]
-	}
-	c, err := NewCluster(servers, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	errDown, errLater := errors.New("server down"), errors.New("also down")
 	queries := []msq.Query{
 		{ID: 1, Vec: items[3].Vec, Type: query.NewKNN(5)},
 		{ID: 2, Vec: items[50].Vec, Type: query.NewRange(0.3)},
 	}
-	return c, fakes, items, queries
-}
-
-func sameAnswers(t *testing.T, got []*query.AnswerList, want []*query.AnswerList) {
-	t.Helper()
-	for qi := range want {
-		g, w := got[qi].Answers(), want[qi].Answers()
-		if len(g) != len(w) {
-			t.Fatalf("query %d: %d answers, want %d", qi, len(g), len(w))
+	for _, errs := range [][]error{{nil, nil, errDown, nil}, {nil, nil, errDown, errLater}} {
+		servers := make([]Server, len(parts))
+		for i, part := range parts {
+			servers[i] = &fake{items: part, err: errs[i]}
 		}
-		for j := range w {
-			if g[j] != w[j] {
-				t.Fatalf("query %d answer %d = %+v, want %+v", qi, j, g[j], w[j])
-			}
+		c, err := NewCluster(servers)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestDegradedMerge: with one of four servers failing every attempt, the
-// fan-out merges the other three (coverage 3/4), records each server's
-// health, and the report's note and summed stats carry the contract.
-func TestDegradedMerge(t *testing.T) {
-	c, _, items, queries := fakeCluster(t, FanOut{Degrade: true, Retries: 1}, nil, always(errDown), nil, nil)
-	got, rep, err := c.MultiQueryAll(queries)
-	if err != nil {
-		t.Fatalf("degraded cluster errored: %v", err)
-	}
-	if !rep.Degraded || rep.Servers != 4 || rep.Covered != 3 || rep.Coverage() != 0.75 {
-		t.Fatalf("coverage: degraded=%v servers=%d covered=%d", rep.Degraded, rep.Servers, rep.Covered)
-	}
-	if !strings.Contains(rep.Note(), "3/4") || !strings.Contains(rep.Note(), "sound subset") {
-		t.Errorf("note = %q", rep.Note())
-	}
-	for i, s := range rep.PerServer {
-		h := s.Health
-		if i == 1 {
-			if h.OK || h.Attempts != 2 || h.Err != errDown.Error() {
-				t.Errorf("server 1 health = %+v, want 2 failed attempts", h)
-			}
-		} else if !h.OK || h.Attempts != 1 || h.Err != "" || h.Latency <= 0 {
-			t.Errorf("server %d health = %+v", i, h)
-		}
-	}
-	var covered []store.Item
-	for i, it := range items {
-		if i%4 != 1 {
-			covered = append(covered, it)
-		}
-	}
-	sameAnswers(t, got, bruteForce(covered, queries))
-	sum := rep.Sum()
-	if !sum.Query.Degraded || sum.Query.PartitionsTotal != 4 || sum.Query.PartitionsAnswered != 3 ||
-		sum.Query.Coverage() != 0.75 || sum.Query.PagesRead != int64(len(covered)) {
-		t.Errorf("summed stats = %+v", sum.Query)
-	}
-}
-
-// TestStrictModeFailsFast: without Degrade, one failing server fails the
-// whole operation, and the error names it.
-func TestStrictModeFailsFast(t *testing.T) {
-	c, _, _, queries := fakeCluster(t, FanOut{}, nil, nil, always(errDown), nil)
-	_, _, err := c.MultiQueryAll(queries)
-	if !errors.Is(err, errDown) || !strings.Contains(err.Error(), "server 2") {
-		t.Fatalf("strict cluster returned %v", err)
-	}
-}
-
-// TestAllServersFailingErrorsEvenWhenDegraded: coverage 0 is an error, not
-// an empty result.
-func TestAllServersFailingErrorsEvenWhenDegraded(t *testing.T) {
-	c, _, _, queries := fakeCluster(t, FanOut{Degrade: true}, always(errDown), always(errDown))
-	if _, _, err := c.MultiQueryAll(queries); err == nil {
-		t.Fatal("cluster with zero coverage returned a result")
-	}
-}
-
-// refusal is an error carrying its own retry policy, as a remote server's
-// coded refusal does.
-type refusal struct {
-	retryable bool
-	after     time.Duration
-	trips     bool
-}
-
-func (r refusal) Error() string { return "refused" }
-func (r refusal) Classify() (bool, time.Duration, bool) {
-	return r.retryable, r.after, r.trips
-}
-
-// TestRetryRecoversTransientFaults: failures the retries outlast leave a
-// complete result; an error whose policy says another attempt cannot help
-// is not retried, and a retry-after hint is waited out first.
-func TestRetryRecoversTransientFaults(t *testing.T) {
-	transient := func(n int) error {
-		if n <= 2 {
-			return errDown
-		}
-		return nil
-	}
-	c, _, items, queries := fakeCluster(t, FanOut{Retries: 3}, transient, nil)
-	got, rep, err := c.MultiQueryAll(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Degraded || rep.Coverage() != 1 || rep.PerServer[0].Health.Attempts != 3 {
-		t.Fatalf("transient faults: %+v", rep)
-	}
-	sameAnswers(t, got, bruteForce(items, queries))
-
-	c, fakes, _, _ := fakeCluster(t, FanOut{Retries: 3}, always(refusal{}), nil)
-	if _, _, err := c.MultiQueryAll(queries); err == nil || fakes[0].calls.Load() != 1 {
-		t.Fatalf("final refusal: err %v after %d attempts, want 1", err, fakes[0].calls.Load())
-	}
-
-	const hint = 30 * time.Millisecond
-	shed := func(n int) error {
-		if n == 1 {
-			return refusal{retryable: true, after: hint, trips: true}
-		}
-		return nil
-	}
-	c, _, _, _ = fakeCluster(t, FanOut{Retries: 1}, shed)
-	start := time.Now()
-	if _, rep, err := c.MultiQueryAll(queries); err != nil || rep.PerServer[0].Health.Attempts != 2 {
-		t.Fatalf("overload then answer: %v, %+v", err, rep.PerServer[0].Health)
-	}
-	if elapsed := time.Since(start); elapsed < hint {
-		t.Fatalf("retried after %v, before the %v retry-after hint", elapsed, hint)
-	}
-}
-
-// TestServerTimeout: an attempt that outlives the per-attempt timeout is
-// abandoned as a failure — here on every server, which is an error even in
-// degraded mode — and its context is cancelled, so it returns.
-func TestServerTimeout(t *testing.T) {
-	hung := []*fake{{hang: true}, {hang: true}}
-	c, err := NewCluster([]Server{hung[0], hung[1]}, FanOut{Degrade: true, Retries: 1, Timeout: 5 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rep, err := c.MultiQueryAll([]msq.Query{{ID: 1, Vec: vec.Vector{0, 0, 0}, Type: query.NewKNN(3)}})
-	if err == nil || !strings.Contains(err.Error(), "timed out") {
-		t.Fatalf("timeout did not surface: %v", err)
-	}
-	for i, f := range hung {
-		if h := rep.PerServer[i].Health; h.Attempts != 2 {
-			t.Errorf("server %d health = %+v, want 2 timed-out attempts", i, h)
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for f.returned.Load() != 2 {
-			if time.Now().After(deadline) {
-				t.Fatalf("server %d: %d of 2 abandoned attempts returned", i, f.returned.Load())
-			}
-			time.Sleep(time.Millisecond)
+		if _, _, err := c.MultiQueryAll(queries); !errors.Is(err, errDown) || !strings.Contains(err.Error(), "server 2") {
+			t.Fatalf("strict cluster returned %v", err)
 		}
 	}
 }

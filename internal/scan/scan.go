@@ -82,9 +82,8 @@ func NewWithConfig(items []store.Item, cfg Config) (*Engine, error) {
 
 // NewStored builds a scan engine over an existing pager whose page sizes
 // are already known — typically from the manifest of a persistent dataset
-// directory (store.FileDisk). Unlike NewFromPager it performs no warm-up
-// reads, so opening a stored database touches the disk only when the first
-// query runs.
+// directory (store.FileDisk). It performs no warm-up reads, so opening a
+// stored database touches the disk only when the first query runs.
 func NewStored(pager *store.Pager, numItems int, pageLens []int) (*Engine, error) {
 	if pager == nil {
 		return nil, fmt.Errorf("scan: nil pager")
@@ -102,29 +101,6 @@ func NewStored(pager *store.Pager, numItems int, pageLens []int) (*Engine, error
 	if total != numItems {
 		return nil, fmt.Errorf("scan: page lengths sum to %d items, expected %d", total, numItems)
 	}
-	return newEngine(pager, numItems), nil
-}
-
-// NewFromPager builds a scan engine over an existing pager holding numItems
-// items. One warm-up pass reads every page to check that the pages hold
-// numItems items, after which the pager's statistics are reset.
-func NewFromPager(pager *store.Pager, numItems int) (*Engine, error) {
-	if pager == nil {
-		return nil, fmt.Errorf("scan: nil pager")
-	}
-	total := 0
-	for i := 0; i < pager.NumPages(); i++ {
-		p, err := pager.ReadPage(store.PageID(i))
-		if err != nil {
-			return nil, fmt.Errorf("scan: sizing page %d: %w", i, err)
-		}
-		total += len(p.Items)
-		pager.Release(p)
-	}
-	if total != numItems {
-		return nil, fmt.Errorf("scan: pages hold %d items, expected %d", total, numItems)
-	}
-	pager.ResetStats()
 	return newEngine(pager, numItems), nil
 }
 

@@ -1,7 +1,6 @@
 package scan
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -24,7 +23,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(items(4), 2, -1); err == nil {
 		t.Error("negative buffer accepted")
 	}
-	if _, err := NewFromPager(nil, 0); err == nil {
+	if _, err := NewStored(nil, 0, nil); err == nil {
 		t.Error("nil pager accepted")
 	}
 }
@@ -84,52 +83,3 @@ func TestSequentialIOAccounting(t *testing.T) {
 		t.Errorf("scan should be sequential after the first seek: %+v", s)
 	}
 }
-
-func TestNewFromPager(t *testing.T) {
-	pages, err := store.Paginate(items(4), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	disk, err := store.NewDisk(pages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pager, err := store.NewPager(disk, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewFromPager(pager, 5); err == nil {
-		t.Error("4 items on the pages accepted as 5")
-	}
-	e, err := NewFromPager(pager, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.NumItems() != 4 || e.NumPages() != 2 {
-		t.Errorf("NumItems=%d NumPages=%d", e.NumItems(), e.NumPages())
-	}
-	if e.Pager() != pager {
-		t.Error("Pager() does not return the provided pager")
-	}
-}
-
-func TestNewFromPagerSurfacesSizingErrors(t *testing.T) {
-	pages, err := store.Paginate(items(4), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	disk, err := store.NewDisk(pages)
-	if err != nil {
-		t.Fatal(err)
-	}
-	disk.FailOn(func(store.PageID) error { return errBoom })
-	pager, err := store.NewPager(disk, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewFromPager(pager, 4); err == nil {
-		t.Error("sizing failure swallowed")
-	}
-}
-
-var errBoom = errors.New("boom")

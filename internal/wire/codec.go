@@ -123,9 +123,6 @@ func (c *codec) response(r *Response) bool {
 	c.field(`,"avoided":`, &s.Avoided, true)
 	c.field(`,"partial_abandoned":`, &s.PartialAbandoned, true)
 	c.field(`,"pivot_dist_calcs":`, &s.PivotDistCalcs, s.PivotDistCalcs != 0)
-	if c.opt(`,"degraded":true`, s.Degraded) && c.dec {
-		s.Degraded = true
-	}
 	c.tok(`,"coverage":`)
 	c.f64(&s.Coverage)
 	if c.opt(`,"batch_width":`, s.BatchWidth != 0) {

@@ -95,7 +95,7 @@ func goldenCorpus() (shaped, other []any) {
 		}
 		resp := Response{Stats: Stats{Queries: rng.Int63(), PagesRead: pick(rng.Int63()), DistCalcs: pick(math.MaxInt64),
 			MatrixDistCalcs: pick(math.MinInt64), AvoidTries: rng.Int63(), Avoided: -rng.Int63n(5),
-			PartialAbandoned: pick(7), PivotDistCalcs: pick(rng.Int63()), Degraded: rng.Intn(2) == 0,
+			PartialAbandoned: pick(7), PivotDistCalcs: pick(rng.Int63()),
 			Coverage: float(), BatchWidth: int(pick(int64(rng.Intn(64)))), ServiceUs: pick(rng.Int63())}}
 		for j := rng.Intn(4); j > 0; j-- {
 			l := make([]Answer, rng.Intn(12))
@@ -415,6 +415,61 @@ func BenchmarkServeQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 		i++
+	}
+}
+
+// TestRetiredDegradedKey: a reply that carries "degraded":true, which an
+// older server could send, decodes through the client to the same answers
+// and Stats as the same reply without the key. The hand codec declines such
+// a line and encoding/json, which decodes it instead, ignores the key. The
+// reply is a served one, so it also shows that a server still writes
+// "coverage":1.
+func TestRetiredDegradedKey(t *testing.T) {
+	eng, err := scan.New(dataset.Uniform(9, 300, 3), 16, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc, err := msq.New(eng, vec.Euclidean{}, msq.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := serveProc(t, proc, ServerConfig{})
+	conn := dialFuzz(t, addr)
+	defer conn.Close()
+	req := `{"op":"multi_all","queries":[{"id":1,"vector":[0.2,0.4,0.6],"kind":"knn","k":3},` +
+		`{"id":2,"vector":[0.5,0.5,0.5],"kind":"range","range":0.3}]}` + "\n"
+	if _, err := conn.Write([]byte(req)); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := bufio.NewReader(conn).ReadBytes('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(plain, []byte(`,"coverage":1`)) {
+		t.Fatalf("served reply %q lacks \"coverage\":1", plain)
+	}
+	degraded := bytes.Replace(plain, []byte(`,"coverage":`), []byte(`,"degraded":true,"coverage":`), 1)
+	if _, ok := handResponse(new(codec), plain); !ok {
+		t.Fatalf("hand codec declined the served reply %q", plain)
+	}
+	if _, ok := handResponse(new(codec), degraded); ok {
+		t.Fatalf("hand codec took %q", degraded)
+	}
+	client, err := Dial(lineServer(t, plain, degraded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	wantAnswers, wantStats, err := client.MultiAll(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotAnswers, gotStats, err := client.MultiAll(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(wantAnswers) != 2 || !reflect.DeepEqual(gotAnswers, wantAnswers) || gotStats != wantStats {
+		t.Fatalf("with the key: %v %+v; without: %v %+v", gotAnswers, gotStats, wantAnswers, wantStats)
 	}
 }
 

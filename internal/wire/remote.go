@@ -12,20 +12,19 @@ import (
 
 // Remote returns a parallel.Server that answers from the wire server at
 // addr, so a parallel.Cluster over Remote servers is the cross-process
-// cluster: the Cluster owns the fan-out, the retries, the timeout, the
-// breaker and the merge, and Remote owns the transport. Each attempt dials
-// a fresh connection, because the line protocol cannot retract a request
-// already on the wire and a timed-out or failed attempt must not poison
-// later ones.
+// cluster: the Cluster owns the fan-out and the merge, and Remote owns the
+// transport. Each call dials a fresh connection, because the line protocol
+// cannot retract a request already on the wire and a cancelled or failed
+// call must not poison later ones.
 func Remote(addr string) parallel.Server {
 	return remote(addr)
 }
 
 type remote string
 
-// Call runs one attempt: dial, one multi_all round trip, close. A reply
-// whose answer lists do not match the batch is this attempt's failure
-// (ErrMalformedResponse), for the cluster to retry or degrade around.
+// Call dials, makes one multi_all round trip and closes. A reply whose
+// answer lists do not match the batch fails the call
+// (ErrMalformedResponse).
 func (r remote) Call(ctx context.Context, queries []msq.Query) ([]*query.AnswerList, parallel.ServerStats, error) {
 	client, err := DialContext(ctx, string(r))
 	if err != nil {

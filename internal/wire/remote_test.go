@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"metricdb/internal/dataset"
-	"metricdb/internal/fault"
 	"metricdb/internal/msq"
 	"metricdb/internal/parallel"
 	"metricdb/internal/query"
@@ -23,14 +22,14 @@ import (
 )
 
 // The coordinator of these tests is a parallel.Cluster over Remote servers;
-// the failure scenarios both transports share are parallel's TestFanOut.
-// These cover what only the wire can do: reach no server at all, hang on a
-// connection, refuse with a taxonomy code, and send a malformed reply.
+// the scenarios both transports share are parallel's TestFanOut. These cover
+// what only the wire can do: reach no server at all, refuse with a taxonomy
+// code, and send a malformed reply.
 
 // startPartitionedServers declusters one dataset round-robin over n wire
 // servers and returns their addresses plus the full item set for reference
-// answers. wrap, when non-nil, interposes on each partition's storage.
-func startPartitionedServers(t *testing.T, n int, wrap func(server int, src store.PageSource) (store.PageSource, error)) (addrs []string, items []store.Item) {
+// answers.
+func startPartitionedServers(t *testing.T, n int) (addrs []string, items []store.Item) {
 	t.Helper()
 	const dim = 3
 	items = dataset.Uniform(17, 360, dim)
@@ -38,13 +37,8 @@ func startPartitionedServers(t *testing.T, n int, wrap func(server int, src stor
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, part := range parts {
-		cfg := scan.Config{PageCapacity: 16}
-		if wrap != nil {
-			si := i
-			cfg.WrapDisk = func(src store.PageSource) (store.PageSource, error) { return wrap(si, src) }
-		}
-		eng, err := scan.NewWithConfig(part, cfg)
+	for _, part := range parts {
+		eng, err := scan.NewWithConfig(part, scan.Config{PageCapacity: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,13 +53,13 @@ func startPartitionedServers(t *testing.T, n int, wrap func(server int, src stor
 }
 
 // coordinator builds a cluster over Remote servers at addrs.
-func coordinator(t *testing.T, addrs []string, cfg parallel.FanOut) *parallel.Cluster {
+func coordinator(t *testing.T, addrs []string) *parallel.Cluster {
 	t.Helper()
 	servers := make([]parallel.Server, len(addrs))
 	for i, addr := range addrs {
 		servers[i] = Remote(addr)
 	}
-	c, err := parallel.NewCluster(servers, cfg)
+	c, err := parallel.NewCluster(servers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,21 +112,17 @@ func sameCoordAnswers(a, b []*query.AnswerList) bool {
 }
 
 func TestCoordinatorValidation(t *testing.T) {
-	if _, err := parallel.NewCluster(nil, parallel.FanOut{}); err == nil {
+	if _, err := parallel.NewCluster(nil); err == nil {
 		t.Error("empty server list accepted")
-	}
-	if _, err := parallel.NewCluster([]parallel.Server{Remote("a")}, parallel.FanOut{Retries: -1}); err == nil {
-		t.Error("negative retries accepted")
 	}
 }
 
 // TestCoordinatorUnionMerge: the merged answers over a partitioned cluster
-// equal the single-node answers, and the report carries per-server health
-// with measured latency.
+// equal the single-node answers, and the report carries each server's work.
 func TestCoordinatorUnionMerge(t *testing.T) {
-	addrs, items := startPartitionedServers(t, 3, nil)
+	addrs, items := startPartitionedServers(t, 3)
 	queries := coordQueries(items)
-	c := coordinator(t, addrs, parallel.FanOut{Timeout: 30 * time.Second})
+	c := coordinator(t, addrs)
 	got, rep, err := c.MultiQueryAll(queries)
 	if err != nil {
 		t.Fatal(err)
@@ -140,25 +130,20 @@ func TestCoordinatorUnionMerge(t *testing.T) {
 	if !sameCoordAnswers(got, refAnswers(t, items, queries)) {
 		t.Errorf("merged answers differ from single-node reference")
 	}
-	if rep.Degraded || rep.Coverage() != 1 || len(rep.PerServer) != len(addrs) {
+	if len(rep.PerServer) != len(addrs) {
 		t.Fatalf("healthy cluster reported %+v", rep)
 	}
 	for i, s := range rep.PerServer {
-		if h := s.Health; !h.OK || h.Attempts != 1 || h.Latency <= 0 {
-			t.Errorf("server %d health = %+v", i, h)
-		}
 		if s.Query.PagesRead == 0 || s.Query.Queries != int64(len(queries)) {
 			t.Errorf("server %d stats = %+v", i, s.Query)
 		}
 	}
 }
 
-// TestCoordinatorDegradedDeadServer: with Degrade set, a server nothing
-// listens for is dropped from the merge after its retries; the result is
-// exactly the surviving partitions' and the report says so. Without
-// Degrade the operation fails.
+// TestCoordinatorDegradedDeadServer: a server nothing listens for fails
+// the operation, and the error names it.
 func TestCoordinatorDegradedDeadServer(t *testing.T) {
-	addrs, items := startPartitionedServers(t, 3, nil)
+	addrs, items := startPartitionedServers(t, 3)
 	dead, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -166,89 +151,9 @@ func TestCoordinatorDegradedDeadServer(t *testing.T) {
 	addrs[1] = dead.Addr().String()
 	dead.Close() // nothing listens here any more
 
-	queries := coordQueries(items)
-	c := coordinator(t, addrs, parallel.FanOut{Timeout: 5 * time.Second, Retries: 1, Degrade: true})
-	got, rep, err := c.MultiQueryAll(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Degraded || rep.Covered != 2 {
-		t.Errorf("dead server not reflected in the report: %+v", rep)
-	}
-	if h := rep.PerServer[1].Health; h.OK || h.Attempts != 2 || h.Err == "" {
-		t.Errorf("dead server health = %+v, want 2 failed attempts", h)
-	}
-	parts, err := parallel.Decluster(items, 3, parallel.RoundRobin, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	surviving := append(append([]store.Item(nil), parts[0]...), parts[2]...)
-	if !sameCoordAnswers(got, refAnswers(t, surviving, queries)) {
-		t.Error("degraded answers differ from the surviving-partition reference")
-	}
-
-	strict := coordinator(t, addrs, parallel.FanOut{Timeout: 5 * time.Second})
-	if _, _, err := strict.MultiQueryAll(queries); err == nil {
-		t.Error("strict coordinator succeeded with a dead server")
-	}
-}
-
-// TestCoordinatorServerTimeout: a server that accepts but never answers
-// trips the per-attempt timeout on every attempt, and the operation
-// degrades around the server.
-func TestCoordinatorServerTimeout(t *testing.T) {
-	addrs, items := startPartitionedServers(t, 2, nil)
-	hung, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { hung.Close() })
-	go func() { // accept and hold connections open without responding
-		for {
-			conn, err := hung.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-		}
-	}()
-	addrs = append(addrs, hung.Addr().String())
-
-	c := coordinator(t, addrs, parallel.FanOut{Timeout: 100 * time.Millisecond, Retries: 1, Degrade: true})
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	_, rep, err := c.MultiQueryAllContext(ctx, coordQueries(items))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Degraded {
-		t.Errorf("hung server not degraded: %+v", rep)
-	}
-	if h := rep.PerServer[2].Health; h.OK || h.Attempts != 2 || !strings.Contains(h.Err, "timed out") {
-		t.Errorf("hung server health = %+v, want 2 timed-out attempts", h)
-	}
-}
-
-// TestClassify pins the retry policy each taxonomy code states.
-func TestClassify(t *testing.T) {
-	cases := []struct {
-		name       string
-		err        *ServerError
-		retryable  bool
-		retryAfter time.Duration
-		trips      bool
-	}{
-		{"bad_request", &ServerError{Code: CodeBadRequest, Msg: "no"}, false, 0, false},
-		{"shutting_down", &ServerError{Code: CodeShutdown, Msg: "bye"}, false, 0, true},
-		{"overload", &ServerError{Code: CodeOverload, Msg: "busy", RetryAfter: 42 * time.Millisecond}, true, 42 * time.Millisecond, true},
-		{"engine_error", &ServerError{Code: CodeEngine, Msg: "boom"}, true, 0, true},
-	}
-	for _, c := range cases {
-		retryable, after, trips := c.err.Classify()
-		if retryable != c.retryable || after != c.retryAfter || trips != c.trips {
-			t.Errorf("%s: Classify = (%v, %v, %v), want (%v, %v, %v)",
-				c.name, retryable, after, trips, c.retryable, c.retryAfter, c.trips)
-		}
+	c := coordinator(t, addrs)
+	if _, _, err := c.MultiQueryAll(coordQueries(items)); err == nil || !strings.Contains(err.Error(), "server 1") {
+		t.Fatalf("coordinator with a dead server returned %v, want an error naming server 1", err)
 	}
 }
 
@@ -291,174 +196,46 @@ func dummyQueries() []msq.Query {
 	return []msq.Query{{ID: 1, Vec: vec.Vector{0.5, 0.5, 0.5}, Type: query.NewKNN(2)}}
 }
 
-// TestCoordinatorFailsFastOnBadRequest: a bad_request response is not
-// retried — the server already proved the request itself is the problem —
-// and does not count toward the breaker: every later operation still
-// reaches the server.
+// TestCoordinatorFailsFastOnBadRequest: a server's refusal fails the
+// operation with the server's error as it sent it, after one request per
+// operation: bad_request, which the caller's batch earns every time, and
+// overload, whose retry-after hint reaches the caller.
 func TestCoordinatorFailsFastOnBadRequest(t *testing.T) {
-	addr, calls := fakeServer(t, Response{Err: "nope", Code: CodeBadRequest})
-	c := coordinator(t, []string{addr}, parallel.FanOut{Timeout: 5 * time.Second, Retries: 3})
-	const ops = 8 // more than the breaker's threshold
-	for i := 0; i < ops; i++ {
-		_, rep, err := c.MultiQueryAll(dummyQueries())
-		var se *ServerError
-		if !errors.As(err, &se) || se.Code != CodeBadRequest {
-			t.Fatalf("operation %d: got %v, want bad_request ServerError", i, err)
-		}
-		if rep.PerServer[0].Health.Attempts != 1 {
-			t.Fatalf("operation %d: %d attempts, want 1 (fail fast)", i, rep.PerServer[0].Health.Attempts)
-		}
-	}
-	if got := calls.Load(); got != ops {
-		t.Fatalf("server saw %d requests for %d operations", got, ops)
-	}
-}
-
-// TestCoordinatorHonorsRetryAfter: retries after an overload response wait
-// at least the server's hint, and the hint surfaces on ServerError.
-func TestCoordinatorHonorsRetryAfter(t *testing.T) {
 	const hint = 60 * time.Millisecond
-	addr, calls := fakeServer(t, Response{
-		Err: "overloaded", Code: CodeOverload, RetryAfterMs: hint.Milliseconds(),
-	})
-	c := coordinator(t, []string{addr}, parallel.FanOut{Timeout: 5 * time.Second, Retries: 1})
-	start := time.Now()
-	_, _, err := c.MultiQueryAll(dummyQueries())
-	elapsed := time.Since(start)
-	var se *ServerError
-	if !errors.As(err, &se) || se.Code != CodeOverload {
-		t.Fatalf("got %v, want overload ServerError", err)
-	}
-	if se.RetryAfter != hint {
-		t.Fatalf("ServerError.RetryAfter = %v, want %v", se.RetryAfter, hint)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Fatalf("server saw %d attempts, want 2", got)
-	}
-	if elapsed < hint {
-		t.Fatalf("retried after %v, before the server's %v retry-after hint", elapsed, hint)
-	}
-}
-
-// breakerCooldown outlasts the breaker's cooldown, which package parallel
-// fixes at one second.
-const breakerCooldown = time.Second + 100*time.Millisecond
-
-// TestCoordinatorBreakerTripsAndProbes: consecutive failed attempts against
-// a dead server open its breaker (the next operation fails fast with
-// ErrCircuitOpen, zero attempts), and after the cooldown one probe is
-// admitted; its failure keeps the breaker open.
-func TestCoordinatorBreakerTripsAndProbes(t *testing.T) {
-	t.Parallel()
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := lis.Addr().String()
-	lis.Close() // nothing listens: every dial fails fast
-
-	// One try and four retries reach the breaker's threshold of five.
-	c := coordinator(t, []string{addr}, parallel.FanOut{Timeout: time.Second, Retries: 4})
-	queries := dummyQueries()
-	if _, rep, err := c.MultiQueryAll(queries); err == nil {
-		t.Fatal("dead server: want error")
-	} else if h := rep.PerServer[0].Health; h.Attempts != 5 {
-		t.Fatalf("attempts = %d, want 5", h.Attempts)
-	}
-	// Open breaker: the next operation fails fast without dialing.
-	_, rep, err := c.MultiQueryAll(queries)
-	if !errors.Is(err, parallel.ErrCircuitOpen) {
-		t.Fatalf("got %v, want ErrCircuitOpen", err)
-	}
-	if h := rep.PerServer[0].Health; h.Attempts != 0 {
-		t.Fatalf("attempts = %d while open, want 0", h.Attempts)
-	}
-	// After the cooldown one probe is admitted; it fails, and the breaker
-	// stays open for the retries and the next operation.
-	time.Sleep(breakerCooldown)
-	_, rep, err = c.MultiQueryAll(queries)
-	if !errors.Is(err, parallel.ErrCircuitOpen) {
-		t.Fatalf("after the failed probe: got %v, want ErrCircuitOpen", err)
-	}
-	if h := rep.PerServer[0].Health; h.Attempts != 1 {
-		t.Fatalf("cooldown elapsed: %d attempts, want the one probe", h.Attempts)
-	}
-	if _, rep, err := c.MultiQueryAll(queries); !errors.Is(err, parallel.ErrCircuitOpen) || rep.PerServer[0].Health.Attempts != 0 {
-		t.Fatalf("after a failed probe: %v with %d attempts, want ErrCircuitOpen with 0",
-			err, rep.PerServer[0].Health.Attempts)
-	}
-}
-
-// TestCoordinatorBreakerRecovers: a breaker opened by a failing server
-// closes again once the server recovers and the probe succeeds. The server's
-// storage fails its first five reads, one per attempt, then heals.
-func TestCoordinatorBreakerRecovers(t *testing.T) {
-	t.Parallel()
-	wrap := func(_ int, src store.PageSource) (store.PageSource, error) {
-		return fault.Wrap(src, fault.Config{ErrProb: 1, MaxFaults: 5})
-	}
-	addrs, items := startPartitionedServers(t, 1, wrap)
-	queries := coordQueries(items)
-	want := refAnswers(t, items, queries)
-
-	c := coordinator(t, addrs, parallel.FanOut{Timeout: 5 * time.Second, Retries: 4})
-	if _, rep, err := c.MultiQueryAll(queries); err == nil {
-		t.Fatal("faulted server: want error")
-	} else if h := rep.PerServer[0].Health; h.Attempts != 5 {
-		t.Fatalf("attempts = %d, want 5", h.Attempts)
-	}
-	if _, _, err := c.MultiQueryAll(queries); !errors.Is(err, parallel.ErrCircuitOpen) {
-		t.Fatalf("got %v, want ErrCircuitOpen while open", err)
-	}
-	time.Sleep(breakerCooldown)
-	got, rep, err := c.MultiQueryAll(queries)
-	if err != nil {
-		t.Fatalf("probe against a recovered server: %v", err)
-	}
-	if !sameCoordAnswers(got, want) {
-		t.Fatal("answers after breaker recovery differ from reference")
-	}
-	if rep.Degraded || rep.PerServer[0].Health.Attempts != 1 {
-		t.Fatalf("recovered server report %+v, want one healthy attempt", rep)
-	}
-	// The probe closed the breaker: the next operation is served at once.
-	if _, _, err := c.MultiQueryAll(queries); err != nil {
-		t.Fatalf("after a successful probe: %v, want a closed breaker", err)
+	for _, resp := range []Response{
+		{Err: "nope", Code: CodeBadRequest},
+		{Err: "overloaded", Code: CodeOverload, RetryAfterMs: hint.Milliseconds()},
+	} {
+		addr, calls := fakeServer(t, resp)
+		c := coordinator(t, []string{addr})
+		const ops = 3
+		for i := 0; i < ops; i++ {
+			_, _, err := c.MultiQueryAll(dummyQueries())
+			var se *ServerError
+			if !errors.As(err, &se) || se.Code != resp.Code {
+				t.Fatalf("operation %d: got %v, want a %s ServerError", i, err, resp.Code)
+			}
+			if want := time.Duration(resp.RetryAfterMs) * time.Millisecond; se.RetryAfter != want {
+				t.Fatalf("ServerError.RetryAfter = %v, want %v", se.RetryAfter, want)
+			}
+		}
+		if got := calls.Load(); got != ops {
+			t.Fatalf("%s: server saw %d requests for %d operations", resp.Code, got, ops)
+		}
 	}
 }
 
 // TestRemoteMalformedReply: a server that answers with the wrong number of
-// answer lists fails its own attempts — retried, then degraded around
-// (coverage 3/4) or, strict, named in the operation's error — instead of
-// failing a batch the other servers answered.
+// answer lists fails the operation, and the error names it.
 func TestRemoteMalformedReply(t *testing.T) {
-	addrs, items := startPartitionedServers(t, 3, nil)
-	bad, calls := fakeServer(t, Response{Answers: [][]Answer{{{ID: 1, Dist: 0}}}})
+	addrs, items := startPartitionedServers(t, 3)
+	bad, _ := fakeServer(t, Response{Answers: [][]Answer{{{ID: 1, Dist: 0}}}})
 	addrs = append(addrs, bad)
-	queries := coordQueries(items)
 
-	c := coordinator(t, addrs, parallel.FanOut{Timeout: 5 * time.Second, Retries: 1, Degrade: true})
-	got, rep, err := c.MultiQueryAll(queries)
-	if err != nil {
-		t.Fatalf("degraded coordinator errored: %v", err)
-	}
-	if rep.Coverage() != 0.75 {
-		t.Errorf("coverage = %v, want 3/4", rep.Coverage())
-	}
-	if h := rep.PerServer[3].Health; h.OK || h.Attempts != 2 || !strings.Contains(h.Err, "malformed") {
-		t.Errorf("malformed server health = %+v, want 2 failed attempts", h)
-	}
-	if calls.Load() != 2 {
-		t.Errorf("malformed server saw %d attempts, want 2", calls.Load())
-	}
-	if !sameCoordAnswers(got, refAnswers(t, items, queries)) {
-		t.Error("answers of the three real partitions differ from the reference")
-	}
-
-	strict := coordinator(t, addrs, parallel.FanOut{Timeout: 5 * time.Second})
-	_, _, err = strict.MultiQueryAll(queries)
+	c := coordinator(t, addrs)
+	_, _, err := c.MultiQueryAll(coordQueries(items))
 	if !errors.Is(err, ErrMalformedResponse) || !strings.Contains(err.Error(), "server 3") {
-		t.Fatalf("strict coordinator returned %v, want a malformed reply from server 3", err)
+		t.Fatalf("coordinator returned %v, want a malformed reply from server 3", err)
 	}
 }
 

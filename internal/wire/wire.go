@@ -139,10 +139,10 @@ type Stats struct {
 	// pivot-filtering engines — the rest of the distance-work partition
 	// next to DistCalcs. Zero for engines without a pivot phase.
 	PivotDistCalcs int64 `json:"pivot_dist_calcs,omitempty"`
-	// Degraded and Coverage expose the degraded-result contract when the
-	// backing processor runs over a partitioned execution; a single-node
-	// server always reports Degraded=false, Coverage=1.
-	Degraded bool    `json:"degraded,omitempty"`
+	// Coverage is the fraction of the data the answers cover, always 1: a
+	// server answers over its whole dataset. A reply from an older server
+	// may also carry "degraded":true; the hand codec does not take such a
+	// line, and encoding/json, which decodes it instead, ignores the key.
 	Coverage float64 `json:"coverage"`
 	// BatchWidth is the number of single queries the admission
 	// controller's batch former executed together with this one (1 = the
@@ -170,8 +170,9 @@ func fromStats(s msq.Stats) Stats {
 		Avoided:          s.Avoided,
 		PartialAbandoned: s.PartialAbandoned,
 		PivotDistCalcs:   s.PivotDistCalcs,
-		Degraded:         s.Degraded,
-		Coverage:         s.Coverage(),
+		// The key is not omitempty and the hand codec writes it, so it
+		// stays on the wire at its one value.
+		Coverage: 1,
 	}
 }
 
@@ -742,28 +743,9 @@ func (e *ServerError) Error() string {
 	return fmt.Sprintf("wire: server [%s]: %s", e.Code, e.Msg)
 }
 
-// Classify states the refusal's retry policy to a parallel.Cluster, which
-// reads it from any failed attempt's error: bad_request is the caller's own
-// mistake — never retried, never counted against the server's circuit
-// breaker, since the server answered; shutting_down is deliberate and final
-// for this server; overload is retryable, but no sooner than the server's
-// retry-after hint; anything else is retryable server trouble.
-func (e *ServerError) Classify() (retryable bool, retryAfter time.Duration, trips bool) {
-	switch e.Code {
-	case CodeBadRequest:
-		return false, 0, false
-	case CodeShutdown:
-		return false, 0, true
-	case CodeOverload:
-		return true, e.RetryAfter, true
-	default:
-		return true, 0, true
-	}
-}
-
 // ErrMalformedResponse marks a structurally invalid server response (e.g.
-// a success response missing the expected answer lists, as a buggy or
-// degraded server might produce).
+// a success response missing the expected answer lists, as a buggy server
+// might produce).
 var ErrMalformedResponse = errors.New("wire: malformed server response")
 
 // roundTrip sends one request and reads one response line.
